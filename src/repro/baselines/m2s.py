@@ -24,6 +24,7 @@ import numpy as np
 from repro.errors import GuestError
 from repro.gpu.encoding import decode_clause
 from repro.gpu.isa import (
+    ATOM_MODE_SHIFT,
     CONST_BASE,
     NUM_GRF,
     REG_GLOBAL_ID,
@@ -39,6 +40,7 @@ from repro.gpu.isa import (
     is_grf,
     is_temp,
 )
+from repro.gpu.ops import atomic_apply
 
 _F32 = struct.Struct("<f")
 _U32 = struct.Struct("<I")
@@ -66,12 +68,16 @@ def _is_nan_bits(bits):
 # and vector code paths (which operand's payload survives, and whether
 # signalling NaNs are quieted). The quad engines compute on vectors, so for
 # NaN inputs the scalar ALU delegates to a 1-element vector computation.
-# For the arithmetic ops that computation is width-independent (each lane
-# is one hardware add/mul with a fixed NaN rule); fmin/fmax are instead
-# built from compares and blends whose payload choice varies with the SIMD
-# lane position, so their NaN results are canonicalized outright (Arm
-# default-NaN mode) rather than propagated.
-_NAN_PROPAGATING = {Op.FADD, Op.FSUB, Op.FMUL, Op.FMA, Op.FMIN, Op.FMAX}
+# With one NaN source that computation is width-independent (the payload
+# that survives is the only one there is). With two or more it is not for
+# the commutative operations (FADD, FMUL, FMA): an x86 add/mul keeps its
+# *first* operand's payload, and NumPy's SIMD body and scalar tail present
+# the operands in different orders, so the surviving payload can differ
+# between a 4-lane and a 67-lane issue of the same instruction. That gap
+# is open (ROADMAP item 2 prices closing it); tests/test_gpu_ops.py
+# excludes exactly that operand class. FMIN/FMAX never propagate a
+# payload and are plain scalar code below.
+_NAN_PROPAGATING = {Op.FADD, Op.FSUB, Op.FMUL, Op.FMA}
 _QNAN_BITS = 0x7FC00000  # canonical quiet NaN
 
 
@@ -85,17 +91,9 @@ def _vector_alu_f(op, a, b, c):
             result = va - vb
         elif op is Op.FMUL:
             result = va * vb
-        elif op is Op.FMA:
+        else:  # FMA
             vc = np.array([c & 0xFFFFFFFF], dtype=np.uint32).view(np.float32)
             result = va * vb + vc
-        elif op is Op.FMIN:
-            result = np.fmin(va, vb)
-            if np.isnan(result[0]):
-                return _QNAN_BITS
-        else:  # FMAX
-            result = np.fmax(va, vb)
-            if np.isnan(result[0]):
-                return _QNAN_BITS
     return int(result.astype(np.float32).view(np.uint32)[0])
 
 
@@ -359,16 +357,13 @@ class M2SSimulator:
                 tracer.record_scalar(thread, instr, uniforms[instr.imm])
             return
         if op is Op.ATOM:
-            from repro.gpu.isa import ATOM_MODE_SHIFT
-            from repro.gpu.warp import _atomic_apply
-
             if stats:
                 stats.load_store += 1
             addr = self._read_op(thread, clause, instr.srca)
             operand = self._read_op(thread, clause, instr.srcb)
             mode = (instr.flags >> ATOM_MODE_SHIFT) & 0x7
             current = self._mem_load(addr, local, instr.mem_is_local)
-            updated = _atomic_apply(mode, current, operand & 0xFFFFFFFF)
+            updated = atomic_apply(mode, current, operand & 0xFFFFFFFF)
             self._mem_store(addr, updated, local, instr.mem_is_local)
             self._write_op(thread, instr.dst, current)
             if tracer is not None:
@@ -405,14 +400,18 @@ class M2SSimulator:
             if op is Op.FMA:
                 return _from_f(np.float32(_to_f(a)) * np.float32(_to_f(b))
                                + np.float32(_to_f(c)))
-            if op is Op.FMIN:
-                # IEEE fmin semantics (NaN-ignoring, -0 < +0), matching the
-                # quad engine's np.fmin
-                return _from_f(np.fmin(np.float32(_to_f(a)),
-                                       np.float32(_to_f(b))))
-            if op is Op.FMAX:
-                return _from_f(np.fmax(np.float32(_to_f(a)),
-                                       np.float32(_to_f(b))))
+            if op is Op.FMIN or op is Op.FMAX:
+                # Arm FPMin/FPMax with default NaN: a NaN loses to a
+                # number, two NaNs give the canonical quiet NaN, and of
+                # two zeros FMIN takes -0 and FMAX +0
+                if _is_nan_bits(a):
+                    return _QNAN_BITS if _is_nan_bits(b) else b
+                if _is_nan_bits(b):
+                    return a
+                fa, fb = _to_f(a), _to_f(b)
+                if fa == fb:
+                    return a | b if op is Op.FMIN else a & b
+                return a if (fa < fb) == (op is Op.FMIN) else b
             if op is Op.FABS:
                 return a & 0x7FFFFFFF
             if op is Op.FNEG:

@@ -26,116 +26,19 @@ import numpy as np
 from repro.errors import GuestError
 from repro.instrument.stats import apply_clause_stats
 from repro.gpu.isa import (
+    ATOM_MODE_SHIFT,
     CONST_BASE,
     TEMP_BASE,
-    CmpMode,
     Op,
     Tail,
     is_const,
     is_grf,
     is_temp,
 )
-from repro.gpu.warp import (
-    WARP_WIDTH,
-    _CMP_FNS,
-    vec_f2i,
-    vec_f2u,
-    vec_i2f,
-    vec_idiv,
-    vec_irem,
-    vec_u2f,
-    vec_udiv,
-    vec_urem,
-)
+from repro.gpu.ops import alu, atomic_apply
+from repro.gpu.warp import WARP_WIDTH
 
 _END_PC = 1 << 30
-_SHIFT = np.uint32(31)
-
-
-def _f32(x):
-    return x.view(np.float32)
-
-
-def _u32(x):
-    return x if x.dtype == np.uint32 else x.view(np.uint32)
-
-
-# value functions: (a, b, c) uint32 lane vectors -> result (any 32-bit view)
-def _alu_table():
-    err = dict(all="ignore")
-
-    def wrap_f(fn):
-        def run(a, b, c):
-            with np.errstate(**err):
-                return fn(_f32(a), _f32(b), _f32(c)).astype(np.float32)
-        return run
-
-    def wrap_minmax(fn):
-        # Arm default-NaN mode: canonicalize NaN results (NumPy's
-        # fmin/fmax payload choice is SIMD-lane-dependent)
-        def run(a, b, c):
-            with np.errstate(**err):
-                out = fn(_f32(a), _f32(b)).astype(np.float32)
-                nan = np.isnan(out)
-                if nan.any():
-                    out[nan] = np.float32(np.nan)
-                return out
-        return run
-
-    table = {
-        Op.MOV: lambda a, b, c: a,
-        Op.FADD: wrap_f(lambda a, b, c: a + b),
-        Op.FSUB: wrap_f(lambda a, b, c: a - b),
-        Op.FMUL: wrap_f(lambda a, b, c: a * b),
-        Op.FMA: wrap_f(lambda a, b, c: a * b + c),
-        Op.FMIN: wrap_minmax(np.fmin),
-        Op.FMAX: wrap_minmax(np.fmax),
-        Op.FABS: wrap_f(lambda a, b, c: np.abs(a)),
-        Op.FNEG: wrap_f(lambda a, b, c: -a),
-        Op.FFLOOR: wrap_f(lambda a, b, c: np.floor(a)),
-        Op.FRCP: wrap_f(lambda a, b, c: np.float32(1.0) / a),
-        Op.FSQRT: wrap_f(lambda a, b, c: np.sqrt(a)),
-        Op.FRSQ: wrap_f(lambda a, b, c: np.float32(1.0) / np.sqrt(a)),
-        Op.FEXP: wrap_f(lambda a, b, c: np.exp(a)),
-        Op.FLOG: wrap_f(lambda a, b, c: np.log(a)),
-        Op.FSIN: wrap_f(lambda a, b, c: np.sin(a)),
-        Op.FCOS: wrap_f(lambda a, b, c: np.cos(a)),
-        Op.IADD: lambda a, b, c: a + b,
-        Op.ISUB: lambda a, b, c: a - b,
-        Op.IMUL: lambda a, b, c: (a.astype(np.uint64)
-                                  * b.astype(np.uint64)).astype(np.uint32),
-        Op.IAND: lambda a, b, c: a & b,
-        Op.IOR: lambda a, b, c: a | b,
-        Op.IXOR: lambda a, b, c: a ^ b,
-        Op.ISHL: lambda a, b, c: a << (b & _SHIFT),
-        Op.ISHR: lambda a, b, c: a >> (b & _SHIFT),
-        Op.IASHR: lambda a, b, c: (a.view(np.int32)
-                                   >> (b & _SHIFT).astype(np.int32))
-        .view(np.uint32),
-        Op.IMIN: lambda a, b, c: np.minimum(a.view(np.int32),
-                                            b.view(np.int32)).view(np.uint32),
-        Op.IMAX: lambda a, b, c: np.maximum(a.view(np.int32),
-                                            b.view(np.int32)).view(np.uint32),
-        Op.UMIN: lambda a, b, c: np.minimum(a, b),
-        Op.UMAX: lambda a, b, c: np.maximum(a, b),
-        Op.IABS: lambda a, b, c: np.abs(a.view(np.int32)).view(np.uint32),
-        Op.SELECT: lambda a, b, c: np.where(c != 0, a, b),
-        # long-tail semantics shared with the interpreter (repro.gpu.warp
-        # pure vector functions), so every engine is bit-identical on the
-        # divide-by-zero / saturating-conversion corner cases
-        Op.IDIV: lambda a, b, c: vec_idiv(a, b),
-        Op.IREM: lambda a, b, c: vec_irem(a, b),
-        Op.UDIV: lambda a, b, c: vec_udiv(a, b),
-        Op.UREM: lambda a, b, c: vec_urem(a, b),
-        Op.F2I: lambda a, b, c: vec_f2i(a),
-        Op.F2U: lambda a, b, c: vec_f2u(a),
-        Op.I2F: lambda a, b, c: vec_i2f(a),
-        Op.U2F: lambda a, b, c: vec_u2f(a),
-    }
-    return table
-
-
-_ALU = _alu_table()
 
 
 class ClauseJIT:
@@ -176,22 +79,23 @@ class ClauseJIT:
             def read(_warp, value=vector):
                 return value
             return read
-        zero = np.zeros(WARP_WIDTH, dtype=np.uint32)
 
-        def read(_warp, value=zero):
-            return value
+        # same error as the interpreter's _read, raised when the slot is
+        # issued: an unreachable clause with a bad operand stays harmless
+        def read(_warp):
+            raise GuestError(f"invalid source operand {operand}")
         return read
 
     @staticmethod
     def _writer(operand):
         if is_grf(operand):
             def write(warp, mask, values, column=operand):
-                np.copyto(warp.regs[:, column], _u32(values), where=mask)
+                np.copyto(warp.regs[:, column], values, where=mask)
             return write
         slot = operand - TEMP_BASE
 
         def write(warp, mask, values, column=slot):
-            np.copyto(warp.temps[:, column], _u32(values), where=mask)
+            np.copyto(warp.temps[:, column], values, where=mask)
         return write
 
     # -- clause translation ------------------------------------------------------
@@ -221,38 +125,26 @@ class ClauseJIT:
             return self._translate_memory(clause, instr)
         if op is Op.ATOM:
             return self._translate_atomic(clause, instr)
-        if op is Op.CMP:
-            read_a = self._reader(clause, instr.srca)
-            read_b = self._reader(clause, instr.srcb)
-            write = self._writer(instr.dst)
-            mode = CmpMode(instr.flags)
-            compare = _CMP_FNS[mode]
-            if mode <= CmpMode.FGE:
-                view = lambda x: x.view(np.float32)  # noqa: E731
-            elif mode <= CmpMode.IGE:
-                view = lambda x: x.view(np.int32)  # noqa: E731
-            else:
-                view = lambda x: x  # noqa: E731
-
-            def run_cmp(warp, mask, lanes):
-                with np.errstate(invalid="ignore"):
-                    result = compare(view(read_a(warp)), view(read_b(warp)))
-                write(warp, mask, result.astype(np.uint32))
-            return run_cmp
-        fn = _ALU[op]
+        # one row of repro.gpu.ops, with only the sources the op has bound
+        fn, arity = alu(instr)
         read_a = self._reader(clause, instr.srca)
-        read_b = self._reader(clause, instr.srcb)
-        read_c = self._reader(clause, instr.srcc)
         write = self._writer(instr.dst)
+        if arity == 1:
+            def run(warp, mask, lanes):
+                write(warp, mask, fn(read_a(warp)))
+            return run
+        read_b = self._reader(clause, instr.srcb)
+        if arity == 2:
+            def run(warp, mask, lanes):
+                write(warp, mask, fn(read_a(warp), read_b(warp)))
+            return run
+        read_c = self._reader(clause, instr.srcc)
 
         def run(warp, mask, lanes):
             write(warp, mask, fn(read_a(warp), read_b(warp), read_c(warp)))
         return run
 
     def _translate_atomic(self, clause, instr):
-        from repro.gpu.isa import ATOM_MODE_SHIFT
-        from repro.gpu.warp import _atomic_apply
-
         read_addr = self._reader(clause, instr.srca)
         read_val = self._reader(clause, instr.srcb)
         write = self._writer(instr.dst)
@@ -272,7 +164,7 @@ class ClauseJIT:
                 else:
                     current = mem.load_u32(addr)
                 old[lane] = current
-                updated = _atomic_apply(mode, current, int(values[lane]))
+                updated = atomic_apply(mode, current, int(values[lane]))
                 if local:
                     local_mem[addr >> 2] = updated
                 else:
@@ -324,7 +216,7 @@ class ClauseJIT:
                 indices = read_addr(warp)[active].astype(np.int64) >> 2
                 for element in range(width):
                     values = read_data[element](warp)
-                    local_mem[indices + element] = _u32(values)[active]
+                    local_mem[indices + element] = values[active]
             return run_st_local
 
         def run_st(warp, mask, lanes):
@@ -336,7 +228,7 @@ class ClauseJIT:
                 elem_addrs = addr_list if element == 0 else \
                     [a + 4 * element for a in addr_list]
                 if quad_store is not None and quad_store(
-                        elem_addrs, _u32(values)[active]) is not None:
+                        elem_addrs, values[active]) is not None:
                     continue
                 for lane, addr in zip(active, elem_addrs):
                     mem.store_u32(addr, int(values[lane]))

@@ -50,21 +50,20 @@ from repro.gpu.isa import (
     REG_LANE,
     REG_LOCAL_ID,
     TEMP_BASE,
-    CmpMode,
     Op,
     Tail,
     is_const,
     is_grf,
     is_temp,
 )
-from repro.gpu.jit import _ALU
-from repro.gpu.warp import _CMP_FNS, QUAD_WIDTH, QuadWarp
+from repro.gpu.ops import OPS, alu
+from repro.gpu.warp import QUAD_WIDTH, QuadWarp
 
 _END_PC = 1 << 30
 
 #: every op the SoA translation handles; programs using anything else
 #: (today: ATOM) are statically ineligible and run on the quad tiers
-SUPPORTED_OPS = frozenset(_ALU) | {Op.NOP, Op.LDU, Op.LD, Op.ST, Op.CMP}
+SUPPORTED_OPS = frozenset(OPS) | {Op.NOP, Op.LDU, Op.LD, Op.ST, Op.CMP}
 
 
 def mega_supported(program, mem):
@@ -77,10 +76,6 @@ def mega_supported(program, mem):
             if fma.op not in SUPPORTED_OPS or add.op not in SUPPORTED_OPS:
                 return False
     return True
-
-
-def _u32(values):
-    return values if values.dtype == np.uint32 else values.view(np.uint32)
 
 
 class MegaState:
@@ -143,11 +138,11 @@ class MegaKernel:
             def read(_state, v=vector):
                 return v
             return read
-        zero = np.zeros(self.width, dtype=np.uint32)
-        zero.flags.writeable = False
 
-        def read(_state, v=zero):
-            return v
+        # same error as the interpreter's _read, raised when the slot is
+        # issued: an unreachable clause with a bad operand stays harmless
+        def read(_state):
+            raise GuestError(f"invalid source operand {operand}")
         return read
 
     @staticmethod
@@ -155,17 +150,17 @@ class MegaKernel:
         if is_grf(operand):
             def write(state, mask, values, column=operand):
                 if mask is None:
-                    state.regs[column] = _u32(values)
+                    state.regs[column] = values
                 else:
-                    np.copyto(state.regs[column], _u32(values), where=mask)
+                    np.copyto(state.regs[column], values, where=mask)
             return write
         slot = operand - TEMP_BASE
 
         def write(state, mask, values, column=slot):
             if mask is None:
-                state.temps[column] = _u32(values)
+                state.temps[column] = values
             else:
-                np.copyto(state.temps[column], _u32(values), where=mask)
+                np.copyto(state.temps[column], values, where=mask)
         return write
 
     # -- clause translation ------------------------------------------------------
@@ -194,30 +189,20 @@ class MegaKernel:
             if instr.mem_is_local:
                 return self._translate_local(clause, instr)
             return self._translate_global(clause, instr)
-        if op is Op.CMP:
-            read_a = self._reader(clause, instr.srca)
-            read_b = self._reader(clause, instr.srcb)
-            write = self._writer(instr.dst)
-            mode = CmpMode(instr.flags)
-            compare = _CMP_FNS[mode]
-            if mode <= CmpMode.FGE:
-                view = lambda x: x.view(np.float32)  # noqa: E731
-            elif mode <= CmpMode.IGE:
-                view = lambda x: x.view(np.int32)  # noqa: E731
-            else:
-                view = lambda x: x  # noqa: E731
-
-            def run_cmp(state, mask):
-                with np.errstate(invalid="ignore"):
-                    result = compare(view(read_a(state)),
-                                     view(read_b(state)))
-                write(state, mask, result.astype(np.uint32))
-            return run_cmp
-        fn = _ALU[op]
+        # one row of repro.gpu.ops, with only the sources the op has bound
+        fn, arity = alu(instr)
         read_a = self._reader(clause, instr.srca)
-        read_b = self._reader(clause, instr.srcb)
-        read_c = self._reader(clause, instr.srcc)
         write = self._writer(instr.dst)
+        if arity == 1:
+            def run(state, mask):
+                write(state, mask, fn(read_a(state)))
+            return run
+        read_b = self._reader(clause, instr.srcb)
+        if arity == 2:
+            def run(state, mask):
+                write(state, mask, fn(read_a(state), read_b(state)))
+            return run
+        read_c = self._reader(clause, instr.srcc)
 
         def run(state, mask):
             write(state, mask,

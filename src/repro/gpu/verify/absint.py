@@ -20,6 +20,8 @@ anything else collapses to ``top`` and the memory passes make no claim.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.gpu.isa import (
     CONST_BASE,
     REG_GLOBAL_ID,
@@ -34,6 +36,7 @@ from repro.gpu.isa import (
     is_grf,
     is_temp,
 )
+from repro.gpu.ops import OPS
 from repro.gpu.verify import model
 
 # Interval bounds beyond this collapse to top: 32-bit wraparound would
@@ -204,8 +207,7 @@ class AbsintResult:
 
 
 # Integer ops the symbolic domain cannot track but that fold exactly
-# when every operand is a known constant (machine mod-2^32 semantics,
-# mirroring the warp.py scalar ALU).
+# when every operand is a known constant (machine mod-2^32 semantics).
 _FOLD_OPS = frozenset({Op.ISHR, Op.IASHR, Op.IABS, Op.IDIV, Op.IREM,
                        Op.UDIV, Op.UREM})
 
@@ -215,34 +217,18 @@ def _machine_u32(value):
 
 
 def _machine_s32(value):
+    """Signed reading of a machine word (the Hypothesis suite's reference
+    for the folded shifts and divisions)."""
     value &= 0xFFFFFFFF
     return value - (1 << 32) if value >= (1 << 31) else value
 
 
 def _fold_int(op, srcs):
-    """Machine-exact u32 result of *op* over exact-const operands —
-    bit-identical to the interpreter's vec_* / _h_* handlers."""
-    a = srcs[0].lo
-    b = srcs[1].lo if len(srcs) > 1 else 0
-    if op is Op.ISHR:
-        return _machine_u32(a) >> (_machine_u32(b) & 31)
-    if op is Op.IASHR:
-        # Python's >> on a signed int floors like the arithmetic shift
-        return _machine_u32(_machine_s32(a) >> (_machine_u32(b) & 31))
-    if op is Op.IABS:
-        return _machine_u32(abs(_machine_s32(a)))
-    if op in (Op.IDIV, Op.IREM):
-        sa, sb = _machine_s32(a), _machine_s32(b)
-        if sb == 0:
-            return 0  # architecture defines x/0 == x%0 == 0
-        quot = abs(sa) // abs(sb)
-        if (sa < 0) != (sb < 0):
-            quot = -quot  # truncate toward zero
-        return _machine_u32(quot if op is Op.IDIV else sa - quot * sb)
-    ua, ub = _machine_u32(a), _machine_u32(b)
-    if ub == 0:
-        return 0
-    return ua // ub if op is Op.UDIV else ua % ub
+    """Machine-exact u32 result of *op* over exact-const operands: the
+    op-table row the engines execute, applied to one lane."""
+    lanes = [np.array([_machine_u32(src.lo)], dtype=np.uint32)
+             for src in srcs]
+    return int(OPS[op].fn(*lanes)[0])
 
 
 def _read_aval(state, clause, operand):

@@ -1,8 +1,9 @@
 """Per-opcode operand model: what each instruction slot reads and writes.
 
-This mirrors the warp executor's handlers *exactly* (one entry per
-``_read``/``_write`` the interpreter performs), so structural and
-dataflow findings correspond one-to-one to dynamic behaviour:
+ALU source arity is the arity column of the op table the engines execute
+from (:mod:`repro.gpu.ops`); the memory ops mirror the executor's
+``_read``/``_write`` calls one for one. Structural and dataflow findings
+therefore correspond one-to-one to dynamic behaviour:
 
 - a missing required source or destination raises ``GuestError`` at
   ``_read``/``_write`` time;
@@ -12,40 +13,23 @@ dataflow findings correspond one-to-one to dynamic behaviour:
   port (each expanded operand must itself be readable).
 """
 
+from repro.gpu import ops
 from repro.gpu.isa import NUM_GRF, OPERAND_NONE, Op
-
-# Source-field arity per opcode, mirroring warp._dispatch handlers.
-_THREE_SRC = frozenset({Op.FMA, Op.SELECT})
-_TWO_SRC = frozenset({
-    Op.FADD, Op.FSUB, Op.FMUL, Op.FMIN, Op.FMAX,
-    Op.IADD, Op.ISUB, Op.IMUL, Op.IAND, Op.IOR, Op.IXOR,
-    Op.ISHL, Op.ISHR, Op.IASHR, Op.IMIN, Op.IMAX, Op.UMIN, Op.UMAX,
-    Op.IDIV, Op.IREM, Op.UDIV, Op.UREM, Op.CMP,
-})
-_ONE_SRC = frozenset({
-    Op.MOV, Op.FABS, Op.FNEG, Op.FFLOOR, Op.FRCP, Op.FSQRT, Op.FRSQ,
-    Op.FEXP, Op.FLOG, Op.FSIN, Op.FCOS,
-    Op.F2I, Op.F2U, Op.I2F, Op.U2F, Op.IABS,
-})
 
 _SRC_FIELDS = ("srca", "srcb", "srcc")
 
 
 def source_arity(op):
     """How many source fields (srca..) the executor reads for *op*."""
-    if op in _THREE_SRC:
-        return 3
-    if op in _TWO_SRC:
-        return 2
-    if op in _ONE_SRC:
-        return 1
     if op is Op.LD:
         return 1  # srca = address
     if op is Op.ST:
         return 2  # srca = address, srcb = value base
     if op is Op.ATOM:
         return 2  # srca = address, srcb = operand
-    return 0  # NOP, LDU
+    if op is Op.NOP or op is Op.LDU:
+        return 0
+    return ops.arity(op)
 
 
 def required_sources(instr):
@@ -67,13 +51,8 @@ def required_sources(instr):
 
 def ignored_sources(instr):
     """Source fields that are set but never read by the executor."""
-    op = instr.op
-    if op in (Op.NOP, Op.LD, Op.ST, Op.ATOM, Op.LDU):
-        used = {Op.NOP: 0, Op.LD: 1, Op.ST: 2, Op.ATOM: 2, Op.LDU: 0}[op]
-    else:
-        used = source_arity(op)
     extras = []
-    for i in range(used, 3):
+    for i in range(source_arity(instr.op), 3):
         value = getattr(instr, _SRC_FIELDS[i])
         if value != OPERAND_NONE:
             extras.append((_SRC_FIELDS[i], value))

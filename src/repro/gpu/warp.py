@@ -19,108 +19,23 @@ import numpy as np
 from repro.errors import GuestError
 from repro.instrument.stats import apply_clause_stats
 from repro.gpu.isa import (
-    ATOM_ADD,
-    ATOM_AND,
-    ATOM_MAX,
-    ATOM_MIN,
     ATOM_MODE_SHIFT,
-    ATOM_OR,
-    ATOM_SUB,
-    ATOM_XCHG,
-    ATOM_XOR,
     CONST_BASE,
     NUM_GRF,
     NUM_TEMPS,
-    OPERAND_NONE,
     QUAD_WIDTH,
     REG_LANE,
     TEMP_BASE,
-    CmpMode,
     Op,
     Tail,
     is_const,
     is_grf,
     is_temp,
 )
+from repro.gpu.ops import alu, atomic_apply
 
 WARP_WIDTH = QUAD_WIDTH
 _END_PC = 1 << 30
-
-_SHIFT_MASK = np.uint32(31)
-_F32_QNAN = np.float32(np.nan)  # canonical quiet NaN, bits 0x7FC00000
-
-
-def _as_f32(values):
-    return values.view(np.float32)
-
-
-# -- shared vector semantics ---------------------------------------------------
-#
-# The long-tail ops (division, remainder, float<->int conversion) have
-# corner-case behaviour (divide-by-zero yields zero, saturating float
-# conversion, NaN converts to zero) that must be bit-identical in every
-# engine. These pure functions on uint32 lane vectors of any length are
-# the single definition: the interpreter handlers, the JIT's ALU table
-# and the megakernel engine all delegate here.
-
-def vec_idiv(a_u32, b_u32):
-    """Signed 32-bit division: truncate toward zero, x/0 == 0."""
-    a = a_u32.view(np.int32).astype(np.int64)
-    b = b_u32.view(np.int32).astype(np.int64)
-    safe = np.where(b == 0, 1, b)
-    quotient = np.where(b == 0, 0, np.trunc(a / safe))
-    return quotient.astype(np.int64).astype(np.int32).view(np.uint32)
-
-
-def vec_irem(a_u32, b_u32):
-    """Signed 32-bit remainder (C semantics), x%0 == 0."""
-    a = a_u32.view(np.int32).astype(np.int64)
-    b = b_u32.view(np.int32).astype(np.int64)
-    safe = np.where(b == 0, 1, b)
-    quotient = np.trunc(a / safe).astype(np.int64)
-    remainder = a - quotient * safe
-    remainder = np.where(b == 0, 0, remainder)
-    return remainder.astype(np.int32).view(np.uint32)
-
-
-def vec_udiv(a_u32, b_u32):
-    a = a_u32.astype(np.uint64)
-    b = b_u32.astype(np.uint64)
-    safe = np.where(b == 0, 1, b)
-    return np.where(b == 0, 0, a // safe).astype(np.uint32)
-
-
-def vec_urem(a_u32, b_u32):
-    a = a_u32.astype(np.uint64)
-    b = b_u32.astype(np.uint64)
-    safe = np.where(b == 0, 1, b)
-    return np.where(b == 0, 0, a % safe).astype(np.uint32)
-
-
-def vec_f2i(a_u32):
-    """Saturating float->int32 (the architecture's defined out-of-range
-    behaviour; NaN converts to 0)."""
-    a = _as_f32(a_u32)
-    with np.errstate(all="ignore"):
-        safe = np.nan_to_num(a.astype(np.float64), nan=0.0)
-        clipped = np.clip(safe, -2147483648.0, 2147483647.0)
-        return clipped.astype(np.int64).astype(np.int32).view(np.uint32)
-
-
-def vec_f2u(a_u32):
-    a = _as_f32(a_u32)
-    with np.errstate(all="ignore"):
-        safe = np.nan_to_num(a.astype(np.float64), nan=0.0)
-        clipped = np.clip(safe, 0.0, 4294967295.0)
-        return clipped.astype(np.int64).astype(np.uint32)
-
-
-def vec_i2f(a_u32):
-    return a_u32.view(np.int32).astype(np.float32)
-
-
-def vec_u2f(a_u32):
-    return a_u32.astype(np.float32)
 
 
 class QuadWarp:
@@ -178,7 +93,6 @@ class ClauseInterpreter:
         self.stats = stats
         self.cfg = cfg
         self.tracer = tracer
-        self._dispatch = _DISPATCH
         # quad-wide memory fast path: available when the memory port
         # exposes the vector API (the GPU MMU over PhysicalMemory does;
         # bus-routed or test stub ports fall back to per-word accesses).
@@ -329,16 +243,15 @@ class ClauseInterpreter:
         # is equivalent (and MOV r, r is the identity either way)
         if is_grf(operand):
             if lanes == WARP_WIDTH:
-                warp.regs[:, operand] = values.view(np.uint32)
+                warp.regs[:, operand] = values
             else:
-                np.copyto(warp.regs[:, operand], values.view(np.uint32),
-                          where=mask)
+                np.copyto(warp.regs[:, operand], values, where=mask)
         elif is_temp(operand):
             if lanes == WARP_WIDTH:
-                warp.temps[:, operand - TEMP_BASE] = values.view(np.uint32)
+                warp.temps[:, operand - TEMP_BASE] = values
             else:
-                np.copyto(warp.temps[:, operand - TEMP_BASE],
-                          values.view(np.uint32), where=mask)
+                np.copyto(warp.temps[:, operand - TEMP_BASE], values,
+                          where=mask)
         else:
             raise GuestError(f"invalid destination operand {operand}")
 
@@ -363,12 +276,22 @@ class ClauseInterpreter:
             if self.tracer is not None:
                 self.tracer.record_quad(warp, mask, instr, values)
             return
-        handler = self._dispatch[op]
-        result = handler(self, warp, clause, instr, lanes)
+        # one row of repro.gpu.ops: read exactly the sources the op has
+        # (a missing one raises in _read), apply its value function
+        fn, arity = alu(instr)
+        a = self._read(warp, clause, instr.srca, lanes)
+        if arity == 1:
+            result = fn(a)
+        else:
+            b = self._read(warp, clause, instr.srcb, lanes)
+            if arity == 2:
+                result = fn(a, b)
+            else:
+                result = fn(a, b,
+                            self._read(warp, clause, instr.srcc, lanes))
         self._write(warp, instr.dst, result, mask, lanes)
         if self.tracer is not None:
-            self.tracer.record_quad(warp, mask, instr,
-                                    result.view(np.uint32))
+            self.tracer.record_quad(warp, mask, instr, result)
 
     def _execute_memory(self, warp, clause, instr, mask, lanes):
         width = instr.mem_width
@@ -529,7 +452,7 @@ class ClauseInterpreter:
             else:
                 current = self.mem.load_u32(addr)
             old[lane] = current
-            updated = _atomic_apply(mode, current, int(values[lane]))
+            updated = atomic_apply(mode, current, int(values[lane]))
             if local:
                 self.local[addr >> 2] = updated
             else:
@@ -541,273 +464,5 @@ class ClauseInterpreter:
     def _write_vector_reg(self, warp, reg, values, mask, lanes):
         np.copyto(warp.regs[:, reg], values, where=mask)
 
-    # -- arithmetic handlers --------------------------------------------------
-
-    def _h_mov(self, warp, clause, instr, lanes):
-        return self._read(warp, clause, instr.srca, lanes)
-
-    def _binary_f(self, warp, clause, instr, lanes, fn):
-        a = _as_f32(self._read(warp, clause, instr.srca, lanes))
-        b = _as_f32(self._read(warp, clause, instr.srcb, lanes))
-        with np.errstate(all="ignore"):
-            # copy=False: fn always returns a fresh temporary, so the
-            # conversion can reuse it when the dtype already matches
-            return fn(a, b).astype(np.float32, copy=False)
-
-    def _unary_f(self, warp, clause, instr, lanes, fn):
-        a = _as_f32(self._read(warp, clause, instr.srca, lanes))
-        with np.errstate(all="ignore"):
-            return fn(a).astype(np.float32, copy=False)
-
-    def _h_fadd(self, w, c, i, n):
-        return self._binary_f(w, c, i, n, np.add)
-
-    def _h_fsub(self, w, c, i, n):
-        return self._binary_f(w, c, i, n, np.subtract)
-
-    def _h_fmul(self, w, c, i, n):
-        return self._binary_f(w, c, i, n, np.multiply)
-
-    def _h_fma(self, w, c, i, n):
-        a = _as_f32(self._read(w, c, i.srca, n))
-        b = _as_f32(self._read(w, c, i.srcb, n))
-        acc = _as_f32(self._read(w, c, i.srcc, n))
-        with np.errstate(all="ignore"):
-            return (a * b + acc).astype(np.float32, copy=False)
-
-    def _h_fmin(self, w, c, i, n):
-        return self._minmax_f(w, c, i, n, np.fmin)
-
-    def _h_fmax(self, w, c, i, n):
-        return self._minmax_f(w, c, i, n, np.fmax)
-
-    def _minmax_f(self, warp, clause, instr, lanes, fn):
-        # Arm default-NaN mode: a NaN result of min/max is the canonical
-        # quiet NaN, never a propagated payload (NumPy's fmin/fmax payload
-        # choice is SIMD-lane-dependent, so propagation cannot be bit-exact
-        # across engine vector widths)
-        a = _as_f32(self._read(warp, clause, instr.srca, lanes))
-        b = _as_f32(self._read(warp, clause, instr.srcb, lanes))
-        with np.errstate(all="ignore"):
-            out = fn(a, b).astype(np.float32, copy=False)
-            nan = np.isnan(out)
-            if nan.any():
-                out[nan] = _F32_QNAN
-        return out
-
-    def _h_fabs(self, w, c, i, n):
-        return self._unary_f(w, c, i, n, np.abs)
-
-    def _h_fneg(self, w, c, i, n):
-        return self._unary_f(w, c, i, n, np.negative)
-
-    def _h_ffloor(self, w, c, i, n):
-        return self._unary_f(w, c, i, n, np.floor)
-
-    def _h_frcp(self, w, c, i, n):
-        return self._unary_f(w, c, i, n, lambda x: np.float32(1.0) / x)
-
-    def _h_fsqrt(self, w, c, i, n):
-        return self._unary_f(w, c, i, n, np.sqrt)
-
-    def _h_frsq(self, w, c, i, n):
-        return self._unary_f(w, c, i, n, lambda x: np.float32(1.0) / np.sqrt(x))
-
-    def _h_fexp(self, w, c, i, n):
-        return self._unary_f(w, c, i, n, np.exp)
-
-    def _h_flog(self, w, c, i, n):
-        return self._unary_f(w, c, i, n, np.log)
-
-    def _h_fsin(self, w, c, i, n):
-        return self._unary_f(w, c, i, n, np.sin)
-
-    def _h_fcos(self, w, c, i, n):
-        return self._unary_f(w, c, i, n, np.cos)
-
-    def _h_f2i(self, w, c, i, n):
-        return vec_f2i(self._read(w, c, i.srca, n))
-
-    def _h_f2u(self, w, c, i, n):
-        return vec_f2u(self._read(w, c, i.srca, n))
-
-    def _h_i2f(self, w, c, i, n):
-        return vec_i2f(self._read(w, c, i.srca, n))
-
-    def _h_u2f(self, w, c, i, n):
-        return vec_u2f(self._read(w, c, i.srca, n))
-
-    def _binary_u(self, warp, clause, instr, lanes, fn):
-        a = self._read(warp, clause, instr.srca, lanes)
-        b = self._read(warp, clause, instr.srcb, lanes)
-        return fn(a, b).astype(np.uint32, copy=False)
-
-    def _h_iadd(self, w, c, i, n):
-        return self._binary_u(w, c, i, n, np.add)
-
-    def _h_isub(self, w, c, i, n):
-        return self._binary_u(w, c, i, n, np.subtract)
-
-    def _h_imul(self, w, c, i, n):
-        a = self._read(w, c, i.srca, n).astype(np.uint64)
-        b = self._read(w, c, i.srcb, n).astype(np.uint64)
-        return (a * b).astype(np.uint32)
-
-    def _h_iand(self, w, c, i, n):
-        return self._binary_u(w, c, i, n, np.bitwise_and)
-
-    def _h_ior(self, w, c, i, n):
-        return self._binary_u(w, c, i, n, np.bitwise_or)
-
-    def _h_ixor(self, w, c, i, n):
-        return self._binary_u(w, c, i, n, np.bitwise_xor)
-
-    def _h_ishl(self, w, c, i, n):
-        return self._binary_u(w, c, i, n, lambda a, b: a << (b & _SHIFT_MASK))
-
-    def _h_ishr(self, w, c, i, n):
-        return self._binary_u(w, c, i, n, lambda a, b: a >> (b & _SHIFT_MASK))
-
-    def _h_iashr(self, w, c, i, n):
-        a = self._read(w, c, i.srca, n).view(np.int32)
-        b = self._read(w, c, i.srcb, n)
-        return (a >> (b & _SHIFT_MASK).astype(np.int32)).view(np.uint32)
-
-    def _h_imin(self, w, c, i, n):
-        a = self._read(w, c, i.srca, n).view(np.int32)
-        b = self._read(w, c, i.srcb, n).view(np.int32)
-        return np.minimum(a, b).view(np.uint32)
-
-    def _h_imax(self, w, c, i, n):
-        a = self._read(w, c, i.srca, n).view(np.int32)
-        b = self._read(w, c, i.srcb, n).view(np.int32)
-        return np.maximum(a, b).view(np.uint32)
-
-    def _h_umin(self, w, c, i, n):
-        return self._binary_u(w, c, i, n, np.minimum)
-
-    def _h_umax(self, w, c, i, n):
-        return self._binary_u(w, c, i, n, np.maximum)
-
-    def _h_iabs(self, w, c, i, n):
-        a = self._read(w, c, i.srca, n).view(np.int32)
-        return np.abs(a).view(np.uint32)
-
-    def _h_idiv(self, w, c, i, n):
-        return vec_idiv(self._read(w, c, i.srca, n),
-                        self._read(w, c, i.srcb, n))
-
-    def _h_irem(self, w, c, i, n):
-        return vec_irem(self._read(w, c, i.srca, n),
-                        self._read(w, c, i.srcb, n))
-
-    def _h_udiv(self, w, c, i, n):
-        return vec_udiv(self._read(w, c, i.srca, n),
-                        self._read(w, c, i.srcb, n))
-
-    def _h_urem(self, w, c, i, n):
-        return vec_urem(self._read(w, c, i.srca, n),
-                        self._read(w, c, i.srcb, n))
-
-    def _h_cmp(self, w, c, i, n):
-        mode = CmpMode(i.flags)
-        raw_a = self._read(w, c, i.srca, n)
-        raw_b = self._read(w, c, i.srcb, n)
-        if mode <= CmpMode.FGE:
-            a, b = _as_f32(raw_a), _as_f32(raw_b)
-        elif mode <= CmpMode.IGE:
-            a, b = raw_a.view(np.int32), raw_b.view(np.int32)
-        else:
-            a, b = raw_a, raw_b
-        with np.errstate(invalid="ignore"):
-            result = _CMP_FNS[mode](a, b)
-        return result.astype(np.uint32)
-
-    def _h_select(self, w, c, i, n):
-        a = self._read(w, c, i.srca, n)
-        b = self._read(w, c, i.srcb, n)
-        cond = self._read(w, c, i.srcc, n)
-        return np.where(cond != 0, a, b)
-
-
-def _atomic_apply(mode, current, operand):
-    """32-bit atomic update function shared by all engines."""
-    if mode == ATOM_ADD:
-        return (current + operand) & 0xFFFFFFFF
-    if mode == ATOM_SUB:
-        return (current - operand) & 0xFFFFFFFF
-    if mode == ATOM_MIN:
-        a = current - (1 << 32) if current & 0x80000000 else current
-        b = operand - (1 << 32) if operand & 0x80000000 else operand
-        return min(a, b) & 0xFFFFFFFF
-    if mode == ATOM_MAX:
-        a = current - (1 << 32) if current & 0x80000000 else current
-        b = operand - (1 << 32) if operand & 0x80000000 else operand
-        return max(a, b) & 0xFFFFFFFF
-    if mode == ATOM_AND:
-        return current & operand
-    if mode == ATOM_OR:
-        return current | operand
-    if mode == ATOM_XOR:
-        return current ^ operand
-    if mode == ATOM_XCHG:
-        return operand & 0xFFFFFFFF
-    raise GuestError(f"unknown atomic mode {mode}")
-
 
 DivergenceCFGEnd = "END"
-
-_CMP_FNS = {
-    CmpMode.FEQ: np.equal, CmpMode.FNE: np.not_equal,
-    CmpMode.FLT: np.less, CmpMode.FLE: np.less_equal,
-    CmpMode.FGT: np.greater, CmpMode.FGE: np.greater_equal,
-    CmpMode.IEQ: np.equal, CmpMode.INE: np.not_equal,
-    CmpMode.ILT: np.less, CmpMode.ILE: np.less_equal,
-    CmpMode.IGT: np.greater, CmpMode.IGE: np.greater_equal,
-    CmpMode.ULT: np.less, CmpMode.ULE: np.less_equal,
-    CmpMode.UGT: np.greater, CmpMode.UGE: np.greater_equal,
-}
-
-_DISPATCH = {
-    Op.MOV: ClauseInterpreter._h_mov,
-    Op.FADD: ClauseInterpreter._h_fadd,
-    Op.FSUB: ClauseInterpreter._h_fsub,
-    Op.FMUL: ClauseInterpreter._h_fmul,
-    Op.FMA: ClauseInterpreter._h_fma,
-    Op.FMIN: ClauseInterpreter._h_fmin,
-    Op.FMAX: ClauseInterpreter._h_fmax,
-    Op.FABS: ClauseInterpreter._h_fabs,
-    Op.FNEG: ClauseInterpreter._h_fneg,
-    Op.FFLOOR: ClauseInterpreter._h_ffloor,
-    Op.FRCP: ClauseInterpreter._h_frcp,
-    Op.FSQRT: ClauseInterpreter._h_fsqrt,
-    Op.FRSQ: ClauseInterpreter._h_frsq,
-    Op.FEXP: ClauseInterpreter._h_fexp,
-    Op.FLOG: ClauseInterpreter._h_flog,
-    Op.FSIN: ClauseInterpreter._h_fsin,
-    Op.FCOS: ClauseInterpreter._h_fcos,
-    Op.F2I: ClauseInterpreter._h_f2i,
-    Op.F2U: ClauseInterpreter._h_f2u,
-    Op.I2F: ClauseInterpreter._h_i2f,
-    Op.U2F: ClauseInterpreter._h_u2f,
-    Op.IADD: ClauseInterpreter._h_iadd,
-    Op.ISUB: ClauseInterpreter._h_isub,
-    Op.IMUL: ClauseInterpreter._h_imul,
-    Op.IAND: ClauseInterpreter._h_iand,
-    Op.IOR: ClauseInterpreter._h_ior,
-    Op.IXOR: ClauseInterpreter._h_ixor,
-    Op.ISHL: ClauseInterpreter._h_ishl,
-    Op.ISHR: ClauseInterpreter._h_ishr,
-    Op.IASHR: ClauseInterpreter._h_iashr,
-    Op.IMIN: ClauseInterpreter._h_imin,
-    Op.IMAX: ClauseInterpreter._h_imax,
-    Op.UMIN: ClauseInterpreter._h_umin,
-    Op.UMAX: ClauseInterpreter._h_umax,
-    Op.IDIV: ClauseInterpreter._h_idiv,
-    Op.IREM: ClauseInterpreter._h_irem,
-    Op.UDIV: ClauseInterpreter._h_udiv,
-    Op.UREM: ClauseInterpreter._h_urem,
-    Op.IABS: ClauseInterpreter._h_iabs,
-    Op.CMP: ClauseInterpreter._h_cmp,
-    Op.SELECT: ClauseInterpreter._h_select,
-}

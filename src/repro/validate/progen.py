@@ -58,6 +58,7 @@ from repro.gpu.isa import (
     is_memory_op,
     is_temp,
 )
+from repro.gpu.ops import arity as op_arity
 from repro.gpu.verify import VerifyContext, verify_program
 
 # -- memory layout contract shared with the differential runner ---------------
@@ -89,23 +90,6 @@ GEN_EXCLUDED = {Op.NOP, Op.FEXP, Op.FLOG, Op.FSIN, Op.FCOS}
 
 GENERATABLE_OPS = tuple(op for op in Op if op not in GEN_EXCLUDED)
 _ARITH_OPS = tuple(op for op in GENERATABLE_OPS if not is_memory_op(op))
-
-_UNARY_OPS = {
-    Op.MOV, Op.FABS, Op.FNEG, Op.FFLOOR, Op.FRCP, Op.FSQRT, Op.FRSQ,
-    Op.FEXP, Op.FLOG, Op.FSIN, Op.FCOS, Op.F2I, Op.F2U, Op.I2F, Op.U2F,
-    Op.IABS,
-}
-_TERNARY_OPS = {Op.FMA, Op.SELECT}
-
-
-def op_arity(op):
-    """Number of source operands an arithmetic op reads."""
-    if op in _UNARY_OPS:
-        return 1
-    if op in _TERNARY_OPS:
-        return 3
-    return 2
-
 
 # interesting 32-bit patterns for constants and input data: float special
 # values (including NaN payloads — the engines are bit-exact on them),

@@ -99,12 +99,12 @@ class TestMinMaxDefaultNaN:
 
     @pytest.mark.parametrize("op", [Op.FMIN, Op.FMAX])
     def test_jit_table_is_canonical(self, op):
-        from repro.gpu.jit import _alu_table
+        # the JIT (like every engine) executes the shared op-table row
+        from repro.gpu.ops import OPS
 
-        fn = _alu_table()[op]
-        out = fn(np.full(4, _QNAN, np.uint32), np.full(4, _SNAN, np.uint32),
-                 np.zeros(4, np.uint32))
-        assert list(out.view(np.uint32)) == [_QNAN] * 4
+        out = OPS[op].fn(np.full(4, _QNAN, np.uint32),
+                         np.full(4, _SNAN, np.uint32))
+        assert list(out) == [_QNAN] * 4
 
     def test_quiet_nan_still_loses_to_numbers(self):
         # default-NaN mode only applies to NaN *results*: fmax(x, qNaN)
