@@ -383,6 +383,13 @@ class M2SSimulator:
             tracer.record_scalar(thread, instr, result)
 
     @staticmethod
+    def alu(op, instr, a, b, c):
+        """One scalar ALU operation on raw 32-bit values (the fuzzer's
+        per-op oracle). Delegates by name so a test that patches
+        ``_alu`` to plant a bug is seen here too."""
+        return M2SSimulator._alu(op, instr, a, b, c)
+
+    @staticmethod
     def _alu(op, instr, a, b, c):
         if op in _NAN_PROPAGATING and (
                 _is_nan_bits(a) or _is_nan_bits(b)

@@ -1,556 +1,48 @@
-"""Full-platform state capture and re-application.
+"""Checkpoint framing around the component state protocol.
 
-The serializer follows the gem5 checkpoint philosophy: objects are
-**rebuilt from configuration** in the restoring process, then their
-mutable state is overwritten from the snapshot. Nothing host-side (CL
-``Buffer``/``Kernel`` handles, event tracers, injected callables) is
-serialized — those belong to the process, not the platform.
-
-Two invariants make the restored platform bit-identical to the saved
-one:
-
-- **No MMIO on the restore path.** ``ctrl_reg_reads``/``ctrl_reg_writes``
-  and ``tlb_flushes`` are golden Table-III counters; every device and
-  MMU register is re-applied directly on object attributes and the
-  saved counter values are restored verbatim.
-- **Caches are either dropped or rewarmed without counters.** The MMU
-  TLB and load/store view caches are pure accelerators (``translations``
-  and ``pages_accessed`` count on every access, hit or miss) and are
-  dropped. The Job Manager's decode cache is *not* droppable — a cold
-  cache would re-fetch kernel binaries through ``mmu.load_block`` and
-  inflate the golden translation count — so its keys are serialized and
-  the programs re-decoded through a private page-table walk that touches
-  no registered counter.
+The serializer follows the gem5 checkpoint philosophy: the platform is
+**rebuilt from configuration** in the restoring process, then every
+component overwrites its own mutable state from the snapshot
+(:class:`repro.state.Stateful`; ``MobilePlatform.COMPONENTS`` is the
+walk). This module knows no component's fields. It owns the two payload
+framings — ``state.json`` (config + platform state + caller ``extra``)
+and ``memory.bin`` (physical pages + block-device image) — and the
+fail-closed rule: anything a component trips over in a checkpoint that
+passed its digests (a missing key, a tenant or core that its own config
+does not have, an injector state that does not match its plan) surfaces
+as :class:`~repro.errors.CheckpointError`, never as a half-applied
+platform handed back to the caller.
 """
 
 import json
 
-from repro.driver.kbase import (
-    ArbiterPolicy,
-    PendingJob,
-    QoSClass,
-    Region,
-    TenancyConfig,
-    TenantSpec,
-)
 from repro.errors import CheckpointError
-from repro.gpu.device import GPUConfig
-from repro.gpu.encoding import decode_program
-from repro.inject.injector import FaultInjector
-from repro.inject.plan import FaultPlan
-from repro.instrument.registry import _JOB_STAT_FIELDS
-from repro.instrument.stats import JobStats
-from repro.mem.pagetable import PageTableWalker
-from repro.mem.physical import PAGE_SIZE
 
 _U64 = 8
 
-# PendingJob fields that serialize verbatim (``tenant`` is rebound by id
-# on restore; completion state is identity-false for queued jobs)
-_PENDING_JOB_FIELDS = (
-    "tenant_id", "priority", "descriptor_va", "workgroups", "label",
-    "seq", "queued_tick", "wait_ticks", "preemptions", "dispatch_count",
-)
-
-_REGION_FIELDS = ("gpu_va", "phys", "size", "committed", "growable")
-
-_TENANT_COUNTERS = (
-    "regions_allocated", "regions_freed", "bytes_mapped", "page_faults",
-    "pages_grown", "alloc_failures", "jobs_submitted", "jobs_completed",
-    "jobs_failed", "dispatches", "preemptions", "wait_ticks",
-    "translations",
-)
-
-_DRIVER_COUNTERS = (
-    "jobs_submitted", "retries", "resets", "soft_stops", "hard_stops",
-    "irq_mismatches", "spurious_irqs", "backoff_ticks",
-    "faults_unrecovered", "as_switches",
-)
-
-_GPU_DEVICE_FIELDS = (
-    "_shader_ready", "_job_irq_rawstat", "_job_irq_mask",
-    "_mmu_irq_rawstat", "_mmu_irq_mask", "_job_status", "_fault_reason",
-    "_job_count", "_submit_lo", "_pgd_lo", "_pgd_hi", "_job_slice",
-    "soft_resets", "job_soft_stops", "job_hard_stops",
-)
-
-_SYSTEM_STATS_FIELDS = (
-    "pages_accessed", "ctrl_reg_reads", "ctrl_reg_writes",
-    "interrupts_asserted", "compute_jobs", "mmu_faults", "tlb_flushes",
-)
-
-_MMU_FIELDS = (
-    "_enabled", "_as_id", "_as_tag", "fault_addr", "fault_status",
-    "translations", "page_faults_resolved", "injected_faults",
-    "quad_accesses", "quad_fallbacks", "wide_accesses", "wide_fallbacks",
-    "_fast_path_enabled",
-)
-
-_JOBMANAGER_COUNTERS = (
-    "decode_count", "jobs_retired", "watchdog_timeouts",
-    "jobs_preempted", "descriptor_corruptions", "decode_cache_enabled",
-)
-
-
-def _job_stats_to_dict(stats):
-    out = {name: getattr(stats, name) for name, _desc in _JOB_STAT_FIELDS}
-    out["clause_size_histogram"] = {
-        str(size): count
-        for size, count in sorted(stats.clause_size_histogram.items())}
-    return out
-
-
-def _job_stats_apply(stats, data):
-    """In-place restore: registered probes close over the existing
-    JobStats objects (``lambda s=stats: ...``), so the objects must be
-    mutated, never replaced."""
-    for name, _desc in _JOB_STAT_FIELDS:
-        setattr(stats, name, data[name])
-    stats.clause_size_histogram.clear()
-    stats.clause_size_histogram.update(
-        (int(size), count)
-        for size, count in data["clause_size_histogram"].items())
-    return stats
-
-
-def _job_stats_from_dict(data):
-    return _job_stats_apply(JobStats(), data)
-
-
-def _region_to_dict(region):
-    return {name: getattr(region, name) for name in _REGION_FIELDS}
-
-
-def _region_from_dict(data):
-    return Region(**{name: data[name] for name in _REGION_FIELDS})
-
-
-# -- configuration --------------------------------------------------------------
-
 
 def serialize_config(config):
-    """The :class:`PlatformConfig` as plain JSON (tracers are dropped —
-    they are host-process observers, not platform state)."""
-    gpu = config.gpu
-    tenancy = None
-    if config.tenancy is not None:
-        qos_classes = None
-        if config.tenancy.qos_classes is not None:
-            qos_classes = {
-                key: {"name": qos.name, "priority": qos.priority,
-                      "slice_workgroups": qos.slice_workgroups}
-                for key, qos in sorted(config.tenancy.qos_classes.items())}
-        arbiter = None
-        if config.tenancy.arbiter is not None:
-            arbiter = {
-                "starvation_bound": config.tenancy.arbiter.starvation_bound,
-                "max_preemptions": config.tenancy.arbiter.max_preemptions}
-        tenancy = {
-            "tenants": [{"name": spec.name, "qos": spec.qos}
-                        for spec in config.tenancy.tenants],
-            "arbiter": arbiter,
-            "qos_classes": qos_classes,
-        }
-    return {
-        "gpu": {
-            "num_shader_cores": gpu.num_shader_cores,
-            "num_host_threads": gpu.num_host_threads,
-            "instrument": gpu.instrument,
-            "collect_cfg": gpu.collect_cfg,
-            "engine": gpu.engine,
-        },
-        "cpu_engine": config.cpu_engine,
-        "memory_size": config.memory_size,
-        "tenancy": tenancy,
-    }
+    return config.to_plain()
 
 
 def deserialize_config(data):
     from repro.core.platform import PlatformConfig
 
-    tenancy = None
-    if data["tenancy"] is not None:
-        raw = data["tenancy"]
-        qos_classes = None
-        if raw["qos_classes"] is not None:
-            qos_classes = {
-                key: QoSClass(name=qos["name"], priority=qos["priority"],
-                              slice_workgroups=qos["slice_workgroups"])
-                for key, qos in raw["qos_classes"].items()}
-        arbiter = None
-        if raw["arbiter"] is not None:
-            arbiter = ArbiterPolicy(
-                starvation_bound=raw["arbiter"]["starvation_bound"],
-                max_preemptions=raw["arbiter"]["max_preemptions"])
-        tenancy = TenancyConfig(
-            tenants=[TenantSpec(name=spec["name"], qos=spec["qos"])
-                     for spec in raw["tenants"]],
-            arbiter=arbiter, qos_classes=qos_classes)
-    return PlatformConfig(
-        gpu=GPUConfig(**data["gpu"]),
-        cpu_engine=data["cpu_engine"],
-        memory_size=data["memory_size"],
-        tenancy=tenancy,
-    )
-
-
-# -- capture --------------------------------------------------------------------
-
-
-def serialize_memory(platform):
-    """Physical pages + block-device image as one binary blob.
-
-    Layout (all integers u64 little-endian)::
-
-        page_count, then page_count x (page_index, 4096 raw bytes),
-        block_image_length, block image bytes
-
-    All allocated pages are stored, including all-zero ones, so the
-    restored ``allocated_pages`` count (and every carve-out digest,
-    which walks allocated pages) matches exactly.
-    """
-    memory = platform.memory
-    chunks = []
-    indices = sorted(memory._pages)
-    chunks.append(len(indices).to_bytes(_U64, "little"))
-    for index in indices:
-        chunks.append(index.to_bytes(_U64, "little"))
-        chunks.append(bytes(memory._pages[index]))
-    image = bytes(platform.block._image)
-    chunks.append(len(image).to_bytes(_U64, "little"))
-    chunks.append(image)
-    return b"".join(chunks)
-
-
-def apply_memory(platform, blob):
-    memory = platform.memory
-    try:
-        pos = 0
-        count = int.from_bytes(blob[pos:pos + _U64], "little")
-        pos += _U64
-        pages = {}
-        for _ in range(count):
-            index = int.from_bytes(blob[pos:pos + _U64], "little")
-            pos += _U64
-            page = blob[pos:pos + PAGE_SIZE]
-            pos += PAGE_SIZE
-            if len(page) != PAGE_SIZE:
-                raise CheckpointError("truncated page payload")
-            pages[index] = bytearray(page)
-        image_len = int.from_bytes(blob[pos:pos + _U64], "little")
-        pos += _U64
-        image = blob[pos:pos + image_len]
-        if len(image) != image_len or pos + image_len != len(blob):
-            raise CheckpointError("truncated block-device payload")
-    except (IndexError, OverflowError) as exc:
-        raise CheckpointError(
-            f"malformed checkpoint memory payload: {exc}") from exc
-    memory._pages = pages
-    memory._views = {}
-    platform.block._image = bytearray(image)
-
-
-def _capture_arbiter(arbiter):
-    queues = []
-    for priority, per_tenant in arbiter._queues.items():
-        tenant_queues = []
-        for tenant_id, jobs in per_tenant.items():
-            tenant_queues.append([
-                tenant_id,
-                [{name: getattr(job, name)
-                  for name in _PENDING_JOB_FIELDS} for job in jobs]])
-        queues.append([priority, tenant_queues])
-    return {
-        "tick": arbiter.tick,
-        "submitted": arbiter.submitted,
-        "dispatched": arbiter.dispatched,
-        "promotions": arbiter.promotions,
-        "queues": queues,
-        "order": [[priority, list(order)]
-                  for priority, order in arbiter._order.items()],
-        "cursor": [[priority, cursor]
-                   for priority, cursor in arbiter._cursor.items()],
-    }
-
-
-def _apply_arbiter(driver, data):
-    from collections import deque
-
-    arbiter = driver.arbiter
-    arbiter.tick = data["tick"]
-    arbiter.submitted = data["submitted"]
-    arbiter.dispatched = data["dispatched"]
-    arbiter.promotions = data["promotions"]
-    arbiter._queues = {}
-    for priority, tenant_queues in data["queues"]:
-        per = arbiter._queues.setdefault(priority, {})
-        for tenant_id, jobs in tenant_queues:
-            per[tenant_id] = deque(
-                PendingJob(tenant=driver.tenant(job["tenant_id"]),
-                           **{name: job[name]
-                              for name in _PENDING_JOB_FIELDS})
-                for job in jobs)
-    arbiter._order = {priority: list(order)
-                      for priority, order in data["order"]}
-    arbiter._cursor = {priority: cursor
-                       for priority, cursor in data["cursor"]}
-
-
-def _capture_tenant(tenant):
-    allocator = tenant.allocator
-    return {
-        "allocator": {
-            "next": allocator._next,
-            "free_extents": [list(extent)
-                             for extent in allocator._free_extents],
-            "bytes_recycled": allocator.bytes_recycled,
-        },
-        "page_table": {
-            "root": tenant._page_table.root,
-            "table_frames": list(tenant._page_table._table_frames),
-        },
-        "va_next": tenant._va_next,
-        "growable": [_region_to_dict(region)
-                     for region in tenant._growable],
-        "descriptor_region": (
-            _region_to_dict(tenant._descriptor_region)
-            if tenant._descriptor_region is not None else None),
-        "next_slot": tenant._next_slot,
-        "counters": {name: getattr(tenant, name)
-                     for name in _TENANT_COUNTERS},
-        "completed_stats": _job_stats_to_dict(tenant.completed_stats),
-    }
-
-
-def _apply_tenant(tenant, data):
-    allocator = tenant.allocator
-    allocator._next = data["allocator"]["next"]
-    allocator._free_extents = [tuple(extent)
-                               for extent in
-                               data["allocator"]["free_extents"]]
-    allocator.bytes_recycled = data["allocator"]["bytes_recycled"]
-    tenant._page_table.root = data["page_table"]["root"]
-    tenant._page_table._table_frames = list(
-        data["page_table"]["table_frames"])
-    tenant._va_next = data["va_next"]
-    tenant._growable = [_region_from_dict(region)
-                        for region in data["growable"]]
-    tenant._descriptor_region = (
-        _region_from_dict(data["descriptor_region"])
-        if data["descriptor_region"] is not None else None)
-    tenant._next_slot = data["next_slot"]
-    for name in _TENANT_COUNTERS:
-        setattr(tenant, name, data["counters"][name])
-    _job_stats_apply(tenant.completed_stats, data["completed_stats"])
-
-
-def _capture_registry_owned(registry):
-    """Registry-owned stats (accumulating :class:`Counter` objects and
-    owned :class:`Distribution` histograms — e.g. the CL runtime's
-    ``cl.runtime.*`` counters). Probes/formulas are views over component
-    state serialized elsewhere; these are the stats whose *only* home is
-    the registry itself."""
-    from repro.instrument.registry import Counter, Distribution
-
-    owned = []
-    for stat in registry.stats():
-        if isinstance(stat, Counter):
-            owned.append({"name": stat.name, "kind": "counter",
-                          "desc": stat.desc, "golden": stat.golden,
-                          "value": stat._value})
-        elif isinstance(stat, Distribution) and stat._samples is not None:
-            owned.append({"name": stat.name, "kind": "distribution",
-                          "desc": stat.desc, "golden": stat.golden,
-                          "value": [[key, count] for key, count in
-                                    sorted(stat._samples.items())]})
-    return owned
-
-
-def _apply_registry_owned(registry, owned):
-    """Get-or-create each owned stat and overwrite its value. Components
-    that register the same name later (a fresh CL ``Context`` re-running
-    its registrations) get the restored object back — registration is
-    get-or-create — so the counts keep accumulating from the saved
-    values."""
-    for item in owned:
-        if item["kind"] == "counter":
-            stat = registry.counter(item["name"], item["desc"],
-                                    item["golden"])
-            stat._value = item["value"]
-        else:
-            stat = registry.distribution(item["name"], desc=item["desc"],
-                                         golden=item["golden"])
-            stat._samples = {key: count for key, count in item["value"]}
-
-
-def _capture_injector(injector):
-    if injector is None:
-        return None
-    return {
-        "plan": injector.plan.to_dict(),
-        "current_tenant": injector.current_tenant,
-        "keyed": [[site, key, [armed.remaining for armed in entries]]
-                  for (site, key), entries in injector._keyed.items()],
-        "occ": [[site, [armed.remaining for armed in entries]]
-                for site, entries in injector._occ.items()],
-        "visits": dict(injector._visits),
-        "fired": dict(injector.fired),
-        "log": [list(entry) for entry in injector.log],
-    }
-
-
-def _apply_injector(platform, data):
-    if data is None:
-        platform.attach_injector(None)
-        return
-    injector = FaultInjector(FaultPlan.from_dict(data["plan"]))
-    # _keyed/_occ are populated in plan order on both sides, so the
-    # saved remaining-counts re-pair with the fresh _Armed objects
-    for site, key, remainings in data["keyed"]:
-        entries = injector._keyed.get((site, key), [])
-        if len(entries) != len(remainings):
-            raise CheckpointError(
-                f"injector state does not match its plan at site "
-                f"{site!r} key {key!r}")
-        for armed, remaining in zip(entries, remainings):
-            armed.remaining = remaining
-    for site, remainings in data["occ"]:
-        entries = injector._occ.get(site, [])
-        if len(entries) != len(remainings):
-            raise CheckpointError(
-                f"injector state does not match its plan at site "
-                f"{site!r}")
-        for armed, remaining in zip(entries, remainings):
-            armed.remaining = remaining
-    injector._visits.update(data["visits"])
-    injector.fired.update(data["fired"])
-    injector.log = [tuple(entry) for entry in data["log"]]
-    injector.current_tenant = data["current_tenant"]
-    platform.attach_injector(injector)
+    return PlatformConfig.from_plain(data)
 
 
 def capture_state(platform, extra=None):
     """Everything JSON-serializable about *platform*, plus *extra*
     (caller-owned resume payload: RNG streams, harness step index, ...).
     Pair with :func:`serialize_memory` for the binary half."""
-    gpu = platform.gpu
-    mmu = gpu.mmu
-    manager = gpu.job_manager
-    driver = platform.driver
-    state = {
-        "config": serialize_config(platform.config),
-        "platform": {
-            "staging_next": platform._staging_next,
-        },
-        "devices": {
-            "uart_output": bytes(platform.uart.output).hex(),
-            "timer_count": platform.timer.count,
-            "irqc": {"pending": platform.irqc.pending,
-                     "assertions": platform.irqc.assertions},
-            "net": {"tx_queue": bytes(platform.net._tx_queue).hex(),
-                    "rx_queue": bytes(platform.net._rx_queue).hex(),
-                    "frames_sent": platform.net.frames_sent},
-            "block": {"capacity_sectors": platform.block.capacity_sectors,
-                      "sector": platform.block._sector,
-                      "addr_lo": platform.block._addr_lo,
-                      "addr_hi": platform.block._addr_hi,
-                      "status": platform.block._status},
-        },
-        "cpu": {
-            "instructions_executed":
-                platform.guest.cpu.instructions_executed,
-        },
-        "mmu": {
-            "fields": {name: getattr(mmu, name) for name in _MMU_FIELDS},
-            "root": (mmu._walker.root
-                     if mmu._walker is not None else None),
-            "pages_accessed": sorted(mmu.pages_accessed),
-        },
-        "gpu": {
-            "fields": {name: getattr(gpu, name)
-                       for name in _GPU_DEVICE_FIELDS},
-            "system_stats": {name: getattr(gpu.system_stats, name)
-                             for name in _SYSTEM_STATS_FIELDS},
-        },
-        "jobmanager": {
-            "counters": {name: getattr(manager, name)
-                         for name in _JOBMANAGER_COUNTERS},
-            "decode_cache_keys": [list(key)
-                                  for key in manager._decode_cache],
-            "total_stats": _job_stats_to_dict(manager.total_stats),
-            "core_stats": [[unit_id, _job_stats_to_dict(stats)]
-                           for unit_id, stats in
-                           sorted(manager.core_stats.items())],
-        },
-        "driver": {
-            "counters": {name: getattr(driver, name)
-                         for name in _DRIVER_COUNTERS},
-            "initialized": driver.initialized,
-            "job_slice": driver._job_slice,
-            "mmu_tenant": driver._mmu_tenant.tenant_id,
-            "arbiter": _capture_arbiter(driver.arbiter),
-            "tenants": [[tenant.tenant_id, _capture_tenant(tenant)]
-                        for tenant in driver.tenants],
-        },
-        "registry_owned": _capture_registry_owned(platform.stats_registry),
-        "injector": _capture_injector(platform._injector),
-        "extra": extra,
-    }
-    return state
+    return {"config": serialize_config(platform.config),
+            "platform": platform.get_state(),
+            "extra": extra}
 
 
 def state_to_bytes(state):
     return (json.dumps(state, sort_keys=True, indent=1) + "\n") \
         .encode("utf-8")
-
-
-# -- restore --------------------------------------------------------------------
-
-
-def _read_via_walker(memory, walker, va, size):
-    """Read *size* bytes at GPU VA *va* through *walker* (a private
-    :class:`PageTableWalker` whose counters are not registered anywhere),
-    so decode-cache rewarming never perturbs golden MMU statistics."""
-    out = bytearray()
-    pos = 0
-    while pos < size:
-        vaddr = va + pos
-        page_va = vaddr & ~(PAGE_SIZE - 1)
-        entry = walker.lookup_page(page_va)
-        if entry is None:
-            return None
-        ppage, _flags = entry
-        offset = vaddr - page_va
-        chunk = min(size - pos, PAGE_SIZE - offset)
-        out += memory.read_block(ppage + offset, chunk)
-        pos += chunk
-    return bytes(out)
-
-
-def _rewarm_decode_cache(platform, keys):
-    """Re-decode the cached kernel binaries listed in *keys*.
-
-    A cold decode cache would re-fetch each binary through
-    ``mmu.load_block`` on first use, inflating the golden translation
-    count relative to an uninterrupted run. Entries whose pages are no
-    longer mapped (the region was freed after the program last ran) are
-    skipped — they can never be hit again at the same key with the same
-    content.
-    """
-    manager = platform.gpu.job_manager
-    memory = platform.memory
-    walkers = {}
-    for as_id, binary_va, binary_size in keys:
-        tenant = platform.driver.tenant(as_id)
-        walker = walkers.get(as_id)
-        if walker is None:
-            walker = PageTableWalker(memory, tenant._page_table.root)
-            walkers[as_id] = walker
-        image = _read_via_walker(memory, walker, binary_va, binary_size)
-        if image is None:
-            continue
-        manager._decode_cache[(as_id, binary_va, binary_size)] = \
-            decode_program(image)
 
 
 def apply_state(platform, state):
@@ -560,86 +52,35 @@ def apply_state(platform, state):
     (see :func:`deserialize_config`) and must not have been initialized
     or used. Physical memory must already be restored
     (:func:`apply_memory`) — page tables and descriptor pages live
-    there, and this function re-points the rebuilt objects at them.
+    there, and the components re-point themselves at them.
     """
-    devices = state["devices"]
-    platform.uart.output = bytearray(bytes.fromhex(
-        devices["uart_output"]))
-    platform.timer.count = devices["timer_count"]
-    platform.irqc.pending = devices["irqc"]["pending"]
-    platform.irqc.assertions = devices["irqc"]["assertions"]
-    platform.net._tx_queue = bytearray(bytes.fromhex(
-        devices["net"]["tx_queue"]))
-    platform.net._rx_queue = bytearray(bytes.fromhex(
-        devices["net"]["rx_queue"]))
-    platform.net.frames_sent = devices["net"]["frames_sent"]
-    block = devices["block"]
-    platform.block.capacity_sectors = block["capacity_sectors"]
-    platform.block._sector = block["sector"]
-    platform.block._addr_lo = block["addr_lo"]
-    platform.block._addr_hi = block["addr_hi"]
-    platform.block._status = block["status"]
-
-    platform.guest.cpu.instructions_executed = \
-        state["cpu"]["instructions_executed"]
-    platform._staging_next = state["platform"]["staging_next"]
-
-    gpu = platform.gpu
-    for name in _GPU_DEVICE_FIELDS:
-        setattr(gpu, name, state["gpu"]["fields"][name])
-    for name in _SYSTEM_STATS_FIELDS:
-        setattr(gpu.system_stats, name, state["gpu"]["system_stats"][name])
-    gpu.last_results = []
-
-    # MMU: rebuild the walker from the saved root (tables live in the
-    # restored memory), then re-apply registers and counters directly —
-    # the address_space setter and MMU_* MMIO writes are off-limits here
-    # (they flush TLBs and bump golden register-traffic counters)
-    mmu = gpu.mmu
-    if state["mmu"]["root"] is not None:
-        mmu.set_page_table(state["mmu"]["root"])
-    for name in _MMU_FIELDS:
-        setattr(mmu, name, state["mmu"]["fields"][name])
-    mmu.pages_accessed = set(state["mmu"]["pages_accessed"])
-    mmu._update_fast()
-
-    manager = gpu.job_manager
-    for name in _JOBMANAGER_COUNTERS:
-        setattr(manager, name, state["jobmanager"]["counters"][name])
-    _job_stats_apply(manager.total_stats,
-                     state["jobmanager"]["total_stats"])
-    for unit_id, stats in state["jobmanager"]["core_stats"]:
-        existing = manager.core_stats.get(unit_id)
-        if existing is None:
-            raise CheckpointError(
-                f"checkpoint core_stats unit {unit_id} does not exist "
-                f"under its own GPU config — corrupt state")
-        _job_stats_apply(existing, stats)
-    manager.results = []
-    manager._decode_cache = {}
-
-    driver = platform.driver
-    tenants_by_id = {tenant.tenant_id: tenant
-                     for tenant in driver.tenants}
-    saved_tenants = state["driver"]["tenants"]
-    if sorted(tenants_by_id) != sorted(tid for tid, _ in saved_tenants):
+    try:
+        platform.set_state(state["platform"])
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CheckpointError(
-            "checkpoint tenant set does not match its own tenancy "
-            "config — corrupt or hand-edited state")
-    for tenant_id, data in saved_tenants:
-        _apply_tenant(tenants_by_id[tenant_id], data)
-    for name in _DRIVER_COUNTERS:
-        setattr(driver, name, state["driver"]["counters"][name])
-    driver.initialized = state["driver"]["initialized"]
-    driver._job_slice = state["driver"]["job_slice"]
-    driver._mmu_tenant = tenants_by_id[state["driver"]["mmu_tenant"]]
-    _apply_arbiter(driver, state["driver"]["arbiter"])
-
-    _rewarm_decode_cache(
-        platform,
-        [tuple(key) for key in state["jobmanager"]["decode_cache_keys"]])
-
-    _apply_registry_owned(platform.stats_registry,
-                          state["registry_owned"])
-    _apply_injector(platform, state["injector"])
+            f"checkpoint state does not fit the platform its own config "
+            f"builds — corrupt or hand-edited: {exc!r}") from exc
     return platform
+
+
+def serialize_memory(platform):
+    """Physical pages + block-device image as one binary blob: the
+    :meth:`~repro.mem.physical.PhysicalMemory.dump_pages` blob, then the
+    image length (u64 little-endian) and the image bytes."""
+    block = platform.block
+    image = block.read_image(0, block.capacity_sectors)
+    return b"".join([*platform.memory.dump_pages(),
+                     len(image).to_bytes(_U64, "little"), image])
+
+
+def apply_memory(platform, blob):
+    try:
+        pos = platform.memory.load_pages(blob)
+    except ValueError as exc:
+        raise CheckpointError(
+            f"malformed checkpoint memory payload: {exc}") from exc
+    image = blob[pos + _U64:]
+    if len(blob) < pos + _U64 \
+            or len(image) != int.from_bytes(blob[pos:pos + _U64], "little"):
+        raise CheckpointError("truncated block-device payload")
+    platform.block.load_image(image)

@@ -133,7 +133,7 @@ class Context:
         (the global driver surface delegates to the default tenant)."""
         if self.tenant is not None:
             return self.tenant
-        return self.platform.driver._default_tenant
+        return self.platform.driver.default_tenant
 
     def enable_analysis_log(self):
         """Start recording static-bound vs observed-counter records for
@@ -515,7 +515,7 @@ class CommandQueue:
         platform = context.platform
         driver = context._driver
         tenant = (context.tenant if context.tenant is not None
-                  else platform.driver._default_tenant)
+                  else platform.driver.default_tenant)
 
         binary_region = kernel.program._binary_region(kernel.compiled)
         uniforms, local_mem_size = kernel._build_uniforms(global_size, local_size)

@@ -12,7 +12,7 @@ Memory map::
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from repro.cpu.devices import (
     UART,
@@ -22,12 +22,13 @@ from repro.cpu.devices import (
     Timer,
 )
 from repro.cpu.routines import GuestRoutines
-from repro.driver.kbase import KBaseDriver
+from repro.driver.kbase import KBaseDriver, TenancyConfig
 from repro.gpu import regs as gpu_regs
 from repro.gpu.device import GPUConfig, GPUDevice
 from repro.instrument.registry import StatsRegistry
 from repro.mem.bus import Bus
 from repro.mem.physical import PhysicalMemory
+from repro.state import Stateful
 
 UART_BASE = 0x1000_0000
 TIMER_BASE = 0x1001_0000
@@ -63,9 +64,32 @@ class PlatformConfig:
     memory_size: int = 1 << 32
     tenancy: object = None
 
+    def to_plain(self):
+        """Every field of every level as plain JSON data, except
+        ``GPUConfig.tracer`` — a host-process observer, not platform
+        configuration."""
+        return asdict(replace(self, gpu=replace(self.gpu, tracer=None)))
 
-class MobilePlatform:
+    @classmethod
+    def from_plain(cls, plain):
+        tenancy = plain["tenancy"]
+        return cls(**{
+            **plain, "gpu": GPUConfig(**plain["gpu"]),
+            "tenancy": (None if tenancy is None
+                        else TenancyConfig.from_plain(tenancy))})
+
+
+class MobilePlatform(Stateful):
     """A fully wired simulated mobile CPU/GPU platform."""
+
+    #: attribute paths of the :class:`~repro.state.Stateful` components,
+    #: in restore order (physical memory, which holds the page tables
+    #: and descriptors these re-point at, is restored before any of them)
+    COMPONENTS = ("uart", "timer", "irqc", "net", "block", "guest.cpu",
+                  "gpu", "gpu.mmu", "gpu.job_manager", "driver",
+                  "stats_registry")
+    STATE_CHILDREN = COMPONENTS
+    STATE_FIELDS = ("_staging_next",)
 
     def __init__(self, config=None):
         self.config = config or PlatformConfig()
@@ -169,14 +193,14 @@ class MobilePlatform:
     def _gpu_irq(self, gpu):
         """Route GPU interrupt assertions to the interrupt controller."""
         self.timer.tick()
-        if gpu._job_irq_rawstat & gpu._job_irq_mask:
+        if gpu.job_irq_pending:
             injector = self._injector
             if injector is None or injector.fire("irq.lost") is None:
                 self.irqc.raise_irq(InterruptController.SRC_GPU_JOB)
             # else: the JOB line assertion is dropped on the floor — the
             # driver's completion poll detects rawstat with no pending
             # line and recovers (IRQMismatchError "lost")
-        if gpu._mmu_irq_rawstat & gpu._mmu_irq_mask:
+        if gpu.mmu_irq_pending:
             self.irqc.raise_irq(InterruptController.SRC_GPU_MMU)
 
     # -- staging (host <-> guest data exchange) -------------------------------
@@ -204,6 +228,34 @@ class MobilePlatform:
         return self
 
     # -- checkpoint/restore ---------------------------------------------------
+
+    def get_state(self):
+        """The whole platform's mutable state except memory contents.
+
+        Nothing host-side (CL ``Buffer``/``Kernel`` handles, event
+        tracers, injected callables) is included — those belong to the
+        process, not the platform."""
+        state = super().get_state()
+        state["injector"] = (None if self._injector is None
+                             else self._injector.get_state())
+        return state
+
+    def set_state(self, state):
+        """Overwrite this platform — freshly built from the same config,
+        never initialized, physical memory already reloaded — with
+        :meth:`get_state` output."""
+        from repro.inject.injector import FaultInjector
+
+        super().set_state(state)
+        # after the driver: binaries are read through the tenants'
+        # restored page tables, which moves no golden MMU counter
+        self.gpu.job_manager.rewarm_decode_cache(
+            state["gpu.job_manager"]["decode_cache_keys"],
+            lambda as_id, va, size:
+                self.driver.tenant(as_id).read_va(va, size))
+        self.attach_injector(
+            None if state["injector"] is None
+            else FaultInjector.from_state(state["injector"]))
 
     def save_checkpoint(self, directory, extra=None):
         """Snapshot the whole platform into *directory*.

@@ -21,10 +21,15 @@ from repro.cpu.isa import (
     decode,
     sign64,
 )
+from repro.state import Stateful
 
 
-class CPU:
+class CPU(Stateful):
     """Architectural state shared by both execution engines."""
+
+    # registers/pc are dead between checkpoints: guest routines run to
+    # completion inside one runtime call and every call resets them
+    STATE_FIELDS = ("instructions_executed",)
 
     def __init__(self, bus):
         self.bus = bus

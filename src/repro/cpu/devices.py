@@ -9,6 +9,7 @@ and a simple block device backed by a RAM image.
 
 from repro.errors import BusError
 from repro.mem.bus import MMIODevice
+from repro.state import Stateful
 
 # UART registers
 UART_DATA = 0x0  # WO: transmit byte
@@ -38,8 +39,10 @@ BLK_STATUS = 0x10  # RO: 1 = ok
 SECTOR_SIZE = 512
 
 
-class UART(MMIODevice):
+class UART(MMIODevice, Stateful):
     """Console output device; captures transmitted bytes."""
+
+    STATE_FIELDS = ("output",)
 
     def __init__(self):
         self.output = bytearray()
@@ -62,8 +65,10 @@ class UART(MMIODevice):
         return self.output.decode("latin-1")
 
 
-class Timer(MMIODevice):
+class Timer(MMIODevice, Stateful):
     """Monotonic counter; advanced by the platform per simulated event."""
+
+    STATE_FIELDS = ("count",)
 
     def __init__(self):
         self.count = 0
@@ -82,8 +87,10 @@ class Timer(MMIODevice):
         raise BusError("timer registers are read-only")
 
 
-class InterruptController(MMIODevice):
+class InterruptController(MMIODevice, Stateful):
     """Latches device interrupt lines; the driver polls and acknowledges."""
+
+    STATE_FIELDS = ("pending", "assertions")
 
     # interrupt source bits
     SRC_GPU_JOB = 1 << 0
@@ -111,13 +118,15 @@ class InterruptController(MMIODevice):
             raise BusError(f"bad IRQC register 0x{offset:x}")
 
 
-class NetworkDevice(MMIODevice):
+class NetworkDevice(MMIODevice, Stateful):
     """A loopback network interface.
 
     Frames written through the TX registers are delivered to the receive
     queue (loopback), or to a host-side callback when one is installed —
     enough to exercise a guest network driver path without a real NIC.
     """
+
+    STATE_FIELDS = ("_tx_queue", "_rx_queue", "frames_sent")
 
     def __init__(self, on_transmit=None):
         self._tx_queue = bytearray()
@@ -153,8 +162,13 @@ class NetworkDevice(MMIODevice):
             raise BusError(f"bad network register 0x{offset:x}")
 
 
-class BlockDevice(MMIODevice):
+class BlockDevice(MMIODevice, Stateful):
     """Sector-addressed storage backed by a host-side RAM image."""
+
+    # the image itself travels in the checkpoint's binary half
+    # (read_image / load_image), beside the physical pages
+    STATE_FIELDS = ("capacity_sectors", "_sector", "_addr_lo", "_addr_hi",
+                    "_status")
 
     def __init__(self, memory, capacity_sectors=2048):
         self._memory = memory

@@ -52,7 +52,7 @@ Every register access the driver makes lands in the GPU's
 import struct
 import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.errors import DriverError, IRQMismatchError, JobFault, SimError
 from repro.cpu.devices import IRQC_ACK, IRQC_PENDING, InterruptController
@@ -62,8 +62,10 @@ from repro.gpu.jobmanager import (
     JOB_TYPE_COMPUTE,
 )
 from repro.instrument.stats import JobStats
-from repro.mem.pagetable import PTE_EXEC, PTE_READ, PTE_WRITE, PageTableBuilder
+from repro.mem.pagetable import PTE_EXEC, PTE_READ, PTE_WRITE
+from repro.mem.pagetable import PageTableBuilder, PageTableWalker
 from repro.mem.physical import PAGE_SIZE
+from repro.state import Stateful
 
 
 def _round_up(value, alignment):
@@ -223,6 +225,16 @@ class TenancyConfig:
                     f"known: {sorted(classes)}")
 
     @classmethod
+    def from_plain(cls, plain):
+        """Inverse of ``dataclasses.asdict`` on a :class:`TenancyConfig`."""
+        arbiter, classes = plain["arbiter"], plain["qos_classes"]
+        return cls(
+            tenants=[TenantSpec(**spec) for spec in plain["tenants"]],
+            arbiter=None if arbiter is None else ArbiterPolicy(**arbiter),
+            qos_classes=None if classes is None else {
+                key: QoSClass(**qos) for key, qos in classes.items()})
+
+    @classmethod
     def symmetric(cls, count, qos="fg", arbiter=None):
         """*count* identical tenants named ``tenant0..tenantN-1``."""
         return cls([TenantSpec(f"tenant{i}", qos=qos) for i in range(count)],
@@ -232,7 +244,7 @@ class TenancyConfig:
 # -- physical allocator --------------------------------------------------------
 
 
-class PhysAllocator:
+class PhysAllocator(Stateful):
     """First-fit physical allocator over one contiguous extent.
 
     Frees coalesce onto a sorted free list that the allocator prefers
@@ -240,6 +252,8 @@ class PhysAllocator:
     never leak the heap. Recycled frames are handed out zeroed, like a
     real allocator. One instance per tenant carve-out.
     """
+
+    STATE_FIELDS = ("_next", "bytes_recycled", "_free_extents")
 
     def __init__(self, memory, base, size):
         self.memory = memory
@@ -283,6 +297,12 @@ class PhysAllocator:
                 merged.append((nbase, nsize))
         self._free_extents = merged
 
+    def set_state(self, state):
+        super().set_state(state)
+        # free() sorts the list, so its elements must stay one type
+        self._free_extents = [tuple(extent)
+                              for extent in self._free_extents]
+
     @property
     def free_bytes(self):
         return sum(size for _base, size in self._free_extents)
@@ -296,7 +316,7 @@ class PhysAllocator:
 # -- job-slot arbiter ----------------------------------------------------------
 
 
-class JobSlotArbiter:
+class JobSlotArbiter(Stateful):
     """Deterministic job-slot scheduler.
 
     Queues are keyed (priority, tenant): strict priority across QoS
@@ -313,6 +333,9 @@ class JobSlotArbiter:
     :meth:`next_job` call); nothing reads a wall clock.
     """
 
+    STATE_FIELDS = ("tick", "submitted", "dispatched", "promotions",
+                    "_order", "_cursor")
+
     def __init__(self, policy=None):
         self.policy = policy or ArbiterPolicy()
         self.tick = 0
@@ -327,6 +350,33 @@ class JobSlotArbiter:
     def waiting(self):
         return sum(len(q) for per in self._queues.values()
                    for q in per.values())
+
+    def queued_jobs(self):
+        """Every waiting job, in queue (not dispatch) order."""
+        return [job for per in self._queues.values()
+                for queue in per.values() for job in queue]
+
+    def get_state(self):
+        """A job the GPU soft-stopped at its ``JOB_SLICE`` budget is
+        already requeued as preempted, so between dispatches the queues
+        are the whole scheduling state."""
+        state = super().get_state()
+        state["policy"] = asdict(self.policy)
+        state["queues"] = [
+            [priority, [[tenant_id, [job.get_state() for job in queue]]
+                        for tenant_id, queue in per.items()]]
+            for priority, per in self._queues.items()]
+        return state
+
+    def set_state(self, state):
+        """Restored jobs carry ``tenant=None``; a driver rebinds them by
+        ``tenant_id`` (:meth:`KBaseDriver.set_state`)."""
+        super().set_state(state)
+        self.policy = ArbiterPolicy(**state["policy"])
+        self._queues = {
+            priority: {tenant_id: deque(PendingJob(**job) for job in jobs)
+                       for tenant_id, jobs in per}
+            for priority, per in state["queues"]}
 
     def submit(self, job):
         """Queue *job* (stamps ``seq`` and ``queued_tick``)."""
@@ -392,7 +442,7 @@ class JobSlotArbiter:
 
 
 @dataclass
-class PendingJob:
+class PendingJob(Stateful):
     """One queued/dispatched submission, with scheduling bookkeeping.
 
     ``tenant_id``/``priority`` are what the arbiter schedules by (a bare
@@ -421,11 +471,15 @@ class PendingJob:
     error: object = None
     results: list = None
 
+    # not checkpointed: ``tenant`` is rebound by id on restore, and the
+    # completion state of a job still in the queue is its default
+    TRANSIENT = ("tenant", "done", "status", "error", "results")
+
 
 # -- per-tenant context --------------------------------------------------------
 
 
-class TenantContext:
+class TenantContext(Stateful):
     """One client context: private VA space, carve-out, stats.
 
     Duck-types the driver surface the CL runtime uses (``alloc_region``,
@@ -437,6 +491,14 @@ class TenantContext:
     which is what makes solo-vs-multi memory images comparable
     byte-for-byte.
     """
+
+    STATE_FIELDS = (
+        "_va_next", "_next_slot", "regions_allocated", "regions_freed",
+        "bytes_mapped", "page_faults", "pages_grown", "alloc_failures",
+        "jobs_submitted", "jobs_completed", "jobs_failed", "dispatches",
+        "preemptions", "wait_ticks", "translations",
+    )
+    STATE_CHILDREN = ("allocator", "_page_table", "completed_stats")
 
     def __init__(self, driver, tenant_id, spec, qos, carveout_base,
                  carveout_size):
@@ -450,7 +512,6 @@ class TenantContext:
         self._page_table = PageTableBuilder(driver.bus.memory,
                                             self._alloc_frame)
         self._va_next = driver.gpu_va_base
-        self._growable = []
         self.live_regions = []
         self._descriptor_region = None
         self._descriptor_slots = PAGE_SIZE // DESCRIPTOR_SIZE
@@ -534,8 +595,6 @@ class TenantContext:
         self.bytes_mapped += committed
         region = Region(gpu_va=gpu_va, phys=phys, size=size,
                         committed=committed, growable=grow_on_fault)
-        if grow_on_fault:
-            self._growable.append(region)
         self.live_regions.append(region)
         return region
 
@@ -550,16 +609,15 @@ class TenantContext:
         self.bytes_mapped -= region.committed
         region.committed = 0
         self.regions_freed += 1
-        if region.growable:
-            self._growable = [r for r in self._growable if r is not region]
         self.live_regions = [r for r in self.live_regions if r is not region]
 
     def handle_fault(self, vaddr, access):
         """Grow-on-fault resolver for this tenant's VA space (see
         :meth:`KBaseDriver.handle_page_fault`)."""
         policy = self.driver.policy
-        for region in self._growable:
-            if not region.gpu_va <= vaddr < region.gpu_va + region.size:
+        for region in self.live_regions:
+            if not (region.growable
+                    and region.gpu_va <= vaddr < region.gpu_va + region.size):
                 continue
             offset = vaddr - region.gpu_va
             if offset < region.committed:
@@ -714,6 +772,44 @@ class TenantContext:
             if getattr(result, "stats", None) is not None:
                 self.completed_stats.merge(result.stats)
 
+    def read_va(self, va, size):
+        """*size* bytes at GPU VA *va* of this tenant's address space,
+        or None when any page is unmapped. Walks the page tables with a
+        private walker registered nowhere, so no MMU counter moves —
+        the checkpoint restore rewarms the decode cache through this."""
+        memory = self.driver.bus.memory
+        walker = PageTableWalker(memory, self._page_table.root)
+        out = bytearray()
+        while len(out) < size:
+            vaddr = va + len(out)
+            entry = walker.lookup_page(vaddr)
+            if entry is None:
+                return None
+            offset = vaddr & (PAGE_SIZE - 1)
+            out += memory.read_block(
+                entry[0] + offset,
+                min(size - len(out), PAGE_SIZE - offset))
+        return bytes(out)
+
+    def get_state(self):
+        state = super().get_state()
+        state["live_regions"] = [asdict(region)
+                                 for region in self.live_regions]
+        state["descriptor_region"] = next(
+            (index for index, region in enumerate(self.live_regions)
+             if region is self._descriptor_region), None)
+        return state
+
+    def set_state(self, state):
+        super().set_state(state)
+        self.live_regions = [Region(**region)
+                             for region in state["live_regions"]]
+        # free_region filters by identity: the descriptor region must be
+        # the live_regions object itself, so it is saved as an index
+        index = state["descriptor_region"]
+        self._descriptor_region = (None if index is None
+                                   else self.live_regions[index])
+
     def register_stats(self, scope):
         """Register this tenant's subtree under *scope* (``tenant{i}``).
 
@@ -767,7 +863,7 @@ class TenantContext:
                           desc="dispatch ticks spent queued", golden=False)
 
 
-class KBaseDriver:
+class KBaseDriver(Stateful):
     """Kernel-side GPU driver.
 
     Args:
@@ -783,6 +879,13 @@ class KBaseDriver:
         tenancy: a :class:`TenancyConfig`; None hosts a single default
             tenant spanning the whole heap (the pre-tenancy behaviour).
     """
+
+    STATE_FIELDS = (
+        "jobs_submitted", "retries", "resets", "soft_stops", "hard_stops",
+        "irq_mismatches", "spurious_irqs", "backoff_ticks",
+        "faults_unrecovered", "as_switches", "initialized", "_job_slice",
+    )
+    STATE_CHILDREN = ("arbiter",)
 
     def __init__(self, bus, irqc, gpu_mmio_base, heap_base, heap_size,
                  gpu_va_base=0x0100_0000, recovery=None, tenancy=None):
@@ -837,6 +940,30 @@ class KBaseDriver:
 
     def tenant(self, tenant_id):
         return self.tenants[tenant_id]
+
+    @property
+    def default_tenant(self):
+        """The tenant behind the legacy single-client surface."""
+        return self._default_tenant
+
+    def get_state(self):
+        state = super().get_state()
+        state["policy"] = asdict(self.policy)
+        state["mmu_tenant"] = self._mmu_tenant.tenant_id
+        state["tenants"] = [tenant.get_state() for tenant in self.tenants]
+        return state
+
+    def set_state(self, state):
+        if len(state["tenants"]) != len(self.tenants):
+            raise ValueError(
+                "saved tenant set does not match the tenancy config")
+        super().set_state(state)
+        self.policy = RecoveryPolicy(**state["policy"])
+        for tenant, saved in zip(self.tenants, state["tenants"]):
+            tenant.set_state(saved)
+        self._mmu_tenant = self.tenants[state["mmu_tenant"]]
+        for job in self.arbiter.queued_jobs():
+            job.tenant = self.tenants[job.tenant_id]
 
     def register_stats(self, scope):
         """Register driver counters under *scope* (``driver.kbase``)."""
@@ -901,14 +1028,6 @@ class KBaseDriver:
     @property
     def _free_extents(self):
         return self._default_tenant.allocator._free_extents
-
-    @property
-    def _page_table(self):
-        return self._default_tenant._page_table
-
-    @property
-    def _descriptor_region(self):
-        return self._default_tenant._descriptor_region
 
     @property
     def heap_used(self):

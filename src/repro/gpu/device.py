@@ -14,6 +14,7 @@ from repro.gpu.jobmanager import JobManager
 from repro.gpu.mmu import GPUMMU
 from repro.instrument.stats import SystemStats
 from repro.mem.bus import MMIODevice
+from repro.state import Stateful
 
 
 @dataclass
@@ -39,8 +40,18 @@ class GPUConfig:
     engine: str = "interpreter"  # or "jit" / "mega" (translating engines)
 
 
-class GPUDevice(MMIODevice):
+class GPUDevice(MMIODevice, Stateful):
     """The simulated Mali-G71-like GPU."""
+
+    # the register file and command counters; the MMU and the Job Manager
+    # are components of their own
+    STATE_FIELDS = (
+        "_shader_ready", "_job_irq_rawstat", "_job_irq_mask",
+        "_mmu_irq_rawstat", "_mmu_irq_mask", "_job_status", "_fault_reason",
+        "_job_count", "_submit_lo", "_pgd_lo", "_pgd_hi", "_job_slice",
+        "soft_resets", "job_soft_stops", "job_hard_stops",
+    )
+    STATE_CHILDREN = ("system_stats",)
 
     def __init__(self, memory, config=None, irq_callback=None):
         self.config = config or GPUConfig()
@@ -77,11 +88,18 @@ class GPUDevice(MMIODevice):
     # -- IRQ handling -----------------------------------------------------------
 
     @property
+    def job_irq_pending(self):
+        """Unmasked JOB interrupt bits (the JOB line is asserted)."""
+        return self._job_irq_rawstat & self._job_irq_mask
+
+    @property
+    def mmu_irq_pending(self):
+        """Unmasked MMU interrupt bits (the MMU line is asserted)."""
+        return self._mmu_irq_rawstat & self._mmu_irq_mask
+
+    @property
     def irq_pending(self):
-        return bool(
-            (self._job_irq_rawstat & self._job_irq_mask)
-            or (self._mmu_irq_rawstat & self._mmu_irq_mask)
-        )
+        return bool(self.job_irq_pending or self.mmu_irq_pending)
 
     def _assert_irq(self):
         self.system_stats.interrupts_asserted += 1

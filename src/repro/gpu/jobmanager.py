@@ -33,6 +33,7 @@ from repro.gpu.encoding import decode_program
 from repro.gpu.shadercore import ComputeUnit, WorkgroupShape
 from repro.instrument.cfg import DivergenceCFG
 from repro.instrument.stats import JobStats, merge_stats
+from repro.state import Stateful
 
 JOB_TYPE_COMPUTE = 1
 
@@ -83,8 +84,14 @@ class JobResult:
     host_local_slabs: int
 
 
-class JobManager:
+class JobManager(Stateful):
     """Parses descriptors, owns the decode cache, dispatches thread-groups."""
+
+    STATE_FIELDS = (
+        "decode_count", "jobs_retired", "watchdog_timeouts",
+        "jobs_preempted", "descriptor_corruptions", "decode_cache_enabled",
+    )
+    STATE_CHILDREN = ("total_stats",)
 
     def __init__(self, mmu, num_shader_cores=8, num_host_threads=1,
                  instrument=True, collect_cfg=False, tracer=None,
@@ -143,6 +150,43 @@ class JobManager:
 
     def invalidate_decode_cache(self):
         self._decode_cache.clear()
+
+    def get_state(self):
+        state = super().get_state()
+        state["decode_cache_keys"] = [list(key)
+                                      for key in self._decode_cache]
+        state["core_stats"] = [
+            [unit_id, stats.get_state()]
+            for unit_id, stats in sorted(self.core_stats.items())]
+        return state
+
+    def set_state(self, state):
+        """Counters and JobStats only; the decode cache stays cold until
+        :meth:`rewarm_decode_cache`, which needs the driver's restored
+        page tables."""
+        super().set_state(state)
+        for unit_id, stats in state["core_stats"]:
+            # KeyError: a unit this GPU config does not have
+            self.core_stats[unit_id].set_state(stats)
+
+    def rewarm_decode_cache(self, keys, read_binary):
+        """Re-decode the cached kernel binaries named by *keys*.
+
+        The decode cache is not droppable on restore: a cold cache would
+        re-fetch each binary through ``mmu.load_block`` on first use and
+        inflate the golden translation count relative to an
+        uninterrupted run. *read_binary* is called as ``(as_id, va,
+        size)`` and must read guest memory without moving any counter;
+        it returns ``None`` for a binary whose pages are no longer
+        mapped (its region was freed after the program last ran), and
+        that entry is skipped — it can never be hit again at the same
+        key with the same content.
+        """
+        for as_id, binary_va, binary_size in keys:
+            image = read_binary(as_id, binary_va, binary_size)
+            if image is not None:
+                self._decode_cache[(as_id, binary_va, binary_size)] = \
+                    decode_program(image)
 
     # -- descriptor parsing (through the MMU) ---------------------------------
 

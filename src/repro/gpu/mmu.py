@@ -29,6 +29,7 @@ import numpy as np
 from repro.errors import MMUFault
 from repro.mem.pagetable import PTE_EXEC, PTE_READ, PTE_WRITE, PageTableWalker
 from repro.mem.physical import PAGE_SHIFT
+from repro.state import Stateful
 
 _PAGE_MASK = (1 << PAGE_SHIFT) - 1
 _REQUIRED = {"r": PTE_READ, "w": PTE_WRITE, "x": PTE_EXEC}
@@ -40,8 +41,18 @@ _REQUIRED = {"r": PTE_READ, "w": PTE_WRITE, "x": PTE_EXEC}
 AS_TAG_SHIFT = 32
 
 
-class GPUMMU:
+class GPUMMU(Stateful):
     """Translation front-end shared by the Job Manager and shader cores."""
+
+    # registers, AS tagging and counters. The TLB and the load/store view
+    # caches are pure accelerators (``translations`` and ``pages_accessed``
+    # count on every access, hit or miss) and are dropped.
+    STATE_FIELDS = (
+        "_enabled", "_as_id", "_as_tag", "fault_addr", "fault_status",
+        "translations", "page_faults_resolved", "injected_faults",
+        "quad_accesses", "quad_fallbacks", "wide_accesses", "wide_fallbacks",
+        "_fast_path_enabled",
+    )
 
     def __init__(self, memory):
         self._memory = memory
@@ -136,6 +147,25 @@ class GPUMMU:
         self._tlb = {}
         self._rview = {}
         self._wview = {}
+        self._update_fast()
+
+    def get_state(self):
+        state = super().get_state()
+        state["root"] = (self._walker.root
+                         if self._walker is not None else None)
+        state["pages_accessed"] = sorted(self.pages_accessed)
+        return state
+
+    def set_state(self, state):
+        """Rebuild the walker from the saved root (the tables live in the
+        already-restored memory), then re-apply registers and counters
+        as plain attributes: the ``address_space``/``enabled`` setters
+        and the MMU_* registers are off-limits here — they flush TLBs
+        and bump golden register-traffic counters."""
+        if state["root"] is not None:
+            self.set_page_table(state["root"])
+        super().set_state(state)
+        self.pages_accessed = set(state["pages_accessed"])
         self._update_fast()
 
     def set_fault_handler(self, handler):

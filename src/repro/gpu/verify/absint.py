@@ -231,7 +231,7 @@ def _fold_int(op, srcs):
     return int(OPS[op].fn(*lanes)[0])
 
 
-def _read_aval(state, clause, operand):
+def read_aval(state, clause, operand):
     if is_grf(operand) or is_temp(operand):
         return state.get(operand, TOP_VARYING)
     if is_const(operand):
@@ -241,11 +241,11 @@ def _read_aval(state, clause, operand):
     return TOP_VARYING
 
 
-def _transfer_slot(state, clause, instr, ctx, accesses, location):
+def transfer_slot(state, clause, instr, ctx, accesses, location):
     op = instr.op
     if op is Op.NOP:
         return
-    srcs = [_read_aval(state, clause, operand)
+    srcs = [read_aval(state, clause, operand)
             for _f, operand in model.required_sources(instr)]
 
     if op in (Op.LD, Op.ST, Op.ATOM):
@@ -334,11 +334,11 @@ def _transfer_slot(state, clause, instr, ctx, accesses, location):
         state[dst] = result
 
 
-def _transfer_clause(clause, clause_index, state, ctx, accesses=None):
+def transfer_clause(clause, clause_index, state, ctx, accesses=None):
     for tuple_index, (fma, add) in enumerate(clause.tuples):
         for slot_name, instr in (("fma", fma), ("add", add)):
-            _transfer_slot(state, clause, instr, ctx, accesses,
-                           (clause_index, tuple_index, slot_name))
+            transfer_slot(state, clause, instr, ctx, accesses,
+                          (clause_index, tuple_index, slot_name))
     return state
 
 
@@ -354,7 +354,7 @@ def run(program, cfg, ctx):
         index = worklist.pop(0)
         state = dict(in_states[index])
         clause = program.clauses[index]
-        _transfer_clause(clause, index, state, ctx)
+        transfer_clause(clause, index, state, ctx)
         visits[index] += 1
         widen = visits[index] > _WIDEN_VISITS
         for succ in cfg.successors[index]:
@@ -385,7 +385,7 @@ def run(program, cfg, ctx):
         result.entry_states[index] = in_states[index]
         state = dict(in_states[index])
         clause = program.clauses[index]
-        _transfer_clause(clause, index, state, ctx, result.accesses)
+        transfer_clause(clause, index, state, ctx, result.accesses)
         if clause.tail in (Tail.BRANCH, Tail.BRANCH_Z):
             if is_grf(clause.cond_reg):
                 result.cond_uniform[index] = \

@@ -16,7 +16,7 @@ dataflow/race machinery.
 from dataclasses import dataclass, replace
 
 from repro.gpu.verify.context import VerifyContext
-from repro.gpu.verify.lint import _target_source, builtin_targets
+from repro.gpu.verify.lint import builtin_targets, target_source
 from repro.gpu.verify.pipeline import verify_program
 
 # The pass selection analysis runs (structural is mandatory anyway).
@@ -118,7 +118,7 @@ def analyze_target(target, version=None, kernel=None, global_size=None,
                    local_size=None):
     """Analyze one target string (``builtin:<name>``, ``slam`` or a
     file path); returns [AnalyzeUnit]."""
-    label, source, defines = _target_source(target)
+    label, source, defines = target_source(target)
     return analyze_source(label, source, defines=defines, version=version,
                           kernel=kernel, global_size=global_size,
                           local_size=local_size)

@@ -52,7 +52,7 @@ class ClauseCFG:
         for index, succs in enumerate(self.successors):
             for succ in succs:
                 self.predecessors[succ].append(index)
-        self.reachable = self._reach_from(0) if self.num_clauses else set()
+        self.reachable = self.reach_from(0) if self.num_clauses else set()
         # Exits: END tails terminate the thread; a fallthrough off the end
         # is a crash, but for graph purposes it is still a sink.
         self.exits = {
@@ -67,7 +67,7 @@ class ClauseCFG:
         )
         self._unavoidable = None
 
-    def _reach_from(self, start, skip=None):
+    def reach_from(self, start, skip=None):
         if start >= self.num_clauses or start == skip:
             return set()
         seen = {start}
@@ -97,7 +97,7 @@ class ClauseCFG:
             if clause == 0:
                 result.add(clause)
                 continue
-            seen = self._reach_from(0, skip=clause)
+            seen = self.reach_from(0, skip=clause)
             if not (seen & self.exits):
                 result.add(clause)
         self._unavoidable = result
@@ -131,7 +131,7 @@ class ClauseCFG:
         """
         stuck = set()
         for clause in self.reachable:
-            if not (self._reach_from(clause) & self.exits):
+            if not (self.reach_from(clause) & self.exits):
                 stuck.add(clause)
         return stuck
 

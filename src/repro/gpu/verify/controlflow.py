@@ -63,7 +63,7 @@ def _barrier_divergence(program, cfg, absres, report):
         succs = cfg.successors[index]
         if len(succs) < 2:
             continue
-        reach = [cfg._reach_from(s) for s in succs]
+        reach = [cfg.reach_from(s) for s in succs]
         for barrier in barriers:
             if barrier in reported:
                 continue

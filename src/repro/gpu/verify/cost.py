@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 from repro.gpu.isa import QUAD_WIDTH, Tail
 from repro.gpu.verify import loopbound
-from repro.gpu.verify.memory import _absolute_interval, _span_bytes
+from repro.gpu.verify.memory import absolute_interval, span_bytes
 from repro.gpu.verify.report import Finding, Severity
 from repro.mem.physical import PAGE_SHIFT
 
@@ -231,11 +231,11 @@ class CostSummary:
         for access in self.absres.accesses:
             if access.local:
                 continue
-            interval = _absolute_interval(access.addr, ctx)
+            interval = absolute_interval(access.addr, ctx)
             if interval is None:
                 fallback = True
                 break
-            span = _span_bytes(access)
+            span = span_bytes(access)
             intervals.append((interval[0] >> PAGE_SHIFT,
                               (interval[1] + span - 1) >> PAGE_SHIFT))
         if fallback:

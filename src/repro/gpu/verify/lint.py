@@ -51,7 +51,7 @@ def builtin_targets():
     return [f"builtin:{name}" for name in sorted(WORKLOADS)] + ["slam"]
 
 
-def _target_source(target):
+def target_source(target):
     """Resolve a target string to (label, source, defines)."""
     if target.startswith("builtin:"):
         from repro.kernels import WORKLOADS
@@ -100,7 +100,7 @@ def lint_source(label, source, defines=None, version=None, kernel=None):
 def lint_target(target, version=None, kernel=None):
     """Lint one target string (``builtin:<name>``, ``slam`` or a file
     path); returns [LintUnit]."""
-    label, source, defines = _target_source(target)
+    label, source, defines = target_source(target)
     return lint_source(label, source, defines=defines, version=version,
                        kernel=kernel)
 

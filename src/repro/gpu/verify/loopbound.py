@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from repro.gpu.isa import CmpMode, Op, Tail, is_const, is_grf
 from repro.gpu.verify import absint, model
-from repro.gpu.verify.memory import _offset_interval
+from repro.gpu.verify.memory import offset_interval
 
 # A concrete trip-count evaluation refuses to reason past this magnitude:
 # the induction variable must provably stay inside signed-32-bit range so
@@ -252,7 +252,7 @@ def _aval_interval(aval, ctx):
     """Concrete [lo, hi] of an abstract value under *ctx*, or None."""
     if aval is None or aval.top:
         return None
-    offset = _offset_interval(aval, ctx)
+    offset = offset_interval(aval, ctx)
     if offset is None:
         return None
     if aval.base is None:
@@ -350,10 +350,10 @@ def _value_before(program, ctx, absres, clause_index, stop, operand):
     for tuple_index, (fma, add) in enumerate(clause.tuples):
         for slot_name, instr in (("fma", fma), ("add", add)):
             if (tuple_index, slot_name) == stop:
-                return absint._read_aval(state, clause, operand)
-            absint._transfer_slot(state, clause, instr, ctx, None,
-                                  (clause_index, tuple_index, slot_name))
-    return absint._read_aval(state, clause, operand)
+                return absint.read_aval(state, clause, operand)
+            absint.transfer_slot(state, clause, instr, ctx, None,
+                                 (clause_index, tuple_index, slot_name))
+    return absint.read_aval(state, clause, operand)
 
 
 def _find_cmp(program, exit_clause, cond_reg):
@@ -382,7 +382,7 @@ def _preheader_value(program, cfg, ctx, absres, body, head, reg):
         if entry is None:
             return None
         state = dict(entry)
-        absint._transfer_clause(program.clauses[pred], pred, state, ctx)
+        absint.transfer_clause(program.clauses[pred], pred, state, ctx)
         out = state.get(reg, absint.TOP_VARYING)
         value = out if value is None else absint.join(value, out)
     return value

@@ -37,7 +37,7 @@ def _sym_range(sym, ctx):
     return None if bound is None else (0, bound)
 
 
-def _offset_interval(aval, ctx):
+def offset_interval(aval, ctx):
     """Interval of ``coeff*sym + [lo, hi]``, or None when unbounded."""
     if aval.top:
         return None
@@ -48,8 +48,8 @@ def _offset_interval(aval, ctx):
     return (aval.lo + min(terms), aval.hi + max(terms))
 
 
-def _absolute_interval(aval, ctx):
-    offset = _offset_interval(aval, ctx)
+def absolute_interval(aval, ctx):
+    offset = offset_interval(aval, ctx)
     if offset is None:
         return None
     if aval.base is None:
@@ -67,7 +67,7 @@ def _absolute_interval(aval, ctx):
     return interval
 
 
-def _span_bytes(access):
+def span_bytes(access):
     return 4 * access.width
 
 
@@ -83,8 +83,8 @@ def run(program, cfg, ctx, absres, report):
 
 
 def _check_global_bounds(access, ctx, unavoidable, report):
-    span = _span_bytes(access)
-    interval = _absolute_interval(access.addr, ctx)
+    span = span_bytes(access)
+    interval = absolute_interval(access.addr, ctx)
     if interval is not None and ctx.mapped_ranges is not None:
         lo, hi = interval[0], interval[1] + span - 1
         if ctx.is_mapped(lo, hi + 1) is False:
@@ -100,7 +100,7 @@ def _check_global_bounds(access, ctx, unavoidable, report):
     info = ctx.buffers[base[1]]
     if info.size is None:
         return
-    offset = _offset_interval(access.addr, ctx)
+    offset = offset_interval(access.addr, ctx)
     if offset is None:
         return
     lo, hi = offset[0], offset[1] + span - 1
@@ -120,10 +120,10 @@ def _check_global_bounds(access, ctx, unavoidable, report):
 def _check_local_bounds(access, ctx, unavoidable, report):
     if ctx.local_bytes is None or access.addr.base is not None:
         return
-    offset = _offset_interval(access.addr, ctx)
+    offset = offset_interval(access.addr, ctx)
     if offset is None:
         return
-    lo, hi = offset[0], offset[1] + _span_bytes(access) - 1
+    lo, hi = offset[0], offset[1] + span_bytes(access) - 1
     if hi >= ctx.local_bytes or lo < 0:
         report.add(_finding(
             "local-oob", Severity.ERROR,
@@ -133,10 +133,10 @@ def _check_local_bounds(access, ctx, unavoidable, report):
 
 def _comparable_interval(access, ctx):
     """Absolute (preferred) or base-relative interval for overlap tests."""
-    interval = _absolute_interval(access.addr, ctx)
+    interval = absolute_interval(access.addr, ctx)
     if interval is not None:
         return (None, interval)
-    offset = _offset_interval(access.addr, ctx)
+    offset = offset_interval(access.addr, ctx)
     if offset is not None and access.addr.base is not None:
         return (access.addr.base, offset)
     return None
@@ -196,8 +196,8 @@ def _check_races(accesses, ctx, unavoidable, phases, report):
             if base_a != base_b:
                 continue
             lo = max(int_a[0], int_b[0])
-            hi = min(int_a[1] + _span_bytes(first) - 1,
-                     int_b[1] + _span_bytes(second) - 1)
+            hi = min(int_a[1] + span_bytes(first) - 1,
+                     int_b[1] + span_bytes(second) - 1)
             if lo > hi:
                 continue
             if phases.get(first.clause) != phases.get(second.clause):

@@ -17,6 +17,7 @@ on single-threaded paths.
 import threading
 
 from repro.inject.plan import SITES, FaultPlan
+from repro.state import Stateful
 
 
 class _Armed:
@@ -37,7 +38,7 @@ class _Armed:
             self.remaining -= 1
 
 
-class FaultInjector:
+class FaultInjector(Stateful):
     """Arms a plan; fires specs at the registered sites.
 
     Args:
@@ -45,6 +46,8 @@ class FaultInjector:
         events: optional EventTracer; every firing emits a
             ``fault_injected`` instant on the ``inject`` track.
     """
+
+    STATE_FIELDS = ("current_tenant", "_visits", "fired")
 
     def __init__(self, plan, events=None):
         if not isinstance(plan, FaultPlan):
@@ -129,6 +132,39 @@ class FaultInjector:
             if armed.live and self._eligible(armed):
                 return True
         return False
+
+    # -- checkpoint state ----------------------------------------------------
+
+    def _armed(self):
+        """Every armed spec in a fixed order that depends only on the plan."""
+        return [armed
+                for entries in (*self._keyed.values(), *self._occ.values())
+                for armed in entries]
+
+    def get_state(self):
+        """The plan plus its consumption state."""
+        state = super().get_state()
+        state["plan"] = self.plan.to_dict()
+        state["remaining"] = [armed.remaining for armed in self._armed()]
+        state["log"] = [list(entry) for entry in self.log]
+        return state
+
+    def set_state(self, state):
+        """Wind this injector, armed with the saved plan, forward to the
+        saved consumption state."""
+        armed = self._armed()
+        if len(armed) != len(state["remaining"]):
+            raise ValueError("injector state does not match its plan")
+        super().set_state(state)
+        for entry, remaining in zip(armed, state["remaining"]):
+            entry.remaining = remaining
+        self.log = [tuple(entry) for entry in state["log"]]
+
+    @classmethod
+    def from_state(cls, state):
+        injector = cls(FaultPlan.from_dict(state["plan"]))
+        injector.set_state(state)
+        return injector
 
     # -- stats ---------------------------------------------------------------
 

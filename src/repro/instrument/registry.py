@@ -30,6 +30,8 @@ conformance surface.
 
 import json
 
+from repro.state import Stateful
+
 
 class Stat:
     """Base: a named value in the registry."""
@@ -48,10 +50,11 @@ class Stat:
         """Return the stat to its initial state (no-op for views)."""
 
 
-class Counter(Stat):
+class Counter(Stat, Stateful):
     """An accumulating integer owned by the registry."""
 
     kind = "counter"
+    STATE_FIELDS = ("_value",)
 
     def __init__(self, name, desc="", golden=True):
         super().__init__(name, desc, golden)
@@ -83,7 +86,7 @@ class Probe(Stat):
         return self._fn()
 
 
-class Distribution(Stat):
+class Distribution(Stat, Stateful):
     """A value -> count histogram.
 
     Either registry-owned (use :meth:`record`) or a view onto a
@@ -91,6 +94,7 @@ class Distribution(Stat):
     """
 
     kind = "distribution"
+    STATE_FIELDS = ("_samples",)  # None for a view
 
     def __init__(self, name, fn=None, desc="", golden=True):
         super().__init__(name, desc, golden)
@@ -130,7 +134,7 @@ class Formula(Stat):
         return self._fn(self._registry)
 
 
-class StatsRegistry:
+class StatsRegistry(Stateful):
     """The single cross-layer home for simulator statistics."""
 
     def __init__(self):
@@ -241,6 +245,31 @@ class StatsRegistry:
     def reset(self):
         for stat in self._stats.values():
             stat.reset()
+
+    # -- checkpoint state ------------------------------------------------------
+
+    def get_state(self):
+        """The stats whose *only* home is the registry: accumulating
+        :class:`Counter` objects and owned :class:`Distribution`
+        histograms (e.g. ``cl.runtime.*``). Probes and formulas are views
+        over component state that the components serialize themselves."""
+        return {"stats": [
+            {"name": stat.name, "kind": stat.kind, "desc": stat.desc,
+             "golden": stat.golden, **stat.get_state()}
+            for stat in self.stats()
+            if isinstance(stat, Counter) or (
+                isinstance(stat, Distribution) and stat._fn is None)]}
+
+    def set_state(self, state):
+        """Get-or-create each owned stat and overwrite its value. A
+        component that registers the same name later (a fresh CL
+        ``Context`` re-running its registrations) gets the restored
+        object back, so counts keep accumulating from the saved values."""
+        for item in state["stats"]:
+            create = (self.counter if item["kind"] == Counter.kind
+                      else self.distribution)
+            create(item["name"], desc=item["desc"],
+                   golden=item["golden"]).set_state(item)
 
 
 class Scope:

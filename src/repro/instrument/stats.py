@@ -15,9 +15,11 @@ Two granularities:
 
 from dataclasses import dataclass, field
 
+from repro.state import Stateful
+
 
 @dataclass
-class JobStats:
+class JobStats(Stateful):
     """Program-execution metrics for one GPU job (dynamic counts).
 
     "Instructions" are counted per active lane (a thread-level view);
@@ -114,18 +116,17 @@ class JobStats:
 
     def merge(self, other):
         """Accumulate *other* into self (job-completion totalling)."""
-        for name in (
-            "arith_instrs", "ls_global_instrs", "ls_local_instrs", "nop_instrs",
-            "cf_instrs", "const_load_instrs", "arith_cycles", "ls_cycles",
-            "temp_reads", "temp_writes", "grf_reads", "grf_writes",
-            "const_reads", "rom_reads", "main_mem_accesses",
-            "local_mem_accesses", "clauses_executed", "divergent_branches",
-            "branch_events", "threads_launched", "warps_launched", "workgroups",
-        ):
+        for name in _COUNTER_FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         for size, count in other.clause_size_histogram.items():
             self.clause_size_histogram[size] = self.clause_size_histogram.get(size, 0) + count
         return self
+
+
+#: every JobStats field but the histogram, so a new counter is merged
+#: (and checkpointed) without being named anywhere else
+_COUNTER_FIELDS = tuple(name for name in JobStats.state_fields()
+                        if name != "clause_size_histogram")
 
 
 def merge_stats(stats_list):
@@ -175,7 +176,7 @@ def apply_clause_stats(stats, clauses, pending):
 
 
 @dataclass
-class SystemStats:
+class SystemStats(Stateful):
     """System-level CPU-GPU interaction counters (Table III)."""
 
     pages_accessed: int = 0  # distinct GPU-VA pages touched via the GPU MMU

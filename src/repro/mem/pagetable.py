@@ -26,6 +26,7 @@ as on real hardware.
 
 from repro.errors import MMUFault
 from repro.mem.physical import PAGE_SHIFT, PAGE_SIZE
+from repro.state import Stateful
 
 PTE_VALID = 1 << 0
 PTE_READ = 1 << 1
@@ -45,7 +46,7 @@ def _index(vaddr, level):
     return (vaddr >> shift) & (_LEVEL_ENTRIES - 1)
 
 
-class PageTableBuilder:
+class PageTableBuilder(Stateful):
     """Driver-side page-table construction.
 
     Allocates table pages from a physical-frame allocator callback and
@@ -56,6 +57,9 @@ class PageTableBuilder:
         alloc_frame: zero-argument callable returning the physical address
             of a fresh, zeroed 4 KiB frame for intermediate tables.
     """
+
+    # the tables themselves live in physical memory
+    STATE_FIELDS = ("root", "_table_frames")
 
     def __init__(self, memory, alloc_frame):
         self._memory = memory

@@ -84,6 +84,40 @@ class PhysicalMemory:
         """Number of physical pages actually backed by host memory."""
         return len(self._pages)
 
+    # -- checkpoint image ----------------------------------------------------
+
+    def dump_pages(self):
+        """Every backed page, as the chunks of one blob (integers u64
+        little-endian; the caller joins them, once, with whatever else
+        shares its file)::
+
+            page_count, then page_count x (page_index, 4096 raw bytes)
+
+        All-zero backed pages are included, so a reload reproduces
+        ``allocated_pages`` (and every carve-out digest, which walks
+        backed pages) exactly.
+        """
+        chunks = [_U64.pack(len(self._pages))]
+        for index in sorted(self._pages):
+            chunks.append(_U64.pack(index))
+            chunks.append(self._pages[index])
+        return chunks
+
+    def load_pages(self, blob):
+        """Replace the whole memory image with the :meth:`dump_pages`
+        blob at the head of *blob*; returns the bytes consumed. Raises
+        ``ValueError``, nothing replaced, when *blob* is too short."""
+        record = _U64.size + PAGE_SIZE
+        end = _U64.size + int.from_bytes(blob[:_U64.size], "little") * record
+        if len(blob) < end:
+            raise ValueError("truncated page payload")
+        self._pages = {
+            _U64.unpack_from(blob, pos)[0]:
+                bytearray(blob[pos + _U64.size:pos + record])
+            for pos in range(_U64.size, end, record)}
+        self._views = {}
+        return end
+
     # -- carve-out accounting ------------------------------------------------
 
     def register_carveout(self, name, base, size):

@@ -203,9 +203,9 @@ def execute_instruction_both(op, a_bits, b_bits, c_bits, flags=0):
     interp.run_warp(warp)
     quad_bits = int(warp.regs[0, 0])
 
-    scalar_bits = int(M2SSimulator._alu(op, instr, a_bits & 0xFFFFFFFF,
-                                        b_bits & 0xFFFFFFFF,
-                                        c_bits & 0xFFFFFFFF)) & 0xFFFFFFFF
+    scalar_bits = int(M2SSimulator.alu(op, instr, a_bits & 0xFFFFFFFF,
+                                       b_bits & 0xFFFFFFFF,
+                                       c_bits & 0xFFFFFFFF)) & 0xFFFFFFFF
     return quad_bits, scalar_bits
 
 

@@ -62,7 +62,7 @@ _TABLE_FRAME_BASE = 0x0008_0000
 _DATA_FRAME_BASE = 0x0010_0000
 
 
-def _pages(nbytes):
+def page_count(nbytes):
     return -(-nbytes // PAGE_SIZE)
 
 
@@ -180,7 +180,7 @@ def make_kernel_case(source, kernel_name, global_size, local_size, buffers,
             words = np.ascontiguousarray(array).reshape(-1).view(np.uint32)
             regions.append((f"buf{len(regions)}", va, words))
             args.append(va)
-            va += _pages(max(words.nbytes, 4)) * PAGE_SIZE
+            va += page_count(max(words.nbytes, 4)) * PAGE_SIZE
         elif kind == "local_ptr":
             nbytes = local_queue.pop(0)
             args.append(cursor)
@@ -301,7 +301,7 @@ class DifferentialRunner:
         data_frame = _DATA_FRAME_BASE
         for _name, va, words in case.regions:
             data = np.ascontiguousarray(words, dtype=np.uint32).tobytes()
-            for page in range(_pages(max(len(data), 1))):
+            for page in range(page_count(max(len(data), 1))):
                 page_va = va + page * PAGE_SIZE
                 # adjacent virtual pages -> non-adjacent physical frames,
                 # so cross-page quads can never pass by accident
@@ -345,7 +345,7 @@ class DifferentialRunner:
         for name, va, words in case.regions:
             nbytes = words.nbytes
             image = bytearray()
-            for page in range(_pages(max(nbytes, 1))):
+            for page in range(page_count(max(nbytes, 1))):
                 image += phys.read_block(va_to_pa[va + page * PAGE_SIZE],
                                          PAGE_SIZE)
             memory[name] = bytes(image[:nbytes])
@@ -367,7 +367,7 @@ class DifferentialRunner:
     def _run_m2s(self, case, tracer):
         from repro.baselines.m2s import M2SSimulator
 
-        top = max(va + _pages(max(words.nbytes, 1)) * PAGE_SIZE
+        top = max(va + page_count(max(words.nbytes, 1)) * PAGE_SIZE
                   for _n, va, words in case.regions)
         sim = M2SSimulator(memory_size=1 << max(top.bit_length() + 1, 20),
                            tracer=tracer, capture_registers=True)

@@ -47,7 +47,7 @@ def diffcase_context(case):
     exact the address intervals are concrete.
     """
     from repro.mem import PAGE_SIZE
-    from repro.validate.runner import _pages, build_uniforms
+    from repro.validate.runner import build_uniforms, page_count
 
     g, l = case.global_size, case.local_size
     uniforms = build_uniforms(case)
@@ -57,7 +57,7 @@ def diffcase_context(case):
         uniform_values={slot: int(w) for slot, w in enumerate(uniforms)},
         local_bytes=case.local_bytes,
         mapped_ranges=sorted(
-            (va, va + _pages(max(words.nbytes, 1)) * PAGE_SIZE)
+            (va, va + page_count(max(words.nbytes, 1)) * PAGE_SIZE)
             for _name, va, words in case.regions),
         threads=g[0] * g[1] * g[2],
         threads_per_group=l[0] * l[1] * l[2],

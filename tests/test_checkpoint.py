@@ -151,6 +151,114 @@ def test_checkpoint_mid_drain_with_preempted_job(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# state added after the serializer was written (PR 10) must survive:
+# ArbiterPolicy.slice_issue_budget, PendingJob.cost_hint,
+# TenantContext.live_regions, the driver's RecoveryPolicy
+
+
+def _cost_seeded_platform(engine_mode, slice_issue_budget=40):
+    from repro.core.platform import MobilePlatform, PlatformConfig
+    from repro.driver.kbase import (
+        ArbiterPolicy,
+        TenancyConfig,
+        TenantSpec,
+    )
+    from repro.gpu.device import GPUConfig
+
+    engine, fast = ENGINE_MODES[engine_mode]
+    tenancy = TenancyConfig(
+        [TenantSpec("fg0", qos="fg"), TenantSpec("bg0", qos="bg")],
+        arbiter=ArbiterPolicy(slice_issue_budget=slice_issue_budget,
+                              max_preemptions=6))
+    platform = MobilePlatform(PlatformConfig(
+        gpu=GPUConfig(engine=engine), tenancy=tenancy)).initialize()
+    platform.gpu.mmu.fast_path_enabled = fast
+    return platform
+
+
+def _scheduling_record(platform, outputs):
+    import hashlib
+
+    record = _final_record(platform)
+    record["tenants"] = [(tenant.dispatches, tenant.preemptions)
+                         for tenant in platform.driver.tenants]
+    record["dispatched"] = platform.driver.arbiter.dispatched
+    record["outputs"] = [
+        hashlib.sha256(
+            platform.memory.read_block(phys, nbytes)).hexdigest()
+        for phys, nbytes in outputs]
+    return record
+
+
+@pytest.mark.parametrize("engine_mode", sorted(ENGINE_MODES))
+def test_cost_seeded_slices_survive_a_mid_drain_checkpoint(engine_mode,
+                                                           tmp_path):
+    """Cost-seeded JOB_SLICE budgets come from the arbiter policy and
+    each queued job's cost_hint; a restore that drops either reschedules
+    the rest of the drain (fewer, wider slices) and the golden snapshot
+    drifts. Straight and checkpointed runs must agree on everything."""
+    reference = _cost_seeded_platform(engine_mode)
+    outputs = [(buf.region.phys, buf.nbytes)
+               for _queue, buf in _submit_scale_jobs(reference)]
+    reference.driver.drain()
+    expected = _scheduling_record(reference, outputs)
+    assert expected["tenants"][1][1] > 0, "scenario must preempt bg"
+
+    platform = _cost_seeded_platform(engine_mode)
+    assert outputs == [(buf.region.phys, buf.nbytes)
+                       for _queue, buf in _submit_scale_jobs(platform)]
+    platform.driver.drain(max_dispatches=2)
+    directory = str(tmp_path / "ckpt")
+    save_checkpoint(platform, directory)
+    del platform
+    restored, _extra = restore_checkpoint(directory)
+    restored.driver.drain()
+    assert _scheduling_record(restored, outputs) == expected
+
+
+def test_restore_keeps_policy_cost_hints_regions_and_recovery(tmp_path):
+    from repro.driver.kbase import RecoveryPolicy
+
+    platform = _cost_seeded_platform("fast", slice_issue_budget=5000)
+    platform.driver.policy = RecoveryPolicy(max_retries=7, strict_irq=True)
+    _submit_scale_jobs(platform)
+    grown = platform.driver.tenants[0].alloc_region(
+        8 * 4096, grow_on_fault=True)
+    platform.driver.drain(max_dispatches=1)
+    saved_hints = [job.cost_hint
+                   for job in platform.driver.arbiter.queued_jobs()]
+    assert saved_hints and all(hint > 0 for hint in saved_hints)
+    saved_regions = [len(tenant.live_regions)
+                     for tenant in platform.driver.tenants]
+
+    directory = str(tmp_path / "ckpt")
+    save_checkpoint(platform, directory)
+    restored, _extra = restore_checkpoint(directory)
+    driver = restored.driver
+    assert driver.arbiter.policy.slice_issue_budget == 5000
+    assert driver.arbiter.policy.max_preemptions == 6
+    assert [job.cost_hint
+            for job in driver.arbiter.queued_jobs()] == saved_hints
+    assert all(job.tenant is driver.tenants[job.tenant_id]
+               for job in driver.arbiter.queued_jobs())
+    assert [len(tenant.live_regions)
+            for tenant in driver.tenants] == saved_regions
+    assert driver.policy == RecoveryPolicy(max_retries=7, strict_irq=True)
+    for tenant in driver.tenants:
+        # free_region filters by identity: the restored handles must be
+        # the live_regions entries themselves, not equal copies
+        assert any(region is tenant._descriptor_region
+                   for region in tenant.live_regions)
+    twin = next(region for region in driver.tenants[0].live_regions
+                if region.gpu_va == grown.gpu_va)
+    assert twin.growable and twin == grown
+    before = len(driver.tenants[0].live_regions)
+    driver.tenants[0].free_region(twin)
+    assert len(driver.tenants[0].live_regions) == before - 1
+    assert not driver.tenants[0].handle_fault(grown.gpu_va + 4096, "w")
+
+
+# ---------------------------------------------------------------------------
 # corruption fails closed
 
 
