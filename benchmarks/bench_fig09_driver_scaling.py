@@ -5,6 +5,13 @@ the largest input while the JIT/DBT-based CPU simulator does the whole
 stack in <10s, with much flatter scaling. Here: the same driver path
 (buffer movement through guest memcpy) runs on the DBT engine vs the
 interpretive engine; DBT must win by an increasing absolute margin.
+
+Every size builds a fresh platform, so the DBT side pays for
+translating its routines (~1 ms) each time: at 16x12 that is most of
+its driver time and the ratio reads 6.6-8.1x, at 64x48 it reads 26-31x.
+One closure per guest instruction measured a flat 11.5x, so the floor
+on the largest size is what fails if region translation, block chaining
+or the inline RAM path regress to per-instruction dispatch.
 """
 
 from conftest import emit
@@ -28,10 +35,12 @@ def test_fig09_driver_scaling(benchmark):
         title="Fig. 9: SobelFilter driver (CPU-side) runtime vs input size",
     )
     emit("fig09_driver_scaling", table)
-    # DBT must beat the interpreter at every size, and the absolute gap
-    # must grow with input size (the diverging curves of Fig. 9)
+    # DBT must beat the interpreter at every size, by the paper's ">15x"
+    # once translation is amortized, and the absolute gap must grow with
+    # input size (the diverging curves of Fig. 9)
     for row in rows:
-        assert row["dbt_speedup"] > 1.5, row
+        assert row["dbt_speedup"] > 3, row
+    assert rows[-1]["dbt_speedup"] > 15, rows[-1]
     gaps = [row["interpretive_driver_seconds"] - row["dbt_driver_seconds"]
             for row in rows]
     assert gaps[-1] > gaps[0]

@@ -6,8 +6,8 @@ AArch64 Linux stack), with two execution engines over the same binaries:
 
 - :class:`~repro.cpu.core.Interpreter` — decodes every instruction on every
   execution (how Multi2Sim-class simulators run CPU code);
-- :class:`~repro.cpu.core.DBTCore` — translates basic blocks once into
-  cached pre-decoded handler lists (the paper's JIT/DBT approach).
+- :class:`~repro.cpu.core.DBTCore` — translates guest code a region at a
+  time into one cached host function each (the paper's JIT/DBT approach).
 
 The OpenCL runtime routes bulk data movement (buffer writes/reads) through
 guest routines executed on this CPU, so CPU-side driver cost scales with

@@ -3,11 +3,14 @@
 Both engines run identical binaries against the system bus. The
 :class:`Interpreter` re-fetches and re-decodes every instruction — the
 execution model of interpretive CPU simulators (the paper's Multi2Sim
-comparison point). The :class:`DBTCore` mimics dynamic binary translation:
-basic blocks are decoded once into pre-decoded instruction tuples, cached by
-entry address, and replayed without fetch/decode work — the mechanism behind
+comparison point). The :class:`DBTCore` is a dynamic binary translator:
+guest code is translated a region at a time into host (Python) source,
+compiled once into one function per region, cached by entry address, and
+run without fetch, decode or per-instruction dispatch — the mechanism behind
 the paper's ">15x faster CPU-side software stack" result (Fig. 9).
 """
+
+import struct
 
 from repro.errors import GuestError
 from repro.cpu.isa import (
@@ -21,6 +24,7 @@ from repro.cpu.isa import (
     decode,
     sign64,
 )
+from repro.mem.physical import PAGE_SHIFT, PAGE_SIZE
 from repro.state import Stateful
 
 
@@ -40,7 +44,7 @@ class CPU(Stateful):
         self.ecall_pending = False
 
     def reset(self, pc=0):
-        # mutate in place: translated DBT blocks close over this list
+        # mutate in place: translated DBT regions hold on to this list
         self.regs[:] = [0] * NUM_REGS
         self.pc = pc
         self.halted = False
@@ -188,14 +192,157 @@ class Interpreter:
         return executed
 
 
+# -- DBT code generation ------------------------------------------------------
+
+#: blocks one region may hold; targets past the cap are left to run()
+MAX_REGION_BLOCKS = 32
+
+_SIGN_BIT = 1 << 63
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+
+# rd-writing opcodes whose value is a plain expression of the operands
+_ALU_EXPR = {
+    CpuOp.ADD: "({a} + {b}) & M",
+    CpuOp.SUB: "({a} - {b}) & M",
+    CpuOp.AND: "{a} & {b}",
+    CpuOp.ADDI: "({a} + {imm}) & M",
+    CpuOp.LDI: "{extra}",
+}
+
+# XOR-ing the sign bit into both sides turns signed order into unsigned
+_BRANCH_COND = {
+    CpuOp.BEQ: "{a} == {b}",
+    CpuOp.BNE: "{a} != {b}",
+    CpuOp.BLTU: "{a} < {b}",
+    CpuOp.BGEU: "{a} >= {b}",
+    CpuOp.BLT: f"{{a}} ^ {_SIGN_BIT} < {{b}} ^ {_SIGN_BIT}",
+    CpuOp.BGE: f"{{a}} ^ {_SIGN_BIT} >= {{b}} ^ {_SIGN_BIT}",
+}
+
+# op -> (bus accessor suffix, width, fast-path expression on page p, offset o)
+_LOADS = {
+    CpuOp.LBU: ("u8", 1, "p[o]"),
+    CpuOp.LW: ("u32", 4, "u32(p, o)[0]"),
+    CpuOp.LD: ("u64", 8, "u64(p, o)[0]"),
+}
+# op -> (suffix, width, stored-value expression, fast-path statement)
+_STORES = {
+    CpuOp.SB: ("u8", 1, "{v} & 255", "p[o] = v"),
+    CpuOp.SW: ("u32", 4, "{v} & 4294967295", "p32(p, o, v)"),
+    CpuOp.SD: ("u64", 8, "{v}", "p64(p, o, v)"),
+}
+
+
+def _reg(index):
+    return f"regs[{index}]" if index else "0"
+
+
+def _emit_instruction(instr, out):
+    """Append the host statements of one non-terminator guest instruction."""
+    pc, op, rd, rs1, rs2, imm, extra, _next_pc = instr
+    if op in _ALU_EXPR:
+        if rd:
+            value = _ALU_EXPR[op].format(a=_reg(rs1), b=_reg(rs2), imm=imm,
+                                         extra=extra)
+            out.append(f"regs[{rd}] = {value}")
+    elif op in _LOADS or op in _STORES:
+        # `a` is left unmasked: a wrapped or negative sum has no backed
+        # page, so only the bus call below needs the architectural value
+        out.append(f"a = {_reg(rs1)} + {imm}" if imm else f"a = {_reg(rs1)}")
+        if op in _LOADS:
+            suffix, width, fast = _LOADS[op]
+            slow = f"bus.read_{suffix}(a & M)"
+            if not rd:  # the access still happens; nothing to inline
+                out.append(slow)
+                return
+            fast, slow = f"regs[{rd}] = {fast}", f"regs[{rd}] = {slow}"
+        else:
+            suffix, width, value, fast = _STORES[op]
+            out.append(f"v = {value.format(v=_reg(rd))}")
+            slow = f"bus.write_{suffix}(a & M, v)"
+        # inline RAM path: a backed page, outside the MMIO envelope, the
+        # access inside the page; the bus does everything else (first
+        # touch, devices, straddles, range errors)
+        straddle = f" and o <= {PAGE_SIZE - width}" if width > 1 else ""
+        out += [f"p = backed(a >> {PAGE_SHIFT})",
+                f"o = a & {PAGE_SIZE - 1}",
+                f"if p is not None{straddle} and (a < lo or a >= hi):",
+                f"    {fast}",
+                "else:",
+                f"    {slow}"]
+    elif op is not CpuOp.NOP:
+        # the long tail of rare opcodes keeps the interpreter's semantics
+        out += [f"cpu.pc = {pc}",
+                f"cpu.execute_decoded(CpuOp.{op.name}, {rd}, {rs1}, {rs2}, "
+                f"{imm}, {extra})"]
+
+
+def _emit_trace(head, blocks, heads):
+    """The body of the dispatch arm of *head*, as unindented lines: its
+    block, then every fall-through successor that is not itself a head,
+    each followed by its own instruction accounting and budget check.
+    The body runs inside a ``while True:`` of its own, so ``continue``
+    re-enters *head* and ``break`` returns to the ``pc`` dispatch."""
+    def goto(target):
+        if target == head:
+            code = ["if n <= limit:", "    continue"]
+        elif target in heads:
+            code = ["if n <= limit:", f"    pc = {target}", "    break"]
+        else:
+            code = []
+        return code + [f"cpu.pc = {target}", "return n"]
+
+    out = []
+    position = head
+    while True:
+        instrs = blocks[position]
+        pc, op, rd, rs1, rs2, imm, _extra, next_pc = instrs[-1]
+        terminated = op in BLOCK_TERMINATORS
+        for instr in instrs[:-1] if terminated else instrs:
+            _emit_instruction(instr, out)
+        out.append(f"n += {len(instrs)}")
+        if op in BRANCH_OPS:
+            cond = _BRANCH_COND[op].format(a=_reg(rs1), b=_reg(rs2))
+            out.append(f"if {cond}:")
+            out += ["    " + line for line in goto(pc + imm * 4)]
+        elif op is CpuOp.JAL:
+            if rd:
+                out.append(f"regs[{rd}] = {next_pc}")
+            return out + goto(pc + imm * 4)
+        elif op is CpuOp.JALR:
+            # base before link: rd may be rs1
+            out.append(f"cpu.pc = ({_reg(rs1)} + {imm}) & {MASK64 & ~3}")
+            if rd:
+                out.append(f"regs[{rd}] = {next_pc}")
+            return out + ["return n"]
+        elif terminated:  # halt / ecall
+            flag = "halted" if op is CpuOp.HALT else "ecall_pending"
+            return out + [f"cpu.{flag} = True", f"cpu.pc = {next_pc}",
+                          "return n"]
+        if next_pc in heads or next_pc not in blocks:
+            return out + goto(next_pc)
+        out += ["if n > limit:", f"    cpu.pc = {next_pc}", "    return n"]
+        position = next_pc
+
+
 class DBTCore:
     """Dynamic-binary-translation engine.
 
-    Basic blocks are translated once into lists of *specialized closures*:
-    operand indices, immediates and even the instruction's own PC are baked
-    in at translation time (the "early partial evaluation" of the paper's
-    retargetable-simulator lineage), so replaying a hot block does no
-    fetch, no decode and no operand dispatch.
+    On a miss the translator follows direct branches and ``jal`` from the
+    entry PC, generates Python source for the whole **region** — every
+    basic block reachable by static targets, up to
+    :data:`MAX_REGION_BLOCKS` — and compiles it once into a single host
+    function cached by entry PC. Operand indices, immediates and PCs are
+    baked into the source (the "early partial evaluation" of the paper's
+    retargetable-simulator lineage); blocks chain to each other inside
+    the function, so a hot loop never returns to :meth:`run`; and loads
+    and stores index the backing page directly when the address is plain
+    backed RAM.
+
+    A basic block runs from its entry PC to the first terminator or
+    ``max_block`` instructions (blocks entered mid-way overlap); executed
+    instructions are accounted, and the budget checked, once per block.
     """
 
     name = "dbt"
@@ -203,174 +350,116 @@ class DBTCore:
     def __init__(self, cpu, max_block=64):
         self.cpu = cpu
         self.max_block = max_block
-        self._blocks = {}
+        self._regions = {}
         self.translations = 0
 
     def invalidate(self):
-        """Drop all translated blocks (e.g. after loading new guest code)."""
-        self._blocks.clear()
+        """Drop all translated regions (e.g. after loading new guest code)."""
+        self._regions.clear()
+
+    def _decode_block(self, entry_pc, fetch):
+        """Decode the basic block at *entry_pc* into instruction tuples
+        ``(pc, op, rd, rs1, rs2, imm, extra, next_pc)``."""
+        instrs = []
+        position = entry_pc
+        for _ in range(self.max_block):
+            op, rd, rs1, rs2, imm = decode(fetch(position))
+            size = 4
+            extra = 0
+            if op in TWO_WORD_OPS:
+                extra = fetch(position + 4)
+                size = 8
+            instrs.append((position, op, rd, rs1, rs2, imm, extra,
+                           position + size))
+            position += size
+            if op in BLOCK_TERMINATORS:
+                break
+        return instrs
+
+    def _peek_code(self, addr):
+        """The code word at *addr*, for a block the guest may never
+        reach: fetching it must not allocate a page or poke a device."""
+        bus = self.cpu.bus
+        if (addr & 3 or bus.mmio_lo <= addr < bus.mmio_hi
+                or bus.memory.backed_page(addr >> PAGE_SHIFT) is None):
+            raise ValueError(f"no side-effect-free fetch at 0x{addr:x}")
+        return bus.read_u32(addr)
+
+    def _discover(self, entry_pc):
+        """Blocks of the region entered at *entry_pc*, by block entry PC,
+        and the subset that must be dispatch targets (*heads*): the entry
+        and every branch/``jal`` target. Fall-through successors that are
+        not heads are emitted inline after their predecessor."""
+        blocks = {entry_pc: self._decode_block(entry_pc,
+                                               self.cpu.bus.read_u32)}
+        heads = {entry_pc}
+        pending = [entry_pc]
+        while pending:
+            pc, op, _rd, _rs1, _rs2, imm, _extra, next_pc = \
+                blocks[pending.pop(0)][-1]
+            if op in BRANCH_OPS:
+                successors = ((pc + imm * 4, True), (next_pc, False))
+            elif op is CpuOp.JAL:
+                successors = ((pc + imm * 4, True),)
+            elif op in BLOCK_TERMINATORS:  # jalr/halt/ecall leave the region
+                successors = ()
+            else:  # size cap: continue at the fall-through address
+                successors = ((next_pc, False),)
+            for target, is_head in successors:
+                if target not in blocks:
+                    if len(blocks) == MAX_REGION_BLOCKS:
+                        continue
+                    try:
+                        blocks[target] = self._decode_block(
+                            target, self._peek_code)
+                    except ValueError:
+                        # unreadable or undecodable for now: if the guest
+                        # does get there, run() translates it as an entry
+                        continue
+                    pending.append(target)
+                if is_head:
+                    heads.add(target)
+        return blocks, heads
 
     def _translate(self, entry_pc):
-        """Translate the basic block at *entry_pc* into closures.
-
-        Returns (closures, instruction_count). Every closure mutates the
-        shared register list directly; only the final (terminator) closure
-        touches ``cpu.pc``.
-        """
+        """Translate the region entered at *entry_pc* into one host
+        function ``region(n, limit) -> n``: it runs guest blocks, adding
+        each block's instruction count to *n*, until the guest leaves the
+        region, halts, traps or *n* exceeds *limit*, and returns with
+        ``cpu.pc`` set."""
         cpu = self.cpu
-        bus = cpu.bus
-        regs = cpu.regs
-        closures = []
-        position = entry_pc
-        count = 0
-        terminated = False
-        for _ in range(self.max_block):
-            word = bus.read_u32(position)
-            op, rd, rs1, rs2, imm = decode(word)
-            extra = 0
-            pc_here = position
-            if op in TWO_WORD_OPS:
-                extra = bus.read_u32(position + 4)
-                position += 8
-            else:
-                position += 4
-            next_pc = position
-            count += 1
-            closures.append(
-                self._compile(op, rd, rs1, rs2, imm, extra, pc_here, next_pc,
-                              regs, bus, cpu)
-            )
-            if op in BLOCK_TERMINATORS:
-                terminated = True
-                break
-        if not terminated:
-            # block hit the size cap: continue at the fall-through address
-            def continue_block(cpu=cpu, target=position):
-                cpu.pc = target
-            closures.append(continue_block)
+        blocks, heads = self._discover(entry_pc)
+        # the defaults turn the names the hot path uses into fast locals
+        out = ["def region(n, limit, regs=regs, cpu=cpu, bus=bus, M=M, "
+               "backed=backed, u32=u32, u64=u64, p32=p32, p64=p64):",
+               "    lo = bus.mmio_lo",
+               "    hi = bus.mmio_hi",
+               f"    pc = {entry_pc}",
+               "    while True:"]
+        for head in sorted(heads):
+            out += [f"        if pc == {head}:", "            while True:"]
+            out += [" " * 16 + line
+                    for line in _emit_trace(head, blocks, heads)]
+        namespace = {
+            "regs": cpu.regs, "cpu": cpu, "bus": cpu.bus, "M": MASK64,
+            "backed": cpu.bus.memory.backed_page, "CpuOp": CpuOp,
+            "u32": _U32.unpack_from, "u64": _U64.unpack_from,
+            "p32": _U32.pack_into, "p64": _U64.pack_into,
+        }
+        exec(compile("\n".join(out), f"<dbt region 0x{entry_pc:x}>", "exec"),
+             namespace)
         self.translations += 1
-        return closures, count
-
-    @staticmethod
-    def _compile(op, rd, rs1, rs2, imm, extra, pc, next_pc, regs, bus, cpu):
-        """Build one specialized closure. Falls back to the generic
-        interpreter semantics for the long tail of rare opcodes."""
-        if op is CpuOp.ADDI:
-            if rd:
-                def fn():
-                    regs[rd] = (regs[rs1] + imm) & MASK64
-            else:
-                def fn():
-                    pass
-            return fn
-        if op is CpuOp.ADD and rd:
-            def fn():
-                regs[rd] = (regs[rs1] + regs[rs2]) & MASK64
-            return fn
-        if op is CpuOp.SUB and rd:
-            def fn():
-                regs[rd] = (regs[rs1] - regs[rs2]) & MASK64
-            return fn
-        if op is CpuOp.AND and rd:
-            def fn():
-                regs[rd] = regs[rs1] & regs[rs2]
-            return fn
-        if op is CpuOp.LDI and rd:
-            def fn():
-                regs[rd] = extra
-            return fn
-        if op is CpuOp.LBU and rd:
-            def fn():
-                regs[rd] = bus.read_u8((regs[rs1] + imm) & MASK64)
-            return fn
-        if op is CpuOp.LW and rd:
-            def fn():
-                regs[rd] = bus.read_u32((regs[rs1] + imm) & MASK64)
-            return fn
-        if op is CpuOp.LD and rd:
-            def fn():
-                regs[rd] = bus.read_u64((regs[rs1] + imm) & MASK64)
-            return fn
-        if op is CpuOp.SB:
-            def fn():
-                bus.write_u8((regs[rs1] + imm) & MASK64, regs[rd] & 0xFF)
-            return fn
-        if op is CpuOp.SW:
-            def fn():
-                bus.write_u32((regs[rs1] + imm) & MASK64,
-                              regs[rd] & 0xFFFFFFFF)
-            return fn
-        if op is CpuOp.SD:
-            def fn():
-                bus.write_u64((regs[rs1] + imm) & MASK64, regs[rd])
-            return fn
-        if op in BRANCH_OPS:
-            taken = pc + imm * 4
-            if op is CpuOp.BEQ:
-                def fn():
-                    cpu.pc = taken if regs[rs1] == regs[rs2] else next_pc
-            elif op is CpuOp.BNE:
-                def fn():
-                    cpu.pc = taken if regs[rs1] != regs[rs2] else next_pc
-            elif op is CpuOp.BLTU:
-                def fn():
-                    cpu.pc = taken if regs[rs1] < regs[rs2] else next_pc
-            elif op is CpuOp.BGEU:
-                def fn():
-                    cpu.pc = taken if regs[rs1] >= regs[rs2] else next_pc
-            elif op is CpuOp.BLT:
-                def fn():
-                    cpu.pc = (taken if sign64(regs[rs1]) < sign64(regs[rs2])
-                              else next_pc)
-            else:  # BGE
-                def fn():
-                    cpu.pc = (taken if sign64(regs[rs1]) >= sign64(regs[rs2])
-                              else next_pc)
-            return fn
-        if op is CpuOp.JAL:
-            target = pc + imm * 4
-
-            def fn():
-                if rd:
-                    regs[rd] = next_pc
-                cpu.pc = target
-            return fn
-        if op is CpuOp.JALR:
-            def fn():
-                if rd:
-                    regs[rd] = next_pc
-                cpu.pc = (regs[rs1] + imm) & MASK64 & ~3
-            return fn
-        if op is CpuOp.HALT:
-            def fn():
-                cpu.halted = True
-                cpu.pc = next_pc
-            return fn
-        if op is CpuOp.ECALL:
-            def fn():
-                cpu.ecall_pending = True
-                cpu.pc = next_pc
-            return fn
-
-        # generic fallback; pc must be synchronized around the call
-        def fn():
-            cpu.pc = pc
-            cpu.execute_decoded(op, rd, rs1, rs2, imm, extra)
-        return fn
+        return namespace["region"]
 
     def run(self, max_instructions=100_000_000):
         cpu = self.cpu
-        blocks = self._blocks
+        regions = self._regions
         executed = 0
         while not cpu.halted and not cpu.ecall_pending:
-            entry = blocks.get(cpu.pc)
-            if entry is None:
-                entry = self._translate(cpu.pc)
-                blocks[cpu.pc] = entry
-            closures, count = entry
-            for fn in closures:
-                fn()
-            executed += count
+            region = regions.get(cpu.pc)
+            if region is None:
+                region = regions[cpu.pc] = self._translate(cpu.pc)
+            executed = region(executed, max_instructions)
             if executed > max_instructions:
                 raise GuestError("instruction budget exceeded (guest stuck?)")
         cpu.instructions_executed += executed

@@ -76,7 +76,7 @@ class GuestRoutines:
     Args:
         bus: the system bus.
         code_base: physical address where routine code is placed.
-        engine: ``"dbt"`` (block-translation cache, our simulator's mode) or
+        engine: ``"dbt"`` (region-translation cache, our simulator's mode) or
             ``"interpretive"`` (per-instruction re-decode, the baseline mode).
     """
 
@@ -133,5 +133,5 @@ class GuestRoutines:
         if translations is not None:
             scope.probe("dbt_translations",
                         lambda: self.engine.translations,
-                        desc="basic blocks translated by the DBT engine",
+                        desc="regions translated by the DBT engine",
                         golden=False)

@@ -49,11 +49,20 @@ class Bus:
 
     Scalar 32-bit accesses check the MMIO map first; bulk/array accessors
     bypass it (devices are not valid DMA targets on this platform).
+
+    The RAM-vs-MMIO decision is the **MMIO envelope** ``[mmio_lo,
+    mmio_hi)``: every device window lies inside it, so an address outside
+    it is RAM without looking at a single window. It is empty (``0, 0``)
+    until the first :meth:`map_device`, which is also the only place that
+    moves it; clients that decide for themselves (the DBT's inline RAM
+    path) read the two attributes live instead of caching them.
     """
 
     def __init__(self, memory):
         self.memory = memory
         self._regions = []
+        self.mmio_lo = 0
+        self.mmio_hi = 0
 
     def map_device(self, name, base, size, device):
         """Register *device* at physical window ``[base, base+size)``."""
@@ -62,9 +71,14 @@ class Bus:
             if base < existing.base + existing.size and existing.base < base + size:
                 raise BusError(f"MMIO window {name} overlaps {existing.name}")
         self._regions.append(region)
+        self.mmio_lo = min(window.base for window in self._regions)
+        self.mmio_hi = max(window.base + window.size
+                           for window in self._regions)
         return region
 
     def _find_region(self, addr):
+        if addr < self.mmio_lo or addr >= self.mmio_hi:
+            return None
         for region in self._regions:
             if region.contains(addr):
                 return region

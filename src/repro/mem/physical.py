@@ -49,6 +49,12 @@ class PhysicalMemory:
             raise ValueError(f"memory size must be a positive multiple of {PAGE_SIZE}")
         self.size = size
         self._pages = {}
+        #: ``backed_page(index)`` is page *index*'s ``bytearray`` (4 KiB,
+        #: guest-little-endian, shared with every other accessor) or None
+        #: while nothing has touched it; it never allocates. It is the
+        #: page table's own ``get`` and the table is never replaced
+        #: (:meth:`load_pages` refills it), so a client may keep it.
+        self.backed_page = self._pages.get
         self._views = {}  # page index -> np.uint32 view sharing the bytearray
         self._carveouts = {}  # name -> (base, size), non-overlapping
 
@@ -111,11 +117,14 @@ class PhysicalMemory:
         end = _U64.size + int.from_bytes(blob[:_U64.size], "little") * record
         if len(blob) < end:
             raise ValueError("truncated page payload")
-        self._pages = {
+        pages = {
             _U64.unpack_from(blob, pos)[0]:
                 bytearray(blob[pos + _U64.size:pos + record])
             for pos in range(_U64.size, end, record)}
-        self._views = {}
+        # in place: backed_page is bound to this very dict
+        self._pages.clear()
+        self._pages.update(pages)
+        self._views.clear()
         return end
 
     # -- carve-out accounting ------------------------------------------------

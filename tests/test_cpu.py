@@ -1,26 +1,49 @@
 """Unit tests: guest CPU ISA, assembler, interpreter, DBT engine."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import GuestError
+from repro.checkpoint.state import apply_memory, serialize_memory
+from repro.core.platform import MobilePlatform, PlatformConfig
+from repro.errors import GuestError, MemoryError_
 from repro.cpu import CPU, DBTCore, GuestRoutines, Interpreter, assemble
 from repro.cpu.isa import CpuOp, decode, encode
-from repro.mem import Bus, PhysicalMemory
+from repro.mem import Bus, MMIODevice, PhysicalMemory
+from repro.mem.physical import PAGE_SHIFT
 
 CODE_BASE = 0x1000
+ENGINES = ["dbt", "interpretive"]
 
 
-def _machine(source, engine="dbt"):
+def _machine(source, engine="dbt", max_block=64):
+    """*source* is assembly text or an already assembled image."""
     memory = PhysicalMemory(1 << 24)
     bus = Bus(memory)
-    image = assemble(source)
+    image = assemble(source) if isinstance(source, str) else source
     bus.write_block(CODE_BASE, image)
     cpu = CPU(bus)
     cpu.reset(pc=CODE_BASE)
-    core = DBTCore(cpu) if engine == "dbt" else Interpreter(cpu)
+    core = DBTCore(cpu, max_block) if engine == "dbt" else Interpreter(cpu)
     return memory, cpu, core
+
+
+class _Latch(MMIODevice):
+    """A device window of plain registers that logs every access."""
+
+    def __init__(self):
+        self.values = {}
+        self.log = []
+
+    def read_reg(self, offset):
+        self.log.append(("r", offset))
+        return self.values.get(offset, 0)
+
+    def write_reg(self, offset, value):
+        self.log.append(("w", offset, value))
+        self.values[offset] = value
 
 
 class TestEncoding:
@@ -105,7 +128,7 @@ _ALU_PROGRAM = """
 """
 
 
-@pytest.mark.parametrize("engine", ["dbt", "interpretive"])
+@pytest.mark.parametrize("engine", ENGINES)
 class TestExecutionEngines:
     def test_alu_operations(self, engine):
         _mem, cpu, core = _machine(_ALU_PROGRAM, engine)
@@ -176,6 +199,192 @@ class TestExecutionEngines:
         with pytest.raises(GuestError):
             core.run(max_instructions=1000)
 
+    def test_budget_is_checked_while_spinning_inside_one_region(self, engine):
+        # two-instruction blocks: the DBT stops after block 501 (1002 >
+        # 1000), the interpreter after instruction 1001 — the 501st addi
+        source = "loop: addi x1, x1, 1\njal x0, loop"
+        _mem, cpu, core = _machine(source, engine)
+        with pytest.raises(GuestError):
+            core.run(max_instructions=1000)
+        assert cpu.regs[1] == 501
+
+    def test_budget_is_checked_after_a_fall_through_block(self, engine):
+        source = """
+        loop:
+            addi x1, x1, 1
+            beq  x1, x0, never   # block of 2, falls through into ...
+            addi x2, x2, 1
+            jal  x0, loop        # ... a block of 2
+        never:
+            halt
+        """
+        _mem, cpu, core = _machine(source, engine)
+        with pytest.raises(GuestError):
+            core.run(max_instructions=5)
+        # 2 + 2 + 2 > 5: both engines stop between the two blocks
+        assert (cpu.regs[1], cpu.regs[2]) == (2, 1)
+        assert cpu.pc == CODE_BASE + 8
+
+    def test_budget_starved_memcpy(self, engine):
+        routines = GuestRoutines(Bus(PhysicalMemory(1 << 24)), engine=engine)
+        with pytest.raises(GuestError):
+            routines.call("memcpy", 0x50_0000, 0x40_0000, 64 * 1024,
+                          max_instructions=10_000)
+        # 7 instructions per 8 bytes: it got some of the way, not all
+        assert 0 < routines.cpu.regs[1] - 0x50_0000 < 64 * 1024
+
+    def test_jalr_reads_base_before_writing_link(self, engine):
+        source = """
+            ldi  x15, 0x1018
+            jalr x15, x15, 0     # rd == rs1: the target is the *old* x15
+            li   x1, 111
+            halt
+            li   x1, 222         # 0x1018
+            halt
+        """
+        _mem, cpu, core = _machine(source, engine)
+        core.run()
+        assert cpu.regs[1] == 222
+        assert cpu.regs[15] == CODE_BASE + 12
+        assert cpu.pc == 0x1024
+
+    def test_device_window_access(self, engine):
+        source = """
+            li  x1, 0x20000
+            li  x2, 0xcafef00d
+            sw  x2, x1, 8
+            lw  x3, x1, 8
+            lw  x4, x1, 12
+            li  x5, 0x1111111122222222
+            sd  x5, x1, 16
+            ld  x6, x1, 16
+            halt
+        """
+        mem, cpu, core = _machine(source, engine)
+        device = _Latch()
+        cpu.bus.map_device("latch", 0x20000, 0x1000, device)
+        pages = mem.allocated_pages
+        core.run()
+        assert cpu.regs[3] == 0xCAFEF00D and cpu.regs[4] == 0
+        assert cpu.regs[6] == 0x1111111122222222
+        assert device.log == [
+            ("w", 8, 0xCAFEF00D), ("r", 8), ("r", 12),
+            ("w", 16, 0x22222222), ("w", 20, 0x11111111),
+            ("r", 16), ("r", 20)]
+        assert mem.allocated_pages == pages  # nothing landed in RAM
+
+    def test_device_mapped_after_translation(self, engine):
+        source = """
+            li  x1, 0x20000
+            sw  x2, x1, 0
+            lw  x3, x1, 0
+            halt
+        """
+        mem, cpu, core = _machine(source, engine)
+        cpu.regs[2] = 7
+        core.run()
+        assert mem.read_u32(0x20000) == 7  # plain RAM so far
+        device = _Latch()
+        cpu.bus.map_device("latch", 0x20000, 0x1000, device)
+        cpu.reset(pc=CODE_BASE)
+        cpu.regs[2] = 9
+        core.run()
+        assert device.log == [("w", 0, 9), ("r", 0)]
+        assert cpu.regs[3] == 9
+        assert mem.read_u32(0x20000) == 7
+
+    def test_accesses_straddling_a_page_boundary(self, engine):
+        source = """
+            li  x1, 0x9000
+            li  x2, 0x1122334455667788
+            sd  x2, x1, -3
+            ld  x3, x1, -3
+            li  x6, 0xa000
+            sw  x2, x6, -2
+            lw  x4, x6, -2
+            lbu x5, x1, 0
+            halt
+        """
+        mem, cpu, core = _machine(source, engine)
+        core.run()
+        assert cpu.regs[3] == 0x1122334455667788
+        assert cpu.regs[4] == 0x55667788
+        assert cpu.regs[5] == 0x55
+        assert mem.read_block(0x8FFD, 8) == bytes.fromhex("8877665544332211")
+        assert mem.read_block(0x9FFE, 4) == bytes.fromhex("88776655")
+
+    def test_first_touch_allocates_the_page(self, engine):
+        source = """
+            li  x1, 0x30000
+            lbu x2, x1, 0        # a load is a first touch too
+            li  x1, 0x40000
+            sd  x1, x1, 8
+            sd  x1, x1, 16       # second touch: already backed
+            halt
+        """
+        mem, cpu, core = _machine(source, engine)
+        before = mem.allocated_pages
+        assert mem.backed_page(0x30) is None
+        core.run()
+        assert mem.allocated_pages == before + 2
+        assert mem.backed_page(0x30) is not None
+        assert mem.read_u64(0x40010) == 0x40000
+
+    def test_out_of_range_store(self, engine):
+        source = """
+            li  x1, 0x1000000    # == memory size
+            sw  x1, x1, 0
+            halt
+        """
+        mem, cpu, core = _machine(source, engine)
+        pages = mem.allocated_pages
+        with pytest.raises(MemoryError_):
+            core.run()
+        assert mem.allocated_pages == pages
+
+    def test_address_wraps_at_64_bits(self, engine):
+        source = """
+            li  x1, 0xfffffffffffffff8
+            li  x2, 0x5a
+            sb  x2, x1, 0x20     # wraps to 0x18
+            lbu x3, x1, 0x20
+            halt
+        """
+        mem, cpu, core = _machine(source, engine)
+        core.run()
+        assert cpu.regs[3] == 0x5A
+        assert mem.read_u8(0x18) == 0x5A
+
+    def test_straight_line_code_longer_than_a_block(self, engine):
+        source = "addi x1, x1, 1\n" * 150 + "halt"
+        _mem, cpu, core = _machine(source, engine, max_block=64)
+        assert core.run() == 151
+        assert cpu.regs[1] == 150
+        assert cpu.pc == CODE_BASE + 151 * 4
+
+    def test_invalidate_after_rewriting_guest_code(self, engine):
+        mem, cpu, core = _machine("li x1, 1\nhalt", engine)
+        core.run()
+        assert cpu.regs[1] == 1
+        mem.write_block(CODE_BASE, assemble("li x1, 2\nhalt"))
+        if engine == "dbt":
+            core.invalidate()
+        cpu.reset(pc=CODE_BASE)
+        core.run()
+        assert cpu.regs[1] == 2
+
+    def test_untaken_path_is_not_fetched_ahead_of_time(self, engine):
+        # the fall-through of the first branch is not code, and the far
+        # target of the second lies in a page nothing has touched
+        image = struct.pack(
+            "<4I", encode(CpuOp.BEQ, 0, 0, 0, 2), 0xFF000000,
+            encode(CpuOp.BNE, 0, 0, 0, 2000), encode(CpuOp.HALT))
+        mem, cpu, core = _machine(image, engine)
+        pages = mem.allocated_pages
+        core.run()
+        assert cpu.halted
+        assert mem.allocated_pages == pages
+
 
 class TestEngineEquivalence:
     def test_both_engines_agree_on_full_register_state(self):
@@ -207,8 +416,12 @@ class TestEngineEquivalence:
         """
         _mem, cpu, core = _machine(source, "dbt")
         core.run()
-        # the loop body block is translated once, not 50 times
-        assert core.translations <= 4
+        # one region holds the entry, the loop and the exit; the 50
+        # iterations chain inside it
+        assert core.translations == 1
+        cpu.reset(pc=CODE_BASE)
+        core.run()
+        assert core.translations == 1
 
     def test_dbt_instruction_count_matches_interpreter(self):
         source = """
@@ -269,6 +482,123 @@ class TestGuestRoutines:
         assert bus.read_block(0x50_0000, 2) == b"xy"
         assert routines.instructions_executed > 0
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_memcpy_sees_a_restored_memory_image(self, engine):
+        platform = MobilePlatform(PlatformConfig(cpu_engine=engine))
+        first, second = bytes(range(256)) * 20, bytes(range(255, -1, -1)) * 20
+        source = platform.stage_bytes(first)
+        target = platform.stage_bytes(bytes(len(first)))
+        image = serialize_memory(platform)  # source holds `first`
+        platform.memory.write_block(source, second)
+        platform.guest.memcpy(target, source, len(first))
+        assert platform.memory.read_block(target, len(first)) == second
+        apply_memory(platform, image)  # every page is a new bytearray
+        platform.guest.memcpy(target, source, len(first))
+        assert platform.memory.read_block(target, len(first)) == first
+
     def test_bad_engine_rejected(self):
         with pytest.raises(ValueError):
             GuestRoutines(self._bus(), engine="quantum")
+
+
+# -- generated programs: DBT vs interpreter -----------------------------------
+
+_DATA_BASE = 0x8000 - 24  # the data window straddles a page boundary and
+_BASE_REG = 12            # its second page starts out unbacked
+_COUNT_REG = 13
+_RR_OPS = [CpuOp.ADD, CpuOp.SUB, CpuOp.AND, CpuOp.OR, CpuOp.XOR, CpuOp.SLL,
+           CpuOp.SRL, CpuOp.SRA, CpuOp.MUL, CpuOp.DIVU, CpuOp.SLT,
+           CpuOp.SLTU]
+_RI_OPS = [CpuOp.ADDI, CpuOp.ANDI, CpuOp.ORI, CpuOp.XORI, CpuOp.SLLI,
+           CpuOp.SRLI, CpuOp.SRAI]
+_BRANCHES = [CpuOp.BEQ, CpuOp.BNE, CpuOp.BLT, CpuOp.BGE, CpuOp.BLTU,
+             CpuOp.BGEU]
+
+_reg = st.integers(0, 11)  # never the base or the loop counter
+_imm = st.integers(-2048, 2047)
+_u32 = st.integers(0, 0xFFFFFFFF)
+_offset = st.integers(0, 48)
+_straight = st.one_of(
+    st.tuples(st.just("rr"), st.sampled_from(_RR_OPS), _reg, _reg, _reg),
+    st.tuples(st.just("ri"), st.sampled_from(_RI_OPS), _reg, _reg, _imm),
+    st.tuples(st.just("wide"), st.sampled_from([CpuOp.LDI, CpuOp.LDIH]),
+              _reg, _u32),
+    st.tuples(st.just("mem"),
+              st.sampled_from([CpuOp.LBU, CpuOp.LW, CpuOp.LD, CpuOp.SB,
+                               CpuOp.SW, CpuOp.SD]), _reg, _offset),
+    st.just(("nop",)),
+)
+_body = st.lists(_straight, max_size=4)
+# forward control flow: each skips its body when taken
+_forward = st.one_of(
+    st.tuples(st.just("branch"), st.sampled_from(_BRANCHES), _reg, _reg,
+              _body),
+    st.tuples(st.just("jal"), _reg, _body),
+    st.tuples(st.just("jalr"), _reg, st.integers(1, 11),
+              st.integers(-64, 64), _body),
+)
+_item = st.one_of(
+    _straight, _forward,
+    st.tuples(st.just("loop"), st.integers(1, 4),
+              st.lists(st.one_of(_straight, _forward), max_size=5)))
+
+
+def _encode_items(items, address):
+    """Machine words of *items* laid out from *address*."""
+    words = []
+    for item in items:
+        here = address + 4 * len(words)
+        kind = item[0]
+        if kind == "rr":
+            _, op, rd, rs1, rs2 = item
+            words.append(encode(op, rd, rs1, rs2))
+        elif kind == "ri":
+            _, op, rd, rs1, imm = item
+            words.append(encode(op, rd, rs1, 0, imm))
+        elif kind == "wide":
+            _, op, rd, value = item
+            words += [encode(op, rd), value]
+        elif kind == "mem":
+            _, op, reg, offset = item
+            words.append(encode(op, reg, _BASE_REG, 0, offset))
+        elif kind == "nop":
+            words.append(encode(CpuOp.NOP))
+        elif kind == "branch":
+            _, op, rs1, rs2, body = item
+            skipped = _encode_items(body, here + 4)
+            words += [encode(op, 0, rs1, rs2, len(skipped) + 1)] + skipped
+        elif kind == "jal":
+            _, rd, body = item
+            skipped = _encode_items(body, here + 4)
+            words += [encode(CpuOp.JAL, rd, 0, 0, len(skipped) + 1)] + skipped
+        elif kind == "jalr":  # rd may be the base register itself
+            _, rd, base, imm, body = item
+            skipped = _encode_items(body, here + 12)
+            target = here + 12 + 4 * len(skipped)
+            words += [encode(CpuOp.LDI, base), target - imm,
+                      encode(CpuOp.JALR, rd, base, 0, imm)] + skipped
+        else:
+            _, trips, body = item
+            inner = _encode_items(body, here + 8)
+            words += [encode(CpuOp.LDI, _COUNT_REG), trips] + inner + [
+                encode(CpuOp.ADDI, _COUNT_REG, _COUNT_REG, 0, -1),
+                encode(CpuOp.BNE, 0, _COUNT_REG, 0, -(len(inner) + 1))]
+    return words
+
+
+@given(items=st.lists(_item, max_size=12), max_block=st.sampled_from([3, 64]))
+@settings(max_examples=150, deadline=None)
+def test_dbt_matches_interpreter_on_generated_programs(items, max_block):
+    words = [encode(CpuOp.LDI, _BASE_REG), _DATA_BASE]
+    words += _encode_items(items, CODE_BASE + 8)
+    words.append(encode(CpuOp.HALT))
+    image = struct.pack(f"<{len(words)}I", *words)
+    outcomes = []
+    for engine in ENGINES:
+        mem, cpu, core = _machine(image, engine, max_block)
+        mem.write_block(_DATA_BASE, bytes(range(1, 25)))  # first page only
+        core.run(max_instructions=10_000)
+        outcomes.append((list(cpu.regs), cpu.pc, cpu.halted,
+                         cpu.instructions_executed, mem.allocated_pages,
+                         b"".join(mem.dump_pages())))
+    assert outcomes[0] == outcomes[1]
