@@ -13,23 +13,36 @@ trajectory to regress against:
   path) and enabled, plus interpreter clauses/sec and loads/sec;
 - **mega**: end-to-end sgemm across the engine tiers — the scalar seed
   baseline against the JIT and the workgroup-wide megakernel engine —
-  asserting all tiers report bit-identical JobStats.
+  asserting all tiers report bit-identical JobStats;
+- **mega_launch**: the fixed cost of the mega launch path — microseconds
+  per one-workgroup job and per 64-lane workgroup of a 16-workgroup job —
+  with the two counts that keep it small: kernel translations built
+  (one per program, however many jobs) and ``QuadWarp`` objects
+  constructed to retire workgroups nobody inspects (none).
+
+The report records the host (cores, Python, NumPy) beside the numbers.
 
 Run directly: ``python benchmarks/bench_hotpath.py [--quick]``.
 """
 
 import argparse
 import json
+import os
 import pathlib
+import platform
 import sys
 import time
+
+import numpy as np
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(_REPO_ROOT / "src"))
 
 from repro.cl import Context  # noqa: E402
 from repro.core.platform import MobilePlatform, PlatformConfig  # noqa: E402
+from repro.cl import CommandQueue  # noqa: E402
 from repro.gpu.device import GPUConfig  # noqa: E402
+from repro.gpu.warp import QuadWarp  # noqa: E402
 from repro.kernels import get_workload  # noqa: E402
 
 _OUTPUT = _REPO_ROOT / "BENCH_hotpath.json"
@@ -169,6 +182,66 @@ def engine_end_to_end(workload, sizes, repeats=3):
     }
 
 
+_SAXPY = """
+__kernel void saxpy(__global float* y, __global const float* x, float a) {
+    int i = get_global_id(0);
+    y[i] = a * x[i] + y[i];
+}
+"""
+
+
+def mega_launch(jobs=64, repeats=5):
+    """Fixed cost of a mega launch: *jobs* synchronous saxpy launches of
+    1 and of 16 workgroups (64 lanes each), every one with another
+    uniform, on one platform. The counts are exact and are what the
+    launch path promises: one translation for all of them, and no
+    ``QuadWarp`` built for workgroups the Job Manager retires unread."""
+    context = Context(MobilePlatform(PlatformConfig(
+        gpu=GPUConfig(engine="mega", instrument=True))))
+    queue = CommandQueue(context)
+    kernel = context.build_program(_SAXPY).kernel("saxpy")
+    x = context.buffer_from_array(np.ones(1024, dtype=np.float32))
+    y = context.buffer_from_array(np.zeros(1024, dtype=np.float32))
+    launched = [0]
+
+    def launch(workgroups):
+        def run_jobs():
+            for _ in range(jobs):
+                launched[0] += 1
+                kernel.set_args(y, x, np.float32(launched[0]))
+                queue.enqueue_nd_range(kernel, (64 * workgroups,), (64,))
+        return run_jobs
+
+    built = [0]
+    init = QuadWarp.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    QuadWarp.__init__ = counting_init
+    try:
+        launch(1)()  # translate, fill the TLBs
+        one = _best(launch(1), repeats)
+        sixteen = _best(launch(16), repeats)
+    finally:
+        QuadWarp.__init__ = init
+    snapshot = context.platform.stats_registry.snapshot()
+    return {
+        "jobs": launched[0],
+        "us_per_one_workgroup_job": one / jobs * 1e6,
+        "us_per_workgroup_of_16": sixteen / jobs / 16 * 1e6,
+        "kernel_translations":
+            snapshot["gpu.jobmanager.kernel_translations"],
+        "quadwarps_built": built[0],
+    }
+
+
+def host_metadata():
+    return {"cores": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__, "machine": platform.machine()}
+
+
 def run(quick=False):
     micro_repeats = 3 if quick else 7
     kernel_repeats = 1 if quick else 3
@@ -180,6 +253,7 @@ def run(quick=False):
         {"width": 48, "height": 32}
     report = {
         "quick": quick,
+        "host": host_metadata(),
         "micro": micro_mmu_loads(repeats=micro_repeats),
         "kernels": {
             "sgemm": kernel_end_to_end("sgemm", sgemm_sizes,
@@ -191,6 +265,8 @@ def run(quick=False):
             "sgemm": engine_end_to_end("sgemm", sgemm_sizes,
                                        repeats=kernel_repeats),
         },
+        "mega_launch": mega_launch(jobs=16 if quick else 64,
+                                   repeats=micro_repeats),
     }
     _OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
     return report
@@ -219,8 +295,24 @@ def main(argv=None):
               f"({row['jit_speedup']:.2f}x), "
               f"mega {row['mega_seconds'] * 1000:.1f} ms "
               f"({row['mega_speedup']:.2f}x)")
+    launch = report["mega_launch"]
+    print(f"mega launch: {launch['us_per_one_workgroup_job']:.0f} us per "
+          f"one-workgroup job, {launch['us_per_workgroup_of_16']:.0f} us "
+          f"per workgroup of 16; {launch['kernel_translations']} "
+          f"translation(s) and {launch['quadwarps_built']} QuadWarps over "
+          f"{launch['jobs']} jobs")
     print(f"wrote {_OUTPUT}")
     failed = False
+    # count-based, so they hold on any host: a regression back to
+    # per-job translation or eager retirement fails here
+    if launch["kernel_translations"] != 1:
+        print("FAIL: mega translated the one program more than once",
+              file=sys.stderr)
+        failed = True
+    if launch["quadwarps_built"] != 0:
+        print("FAIL: the mega launch path built QuadWarps nobody read",
+              file=sys.stderr)
+        failed = True
     if micro["speedup"] < 3.0:
         print("WARNING: micro speedup below the 3x floor", file=sys.stderr)
         failed = True

@@ -28,7 +28,12 @@ def serialize_config(config):
 def deserialize_config(data):
     from repro.core.platform import PlatformConfig
 
-    return PlatformConfig.from_plain(data)
+    try:
+        return PlatformConfig.from_plain(data)
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(
+            f"checkpoint config section lacks or mistypes a key — "
+            f"corrupt or hand-edited: {exc!r}") from exc
 
 
 def capture_state(platform, extra=None):

@@ -35,7 +35,7 @@ from repro.gpu.isa import (
     is_grf,
     is_temp,
 )
-from repro.gpu.ops import alu, atomic_apply
+from repro.gpu.ops import alu, atomic_apply, uniform_word
 from repro.gpu.warp import WARP_WIDTH
 
 _END_PC = 1 << 30
@@ -49,8 +49,9 @@ class ClauseJIT:
         self.uniforms = uniforms
         self.mem = mem
         self.local = local
-        # stats is rebound per job by the compute unit (translations are
-        # cached across jobs, counters are not)
+        # uniforms and stats are rebound per job by the compute unit
+        # (translations are cached across jobs, tables and counters are
+        # not)
         self.stats = stats
         # deferred per-clause stat accumulation, same scheme (and same
         # flush helper) as the interpreter: clause index -> [issues, lanes]
@@ -115,10 +116,9 @@ class ClauseJIT:
             write = self._writer(instr.dst)
             value = np.full(WARP_WIDTH, 0, dtype=np.uint32)
             index = instr.imm
-            uniforms = self.uniforms
 
             def run_ldu(warp, mask, lanes):
-                value.fill(uniforms[index])
+                value.fill(uniform_word(self.uniforms, index))
                 write(warp, mask, value)
             return run_ldu
         if op is Op.LD or op is Op.ST:

@@ -10,7 +10,8 @@ doorbell register with its GPU VA. The Job Manager parses the descriptor
 *through the GPU MMU* (so descriptor pages count as GPU page traffic),
 decodes the shader binary once (the decode cache of Section III-B3), splits
 the NDRange into thread-groups and maps them onto compute units — optionally
-many more host threads than shader cores (virtual cores, Fig. 10).
+many more host threads than shader cores (virtual cores, Fig. 10). The units
+persist, so a decoded program is also translated once, and dropped with it.
 """
 
 import struct
@@ -114,7 +115,11 @@ class JobManager(Stateful):
         self._decode_cache = {}
         self.decode_count = 0
         self.results = []
-        self._units = []
+        # persist across jobs: local slabs and kernel translations
+        self._units = [
+            ComputeUnit(unit_id=i, virtual=i >= num_shader_cores)
+            for i in range(max(1, num_host_threads))
+        ]
         # running totals across retired jobs, observed by the StatsRegistry
         self.jobs_retired = 0
         self.total_stats = JobStats()
@@ -135,6 +140,11 @@ class JobManager(Stateful):
         jm.probe("descriptor_decodes", lambda: self.decode_count,
                  desc="shader binaries decoded (cache misses)",
                  golden=False)
+        jm.probe("kernel_translations",
+                 lambda: sum(unit.translations_built
+                             for unit in self._units),
+                 desc="mega + JIT translations built (by this process)",
+                 golden=False)
         jm.probe("jobs_preempted", lambda: self.jobs_preempted,
                  desc="jobs parked at their JOB_SLICE workgroup budget",
                  golden=False)
@@ -149,7 +159,11 @@ class JobManager(Stateful):
                     (lambda s=stats, f=field_name: getattr(s, f)))
 
     def invalidate_decode_cache(self):
+        """Forget every decoded program, and with it what the units
+        translated from it."""
         self._decode_cache.clear()
+        for unit in self._units:
+            unit.drop_translations()
 
     def get_state(self):
         state = super().get_state()
@@ -163,7 +177,8 @@ class JobManager(Stateful):
     def set_state(self, state):
         """Counters and JobStats only; the decode cache stays cold until
         :meth:`rewarm_decode_cache`, which needs the driver's restored
-        page tables."""
+        page tables. Kernel translations stay cold for good: rebuilding
+        one on first use reads no guest memory and moves no counter."""
         super().set_state(state)
         for unit_id, stats in state["core_stats"]:
             # KeyError: a unit this GPU config does not have
@@ -235,6 +250,9 @@ class JobManager(Stateful):
             program = decode_program(image)
             if self.decode_cache_enabled:
                 self._decode_cache[key] = program
+            else:
+                # no Program decoded so far is ever handed out again
+                self.invalidate_decode_cache()
             self.decode_count += 1
         return program
 
@@ -305,11 +323,7 @@ class JobManager(Stateful):
             fault.fault_class = ("mmu" if isinstance(exc, MMUFault)
                                  else "descriptor")
             raise fault from exc
-        num_units = max(1, self.num_host_threads)
-        units = [
-            ComputeUnit(unit_id=i, virtual=i >= self.num_shader_cores)
-            for i in range(num_units)
-        ]
+        units = self._units
         for unit in units:
             unit.prepare(descriptor.local_mem_size, self.instrument,
                          self.collect_cfg, tracer=self.tracer,
@@ -322,7 +336,7 @@ class JobManager(Stateful):
                   and 0 < workgroup_budget < total_groups)
         limit = workgroup_budget if sliced else total_groups
         try:
-            if num_units == 1:
+            if len(units) == 1:
                 for flat_group in range(limit):
                     units[0].run_workgroup(program, uniforms, self.mmu, shape, flat_group)
             else:

@@ -27,6 +27,11 @@ per quad with at least one active lane — reproduces the interpreter's
 fallback: when every running lane waits, releasing them all reproduces the
 compute unit's release protocol.
 
+A translation depends on the program, not on the job or the launch shape:
+``LDU`` slots read the uniform table bound at job start and constant
+operands read vectors of the launch's width, so the compute unit keeps one
+translation per program (the paper's decode cache, one level down).
+
 The engine punts statically (the compute unit falls back to the
 interpreter/JIT tiers for the whole workgroup) when the program contains
 ``ATOM`` (the interpreter serializes atomics warp-by-warp, so a
@@ -35,6 +40,8 @@ or per-word memory tracing is requested, when the memory port has no wide
 vector API, or when a core-hang injection must reproduce the watchdog's
 stall accounting.
 """
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -53,10 +60,8 @@ from repro.gpu.isa import (
     Op,
     Tail,
     is_const,
-    is_grf,
-    is_temp,
 )
-from repro.gpu.ops import OPS, alu
+from repro.gpu.ops import OPS, alu, uniform_word
 from repro.gpu.warp import QUAD_WIDTH, QuadWarp
 
 _END_PC = 1 << 30
@@ -78,65 +83,102 @@ def mega_supported(program, mem):
     return True
 
 
+#: rows of the SoA register file: operand number == row, for GRF
+#: registers and (from TEMP_BASE) clause temporaries alike
+_ROWS = TEMP_BASE + NUM_TEMPS
+
+
+def _row_access(row):
+    def read(state):
+        return state.regs[row]
+
+    def write(state, mask, values):
+        if mask is None:
+            state.regs[row] = values
+        else:
+            np.copyto(state.regs[row], values, where=mask)
+    return read, write
+
+
+#: operand -> (read, write), one pair per register shared by every slot of
+#: every translation (a pair per operand *use* is most of what a retained
+#: translation would weigh)
+_ACCESS = {row: _row_access(row)
+           for row in (*range(NUM_GRF), *range(TEMP_BASE, _ROWS))}
+
+
 class MegaState:
-    """SoA architectural state of one workgroup: row-per-register."""
+    """SoA architectural state of one workgroup (row-per-register) and
+    the two read-only ports of its launch: the job's uniform table and
+    the program's constants broadcast to the launch's width."""
 
-    __slots__ = ("regs", "temps", "pcs", "live", "at_barrier")
+    __slots__ = ("regs", "uniforms", "consts", "pcs", "live", "at_barrier")
 
-    def __init__(self, width):
-        self.regs = np.zeros((NUM_GRF, width), dtype=np.uint32)
-        self.temps = np.zeros((NUM_TEMPS, width), dtype=np.uint32)
+    def __init__(self, regs, uniforms, consts):
+        self.regs = regs
+        self.uniforms = uniforms
+        self.consts = consts
         self.pcs = None          # materialized on divergence
         self.live = None
         self.at_barrier = None
 
 
-class MegaKernel:
-    """Workgroup-wide translated form of one program.
+class RetiredWarps(Sequence):
+    """The retired warps of one workgroup, each transposed out of the SoA
+    state only when read: the Job Manager never looks, the conformance
+    harness inspects every lane."""
 
-    Translations are cached by the compute unit per
-    ``(program, uniforms, width)`` — counters are rebound per job, state
-    is rebuilt per workgroup.
+    def __init__(self, state, shape):
+        self._state = state
+        self._shape = shape
+
+    def __len__(self):
+        return self._shape.warps_per_group
+
+    def __getitem__(self, index):
+        first = range(len(self))[index] * QUAD_WIDTH
+        warp = QuadWarp(active_lanes=min(
+            QUAD_WIDTH, self._shape.threads_per_group - first))
+        lanes = self._state.regs[:, first:first + QUAD_WIDTH].T
+        warp.regs[:] = lanes[:, :NUM_GRF]
+        warp.temps[:] = lanes[:, TEMP_BASE:]
+        warp.pcs[:] = _END_PC
+        return warp
+
+
+class MegaKernel:
+    """Workgroup-wide translated form of one program, kept by the compute
+    unit across jobs and launch shapes: uniforms are bound per job,
+    counters passed and state rebuilt per workgroup.
     """
 
-    def __init__(self, program, uniforms, mem, local, width):
-        if width % QUAD_WIDTH:
-            raise ValueError("width must be a whole number of quads")
+    def __init__(self, program, mem, local):
         self.program = program
-        self.uniforms = uniforms
+        self.uniforms = None
         self.mem = mem
         self.local = local
-        self.width = width
-        self._wide_load = mem.load_wide_u32
-        self._wide_store = mem.store_wide_u32
-        self._constants = {}
+        self._constants = {}   # constant value -> index into state.consts
+        self._launches = {}    # local size -> (preloaded rows, consts)
         self._compiled = [self._translate(c) for c in program.clauses]
         self._tails = [(c.tail, c.target, c.cond_reg)
                        for c in program.clauses]
 
+    def bind(self, uniforms):
+        """Install the uniform table of the job about to run."""
+        self.uniforms = uniforms
+
     # -- operand binding -------------------------------------------------------
 
     def _reader(self, clause, operand):
-        if is_grf(operand):
-            def read(state, column=operand):
-                return state.regs[column]
-            return read
-        if is_temp(operand):
-            slot = operand - TEMP_BASE
-
-            def read(state, column=slot):
-                return state.temps[column]
-            return read
+        access = _ACCESS.get(operand)
+        if access is not None:
+            return access[0]
         if is_const(operand):
-            value = clause.constants[operand - CONST_BASE]
-            vector = self._constants.get(value)
-            if vector is None:
-                vector = np.full(self.width, value, dtype=np.uint32)
-                vector.flags.writeable = False
-                self._constants[value] = vector
+            index = self._constants.setdefault(
+                clause.constants[operand - CONST_BASE], len(self._constants))
 
-            def read(_state, v=vector):
-                return v
+            def read(state):
+                return state.consts[index]
             return read
 
         # same error as the interpreter's _read, raised when the slot is
@@ -147,20 +189,12 @@ class MegaKernel:
 
     @staticmethod
     def _writer(operand):
-        if is_grf(operand):
-            def write(state, mask, values, column=operand):
-                if mask is None:
-                    state.regs[column] = values
-                else:
-                    np.copyto(state.regs[column], values, where=mask)
-            return write
-        slot = operand - TEMP_BASE
+        access = _ACCESS.get(operand)
+        if access is not None:
+            return access[1]
 
-        def write(state, mask, values, column=slot):
-            if mask is None:
-                state.temps[column] = values
-            else:
-                np.copyto(state.temps[column], values, where=mask)
+        def write(_state, _mask, _values):
+            raise GuestError(f"invalid destination operand {operand}")
         return write
 
     # -- clause translation ------------------------------------------------------
@@ -178,12 +212,10 @@ class MegaKernel:
         op = instr.op
         if op is Op.LDU:
             write = self._writer(instr.dst)
-            vector = np.full(self.width, self.uniforms[instr.imm],
-                             dtype=np.uint32)
-            vector.flags.writeable = False
+            index = instr.imm
 
-            def run_ldu(state, mask, v=vector):
-                write(state, mask, v)
+            def run_ldu(state, mask):
+                write(state, mask, uniform_word(state.uniforms, index))
             return run_ldu
         if op is Op.LD or op is Op.ST:
             if instr.mem_is_local:
@@ -254,10 +286,9 @@ class MegaKernel:
         statistics, exactly like the quad tier's fallback)."""
         width_e = instr.mem_width
         read_addr = self._reader(clause, instr.srca)
-        wide_load = self._wide_load
-        wide_store = self._wide_store
         mem = self.mem
-        full_width = self.width
+        wide_load = mem.load_wide_u32
+        wide_store = mem.store_wide_u32
         if instr.op is Op.LD:
             base = instr.dst
 
@@ -271,7 +302,7 @@ class MegaKernel:
                     values = wide_load(ea)
                     row = state.regs[base + element]
                     if values is None:
-                        lanes = (range(full_width) if active is None
+                        lanes = (range(len(addrs)) if active is None
                                  else active)
                         for lane in lanes:
                             row[lane] = mem.load_u32(
@@ -295,7 +326,7 @@ class MegaKernel:
                 lane_values = values if active is None else values[active]
                 ea = addrs64 if element == 0 else addrs64 + 4 * element
                 if wide_store(ea, lane_values) is None:
-                    lanes = (range(full_width) if active is None
+                    lanes = (range(len(addrs)) if active is None
                              else active)
                     for lane in lanes:
                         mem.store_u32(int(addrs[lane]) + 4 * element,
@@ -320,7 +351,7 @@ class MegaKernel:
         if watchdog_budget is not None and rounds[0] > watchdog_budget:
             raise WatchdogTimeout(flat_group, rounds[0])
         try:
-            if shape.threads_per_group == self.width:
+            if shape.threads_per_group == state.regs.shape[1]:
                 done = self._run_uniform(state, pending, stats, flat_group,
                                          watchdog_budget, rounds)
             else:
@@ -332,36 +363,52 @@ class MegaKernel:
         finally:
             if stats is not None and pending:
                 apply_clause_stats(stats, self.program.clauses, pending)
-        return self._materialize(state, shape)
+        return RetiredWarps(state, shape)
+
+    def _launch(self, shape):
+        """What every workgroup of one launch shape starts from: the
+        dispatcher-preloaded rows (``REG_GROUP_ID`` and up) of group
+        (0, 0, 0) — lane and local ids, global ids equal to them — and
+        the constants broadcast to the launch's width."""
+        launch = self._launches.get(shape.local_size)
+        if launch is None:
+            width = shape.warps_per_group * QUAD_WIDTH
+            regs = np.zeros((NUM_GRF, width), dtype=np.uint32)
+            regs[REG_LANE] = np.tile(
+                np.arange(QUAD_WIDTH, dtype=np.uint32), width // QUAD_WIDTH)
+            lx_size, ly_size, _ = shape.local_size
+            n = shape.threads_per_group
+            linear = np.arange(n, dtype=np.uint32)
+            local_ids = (linear % lx_size, (linear // lx_size) % ly_size,
+                         linear // (lx_size * ly_size))
+            for axis, ids in enumerate(local_ids):
+                regs[REG_LOCAL_ID + axis, :n] = ids
+                regs[REG_GLOBAL_ID + axis, :n] = ids
+            consts = [np.full(width, value, dtype=np.uint32)
+                      for value in self._constants]
+            for vector in consts:
+                vector.flags.writeable = False
+            launch = self._launches[shape.local_size] = (
+                regs[REG_GROUP_ID:].copy(), consts)
+        return launch
 
     def _init_state(self, shape, flat_group):
-        width = self.width
-        state = MegaState(width)
-        regs = state.regs
-        regs[REG_LANE] = np.tile(
-            np.arange(QUAD_WIDTH, dtype=np.uint32), width // QUAD_WIDTH)
+        preloaded, consts = self._launch(shape)
+        regs = np.zeros((_ROWS, preloaded.shape[1]), dtype=np.uint32)
+        regs[REG_GROUP_ID:NUM_GRF] = preloaded
         n = shape.threads_per_group
-        gx, gy, gz = shape.group_coords(flat_group)
-        lx_size, ly_size, _ = shape.local_size
-        linear = np.arange(n, dtype=np.uint32)
-        lx = linear % lx_size
-        ly = (linear // lx_size) % ly_size
-        lz = linear // (lx_size * ly_size)
-        regs[REG_LOCAL_ID, :n] = lx
-        regs[REG_LOCAL_ID + 1, :n] = ly
-        regs[REG_LOCAL_ID + 2, :n] = lz
-        regs[REG_GLOBAL_ID, :n] = gx * lx_size + lx
-        regs[REG_GLOBAL_ID + 1, :n] = gy * ly_size + ly
-        regs[REG_GLOBAL_ID + 2, :n] = gz * shape.local_size[2] + lz
-        regs[REG_GROUP_ID, :n] = gx
-        regs[REG_GROUP_ID + 1, :n] = gy
-        regs[REG_GROUP_ID + 2, :n] = gz
+        group = shape.group_coords(flat_group)
+        for axis in range(3):
+            if group[axis]:
+                regs[REG_GLOBAL_ID + axis, :n] += \
+                    group[axis] * shape.local_size[axis]
+                regs[REG_GROUP_ID + axis, :n] = group[axis]
         regs[REG_GROUP_FLAT, :n] = flat_group
-        return state
+        return MegaState(regs, self.uniforms, consts)
 
     def _diverge_from(self, state, shape, pc):
         """Materialize per-lane scheduling state (entering masked mode)."""
-        width = self.width
+        width = state.regs.shape[1]
         state.pcs = np.full(width, _END_PC, dtype=np.int64)
         state.live = np.zeros(width, dtype=bool)
         state.live[:shape.threads_per_group] = True
@@ -378,7 +425,7 @@ class MegaKernel:
         """
         compiled = self._compiled
         tails = self._tails
-        width = self.width
+        width = state.regs.shape[1]
         quads = width // QUAD_WIDTH
         max_steps = 1_000_000
         pc = 0
@@ -442,7 +489,7 @@ class MegaKernel:
         """General scheduler: global min-PC with per-lane masks."""
         compiled = self._compiled
         tails = self._tails
-        width = self.width
+        width = state.regs.shape[1]
         pcs = state.pcs
         live = state.live
         at_barrier = state.at_barrier
@@ -507,18 +554,3 @@ class MegaKernel:
                 raise GuestError(
                     f"workgroup exceeded {max_steps} clauses; "
                     f"kernel is likely stuck")
-
-    def _materialize(self, state, shape):
-        """Transpose the SoA state back into retired :class:`QuadWarp`\\ s
-        (the compute unit's return contract, used by the conformance
-        harness to inspect architectural state)."""
-        warps = []
-        n = shape.threads_per_group
-        for index in range(shape.warps_per_group):
-            first = index * QUAD_WIDTH
-            warp = QuadWarp(active_lanes=min(QUAD_WIDTH, n - first))
-            warp.regs[:] = state.regs[:, first:first + QUAD_WIDTH].T
-            warp.temps[:] = state.temps[:, first:first + QUAD_WIDTH].T
-            warp.pcs[:] = _END_PC
-            warps.append(warp)
-        return warps

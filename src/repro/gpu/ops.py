@@ -15,7 +15,7 @@ bit-identical; ``tests/test_gpu_ops.py`` checks it row by row.
 — and is built by :func:`compare`. :func:`alu` resolves either kind for
 an instruction slot. :func:`atomic_apply` is the scalar update function
 of ``ATOM``. The memory ops have no value semantics and live in the
-engines.
+engines. :func:`uniform_word` is the read port of ``LDU``.
 
 ``repro.baselines.m2s`` deliberately does *not* use this table: it is the
 independent scalar oracle the single-instruction fuzzer compares against.
@@ -248,6 +248,16 @@ def alu(instr):
     if instr.op is Op.CMP:
         return compare(CmpMode(instr.flags)), _CMP_ARITY
     return OPS[instr.op]
+
+
+# -- LDU ----------------------------------------------------------------------------
+
+def uniform_word(uniforms, index):
+    """Word *index* of the job's uniform table, checked when the ``LDU``
+    slot is issued (the table is bound per job, not per translation)."""
+    if not 0 <= index < len(uniforms):
+        raise GuestError(f"uniform index {index} out of range")
+    return uniforms[index]
 
 
 # -- ATOM ---------------------------------------------------------------------------

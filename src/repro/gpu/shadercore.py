@@ -67,6 +67,8 @@ class ComputeUnit:
 
     Owns its own :class:`~repro.instrument.stats.JobStats` so parallel units
     never contend; stats are totalled at job completion (Section IV-A).
+    Units outlive jobs and keep their local slab and kernel translations;
+    everything a job can observe is reset by :meth:`prepare`.
     """
 
     def __init__(self, unit_id, virtual=False):
@@ -79,6 +81,9 @@ class ComputeUnit:
         self.injector = None
         self.watchdog_budget = None
         self._local = None
+        self._translations = {}  # (tier, id(program)) -> (translation, program)
+        self.translations_built = 0
+        self._job = self._mega = self._quad = None
 
     def prepare(self, local_mem_bytes, instrument, collect_cfg, tracer=None,
                 engine="interpreter", events=None, injector=None,
@@ -89,8 +94,7 @@ class ComputeUnit:
         self.engine = engine
         self.injector = injector
         self.watchdog_budget = watchdog_budget
-        self._jit_cache = {}
-        self._mega_cache = {}
+        self._job = self._mega = self._quad = None
         if collect_cfg:
             from repro.instrument.cfg import DivergenceCFG
 
@@ -100,71 +104,77 @@ class ComputeUnit:
         words = max(1, local_mem_bytes // 4)
         if self._local is None or len(self._local) < words:
             self._local = np.zeros(words, dtype=np.uint32)
+            # translations address the slab they were made on
+            self.drop_translations()
+
+    def drop_translations(self):
+        """Forget every cached translation (with the decoded programs
+        or the local slab they were made from)."""
+        self._translations.clear()
+
+    def _translation(self, tier, program, build):
+        """The one translation cache of both translated tiers: made once
+        per program, kept across jobs. The key uses ``id()`` for
+        hashability; the entry holds the program itself, so its id
+        cannot be recycled while the key is live. *build* may return
+        None (statically ineligible), which is cached too."""
+        key = (tier, id(program))
+        entry = self._translations.get(key)
+        if entry is None:
+            entry = self._translations[key] = (build(), program)
+            if entry[0] is not None:
+                self.translations_built += 1
+        return entry[0]
+
+    def _translated_tiers(self):
+        """CFG collection and per-word memory tracing need per-issue
+        visibility the translated closures deliberately avoid, so they
+        demote a job to the interpreter."""
+        return (self.engine in ("jit", "mega")
+                and self.cfg is None and self.tracer is None)
 
     def _executor(self, program, uniforms, mem):
-        """Pick the execution engine for this job.
+        """The quad-tier engine for this job.
 
         The JIT engine (paper future work, Section VII-A) reports the
-        same JobStats as the interpreter, so instrumentation no longer
-        forces a fallback; only CFG collection and per-word memory
-        tracing do (they need per-issue visibility the translated
-        closures deliberately avoid). Translated clauses are cached per
-        (program, uniforms).
+        same JobStats as the interpreter, so instrumentation does not
+        force a fallback; the job's uniforms and counters are rebound
+        to its cached translation.
         """
-        use_jit = (self.engine in ("jit", "mega")
-                   and self.cfg is None and self.tracer is None)
-        if not use_jit:
+        if not self._translated_tiers():
             return ClauseInterpreter(
                 program, uniforms, mem, local=self._local, stats=self.stats,
                 cfg=self.cfg, tracer=self.tracer,
             )
         from repro.gpu.jit import ClauseJIT
 
-        # Key on id() for hashability, but validate the entry against the
-        # program *object*: holding the program in the entry keeps its id
-        # from being recycled by the GC, and the identity check guards
-        # against a collision with an entry inserted for a dead program.
-        key = (id(program), uniforms.tobytes())
-        entry = self._jit_cache.get(key)
-        if entry is not None:
-            cached_program, cached = entry
-            if cached_program is program and cached.local is self._local:
-                # translations persist across jobs; counters do not
-                cached.stats = self.stats
-                return cached
-        cached = ClauseJIT(program, uniforms, mem, local=self._local,
-                           stats=self.stats)
-        self._jit_cache[key] = (program, cached)
-        return cached
+        jit = self._translation(
+            "jit", program,
+            lambda: ClauseJIT(program, uniforms, mem, local=self._local))
+        jit.uniforms = uniforms
+        jit.stats = self.stats
+        return jit
 
-    def _mega_executor(self, program, uniforms, mem, shape):
-        """Workgroup-wide (megakernel) engine for this job, or None.
+    def _mega_executor(self, program, uniforms, mem):
+        """Workgroup-wide (megakernel) engine bound to this job, or None.
 
-        Eligibility is static per program: every op must have an SoA
-        translation (ATOM does not — the interpreter serializes atomics
-        warp by warp, an ordering the workgroup-wide schedule cannot
-        reproduce bit-exactly) and the memory port must expose the wide
-        vector API. CFG collection and memory tracing need per-issue /
-        per-word visibility, so they fall back like the JIT does.
-        Translations are cached per (program, uniforms, width).
+        Eligibility is static per program and cached with the
+        translation: every op must have an SoA translation (ATOM does
+        not — the interpreter serializes atomics warp by warp, an
+        ordering the workgroup-wide schedule cannot reproduce
+        bit-exactly) and the memory port must expose the wide vector API.
         """
-        if self.engine != "mega" or self.cfg is not None \
-                or self.tracer is not None:
+        if self.engine != "mega" or not self._translated_tiers():
             return None
         from repro.gpu.megakernel import MegaKernel, mega_supported
 
-        if not mega_supported(program, mem):
-            return None
-        width = shape.warps_per_group * WARP_WIDTH
-        key = (id(program), uniforms.tobytes(), width)
-        entry = self._mega_cache.get(key)
-        if entry is not None:
-            cached_program, cached = entry
-            if cached_program is program and cached.local is self._local:
-                return cached
-        cached = MegaKernel(program, uniforms, mem, self._local, width)
-        self._mega_cache[key] = (program, cached)
-        return cached
+        mega = self._translation(
+            "mega", program,
+            lambda: MegaKernel(program, mem, self._local)
+            if mega_supported(program, mem) else None)
+        if mega is not None:
+            mega.bind(uniforms)
+        return mega
 
     def run_workgroup(self, program, uniforms, mem, shape, flat_group):
         """Execute one thread-group to completion (including barriers).
@@ -179,21 +189,29 @@ class ComputeUnit:
         hang = None
         if self.injector is not None:
             hang = self.injector.fire("core.hang", key=flat_group)
-        if hang is None:
-            mega = self._mega_executor(program, uniforms, mem, shape)
-            if mega is not None:
-                return self._run_workgroup_mega(mega, shape, flat_group)
-        interp = self._executor(program, uniforms, mem)
-        warps = self._spawn_warps(shape, flat_group)
+        # engines are looked up and bound once per job, by the first
+        # workgroup after prepare() (or after the arguments change)
+        job = self._job
+        if job is None or job[0] is not program or job[1] is not uniforms:
+            self._job = (program, uniforms)
+            self._mega = self._mega_executor(program, uniforms, mem)
+            self._quad = None
+        mega = self._mega if hang is None else None
+        if mega is None:
+            interp = self._quad
+            if interp is None:
+                interp = self._quad = self._executor(program, uniforms, mem)
+            warps = self._spawn_warps(shape, flat_group)
         if self.stats is not None:
             self.stats.workgroups += 1
-            self.stats.warps_launched += len(warps)
+            self.stats.warps_launched += shape.warps_per_group
             self.stats.threads_launched += shape.threads_per_group
         events = self.events
         track = f"core{self.unit_id}"
         if events is not None:
             events.begin("workgroup", "gpu", track,
-                         args={"group": flat_group, "warps": len(warps)})
+                         args={"group": flat_group,
+                               "warps": shape.warps_per_group})
         # progress-budget watchdog: each scheduler round is one progress
         # unit; a workgroup that burns its budget without finishing is a
         # hang (injected clause-budget stalls, barrier livelocks)
@@ -204,6 +222,11 @@ class ComputeUnit:
             # the core spins in place without retiring a warp
             rounds = hang.get("stall_rounds", (budget or 0) + 1)
         try:
+            if mega is not None:
+                # the kernel owns scheduling, barrier releases included,
+                # with the same round accounting as the loop below
+                return mega.run_workgroup(shape, flat_group, self.stats,
+                                          budget)
             while True:
                 rounds += 1
                 if budget is not None and rounds > budget:
@@ -226,31 +249,6 @@ class ComputeUnit:
                     # every live warp reached the barrier: release together
                     for warp in warps:
                         warp.release_barrier()
-        finally:
-            if events is not None:
-                events.end("workgroup", "gpu", track)
-
-    def _run_workgroup_mega(self, kernel, shape, flat_group):
-        """Dispatch one thread-group on the workgroup-wide engine.
-
-        The kernel owns scheduling (including barrier releases and the
-        watchdog's round accounting); this wrapper keeps the unit-level
-        bookkeeping — launch counters and the workgroup event span —
-        identical to the generic loop's.
-        """
-        if self.stats is not None:
-            self.stats.workgroups += 1
-            self.stats.warps_launched += shape.warps_per_group
-            self.stats.threads_launched += shape.threads_per_group
-        events = self.events
-        track = f"core{self.unit_id}"
-        if events is not None:
-            events.begin("workgroup", "gpu", track,
-                         args={"group": flat_group,
-                               "warps": shape.warps_per_group})
-        try:
-            return kernel.run_workgroup(shape, flat_group, self.stats,
-                                        self.watchdog_budget)
         finally:
             if events is not None:
                 events.end("workgroup", "gpu", track)

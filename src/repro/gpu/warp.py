@@ -32,7 +32,7 @@ from repro.gpu.isa import (
     is_grf,
     is_temp,
 )
-from repro.gpu.ops import alu, atomic_apply
+from repro.gpu.ops import alu, atomic_apply, uniform_word
 
 WARP_WIDTH = QUAD_WIDTH
 _END_PC = 1 << 30
@@ -268,7 +268,8 @@ class ClauseInterpreter:
         if op is Op.LDU:
             values = self._uniform_vectors.get(instr.imm)
             if values is None:
-                values = np.full(WARP_WIDTH, self.uniforms[instr.imm],
+                values = np.full(WARP_WIDTH,
+                                 uniform_word(self.uniforms, instr.imm),
                                  dtype=np.uint32)
                 values.flags.writeable = False
                 self._uniform_vectors[instr.imm] = values

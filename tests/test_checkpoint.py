@@ -344,6 +344,50 @@ def test_tampered_golden_manifest_fails_closed(saved_checkpoint,
         restore_checkpoint(directory)
 
 
+def _drop_config_key(config):
+    del config["tenancy"]
+
+
+def _mistype_config_key(config):
+    config["memory_sise"] = config.pop("memory_size")
+
+
+def _mistype_gpu_key(config):
+    config["gpu"]["engin"] = config["gpu"].pop("engine")
+
+
+def _drop_tenancy_key(config):
+    del config["tenancy"]["arbiter"]
+
+
+def _gpu_section_not_a_mapping(config):
+    config["gpu"] = "mega"
+
+
+@pytest.mark.parametrize("edit", [
+    _drop_config_key, _mistype_config_key, _mistype_gpu_key,
+    _drop_tenancy_key, _gpu_section_not_a_mapping])
+def test_hand_edited_config_section_fails_closed(saved_checkpoint, tmp_path,
+                                                 edit):
+    """A digest-valid checkpoint whose *config* section lacks or
+    mistypes a key: the error is a CheckpointError, not the KeyError /
+    TypeError the config constructors raise."""
+    from repro.checkpoint import (
+        load_checkpoint_dir,
+        state_to_bytes,
+        write_checkpoint_dir,
+    )
+
+    state, memory, manifest = load_checkpoint_dir(saved_checkpoint)
+    edit(state["config"])
+    directory = str(tmp_path / "edited")
+    # resealed: both digests are valid for the edited payload
+    write_checkpoint_dir(directory, state_to_bytes(state), memory,
+                         manifest["golden"])
+    with pytest.raises(CheckpointError, match="config section"):
+        restore_checkpoint(directory)
+
+
 def test_empty_directory_fails_closed(tmp_path):
     with pytest.raises(CheckpointError):
         restore_checkpoint(str(tmp_path / "void"))

@@ -140,10 +140,13 @@ def test_jit_is_faster_on_compute_dense_kernel():
 
 
 def test_jit_cache_survives_id_recycling_collision():
-    """The per-unit JIT cache keys on id(program); a dead program's id can
-    be recycled for a new Program object. The cache must hold a strong
-    reference to the keyed program and identity-check it on lookup, so a
-    recycled id can never serve another program's translation."""
+    """The per-unit translation cache keys on id(program); a dead
+    program's id can be recycled for a new Program object. The cache
+    holds the keyed program itself, so a live key's id cannot be reused,
+    and a program is never served another one's translation."""
+    import gc
+    import weakref
+
     from repro.gpu.isa import CONST_BASE, Clause, Instruction, Op, Program, Tail
     from repro.gpu.shadercore import ComputeUnit
 
@@ -162,13 +165,41 @@ def test_jit_cache_survives_id_recycling_collision():
     unit.prepare(64, instrument=False, collect_cfg=False, engine="jit")
     uniforms = np.zeros(1, dtype=np.uint32)
     prog_a = make_program(1)
-    prog_b = make_program(2)
     jit_a = unit._executor(prog_a, uniforms, mem=None)
-    # repeat lookups for the same live program hit the cache
-    assert unit._executor(prog_a, uniforms, mem=None) is jit_a
-    # simulate id recycling: an entry left by a dead program whose id now
-    # equals id(prog_b) must not be returned for prog_b
-    unit._jit_cache[(id(prog_b), uniforms.tobytes())] = (prog_a, jit_a)
-    jit_b = unit._executor(prog_b, uniforms, mem=None)
-    assert jit_b is not jit_a
-    assert jit_b.program is prog_b
+    # repeat lookups for the same live program hit the cache, whatever
+    # the uniform table (it is rebound, not keyed)
+    other = np.ones(1, dtype=np.uint32)
+    assert unit._executor(prog_a, other, mem=None) is jit_a
+    assert jit_a.uniforms is other
+    assert unit.translations_built == 1
+    alive = weakref.ref(prog_a)
+    del prog_a, jit_a
+    gc.collect()
+    assert alive() is not None  # so id(prog_a) cannot be handed out again
+    for constant in range(2, 34):
+        program = make_program(constant)
+        jit = unit._executor(program, uniforms, mem=None)
+        assert jit.program is program
+    assert unit.translations_built == 1 + 32
+    unit.drop_translations()
+    del jit, program
+    gc.collect()
+    assert alive() is None
+
+
+def test_jit_translates_once_across_jobs():
+    """The JIT's translation has the lifetime of the decoded program, not
+    of the job: every BFS level binds another ``depth`` uniform to the
+    one translation, and the stats still equal the interpreter's."""
+    def run(engine):
+        context = _context(engine, instrument=True)
+        result = get_workload("bfs", n=64, chord_every=16).run(
+            context=context)
+        assert result.verified and result.jobs > 4
+        return context.platform.stats_registry.snapshot(), result.stats
+
+    jit_snapshot, jit_stats = run("jit")
+    interp_snapshot, interp_stats = run("interpreter")
+    assert jit_snapshot["gpu.jobmanager.kernel_translations"] == 1
+    assert interp_snapshot["gpu.jobmanager.kernel_translations"] == 0
+    assert jit_stats == interp_stats

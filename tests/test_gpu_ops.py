@@ -169,7 +169,8 @@ def _run_jit(program):
 
 def _run_mega(program):
     port = types.SimpleNamespace(load_wide_u32=None, store_wide_u32=None)
-    kernel = MegaKernel(program, np.zeros(1, np.uint32), port, None, 4)
+    kernel = MegaKernel(program, port, None)
+    kernel.bind(np.zeros(1, np.uint32))
     kernel.run_workgroup(WorkgroupShape((4, 1, 1), (4, 1, 1)), 0, None)
 
 
@@ -195,6 +196,26 @@ def test_bad_source_in_unreachable_clause_is_harmless(run):
     live = Clause(tuples=[(Instruction(Op.MOV, dst=0, srca=1), NOP_INSTR)],
                   tail=Tail.END)
     run(Program(clauses=[live, dead]))
+
+
+_BAD_LDU = Clause(tuples=[(Instruction(Op.LDU, dst=0, imm=7), NOP_INSTR)],
+                  tail=Tail.END)
+
+
+@pytest.mark.parametrize("run", _ENGINES, ids=["interp", "jit", "mega"])
+def test_uniform_index_past_the_table_in_unreachable_clause_is_harmless(run):
+    # uniforms are bound per job, so the bounds check cannot run at
+    # translation: like a bad source, it belongs to the issue of the slot
+    live = Clause(tuples=[(Instruction(Op.MOV, dst=0, srca=1), NOP_INSTR)],
+                  tail=Tail.END)
+    run(Program(clauses=[live, _BAD_LDU]))
+
+
+@pytest.mark.parametrize("run", _ENGINES, ids=["interp", "jit", "mega"])
+def test_uniform_index_past_the_table_is_a_guest_error(run):
+    # the helpers bind a 1-word table; a raw IndexError must not leak
+    with pytest.raises(GuestError, match="uniform index 7 out of range"):
+        run(Program(clauses=[_BAD_LDU]))
 
 
 @pytest.mark.parametrize("run", _ENGINES, ids=["interp", "jit", "mega"])

@@ -242,50 +242,74 @@ def test_mega_atomics_fall_back_to_quad_tiers():
     assert not mega_supported(program, mega_ctx.platform.gpu.mmu)
 
 
-def test_mega_cache_validates_program_identity():
-    """The per-unit mega cache keys on id(program) and must hold and
-    identity-check the keyed program, so a recycled id can never serve
-    another program's translation."""
+def _mov_const_program(constant):
     from repro.gpu.isa import CONST_BASE, Clause, Instruction, Op, Program, \
         Tail
+
+    clause = Clause(
+        tuples=[(Instruction(Op.MOV, dst=0, srca=CONST_BASE),
+                 Instruction(Op.NOP))],
+        constants=[constant],
+        tail=Tail.END,
+    )
+    program = Program(clauses=[clause])
+    program.validate()
+    return program
+
+
+class _WideStub:
+    """Minimal wide-capable memory port (never actually accessed)."""
+
+    def load_wide_u32(self, vaddrs):
+        return None
+
+    def store_wide_u32(self, vaddrs, values):
+        return None
+
+
+def test_mega_cache_validates_program_identity():
+    """The per-unit translation cache keys on ``id(program)`` and holds
+    the keyed program itself, so the id cannot be recycled for another
+    program while the entry is live — and a dropped entry lets go."""
+    import gc
+    import weakref
+
     from repro.gpu.shadercore import ComputeUnit, WorkgroupShape
-
-    def make_program(constant):
-        clause = Clause(
-            tuples=[(Instruction(Op.MOV, dst=0, srca=CONST_BASE),
-                     Instruction(Op.NOP))],
-            constants=[constant],
-            tail=Tail.END,
-        )
-        program = Program(clauses=[clause])
-        program.validate()
-        return program
-
-    class WideStub:
-        """Minimal wide-capable memory port (never actually accessed)."""
-
-        def load_wide_u32(self, vaddrs):
-            return None
-
-        def store_wide_u32(self, vaddrs, values):
-            return None
 
     unit = ComputeUnit(0)
     unit.prepare(64, instrument=False, collect_cfg=False, engine="mega")
-    shape = WorkgroupShape((4, 1, 1), (4, 1, 1))
     uniforms = np.zeros(1, dtype=np.uint32)
-    mem = WideStub()
-    prog_a = make_program(1)
-    prog_b = make_program(2)
-    mega_a = unit._mega_executor(prog_a, uniforms, mem, shape)
+    mem = _WideStub()
+    prog_a = _mov_const_program(1)
+    mega_a = unit._mega_executor(prog_a, uniforms, mem)
     assert mega_a is not None
-    assert unit._mega_executor(prog_a, uniforms, mem, shape) is mega_a
-    width = shape.warps_per_group * 4
-    unit._mega_cache[(id(prog_b), uniforms.tobytes(), width)] = \
-        (prog_a, mega_a)
-    mega_b = unit._mega_executor(prog_b, uniforms, mem, shape)
-    assert mega_b is not mega_a
-    assert mega_b.program is prog_b
+    assert unit._mega_executor(prog_a, uniforms, mem) is mega_a
+    # uniforms are bound, not keyed: another table is the same translation
+    other = np.ones(1, dtype=np.uint32)
+    assert unit._mega_executor(prog_a, other, mem) is mega_a
+    assert mega_a.uniforms is other
+    # and so is another launch shape: width belongs to the launch
+    for size in (4, 8, 6):
+        warps = unit.run_workgroup(
+            prog_a, other, mem, WorkgroupShape((size, 1, 1), (size, 1, 1)),
+            0)
+        assert [int(w.regs[0, 0]) for w in warps] == [1] * len(warps)
+    assert unit.translations_built == 1
+    alive = weakref.ref(prog_a)
+    del prog_a, mega_a
+    gc.collect()
+    assert alive() is not None
+    for constant in range(2, 34):
+        program = _mov_const_program(constant)
+        mega = unit._mega_executor(program, uniforms, mem)
+        assert mega.program is program
+    assert unit.translations_built == 1 + 32
+    # the next job unbinds the last one; a dropped entry lets go
+    unit.prepare(64, instrument=False, collect_cfg=False, engine="mega")
+    unit.drop_translations()
+    del mega, program, warps
+    gc.collect()
+    assert alive() is None
 
 
 def test_mega_partial_quads_use_masked_path():
@@ -307,3 +331,248 @@ def test_mega_partial_quads_use_masked_path():
     runner = DifferentialRunner(engines=("interp", "mega"), trace=False)
     _results, mismatches = runner.run_case(case)
     assert not mismatches, "\n".join(str(m) for m in mismatches)
+
+
+# -- launch path: lazy retirement, one translation per program ---------------
+
+
+def _kernel_translations(context):
+    return context.platform.stats_registry.snapshot()[
+        "gpu.jobmanager.kernel_translations"]
+
+
+def _count_quadwarps(monkeypatch):
+    from repro.gpu.warp import QuadWarp
+
+    built = []
+    init = QuadWarp.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuadWarp, "__init__", counting)
+    return built
+
+
+def test_mega_job_builds_no_quadwarps_and_lazy_warps_match(monkeypatch):
+    """Retired state stays SoA unless somebody reads it: a job run
+    through the Job Manager constructs no QuadWarp at all, while the
+    warps the conformance runner reads lane by lane (divergent kernel,
+    partial last quad) equal the interpreter's."""
+    built = _count_quadwarps(monkeypatch)
+    _run_diverge("mega")
+    assert not built
+
+    rng = np.random.default_rng(23)
+    data = rng.integers(0, 64, 18).astype(np.int32)
+    case = make_kernel_case(
+        DIVERGE_KERNEL, "diverge", (18,), (6,),
+        buffers=[data, np.zeros(18, dtype=np.float32)],
+        local_args=[4 * 16], name="mega-lazy-retire")
+    runner = DifferentialRunner(engines=("interp", "mega"), trace=False)
+    results, mismatches = runner.run_case(case)
+    assert not mismatches, "\n".join(str(m) for m in mismatches)
+    assert len(results["mega"].registers) == 18
+    assert results["mega"].registers == results["interp"].registers
+    assert built
+
+
+def test_retired_warps_is_a_lazy_sequence():
+    from repro.gpu.megakernel import MegaKernel, RetiredWarps
+    from repro.gpu.shadercore import WorkgroupShape
+
+    kernel = MegaKernel(_mov_const_program(9), _WideStub(), None)
+    kernel.bind(np.zeros(1, dtype=np.uint32))
+    warps = kernel.run_workgroup(WorkgroupShape((6, 1, 1), (6, 1, 1)), 0,
+                                 None)
+    assert isinstance(warps, RetiredWarps) and len(warps) == 2
+    assert [int(w.live.sum()) for w in warps] == [4, 2]
+    assert warps[-1].regs[1, 0] == 9 and warps[0].finished
+    with pytest.raises(IndexError):
+        warps[2]
+
+
+def test_bfs_levels_share_one_translation():
+    """Every BFS level binds another ``depth`` uniform; the program is
+    translated once, and levels (both verified against one reference)
+    and golden stats equal the interpreter's."""
+    def run(engine):
+        context = _context(engine, instrument=True)
+        result = get_workload("bfs", n=128, chord_every=16).run(
+            context=context)
+        assert result.verified
+        return context, result
+
+    mega_ctx, mega = run("mega")
+    interp_ctx, interp = run("interpreter")
+    jobs = mega_ctx.platform.gpu.job_manager.jobs_retired
+    assert jobs > 8
+    assert _kernel_translations(mega_ctx) == 1
+    assert _kernel_translations(interp_ctx) == 0
+    assert mega.stats == interp.stats
+    assert mega_ctx.platform.stats_registry.snapshot(golden_only=True) \
+        == interp_ctx.platform.stats_registry.snapshot(golden_only=True)
+
+
+_TENANT_KERNELS = ["""
+__kernel void k(__global float* out, __global const float* in) {
+    int i = get_global_id(0);
+    out[i] = in[i] * 3.0f;
+}
+""", """
+__kernel void k(__global float* out, __global const float* in) {
+    int i = get_global_id(0);
+    out[i] = in[i] * 5.0f;
+}
+"""]
+
+
+def _launch_k(context, kernel, data):
+    queue = CommandQueue(context)
+    out = context.alloc_buffer(data.nbytes)
+    kernel.set_args(out, context.buffer_from_array(data))
+    queue.enqueue_nd_range(kernel, (len(data),), (16,))
+    return queue.enqueue_read_buffer(out, np.float32)
+
+
+def test_translations_follow_the_decode_cache():
+    """Two tenants load different programs at the same GPU VA: they are
+    two decoded programs and never share a translation. Invalidating the
+    decode cache drops the translations with it; with the cache disabled
+    (a fresh Program per job) they do not accumulate."""
+    from repro.driver.kbase import TenancyConfig
+
+    platform = MobilePlatform(PlatformConfig(
+        gpu=GPUConfig(engine="mega"),
+        tenancy=TenancyConfig.symmetric(2))).initialize()
+    manager = platform.gpu.job_manager
+    unit, = manager._units
+    data = np.arange(32, dtype=np.float32)
+    contexts = [Context(platform, tenant=tenant)
+                for tenant in platform.driver.tenants]
+    kernels = [context.build_program(source).kernel("k")
+               for context, source in zip(contexts, _TENANT_KERNELS)]
+    for _ in range(2):
+        for context, kernel, want in zip(contexts, kernels,
+                                         (data * 3.0, data * 5.0)):
+            np.testing.assert_array_equal(
+                _launch_k(context, kernel, data), want.astype(np.float32))
+    spaces, binaries = zip(*[(key[0], key[1:])
+                             for key in manager._decode_cache])
+    assert sorted(spaces) == [0, 1] and binaries[0] == binaries[1]
+    assert _kernel_translations(contexts[0]) == 2
+    assert len(unit._translations) == 2
+
+    manager.invalidate_decode_cache()
+    assert not unit._translations
+
+    manager.decode_cache_enabled = False
+    before = _kernel_translations(contexts[0])
+    for _ in range(50):
+        _launch_k(contexts[0], kernels[0], data)
+        assert len(unit._translations) == 1
+    assert _kernel_translations(contexts[0]) == before + 50
+
+
+_FILL_SOURCE = """
+__kernel void fill(__global int* out, int n) {
+    int i = get_global_id(0);
+    if (i < n) {
+        out[i] = i * 3 + 1;
+    }
+}
+"""
+
+
+def _run_diverge_on(context, kernel):
+    queue = CommandQueue(context)
+    n = 64
+    data = np.random.default_rng(29).integers(0, 64, n).astype(np.int32)
+    buf_out = context.alloc_buffer(4 * n)
+    kernel.set_args(context.buffer_from_array(data), buf_out,
+                    LocalMemory(4 * 16))
+    queue.enqueue_nd_range(kernel, (n,), (16,))
+    return (queue.enqueue_read_buffer(buf_out, np.float32),
+            context.platform.gpu.job_manager.results[-1].stats)
+
+
+@pytest.mark.parametrize("engine", ["mega", "jit"])
+@pytest.mark.parametrize("upset", ["mmu.page", "core.hang", "slice"])
+def test_upset_job_leaves_nothing_on_the_persistent_unit(engine, upset):
+    """A job that faults, hangs or is sliced runs on the same unit (and
+    the same cached translations) as the clean job after it, which must
+    not be able to tell: outputs and JobStats equal a fresh platform's."""
+    from repro.driver.kbase import PREEMPTED
+    from repro.gpu import regs
+    from repro.inject.injector import FaultInjector
+    from repro.inject.plan import FaultPlan, FaultSpec
+
+    def build(context):
+        return context.build_program(DIVERGE_KERNEL).kernel("diverge")
+
+    context = _context(engine, instrument=True)
+    fresh_out, fresh_stats = _run_diverge_on(context, build(context))
+
+    context = _context(engine, instrument=True)
+    diverge = build(context)
+    platform, driver = context.platform, context.platform.driver
+    manager = platform.gpu.job_manager
+    units = list(manager._units)
+    _run_diverge_on(context, diverge)  # translated before the upset
+    queue = CommandQueue(context)
+    kernel = context.build_program(_FILL_SOURCE).kernel("fill")
+    n = 2048  # 32 workgroups of 64
+    buf = context.alloc_buffer(n * 4)
+    kernel.set_args(buf, n)
+    if upset == "slice":
+        job = queue.enqueue_nd_range_async(kernel, (n,), (64,))
+        driver._write(regs.JOB_SLICE, 8)
+        driver._job_slice = 8
+        assert driver.submit_and_wait(job.descriptor_va) is PREEMPTED
+        driver._write(regs.JOB_SLICE, 0)
+        driver._job_slice = 0
+        assert manager.jobs_preempted == 1
+    else:
+        key = (buf.gpu_va >> 12) if upset == "mmu.page" else 5
+        injector = platform.attach_injector(FaultInjector(FaultPlan(
+            [FaultSpec(upset, key=key)])))
+        queue.enqueue_nd_range(kernel, (n,), (64,))
+        assert injector.total_fired == 1 and driver.retries >= 1
+        np.testing.assert_array_equal(
+            queue.enqueue_read_buffer(buf, np.int32),
+            np.arange(n, dtype=np.int32) * 3 + 1)
+        platform.attach_injector(None)
+    translations = _kernel_translations(context)
+    out, stats = _run_diverge_on(context, diverge)
+    np.testing.assert_array_equal(out.view(np.uint32),
+                                  fresh_out.view(np.uint32))
+    assert stats == fresh_stats
+    assert manager._units == units
+    assert _kernel_translations(context) == translations
+
+
+def test_host_threads_keep_one_cache_per_unit():
+    def run(threads):
+        context = Context(MobilePlatform(PlatformConfig(gpu=GPUConfig(
+            engine="mega", instrument=True, num_host_threads=threads))))
+        kernel = context.build_program(_TENANT_KERNELS[0]).kernel("k")
+        data = np.arange(256, dtype=np.float32)
+        for _ in range(2):
+            np.testing.assert_array_equal(_launch_k(context, kernel, data),
+                                          data * np.float32(3.0))
+        return context
+
+    single, threaded = run(1), run(4)
+    units = threaded.platform.gpu.job_manager._units
+    assert len(units) == 4
+    assert [unit.translations_built for unit in units] == [1, 1, 1, 1]
+    assert _kernel_translations(single) == 1
+
+    def golden(context):
+        # the per-core warp counters split by unit, by construction
+        snapshot = context.platform.stats_registry.snapshot(golden_only=True)
+        return {key: value for key, value in snapshot.items()
+                if not key.startswith("gpu.core")}
+
+    assert golden(single) == golden(threaded)

@@ -155,7 +155,8 @@ TRANSIENT = {
         "_decode_cache": "keys are saved; rewarm_decode_cache re-decodes "
                          "them through TenantContext.read_va",
         "results": "host-side JobResult handles",
-        "_units": "per-job scratch",
+        "_units": "execution units: local slabs and kernel translations, "
+                  + _CACHE,
     },
     "KBaseDriver": {
         "bus": _WIRING, "irqc": _WIRING, "_gpu": _WIRING,
