@@ -18,7 +18,12 @@ trajectory to regress against:
   per one-workgroup job and per 64-lane workgroup of a 16-workgroup job —
   with the two counts that keep it small: kernel translations built
   (one per program, however many jobs) and ``QuadWarp`` objects
-  constructed to retire workgroups nobody inspects (none).
+  constructed to retire workgroups nobody inspects (none);
+- **mega_clause**: what one converged trip of the sgemm inner loop costs
+  on mega — Python-level calls (a ``sys.setprofile`` count: exact, and
+  gated against the checked-in number) and microseconds — and what
+  translating a clause costs, cold (emit + ``compile()``) and from the
+  process-wide code cache (a second fresh platform must emit nothing).
 
 The report records the host (cores, Python, NumPy) beside the numbers.
 
@@ -41,7 +46,9 @@ sys.path.insert(0, str(_REPO_ROOT / "src"))
 from repro.cl import Context  # noqa: E402
 from repro.core.platform import MobilePlatform, PlatformConfig  # noqa: E402
 from repro.cl import CommandQueue  # noqa: E402
+from repro.gpu import megakernel  # noqa: E402
 from repro.gpu.device import GPUConfig  # noqa: E402
+from repro.gpu.mmu import GPUMMU  # noqa: E402
 from repro.gpu.warp import QuadWarp  # noqa: E402
 from repro.kernels import get_workload  # noqa: E402
 
@@ -237,6 +244,100 @@ def mega_launch(jobs=64, repeats=5):
     }
 
 
+#: Python-level calls one converged trip of the sgemm inner loop may
+#: make on mega (two chain functions, two wide loads and the tier lookup
+#: under each, the two shift rows, NumPy's count_nonzero wrappers); the
+#: closure translator this replaced made 91
+MAX_CALLS_PER_TRIP = 14
+
+
+def mega_clause(repeats=3):
+    """The converged inner loop of sgemm on mega, per trip.
+
+    Two runs that differ only in ``k`` differ by ``workgroups * dk``
+    trips of the loop, so the differences of the Python-level call count
+    (``sys.setprofile``, exact) and of the time spent inside the
+    converged scheduler are the cost of exactly those trips. Run first:
+    the cold translation is only cold once per process."""
+    emits = []
+    compile_source = megakernel.compile_source
+
+    def counting_compile(source, filename, namespace):
+        emits.append(filename)
+        return compile_source(source, filename, namespace)
+
+    run_uniform = megakernel.MegaKernel._run_uniform
+    build = megakernel.MegaKernel.__init__
+    # calls are counted inside the converged scheduler, outside the MMU's
+    # view-cache miss path (that one is per page touched, not per trip)
+    nesting = {run_uniform.__code__: 0, GPUMMU._resolve_view.__code__: 0}
+    spent = {"seconds": 0.0, "calls": 0, "translate": [], "clauses": 0}
+
+    def timed_uniform(self, *args):
+        start = time.perf_counter()
+        try:
+            return run_uniform(self, *args)
+        finally:
+            spent["seconds"] += time.perf_counter() - start
+
+    def timed_build(self, program, mem, local):
+        start = time.perf_counter()
+        build(self, program, mem, local)
+        spent["translate"].append(time.perf_counter() - start)
+        spent["clauses"] = len(program.clauses)
+
+    def profile(frame, event, _arg):
+        if frame.f_code in nesting:
+            nesting[frame.f_code] += {"call": 1, "return": -1}.get(event, 0)
+        elif event == "call" and tuple(nesting.values()) == (1, 0):
+            spent["calls"] += 1
+
+    def run(k, counted=False):
+        context = Context(MobilePlatform(PlatformConfig(
+            gpu=GPUConfig(engine="mega", instrument=True))))
+        spent["seconds"] = spent["calls"] = 0
+        if counted:
+            sys.setprofile(profile)
+        try:
+            get_workload("sgemm", m=64, k=k, n=64).run(context=context,
+                                                       verify=False)
+        finally:
+            sys.setprofile(None)
+        return spent["seconds"], spent["calls"]
+
+    # 8 rows of k floats per workgroup: with these k no access of the
+    # loop straddles a page, so every trip takes the same path
+    short, long_, workgroups = 16, 64, 64
+    trips = workgroups * (long_ - short)
+    megakernel.compile_source = counting_compile
+    megakernel.MegaKernel._run_uniform = timed_uniform
+    megakernel.MegaKernel.__init__ = timed_build
+    try:
+        run(short)  # the first platform of the process translates cold
+        cold_emits = len(emits)
+        run(short)  # a second fresh platform finds the code cached
+        warm_emits = len(emits) - cold_emits
+        cold, warm = spent["translate"][0], min(spent["translate"][1:])
+        calls = [run(k, counted=True)[1] for k in (short, long_, long_)]
+        seconds = min(run(long_)[0] for _ in range(repeats)) \
+            - min(run(short)[0] for _ in range(repeats))
+    finally:
+        megakernel.compile_source = compile_source
+        megakernel.MegaKernel._run_uniform = run_uniform
+        megakernel.MegaKernel.__init__ = build
+    return {
+        "trips": trips,
+        "calls_per_trip": (calls[1] - calls[0]) / trips,
+        "calls_repeat_exactly": calls[1] == calls[2],
+        "us_per_trip": seconds / trips * 1e6,
+        "clauses": spent["clauses"],
+        "translate_us_per_clause_cold":
+            cold / spent["clauses"] * 1e6 if cold_emits else None,
+        "translate_us_per_clause_warm": warm / spent["clauses"] * 1e6,
+        "second_platform_emits": warm_emits,
+    }
+
+
 def host_metadata():
     return {"cores": os.cpu_count(), "python": platform.python_version(),
             "numpy": np.__version__, "machine": platform.machine()}
@@ -251,6 +352,7 @@ def run(quick=False):
         {"m": 32, "k": 24, "n": 40}
     sobel_sizes = {"width": 32, "height": 24} if quick else \
         {"width": 48, "height": 32}
+    clause = mega_clause(repeats=micro_repeats)  # first: translates cold
     report = {
         "quick": quick,
         "host": host_metadata(),
@@ -267,6 +369,7 @@ def run(quick=False):
         },
         "mega_launch": mega_launch(jobs=16 if quick else 64,
                                    repeats=micro_repeats),
+        "mega_clause": clause,
     }
     _OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
     return report
@@ -301,8 +404,25 @@ def main(argv=None):
           f"per workgroup of 16; {launch['kernel_translations']} "
           f"translation(s) and {launch['quadwarps_built']} QuadWarps over "
           f"{launch['jobs']} jobs")
+    clause = report["mega_clause"]
+    cold = clause["translate_us_per_clause_cold"]
+    print(f"mega clause: {clause['calls_per_trip']:g} Python calls and "
+          f"{clause['us_per_trip']:.2f} us per converged sgemm trip; "
+          f"translate {'n/a' if cold is None else format(cold, '.0f')} us "
+          f"per clause cold, "
+          f"{clause['translate_us_per_clause_warm']:.1f} us from the cache")
     print(f"wrote {_OUTPUT}")
     failed = False
+    if clause["second_platform_emits"] != 0:
+        print("FAIL: a second fresh platform emitted code for a program "
+              "the process had already translated", file=sys.stderr)
+        failed = True
+    if clause["calls_per_trip"] > MAX_CALLS_PER_TRIP \
+            or not clause["calls_repeat_exactly"]:
+        print(f"FAIL: {clause['calls_per_trip']:g} Python calls per "
+              f"converged trip (checked-in: {MAX_CALLS_PER_TRIP}, and the "
+              f"count must repeat exactly)", file=sys.stderr)
+        failed = True
     # count-based, so they hold on any host: a regression back to
     # per-job translation or eager retirement fails here
     if launch["kernel_translations"] != 1:

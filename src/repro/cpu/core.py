@@ -13,6 +13,7 @@ the paper's ">15x faster CPU-side software stack" result (Fig. 9).
 import struct
 
 from repro.errors import GuestError
+from repro.hostcode import compile_source
 from repro.cpu.isa import (
     BLOCK_TERMINATORS,
     BRANCH_OPS,
@@ -440,14 +441,13 @@ class DBTCore:
             out += [f"        if pc == {head}:", "            while True:"]
             out += [" " * 16 + line
                     for line in _emit_trace(head, blocks, heads)]
-        namespace = {
-            "regs": cpu.regs, "cpu": cpu, "bus": cpu.bus, "M": MASK64,
-            "backed": cpu.bus.memory.backed_page, "CpuOp": CpuOp,
-            "u32": _U32.unpack_from, "u64": _U64.unpack_from,
-            "p32": _U32.pack_into, "p64": _U64.pack_into,
-        }
-        exec(compile("\n".join(out), f"<dbt region 0x{entry_pc:x}>", "exec"),
-             namespace)
+        namespace = compile_source(
+            "\n".join(out) + "\n", f"<dbt region 0x{entry_pc:x}>", {
+                "regs": cpu.regs, "cpu": cpu, "bus": cpu.bus, "M": MASK64,
+                "backed": cpu.bus.memory.backed_page, "CpuOp": CpuOp,
+                "u32": _U32.unpack_from, "u64": _U64.unpack_from,
+                "p32": _U32.pack_into, "p64": _U64.pack_into,
+            })
         self.translations += 1
         return namespace["region"]
 

@@ -126,7 +126,7 @@ class ClauseJIT:
         if op is Op.ATOM:
             return self._translate_atomic(clause, instr)
         # one row of repro.gpu.ops, with only the sources the op has bound
-        fn, arity = alu(instr)
+        fn, arity = alu(instr)[:2]
         read_a = self._reader(clause, instr.srca)
         write = self._writer(instr.dst)
         if arity == 1:

@@ -27,10 +27,14 @@ per quad with at least one active lane — reproduces the interpreter's
 fallback: when every running lane waits, releasing them all reproduces the
 compute unit's release protocol.
 
-A translation depends on the program, not on the job or the launch shape:
-``LDU`` slots read the uniform table bound at job start and constant
-operands read vectors of the launch's width, so the compute unit keeps one
-translation per program (the paper's decode cache, one level down).
+Clauses are translated to host *source* (docs/internals.md §9): one
+generated function per chain of fall-through clauses on the converged
+path, one per clause on the masked path. A slot whose row of
+:mod:`repro.gpu.ops` is one ufunc in one lane type is that ufunc, ``out=``
+the destination row; any other row calls the table's own value function.
+The functions take everything of a platform, job or launch from their
+``state`` argument, so they depend on the program's bytes alone and live
+in one bounded process-wide table (:func:`emitted_code`).
 
 The engine punts statically (the compute unit falls back to the
 interpreter/JIT tiers for the whole workgroup) when the program contains
@@ -41,12 +45,18 @@ vector API, or when a core-hang injection must reproduce the watchdog's
 stall accounting.
 """
 
+import binascii
+import re
+import threading
+from collections import namedtuple
 from collections.abc import Sequence
 
 import numpy as np
 
 from repro.errors import GuestError, WatchdogTimeout
+from repro.hostcode import compile_source, forget_source
 from repro.instrument.stats import apply_clause_stats
+from repro.gpu.encoding import encode_program
 from repro.gpu.isa import (
     CONST_BASE,
     NUM_GRF,
@@ -65,9 +75,12 @@ from repro.gpu.ops import OPS, alu, uniform_word
 from repro.gpu.warp import QUAD_WIDTH, QuadWarp
 
 _END_PC = 1 << 30
+#: clauses one converged workgroup (one quad of a diverged one) may issue
+#: before it is declared stuck
+_MAX_STEPS = 1_000_000
 
-#: every op the SoA translation handles; programs using anything else
-#: (today: ATOM) are statically ineligible and run on the quad tiers
+#: every op the emitter handles; programs using anything else (today:
+#: ATOM) are statically ineligible and run on the quad tiers
 SUPPORTED_OPS = frozenset(OPS) | {Op.NOP, Op.LDU, Op.LD, Op.ST, Op.CMP}
 
 
@@ -83,44 +96,274 @@ def mega_supported(program, mem):
     return True
 
 
-#: rows of the SoA register file: operand number == row, for GRF
-#: registers and (from TEMP_BASE) clause temporaries alike
+#: register rows of the SoA register file: operand number == row, for GRF
+#: registers and (from TEMP_BASE) clause temporaries alike. The program's
+#: distinct constants follow as further rows, broadcast to every lane.
 _ROWS = TEMP_BASE + NUM_TEMPS
 
 
-def _row_access(row):
-    def read(state):
-        return state.regs[row]
+# -- emitter ---------------------------------------------------------------------
 
-    def write(state, mask, values):
-        if mask is None:
-            state.regs[row] = values
+#: lane type -> the name generated code gives the register rows seen as it
+_VIEW = {np.uint32: "R", np.float32: "F", np.int32: "I"}
+
+#: name in generated code -> the line binding it from `state` (or the
+#: mask), emitted only in the functions that use the name
+_BIND = {
+    "R": "R = state.R",
+    "F": "F = state.F",
+    "I": "I = state.I",
+    "U": "U = state.uniforms",
+    "L": "L = state.local",
+    "mem": "mem = state.mem",
+    "act": "act = np.flatnonzero(mask)",
+}
+_NAMES = re.compile(r"\b(%s)\b" % "|".join(_BIND))
+
+
+def _replay_load(mem, addrs, lanes, row, offset):
+    """Per-lane replay of an element the wide port refused: ascending
+    lane order, the reference fault semantics and statistics."""
+    for lane in range(len(addrs)) if lanes is None else lanes:
+        row[lane] = mem.load_u32(int(addrs[lane]) + offset)
+
+
+def _replay_store(mem, addrs, lanes, values, offset):
+    for lane in range(len(addrs)) if lanes is None else lanes:
+        mem.store_u32(int(addrs[lane]) + offset, int(values[lane]))
+
+
+#: what generated code may call: the table's own value functions (for
+#: the rows that are not one ufunc), never a second copy of a semantics
+_GLOBALS = {
+    "np": np, "i64": np.int64, "GuestError": GuestError,
+    "uniform_word": uniform_word,
+    "replay_load": _replay_load, "replay_store": _replay_store,
+    **{f"fn_{op.name}": row.fn for op, row in OPS.items()},
+}
+
+
+def _invalid(kind, operand):
+    # the interpreter's error, raised where the slot is issued: an
+    # unreachable clause with a bad operand stays harmless
+    return f"raise GuestError('invalid {kind} operand {operand}')"
+
+
+class _Emitter:
+    """Host source of one program. One emitter, two bodies per clause:
+    *converged* (every lane) and *masked* (the lanes of ``mask``)."""
+
+    def __init__(self, program):
+        self.clauses = program.clauses
+        self.constants = {}  # value -> row
+
+    def _source_row(self, clause, operand):
+        if 0 <= operand < _ROWS:
+            return operand
+        if is_const(operand):
+            return self.constants.setdefault(
+                clause.constants[operand - CONST_BASE],
+                _ROWS + len(self.constants))
+        return None
+
+    def clause(self, pc, masked):
+        """The slots of clause *pc*, in issue order."""
+        clause = self.clauses[pc]
+        lines = []
+        for instr in clause.active_slots():
+            if instr.op is Op.LD or instr.op is Op.ST:
+                lines += self._memory(clause, instr, masked)
+            else:
+                lines += self._value(clause, instr, masked)
+        return lines
+
+    def _value(self, clause, instr, masked):
+        """LDU, CMP or a row of :data:`repro.gpu.ops.OPS`."""
+        dst = instr.dst
+        dst_ok = 0 <= dst < _ROWS
+        if instr.op is Op.LDU:
+            value = f"uniform_word(U, {instr.imm})"
+            if not dst_ok:  # the range check still comes first
+                return [value, _invalid("destination", dst)]
         else:
-            np.copyto(state.regs[row], values, where=mask)
-    return read, write
+            row = alu(instr)
+            rows = []
+            for operand in (instr.srca, instr.srcb, instr.srcc)[:row.arity]:
+                rows.append(self._source_row(clause, operand))
+                if rows[-1] is None:
+                    return [_invalid("source", operand)]
+            if not dst_ok:
+                return [_invalid("destination", dst)]
+            if row.ufunc is None:
+                args = ", ".join(f"R[{r}]" for r in rows)
+                value = f"fn_{instr.op.name}({args})"
+            else:
+                view = _VIEW[row.lane]
+                args = ", ".join(f"{view}[{r}]" for r in rows)
+                value = f"np.{row.ufunc.__name__}({args}"
+                if instr.op is not Op.CMP:
+                    # the result has the sources' lane type: straight
+                    # into the row (in == out is exact for one ufunc)
+                    where = ", where=mask" if masked else ""
+                    return [f"{value}, out={view}[{dst}]{where})"]
+                value += ")"  # a bool, stored as 0/1
+        if masked:
+            return [f"np.copyto(R[{dst}], {value}, where=mask)"]
+        return [f"R[{dst}][:] = {value}"]
+
+    def _memory(self, clause, instr, masked):
+        """Local LD/ST as fancy indexing on the slab; global LD/ST as a
+        workgroup-wide gather/scatter with per-lane replay of any
+        element the wide port returns None for."""
+        addr = self._source_row(clause, instr.srca)
+        if addr is None:
+            return [_invalid("source", instr.srca)]
+        pick, lanes = ("[act]", "act") if masked else ("", "None")
+        local = instr.mem_is_local
+        lines = [f"a = R[{addr}]{pick}.astype(i64)"
+                 + (" >> 2" if local else "")]
+        for element in range(instr.mem_width):
+            if local:
+                at = f"L[a + {element}]" if element else "L[a]"
+            else:
+                at = f"a + {4 * element}" if element else "a"
+            if instr.op is Op.LD:
+                dst = instr.dst + element
+                if not 0 <= dst < _ROWS:  # the elements before it land
+                    lines.append(_invalid("destination", dst))
+                    break
+                into = f"R[{dst}]{pick or '[:]'}"
+                if local:
+                    lines.append(f"{into} = {at}")
+                    continue
+                lines += [
+                    f"v = mem.load_wide_u32({at})",
+                    "if v is None:",
+                    f"    replay_load(mem, R[{addr}], {lanes}, R[{dst}], "
+                    f"{4 * element})",
+                    "else:",
+                    f"    {into} = v"]
+                continue
+            data = self._source_row(clause, instr.srcb + element)
+            if data is None:  # the elements before it are stored
+                lines.append(_invalid("source", instr.srcb + element))
+                break
+            if local:
+                lines.append(f"{at} = R[{data}]{pick}")
+                continue
+            lines += [
+                f"if mem.store_wide_u32({at}, R[{data}]{pick}) is None:",
+                f"    replay_store(mem, R[{addr}], {lanes}, R[{data}], "
+                f"{4 * element})"]
+        return lines
+
+    def chains(self):
+        """``{head: [clause, ...]}``: the maximal runs of clauses joined
+        by FALLTHROUGH with no way in but the head. Every clause the
+        converged scheduler can be at is a head."""
+        heads = {0}
+        for pc, clause in enumerate(self.clauses):
+            if clause.tail in (Tail.JUMP, Tail.BRANCH, Tail.BRANCH_Z):
+                heads.add(clause.target)
+            if clause.tail in (Tail.BRANCH, Tail.BRANCH_Z, Tail.BARRIER):
+                heads.add(pc + 1)
+        heads.discard(len(self.clauses))  # running off the end
+        chains = {}
+        for head in sorted(heads):
+            chain = chains[head] = [head]
+            while self.clauses[chain[-1]].tail is Tail.FALLTHROUGH \
+                    and chain[-1] + 1 not in heads:
+                chain.append(chain[-1] + 1)
+        return chains
 
 
-#: operand -> (read, write), one pair per register shared by every slot of
-#: every translation (a pair per operand *use* is most of what a retained
-#: translation would weigh)
-_ACCESS = {row: _row_access(row)
-           for row in (*range(NUM_GRF), *range(TEMP_BASE, _ROWS))}
+def _function(name, parameters, body):
+    used = set(_NAMES.findall("\n".join(body)))
+    return [f"def {name}({parameters}):",
+            *(f"    {line}" for key, line in _BIND.items() if key in used),
+            *(f"    {line}" for line in body or ["pass"])]
+
+
+#: What one program's bytes translate to. chains: head -> (run, length,
+#: last clause, *that clause's tail); masked: clause -> (run, tail, target,
+#: cond_reg); constants: values of the rows from _ROWS up; typed: (F, I used)
+_Code = namedtuple("_Code", "chains masked constants typed filename")
+
+
+def _emit(program, filename):
+    emitter = _Emitter(program)
+    chains = emitter.chains()
+    lines = []
+    for head, clauses in chains.items():
+        # each clause of a chain counts its issue before its slots run and
+        # is one step of the stuck-kernel guard: with `room` steps left,
+        # clause k runs only if the k before it fit — a fault or the guard
+        # mid-chain leaves the counts of exactly the clauses issued
+        body = []
+        for done, pc in enumerate(clauses):
+            if done:
+                body.append(f"if room < {done}: return True")
+            body.append(f"hits[{pc}] = hits.get({pc}, 0) + 1")
+            body += emitter.clause(pc, masked=False)
+        lines += _function(f"chain_{head}", "state, hits, room", body)
+    for pc in range(len(program.clauses)):
+        lines += _function(f"masked_{pc}", "state, mask",
+                           emitter.clause(pc, masked=True))
+    source = "\n".join(lines) + "\n"
+    functions = compile_source(source, filename, dict(_GLOBALS))
+    tails = [(c.tail, c.target, c.cond_reg) for c in program.clauses]
+    return _Code(
+        {head: (functions[f"chain_{head}"], len(clauses), clauses[-1],
+                *tails[clauses[-1]])
+         for head, clauses in chains.items()},
+        [(functions[f"masked_{pc}"], *tail) for pc, tail in enumerate(tails)],
+        tuple(emitter.constants),
+        ("F[" in source, "I[" in source),
+        filename)
+
+
+#: The process-wide code cache: binary image -> :class:`_Code`, shared by
+#: every unit, thread, tenant and platform. The exact bytes are the key
+#: (every field the emitter reads is an encoded field), so an entry cannot
+#: go stale; oldest-out at a fixed size, so a campaign of run-once
+#: programs cannot grow it. Host state: never checkpointed.
+CODE_CACHE_SIZE = 256
+_code_cache = {}
+_code_lock = threading.Lock()
+
+
+def emitted_code(program):
+    """The :class:`_Code` of *program*. Threads may race to emit the same
+    program: one result is kept, only a finished entry is handed out."""
+    key = encode_program(program)
+    code = _code_cache.get(key)
+    if code is None:
+        code = _emit(program, f"<mega {binascii.crc32(key):08x}>")
+        with _code_lock:
+            code = _code_cache.setdefault(key, code)
+            while len(_code_cache) > CODE_CACHE_SIZE:
+                oldest = next(iter(_code_cache))
+                forget_source(_code_cache.pop(oldest).filename)
+    return code
 
 
 class MegaState:
-    """SoA architectural state of one workgroup (row-per-register) and
-    the two read-only ports of its launch: the job's uniform table and
-    the program's constants broadcast to the launch's width."""
+    """SoA architectural state of one workgroup — ``regs``, one row per
+    register and per constant, and the row lists generated code indexes
+    (``R``/``F``/``I``: each row as uint32/float32/int32) — with the
+    ports of its launch: uniform table, memory port, local slab."""
 
-    __slots__ = ("regs", "uniforms", "consts", "pcs", "live", "at_barrier")
+    __slots__ = ("regs", "R", "F", "I", "uniforms", "mem", "local")
 
-    def __init__(self, regs, uniforms, consts):
+    def __init__(self, regs, typed, uniforms, mem, local):
         self.regs = regs
+        # row views of a C-contiguous array: contiguous lane vectors
+        self.R = list(regs)
+        self.F = list(regs.view(np.float32)) if typed[0] else None
+        self.I = list(regs.view(np.int32)) if typed[1] else None
         self.uniforms = uniforms
-        self.consts = consts
-        self.pcs = None          # materialized on divergence
-        self.live = None
-        self.at_barrier = None
+        self.mem = mem
+        self.local = local
 
 
 class RetiredWarps(Sequence):
@@ -136,202 +379,39 @@ class RetiredWarps(Sequence):
         return self._shape.warps_per_group
 
     def __getitem__(self, index):
+        if isinstance(index, slice):  # a list, as the quad tiers return
+            return [self[i] for i in range(len(self))[index]]
         first = range(len(self))[index] * QUAD_WIDTH
         warp = QuadWarp(active_lanes=min(
             QUAD_WIDTH, self._shape.threads_per_group - first))
-        lanes = self._state.regs[:, first:first + QUAD_WIDTH].T
+        lanes = self._state.regs[:_ROWS, first:first + QUAD_WIDTH].T
         warp.regs[:] = lanes[:, :NUM_GRF]
         warp.temps[:] = lanes[:, TEMP_BASE:]
         warp.pcs[:] = _END_PC
         return warp
 
 
+def _stuck(max_steps):
+    return GuestError(f"workgroup exceeded {max_steps} clauses; "
+                      f"kernel is likely stuck")
+
+
 class MegaKernel:
-    """Workgroup-wide translated form of one program, kept by the compute
-    unit across jobs and launch shapes: uniforms are bound per job,
-    counters passed and state rebuilt per workgroup.
-    """
+    """One program on the workgroup-wide engine, kept by the compute unit
+    across jobs and launch shapes: the code comes from the process-wide
+    cache, uniforms are bound per job, state is rebuilt per workgroup."""
 
     def __init__(self, program, mem, local):
         self.program = program
         self.uniforms = None
         self.mem = mem
         self.local = local
-        self._constants = {}   # constant value -> index into state.consts
-        self._launches = {}    # local size -> (preloaded rows, consts)
-        self._compiled = [self._translate(c) for c in program.clauses]
-        self._tails = [(c.tail, c.target, c.cond_reg)
-                       for c in program.clauses]
+        self._code = emitted_code(program)
+        self._launches = {}    # local size -> preloaded rows
 
     def bind(self, uniforms):
         """Install the uniform table of the job about to run."""
         self.uniforms = uniforms
-
-    # -- operand binding -------------------------------------------------------
-
-    def _reader(self, clause, operand):
-        access = _ACCESS.get(operand)
-        if access is not None:
-            return access[0]
-        if is_const(operand):
-            index = self._constants.setdefault(
-                clause.constants[operand - CONST_BASE], len(self._constants))
-
-            def read(state):
-                return state.consts[index]
-            return read
-
-        # same error as the interpreter's _read, raised when the slot is
-        # issued: an unreachable clause with a bad operand stays harmless
-        def read(_state):
-            raise GuestError(f"invalid source operand {operand}")
-        return read
-
-    @staticmethod
-    def _writer(operand):
-        access = _ACCESS.get(operand)
-        if access is not None:
-            return access[1]
-
-        def write(_state, _mask, _values):
-            raise GuestError(f"invalid destination operand {operand}")
-        return write
-
-    # -- clause translation ------------------------------------------------------
-
-    def _translate(self, clause):
-        slots = []
-        for fma, add in clause.tuples:
-            for instr in (fma, add):
-                if instr.op is Op.NOP:
-                    continue
-                slots.append(self._translate_slot(clause, instr))
-        return slots
-
-    def _translate_slot(self, clause, instr):
-        op = instr.op
-        if op is Op.LDU:
-            write = self._writer(instr.dst)
-            index = instr.imm
-
-            def run_ldu(state, mask):
-                write(state, mask, uniform_word(state.uniforms, index))
-            return run_ldu
-        if op is Op.LD or op is Op.ST:
-            if instr.mem_is_local:
-                return self._translate_local(clause, instr)
-            return self._translate_global(clause, instr)
-        # one row of repro.gpu.ops, with only the sources the op has bound
-        fn, arity = alu(instr)
-        read_a = self._reader(clause, instr.srca)
-        write = self._writer(instr.dst)
-        if arity == 1:
-            def run(state, mask):
-                write(state, mask, fn(read_a(state)))
-            return run
-        read_b = self._reader(clause, instr.srcb)
-        if arity == 2:
-            def run(state, mask):
-                write(state, mask, fn(read_a(state), read_b(state)))
-            return run
-        read_c = self._reader(clause, instr.srcc)
-
-        def run(state, mask):
-            write(state, mask,
-                  fn(read_a(state), read_b(state), read_c(state)))
-        return run
-
-    def _translate_local(self, clause, instr):
-        width_e = instr.mem_width
-        read_addr = self._reader(clause, instr.srca)
-        local = self.local
-        if instr.op is Op.LD:
-            base = instr.dst
-
-            def run_ld_local(state, mask):
-                addrs = read_addr(state)
-                if mask is None:
-                    indices = addrs.astype(np.int64) >> 2
-                    for element in range(width_e):
-                        state.regs[base + element] = local[indices + element]
-                else:
-                    active = np.flatnonzero(mask)
-                    indices = addrs[active].astype(np.int64) >> 2
-                    for element in range(width_e):
-                        state.regs[base + element][active] = \
-                            local[indices + element]
-            return run_ld_local
-        data_base = instr.srcb
-        read_data = [self._reader(clause, data_base + e)
-                     for e in range(width_e)]
-
-        def run_st_local(state, mask):
-            addrs = read_addr(state)
-            if mask is None:
-                indices = addrs.astype(np.int64) >> 2
-                for element in range(width_e):
-                    local[indices + element] = read_data[element](state)
-            else:
-                active = np.flatnonzero(mask)
-                indices = addrs[active].astype(np.int64) >> 2
-                for element in range(width_e):
-                    local[indices + element] = \
-                        read_data[element](state)[active]
-        return run_st_local
-
-    def _translate_global(self, clause, instr):
-        """Global LD/ST: workgroup-wide gather/scatter with per-lane
-        scalar replay on any element the wide tier cannot serve whole
-        (the replay reproduces the reference fault semantics and
-        statistics, exactly like the quad tier's fallback)."""
-        width_e = instr.mem_width
-        read_addr = self._reader(clause, instr.srca)
-        mem = self.mem
-        wide_load = mem.load_wide_u32
-        wide_store = mem.store_wide_u32
-        if instr.op is Op.LD:
-            base = instr.dst
-
-            def run_ld(state, mask):
-                addrs = read_addr(state)
-                active = None if mask is None else np.flatnonzero(mask)
-                addrs64 = (addrs if active is None else
-                           addrs[active]).astype(np.int64)
-                for element in range(width_e):
-                    ea = addrs64 if element == 0 else addrs64 + 4 * element
-                    values = wide_load(ea)
-                    row = state.regs[base + element]
-                    if values is None:
-                        lanes = (range(len(addrs)) if active is None
-                                 else active)
-                        for lane in lanes:
-                            row[lane] = mem.load_u32(
-                                int(addrs[lane]) + 4 * element)
-                    elif active is None:
-                        state.regs[base + element] = values
-                    else:
-                        row[active] = values
-            return run_ld
-        data_base = instr.srcb
-        read_data = [self._reader(clause, data_base + e)
-                     for e in range(width_e)]
-
-        def run_st(state, mask):
-            addrs = read_addr(state)
-            active = None if mask is None else np.flatnonzero(mask)
-            addrs64 = (addrs if active is None else
-                       addrs[active]).astype(np.int64)
-            for element in range(width_e):
-                values = read_data[element](state)
-                lane_values = values if active is None else values[active]
-                ea = addrs64 if element == 0 else addrs64 + 4 * element
-                if wide_store(ea, lane_values) is None:
-                    lanes = (range(len(addrs)) if active is None
-                             else active)
-                    for lane in lanes:
-                        mem.store_u32(int(addrs[lane]) + 4 * element,
-                                      int(values[lane]))
-        return run_st
 
     # -- workgroup scheduling ----------------------------------------------------
 
@@ -343,7 +423,9 @@ class MegaKernel:
         either way, matching the interpreter's ``finally`` contract.
         """
         state = self._init_state(shape, flat_group)
-        pending = {}
+        width = state.regs.shape[1]
+        hits = {}     # converged: clause -> issues, each of every lane
+        pending = {}  # masked: clause -> [issues, lanes]
         # progress-budget watchdog, same accounting as the compute unit's
         # generic loop: round 1 starts now, and every barrier release
         # opens a new round (checked before any further progress)
@@ -351,29 +433,37 @@ class MegaKernel:
         if watchdog_budget is not None and rounds[0] > watchdog_budget:
             raise WatchdogTimeout(flat_group, rounds[0])
         try:
-            if shape.threads_per_group == state.regs.shape[1]:
-                done = self._run_uniform(state, pending, stats, flat_group,
-                                         watchdog_budget, rounds)
-            else:
-                self._diverge_from(state, shape, 0)
-                done = False
-            if not done:
-                self._run_masked(state, pending, stats, flat_group,
-                                 watchdog_budget, rounds)
+            # float traps are silenced once for the whole workgroup, not
+            # per slot; where= forms also compute on dead lanes' garbage
+            with np.errstate(all="ignore"):
+                if shape.threads_per_group == width:
+                    pcs = self._run_uniform(state, hits, stats, flat_group,
+                                            watchdog_budget, rounds)
+                else:  # dead lanes in the last quad: masked from clause 0
+                    pcs = np.full(width, _END_PC, dtype=np.int64)
+                    pcs[:shape.threads_per_group] = 0
+                if pcs is not None:
+                    self._run_masked(state, pcs, pending, stats, flat_group,
+                                     watchdog_budget, rounds)
         finally:
-            if stats is not None and pending:
-                apply_clause_stats(stats, self.program.clauses, pending)
+            if stats is not None:
+                quads = width // QUAD_WIDTH
+                converged = {pc: [issues * quads, issues * width]
+                             for pc, issues in hits.items()}
+                for counts in (converged, pending):  # in issue order
+                    apply_clause_stats(stats, self.program.clauses, counts)
         return RetiredWarps(state, shape)
 
     def _launch(self, shape):
-        """What every workgroup of one launch shape starts from: the
-        dispatcher-preloaded rows (``REG_GROUP_ID`` and up) of group
-        (0, 0, 0) — lane and local ids, global ids equal to them — and
+        """What every workgroup of one launch shape starts from: the rows
+        from ``REG_GROUP_ID`` up of group (0, 0, 0) — dispatcher-preloaded
+        lane and local ids, global ids equal to them, zeroed temporaries,
         the constants broadcast to the launch's width."""
         launch = self._launches.get(shape.local_size)
         if launch is None:
             width = shape.warps_per_group * QUAD_WIDTH
-            regs = np.zeros((NUM_GRF, width), dtype=np.uint32)
+            constants = self._code.constants
+            regs = np.zeros((_ROWS + len(constants), width), dtype=np.uint32)
             regs[REG_LANE] = np.tile(
                 np.arange(QUAD_WIDTH, dtype=np.uint32), width // QUAD_WIDTH)
             lx_size, ly_size, _ = shape.local_size
@@ -384,18 +474,17 @@ class MegaKernel:
             for axis, ids in enumerate(local_ids):
                 regs[REG_LOCAL_ID + axis, :n] = ids
                 regs[REG_GLOBAL_ID + axis, :n] = ids
-            consts = [np.full(width, value, dtype=np.uint32)
-                      for value in self._constants]
-            for vector in consts:
-                vector.flags.writeable = False
-            launch = self._launches[shape.local_size] = (
-                regs[REG_GROUP_ID:].copy(), consts)
+            for row, value in enumerate(constants, _ROWS):
+                regs[row] = value
+            launch = self._launches[shape.local_size] = \
+                regs[REG_GROUP_ID:].copy()
         return launch
 
     def _init_state(self, shape, flat_group):
-        preloaded, consts = self._launch(shape)
-        regs = np.zeros((_ROWS, preloaded.shape[1]), dtype=np.uint32)
-        regs[REG_GROUP_ID:NUM_GRF] = preloaded
+        preloaded = self._launch(shape)
+        regs = np.zeros((REG_GROUP_ID + len(preloaded), preloaded.shape[1]),
+                        dtype=np.uint32)
+        regs[REG_GROUP_ID:] = preloaded
         n = shape.threads_per_group
         group = shape.group_coords(flat_group)
         for axis in range(3):
@@ -404,47 +493,30 @@ class MegaKernel:
                     group[axis] * shape.local_size[axis]
                 regs[REG_GROUP_ID + axis, :n] = group[axis]
         regs[REG_GROUP_FLAT, :n] = flat_group
-        return MegaState(regs, self.uniforms, consts)
+        return MegaState(regs, self._code.typed, self.uniforms, self.mem,
+                         self.local)
 
-    def _diverge_from(self, state, shape, pc):
-        """Materialize per-lane scheduling state (entering masked mode)."""
-        width = state.regs.shape[1]
-        state.pcs = np.full(width, _END_PC, dtype=np.int64)
-        state.live = np.zeros(width, dtype=bool)
-        state.live[:shape.threads_per_group] = True
-        state.pcs[state.live] = pc
-        state.at_barrier = np.zeros(width, dtype=bool)
-
-    def _run_uniform(self, state, pending, stats, flat_group, budget,
-                     rounds):
-        """Converged fast path: every lane live at one shared PC.
-
-        Returns True when the workgroup retired entirely converged;
-        False after handing a divergent branch over to the masked
-        scheduler (per-lane pcs already materialized).
-        """
-        compiled = self._compiled
-        tails = self._tails
+    def _run_uniform(self, state, hits, stats, flat_group, budget, rounds):
+        """Converged fast path: every lane live at one shared PC, one
+        generated function per chain of clauses. Returns None when the
+        workgroup retired converged, else the per-lane PCs after the
+        branch that split the lanes, for the masked scheduler."""
+        chains = self._code.chains
+        rows = state.R
         width = state.regs.shape[1]
         quads = width // QUAD_WIDTH
-        max_steps = 1_000_000
+        max_steps = _MAX_STEPS
         pc = 0
         steps = 0
         while True:
-            if stats is not None:
-                entry = pending.get(pc)
-                if entry is None:
-                    pending[pc] = [quads, width]
-                else:
-                    entry[0] += quads
-                    entry[1] += width
-            for slot in compiled[pc]:
-                slot(state, None)
-            tail, target, cond_reg = tails[pc]
+            # from here on pc is the chain's last clause: its tail decides
+            run, length, pc, tail, target, cond_reg = chains[pc]
+            if run(state, hits, max_steps - steps):
+                raise _stuck(max_steps)
             if tail is Tail.FALLTHROUGH:
                 pc += 1
             elif tail is Tail.END:
-                return True
+                return None
             elif tail is Tail.JUMP:
                 if stats is not None:
                     stats.cf_instrs += width
@@ -458,45 +530,41 @@ class MegaKernel:
                     raise WatchdogTimeout(flat_group, rounds[0])
                 pc += 1
             else:  # BRANCH / BRANCH_Z
-                cond = state.regs[cond_reg] != 0
+                taken = int(np.count_nonzero(rows[cond_reg]))
                 if tail is Tail.BRANCH_Z:
-                    cond = ~cond
+                    taken = width - taken
                 if stats is not None:
                     stats.cf_instrs += width
                     stats.branch_events += quads
-                    taken_q = cond.reshape(-1, QUAD_WIDTH).any(axis=1)
-                    split_q = (~cond).reshape(-1, QUAD_WIDTH).any(axis=1)
-                    stats.divergent_branches += int(
-                        (taken_q & split_q).sum())
-                if cond.all():
+                # all or none taken: no quad can have split
+                if taken == width:
                     pc = target
-                elif not cond.any():
+                elif taken == 0:
                     pc += 1
                 else:
-                    state.pcs = np.where(cond, np.int64(target),
-                                         np.int64(pc + 1))
-                    state.live = np.ones(width, dtype=bool)
-                    state.at_barrier = np.zeros(width, dtype=bool)
-                    return False
-            steps += 1
+                    cond = rows[cond_reg] != 0
+                    if tail is Tail.BRANCH_Z:
+                        cond = ~cond
+                    if stats is not None:
+                        stats.divergent_branches += _split_quads(cond, ~cond)
+                    return np.where(cond, np.int64(target), np.int64(pc + 1))
+            steps += length
             if steps > max_steps:
-                raise GuestError(
-                    f"workgroup exceeded {max_steps} clauses; "
-                    f"kernel is likely stuck")
+                raise _stuck(max_steps)
 
-    def _run_masked(self, state, pending, stats, flat_group, budget,
+    def _run_masked(self, state, pcs, pending, stats, flat_group, budget,
                     rounds):
-        """General scheduler: global min-PC with per-lane masks."""
-        compiled = self._compiled
-        tails = self._tails
-        width = state.regs.shape[1]
-        pcs = state.pcs
-        live = state.live
-        at_barrier = state.at_barrier
-        max_steps = 1_000_000 * (width // QUAD_WIDTH)
+        """General scheduler: global min-PC over the per-lane *pcs*
+        (dead and retired lanes sit at ``_END_PC``) with lane masks, one
+        generated function per clause."""
+        masked = self._code.masked
+        rows = state.R
+        width = len(pcs)
+        at_barrier = np.zeros(width, dtype=bool)
+        max_steps = _MAX_STEPS * (width // QUAD_WIDTH)
         steps = 0
         while True:
-            running = live & (pcs < _END_PC)
+            running = pcs < _END_PC
             if not running.any():
                 return
             runnable = running & ~at_barrier
@@ -509,19 +577,15 @@ class MegaKernel:
                 continue
             current = int(pcs[runnable].min())
             mask = runnable & (pcs == current)
-            lanes = int(mask.sum())
+            lanes = int(np.count_nonzero(mask))
             if stats is not None:
-                quads = int(mask.reshape(-1, QUAD_WIDTH).any(axis=1).sum())
-                entry = pending.get(current)
-                if entry is None:
-                    pending[current] = [quads, lanes]
-                else:
-                    entry[0] += quads
-                    entry[1] += lanes
-            issue_mask = None if lanes == width else mask
-            for slot in compiled[current]:
-                slot(state, issue_mask)
-            tail, target, cond_reg = tails[current]
+                quads = width // QUAD_WIDTH if lanes == width else int(
+                    mask.reshape(-1, QUAD_WIDTH).any(axis=1).sum())
+                entry = pending.setdefault(current, [0, 0])
+                entry[0] += quads
+                entry[1] += lanes
+            run, tail, target, cond_reg = masked[current]
+            run(state, mask)
             if tail is Tail.FALLTHROUGH:
                 pcs[mask] = current + 1
             elif tail is Tail.END:
@@ -535,7 +599,7 @@ class MegaKernel:
                 pcs[mask] = current + 1
                 at_barrier |= mask
             else:  # BRANCH / BRANCH_Z
-                cond = state.regs[cond_reg] != 0
+                cond = rows[cond_reg] != 0
                 if tail is Tail.BRANCH_Z:
                     cond = ~cond
                 taken = mask & cond
@@ -545,12 +609,16 @@ class MegaKernel:
                 if stats is not None:
                     stats.cf_instrs += lanes
                     stats.branch_events += quads
-                    taken_q = taken.reshape(-1, QUAD_WIDTH).any(axis=1)
-                    split_q = not_taken.reshape(-1, QUAD_WIDTH).any(axis=1)
-                    stats.divergent_branches += int(
-                        (taken_q & split_q).sum())
+                    # a quad can only have split if the lanes did
+                    if 0 < np.count_nonzero(taken) < lanes:
+                        stats.divergent_branches += _split_quads(
+                            taken, not_taken)
             steps += 1
             if steps > max_steps:
-                raise GuestError(
-                    f"workgroup exceeded {max_steps} clauses; "
-                    f"kernel is likely stuck")
+                raise _stuck(max_steps)
+
+
+def _split_quads(taken, not_taken):
+    """Quads with lanes on both sides of a branch."""
+    return int((taken.reshape(-1, QUAD_WIDTH).any(axis=1)
+                & not_taken.reshape(-1, QUAD_WIDTH).any(axis=1)).sum())

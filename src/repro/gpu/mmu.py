@@ -32,6 +32,8 @@ from repro.mem.physical import PAGE_SHIFT
 from repro.state import Stateful
 
 _PAGE_MASK = (1 << PAGE_SHIFT) - 1
+# what is left of (address - page base) for a word in that page: zero
+_NOT_WORD_IN_PAGE = ~(_PAGE_MASK & ~3)
 _REQUIRED = {"r": PTE_READ, "w": PTE_WRITE, "x": PTE_EXEC}
 
 # Address-space tag folded into every recorded/armed VA page number.
@@ -467,88 +469,90 @@ class GPUMMU(Stateful):
 
     # -- workgroup-wide (megakernel) gather/scatter ---------------------------
 
-    def _wide_views(self, vaddrs, required, cache):
-        """Resolve every page touched by *vaddrs* (int64 ndarray of
-        word-aligned lane addresses) to its u32 page view.
+    def _wide_groups(self, vaddrs, required, cache):
+        """Resolve a workgroup-wide access (*vaddrs*: int64 ndarray of
+        lane byte addresses) to ``(page view, word offsets, lanes)``
+        groups, one per page touched, and move the counters.
 
-        Returns ``(vpages, unique_pages, views)`` or ``None`` when any
-        page cannot be served (unmapped, armed for injection, permission
-        failure) — recording *nothing*, so the caller's per-lane scalar
+        ``None`` — only the fallback recorded — when the fast path is
+        off, a lane is unaligned (the reference path defines sub-word
+        semantics) or a page cannot be served (unmapped, armed for
+        injection, permission failure), so the caller's per-lane scalar
         replay reproduces the reference fault semantics and statistics.
-        All views are resolved before any counter moves, keeping the
-        whole call side-effect-free on failure.
+        Every view is resolved before any other counter moves.
         """
+        if self._fast and len(vaddrs):
+            # one-page tier — every broadcast and contiguous access of
+            # every kernel: nothing of (address - lane 0's page base)
+            # outside the word-offset bits means word-aligned lanes on
+            # one page, served by one probe and one fancy index
+            vpage = int(vaddrs[0]) >> PAGE_SHIFT
+            within = vaddrs - (vpage << PAGE_SHIFT)
+            if not np.count_nonzero(within & _NOT_WORD_IN_PAGE):
+                view = cache.get(vpage)
+                if view is None:
+                    view = self._resolve_view(vpage << PAGE_SHIFT, vpage,
+                                              required, cache)
+                if view is not None:
+                    self.translations += len(vaddrs)
+                    self.pages_accessed.add(vpage | self._as_tag)
+                    self.wide_accesses += 1
+                    return ((view, within >> 2, slice(None)),)
+        if not self._fast or (vaddrs & 3).any():
+            self.wide_fallbacks += 1
+            return None
         vpages = vaddrs >> PAGE_SHIFT
-        unique_pages = np.unique(vpages)
+        unique_pages = np.unique(vpages).tolist()
         views = []
-        for vpage in unique_pages.tolist():
+        for vpage in unique_pages:
             view = cache.get(vpage)
             if view is None:
                 view = self._resolve_view(vpage << PAGE_SHIFT, vpage,
                                           required, cache)
                 if view is None:
+                    self.wide_fallbacks += 1
                     return None
             views.append(view)
-        return vpages, unique_pages, views
+        self.translations += len(vaddrs)
+        tag = self._as_tag
+        self.pages_accessed.update([page | tag for page in unique_pages])
+        self.wide_accesses += 1
+        offsets = (vaddrs & _PAGE_MASK) >> 2
+        groups = []
+        for vpage, view in zip(unique_pages, views):
+            lanes = vpages == vpage
+            groups.append((view, offsets[lanes], lanes))
+        return groups
 
     def load_wide_u32(self, vaddrs):
         """Gather one u32 per lane address for a whole workgroup.
 
-        ``vaddrs`` is an int64 ndarray (any length) of byte addresses.
         Returns the gathered uint32 vector, or ``None`` for per-lane
         scalar replay — with *no* state recorded in that case, exactly
-        like the quad tiers. Unaligned lanes always defer to the scalar
-        path (the reference path defines sub-word semantics).
+        like the quad tiers.
         """
-        if not self._fast or (vaddrs & 3).any():
-            self.wide_fallbacks += 1
+        groups = self._wide_groups(vaddrs, PTE_READ, self._rview)
+        if groups is None:
             return None
-        resolved = self._wide_views(vaddrs, PTE_READ, self._rview)
-        if resolved is None:
-            self.wide_fallbacks += 1
-            return None
-        vpages, unique_pages, views = resolved
-        self.translations += len(vaddrs)
-        tag = self._as_tag
-        self.pages_accessed.update(
-            [page | tag for page in unique_pages.tolist()])
-        self.wide_accesses += 1
-        offsets = (vaddrs & _PAGE_MASK) >> 2
-        if len(unique_pages) == 1:
-            return views[0][offsets]
+        if len(groups) == 1:
+            return groups[0][0][groups[0][1]]
         out = np.empty(len(vaddrs), dtype=np.uint32)
-        for vpage, view in zip(unique_pages, views):
-            lanes = vpages == vpage
-            out[lanes] = view[offsets[lanes]]
+        for view, offsets, lanes in groups:
+            out[lanes] = view[offsets]
         return out
 
     def store_wide_u32(self, vaddrs, values):
         """Scatter one u32 per lane address; ``None`` -> scalar replay.
 
-        Lane order is preserved within each page group, so duplicate
-        addresses resolve last-lane-wins exactly as the per-lane
-        reference path does (duplicates always share a page).
+        Lane order is preserved within each page, so duplicate addresses
+        resolve last-lane-wins exactly as the per-lane reference path
+        does (duplicates always share a page).
         """
-        if not self._fast or (vaddrs & 3).any():
-            self.wide_fallbacks += 1
+        groups = self._wide_groups(vaddrs, PTE_WRITE, self._wview)
+        if groups is None:
             return None
-        resolved = self._wide_views(vaddrs, PTE_WRITE, self._wview)
-        if resolved is None:
-            self.wide_fallbacks += 1
-            return None
-        vpages, unique_pages, views = resolved
-        self.translations += len(vaddrs)
-        tag = self._as_tag
-        self.pages_accessed.update(
-            [page | tag for page in unique_pages.tolist()])
-        self.wide_accesses += 1
-        offsets = (vaddrs & _PAGE_MASK) >> 2
-        if len(unique_pages) == 1:
-            views[0][offsets] = values
-            return True
-        for vpage, view in zip(unique_pages, views):
-            lanes = vpages == vpage
-            view[offsets[lanes]] = values[lanes]
+        for view, offsets, lanes in groups:
+            view[offsets] = values[lanes]
         return True
 
     def load_u64(self, vaddr):

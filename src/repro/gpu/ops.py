@@ -1,15 +1,19 @@
 """ALU semantics of the GPU, defined once.
 
-:data:`OPS` maps every arithmetic :class:`~repro.gpu.isa.Op` to one row
-with exactly two columns: a NumPy *value function* and the *source
-arity*. A value function takes exactly ``arity`` uint32 lane vectors of
-any (equal) length and returns a uint32 lane vector of that length; lane
-*i* of the result depends only on lane *i* of the sources, never on the
-vector length, the lane position or the memory layout of the operands.
-That property is what lets the quad interpreter (4 strided lanes), the
-clause JIT, the workgroup-wide megakernel (16..256 contiguous lanes) and
-the verifier's constant folder (1 lane) share the rows and stay
-bit-identical; ``tests/test_gpu_ops.py`` checks it row by row.
+:data:`OPS` maps every arithmetic :class:`~repro.gpu.isa.Op` to one row:
+a NumPy *value function* and the *source arity*. A value function takes
+exactly ``arity`` uint32 lane vectors of any (equal) length and returns
+a uint32 lane vector of that length; lane *i* of the result depends only
+on lane *i* of the sources, never on the vector length, the lane
+position or the memory layout of the operands. That property is what
+lets the quad interpreter (4 strided lanes), the clause JIT, the
+workgroup-wide megakernel (16..256 contiguous lanes) and the verifier's
+constant folder (1 lane) share the rows and stay bit-identical;
+``tests/test_gpu_ops.py`` checks it row by row.
+
+A row that is *one ufunc applied in one lane type* records that pair and
+derives its value function from it (:func:`_lanewise`); the megakernel
+emits such a row as the ufunc itself, ``out=`` the destination row.
 
 ``CMP`` has no row — its function depends on the mode in the flags field
 — and is built by :func:`compare`. :func:`alu` resolves either kind for
@@ -152,6 +156,12 @@ def _fminmax(wins, merge_zeros):
     return run
 
 
+def _i1(fn):
+    def run(a):
+        return fn(a.view(_I32)).view(_U32)
+    return run
+
+
 def _i2(fn):
     def run(a, b):
         return fn(a.view(_I32), b.view(_I32)).view(_U32)
@@ -161,52 +171,66 @@ def _i2(fn):
 class OpRow(NamedTuple):
     fn: Callable  # exactly `arity` uint32 lane vectors -> uint32 lane vector
     arity: int    # source fields read, srca first
+    # set when fn is exactly `ufunc` over the sources viewed as `lane`,
+    # its result being `lane` bits (or, for the CMP relations, 0/1)
+    ufunc: Callable = None
+    lane: type = None
+
+
+_IN_LANE = {_F32: (_f1, _f2), _I32: (_i1, _i2)}
+
+
+def _lanewise(ufunc, lane):
+    """The row of an op that is exactly *ufunc* applied in *lane* type:
+    the pair is the definition, the value function follows from it."""
+    fn = ufunc if lane is _U32 else _IN_LANE[lane][ufunc.nin - 1](ufunc)
+    return OpRow(fn, ufunc.nin, ufunc, lane)
 
 
 #: The op table. Every engine, the verifier's operand model and constant
 #: folder, and the program generator derive from these rows.
 OPS = {
     Op.MOV: OpRow(lambda a: a, 1),
-    Op.FADD: OpRow(_f2(np.add), 2),
-    Op.FSUB: OpRow(_f2(np.subtract), 2),
-    Op.FMUL: OpRow(_f2(np.multiply), 2),
+    Op.FADD: _lanewise(np.add, _F32),
+    Op.FSUB: _lanewise(np.subtract, _F32),
+    Op.FMUL: _lanewise(np.multiply, _F32),
     Op.FMA: OpRow(_fma, 3),
     Op.FMIN: OpRow(_fminmax(np.less, np.bitwise_or), 2),
     Op.FMAX: OpRow(_fminmax(np.greater, np.bitwise_and), 2),
-    Op.FABS: OpRow(_f1(np.abs), 1),
-    Op.FNEG: OpRow(_f1(np.negative), 1),
-    Op.FFLOOR: OpRow(_f1(np.floor), 1),
+    Op.FABS: _lanewise(np.abs, _F32),
+    Op.FNEG: _lanewise(np.negative, _F32),
+    Op.FFLOOR: _lanewise(np.floor, _F32),
     Op.FRCP: OpRow(_f1(lambda x: _F32(1.0) / x), 1),
-    Op.FSQRT: OpRow(_f1(np.sqrt), 1),
+    Op.FSQRT: _lanewise(np.sqrt, _F32),
     Op.FRSQ: OpRow(_f1(lambda x: _F32(1.0) / np.sqrt(x)), 1),
-    Op.FEXP: OpRow(_f1(np.exp), 1),
-    Op.FLOG: OpRow(_f1(np.log), 1),
-    Op.FSIN: OpRow(_f1(np.sin), 1),
-    Op.FCOS: OpRow(_f1(np.cos), 1),
+    Op.FEXP: _lanewise(np.exp, _F32),
+    Op.FLOG: _lanewise(np.log, _F32),
+    Op.FSIN: _lanewise(np.sin, _F32),
+    Op.FCOS: _lanewise(np.cos, _F32),
     Op.F2I: OpRow(vec_f2i, 1),
     Op.F2U: OpRow(vec_f2u, 1),
     Op.I2F: OpRow(vec_i2f, 1),
     Op.U2F: OpRow(vec_u2f, 1),
-    Op.IADD: OpRow(np.add, 2),
-    Op.ISUB: OpRow(np.subtract, 2),
-    Op.IMUL: OpRow(np.multiply, 2),  # uint32 arrays wrap mod 2**32
-    Op.IAND: OpRow(np.bitwise_and, 2),
-    Op.IOR: OpRow(np.bitwise_or, 2),
-    Op.IXOR: OpRow(np.bitwise_xor, 2),
+    Op.IADD: _lanewise(np.add, _U32),
+    Op.ISUB: _lanewise(np.subtract, _U32),
+    Op.IMUL: _lanewise(np.multiply, _U32),  # wraps mod 2**32
+    Op.IAND: _lanewise(np.bitwise_and, _U32),
+    Op.IOR: _lanewise(np.bitwise_or, _U32),
+    Op.IXOR: _lanewise(np.bitwise_xor, _U32),
     Op.ISHL: OpRow(lambda a, b: a << (b & _SHIFT_MASK), 2),
     Op.ISHR: OpRow(lambda a, b: a >> (b & _SHIFT_MASK), 2),
     Op.IASHR: OpRow(
         lambda a, b: (a.view(_I32) >> (b & _SHIFT_MASK).view(_I32))
         .view(_U32), 2),
-    Op.IMIN: OpRow(_i2(np.minimum), 2),
-    Op.IMAX: OpRow(_i2(np.maximum), 2),
-    Op.UMIN: OpRow(np.minimum, 2),
-    Op.UMAX: OpRow(np.maximum, 2),
+    Op.IMIN: _lanewise(np.minimum, _I32),
+    Op.IMAX: _lanewise(np.maximum, _I32),
+    Op.UMIN: _lanewise(np.minimum, _U32),
+    Op.UMAX: _lanewise(np.maximum, _U32),
     Op.IDIV: OpRow(vec_idiv, 2),
     Op.IREM: OpRow(vec_irem, 2),
     Op.UDIV: OpRow(vec_udiv, 2),
     Op.UREM: OpRow(vec_urem, 2),
-    Op.IABS: OpRow(lambda a: np.abs(a.view(_I32)).view(_U32), 1),
+    Op.IABS: _lanewise(np.abs, _I32),
     Op.SELECT: OpRow(lambda a, b, c: np.where(c != 0, a, b), 3),
 }
 
@@ -224,16 +248,20 @@ _CMP_RELATION = {
 
 
 @functools.cache
-def compare(mode):
-    """Value function of ``CMP`` in *mode*: two uint32 lane vectors read
-    as f32/i32/u32 per the mode, result 0/1 as uint32."""
+def _compare_row(mode):
     view = _CMP_VIEW[mode.name[0]]
     relation = _CMP_RELATION[mode.name[1:]]
 
     def run(a, b):
         with np.errstate(invalid="ignore"):
             return relation(a.view(view), b.view(view)).astype(_U32)
-    return run
+    return OpRow(run, _CMP_ARITY, relation, view)
+
+
+def compare(mode):
+    """Value function of ``CMP`` in *mode*: two uint32 lane vectors read
+    as f32/i32/u32 per the mode, result 0/1 as uint32."""
+    return _compare_row(mode).fn
 
 
 # -- lookups ------------------------------------------------------------------------
@@ -244,9 +272,9 @@ def arity(op):
 
 
 def alu(instr):
-    """``(value function, arity)`` of the ALU instruction *instr*."""
+    """The :class:`OpRow` of the ALU instruction *instr*."""
     if instr.op is Op.CMP:
-        return compare(CmpMode(instr.flags)), _CMP_ARITY
+        return _compare_row(CmpMode(instr.flags))
     return OPS[instr.op]
 
 

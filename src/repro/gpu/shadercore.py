@@ -128,7 +128,7 @@ class ComputeUnit:
 
     def _translated_tiers(self):
         """CFG collection and per-word memory tracing need per-issue
-        visibility the translated closures deliberately avoid, so they
+        visibility the translated tiers deliberately avoid, so they
         demote a job to the interpreter."""
         return (self.engine in ("jit", "mega")
                 and self.cfg is None and self.tracer is None)

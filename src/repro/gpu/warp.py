@@ -279,7 +279,7 @@ class ClauseInterpreter:
             return
         # one row of repro.gpu.ops: read exactly the sources the op has
         # (a missing one raises in _read), apply its value function
-        fn, arity = alu(instr)
+        fn, arity = alu(instr)[:2]
         a = self._read(warp, clause, instr.srca, lanes)
         if arity == 1:
             result = fn(a)

@@ -318,7 +318,7 @@ class DifferentialRunner:
 
         instrumented = engine in ("interp", "fast", "jit", "mega")
         # CFG collection needs per-issue visibility the JIT's and the
-        # megakernel's translated closures avoid, so only the interpreter
+        # megakernel's translated code avoid, so only the interpreter
         # engines build it
         collect_cfg = engine in ("interp", "fast")
         unit = ComputeUnit(0)

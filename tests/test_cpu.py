@@ -423,6 +423,18 @@ class TestEngineEquivalence:
         core.run()
         assert core.translations == 1
 
+    def test_dbt_region_source_is_readable_from_a_traceback(self):
+        """Generated region source is registered with linecache under
+        its synthetic filename, as the megakernel's is."""
+        import linecache
+
+        _mem, cpu, core = _machine("li x1, 7\nhalt\n", "dbt")
+        core.run()
+        lines = linecache.getlines(f"<dbt region 0x{CODE_BASE:x}>")
+        assert lines[0].startswith("def region(n, limit")
+        linecache.checkcache()  # no mtime: nothing to invalidate
+        assert linecache.getlines(f"<dbt region 0x{CODE_BASE:x}>") == lines
+
     def test_dbt_instruction_count_matches_interpreter(self):
         source = """
             li   x1, 10

@@ -7,6 +7,8 @@ files, same JobStats, same pages-accessed set, same divergence CFG, and
 the exact same faults. These tests pin that contract at every layer.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,140 @@ class TestQuadTranslation:
         with pytest.raises(MMUFault) as info:
             mmu.load_block(VA + PAGE_SIZE - 8, 16)
         assert info.value.vaddr == VA + PAGE_SIZE
+
+
+# -- workgroup-wide port: the one-page tier against the general tier ----------
+
+
+class _Armed:
+    """Injector stub: *pages* are armed, nothing ever fires here."""
+
+    def __init__(self, *pages):
+        self.pages = set(pages)
+
+    def page_armed(self, key):
+        return key in self.pages
+
+    def fire_page(self, key):
+        raise AssertionError("the wide port must not reach _miss")
+
+
+@contextlib.contextmanager
+def _tier(general):
+    """Pin the wide port to one tier: the general one by making the
+    one-page test unpassable (every bit of a lane's offset counts as
+    outside the word-offset field), the one-page one by taking
+    ``np.unique`` — the general tier's first step — away."""
+    from repro.gpu import mmu as mmu_module
+
+    def no_unique(_values):
+        raise AssertionError("the one-page tier must serve this access")
+
+    with pytest.MonkeyPatch.context() as patch:
+        if general:
+            patch.setattr(mmu_module, "_NOT_WORD_IN_PAGE", -1)
+        else:
+            patch.setattr(np, "unique", no_unique)
+        yield
+
+
+def _wide_counters(mmu):
+    return (mmu.translations, sorted(mmu.pages_accessed), mmu.wide_accesses,
+            mmu.wide_fallbacks, mmu.quad_accesses)
+
+
+_ONE_PAGE_SHAPES = {
+    "broadcast": np.full(64, VA + 40, dtype=np.int64),
+    "contiguous": VA + 256 + 4 * np.arange(64, dtype=np.int64),
+    "reversed": VA + 256 + 4 * np.arange(63, -1, -1, dtype=np.int64),
+    "one-lane": np.array([VA + PAGE_SIZE - 4], dtype=np.int64),
+    "duplicates": VA + 4 * (np.arange(64, dtype=np.int64) % 5),
+}
+
+
+class TestWideOnePageTier:
+    @pytest.mark.parametrize("shape", sorted(_ONE_PAGE_SHAPES))
+    def test_same_values_and_counters_as_the_general_tier(self, shape):
+        vaddrs = _ONE_PAGE_SHAPES[shape]
+        values = np.arange(len(vaddrs), dtype=np.uint32) + 1000
+        outcomes = []
+        for general in (False, True):
+            mem, _b, mmu = _mmu()
+            for word in range(PAGE_SIZE // 4):
+                mem.write_u32(PA + 4 * word, word)
+            with _tier(general):
+                loaded = mmu.load_wide_u32(vaddrs)
+                assert mmu.store_wide_u32(vaddrs, values) is True
+                after = mmu.load_wide_u32(vaddrs)
+            outcomes.append((loaded.tolist(), after.tolist(),
+                             mem.read_block(PA, PAGE_SIZE),
+                             _wide_counters(mmu)))
+            # the scalar reference reads the same words
+            assert loaded.tolist() == [((a - VA) >> 2) for a in
+                                       vaddrs.tolist()]
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][3][0] == 3 * len(vaddrs)
+        if shape == "duplicates":  # last lane wins, as lane by lane
+            assert outcomes[0][1][:5] == [1060, 1061, 1062, 1063, 1059]
+
+    def test_page_straddle_takes_the_general_tier(self):
+        vaddrs = VA + PAGE_SIZE - 16 + 4 * np.arange(8, dtype=np.int64)
+        mem, _b, mmu = _mmu()
+        for lane, vaddr in enumerate(vaddrs.tolist()):
+            page, offset = divmod(vaddr - VA, PAGE_SIZE)
+            mem.write_u32(PA + 2 * page * PAGE_SIZE + offset, 500 + lane)
+        with pytest.raises(AssertionError, match="one-page tier"), \
+                _tier(general=False):
+            mmu.load_wide_u32(vaddrs)
+        assert _wide_counters(mmu) == (0, [], 0, 0, 0)
+        assert mmu.load_wide_u32(vaddrs).tolist() == list(range(500, 508))
+        assert _wide_counters(mmu)[:4] == (8, [VA >> 12, (VA >> 12) + 1],
+                                           1, 0)
+
+    @pytest.mark.parametrize("refusal", [
+        "armed", "unmapped", "read-only-store", "unaligned-lane"])
+    def test_refusals_record_nothing(self, refusal):
+        vaddrs = VA + PAGE_SIZE + 4 * np.arange(16, dtype=np.int64)
+        if refusal == "unaligned-lane":
+            vaddrs[7] += 2  # lane 0 stays aligned
+        values = np.arange(16, dtype=np.uint32)
+        grown = []
+        outcomes = []
+        for general in (False, True):
+            mem, _b, mmu = _mmu(
+                npages=1 if refusal == "unmapped" else 4,
+                flags=PTE_READ if refusal == "read-only-store"
+                else PTE_READ | PTE_WRITE)
+            mmu.set_fault_handler(lambda va, access: grown.append(va))
+            if refusal == "armed":
+                mmu.set_injector(_Armed((VA + PAGE_SIZE) >> 12))
+            # the one-page tier refuses first; what it hands on is then
+            # refused by the general tier, which records the fallback
+            with _tier(general) if general else contextlib.nullcontext():
+                if refusal != "read-only-store":
+                    assert mmu.load_wide_u32(vaddrs) is None
+                assert mmu.store_wide_u32(vaddrs, values) is None
+            outcomes.append(_wide_counters(mmu))
+            assert mem.read_block(PA + 2 * PAGE_SIZE, 64) == bytes(64)
+        assert outcomes[0] == outcomes[1]
+        translations, pages, accesses, fallbacks, _quads = outcomes[0]
+        assert (translations, pages, accesses) == (0, [], 0)
+        assert fallbacks == (1 if refusal == "read-only-store" else 2)
+        assert not grown  # growth belongs to the scalar replay
+
+    def test_empty_vector_is_served_empty(self):
+        _mem, _b, mmu = _mmu()
+        empty = np.zeros(0, dtype=np.int64)
+        loaded = mmu.load_wide_u32(empty)
+        assert loaded.dtype == np.uint32 and loaded.shape == (0,)
+        assert mmu.store_wide_u32(empty, np.zeros(0, np.uint32)) is True
+        assert _wide_counters(mmu) == (0, [], 2, 0, 0)
+
+    def test_ablation_knob_still_forces_the_replay(self):
+        _mem, _b, mmu = _mmu()
+        mmu.fast_path_enabled = False
+        assert mmu.load_wide_u32(_ONE_PAGE_SHAPES["contiguous"]) is None
+        assert _wide_counters(mmu) == (0, [], 0, 1, 0)
 
 
 # -- end-to-end differential: fast path vs scalar reference ------------------

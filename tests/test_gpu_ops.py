@@ -1,5 +1,6 @@
-"""The GPU op table (repro.gpu.ops): completeness, width independence,
-the FMIN/FMAX rule, and the arity-gated source reads every engine derives
+"""The GPU op table (repro.gpu.ops): completeness, width independence
+(of the rows and of the forms the megakernel emits from them), the
+FMIN/FMAX rule, and the arity-gated source reads every engine derives
 from it.
 """
 
@@ -17,18 +18,25 @@ from repro.gpu.isa import (
     Clause,
     Instruction,
     NOP_INSTR,
+    OPERAND_NONE,
     Op,
     Program,
     Tail,
 )
 from repro.gpu.jit import ClauseJIT
-from repro.gpu.megakernel import SUPPORTED_OPS, MegaKernel
+from repro.gpu.megakernel import SUPPORTED_OPS, MegaKernel, emitted_code
 from repro.gpu.shadercore import WorkgroupShape
 from repro.gpu.verify import model
 from repro.gpu.warp import ClauseInterpreter, QuadWarp
 from repro.validate import progen
 
 _NOT_ROWS = {Op.NOP, Op.LD, Op.ST, Op.LDU, Op.ATOM, Op.CMP}
+
+
+def _one_slot_program(instr, constant=0x3F800000):
+    return Program(clauses=[
+        Clause(tuples=[(instr, NOP_INSTR)], constants=[constant],
+               tail=Tail.END)])
 
 
 # -- (a) completeness ------------------------------------------------------------
@@ -92,7 +100,7 @@ def _operands(arity, op, rng, count):
 @pytest.mark.parametrize(
     "op", sorted(set(ops.OPS) - progen.GEN_EXCLUDED), ids=lambda op: op.name)
 def test_row_is_width_and_layout_independent(op):
-    fn, arity = ops.OPS[op]
+    fn, arity = ops.OPS[op][:2]
     rng = np.random.default_rng(int(op))
     for width in _WIDTHS:
         srcs = _operands(arity, op, rng, width)
@@ -116,6 +124,103 @@ def test_compare_is_width_independent(mode):
         a, b = _operands(2, Op.CMP, rng, width)
         expected = [int(fn(a[i:i + 1], b[i:i + 1])[0]) for i in range(width)]
         assert list(fn(a, b)) == expected
+
+
+# -- (c) the forms the megakernel emits ------------------------------------------------
+#
+# out= into a register row (aliasing a source or not), where= a lane mask,
+# the table's value function called on rows: each must give, lane for
+# lane, what the row's value function gives on copies of the sources.
+
+_CONST_ROW = 66  # the one constant of a one-slot program
+# (dst, srca, srcb, srcc) as register rows; None is the constant operand
+_LAYOUTS = {
+    "distinct": (0, 1, 2, 3),
+    "dst-is-srca": (1, 1, 2, 3),
+    "dst-is-srcb": (2, 1, 2, 3),
+    "dst-is-srcc": (3, 1, 2, 3),
+    "all-one-row": (1, 1, 1, 1),
+    "temps": (64, 64, 65, 2),
+    "const-first": (0, None, 2, 3),
+    "const-last": (5, 1, None, None),
+}
+
+
+def _check_emitted_forms(instr_for, fn, arity, op, seed):
+    rng = np.random.default_rng(seed)
+    special = np.array(progen.SPECIAL_BITS, dtype=np.uint32)
+    for name, (dst, *srcs) in _LAYOUTS.items():
+        srcs = srcs[:arity]
+        constant = 0x3F800000 if op in _PAYLOAD_OPS \
+            else int(rng.choice(special))
+        operands = [CONST_BASE if s is None else s for s in srcs]
+        program = _one_slot_program(instr_for(dst, *operands), constant)
+        code = emitted_code(program)
+        kernel = MegaKernel(program, None, None)
+        for width in _WIDTHS_MEGA:
+            shape = WorkgroupShape((width, 1, 1), (width, 1, 1))
+            values = dict(zip(dict.fromkeys(s for s in srcs if s is not None),
+                              _operands(arity, op, rng, width)))
+            values[None] = np.full(width, constant, np.uint32)
+            before = rng.integers(0, 1 << 32, width, dtype=np.uint64) \
+                .astype(np.uint32)
+            masks = [None, np.ones(width, bool), rng.random(width) < 0.5,
+                     np.arange(width) == width - 3]
+            for mask in masks:
+                state = kernel._init_state(shape, 0)
+                state.regs[dst] = before
+                for row, lanes in values.items():
+                    if row is not None:
+                        state.regs[row] = lanes
+                expected = fn(*[state.regs[_CONST_ROW if s is None else s]
+                                .copy() for s in srcs])
+                if mask is not None:
+                    expected = np.where(mask, expected, state.regs[dst])
+                with np.errstate(all="ignore"):
+                    if mask is None:
+                        code.chains[0][0](state, {}, 1)
+                    else:
+                        code.masked[0][0](state, mask)
+                np.testing.assert_array_equal(
+                    state.regs[dst], expected,
+                    err_msg=f"{op.name} {name} width {width} "
+                            f"mask {None if mask is None else mask.sum()}")
+
+
+_WIDTHS_MEGA = (4, 16, 68, 256)
+
+
+@pytest.mark.parametrize("op", sorted(ops.OPS), ids=lambda op: op.name)
+def test_emitted_forms_match_the_row(op):
+    fn, arity = ops.OPS[op][:2]
+    _check_emitted_forms(
+        lambda dst, *srcs: Instruction(
+            op, dst, *srcs, *[OPERAND_NONE] * (3 - arity)),
+        fn, arity, op, int(op))
+
+
+@pytest.mark.parametrize("mode", sorted(CmpMode), ids=lambda m: m.name)
+def test_emitted_compare_matches_compare(mode):
+    _check_emitted_forms(
+        lambda dst, a, b: Instruction(Op.CMP, dst, a, b, flags=int(mode)),
+        ops.compare(mode), 2, Op.CMP, 100 + int(mode))
+
+
+def test_only_single_ufunc_rows_take_the_out_form():
+    """Hazard of ``out=`` with dst == src: a row that is several NumPy
+    steps must compute through its value function first."""
+    import linecache
+
+    for op, row in ops.OPS.items():
+        program = _one_slot_program(
+            Instruction(op, 1, *[1] * row.arity,
+                        *[OPERAND_NONE] * (3 - row.arity)))
+        text = "".join(linecache.getlines(emitted_code(program).filename))
+        assert ("out=" in text) == (row.ufunc is not None), op.name
+        assert (f"fn_{op.name}(" in text) == (row.ufunc is None), op.name
+    for op in (Op.FMA, Op.FMIN, Op.FMAX, Op.ISHL, Op.ISHR, Op.IASHR,
+               Op.IDIV, Op.UREM, Op.F2I, Op.U2F, Op.SELECT, Op.FRCP):
+        assert ops.OPS[op].ufunc is None, op.name
 
 
 # -- FMIN/FMAX rule ------------------------------------------------------------------
@@ -151,12 +256,6 @@ def test_fmin_fmax_rule_in_table_and_reference(a, b, fmin, fmax):
 
 
 # -- missing required source -----------------------------------------------------------
-
-def _one_slot_program(instr):
-    return Program(clauses=[
-        Clause(tuples=[(instr, NOP_INSTR)], constants=[0x3F800000],
-               tail=Tail.END)])
-
 
 def _run_interp(program):
     ClauseInterpreter(program, np.zeros(1, np.uint32), mem=None) \

@@ -54,8 +54,8 @@ __kernel void diverge(__global int* data, __global float* out,
 """
 
 
-def _run_diverge(engine):
-    context = _context(engine)
+def _run_diverge(engine, instrument=False):
+    context = _context(engine, instrument)
     queue = CommandQueue(context)
     n = 64
     rng = np.random.default_rng(29)
@@ -576,3 +576,408 @@ def test_host_threads_keep_one_cache_per_unit():
                 if not key.startswith("gpu.core")}
 
     assert golden(single) == golden(threaded)
+
+
+def test_retired_warps_slice_is_a_list_as_on_the_quad_tiers():
+    from repro.gpu.megakernel import MegaKernel
+    from repro.gpu.shadercore import WorkgroupShape
+
+    kernel = MegaKernel(_mov_const_program(9), _WideStub(), None)
+    kernel.bind(np.zeros(1, dtype=np.uint32))
+    warps = kernel.run_workgroup(WorkgroupShape((10, 1, 1), (10, 1, 1)), 0,
+                                 None)
+    assert len(warps) == 3
+    head = warps[:2]
+    assert isinstance(head, list) and len(head) == 2
+    assert [int(w.live.sum()) for w in warps[1:]] == [4, 2]
+    assert [int(w.live.sum()) for w in warps[::-1]] == [2, 4, 4]
+    assert warps[5:] == [] and warps[-1].regs[1, 0] == 9
+
+
+# -- emitted code: chains, faults mid-chain, tracebacks, warnings ------------
+
+
+def _program(*clauses):
+    from repro.gpu.isa import Program
+
+    program = Program(clauses=list(clauses))
+    program.validate()
+    return program
+
+
+def _clause(slots, tail, constants=(), **fields):
+    from repro.gpu.isa import NOP_INSTR, Clause
+
+    return Clause(tuples=[(slot, NOP_INSTR) for slot in slots],
+                  constants=list(constants), tail=tail, **fields)
+
+
+def _unit_run(engine, program, mmu, lanes=4):
+    """One workgroup of *program* on a bare compute unit; returns the
+    unit and what the run raised (or None). One quad by default: with
+    more, the interpreter faults in its first warp before the others
+    start, the workgroup-wide engine after every quad ran the clauses
+    before the fault."""
+    from repro.gpu.shadercore import ComputeUnit, WorkgroupShape
+
+    unit = ComputeUnit(0)
+    unit.prepare(64, instrument=True, collect_cfg=False, engine=engine)
+    raised = None
+    try:
+        unit.run_workgroup(program, np.zeros(4, dtype=np.uint32), mmu,
+                           WorkgroupShape((lanes, 1, 1), (lanes, 1, 1)), 0)
+    except Exception as exc:  # compared between the engines below
+        raised = exc
+    return unit, raised
+
+
+def _chain_programs():
+    """Three-clause fall-through chains (one generated function on the
+    converged path) whose *second* clause stops the workgroup: an
+    unmapped global load, and an invalid operand behind a store."""
+    from repro.gpu.isa import CONST_BASE, Instruction, Op, Tail
+    from tests.test_fast_memory import VA
+
+    c = CONST_BASE
+    store = [Instruction(Op.MOV, dst=1, srca=c),          # mapped address
+             Instruction(Op.ST, srca=1, srcb=c + 1)]
+    first = _clause(store, Tail.FALLTHROUGH, constants=[VA + 64, 0xAA])
+    never = _clause([Instruction(Op.MOV, dst=9, srca=c)], Tail.END,
+                    constants=[7])
+    unmapped = _clause(
+        [Instruction(Op.MOV, dst=2, srca=c),
+         Instruction(Op.LD, dst=3, srca=2)],
+        Tail.FALLTHROUGH, constants=[VA + 64 * 4096])
+    bad_operand = _clause(
+        [Instruction(Op.MOV, dst=1, srca=c),
+         Instruction(Op.ST, srca=1, srcb=c + 1),
+         Instruction(Op.FADD, dst=4, srca=1)],             # no srcb
+        Tail.FALLTHROUGH, constants=[VA + 128, 0xBB])
+    return {"unmapped-load": _program(first, unmapped, never),
+            "bad-operand": _program(first, bad_operand, never)}
+
+
+@pytest.mark.parametrize("case", ["unmapped-load", "bad-operand"])
+def test_fault_in_second_clause_of_a_chain_flushes_like_the_interpreter(
+        case):
+    from repro.errors import GuestError, MMUFault
+    from repro.gpu.megakernel import emitted_code
+    from tests.test_fast_memory import VA, _mmu
+
+    program = _chain_programs()[case]
+    # all three clauses are one converged function
+    assert {head: entry[1] for head, entry in
+            emitted_code(program).chains.items()} == {0: 3}
+    results = {}
+    for engine in ("interpreter", "mega"):
+        mem, _builder, mmu = _mmu()
+        unit, raised = _unit_run(engine, program, mmu)
+        results[engine] = (
+            type(raised), str(raised), vars(unit.stats), mmu.translations,
+            sorted(mmu.pages_accessed), mmu.load_u32(VA + 64),
+            mmu.load_u32(VA + 128))
+    assert results["mega"] == results["interpreter"]
+    kind, message, stats = results["mega"][:3]
+    # the first clause and the faulting clause were issued, the third not
+    assert stats["clauses_executed"] == 2
+    assert results["mega"][5] == 0xAA
+    if case == "bad-operand":
+        # raised at the slot's position: the store before it landed
+        assert kind is GuestError and "source operand 255" in message
+        assert results["mega"][6] == 0xBB
+    else:
+        assert kind is MMUFault
+
+
+def test_bad_operand_in_a_chain_that_is_never_issued_is_harmless():
+    from repro.gpu.isa import Instruction, Op, Tail
+
+    skip = _clause([Instruction(Op.MOV, dst=0, srca=1)], Tail.JUMP, target=3)
+    fine = _clause([Instruction(Op.MOV, dst=2, srca=1)], Tail.FALLTHROUGH)
+    bad = _clause([Instruction(Op.FADD, dst=0, srca=1)], Tail.FALLTHROUGH)
+    end = _clause([Instruction(Op.MOV, dst=3, srca=1)], Tail.END)
+    _unit, raised = _unit_run("mega", _program(skip, fine, bad, end),
+                              _WideStub())
+    assert raised is None
+
+
+def test_invalid_operand_traceback_shows_the_emitted_line():
+    """Generated source is registered with linecache under its synthetic
+    filename, so the innermost frame of the GuestError reads as code."""
+    import traceback
+
+    from repro.errors import GuestError
+    from repro.gpu.isa import Instruction, Op, Tail
+
+    program = _program(_clause([Instruction(Op.IADD, dst=0, srca=1)],
+                               Tail.END))
+    _unit, raised = _unit_run("mega", program, _WideStub())
+    assert isinstance(raised, GuestError)
+    frame = traceback.extract_tb(raised.__traceback__)[-1]
+    assert frame.filename.startswith("<mega ") and frame.name == "chain_0"
+    assert frame.line == "raise GuestError('invalid source operand 255')"
+    assert frame.line in "".join(traceback.format_exception(raised))
+
+
+def test_generated_float_code_raises_no_runtime_warning():
+    """np.errstate is entered once per workgroup, not per slot: overflow,
+    0/0, 1/0, log(-1), sqrt(-1) and NaN compares through the ``out=``,
+    ``where=`` and call forms stay silent under -W error."""
+    import warnings
+
+    from repro.gpu.isa import CONST_BASE, CmpMode, Instruction, Op, Tail
+    from repro.gpu.megakernel import MegaKernel
+    from repro.gpu.shadercore import WorkgroupShape
+
+    c = CONST_BASE
+    big, zero, minus_one, nan = c, c + 1, c + 2, c + 3
+    slots = [
+        Instruction(Op.FMUL, dst=0, srca=big, srcb=big),        # overflow
+        Instruction(Op.FSUB, dst=1, srca=0, srcb=0),            # inf - inf
+        Instruction(Op.FRCP, dst=2, srca=zero),                 # 1/0
+        Instruction(Op.FLOG, dst=3, srca=minus_one),
+        Instruction(Op.FSQRT, dst=4, srca=minus_one),
+        Instruction(Op.FMA, dst=5, srca=big, srcb=big, srcc=big),
+        Instruction(Op.CMP, dst=6, srca=nan, srcb=zero,
+                    flags=int(CmpMode.FLT)),
+        Instruction(Op.F2I, dst=7, srca=nan),
+    ]
+    program = _program(_clause(
+        slots, Tail.END,
+        constants=[0x7F7FFFFF, 0, 0xBF800000, 0x7FC00000]))
+    kernel = MegaKernel(program, _WideStub(), None)
+    kernel.bind(np.zeros(1, dtype=np.uint32))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lanes in (8, 6):  # converged, then masked (partial quad)
+            warps = kernel.run_workgroup(
+                WorkgroupShape((lanes, 1, 1), (lanes, 1, 1)), 0, None)
+            regs = warps[-1].regs[0]
+            assert regs[0] == 0x7F800000 and regs[2] == 0x7F800000
+            assert regs[6] == 0 and regs[7] == 0
+
+
+# -- the process-wide code cache ----------------------------------------------
+
+
+def _count_emits(monkeypatch):
+    from repro.gpu import megakernel
+
+    emitted = []
+    real = megakernel.compile_source
+
+    def counting(source, filename, namespace):
+        emitted.append(filename)
+        return real(source, filename, namespace)
+
+    monkeypatch.setattr(megakernel, "compile_source", counting)
+    return emitted
+
+
+def test_two_fresh_platforms_emit_once(monkeypatch):
+    emitted = _count_emits(monkeypatch)
+    # a program no other test of this process runs
+    source = _TENANT_KERNELS[1].replace("5.0f", "11.0f")
+    for _ in range(2):
+        context = _context("mega", instrument=True)
+        kernel = context.build_program(source).kernel("k")
+        data = np.arange(64, dtype=np.float32)
+        np.testing.assert_array_equal(_launch_k(context, kernel, data),
+                                      data * np.float32(11.0))
+        assert _kernel_translations(context) == 1
+    assert len(emitted) == 1
+
+
+def test_equal_shapes_never_share_an_entry_and_the_table_is_bounded():
+    from repro.gpu import megakernel
+    from repro.gpu.megakernel import MegaKernel, emitted_code
+    from repro.gpu.shadercore import WorkgroupShape
+
+    shape = WorkgroupShape((4, 1, 1), (4, 1, 1))
+    first = _mov_const_program(1_000_001)
+    for constant in range(1_000_001, 1_000_001 + 2 * megakernel.CODE_CACHE_SIZE):
+        program = _mov_const_program(constant)
+        kernel = MegaKernel(program, _WideStub(), None)
+        kernel.bind(np.zeros(1, dtype=np.uint32))
+        assert kernel.run_workgroup(shape, 0, None)[0].regs[0, 0] == constant
+        assert emitted_code(program) is emitted_code(
+            _mov_const_program(constant))
+        assert len(megakernel._code_cache) <= megakernel.CODE_CACHE_SIZE
+    assert len(megakernel._code_cache) == megakernel.CODE_CACHE_SIZE
+    # the oldest went out, with its registered source text
+    import linecache
+
+    from repro.gpu.encoding import encode_program
+    assert encode_program(first) not in megakernel._code_cache
+    live = {code.filename for code in megakernel._code_cache.values()}
+    assert {name for name in linecache.cache
+            if name.startswith("<mega ")} <= live | {
+                emitted_code(first).filename}
+
+
+def test_code_cache_under_racing_host_threads():
+    """More threads than cores, a short switch interval, every thread
+    asking for the same fresh programs: each gets finished code that
+    computes its own program's value, and the table keeps one entry per
+    program."""
+    import sys
+    import threading
+
+    from repro.gpu import megakernel
+    from repro.gpu.encoding import encode_program
+    from repro.gpu.megakernel import MegaKernel
+    from repro.gpu.shadercore import WorkgroupShape
+
+    shape = WorkgroupShape((4, 1, 1), (4, 1, 1))
+    constants = range(2_000_000, 2_000_024)
+    wrong = []
+
+    def worker():
+        for constant in constants:
+            kernel = MegaKernel(_mov_const_program(constant), _WideStub(),
+                                None)
+            kernel.bind(np.zeros(1, dtype=np.uint32))
+            got = int(kernel.run_workgroup(shape, 0, None)[0].regs[0, 0])
+            if got != constant:
+                wrong.append((constant, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+    keys = [encode_program(_mov_const_program(c)) for c in constants]
+    assert all(key in megakernel._code_cache for key in keys)
+    assert len(megakernel._code_cache) <= megakernel.CODE_CACHE_SIZE
+
+
+@pytest.mark.parametrize("limit,issued", [(100, (51, 50)), (101, (51, 51))])
+def test_stuck_kernel_guard_trips_at_the_same_clause_mid_chain(
+        monkeypatch, limit, issued):
+    """A fused chain still counts one step per clause: the guard fires
+    after clause number limit + 1, whether that is the first or the last
+    clause of the two-clause chain, and the counts flushed are those of
+    the clauses issued — no more."""
+    from repro.errors import GuestError
+    from repro.gpu import megakernel
+    from repro.gpu.isa import CONST_BASE, Instruction, Op, Tail
+
+    one = CONST_BASE
+    loop = _program(
+        _clause([Instruction(Op.IADD, dst=0, srca=0, srcb=one)],
+                Tail.FALLTHROUGH, constants=[1]),
+        _clause([Instruction(Op.IADD, dst=1, srca=1, srcb=one)],
+                Tail.JUMP, constants=[1], target=0))
+    assert megakernel.emitted_code(loop).chains[0][1] == 2
+    monkeypatch.setattr(megakernel, "_MAX_STEPS", limit)
+    unit, raised = _unit_run("mega", loop, _WideStub())
+    assert isinstance(raised, GuestError) and "likely stuck" in str(raised)
+    stats = unit.stats
+    assert stats.clauses_executed == sum(issued) == limit + 1
+    assert stats.arith_instrs == 4 * (limit + 1)
+    # the JUMP tail of every second clause issued was taken, the last too
+    assert stats.cf_instrs == 4 * issued[1]
+
+
+# -- soundness of the verifier's branch-uniformity proof ------------------------
+
+
+def _observe_mixed_branches(monkeypatch):
+    """Observation hook local to this file: every program mega is built
+    for, and every ``(program, clause)`` at which the lanes of one issue
+    split at a branch (the schedulers reduce quads only then)."""
+    import sys
+
+    from repro.gpu import megakernel
+
+    programs, mixed = [], set()
+    init = megakernel.MegaKernel.__init__
+    split = megakernel._split_quads
+
+    def recording_init(self, program, mem, local):
+        programs.append(program)
+        init(self, program, mem, local)
+
+    def recording_split(taken, not_taken):
+        scheduler = sys._getframe(1).f_locals
+        branch = scheduler["current" if "current" in scheduler else "pc"]
+        mixed.add((id(scheduler["self"].program), branch))
+        return split(taken, not_taken)
+
+    monkeypatch.setattr(megakernel.MegaKernel, "__init__", recording_init)
+    monkeypatch.setattr(megakernel, "_split_quads", recording_split)
+    return programs, mixed
+
+
+def _proved_uniform_yet_mixed(programs, mixed):
+    """``(checked, offenders)``: how many branches absint proves
+    workgroup-uniform over *programs*, and those mega saw split."""
+    from repro.gpu.verify import VerifyContext, absint
+    from repro.gpu.verify.cfg import ClauseCFG
+
+    checked, offenders = 0, []
+    for program in programs:
+        proof = absint.run(program, ClauseCFG(program), VerifyContext())
+        for clause, uniform in proof.cond_uniform.items():
+            if uniform:
+                checked += 1
+                if (id(program), clause) in mixed:
+                    offenders.append((program, clause))
+    return checked, offenders
+
+
+def test_branches_proved_uniform_are_never_seen_mixed(monkeypatch):
+    """The first run-time check of PR 10's uniformity analysis, and the
+    evidence a later change needs before it may *consume* the proof:
+    over every shipped workload, the SLAM pipeline's stages and the
+    committed conformance corpus, no branch whose condition absint calls
+    workgroup-uniform ever splits the lanes of one issue on mega."""
+    import os
+
+    from repro.kernels import WORKLOADS
+    from repro.slam import KFusionPipeline
+    from repro.validate.corpus import dict_to_case, load_entries
+
+    programs, mixed = _observe_mixed_branches(monkeypatch)
+    for name in sorted(WORKLOADS):
+        result = get_workload(name).run(
+            context=_context("mega", instrument=True))
+        assert result.verified, name
+    KFusionPipeline("express").run_gpu(
+        context=_context("mega", instrument=True))
+    runner = DifferentialRunner(engines=("mega",), trace=False)
+    corpus = os.path.join(os.path.dirname(__file__), "corpus")
+    for _path, entry in load_entries(corpus):
+        runner.run_case(dict_to_case(entry))
+    assert len(programs) > len(WORKLOADS)
+    assert mixed  # the hook does see the divergent kernels split
+    checked, offenders = _proved_uniform_yet_mixed(programs, mixed)
+    assert checked >= 10
+    assert not offenders, [(clause, program.clauses[clause].cond_reg)
+                           for program, clause in offenders]
+
+
+def test_the_mixed_branch_hook_catches_a_wrong_proof(monkeypatch):
+    """The check above is not vacuous: a lane-dependent branch is seen
+    mixed, and would be an offender if the analysis called it uniform."""
+    from repro.gpu.verify import absint
+
+    programs, mixed = _observe_mixed_branches(monkeypatch)
+    _run_diverge("mega", instrument=True)
+    assert _proved_uniform_yet_mixed(programs, mixed)[1] == []
+    real = absint.run
+
+    def gullible(program, cfg, ctx):
+        proof = real(program, cfg, ctx)
+        proof.cond_uniform = dict.fromkeys(proof.cond_uniform, True)
+        return proof
+
+    monkeypatch.setattr(absint, "run", gullible)
+    assert _proved_uniform_yet_mixed(programs, mixed)[1]

@@ -155,8 +155,10 @@ TRANSIENT = {
         "_decode_cache": "keys are saved; rewarm_decode_cache re-decodes "
                          "them through TenantContext.read_va",
         "results": "host-side JobResult handles",
-        "_units": "execution units: local slabs and kernel translations, "
-                  + _CACHE,
+        "_units": "execution units: local slabs and kernel translations "
+                  "(the code mega emits sits in gpu.megakernel's "
+                  "process-wide cache, keyed by program bytes: host "
+                  "state, found warm or emitted again), " + _CACHE,
     },
     "KBaseDriver": {
         "bus": _WIRING, "irqc": _WIRING, "_gpu": _WIRING,
