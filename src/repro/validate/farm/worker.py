@@ -13,6 +13,13 @@ scratch, so no ``StatsRegistry`` state, MMU, driver or injector survives
 from one case to the next, and a case's outcome is identical whether it
 runs first on worker 7 of 8 or alone in a sequential run. A case that
 raises is an ``error`` verdict for that case only; the worker moves on.
+Memory is part of the contract: a finished case's platform is a web of
+reference cycles that only the cycle collector frees, so the worker
+collects after every case (cheap: what the process was born with is
+frozen out of the collector's sight first). A worker's peak footprint
+is then its largest single case, not however many platforms the
+collector's own schedule lets pile up — which depends on the order the
+shards happened to be pulled in.
 
 The optional *chaos* dict is the farm's own fault-injection hook (used
 by the determinism and kill-recovery tests): ``{"kill_case": id}`` makes
@@ -22,6 +29,7 @@ shard completes and the report must come out byte-identical to an
 unkilled run.
 """
 
+import gc
 import os
 from dataclasses import dataclass
 
@@ -79,6 +87,7 @@ def worker_main(worker_index, task_queue, result_queue, outdir,
                 chaos=None):
     """Worker process entry point (top-level so it survives spawn)."""
     chaos = chaos or {}
+    gc.freeze()
     while True:
         task = task_queue.get()
         if task is None:
@@ -92,5 +101,6 @@ def worker_main(worker_index, task_queue, result_queue, outdir,
             outcome = execute_case(case, outdir)
             result_queue.put(("done", worker_index, task.shard_id,
                               task.attempt, case["id"], outcome))
+            gc.collect()
         result_queue.put(("shard_done", worker_index, task.shard_id,
                           task.attempt))

@@ -7,8 +7,11 @@ isolation (a raising or genuinely hanging case fails alone while its
 siblings' outcomes stay bit-exact with a sequential run).
 """
 
+import gc
 import json
 import os
+import queue
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +31,8 @@ from repro.validate.farm import (
     retry_shard,
     run_farm,
 )
-from repro.validate.farm.worker import execute_case
+from repro.validate.farm import worker as farm_worker
+from repro.validate.farm.worker import ShardTask, execute_case
 
 # a tiny mixed config: cheap real differential cases plus one lint case
 FAST_CONFIG = {
@@ -207,6 +211,36 @@ def test_raising_and_hanging_cases_fail_alone(tmp_path):
     # hang/kill in play
     again = run_farm(config, workers=1, outdir=str(tmp_path / "b"))
     assert again.report_bytes == run.report_bytes
+
+
+def test_worker_frees_a_case_before_the_next_one_starts(monkeypatch):
+    """A platform is cyclic garbage; how many pile up in a worker must
+    not hang on the collector's schedule (and so on shard order)."""
+    class Platform:
+        def __init__(self):
+            self.owner = self
+
+    alive_at_start = []
+    finished = []
+
+    def execute(case, outdir):
+        alive_at_start.append(sum(ref() is not None for ref in finished))
+        finished.append(weakref.ref(Platform()))
+        return {"id": case["id"]}
+
+    monkeypatch.setattr(farm_worker, "execute_case", execute)
+    tasks, results = queue.Queue(), queue.Queue()
+    tasks.put(ShardTask("s0", 0, tuple({"id": f"c{n}"} for n in range(3))))
+    tasks.put(None)
+    gc.disable()  # the automatic collector must not be what frees them
+    try:
+        farm_worker.worker_main(0, tasks, results, None)
+    finally:
+        gc.enable()
+        gc.unfreeze()  # worker_main froze this (the test) process
+    assert alive_at_start == [0, 0, 0]
+    assert all(ref() is None for ref in finished)
+    assert results.get()[0] == "start"
 
 
 def test_fault_and_conformance_cases_run_under_the_farm(tmp_path):
