@@ -30,14 +30,7 @@ import tempfile
 
 import numpy as np
 
-#: engine mode -> (GPU engine, MMU fast path) — mirrors the tenancy
-#: harness's modes so campaigns sweep the same four execution tiers
-ENGINE_MODES = {
-    "interp": ("interpreter", False),
-    "fast": ("interpreter", True),
-    "jit": ("jit", True),
-    "mega": ("mega", True),
-}
+from repro.core.platform import ENGINE_MODES, MobilePlatform
 
 SGEMM_SOURCE = """
 __kernel void sgemm(__global float* c, __global const float* a,
@@ -65,20 +58,15 @@ def default_spec(engine_mode="fast", tenants=0, steps=2, n=8, seed=7):
 
 
 def build_platform(spec):
-    from repro.core.platform import MobilePlatform, PlatformConfig
     from repro.driver.kbase import TenancyConfig, TenantSpec
-    from repro.gpu.device import GPUConfig
 
-    engine, fast = ENGINE_MODES[spec["engine_mode"]]
     tenancy = None
     if spec["tenants"]:
         tenancy = TenancyConfig([
             TenantSpec(f"tenant{i}", qos=("fg" if i % 2 == 0 else "bg"))
             for i in range(spec["tenants"])])
-    platform = MobilePlatform(PlatformConfig(
-        gpu=GPUConfig(engine=engine), tenancy=tenancy)).initialize()
-    platform.gpu.mmu.fast_path_enabled = fast
-    return platform
+    return MobilePlatform.for_mode(spec["engine_mode"],
+                                   tenancy=tenancy).initialize()
 
 
 def _run_one(context, queue, rng, n):
@@ -215,8 +203,6 @@ def checkpointed_run(spec, checkpoint_dir, stop_after=1,
 
 def resume_from(checkpoint_dir):
     """Restore a harness checkpoint and run the remaining steps."""
-    from repro.core.platform import MobilePlatform
-
     platform, extra = MobilePlatform.restore_checkpoint(checkpoint_dir)
     harness = extra["harness"]
     spec = harness["spec"]
@@ -252,21 +238,18 @@ def main(argv=None):
             .encode("utf-8"))
         return 0
     if argv and argv[0] == "smoke":
-        failed = 0
+        from repro.tools.cli import report_cases
+
+        cases = []
         for engine_mode in ENGINE_MODES:
             for tenants in (0, 2):
-                spec = default_spec(engine_mode=engine_mode,
-                                    tenants=tenants)
-                problems = run_differential(spec)
-                mark = "ok  " if not problems else "FAIL"
-                failed += bool(problems)
-                print(f"{mark} checkpoint {engine_mode} "
-                      f"tenants={tenants}"
-                      + ("".join(f"\n     {p}" for p in problems)))
-        status = "ok" if not failed else "fail"
-        print(f"RESULT checkpoint status={status} "
-              f"cases={2 * len(ENGINE_MODES)} failures={failed}")
-        return 1 if failed else 0
+                problems = run_differential(default_spec(
+                    engine_mode=engine_mode, tenants=tenants))
+                cases.append({
+                    "id": f"checkpoint/{engine_mode}/tenants={tenants}",
+                    "verdict": "fail" if problems else "pass",
+                    "detail": "; ".join(problems)})
+        return report_cases("checkpoint", cases)
     print("usage: python -m repro.checkpoint.harness "
           "{smoke | resume <dir> <out.json>}")
     return 2

@@ -43,6 +43,21 @@ STAGING_SIZE = 0x0400_0000  # 64 MiB staging window
 HEAP_BASE = 0x2000_0000
 HEAP_SIZE = 0x4000_0000  # 1 GiB driver heap
 
+#: engine mode -> (``GPUConfig.engine``, GPU-MMU fast path): the execution
+#: tiers every harness, farm provider and CLI ``choices=`` sweeps. The
+#: scalar-MMU ablation lives only here: it is a knob on the built
+#: platform (``gpu.mmu.fast_path_enabled``), not a ``GPUConfig`` field.
+ENGINE_MODES = {
+    "interp": ("interpreter", False),
+    "fast": ("interpreter", True),
+    "jit": ("jit", True),
+    "mega": ("mega", True),
+}
+
+#: every name :meth:`MobilePlatform.for_mode` takes: the modes, plus
+#: ``GPUConfig.engine``'s own spelling of ``fast``
+ENGINE_NAMES = (*ENGINE_MODES, "interpreter")
+
 
 @dataclass
 class PlatformConfig:
@@ -135,6 +150,24 @@ class MobilePlatform(Stateful):
         self.stats_registry = StatsRegistry()
         self.events = None
         self._register_stats()
+
+    @classmethod
+    def for_mode(cls, mode, num_host_threads=1, tenancy=None,
+                 instrument=True):
+        """The platform factory of every campaign: a fresh, not yet
+        initialized platform running engine *mode*, one of
+        :data:`ENGINE_NAMES`."""
+        if mode not in ENGINE_NAMES:
+            raise ValueError(f"unknown engine mode {mode!r}; "
+                             f"known: {ENGINE_NAMES}")
+        engine, fast_path = ENGINE_MODES[
+            "fast" if mode == "interpreter" else mode]
+        platform = cls(PlatformConfig(
+            gpu=GPUConfig(engine=engine, num_host_threads=num_host_threads,
+                          instrument=instrument),
+            tenancy=tenancy))
+        platform.gpu.mmu.fast_path_enabled = fast_path
+        return platform
 
     def _register_stats(self):
         registry = self.stats_registry

@@ -71,6 +71,12 @@ class CheckpointError(SimError):
     """
 
 
+class CorpusError(SimError):
+    """A conformance-corpus entry could not be read or materialized:
+    unreadable or malformed JSON, an unknown format, a missing or
+    wrong-typed field. The message names the file."""
+
+
 class IRQMismatchError(DriverError):
     """The interrupt controller and the GPU's raw IRQ status disagree.
 

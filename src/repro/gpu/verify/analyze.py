@@ -163,16 +163,31 @@ def unit_to_dict(unit):
     return data
 
 
+def totals(units):
+    """The sweep's counters: kernels analyzed, units that failed to,
+    kernels with an unbounded loop, and loops found. The CLI summary,
+    the ``--json`` document and the farm's analyze cases all report
+    these."""
+    counts = {"kernels": 0, "failed": 0, "unbounded": 0, "loops": 0}
+    for unit in units:
+        if not unit.ok:
+            counts["failed"] += 1
+            continue
+        counts["kernels"] += 1
+        counts["loops"] += len(unit.summary.loops)
+        if not unit.bounded:
+            counts["unbounded"] += 1
+    return counts
+
+
 def units_to_json(units):
     """Top-level ``--json`` document for a list of units."""
+    counts = totals(units)
     return {
         "schema": SCHEMA,
         "units": [unit_to_dict(u) for u in units],
-        "totals": {
-            "units": len(units),
-            "failed": sum(1 for u in units if not u.ok),
-            "unbounded": sum(1 for u in units if u.ok and not u.bounded),
-        },
+        "totals": {"units": len(units), "failed": counts["failed"],
+                   "unbounded": counts["unbounded"]},
     }
 
 
@@ -220,6 +235,7 @@ __all__ = [
     "builtin_targets",
     "cost_annotations",
     "format_unit",
+    "totals",
     "unit_to_dict",
     "units_to_json",
 ]

@@ -153,19 +153,26 @@ def unit_to_dict(unit, min_severity=Severity.WARNING):
     return data
 
 
-def units_to_json(units, min_severity=Severity.WARNING):
-    """Top-level ``--json`` document for a list of units."""
-    totals = {"kernels": 0, "errors": 0, "warnings": 0, "notes": 0}
+def totals(units):
+    """The sweep's counters: kernels verified and findings by severity
+    (a failed compile counts as one error). The CLI summary, the
+    ``--json`` document and the farm's lint cases all report these."""
+    counts = {"kernels": 0, "errors": 0, "warnings": 0, "notes": 0}
     for unit in units:
         if unit.error:
-            totals["errors"] += 1
+            counts["errors"] += 1
             continue
-        totals["kernels"] += 1
+        counts["kernels"] += 1
         for key in ("errors", "warnings", "notes"):
-            totals[key] += unit.counts[key]
+            counts[key] += unit.counts[key]
+    return counts
+
+
+def units_to_json(units, min_severity=Severity.WARNING):
+    """Top-level ``--json`` document for a list of units."""
     return {
         "schema": SCHEMA,
         "units": [unit_to_dict(u, min_severity=min_severity)
                   for u in units],
-        "totals": totals,
+        "totals": totals(units),
     }

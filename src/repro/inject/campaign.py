@@ -25,9 +25,12 @@ For every (workload, scenario, seed) case the campaign:
    counters, firing logs and outputs (determinism invariant — this is
    what makes every campaign failure a reproducer).
 
-Failures are written as JSON reproducer files using the conformance
-corpus envelope (``format``/``name``/``expect``/``notes``) with the
-fault plan inline.
+This module runs **one case** (:func:`run_case`). Sweeping the
+``workloads x scenarios x seeds x engines x threads`` grid, reports and
+reproducers are the simulation farm's (sweep kind ``fault``,
+:mod:`repro.validate.farm.providers`): a case is a pure function of its
+coordinates — the plan is regenerated from the seed — so a failing
+case's reproducer is the one-case farm config naming them.
 
 Bit-exact recovery relies on jobs being **replayable** (outputs a pure
 function of inputs): the driver re-runs a faulted job from the start,
@@ -35,25 +38,20 @@ exactly as kbase replays jobs, so kernels that read-modify-write their
 outputs are outside the contract. All campaign workloads are replayable.
 """
 
-import json
-import os
 import random
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from repro.cl import CommandQueue, Context
-from repro.core.platform import MobilePlatform, PlatformConfig
+from repro.core.platform import MobilePlatform
 from repro.errors import SimError
-from repro.gpu.device import GPUConfig
 from repro.inject.injector import FaultInjector
 from repro.inject.plan import FaultPlan, FaultSpec
-from repro.kernels import Workload, get_workload
+from repro.kernels import WORKLOADS, Workload, get_workload
 from repro.kernels.parboil import Sgemm
 from repro.mem.physical import PAGE_SIZE
-
-REPRO_FORMAT = "fault-campaign-repro-v1"
+from repro.tenancy.harness import ADVERSARIAL_SCENARIOS, run_adversarial
 
 #: scenario -> expected outcome class
 SCENARIOS = {
@@ -70,14 +68,8 @@ SCENARIOS = {
     # cross-tenant adversarial cases: an attacker tenant faults (or runs
     # a malicious kernel) while the victim tenant runs the campaign
     # workload — the victim must match its solo baseline byte-for-byte
-    "xtenant-mmu": "isolate",
-    "xtenant-hang": "isolate",
-    "xtenant-irq-lost": "isolate",
-    "xtenant-oob": "isolate",
+    **dict.fromkeys(ADVERSARIAL_SCENARIOS, "isolate"),
 }
-
-#: campaign engine name -> tenancy-harness engine mode
-_TENANCY_MODES = {"interpreter": "fast", "jit": "jit", "mega": "mega"}
 
 DEFAULT_WORKLOADS = ("sgemm", "divergent")
 
@@ -166,13 +158,20 @@ class ReplayableSgemm(Sgemm):
         return [(inputs["a"] @ inputs["b"]).astype(np.float32)]
 
 
+#: campaign workloads must be *replayable* (outputs a pure function of
+#: inputs): the recovery ladder re-runs faulted jobs from scratch. These
+#: stand in for (or add to) the registry entries of the same name
+_REPLAYABLE = {"divergent": DivergentWorkload, "sgemm": ReplayableSgemm}
+
+
+def known_workloads():
+    """Every name :func:`run_case` can run."""
+    return sorted({*_REPLAYABLE, *WORKLOADS})
+
+
 def _make_workload(name):
-    """Campaign workloads must be *replayable* (outputs a pure function
-    of inputs): the recovery ladder re-runs faulted jobs from scratch."""
-    if name == "divergent":
-        return DivergentWorkload()
-    if name == "sgemm":
-        return ReplayableSgemm()
+    if name in _REPLAYABLE:
+        return _REPLAYABLE[name]()
     return get_workload(name)
 
 
@@ -187,36 +186,6 @@ class CaseResult:
     detail: str = ""
     fired: int = 0
     counters: dict = field(default_factory=dict)
-
-
-@dataclass
-class CampaignReport:
-    """All case results plus the sweep configuration."""
-
-    engine: str
-    num_host_threads: int
-    cases: list = field(default_factory=list)
-
-    @property
-    def failures(self):
-        return [case for case in self.cases if not case.ok]
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def summary(self):
-        lines = [
-            f"fault campaign: engine={self.engine} "
-            f"threads={self.num_host_threads} "
-            f"cases={len(self.cases)} failures={len(self.failures)}"
-        ]
-        for case in self.cases:
-            mark = "ok  " if case.ok else "FAIL"
-            lines.append(
-                f"  {mark} {case.workload:<12} {case.scenario:<22} "
-                f"seed={case.seed} fired={case.fired} {case.detail}")
-        return "\n".join(lines)
 
 
 class _Execution:
@@ -266,12 +235,6 @@ class _Execution:
         return counts
 
 
-def _new_platform(engine, num_host_threads):
-    config = PlatformConfig(gpu=GPUConfig(
-        num_host_threads=num_host_threads, engine=engine))
-    return MobilePlatform(config)
-
-
 def _execute(workload_name, engine, num_host_threads, plan=None):
     """Run *workload_name* on a fresh platform, optionally under *plan*.
 
@@ -279,7 +242,7 @@ def _execute(workload_name, engine, num_host_threads, plan=None):
     anything else propagates — a non-SimError escaping is itself a
     campaign failure, caught and reported by the case runner.
     """
-    platform = _new_platform(engine, num_host_threads)
+    platform = MobilePlatform.for_mode(engine, num_host_threads)
     context = Context(platform)
     injector = None
     if plan is not None:
@@ -299,14 +262,42 @@ def _execute(workload_name, engine, num_host_threads, plan=None):
     return _Execution(platform, context, injector, outputs, verified, error)
 
 
-def _clean_observables(execution):
-    """Plan-generator inputs from a clean run: touched GPU-VA pages and
+@dataclass(frozen=True)
+class _CleanRun:
+    """What a case needs of its workload's clean run, as plain values:
+    why it cannot serve as a baseline (*failure*, else None), the output
+    bytes, and the plan generator's inputs — touched GPU-VA pages and
     the workgroup count of the (last) job."""
-    pages = sorted(execution.platform.gpu.mmu.pages_accessed)
-    results = execution.platform.last_job_results()
-    groups = max((result.stats.workgroups for result in results
-                  if result.stats is not None), default=1)
-    return pages, max(1, groups)
+
+    failure: str
+    output_bytes: bytes
+    pages: tuple
+    groups: int
+
+
+#: (workload, engine, threads) -> _CleanRun. Clean runs are deterministic,
+#: so every case this process runs on the same coordinates shares one.
+#: Only the observables are kept (a few KB), never the _Execution: one
+#: retained platform is ~2 MB of a farm worker's peak RSS
+_clean_runs = {}
+
+
+def _clean_run(workload_name, engine, num_host_threads):
+    key = (workload_name, engine, num_host_threads)
+    if key not in _clean_runs:
+        execution = _execute(workload_name, engine, num_host_threads)
+        platform = execution.platform
+        groups = max((result.stats.workgroups
+                      for result in platform.last_job_results()
+                      if result.stats is not None), default=1)
+        _clean_runs[key] = _CleanRun(
+            failure=(None if execution.error is None and execution.verified
+                     else "clean run failed: "
+                          f"{execution.error or 'verification'}"),
+            output_bytes=execution.output_bytes,
+            pages=tuple(sorted(platform.gpu.mmu.pages_accessed)),
+            groups=max(1, groups))
+    return _clean_runs[key]
 
 
 def build_plan(scenario, rng, pages, groups):
@@ -356,7 +347,7 @@ def _usable_after(execution, workload_name):
 def _run_grow_case(rng, engine, num_host_threads):
     """heap-grow: a kernel sweeps a grow-on-fault buffer; the page-fault
     worker must grow the mapping and the result must be exact."""
-    platform = _new_platform(engine, num_host_threads)
+    platform = MobilePlatform.for_mode(engine, num_host_threads)
     context = Context(platform)
     queue = CommandQueue(context)
     n_pages = 4 + rng.randrange(8)
@@ -383,23 +374,18 @@ def _run_grow_case(rng, engine, num_host_threads):
 
 
 def run_case(workload_name, scenario, seed, engine="interpreter",
-             num_host_threads=1, clean=None, check_determinism=True):
+             num_host_threads=1, check_determinism=True):
     """Run one campaign case; returns (CaseResult, FaultPlan or None).
 
-    *clean* is an optional cached clean :class:`_Execution` for this
-    workload/engine/threads combination (clean runs are deterministic,
-    so the cache is exact).
+    *engine* is anything
+    :meth:`~repro.core.platform.MobilePlatform.for_mode` takes.
     """
     rng = random.Random(f"{workload_name}:{scenario}:{seed}")
     expect = SCENARIOS[scenario]
 
     if expect == "isolate":
-        # deferred import: the tenancy harness pulls in the CL runtime
-        from repro.tenancy.harness import run_adversarial
-
         ok, detail, counters = run_adversarial(
-            scenario, seed, victim=workload_name,
-            engine_mode=_TENANCY_MODES.get(engine, engine),
+            scenario, seed, victim=workload_name, engine_mode=engine,
             num_host_threads=num_host_threads,
             check_determinism=check_determinism)
         fired = counters.pop("inject.total", 0)
@@ -413,14 +399,11 @@ def run_case(workload_name, scenario, seed, engine="interpreter",
         return CaseResult(workload_name, scenario, seed, ok, detail,
                           counters=counters), None
 
-    if clean is None:
-        clean = _execute(workload_name, engine, num_host_threads)
-    if clean.error is not None or not clean.verified:
-        return CaseResult(
-            workload_name, scenario, seed, False,
-            f"clean run failed: {clean.error or 'verification'}"), None
-    pages, groups = _clean_observables(clean)
-    plan = build_plan(scenario, rng, pages, groups)
+    clean = _clean_run(workload_name, engine, num_host_threads)
+    if clean.failure is not None:
+        return CaseResult(workload_name, scenario, seed, False,
+                          clean.failure), None
+    plan = build_plan(scenario, rng, clean.pages, clean.groups)
 
     faulted = _execute(workload_name, engine, num_host_threads, plan=plan)
     fired = faulted.injector.total_fired
@@ -465,143 +448,3 @@ def run_case(workload_name, scenario, seed, engine="interpreter",
         f"{key.split('.')[-1]}={value}"
         for key, value in sorted(counters.items()) if value)
     return result, plan
-
-
-def write_reproducer(out_dir, case, plan, engine, num_host_threads):
-    """Write a failing case as a corpus-style JSON reproducer; returns
-    the file path. Plans are single-spec, i.e. already minimal."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    name = f"{case.workload}--{case.scenario}--s{case.seed}"
-    entry = {
-        "format": REPRO_FORMAT,
-        "name": name,
-        "workload": case.workload,
-        "scenario": case.scenario,
-        "seed": case.seed,
-        "engine": engine,
-        "num_host_threads": num_host_threads,
-        "plan": plan.to_dict() if plan is not None else None,
-        "expect": SCENARIOS[case.scenario],
-        "notes": case.detail,
-        "counters": case.counters,
-    }
-    from repro.checkpoint.format import atomic_write_text
-
-    path = out_dir / f"{name}.json"
-    atomic_write_text(str(path), json.dumps(entry, indent=2) + "\n")
-    return path
-
-
-def replay_reproducer(path, check_determinism=True):
-    """Re-run a reproducer file; returns its CaseResult."""
-    entry = json.loads(Path(path).read_text())
-    if entry.get("format") != REPRO_FORMAT:
-        raise ValueError(f"{path}: not a {REPRO_FORMAT} file")
-    result, _plan = run_case(
-        entry["workload"], entry["scenario"], entry["seed"],
-        engine=entry.get("engine", "interpreter"),
-        num_host_threads=entry.get("num_host_threads", 1),
-        check_determinism=check_determinism)
-    return result
-
-
-def farm_case_specs(workloads=DEFAULT_WORKLOADS, scenarios=None, seeds=1,
-                    engines=("interpreter",), threads=(1,),
-                    check_determinism=False):
-    """Case-provider interface for the simulation farm: the full
-    ``workloads × scenarios × seeds × engines × threads`` grid, one spec
-    per case, each independently executable by :func:`run_farm_case` on
-    any worker (fresh platform per case, no shared state). *seeds* is a
-    count (``3`` means seeds 0..2) or an explicit list of seed values."""
-    scenario_names = list(scenarios or SCENARIOS)
-    for scenario in scenario_names:
-        if scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {scenario!r}")
-    seed_values = range(seeds) if isinstance(seeds, int) else list(seeds)
-    for workload in workloads:
-        for scenario in scenario_names:
-            for seed in seed_values:
-                for engine in engines:
-                    for num_threads in threads:
-                        yield {
-                            "workload": workload,
-                            "scenario": scenario,
-                            "seed": int(seed),
-                            "engine": engine,
-                            "num_host_threads": int(num_threads),
-                            "check_determinism": bool(check_determinism),
-                        }
-
-
-def run_farm_case(spec, artifact_dir=None):
-    """Execute one fault-campaign spec (inside a farm worker); returns
-    ``(ok, detail, counters, artifacts)``.
-
-    Failures are written as standard fault-campaign reproducers under
-    *artifact_dir*, so a farm report's failing case is replayable with
-    ``repro.tools faultcampaign --replay``.
-    """
-    engine = spec.get("engine", "interpreter")
-    num_host_threads = spec.get("num_host_threads", 1)
-    try:
-        case, plan = run_case(
-            spec["workload"], spec["scenario"], spec["seed"],
-            engine=engine, num_host_threads=num_host_threads,
-            check_determinism=spec.get("check_determinism", False))
-    except Exception as exc:  # invariant: nothing escapes raw
-        case = CaseResult(
-            spec["workload"], spec["scenario"], spec["seed"], False,
-            f"non-SimError escaped: {type(exc).__name__}: {exc}")
-        plan = None
-    artifacts = []
-    if not case.ok and artifact_dir is not None:
-        path = write_reproducer(artifact_dir, case, plan, engine,
-                                num_host_threads)
-        artifacts.append(os.path.basename(str(path)))
-    counters = {key: int(value) for key, value in
-                sorted(case.counters.items())}
-    counters["fired"] = int(case.fired)
-    return case.ok, case.detail, counters, artifacts
-
-
-def run_campaign(workloads=DEFAULT_WORKLOADS, scenarios=None, seeds=1,
-                 engine="interpreter", num_host_threads=1, out_dir=None,
-                 check_determinism=True, progress=None):
-    """Sweep ``workloads x scenarios x seeds``; returns a CampaignReport.
-
-    Failing cases are written as reproducers under *out_dir* when given.
-    *progress* is an optional callable taking each CaseResult as it
-    lands (the CLI uses it for live output).
-    """
-    scenario_names = list(scenarios or SCENARIOS)
-    report = CampaignReport(engine=engine,
-                            num_host_threads=num_host_threads)
-    clean_cache = {}
-    for workload_name in workloads:
-        for scenario in scenario_names:
-            expect = SCENARIOS[scenario]
-            if (expect not in ("grow", "isolate")
-                    and workload_name not in clean_cache):
-                clean_cache[workload_name] = _execute(
-                    workload_name, engine, num_host_threads)
-            for seed in range(seeds):
-                try:
-                    case, plan = run_case(
-                        workload_name, scenario, seed, engine=engine,
-                        num_host_threads=num_host_threads,
-                        clean=clean_cache.get(workload_name),
-                        check_determinism=check_determinism)
-                except Exception as exc:  # invariant: nothing escapes raw
-                    case = CaseResult(
-                        workload_name, scenario, seed, False,
-                        f"non-SimError escaped: {type(exc).__name__}: "
-                        f"{exc}")
-                    plan = None
-                report.cases.append(case)
-                if not case.ok and out_dir is not None:
-                    write_reproducer(out_dir, case, plan, engine,
-                                     num_host_threads)
-                if progress is not None:
-                    progress(case)
-    return report

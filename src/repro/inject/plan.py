@@ -14,9 +14,10 @@ two ways, chosen so a plan replays identically across runs and across
   (descriptor reads, allocations, IRQ delivery), where visit order is
   deterministic by construction.
 
-Plans serialize to/from plain dicts (the campaign's reproducer files use
-the same ``format``/``name``/``expect`` envelope as the conformance
-corpus, with the plan inline).
+Plans serialize to/from plain dicts (an attached injector's plan rides
+a platform checkpoint that way). A fault-campaign reproducer does not
+carry one: the campaign derives each case's plan from the case seed, so
+the reproducer is the farm config naming the case.
 """
 
 from dataclasses import dataclass, field

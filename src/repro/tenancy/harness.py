@@ -25,23 +25,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cl import CommandQueue, Context
-from repro.core.platform import MobilePlatform, PlatformConfig
+from repro.core.platform import (  # noqa: F401 - re-exports the table
+    ENGINE_MODES,
+    MobilePlatform,
+)
 from repro.driver.kbase import TenancyConfig, TenantSpec
 from repro.errors import SimError
-from repro.gpu.device import GPUConfig
 from repro.gpu.mmu import AS_TAG_SHIFT
 from repro.inject.injector import FaultInjector
 from repro.inject.plan import FaultPlan, FaultSpec
 from repro.kernels.parboil import Sgemm
-
-#: engine mode -> (GPU engine, MMU fast-path enabled); the same four
-#: execution modes the conformance and stats-registry suites sweep
-ENGINE_MODES = {
-    "interp": ("interpreter", False),
-    "fast": ("interpreter", True),
-    "jit": ("jit", True),
-    "mega": ("mega", True),
-}
 
 _DIVERGENT_SOURCE = """
 __kernel void divergent(__global int* data, __global int* out) {
@@ -392,7 +385,8 @@ def run_mixed(tenant_plans, engine_mode="fast", num_host_threads=1,
 
     Args:
         tenant_plans: list of :class:`TenantPlan`, one per tenant.
-        engine_mode: one of :data:`ENGINE_MODES`.
+        engine_mode: anything
+            :meth:`~repro.core.platform.MobilePlatform.for_mode` takes.
         num_host_threads: simulator execution units.
         active: tenant ids that actually run (default: all). Inactive
             tenants still exist — same carve-outs, same VA plan — they
@@ -403,13 +397,9 @@ def run_mixed(tenant_plans, engine_mode="fast", num_host_threads=1,
         seed: input-data seed (per-tenant RNG derives from it).
         arbiter: optional :class:`ArbiterPolicy`.
     """
-    engine, fast_path = ENGINE_MODES[engine_mode]
-    config = PlatformConfig(
-        gpu=GPUConfig(engine=engine, num_host_threads=num_host_threads),
-        tenancy=tenancy_config(tenant_plans, arbiter=arbiter))
-    platform = MobilePlatform(config)
-    platform.gpu.mmu.fast_path_enabled = fast_path
-    platform.initialize()
+    platform = MobilePlatform.for_mode(
+        engine_mode, num_host_threads=num_host_threads,
+        tenancy=tenancy_config(tenant_plans, arbiter=arbiter)).initialize()
     driver = platform.driver
     injector = None
     if plan is not None:
@@ -566,13 +556,14 @@ def fairness_report(result, title="tenants"):
 
 # -- adversarial cross-tenant scenarios ---------------------------------------
 
-#: scenario -> expected outcome class ("isolate": the victim must match
-#: its solo baseline whatever happens to the attacker)
+#: scenario -> the attacker's workload. The one list of cross-tenant
+#: scenarios: the fault campaign derives its ``isolate`` rows (the victim
+#: must match its solo baseline whatever happens to the attacker) from it
 ADVERSARIAL_SCENARIOS = {
-    "xtenant-mmu": "isolate",
-    "xtenant-hang": "isolate",
-    "xtenant-irq-lost": "isolate",
-    "xtenant-oob": "isolate",
+    "xtenant-mmu": "divergent",
+    "xtenant-hang": "divergent",
+    "xtenant-irq-lost": "divergent",
+    "xtenant-oob": "oob",
 }
 
 #: scenarios where the attacker itself is expected to fail cleanly
@@ -583,14 +574,8 @@ def _adversarial_plans(scenario, victim="sgemm"):
     """Victim (fg, two jobs) + attacker. The attacker runs in the
     real-time class so its faults land *before and between* the victim's
     dispatches — including the GPU resets at the top of the ladder."""
-    attacker_workload = {
-        "xtenant-mmu": "divergent",
-        "xtenant-hang": "divergent",
-        "xtenant-irq-lost": "divergent",
-        "xtenant-oob": "oob",
-    }[scenario]
     return [TenantPlan(victim, qos="fg", jobs=2),
-            TenantPlan(attacker_workload, qos="rt", jobs=1)]
+            TenantPlan(ADVERSARIAL_SCENARIOS[scenario], qos="rt", jobs=1)]
 
 
 def _adversarial_plan(scenario, rng, tenant_plans, attacker_id,
@@ -689,7 +674,7 @@ def run_adversarial(scenario, seed, victim="sgemm", engine_mode="fast",
     return ok, detail, counters
 
 
-# -- farm case provider (sweep kind "tenants") --------------------------------
+# -- the standard mixed campaign (farm sweep kind "tenants") ------------------
 
 #: (workload, qos) roles cycled to populate an N-tenant mixed campaign;
 #: spans three QoS classes and a long bg job that actually gets sliced
@@ -720,62 +705,3 @@ def golden_fingerprint(records):
         (tenant_id, sorted(record.golden.items()))
         for tenant_id, record in records.items())).encode()
     return int.from_bytes(hashlib.sha256(blob).digest()[:6], "little")
-
-
-def farm_case_specs(tenants=(4,), engine_modes=("fast",), seeds=1,
-                    threads=(1,), jobs=2):
-    """Case-provider interface for the simulation farm: one mixed
-    fairness campaign per ``tenants × engine_modes × seeds × threads``
-    grid point, each independently executable by :func:`run_farm_case`.
-    ``seeds`` is a count or an explicit list."""
-    for mode in engine_modes:
-        if mode not in ENGINE_MODES:
-            raise ValueError(f"unknown engine mode {mode!r}")
-    seed_values = range(seeds) if isinstance(seeds, int) else list(seeds)
-    for count in tenants:
-        for mode in engine_modes:
-            for seed in seed_values:
-                for num_threads in threads:
-                    yield {
-                        "tenants": int(count),
-                        "engine_mode": mode,
-                        "seed": int(seed),
-                        "num_host_threads": int(num_threads),
-                        "jobs": int(jobs),
-                    }
-
-
-def run_farm_case(spec, artifact_dir=None):
-    """Execute one mixed-campaign spec (inside a farm worker); returns
-    ``(ok, detail, counters, artifacts)``. The fairness report is the
-    artifact; the golden fingerprint lands in the counters so identical
-    campaigns on different engines/worker counts are comparable
-    straight from the farm report."""
-    import os
-
-    plans = default_plans(spec.get("tenants", 4),
-                          jobs=spec.get("jobs", 2))
-    result = run_mixed(plans, engine_mode=spec.get("engine_mode", "fast"),
-                       num_host_threads=spec.get("num_host_threads", 1),
-                       seed=spec.get("seed", 0))
-    bad = [record for record in result.records.values()
-           if record.errors or not record.verified]
-    detail = "; ".join(
-        f"tenant{record.tenant_id}: "
-        f"{'; '.join(record.errors) or 'verification failed'}"
-        for record in bad[:3])
-    counters = {key.replace(".", "_"): int(value)
-                for key, value in result.counters().items()}
-    counters["tenants"] = len(result.records)
-    counters["jobs_completed"] = sum(
-        record.jobs_completed for record in result.records.values())
-    counters["golden_fingerprint"] = golden_fingerprint(result.records)
-    artifacts = []
-    if artifact_dir is not None:
-        from repro.checkpoint.format import atomic_write_text
-
-        os.makedirs(artifact_dir, exist_ok=True)
-        path = os.path.join(artifact_dir, "fairness.txt")
-        atomic_write_text(path, fairness_report(result) + "\n")
-        artifacts.append("fairness.txt")
-    return not bad, detail, counters, artifacts

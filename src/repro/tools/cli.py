@@ -21,8 +21,8 @@ Subcommands:
   workload against the paper's <5% budget.
 - ``faultcampaign`` — seeded fault-injection sweep asserting the
   kbase-faithful recovery invariants (bit-exact recovery, clean failure,
-  usable-after, determinism); failing cases become JSON reproducers
-  (``--replay DIR`` re-runs them).
+  usable-after, determinism); a failing case's reproducer is a one-case
+  farm config (``--replay DIR`` re-runs a directory of them).
 - ``lint FILE``     — run the static binary verifier over compiled
   kernels; findings are inlined into the clause disassembly
   (``--builtin`` sweeps every shipped workload + SLAM kernel,
@@ -42,10 +42,16 @@ Subcommands:
   case/shard expansion; ``farm example`` prints a copy-pasteable
   config.
 
-The campaign verbs (``conformance``, ``faultcampaign``, ``lint``,
-``analyze``, ``farm``) exit non-zero on any failing case (2 on usage
-errors) and end their output with a stable machine-parsable summary
-line::
+``faultcampaign``, ``tenants --adversarial`` and ``conformance --replay``
+are sugar: their arguments become the one sweep of a farm config that
+``run_farm(..., workers=0)`` executes in this process (so a replayed
+corpus's open ``mismatch`` entries must still mismatch, as in the farm).
+
+The campaign verbs (``conformance``, ``faultcampaign``, ``tenants``,
+``lint``, ``analyze``, ``farm``) exit non-zero on any failing case (2 on
+usage errors such as a bad config or an unreadable corpus entry: one
+line, never a traceback) and end their output with a stable
+machine-parsable summary line::
 
     RESULT <verb> status=<ok|fail> key=value ...
 
@@ -54,19 +60,63 @@ human-oriented output.
 """
 
 import argparse
+import glob
 import os
 import sys
 
 import numpy as np
 
+from repro.core.platform import ENGINE_MODES, ENGINE_NAMES
 
-def _result_line(verb, ok, **fields):
-    """The one-line machine-parsable campaign summary (stable format:
-    ``RESULT <verb> status=<ok|fail> k=v ...``, space-separated, values
-    free of spaces)."""
+
+def result_line(verb, ok, **fields):
+    """Print the one-line machine-parsable campaign summary (stable
+    format: ``RESULT <verb> status=<ok|fail> k=v ...``, space-separated,
+    values free of spaces) and return the verb's exit code."""
     parts = [f"RESULT {verb}", f"status={'ok' if ok else 'fail'}"]
     parts.extend(f"{key}={value}" for key, value in fields.items())
     print(" ".join(parts))
+    return 0 if ok else 1
+
+
+def report_cases(verb, cases, count="cases", **fields):
+    """The tail of every per-case campaign: one ``mark id detail`` line
+    per case outcome (``{"id", "verdict", "detail"}``, as in a farm
+    report), then the summary line; returns the exit code."""
+    for case in cases:
+        mark = "ok  " if case["verdict"] == "pass" else "FAIL"
+        print(f"{mark} {case['id']} {case['detail']}".rstrip())
+    failures = sum(case["verdict"] != "pass" for case in cases)
+    return result_line(verb, not failures, **fields,
+                       **{count: len(cases)}, failures=failures)
+
+
+def _run_sweep(verb, sweep, verbose=False):
+    """What the sweeping verbs are sugar for: one sweep as a farm config
+    run in this process; returns the config and the case outcomes."""
+    from repro.validate.farm import load_config, run_farm
+
+    config = load_config({"name": verb, "sweeps": [sweep]})
+    run = run_farm(config, workers=0, progress=print if verbose else None)
+    return config, run.report["cases"]
+
+
+def _fail_closed(command):
+    """A typed simulator error out of a campaign verb is a usage error
+    (bad config, unreadable corpus entry or journal): one line and exit
+    2, never a traceback."""
+    def run(options):
+        from repro.errors import SimError
+        from repro.validate.farm import FarmConfigError
+
+        try:
+            return command(options)
+        except FarmConfigError as exc:
+            print(f"{options.command}: bad config: {exc}")
+        except SimError as exc:
+            print(f"{options.command}: {exc}")
+        return 2
+    return run
 
 
 def _ensure_outdir(path, verb):
@@ -338,15 +388,14 @@ def _cmd_trace(options):
 
 
 def _cmd_overhead(options):
-    from repro.core.platform import MobilePlatform, PlatformConfig
+    from repro.core.platform import MobilePlatform
     from repro.cl import Context
-    from repro.gpu.device import GPUConfig
     from repro.instrument.overhead import measure_overhead
     from repro.kernels import get_workload
 
     def run(instrument):
-        config = PlatformConfig(gpu=GPUConfig(instrument=instrument))
-        context = Context(MobilePlatform(config))
+        context = Context(MobilePlatform.for_mode("fast",
+                                                  instrument=instrument))
         workload = get_workload(options.workload)
         workload.run(context=context, verify=False)
 
@@ -360,24 +409,21 @@ def _cmd_overhead(options):
     return 0 if report.within_budget else 1
 
 
-def _cmd_conformance(options):
-    from repro.validate import ENGINES, replay_directory, run_conformance
+@_fail_closed
+def _conformance_replay(options):
+    _config, cases = _run_sweep("conformance", {
+        "kind": "corpus", "dir": options.replay,
+        "engines": options.engines.split("+") if options.engines else None})
+    return report_cases("conformance", cases, count="entries", mode="replay")
 
+
+def _cmd_conformance(options):
+    from repro.validate import ENGINES, run_conformance
+
+    if options.replay:
+        return _conformance_replay(options)
     engines = tuple(options.engines.split("+")) if options.engines \
         else ENGINES
-    if options.replay:
-        outcomes, failed = replay_directory(options.replay, engines=engines)
-        if not outcomes:
-            print(f"conformance: no corpus entries under {options.replay}")
-            return 2
-        for path, name, mismatches in outcomes:
-            status = "FAIL" if mismatches else "ok"
-            print(f"{status:4s} {name} ({path})")
-            for mismatch in mismatches:
-                print(f"     {mismatch}")
-        _result_line("conformance", not failed, mode="replay",
-                     entries=len(outcomes), failures=len(failed))
-        return 1 if failed else 0
 
     if options.write_corpus:
         error = _ensure_outdir(options.write_corpus, "conformance")
@@ -399,11 +445,11 @@ def _cmd_conformance(options):
     if short:
         print(f"coverage {100 * report.coverage.fraction:.1f}% below "
               f"required {100 * options.min_coverage:.1f}%")
-    ok = report.ok and not short
-    _result_line("conformance", ok, mode="fuzz", seed=options.seed,
-                 programs=report.cases_run, failures=len(report.failures),
-                 coverage=f"{report.coverage.fraction:.4f}")
-    return 0 if ok else 1
+    return result_line("conformance", report.ok and not short,
+                       mode="fuzz", seed=options.seed,
+                       programs=report.cases_run,
+                       failures=len(report.failures),
+                       coverage=f"{report.coverage.fraction:.4f}")
 
 
 def _cmd_lint(options):
@@ -413,6 +459,7 @@ def _cmd_lint(options):
         format_unit,
         lint_source,
         lint_target,
+        totals,
     )
 
     min_severity = Severity.NOTE if options.notes else Severity.WARNING
@@ -444,25 +491,18 @@ def _cmd_lint(options):
         print(json.dumps(document, indent=1))
         return 1 if document["totals"]["errors"] else 0
 
-    total = {"kernels": 0, "errors": 0, "warnings": 0, "notes": 0}
     for unit in units:
         if unit.error:
             print(f"FAIL {unit.label}: {unit.summary()}")
-            total["errors"] += 1
-            continue
-        total["kernels"] += 1
-        for key in ("errors", "warnings", "notes"):
-            total[key] += unit.counts[key]
-        print(format_unit(unit, disasm=not options.no_disasm,
-                          min_severity=min_severity))
+        else:
+            print(format_unit(unit, disasm=not options.no_disasm,
+                              min_severity=min_severity))
 
+    total = totals(units)
     print(f"linted {total['kernels']} kernel(s): {total['errors']} "
           f"error(s), {total['warnings']} warning(s), "
           f"{total['notes']} note(s)")
-    _result_line("lint", not total["errors"], kernels=total["kernels"],
-                 errors=total["errors"], warnings=total["warnings"],
-                 notes=total["notes"])
-    return 1 if total["errors"] else 0
+    return result_line("lint", not total["errors"], **total)
 
 
 def _cmd_analyze(options):
@@ -474,6 +514,7 @@ def _cmd_analyze(options):
         analyze_target,
         builtin_targets,
         format_unit,
+        totals,
         units_to_json,
     )
 
@@ -515,13 +556,12 @@ def _cmd_analyze(options):
 
     for unit in units:
         print(format_unit(unit, disasm=options.disasm))
-    failed = sum(1 for u in units if not u.ok)
-    unbounded = sum(1 for u in units if u.ok and not u.bounded)
-    print(f"analyzed {len(units) - failed} kernel(s): {failed} failed, "
-          f"{unbounded} with unbounded loops")
-    _result_line("analyze", not failed, kernels=len(units) - failed,
-                 failed=failed, unbounded=unbounded)
-    return 1 if failed else 0
+    total = totals(units)
+    print(f"analyzed {total['kernels']} kernel(s): {total['failed']} "
+          f"failed, {total['unbounded']} with unbounded loops")
+    return result_line("analyze", not total["failed"],
+                       kernels=total["kernels"], failed=total["failed"],
+                       unbounded=total["unbounded"])
 
 
 def _analyze_soundness(options):
@@ -565,49 +605,27 @@ def _analyze_soundness(options):
           f"{totals['violations']} violation(s), "
           f"{totals['unbounded_issues']} unbounded, median tightness "
           f"{'n/a' if tight is None else f'{tight:.3f}'}")
-    ok = verified and not totals["violations"]
-    _result_line("analyze", ok, mode="soundness",
-                 records=totals["records"],
-                 violations=totals["violations"],
-                 unbounded=totals["unbounded_issues"],
-                 verified=verified)
-    return 0 if ok else 1
+    return result_line("analyze", verified and not totals["violations"],
+                       mode="soundness", records=totals["records"],
+                       violations=totals["violations"],
+                       unbounded=totals["unbounded_issues"],
+                       verified=verified)
 
 
+@_fail_closed
 def _cmd_faultcampaign(options):
-    from repro.inject.campaign import (
-        SCENARIOS,
-        replay_reproducer,
-        run_campaign,
-    )
+    from repro.validate.farm import PROVIDERS, expand_cases, run_farm
 
+    progress = print if options.verbose else None
     if options.replay:
-        from pathlib import Path
-
-        paths = sorted(Path(options.replay).glob("*.json"))
+        paths = sorted(glob.glob(os.path.join(options.replay, "*.json")))
         if not paths:
             print(f"faultcampaign: no reproducers under {options.replay}")
             return 2
-        failed = 0
-        for path in paths:
-            case = replay_reproducer(
-                path, check_determinism=not options.no_determinism)
-            status = "ok  " if case.ok else "FAIL"
-            failed += not case.ok
-            print(f"{status} {case.workload} {case.scenario} "
-                  f"seed={case.seed} ({path})")
-        print(f"replayed {len(paths)} reproducers, {failed} failing")
-        _result_line("faultcampaign", not failed, mode="replay",
-                     cases=len(paths), failures=failed)
-        return 1 if failed else 0
-
-    scenarios = options.scenarios.split(",") if options.scenarios else None
-    if scenarios:
-        unknown = set(scenarios) - set(SCENARIOS)
-        if unknown:
-            print(f"unknown scenarios: {sorted(unknown)}; "
-                  f"known: {sorted(SCENARIOS)}")
-            return 2
+        cases = [case for path in paths for case in
+                 run_farm(path, workers=0, progress=progress)
+                 .report["cases"]]
+        return report_cases("faultcampaign", cases, mode="replay")
 
     if options.write_repros:
         error = _ensure_outdir(options.write_repros, "faultcampaign")
@@ -615,64 +633,59 @@ def _cmd_faultcampaign(options):
             print(error)
             return 2
 
-    def progress(case):
-        mark = "ok  " if case.ok else "FAIL"
-        print(f"  {mark} {case.workload} {case.scenario} seed={case.seed} "
-              f"fired={case.fired} {case.detail}", flush=True)
+    config, cases = _run_sweep("faultcampaign", {
+        "kind": "fault", "workloads": options.workloads,
+        "scenarios": (options.scenarios.split(",") if options.scenarios
+                      else None),
+        "seeds": options.seeds, "engines": [options.engine],
+        "threads": [options.threads],
+        "check_determinism": not options.no_determinism,
+    }, verbose=options.verbose)
+    failing = [case["id"] for case in cases if case["verdict"] != "pass"]
+    if failing and options.write_repros:
+        specs = {case["id"]: case["spec"] for case in expand_cases(config)}
+        for case_id in failing:
+            PROVIDERS["fault"].write_reproducer(options.write_repros,
+                                                specs[case_id])
+        print(f"wrote {len(failing)} reproducers to {options.write_repros}")
+    return report_cases("faultcampaign", cases, mode="sweep",
+                        engine=options.engine)
 
-    report = run_campaign(
-        workloads=options.workloads, scenarios=scenarios,
-        seeds=options.seeds, engine=options.engine,
-        num_host_threads=options.threads, out_dir=options.write_repros,
-        check_determinism=not options.no_determinism,
-        progress=progress if options.verbose else None)
-    print(report.summary())
-    if report.failures and options.write_repros:
-        print(f"wrote {len(report.failures)} reproducers to "
-              f"{options.write_repros}")
-    _result_line("faultcampaign", report.ok, mode="sweep",
-                 engine=options.engine, cases=len(report.cases),
-                 failures=len(report.failures))
-    return 0 if report.ok else 1
+
+@_fail_closed
+def _tenants_adversarial(options):
+    """The attacker-vs-victim scenarios are the fault campaign's
+    ``isolate`` rows: a ``fault`` sweep over them, victim sgemm."""
+    from repro.tenancy.harness import ADVERSARIAL_SCENARIOS
+
+    scenarios = (sorted(ADVERSARIAL_SCENARIOS)
+                 if options.adversarial == "all"
+                 else options.adversarial.split(","))
+    unknown = set(scenarios) - set(ADVERSARIAL_SCENARIOS)
+    if unknown:
+        print(f"unknown scenarios: {sorted(unknown)}; "
+              f"known: {sorted(ADVERSARIAL_SCENARIOS)}")
+        return 2
+    _config, cases = _run_sweep("tenants", {
+        "kind": "fault", "workloads": ["sgemm"], "scenarios": scenarios,
+        "seeds": [options.seed], "engines": [options.engine],
+        "threads": [options.threads],
+        "check_determinism": not options.no_determinism})
+    return report_cases("tenants", cases, mode="adversarial",
+                        engine=options.engine)
 
 
 def _cmd_tenants(options):
     from repro.tenancy.harness import (
-        ADVERSARIAL_SCENARIOS,
         check_isolation,
         default_plans,
         fairness_report,
-        run_adversarial,
         run_mixed,
         solo_baseline,
     )
 
     if options.adversarial:
-        scenarios = (sorted(ADVERSARIAL_SCENARIOS)
-                     if options.adversarial == "all"
-                     else options.adversarial.split(","))
-        unknown = set(scenarios) - set(ADVERSARIAL_SCENARIOS)
-        if unknown:
-            print(f"unknown scenarios: {sorted(unknown)}; "
-                  f"known: {sorted(ADVERSARIAL_SCENARIOS)}")
-            return 2
-        failed = 0
-        for scenario in scenarios:
-            ok, detail, counters = run_adversarial(
-                scenario, options.seed, engine_mode=options.engine,
-                num_host_threads=options.threads,
-                check_determinism=not options.no_determinism)
-            failed += not ok
-            mark = "ok  " if ok else "FAIL"
-            print(f"{mark} {scenario} resets="
-                  f"{counters['driver.resets']} "
-                  f"retries={counters['driver.retries']} "
-                  f"fired={counters.get('inject.total', 0)} {detail}")
-        _result_line("tenants", not failed, mode="adversarial",
-                     engine=options.engine, cases=len(scenarios),
-                     failures=failed)
-        return 1 if failed else 0
-
+        return _tenants_adversarial(options)
     if options.tenants < 2:
         print("tenants: need at least 2 tenants")
         return 2
@@ -710,15 +723,14 @@ def _cmd_tenants(options):
             print(f"isolation tenant{tenant_id}: solo-vs-multi golden "
                   f"stats {status}")
 
-    ok = not bad and not isolation_failures
-    _result_line("tenants", ok, mode="fairness", engine=options.engine,
-                 tenants=len(multi.records),
-                 dispatches=multi.driver.arbiter.dispatched,
-                 preemptions=multi.driver.preemptions,
-                 promotions=multi.driver.arbiter.promotions,
-                 isolation_checked=checked,
-                 failures=len(bad) + isolation_failures)
-    return 0 if ok else 1
+    return result_line("tenants", not bad and not isolation_failures,
+                       mode="fairness", engine=options.engine,
+                       tenants=len(multi.records),
+                       dispatches=multi.driver.arbiter.dispatched,
+                       preemptions=multi.driver.preemptions,
+                       promotions=multi.driver.arbiter.promotions,
+                       isolation_checked=checked,
+                       failures=len(bad) + isolation_failures)
 
 
 _FARM_EXAMPLE = """\
@@ -741,11 +753,9 @@ _FARM_EXAMPLE = """\
 }"""
 
 
+@_fail_closed
 def _cmd_farm(options):
-    from repro.errors import CheckpointError
     from repro.validate.farm import (
-        FarmConfigError,
-        FarmError,
         expand_cases,
         load_config,
         plan_shards,
@@ -757,58 +767,47 @@ def _cmd_farm(options):
         print(_FARM_EXAMPLE)
         return 0
 
-    try:
-        if options.farm_action == "resume":
-            error = _ensure_outdir(options.outdir, "farm")
+    if options.farm_action == "resume":
+        error = _ensure_outdir(options.outdir, "farm")
+        if error:
+            print(error)
+            return 2
+        run = resume_farm(
+            options.outdir, workers=options.workers,
+            progress=print if options.verbose else None)
+        config = load_config(run.report["config"])
+    else:
+        config = load_config(options.config)
+        if options.farm_action == "plan":
+            cases = expand_cases(config)
+            shards = plan_shards([case["id"] for case in cases],
+                                 config.shard_size)
+            print(f"farm '{config.name}' "
+                  f"(config {config.config_hash[:12]}): "
+                  f"{len(cases)} cases in {len(shards)} shards")
+            for shard in shards:
+                print(f"{shard.shard_id}:")
+                for case_id in shard.case_ids:
+                    print(f"  {case_id}")
+            return 0
+        if options.out is not None:
+            error = _ensure_outdir(options.out, "farm")
             if error:
                 print(error)
                 return 2
-            run = resume_farm(
-                options.outdir, workers=options.workers,
-                progress=print if options.verbose else None)
-            config = load_config(run.report["config"])
-        else:
-            config = load_config(options.config)
-            if options.farm_action == "plan":
-                cases = expand_cases(config)
-                shards = plan_shards([case["id"] for case in cases],
-                                     config.shard_size)
-                print(f"farm '{config.name}' "
-                      f"(config {config.config_hash[:12]}): "
-                      f"{len(cases)} cases in {len(shards)} shards")
-                for shard in shards:
-                    print(f"{shard.shard_id}:")
-                    for case_id in shard.case_ids:
-                        print(f"  {case_id}")
-                return 0
-            if options.out is not None:
-                error = _ensure_outdir(options.out, "farm")
-                if error:
-                    print(error)
-                    return 2
-            run = run_farm(config, workers=options.workers,
-                           outdir=options.out,
-                           progress=print if options.verbose else None)
-    except FarmConfigError as exc:
-        print(f"farm: bad config: {exc}")
-        return 2
-    except CheckpointError as exc:
-        print(f"farm: {exc}")
-        return 2
-    except FarmError as exc:
-        print(f"farm: {exc}")
-        return 2
+        run = run_farm(config, workers=options.workers,
+                       outdir=options.out,
+                       progress=print if options.verbose else None)
 
     print(run.summary())
     if run.report_path:
         print(f"report: {run.report_path}")
     totals = run.report["totals"]
-    _result_line("farm", run.ok, config=config.config_hash[:12],
-                 cases=totals["cases"],
-                 **{verdict: totals[verdict]
-                    for verdict in ("pass", "fail", "error",
-                                    "timeout", "crash")})
-    return 0 if run.ok else 1
+    return result_line("farm", run.ok, config=config.config_hash[:12],
+                       cases=totals["cases"],
+                       **{verdict: totals[verdict]
+                          for verdict in ("pass", "fail", "error",
+                                          "timeout", "crash")})
 
 
 def main(argv=None):
@@ -894,7 +893,8 @@ def main(argv=None):
                         help="engine subset, e.g. interp+fast+mega+m2s "
                              "(default: all five)")
     p_conf.add_argument("--replay", default=None, metavar="DIR",
-                        help="replay a corpus directory instead of fuzzing")
+                        help="replay a corpus directory instead of fuzzing "
+                             "(open mismatch entries must still mismatch)")
     p_conf.add_argument("--write-corpus", default=None, metavar="DIR",
                         help="write minimized reproducers here on failure")
     p_conf.add_argument("--no-minimize", action="store_true",
@@ -986,18 +986,18 @@ def main(argv=None):
     p_fault.add_argument("--seeds", type=int, default=1,
                          help="seeds per (workload, scenario) case")
     p_fault.add_argument("--engine", default="interpreter",
-                         choices=("interpreter", "jit", "mega"))
+                         choices=ENGINE_NAMES)
     p_fault.add_argument("--threads", type=int, default=1,
                          help="num_host_threads for the GPU model")
     p_fault.add_argument("--write-repros", default=None, metavar="DIR",
-                         help="write failing cases here as JSON "
-                              "reproducers")
+                         help="write each failing case here as a "
+                              "reproducer: its one-case farm config")
     p_fault.add_argument("--replay", default=None, metavar="DIR",
-                         help="replay a reproducer directory instead of "
-                              "sweeping")
+                         help="re-run a directory of reproducers (farm "
+                              "configs) instead of sweeping")
     p_fault.add_argument("--no-determinism", action="store_true",
                          help="skip the double-run determinism check "
-                              "(halves runtime)")
+                              "(halves runtime; a reproducer has its own)")
     p_fault.add_argument("--verbose", action="store_true",
                          help="print each case as it lands")
     p_fault.set_defaults(func=_cmd_faultcampaign)
@@ -1012,7 +1012,7 @@ def main(argv=None):
     p_tenants.add_argument("--jobs", type=int, default=2,
                            help="jobs submitted per tenant")
     p_tenants.add_argument("--engine", default="fast",
-                           choices=("interp", "fast", "jit", "mega"))
+                           choices=tuple(ENGINE_MODES))
     p_tenants.add_argument("--threads", type=int, default=1,
                            help="num_host_threads for the GPU model")
     p_tenants.add_argument("--seed", type=int, default=0,

@@ -42,11 +42,7 @@ from repro.validate.runner import (
     make_kernel_case,
 )
 from repro.validate.minimize import make_predicate, minimize_case
-from repro.validate.conformance import (
-    ConformanceReport,
-    replay_directory,
-    run_conformance,
-)
+from repro.validate.conformance import ConformanceReport, run_conformance
 
 __all__ = [
     "InstructionTracer",
@@ -64,6 +60,5 @@ __all__ = [
     "make_predicate",
     "minimize_case",
     "ConformanceReport",
-    "replay_directory",
     "run_conformance",
 ]

@@ -6,15 +6,16 @@ executed case-by-case through the N-way
 :class:`~repro.validate.runner.DifferentialRunner`; any mismatching case is
 automatically minimized and written to a replayable reproducer corpus.
 
-``replay_directory`` re-runs a committed corpus (tests/corpus/) and is what
-the tier-1 suite calls.
+Sweeping seeds and replaying a corpus directory (tests/corpus/) are the
+simulation farm's ``conformance`` and ``corpus`` sweep kinds
+(:mod:`repro.validate.farm.providers`).
 """
 
 import os
 from dataclasses import dataclass, field
 
 from repro.gpu.verify import verify_program
-from repro.validate.corpus import case_to_dict, replay_corpus, save_entry
+from repro.validate.corpus import case_to_dict, save_entry
 from repro.validate.minimize import make_predicate, minimize_case
 from repro.validate.progen import CoverageTracker, ProgramGenerator
 from repro.validate.runner import (
@@ -171,63 +172,3 @@ def _write_reproducer(directory, failure):
         directory, f"repro-seed{failure.seed}-i{failure.index}.json")
     save_entry(path, entry)
     return path
-
-
-def farm_case_specs(seeds, budget, engines=None, minimize=False,
-                    verify=True):
-    """Case-provider interface for the simulation farm: one differential
-    fuzzing chunk per generator seed.
-
-    Each spec is a plain picklable dict executed in a farm worker by
-    :func:`run_farm_case`; seeds are independent generator streams, so
-    any subset of cases can run on any worker in any order.
-    """
-    engine_list = list(engines or ENGINES)
-    for engine in engine_list:
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}")
-    for seed in seeds:
-        yield {
-            "seed": int(seed),
-            "budget": int(budget),
-            "engines": engine_list,
-            "minimize": bool(minimize),
-            "verify": bool(verify),
-        }
-
-
-def run_farm_case(spec, artifact_dir=None):
-    """Execute one :func:`farm_case_specs` spec (inside a farm worker).
-
-    Returns ``(ok, detail, counters, artifacts)`` — all plain values, so
-    the outcome crosses the worker process boundary and lands in the
-    deterministic aggregate report unchanged.
-    """
-    report = run_conformance(
-        seed=spec["seed"], budget=spec["budget"],
-        engines=tuple(spec.get("engines") or ENGINES),
-        minimize=spec.get("minimize", False),
-        corpus_out=artifact_dir, verify=spec.get("verify", True))
-    counters = {
-        "programs": report.cases_run,
-        "failures": len(report.failures),
-        "coverage_hit": report.coverage.covered,
-        "coverage_total": report.coverage.total,
-    }
-    detail = "; ".join(f.summary() for f in report.failures[:3])
-    artifacts = sorted(os.path.basename(f.reproducer_path)
-                       for f in report.failures if f.reproducer_path)
-    return report.ok, detail, counters, artifacts
-
-
-def replay_directory(directory, engines=ENGINES, expect="match"):
-    """Replay a corpus directory; returns (outcomes, failed) where *failed*
-    lists the entries whose result contradicts their ``expect`` field."""
-    runner = DifferentialRunner(engines)
-    outcomes = replay_corpus(directory, runner, expect=expect)
-    failed = []
-    for path, name, mismatches in outcomes:
-        bad = bool(mismatches) if expect == "match" else not mismatches
-        if bad:
-            failed.append((path, name, mismatches))
-    return outcomes, failed

@@ -16,9 +16,12 @@ one of two forms:
   :func:`repro.validate.progen.generate_stress_case` (bounded loops with
   known trip counts, strided/gather access patterns).
 
-``expect`` is ``"match"`` for regression pins that must pass (replayed by
-the tier-1 suite) or ``"mismatch"`` for open reproducers of a known bug
-(skipped by tier-1, kept until the bug is fixed and the entry is flipped).
+``expect`` is ``"match"`` for regression pins that must pass or
+``"mismatch"`` for open reproducers of a known bug, which must *still
+mismatch* (kept until the bug is fixed and the entry is flipped). A
+corpus directory is replayed by the simulation farm's ``corpus`` sweep
+(:mod:`repro.validate.farm.providers`) — ``conformance --replay DIR`` is
+that sweep run in-process — so it has one meaning everywhere.
 """
 
 import json
@@ -26,6 +29,7 @@ import os
 
 import numpy as np
 
+from repro.errors import CorpusError, SimError
 from repro.gpu.encoding import decode_program, encode_program
 from repro.validate.progen import ProgramGenerator
 from repro.validate.runner import DiffCase, generated_case_to_diff
@@ -80,10 +84,32 @@ def stress_entry(seed, category, name="", expect="match", notes=""):
     }
 
 
-def dict_to_case(entry):
-    """Materialize a corpus entry back into a :class:`DiffCase`."""
+def dict_to_case(entry, path="<corpus entry>"):
+    """Materialize a corpus entry (loaded from *path*) back into a
+    :class:`DiffCase`; anything wrong with it is a
+    :class:`~repro.errors.CorpusError` naming the file."""
+    _check_entry(entry, path)
+    try:
+        return _materialize(entry)
+    except (KeyError, IndexError, TypeError, ValueError, SimError) as exc:
+        raise CorpusError(f"{path}: malformed corpus entry: "
+                          f"{type(exc).__name__}: {exc}") from exc
+
+
+def _check_entry(entry, path):
+    """The envelope every entry form shares: a JSON object of the known
+    format, expecting ``match`` or ``mismatch``."""
+    if not isinstance(entry, dict):
+        raise CorpusError(f"{path}: corpus entry must be a JSON object")
     if entry.get("format") != CORPUS_FORMAT:
-        raise ValueError(f"unsupported corpus format {entry.get('format')!r}")
+        raise CorpusError(f"{path}: unsupported corpus format "
+                          f"{entry.get('format')!r}")
+    if entry.get("expect", "match") not in ("match", "mismatch"):
+        raise CorpusError(f"{path}: 'expect' must be \"match\" or "
+                          f"\"mismatch\", not {entry['expect']!r}")
+
+
+def _materialize(entry):
     generator = entry.get("generator")
     if generator is not None:
         produced = ProgramGenerator(generator["seed"]).generate_nth(
@@ -129,6 +155,17 @@ def save_entry(path, entry):
     atomic_write_text(path, json.dumps(entry, indent=1) + "\n")
 
 
+def load_entry(path):
+    """Read one entry file and check its envelope."""
+    try:
+        with open(path) as handle:
+            entry = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise CorpusError(f"{path}: unreadable corpus entry: {exc}") from exc
+    _check_entry(entry, path)
+    return entry
+
+
 def load_entries(directory):
     """Load every ``*.json`` entry in *directory*, sorted by filename.
 
@@ -138,65 +175,7 @@ def load_entries(directory):
     if not os.path.isdir(directory):
         return entries
     for filename in sorted(os.listdir(directory)):
-        if not filename.endswith(".json"):
-            continue
-        path = os.path.join(directory, filename)
-        with open(path) as handle:
-            entries.append((path, json.load(handle)))
+        if filename.endswith(".json"):
+            path = os.path.join(directory, filename)
+            entries.append((path, load_entry(path)))
     return entries
-
-
-def farm_case_specs(directory, engines=None):
-    """Case-provider interface for the simulation farm: one replay case
-    per corpus entry, addressed by filename so the sweep is stable across
-    re-expansion.
-
-    Entries are *not* loaded here (expansion runs in the manager; the
-    worker re-reads the file), only enumerated and tagged with their
-    ``expect`` field.
-    """
-    for path, entry in load_entries(directory):
-        yield {
-            "path": path,
-            "name": entry.get("name", os.path.basename(path)),
-            "expect": entry.get("expect", "match"),
-            "engines": list(engines) if engines else None,
-        }
-
-
-def run_farm_case(spec):
-    """Replay one corpus entry (inside a farm worker); returns
-    ``(ok, detail, counters)``."""
-    from repro.validate.runner import (
-        ENGINES,
-        DifferentialRunner,
-        run_case_outcome,
-    )
-
-    with open(spec["path"]) as handle:
-        entry = json.load(handle)
-    case = dict_to_case(entry)
-    runner = DifferentialRunner(tuple(spec.get("engines") or ENGINES))
-    ok, detail, counters = run_case_outcome(runner, case)
-    if spec.get("expect", "match") == "mismatch":
-        # an open reproducer of a known bug *must* still mismatch
-        ok, detail = (not ok), ("expected a mismatch, case now matches"
-                                if ok else "")
-    return ok, detail, counters
-
-
-def replay_corpus(directory, runner, expect="match"):
-    """Replay every entry in *directory* with the given *expect* value.
-
-    Returns a list of (path, case name, mismatches); an entry *passes*
-    when ``expect == "match"`` and its mismatch list is empty, or when
-    ``expect == "mismatch"`` and it is not.
-    """
-    outcomes = []
-    for path, entry in load_entries(directory):
-        if entry.get("expect", "match") != expect:
-            continue
-        case = dict_to_case(entry)
-        _results, mismatches = runner.run_case(case)
-        outcomes.append((path, case.name, mismatches))
-    return outcomes

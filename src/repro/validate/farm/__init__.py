@@ -6,17 +6,17 @@ points — into one declaratively-configured, multiprocess, crash- and
 hang-tolerant farm with a deterministic aggregate report:
 
 - :mod:`.config` — sweep configs, canonicalization, the config hash;
-- :mod:`.providers` — per-kind case expansion/execution (adapting the
-  case-provider interfaces exported by ``repro.validate.conformance``,
-  ``repro.validate.corpus``, ``repro.inject.campaign`` and
-  ``repro.gpu.verify.lint``);
+- :mod:`.providers` — each kind's grid, per-case execution and outcome
+  shaping (the one layer over what the swept subsystems export to run
+  one thing);
 - :mod:`.shard` — the worker-count-independent shard plan and the
   deterministic re-shard used for retries;
 - :mod:`.worker` — the per-process execution loop (fresh platform per
   case);
 - :mod:`.manager` — ``run_farm``: the pool, timeout kills, bounded
-  retries, respawns; ``resume_farm``: finish a killed campaign from
-  its journal;
+  retries, respawns — or, with ``workers=0``, the calling process as
+  the executor; ``resume_farm``: finish a killed campaign from its
+  journal;
 - :mod:`.journal` — the digest-verified per-case outcome journal that
   makes campaigns crash-resumable;
 - :mod:`.report` — the byte-identical aggregate report plus the human

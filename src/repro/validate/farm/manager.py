@@ -16,6 +16,12 @@ Execution model (FireSim-style deploy layer, scaled to one host):
    (``report.build_report``) — byte-identical however many workers ran
    the plan and whether any of them had to be killed along the way.
 
+``workers=0`` replaces steps 2 and 3 with the calling process executing
+the plan itself, case by case: same expansion, plan, journal and report
+(so the same bytes), no queues, no processes, nobody to police a
+timeout. It is how the standalone campaign verbs (``faultcampaign``,
+``tenants --adversarial``, ``conformance --replay``) run a sweep.
+
 Worker death inside the tiny window between dequeuing a task and
 announcing it cannot be attributed to a shard; the manager guards the
 whole run with a global progress deadline so even that pathological
@@ -38,7 +44,7 @@ from repro.validate.farm.report import (
     summary_lines,
 )
 from repro.validate.farm.shard import plan_shards, retry_shard
-from repro.validate.farm.worker import ShardTask, worker_main
+from repro.validate.farm.worker import ShardTask, execute_case, worker_main
 
 
 class FarmError(SimError):
@@ -90,7 +96,9 @@ def run_farm(config, workers=2, outdir=None, chaos=None, progress=None,
     Args:
         config: a :class:`~repro.validate.farm.config.FarmConfig`, a
             config dict, or a JSON file path.
-        workers: worker process count (the report does not depend on it).
+        workers: worker process count (the report does not depend on
+            it); 0 executes every case in the calling process, without
+            timeout policing (*chaos* and the pool knobs do not apply).
         outdir: artifact/report directory (created); ``report.json``,
             per-case artifacts and the crash-resume journal
             (``resume/``) land here.
@@ -109,8 +117,8 @@ def run_farm(config, workers=2, outdir=None, chaos=None, progress=None,
 
     if not hasattr(config, "config_hash"):
         config = load_config(config)
-    if workers < 1:
-        raise FarmError("need at least one worker")
+    if workers < 0:
+        raise FarmError("worker count must be >= 0")
     cases = expand_cases(config)
     case_by_id = {case["id"]: case for case in cases}
     shards = plan_shards([case["id"] for case in cases], config.shard_size)
@@ -122,11 +130,6 @@ def run_farm(config, workers=2, outdir=None, chaos=None, progress=None,
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
         journal.init_journal(outdir, config)
-    stall_limit = stall_limit or config.timeout_s + 60.0
-
-    ctx = mp.get_context(start_method or default_start_method())
-    task_queue = ctx.Queue()
-    result_queue = ctx.Queue()
 
     run_log = []
     run_info = {"workers": workers, "retries": 0, "kills": 0,
@@ -145,6 +148,47 @@ def run_farm(config, workers=2, outdir=None, chaos=None, progress=None,
         outcomes.update(preloaded)
         log(f"resume: {len(preloaded)} of {len(cases)} outcomes "
             f"preloaded from the journal")
+
+    def record(outcome):
+        if outcome["id"] not in outcomes:
+            outcomes[outcome["id"]] = outcome
+            if outdir is not None:
+                # journal before logging: once an outcome is visible it
+                # is also durable, so a later kill cannot un-settle it
+                journal.record_outcome(outdir, outcome)
+            mark = outcome["verdict"]
+            log(f"{mark:>7} {outcome['id']}"
+                + (f" -- {outcome['detail']}" if mark != "pass"
+                   and outcome["detail"] else ""))
+
+    start = time.monotonic()
+
+    def finish():
+        run_info["elapsed"] = time.monotonic() - start
+        report = build_report(config, outcomes, shards)
+        raw = report_to_bytes(report)
+        report_path = None
+        if outdir is not None:
+            from repro.checkpoint.format import atomic_write_bytes
+
+            report_path = os.path.join(outdir, "report.json")
+            atomic_write_bytes(report_path, raw)
+            atomic_write_bytes(os.path.join(outdir, "run.log"),
+                               ("\n".join(run_log) + "\n").encode("utf-8"))
+        return FarmRun(report=report, report_bytes=raw,
+                       report_path=report_path, run_info=dict(run_info),
+                       run_log=run_log)
+
+    if workers == 0:
+        for case in cases:
+            if case["id"] not in outcomes:
+                record(execute_case(case, outdir))
+        return finish()
+
+    stall_limit = stall_limit or config.timeout_s + 60.0
+    ctx = mp.get_context(start_method or default_start_method())
+    task_queue = ctx.Queue()
+    result_queue = ctx.Queue()
 
     def enqueue(shard, attempt_tag=""):
         task = ShardTask(shard_id=shard.shard_id, attempt=shard.attempt,
@@ -177,18 +221,6 @@ def run_farm(config, workers=2, outdir=None, chaos=None, progress=None,
         slot.task_key = None
         slot.case_id = None
         slot.case_started = None
-
-    def record(outcome):
-        if outcome["id"] not in outcomes:
-            outcomes[outcome["id"]] = outcome
-            if outdir is not None:
-                # journal before logging: once an outcome is visible it
-                # is also durable, so a later kill cannot un-settle it
-                journal.record_outcome(outdir, outcome)
-            mark = outcome["verdict"]
-            log(f"{mark:>7} {outcome['id']}"
-                + (f" -- {outcome['detail']}" if mark != "pass"
-                   and outcome["detail"] else ""))
 
     def adjudicate(case_id, verdict, detail):
         case = case_by_id[case_id]
@@ -234,7 +266,6 @@ def run_farm(config, workers=2, outdir=None, chaos=None, progress=None,
                      case_ids=tuple(case["id"] for case in task.cases),
                      attempt=task.attempt)
 
-    start = time.monotonic()
     last_message = start
     try:
         if len(outcomes) < len(cases):
@@ -314,21 +345,7 @@ def run_farm(config, workers=2, outdir=None, chaos=None, progress=None,
         for q in (task_queue, result_queue):
             q.close()
             q.cancel_join_thread()
-
-    run_info["elapsed"] = time.monotonic() - start
-    report = build_report(config, outcomes, shards)
-    raw = report_to_bytes(report)
-    report_path = None
-    if outdir is not None:
-        from repro.checkpoint.format import atomic_write_bytes
-
-        report_path = os.path.join(outdir, "report.json")
-        atomic_write_bytes(report_path, raw)
-        atomic_write_bytes(os.path.join(outdir, "run.log"),
-                           ("\n".join(run_log) + "\n").encode("utf-8"))
-    return FarmRun(report=report, report_bytes=raw,
-                   report_path=report_path, run_info=dict(run_info),
-                   run_log=run_log)
+    return finish()
 
 
 def resume_farm(outdir, workers=2, chaos=None, progress=None,

@@ -1,51 +1,85 @@
-"""Case providers: each sweep kind's expansion and per-case execution.
+"""Case providers: each sweep kind's grid and per-case execution.
 
-A provider contributes two pure pieces:
+A provider is the one layer between a sweep dict and a case outcome:
 
 - ``normalize(sweep)`` — validate one sweep dict and expand shorthand
   into the canonical form that enters the config hash (runs at load
   time, in the manager);
-- ``expand(sweep, config)`` — enumerate ``(case_id, spec)`` pairs in a
-  deterministic order (manager side; ids must be globally unique);
-- ``execute(spec, artifact_dir)`` — run one case to completion inside a
-  **worker process** on a fresh platform, returning
-  ``(ok, detail, counters, artifacts)`` of plain picklable values.
+- ``expand(sweep, config)`` — the product over that canonical (already
+  validated) sweep: ``(case_id, spec)`` pairs in a deterministic order
+  (manager side; ids must be globally unique);
+- ``execute(spec, artifact_dir)`` — run one case to completion on a
+  fresh platform — inside a **worker process**, or in the caller's for
+  ``run_farm(workers=0)`` — returning ``(ok, detail, counters,
+  artifacts)`` of plain picklable values.
 
-The actual campaign logic lives with the subsystems being swept:
-``repro.validate.conformance``, ``repro.validate.corpus``,
-``repro.inject.campaign``, ``repro.gpu.verify.lint`` and
-``repro.gpu.verify.analyze`` each export a farm case-provider interface
-this module adapts; ``bench`` runs
+The subsystems being swept export what runs *one* thing —
+``run_conformance``, ``dict_to_case``, ``run_case``, ``run_mixed``,
+``lint_target``, ``analyze_target`` — and are imported lazily; the grids
+and the outcome shaping live here and nowhere else. ``bench`` runs
 registered workloads; ``selftest`` exercises the farm itself (a case
 that passes, a case that raises, a case that genuinely hangs) and is
 what the isolation and kill-recovery tests sweep.
 """
 
+import json
 import os
 import re
+from itertools import product
 
+from repro.core.platform import ENGINE_MODES, ENGINE_NAMES, MobilePlatform
+from repro.gpu.verify import analyze, lint
 from repro.validate.farm.config import FarmConfigError
 
 
-def _sorted_unique(values, what):
-    out = sorted(set(values))
-    if not out:
-        raise FarmConfigError(f"{what} must not be empty")
-    return out
-
-
-def _seed_list(value, what="seeds"):
-    """``3`` -> [0, 1, 2]; an explicit list passes through sorted."""
-    if isinstance(value, bool):
-        raise FarmConfigError(f"{what} must be an int or list of ints")
+def _int_list(value, what, minimum=None):
+    """An int stands for the one-element list; lists come back sorted
+    and de-duplicated."""
     if isinstance(value, int):
+        value = [value]
+    if not isinstance(value, list) or not value or not all(
+            isinstance(v, int) and not isinstance(v, bool)
+            and (minimum is None or v >= minimum) for v in value):
+        raise FarmConfigError(
+            f"{what} must be an int or non-empty list of ints"
+            + ("" if minimum is None else f" >= {minimum}"))
+    return sorted(set(value))
+
+
+def _positive_int(sweep, key, default):
+    value = sweep.get(key, default)
+    if not isinstance(value, int) or value < 1:
+        raise FarmConfigError(f"'{key}' must be a positive integer")
+    return value
+
+
+def _seed_list(value):
+    """``3`` -> [0, 1, 2]; an explicit list passes through sorted."""
+    if isinstance(value, int) and not isinstance(value, bool):
         if value < 1:
-            raise FarmConfigError(f"{what} must be >= 1")
-        return list(range(value))
-    if isinstance(value, list) and all(
-            isinstance(v, int) and not isinstance(v, bool) for v in value):
-        return _sorted_unique(value, what)
-    raise FarmConfigError(f"{what} must be an int or list of ints")
+            raise FarmConfigError("seeds must be >= 1")
+        value = list(range(value))
+    return _int_list(value, "seeds")
+
+
+def _checked(values, known, what):
+    """*values* as a list whose every element is one of *known*."""
+    values = list(values)
+    for value in values:
+        if value not in known:
+            raise FarmConfigError(f"unknown {what} {value!r}")
+    return values
+
+
+def _write_artifact(artifact_dir, name, text):
+    """Write one per-case artifact; returns the case's artifact list."""
+    from repro.checkpoint.format import atomic_write_text
+
+    if artifact_dir is None:
+        return []
+    os.makedirs(artifact_dir, exist_ok=True)
+    atomic_write_text(os.path.join(artifact_dir, name), text)
+    return [name]
 
 
 def sanitize_case_id(case_id):
@@ -54,237 +88,238 @@ def sanitize_case_id(case_id):
 
 
 class ConformanceProvider:
-    """Coverage-guided differential fuzzing chunks, one per seed."""
+    """Coverage-guided differential fuzzing chunks, one per seed (seeds
+    are independent generator streams, so any subset of cases can run on
+    any worker in any order)."""
 
     kind = "conformance"
 
     def normalize(self, sweep):
         from repro.validate.runner import ENGINES
 
-        engines = sweep.get("engines") or list(ENGINES)
-        for engine in engines:
-            if engine not in ENGINES:
-                raise FarmConfigError(f"unknown engine {engine!r}")
-        budget = sweep.get("budget", 25)
-        if not isinstance(budget, int) or budget < 1:
-            raise FarmConfigError("'budget' must be a positive integer")
         return {
             "kind": self.kind,
             "seeds": _seed_list(sweep.get("seeds", 1)),
-            "budget": budget,
-            "engines": list(engines),
+            "budget": _positive_int(sweep, "budget", 25),
+            "engines": _checked(sweep.get("engines") or ENGINES, ENGINES,
+                                "engine"),
             "minimize": bool(sweep.get("minimize", False)),
             "verify": bool(sweep.get("verify", True)),
         }
 
     def expand(self, sweep, config):
-        from repro.validate.conformance import farm_case_specs
-
         engines = "+".join(sweep["engines"])
-        for spec in farm_case_specs(
-                sweep["seeds"], sweep["budget"], engines=sweep["engines"],
-                minimize=sweep["minimize"], verify=sweep["verify"]):
-            yield f"conformance/{engines}/seed{spec['seed']}", spec
+        for seed in sweep["seeds"]:
+            yield f"conformance/{engines}/seed{seed}", {
+                "seed": seed, "budget": sweep["budget"],
+                "engines": sweep["engines"],
+                "minimize": sweep["minimize"], "verify": sweep["verify"]}
 
     def execute(self, spec, artifact_dir):
-        from repro.validate.conformance import run_farm_case
+        from repro.validate.conformance import run_conformance
 
-        return run_farm_case(spec, artifact_dir=artifact_dir)
+        report = run_conformance(
+            seed=spec["seed"], budget=spec["budget"],
+            engines=tuple(spec["engines"]), minimize=spec["minimize"],
+            corpus_out=artifact_dir, verify=spec["verify"])
+        counters = {
+            "programs": report.cases_run,
+            "failures": len(report.failures),
+            "coverage_hit": report.coverage.covered,
+            "coverage_total": report.coverage.total,
+        }
+        detail = "; ".join(f.summary() for f in report.failures[:3])
+        artifacts = [os.path.basename(f.reproducer_path)
+                     for f in report.failures if f.reproducer_path]
+        return report.ok, detail, counters, artifacts
 
 
 class CorpusProvider:
-    """Replay of a reproducer corpus directory, one case per entry."""
+    """Replay of a reproducer corpus directory, one case per entry:
+    ``match`` entries must match, open ``mismatch`` reproducers of a
+    known bug must still mismatch."""
 
     kind = "corpus"
 
     def normalize(self, sweep):
+        from repro.validate.runner import ENGINES
+
         directory = sweep.get("dir")
         if not isinstance(directory, str) or not directory:
             raise FarmConfigError("corpus sweep needs a 'dir'")
         engines = sweep.get("engines")
-        if engines is not None:
-            from repro.validate.runner import ENGINES
-
-            for engine in engines:
-                if engine not in ENGINES:
-                    raise FarmConfigError(f"unknown engine {engine!r}")
         return {"kind": self.kind, "dir": directory,
-                "engines": list(engines) if engines else None}
+                "engines": (_checked(engines, ENGINES, "engine")
+                            if engines else None)}
 
     def expand(self, sweep, config):
-        from repro.validate.corpus import farm_case_specs
+        from repro.validate.corpus import load_entries
 
-        found = False
-        for spec in farm_case_specs(sweep["dir"], engines=sweep["engines"]):
-            found = True
-            yield f"corpus/{os.path.basename(spec['path'])}", spec
-        if not found:
+        # entries are addressed by filename, so the sweep is stable
+        # across re-expansion; the executing process re-reads the file
+        entries = load_entries(sweep["dir"])
+        if not entries:
             raise FarmConfigError(
-                f"corpus sweep: no entries under {sweep['dir']!r}")
+                f"corpus sweep: no corpus entries under {sweep['dir']!r}")
+        for path, entry in entries:
+            yield f"corpus/{os.path.basename(path)}", {
+                "path": path,
+                "name": entry.get("name", os.path.basename(path)),
+                "expect": entry.get("expect", "match"),
+                "engines": sweep["engines"],
+            }
 
     def execute(self, spec, artifact_dir):
-        from repro.validate.corpus import run_farm_case
+        from repro.validate.corpus import dict_to_case, load_entry
+        from repro.validate.runner import (
+            ENGINES,
+            DifferentialRunner,
+            run_case_outcome,
+        )
 
-        ok, detail, counters = run_farm_case(spec)
+        case = dict_to_case(load_entry(spec["path"]), spec["path"])
+        runner = DifferentialRunner(tuple(spec["engines"] or ENGINES))
+        ok, detail, counters = run_case_outcome(runner, case)
+        if spec["expect"] == "mismatch":
+            ok, detail = (not ok), ("expected a mismatch, case now matches"
+                                    if ok else "")
         return ok, detail, counters, []
 
 
 class FaultProvider:
-    """Seeded fault-injection cases over the recovery invariants."""
+    """Seeded fault-injection cases over the recovery invariants: the
+    ``workloads x scenarios x seeds x engines x threads`` grid."""
 
     kind = "fault"
 
     def normalize(self, sweep):
-        from repro.inject.campaign import DEFAULT_WORKLOADS, SCENARIOS
+        from repro.inject import campaign
 
-        scenarios = sweep.get("scenarios") or sorted(SCENARIOS)
-        for scenario in scenarios:
-            if scenario not in SCENARIOS:
-                raise FarmConfigError(f"unknown scenario {scenario!r}")
-        engines = sweep.get("engines") or ["interpreter"]
-        for engine in engines:
-            if engine not in ("interpreter", "jit", "mega"):
-                raise FarmConfigError(f"unknown fault engine {engine!r}")
         return {
             "kind": self.kind,
-            "workloads": list(sweep.get("workloads")
-                              or DEFAULT_WORKLOADS),
-            "scenarios": sorted(scenarios),
+            "workloads": _checked(
+                sweep.get("workloads") or campaign.DEFAULT_WORKLOADS,
+                campaign.known_workloads(), "fault workload"),
+            "scenarios": sorted(_checked(
+                sweep.get("scenarios") or campaign.SCENARIOS,
+                campaign.SCENARIOS, "scenario")),
             "seeds": _seed_list(sweep.get("seeds", 1)),
-            "engines": list(engines),
-            "threads": _seed_list(sweep.get("threads", [1]), "threads"),
+            "engines": _checked(sweep.get("engines") or ["interpreter"],
+                                ENGINE_NAMES, "fault engine"),
+            "threads": _int_list(sweep.get("threads", [1]), "threads", 1),
             "check_determinism": bool(sweep.get("check_determinism",
                                                 False)),
         }
 
     def expand(self, sweep, config):
-        from repro.inject.campaign import farm_case_specs
-
-        for spec in farm_case_specs(
-                workloads=sweep["workloads"], scenarios=sweep["scenarios"],
-                seeds=sweep["seeds"], engines=sweep["engines"],
-                threads=sweep["threads"],
-                check_determinism=sweep["check_determinism"]):
-            yield (f"fault/{spec['workload']}/{spec['scenario']}"
-                   f"/s{spec['seed']}/{spec['engine']}"
-                   f"/t{spec['num_host_threads']}"), spec
+        for workload, scenario, seed, engine, threads in product(
+                sweep["workloads"], sweep["scenarios"], sweep["seeds"],
+                sweep["engines"], sweep["threads"]):
+            yield (f"fault/{workload}/{scenario}/s{seed}/{engine}"
+                   f"/t{threads}"), {
+                "workload": workload, "scenario": scenario, "seed": seed,
+                "engine": engine, "num_host_threads": threads,
+                "check_determinism": sweep["check_determinism"]}
 
     def execute(self, spec, artifact_dir):
-        from repro.inject.campaign import run_farm_case
+        from repro.inject.campaign import CaseResult, run_case
 
-        return run_farm_case(spec, artifact_dir=artifact_dir)
+        try:
+            case, _plan = run_case(
+                spec["workload"], spec["scenario"], spec["seed"],
+                engine=spec["engine"],
+                num_host_threads=spec["num_host_threads"],
+                check_determinism=spec["check_determinism"])
+        except Exception as exc:  # invariant: nothing escapes raw
+            case = CaseResult(
+                spec["workload"], spec["scenario"], spec["seed"], False,
+                f"non-SimError escaped: {type(exc).__name__}: {exc}")
+        artifacts = [] if case.ok \
+            else self.write_reproducer(artifact_dir, spec)
+        counters = {key: int(value) for key, value in
+                    sorted(case.counters.items())}
+        counters["fired"] = int(case.fired)
+        return case.ok, case.detail, counters, artifacts
+
+    def reproducer(self, spec):
+        """The farm config whose one case is *spec*: every axis a
+        singleton, the plan regenerated from the seed. ``farm run FILE``
+        and ``faultcampaign --replay DIR`` re-run it."""
+        return {
+            "name": (f"{spec['workload']}--{spec['scenario']}"
+                     f"--s{spec['seed']}"),
+            "sweeps": [{
+                "kind": self.kind,
+                "workloads": [spec["workload"]],
+                "scenarios": [spec["scenario"]],
+                "seeds": [spec["seed"]],
+                "engines": [spec["engine"]],
+                "threads": [spec["num_host_threads"]],
+                "check_determinism": spec["check_determinism"],
+            }],
+        }
+
+    def write_reproducer(self, out_dir, spec):
+        """Write *spec*'s reproducer into *out_dir* as ``<name>.json``;
+        returns the artifact list (that file name)."""
+        config = self.reproducer(spec)
+        return _write_artifact(out_dir, config["name"] + ".json",
+                               json.dumps(config, indent=2) + "\n")
 
 
-class LintProvider:
-    """Static-verifier sweeps, one case per lint target."""
+class StaticToolProvider:
+    """One case per target of a static tool: ``lint`` (the binary
+    verifier) or ``analyze`` (the cost analysis). Both modules have the
+    same shape — ``<kind>_target`` gives the target's units, ``totals``
+    folds them into the counters, ``format_unit`` renders the failing
+    ones into the case's text artifact.
 
-    kind = "lint"
+    A lint case fails on any error-severity finding or failed compile.
+    An analyze case fails when any kernel fails to analyze (compile
+    error or structural errors blocking the cost pass); unbounded loops
+    are reported in the counters but are not failures (data-dependent
+    loops are legitimate — the soundness gate, not the farm, decides
+    whether their page bounds still dominate)."""
+
+    def __init__(self, kind, tool, artifact, headline):
+        self.kind = kind
+        self.tool = tool            # the module: lint or analyze
+        self.artifact = artifact    # file the failing units are written to
+        self.headline = headline    # the unit method giving its status line
 
     def normalize(self, sweep):
+        builtin = self.tool.builtin_targets()
         targets = sweep.get("targets", "builtin")
         if targets == "builtin":
-            from repro.gpu.verify.lint import builtin_targets
-
-            targets = builtin_targets()
-        if not isinstance(targets, list) or not targets:
+            targets = builtin
+        if not isinstance(targets, list) or not targets or not all(
+                isinstance(target, str) for target in targets):
             raise FarmConfigError(
-                "lint sweep needs 'targets' (list or \"builtin\")")
+                f"{self.kind} sweep needs 'targets' (list or \"builtin\")")
+        for target in targets:
+            if target.startswith("builtin:") and target not in builtin:
+                raise FarmConfigError(
+                    f"unknown {self.kind} target {target!r}")
         return {"kind": self.kind, "targets": sorted(targets),
                 "version": sweep.get("version")}
 
     def expand(self, sweep, config):
         for target in sweep["targets"]:
-            yield f"lint/{target}", {"target": target,
-                                     "version": sweep["version"]}
+            yield f"{self.kind}/{target}", {"target": target,
+                                            "version": sweep["version"]}
 
     def execute(self, spec, artifact_dir):
-        from repro.gpu.verify.lint import format_unit, lint_target
-
-        units = lint_target(spec["target"], version=spec["version"])
-        counters = {"kernels": 0, "errors": 0, "warnings": 0, "notes": 0}
-        failing = []
-        for unit in units:
-            if unit.error:
-                counters["errors"] += 1
-                failing.append(unit)
-                continue
-            counters["kernels"] += 1
-            for key in ("errors", "warnings", "notes"):
-                counters[key] += unit.counts[key]
-            if not unit.ok:
-                failing.append(unit)
-        artifacts = []
-        if failing and artifact_dir is not None:
-            from repro.checkpoint.format import atomic_write_text
-
-            os.makedirs(artifact_dir, exist_ok=True)
-            path = os.path.join(artifact_dir, "findings.txt")
-            atomic_write_text(path, "".join(
-                format_unit(unit) + "\n" for unit in failing))
-            artifacts.append("findings.txt")
+        tool = self.tool
+        units = getattr(tool, f"{self.kind}_target")(
+            spec["target"], version=spec["version"])
+        failing = [unit for unit in units if not unit.ok]
+        artifacts = [] if not failing else _write_artifact(
+            artifact_dir, self.artifact,
+            "".join(tool.format_unit(unit) + "\n" for unit in failing))
         detail = "; ".join(
-            f"{u.label}:{u.kernel or '<compile>'} {u.summary()}"
-            for u in failing[:3])
-        return not failing, detail, counters, artifacts
-
-
-class AnalyzeProvider:
-    """Static cost-analysis sweeps, one case per analyze target.
-
-    A case fails when any kernel fails to analyze (compile error or
-    structural errors blocking the cost pass); unbounded loops are
-    reported in the counters but are not failures (data-dependent loops
-    are legitimate — the soundness gate, not the farm, decides whether
-    their page bounds still dominate)."""
-
-    kind = "analyze"
-
-    def normalize(self, sweep):
-        targets = sweep.get("targets", "builtin")
-        if targets == "builtin":
-            from repro.gpu.verify.analyze import builtin_targets
-
-            targets = builtin_targets()
-        if not isinstance(targets, list) or not targets:
-            raise FarmConfigError(
-                "analyze sweep needs 'targets' (list or \"builtin\")")
-        return {"kind": self.kind, "targets": sorted(targets),
-                "version": sweep.get("version")}
-
-    def expand(self, sweep, config):
-        for target in sweep["targets"]:
-            yield f"analyze/{target}", {"target": target,
-                                        "version": sweep["version"]}
-
-    def execute(self, spec, artifact_dir):
-        from repro.gpu.verify.analyze import analyze_target, format_unit
-
-        units = analyze_target(spec["target"], version=spec["version"])
-        counters = {"kernels": 0, "failed": 0, "unbounded": 0,
-                    "loops": 0}
-        failing = []
-        for unit in units:
-            if not unit.ok:
-                counters["failed"] += 1
-                failing.append(unit)
-                continue
-            counters["kernels"] += 1
-            counters["loops"] += len(unit.summary.loops)
-            if not unit.bounded:
-                counters["unbounded"] += 1
-        artifacts = []
-        if failing and artifact_dir is not None:
-            from repro.checkpoint.format import atomic_write_text
-
-            os.makedirs(artifact_dir, exist_ok=True)
-            path = os.path.join(artifact_dir, "analysis.txt")
-            atomic_write_text(path, "".join(
-                format_unit(unit) + "\n" for unit in failing))
-            artifacts.append("analysis.txt")
-        detail = "; ".join(
-            f"{u.label}:{u.kernel or '<compile>'} {u.headline()}"
-            for u in failing[:3])
-        return not failing, detail, counters, artifacts
+            f"{u.label}:{u.kernel or '<compile>'} "
+            f"{getattr(u, self.headline)()}" for u in failing[:3])
+        return not failing, detail, tool.totals(units), artifacts
 
 
 class BenchProvider:
@@ -311,12 +346,9 @@ class BenchProvider:
                     f"bench params for {name!r} must be integers")
             normalized.append({"name": name,
                                "params": dict(sorted(params.items()))})
-        engines = sweep.get("engines") or ["interpreter"]
-        for engine in engines:
-            if engine not in ("interpreter", "jit", "mega"):
-                raise FarmConfigError(f"unknown bench engine {engine!r}")
         return {"kind": self.kind, "workloads": normalized,
-                "engines": list(engines)}
+                "engines": _checked(sweep.get("engines") or ["interpreter"],
+                                    ENGINE_NAMES, "bench engine")}
 
     def expand(self, sweep, config):
         for item in sweep["workloads"]:
@@ -329,15 +361,10 @@ class BenchProvider:
                     "engine": engine}
 
     def execute(self, spec, artifact_dir):
-        import json
-
         from repro.cl import Context
-        from repro.core.platform import MobilePlatform, PlatformConfig
-        from repro.gpu.device import GPUConfig
         from repro.kernels import get_workload
 
-        config = PlatformConfig(gpu=GPUConfig(engine=spec["engine"]))
-        context = Context(MobilePlatform(config))
+        context = Context(MobilePlatform.for_mode(spec["engine"]))
         workload = get_workload(spec["name"], **spec["params"])
         result = workload.run(context=context)
         # the deterministic face of the run is the golden registry
@@ -346,29 +373,22 @@ class BenchProvider:
         counters = context.platform.stats_registry.snapshot(
             golden_only=True)
         counters["jobs"] = int(result.jobs)
-        artifacts = []
-        if artifact_dir is not None:
-            from repro.checkpoint.format import atomic_write_text
-
-            os.makedirs(artifact_dir, exist_ok=True)
-            atomic_write_text(
-                os.path.join(artifact_dir, "bench.json"),
-                json.dumps({
-                    "workload": spec["name"], "engine": spec["engine"],
-                    "params": spec["params"],
-                    "verified": bool(result.verified),
-                    "total_seconds": result.total_seconds,
-                    "gpu_seconds": result.gpu_seconds,
-                    "cpu_seconds": result.cpu_seconds,
-                }, indent=1))
-            artifacts.append("bench.json")
+        artifacts = _write_artifact(artifact_dir, "bench.json", json.dumps({
+            "workload": spec["name"], "engine": spec["engine"],
+            "params": spec["params"],
+            "verified": bool(result.verified),
+            "total_seconds": result.total_seconds,
+            "gpu_seconds": result.gpu_seconds,
+            "cpu_seconds": result.cpu_seconds,
+        }, indent=1))
         detail = "" if result.verified else "verification failed"
         return bool(result.verified), detail, counters, artifacts
 
 
 class TenantsProvider:
     """Mixed multi-tenant fairness campaigns: N client contexts over one
-    GPU, every tenant's outputs verified, the fairness report captured
+    GPU, one case per ``tenants x engine_modes x seeds x threads`` grid
+    point, every tenant's outputs verified, the fairness report captured
     as an artifact and a golden-stats fingerprint in the counters (so a
     sweep over engine modes or worker counts proves per-tenant golden
     stats invariant straight from the report)."""
@@ -376,46 +396,48 @@ class TenantsProvider:
     kind = "tenants"
 
     def normalize(self, sweep):
-        from repro.tenancy.harness import ENGINE_MODES
-
-        tenants = sweep.get("tenants", [4])
-        if isinstance(tenants, int):
-            tenants = [tenants]
-        if not (isinstance(tenants, list) and tenants and all(
-                isinstance(v, int) and not isinstance(v, bool) and v >= 1
-                for v in tenants)):
-            raise FarmConfigError("'tenants' must be a positive int or "
-                                  "list of positive ints")
-        engine_modes = sweep.get("engine_modes") or ["fast"]
-        for mode in engine_modes:
-            if mode not in ENGINE_MODES:
-                raise FarmConfigError(f"unknown engine mode {mode!r}")
-        jobs = sweep.get("jobs", 2)
-        if not isinstance(jobs, int) or jobs < 1:
-            raise FarmConfigError("'jobs' must be a positive integer")
         return {
             "kind": self.kind,
-            "tenants": _sorted_unique(tenants, "tenants"),
-            "engine_modes": list(engine_modes),
+            "tenants": _int_list(sweep.get("tenants", [4]), "tenants", 1),
+            "engine_modes": _checked(sweep.get("engine_modes") or ["fast"],
+                                     ENGINE_MODES, "engine mode"),
             "seeds": _seed_list(sweep.get("seeds", 1)),
-            "threads": _seed_list(sweep.get("threads", [1]), "threads"),
-            "jobs": jobs,
+            "threads": _int_list(sweep.get("threads", [1]), "threads", 1),
+            "jobs": _positive_int(sweep, "jobs", 2),
         }
 
     def expand(self, sweep, config):
-        from repro.tenancy.harness import farm_case_specs
-
-        for spec in farm_case_specs(
-                tenants=sweep["tenants"],
-                engine_modes=sweep["engine_modes"], seeds=sweep["seeds"],
-                threads=sweep["threads"], jobs=sweep["jobs"]):
-            yield (f"tenants/n{spec['tenants']}/{spec['engine_mode']}"
-                   f"/s{spec['seed']}/t{spec['num_host_threads']}"), spec
+        for count, mode, seed, threads in product(
+                sweep["tenants"], sweep["engine_modes"], sweep["seeds"],
+                sweep["threads"]):
+            yield f"tenants/n{count}/{mode}/s{seed}/t{threads}", {
+                "tenants": count, "engine_mode": mode, "seed": seed,
+                "num_host_threads": threads, "jobs": sweep["jobs"]}
 
     def execute(self, spec, artifact_dir):
-        from repro.tenancy.harness import run_farm_case
+        from repro.tenancy import harness
 
-        return run_farm_case(spec, artifact_dir=artifact_dir)
+        result = harness.run_mixed(
+            harness.default_plans(spec["tenants"], jobs=spec["jobs"]),
+            engine_mode=spec["engine_mode"],
+            num_host_threads=spec["num_host_threads"], seed=spec["seed"])
+        bad = [record for record in result.records.values()
+               if record.errors or not record.verified]
+        detail = "; ".join(
+            f"tenant{record.tenant_id}: "
+            f"{'; '.join(record.errors) or 'verification failed'}"
+            for record in bad[:3])
+        counters = {key.replace(".", "_"): int(value)
+                    for key, value in result.counters().items()}
+        counters["tenants"] = len(result.records)
+        counters["jobs_completed"] = sum(
+            record.jobs_completed for record in result.records.values())
+        counters["golden_fingerprint"] = harness.golden_fingerprint(
+            result.records)
+        artifacts = _write_artifact(
+            artifact_dir, "fairness.txt",
+            harness.fairness_report(result) + "\n")
+        return not bad, detail, counters, artifacts
 
 
 class SelftestProvider:
@@ -434,16 +456,10 @@ class SelftestProvider:
     BEHAVIORS = ("ok", "raise", "hang")
 
     def normalize(self, sweep):
-        behaviors = sweep.get("behaviors", ["ok"])
-        for behavior in behaviors:
-            if behavior not in self.BEHAVIORS:
-                raise FarmConfigError(
-                    f"unknown selftest behavior {behavior!r}")
-        count = sweep.get("count", 1)
-        if not isinstance(count, int) or count < 1:
-            raise FarmConfigError("'count' must be a positive integer")
-        return {"kind": self.kind, "behaviors": list(behaviors),
-                "count": count}
+        return {"kind": self.kind,
+                "behaviors": _checked(sweep.get("behaviors", ["ok"]),
+                                      self.BEHAVIORS, "selftest behavior"),
+                "count": _positive_int(sweep, "count", 1)}
 
     def expand(self, sweep, config):
         for behavior in sweep["behaviors"]:
@@ -482,8 +498,8 @@ PROVIDERS = {provider.kind: provider for provider in (
     ConformanceProvider(),
     CorpusProvider(),
     FaultProvider(),
-    LintProvider(),
-    AnalyzeProvider(),
+    StaticToolProvider("lint", lint, "findings.txt", "summary"),
+    StaticToolProvider("analyze", analyze, "analysis.txt", "headline"),
     BenchProvider(),
     TenantsProvider(),
     SelftestProvider(),
@@ -497,28 +513,12 @@ def normalize_sweep(sweep):
     if provider is None:
         raise FarmConfigError(
             f"unknown sweep kind {kind!r}; known: {sorted(PROVIDERS)}")
-    known = set(provider.normalize({"kind": kind,
-                                    **_minimal_sweep(kind)}))
-    unknown = set(sweep) - known
+    canonical = provider.normalize(sweep)
+    unknown = set(sweep) - set(canonical)
     if unknown:
         raise FarmConfigError(
             f"{kind} sweep: unknown keys {sorted(unknown)}")
-    return provider.normalize(sweep)
-
-
-def _minimal_sweep(kind):
-    """A minimal valid sweep per kind, used to discover the canonical
-    key set for unknown-key validation."""
-    return {
-        "conformance": {},
-        "corpus": {"dir": "."},
-        "fault": {},
-        "lint": {"targets": ["slam"]},
-        "analyze": {"targets": ["slam"]},
-        "bench": {"workloads": ["nn"]},
-        "tenants": {},
-        "selftest": {},
-    }[kind]
+    return canonical
 
 
 def expand_cases(config):

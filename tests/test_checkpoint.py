@@ -539,11 +539,15 @@ def test_farm_resume_is_byte_identical(tmp_path):
     for name in names[::2]:
         os.unlink(os.path.join(cases_dir, name))
 
-    resumed = resume_farm(crashed, workers=2)
-    assert resumed.ok
-    assert resumed.report_bytes == straight.report_bytes
-    with open(os.path.join(crashed, "report.json"), "rb") as handle:
-        assert handle.read() == straight.report_bytes
+    # the remainder runs on a pool, or in the calling process
+    for workers in (2, 0):
+        resuming = f"{crashed}-w{workers}"
+        shutil.copytree(crashed, resuming)
+        resumed = resume_farm(resuming, workers=workers)
+        assert resumed.ok
+        assert resumed.report_bytes == straight.report_bytes
+        with open(os.path.join(resuming, "report.json"), "rb") as handle:
+            assert handle.read() == straight.report_bytes
 
 
 def test_farm_resume_with_nothing_left_to_run(tmp_path):

@@ -19,7 +19,7 @@ from repro.validate import (
     ProgramGenerator,
     run_conformance,
 )
-from repro.validate.conformance import replay_directory
+from repro.errors import CorpusError
 from repro.validate.corpus import (
     case_to_dict,
     dict_to_case,
@@ -32,9 +32,19 @@ from repro.validate.minimize import (
     mismatch_signature,
 )
 from repro.validate.progen import CoverageTracker, coverage_space
+from repro.validate.farm import run_farm
 from repro.validate.runner import generated_case_to_diff
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
+
+
+def _corpus_sweep(directory):
+    """The corpus sweep over *directory*, in this process; returns the
+    case outcomes and the failing ones."""
+    run = run_farm({"name": "replay", "sweeps": [
+        {"kind": "corpus", "dir": directory}]}, workers=0)
+    cases = run.report["cases"]
+    return cases, [case for case in cases if case["verdict"] != "pass"]
 
 
 class TestGenerator:
@@ -144,9 +154,11 @@ class TestInjectedBug:
         assert report.failures
         monkeypatch.undo()
         # with the engine bug gone, the reproducer no longer mismatches
-        outcomes, failed = replay_directory(str(tmp_path), expect="mismatch")
+        outcomes, failed = _corpus_sweep(str(tmp_path))
         assert outcomes
         assert len(failed) == len(outcomes)
+        assert {case["detail"] for case in failed} == {
+            "expected a mismatch, case now matches"}
 
 
 class TestMinimizer:
@@ -204,10 +216,10 @@ class TestMinimizer:
 
 class TestCorpus:
     def test_committed_corpus_replays_clean(self):
-        outcomes, failed = replay_directory(CORPUS_DIR)
+        outcomes, failed = _corpus_sweep(CORPUS_DIR)
         assert outcomes, "committed corpus is empty"
         assert not failed, "\n".join(
-            f"{name}: {mm[0]}" for _p, name, mm in failed)
+            f"{case['id']}: {case['detail']}" for case in failed)
 
     def test_full_form_roundtrip(self, tmp_path):
         from repro.gpu.encoding import encode_program
@@ -234,7 +246,7 @@ class TestCorpus:
         assert mismatches == []
 
     def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CorpusError):
             dict_to_case({"format": 99})
 
 

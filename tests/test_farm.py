@@ -22,7 +22,9 @@ from repro.instrument.registry import (
     diff_snapshots,
     snapshot_value,
 )
+from repro.errors import CorpusError
 from repro.validate.farm import (
+    PROVIDERS,
     FarmConfigError,
     expand_cases,
     load_config,
@@ -77,6 +79,13 @@ def test_load_config_from_file(tmp_path):
     {"sweeps": [{"kind": "selftest"}], "shard_size": 0},
     {"sweeps": [{"kind": "fault", "scenarios": ["not-a-scenario"]}]},
     {"sweeps": [{"kind": "conformance", "engines": ["warp9"]}]},
+    {"sweeps": [{"kind": "fault", "threads": 0}]},
+    {"sweeps": [{"kind": "tenants", "threads": [2, -1]}]},
+    {"sweeps": [{"kind": "fault", "workloads": ["nosuch"]}]},
+    {"sweeps": [{"kind": "lint", "targets": ["builtin:nosuch"]}]},
+    {"sweeps": [{"kind": "analyze", "targets": ["builtin:nosuch"]}]},
+    {"sweeps": [{"kind": "bench", "workloads": ["nn"],
+                 "engines": ["warp9"]}]},
 ])
 def test_load_config_rejects_bad_documents(document):
     with pytest.raises(FarmConfigError):
@@ -97,6 +106,37 @@ def test_seed_shorthand_expands():
         {"kind": "conformance", "seeds": 3, "budget": 1,
          "engines": ["interp", "fast"]}]})
     assert config.sweeps[0]["seeds"] == [0, 1, 2]
+
+
+def test_an_int_of_threads_is_a_thread_count_not_a_seed_count():
+    for kind in ("fault", "tenants"):
+        config = load_config({"sweeps": [{"kind": kind, "threads": 2}]})
+        assert config.sweeps[0]["threads"] == [2]
+        assert all(case["spec"]["num_host_threads"] == 2
+                   and case["id"].endswith("/t2")
+                   for case in expand_cases(config))
+    # the default and the list form are what they always were
+    assert load_config({"sweeps": [{"kind": "fault"}]}) \
+        .sweeps[0]["threads"] == [1]
+    assert load_config({"sweeps": [{"kind": "fault", "threads": [4, 1]}]}) \
+        .sweeps[0]["threads"] == [1, 4]
+
+
+def test_one_engine_mode_table_and_one_factory():
+    from repro import tenancy
+    from repro.checkpoint import harness
+    from repro.core import platform
+
+    assert tenancy.ENGINE_MODES is harness.ENGINE_MODES \
+        is platform.ENGINE_MODES
+    for name in platform.ENGINE_NAMES:
+        built = platform.MobilePlatform.for_mode(name, num_host_threads=2)
+        assert (built.config.gpu.engine, built.gpu.mmu.fast_path_enabled) \
+            == platform.ENGINE_MODES[
+                "fast" if name == "interpreter" else name]
+        assert built.config.gpu.num_host_threads == 2
+    with pytest.raises(ValueError, match="warp9"):
+        platform.MobilePlatform.for_mode("warp9")
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +188,11 @@ def test_report_byte_identical_across_worker_counts(tmp_path):
     runs = {
         workers: run_farm(FAST_CONFIG, workers=workers,
                           outdir=str(tmp_path / f"w{workers}"))
-        for workers in (1, 2, 8)
+        for workers in (0, 1, 2, 8)   # 0: the calling process executes
     }
     assert runs[1].ok
     reference = runs[1].report_bytes
+    assert runs[0].report_bytes == reference
     assert runs[2].report_bytes == reference
     assert runs[8].report_bytes == reference
     # what run_farm wrote is exactly what it returned
@@ -363,6 +404,140 @@ def test_cli_farm_run_failing_case_exits_one(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "RESULT farm status=fail" in out
     assert "error=1" in out
+
+
+def _case_lines(out):
+    """The ``mark id detail`` lines of a sweeping verb's output."""
+    return [line.split(" ", 1)[1].lstrip() for line in out.splitlines()
+            if line.startswith(("ok  ", "FAIL"))]
+
+
+def test_cli_faultcampaign_is_the_fault_sweep_in_process(capsys):
+    from repro.tools.cli import main
+
+    assert main(["faultcampaign", "--workloads", "sgemm", "--scenarios",
+                 "irq-spurious,irq-lost", "--no-determinism"]) == 0
+    out = capsys.readouterr().out
+    farmed = run_farm({"name": "equivalent", "sweeps": [
+        {"kind": "fault", "workloads": ["sgemm"],
+         "scenarios": ["irq-lost", "irq-spurious"], "seeds": 1,
+         "engines": ["interpreter"], "threads": [1]}]}, workers=1)
+    assert _case_lines(out) == [
+        f"{case['id']} {case['detail']}" for case in farmed.report["cases"]]
+    assert [case["verdict"] for case in farmed.report["cases"]] \
+        == ["pass", "pass"]
+    assert "RESULT faultcampaign status=ok mode=sweep engine=interpreter " \
+        "cases=2 failures=0" in out
+
+
+def test_fault_reproducer_is_a_farm_config_both_verbs_replay(
+        tmp_path, capsys, monkeypatch):
+    """``--write-repros D`` -> ``--replay D`` and ``farm run D/<file>``:
+    a forced failure re-fails on both, and passes once it is fixed."""
+    from repro.inject import campaign
+    from repro.tools.cli import main
+
+    real = campaign.run_case
+
+    def failing(workload, scenario, seed, **kwargs):
+        case, plan = real(workload, scenario, seed, **kwargs)
+        case.ok, case.detail = False, "forced failure"
+        return case, plan
+
+    repros = tmp_path / "repros"
+    sweep = ["faultcampaign", "--workloads", "sgemm", "--scenarios",
+             "irq-lost", "--no-determinism", "--engine", "mega",
+             "--threads", "2"]
+    monkeypatch.setattr(campaign, "run_case", failing)
+    assert main(sweep + ["--write-repros", str(repros)]) == 1
+    [path] = sorted(repros.iterdir())
+    assert path.name == "sgemm--irq-lost--s0.json"
+    # the file is nothing but a farm config naming the case
+    [case] = expand_cases(load_config(str(path)))
+    assert case["id"] == "fault/sgemm/irq-lost/s0/mega/t2"
+    capsys.readouterr()
+    assert main(["faultcampaign", "--replay", str(repros)]) == 1
+    assert _case_lines(capsys.readouterr().out) \
+        == ["fault/sgemm/irq-lost/s0/mega/t2 forced failure"]
+    assert main(["farm", "run", str(path), "--workers", "1"]) == 1
+    assert "forced failure" in capsys.readouterr().out
+    monkeypatch.undo()
+    assert main(["faultcampaign", "--replay", str(repros)]) == 0
+    assert "RESULT faultcampaign status=ok mode=replay cases=1 failures=0" \
+        in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# every loader fails closed: a typed error from the API, one line and
+# exit 2 (never a traceback) from the CLI
+
+_GOOD_REPRODUCER = PROVIDERS["fault"].reproducer({
+    "workload": "sgemm", "scenario": "irq-lost", "seed": 0,
+    "engine": "interpreter", "num_host_threads": 1,
+    "check_determinism": False})
+_GOOD_ENTRY = {"format": 1, "name": "gen", "expect": "match",
+               "generator": {"seed": 3, "index": 2}}
+
+MALFORMED = {
+    "truncated": lambda good: json.dumps(good)[:-9],
+    "non-object": lambda good: json.dumps([good]),
+    "wrong-typed": lambda good: json.dumps({
+        **good, "sweeps": "fault", "expect": 7}),
+    "missing-field": lambda good: json.dumps({
+        key: value for key, value in good.items()
+        if key not in ("sweeps", "format")}),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(MALFORMED))
+def test_malformed_input_fails_closed(damage, tmp_path, capsys):
+    from repro.tools.cli import main
+    from repro.validate.corpus import load_entries
+
+    repros, corpus = tmp_path / "repros", tmp_path / "corpus"
+    repros.mkdir()
+    corpus.mkdir()
+    (repros / "r.json").write_text(MALFORMED[damage](_GOOD_REPRODUCER))
+    (corpus / "e.json").write_text(MALFORMED[damage](_GOOD_ENTRY))
+    config = tmp_path / "corpus-sweep.json"
+    config.write_text(json.dumps({"sweeps": [
+        {"kind": "corpus", "dir": str(corpus)}]}))
+
+    with pytest.raises(FarmConfigError):
+        load_config(str(repros / "r.json"))
+    with pytest.raises(CorpusError, match="e.json"):
+        load_entries(str(corpus))
+    for argv in (["faultcampaign", "--replay", str(repros)],
+                 ["conformance", "--replay", str(corpus)],
+                 ["farm", "run", str(config)],
+                 ["farm", "run", str(repros / "r.json")]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert len(captured.out.splitlines()) == 1, captured.out
+
+
+@pytest.mark.parametrize("entry", [
+    {"format": 1, "generator": {"seed": "x"}},          # wrong-typed
+    {"format": 1, "generator": {"seed": 3}},            # missing index
+    {"format": 1, "stress": {"seed": 1, "category": "nope"}},
+    {"format": 1, "program_hex": "zz", "regions": []},  # not hex
+    {"format": 1, "program_hex": "00"},                 # no regions/sizes
+    {"format": 1},                                      # no body at all
+])
+def test_malformed_corpus_entry_is_a_typed_error_naming_the_file(entry):
+    from repro.validate.corpus import dict_to_case
+
+    with pytest.raises(CorpusError, match="some/entry.json"):
+        dict_to_case(entry, "some/entry.json")
+
+
+def test_cli_unknown_fault_workload_exits_two(capsys):
+    from repro.tools.cli import main
+
+    assert main(["faultcampaign", "--workloads", "nosuch"]) == 2
+    out = capsys.readouterr().out
+    assert "nosuch" in out and len(out.splitlines()) == 1
 
 
 def test_artifacts_land_in_the_outdir(tmp_path):

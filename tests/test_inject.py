@@ -14,7 +14,7 @@ from repro.errors import (
 )
 from repro.gpu.device import GPUConfig
 from repro.inject import FaultInjector, FaultPlan, FaultSpec
-from repro.inject.campaign import SCENARIOS, replay_reproducer, run_case
+from repro.inject.campaign import SCENARIOS, run_case
 from repro.mem.physical import PAGE_SIZE
 
 _FILL_SOURCE = """
@@ -280,14 +280,68 @@ class TestCampaign:
         assert case.counters["driver.resets"] == 1
 
     def test_reproducer_round_trip(self, tmp_path):
-        from repro.inject.campaign import write_reproducer
+        from repro.validate.farm import PROVIDERS, run_farm
 
-        case, plan = run_case("divergent", "irq-lost", 0,
-                              check_determinism=False)
+        case, _plan = run_case("divergent", "irq-lost", 0,
+                               check_determinism=False)
         assert case.ok
-        path = write_reproducer(tmp_path, case, plan, "interpreter", 1)
-        replayed = replay_reproducer(path, check_determinism=False)
-        assert replayed.ok, replayed.detail
+        [name] = PROVIDERS["fault"].write_reproducer(str(tmp_path), {
+            "workload": "divergent", "scenario": "irq-lost", "seed": 0,
+            "engine": "interpreter", "num_host_threads": 1,
+            "check_determinism": False})
+        replayed = run_farm(str(tmp_path / name), workers=0)
+        [outcome] = replayed.report["cases"]
+        assert replayed.ok, outcome["detail"]
+        assert outcome["id"] == "fault/divergent/irq-lost/s0/interpreter/t1"
+        assert outcome["detail"] == case.detail
+
+
+class TestCleanRunMemo:
+    """``run_case`` reuses a workload's clean run within a process: the
+    outcome must not depend on whether it did, and what it keeps must be
+    observables, never a platform."""
+
+    CASES = [("divergent", "mmu-transient"),    # recover
+             ("divergent", "hang-persistent"),  # fail-clean
+             ("sgemm", "xtenant-irq-lost")]     # isolate (no clean run)
+
+    def test_memoised_and_fresh_outcomes_agree_and_hold_no_platform(
+            self, monkeypatch):
+        import gc
+        import weakref
+
+        from repro.core.platform import MobilePlatform
+        from repro.inject import campaign
+
+        platforms = []
+        build = MobilePlatform.for_mode.__func__
+
+        def tracked(cls, *args, **kwargs):
+            platform = build(cls, *args, **kwargs)
+            platforms.append(weakref.ref(platform))
+            return platform
+
+        monkeypatch.setattr(MobilePlatform, "for_mode", classmethod(tracked))
+
+        def outcome(workload, scenario):
+            case, _plan = run_case(workload, scenario, 0,
+                                   check_determinism=False)
+            return case.ok, case.detail, case.counters, case.fired
+
+        fresh = []
+        for workload, scenario in self.CASES:
+            campaign._clean_runs.clear()
+            fresh.append(outcome(workload, scenario))
+        built_fresh = len(platforms)
+        memoised = [outcome(workload, scenario)
+                    for workload, scenario in self.CASES]
+        assert memoised == fresh
+        assert all(ok for ok, _detail, _counters, _fired in fresh), fresh
+        # this time the second divergent case reused the first's clean run
+        assert len(platforms) - built_fresh == built_fresh - 1
+        assert campaign._clean_runs
+        gc.collect()
+        assert not any(ref() is not None for ref in platforms)
 
 
 class TestGoldenStatsUnaffected:

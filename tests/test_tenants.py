@@ -37,7 +37,6 @@ from repro.tenancy.harness import (
     default_plans,
     golden_fingerprint,
     run_adversarial,
-    run_farm_case,
     run_mixed,
     solo_baseline,
 )
@@ -383,9 +382,11 @@ class TestGoldenSubtrees:
             assert any(".gpu.job." in key for key in record.golden)
 
     def test_farm_fingerprint_matches_direct_run(self):
+        from repro.validate.farm import PROVIDERS
+
         spec = {"tenants": 3, "engine_mode": "fast", "seed": 4,
                 "num_host_threads": 1, "jobs": 1}
-        ok, detail, counters, _ = run_farm_case(spec)
+        ok, detail, counters, _ = PROVIDERS["tenants"].execute(spec, None)
         assert ok, detail
         result = run_mixed(default_plans(3, jobs=1), engine_mode="fast",
                            seed=4)
