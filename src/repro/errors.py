@@ -77,6 +77,20 @@ class CorpusError(SimError):
     wrong-typed field. The message names the file."""
 
 
+class UsageError(SimError):
+    """A command line names something that does not exist, cannot be
+    read or is out of range; the CLI prints it as one line and exits 2."""
+
+
+class UnknownWorkloadError(SimError, KeyError):
+    """No workload of that name in the registry (still the ``KeyError``
+    a failed registry lookup has always raised)."""
+
+    def __str__(self):
+        # KeyError's would repr() the message
+        return self.args[0]
+
+
 class IRQMismatchError(DriverError):
     """The interrupt controller and the GPU's raw IRQ status disagree.
 

@@ -48,8 +48,7 @@ from repro.core.platform import MobilePlatform
 from repro.errors import SimError
 from repro.inject.injector import FaultInjector
 from repro.inject.plan import FaultPlan, FaultSpec
-from repro.kernels import WORKLOADS, Workload, get_workload
-from repro.kernels.parboil import Sgemm
+from repro.kernels import REPLAYABLE, WORKLOADS, get_workload
 from repro.mem.physical import PAGE_SIZE
 from repro.tenancy.harness import ADVERSARIAL_SCENARIOS, run_adversarial
 
@@ -71,107 +70,21 @@ SCENARIOS = {
     **dict.fromkeys(ADVERSARIAL_SCENARIOS, "isolate"),
 }
 
-DEFAULT_WORKLOADS = ("sgemm", "divergent")
-
-_DIVERGENT_SOURCE = """
-__kernel void divergent(__global int* data, __global int* out) {
-    int i = get_global_id(0);
-    int v = data[i];
-    int acc = 0;
-    if (v % 2 == 0) {
-        for (int j = 0; j < (v & 7); j += 1) {
-            acc += j * v;
-        }
-    } else {
-        acc = v * 3 + 1;
-    }
-    out[i] = acc;
-}
-"""
-
-_GROW_SOURCE = """
-__kernel void fillseq(__global int* out, int n) {
-    int i = get_global_id(0);
-    if (i < n) {
-        out[i] = i * 1103 + 12345;
-    }
-}
-"""
-
-
-class DivergentWorkload(Workload):
-    """Warp-divergent synthetic workload (replayable variant of
-    ``examples/divergent.cl``: outputs depend only on inputs)."""
-
-    name = "divergent"
-    suite = "synthetic"
-    paper_input = "n=4096"
-    source = _DIVERGENT_SOURCE
-
-    @staticmethod
-    def default_params():
-        return {"n": 4096}
-
-    def prepare(self):
-        n = self.params["n"]
-        return {"data": self.rng.integers(0, 64, size=n).astype(np.int32)}
-
-    def execute(self, context, queue, inputs, version=None):
-        data = inputs["data"]
-        n = data.size
-        buf_data = context.buffer_from_array(data)
-        buf_out = context.alloc_buffer(n * 4)
-        queue.enqueue_fill_buffer(buf_out, 0)
-        program = context.build_program(self.source)
-        kernel = program.kernel("divergent")
-        kernel.set_args(buf_data, buf_out)
-        queue.enqueue_nd_range(kernel, (n,), (64,))
-        return [queue.enqueue_read_buffer(buf_out, dtype=np.int32, count=n)]
-
-    def reference(self, inputs):
-        v = inputs["data"].astype(np.int64)
-        k = v & 7
-        even = v * (k * (k - 1) // 2)
-        odd = v * 3 + 1
-        return [np.where(v % 2 == 0, even, odd).astype(np.int32)]
-
-
-class ReplayableSgemm(Sgemm):
-    """sgemm with ``beta = 0``: C is written, never read, so a replayed
-    job is bit-identical — the registry variant's ``beta = 0.5``
-    read-modify-writes C and is outside the replay contract."""
-
-    def execute(self, context, queue, inputs, version=None):
-        p = self.params
-        buf_a = context.buffer_from_array(inputs["a"])
-        buf_b = context.buffer_from_array(inputs["b"])
-        buf_c = context.buffer_from_array(inputs["c"])
-        kernel = context.build_program(self.source, version=version) \
-            .kernel("sgemm")
-        kernel.set_args(buf_a, buf_b, buf_c, p["m"], p["n"], p["k"],
-                        np.float32(1.0), np.float32(0.0))
-        queue.enqueue_nd_range(kernel, (p["n"], p["m"]), (8, 8))
-        out = queue.enqueue_read_buffer(buf_c, np.float32)
-        return [out.reshape(p["m"], p["n"])]
-
-    def reference(self, inputs):
-        return [(inputs["a"] @ inputs["b"]).astype(np.float32)]
-
-
 #: campaign workloads must be *replayable* (outputs a pure function of
 #: inputs): the recovery ladder re-runs faulted jobs from scratch. These
-#: stand in for (or add to) the registry entries of the same name
-_REPLAYABLE = {"divergent": DivergentWorkload, "sgemm": ReplayableSgemm}
+#: two names resolve to :data:`~repro.kernels.replayable.REPLAYABLE`
+#: (standing in for, or adding to, the registry entry of the same name)
+DEFAULT_WORKLOADS = ("sgemm", "divergent")
 
 
 def known_workloads():
     """Every name :func:`run_case` can run."""
-    return sorted({*_REPLAYABLE, *WORKLOADS})
+    return sorted({*DEFAULT_WORKLOADS, *WORKLOADS})
 
 
 def _make_workload(name):
-    if name in _REPLAYABLE:
-        return _REPLAYABLE[name]()
+    if name in DEFAULT_WORKLOADS:
+        return REPLAYABLE[name]()
     return get_workload(name)
 
 
@@ -235,6 +148,13 @@ class _Execution:
         return counts
 
 
+def _run_verified(workload, context):
+    """One pass of *workload* on *context*: (outputs, verified)."""
+    inputs = workload.prepare()
+    outputs = workload.execute(context, CommandQueue(context), inputs)
+    return outputs, workload.check(outputs, workload.reference(inputs))
+
+
 def _execute(workload_name, engine, num_host_threads, plan=None):
     """Run *workload_name* on a fresh platform, optionally under *plan*.
 
@@ -249,14 +169,9 @@ def _execute(workload_name, engine, num_host_threads, plan=None):
         injector = FaultInjector(plan)
         platform.attach_injector(injector)
     workload = _make_workload(workload_name)
-    outputs = None
-    verified = None
-    error = None
+    outputs = verified = error = None
     try:
-        queue = CommandQueue(context)
-        inputs = workload.prepare()
-        outputs = workload.execute(context, queue, inputs)
-        verified = workload.check(outputs, workload.reference(inputs))
+        outputs, verified = _run_verified(workload, context)
     except SimError as exc:
         error = exc
     return _Execution(platform, context, injector, outputs, verified, error)
@@ -337,11 +252,8 @@ def build_plan(scenario, rng, pages, groups):
 def _usable_after(execution, workload_name):
     """A follow-up clean run on the *same* platform must verify."""
     execution.platform.attach_injector(None)
-    workload = _make_workload(workload_name)
-    queue = CommandQueue(execution.context)
-    inputs = workload.prepare()
-    outputs = workload.execute(execution.context, queue, inputs)
-    return workload.check(outputs, workload.reference(inputs))
+    return _run_verified(_make_workload(workload_name),
+                         execution.context)[1]
 
 
 def _run_grow_case(rng, engine, num_host_threads):
@@ -352,20 +264,19 @@ def _run_grow_case(rng, engine, num_host_threads):
     queue = CommandQueue(context)
     n_pages = 4 + rng.randrange(8)
     n = n_pages * PAGE_SIZE // 4
-    buffer = context.alloc_buffer(n * 4, grow_on_fault=True)
-    program = context.build_program(_GROW_SOURCE)
-    kernel = program.kernel("fillseq")
-    kernel.set_args(buffer, n)
-    queue.enqueue_nd_range(kernel, (n,), (64,))
-    got = queue.enqueue_read_buffer(buffer, dtype=np.int32, count=n)
-    want = (np.arange(n, dtype=np.int64) * 1103 + 12345).astype(np.int32)
+    workload = REPLAYABLE["fillseq"](n=n)
+    inputs = workload.prepare()
+    # execute(), spelled out: the commit check below needs the buffer
+    state = workload.setup(context, queue, inputs)
+    queue.enqueue_nd_range(state["kernel"], *workload.geometry())
+    outputs = workload.collect(queue, state)
     driver = platform.driver
-    if not np.array_equal(got, want):
+    if not workload.check(outputs, workload.reference(inputs)):
         return False, "grow-on-fault output mismatch", driver
     if driver.page_faults == 0 or driver.pages_grown == 0:
         return False, ("page-fault worker never grew the region "
                        f"(page_faults={driver.page_faults})"), driver
-    committed = buffer.region.committed
+    committed = state["out"].region.committed
     if committed < n * 4:
         return False, (f"region under-committed: {committed} < {n * 4}"), \
             driver

@@ -7,9 +7,11 @@ hardware" stand-in for slowdown measurements (Fig. 7).
 Use :func:`get_workload` / :data:`WORKLOADS` to instantiate by name.
 """
 
+from repro.errors import UnknownWorkloadError
 from repro.kernels.base import Workload, WorkloadResult
 from repro.kernels import amd, parboil, rodinia
 from repro.kernels.matrixmul import MatrixMul
+from repro.kernels.replayable import REPLAYABLE
 from repro.kernels.sgemm_variants import (
     SGEMM_VARIANTS,
     ClblasSgemm,
@@ -49,7 +51,7 @@ def get_workload(name, **params):
     try:
         cls = WORKLOADS[name]
     except KeyError:
-        raise KeyError(
+        raise UnknownWorkloadError(
             f"unknown workload {name!r}; available: {sorted(WORKLOADS)}"
         ) from None
     return cls(**params)
@@ -58,6 +60,7 @@ def get_workload(name, **params):
 __all__ = [
     "Workload",
     "WorkloadResult",
+    "REPLAYABLE",
     "WORKLOADS",
     "get_workload",
     "MatrixMul",

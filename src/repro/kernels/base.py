@@ -1,6 +1,7 @@
 """Workload base class and result record."""
 
 import abc
+import math
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -143,3 +144,40 @@ class Workload(abc.ABC):
             self.reference(inputs)
             best = min(best, time.perf_counter() - start)
         return best
+
+
+class PhasedWorkload(Workload):
+    """A one-launch workload split at the doorbell.
+
+    :meth:`setup` stages buffers, builds the program and binds the
+    arguments (no GPU execution), :meth:`geometry` is the launch and
+    :meth:`collect` reads the outputs back. :meth:`execute` composes
+    them around a synchronous launch; a harness that wants the job
+    arbitrated instead (:mod:`repro.tenancy.harness`) drives the same
+    phases around ``enqueue_nd_range_async`` + ``drain()``.
+    """
+
+    #: the launch is *supposed* to fault (an attacker kernel)
+    expects_failure = False
+
+    @abc.abstractmethod
+    def setup(self, context, queue, inputs, version=None):
+        """Returns the launch state, a dict holding at least the bound
+        ``"kernel"``."""
+
+    @abc.abstractmethod
+    def geometry(self):
+        """``(global_size, local_size)`` of the one launch."""
+
+    @abc.abstractmethod
+    def collect(self, queue, state):
+        """Read the device outputs of a finished launch."""
+
+    def total_groups(self):
+        """Flat workgroup count of the launch (slice-budget math)."""
+        return math.prod(g // l for g, l in zip(*self.geometry()))
+
+    def execute(self, context, queue, inputs, version=None):
+        state = self.setup(context, queue, inputs, version=version)
+        queue.enqueue_nd_range(state["kernel"], *self.geometry())
+        return self.collect(queue, state)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.kernels.base import Workload
+from repro.kernels.base import PhasedWorkload, Workload
 
 
 class BFS(Workload):
@@ -190,12 +190,13 @@ class Cutcp(Workload):
         return np.allclose(outputs[0], expected[0], rtol=5e-3, atol=5e-4)
 
 
-class Sgemm(Workload):
+class Sgemm(PhasedWorkload):
     """Parboil SGEMM: C = alpha * A @ B + beta * C (naive kernel)."""
 
     name = "sgemm"
     suite = "Parboil"
     paper_input = "128x96, 96x160 matrices"
+    beta = 0.5
 
     source = """
     __kernel void sgemm(__global float* a, __global float* b,
@@ -223,7 +224,7 @@ class Sgemm(Workload):
             "c": self.rng.random((p["m"], p["n"]), dtype=np.float32),
         }
 
-    def execute(self, context, queue, inputs, version=None):
+    def setup(self, context, queue, inputs, version=None):
         p = self.params
         buf_a = context.buffer_from_array(inputs["a"])
         buf_b = context.buffer_from_array(inputs["b"])
@@ -231,13 +232,18 @@ class Sgemm(Workload):
         kernel = context.build_program(self.source, version=version) \
             .kernel("sgemm")
         kernel.set_args(buf_a, buf_b, buf_c, p["m"], p["n"], p["k"],
-                        np.float32(1.0), np.float32(0.5))
-        queue.enqueue_nd_range(kernel, (p["n"], p["m"]), (8, 8))
-        out = queue.enqueue_read_buffer(buf_c, np.float32)
-        return [out.reshape(p["m"], p["n"])]
+                        np.float32(1.0), np.float32(self.beta))
+        return {"kernel": kernel, "out": buf_c}
+
+    def geometry(self):
+        return (self.params["n"], self.params["m"]), (8, 8)
+
+    def collect(self, queue, state):
+        out = queue.enqueue_read_buffer(state["out"], np.float32)
+        return [out.reshape(self.params["m"], self.params["n"])]
 
     def reference(self, inputs):
-        return [(inputs["a"] @ inputs["b"] + 0.5 * inputs["c"])
+        return [(inputs["a"] @ inputs["b"] + self.beta * inputs["c"])
                 .astype(np.float32)]
 
 

@@ -3,13 +3,11 @@
 from repro.tenancy.harness import (
     ADVERSARIAL_SCENARIOS,
     ENGINE_MODES,
-    WORKLOADS,
     MixedRunResult,
     TenantPlan,
     TenantRecord,
     check_isolation,
     fairness_report,
-    make_workload,
     run_adversarial,
     run_mixed,
     solo_baseline,
@@ -19,13 +17,11 @@ from repro.tenancy.harness import (
 __all__ = [
     "ADVERSARIAL_SCENARIOS",
     "ENGINE_MODES",
-    "WORKLOADS",
     "MixedRunResult",
     "TenantPlan",
     "TenantRecord",
     "check_isolation",
     "fairness_report",
-    "make_workload",
     "run_adversarial",
     "run_mixed",
     "solo_baseline",

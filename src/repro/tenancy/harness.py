@@ -34,275 +34,29 @@ from repro.errors import SimError
 from repro.gpu.mmu import AS_TAG_SHIFT
 from repro.inject.injector import FaultInjector
 from repro.inject.plan import FaultPlan, FaultSpec
-from repro.kernels.parboil import Sgemm
-
-_DIVERGENT_SOURCE = """
-__kernel void divergent(__global int* data, __global int* out) {
-    int i = get_global_id(0);
-    int v = data[i];
-    int acc = 0;
-    if (v % 2 == 0) {
-        for (int j = 0; j < (v & 7); j += 1) {
-            acc += j * v;
-        }
-    } else {
-        acc = v * 3 + 1;
-    }
-    out[i] = acc;
-}
-"""
-
-_FILLSEQ_SOURCE = """
-__kernel void fillseq(__global int* out, int n) {
-    int i = get_global_id(0);
-    if (i < n) {
-        out[i] = i * 1103 + 12345;
-    }
-}
-"""
-
-# the out-of-bounds attacker: the displacement arrives as a *scalar
-# argument*, so the build-time binary verifier (which bounds static
-# offsets) has nothing to reject — the write lands past the buffer's
-# region at runtime and the tenant's own MMU takes the fault
-_OOB_SOURCE = """
-__kernel void oob(__global int* out, int offset) {
-    int i = get_global_id(0);
-    out[i + offset] = i;
-}
-"""
-
-
-class TenantWorkload:
-    """One tenant's workload, split into arbiter-friendly phases.
-
-    ``setup`` allocates buffers and builds the program (host-side, no
-    GPU execution); ``submit`` queues one job with the arbiter and
-    returns the :class:`~repro.driver.kbase.PendingJob`; ``collect``
-    reads the outputs after ``driver.drain()``; ``reference`` is the
-    NumPy oracle. Workloads are replayable (outputs a pure function of
-    inputs) so soft-stop replays and recovery resubmissions are
-    bit-invisible.
-    """
-
-    name = ""
-
-    def __init__(self, params=None):
-        self.params = dict(self.default_params())
-        if params:
-            unknown = set(params) - set(self.params)
-            if unknown:
-                raise ValueError(
-                    f"{self.name}: unknown params {sorted(unknown)}")
-            self.params.update(params)
-
-    @staticmethod
-    def default_params():
-        return {}
-
-    def total_groups(self):
-        """Flat workgroup count of one submission (slice-budget math)."""
-        raise NotImplementedError
-
-    def setup(self, context, queue, rng):
-        raise NotImplementedError
-
-    def submit(self, context, queue, state):
-        raise NotImplementedError
-
-    def collect(self, context, queue, state):
-        raise NotImplementedError
-
-    def reference(self, state):
-        raise NotImplementedError
-
-    def check(self, outputs, expected):
-        for got, want in zip(outputs, expected):
-            got, want = np.asarray(got), np.asarray(want)
-            if got.dtype.kind == "f" or want.dtype.kind == "f":
-                if not np.allclose(got.astype(np.float64),
-                                   want.astype(np.float64),
-                                   rtol=2e-4, atol=2e-5):
-                    return False
-            elif not np.array_equal(got, want):
-                return False
-        return True
-
-
-class SgemmTenant(TenantWorkload):
-    """Replayable sgemm (beta = 0: C written, never read)."""
-
-    name = "sgemm"
-
-    @staticmethod
-    def default_params():
-        return {"m": 32, "n": 40, "k": 24}
-
-    def total_groups(self):
-        return (self.params["n"] // 8) * (self.params["m"] // 8)
-
-    def setup(self, context, queue, rng):
-        p = self.params
-        a = rng.standard_normal((p["m"], p["k"])).astype(np.float32)
-        b = rng.standard_normal((p["k"], p["n"])).astype(np.float32)
-        kernel = context.build_program(Sgemm.source).kernel("sgemm")
-        buf_a = context.buffer_from_array(a)
-        buf_b = context.buffer_from_array(b)
-        buf_c = context.alloc_buffer(p["m"] * p["n"] * 4)
-        queue.enqueue_fill_buffer(buf_c, 0)
-        kernel.set_args(buf_a, buf_b, buf_c, p["m"], p["n"], p["k"],
-                        np.float32(1.0), np.float32(0.0))
-        return {"a": a, "b": b, "kernel": kernel, "buf_c": buf_c}
-
-    def submit(self, context, queue, state):
-        p = self.params
-        return queue.enqueue_nd_range_async(
-            state["kernel"], (p["n"], p["m"]), (8, 8))
-
-    def collect(self, context, queue, state):
-        p = self.params
-        out = queue.enqueue_read_buffer(state["buf_c"], np.float32,
-                                        count=p["m"] * p["n"])
-        return [out.reshape(p["m"], p["n"])]
-
-    def reference(self, state):
-        return [(state["a"] @ state["b"]).astype(np.float32)]
-
-
-class DivergentTenant(TenantWorkload):
-    """Warp-divergent integer workload; ``n`` scales the job length, so
-    the background variant runs long enough to be sliced."""
-
-    name = "divergent"
-
-    @staticmethod
-    def default_params():
-        return {"n": 4096}
-
-    def total_groups(self):
-        return self.params["n"] // 64
-
-    def setup(self, context, queue, rng):
-        n = self.params["n"]
-        data = rng.integers(0, 64, size=n).astype(np.int32)
-        kernel = context.build_program(_DIVERGENT_SOURCE).kernel("divergent")
-        buf_data = context.buffer_from_array(data)
-        buf_out = context.alloc_buffer(n * 4)
-        queue.enqueue_fill_buffer(buf_out, 0)
-        kernel.set_args(buf_data, buf_out)
-        return {"data": data, "kernel": kernel, "buf_out": buf_out}
-
-    def submit(self, context, queue, state):
-        n = self.params["n"]
-        return queue.enqueue_nd_range_async(state["kernel"], (n,), (64,))
-
-    def collect(self, context, queue, state):
-        n = self.params["n"]
-        return [queue.enqueue_read_buffer(state["buf_out"], np.int32,
-                                          count=n)]
-
-    def reference(self, state):
-        v = state["data"].astype(np.int64)
-        k = v & 7
-        even = v * (k * (k - 1) // 2)
-        odd = v * 3 + 1
-        return [np.where(v % 2 == 0, even, odd).astype(np.int32)]
-
-
-class FillseqTenant(TenantWorkload):
-    """Sequential fill over a grow-on-fault buffer: the tenant's own
-    page-fault worker grows its mapping mid-run."""
-
-    name = "fillseq"
-
-    @staticmethod
-    def default_params():
-        return {"n": 8192}
-
-    def total_groups(self):
-        return self.params["n"] // 64
-
-    def setup(self, context, queue, rng):
-        n = self.params["n"]
-        kernel = context.build_program(_FILLSEQ_SOURCE).kernel("fillseq")
-        buf_out = context.alloc_buffer(n * 4, grow_on_fault=True)
-        kernel.set_args(buf_out, n)
-        return {"kernel": kernel, "buf_out": buf_out}
-
-    def submit(self, context, queue, state):
-        n = self.params["n"]
-        return queue.enqueue_nd_range_async(state["kernel"], (n,), (64,))
-
-    def collect(self, context, queue, state):
-        n = self.params["n"]
-        return [queue.enqueue_read_buffer(state["buf_out"], np.int32,
-                                          count=n)]
-
-    def reference(self, state):
-        n = self.params["n"]
-        return [(np.arange(n, dtype=np.int64) * 1103 + 12345)
-                .astype(np.int32)]
-
-
-class OOBTenant(TenantWorkload):
-    """Malicious tenant: writes ``offset`` elements past its buffer.
-
-    The displacement is a runtime scalar, invisible to the build-time
-    verifier; the write faults in *this tenant's* address space and the
-    recovery ladder surfaces a JobFault to this tenant only. The
-    harness expects this workload to fail."""
-
-    name = "oob"
-    expects_failure = True
-
-    @staticmethod
-    def default_params():
-        return {"n": 256, "offset": 1 << 22}
-
-    def total_groups(self):
-        return self.params["n"] // 64
-
-    def setup(self, context, queue, rng):
-        p = self.params
-        kernel = context.build_program(_OOB_SOURCE).kernel("oob")
-        buf_out = context.alloc_buffer(p["n"] * 4)
-        kernel.set_args(buf_out, p["offset"])
-        return {"kernel": kernel, "buf_out": buf_out}
-
-    def submit(self, context, queue, state):
-        n = self.params["n"]
-        return queue.enqueue_nd_range_async(state["kernel"], (n,), (64,))
-
-    def collect(self, context, queue, state):
-        return []
-
-    def reference(self, state):
-        return []
-
-
-WORKLOADS = {
-    "sgemm": SgemmTenant,
-    "divergent": DivergentTenant,
-    "fillseq": FillseqTenant,
-    "oob": OOBTenant,
-}
-
-
-def make_workload(name, params=None):
-    if name not in WORKLOADS:
-        raise ValueError(f"unknown tenant workload {name!r}; "
-                         f"known: {sorted(WORKLOADS)}")
-    return WORKLOADS[name](params)
+from repro.kernels.replayable import REPLAYABLE
 
 
 @dataclass
 class TenantPlan:
-    """One tenant's role in a mixed run."""
+    """One tenant's role in a mixed run: *workload* names a
+    :data:`~repro.kernels.replayable.REPLAYABLE` entry, *params* are its
+    constructor keywords."""
 
     workload: str
     qos: str = "fg"
     params: dict = None
     jobs: int = 1
+
+
+def _workload(tenant_plan):
+    """The :data:`~repro.kernels.replayable.REPLAYABLE` workload a plan
+    names (soft-stop replays and recovery resubmissions are bit-invisible
+    only for those)."""
+    if tenant_plan.workload not in REPLAYABLE:
+        raise ValueError(f"unknown tenant workload {tenant_plan.workload!r}; "
+                         f"known: {sorted(REPLAYABLE)}")
+    return REPLAYABLE[tenant_plan.workload](**tenant_plan.params or {})
 
 
 @dataclass
@@ -416,12 +170,12 @@ def run_mixed(tenant_plans, engine_mode="fast", num_host_threads=1,
         tenant = driver.tenant(tenant_id)
         context = Context(platform=platform, tenant=tenant)
         queue = CommandQueue(context)
-        workload = make_workload(tenant_plan.workload, tenant_plan.params)
-        rng = np.random.default_rng(seed * 1_000_003 + tenant_id)
-        state = workload.setup(context, queue, rng)
+        workload = _workload(tenant_plan)
+        workload.rng = np.random.default_rng(seed * 1_000_003 + tenant_id)
+        inputs = workload.prepare()
         sessions[tenant_id] = {
-            "workload": workload, "context": context, "queue": queue,
-            "state": state, "jobs": [],
+            "workload": workload, "queue": queue, "inputs": inputs,
+            "state": workload.setup(context, queue, inputs), "jobs": [],
         }
 
     # submissions interleave round-robin across tenants so the arbiter
@@ -431,9 +185,10 @@ def run_mixed(tenant_plans, engine_mode="fast", num_host_threads=1,
         for tenant_id in active:
             if round_index < tenant_plans[tenant_id].jobs:
                 session = sessions[tenant_id]
-                session["jobs"].append(session["workload"].submit(
-                    session["context"], session["queue"],
-                    session["state"]))
+                session["jobs"].append(
+                    session["queue"].enqueue_nd_range_async(
+                        session["state"]["kernel"],
+                        *session["workload"].geometry()))
 
     driver.drain()
 
@@ -448,19 +203,17 @@ def run_mixed(tenant_plans, engine_mode="fast", num_host_threads=1,
         undone = [job for job in session["jobs"] if not job.done]
         if undone:
             errors.append(f"{len(undone)} jobs never completed")
-        expects_failure = getattr(workload, "expects_failure", False)
         outputs, verified = [], False
-        if not errors and not expects_failure:
+        if not errors and not workload.expects_failure:
             try:
-                outputs = workload.collect(session["context"],
-                                           session["queue"],
+                outputs = workload.collect(session["queue"],
                                            session["state"])
                 verified = workload.check(outputs,
                                           workload.reference(
-                                              session["state"]))
+                                              session["inputs"]))
             except SimError as exc:
                 errors.append(f"{type(exc).__name__}: {exc}")
-        elif expects_failure:
+        elif workload.expects_failure:
             verified = bool(errors)  # the attacker is *supposed* to fault
         prefix = f"tenant{tenant_id}."
         records[tenant_id] = TenantRecord(
@@ -597,9 +350,7 @@ def _adversarial_plan(scenario, rng, tenant_plans, attacker_id,
                          count=None, tenant=attacker_id,
                          params={"kind": "translation", "access": "w"})
     elif scenario == "xtenant-hang":
-        groups = make_workload(
-            tenant_plans[attacker_id].workload,
-            tenant_plans[attacker_id].params).total_groups()
+        groups = _workload(tenant_plans[attacker_id]).total_groups()
         spec = FaultSpec("core.hang",
                          key=int(rng.integers(0, groups)),
                          count=None, tenant=attacker_id)

@@ -48,15 +48,15 @@ are sugar: their arguments become the one sweep of a farm config that
 corpus's open ``mismatch`` entries must still mismatch, as in the farm).
 
 The campaign verbs (``conformance``, ``faultcampaign``, ``tenants``,
-``lint``, ``analyze``, ``farm``) exit non-zero on any failing case (2 on
-usage errors such as a bad config or an unreadable corpus entry: one
-line, never a traceback) and end their output with a stable
-machine-parsable summary line::
+``lint``, ``analyze``, ``farm``) exit non-zero on any failing case and
+end their output with a stable machine-parsable summary line::
 
     RESULT <verb> status=<ok|fail> key=value ...
 
 so wrapping automation (CI, the farm itself) never has to scrape
-human-oriented output.
+human-oriented output. Every verb exits 2 on a usage error — a bad
+config, an unreadable FILE or corpus entry, an unknown workload, engine
+or ``--kernel`` — with one line, never a traceback.
 """
 
 import argparse
@@ -67,6 +67,7 @@ import sys
 import numpy as np
 
 from repro.core.platform import ENGINE_MODES, ENGINE_NAMES
+from repro.errors import SimError, UsageError
 
 
 def result_line(verb, ok, **fields):
@@ -101,22 +102,60 @@ def _run_sweep(verb, sweep, verbose=False):
     return config, run.report["cases"]
 
 
-def _fail_closed(command):
-    """A typed simulator error out of a campaign verb is a usage error
-    (bad config, unreadable corpus entry or journal): one line and exit
-    2, never a traceback."""
-    def run(options):
-        from repro.errors import SimError
-        from repro.validate.farm import FarmConfigError
+def _fail_closed(options):
+    """Run the verb *options* selected. A typed simulator error out of
+    it is a usage error (bad config, unreadable source, corpus entry or
+    journal, unknown workload or kernel): one line and exit 2, never a
+    traceback."""
+    from repro.validate.farm import FarmConfigError
 
-        try:
-            return command(options)
-        except FarmConfigError as exc:
-            print(f"{options.command}: bad config: {exc}")
-        except SimError as exc:
-            print(f"{options.command}: {exc}")
-        return 2
-    return run
+    try:
+        return options.func(options)
+    except FarmConfigError as exc:
+        print(f"{options.command}: bad config: {exc}")
+    except SimError as exc:
+        print(f"{options.command}: {exc}")
+    return 2
+
+
+def _read_source(options):
+    try:
+        with open(options.file) as handle:
+            return handle.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {options.file}: {exc}") from None
+
+
+def _no_such_kernel(options, names):
+    """``--kernel`` selected nothing: a gate that checks nothing must
+    not pass."""
+    return UsageError(f"no kernel {options.kernel!r}; "
+                      f"available: {', '.join(sorted(names))}")
+
+
+def _static_units(options, run_target, run_source, **geometry):
+    """The units ``lint``/``analyze`` report on: the ``--builtin`` sweep
+    or FILE, narrowed by ``--kernel``; None when neither was named."""
+    from repro.gpu.verify.lint import builtin_targets
+
+    if not (options.builtin or options.file):
+        return None
+    source = None if options.builtin else _read_source(options)
+
+    def select(kernel):
+        if options.builtin:
+            return [unit for target in builtin_targets()
+                    for unit in run_target(target, version=options.version,
+                                           kernel=kernel, **geometry)]
+        return run_source(options.file, source, defines=_defines(options),
+                          version=options.version, kernel=kernel,
+                          **geometry)
+
+    units = select(options.kernel)
+    if options.kernel and not units:
+        raise _no_such_kernel(options, {unit.kernel
+                                        for unit in select(None)})
+    return units
 
 
 def _ensure_outdir(path, verb):
@@ -168,8 +207,7 @@ def _defines(options):
 def _cmd_compile(options):
     from repro.clc import COMPILER_VERSIONS, compile_source
 
-    with open(options.file) as handle:
-        source = handle.read()
+    source = _read_source(options)
     versions = (sorted(COMPILER_VERSIONS) if options.all_versions
                 else [options.version])
     print(f"{'kernel':20s} {'version':8s} {'clauses':>8s} {'slots':>6s} "
@@ -192,13 +230,14 @@ def _cmd_disasm(options):
     from repro.clc import compile_source
     from repro.gpu.disasm import disassemble
 
-    with open(options.file) as handle:
-        source = handle.read()
-    program = compile_source(source, options=options.version,
+    program = compile_source(_read_source(options), options=options.version,
                              defines=_defines(options))
-    for name in sorted(program.kernels):
-        if options.kernel and name != options.kernel:
-            continue
+    names = sorted(program.kernels)
+    if options.kernel:
+        if options.kernel not in names:
+            raise _no_such_kernel(options, names)
+        names = [options.kernel]
+    for name in names:
         compiled = program.kernels[name]
         annotations = None
         if options.cost:
@@ -226,10 +265,9 @@ def _prepare_launch(options, context):
     global_size, local_size)."""
     from repro.cl import CommandQueue, LocalMemory
 
-    with open(options.file) as handle:
-        source = handle.read()
     queue = CommandQueue(context)
-    program = context.build_program(source, version=options.version,
+    program = context.build_program(_read_source(options),
+                                    version=options.version,
                                     defines=_defines(options))
     name = options.kernel or program.kernel_names[0]
     kernel = program.kernel(name)
@@ -305,11 +343,12 @@ def _cmd_bench(options):
     from repro.instrument.timing import CycleModel
     from repro.kernels import get_workload
 
-    params = {}
-    for item in options.param:
-        name, _, value = item.partition("=")
-        params[name] = int(value)
-    workload = get_workload(options.name, **params)
+    try:
+        params = {name: int(value) for name, _, value in
+                  (item.partition("=") for item in options.param)}
+        workload = get_workload(options.name, **params)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad --param: {exc}") from None
     result = workload.run()
     stats = result.stats
     print(f"{options.name}: verified={result.verified} jobs={result.jobs} "
@@ -409,21 +448,22 @@ def _cmd_overhead(options):
     return 0 if report.within_budget else 1
 
 
-@_fail_closed
-def _conformance_replay(options):
-    _config, cases = _run_sweep("conformance", {
-        "kind": "corpus", "dir": options.replay,
-        "engines": options.engines.split("+") if options.engines else None})
-    return report_cases("conformance", cases, count="entries", mode="replay")
-
-
 def _cmd_conformance(options):
     from repro.validate import ENGINES, run_conformance
 
     if options.replay:
-        return _conformance_replay(options)
+        _config, cases = _run_sweep("conformance", {
+            "kind": "corpus", "dir": options.replay,
+            "engines": (options.engines.split("+") if options.engines
+                        else None)})
+        return report_cases("conformance", cases, count="entries",
+                            mode="replay")
     engines = tuple(options.engines.split("+")) if options.engines \
         else ENGINES
+    unknown = sorted(set(engines) - set(ENGINES))
+    if unknown:
+        raise UsageError(f"unknown engines {unknown}; "
+                         f"known: {'+'.join(ENGINES)}")
 
     if options.write_corpus:
         error = _ensure_outdir(options.write_corpus, "conformance")
@@ -455,7 +495,6 @@ def _cmd_conformance(options):
 def _cmd_lint(options):
     from repro.gpu.verify import Severity
     from repro.gpu.verify.lint import (
-        builtin_targets,
         format_unit,
         lint_source,
         lint_target,
@@ -463,24 +502,10 @@ def _cmd_lint(options):
     )
 
     min_severity = Severity.NOTE if options.notes else Severity.WARNING
-    units = []
-
-    if options.builtin:
-        for target in builtin_targets():
-            units.extend(lint_target(target, version=options.version,
-                                     kernel=options.kernel))
-    else:
-        if not options.file:
-            print("lint: need a FILE or --builtin")
-            return 2
-        try:
-            with open(options.file) as handle:
-                source = handle.read()
-        except OSError as exc:
-            print(f"lint: cannot read {options.file}: {exc}")
-            return 2
-        units = lint_source(options.file, source, defines=_defines(options),
-                            version=options.version, kernel=options.kernel)
+    units = _static_units(options, lint_target, lint_source)
+    if units is None:
+        print("lint: need a FILE or --builtin")
+        return 2
 
     if options.json:
         import json
@@ -512,7 +537,6 @@ def _cmd_analyze(options):
     from repro.gpu.verify.analyze import (
         analyze_source,
         analyze_target,
-        builtin_targets,
         format_unit,
         totals,
         units_to_json,
@@ -527,25 +551,11 @@ def _cmd_analyze(options):
         geometry = {"global_size": _dims3(options.global_size),
                     "local_size": _dims3(local)}
 
-    units = []
-    if options.builtin:
-        for target in builtin_targets():
-            units.extend(analyze_target(target, version=options.version,
-                                        kernel=options.kernel, **geometry))
-    else:
-        if not options.file:
-            print("analyze: need a FILE, --builtin or --soundness")
-            return 2
-        try:
-            with open(options.file) as handle:
-                source = handle.read()
-        except OSError as exc:
-            print(f"analyze: cannot read {options.file}: {exc}")
-            return 2
-        units = analyze_source(options.file, source,
-                               defines=_defines(options),
-                               version=options.version,
-                               kernel=options.kernel, **geometry)
+    units = _static_units(options, analyze_target, analyze_source,
+                          **geometry)
+    if units is None:
+        print("analyze: need a FILE, --builtin or --soundness")
+        return 2
 
     if options.json:
         import json
@@ -612,7 +622,6 @@ def _analyze_soundness(options):
                        verified=verified)
 
 
-@_fail_closed
 def _cmd_faultcampaign(options):
     from repro.validate.farm import PROVIDERS, expand_cases, run_farm
 
@@ -652,7 +661,6 @@ def _cmd_faultcampaign(options):
                         engine=options.engine)
 
 
-@_fail_closed
 def _tenants_adversarial(options):
     """The attacker-vs-victim scenarios are the fault campaign's
     ``isolate`` rows: a ``fault`` sweep over them, victim sgemm."""
@@ -684,6 +692,8 @@ def _cmd_tenants(options):
         solo_baseline,
     )
 
+    if options.jobs < 1 or options.threads < 1:
+        raise UsageError("--jobs and --threads must be >= 1")
     if options.adversarial:
         return _tenants_adversarial(options)
     if options.tenants < 2:
@@ -753,7 +763,6 @@ _FARM_EXAMPLE = """\
 }"""
 
 
-@_fail_closed
 def _cmd_farm(options):
     from repro.validate.farm import (
         expand_cases,
@@ -1065,8 +1074,7 @@ def main(argv=None):
         "example", help="print a copy-pasteable sweep config")
     pf_example.set_defaults(func=_cmd_farm)
 
-    options = parser.parse_args(argv)
-    return options.func(options)
+    return _fail_closed(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -169,13 +169,16 @@ def load_entry(path):
 def load_entries(directory):
     """Load every ``*.json`` entry in *directory*, sorted by filename.
 
-    Returns a list of (path, entry dict).
+    Returns a non-empty list of (path, entry dict): a missing or empty
+    directory is a :class:`CorpusError`, so a mistyped path cannot drop
+    the corpus from a sweep silently.
     """
     entries = []
-    if not os.path.isdir(directory):
-        return entries
-    for filename in sorted(os.listdir(directory)):
-        if filename.endswith(".json"):
-            path = os.path.join(directory, filename)
-            entries.append((path, load_entry(path)))
+    if os.path.isdir(directory):
+        for filename in sorted(os.listdir(directory)):
+            if filename.endswith(".json"):
+                path = os.path.join(directory, filename)
+                entries.append((path, load_entry(path)))
+    if not entries:
+        raise CorpusError(f"no corpus entries under {directory!r}")
     return entries

@@ -157,11 +157,7 @@ class CorpusProvider:
 
         # entries are addressed by filename, so the sweep is stable
         # across re-expansion; the executing process re-reads the file
-        entries = load_entries(sweep["dir"])
-        if not entries:
-            raise FarmConfigError(
-                f"corpus sweep: no corpus entries under {sweep['dir']!r}")
-        for path, entry in entries:
+        for path, entry in load_entries(sweep["dir"]):
             yield f"corpus/{os.path.basename(path)}", {
                 "path": path,
                 "name": entry.get("name", os.path.basename(path)),

@@ -265,3 +265,57 @@ def test_analyze_soundness_sweep(tmp_path, capsys):
     assert report["schema"] == "repro-soundness-report/1"
     assert report["totals"]["violations"] == 0
     assert report["totals"]["records"] == 7  # 5 stress + 2 progen
+
+
+_MISSING = "/nonexistent/k.cl"
+
+USAGE_ERRORS = {
+    # a --kernel that selects nothing must not pass the gate
+    "lint-no-kernel": ["lint", "FILE", "--kernel", "nosuch"],
+    "lint-builtin-no-kernel": ["lint", "--builtin", "--kernel", "nosuch"],
+    "analyze-no-kernel": ["analyze", "FILE", "--kernel", "nosuch"],
+    "disasm-no-kernel": ["disasm", "FILE", "--kernel", "nosuch"],
+    "run-no-kernel": ["run", "FILE", "--kernel", "nosuch"],
+    # a corpus that is not there must not drop out of the sweep
+    "soundness-missing-corpus": ["analyze", "--soundness", "--workloads",
+                                 "none", "--no-slam", "--corpus",
+                                 "/nonexistent/corpus"],
+    "soundness-empty-corpus": ["analyze", "--soundness", "--workloads",
+                               "none", "--no-slam", "--corpus", "EMPTY"],
+    **{f"{verb}-unreadable": [verb, _MISSING]
+       for verb in ("compile", "disasm", "run", "stats", "trace", "lint",
+                    "analyze")},
+    "bench-unknown": ["bench", "nosuch"],
+    "overhead-unknown": ["overhead", "--workload", "nosuch"],
+    "soundness-unknown": ["analyze", "--soundness", "--workloads", "nosuch"],
+    "bench-param-value": ["bench", "sgemm", "--param", "m=abc"],
+    "bench-param-name": ["bench", "sgemm", "--param", "zzz=3"],
+    "conformance-engine": ["conformance", "--engines", "nosuch"],
+    "tenants-jobs": ["tenants", "--tenants", "2", "--jobs", "0"],
+    "tenants-threads": ["tenants", "--tenants", "2", "--threads", "0"],
+    "tenants-adversarial-threads": ["tenants", "--adversarial", "all",
+                                    "--threads", "0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_errors_are_one_line_and_exit_two(case, kernel_file, tmp_path,
+                                                capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # trace's default output lands here
+    argv = [{"FILE": kernel_file, "EMPTY": str(tmp_path)}.get(arg, arg)
+            for arg in USAGE_ERRORS[case]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert len(captured.out.splitlines()) == 1, captured.out
+    assert captured.out.startswith(f"{argv[0]}: ")
+
+
+def test_unknown_workload_is_typed_and_still_a_key_error():
+    from repro.errors import SimError
+    from repro.kernels import get_workload
+
+    with pytest.raises(KeyError) as caught:
+        get_workload("nosuch")
+    assert isinstance(caught.value, SimError)
+    assert str(caught.value).startswith("unknown workload 'nosuch'; ")

@@ -3,8 +3,9 @@
 The fast tests exercise :class:`OverheadReport` arithmetic and the
 :func:`measure_overhead` protocol with a synthetic runner. The slow test
 actually times the simulator bare vs instrumented; its bound is loose
-(a CI smoke check, not the paper claim) — the strict <5% measurement
-lives in benchmarks/bench_overhead.py and BENCH_overhead.json.
+(a CI smoke check, not the paper claim) — the measurement with its
+spread is the e2e ledger's ``instrument.overhead_frac`` /
+``instrument.overhead_iqr`` (benchmarks/e2e/micro.py).
 """
 
 import json
@@ -85,8 +86,7 @@ def test_simulator_overhead_smoke():
     """End-to-end self-measurement on a real workload.
 
     The bound here is deliberately generous (50%, vs the paper's 5%): a
-    loaded CI host can distort 100-ms-scale timings. The strict budget is
-    enforced by benchmarks/bench_overhead.py with more repeats.
+    loaded CI host can distort 100-ms-scale timings.
     """
     from repro.cl import Context
     from repro.core.platform import MobilePlatform, PlatformConfig
