@@ -23,7 +23,15 @@ trajectory to regress against:
   on mega — Python-level calls (a ``sys.setprofile`` count: exact, and
   gated against the checked-in number) and microseconds — and what
   translating a clause costs, cold (emit + ``compile()``) and from the
-  process-wide code cache (a second fresh platform must emit nothing).
+  process-wide code cache (a second fresh platform must emit nothing);
+- **mega_masked**: what one step of the masked scheduler costs around a
+  fall-through body — NumPy-level operations on the lane PCs and masks
+  (exact, gated against the checked-in number) and microseconds — and
+  how many masked steps of the SLAM express pipeline ran with every lane
+  of the row active (none: such lanes go back to the chain functions);
+- **build**: what building the nine SLAM kernels costs cold, per kernel
+  (compile, the compiler's gate, the binary gate), and how many gate
+  calls a second build of the same content makes (none).
 
 The report records the host (cores, Python, NumPy) beside the numbers.
 
@@ -43,14 +51,21 @@ import numpy as np
 _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(_REPO_ROOT / "src"))
 
-from repro.cl import Context  # noqa: E402
+from repro.cl import Context, runtime  # noqa: E402
+from repro.clc import compiler  # noqa: E402
 from repro.core.platform import MobilePlatform, PlatformConfig  # noqa: E402
 from repro.cl import CommandQueue  # noqa: E402
 from repro.gpu import megakernel  # noqa: E402
 from repro.gpu.device import GPUConfig  # noqa: E402
+from repro.gpu.isa import (  # noqa: E402
+    CONST_BASE, NOP_INSTR, Clause, Instruction, Op, Program, Tail)
 from repro.gpu.mmu import GPUMMU  # noqa: E402
+from repro.gpu.shadercore import WorkgroupShape  # noqa: E402
 from repro.gpu.warp import QuadWarp  # noqa: E402
+from repro.instrument.stats import JobStats  # noqa: E402
 from repro.kernels import get_workload  # noqa: E402
+from repro.slam import KFusionPipeline  # noqa: E402
+from repro.slam.kernels import ALL_SOURCES  # noqa: E402
 
 _OUTPUT = _REPO_ROOT / "BENCH_hotpath.json"
 
@@ -110,6 +125,8 @@ def micro_mmu_loads(quads=2000, repeats=5):
 
 def kernel_end_to_end(workload, sizes, repeats=3):
     """End-to-end wall-clock, fast path off vs on, plus throughput rates."""
+    # a build is paid once per process: not by the first mode timed
+    get_workload(workload, **sizes).prebuild()
 
     def timed(fast_path):
         best = float("inf")
@@ -152,6 +169,7 @@ def engine_end_to_end(workload, sizes, repeats=3):
     bit-identical JobStats — the same guarantee the conformance harness
     fuzzes — so the speedups are measured on provably equivalent runs.
     """
+    get_workload(workload, **sizes).prebuild()
 
     def timed(engine, fast_path):
         best = float("inf")
@@ -338,6 +356,167 @@ def mega_clause(repeats=3):
     }
 
 
+#: NumPy-level operations one masked step may make on the lane PCs and
+#: the mask around a fall-through body with statistics on (min, ==,
+#: count_nonzero, view, count_nonzero, the indexed store); 14 before the
+#: waiting bit moved into the PC
+MAX_CALLS_PER_MASKED_STEP = 6
+
+
+class _CountedLanes(np.ndarray):
+    """The per-lane PCs of one workgroup, counting every NumPy-level
+    operation on them and on what derives from them (the masks): ufuncs
+    and reductions, array functions, views and indexed stores."""
+
+    calls = [0]
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        def plain(array):
+            return np.asarray(array) \
+                if isinstance(array, _CountedLanes) else array
+
+        # a mask passed as where= is the clause body's use, not counted
+        self.calls[0] += any(isinstance(array, _CountedLanes)
+                             for array in (*inputs, *(out or ())))
+        if out is not None:
+            kwargs["out"] = tuple(map(plain, out))
+        result = getattr(ufunc, method)(
+            *map(plain, inputs),
+            **{name: plain(value) for name, value in kwargs.items()})
+        if out is not None:
+            return out[0]
+        return result.view(_CountedLanes) \
+            if isinstance(result, np.ndarray) else result
+
+    def __array_function__(self, func, types, args, kwargs):
+        self.calls[0] += 1
+        return super().__array_function__(func, types, args, kwargs)
+
+    def __setitem__(self, key, value):
+        self.calls[0] += 1
+        super().__setitem__(key, value)
+
+    def view(self, *args):
+        self.calls[0] += 1
+        return super().view(*args)
+
+
+def _fallthrough_program(clauses):
+    """*clauses* one-slot clauses that fall through, then END."""
+    bump = (Instruction(Op.IADD, dst=0, srca=0, srcb=CONST_BASE), NOP_INSTR)
+    program = Program(clauses=[
+        Clause(tuples=[bump], constants=[1],
+               tail=Tail.FALLTHROUGH if index < clauses else Tail.END)
+        for index in range(clauses + 1)])
+    program.validate()
+    return program
+
+
+def mega_masked(workgroups=200, repeats=5):
+    """The masked scheduler, per step and on the application.
+
+    A 6-thread workgroup has dead lanes in its last quad and runs every
+    clause masked; two programs that differ only in the number of
+    fall-through clauses differ by that many masked steps, so the
+    differences of the operation count (exact) and of the time are the
+    cost of exactly those steps. The SLAM express pipeline is then run
+    under ``sys.setprofile`` to see every masked step's mask."""
+    shape = WorkgroupShape((6, 1, 1), (6, 1, 1))
+    short, long_ = 8, 72
+    run_masked = megakernel.MegaKernel._run_masked
+
+    def counting_masked(self, state, pcs, *rest):
+        return run_masked(self, state, pcs.view(_CountedLanes), *rest)
+
+    def run(clauses, counted=False):
+        kernel = megakernel.MegaKernel(_fallthrough_program(clauses),
+                                       None, None)
+        kernel.bind(np.zeros(1, dtype=np.uint32))
+        stats = JobStats()
+        if counted:
+            _CountedLanes.calls[0] = 0
+            megakernel.MegaKernel._run_masked = counting_masked
+            try:
+                kernel.run_workgroup(shape, 0, stats)
+            finally:
+                megakernel.MegaKernel._run_masked = run_masked
+            return _CountedLanes.calls[0]
+
+        def launch():
+            for group in range(workgroups):
+                kernel.run_workgroup(shape, group, stats)
+        return _best(launch, repeats)
+
+    calls = [run(clauses, counted=True) for clauses in (short, long_, long_)]
+    seconds = run(long_) - run(short)
+
+    steps = {"masked": 0, "full_mask": 0}
+
+    def profile(frame, event, _arg):
+        code = frame.f_code
+        if event == "call" and code.co_name.startswith("masked_") \
+                and code.co_filename.startswith("<mega "):
+            steps["masked"] += 1
+            steps["full_mask"] += bool(frame.f_locals["mask"].all())
+
+    context = Context(MobilePlatform(PlatformConfig(
+        gpu=GPUConfig(engine="mega", instrument=True))))
+    sys.setprofile(profile)
+    try:
+        KFusionPipeline("express").run_gpu(context=context)
+    finally:
+        sys.setprofile(None)
+    return {
+        "steps": long_ - short,
+        "calls_per_step": (calls[1] - calls[0]) / (long_ - short),
+        "calls_repeat_exactly": calls[1] == calls[2],
+        "us_per_step": seconds / workgroups / (long_ - short) * 1e6,
+        "slam_express_masked_steps": steps["masked"],
+        "slam_express_full_mask_steps": steps["full_mask"],
+    }
+
+
+def build():
+    """Building the nine SLAM kernels: cold (compile, the compiler's
+    gate and the binary gate per kernel) and again on a second fresh
+    platform, which must find both verdicts kept. Gate calls are counted
+    where the build looks the gates up."""
+    source = ALL_SOURCES + "\n// a content nothing else in this run builds\n"
+    calls = [0]
+    gates = [(compiler, "verify_program"), (runtime, "verify_binary")]
+
+    def counting(gate):
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return gate(*args, **kwargs)
+        return counted
+
+    def timed_build():
+        context = Context(MobilePlatform(PlatformConfig()))
+        calls[0] = 0
+        start = time.perf_counter()
+        program = context.build_program(source)
+        return time.perf_counter() - start, calls[0], program
+
+    originals = [getattr(owner, name) for owner, name in gates]
+    for (owner, name), gate in zip(gates, originals):
+        setattr(owner, name, counting(gate))
+    try:
+        cold_seconds, cold_calls, program = timed_build()
+        warm_seconds, warm_calls, _ = timed_build()
+    finally:
+        for (owner, name), gate in zip(gates, originals):
+            setattr(owner, name, gate)
+    kernels = len(program.kernel_names)
+    return {
+        "kernels": kernels,
+        "cold_ms_per_kernel": cold_seconds / kernels * 1e3,
+        "cold_gate_calls": cold_calls,
+        "second_build_us": warm_seconds * 1e6,
+        "second_build_gate_calls": warm_calls,
+    }
+
+
 def host_metadata():
     return {"cores": os.cpu_count(), "python": platform.python_version(),
             "numpy": np.__version__, "machine": platform.machine()}
@@ -370,6 +549,9 @@ def run(quick=False):
         "mega_launch": mega_launch(jobs=16 if quick else 64,
                                    repeats=micro_repeats),
         "mega_clause": clause,
+        "mega_masked": mega_masked(workgroups=50 if quick else 200,
+                                   repeats=micro_repeats),
+        "build": build(),
     }
     _OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
     return report
@@ -411,8 +593,35 @@ def main(argv=None):
           f"translate {'n/a' if cold is None else format(cold, '.0f')} us "
           f"per clause cold, "
           f"{clause['translate_us_per_clause_warm']:.1f} us from the cache")
+    masked = report["mega_masked"]
+    print(f"mega masked: {masked['calls_per_step']:g} NumPy-level calls and "
+          f"{masked['us_per_step']:.2f} us per masked fall-through step; "
+          f"{masked['slam_express_full_mask_steps']} of "
+          f"{masked['slam_express_masked_steps']} masked steps of SLAM "
+          f"express ran with every lane active")
+    built = report["build"]
+    print(f"build: {built['cold_ms_per_kernel']:.1f} ms per kernel cold "
+          f"({built['cold_gate_calls']} gate calls over "
+          f"{built['kernels']} kernels), second build "
+          f"{built['second_build_us']:.0f} us and "
+          f"{built['second_build_gate_calls']} gate calls")
     print(f"wrote {_OUTPUT}")
     failed = False
+    if masked["calls_per_step"] > MAX_CALLS_PER_MASKED_STEP \
+            or not masked["calls_repeat_exactly"]:
+        print(f"FAIL: {masked['calls_per_step']:g} NumPy-level calls per "
+              f"masked step (checked-in: {MAX_CALLS_PER_MASKED_STEP}, and "
+              f"the count must repeat exactly)", file=sys.stderr)
+        failed = True
+    if masked["slam_express_full_mask_steps"] != 0:
+        print("FAIL: masked steps ran with every lane of the row active; "
+              "re-converged lanes belong on the chain functions",
+              file=sys.stderr)
+        failed = True
+    if built["second_build_gate_calls"] != 0:
+        print("FAIL: a second build of the same content ran a gate again",
+              file=sys.stderr)
+        failed = True
     if clause["second_platform_emits"] != 0:
         print("FAIL: a second fresh platform emitted code for a program "
               "the process had already translated", file=sys.stderr)

@@ -96,7 +96,7 @@ def fig07_slowdown(workloads=FIG7_WORKLOADS, sizes=None):
     rows = []
     for name in workloads:
         workload = get_workload(name, **(sizes or {}).get(name, {}))
-        result = workload.run()
+        result = workload.prebuild().run()
         native = native_seconds(workload)
         gpu_seconds = result.total_seconds - result.cpu_seconds
         rows.append({
@@ -132,7 +132,10 @@ def fig08_vs_m2s(workloads=FIG8_WORKLOADS, sizes=None):
     rows = []
     for name in workloads:
         params = (sizes or {}).get(name, {})
-        m2s_seconds, m2s_ok, _ = run_workload_m2s(get_workload(name, **params))
+        # built before any of the three clocks: a cold build would be
+        # charged to whichever mode happened to run first
+        m2s_seconds, m2s_ok, _ = run_workload_m2s(
+            get_workload(name, **params).prebuild())
 
         def _full_system(instrument):
             config = PlatformConfig(gpu=GPUConfig(instrument=instrument))
@@ -198,7 +201,7 @@ def fig10_thread_scaling(threads=(1, 2, 4, 8, 16, 32, 64),
     results = {}
     for name in workload_names:
         workload = get_workload(name, **sizes.get(name, {}))
-        result = workload.run()
+        result = workload.prebuild().run()
         # serial portion: simulated-CPU driver work + per-job descriptor/
         # doorbell/IRQ handling (measured, not assumed)
         serial = result.cpu_seconds + launch_overhead * result.jobs
@@ -340,7 +343,7 @@ def fig15_sgemm(n=32):
     raw = []
     for variant in range(1, 7):
         workload = SgemmVariant(variant=variant, n=n)
-        result = workload.run()
+        result = workload.prebuild().run()
         stats = result.stats
         registers = workload.last_kernel.compiled.work_registers
         wide_fraction = 1.0 if variant == 4 else 0.0

@@ -7,7 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import CLError, JobFault
+from repro.hostcode import BoundedTable
 from repro.clc import compile_source
+from repro.clc.compiler import PROGRAM_CACHE_SIZE, build_key
 from repro.core.platform import MobilePlatform
 from repro.gpu.mmu import AS_TAG_SHIFT
 from repro.gpu.verify import VerifyContext, verify_binary, verify_program
@@ -170,29 +172,47 @@ class Context:
         return self.platform.guest.instructions_executed
 
 
-class Program:
-    """A JIT-compiled program: one binary per kernel, uploaded on demand.
+#: Build key -> (CompiledProgram, {kernel: report}) of every build that
+#: passed both gates: nothing of a context, platform or buffer.
+_builds = BoundedTable(PROGRAM_CACHE_SIZE)
+
+
+def gated_build(source, version=None, defines=None):
+    """The compiled program of *source* and its per-kernel build reports.
 
     Build acts like a driver-side verifier: beyond compiling, every
     kernel's *binary* is decoded and re-verified independently of the
     compiler's own gate, and error-severity findings fail the build with
-    :class:`CLError` (the ``CL_BUILD_PROGRAM_FAILURE`` analogue).
+    :class:`CLError` (the ``CL_BUILD_PROGRAM_FAILURE`` analogue). Both
+    gates are pure functions of the build key: they run once per content
+    per process; a build that raises keeps nothing and raises again.
     """
-
-    def __init__(self, context, source, version=None, defines=None):
-        self.context = context
-        self.source = source
-        self.compiled = compile_source(source, options=version, defines=defines)
-        self.build_reports = {}
-        for name, kernel in self.compiled.kernels.items():
-            report = verify_binary(
+    def run_gates():
+        compiled = compile_source(source, options=version, defines=defines)
+        reports = {}
+        for name, kernel in compiled.kernels.items():
+            report = reports[name] = verify_binary(
                 kernel.binary, VerifyContext.from_compiled_kernel(kernel))
-            self.build_reports[name] = report
             if not report.ok:
                 details = "; ".join(str(f) for f in report.errors[:8])
                 raise CLError(
                     f"program build failed: kernel {name!r} rejected by "
                     f"the binary verifier: {details}")
+        return compiled, reports
+
+    return _builds.lookup(build_key(source, version, defines), run_gates)
+
+
+class Program:
+    """A JIT-compiled program (:func:`gated_build`): one binary per kernel,
+    uploaded on demand. The compiled program is shared with every build
+    of the same content; the report dict and the uploads are its own."""
+
+    def __init__(self, context, source, version=None, defines=None):
+        self.context = context
+        self.source = source
+        self.compiled, reports = gated_build(source, version, defines)
+        self.build_reports = dict(reports)
         self._uploaded = {}
 
     @property

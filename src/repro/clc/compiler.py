@@ -9,6 +9,7 @@ per-kernel binaries and metadata — the artifact the OpenCL runtime's
 from dataclasses import dataclass, field
 
 from repro.errors import CompileError
+from repro.hostcode import BoundedTable
 from repro.clc.codegen import generate_program
 from repro.clc.ir import Const
 from repro.clc.lower import KernelLowering
@@ -202,25 +203,44 @@ def compile_kernel(kernel_ast, options):
     return compiled
 
 
+#: Compiled programs by build key, handed to every producer of binaries
+#: (CL runtime, m2s, conformance, lint): never written after insertion.
+PROGRAM_CACHE_SIZE = 256
+_programs = BoundedTable(PROGRAM_CACHE_SIZE)
+
+
+def build_key(source, options=None, defines=None):
+    """What determines a compile: the text, the resolved options and the
+    defines in the order given (the preprocessor substitutes in that
+    order), each value as the ``str()`` it is substituted as."""
+    if not isinstance(options, CompilerOptions):
+        options = CompilerOptions.from_version(
+            DEFAULT_VERSION if options is None else options)
+    return source, options, tuple(
+        (name, str(value)) for name, value in (defines or {}).items())
+
+
 def compile_source(source, options=None, defines=None):
-    """Compile kernel-language *source*; returns a :class:`CompiledProgram`.
+    """Compile kernel-language *source*; returns a :class:`CompiledProgram`
+    — the stored one when this process compiled the same thing before.
 
     Args:
         source: kernel-language text (may contain several ``__kernel``
             functions).
-        options: a :class:`CompilerOptions`, a version string ("5.6" ..
-            "6.2"), or None for the default version.
+        options: a :class:`CompilerOptions`, a version ("5.6" .. "6.2",
+            as a string or a number), or None for the default version.
         defines: mapping of preprocessor defines (like ``-D`` options).
     """
-    if options is None:
-        options = CompilerOptions.from_version(DEFAULT_VERSION)
-    elif isinstance(options, str):
-        options = CompilerOptions.from_version(options)
+    key = build_key(source, options, defines)
 
-    unit = parse(source, defines)
-    if not unit.kernels:
-        raise CompileError("no kernel functions found")
-    compiled = CompiledProgram(options=options)
-    for kernel_ast in unit.kernels:
-        compiled.kernels[kernel_ast.name] = compile_kernel(kernel_ast, options)
-    return compiled
+    def compile_unit():
+        unit = parse(source, defines)
+        if not unit.kernels:
+            raise CompileError("no kernel functions found")
+        compiled = CompiledProgram(options=key[1])
+        for kernel_ast in unit.kernels:
+            compiled.kernels[kernel_ast.name] = compile_kernel(
+                kernel_ast, key[1])
+        return compiled
+
+    return _programs.lookup(key, compile_unit)

@@ -25,7 +25,11 @@ per quad with at least one active lane — reproduces the interpreter's
 :class:`~repro.instrument.stats.JobStats` bit-for-bit through the shared
 :func:`~repro.instrument.stats.apply_clause_stats` flush. Barriers need no
 fallback: when every running lane waits, releasing them all reproduces the
-compute unit's release protocol.
+compute unit's release protocol. Two loops share a workgroup: while every
+lane sits at one PC the *converged* loop dispatches chain functions with
+no mask at all; a branch that splits the lanes hands over to the *masked*
+scheduler, which hands back as soon as every lane of the row has met at a
+chain head again (a converged issue and a full-mask step account alike).
 
 Clauses are translated to host *source* (docs/internals.md §9): one
 generated function per chain of fall-through clauses on the converged
@@ -47,14 +51,13 @@ stall accounting.
 
 import binascii
 import re
-import threading
 from collections import namedtuple
 from collections.abc import Sequence
 
 import numpy as np
 
 from repro.errors import GuestError, WatchdogTimeout
-from repro.hostcode import compile_source, forget_source
+from repro.hostcode import BoundedTable, compile_source, forget_source
 from repro.instrument.stats import apply_clause_stats
 from repro.gpu.encoding import encode_program
 from repro.gpu.isa import (
@@ -75,6 +78,8 @@ from repro.gpu.ops import OPS, alu, uniform_word
 from repro.gpu.warp import QUAD_WIDTH, QuadWarp
 
 _END_PC = 1 << 30
+#: or-ed into the PC of a lane waiting at a barrier (above any real PC)
+_WAIT = 1 << 29
 #: clauses one converged workgroup (one quad of a diverged one) may issue
 #: before it is declared stuck
 _MAX_STEPS = 1_000_000
@@ -322,29 +327,18 @@ def _emit(program, filename):
         filename)
 
 
-#: The process-wide code cache: binary image -> :class:`_Code`, shared by
-#: every unit, thread, tenant and platform. The exact bytes are the key
-#: (every field the emitter reads is an encoded field), so an entry cannot
-#: go stale; oldest-out at a fixed size, so a campaign of run-once
-#: programs cannot grow it. Host state: never checkpointed.
+#: The process-wide code cache: binary image -> :class:`_Code`. The exact
+#: bytes are the key: every field the emitter reads is an encoded field.
 CODE_CACHE_SIZE = 256
-_code_cache = {}
-_code_lock = threading.Lock()
+_code_cache = BoundedTable(CODE_CACHE_SIZE,
+                           evicted=lambda code: forget_source(code.filename))
 
 
 def emitted_code(program):
-    """The :class:`_Code` of *program*. Threads may race to emit the same
-    program: one result is kept, only a finished entry is handed out."""
+    """The :class:`_Code` of *program*."""
     key = encode_program(program)
-    code = _code_cache.get(key)
-    if code is None:
-        code = _emit(program, f"<mega {binascii.crc32(key):08x}>")
-        with _code_lock:
-            code = _code_cache.setdefault(key, code)
-            while len(_code_cache) > CODE_CACHE_SIZE:
-                oldest = next(iter(_code_cache))
-                forget_source(_code_cache.pop(oldest).filename)
-    return code
+    return _code_cache.lookup(
+        key, lambda: _emit(program, f"<mega {binascii.crc32(key):08x}>"))
 
 
 class MegaState:
@@ -355,24 +349,23 @@ class MegaState:
 
     __slots__ = ("regs", "R", "F", "I", "uniforms", "mem", "local")
 
-    def __init__(self, regs, typed, uniforms, mem, local):
+    def __init__(self, regs, typed, mem, local):
         self.regs = regs
         # row views of a C-contiguous array: contiguous lane vectors
         self.R = list(regs)
         self.F = list(regs.view(np.float32)) if typed[0] else None
         self.I = list(regs.view(np.int32)) if typed[1] else None
-        self.uniforms = uniforms
         self.mem = mem
         self.local = local
 
 
 class RetiredWarps(Sequence):
-    """The retired warps of one workgroup, each transposed out of the SoA
-    state only when read: the Job Manager never looks, the conformance
-    harness inspects every lane."""
+    """The retired warps of one workgroup, each transposed out of a
+    snapshot of the architectural rows only when read: the Job Manager
+    never looks, the conformance harness inspects every lane."""
 
-    def __init__(self, state, shape):
-        self._state = state
+    def __init__(self, rows, shape):
+        self._rows = rows
         self._shape = shape
 
     def __len__(self):
@@ -384,7 +377,7 @@ class RetiredWarps(Sequence):
         first = range(len(self))[index] * QUAD_WIDTH
         warp = QuadWarp(active_lanes=min(
             QUAD_WIDTH, self._shape.threads_per_group - first))
-        lanes = self._state.regs[:_ROWS, first:first + QUAD_WIDTH].T
+        lanes = self._rows[:, first:first + QUAD_WIDTH].T
         warp.regs[:] = lanes[:, :NUM_GRF]
         warp.temps[:] = lanes[:, TEMP_BASE:]
         warp.pcs[:] = _END_PC
@@ -399,7 +392,8 @@ def _stuck(max_steps):
 class MegaKernel:
     """One program on the workgroup-wide engine, kept by the compute unit
     across jobs and launch shapes: the code comes from the process-wide
-    cache, uniforms are bound per job, state is rebuilt per workgroup."""
+    cache, uniforms are bound per job, each launch shape keeps one state
+    that the unit's workgroups, one at a time, start over from a template."""
 
     def __init__(self, program, mem, local):
         self.program = program
@@ -407,7 +401,7 @@ class MegaKernel:
         self.mem = mem
         self.local = local
         self._code = emitted_code(program)
-        self._launches = {}    # local size -> preloaded rows
+        self._launches = {}    # local size -> (state, template)
 
     def bind(self, uniforms):
         """Install the uniform table of the job about to run."""
@@ -432,33 +426,38 @@ class MegaKernel:
         rounds = [1]
         if watchdog_budget is not None and rounds[0] > watchdog_budget:
             raise WatchdogTimeout(flat_group, rounds[0])
+        # last: the stuck guard's converged clauses and masked steps so
+        # far, each counted across the hand-overs between the two loops
+        job = (stats, flat_group, watchdog_budget, rounds, [0, 0])
         try:
             # float traps are silenced once for the whole workgroup, not
             # per slot; where= forms also compute on dead lanes' garbage
             with np.errstate(all="ignore"):
                 if shape.threads_per_group == width:
-                    pcs = self._run_uniform(state, hits, stats, flat_group,
-                                            watchdog_budget, rounds)
-                else:  # dead lanes in the last quad: masked from clause 0
+                    pcs = self._run_uniform(state, 0, hits, *job)
+                else:  # dead lanes in the last quad: masked to the end
                     pcs = np.full(width, _END_PC, dtype=np.int64)
                     pcs[:shape.threads_per_group] = 0
-                if pcs is not None:
-                    self._run_masked(state, pcs, pending, stats, flat_group,
-                                     watchdog_budget, rounds)
+                # split lanes run masked until all meet again at a chain head
+                while pcs is not None:
+                    pc = self._run_masked(state, pcs, pending, *job)
+                    if pc is None:
+                        break
+                    pcs = self._run_uniform(state, pc, hits, *job)
         finally:
             if stats is not None:
                 quads = width // QUAD_WIDTH
                 converged = {pc: [issues * quads, issues * width]
                              for pc, issues in hits.items()}
-                for counts in (converged, pending):  # in issue order
+                for counts in (converged, pending):
                     apply_clause_stats(stats, self.program.clauses, counts)
-        return RetiredWarps(state, shape)
+        return RetiredWarps(state.regs[:_ROWS].copy(), shape)
 
     def _launch(self, shape):
-        """What every workgroup of one launch shape starts from: the rows
-        from ``REG_GROUP_ID`` up of group (0, 0, 0) — dispatcher-preloaded
-        lane and local ids, global ids equal to them, zeroed temporaries,
-        the constants broadcast to the launch's width."""
+        """``(state, template)`` of one launch shape: the state its
+        workgroups run in and what each starts from — group (0, 0, 0) with
+        dispatcher-preloaded lane and local ids, global ids equal to them,
+        zeroed registers, the constants broadcast to the launch's width."""
         launch = self._launches.get(shape.local_size)
         if launch is None:
             width = shape.warps_per_group * QUAD_WIDTH
@@ -476,15 +475,16 @@ class MegaKernel:
                 regs[REG_GLOBAL_ID + axis, :n] = ids
             for row, value in enumerate(constants, _ROWS):
                 regs[row] = value
-            launch = self._launches[shape.local_size] = \
-                regs[REG_GROUP_ID:].copy()
+            state = MegaState(np.empty_like(regs), self._code.typed,
+                              self.mem, self.local)
+            launch = self._launches[shape.local_size] = (state, regs)
         return launch
 
     def _init_state(self, shape, flat_group):
-        preloaded = self._launch(shape)
-        regs = np.zeros((REG_GROUP_ID + len(preloaded), preloaded.shape[1]),
-                        dtype=np.uint32)
-        regs[REG_GROUP_ID:] = preloaded
+        state, template = self._launch(shape)
+        regs = state.regs
+        # every row: nothing survives from the previous workgroup
+        np.copyto(regs, template)
         n = shape.threads_per_group
         group = shape.group_coords(flat_group)
         for axis in range(3):
@@ -493,26 +493,29 @@ class MegaKernel:
                     group[axis] * shape.local_size[axis]
                 regs[REG_GROUP_ID + axis, :n] = group[axis]
         regs[REG_GROUP_FLAT, :n] = flat_group
-        return MegaState(regs, self._code.typed, self.uniforms, self.mem,
-                         self.local)
+        state.uniforms = self.uniforms
+        return state
 
-    def _run_uniform(self, state, hits, stats, flat_group, budget, rounds):
-        """Converged fast path: every lane live at one shared PC, one
-        generated function per chain of clauses. Returns None when the
-        workgroup retired converged, else the per-lane PCs after the
+    def _run_uniform(self, state, pc, hits, stats, flat_group, budget,
+                     rounds, steps):
+        """Converged fast path: every lane live at the chain head *pc*,
+        one generated function per chain of clauses. Returns None when
+        the workgroup retired converged, else the per-lane PCs after the
         branch that split the lanes, for the masked scheduler."""
         chains = self._code.chains
         rows = state.R
         width = state.regs.shape[1]
         quads = width // QUAD_WIDTH
         max_steps = _MAX_STEPS
-        pc = 0
-        steps = 0
+        issued = steps[0]
         while True:
+            if issued > max_steps:
+                raise _stuck(max_steps)
             # from here on pc is the chain's last clause: its tail decides
             run, length, pc, tail, target, cond_reg = chains[pc]
-            if run(state, hits, max_steps - steps):
+            if run(state, hits, max_steps - issued):
                 raise _stuck(max_steps)
+            issued += length
             if tail is Tail.FALLTHROUGH:
                 pc += 1
             elif tail is Tail.END:
@@ -542,45 +545,44 @@ class MegaKernel:
                 elif taken == 0:
                     pc += 1
                 else:
-                    cond = rows[cond_reg] != 0
-                    if tail is Tail.BRANCH_Z:
-                        cond = ~cond
+                    cond = rows[cond_reg] == 0 if tail is Tail.BRANCH_Z \
+                        else rows[cond_reg] != 0
                     if stats is not None:
                         stats.divergent_branches += _split_quads(cond, ~cond)
+                    steps[0] = issued
                     return np.where(cond, np.int64(target), np.int64(pc + 1))
-            steps += length
-            if steps > max_steps:
-                raise _stuck(max_steps)
 
     def _run_masked(self, state, pcs, pending, stats, flat_group, budget,
-                    rounds):
-        """General scheduler: global min-PC over the per-lane *pcs*
-        (dead and retired lanes sit at ``_END_PC``) with lane masks, one
-        generated function per clause."""
+                    rounds, steps):
+        """General scheduler: global min-PC over the per-lane *pcs* with
+        lane masks, one generated function per clause. Waiting lanes carry
+        ``_WAIT``, dead and retired ones sit at ``_END_PC``: the minimum
+        alone says what is next. Returns None when the workgroup retired,
+        else the chain head every lane of the row has met at again."""
         masked = self._code.masked
+        chains = self._code.chains
         rows = state.R
         width = len(pcs)
-        at_barrier = np.zeros(width, dtype=bool)
         max_steps = _MAX_STEPS * (width // QUAD_WIDTH)
-        steps = 0
+        issued = steps[1]
         while True:
-            running = pcs < _END_PC
-            if not running.any():
-                return
-            runnable = running & ~at_barrier
-            if not runnable.any():
+            current = int(pcs.min())
+            if current >= _WAIT:
+                if current >= _END_PC:
+                    return None
                 # every running lane waits: the unit releases them all
-                at_barrier[:] = False
+                pcs &= ~_WAIT
                 rounds[0] += 1
                 if budget is not None and rounds[0] > budget:
                     raise WatchdogTimeout(flat_group, rounds[0])
                 continue
-            current = int(pcs[runnable].min())
-            mask = runnable & (pcs == current)
+            mask = pcs == current
             lanes = int(np.count_nonzero(mask))
+            if lanes == width and current in chains:
+                steps[1] = issued
+                return current
             if stats is not None:
-                quads = width // QUAD_WIDTH if lanes == width else int(
-                    mask.reshape(-1, QUAD_WIDTH).any(axis=1).sum())
+                quads = int(np.count_nonzero(mask.view(np.uint32)))
                 entry = pending.setdefault(current, [0, 0])
                 entry[0] += quads
                 entry[1] += lanes
@@ -596,29 +598,27 @@ class MegaKernel:
                     stats.cf_instrs += lanes
                     stats.branch_events += quads
             elif tail is Tail.BARRIER:
-                pcs[mask] = current + 1
-                at_barrier |= mask
+                pcs[mask] = (current + 1) | _WAIT
             else:  # BRANCH / BRANCH_Z
-                cond = rows[cond_reg] != 0
-                if tail is Tail.BRANCH_Z:
-                    cond = ~cond
+                cond = rows[cond_reg] == 0 if tail is Tail.BRANCH_Z \
+                    else rows[cond_reg] != 0
                 taken = mask & cond
-                not_taken = mask & ~cond
+                pcs[mask] = current + 1
                 pcs[taken] = target
-                pcs[not_taken] = current + 1
                 if stats is not None:
                     stats.cf_instrs += lanes
                     stats.branch_events += quads
                     # a quad can only have split if the lanes did
                     if 0 < np.count_nonzero(taken) < lanes:
                         stats.divergent_branches += _split_quads(
-                            taken, not_taken)
-            steps += 1
-            if steps > max_steps:
+                            taken, mask & ~cond)
+            issued += 1
+            if issued > max_steps:
                 raise _stuck(max_steps)
 
 
 def _split_quads(taken, not_taken):
-    """Quads with lanes on both sides of a branch."""
-    return int((taken.reshape(-1, QUAD_WIDTH).any(axis=1)
-                & not_taken.reshape(-1, QUAD_WIDTH).any(axis=1)).sum())
+    """Quads with lanes on both sides of a branch. Both are contiguous
+    bool rows of a multiple of four lanes: one uint32 word per quad."""
+    return int(np.count_nonzero(np.logical_and(
+        taken.view(np.uint32), not_taken.view(np.uint32))))

@@ -91,20 +91,16 @@ def vec_urem(a_u32, b_u32):
     return np.where(b == 0, 0, a % safe).astype(_U32)
 
 
-def vec_f2i(a_u32):
-    """Saturating float->int32 (the architecture's defined out-of-range
-    behaviour; NaN converts to 0)."""
-    with np.errstate(all="ignore"):
-        safe = np.nan_to_num(a_u32.view(_F32).astype(np.float64), nan=0.0)
-        clipped = np.clip(safe, -2147483648.0, 2147483647.0)
-        return clipped.astype(np.int64).astype(_I32).view(_U32)
-
-
-def vec_f2u(a_u32):
-    with np.errstate(all="ignore"):
-        safe = np.nan_to_num(a_u32.view(_F32).astype(np.float64), nan=0.0)
-        clipped = np.clip(safe, 0.0, 4294967295.0)
-        return clipped.astype(np.int64).astype(_U32)
+def _f2int(low, high):
+    """Float -> integer saturating at [*low*, *high*] (the architecture's
+    defined out-of-range behaviour); NaN converts to 0."""
+    def run(a_u32):
+        with np.errstate(all="ignore"):  # a signalling NaN traps the cast
+            wide = a_u32.view(_F32).astype(np.float64)
+            wide[wide != wide] = 0.0
+            np.clip(wide, low, high, out=wide)
+            return wide.astype(np.int64).astype(_U32)  # two's complement
+    return run
 
 
 def vec_i2f(a_u32):
@@ -207,8 +203,8 @@ OPS = {
     Op.FLOG: _lanewise(np.log, _F32),
     Op.FSIN: _lanewise(np.sin, _F32),
     Op.FCOS: _lanewise(np.cos, _F32),
-    Op.F2I: OpRow(vec_f2i, 1),
-    Op.F2U: OpRow(vec_f2u, 1),
+    Op.F2I: OpRow(_f2int(-2147483648.0, 2147483647.0), 1),
+    Op.F2U: OpRow(_f2int(0.0, 4294967295.0), 1),
     Op.I2F: OpRow(vec_i2f, 1),
     Op.U2F: OpRow(vec_u2f, 1),
     Op.IADD: _lanewise(np.add, _U32),

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cl import CommandQueue, Context
+from repro.cl.runtime import gated_build
 from repro.instrument.stats import JobStats
 
 
@@ -74,6 +75,13 @@ class Workload(abc.ABC):
         (must mirror what :meth:`execute` passes to build_program, so the
         lint tooling compiles the same code the workload runs)."""
         return {}
+
+    def prebuild(self):
+        """Build the program now; returns self. A build is paid once per
+        content per process, so whoever times a run and must not depend
+        on what the process ran before calls this ahead of the clock."""
+        gated_build(self.source, defines=self.compile_defines())
+        return self
 
     @staticmethod
     def default_params():

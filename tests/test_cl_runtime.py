@@ -186,3 +186,189 @@ class TestLaunch:
         context.buffer_from_array(data)
         assert context.guest_instructions > before
         assert context.cpu_seconds > 0
+
+
+# -- the process-wide build table ---------------------------------------------
+
+
+def _count_gates(monkeypatch):
+    """Calls of the compiler's own gate and of the binary gate, counted
+    where the build looks them up."""
+    from repro.cl import runtime
+    from repro.clc import compiler
+
+    calls = {"compiler": 0, "binary": 0}
+    compiler_gate, binary_gate = compiler.verify_program, runtime.verify_binary
+
+    def counting_compiler_gate(program, ctx):
+        calls["compiler"] += 1
+        return compiler_gate(program, ctx)
+
+    def counting_binary_gate(binary, ctx):
+        calls["binary"] += 1
+        return binary_gate(binary, ctx)
+
+    monkeypatch.setattr(compiler, "verify_program", counting_compiler_gate)
+    monkeypatch.setattr(runtime, "verify_binary", counting_binary_gate)
+    return calls
+
+
+def _unique(source, tag):
+    """*source* as a content no other test of this process builds."""
+    return f"{source}\n// {tag}\n"
+
+
+class TestBuildTable:
+    def test_both_gates_run_once_per_content(self, monkeypatch):
+        from repro.slam.kernels import ALL_SOURCES
+
+        calls = _count_gates(monkeypatch)
+        source = _unique(ALL_SOURCES, "gates-once")
+        programs = [Context().build_program(source) for _ in range(2)]
+        assert calls == {"compiler": 9, "binary": 9}
+        first, second = programs
+        assert first.compiled is second.compiled
+        # what a program writes is its own
+        assert first.build_reports == second.build_reports
+        assert first.build_reports is not second.build_reports
+        assert first._uploaded is not second._uploaded
+        assert all(report.ok for report in second.build_reports.values())
+
+    def test_stored_programs_are_never_written(self, monkeypatch):
+        """The kernels the table hands to every tenant and platform still
+        equal a fresh compile of their key after the SLAM pipeline and a
+        fault-and-recover case ran from them."""
+        from repro.clc import compiler
+        from repro.clc.compiler import build_key
+        from repro.core.platform import MobilePlatform
+        from repro.gpu.encoding import encode_program
+        from repro.hostcode import BoundedTable
+        from repro.inject.campaign import run_case
+        from repro.kernels.replayable import REPLAYABLE
+        from repro.slam import KFusionPipeline
+        from repro.slam.kernels import ALL_SOURCES
+
+        KFusionPipeline("express").run_gpu(
+            context=Context(MobilePlatform.for_mode("mega")))
+        result, _plan = run_case("sgemm", "mmu-transient", seed=0,
+                                 engine="mega")
+        assert result.ok, result.detail
+        stored = {key: compiler._programs[key] for key in (
+            build_key(ALL_SOURCES), build_key(REPLAYABLE["sgemm"].source))}
+        monkeypatch.setattr(compiler, "_programs", BoundedTable(8))
+        for (source, options, defines), program in stored.items():
+            fresh = compiler.compile_source(source, options, dict(defines))
+            assert fresh is not program
+            assert sorted(fresh.kernels) == sorted(program.kernels)
+            for name, kernel in program.kernels.items():
+                assert kernel.binary == fresh.kernels[name].binary
+                assert encode_program(kernel.program) == kernel.binary
+                assert vars(kernel).keys() == vars(fresh.kernels[name]).keys()
+                for field in ("work_registers", "local_static_size",
+                              "scratch_per_thread", "params",
+                              "uniform_count"):
+                    assert getattr(kernel, field) \
+                        == getattr(fresh.kernels[name], field)
+
+    def test_a_rejected_build_is_rejected_every_time(self, monkeypatch):
+        """The binary gate sees an image that does not decode (as if it
+        were damaged between compiler and driver): ``CLError`` on every
+        attempt, nothing kept — and the intact build still passes."""
+        from repro.cl import runtime
+        from repro.clc.compiler import build_key
+
+        source = _unique(KERNEL, "rejected")
+        gate = runtime.verify_binary
+        calls = _count_gates(monkeypatch)
+        monkeypatch.setattr(
+            runtime, "verify_binary",
+            lambda binary, ctx: gate(b"JUNK" + binary[4:], ctx))
+        for _ in range(2):
+            with pytest.raises(CLError, match="binary verifier"):
+                Context().build_program(source)
+        assert build_key(source) not in runtime._builds
+        monkeypatch.setattr(runtime, "verify_binary", gate)
+        assert Context().build_program(source).kernel_names \
+            == ["fill", "with_local"]
+        # the compile was kept from the first attempt, the verdict was not
+        assert calls["compiler"] == 2
+
+    def test_a_failing_compile_fails_every_time(self):
+        from repro.clc import compiler
+
+        source = _unique(
+            "__kernel void broken(__global int* out) { out[0] = nope; }",
+            "failing")
+        for _ in range(2):
+            with pytest.raises(CompileError):
+                Context().build_program(source)
+        assert compiler.build_key(source) not in compiler._programs
+
+    def test_racing_threads_keep_one_build(self, monkeypatch):
+        import sys
+        import threading
+
+        from repro.cl import runtime
+        from repro.clc.compiler import build_key
+
+        source = _unique(KERNEL, "racing")
+        built = []
+
+        def worker():
+            built.append(runtime.gated_build(source))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(built) == 8
+        assert all(entry is runtime._builds[build_key(source)]
+                   for entry in built)
+
+    def test_the_bound_holds(self, monkeypatch):
+        from repro.cl import runtime
+        from repro.clc import compiler
+        from repro.hostcode import BoundedTable
+
+        monkeypatch.setattr(compiler, "_programs", BoundedTable(4))
+        monkeypatch.setattr(runtime, "_builds", BoundedTable(4))
+        sources = [_unique(KERNEL, f"bound-{index}") for index in range(8)]
+        for source in sources:
+            runtime.gated_build(source)
+            assert len(runtime._builds) <= 4 and len(compiler._programs) <= 4
+        assert [key[0] for key in runtime._builds] == sources[4:]
+        assert [key[0] for key in compiler._programs] == sources[4:]
+
+    def test_the_table_holds_no_context_platform_or_buffer(self, context):
+        """PR 17's memo rule: compiled programs and reports only."""
+        import gc
+        import types
+
+        from repro.cl import runtime
+        from repro.clc import compiler
+        from repro.core.platform import MobilePlatform
+
+        program = context.build_program(_unique(KERNEL, "reachable"))
+        kernel = program.kernel("fill")
+        buffer = context.alloc_buffer(4 * 8)
+        kernel.set_args(buffer, 1.0, 8)
+        CommandQueue(context).enqueue_nd_range(kernel, (8,), (8,))
+        opaque = (type, types.ModuleType, types.FunctionType,
+                  types.BuiltinFunctionType, types.CodeType)
+        seen, stack = set(), [runtime._builds, compiler._programs]
+        while stack:
+            item = stack.pop()
+            if id(item) in seen or isinstance(item, opaque):
+                continue
+            seen.add(id(item))
+            assert not isinstance(item, (Context, MobilePlatform, Buffer)), \
+                type(item)
+            stack.extend(gc.get_referents(item))
+        assert len(seen) > 100

@@ -302,3 +302,56 @@ class TestRegisterAllocation:
         }
         """)
         assert 1 <= kernel.work_registers <= 8
+
+
+class TestProgramTable:
+    """``compile_source`` keeps one program per content per process."""
+
+    SOURCE = """
+    __kernel void k(__global int* out) {
+        out[get_global_id(0)] = A + B;
+    }
+    """
+
+    def test_same_content_is_the_stored_program(self):
+        defines = {"A": 1, "B": 2}
+        first = compile_source(self.SOURCE, defines=defines)
+        assert compile_source(self.SOURCE, defines=dict(defines)) is first
+        assert compile_source(self.SOURCE, "6.2", {"A": "1", "B": "2"}) \
+            is first  # the default version; values as they are substituted
+
+    def test_whatever_decides_the_compile_is_in_the_key(self):
+        base = compile_source(self.SOURCE, defines={"A": 1, "B": 2})
+        others = [
+            compile_source(self.SOURCE, defines={"A": 1, "B": 3}),
+            # the preprocessor substitutes in the order given
+            compile_source(self.SOURCE, defines={"B": 2, "A": 1}),
+            compile_source(self.SOURCE, "5.6", {"A": 1, "B": 2}),
+            compile_source(self.SOURCE, CompilerOptions(verify=False),
+                           {"A": 1, "B": 2}),
+            compile_source(self.SOURCE + "\n", defines={"A": 1, "B": 2}),
+        ]
+        assert len({id(program) for program in [base, *others]}) == 6
+
+    def test_numeric_version_is_a_version(self):
+        """Was an ``AttributeError``: anything that is not an options
+        object goes through ``from_version``, as its ``str()``."""
+        from repro.cl import Context
+
+        by_name = compile_source(self.SOURCE, "6.1", {"A": 1, "B": 2})
+        assert compile_source(self.SOURCE, 6.1, {"A": 1, "B": 2}) is by_name
+        assert by_name.options.version == "6.1"
+        program = Context().build_program(self.SOURCE, version=6.1,
+                                          defines={"A": 1, "B": 2})
+        assert program.compiled is by_name
+        for unknown in (7.7, object()):
+            with pytest.raises(CompileError, match="unknown compiler"):
+                compile_source(self.SOURCE, unknown, {"A": 1, "B": 2})
+
+    def test_a_failing_compile_keeps_nothing(self):
+        from repro.clc import compiler
+
+        for _ in range(2):
+            with pytest.raises(CompileError):
+                compile_source(self.SOURCE)  # A and B undefined
+        assert compiler.build_key(self.SOURCE) not in compiler._programs

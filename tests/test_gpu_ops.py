@@ -255,6 +255,63 @@ def test_fmin_fmax_rule_in_table_and_reference(a, b, fmin, fmax):
         assert M2SSimulator._alu(op, None, a, b, 0) == expected, op.name
 
 
+# -- F2I / F2U: NaN is 0, everything else saturates ----------------------------------
+
+_CONVERT_BITS = [
+    0x7FC00000, 0x7F800001, 0xFFC00123, 0x7FFFFFFF, 0xFF800001,  # NaNs
+    0x00000000, 0x80000000, 0x7F800000, 0xFF800000,         # zeros, infs
+    0x00000001, 0x80000001, 0x007FFFFF, 0x807FFFFF,         # denormals
+    0x4F000000, 0x4EFFFFFF, 0x4F000001,                     # around 2^31
+    0xCF000000, 0xCEFFFFFF, 0xCF000001,                     # around -2^31
+    0x4F800000, 0x4F7FFFFF, 0x4F800001,                     # around 2^32
+    0x3FC00000, 0xBFC00000, 0x3F7FFFFF, 0xBF7FFFFF, 0x42F6E979,
+]
+
+
+def _convert_reference(bits, low, high):
+    """One lane in plain Python: truncation toward zero of the value
+    clamped to [low, high]."""
+    import struct
+
+    value, = struct.unpack("<f", struct.pack("<I", bits))
+    if value != value:
+        return 0
+    return int(max(low, min(high, value))) & 0xFFFFFFFF
+
+
+@pytest.mark.parametrize("op,low,high", [
+    (Op.F2I, -2 ** 31, 2 ** 31 - 1), (Op.F2U, 0, 2 ** 32 - 1)],
+    ids=["F2I", "F2U"])
+def test_float_to_int_against_a_scalar_reference(op, low, high):
+    import warnings
+
+    expected = [_convert_reference(bits, low, high)
+                for bits in _CONVERT_BITS]
+    program = _one_slot_program(
+        Instruction(op, 1, 2, OPERAND_NONE, OPERAND_NONE))
+    code = emitted_code(program)
+    kernel = MegaKernel(program, None, None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # signalling NaNs included
+        for width in (1, 4, 32, 68):
+            bits = np.resize(np.array(_CONVERT_BITS, np.uint32), width)
+            want = np.resize(np.array(expected, np.uint32), width)
+            np.testing.assert_array_equal(ops.OPS[op].fn(bits), want)
+            if width % 4:
+                continue
+            shape = WorkgroupShape((width, 1, 1), (width, 1, 1))
+            for mask in (None, np.arange(width) % 3 != 1):
+                state = kernel._init_state(shape, 0)
+                state.regs[1] = 0xABCD
+                state.regs[2] = bits
+                if mask is None:
+                    code.chains[0][0](state, {}, 1)
+                else:
+                    code.masked[0][0](state, mask)
+                    want = np.where(mask, want, 0xABCD)
+                np.testing.assert_array_equal(state.regs[1], want)
+
+
 # -- missing required source -----------------------------------------------------------
 
 def _run_interp(program):

@@ -981,3 +981,308 @@ def test_the_mixed_branch_hook_catches_a_wrong_proof(monkeypatch):
 
     monkeypatch.setattr(absint, "run", gullible)
     assert _proved_uniform_yet_mixed(programs, mixed)[1]
+
+
+# -- masked <-> converged hand-over, the lean masked step, state reuse ----------
+
+
+class _Schedule:
+    """Observation hook local to this file: every masked step mega runs
+    while it is installed, as ``(clause, lanes active, lanes of the
+    row)``, and every pair of count tables a workgroup flushes."""
+
+    def __init__(self):
+        self.steps, self.flushed = [], []
+
+    def profile(self, frame, event, _arg):
+        code = frame.f_code
+        if event == "call" and code.co_name.startswith("masked_") \
+                and code.co_filename.startswith("<mega "):
+            mask = frame.f_locals["mask"]
+            self.steps.append((int(code.co_name[len("masked_"):]),
+                               int(mask.sum()), len(mask)))
+
+    def workgroups(self):
+        """``(converged, masked)`` count tables per workgroup."""
+        return list(zip(self.flushed[::2], self.flushed[1::2]))
+
+    def full_mask_steps_at_a_head(self, program):
+        from repro.gpu.megakernel import emitted_code
+
+        heads = emitted_code(program).chains
+        return [step for step in self.steps
+                if step[1] == step[2] and step[0] in heads]
+
+
+@pytest.fixture
+def schedule(monkeypatch):
+    import sys
+
+    from repro.gpu import megakernel
+
+    observed = _Schedule()
+    flush = megakernel.apply_clause_stats
+
+    def recording_flush(stats, clauses, counts):
+        observed.flushed.append(dict(counts))
+        flush(stats, clauses, counts)
+
+    monkeypatch.setattr(megakernel, "apply_clause_stats", recording_flush)
+    previous = sys.getprofile()
+    sys.setprofile(observed.profile)
+    yield observed
+    sys.setprofile(previous)
+
+
+def _assert_matches_interpreter(case):
+    """Error, JobStats, MMU counters, registers and memory of *case* on
+    mega equal the interpreter's; returns mega's result."""
+    runner = DifferentialRunner(engines=("interp", "mega"), trace=False)
+    results, mismatches = runner.run_case(case)
+    assert not mismatches, "\n".join(str(m) for m in mismatches)
+    return results["mega"]
+
+
+_REJOIN_KERNELS = {
+    # if/else whose sides meet again, then a loop every lane trips alike
+    "rejoin-then-loop": """
+__kernel void k(__global int* data, __global int* out, int n) {
+    int i = get_global_id(0);
+    int v = data[i];
+    int acc = 0;
+    if (v & 1) {
+        acc = v * 3;
+    } else {
+        acc = v + 7;
+    }
+    for (int j = 0; j < n; j += 1) {
+        acc += j * v;
+    }
+    out[i] = acc;
+}
+""",
+    # raycast's shape: the loop is uniform, the `if` in it is not
+    "if-in-loop": """
+__kernel void k(__global int* data, __global int* out, int n) {
+    int i = get_global_id(0);
+    int v = data[i];
+    int acc = 0;
+    for (int j = 0; j < n; j += 1) {
+        if ((v + j) & 1) {
+            acc += v * j;
+        }
+        acc += 1;
+    }
+    out[i] = acc;
+}
+""",
+}
+
+
+def _rejoin_case(name, local):
+    data = np.random.default_rng(3).integers(0, 64, 48).astype(np.int32)
+    return make_kernel_case(
+        _REJOIN_KERNELS[name], "k", (48,), (local,),
+        buffers=[data, np.zeros(48, dtype=np.int32)], scalars=[5],
+        name=f"mega-{name}-{local}")
+
+
+@pytest.mark.parametrize("name", sorted(_REJOIN_KERNELS))
+def test_lanes_that_meet_again_leave_the_masked_scheduler(schedule, name):
+    """After the sides of a divergent ``if`` rejoin, the workgroup is
+    back on the chain functions: the clauses after the rejoin are
+    counted as converged issues, the last one included, and no masked
+    step runs every lane of the row at a chain head."""
+    case = _rejoin_case(name, 16)
+    _assert_matches_interpreter(case)
+    assert schedule.steps  # the lanes did split
+    assert not schedule.full_mask_steps_at_a_head(case.program)
+    last = len(case.program.clauses) - 1
+    for converged, masked in schedule.workgroups():
+        assert last in converged and last not in masked
+        # only the sides of the `if` ever ran masked
+        assert sum(issues for issues, _ in masked.values()) \
+            < sum(issues for issues, _ in converged.values())
+
+
+@pytest.mark.parametrize("name", sorted(_REJOIN_KERNELS))
+def test_a_partial_last_quad_stays_masked(schedule, name):
+    """Dead lanes never meet the others: a 6-thread workgroup runs every
+    clause masked, as before, and still equals the interpreter."""
+    case = _rejoin_case(name, 6)
+    _assert_matches_interpreter(case)
+    assert all(active < width for _clause, active, width in schedule.steps)
+    assert all(not converged and masked
+               for converged, masked in schedule.workgroups())
+
+
+def test_reduction_ladder_rejoins_after_every_barrier(schedule):
+    """``reduce_sum``: ``if (lid < offset)`` splits the lanes on every
+    rung and the barrier behind it is where they meet again."""
+    from repro.slam.kernels import REDUCE
+
+    data = np.random.default_rng(5).random(64).astype(np.float32)
+    case = make_kernel_case(
+        REDUCE, "reduce_sum", (64,), (32,),
+        buffers=[data, np.zeros(2, dtype=np.float32)], scalars=[60],
+        local_args=[4 * 32], name="mega-reduce-ladder")
+    _assert_matches_interpreter(case)
+    assert schedule.steps
+    assert not schedule.full_mask_steps_at_a_head(case.program)
+    for converged, masked in schedule.workgroups():
+        assert sum(issues for issues, _ in masked.values()) \
+            < sum(issues for issues, _ in converged.values())
+
+
+def _lane_program(*clauses):
+    """Hand-assembled: r0 = lane & 1 in clause 0, then *clauses*."""
+    from repro.gpu.isa import CONST_BASE, REG_LANE, Instruction, Op
+
+    first, *rest = clauses
+    slots, tail, fields = first
+    slots = [Instruction(Op.IAND, dst=0, srca=REG_LANE, srcb=CONST_BASE),
+             *slots]
+    return _program(*[_clause(slots, tail, constants=[1], **fields)
+                      for slots, tail, fields in [(slots, tail, fields),
+                                                  *rest]])
+
+
+def _bump(reg):
+    from repro.gpu.isa import CONST_BASE, Instruction, Op
+
+    return [Instruction(Op.IADD, dst=reg, srca=reg, srcb=CONST_BASE)]
+
+
+def _unit_outcome(engine, program, lanes, budget=None):
+    """What one workgroup of *program* on a bare unit raised, counted
+    and retired."""
+    from repro.gpu.shadercore import ComputeUnit, WorkgroupShape
+
+    unit = ComputeUnit(0)
+    unit.prepare(64, instrument=True, collect_cfg=False, engine=engine,
+                 watchdog_budget=budget)
+    try:
+        warps = unit.run_workgroup(
+            program, np.zeros(4, dtype=np.uint32), _WideStub(),
+            WorkgroupShape((lanes, 1, 1), (lanes, 1, 1)), 0)
+    except Exception as exc:  # compared between the engines
+        return type(exc), str(exc), vars(unit.stats), None
+    return None, None, vars(unit.stats), [
+        (warp.regs[warp.live].tolist(), warp.temps[warp.live].tolist())
+        for warp in warps]
+
+
+def _barrier_programs():
+    from repro.gpu.isa import Tail
+
+    return {
+        # odd lanes retire at once, the even ones wait at a barrier
+        # nobody else will reach
+        "part-retires": _lane_program(
+            ([], Tail.BRANCH, {"cond_reg": 0, "target": 3}),
+            (_bump(1), Tail.BARRIER, {}),
+            (_bump(2), Tail.FALLTHROUGH, {}),
+            (_bump(3), Tail.END, {})),
+        # a barrier while converged, one per side while split (released
+        # together), one more after the sides met again
+        "both-phases": _lane_program(
+            (_bump(1), Tail.BARRIER, {}),
+            (_bump(7), Tail.BRANCH, {"cond_reg": 0, "target": 4}),
+            (_bump(2), Tail.BARRIER, {}),
+            (_bump(3), Tail.JUMP, {"target": 5}),
+            (_bump(4), Tail.BARRIER, {}),
+            (_bump(5), Tail.BARRIER, {}),
+            (_bump(6), Tail.END, {})),
+    }
+
+
+@pytest.mark.parametrize("lanes", [8, 6])
+def test_barrier_reached_by_part_of_the_lanes_while_the_rest_retire(lanes):
+    program = _barrier_programs()["part-retires"]
+    mega = _unit_outcome("mega", program, lanes)
+    assert mega == _unit_outcome("interpreter", program, lanes)
+    assert mega[0] is None and mega[2]["clauses_executed"] > 0
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 4, 5])
+def test_watchdog_round_is_the_interpreters_in_both_phases(budget):
+    """Rounds are counted across the hand-overs: whichever barrier
+    release exhausts the budget — converged, masked, converged again —
+    the timeout names the interpreter's round and flushes its counts."""
+    from repro.errors import WatchdogTimeout
+
+    program = _barrier_programs()["both-phases"]
+    mega = _unit_outcome("mega", program, 8, budget)
+    assert mega == _unit_outcome("interpreter", program, 8, budget)
+    assert (mega[0] is WatchdogTimeout) == (budget < 4)
+
+
+def test_stuck_guard_counts_across_hand_overs(monkeypatch, schedule):
+    """An endless loop that splits and rejoins on every trip spends two
+    converged clauses and one masked step per trip; neither count starts
+    over at a hand-over, so the converged limit still trips."""
+    from repro.errors import GuestError
+    from repro.gpu import megakernel
+    from repro.gpu.isa import Tail
+
+    loop = _lane_program(
+        ([], Tail.BRANCH, {"cond_reg": 0, "target": 2}),
+        (_bump(1), Tail.FALLTHROUGH, {}),
+        (_bump(2), Tail.JUMP, {"target": 0}))
+    monkeypatch.setattr(megakernel, "_MAX_STEPS", 100)
+    kind, message, stats, _ = _unit_outcome("mega", loop, 8)
+    assert kind is GuestError and "likely stuck" in message
+    (converged, masked), = schedule.workgroups()
+    # clause 101, the branch of trip 51, was the last one issued
+    # converged: the guard fires when the lanes come back from that
+    # trip's masked step (clause 1, the even lanes of both quads)
+    assert sum(issues for issues, _ in converged.values()) == 2 * 101
+    assert masked == {1: [2 * 51, 4 * 51]}
+    assert stats["clauses_executed"] == 2 * (101 + 51)
+
+
+def test_every_workgroup_starts_from_zeroed_rows():
+    """The register file is reused by the next workgroup of the launch
+    shape: a register and both temporaries nobody wrote read 0 in every
+    workgroup although the workgroup before left values in them (hand
+    assembled — the build gate rejects uninitialised reads)."""
+    from repro.gpu.isa import CONST_BASE, TEMP_BASE, Instruction, Op, Tail
+    from repro.gpu.shadercore import ComputeUnit, WorkgroupShape
+
+    stale = (20, TEMP_BASE, TEMP_BASE + 1)
+    program = _program(_clause(
+        [Instruction(Op.MOV, dst=copy, srca=row)
+         for copy, row in enumerate(stale, 5)]
+        + [Instruction(Op.MOV, dst=row, srca=CONST_BASE) for row in stale],
+        Tail.END, constants=[0xDEAD]))
+    for engine in ("mega", "interpreter"):
+        unit = ComputeUnit(0)
+        unit.prepare(64, instrument=False, collect_cfg=False, engine=engine)
+        shape = WorkgroupShape((24, 1, 1), (8, 1, 1))
+        for group in range(3):
+            warps = unit.run_workgroup(
+                program, np.zeros(4, dtype=np.uint32), _WideStub(), shape,
+                group)
+            for warp in warps:
+                assert not warp.regs[:, 5:8].any(), (engine, group)
+                assert (warp.regs[:, 20] == 0xDEAD).all()
+                assert (warp.temps == 0xDEAD).all()
+
+
+def test_retired_warps_are_a_snapshot():
+    """The next workgroup overwrites the register file the retired warps
+    were read from; what was handed out does not change."""
+    from repro.gpu.isa import REG_GROUP_FLAT
+    from repro.gpu.megakernel import MegaKernel
+    from repro.gpu.shadercore import WorkgroupShape
+
+    kernel = MegaKernel(_mov_const_program(9), _WideStub(), None)
+    kernel.bind(np.zeros(1, dtype=np.uint32))
+    shape = WorkgroupShape((16, 1, 1), (8, 1, 1))
+    first = kernel.run_workgroup(shape, 0, None)
+    before = [warp.regs.copy() for warp in first]
+    second = kernel.run_workgroup(shape, 1, None)
+    assert (second[0].regs[:, REG_GROUP_FLAT] == 1).all()
+    for warp, regs in zip(first, before):
+        np.testing.assert_array_equal(warp.regs, regs)
+        assert (warp.regs[:, REG_GROUP_FLAT] == 0).all()

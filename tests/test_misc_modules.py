@@ -153,3 +153,74 @@ class TestPlatformStaging:
         platform = MobilePlatform()
         with pytest.raises(ValueError):
             platform.stage_bytes(b"z" * (STAGING_SIZE + 1))
+
+
+class TestFigureTimingIsIndependentOfProcessHistory:
+    """A build is paid once per content per process, so the figures
+    build before they start a clock: what they time holds no build,
+    whether or not the process built that workload before."""
+
+    @staticmethod
+    def _builds_by_region(monkeypatch):
+        """Per-kernel compiles and binary-gate calls, split by whether
+        they fall between two clock reads of a timed region (the
+        ``perf_counter`` pairs of ``Workload.run``, ``run_workload_m2s``
+        and the launch-overhead calibration)."""
+        import sys
+        import time
+
+        from repro.cl import runtime
+        from repro.clc import compiler
+        from repro.hostcode import BoundedTable
+
+        # a cold process: nothing built yet
+        monkeypatch.setattr(compiler, "_programs", BoundedTable(64))
+        monkeypatch.setattr(runtime, "_builds", BoundedTable(64))
+        timed = {("base.py", "run"), ("figures.py", "run_workload_m2s"),
+                 ("figures.py", "_calibrate_launch_overhead")}
+        builds = {"inside": 0, "outside": 0, "regions": 0}
+        running = [False]
+        clock = time.perf_counter
+
+        def reading_clock():
+            code = sys._getframe(1).f_code
+            if (code.co_filename.rsplit("/", 1)[-1], code.co_name) in timed:
+                running[0] = not running[0]
+                builds["regions"] += running[0]
+            return clock()
+
+        def counting(function):
+            def counted(*args, **kwargs):
+                builds["inside" if running[0] else "outside"] += 1
+                return function(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(time, "perf_counter", reading_clock)
+        monkeypatch.setattr(compiler, "compile_kernel",
+                            counting(compiler.compile_kernel))
+        monkeypatch.setattr(runtime, "verify_binary",
+                            counting(runtime.verify_binary))
+        return builds
+
+    def test_fig08_times_no_build(self, monkeypatch):
+        from repro.analysis.figures import fig08_vs_m2s
+
+        builds = self._builds_by_region(monkeypatch)
+        sizes = {"MatrixTranspose": {"width": 16, "height": 16}}
+        for expected in (2, 0):  # cold: one compile, one gate; then warm
+            builds.update(inside=0, outside=0, regions=0)
+            row, = fig08_vs_m2s(("MatrixTranspose",), sizes)
+            assert row["verified"]
+            assert builds == {"inside": 0, "outside": expected,
+                              "regions": 3}
+
+    def test_fig10_times_no_build(self, monkeypatch):
+        from repro.analysis.figures import fig10_thread_scaling
+
+        builds = self._builds_by_region(monkeypatch)
+        for expected in (4, 0):  # the calibration kernel and the workload
+            builds.update(inside=0, outside=0, regions=0)
+            results = fig10_thread_scaling((1, 2), ("BinarySearch",))
+            assert results["BinarySearch"]["threadpool_verified"]
+            assert builds == {"inside": 0, "outside": expected,
+                              "regions": 3}
