@@ -5,13 +5,13 @@ shows a block with 0.4% divergence and uneven edge weights. Here: the
 same CFG is built on actual executed clauses of our BFS kernel binary.
 """
 
-from conftest import emit
+from conftest import emit, host_line
 
 from repro.analysis.figures import fig06_bfs_cfg
 
 
 def test_fig06_bfs_divergence_cfg(benchmark):
-    dot, divergent, cfg = benchmark.pedantic(
+    dot, divergent, cfg, engine = benchmark.pedantic(
         fig06_bfs_cfg, rounds=1, iterations=1
     )
     lines = ["Fig. 6: BFS divergence CFG (DOT)", dot, "",
@@ -19,10 +19,11 @@ def test_fig06_bfs_divergence_cfg(benchmark):
              "executions):"]
     for label, fraction in sorted(divergent.items()):
         lines.append(f"  {label}: {100 * fraction:.2f}%")
+    lines += ["", host_line(engine)]
     emit("fig06_bfs_cfg", "\n".join(lines))
     # BFS is control heavy: the CFG must contain real divergence points
     # and non-trivial edge structure
     assert divergent, "BFS should diverge"
-    graph = cfg.to_networkx()
-    assert graph.number_of_nodes() >= 4
-    assert graph.number_of_edges() > graph.number_of_nodes() - 1
+    nodes, _successors = cfg.graph()
+    assert len(nodes) >= 4
+    assert len(cfg.edges) > len(nodes) - 1

@@ -9,6 +9,7 @@ Each benchmark prints the paper-style rows and also writes them to
 import pathlib
 
 import pytest
+from bench_hotpath import host_metadata
 
 from repro.analysis import figures
 
@@ -21,6 +22,13 @@ def get_suite_stats():
     if "suite" not in _CACHE:
         _CACHE["suite"] = figures.run_suite_stats()
     return _CACHE["suite"]
+
+
+def host_line(engine):
+    """The engine a result was taken on and the host that took it (the
+    ROADMAP's rule for every file under ``benchmarks/results/``)."""
+    return ("engine: {}; host: {cores} cores, Python {python}, "
+            "NumPy {numpy}, {machine}".format(engine, **host_metadata()))
 
 
 def emit(name, text):

@@ -68,10 +68,9 @@ def main():
         fraction = cfg.divergence_fraction(node)
         print(f"  clause @{cfg.node_label(node)}: "
               f"{100 * fraction:.2f}% of executions diverged")
-    graph = cfg.to_networkx()
+    nodes, _successors = cfg.graph()
     print()
-    print(f"CFG: {graph.number_of_nodes()} blocks, "
-          f"{graph.number_of_edges()} edges")
+    print(f"CFG: {len(nodes)} blocks, {len(cfg.edges)} edges")
 
 
 if __name__ == "__main__":

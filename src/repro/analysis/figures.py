@@ -66,7 +66,7 @@ def fig01_compiler_versions(n=32):
 
 
 def fig06_bfs_cfg(n=128):
-    """Run BFS with CFG collection; returns (dot text, divergence info)."""
+    """Run BFS with CFG collection; returns (dot, divergences, cfg, engine)."""
     config = PlatformConfig(gpu=GPUConfig(collect_cfg=True))
     context = Context(MobilePlatform(config))
     workload = get_workload("bfs", n=n)
@@ -85,7 +85,7 @@ def fig06_bfs_cfg(n=128):
         merged.node_label(node): merged.divergence_fraction(node)
         for node in merged.divergences
     }
-    return merged.to_dot(), divergent, merged
+    return merged.to_dot(), divergent, merged, config.gpu.engine
 
 
 # -- Fig. 7: slowdown over native --------------------------------------------------------

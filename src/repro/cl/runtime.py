@@ -429,21 +429,41 @@ class CommandQueue:
                 )
         return global_size, local_size
 
-    def enqueue_nd_range(self, kernel, global_size, local_size=None):
-        """Launch *kernel*; returns the per-job statistics."""
-        event_start = time.perf_counter()
+    def _stage_launch(self, kernel, global_size, local_size,
+                      uniform_region=None):
+        """Everything a launch does before the driver sees the job:
+        sizes normalised, binary uploaded, uniform image built, staged
+        and copied by the guest CPU into *uniform_region* (a fresh one
+        when None). Returns the driver's job arguments and the image."""
         global_size, local_size = self._normalize_sizes(global_size, local_size)
         context = self.context
-        platform = context.platform
-        driver = context._driver
-
         binary_region = kernel.program._binary_region(kernel.compiled)
         uniforms, local_mem_size = kernel._build_uniforms(global_size, local_size)
+        if uniform_region is None:
+            uniform_region = context._driver.alloc_region(uniforms.nbytes)
+        staging = context.platform.stage_bytes(uniforms.tobytes())
+        context.guest_memcpy(uniform_region.phys, staging, uniforms.nbytes)
+        return {
+            "global_size": global_size,
+            "local_size": local_size,
+            "binary_region": binary_region,
+            "binary_size": len(kernel.compiled.binary),
+            "uniform_region": uniform_region,
+            "uniform_count": len(uniforms),
+            "local_mem_size": local_mem_size,
+        }, uniforms
 
-        if kernel._uniform_region is None:
-            kernel._uniform_region = driver.alloc_region(uniforms.nbytes)
-        staging = platform.stage_bytes(uniforms.tobytes())
-        context.guest_memcpy(kernel._uniform_region.phys, staging, uniforms.nbytes)
+    def enqueue_nd_range(self, kernel, global_size, local_size=None):
+        """Launch *kernel*; returns the per-job statistics. The kernel
+        keeps one uniform region across its synchronous launches."""
+        event_start = time.perf_counter()
+        context = self.context
+        platform = context.platform
+        job_args, uniforms = self._stage_launch(
+            kernel, global_size, local_size, kernel._uniform_region)
+        kernel._uniform_region = job_args["uniform_region"]
+        global_size = job_args["global_size"]
+        local_size = job_args["local_size"]
 
         # soundness recorder: static bounds for this exact launch, plus a
         # pages_accessed snapshot so the post-run delta isolates this job
@@ -452,7 +472,8 @@ class CommandQueue:
         if context.analysis_log is not None:
             _ctx, summary, bounds = kernel.analyze_launch(
                 global_size, local_size, uniforms,
-                local_mem_size=local_mem_size, tenant=context._tenant)
+                local_mem_size=job_args["local_mem_size"],
+                tenant=context._tenant)
             record = {
                 "kernel": kernel.name,
                 "global_size": list(global_size),
@@ -477,15 +498,7 @@ class CommandQueue:
             span_args["tenant"] = context.tenant.tenant_id
         with self._span("clEnqueueNDRangeKernel", args=span_args):
             try:
-                driver.run_job(
-                    global_size=global_size,
-                    local_size=local_size,
-                    binary_region=binary_region,
-                    binary_size=len(kernel.compiled.binary),
-                    uniform_region=kernel._uniform_region,
-                    uniform_count=len(uniforms),
-                    local_mem_size=local_mem_size,
-                )
+                context._driver.run_job(**job_args)
             except JobFault:
                 # the driver exhausted its recovery ladder: surface the
                 # fault as an errored event; the context, queue and other
@@ -530,42 +543,24 @@ class CommandQueue:
         fresh uniform region, so multiple in-flight launches of the same
         kernel never alias their arguments.
         """
-        global_size, local_size = self._normalize_sizes(global_size, local_size)
         context = self.context
-        platform = context.platform
-        driver = context._driver
-        tenant = (context.tenant if context.tenant is not None
-                  else platform.driver.default_tenant)
-
-        binary_region = kernel.program._binary_region(kernel.compiled)
-        uniforms, local_mem_size = kernel._build_uniforms(global_size, local_size)
-
-        uniform_region = driver.alloc_region(uniforms.nbytes)
-        staging = platform.stage_bytes(uniforms.tobytes())
-        context.guest_memcpy(uniform_region.phys, staging, uniforms.nbytes)
+        tenant = context._tenant
+        job_args, uniforms = self._stage_launch(kernel, global_size,
+                                                local_size)
 
         # cost-seeded scheduling: only when the arbiter policy opts in
         # does the launch pay for the static analysis, handing the
         # predicted per-workgroup issue cost to the slice-budget logic
         cost_hint = 0
-        if platform.driver.arbiter.policy.slice_issue_budget:
+        if context.platform.driver.arbiter.policy.slice_issue_budget:
             _ctx, _summary, bounds = kernel.analyze_launch(
-                global_size, local_size, uniforms,
-                local_mem_size=local_mem_size, tenant=tenant)
+                job_args["global_size"], job_args["local_size"], uniforms,
+                local_mem_size=job_args["local_mem_size"], tenant=tenant)
             if bounds is not None and bounds.per_workgroup_issues:
                 cost_hint = bounds.per_workgroup_issues
 
-        job = tenant.submit_job_async(
-            global_size=global_size,
-            local_size=local_size,
-            binary_region=binary_region,
-            binary_size=len(kernel.compiled.binary),
-            uniform_region=uniform_region,
-            uniform_count=len(uniforms),
-            local_mem_size=local_mem_size,
-            label=kernel.name,
-            cost_hint=cost_hint,
-        )
+        job = tenant.submit_job_async(**job_args, label=kernel.name,
+                                      cost_hint=cost_hint)
         self.kernels_launched += 1
         context.stat_kernels_launched.increment()
         return job

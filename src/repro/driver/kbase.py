@@ -34,15 +34,19 @@ owns a private GPU VA space (its own page tables, installed via the
 carve-out of the driver heap (a :class:`PhysAllocator` over a
 registered :class:`~repro.mem.physical.PhysicalMemory` carve-out, so a
 tenant physically *cannot* allocate into a neighbour's pages), and its
-own descriptor page, counters and completed-job statistics. Submission
-goes through a :class:`JobSlotArbiter` — per-QoS-class priority with
-round-robin across tenants inside a class, a starvation promotion
-bound, and soft-stop preemption of long jobs via the GPU's ``JOB_SLICE``
-workgroup budget (preempted jobs requeue at the tail and replay from
-scratch, so completed-job statistics stay preemption-invariant for
-replayable kernels). A driver constructed without a
-:class:`TenancyConfig` hosts a single default tenant spanning the whole
-heap and behaves bit-identically to the pre-tenancy driver.
+own descriptor page, counters and completed-job statistics. Every job
+reaches the GPU through one envelope, :meth:`KBaseDriver._dispatch`
+(address space, ``JOB_SLICE``, injector/translation scope, the
+doorbell-and-recovery ladder, accounting, then the ``on_job_retired``
+hook): a synchronous submission hands it one job directly, queued
+submissions come to it from a :class:`JobSlotArbiter` — per-QoS-class
+priority with round-robin across tenants inside a class, a starvation
+promotion bound, and soft-stop preemption of long jobs via the GPU's
+``JOB_SLICE`` workgroup budget (preempted jobs requeue at the tail and
+replay from scratch, so completed-job statistics stay
+preemption-invariant for replayable kernels). A driver constructed
+without a :class:`TenancyConfig` hosts a single default tenant spanning
+the whole heap and behaves bit-identically to the pre-tenancy driver.
 
 Every register access the driver makes lands in the GPU's
 :class:`~repro.instrument.stats.SystemStats` — these are the Table III
@@ -646,18 +650,6 @@ class TenantContext(Stateful):
 
     # -- job submission ----------------------------------------------------
 
-    @property
-    def initialized(self):
-        return self.driver.initialized
-
-    @property
-    def events(self):
-        return self.driver.events
-
-    @property
-    def policy(self):
-        return self.driver.policy
-
     def _ensure_descriptor_region(self):
         if self._descriptor_region is None:
             self._descriptor_region = self.alloc_region(PAGE_SIZE)
@@ -696,35 +688,19 @@ class TenantContext(Stateful):
         return descriptor_region.gpu_va + offset
 
     def submit_and_wait(self, descriptor_va):
-        """Synchronous submission in this tenant's address space.
-
-        Installs the tenant's page tables, scopes the fault injector to
-        this tenant, runs the driver's submission/recovery ladder, and
-        folds completed-job statistics into :attr:`completed_stats`.
-        """
-        driver = self.driver
-        driver._install_address_space(self)
-        if driver._job_slice:
-            # a previous arbitrated dispatch left a workgroup budget
-            # armed; synchronous submissions always run to completion
-            driver._write(regs.JOB_SLICE, 0)
-            driver._job_slice = 0
+        """Synchronous submission: one job handed straight to
+        :meth:`KBaseDriver._dispatch`, not through the arbiter's queue —
+        it stays ahead of anything queued and (``workgroups=0``: never
+        sliced) runs to completion. Returns the completion status or
+        raises what the ladder raised."""
+        job = PendingJob(tenant_id=self.tenant_id,
+                         priority=self.qos.priority,
+                         descriptor_va=descriptor_va, tenant=self)
         self.jobs_submitted += 1
-        with driver._tenant_window(self):
-            driver._defer_retire_notify = True
-            try:
-                status = driver.submit_and_wait(descriptor_va)
-            except SimError:
-                self.jobs_failed += 1
-                driver._defer_retire_notify = False
-                driver._notify_job_retired()
-                raise
-            finally:
-                driver._defer_retire_notify = False
-        self.jobs_completed += 1
-        self._merge_results()
-        driver._notify_job_retired()
-        return status
+        self.driver._dispatch(job)
+        if job.error is not None:
+            raise job.error
+        return job.status
 
     def submit_job_async(self, global_size, local_size, binary_region,
                          binary_size, uniform_region, uniform_count,
@@ -763,14 +739,6 @@ class TenantContext(Stateful):
             uniform_region, uniform_count, local_mem_size,
         )
         return self.submit_and_wait(descriptor_va)
-
-    def _merge_results(self):
-        gpu = self.driver._gpu
-        if gpu is None:
-            return
-        for result in gpu.last_results:
-            if getattr(result, "stats", None) is not None:
-                self.completed_stats.merge(result.stats)
 
     def read_va(self, va, size):
         """*size* bytes at GPU VA *va* of this tenant's address space,
@@ -933,10 +901,9 @@ class KBaseDriver(Stateful):
         # the tenant whose page tables the GPU MMU currently walks
         self._mmu_tenant = self._default_tenant
         self._job_slice = 0  # shadow of the GPU's JOB_SLICE register
-        # zero-arg hook invoked once per retired (completed or failed)
-        # job — the platform's auto-checkpoint wiring attaches here
+        # zero-arg hook _dispatch calls last, once per settled (completed
+        # or failed) job — the auto-checkpoint wiring attaches here
         self.on_job_retired = None
-        self._defer_retire_notify = False
 
     def tenant(self, tenant_id):
         return self.tenants[tenant_id]
@@ -1023,7 +990,9 @@ class KBaseDriver(Stateful):
         translation deltas — never for control, which stays MMIO)."""
         self._gpu = gpu
 
-    # -- legacy single-tenant surface (delegates to the default tenant) -------
+    # -- default-tenant surface: what a tenant-less client calls; with
+    # run_job (below) it delegates to tenant 0. The e2e tracer patches
+    # these names on the driver ----------------------------------------------
 
     @property
     def _free_extents(self):
@@ -1172,39 +1141,6 @@ class KBaseDriver(Stateful):
             self.events.instant("as_switch", "driver", "kbase",
                                 args={"tenant": tenant.tenant_id})
 
-    class _TenantWindow:
-        """Scopes the fault injector and the MMU translation counter to
-        one tenant for the duration of a dispatch."""
-
-        def __init__(self, driver, tenant):
-            self.driver = driver
-            self.tenant = tenant
-            self._previous = None
-            self._translations = 0
-
-        def __enter__(self):
-            injector = self.driver.injector
-            if injector is not None:
-                self._previous = injector.current_tenant
-                injector.current_tenant = self.tenant.tenant_id
-            gpu = self.driver._gpu
-            if gpu is not None:
-                self._translations = gpu.mmu.translations
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            injector = self.driver.injector
-            if injector is not None:
-                injector.current_tenant = self._previous
-            gpu = self.driver._gpu
-            if gpu is not None:
-                self.tenant.translations += (
-                    gpu.mmu.translations - self._translations)
-            return False
-
-    def _tenant_window(self, tenant):
-        return self._TenantWindow(self, tenant)
-
     # -- arbitrated dispatch ---------------------------------------------------
 
     def _slice_budget(self, job):
@@ -1236,6 +1172,17 @@ class KBaseDriver(Stateful):
         return budget if budget < job.workgroups else 0
 
     def _dispatch(self, job):
+        """Run *job* on the GPU as its tenant: the one envelope around
+        the ladder, for queued and synchronous submissions alike.
+
+        In order: install the tenant's address space; arm or clear
+        ``JOB_SLICE``; scope the injector and the tenant's share of MMU
+        translations around :meth:`submit_and_wait`; settle the job. A
+        preempted slice requeues. A settled job — completed, or failed
+        with the error left on ``job.error`` — is accounted on its
+        tenant, and only then does ``on_job_retired`` run: once, outside
+        the scope, so a checkpoint taken from the hook holds the job.
+        """
         tenant = job.tenant
         self._install_address_space(tenant)
         tenant.dispatches += 1
@@ -1244,16 +1191,22 @@ class KBaseDriver(Stateful):
         if budget != self._job_slice:
             self._write(regs.JOB_SLICE, budget)
             self._job_slice = budget
-        with self._tenant_window(tenant):
-            try:
-                result = self.submit_and_wait(job.descriptor_va)
-            except SimError as exc:
-                job.error = exc
-                job.done = True
-                tenant.jobs_failed += 1
-                self._notify_job_retired()
-                return
-        if result is PREEMPTED:
+        injector, gpu = self.injector, self._gpu
+        if injector is not None:
+            previous = injector.current_tenant
+            injector.current_tenant = tenant.tenant_id
+        if gpu is not None:
+            translations = gpu.mmu.translations
+        try:
+            result = self.submit_and_wait(job.descriptor_va)
+        except SimError as exc:
+            job.error = exc
+        finally:
+            if injector is not None:
+                injector.current_tenant = previous
+            if gpu is not None:
+                tenant.translations += gpu.mmu.translations - translations
+        if job.error is None and result is PREEMPTED:
             tenant.preemptions += 1
             self.arbiter.requeue(job)
             if self.events is not None:
@@ -1262,28 +1215,26 @@ class KBaseDriver(Stateful):
                     args={"tenant": tenant.tenant_id, "budget": budget,
                           "preemptions": job.preemptions})
             return
-        job.status = result
         job.done = True
-        tenant.jobs_completed += 1
-        gpu = self._gpu
-        if gpu is not None:
-            job.results = list(gpu.last_results)
-            for result in job.results:
-                if getattr(result, "stats", None) is not None:
-                    tenant.completed_stats.merge(result.stats)
-        self._notify_job_retired()
-
-    def _notify_job_retired(self):
+        if job.error is not None:
+            tenant.jobs_failed += 1
+        else:
+            job.status = result
+            tenant.jobs_completed += 1
+            if gpu is not None:
+                job.results = list(gpu.last_results)
+                for result in job.results:
+                    if getattr(result, "stats", None) is not None:
+                        tenant.completed_stats.merge(result.stats)
         if self.on_job_retired is not None:
             self.on_job_retired()
 
-    def drain(self, wait_for=None, max_dispatches=None):
-        """Dispatch queued jobs; with *wait_for*, stop once it settles.
+    def drain(self, max_dispatches=None):
+        """Dispatch queued jobs until the queue is dry.
 
-        Without *wait_for* the queue is run dry. Faulted jobs record
-        their error on the :class:`PendingJob` (``job.error``) instead
-        of raising — one tenant's fault must not tear down the dispatch
-        loop the others are being served from.
+        Faulted jobs record their error on the :class:`PendingJob`
+        (``job.error``) instead of raising — one tenant's fault must not
+        tear down the dispatch loop the others are being served from.
 
         *max_dispatches* bounds how many arbiter picks this call makes
         and then returns with the rest still queued — a clean checkpoint
@@ -1292,25 +1243,24 @@ class KBaseDriver(Stateful):
         in the arbiter and serializes with it.
         """
         dispatched = 0
-        while True:
-            if wait_for is not None and wait_for.done:
-                return wait_for
-            if max_dispatches is not None and dispatched >= max_dispatches:
-                return wait_for
+        while max_dispatches is None or dispatched < max_dispatches:
             job = self.arbiter.next_job()
             if job is None:
-                return wait_for
+                return
             self._dispatch(job)
             dispatched += 1
 
     # -- job submission ----------------------------------------------------------
 
     def submit_and_wait(self, descriptor_va):
-        """Ring the doorbell; wait, recover if possible, acknowledge.
+        """Ring the doorbell; wait, recover if possible, acknowledge —
+        the doorbell and the recovery ladder, in whatever address space
+        is installed. Called from :meth:`_dispatch`, which picks the
+        tenant and does the accounting; nothing is accounted here.
 
         Returns the completion status, or :data:`PREEMPTED` when the GPU
         parked a ``JOB_SLICE``-budgeted job with ``REASON_SOFT_STOPPED``
-        (only the arbitrated dispatch path arms a budget).
+        (only a queued dispatch arms a budget).
 
         Raises:
             JobFault: the job faulted and the recovery ladder (bounded
@@ -1344,10 +1294,6 @@ class KBaseDriver(Stateful):
             self.jobs_submitted += 1
             done, value = self._complete_one()
             if done:
-                # tenant-scoped submissions defer the retire hook until
-                # their stats merge lands (TenantContext.submit_and_wait)
-                if not self._defer_retire_notify:
-                    self._notify_job_retired()
                 return value
             reason, info = value
             if reason == regs.REASON_SOFT_STOPPED:
@@ -1460,4 +1406,4 @@ class KBaseDriver(Stateful):
             global_size, local_size, binary_region, binary_size,
             uniform_region, uniform_count, local_mem_size,
         )
-        return self.submit_and_wait(descriptor_va)
+        return self._default_tenant.submit_and_wait(descriptor_va)

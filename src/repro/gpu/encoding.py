@@ -103,9 +103,18 @@ def encode_clause(clause):
     return blob
 
 
+def _unpack(fmt, data, offset, what):
+    """``struct.unpack_from`` for which a short read is a typed error."""
+    try:
+        return struct.unpack_from(fmt, data, offset)
+    except struct.error:
+        raise DecodeError(
+            f"image ends inside the {what} at offset 0x{offset:x}") from None
+
+
 def decode_clause(data, offset):
     """Decode one clause from *data* at *offset*; returns (clause, end)."""
-    (header,) = struct.unpack_from("<Q", data, offset)
+    (header,) = _unpack("<Q", data, offset, "clause header")
     if header >> 60 != _HEADER_MAGIC:
         raise DecodeError(f"bad clause header at offset 0x{offset:x}")
     ntuples = (header & 0xF) + 1
@@ -116,11 +125,11 @@ def decode_clause(data, offset):
     position = offset + 8
     tuples = []
     for _ in range(ntuples):
-        fma_word, add_word = struct.unpack_from("<QQ", data, position)
+        fma_word, add_word = _unpack("<QQ", data, position, "tuple words")
         tuples.append((decode_instruction(fma_word), decode_instruction(add_word)))
         position += 16
     padded = nconsts + (nconsts % 2)
-    constants = list(struct.unpack_from(f"<{nconsts}I", data, position)) if nconsts else []
+    constants = list(_unpack(f"<{nconsts}I", data, position, "constant pool"))
     position += 4 * padded
     return (
         Clause(tuples=tuples, constants=constants, tail=tail, cond_reg=cond_reg, target=target),
@@ -151,12 +160,10 @@ def decode_program(data):
     This is the shader core's decode phase; the result is cached per binary
     address so that "the entire shader program is decoded exactly once".
     """
-    if len(data) < 8:
-        raise DecodeError("program image too short")
-    magic, num_clauses = struct.unpack_from("<II", data, 0)
+    magic, num_clauses = _unpack("<II", data, 0, "program header")
     if magic != MAGIC:
         raise DecodeError(f"bad program magic 0x{magic:08x}")
-    offsets = struct.unpack_from(f"<{num_clauses}I", data, 8)
+    offsets = _unpack(f"<{num_clauses}I", data, 8, "clause table")
     clauses = []
     for offset in offsets:
         clause, _ = decode_clause(data, offset)

@@ -315,7 +315,7 @@ class JobManager(Stateful):
                                    descriptor.local_size)
         except JobFault:
             raise
-        except (MMUFault, DecodeError, struct.error, ValueError) as exc:
+        except (MMUFault, DecodeError, ValueError) as exc:
             if isinstance(exc, MMUFault):
                 self.mmu.latch_fault(exc)
                 self._fault_instant(exc)

@@ -7,8 +7,6 @@ flagged as divergence points, "pinpointing the divergence on actual GPU
 instructions".
 """
 
-import networkx as nx
-
 
 class DivergenceCFG:
     """Collects clause-boundary transitions and renders the CFG.
@@ -63,25 +61,22 @@ class DivergenceCFG:
             return "END"
         return f"{self.base_address + node * 0x10:x}"
 
-    def to_networkx(self):
-        """Build a weighted DiGraph; edge attr ``fraction`` is the share of
-        threads leaving the source node along that edge."""
-        graph = nx.DiGraph()
-        out_totals = {}
-        for (src, _dst), count in self._edges.items():
-            out_totals[src] = out_totals.get(src, 0) + count
+    def graph(self):
+        """``(nodes, successors)``: nodes in order of first appearance on
+        an edge (source before destination); ``successors[src]`` maps
+        ``dst -> (threads, fraction)`` in the order first taken, where
+        ``fraction`` is the share of threads leaving *src* along that
+        edge."""
+        nodes = {}
+        successors = {}
         for (src, dst), count in self._edges.items():
-            graph.add_edge(
-                src,
-                dst,
-                threads=count,
-                fraction=count / out_totals[src] if out_totals[src] else 0.0,
-            )
-        for node in graph.nodes:
-            graph.nodes[node]["label"] = self.node_label(node)
-            graph.nodes[node]["divergent"] = node in self._divergences
-            graph.nodes[node]["executions"] = self._executions.get(node, 0)
-        return graph
+            nodes[src] = nodes[dst] = None
+            successors.setdefault(src, {})[dst] = count
+        for out in successors.values():
+            total = sum(out.values())
+            for dst, count in out.items():
+                out[dst] = (count, count / total if total else 0.0)
+        return list(nodes), successors
 
     def divergence_fraction(self, node):
         """Fraction of branch events at *node* that diverged."""
@@ -93,19 +88,19 @@ class DivergenceCFG:
     def to_dot(self):
         """Render in the style of Fig. 6: divergent blocks are annotated,
         edges carry the proportion of threads following them."""
-        graph = self.to_networkx()
+        nodes, successors = self.graph()
         lines = ["digraph cfg {", "  node [shape=box];"]
-        for node, data in graph.nodes(data=True):
-            label = data["label"]
-            if data["divergent"]:
+        for node in nodes:
+            name = label = self.node_label(node)
+            if node in self._divergences:
                 pct = 100.0 * self.divergence_fraction(node)
                 label += f"\\n({pct:.1f}% dvg.)"
-            lines.append(f'  "{data["label"]}" [label="{label}"];')
-        for src, dst, data in graph.edges(data=True):
-            pct = 100.0 * data["fraction"]
-            lines.append(
-                f'  "{graph.nodes[src]["label"]}" -> "{graph.nodes[dst]["label"]}"'
-                f' [label="{pct:.2f}%"];'
-            )
+            lines.append(f'  "{name}" [label="{label}"];')
+        for src in nodes:
+            for dst, (_threads, fraction) in successors.get(src, {}).items():
+                lines.append(
+                    f'  "{self.node_label(src)}" -> "{self.node_label(dst)}"'
+                    f' [label="{100.0 * fraction:.2f}%"];'
+                )
         lines.append("}")
         return "\n".join(lines)

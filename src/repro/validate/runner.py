@@ -36,6 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.core.platform import ENGINE_MODES
 from repro.gpu.isa import NUM_GRF, REG_GLOBAL_ID, Program
 from repro.gpu.encoding import encode_program
 from repro.gpu.mmu import GPUMMU
@@ -44,10 +45,8 @@ from repro.mem import PAGE_SIZE, PTE_READ, PTE_WRITE, PageTableBuilder, \
     PhysicalMemory
 from repro.validate.trace import InstructionTracer, compare_traces
 
-ENGINES = ("interp", "fast", "jit", "mega", "m2s")
-
-# quad-engine name -> GPUConfig/ComputeUnit engine selector
-_UNIT_ENGINE = {"jit": "jit", "mega": "mega"}
+#: the platform's instrumented tiers plus the independent scalar oracle
+ENGINES = (*ENGINE_MODES, "m2s")
 
 # virtual layout for generated cases (shared with repro.validate.progen)
 VA_IN = 0x0010_0000
@@ -277,10 +276,10 @@ class DifferentialRunner:
             tracer = InstructionTracer() \
                 if self.trace and engine in ("interp", "m2s") else None
             try:
-                if engine == "m2s":
-                    results[engine] = self._run_m2s(case, tracer)
-                else:
+                if engine in ENGINE_MODES:
                     results[engine] = self._run_quad(case, engine, tracer)
+                else:
+                    results[engine] = self._run_m2s(case, tracer)
             except Exception as exc:  # noqa: BLE001 - crash is an outcome
                 results[engine] = EngineResult(
                     engine=engine,
@@ -314,17 +313,16 @@ class DifferentialRunner:
         mmu = GPUMMU(phys)
         mmu.set_page_table(builder.root)
         mmu.enabled = True
-        mmu.fast_path_enabled = engine != "interp"
+        unit_engine, mmu.fast_path_enabled = ENGINE_MODES[engine]
 
-        instrumented = engine in ("interp", "fast", "jit", "mega")
-        # CFG collection needs per-issue visibility the JIT's and the
-        # megakernel's translated code avoid, so only the interpreter
-        # engines build it
-        collect_cfg = engine in ("interp", "fast")
+        # every ENGINE_MODES tier is instrumented. CFG collection needs
+        # per-issue visibility the JIT's and the megakernel's translated
+        # code avoid, so only the interpreter tiers build it
+        collect_cfg = unit_engine == "interpreter"
         unit = ComputeUnit(0)
-        unit.prepare(case.local_bytes, instrument=instrumented,
+        unit.prepare(case.local_bytes, instrument=True,
                      collect_cfg=collect_cfg, tracer=tracer,
-                     engine=_UNIT_ENGINE.get(engine, "interpreter"))
+                     engine=unit_engine)
         shape = WorkgroupShape(case.global_size, case.local_size)
         uniforms = build_uniforms(case)
         registers = {}
@@ -352,16 +350,15 @@ class DifferentialRunner:
 
         result = EngineResult(engine=engine, registers=registers,
                               memory=memory, trace=tracer)
-        if instrumented:
-            stats = unit.stats
-            result.counters = _quad_counters(stats)
-            result.stats = _unified_dump(stats, mmu)
-            if collect_cfg:
-                result.cfg = (unit.cfg.edges, unit.cfg.divergences)
-            result.mmu = {
-                "pages_accessed": frozenset(mmu.pages_accessed),
-                "translations": mmu.translations,
-            }
+        stats = unit.stats
+        result.counters = _quad_counters(stats)
+        result.stats = _unified_dump(stats, mmu)
+        if collect_cfg:
+            result.cfg = (unit.cfg.edges, unit.cfg.divergences)
+        result.mmu = {
+            "pages_accessed": frozenset(mmu.pages_accessed),
+            "translations": mmu.translations,
+        }
         return result
 
     def _run_m2s(self, case, tracer):

@@ -435,6 +435,41 @@ def test_auto_checkpoint_every_n_jobs(tmp_path):
     assert platform.driver.on_job_retired is None
 
 
+@pytest.mark.parametrize("sync", [True, False], ids=["sync", "arbitrated"])
+def test_auto_checkpoint_counts_a_tenant_job_once(tmp_path, sync):
+    """``every_jobs=1`` over three jobs of one tenant writes three
+    checkpoints on either tenant route, each holding the job whose
+    retirement triggered it."""
+    from repro.cl import CommandQueue, Context
+
+    platform = _two_tenant_platform()
+    directory = str(tmp_path / "auto")
+    platform.enable_auto_checkpoint(directory, every_jobs=1)
+    context = Context(platform, tenant=platform.driver.tenant(1))
+    queue = CommandQueue(context)
+    kernel = context.build_program(SCALE_SRC).kernel("scale")
+    kernel.set_args(context.alloc_buffer(64 * 4),
+                    context.buffer_from_array(
+                        np.arange(64, dtype=np.float32)),
+                    np.float32(2.0))
+    for _ in range(3):
+        if sync:
+            queue.enqueue_nd_range(kernel, (64,), (4,))
+        else:
+            queue.enqueue_nd_range_async(kernel, (64,), (4,))
+    platform.driver.drain()
+
+    names = sorted(name for name in os.listdir(directory)
+                   if name.startswith("ckpt-"))
+    assert names == ["ckpt-0001", "ckpt-0002", "ckpt-0003"]
+    for jobs, name in enumerate(names, start=1):
+        restored, _extra = restore_checkpoint(
+            os.path.join(directory, name))
+        golden = restored.stats_registry.snapshot(golden_only=True)
+        assert golden["tenant1.job.jobs_completed"] == jobs
+        assert golden["tenant1.gpu.job.threads_launched"] == 64 * jobs
+
+
 # ---------------------------------------------------------------------------
 # atomic writes
 

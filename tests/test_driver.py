@@ -139,6 +139,12 @@ class TestJobSubmission:
         assert driver.resets == 1
         assert driver.faults_unrecovered == 1
 
+    def test_truncated_binary_is_a_job_fault(self, platform):
+        with pytest.raises(JobFault):
+            self._submit(platform, binary_size=len(_trivial_binary()) - 8)
+        # and the driver is still usable
+        assert self._submit(platform) == regs.JOB_STATUS_DONE
+
     def test_irq_traffic_counted(self, platform):
         before = platform.system_stats().interrupts_asserted
         self._submit(platform)

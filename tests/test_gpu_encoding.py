@@ -141,6 +141,22 @@ class TestProgramEncoding:
         with pytest.raises(DecodeError):
             decode_program(b"\x01")
 
+    def test_every_short_read_is_a_decode_error(self):
+        # header, clause table, clause header, tuple words and constant
+        # pool all end somewhere in here
+        program = self._simple_program()
+        program.clauses[1].constants = [1, 2, 3]
+        image = encode_program(program)
+        ended_inside = set()
+        for cut in range(len(image)):
+            try:
+                decode_program(image[:cut])
+            except DecodeError as exc:
+                ended_inside.add(str(exc).split(" the ")[1].split(" at ")[0])
+        assert ended_inside == {"program header", "clause table",
+                                "clause header", "tuple words",
+                                "constant pool"}
+
     def test_branch_target_validated(self):
         program = self._simple_program()
         program.clauses[0].tail = Tail.JUMP

@@ -132,9 +132,9 @@ class TestDivergenceCFG:
         cfg.record_execution(0, 100)
         cfg.record_edge(0, 1, 75)
         cfg.record_edge(0, 2, 25)
-        graph = cfg.to_networkx()
-        assert graph[0][1]["fraction"] == 0.75
-        assert graph[0][2]["fraction"] == 0.25
+        _nodes, successors = cfg.graph()
+        assert successors[0][1] == (75, 0.75)
+        assert successors[0][2] == (25, 0.25)
 
     def test_divergence_fraction(self):
         cfg = DivergenceCFG()
@@ -165,6 +165,28 @@ class TestDivergenceCFG:
         assert "digraph" in dot
         assert "aa000000" in dot
         assert "dvg." in dot
+
+    def test_dot_orders_nodes_by_first_appearance_edges_by_source(self):
+        cfg = DivergenceCFG(base_address=0)
+        for src, dst in ((0, 1), (0, 2), (1, 3), (2, 3), (3, "END"),
+                         (0, 2)):
+            cfg.record_edge(src, dst, 1)
+        nodes, successors = cfg.graph()
+        assert nodes == [0, 1, 2, 3, "END"]
+        assert list(successors[0]) == [1, 2]
+        assert successors[0][2] == (2, 2 / 3)
+        assert cfg.to_dot().splitlines()[2:-1] == [
+            '  "0" [label="0"];',
+            '  "10" [label="10"];',
+            '  "20" [label="20"];',
+            '  "30" [label="30"];',
+            '  "END" [label="END"];',
+            '  "0" -> "10" [label="33.33%"];',
+            '  "0" -> "20" [label="66.67%"];',
+            '  "10" -> "30" [label="100.00%"];',
+            '  "20" -> "30" [label="100.00%"];',
+            '  "30" -> "END" [label="100.00%"];',
+        ]
 
     def test_node_labels(self):
         cfg = DivergenceCFG(base_address=0xAA000000)

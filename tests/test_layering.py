@@ -13,10 +13,16 @@ Two AST rules, no third-party dependency:
 A failure lists ``file:line`` per offence. Fix it by giving the owning
 class a public accessor (or moving the logic to the owner), not by
 extending :data:`ALLOWED`.
+
+And one import rule, checked in a fresh interpreter: a run loads NumPy
+and nothing else from outside the standard library.
 """
 
 import ast
+import json
 import os
+import subprocess
+import sys
 
 SRC_ROOT = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src", "repro")
@@ -124,3 +130,26 @@ def test_lint_catches_the_shapes_it_claims_to():
         "    return a._x\n")
     assert not lint_source("def f(row):\n    return row._replace(a=1)\n")
     assert not lint_source("def f(obj):\n    return obj.__dict__\n")
+
+
+_IMPORT_PROBE = """
+import json, sys
+at_startup = set(sys.modules)  # the interpreter's own and site hooks
+import repro.cl, repro.kernels, repro.tools.cli, repro.validate.farm
+repro.cl.Context()
+# __mp_main__ is multiprocessing's alias of __main__, not a package
+print(json.dumps(sorted(
+    {name.partition(".")[0] for name in set(sys.modules) - at_startup}
+    - set(sys.stdlib_module_names) - {"repro", "__mp_main__"})))
+"""
+
+
+def test_a_run_imports_numpy_and_nothing_else():
+    """In a subprocess: pytest plugins may import anything into this
+    one. Every farm worker, checkpoint resume and e2e workload pays for
+    whatever ``import repro`` pulls in."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        os.path.dirname(SRC_ROOT), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert json.loads(out) == ["numpy"]

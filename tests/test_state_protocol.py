@@ -10,7 +10,8 @@
   mid-``drain``, on any engine, single-client or 2-tenant, clean or
   with an armed recoverable fault plan, finishes byte-equal to the
   uninterrupted run (tier-1: a few in-process examples; ``-m fuzz``:
-  wide, restoring in a fresh process through the checkpoint harness).
+  wide, restoring in a fresh process through the checkpoint harness);
+  so does every cut taken from the ``on_job_retired`` hook.
 - **Golden-stat manifest** — ``golden_stats_manifest.json`` is the
   written definition of "bit-exact": which stats exist and which are
   golden. A stat that appears, vanishes or flips its flag fails here.
@@ -169,7 +170,6 @@ TRANSIENT = {
         "_default_tenant": "alias of tenants[0]",
         "events": _OBSERVER, "on_job_retired": _OBSERVER,
         "_grow_lock": "host lock",
-        "_defer_retire_notify": "true only inside a synchronous submit",
     },
     "TenantContext": {
         "driver": _WIRING,
@@ -420,6 +420,44 @@ def test_checkpoint_anywhere_is_invisible(tmp_path, engine_mode, tenants,
     straight = _play(engine_mode, tenants, plan, None, None)
     resumed = _play(engine_mode, tenants, plan, cut, tmp_path / "ckpt")
     assert harness.compare_records(straight, resumed) == []
+
+
+@pytest.mark.parametrize("engine_mode", ["interp", "mega"])
+def test_hook_time_checkpoints_are_invisible(tmp_path, engine_mode):
+    """Cuts taken from ``on_job_retired``: ``every_jobs=1`` on a
+    two-tenant arbitrated run writes one checkpoint per job, and every
+    one of them, restored and drained, finishes byte-equal to the
+    uninterrupted run."""
+    def submit(platform):
+        return [_launch(platform, tenant, sync=False, size=128,
+                        seed=2 * tenant.tenant_id + twice)
+                for tenant in platform.driver.tenants
+                for twice in range(2)]
+
+    def finish(platform, outputs):
+        platform.driver.drain()
+        return harness.record_run(platform, [
+            hashlib.sha256(platform.memory.read_block(phys, nbytes))
+            .hexdigest() for phys, nbytes in outputs])
+
+    straight = _build(engine_mode, 2, None)
+    expected = finish(straight, submit(straight))
+
+    platform = _build(engine_mode, 2, None)
+    outputs = submit(platform)
+    platform.enable_auto_checkpoint(str(tmp_path), every_jobs=1)
+    assert harness.compare_records(expected, finish(platform, outputs)) == []
+    # bg's first job was sliced and replayed: a preempted slice retires
+    # nothing, so the cuts are one per job, not one per dispatch
+    assert platform.driver.preemptions > 0
+    names = sorted(name for name in os.listdir(tmp_path)
+                   if name.startswith("ckpt-"))
+    assert names == [f"ckpt-{index:04d}"
+                     for index in range(1, len(outputs) + 1)]
+    for name in names:
+        restored, _extra = restore_checkpoint(str(tmp_path / name))
+        assert harness.compare_records(
+            expected, finish(restored, outputs)) == [], name
 
 
 @contextlib.contextmanager

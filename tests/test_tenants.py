@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cl import CommandQueue, Context
-from repro.errors import CLError
+from repro.errors import CLError, JobFault
 from repro.core.platform import HEAP_SIZE, MobilePlatform, PlatformConfig
 from repro.driver.kbase import (
     PREEMPTED,
@@ -460,6 +460,164 @@ class TestRuntimeTenancy:
         snapshot = platform.stats_registry.snapshot()
         assert snapshot["tenant1.cl.runtime.kernels_launched"] == 1
         assert snapshot.get("tenant0.cl.runtime.kernels_launched", 0) == 0
+
+
+# -- the one dispatch envelope -------------------------------------------------
+
+
+_OOB_SOURCE = """
+__kernel void tag(__global int* out, int tag) {
+    int i = get_global_id(0);
+    out[i + 100000000] = tag + i;
+}
+"""
+
+
+def _fg_bg():
+    return TenancyConfig([TenantSpec("fg0", qos="fg"),
+                          TenantSpec("bg0", qos="bg")])
+
+
+def _tag_launch(platform, tenant=None, tag=7, n=64, local=16, sync=True,
+                source=_SHARED_SOURCE):
+    """One ``tag`` job as *tenant* (None: a tenant-less context);
+    returns ``(queue, buffer)``."""
+    context = Context(platform, tenant=tenant)
+    queue = CommandQueue(context)
+    kernel = context.build_program(source).kernel("tag")
+    buf = context.alloc_buffer(n * 4)
+    kernel.set_args(buf, tag)
+    if sync:
+        queue.enqueue_nd_range(kernel, (n,), (local,))
+    else:
+        queue.enqueue_nd_range_async(kernel, (n,), (local,))
+    return queue, buf
+
+
+# routes a job takes to the GPU; each returns (jobs settled, threads each)
+
+
+def _single_sync(platform):
+    _tag_launch(platform)
+    return 1, 64
+
+
+def _tenant_sync(platform):
+    _tag_launch(platform, platform.driver.tenant(1))
+    return 1, 64
+
+
+def _arbitrated(platform):
+    for tenant in platform.driver.tenants:
+        _tag_launch(platform, tenant, sync=False)
+    platform.driver.drain()
+    return 2, 64
+
+
+def _arbitrated_with_preemption(platform):
+    # two per tenant keep the queue non-empty, so bg's first 64-workgroup
+    # job is sliced, soft-stopped and replayed
+    for tenant in platform.driver.tenants:
+        for _ in range(2):
+            _tag_launch(platform, tenant, n=256, local=4, sync=False)
+    platform.driver.drain()
+    assert platform.driver.tenant(1).preemptions > 0
+    return 4, 256
+
+
+class TestDispatchEnvelope:
+    def test_tenantless_context_on_a_tenancy_platform_is_tenant_zero(self):
+        platform = _platform(TenancyConfig.symmetric(2))
+        driver = platform.driver
+        queue1, buf1 = _tag_launch(platform, driver.tenant(1), tag=100)
+        expected1 = queue1.enqueue_read_buffer(buf1, np.int32)
+        digest1 = platform.memory.carveout_digest("tenant1")
+        switches = driver.as_switches
+        # same kernel, same GPU VAs, other page tables: the launch must
+        # run in tenant 0's address space, not the one left installed
+        queue0, buf0 = _tag_launch(platform, tag=300)
+        assert np.array_equal(queue0.enqueue_read_buffer(buf0, np.int32),
+                              300 + np.arange(64))
+        assert driver.as_switches == switches + 1
+        assert platform.memory.carveout_digest("tenant1") == digest1
+        assert np.array_equal(queue1.enqueue_read_buffer(buf1, np.int32),
+                              expected1)
+        assert driver.tenant(0).jobs_completed == 1
+
+    @pytest.mark.parametrize("tenancy, route", [
+        (None, _single_sync),
+        (_fg_bg, _tenant_sync),
+        (_fg_bg, _arbitrated),
+        (_fg_bg, _arbitrated_with_preemption),
+    ], ids=lambda value: getattr(value, "__name__", "single").strip("_"))
+    def test_retire_hook_fires_once_per_settled_job_accounting_landed(
+            self, tenancy, route):
+        platform = _platform(tenancy and tenancy())
+        tenants = platform.driver.tenants
+        seen = []
+
+        def hook():
+            seen.append((
+                sum(t.jobs_completed + t.jobs_failed for t in tenants),
+                sum(t.completed_stats.threads_launched for t in tenants)))
+
+        platform.driver.on_job_retired = hook
+        settled, threads = route(platform)
+        # once per settled job — never for a preempted slice — and at
+        # each call the job that just settled is already counted
+        assert seen == [(index, index * threads)
+                        for index in range(1, settled + 1)]
+        assert sum(t.dispatches for t in tenants) \
+            == settled + platform.driver.preemptions
+
+    @pytest.mark.parametrize("sync", [True, False],
+                             ids=["sync", "arbitrated"])
+    def test_failed_job_is_accounted_before_the_hook(self, sync):
+        platform = _platform(TenancyConfig.symmetric(2))
+        tenant = platform.driver.tenant(1)
+        seen = []
+        platform.driver.on_job_retired = lambda: seen.append(
+            (tenant.jobs_failed, tenant.translations))
+        if sync:
+            with pytest.raises(JobFault):
+                _tag_launch(platform, tenant, source=_OOB_SOURCE)
+        else:
+            _tag_launch(platform, tenant, sync=False, source=_OOB_SOURCE)
+            platform.driver.drain()
+        # the tenant's share of the faulting walks is golden: a
+        # checkpoint taken from the hook must already hold it
+        assert tenant.translations > 0
+        assert seen == [(1, tenant.translations)]
+
+    def test_both_launch_forms_stage_one_way(self, monkeypatch):
+        platform = _platform(None)
+        driver = platform.driver
+        context = Context(platform)
+        queue = CommandQueue(context)
+        kernel = context.build_program(_SHARED_SOURCE).kernel("tag")
+        kernel.set_args(context.alloc_buffer(64 * 4), 7)
+        handed = []  # the seven job arguments of every descriptor built
+        build_descriptor = driver.default_tenant.build_descriptor
+
+        def spy(*args, **kwargs):
+            handed.append(args[:7])
+            return build_descriptor(*args, **kwargs)
+
+        monkeypatch.setattr(driver.default_tenant, "build_descriptor", spy)
+        queue.enqueue_nd_range(kernel, 64, 16)
+        allocated = driver.regions_allocated
+        queue.enqueue_nd_range(kernel, (64,), (16,))
+        # a second synchronous launch reuses the kernel's uniform region
+        assert driver.regions_allocated == allocated
+        queue.enqueue_nd_range_async(kernel, 64, 16)
+        driver.drain()
+        assert driver.regions_allocated == allocated + 1
+        first, second, queued = handed
+        assert first == second
+        # (global, local, binary region, binary size, uniform region,
+        # uniform count, local memory): only the uniform region differs
+        assert queued[4] is not first[4]
+        assert queued[:4] + queued[5:] == first[:4] + first[5:]
 
 
 # -- campaign + CLI integration -----------------------------------------------

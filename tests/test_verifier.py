@@ -128,6 +128,24 @@ class TestStructural:
         assert "decode-error" in codes(report, Severity.ERROR)
         assert not report.ok
 
+    def test_every_prefix_of_an_image_decodes_or_reports(self):
+        from repro.clc import compile_source
+        kernel = compile_source("""
+            __kernel void k(__global int* out, int v) {
+                int i = get_global_id(0);
+                out[i] = v + i;
+            }""").kernel("k")
+        context = VerifyContext.from_compiled_kernel(kernel)
+        image = kernel.binary
+        rejected = 0
+        for cut in range(len(image)):
+            report = verify_binary(image[:cut], context)  # never raises
+            if not report.ok:
+                assert codes(report, Severity.ERROR) == {"decode-error"}
+                rejected += 1
+        # only a cut inside the last pool's alignment pad still decodes
+        assert rejected >= len(image) - 4
+
 
 class TestDataflow:
     def test_temp_read_across_clause_boundary(self):
