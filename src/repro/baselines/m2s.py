@@ -22,6 +22,7 @@ import struct
 import numpy as np
 
 from repro.errors import GuestError
+from repro.gpu import launch
 from repro.gpu.encoding import decode_clause
 from repro.gpu.isa import (
     ATOM_MODE_SHIFT,
@@ -162,39 +163,25 @@ class M2SSimulator:
         self.write(addr, array)
         return addr
 
-    def place(self, addr, array):
-        """Write *array* at a caller-chosen address (used by the validation
-        harness to mirror the full-system simulator's GPU VA layout so that
-        address computations trace identically)."""
-        data = np.ascontiguousarray(array)
-        if addr + data.nbytes > len(self.memory):
-            raise GuestError(f"placement at 0x{addr:x} exceeds m2s memory")
-        self.write(addr, data)
-        return addr
-
     # -- kernel launch (direct call, no driver) ----------------------------------
 
     def run_kernel(self, compiled_kernel, global_size, local_size, args):
         """Launch a compiled kernel; *args* are u32 values (addresses from
         :meth:`alloc` for buffers, raw bits for scalars, byte offsets for
         local pointers)."""
-        global_size = tuple(global_size) + (1,) * (3 - len(global_size))
-        local_size = tuple(local_size) + (1,) * (3 - len(local_size))
-        num_groups = tuple(g // l for g, l in zip(global_size, local_size))
-        uniforms = list(global_size) + list(local_size) + list(num_groups)
-        uniforms.append(sum(1 for g in global_size if g > 1) or 1)
-        uniforms.extend(int(a) & 0xFFFFFFFF for a in args)
+        global_size, local_size = launch.normalize_sizes(global_size,
+                                                         local_size)
+        uniforms = launch.uniform_image(global_size, local_size,
+                                        args).tolist()
+        num_groups = tuple(
+            uniforms[launch.U_NUM_GROUPS:launch.U_NUM_GROUPS + 3])
 
         binary = compiled_kernel.binary
         magic, num_clauses = struct.unpack_from("<II", binary, 0)
         offsets = struct.unpack_from(f"<{num_clauses}I", binary, 8)
 
-        threads_per_group = local_size[0] * local_size[1] * local_size[2]
-        local_bytes = (
-            compiled_kernel.local_static_size
-            + compiled_kernel.scratch_per_thread * threads_per_group
-            + 4096  # dynamic local args live above the static layout
-        )
+        # dynamic local args live above the compiler's own layout
+        local_bytes = launch.local_base(compiled_kernel, local_size) + 4096
 
         total_groups = num_groups[0] * num_groups[1] * num_groups[2]
         for flat_group in range(total_groups):
@@ -381,13 +368,6 @@ class M2SSimulator:
         self._write_op(thread, instr.dst, result)
         if tracer is not None:
             tracer.record_scalar(thread, instr, result)
-
-    @staticmethod
-    def alu(op, instr, a, b, c):
-        """One scalar ALU operation on raw 32-bit values (the fuzzer's
-        per-op oracle). Delegates by name so a test that patches
-        ``_alu`` to plant a bug is seen here too."""
-        return M2SSimulator._alu(op, instr, a, b, c)
 
     @staticmethod
     def _alu(op, instr, a, b, c):

@@ -17,9 +17,7 @@ import numpy as np
 from repro.errors import CLError
 from repro.clc import compile_source
 from repro.baselines.m2s import M2SSimulator
-from repro.cl.runtime import LocalMemory
-
-_WORK_DIM_SLOTS = 10
+from repro.gpu import launch
 
 
 class M2SBuffer:
@@ -104,36 +102,14 @@ class M2SQueue:
         return self.context.sim.read(buffer.addr, n, dtype)
 
     def enqueue_nd_range(self, kernel, global_size, local_size=None):
-        if isinstance(global_size, int):
-            global_size = (global_size,)
-        global_size = tuple(global_size) + (1,) * (3 - len(global_size))
-        if local_size is None:
-            local_size = (min(64, global_size[0]), 1, 1)
-        elif isinstance(local_size, int):
-            local_size = (local_size,)
-        local_size = tuple(local_size) + (1,) * (3 - len(local_size))
-        threads_per_group = local_size[0] * local_size[1] * local_size[2]
-        compiled = kernel.compiled
-        local_cursor = (compiled.local_static_size
-                        + compiled.scratch_per_thread * threads_per_group)
-        args = []
-        for (name, kind, ty), value in zip(compiled.params, kernel._args):
-            if value is None:
-                raise CLError(f"argument {name!r} of {kernel.name} unset")
-            if kind == "buffer":
-                args.append(value.addr)
-            elif kind == "local_ptr":
-                if not isinstance(value, LocalMemory):
-                    raise CLError(f"argument {name!r} expects LocalMemory")
-                args.append(local_cursor)
-                local_cursor += (value.nbytes + 3) & ~3
-            else:
-                if ty.is_float:
-                    args.append(int(np.float32(value).view(np.uint32)))
-                else:
-                    args.append(int(np.uint32(np.int64(int(value))
-                                              & 0xFFFFFFFF)))
-        self.context.sim.run_kernel(compiled, global_size, local_size, args)
+        global_size, local_size = launch.normalize_sizes(global_size,
+                                                         local_size)
+        arg_words, _local_bytes = launch.bind_arguments(
+            kernel.compiled, local_size,
+            [value.addr if isinstance(value, M2SBuffer) else value
+             for value in kernel._args])
+        self.context.sim.run_kernel(kernel.compiled, global_size, local_size,
+                                    arg_words)
         self.kernels_launched += 1
         return None
 

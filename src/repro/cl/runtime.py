@@ -11,12 +11,12 @@ from repro.hostcode import BoundedTable
 from repro.clc import compile_source
 from repro.clc.compiler import PROGRAM_CACHE_SIZE, build_key
 from repro.core.platform import MobilePlatform
+from repro.gpu import launch
+from repro.gpu.launch import LocalMemory
 from repro.gpu.mmu import AS_TAG_SHIFT
 from repro.gpu.verify import VerifyContext, verify_binary, verify_program
 from repro.mem.physical import PAGE_SHIFT
 from repro.instrument.stats import JobStats
-
-_WORK_DIM_SLOTS = 10  # uniform slots reserved for NDRange description
 
 
 @dataclass
@@ -42,16 +42,6 @@ class Event:
     def duration(self):
         """Host wall-clock seconds the command took (simulation time)."""
         return self.end - self.start
-
-
-class LocalMemory:
-    """A dynamically sized ``__local`` kernel argument (clSetKernelArg with
-    a NULL pointer and a size, in real OpenCL)."""
-
-    def __init__(self, nbytes):
-        if nbytes <= 0:
-            raise CLError("local memory size must be positive")
-        self.nbytes = int(nbytes)
 
 
 class Buffer:
@@ -251,10 +241,6 @@ class Kernel:
     def name(self):
         return self.compiled.name
 
-    @property
-    def num_args(self):
-        return len(self.compiled.params)
-
     def set_arg(self, index, value):
         if not 0 <= index < len(self._args):
             raise CLError(f"argument index {index} out of range for {self.name}")
@@ -274,38 +260,6 @@ class Kernel:
             )
         for index, value in enumerate(values):
             self.set_arg(index, value)
-
-    def _encode_scalar(self, value, ty):
-        if ty.is_float:
-            return int(np.float32(value).view(np.uint32))
-        return int(np.uint32(np.int64(int(value)) & 0xFFFFFFFF))
-
-    def _build_uniforms(self, global_size, local_size):
-        num_groups = tuple(g // l for g, l in zip(global_size, local_size))
-        threads_per_group = local_size[0] * local_size[1] * local_size[2]
-        uniforms = np.zeros(self.compiled.uniform_count, dtype=np.uint32)
-        uniforms[0:3] = global_size
-        uniforms[3:6] = local_size
-        uniforms[6:9] = num_groups
-        uniforms[9] = sum(1 for g in global_size if g > 1) or 1
-        local_cursor = (
-            self.compiled.local_static_size
-            + self.compiled.scratch_per_thread * threads_per_group
-        )
-        for position, ((name, kind, ty), value) in enumerate(
-            zip(self.compiled.params, self._args)
-        ):
-            if value is None:
-                raise CLError(f"argument {position} ({name!r}) of {self.name} unset")
-            slot = _WORK_DIM_SLOTS + position
-            if kind == "buffer":
-                uniforms[slot] = value.gpu_va & 0xFFFFFFFF
-            elif kind == "local_ptr":
-                uniforms[slot] = local_cursor
-                local_cursor += (value.nbytes + 3) & ~3
-            else:
-                uniforms[slot] = self._encode_scalar(value, ty)
-        return uniforms, local_cursor
 
     def analyze_launch(self, global_size, local_size, uniforms,
                        local_mem_size=None, tenant=None):
@@ -411,34 +365,20 @@ class CommandQueue:
 
     # -- kernel launch ------------------------------------------------------------------
 
-    @staticmethod
-    def _normalize_sizes(global_size, local_size):
-        if isinstance(global_size, int):
-            global_size = (global_size,)
-        global_size = tuple(global_size) + (1,) * (3 - len(global_size))
-        if local_size is None:
-            local_size = (_default_local(global_size[0]), 1, 1)
-        else:
-            if isinstance(local_size, int):
-                local_size = (local_size,)
-            local_size = tuple(local_size) + (1,) * (3 - len(local_size))
-        for g, l in zip(global_size, local_size):
-            if l <= 0 or g % l:
-                raise CLError(
-                    f"global size {global_size} not divisible by local {local_size}"
-                )
-        return global_size, local_size
-
     def _stage_launch(self, kernel, global_size, local_size,
                       uniform_region=None):
         """Everything a launch does before the driver sees the job:
         sizes normalised, binary uploaded, uniform image built, staged
         and copied by the guest CPU into *uniform_region* (a fresh one
         when None). Returns the driver's job arguments and the image."""
-        global_size, local_size = self._normalize_sizes(global_size, local_size)
+        global_size, local_size = launch.normalize_sizes(global_size, local_size)
         context = self.context
         binary_region = kernel.program._binary_region(kernel.compiled)
-        uniforms, local_mem_size = kernel._build_uniforms(global_size, local_size)
+        arg_words, local_mem_size = launch.bind_arguments(
+            kernel.compiled, local_size,
+            [value.gpu_va if isinstance(value, Buffer) else value
+             for value in kernel._args])
+        uniforms = launch.uniform_image(global_size, local_size, arg_words)
         if uniform_region is None:
             uniform_region = context._driver.alloc_region(uniforms.nbytes)
         staging = context.platform.stage_bytes(uniforms.tobytes())
@@ -568,10 +508,3 @@ class CommandQueue:
     def finish(self):
         """All work is synchronous; provided for API familiarity."""
         return None
-
-
-def _default_local(global_x):
-    for candidate in (64, 32, 16, 8, 4, 2):
-        if global_x % candidate == 0:
-            return candidate
-    return 1

@@ -75,7 +75,7 @@ class CompiledKernel:
         local_static_size: bytes of ``__local`` arrays declared in-kernel.
         scratch_per_thread: bytes of per-thread private-array scratch.
         params: list of (name, kind, type); kind in buffer/scalar/local_ptr.
-        uniform_count: uniform slots consumed (10 + number of arguments).
+        uniform_count: words of the uniform image (:mod:`repro.gpu.launch`).
     """
 
     name: str

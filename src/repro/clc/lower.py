@@ -53,13 +53,13 @@ from repro.gpu.isa import (
     MEM_SPACE_LOCAL,
     Op,
 )
-
-# uniform slot layout (mirrors repro.cl runtime and the dispatcher)
-U_GLOBAL_SIZE = 0
-U_LOCAL_SIZE = 3
-U_NUM_GROUPS = 6
-U_WORK_DIM = 9
-U_FIRST_ARG = 10
+from repro.gpu.launch import (
+    U_FIRST_ARG,
+    U_GLOBAL_SIZE,
+    U_LOCAL_SIZE,
+    U_NUM_GROUPS,
+    U_WORK_DIM,
+)
 
 _MEMBER_INDEX = {"x": 0, "y": 1, "z": 2, "w": 3, "s0": 0, "s1": 1, "s2": 2, "s3": 3}
 

@@ -97,10 +97,6 @@ class GPUDevice(MMIODevice, Stateful):
         """Unmasked MMU interrupt bits (the MMU line is asserted)."""
         return self._mmu_irq_rawstat & self._mmu_irq_mask
 
-    @property
-    def irq_pending(self):
-        return bool(self.job_irq_pending or self.mmu_irq_pending)
-
     def _assert_irq(self):
         self.system_stats.interrupts_asserted += 1
         if self._irq_callback is not None:

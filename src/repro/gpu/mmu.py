@@ -9,7 +9,7 @@ The MMU walks the *same* page tables the driver built in simulated physical
 memory (:mod:`repro.mem.pagetable`) and records every distinct GPU-VA page
 touched — the paper's "pages accessed by the GPU" system statistic.
 
-Two translation paths exist:
+Three translation tiers exist:
 
 - the scalar path (:meth:`GPUMMU.translate` / :meth:`GPUMMU.load_u32`),
   one walk-or-TLB-probe per 32-bit word — the reference semantics;
@@ -21,7 +21,11 @@ Two translation paths exist:
   scalar path (same ``pages_accessed`` set, same ``translations`` count)
   and *side-effect-free on failure*: any lane that would fault makes the
   whole quad return ``None`` so the caller can replay it scalar-wise and
-  reproduce the exact per-lane fault behaviour.
+  reproduce the exact per-lane fault behaviour;
+- the wide tier (``load_wide_u32`` / ``store_wide_u32``), the megakernel
+  engine's workgroup-wide gather/scatter: one probe per distinct page for
+  every lane of the group, under the same bit-exactness and
+  ``None``-means-scalar-replay contract as the quad tier.
 """
 
 import numpy as np
@@ -554,11 +558,6 @@ class GPUMMU(Stateful):
         for view, offsets, lanes in groups:
             view[offsets] = values[lanes]
         return True
-
-    def load_u64(self, vaddr):
-        low = self.load_u32(vaddr)
-        high = self.load_u32(vaddr + 4)
-        return low | (high << 32)
 
     def load_block(self, vaddr, length):
         """Read a byte range page-by-page through translation."""

@@ -16,13 +16,12 @@ degrades gracefully when a field is ``None``.
 
 from dataclasses import dataclass, field
 
-# Uniform slots 0-9 describe the NDRange (see Kernel._build_uniforms):
-# 0-2 global size, 3-5 local size, 6-8 num groups, 9 work_dim.
-NDRANGE_SLOTS = 10
-SLOT_GLOBAL_SIZE = 0
-SLOT_LOCAL_SIZE = 3
-SLOT_NUM_GROUPS = 6
-SLOT_WORK_DIM = 9
+from repro.gpu.launch import (
+    U_FIRST_ARG,
+    U_GLOBAL_SIZE,
+    U_LOCAL_SIZE,
+    U_NUM_GROUPS,
+)
 
 
 @dataclass
@@ -102,7 +101,7 @@ class VerifyContext:
         """Build-time context from a clc :class:`CompiledKernel`."""
         ctx = cls(name=compiled.name, uniform_count=compiled.uniform_count)
         for position, (pname, kind, _ty) in enumerate(compiled.params):
-            slot = NDRANGE_SLOTS + position
+            slot = U_FIRST_ARG + position
             if kind == "buffer":
                 ctx.buffers[slot] = BufferInfo(slot=slot, name=pname)
             elif kind == "local_ptr":
@@ -123,13 +122,13 @@ class VerifyContext:
         lx, ly, lz = local_size
         ctx.threads = gx * gy * gz
         ctx.threads_per_group = lx * ly * lz
-        ctx.uniform_values[SLOT_GLOBAL_SIZE] = gx
-        ctx.uniform_values[SLOT_LOCAL_SIZE] = lx
-        ctx.uniform_values[SLOT_NUM_GROUPS] = gx // lx if lx else 0
+        ctx.uniform_values[U_GLOBAL_SIZE] = gx
+        ctx.uniform_values[U_LOCAL_SIZE] = lx
+        ctx.uniform_values[U_NUM_GROUPS] = gx // lx if lx else 0
         ctx.local_bytes = local_bytes
         if buffer_sizes:
             for position, size in buffer_sizes.items():
-                info = ctx.buffers.get(NDRANGE_SLOTS + position)
+                info = ctx.buffers.get(U_FIRST_ARG + position)
                 if info is not None:
                     info.size = size
         return ctx
@@ -149,7 +148,7 @@ class VerifyContext:
             ctx.uniform_values[slot] = int(word)
         if buffers:
             for position, (va, size) in buffers.items():
-                info = ctx.buffers.get(NDRANGE_SLOTS + position)
+                info = ctx.buffers.get(U_FIRST_ARG + position)
                 if info is not None:
                     info.va = va
                     info.size = size

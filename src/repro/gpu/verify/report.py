@@ -103,9 +103,6 @@ class Report:
     def by_code(self, code):
         return [f for f in self.findings if f.code == code]
 
-    def must_fault_findings(self):
-        return [f for f in self.findings if f.must_fault]
-
     def counts(self):
         return {"errors": len(self.errors), "warnings": len(self.warnings),
                 "notes": len(self.notes)}

@@ -103,18 +103,6 @@ class PageTableBuilder(Stateful):
             table = entry & _ADDR_MASK
         self._memory.write_u64(table + 8 * _index(vaddr, _LEVELS - 1), 0)
 
-    def unmap_range(self, vaddr, length):
-        """Invalidate every leaf entry covering ``[vaddr, vaddr+length)``."""
-        offset = 0
-        while offset < length:
-            self.unmap_page(vaddr + offset)
-            offset += PAGE_SIZE
-
-    @property
-    def table_pages(self):
-        """Number of physical frames consumed by the tables themselves."""
-        return len(self._table_frames)
-
 
 class PageTableWalker:
     """MMU-side table walk with a software TLB.

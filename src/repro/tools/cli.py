@@ -544,12 +544,11 @@ def _cmd_analyze(options):
 
     geometry = {}
     if options.global_size:
-        def _dims3(sizes):
-            return tuple((list(sizes) + [1, 1])[:3])
+        from repro.gpu.launch import normalize_sizes
 
-        local = options.local_size or [min(64, options.global_size[0])]
-        geometry = {"global_size": _dims3(options.global_size),
-                    "local_size": _dims3(local)}
+        global_size, local_size = normalize_sizes(options.global_size,
+                                                  options.local_size)
+        geometry = {"global_size": global_size, "local_size": local_size}
 
     units = _static_units(options, analyze_target, analyze_source,
                           **geometry)

@@ -72,18 +72,6 @@ def seed_entry(seed, index, name="", expect="match", notes=""):
     }
 
 
-def stress_entry(seed, category, name="", expect="match", notes=""):
-    """A compact cost-analysis stress-case corpus entry (regenerated via
-    :func:`repro.validate.progen.generate_stress_case`)."""
-    return {
-        "format": CORPUS_FORMAT,
-        "name": name or f"stress-{category}-seed{seed}",
-        "expect": expect,
-        "notes": notes,
-        "stress": {"seed": seed, "category": category},
-    }
-
-
 def dict_to_case(entry, path="<corpus entry>"):
     """Materialize a corpus entry (loaded from *path*) back into a
     :class:`DiffCase`; anything wrong with it is a

@@ -58,6 +58,7 @@ from repro.gpu.isa import (
     is_memory_op,
     is_temp,
 )
+from repro.gpu.launch import U_FIRST_ARG
 from repro.gpu.ops import arity as op_arity
 from repro.gpu.verify import VerifyContext, verify_program
 
@@ -77,9 +78,7 @@ REG_ATOM_BASE = 50    # VA of this thread's private atomic word
 REG_ADDR_A = 51       # address scratch (loads)
 REG_ADDR_B = 52       # address scratch (stores)
 
-# uniform indices: 0-9 are the NDRange block, args follow (runner contract)
-UNIFORM_ARG_BASE = 10
-UNIFORM_COUNT = UNIFORM_ARG_BASE + 5  # in, out-slice, atom bases + 2 extras
+UNIFORM_COUNT = U_FIRST_ARG + 5  # in, out-slice, atom bases + 2 extras
 
 # transcendental special-function ops are excluded from *whole-program*
 # generation: NumPy's SIMD exp/log/sin/cos kernels may differ from the
@@ -357,9 +356,9 @@ class ProgramGenerator:
         t0 = TEMP_BASE
         c0 = _ClauseBuilder(rng)
         c0.slots = [
-            Instruction(Op.LDU, dst=REG_IN_BASE, imm=UNIFORM_ARG_BASE),
-            Instruction(Op.LDU, dst=REG_OUT_BASE, imm=UNIFORM_ARG_BASE + 1),
-            Instruction(Op.LDU, dst=REG_ATOM_BASE, imm=UNIFORM_ARG_BASE + 2),
+            Instruction(Op.LDU, dst=REG_IN_BASE, imm=U_FIRST_ARG),
+            Instruction(Op.LDU, dst=REG_OUT_BASE, imm=U_FIRST_ARG + 1),
+            Instruction(Op.LDU, dst=REG_ATOM_BASE, imm=U_FIRST_ARG + 2),
             Instruction(Op.ISHL, dst=t0, srca=gid, srcb=c0.const(6)),
             Instruction(Op.IADD, dst=REG_OUT_BASE, srca=REG_OUT_BASE,
                         srcb=t0),
@@ -643,7 +642,7 @@ def _defect_race_store(rng):
     # address): every thread of the group hits the same word.
     a = _ClauseBuilder(rng)
     a.slots = [
-        Instruction(Op.LDU, dst=20, imm=UNIFORM_ARG_BASE + 2),
+        Instruction(Op.LDU, dst=20, imm=U_FIRST_ARG + 2),
         Instruction(Op.ST, srca=20, srcb=8, flags=0),
     ]
     return [a.pack(tail=Tail.END)]
@@ -837,7 +836,7 @@ def _stress_loop_const(rng):
 
 def _stress_loop_uniform(rng):
     return _stress_loop_clauses(rng, init=0,
-                                limit_slot=UNIFORM_ARG_BASE + 3)
+                                limit_slot=U_FIRST_ARG + 3)
 
 
 def _stress_loop_shr(rng):

@@ -29,16 +29,24 @@ diffed too.
 The quad engines run behind real page tables that map adjacent virtual
 pages to *non-adjacent* physical frames, so the fast path's cross-page
 tiers cannot pass by accident; the m2s baseline places the same data at the
-same virtual addresses in its flat memory.
+same virtual addresses in its flat memory. Every engine is handed the same
+uniform image (:mod:`repro.gpu.launch`).
+
+Generated programs (:mod:`repro.validate.progen`), compiled kernels
+(:func:`make_kernel_case`, :func:`trace_kernel_both`) and single fuzzed
+instructions (:mod:`repro.validate.fuzz`) are all cases of this runner.
 """
 
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from repro.core.platform import ENGINE_MODES
+from repro.gpu import launch
 from repro.gpu.isa import NUM_GRF, REG_GLOBAL_ID, Program
 from repro.gpu.encoding import encode_program
+from repro.gpu.launch import U_FIRST_ARG, U_WORK_DIM
 from repro.gpu.mmu import GPUMMU
 from repro.gpu.shadercore import ComputeUnit, WorkgroupShape
 from repro.mem import PAGE_SIZE, PTE_READ, PTE_WRITE, PageTableBuilder, \
@@ -75,7 +83,8 @@ class DiffCase:
         regions: list of ``(name, va, words)`` buffer regions; *words* is a
             1-D uint32 array, *va* must be page-aligned.
         args: kernel argument u32 values (buffer VAs, scalar bits, local
-            byte offsets) appended to the 10 NDRange uniforms.
+            byte offsets), the words after the NDRange block of the
+            uniform image (:mod:`repro.gpu.launch`).
         local_bytes: workgroup-local slab size.
     """
 
@@ -123,24 +132,19 @@ def verify_context_for_case(case):
     from repro.gpu.verify import BufferInfo, VerifyContext
 
     g, l = case.global_size, case.local_size
-    out_size = VA_OUT + 0x2000 - OUT_SLICE_BASE
-    ctx = VerifyContext(
+    slots = range(U_FIRST_ARG, UNIFORM_COUNT)
+    placed = (("in", VA_IN, IN_BYTES),
+              ("out", OUT_SLICE_BASE, VA_OUT + 0x2000 - OUT_SLICE_BASE),
+              ("atom", VA_ATOM, PAGE_SIZE))
+    extras = dict(zip(slots[len(placed):], case.extra_uniforms))
+    ndrange = launch.uniform_image(g, l, ()).tolist()[:U_WORK_DIM]
+    return VerifyContext(
         name=case.label or "gen",
         uniform_count=UNIFORM_COUNT,
-        buffers={
-            10: BufferInfo(slot=10, size=IN_BYTES, va=VA_IN, name="in"),
-            11: BufferInfo(slot=11, size=out_size, va=OUT_SLICE_BASE,
-                           name="out"),
-            12: BufferInfo(slot=12, size=PAGE_SIZE, va=VA_ATOM,
-                           name="atom"),
-        },
-        scalar_slots={13, 14},
-        uniform_values={
-            0: g[0], 1: g[1], 2: g[2],
-            3: l[0], 4: l[1], 5: l[2],
-            6: g[0] // l[0], 7: g[1] // l[1], 8: g[2] // l[2],
-            13: case.extra_uniforms[0], 14: case.extra_uniforms[1],
-        },
+        buffers={slot: BufferInfo(slot=slot, size=size, va=va, name=name)
+                 for slot, (name, va, size) in zip(slots, placed)},
+        scalar_slots=set(extras),
+        uniform_values={**dict(enumerate(ndrange)), **extras},
         local_bytes=4096,
         mapped_ranges=[
             (VA_IN, VA_IN + IN_BYTES),
@@ -150,7 +154,6 @@ def verify_context_for_case(case):
         threads=g[0] * g[1] * g[2],
         threads_per_group=l[0] * l[1] * l[2],
     )
-    return ctx
 
 
 def make_kernel_case(source, kernel_name, global_size, local_size, buffers,
@@ -160,42 +163,30 @@ def make_kernel_case(source, kernel_name, global_size, local_size, buffers,
     from repro.clc import compile_source
 
     compiled = compile_source(source, options=version).kernel(kernel_name)
-    global_size = tuple(global_size) + (1,) * (3 - len(global_size))
-    local_size = tuple(local_size) + (1,) * (3 - len(local_size))
-    threads_per_group = local_size[0] * local_size[1] * local_size[2]
-    cursor = (compiled.local_static_size
-              + compiled.scratch_per_thread * threads_per_group)
+    global_size, local_size = launch.normalize_sizes(global_size, local_size)
     regions = []
-    args = []
+    values = []
     va = VA_IN
     # arguments are positional: consume the buffer/scalar/local queues in
     # the kernel's declared parameter order
-    buffer_queue = list(buffers)
-    scalar_queue = list(scalars)
-    local_queue = list(local_args)
+    queues = {"buffer": list(buffers), "scalar": list(scalars),
+              "local_ptr": list(local_args)}
     for _param, kind, _ty in compiled.params:
+        value = queues[kind].pop(0)
         if kind == "buffer":
-            array = buffer_queue.pop(0)
-            words = np.ascontiguousarray(array).reshape(-1).view(np.uint32)
+            words = np.ascontiguousarray(value).reshape(-1).view(np.uint32)
             regions.append((f"buf{len(regions)}", va, words))
-            args.append(va)
+            value = va
             va += page_count(max(words.nbytes, 4)) * PAGE_SIZE
         elif kind == "local_ptr":
-            nbytes = local_queue.pop(0)
-            args.append(cursor)
-            cursor += (nbytes + 3) & ~3
-        else:
-            value = scalar_queue.pop(0)
-            if isinstance(value, float) or (hasattr(value, "dtype")
-                                            and value.dtype.kind == "f"):
-                args.append(int(np.float32(value).view(np.uint32)))
-            else:
-                args.append(int(value) & 0xFFFFFFFF)
-    if buffer_queue or scalar_queue or local_queue:
+            value = launch.LocalMemory(value)
+        values.append(value)
+    if any(queues.values()):
         raise ValueError(
-            f"argument count mismatch for {kernel_name}: "
-            f"{len(buffer_queue)} buffers, {len(scalar_queue)} scalars, "
-            f"{len(local_queue)} local args left over")
+            f"argument count mismatch for {kernel_name}: " + ", ".join(
+                f"{len(queue)} {kind}" for kind, queue in queues.items())
+            + " arguments left over")
+    args, cursor = launch.bind_arguments(compiled, local_size, values)
     return DiffCase(
         program=compiled.program,
         global_size=global_size,
@@ -232,26 +223,6 @@ class Mismatch:
 
     def __str__(self):
         return f"[{self.kind}] {' vs '.join(self.engines)}: {self.detail}"
-
-
-def build_uniforms(case):
-    """The 10 NDRange uniforms + argument words (same layout in every
-    engine; mirrors M2SSimulator.run_kernel and the CL runtime)."""
-    g, l = case.global_size, case.local_size
-    num_groups = tuple(gd // ld for gd, ld in zip(g, l))
-    uniforms = list(g) + list(l) + list(num_groups)
-    uniforms.append(sum(1 for gd in g if gd > 1) or 1)
-    uniforms.extend(int(a) & 0xFFFFFFFF for a in case.args)
-    return np.array(uniforms, dtype=np.uint32)
-
-
-class _CompiledShim:
-    """Just enough of a CompiledKernel for M2SSimulator.run_kernel."""
-
-    def __init__(self, binary, local_static_size=0, scratch_per_thread=0):
-        self.binary = binary
-        self.local_static_size = local_static_size
-        self.scratch_per_thread = scratch_per_thread
 
 
 class DifferentialRunner:
@@ -324,7 +295,8 @@ class DifferentialRunner:
                      collect_cfg=collect_cfg, tracer=tracer,
                      engine=unit_engine)
         shape = WorkgroupShape(case.global_size, case.local_size)
-        uniforms = build_uniforms(case)
+        uniforms = launch.uniform_image(case.global_size, case.local_size,
+                                        case.args)
         registers = {}
         for flat_group in range(shape.total_groups):
             warps = unit.run_workgroup(case.program, uniforms, mmu, shape,
@@ -369,16 +341,14 @@ class DifferentialRunner:
         sim = M2SSimulator(memory_size=1 << max(top.bit_length() + 1, 20),
                            tracer=tracer, capture_registers=True)
         for _name, va, words in case.regions:
-            if words.size:
-                sim.place(va, words)
-        shim = _CompiledShim(encode_program(case.program))
-        sim.run_kernel(shim, case.global_size, case.local_size, case.args)
+            sim.write(va, words)
+        # just enough of a CompiledKernel for run_kernel
+        binary = SimpleNamespace(binary=encode_program(case.program),
+                                 local_static_size=0, scratch_per_thread=0)
+        sim.run_kernel(binary, case.global_size, case.local_size, case.args)
         registers = dict(sim.retired_registers)
-        memory = {
-            name: sim.read(va, words.size, np.uint32).tobytes()
-            if words.size else b""
-            for name, va, words in case.regions
-        }
+        memory = {name: sim.read(va, words.size, np.uint32).tobytes()
+                  for name, va, words in case.regions}
         counters = {
             "arith": sim.stats.arith,
             "ls": sim.stats.load_store,
@@ -502,6 +472,31 @@ def run_case_outcome(runner, case):
                 counters[f"{engine}.{key}"] = int(result.counters[key])
     detail = "; ".join(str(m) for m in mismatches[:3])
     return not mismatches, detail, counters
+
+
+def trace_kernel_both(source, kernel_name, global_size, local_size,
+                      buffers, scalars=(), local_args=(), version=None):
+    """Run one kernel on the reference interpreter and the scalar baseline
+    in tracing mode; returns (trace mismatches, interpreter tracer,
+    baseline tracer, outputs).
+
+    The arguments are :func:`make_kernel_case`'s. *outputs* are the
+    interpreter's final buffer contents, one array per entry of *buffers*
+    in its dtype. Engines that crash or disagree on those contents raise
+    AssertionError (the traces explain *where*).
+    """
+    case = make_kernel_case(source, kernel_name, global_size, local_size,
+                            buffers, scalars, local_args, version)
+    results, mismatches = DifferentialRunner(("interp", "m2s")).run_case(case)
+    failed = [str(m) for m in mismatches if m.kind in ("crash", "memory")]
+    if failed:
+        raise AssertionError("engines disagree on output buffer contents: "
+                             + "; ".join(failed))
+    interp, m2s = results["interp"], results["m2s"]
+    outputs = [np.frombuffer(interp.memory[name], np.asarray(array).dtype)
+               for (name, _va, _words), array in zip(case.regions, buffers)]
+    return (compare_traces(interp.trace, m2s.trace), interp.trace,
+            m2s.trace, outputs)
 
 
 def _unified_dump(stats, mmu):

@@ -46,11 +46,12 @@ def diffcase_context(case):
     execute under. Buffer classification is unnecessary: with all slots
     exact the address intervals are concrete.
     """
+    from repro.gpu.launch import uniform_image
     from repro.mem import PAGE_SIZE
-    from repro.validate.runner import build_uniforms, page_count
+    from repro.validate.runner import page_count
 
     g, l = case.global_size, case.local_size
-    uniforms = build_uniforms(case)
+    uniforms = uniform_image(g, l, case.args)
     ctx = VerifyContext(
         name=case.name,
         uniform_count=len(uniforms),

@@ -90,84 +90,3 @@ def compare_traces(ours, reference):
                 break  # report first divergence per thread
     return mismatches
 
-
-def trace_kernel_both(source, kernel_name, global_size, local_size,
-                      buffers, scalars=(), local_args=(), version=None):
-    """Run one kernel on both engines in tracing mode; returns
-    (mismatches, quad_tracer, scalar_tracer, outputs).
-
-    Args:
-        source: kernel-language source text.
-        kernel_name: kernel to launch.
-        global_size/local_size: NDRange.
-        buffers: list of NumPy arrays; uploaded as buffer arguments (in
-            parameter order, before scalars).
-        scalars: scalar argument values (after the buffers).
-        local_args: LocalMemory sizes in bytes (after scalars).
-        version: compiler version preset.
-
-    Output buffers are read back from both engines and compared bit-exact;
-    a mismatch there raises AssertionError (traces explain *where*).
-    """
-    from repro.cl import CommandQueue, Context, LocalMemory
-    from repro.core.platform import MobilePlatform, PlatformConfig
-    from repro.gpu.device import GPUConfig
-    from repro.baselines.m2s import M2SSimulator
-    from repro.clc import compile_source
-
-    quad_tracer = InstructionTracer()
-    scalar_tracer = InstructionTracer()
-
-    # full-system quad engine
-    config = PlatformConfig(gpu=GPUConfig(tracer=quad_tracer))
-    context = Context(MobilePlatform(config))
-    queue = CommandQueue(context)
-    kernel = context.build_program(source, version=version).kernel(kernel_name)
-    device_buffers = [context.buffer_from_array(array) for array in buffers]
-    args = list(device_buffers) + list(scalars) + [
-        LocalMemory(nbytes) for nbytes in local_args
-    ]
-    kernel.set_args(*args)
-    queue.enqueue_nd_range(kernel, global_size, local_size)
-    quad_outputs = [
-        queue.enqueue_read_buffer(buf, array.dtype, count=array.size)
-        for buf, array in zip(device_buffers, buffers)
-    ]
-
-    # scalar baseline engine: same binary, and buffers placed at the SAME
-    # addresses the full-system run used, so address arithmetic traces
-    # identically
-    compiled = compile_source(source, options=version).kernel(kernel_name)
-    highest = max(buf.gpu_va + buf.nbytes for buf in device_buffers)
-    sim = M2SSimulator(memory_size=1 << max(highest.bit_length() + 1, 20),
-                       tracer=scalar_tracer)
-    addresses = [
-        sim.place(buf.gpu_va, array)
-        for buf, array in zip(device_buffers, buffers)
-    ]
-    scalar_args = list(addresses)
-    for value in scalars:
-        if isinstance(value, float) or (hasattr(value, "dtype")
-                                        and value.dtype.kind == "f"):
-            scalar_args.append(int(np.float32(value).view(np.uint32)))
-        else:
-            scalar_args.append(int(value) & 0xFFFFFFFF)
-    cursor = compiled.local_static_size
-    threads_per_group = int(np.prod(np.array(local_size)))
-    cursor += compiled.scratch_per_thread * threads_per_group
-    for nbytes in local_args:
-        scalar_args.append(cursor)
-        cursor += (nbytes + 3) & ~3
-    sim.run_kernel(compiled, global_size, local_size, scalar_args)
-    scalar_outputs = [
-        sim.read(addr, array.size, array.dtype)
-        for addr, array in zip(addresses, buffers)
-    ]
-
-    for ours, theirs in zip(quad_outputs, scalar_outputs):
-        np.testing.assert_array_equal(
-            ours.view(np.uint32), theirs.view(np.uint32),
-            err_msg="engines disagree on output buffer contents",
-        )
-    mismatches = compare_traces(quad_tracer, scalar_tracer)
-    return mismatches, quad_tracer, scalar_tracer, quad_outputs

@@ -200,6 +200,22 @@ def test_analyze_launch_geometry_bounds(kernel_file, capsys):
     assert "issues/workgroup" in out
 
 
+def test_analyze_uses_the_launch_abi_geometry(kernel_file, capsys):
+    # default local size is the runtimes' rule (96 -> three groups of 32),
+    # so the total bounds every thread a launch of 96 runs: 24 warps x 3
+    code = main(["analyze", kernel_file, "--global-size", "96"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "24 issues/workgroup, 72 total" in out
+    # and a geometry no runtime accepts is refused, not floored
+    code = main(["analyze", kernel_file, "--global-size", "100",
+                 "--local-size", "32"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.strip() == ("analyze: global size (100, 1, 1) not divisible "
+                           "by local (32, 1, 1)")
+
+
 def test_analyze_json_schema(kernel_file, capsys):
     import json
 

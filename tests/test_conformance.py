@@ -122,6 +122,14 @@ class TestInjectedBug:
 
         monkeypatch.setattr(m2s.M2SSimulator, "_alu", staticmethod(buggy))
 
+    def test_single_instruction_fuzz_sees_it(self, monkeypatch):
+        from repro.validate import execute_instruction_both
+
+        assert execute_instruction_both(Op.IMUL, 3, 5, 0) == (15, 15)
+        self._break_imul(monkeypatch)
+        with pytest.raises(AssertionError, match="IMUL"):
+            execute_instruction_both(Op.IMUL, 3, 5, 0)
+
     def test_detected_minimized_and_persisted(self, monkeypatch, tmp_path):
         self._break_imul(monkeypatch)
         report = run_conformance(seed=5, budget=3,
