@@ -24,6 +24,12 @@ trajectory to regress against:
   gated against the checked-in number) and microseconds — and what
   translating a clause costs, cold (emit + ``compile()``) and from the
   process-wide code cache (a second fresh platform must emit nothing);
+- **mega_batch**: what a lockstep batch of workgroups buys and what it
+  promises — microseconds per workgroup of one converged sgemm trip with
+  1, 4 and 16 workgroups to the row, and the counts: wide-port calls of
+  one sgemm 128x64x128 job one group at a time and batched, batches
+  abandoned on sgemm (none) and on bfs (at most one per platform: the
+  kernel stops batching), register files per compute unit (one);
 - **mega_masked**: what one step of the masked scheduler costs around a
   fall-through body — NumPy-level operations on the lane PCs and masks
   (exact, gated against the checked-in number) and microseconds — and
@@ -215,14 +221,18 @@ __kernel void saxpy(__global float* y, __global const float* x, float a) {
 """
 
 
+def _mega_context():
+    return Context(MobilePlatform(PlatformConfig(
+        gpu=GPUConfig(engine="mega", instrument=True))))
+
+
 def mega_launch(jobs=64, repeats=5):
     """Fixed cost of a mega launch: *jobs* synchronous saxpy launches of
     1 and of 16 workgroups (64 lanes each), every one with another
     uniform, on one platform. The counts are exact and are what the
     launch path promises: one translation for all of them, and no
     ``QuadWarp`` built for workgroups the Job Manager retires unread."""
-    context = Context(MobilePlatform(PlatformConfig(
-        gpu=GPUConfig(engine="mega", instrument=True))))
+    context = _mega_context()
     queue = CommandQueue(context)
     kernel = context.build_program(_SAXPY).kernel("saxpy")
     x = context.buffer_from_array(np.ones(1024, dtype=np.float32))
@@ -270,7 +280,9 @@ MAX_CALLS_PER_TRIP = 14
 
 
 def mega_clause(repeats=3):
-    """The converged inner loop of sgemm on mega, per trip.
+    """The converged inner loop of sgemm on mega, per trip, one
+    workgroup to the row (the path every unbatched group takes;
+    :func:`mega_batch` prices the batched one).
 
     Two runs that differ only in ``k`` differ by ``workgroups * dk``
     trips of the loop, so the differences of the Python-level call count
@@ -298,9 +310,9 @@ def mega_clause(repeats=3):
         finally:
             spent["seconds"] += time.perf_counter() - start
 
-    def timed_build(self, program, mem, local):
+    def timed_build(self, program, *ports):
         start = time.perf_counter()
-        build(self, program, mem, local)
+        build(self, program, *ports)
         spent["translate"].append(time.perf_counter() - start)
         spent["clauses"] = len(program.clauses)
 
@@ -311,8 +323,7 @@ def mega_clause(repeats=3):
             spent["calls"] += 1
 
     def run(k, counted=False):
-        context = Context(MobilePlatform(PlatformConfig(
-            gpu=GPUConfig(engine="mega", instrument=True))))
+        context = _mega_context()
         spent["seconds"] = spent["calls"] = 0
         if counted:
             sys.setprofile(profile)
@@ -327,6 +338,8 @@ def mega_clause(repeats=3):
     # loop straddles a page, so every trip takes the same path
     short, long_, workgroups = 16, 64, 64
     trips = workgroups * (long_ - short)
+    batch_lanes = megakernel.BATCH_LANES
+    megakernel.BATCH_LANES = 0
     megakernel.compile_source = counting_compile
     megakernel.MegaKernel._run_uniform = timed_uniform
     megakernel.MegaKernel.__init__ = timed_build
@@ -340,6 +353,7 @@ def mega_clause(repeats=3):
         seconds = min(run(long_)[0] for _ in range(repeats)) \
             - min(run(short)[0] for _ in range(repeats))
     finally:
+        megakernel.BATCH_LANES = batch_lanes
         megakernel.compile_source = compile_source
         megakernel.MegaKernel._run_uniform = run_uniform
         megakernel.MegaKernel.__init__ = build
@@ -353,6 +367,70 @@ def mega_clause(repeats=3):
             cold / spent["clauses"] * 1e6 if cold_emits else None,
         "translate_us_per_clause_warm": warm / spent["clauses"] * 1e6,
         "second_platform_emits": warm_emits,
+    }
+
+
+def mega_batch(repeats=3):
+    """Lockstep batches: the per-workgroup cost of one converged sgemm
+    trip by workgroups to the row (the difference of two runs that
+    differ only in ``k``, as in :func:`mega_clause`), and the counts a
+    batch is held to — all exact, none depends on the host."""
+    run_uniform = megakernel.MegaKernel._run_uniform
+    spent = [0.0]
+
+    def timed_uniform(self, *args):
+        start = time.perf_counter()
+        try:
+            return run_uniform(self, *args)
+        finally:
+            spent[0] += time.perf_counter() - start
+
+    def sgemm(lanes, **sizes):
+        """``(seconds converged, platform)`` of one sgemm with *lanes*
+        lanes to the row."""
+        megakernel.BATCH_LANES = lanes
+        context = _mega_context()
+        spent[0] = 0.0
+        get_workload("sgemm", **sizes).run(context=context, verify=False)
+        return spent[0], context.platform
+
+    short, long_, workgroups = 16, 64, 64
+    job = {"m": 128, "k": 64, "n": 128}
+    batch_lanes = megakernel.BATCH_LANES
+    megakernel.MegaKernel._run_uniform = timed_uniform
+    try:
+        us_per_workgroup_trip = {}
+        for groups in (1, 4, 16):
+            seconds = [min(sgemm(64 * groups, m=64, k=k, n=64)[0]
+                           for _ in range(repeats))
+                       for k in (short, long_)]
+            us_per_workgroup_trip[groups] = (seconds[1] - seconds[0]) \
+                / (workgroups * (long_ - short)) * 1e6
+        one_at_a_time = sgemm(0, **job)[1]
+        batched = sgemm(batch_lanes, **job)[1]
+    finally:
+        megakernel.BATCH_LANES = batch_lanes
+        megakernel.MegaKernel._run_uniform = run_uniform
+    (unit,) = batched.gpu.job_manager._units
+    port_calls = batched.gpu.mmu.wide_accesses
+    sgemm_batches = (unit.batches_run, unit.batches_abandoned)
+    # more programs on the same unit: bfs (its benign race trips the
+    # port in the first of its jobs, then the kernel no longer batches)
+    # and a stencil
+    for name in ("bfs", "SobelFilter"):
+        get_workload(name).run(context=Context(batched), verify=False)
+    kernels = [mega for (tier, _), (mega, _program)
+               in unit._translations.items() if tier == "mega"]
+    return {
+        "us_per_workgroup_trip": us_per_workgroup_trip,
+        "wide_port_calls_one_group_at_a_time":
+            one_at_a_time.gpu.mmu.wide_accesses,
+        "wide_port_calls_batched": port_calls,
+        "sgemm_batches": sgemm_batches[0],
+        "sgemm_batches_abandoned": sgemm_batches[1],
+        "bfs_batches_abandoned": unit.batches_abandoned - sgemm_batches[1],
+        "kernels_on_the_unit": len(kernels),
+        "register_files_per_unit": len({id(mega.file) for mega in kernels}),
     }
 
 
@@ -459,8 +537,7 @@ def mega_masked(workgroups=200, repeats=5):
             steps["masked"] += 1
             steps["full_mask"] += bool(frame.f_locals["mask"].all())
 
-    context = Context(MobilePlatform(PlatformConfig(
-        gpu=GPUConfig(engine="mega", instrument=True))))
+    context = _mega_context()
     sys.setprofile(profile)
     try:
         KFusionPipeline("express").run_gpu(context=context)
@@ -549,6 +626,7 @@ def run(quick=False):
         "mega_launch": mega_launch(jobs=16 if quick else 64,
                                    repeats=micro_repeats),
         "mega_clause": clause,
+        "mega_batch": mega_batch(repeats=micro_repeats),
         "mega_masked": mega_masked(workgroups=50 if quick else 200,
                                    repeats=micro_repeats),
         "build": build(),
@@ -593,6 +671,18 @@ def main(argv=None):
           f"translate {'n/a' if cold is None else format(cold, '.0f')} us "
           f"per clause cold, "
           f"{clause['translate_us_per_clause_warm']:.1f} us from the cache")
+    batch = report["mega_batch"]
+    per_trip = batch["us_per_workgroup_trip"]
+    print(f"mega batch: {per_trip[1]:.2f} / {per_trip[4]:.2f} / "
+          f"{per_trip[16]:.2f} us per workgroup of a converged sgemm trip "
+          f"at 1 / 4 / 16 workgroups to the row; "
+          f"{batch['wide_port_calls_one_group_at_a_time']} -> "
+          f"{batch['wide_port_calls_batched']} wide-port calls per sgemm "
+          f"128x64x128 job; {batch['sgemm_batches_abandoned']} of "
+          f"{batch['sgemm_batches']} sgemm batches and "
+          f"{batch['bfs_batches_abandoned']} bfs batch(es) abandoned; "
+          f"{batch['register_files_per_unit']} register file(s) for "
+          f"{batch['kernels_on_the_unit']} kernels")
     masked = report["mega_masked"]
     print(f"mega masked: {masked['calls_per_step']:g} NumPy-level calls and "
           f"{masked['us_per_step']:.2f} us per masked fall-through step; "
@@ -607,6 +697,24 @@ def main(argv=None):
           f"{built['second_build_gate_calls']} gate calls")
     print(f"wrote {_OUTPUT}")
     failed = False
+    if (batch["wide_port_calls_one_group_at_a_time"],
+            batch["wide_port_calls_batched"]) != (33280, 2080):
+        print("FAIL: a sgemm 128x64x128 job makes 33280 wide-port calls one "
+              "group at a time and 2080 in batches of 16", file=sys.stderr)
+        failed = True
+    if batch["sgemm_batches_abandoned"] or batch["sgemm_batches"] != 16:
+        print("FAIL: sgemm 128x64x128 is 16 batches, none abandoned",
+              file=sys.stderr)
+        failed = True
+    if batch["bfs_batches_abandoned"] > 1:
+        print("FAIL: bfs abandoned more than one batch on one platform; "
+              "a kernel whose batch was abandoned stops batching",
+              file=sys.stderr)
+        failed = True
+    if batch["register_files_per_unit"] != 1:
+        print("FAIL: the kernels of one compute unit do not share one "
+              "register file", file=sys.stderr)
+        failed = True
     if masked["calls_per_step"] > MAX_CALLS_PER_MASKED_STEP \
             or not masked["calls_repeat_exactly"]:
         print(f"FAIL: {masked['calls_per_step']:g} NumPy-level calls per "

@@ -337,8 +337,10 @@ class JobManager(Stateful):
         limit = workgroup_budget if sliced else total_groups
         try:
             if len(units) == 1:
-                for flat_group in range(limit):
-                    units[0].run_workgroup(program, uniforms, self.mmu, shape, flat_group)
+                # lockstep batches where the unit's engine runs them
+                for _ in units[0].run_groups(program, uniforms, self.mmu,
+                                             shape, limit):
+                    pass
             else:
                 self._run_parallel(units, program, uniforms, shape, limit)
         except MMUFault as exc:

@@ -31,6 +31,21 @@ no mask at all; a branch that splits the lanes hands over to the *masked*
 scheduler, which hands back as soon as every lane of the row has met at a
 chain head again (a converged issue and a full-mask step account alike).
 
+None of this depends on the row being one workgroup: the same argument,
+restricted to the lanes of one *slot*, makes a row of several workgroups
+side by side schedule and account each of them as it would alone. A
+*lockstep batch* is that row — ``BATCH_LANES`` lanes of consecutive flat
+groups in the compute unit's one register file — and what it cannot know
+beforehand, whether the groups are independent through memory, is decided
+while it runs by the MMU's batch port (``state.mem`` of a batch; see
+:class:`~repro.gpu.mmu.BatchPort`): stores are buffered, every word
+remembers the highest slot that loaded and that stored it, and the first
+access that running the groups one after another would have answered
+differently abandons the batch — nothing has reached memory, the caller
+runs the same groups one at a time, and this kernel stops batching.
+Programs with a local-memory access and groups with a partial last quad
+are never batched.
+
 Clauses are translated to host *source* (docs/internals.md §9): one
 generated function per chain of fall-through clauses on the converged
 path, one per clause on the masked path. A slot whose row of
@@ -56,7 +71,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.errors import GuestError, WatchdogTimeout
+from repro.errors import GuestError, SimError, WatchdogTimeout
 from repro.hostcode import BoundedTable, compile_source, forget_source
 from repro.instrument.stats import apply_clause_stats
 from repro.gpu.encoding import encode_program
@@ -74,6 +89,7 @@ from repro.gpu.isa import (
     Tail,
     is_const,
 )
+from repro.gpu.mmu import BatchAbandoned
 from repro.gpu.ops import OPS, alu, uniform_word
 from repro.gpu.warp import QUAD_WIDTH, QuadWarp
 
@@ -83,6 +99,9 @@ _WAIT = 1 << 29
 #: clauses one converged workgroup (one quad of a diverged one) may issue
 #: before it is declared stuck
 _MAX_STEPS = 1_000_000
+#: lanes of one lockstep batch: consecutive workgroups that fill them run
+#: side by side in one register file
+BATCH_LANES = 1024
 
 #: every op the emitter handles; programs using anything else (today:
 #: ATOM) are statically ineligible and run on the quad tiers
@@ -218,12 +237,14 @@ class _Emitter:
 
     def _memory(self, clause, instr, masked):
         """Local LD/ST as fancy indexing on the slab; global LD/ST as a
-        workgroup-wide gather/scatter with per-lane replay of any
-        element the wide port returns None for."""
+        workgroup-wide gather/scatter (a masked one tells the port which
+        lanes it is for) with per-lane replay of any element the wide
+        port returns None for."""
         addr = self._source_row(clause, instr.srca)
         if addr is None:
             return [_invalid("source", instr.srca)]
-        pick, lanes = ("[act]", "act") if masked else ("", "None")
+        pick, lanes, of = ("[act]", "act", ", act") if masked \
+            else ("", "None", "")
         local = instr.mem_is_local
         lines = [f"a = R[{addr}]{pick}.astype(i64)"
                  + (" >> 2" if local else "")]
@@ -242,7 +263,7 @@ class _Emitter:
                     lines.append(f"{into} = {at}")
                     continue
                 lines += [
-                    f"v = mem.load_wide_u32({at})",
+                    f"v = mem.load_wide_u32({at}{of})",
                     "if v is None:",
                     f"    replay_load(mem, R[{addr}], {lanes}, R[{dst}], "
                     f"{4 * element})",
@@ -257,7 +278,7 @@ class _Emitter:
                 lines.append(f"{at} = R[{data}]{pick}")
                 continue
             lines += [
-                f"if mem.store_wide_u32({at}, R[{data}]{pick}) is None:",
+                f"if mem.store_wide_u32({at}, R[{data}]{pick}{of}) is None:",
                 f"    replay_store(mem, R[{addr}], {lanes}, R[{data}], "
                 f"{4 * element})"]
         return lines
@@ -342,41 +363,95 @@ def emitted_code(program):
 
 
 class MegaState:
-    """SoA architectural state of one workgroup — ``regs``, one row per
-    register and per constant, and the row lists generated code indexes
-    (``R``/``F``/``I``: each row as uint32/float32/int32) — with the
-    ports of its launch: uniform table, memory port, local slab."""
+    """SoA architectural state of one workgroup, or of a batch of them
+    side by side — ``regs``, one row per register and per constant, and
+    the row lists generated code indexes (``R``/``F``/``I``: each row as
+    uint32/float32/int32) — with the ports of the run in progress:
+    uniform table, memory port, local slab."""
 
-    __slots__ = ("regs", "R", "F", "I", "uniforms", "mem", "local")
+    __slots__ = ("regs", "arch", "R", "F", "I", "uniforms", "mem", "local")
 
-    def __init__(self, regs, typed, mem, local):
+    def __init__(self, regs, typed):
         self.regs = regs
+        self.arch = regs[:_ROWS]  # the rows a workgroup retires with
         # row views of a C-contiguous array: contiguous lane vectors
         self.R = list(regs)
         self.F = list(regs.view(np.float32)) if typed[0] else None
         self.I = list(regs.view(np.int32)) if typed[1] else None
-        self.mem = mem
-        self.local = local
+
+
+class RegisterFile:
+    """The one SoA register file of a compute unit: every program, launch
+    shape and batch width runs in (a reshaped prefix of) the same words,
+    one workgroup or batch at a time. What is kept beside the words is
+    small: per layout the row views of a ``(rows, width)`` prefix (no
+    lanes of their own), per launch shape what the architectural rows of
+    one workgroup start from."""
+
+    def __init__(self):
+        self._words = np.empty(0, dtype=np.uint32)
+        self._layouts = {}    # (local size, rows, count, typed) -> layout
+        self._templates = {}  # local size -> (_ROWS, lanes) start rows
+
+    def layout(self, shape, rows, count, typed):
+        """``(state, template)`` for *count* workgroups of *shape* side
+        by side in *rows* rows: the state they run in, and the
+        architectural rows each of them starts from."""
+        key = (shape.local_size, rows, count, typed)
+        layout = self._layouts.get(key)
+        if layout is None:
+            lanes = shape.warps_per_group * QUAD_WIDTH
+            words = rows * count * lanes
+            if words > len(self._words):
+                self._layouts.clear()  # views of the words replaced here
+                self._words = np.empty(words, dtype=np.uint32)
+            layout = self._layouts[key] = (
+                MegaState(self._words[:words].reshape(rows, count * lanes),
+                          typed),
+                self._template(shape, lanes))
+        return layout
+
+    def _template(self, shape, lanes):
+        """Group (0, 0, 0): dispatcher-preloaded lane and local ids,
+        global ids equal to them, every other register zero."""
+        template = self._templates.get(shape.local_size)
+        if template is None:
+            template = np.zeros((_ROWS, lanes), dtype=np.uint32)
+            template[REG_LANE] = np.tile(
+                np.arange(QUAD_WIDTH, dtype=np.uint32), lanes // QUAD_WIDTH)
+            lx_size, ly_size, _ = shape.local_size
+            n = shape.threads_per_group
+            linear = np.arange(n, dtype=np.uint32)
+            local_ids = (linear % lx_size, (linear // lx_size) % ly_size,
+                         linear // (lx_size * ly_size))
+            for axis, ids in enumerate(local_ids):
+                template[REG_LOCAL_ID + axis, :n] = ids
+                template[REG_GLOBAL_ID + axis, :n] = ids
+            self._templates[shape.local_size] = template
+        return template
 
 
 class RetiredWarps(Sequence):
-    """The retired warps of one workgroup, each transposed out of a
-    snapshot of the architectural rows only when read: the Job Manager
-    never looks, the conformance harness inspects every lane."""
+    """The retired warps of one workgroup — of a batch, its groups' in
+    order — each transposed out of a snapshot of the architectural rows
+    only when read: the Job Manager never looks, the conformance harness
+    inspects every lane."""
 
     def __init__(self, rows, shape):
         self._rows = rows
         self._shape = shape
 
     def __len__(self):
-        return self._shape.warps_per_group
+        return self._rows.shape[1] // QUAD_WIDTH
 
     def __getitem__(self, index):
         if isinstance(index, slice):  # a list, as the quad tiers return
             return [self[i] for i in range(len(self))[index]]
-        first = range(len(self))[index] * QUAD_WIDTH
+        index = range(len(self))[index]
+        first = index * QUAD_WIDTH
         warp = QuadWarp(active_lanes=min(
-            QUAD_WIDTH, self._shape.threads_per_group - first))
+            QUAD_WIDTH, self._shape.threads_per_group
+            - index % self._shape.warps_per_group * QUAD_WIDTH))
         lanes = self._rows[:, first:first + QUAD_WIDTH].T
         warp.regs[:] = lanes[:, :NUM_GRF]
         warp.temps[:] = lanes[:, TEMP_BASE:]
@@ -392,48 +467,94 @@ def _stuck(max_steps):
 class MegaKernel:
     """One program on the workgroup-wide engine, kept by the compute unit
     across jobs and launch shapes: the code comes from the process-wide
-    cache, uniforms are bound per job, each launch shape keeps one state
-    that the unit's workgroups, one at a time, start over from a template."""
+    cache, uniforms are bound per job, and every workgroup or batch starts
+    over in the unit's register file (*file*; a kernel built without one
+    gets its own)."""
 
-    def __init__(self, program, mem, local):
+    def __init__(self, program, mem, local, file=None):
         self.program = program
         self.uniforms = None
         self.mem = mem
         self.local = local
+        self.file = RegisterFile() if file is None else file
         self._code = emitted_code(program)
-        self._launches = {}    # local size -> (state, template)
+        constants = self._code.constants
+        # one column: broadcast over the lanes of whatever width runs
+        self._constants = np.array(constants, dtype=np.uint32)[:, None] \
+            if constants else None
+        self._rows = _ROWS + len(constants)
+        #: may consecutive workgroups share a row? Never with a local
+        #: slab (one per unit); no longer once a batch was abandoned —
+        #: what made it conflict is in the program and its data
+        self.batching = getattr(mem, "begin_batch", None) is not None \
+            and not any(instr.mem_is_local
+                        for clause in program.clauses
+                        for instr in clause.active_slots()
+                        if instr.op is Op.LD or instr.op is Op.ST)
 
     def bind(self, uniforms):
         """Install the uniform table of the job about to run."""
         self.uniforms = uniforms
 
+    def batch_groups(self, shape):
+        """Workgroups of *shape* one :meth:`run_workgroup` call may take
+        while this kernel is :attr:`batching`: as many as fill
+        ``BATCH_LANES``, one if they cannot share a row (dead lanes in
+        the last quad stay masked to the end)."""
+        lanes = shape.warps_per_group * QUAD_WIDTH
+        if shape.threads_per_group != lanes:
+            return 1
+        return max(1, BATCH_LANES // lanes)
+
     # -- workgroup scheduling ----------------------------------------------------
 
-    def run_workgroup(self, shape, flat_group, stats, watchdog_budget=None):
-        """Execute one whole thread-group; returns its retired warps.
+    def run_workgroup(self, shape, flat_group, stats, watchdog_budget=None,
+                      count=1):
+        """Execute *count* whole thread-groups from *flat_group* on;
+        returns their retired warps.
 
         Faults raised by the scalar replay propagate exactly as from the
         quad tiers; the deferred clause stats recorded so far are flushed
-        either way, matching the interpreter's ``finally`` contract.
+        either way, matching the interpreter's ``finally`` contract. A
+        batch (*count* > 1, at most :meth:`batch_groups`) either commits
+        as if its groups had run one after another or raises
+        :class:`~repro.gpu.mmu.BatchAbandoned` having changed nothing but
+        *stats* — the caller's to drop — and this kernel no longer
+        :attr:`batching`.
         """
-        state = self._init_state(shape, flat_group)
+        state = self._init_state(shape, flat_group, count)
         width = state.regs.shape[1]
+        port = None
+        if count == 1:
+            # one converged workgroup, or one quad of a diverged one
+            limits = (_MAX_STEPS, _MAX_STEPS * shape.warps_per_group)
+        else:
+            # whatever a group alone would raise, the batch raises first:
+            # every barrier release of a group is one of the batch, and a
+            # group that trips its stuck guard issues more than _MAX_STEPS
+            # clauses, each a step of the batch in one loop or the other
+            limits = (_MAX_STEPS // 2, _MAX_STEPS // 2)
         hits = {}     # converged: clause -> issues, each of every lane
         pending = {}  # masked: clause -> [issues, lanes]
         # progress-budget watchdog, same accounting as the compute unit's
         # generic loop: round 1 starts now, and every barrier release
         # opens a new round (checked before any further progress)
         rounds = [1]
-        if watchdog_budget is not None and rounds[0] > watchdog_budget:
-            raise WatchdogTimeout(flat_group, rounds[0])
-        # last: the stuck guard's converged clauses and masked steps so
-        # far, each counted across the hand-overs between the two loops
-        job = (stats, flat_group, watchdog_budget, rounds, [0, 0])
+        # steps: the stuck guard's converged clauses and masked steps so
+        # far (bounded by *limits*), each counted across the hand-overs
+        # between the two loops
+        job = (stats, flat_group, watchdog_budget, rounds, [0, 0], limits)
         try:
+            if count > 1:
+                port = state.mem = self.mem.begin_batch(count,
+                                                        width // count)
+            if watchdog_budget is not None and rounds[0] > watchdog_budget:
+                raise WatchdogTimeout(flat_group, rounds[0])
             # float traps are silenced once for the whole workgroup, not
             # per slot; where= forms also compute on dead lanes' garbage
             with np.errstate(all="ignore"):
-                if shape.threads_per_group == width:
+                if shape.threads_per_group \
+                        == shape.warps_per_group * QUAD_WIDTH:
                     pcs = self._run_uniform(state, 0, hits, *job)
                 else:  # dead lanes in the last quad: masked to the end
                     pcs = np.full(width, _END_PC, dtype=np.int64)
@@ -444,60 +565,63 @@ class MegaKernel:
                     if pc is None:
                         break
                     pcs = self._run_uniform(state, pc, hits, *job)
+            if port is not None:
+                port.commit()
+        except SimError as exc:
+            if count == 1:
+                raise
+            self.batching = False
+            raise BatchAbandoned("exception") from exc
+        except BatchAbandoned:
+            self.batching = False
+            raise
         finally:
+            if port is not None:
+                port.close()
             if stats is not None:
                 quads = width // QUAD_WIDTH
                 converged = {pc: [issues * quads, issues * width]
                              for pc, issues in hits.items()}
                 for counts in (converged, pending):
                     apply_clause_stats(stats, self.program.clauses, counts)
-        return RetiredWarps(state.regs[:_ROWS].copy(), shape)
+        return RetiredWarps(state.arch.copy(), shape)
 
-    def _launch(self, shape):
-        """``(state, template)`` of one launch shape: the state its
-        workgroups run in and what each starts from — group (0, 0, 0) with
-        dispatcher-preloaded lane and local ids, global ids equal to them,
-        zeroed registers, the constants broadcast to the launch's width."""
-        launch = self._launches.get(shape.local_size)
-        if launch is None:
-            width = shape.warps_per_group * QUAD_WIDTH
-            constants = self._code.constants
-            regs = np.zeros((_ROWS + len(constants), width), dtype=np.uint32)
-            regs[REG_LANE] = np.tile(
-                np.arange(QUAD_WIDTH, dtype=np.uint32), width // QUAD_WIDTH)
-            lx_size, ly_size, _ = shape.local_size
-            n = shape.threads_per_group
-            linear = np.arange(n, dtype=np.uint32)
-            local_ids = (linear % lx_size, (linear // lx_size) % ly_size,
-                         linear // (lx_size * ly_size))
-            for axis, ids in enumerate(local_ids):
-                regs[REG_LOCAL_ID + axis, :n] = ids
-                regs[REG_GLOBAL_ID + axis, :n] = ids
-            for row, value in enumerate(constants, _ROWS):
-                regs[row] = value
-            state = MegaState(np.empty_like(regs), self._code.typed,
-                              self.mem, self.local)
-            launch = self._launches[shape.local_size] = (state, regs)
-        return launch
-
-    def _init_state(self, shape, flat_group):
-        state, template = self._launch(shape)
+    def _init_state(self, shape, flat_group, count=1):
+        """The unit's register file laid out for *count* workgroups of
+        *shape* and started over: nothing survives from the run before.
+        Slot ``s`` (lanes ``s * lanes`` on) is flat group
+        ``flat_group + s``."""
+        lanes = shape.warps_per_group * QUAD_WIDTH
+        state, template = self.file.layout(shape, self._rows, count,
+                                           self._code.typed)
         regs = state.regs
-        # every row: nothing survives from the previous workgroup
-        np.copyto(regs, template)
-        n = shape.threads_per_group
-        group = shape.group_coords(flat_group)
+        if count == 1:
+            np.copyto(state.arch, template)
+            flat = flat_group
+        else:
+            np.copyto(state.arch.reshape(_ROWS, count, lanes),
+                      template[:, None])
+            flat = np.repeat(np.arange(flat_group, flat_group + count,
+                                       dtype=np.uint32), lanes)
+        if self._constants is not None:
+            # every run: another program's rows may have been these words
+            regs[_ROWS:] = self._constants
+        # a batch has no dead lanes: its groups fill their last quad
+        live = (count - 1) * lanes + shape.threads_per_group
+        group = shape.group_coords(flat)
         for axis in range(3):
-            if group[axis]:
-                regs[REG_GLOBAL_ID + axis, :n] += \
+            if count > 1 or group[axis]:
+                regs[REG_GLOBAL_ID + axis, :live] += \
                     group[axis] * shape.local_size[axis]
-                regs[REG_GROUP_ID + axis, :n] = group[axis]
-        regs[REG_GROUP_FLAT, :n] = flat_group
+                regs[REG_GROUP_ID + axis, :live] = group[axis]
+        regs[REG_GROUP_FLAT, :live] = flat
         state.uniforms = self.uniforms
+        state.mem = self.mem
+        state.local = self.local
         return state
 
     def _run_uniform(self, state, pc, hits, stats, flat_group, budget,
-                     rounds, steps):
+                     rounds, steps, limits):
         """Converged fast path: every lane live at the chain head *pc*,
         one generated function per chain of clauses. Returns None when
         the workgroup retired converged, else the per-lane PCs after the
@@ -506,7 +630,7 @@ class MegaKernel:
         rows = state.R
         width = state.regs.shape[1]
         quads = width // QUAD_WIDTH
-        max_steps = _MAX_STEPS
+        max_steps = limits[0]
         issued = steps[0]
         while True:
             if issued > max_steps:
@@ -553,7 +677,7 @@ class MegaKernel:
                     return np.where(cond, np.int64(target), np.int64(pc + 1))
 
     def _run_masked(self, state, pcs, pending, stats, flat_group, budget,
-                    rounds, steps):
+                    rounds, steps, limits):
         """General scheduler: global min-PC over the per-lane *pcs* with
         lane masks, one generated function per clause. Waiting lanes carry
         ``_WAIT``, dead and retired ones sit at ``_END_PC``: the minimum
@@ -563,7 +687,7 @@ class MegaKernel:
         chains = self._code.chains
         rows = state.R
         width = len(pcs)
-        max_steps = _MAX_STEPS * (width // QUAD_WIDTH)
+        max_steps = limits[1]
         issued = steps[1]
         while True:
             current = int(pcs.min())

@@ -26,6 +26,13 @@ Three translation tiers exist:
   engine's workgroup-wide gather/scatter: one probe per distinct page for
   every lane of the group, under the same bit-exactness and
   ``None``-means-scalar-replay contract as the quad tier.
+
+A *lockstep batch* of workgroups (the megakernel running several groups
+side by side) goes through none of them while it runs: :class:`BatchPort`
+serves it from a snapshot, buffers its stores and decides, access by
+access, whether running the groups one after another could have told the
+difference; the MMU sees the batch's counts and stores at its commit, or
+nothing.
 """
 
 import numpy as np
@@ -59,6 +66,9 @@ class GPUMMU(Stateful):
         "quad_accesses", "quad_fallbacks", "wide_accesses", "wide_fallbacks",
         "_fast_path_enabled",
     )
+    # the batch port holds nothing between batches: the first one after a
+    # restore makes a new one
+    TRANSIENT = ("_batch_port",)
 
     def __init__(self, memory):
         self._memory = memory
@@ -105,6 +115,7 @@ class GPUMMU(Stateful):
         self._scatter = getattr(memory, "scatter_u32", None)
         self._page_view = getattr(memory, "page_u32_view", None)
         self._fast = False
+        self._batch_port = None  # made by the first batch
 
     def _update_fast(self):
         self._fast = (self._fast_path_enabled and self._enabled
@@ -351,17 +362,24 @@ class GPUMMU(Stateful):
         self.pages_accessed.add(vpage | self._as_tag)
         return self._memory.page_u32_view(ppage >> PAGE_SHIFT), offsets
 
-    def _resolve_view(self, vaddr, vpage, required, cache):
-        """Slow half of the quad tiers: probe, perm-check, cache the view."""
+    def _probe(self, vpage):
+        """``(physical page, PTE flags)`` of *vpage*, or ``None`` where
+        only the scalar path may decide (unmapped, armed for injection).
+        Fills the TLB, moves no counter, backs no page."""
         entry = self._tlb.get(vpage)
         if entry is None:
             if self._page_armed(vpage):
                 return None
-            entry = self._walker.lookup_page(vaddr)
+            entry = self._walker.lookup_page(vpage << PAGE_SHIFT)
             if entry is None:
                 return None
             self._tlb[vpage] = entry
-        if not entry[1] & required:
+        return entry
+
+    def _resolve_view(self, vpage, required, cache):
+        """Slow half of the quad tiers: probe, perm-check, cache the view."""
+        entry = self._probe(vpage)
+        if entry is None or not entry[1] & required:
             return None
         view = self._page_view(entry[0] >> PAGE_SHIFT)
         cache[vpage] = view
@@ -398,8 +416,7 @@ class GPUMMU(Stateful):
                     vpage = a0 >> PAGE_SHIFT
                     view = self._rview.get(vpage)
                     if view is None:
-                        view = self._resolve_view(a0, vpage, PTE_READ,
-                                                  self._rview)
+                        view = self._resolve_view(vpage, PTE_READ, self._rview)
                     if view is not None:
                         self.translations += 4
                         self.pages_accessed.add(vpage | self._as_tag)
@@ -410,8 +427,7 @@ class GPUMMU(Stateful):
                 vpage = a0 >> PAGE_SHIFT
                 view = self._rview.get(vpage)
                 if view is None:
-                    view = self._resolve_view(a0, vpage, PTE_READ,
-                                              self._rview)
+                    view = self._resolve_view(vpage, PTE_READ, self._rview)
                 if view is not None:
                     self.translations += 4
                     self.pages_accessed.add(vpage | self._as_tag)
@@ -448,8 +464,7 @@ class GPUMMU(Stateful):
                 vpage = a0 >> PAGE_SHIFT
                 view = self._wview.get(vpage)
                 if view is None:
-                    view = self._resolve_view(a0, vpage, PTE_WRITE,
-                                              self._wview)
+                    view = self._resolve_view(vpage, PTE_WRITE, self._wview)
                 if view is not None:
                     self.translations += 4
                     self.pages_accessed.add(vpage | self._as_tag)
@@ -495,8 +510,7 @@ class GPUMMU(Stateful):
             if not np.count_nonzero(within & _NOT_WORD_IN_PAGE):
                 view = cache.get(vpage)
                 if view is None:
-                    view = self._resolve_view(vpage << PAGE_SHIFT, vpage,
-                                              required, cache)
+                    view = self._resolve_view(vpage, required, cache)
                 if view is not None:
                     self.translations += len(vaddrs)
                     self.pages_accessed.add(vpage | self._as_tag)
@@ -511,8 +525,7 @@ class GPUMMU(Stateful):
         for vpage in unique_pages:
             view = cache.get(vpage)
             if view is None:
-                view = self._resolve_view(vpage << PAGE_SHIFT, vpage,
-                                          required, cache)
+                view = self._resolve_view(vpage, required, cache)
                 if view is None:
                     self.wide_fallbacks += 1
                     return None
@@ -528,12 +541,13 @@ class GPUMMU(Stateful):
             groups.append((view, offsets[lanes], lanes))
         return groups
 
-    def load_wide_u32(self, vaddrs):
+    def load_wide_u32(self, vaddrs, lanes=None):
         """Gather one u32 per lane address for a whole workgroup.
 
         Returns the gathered uint32 vector, or ``None`` for per-lane
         scalar replay — with *no* state recorded in that case, exactly
-        like the quad tiers.
+        like the quad tiers. *lanes* (which lanes of the row a masked
+        access is for) matters to a :class:`BatchPort` only.
         """
         groups = self._wide_groups(vaddrs, PTE_READ, self._rview)
         if groups is None:
@@ -545,7 +559,7 @@ class GPUMMU(Stateful):
             out[lanes] = view[offsets]
         return out
 
-    def store_wide_u32(self, vaddrs, values):
+    def store_wide_u32(self, vaddrs, values, lanes=None):
         """Scatter one u32 per lane address; ``None`` -> scalar replay.
 
         Lane order is preserved within each page, so duplicate addresses
@@ -558,6 +572,17 @@ class GPUMMU(Stateful):
         for view, offsets, lanes in groups:
             view[offsets] = values[lanes]
         return True
+
+    def begin_batch(self, count, lanes):
+        """Start a lockstep batch of *count* workgroups of *lanes* lanes
+        each; returns the port that is its memory until it commits."""
+        if not self._fast \
+                or getattr(self._memory, "backed_page", None) is None:
+            raise BatchAbandoned("port")
+        if self._batch_port is None:
+            self._batch_port = BatchPort(self)
+        self._batch_port.begin(count, lanes)
+        return self._batch_port
 
     def load_block(self, vaddr, length):
         """Read a byte range page-by-page through translation."""
@@ -572,3 +597,240 @@ class GPUMMU(Stateful):
             position += chunk
             remaining -= chunk
         return bytes(out)
+
+
+# -- lockstep batches of workgroups (megakernel) ------------------------------
+
+_PAGE_WORDS_SHIFT = PAGE_SHIFT - 2
+_PAGE_WORDS = 1 << _PAGE_WORDS_SHIFT
+#: pages of window space (content + two shadows) one batch may use
+_PORT_PAGES = 256
+#: bytes of buffered store vectors (addresses + values) one batch may hold
+_STORE_BUFFER_BYTES = 1 << 20
+#: load shadow of a word whose page is not in its window (yet): above
+#: every slot, so either conflict check trips on it
+_ABSENT = 0xFFFF
+_READ_WRITE = PTE_READ | PTE_WRITE
+
+
+class BatchAbandoned(Exception):
+    """A lockstep batch cannot promise the result of running its groups
+    one after another. Nothing it did has left the port: the same groups
+    run one at a time instead. ``reason``: ``load-after-store``,
+    ``store-after-load``, ``store-order`` (the conflict rules), ``port``
+    (an access the wide tier would not serve whole, or no window space),
+    ``store-bound``, ``exception``."""
+
+    def __init__(self, reason):
+        super().__init__(reason)
+        self.reason = reason
+
+
+class _Window:
+    """A power-of-two run of virtual pages, concatenated: ``words`` is
+    their content when the batch started, ``loaded`` / ``stored`` the
+    highest slot + 1 that loaded / stored each word. A page comes in when
+    a lane first touches it (until then its ``loaded`` reads ``_ABSENT``
+    and its ``frames`` entry None): the pages in between are not the
+    batch's to count."""
+
+    __slots__ = ("first", "pages", "base", "mask", "words", "loaded",
+                 "stored", "frames", "absent", "dirty")
+
+
+class BatchPort:
+    """``state.mem`` of a lockstep batch: lanes in slot order, slot ``s``
+    the ``s``-th workgroup of the batch.
+
+    Loads read the memory the batch started from; stores are buffered and
+    applied in program order by :meth:`commit`. Three rules make that
+    equal to running the groups one after another, where a group sees the
+    stores of lower groups and its own earlier ones: a load of a word the
+    batch has stored abandons (L), and so does a store to a word a higher
+    slot has loaded (S) or stored (W). (L) and (S) rule out every load
+    that would have missed a store it had to see; under (W) the buffered
+    writers of a word are non-decreasing in slot, so the last scatter
+    wins as the last group would. Whatever the wide tier answers ``None``
+    to (an unmapped, armed or not read-write page, an unaligned lane)
+    abandons too: the scalar replay is the reference's to do.
+
+    Until :meth:`commit` the batch has only read: the MMU's counters
+    have not moved and no physical page was backed (its TLB fills, as
+    any probe fills it).
+    """
+
+    def __init__(self, mmu):
+        self._mmu = mmu
+        words = _PORT_PAGES * _PAGE_WORDS
+        # untouched until a window is cut from them
+        self._words = np.empty(words, dtype=np.uint32)
+        self._loaded = np.empty(words, dtype=np.uint16)
+        self._stored = np.empty(words, dtype=np.uint16)
+        self.close()
+
+    def begin(self, count, lanes):
+        self._slots = np.repeat(
+            np.arange(1, count + 1, dtype=np.uint16), lanes)
+        self._translations = self._accesses = 0
+
+    def close(self):
+        """Let go of what the batch held; the pools stay."""
+        self._windows = {}  # virtual page -> the window it lies in
+        self._live = []
+        self._used = 0      # pool pages cut so far
+        self._stores = []   # (lane addresses, values) in program order
+        self._buffered = 0
+        self._slots = None
+
+    # -- the two accesses ------------------------------------------------------
+
+    def load_wide_u32(self, vaddrs, lanes=None):
+        window, index = self._locate(vaddrs)
+        slots = self._slots if lanes is None else self._slots[lanes]
+        seen = window.loaded[index]
+        if window.absent and seen.max() == _ABSENT:
+            self._page_in(window, index, seen)
+            seen = window.loaded[index]
+        if window.dirty and np.count_nonzero(window.stored[index]):
+            raise BatchAbandoned("load-after-store")
+        np.maximum(seen, slots, out=seen)
+        window.loaded[index] = seen  # lanes ascend in slot: the last wins
+        self._translations += len(vaddrs)
+        self._accesses += 1
+        return window.words[index]
+
+    def store_wide_u32(self, vaddrs, values, lanes=None):
+        window, index = self._locate(vaddrs)
+        slots = self._slots if lanes is None else self._slots[lanes]
+        seen = window.loaded[index]
+        if np.count_nonzero(seen > slots):
+            if window.absent and seen.max() == _ABSENT:
+                self._page_in(window, index, seen)
+                seen = window.loaded[index]
+            if np.count_nonzero(seen > slots):
+                raise BatchAbandoned("store-after-load")
+        if window.dirty and np.count_nonzero(window.stored[index] > slots):
+            raise BatchAbandoned("store-order")
+        self._buffered += vaddrs.nbytes + values.nbytes
+        if self._buffered > _STORE_BUFFER_BYTES:
+            raise BatchAbandoned("store-bound")
+        window.stored[index] = slots
+        window.dirty = True
+        self._stores.append((vaddrs, values.copy()))
+        self._translations += len(vaddrs)
+        self._accesses += 1
+        return True
+
+    def commit(self):
+        """Every lane has retired: apply the buffered stores in program
+        order and hand the MMU what the batch counted."""
+        for vaddrs, values in self._stores:
+            window = self._windows[int(vaddrs[0]) >> PAGE_SHIFT]
+            window.words[(vaddrs - window.base) >> 2] = values
+        mmu = self._mmu
+        tag = mmu._as_tag
+        touched = []
+        for window in self._live:
+            stored = window.stored.reshape(-1, _PAGE_WORDS).any(axis=1) \
+                if window.dirty else ()
+            for page, frame in enumerate(window.frames):
+                if frame is None:
+                    continue
+                # a page is in its window because a lane touched it; the
+                # reference would have backed it at that access
+                touched.append(window.first + page | tag)
+                view = mmu._page_view(frame)
+                if window.dirty and stored[page]:
+                    view[:] = window.words[page << _PAGE_WORDS_SHIFT:
+                                           (page + 1) << _PAGE_WORDS_SHIFT]
+        mmu.pages_accessed.update(touched)
+        mmu.translations += self._translations
+        mmu.wide_accesses += self._accesses
+
+    # -- windows ---------------------------------------------------------------
+
+    def _locate(self, vaddrs):
+        """``(window, word index per lane)`` of an access."""
+        window = self._windows.get(int(vaddrs[0]) >> PAGE_SHIFT)
+        if window is not None:
+            within = vaddrs - window.base
+            # nothing outside the word-offset bits of the window: every
+            # lane word-aligned and inside it
+            if not np.count_nonzero(within & window.mask):
+                return window, within >> 2
+        window = self._window(vaddrs)
+        return window, (vaddrs - window.base) >> 2
+
+    def _window(self, vaddrs):
+        """Miss path: a window over the pages of this access and of every
+        window it overlaps (their shadows move in)."""
+        if np.count_nonzero(vaddrs & 3):
+            raise BatchAbandoned("port")
+        first = int(vaddrs.min()) >> PAGE_SHIFT
+        last = int(vaddrs.max()) >> PAGE_SHIFT
+        merged = []
+        while True:
+            pages = 1 << (last - first).bit_length()
+            if pages > _PORT_PAGES - self._used:
+                raise BatchAbandoned("port")
+            overlapped = [old for old in self._live if old not in merged
+                          and old.first < first + pages
+                          and first < old.first + old.pages]
+            if not overlapped:
+                break
+            merged += overlapped
+            first = min(first, *(old.first for old in overlapped))
+            last = max(last, *(old.first + old.pages - 1
+                               for old in overlapped))
+        window = _Window()
+        window.first, window.pages = first, pages
+        window.base = first << PAGE_SHIFT
+        window.mask = ~((pages << PAGE_SHIFT) - 4)
+        cut = slice(self._used << _PAGE_WORDS_SHIFT,
+                    self._used + pages << _PAGE_WORDS_SHIFT)
+        self._used += pages
+        window.words = self._words[cut]
+        window.loaded = self._loaded[cut]
+        window.stored = self._stored[cut]
+        window.loaded[:] = _ABSENT
+        window.stored[:] = 0
+        window.frames = [None] * pages
+        window.absent = pages
+        window.dirty = False
+        for old in merged:
+            at = old.first - first
+            words = slice(at << _PAGE_WORDS_SHIFT,
+                          at + old.pages << _PAGE_WORDS_SHIFT)
+            window.words[words] = old.words
+            window.loaded[words] = old.loaded
+            window.stored[words] = old.stored
+            window.frames[at:at + old.pages] = old.frames
+            window.absent -= old.pages - old.absent
+            window.dirty |= old.dirty
+            self._live.remove(old)
+        self._live.append(window)
+        self._windows.update(dict.fromkeys(range(first, first + pages),
+                                           window))
+        return window
+
+    def _page_in(self, window, index, seen):
+        """Bring in the pages the lanes at *index* are the first to touch
+        (*seen*: their load shadows). A batch takes read-write pages
+        only: which access of which group a lesser one refuses is the
+        reference's to find out."""
+        mmu = self._mmu
+        for page in sorted(set(
+                (index[seen == _ABSENT] >> _PAGE_WORDS_SHIFT).tolist())):
+            entry = mmu._probe(window.first + page)
+            if entry is None or entry[1] & _READ_WRITE != _READ_WRITE:
+                raise BatchAbandoned("port")
+            frame = entry[0] >> PAGE_SHIFT
+            backed = mmu._memory.backed_page(frame)
+            words = slice(page << _PAGE_WORDS_SHIFT,
+                          (page + 1) << _PAGE_WORDS_SHIFT)
+            # unbacked reads as zeros, and stays unbacked until commit
+            window.words[words] = 0 if backed is None \
+                else np.frombuffer(backed, dtype=np.uint32)
+            window.loaded[words] = 0
+            window.frames[page] = frame
+            window.absent -= 1

@@ -11,11 +11,21 @@ count are *virtual*: their workgroup-local storage is allocated by the
 simulator outside the guest system ("the simulator allocates additional
 local memory for each host thread, outwith the guest system"), and local
 accesses are transparently served from it.
+
+On the mega tier a unit may take several consecutive thread-groups in
+one call (:meth:`ComputeUnit.run_groups` walks a job that way): they run in
+lockstep, side by side in the unit's one register file, and commit only
+if that cannot be told from running them one after another — otherwise
+the batch is abandoned, having changed nothing, and the unit runs the
+same groups one at a time. The independence of thread-groups that the
+paper maps onto host threads (Fig. 10) is spent here on vector width
+instead: under CPython it is the form this host can measure.
 """
 
 import numpy as np
 
 from repro.errors import WatchdogTimeout
+from repro.gpu.mmu import BatchAbandoned
 from repro.gpu.isa import (
     REG_GLOBAL_ID,
     REG_GROUP_FLAT,
@@ -84,6 +94,10 @@ class ComputeUnit:
         self._translations = {}  # (tier, id(program)) -> (translation, program)
         self.translations_built = 0
         self._job = self._mega = self._quad = None
+        self._register_file = None  # the mega tier's, made with its first kernel
+        #: lockstep batches this unit started / abandoned (never reset)
+        self.batches_run = 0
+        self.batches_abandoned = 0
 
     def prepare(self, local_mem_bytes, instrument, collect_cfg, tracer=None,
                 engine="interpreter", events=None, injector=None,
@@ -166,22 +180,78 @@ class ComputeUnit:
         """
         if self.engine != "mega" or not self._translated_tiers():
             return None
-        from repro.gpu.megakernel import MegaKernel, mega_supported
+        from repro.gpu.megakernel import (
+            MegaKernel,
+            RegisterFile,
+            mega_supported,
+        )
 
+        if self._register_file is None:
+            self._register_file = RegisterFile()
         mega = self._translation(
             "mega", program,
-            lambda: MegaKernel(program, mem, self._local)
+            lambda: MegaKernel(program, mem, self._local,
+                               self._register_file)
             if mega_supported(program, mem) else None)
         if mega is not None:
             mega.bind(uniforms)
         return mega
 
-    def run_workgroup(self, program, uniforms, mem, shape, flat_group):
-        """Execute one thread-group to completion (including barriers).
+    def _bound(self, program, uniforms, mem):
+        """This job's mega engine (or None). Engines are looked up and
+        bound once per job, by whoever asks first after prepare() (or
+        after the arguments change)."""
+        job = self._job
+        if job is None or job[0] is not program or job[1] is not uniforms:
+            self._job = (program, uniforms)
+            self._mega = self._mega_executor(program, uniforms, mem)
+            self._quad = None
+        return self._mega
 
-        Returns the group's warps so callers (the conformance harness) can
-        inspect the retired architectural state.
+    def batch_groups(self, program, uniforms, mem, shape, left):
+        """How many of the *left* consecutive workgroups still to run the
+        next :meth:`run_workgroup` call should take: the mega tier's
+        lockstep batch where it can run one, else 1. An injector keeps
+        it at 1 too: ``core.hang`` keys and armed pages are per group."""
+        mega = self._bound(program, uniforms, mem)
+        if mega is None or not mega.batching or self.injector is not None:
+            return 1
+        return min(mega.batch_groups(shape), left)
+
+    def run_groups(self, program, uniforms, mem, shape, limit):
+        """Run flat groups ``[0, limit)`` in order, in as few
+        :meth:`run_workgroup` calls as :meth:`batch_groups` allows;
+        yields each call's retired warps. The Job Manager's single-unit
+        loop and the conformance harness's are this one."""
+        job = (program, uniforms, mem, shape)
+        flat_group = 0
+        while flat_group < limit:
+            count = self.batch_groups(*job, limit - flat_group)
+            if count == 1:
+                break  # for the rest of the job: what said so holds
+            yield self.run_workgroup(*job, flat_group, count)
+            flat_group += count
+        for flat_group in range(flat_group, limit):
+            yield self.run_workgroup(*job, flat_group)
+
+    def run_workgroup(self, program, uniforms, mem, shape, flat_group,
+                      count=1):
+        """Execute one thread-group to completion (including barriers) —
+        or, on the mega tier, *count* consecutive ones from *flat_group*
+        on as one lockstep batch (at most :meth:`batch_groups`).
+
+        Returns the groups' warps so callers (the conformance harness)
+        can inspect the retired architectural state.
         """
+        if count > 1:
+            warps = self._run_batch(program, uniforms, mem, shape,
+                                    flat_group, count)
+            if warps is not None:
+                return warps
+            # abandoned, nothing changed: the reference order instead
+            return [warp for group in range(flat_group, flat_group + count)
+                    for warp in self.run_workgroup(program, uniforms, mem,
+                                                   shape, group)]
         self._local[:] = 0
         # the hang injection is consumed before picking the tier: an
         # injected stall must spin in the generic loop so the watchdog's
@@ -189,14 +259,9 @@ class ComputeUnit:
         hang = None
         if self.injector is not None:
             hang = self.injector.fire("core.hang", key=flat_group)
-        # engines are looked up and bound once per job, by the first
-        # workgroup after prepare() (or after the arguments change)
-        job = self._job
-        if job is None or job[0] is not program or job[1] is not uniforms:
-            self._job = (program, uniforms)
-            self._mega = self._mega_executor(program, uniforms, mem)
-            self._quad = None
-        mega = self._mega if hang is None else None
+        mega = self._bound(program, uniforms, mem)
+        if hang is not None:
+            mega = None
         if mega is None:
             interp = self._quad
             if interp is None:
@@ -252,6 +317,42 @@ class ComputeUnit:
         finally:
             if events is not None:
                 events.end("workgroup", "gpu", track)
+
+    def _run_batch(self, program, uniforms, mem, shape, flat_group, count):
+        """One lockstep batch on the mega tier (*count* is what
+        :meth:`batch_groups` answered for this job): the retired warps of
+        its groups, or None if it was abandoned — memory, the MMU's
+        counters and this unit's stats then are as if it had never
+        started."""
+        mega = self._bound(program, uniforms, mem)
+        self.batches_run += 1
+        # counted on the side: an abandoned batch's are dropped
+        stats = None if self.stats is None else JobStats()
+        events = self.events
+        track = f"core{self.unit_id}"
+        if events is not None:
+            events.begin("workgroup", "gpu", track,
+                         args={"group": flat_group, "groups": count,
+                               "warps": count * shape.warps_per_group})
+        try:
+            warps = mega.run_workgroup(
+                shape, flat_group, stats, self.watchdog_budget, count)
+        except BatchAbandoned as abandoned:
+            self.batches_abandoned += 1
+            if events is not None:
+                events.instant("batch_abandoned", "gpu", "jobmanager",
+                               args={"reason": abandoned.reason,
+                                     "group": flat_group})
+            return None
+        finally:
+            if events is not None:
+                events.end("workgroup", "gpu", track)
+        if stats is not None:
+            stats.workgroups += count
+            stats.warps_launched += count * shape.warps_per_group
+            stats.threads_launched += count * shape.threads_per_group
+            self.stats.merge(stats)
+        return warps
 
     def _spawn_warps(self, shape, flat_group):
         gx, gy, gz = shape.group_coords(flat_group)

@@ -298,9 +298,9 @@ class DifferentialRunner:
         uniforms = launch.uniform_image(case.global_size, case.local_size,
                                         case.args)
         registers = {}
-        for flat_group in range(shape.total_groups):
-            warps = unit.run_workgroup(case.program, uniforms, mmu, shape,
-                                       flat_group)
+        # the Job Manager's loop: lockstep batches on the mega tier
+        for warps in unit.run_groups(case.program, uniforms, mmu, shape,
+                                     shape.total_groups):
             for warp in warps:
                 for lane in np.flatnonzero(warp.live):
                     regs = warp.regs[lane]

@@ -891,8 +891,10 @@ def test_stuck_kernel_guard_trips_at_the_same_clause_mid_chain(
 
 def _observe_mixed_branches(monkeypatch):
     """Observation hook local to this file: every program mega is built
-    for, and every ``(program, clause)`` at which the lanes of one issue
-    split at a branch (the schedulers reduce quads only then)."""
+    for, and every ``(program, clause)`` at which the lanes of one
+    *workgroup* split at a branch (the schedulers reduce quads only when
+    the lanes of the row did — and a row may hold a batch of workgroups,
+    whose lanes absint never called uniform with each other's)."""
     import sys
 
     from repro.gpu import megakernel
@@ -901,14 +903,18 @@ def _observe_mixed_branches(monkeypatch):
     init = megakernel.MegaKernel.__init__
     split = megakernel._split_quads
 
-    def recording_init(self, program, mem, local):
+    def recording_init(self, program, *ports):
         programs.append(program)
-        init(self, program, mem, local)
+        init(self, program, *ports)
 
     def recording_split(taken, not_taken):
         scheduler = sys._getframe(1).f_locals
         branch = scheduler["current" if "current" in scheduler else "pc"]
-        mixed.add((id(scheduler["self"].program), branch))
+        # the scheduler's caller knows how many lanes one workgroup has
+        shape = sys._getframe(2).f_locals["shape"]
+        slots = np.arange(len(taken)) // (shape.warps_per_group * 4)
+        if np.intersect1d(slots[taken], slots[not_taken]).size:
+            mixed.add((id(scheduler["self"].program), branch))
         return split(taken, not_taken)
 
     monkeypatch.setattr(megakernel.MegaKernel, "__init__", recording_init)
