@@ -28,8 +28,11 @@ trajectory to regress against:
   promises — microseconds per workgroup of one converged sgemm trip with
   1, 4 and 16 workgroups to the row, and the counts: wide-port calls of
   one sgemm 128x64x128 job one group at a time and batched, batches
-  abandoned on sgemm (none) and on bfs (at most one per platform: the
-  kernel stops batching), register files per compute unit (one);
+  abandoned on sgemm (none), batches run and abandoned on bfs (every job
+  starts one: an abandon costs the rest of its own job only) and the
+  ``QuadWarp`` objects its fallback builds (none), ``BatchPort`` window
+  merges on the system benchmark's sgemm, bfs and SLAM ``fast3`` runs,
+  register files per compute unit (one);
 - **mega_masked**: what one step of the masked scheduler costs around a
   fall-through body — NumPy-level operations on the lane PCs and masks
   (exact, gated against the checked-in number) and microseconds — and
@@ -65,7 +68,7 @@ from repro.gpu import megakernel  # noqa: E402
 from repro.gpu.device import GPUConfig  # noqa: E402
 from repro.gpu.isa import (  # noqa: E402
     CONST_BASE, NOP_INSTR, Clause, Instruction, Op, Program, Tail)
-from repro.gpu.mmu import GPUMMU  # noqa: E402
+from repro.gpu.mmu import BatchPort, GPUMMU  # noqa: E402
 from repro.gpu.shadercore import WorkgroupShape  # noqa: E402
 from repro.gpu.warp import QuadWarp  # noqa: E402
 from repro.instrument.stats import JobStats  # noqa: E402
@@ -376,7 +379,10 @@ def mega_batch(repeats=3):
     differ only in ``k``, as in :func:`mega_clause`), and the counts a
     batch is held to — all exact, none depends on the host."""
     run_uniform = megakernel.MegaKernel._run_uniform
+    window = BatchPort._window
+    init = QuadWarp.__init__
     spent = [0.0]
+    counted = {"merges": 0, "quadwarps": 0}
 
     def timed_uniform(self, *args):
         start = time.perf_counter()
@@ -384,6 +390,27 @@ def mega_batch(repeats=3):
             return run_uniform(self, *args)
         finally:
             spent[0] += time.perf_counter() - start
+
+    def counting_window(self, vaddrs):
+        live = len(self._live)
+        cut = window(self, vaddrs)
+        counted["merges"] += live + 1 - len(self._live)  # windows absorbed
+        return cut
+
+    def counting_init(self, *args, **kwargs):
+        counted["quadwarps"] += 1
+        init(self, *args, **kwargs)
+
+    def counting(run, *args, **kwargs):
+        """``(what run returns, window merges, QuadWarps built)``."""
+        counted.update(merges=0, quadwarps=0)
+        result = run(*args, **kwargs)
+        return result, counted["merges"], counted["quadwarps"]
+
+    def jobs_and_batches(platform):
+        snapshot = platform.stats_registry.snapshot()
+        return [snapshot[f"gpu.jobmanager.{name}"] for name in
+                ("jobs_retired", "batches_run", "batches_abandoned")]
 
     def sgemm(lanes, **sizes):
         """``(seconds converged, platform)`` of one sgemm with *lanes*
@@ -407,18 +434,31 @@ def mega_batch(repeats=3):
             us_per_workgroup_trip[groups] = (seconds[1] - seconds[0]) \
                 / (workgroups * (long_ - short)) * 1e6
         one_at_a_time = sgemm(0, **job)[1]
-        batched = sgemm(batch_lanes, **job)[1]
+        BatchPort._window = counting_window
+        QuadWarp.__init__ = counting_init
+        (_, batched), sgemm_merges, _ = counting(sgemm, batch_lanes, **job)
+        (unit,) = batched.gpu.job_manager._units
+        port_calls = batched.gpu.mmu.wide_accesses
+        sgemm_batches = (unit.batches_run, unit.batches_abandoned)
+        # more programs on the same unit: bfs at the system benchmark's
+        # size (its benign race trips the port in a level whose frontier
+        # crosses a group boundary: that job finishes one group at a
+        # time, the next starts batched again), then a stencil
+        before = jobs_and_batches(batched)
+        _, bfs_merges, bfs_quadwarps = counting(
+            get_workload("bfs", n=1024, chord_every=64).run,
+            context=Context(batched), verify=False)
+        bfs = [after - start
+               for after, start in zip(jobs_and_batches(batched), before)]
+        get_workload("SobelFilter").run(context=Context(batched),
+                                        verify=False)
+        _, slam_merges, _ = counting(KFusionPipeline("fast3").run_gpu,
+                                     context=_mega_context())
     finally:
         megakernel.BATCH_LANES = batch_lanes
         megakernel.MegaKernel._run_uniform = run_uniform
-    (unit,) = batched.gpu.job_manager._units
-    port_calls = batched.gpu.mmu.wide_accesses
-    sgemm_batches = (unit.batches_run, unit.batches_abandoned)
-    # more programs on the same unit: bfs (its benign race trips the
-    # port in the first of its jobs, then the kernel no longer batches)
-    # and a stencil
-    for name in ("bfs", "SobelFilter"):
-        get_workload(name).run(context=Context(batched), verify=False)
+        BatchPort._window = window
+        QuadWarp.__init__ = init
     kernels = [mega for (tier, _), (mega, _program)
                in unit._translations.items() if tier == "mega"]
     return {
@@ -428,7 +468,12 @@ def mega_batch(repeats=3):
         "wide_port_calls_batched": port_calls,
         "sgemm_batches": sgemm_batches[0],
         "sgemm_batches_abandoned": sgemm_batches[1],
-        "bfs_batches_abandoned": unit.batches_abandoned - sgemm_batches[1],
+        "bfs_jobs": bfs[0],
+        "bfs_batches": bfs[1],
+        "bfs_batches_abandoned": bfs[2],
+        "bfs_quadwarps_built": bfs_quadwarps,
+        "window_merges": {"sgemm": sgemm_merges, "bfs": bfs_merges,
+                          "slam_fast3": slam_merges},
         "kernels_on_the_unit": len(kernels),
         "register_files_per_unit": len({id(mega.file) for mega in kernels}),
     }
@@ -508,7 +553,7 @@ def mega_masked(workgroups=200, repeats=5):
 
     def run(clauses, counted=False):
         kernel = megakernel.MegaKernel(_fallthrough_program(clauses),
-                                       None, None)
+                                       None, None, megakernel.RegisterFile())
         kernel.bind(np.zeros(1, dtype=np.uint32))
         stats = JobStats()
         if counted:
@@ -673,14 +718,19 @@ def main(argv=None):
           f"{clause['translate_us_per_clause_warm']:.1f} us from the cache")
     batch = report["mega_batch"]
     per_trip = batch["us_per_workgroup_trip"]
+    merges = batch["window_merges"]
     print(f"mega batch: {per_trip[1]:.2f} / {per_trip[4]:.2f} / "
           f"{per_trip[16]:.2f} us per workgroup of a converged sgemm trip "
           f"at 1 / 4 / 16 workgroups to the row; "
           f"{batch['wide_port_calls_one_group_at_a_time']} -> "
           f"{batch['wide_port_calls_batched']} wide-port calls per sgemm "
           f"128x64x128 job; {batch['sgemm_batches_abandoned']} of "
-          f"{batch['sgemm_batches']} sgemm batches and "
-          f"{batch['bfs_batches_abandoned']} bfs batch(es) abandoned; "
+          f"{batch['sgemm_batches']} sgemm batches abandoned; bfs "
+          f"{batch['bfs_batches']} batches over {batch['bfs_jobs']} jobs, "
+          f"{batch['bfs_batches_abandoned']} abandoned, "
+          f"{batch['bfs_quadwarps_built']} QuadWarps; window merges "
+          f"{merges['sgemm']} / {merges['bfs']} / {merges['slam_fast3']} "
+          f"(sgemm / bfs / SLAM fast3); "
           f"{batch['register_files_per_unit']} register file(s) for "
           f"{batch['kernels_on_the_unit']} kernels")
     masked = report["mega_masked"]
@@ -706,9 +756,13 @@ def main(argv=None):
         print("FAIL: sgemm 128x64x128 is 16 batches, none abandoned",
               file=sys.stderr)
         failed = True
-    if batch["bfs_batches_abandoned"] > 1:
-        print("FAIL: bfs abandoned more than one batch on one platform; "
-              "a kernel whose batch was abandoned stops batching",
+    if batch["bfs_batches"] != batch["bfs_jobs"]:
+        print("FAIL: not every bfs job started one batch; an abandoned "
+              "batch costs the rest of its own job only", file=sys.stderr)
+        failed = True
+    if batch["bfs_quadwarps_built"] != 0:
+        print("FAIL: bfs built QuadWarps nobody read (the groups of an "
+              "abandoned batch retire as a committed batch does)",
               file=sys.stderr)
         failed = True
     if batch["register_files_per_unit"] != 1:

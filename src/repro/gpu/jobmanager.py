@@ -145,6 +145,14 @@ class JobManager(Stateful):
                              for unit in self._units),
                  desc="mega + JIT translations built (by this process)",
                  golden=False)
+        jm.probe("batches_run",
+                 lambda: sum(unit.batches_run for unit in self._units),
+                 desc="mega lockstep batches of workgroups started",
+                 golden=False)
+        jm.probe("batches_abandoned",
+                 lambda: sum(unit.batches_abandoned for unit in self._units),
+                 desc="lockstep batches abandoned (their groups rerun singly)",
+                 golden=False)
         jm.probe("jobs_preempted", lambda: self.jobs_preempted,
                  desc="jobs parked at their JOB_SLICE workgroup budget",
                  golden=False)

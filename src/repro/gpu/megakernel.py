@@ -41,8 +41,9 @@ while it runs by the MMU's batch port (``state.mem`` of a batch; see
 :class:`~repro.gpu.mmu.BatchPort`): stores are buffered, every word
 remembers the highest slot that loaded and that stored it, and the first
 access that running the groups one after another would have answered
-differently abandons the batch — nothing has reached memory, the caller
-runs the same groups one at a time, and this kernel stops batching.
+differently abandons the batch — nothing has reached memory, and the
+caller runs the same groups one at a time for the rest of that job (what
+conflicted is the job's data: the next job starts batched again).
 Programs with a local-memory access and groups with a partial last quad
 are never batched.
 
@@ -441,6 +442,13 @@ class RetiredWarps(Sequence):
         self._rows = rows
         self._shape = shape
 
+    @classmethod
+    def joined(cls, parts):
+        """The retired warps of consecutive workgroups of one shape, each
+        of *parts* a workgroup's, as one sequence in order."""
+        return cls(np.concatenate([part._rows for part in parts], axis=1),
+                   parts[0]._shape)
+
     def __len__(self):
         return self._rows.shape[1] // QUAD_WIDTH
 
@@ -468,24 +476,24 @@ class MegaKernel:
     """One program on the workgroup-wide engine, kept by the compute unit
     across jobs and launch shapes: the code comes from the process-wide
     cache, uniforms are bound per job, and every workgroup or batch starts
-    over in the unit's register file (*file*; a kernel built without one
-    gets its own)."""
+    over in the unit's register file (*file*)."""
 
-    def __init__(self, program, mem, local, file=None):
+    def __init__(self, program, mem, local, file):
         self.program = program
         self.uniforms = None
         self.mem = mem
         self.local = local
-        self.file = RegisterFile() if file is None else file
+        self.file = file
         self._code = emitted_code(program)
         constants = self._code.constants
         # one column: broadcast over the lanes of whatever width runs
         self._constants = np.array(constants, dtype=np.uint32)[:, None] \
             if constants else None
         self._rows = _ROWS + len(constants)
-        #: may consecutive workgroups share a row? Never with a local
-        #: slab (one per unit); no longer once a batch was abandoned —
-        #: what made it conflict is in the program and its data
+        #: may consecutive workgroups share a row? Static: never with a
+        #: local slab (one per unit) or a port without batches. Whether a
+        #: batch of them commits depends on a job's data, and is the
+        #: compute unit's to remember for that job
         self.batching = getattr(mem, "begin_batch", None) is not None \
             and not any(instr.mem_is_local
                         for clause in program.clauses
@@ -519,8 +527,7 @@ class MegaKernel:
         batch (*count* > 1, at most :meth:`batch_groups`) either commits
         as if its groups had run one after another or raises
         :class:`~repro.gpu.mmu.BatchAbandoned` having changed nothing but
-        *stats* — the caller's to drop — and this kernel no longer
-        :attr:`batching`.
+        *stats* — the caller's to drop.
         """
         state = self._init_state(shape, flat_group, count)
         width = state.regs.shape[1]
@@ -570,11 +577,7 @@ class MegaKernel:
         except SimError as exc:
             if count == 1:
                 raise
-            self.batching = False
             raise BatchAbandoned("exception") from exc
-        except BatchAbandoned:
-            self.batching = False
-            raise
         finally:
             if port is not None:
                 port.close()

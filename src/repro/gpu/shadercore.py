@@ -17,7 +17,8 @@ one call (:meth:`ComputeUnit.run_groups` walks a job that way): they run in
 lockstep, side by side in the unit's one register file, and commit only
 if that cannot be told from running them one after another — otherwise
 the batch is abandoned, having changed nothing, and the unit runs the
-same groups one at a time. The independence of thread-groups that the
+same groups, and the rest of that job, one at a time; the next job starts
+batched again. The independence of thread-groups that the
 paper maps onto host threads (Fig. 10) is spent here on vector width
 instead: under CPython it is the form this host can measure.
 """
@@ -94,6 +95,7 @@ class ComputeUnit:
         self._translations = {}  # (tier, id(program)) -> (translation, program)
         self.translations_built = 0
         self._job = self._mega = self._quad = None
+        self._abandoned = False  # this job has abandoned a batch
         self._register_file = None  # the mega tier's, made with its first kernel
         #: lockstep batches this unit started / abandoned (never reset)
         self.batches_run = 0
@@ -206,15 +208,19 @@ class ComputeUnit:
             self._job = (program, uniforms)
             self._mega = self._mega_executor(program, uniforms, mem)
             self._quad = None
+            self._abandoned = False
         return self._mega
 
     def batch_groups(self, program, uniforms, mem, shape, left):
         """How many of the *left* consecutive workgroups still to run the
         next :meth:`run_workgroup` call should take: the mega tier's
-        lockstep batch where it can run one, else 1. An injector keeps
-        it at 1 too: ``core.hang`` keys and armed pages are per group."""
+        lockstep batch where it can run one, else 1 — and 1 for the rest
+        of a job that abandoned a batch: what conflicted is its data. An
+        injector keeps it at 1 too: ``core.hang`` keys and armed pages
+        are per group."""
         mega = self._bound(program, uniforms, mem)
-        if mega is None or not mega.batching or self.injector is not None:
+        if mega is None or not mega.batching or self._abandoned \
+                or self.injector is not None:
             return 1
         return min(mega.batch_groups(shape), left)
 
@@ -248,10 +254,13 @@ class ComputeUnit:
                                     flat_group, count)
             if warps is not None:
                 return warps
-            # abandoned, nothing changed: the reference order instead
-            return [warp for group in range(flat_group, flat_group + count)
-                    for warp in self.run_workgroup(program, uniforms, mem,
-                                                   shape, group)]
+            from repro.gpu.megakernel import RetiredWarps
+
+            # abandoned, nothing changed: the reference order instead,
+            # retired as a committed batch is (nothing transposed unread)
+            return RetiredWarps.joined([
+                self.run_workgroup(program, uniforms, mem, shape, group)
+                for group in range(flat_group, flat_group + count)])
         self._local[:] = 0
         # the hang injection is consumed before picking the tier: an
         # injected stall must spin in the generic loop so the watchdog's
@@ -339,6 +348,7 @@ class ComputeUnit:
                 shape, flat_group, stats, self.watchdog_budget, count)
         except BatchAbandoned as abandoned:
             self.batches_abandoned += 1
+            self._abandoned = True
             if events is not None:
                 events.instant("batch_abandoned", "gpu", "jobmanager",
                                args={"reason": abandoned.reason,

@@ -24,7 +24,8 @@ from repro.gpu.isa import (
     Tail,
 )
 from repro.gpu.jit import ClauseJIT
-from repro.gpu.megakernel import SUPPORTED_OPS, MegaKernel, emitted_code
+from repro.gpu.megakernel import (
+    SUPPORTED_OPS, MegaKernel, RegisterFile, emitted_code)
 from repro.gpu.shadercore import WorkgroupShape
 from repro.gpu.verify import model
 from repro.gpu.warp import ClauseInterpreter, QuadWarp
@@ -156,7 +157,7 @@ def _check_emitted_forms(instr_for, fn, arity, op, seed):
         operands = [CONST_BASE if s is None else s for s in srcs]
         program = _one_slot_program(instr_for(dst, *operands), constant)
         code = emitted_code(program)
-        kernel = MegaKernel(program, None, None)
+        kernel = MegaKernel(program, None, None, RegisterFile())
         for width in _WIDTHS_MEGA:
             shape = WorkgroupShape((width, 1, 1), (width, 1, 1))
             values = dict(zip(dict.fromkeys(s for s in srcs if s is not None),
@@ -290,7 +291,7 @@ def test_float_to_int_against_a_scalar_reference(op, low, high):
     program = _one_slot_program(
         Instruction(op, 1, 2, OPERAND_NONE, OPERAND_NONE))
     code = emitted_code(program)
-    kernel = MegaKernel(program, None, None)
+    kernel = MegaKernel(program, None, None, RegisterFile())
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # signalling NaNs included
         for width in (1, 4, 32, 68):
@@ -325,7 +326,7 @@ def _run_jit(program):
 
 def _run_mega(program):
     port = types.SimpleNamespace(load_wide_u32=None, store_wide_u32=None)
-    kernel = MegaKernel(program, port, None)
+    kernel = MegaKernel(program, port, None, RegisterFile())
     kernel.bind(np.zeros(1, np.uint32))
     kernel.run_workgroup(WorkgroupShape((4, 1, 1), (4, 1, 1)), 0, None)
 

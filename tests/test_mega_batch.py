@@ -261,6 +261,65 @@ def test_an_abandoned_batch_leaves_no_trace(monkeypatch):
         "gpu.mmu.translations"] > 0
 
 
+# -- an abandoned batch costs its job -------------------------------------------------------
+
+# every lane stores to a[to[i]] what it loaded from a[i]: with `to` the
+# identity each group keeps to its own words, and a lane sent one word
+# past its group stores a word the next group loaded (rule S)
+_REDIRECTED = """
+__kernel void k(__global int* a, __global const int* to) {
+    int i = get_global_id(0);
+    a[to[i]] = a[i] * 3 + 1;
+}
+"""
+
+
+def test_the_job_after_an_abandoned_batch_starts_batched(monkeypatch,
+                                                          batches):
+    """Two jobs of one kernel on one platform: the first job's data
+    conflicts across groups, the second's does not. Only the first falls
+    back to one group at a time; the second commits in one batch, and
+    both leave what the reference order leaves."""
+    n = 64
+
+    def run(platform):
+        context = Context(platform)
+        queue = CommandQueue(context)
+        kernel = context.build_program(_REDIRECTED).kernel("k")
+        a = context.buffer_from_array(np.arange(n, dtype=np.int32) * 5)
+        crossing = np.arange(n, dtype=np.int32)
+        crossing[7] = 8  # group 0's last lane: group 1's first word
+        for to in (crossing, np.arange(n, dtype=np.int32)):
+            kernel.set_args(a, context.buffer_from_array(to))
+            queue.enqueue_nd_range(kernel, (n,), (8,))
+
+    assert _assert_grouping_invisible(monkeypatch, run) == (2, 1)
+    assert batches == [(0, 8, "store-after-load"), (0, 8, None)]
+
+
+def test_bfs_on_the_job_manager_path_builds_no_quadwarps(monkeypatch):
+    """The levels of a frontier crossing a group boundary abandon their
+    batches; neither those batches' groups, run one at a time, nor the
+    committed ones retire through a ``QuadWarp``."""
+    from repro.gpu.warp import QuadWarp
+
+    built = []
+    init = QuadWarp.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    platform = MobilePlatform.for_mode("mega")
+    monkeypatch.setattr(QuadWarp, "__init__", counting)
+    assert get_workload("bfs", n=256).run(context=Context(platform)).verified
+    snapshot = platform.stats_registry.snapshot()
+    assert snapshot["gpu.jobmanager.batches_abandoned"] > 0
+    assert snapshot["gpu.jobmanager.batches_run"] \
+        == snapshot["gpu.jobmanager.jobs_retired"]
+    assert not built
+
+
 def test_retired_warps_of_a_batch_span_its_groups_in_order(batches):
     case = make_kernel_case(
         "__kernel void k(__global int* out) {"
@@ -450,15 +509,20 @@ def _traffic_source(steps):
     return "\n".join(lines)
 
 
-@st.composite
-def _traffic(draw):
-    steps = draw(st.lists(_STEP, min_size=1, max_size=4))
+def _traffic_data(draw, steps):
+    """``(maps, seed)`` of one launch of the kernel of *steps*."""
     # mostly group-private targets, so that batches commit too
     private = draw(st.booleans())
     index = st.integers(0, _THREADS - 1)
     maps = [[draw(index) if not private or draw(st.integers(0, 9)) == 0
              else thread for thread in range(_THREADS)] for _ in steps]
-    return steps, maps, draw(st.integers(0, 2 ** 31 - 1))
+    return maps, draw(st.integers(0, 2 ** 31 - 1))
+
+
+@st.composite
+def _traffic(draw):
+    steps = draw(st.lists(_STEP, min_size=1, max_size=4))
+    return steps, *_traffic_data(draw, steps)
 
 
 def _check_traffic(example):
@@ -487,6 +551,53 @@ def test_random_cross_group_traffic_equals_the_reference_order(example):
 @settings(max_examples=2000, deadline=None)
 def test_random_cross_group_traffic_campaign(example):
     _check_traffic(example)
+
+
+@st.composite
+def _traffic_jobs(draw):
+    """One kernel of :func:`_traffic`, launched two or three times, each
+    with its own index maps and data."""
+    steps = draw(st.lists(_STEP, min_size=1, max_size=4))
+    return steps, [_traffic_data(draw, steps)
+                   for _ in range(draw(st.integers(2, 3)))]
+
+
+def _check_traffic_jobs(example):
+    """Consecutive jobs on one platform, two batches of four groups
+    each: one job's abandon leaves the next job batched, and costs at
+    most the rest of its own job."""
+    steps, jobs = example
+
+    def run(platform):
+        context = Context(platform)
+        queue = CommandQueue(context)
+        kernel = context.build_program(_traffic_source(steps)).kernel("k")
+        for maps, seed in jobs:
+            rng = np.random.default_rng(seed)
+            kernel.set_args(*(context.buffer_from_array(data) for data in (
+                rng.integers(0, 99, _THREADS).astype(np.int32),
+                rng.integers(0, 99, 2 * _THREADS).astype(np.int32),
+                np.array(maps, dtype=np.int32).reshape(-1))), _THREADS)
+            queue.enqueue_nd_range(kernel, (_THREADS,), (4,))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(megakernel, "BATCH_LANES", 16)
+        ran, abandoned = _assert_grouping_invisible(patch, run)
+    assert abandoned <= len(jobs) <= ran
+
+
+@given(_traffic_jobs())
+@settings(max_examples=15, deadline=None)
+def test_random_cross_group_traffic_over_jobs_equals_the_reference_order(
+        example):
+    _check_traffic_jobs(example)
+
+
+@pytest.mark.fuzz
+@given(_traffic_jobs())
+@settings(max_examples=500, deadline=None)
+def test_random_cross_group_traffic_over_jobs_campaign(example):
+    _check_traffic_jobs(example)
 
 
 # -- what a trace shows of a batch ----------------------------------------------------------

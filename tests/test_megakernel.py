@@ -379,10 +379,12 @@ def test_mega_job_builds_no_quadwarps_and_lazy_warps_match(monkeypatch):
 
 
 def test_retired_warps_is_a_lazy_sequence():
-    from repro.gpu.megakernel import MegaKernel, RetiredWarps
+    from repro.gpu.megakernel import (
+        MegaKernel, RegisterFile, RetiredWarps)
     from repro.gpu.shadercore import WorkgroupShape
 
-    kernel = MegaKernel(_mov_const_program(9), _WideStub(), None)
+    kernel = MegaKernel(_mov_const_program(9), _WideStub(), None,
+                        RegisterFile())
     kernel.bind(np.zeros(1, dtype=np.uint32))
     warps = kernel.run_workgroup(WorkgroupShape((6, 1, 1), (6, 1, 1)), 0,
                                  None)
@@ -579,10 +581,11 @@ def test_host_threads_keep_one_cache_per_unit():
 
 
 def test_retired_warps_slice_is_a_list_as_on_the_quad_tiers():
-    from repro.gpu.megakernel import MegaKernel
+    from repro.gpu.megakernel import MegaKernel, RegisterFile
     from repro.gpu.shadercore import WorkgroupShape
 
-    kernel = MegaKernel(_mov_const_program(9), _WideStub(), None)
+    kernel = MegaKernel(_mov_const_program(9), _WideStub(), None,
+                        RegisterFile())
     kernel.bind(np.zeros(1, dtype=np.uint32))
     warps = kernel.run_workgroup(WorkgroupShape((10, 1, 1), (10, 1, 1)), 0,
                                  None)
@@ -726,7 +729,7 @@ def test_generated_float_code_raises_no_runtime_warning():
     import warnings
 
     from repro.gpu.isa import CONST_BASE, CmpMode, Instruction, Op, Tail
-    from repro.gpu.megakernel import MegaKernel
+    from repro.gpu.megakernel import MegaKernel, RegisterFile
     from repro.gpu.shadercore import WorkgroupShape
 
     c = CONST_BASE
@@ -745,7 +748,7 @@ def test_generated_float_code_raises_no_runtime_warning():
     program = _program(_clause(
         slots, Tail.END,
         constants=[0x7F7FFFFF, 0, 0xBF800000, 0x7FC00000]))
-    kernel = MegaKernel(program, _WideStub(), None)
+    kernel = MegaKernel(program, _WideStub(), None, RegisterFile())
     kernel.bind(np.zeros(1, dtype=np.uint32))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -790,14 +793,15 @@ def test_two_fresh_platforms_emit_once(monkeypatch):
 
 def test_equal_shapes_never_share_an_entry_and_the_table_is_bounded():
     from repro.gpu import megakernel
-    from repro.gpu.megakernel import MegaKernel, emitted_code
+    from repro.gpu.megakernel import (
+        MegaKernel, RegisterFile, emitted_code)
     from repro.gpu.shadercore import WorkgroupShape
 
     shape = WorkgroupShape((4, 1, 1), (4, 1, 1))
     first = _mov_const_program(1_000_001)
     for constant in range(1_000_001, 1_000_001 + 2 * megakernel.CODE_CACHE_SIZE):
         program = _mov_const_program(constant)
-        kernel = MegaKernel(program, _WideStub(), None)
+        kernel = MegaKernel(program, _WideStub(), None, RegisterFile())
         kernel.bind(np.zeros(1, dtype=np.uint32))
         assert kernel.run_workgroup(shape, 0, None)[0].regs[0, 0] == constant
         assert emitted_code(program) is emitted_code(
@@ -825,7 +829,7 @@ def test_code_cache_under_racing_host_threads():
 
     from repro.gpu import megakernel
     from repro.gpu.encoding import encode_program
-    from repro.gpu.megakernel import MegaKernel
+    from repro.gpu.megakernel import MegaKernel, RegisterFile
     from repro.gpu.shadercore import WorkgroupShape
 
     shape = WorkgroupShape((4, 1, 1), (4, 1, 1))
@@ -835,7 +839,7 @@ def test_code_cache_under_racing_host_threads():
     def worker():
         for constant in constants:
             kernel = MegaKernel(_mov_const_program(constant), _WideStub(),
-                                None)
+                                None, RegisterFile())
             kernel.bind(np.zeros(1, dtype=np.uint32))
             got = int(kernel.run_workgroup(shape, 0, None)[0].regs[0, 0])
             if got != constant:
@@ -1279,10 +1283,11 @@ def test_retired_warps_are_a_snapshot():
     """The next workgroup overwrites the register file the retired warps
     were read from; what was handed out does not change."""
     from repro.gpu.isa import REG_GROUP_FLAT
-    from repro.gpu.megakernel import MegaKernel
+    from repro.gpu.megakernel import MegaKernel, RegisterFile
     from repro.gpu.shadercore import WorkgroupShape
 
-    kernel = MegaKernel(_mov_const_program(9), _WideStub(), None)
+    kernel = MegaKernel(_mov_const_program(9), _WideStub(), None,
+                        RegisterFile())
     kernel.bind(np.zeros(1, dtype=np.uint32))
     shape = WorkgroupShape((16, 1, 1), (8, 1, 1))
     first = kernel.run_workgroup(shape, 0, None)
