@@ -165,10 +165,13 @@ class M2SSimulator:
 
     # -- kernel launch (direct call, no driver) ----------------------------------
 
-    def run_kernel(self, compiled_kernel, global_size, local_size, args):
+    def run_kernel(self, compiled_kernel, global_size, local_size, args,
+                   local_bytes=None):
         """Launch a compiled kernel; *args* are u32 values (addresses from
         :meth:`alloc` for buffers, raw bits for scalars, byte offsets for
-        local pointers)."""
+        local pointers). *local_bytes* is the workgroup slab size, as
+        :func:`repro.gpu.launch.bind_arguments` returns it; by default
+        4 KiB of dynamic local arguments above the compiler's layout."""
         global_size, local_size = launch.normalize_sizes(global_size,
                                                          local_size)
         uniforms = launch.uniform_image(global_size, local_size,
@@ -180,8 +183,8 @@ class M2SSimulator:
         magic, num_clauses = struct.unpack_from("<II", binary, 0)
         offsets = struct.unpack_from(f"<{num_clauses}I", binary, 8)
 
-        # dynamic local args live above the compiler's own layout
-        local_bytes = launch.local_base(compiled_kernel, local_size) + 4096
+        if local_bytes is None:
+            local_bytes = launch.local_base(compiled_kernel, local_size) + 4096
 
         total_groups = num_groups[0] * num_groups[1] * num_groups[2]
         for flat_group in range(total_groups):

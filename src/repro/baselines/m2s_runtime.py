@@ -104,12 +104,12 @@ class M2SQueue:
     def enqueue_nd_range(self, kernel, global_size, local_size=None):
         global_size, local_size = launch.normalize_sizes(global_size,
                                                          local_size)
-        arg_words, _local_bytes = launch.bind_arguments(
+        arg_words, local_bytes = launch.bind_arguments(
             kernel.compiled, local_size,
             [value.addr if isinstance(value, M2SBuffer) else value
              for value in kernel._args])
         self.context.sim.run_kernel(kernel.compiled, global_size, local_size,
-                                    arg_words)
+                                    arg_words, local_bytes)
         self.kernels_launched += 1
         return None
 

@@ -16,9 +16,9 @@ The RNG stream crosses the checkpoint through the ``extra`` payload
 (``bit_generator.state``), demonstrating that host-side resume state
 rides the same manifest-verified format as the platform.
 
-Run ``python -m repro.checkpoint.harness smoke`` for the CI tier-1
-gate: save/restore/finish SGEMM bit-exact on every engine plus a
-2-tenant config.
+The matrix — save/restore/finish SGEMM bit-exact on every engine mode,
+single-client and 2-tenant — is the farm's ``checkpoint`` sweep kind:
+``python -m repro.tools farm run examples/farm/checkpoint.json``.
 """
 
 import hashlib
@@ -30,7 +30,10 @@ import tempfile
 
 import numpy as np
 
-from repro.core.platform import ENGINE_MODES, MobilePlatform
+from repro.core.platform import (  # noqa: F401 - re-exports the table
+    ENGINE_MODES,
+    MobilePlatform,
+)
 
 SGEMM_SOURCE = """
 __kernel void sgemm(__global float* c, __global const float* a,
@@ -237,21 +240,7 @@ def main(argv=None):
             (json.dumps(result, sort_keys=True, indent=1) + "\n")
             .encode("utf-8"))
         return 0
-    if argv and argv[0] == "smoke":
-        from repro.tools.cli import report_cases
-
-        cases = []
-        for engine_mode in ENGINE_MODES:
-            for tenants in (0, 2):
-                problems = run_differential(default_spec(
-                    engine_mode=engine_mode, tenants=tenants))
-                cases.append({
-                    "id": f"checkpoint/{engine_mode}/tenants={tenants}",
-                    "verdict": "fail" if problems else "pass",
-                    "detail": "; ".join(problems)})
-        return report_cases("checkpoint", cases)
-    print("usage: python -m repro.checkpoint.harness "
-          "{smoke | resume <dir> <out.json>}")
+    print("usage: python -m repro.checkpoint.harness resume <dir> <out.json>")
     return 2
 
 

@@ -15,6 +15,7 @@ from repro.gpu import launch
 from repro.gpu.launch import LocalMemory
 from repro.gpu.mmu import AS_TAG_SHIFT
 from repro.gpu.verify import VerifyContext, verify_binary, verify_program
+from repro.gpu.verify.analyze import ANALYZE_PASSES
 from repro.mem.physical import PAGE_SHIFT
 from repro.instrument.stats import JobStats
 
@@ -285,7 +286,7 @@ class Kernel:
             buffers=buffers, local_bytes=local_mem_size or None,
             mapped_ranges=mapped)
         report = verify_program(self.compiled.program, ctx,
-                                passes=("structural", "cost"))
+                                passes=ANALYZE_PASSES)
         summary = report.facts.get("cost")
         if summary is None:
             return ctx, None, None

@@ -14,9 +14,11 @@ only one tenant active — same carve-out bases, same VA layout, same
 page-table placement — so a multi-tenant run's record for that tenant
 must match the solo record byte-for-byte (outputs, golden stats,
 carve-out image) whatever the *other* tenants did: faults, hangs, OOB
-kernels, GPU resets. :func:`check_isolation` asserts exactly that, and
-:func:`run_adversarial` packages the attacker/victim scenarios the
-cross-tenant campaign and the farm sweep.
+kernels, GPU resets. :func:`check_isolation` asserts exactly that,
+:func:`solo_isolation` applies it to every unpreempted tenant of a mixed
+run (the farm's ``tenants`` kind), and :func:`run_adversarial` packages
+the attacker/victim scenarios the fault campaign's ``xtenant-*`` rows
+run.
 """
 
 import hashlib
@@ -275,6 +277,28 @@ def check_isolation(multi_record, solo_record):
     return diffs
 
 
+def solo_isolation(tenant_plans, multi, seed=0):
+    """Solo-vs-multi golden invariance for a finished mixed run: every
+    tenant the arbiter never sliced must match its :func:`solo_baseline`
+    byte-for-byte. Preempted tenants replay workgroups, so their
+    translation counts legitimately grow with contention; they are
+    skipped. Returns ``({tenant_id: differences}, skipped tenant ids)``
+    (an empty difference list == isolated)."""
+    diffs, skipped = {}, []
+    config = multi.platform.config
+    for tenant_id in sorted(multi.records):
+        record = multi.records[tenant_id]
+        if record.preemptions:
+            skipped.append(tenant_id)
+            continue
+        solo = solo_baseline(tenant_plans, tenant_id,
+                             engine_mode=multi.engine_mode,
+                             num_host_threads=config.gpu.num_host_threads,
+                             seed=seed, arbiter=config.tenancy.arbiter)
+        diffs[tenant_id] = check_isolation(record, solo.records[tenant_id])
+    return diffs, skipped
+
+
 def fairness_report(result, title="tenants"):
     """Human-readable fairness table for a finished mixed run."""
     driver = result.driver
@@ -422,7 +446,7 @@ def run_adversarial(scenario, seed, victim="sgemm", engine_mode="fast",
 
     ok = not diffs
     detail = ("victim isolated" if ok else "; ".join(diffs))
-    return ok, detail, counters
+    return ok, detail, {**counters, "isolation_checked": 1}
 
 
 # -- the standard mixed campaign (farm sweep kind "tenants") ------------------

@@ -42,10 +42,14 @@ Subcommands:
   case/shard expansion; ``farm example`` prints a copy-pasteable
   config.
 
-``faultcampaign``, ``tenants --adversarial`` and ``conformance --replay``
-are sugar: their arguments become the one sweep of a farm config that
+``faultcampaign``, ``tenants`` and ``conformance --replay`` are sugar:
+their arguments become the one sweep of a farm config that
 ``run_farm(..., workers=0)`` executes in this process (so a replayed
-corpus's open ``mismatch`` entries must still mismatch, as in the farm).
+corpus's open ``mismatch`` entries must still mismatch, and a tenant
+that differs from its solo run fails, as in the farm). The
+cross-tenant attacker scenarios are ``faultcampaign --scenarios
+xtenant-...``; the checkpoint matrix is ``farm run
+examples/farm/checkpoint.json``.
 
 The campaign verbs (``conformance``, ``faultcampaign``, ``tenants``,
 ``lint``, ``analyze``, ``farm``) exit non-zero on any failing case and
@@ -660,86 +664,19 @@ def _cmd_faultcampaign(options):
                         engine=options.engine)
 
 
-def _tenants_adversarial(options):
-    """The attacker-vs-victim scenarios are the fault campaign's
-    ``isolate`` rows: a ``fault`` sweep over them, victim sgemm."""
-    from repro.tenancy.harness import ADVERSARIAL_SCENARIOS
-
-    scenarios = (sorted(ADVERSARIAL_SCENARIOS)
-                 if options.adversarial == "all"
-                 else options.adversarial.split(","))
-    unknown = set(scenarios) - set(ADVERSARIAL_SCENARIOS)
-    if unknown:
-        print(f"unknown scenarios: {sorted(unknown)}; "
-              f"known: {sorted(ADVERSARIAL_SCENARIOS)}")
-        return 2
-    _config, cases = _run_sweep("tenants", {
-        "kind": "fault", "workloads": ["sgemm"], "scenarios": scenarios,
-        "seeds": [options.seed], "engines": [options.engine],
-        "threads": [options.threads],
-        "check_determinism": not options.no_determinism})
-    return report_cases("tenants", cases, mode="adversarial",
-                        engine=options.engine)
-
-
 def _cmd_tenants(options):
-    from repro.tenancy.harness import (
-        check_isolation,
-        default_plans,
-        fairness_report,
-        run_mixed,
-        solo_baseline,
-    )
-
-    if options.jobs < 1 or options.threads < 1:
-        raise UsageError("--jobs and --threads must be >= 1")
-    if options.adversarial:
-        return _tenants_adversarial(options)
-    if options.tenants < 2:
-        print("tenants: need at least 2 tenants")
-        return 2
-    plans = default_plans(options.tenants, jobs=options.jobs)
-    multi = run_mixed(plans, engine_mode=options.engine,
-                      num_host_threads=options.threads, seed=options.seed)
-    print(fairness_report(multi))
-    bad = [record for record in multi.records.values()
-           if record.errors or not record.verified]
-    for record in bad:
-        print(f"tenant{record.tenant_id} FAILED: "
-              f"{'; '.join(record.errors) or 'verification'}")
-
-    # solo-vs-multi golden invariance: every tenant the arbiter never
-    # sliced must have run bit-identically to a solo session (preempted
-    # tenants replay workgroups, so their translation counts legitimately
-    # grow with contention — they are skipped, and reported as such)
-    isolation_failures = 0
-    checked = 0
-    if not options.no_isolation:
-        for tenant_id in sorted(multi.records):
-            record = multi.records[tenant_id]
-            if record.preemptions:
-                print(f"isolation tenant{tenant_id}: skipped "
-                      f"(preempted x{record.preemptions})")
-                continue
-            solo = solo_baseline(plans, tenant_id,
-                                 engine_mode=options.engine,
-                                 num_host_threads=options.threads,
-                                 seed=options.seed)
-            diffs = check_isolation(record, solo.records[tenant_id])
-            checked += 1
-            isolation_failures += bool(diffs)
-            status = "ok" if not diffs else "FAIL " + "; ".join(diffs)
-            print(f"isolation tenant{tenant_id}: solo-vs-multi golden "
-                  f"stats {status}")
-
-    return result_line("tenants", not bad and not isolation_failures,
-                       mode="fairness", engine=options.engine,
-                       tenants=len(multi.records),
-                       dispatches=multi.driver.arbiter.dispatched,
-                       preemptions=multi.driver.preemptions,
-                       promotions=multi.driver.arbiter.promotions,
-                       isolation_checked=checked,
-                       failures=len(bad) + isolation_failures)
+    _config, cases = _run_sweep("tenants", {
+        "kind": "tenants", "tenants": [options.tenants],
+        "engine_modes": [options.engine], "seeds": [options.seed],
+        "threads": [options.threads], "jobs": options.jobs})
+    counters = cases[0]["counters"]
+    return report_cases(
+        "tenants", cases, mode="fairness", engine=options.engine,
+        tenants=options.tenants,
+        dispatches=counters.get("arbiter_dispatched", 0),
+        preemptions=counters.get("driver_preemptions", 0),
+        promotions=counters.get("arbiter_promotions", 0),
+        isolation_checked=counters.get("isolation_checked", 0))
 
 
 _FARM_EXAMPLE = """\
@@ -1012,7 +949,7 @@ def main(argv=None):
 
     p_tenants = sub.add_parser(
         "tenants",
-        help="multi-tenant fairness campaign and cross-tenant "
+        help="multi-tenant fairness campaign with solo-vs-multi "
              "isolation checks")
     p_tenants.add_argument("--tenants", type=int, default=4,
                            help="client contexts sharing the GPU "
@@ -1025,16 +962,6 @@ def main(argv=None):
                            help="num_host_threads for the GPU model")
     p_tenants.add_argument("--seed", type=int, default=0,
                            help="input-data seed")
-    p_tenants.add_argument("--adversarial", default=None,
-                           metavar="A,B,...|all",
-                           help="run attacker-vs-victim scenarios "
-                                "instead of a fairness campaign")
-    p_tenants.add_argument("--no-isolation", action="store_true",
-                           help="skip the solo-vs-multi golden "
-                                "comparison")
-    p_tenants.add_argument("--no-determinism", action="store_true",
-                           help="skip the adversarial double-run "
-                                "determinism check")
     p_tenants.set_defaults(func=_cmd_tenants)
 
     p_farm = sub.add_parser(

@@ -2,8 +2,8 @@
 
 A farm config is a JSON document (or an equivalent dict) describing a
 mixed campaign as a list of *sweeps*, each handled by a registered case
-provider (``conformance``, ``corpus``, ``fault``, ``lint``, ``bench``,
-``selftest``)::
+provider (``conformance``, ``corpus``, ``fault``, ``lint``, ``analyze``,
+``bench``, ``tenants``, ``checkpoint``, ``selftest``)::
 
     {
       "name": "smoke",

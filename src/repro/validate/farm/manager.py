@@ -20,7 +20,7 @@ Execution model (FireSim-style deploy layer, scaled to one host):
 the plan itself, case by case: same expansion, plan, journal and report
 (so the same bytes), no queues, no processes, nobody to police a
 timeout. It is how the standalone campaign verbs (``faultcampaign``,
-``tenants --adversarial``, ``conformance --replay``) run a sweep.
+``tenants``, ``conformance --replay``) run a sweep.
 
 Worker death inside the tiny window between dequeuing a task and
 announcing it cannot be attributed to a shard; the manager guards the

@@ -14,12 +14,14 @@ A provider is the one layer between a sweep dict and a case outcome:
   artifacts)`` of plain picklable values.
 
 The subsystems being swept export what runs *one* thing —
-``run_conformance``, ``dict_to_case``, ``run_case``, ``run_mixed``,
-``lint_target``, ``analyze_target`` — and are imported lazily; the grids
-and the outcome shaping live here and nowhere else. ``bench`` runs
-registered workloads; ``selftest`` exercises the farm itself (a case
-that passes, a case that raises, a case that genuinely hangs) and is
-what the isolation and kill-recovery tests sweep.
+``run_conformance``, ``dict_to_case``, ``run_case``, ``run_mixed`` and
+``solo_isolation``, ``run_differential``, ``lint_target``,
+``analyze_target`` — and are imported lazily; the grids and the outcome
+shaping live here and nowhere else. ``bench`` runs registered
+workloads; ``checkpoint`` is the save/restore/finish matrix over every
+engine mode; ``selftest`` exercises the farm itself (a case that
+passes, a case that raises, a case that genuinely hangs) and is what
+the isolation and kill-recovery tests sweep.
 """
 
 import json
@@ -384,10 +386,12 @@ class BenchProvider:
 class TenantsProvider:
     """Mixed multi-tenant fairness campaigns: N client contexts over one
     GPU, one case per ``tenants x engine_modes x seeds x threads`` grid
-    point, every tenant's outputs verified, the fairness report captured
-    as an artifact and a golden-stats fingerprint in the counters (so a
-    sweep over engine modes or worker counts proves per-tenant golden
-    stats invariant straight from the report)."""
+    point, every tenant's outputs verified, every tenant the arbiter did
+    not preempt checked against its solo run (any difference fails the
+    case), the fairness report captured as an artifact and a
+    golden-stats fingerprint in the counters (so a sweep over engine
+    modes or worker counts proves per-tenant golden stats invariant
+    straight from the report)."""
 
     kind = "tenants"
 
@@ -413,16 +417,19 @@ class TenantsProvider:
     def execute(self, spec, artifact_dir):
         from repro.tenancy import harness
 
+        plans = harness.default_plans(spec["tenants"], jobs=spec["jobs"])
         result = harness.run_mixed(
-            harness.default_plans(spec["tenants"], jobs=spec["jobs"]),
-            engine_mode=spec["engine_mode"],
+            plans, engine_mode=spec["engine_mode"],
             num_host_threads=spec["num_host_threads"], seed=spec["seed"])
-        bad = [record for record in result.records.values()
-               if record.errors or not record.verified]
-        detail = "; ".join(
+        problems = [
             f"tenant{record.tenant_id}: "
             f"{'; '.join(record.errors) or 'verification failed'}"
-            for record in bad[:3])
+            for record in result.records.values()
+            if record.errors or not record.verified]
+        isolation, skipped = harness.solo_isolation(plans, result,
+                                                    seed=spec["seed"])
+        problems += [f"tenant{tenant_id} not isolated: {'; '.join(diffs)}"
+                     for tenant_id, diffs in isolation.items() if diffs]
         counters = {key.replace(".", "_"): int(value)
                     for key, value in result.counters().items()}
         counters["tenants"] = len(result.records)
@@ -430,10 +437,36 @@ class TenantsProvider:
             record.jobs_completed for record in result.records.values())
         counters["golden_fingerprint"] = harness.golden_fingerprint(
             result.records)
+        counters["isolation_checked"] = len(isolation)
+        counters["isolation_skipped"] = len(skipped)
         artifacts = _write_artifact(
             artifact_dir, "fairness.txt",
             harness.fairness_report(result) + "\n")
-        return not bad, detail, counters, artifacts
+        return not problems, "; ".join(problems[:3]), counters, artifacts
+
+
+class CheckpointProvider:
+    """The checkpoint differential matrix: every engine mode x {single
+    client, 2 tenants}, each saved part-way, restored in a fresh process
+    and finished, then compared with a straight run on output digests,
+    golden stats and carve-out digests (:mod:`repro.checkpoint.harness`).
+    The sweep takes no keys."""
+
+    kind = "checkpoint"
+
+    def normalize(self, sweep):
+        return {"kind": self.kind}
+
+    def expand(self, sweep, config):
+        for mode, tenants in product(ENGINE_MODES, (0, 2)):
+            yield f"checkpoint/{mode}/tenants={tenants}", {
+                "engine_mode": mode, "tenants": tenants}
+
+    def execute(self, spec, artifact_dir):
+        from repro.checkpoint import harness
+
+        problems = harness.run_differential(harness.default_spec(**spec))
+        return not problems, "; ".join(problems), {}, []
 
 
 class SelftestProvider:
@@ -498,6 +531,7 @@ PROVIDERS = {provider.kind: provider for provider in (
     StaticToolProvider("analyze", analyze, "analysis.txt", "headline"),
     BenchProvider(),
     TenantsProvider(),
+    CheckpointProvider(),
     SelftestProvider(),
 )}
 

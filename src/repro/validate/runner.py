@@ -343,9 +343,9 @@ class DifferentialRunner:
         for _name, va, words in case.regions:
             sim.write(va, words)
         # just enough of a CompiledKernel for run_kernel
-        binary = SimpleNamespace(binary=encode_program(case.program),
-                                 local_static_size=0, scratch_per_thread=0)
-        sim.run_kernel(binary, case.global_size, case.local_size, case.args)
+        binary = SimpleNamespace(binary=encode_program(case.program))
+        sim.run_kernel(binary, case.global_size, case.local_size, case.args,
+                       case.local_bytes)
         registers = dict(sim.retired_registers)
         memory = {name: sim.read(va, words.size, np.uint32).tobytes()
                   for name, va, words in case.regions}

@@ -26,10 +26,7 @@ document CI uploads.
 import json
 
 from repro.gpu.verify import VerifyContext, verify_program
-
-# Pass selection shared with repro.gpu.verify.analyze (kept literal so
-# this module never imports the compiler stack it does not need).
-_PASSES = ("structural", "cost")
+from repro.gpu.verify.analyze import ANALYZE_PASSES
 
 REPORT_SCHEMA = "repro-soundness-report/1"
 
@@ -70,7 +67,7 @@ def analyze_case(case):
     """Cost-analyze a DiffCase; returns (summary, bounds) or (None, None)
     when structural errors block the analysis."""
     ctx = diffcase_context(case)
-    report = verify_program(case.program, ctx, passes=_PASSES)
+    report = verify_program(case.program, ctx, passes=ANALYZE_PASSES)
     summary = report.facts.get("cost")
     if summary is None:
         return None, None

@@ -668,6 +668,21 @@ def test_farm_resume_after_sigkill(tmp_path):
         assert handle.read() == straight.report_bytes
 
 
+@pytest.mark.slow
+def test_checkpoint_sweep_is_every_engine_mode_by_tenancy():
+    from repro.validate.farm import FarmConfigError, load_config, run_farm
+
+    config = load_config(os.path.join(os.path.dirname(SRC_ROOT), "examples",
+                                      "farm", "checkpoint.json"))
+    run = run_farm(config, workers=2)
+    assert run.ok, run.summary()
+    assert [case["id"] for case in run.report["cases"]] == sorted(
+        f"checkpoint/{mode}/tenants={tenants}"
+        for mode in ENGINE_MODES for tenants in (0, 2))
+    with pytest.raises(FarmConfigError, match="unknown keys"):
+        load_config({"sweeps": [{"kind": "checkpoint", "tenants": [4]}]})
+
+
 # ---------------------------------------------------------------------------
 # CLI output-directory handling
 

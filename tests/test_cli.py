@@ -309,8 +309,6 @@ USAGE_ERRORS = {
     "conformance-engine": ["conformance", "--engines", "nosuch"],
     "tenants-jobs": ["tenants", "--tenants", "2", "--jobs", "0"],
     "tenants-threads": ["tenants", "--tenants", "2", "--threads", "0"],
-    "tenants-adversarial-threads": ["tenants", "--adversarial", "all",
-                                    "--threads", "0"],
 }
 
 

@@ -219,3 +219,43 @@ class TestIntForFloatParameter:
 
     def test_m2s_runtime(self):
         assert (_m2s_fill(8, 8, 3, n=8) == 6.0).all()
+
+
+# lane 63 of a 64-wide group stores at byte 16128 of its __local argument
+SLAB = """
+__kernel void slab(__global float* out, __local float* tmp) {
+    int lid = get_local_id(0);
+    tmp[lid * 64] = (float)get_global_id(0);
+    barrier(1);
+    out[get_global_id(0)] = tmp[lid * 64];
+}
+"""
+SLAB_BYTES = 16 * 1024
+
+
+class TestLocalArgumentOver4KiB:
+    """The workgroup slab is as large as the launch's `__local`
+    arguments, on m2s as on the platform — not a fixed 4 KiB."""
+
+    @pytest.mark.parametrize("runtime", ["cl", "m2s"])
+    def test_runtime(self, runtime):
+        context = Context() if runtime == "cl" else M2SContext()
+        queue = (CommandQueue if runtime == "cl" else M2SQueue)(context)
+        kernel = context.build_program(SLAB).kernel("slab")
+        buffer = context.buffer_from_array(np.zeros(128, np.float32))
+        kernel.set_args(buffer, LocalMemory(SLAB_BYTES))
+        queue.enqueue_nd_range(kernel, 128, 64)
+        np.testing.assert_array_equal(
+            queue.enqueue_read_buffer(buffer, np.float32),
+            np.arange(128, dtype=np.float32))
+
+    def test_make_kernel_case(self):
+        case = make_kernel_case(SLAB, "slab", (128,), (64,),
+                                [np.zeros(128, np.float32)],
+                                local_args=[SLAB_BYTES])
+        results, mismatches = DifferentialRunner(
+            ("interp", "m2s")).run_case(case)
+        assert mismatches == []
+        np.testing.assert_array_equal(
+            np.frombuffer(results["m2s"].memory["buf0"], np.float32),
+            np.arange(128, dtype=np.float32))

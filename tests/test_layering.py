@@ -14,7 +14,8 @@ A failure lists ``file:line`` per offence. Fix it by giving the owning
 class a public accessor (or moving the logic to the owner), not by
 extending :data:`ALLOWED`.
 
-And one import rule, checked in a fresh interpreter: a run loads NumPy
+And two import rules: nothing outside ``repro/tools/`` imports
+``repro.tools``; and, checked in a fresh interpreter, a run loads NumPy
 and nothing else from outside the standard library.
 """
 
@@ -114,6 +115,34 @@ def test_no_private_access_across_modules():
                         for line, message in lint_source(source, path))
     assert not problems, (
         f"{len(problems)} layering offence(s):\n" + "\n".join(problems))
+
+
+def _imports_tools(node):
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and not node.level:
+        names = [f"{node.module}.{alias.name}" for alias in node.names]
+    else:
+        return False
+    return any(name == "repro.tools" or name.startswith("repro.tools.")
+               for name in names)
+
+
+def test_nothing_below_the_tools_imports_them():
+    """``repro.tools`` is the top layer: the CLI reads every subsystem,
+    and no subsystem reports through the CLI."""
+    tools = os.path.join(SRC_ROOT, "tools", "")
+    problems = []
+    for path in _python_files():
+        if path.startswith(tools):
+            continue
+        with open(path) as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        relative = os.path.relpath(path, os.path.dirname(SRC_ROOT))
+        problems.extend(f"{relative}:{node.lineno}"
+                        for node in ast.walk(tree) if _imports_tools(node))
+    assert not problems, "repro.tools imported from below:\n" + "\n".join(
+        problems)
 
 
 def test_lint_catches_the_shapes_it_claims_to():

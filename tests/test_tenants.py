@@ -33,12 +33,11 @@ from repro.tenancy.harness import (
     ADVERSARIAL_SCENARIOS,
     ENGINE_MODES,
     TenantPlan,
-    check_isolation,
     default_plans,
     golden_fingerprint,
     run_adversarial,
     run_mixed,
-    solo_baseline,
+    solo_isolation,
 )
 from repro.tools.cli import main as cli_main
 
@@ -338,12 +337,8 @@ class TestIsolation:
         multi = run_mixed(plans, engine_mode="fast", seed=2)
         for tenant_id, record in multi.records.items():
             assert record.verified, (tenant_id, record.errors)
-            if record.preemptions:
-                continue
-            solo = solo_baseline(plans, tenant_id, engine_mode="fast",
-                                 seed=2)
-            diffs = check_isolation(record, solo.records[tenant_id])
-            assert not diffs, (tenant_id, diffs)
+        isolation, _skipped = solo_isolation(plans, multi, seed=2)
+        assert isolation and not any(isolation.values()), isolation
 
 
 # -- per-tenant golden stats subtrees -----------------------------------------
@@ -635,15 +630,41 @@ class TestCampaignAndCLI:
         assert plan is None
         assert case.fired > 0
 
-    def test_cli_fairness_smoke(self, capsys):
-        assert cli_main(["tenants", "--tenants", "4", "--jobs", "1",
-                         "--no-isolation"]) == 0
+    def test_cli_fairness_smoke(self, capsys, tmp_path, monkeypatch):
+        from repro.validate import farm
+
+        # the verb is one farm sweep; given an outdir, its case leaves
+        # the fairness table behind as the provider's artifact
+        run_farm = farm.run_farm
+        monkeypatch.setattr(farm, "run_farm", lambda config, **kwargs:
+                            run_farm(config, outdir=str(tmp_path), **kwargs))
+        assert cli_main(["tenants", "--tenants", "4", "--jobs", "1"]) == 0
         out = capsys.readouterr().out
         assert "RESULT tenants status=ok" in out
-        assert "rt" in out and "bg" in out  # >= 2 QoS classes exercised
+        [table] = tmp_path.glob("artifacts/*/fairness.txt")
+        text = table.read_text()
+        assert "rt" in text and "bg" in text  # >= 2 QoS classes exercised
 
     def test_cli_adversarial_smoke(self, capsys):
-        assert cli_main(["tenants", "--adversarial", "xtenant-irq-lost",
+        assert cli_main(["faultcampaign", "--workloads", "sgemm",
+                         "--scenarios", "xtenant-irq-lost",
                          "--no-determinism"]) == 0
         out = capsys.readouterr().out
-        assert "RESULT tenants status=ok mode=adversarial" in out
+        assert "RESULT faultcampaign status=ok mode=sweep" in out
+
+    def test_farm_fails_a_tenant_that_differs_from_its_solo_run(
+            self, monkeypatch):
+        from repro.tenancy import harness
+        from repro.validate.farm import run_farm
+
+        solo_baseline = harness.solo_baseline
+        monkeypatch.setattr(
+            harness, "solo_baseline", lambda plans, victim, **kwargs:
+            solo_baseline(plans, victim, **{**kwargs, "seed": 1}))
+        run = run_farm({"name": "planted", "sweeps": [
+            {"kind": "tenants", "tenants": 2, "jobs": 1,
+             "engine_modes": ["mega"]}]}, workers=0)
+        [case] = run.report["cases"]
+        assert case["verdict"] == "fail"
+        assert "not isolated" in case["detail"]
+        assert case["counters"]["isolation_checked"] == 2
