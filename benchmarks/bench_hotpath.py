@@ -39,8 +39,9 @@ trajectory to regress against:
   how many masked steps of the SLAM express pipeline ran with every lane
   of the row active (none: such lanes go back to the chain functions);
 - **build**: what building the nine SLAM kernels costs cold, per kernel
-  (compile, the compiler's gate, the binary gate), and how many gate
-  calls a second build of the same content makes (none).
+  (compile and the binary gate, the one build gate: one call per
+  kernel), and how many gate calls a second build of the same content
+  makes (none).
 
 The report records the host (cores, Python, NumPy) beside the numbers.
 
@@ -61,7 +62,6 @@ _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(_REPO_ROOT / "src"))
 
 from repro.cl import Context, runtime  # noqa: E402
-from repro.clc import compiler  # noqa: E402
 from repro.core.platform import MobilePlatform, PlatformConfig  # noqa: E402
 from repro.cl import CommandQueue  # noqa: E402
 from repro.gpu import megakernel  # noqa: E402
@@ -599,19 +599,17 @@ def mega_masked(workgroups=200, repeats=5):
 
 
 def build():
-    """Building the nine SLAM kernels: cold (compile, the compiler's
-    gate and the binary gate per kernel) and again on a second fresh
-    platform, which must find both verdicts kept. Gate calls are counted
-    where the build looks the gates up."""
+    """Building the nine SLAM kernels: cold (compile and the binary gate
+    per kernel) and again on a second fresh platform, which must find the
+    verdicts kept. Gate calls are counted where the build looks the gate
+    up."""
     source = ALL_SOURCES + "\n// a content nothing else in this run builds\n"
     calls = [0]
-    gates = [(compiler, "verify_program"), (runtime, "verify_binary")]
+    gate = runtime.verify_binary
 
-    def counting(gate):
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return gate(*args, **kwargs)
-        return counted
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return gate(*args, **kwargs)
 
     def timed_build():
         context = Context(MobilePlatform(PlatformConfig()))
@@ -620,15 +618,12 @@ def build():
         program = context.build_program(source)
         return time.perf_counter() - start, calls[0], program
 
-    originals = [getattr(owner, name) for owner, name in gates]
-    for (owner, name), gate in zip(gates, originals):
-        setattr(owner, name, counting(gate))
+    runtime.verify_binary = counted
     try:
         cold_seconds, cold_calls, program = timed_build()
         warm_seconds, warm_calls, _ = timed_build()
     finally:
-        for (owner, name), gate in zip(gates, originals):
-            setattr(owner, name, gate)
+        runtime.verify_binary = gate
     kernels = len(program.kernel_names)
     return {
         "kernels": kernels,
@@ -779,6 +774,11 @@ def main(argv=None):
         print("FAIL: masked steps ran with every lane of the row active; "
               "re-converged lanes belong on the chain functions",
               file=sys.stderr)
+        failed = True
+    if built["cold_gate_calls"] != built["kernels"]:
+        print(f"FAIL: a cold build made {built['cold_gate_calls']} gate "
+              f"calls for {built['kernels']} kernels; the binary gate is "
+              "the one gate", file=sys.stderr)
         failed = True
     if built["second_build_gate_calls"] != 0:
         print("FAIL: a second build of the same content ran a gate again",

@@ -15,8 +15,8 @@ system-level statistics exist.
 import numpy as np
 
 from repro.errors import CLError
-from repro.clc import compile_source
 from repro.baselines.m2s import M2SSimulator
+from repro.cl.runtime import gated_build
 from repro.gpu import launch
 
 
@@ -52,9 +52,12 @@ class M2SContext:
 
 
 class M2SProgram:
+    """A build through the CL runtime's :func:`gated_build`: the same
+    binary gate and the same build table as :class:`repro.cl.Program`."""
+
     def __init__(self, context, source, version=None, defines=None):
         self.context = context
-        self.compiled = compile_source(source, options=version, defines=defines)
+        self.compiled, _reports = gated_build(source, version, defines)
 
     @property
     def kernel_names(self):

@@ -14,8 +14,8 @@ from repro.core.platform import MobilePlatform
 from repro.gpu import launch
 from repro.gpu.launch import LocalMemory
 from repro.gpu.mmu import AS_TAG_SHIFT
-from repro.gpu.verify import VerifyContext, verify_binary, verify_program
-from repro.gpu.verify.analyze import ANALYZE_PASSES
+from repro.gpu.verify import VerifyContext, verify_binary
+from repro.gpu.verify.analyze import analyze_program
 from repro.mem.physical import PAGE_SHIFT
 from repro.instrument.stats import JobStats
 
@@ -164,7 +164,7 @@ class Context:
 
 
 #: Build key -> (CompiledProgram, {kernel: report}) of every build that
-#: passed both gates: nothing of a context, platform or buffer.
+#: passed the binary gate: nothing of a context, platform or buffer.
 _builds = BoundedTable(PROGRAM_CACHE_SIZE)
 
 
@@ -172,13 +172,15 @@ def gated_build(source, version=None, defines=None):
     """The compiled program of *source* and its per-kernel build reports.
 
     Build acts like a driver-side verifier: beyond compiling, every
-    kernel's *binary* is decoded and re-verified independently of the
-    compiler's own gate, and error-severity findings fail the build with
-    :class:`CLError` (the ``CL_BUILD_PROGRAM_FAILURE`` analogue). Both
-    gates are pure functions of the build key: they run once per content
-    per process; a build that raises keeps nothing and raises again.
+    kernel's *binary* is decoded and verified — the one build gate, so
+    it sees exactly the bytes the driver maps — and error-severity
+    findings fail the build with :class:`CLError` (the
+    ``CL_BUILD_PROGRAM_FAILURE`` analogue). The gate is a pure function
+    of the build key: it runs once per content per process; a build
+    that raises keeps nothing and raises again. Both the CL runtime and
+    the m2s baseline build here.
     """
-    def run_gates():
+    def run_gate():
         compiled = compile_source(source, options=version, defines=defines)
         reports = {}
         for name, kernel in compiled.kernels.items():
@@ -191,7 +193,7 @@ def gated_build(source, version=None, defines=None):
                     f"the binary verifier: {details}")
         return compiled, reports
 
-    return _builds.lookup(build_key(source, version, defines), run_gates)
+    return _builds.lookup(build_key(source, version, defines), run_gate)
 
 
 class Program:
@@ -268,9 +270,8 @@ class Kernel:
 
         Builds the full-knowledge launch context (the encoded uniform
         image plus bound-buffer VAs/sizes and, with *tenant*, its mapped
-        regions) and runs the verifier's cost pass; returns ``(ctx,
-        summary, bounds)`` where *summary*/*bounds* are None when
-        structural errors block the analysis.
+        regions) and runs the cost analysis on it; returns ``(summary,
+        bounds)``, both None when structural errors block the analysis.
         """
         buffers = {}
         for position, ((_pname, kind, _ty), value) in enumerate(
@@ -285,12 +286,9 @@ class Kernel:
             self.compiled, global_size, local_size, uniforms,
             buffers=buffers, local_bytes=local_mem_size or None,
             mapped_ranges=mapped)
-        report = verify_program(self.compiled.program, ctx,
-                                passes=ANALYZE_PASSES)
-        summary = report.facts.get("cost")
-        if summary is None:
-            return ctx, None, None
-        return ctx, summary, summary.evaluate(ctx)
+        _report, summary, bounds = analyze_program(self.compiled.program,
+                                                   ctx)
+        return summary, bounds
 
 
 class CommandQueue:
@@ -411,7 +409,7 @@ class CommandQueue:
         record = None
         pages_before = None
         if context.analysis_log is not None:
-            _ctx, summary, bounds = kernel.analyze_launch(
+            summary, bounds = kernel.analyze_launch(
                 global_size, local_size, uniforms,
                 local_mem_size=job_args["local_mem_size"],
                 tenant=context._tenant)
@@ -494,7 +492,7 @@ class CommandQueue:
         # predicted per-workgroup issue cost to the slice-budget logic
         cost_hint = 0
         if context.platform.driver.arbiter.policy.slice_issue_budget:
-            _ctx, _summary, bounds = kernel.analyze_launch(
+            _summary, bounds = kernel.analyze_launch(
                 job_args["global_size"], job_args["local_size"], uniforms,
                 local_mem_size=job_args["local_mem_size"], tenant=tenant)
             if bounds is not None and bounds.per_workgroup_issues:

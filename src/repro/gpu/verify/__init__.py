@@ -21,11 +21,11 @@ makes the Bifrost-like ISA contract explicit and machine-checkable:
   pages-accessed bounds, and access-pattern classification. Selected by
   ``repro.tools analyze``; excluded from the lint-level default.
 
-Every producer of GPU binaries runs the verifier: the clc JIT compiler
-gates its own codegen, ``clBuildProgram`` re-verifies the decoded binary
-like a driver-side verifier, the conformance fuzzer asserts its generated
-programs are verifier-clean, and ``repro-sim lint`` prints findings
-anchored to disassembly lines.
+``clBuildProgram`` verifies every kernel's decoded binary once, like a
+driver-side verifier (the one build gate, which the m2s baseline builds
+through too), the conformance fuzzer asserts its generated programs are
+verifier-clean, and ``repro-sim lint`` prints findings anchored to
+disassembly lines.
 """
 
 from repro.gpu.verify.context import BufferInfo, VerifyContext

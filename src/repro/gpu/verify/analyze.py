@@ -7,16 +7,18 @@ compile-and-analyze path per target, returning structured
 ``--json``) and aggregation (farm verdicts and counters).
 
 Targets use the same addressing as lint (``builtin:<workload>``,
-``slam``, or a source file path). Analysis runs the verifier with the
+``slam``, or a source file path). :func:`analyze_program` is the one
+cost-analysis entry — this sweep, the CL runtime's launch bounds and
+the soundness gate all call it. It runs the verifier with the
 ``("structural", "cost")`` pass selection, so callers pay for the
 abstract interpretation and loop-bound inference but not the
 dataflow/race machinery.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.gpu.verify.context import VerifyContext
-from repro.gpu.verify.lint import builtin_targets, target_source
+from repro.gpu.verify.lint import builtin_targets, compile_units, target_source
 from repro.gpu.verify.pipeline import verify_program
 
 # The pass selection analysis runs (structural is mandatory anyway).
@@ -69,6 +71,18 @@ class AnalyzeUnit:
         return ", ".join(parts)
 
 
+def analyze_program(program, ctx):
+    """The cost analysis of *program* under *ctx*: the verifier with the
+    :data:`ANALYZE_PASSES` selection, then the summary's bounds for
+    *ctx*. Returns ``(report, summary, bounds)``; *summary* and *bounds*
+    are None when structural errors block the analysis."""
+    report = verify_program(program, ctx, passes=ANALYZE_PASSES)
+    summary = report.facts.get("cost")
+    if summary is None:
+        return report, None, None
+    return report, summary, summary.evaluate(ctx)
+
+
 def analyze_source(label, source, defines=None, version=None, kernel=None,
                    global_size=None, local_size=None):
     """Compile *source* and cost-analyze every kernel; returns
@@ -79,39 +93,22 @@ def analyze_source(label, source, defines=None, version=None, kernel=None,
     buffer sizes unknown); otherwise the compile-time context is used
     and only geometry-independent bounds can be concrete.
     """
-    from repro.clc import compile_source
-    from repro.clc.compiler import CompilerOptions
-    from repro.clc.versions import DEFAULT_VERSION
-
-    copts = replace(CompilerOptions.from_version(version or DEFAULT_VERSION),
-                    verify=False)
-    try:
-        program = compile_source(source, options=copts, defines=defines)
-    except Exception as exc:  # noqa: BLE001 - a failed compile is a result
-        return [AnalyzeUnit(label=label,
-                            error=f"{type(exc).__name__}: {exc}")]
-    units = []
-    for name in sorted(program.kernels):
-        if kernel and name != kernel:
-            continue
-        compiled = program.kernels[name]
+    def analyze(name, compiled):
         if global_size is not None and local_size is not None:
             ctx = VerifyContext.from_launch(compiled, global_size,
                                             local_size)
         else:
             ctx = VerifyContext.from_compiled_kernel(compiled)
-        report = verify_program(compiled.program, ctx,
-                                passes=ANALYZE_PASSES)
-        summary = report.facts.get("cost")
+        report, summary, bounds = analyze_program(compiled.program, ctx)
         unit = AnalyzeUnit(label=label, kernel=name, summary=summary,
-                           report=report, context=ctx)
+                           report=report, context=ctx, bounds=bounds)
         if summary is None:
             unit.error = "structural errors block analysis: " \
                 + report.summary()
-        else:
-            unit.bounds = summary.evaluate(ctx)
-        units.append(unit)
-    return units
+        return unit
+
+    return compile_units(AnalyzeUnit, analyze, label, source,
+                         defines=defines, version=version, kernel=kernel)
 
 
 def analyze_target(target, version=None, kernel=None, global_size=None,
@@ -230,6 +227,7 @@ __all__ = [
     "ANALYZE_PASSES",
     "SCHEMA",
     "AnalyzeUnit",
+    "analyze_program",
     "analyze_source",
     "analyze_target",
     "builtin_targets",

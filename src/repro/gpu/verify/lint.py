@@ -14,7 +14,7 @@ A *target* is addressed by a stable string:
 - anything else — a kernel-language source file path.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.gpu.verify.context import VerifyContext
 from repro.gpu.verify.pipeline import verify_program
@@ -69,32 +69,39 @@ def target_source(target):
         return target, handle.read(), None
 
 
-def lint_source(label, source, defines=None, version=None, kernel=None):
-    """Compile *source* and verify every kernel; returns [LintUnit].
+def compile_units(unit_type, check, label, source, defines=None,
+                  version=None, kernel=None):
+    """The compile-and-select loop of the lint and analyze sweeps.
 
-    The caller owns finding presentation, so the compiler's own
-    reject-on-error verify gate is disabled for these builds.
+    *source* is built with *version*'s default options, under the build
+    key the CL runtime uses, and ``check(name, compiled)`` makes one unit
+    per kernel in name order (only *kernel* when named). A failed
+    compile is one ``unit_type`` carrying the error: a result, not an
+    exception.
     """
-    from repro.clc import compile_source
-    from repro.clc.compiler import CompilerOptions
+    from repro.clc.compiler import CompilerOptions, compile_source
     from repro.clc.versions import DEFAULT_VERSION
 
-    copts = replace(CompilerOptions.from_version(version or DEFAULT_VERSION),
-                    verify=False)
+    options = CompilerOptions.from_version(version or DEFAULT_VERSION)
     try:
-        program = compile_source(source, options=copts, defines=defines)
+        program = compile_source(source, options=options, defines=defines)
     except Exception as exc:  # noqa: BLE001 - a failed compile is a result
-        return [LintUnit(label=label, error=f"{type(exc).__name__}: {exc}")]
-    units = []
-    for name in sorted(program.kernels):
-        if kernel and name != kernel:
-            continue
-        compiled = program.kernels[name]
+        return [unit_type(label=label, error=f"{type(exc).__name__}: {exc}")]
+    return [check(name, program.kernels[name])
+            for name in sorted(program.kernels)
+            if not kernel or name == kernel]
+
+
+def lint_source(label, source, defines=None, version=None, kernel=None):
+    """Compile *source* and verify every kernel; returns [LintUnit]."""
+    def lint(name, compiled):
         report = verify_program(
             compiled.program, VerifyContext.from_compiled_kernel(compiled))
-        units.append(LintUnit(label=label, kernel=name,
-                              counts=report.counts(), report=report))
-    return units
+        return LintUnit(label=label, kernel=name, counts=report.counts(),
+                        report=report)
+
+    return compile_units(LintUnit, lint, label, source, defines=defines,
+                         version=version, kernel=kernel)
 
 
 def lint_target(target, version=None, kernel=None):

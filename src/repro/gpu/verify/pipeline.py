@@ -6,7 +6,7 @@ rejections into findings, so callers get a uniform :class:`Report`
 either way.
 
 **Pass selection**: callers pay only for the passes they need. The
-default selection is the four lint-level passes (what the compile gates
+default selection is the four lint-level passes (what the build gate
 and ``repro.tools lint`` require); ``repro.tools analyze`` asks for
 ``("structural", "cost")`` and skips the dataflow/race machinery
 entirely. ``structural`` always runs — every other pass builds on a
@@ -32,7 +32,7 @@ from repro.gpu.verify.report import Finding, Report, Severity
 # Every known pass, in dependency/run order.
 PASSES = ("structural", "dataflow", "controlflow", "memory", "cost")
 
-# The lint-level selection (compile gates, `repro.tools lint`): the
+# The lint-level selection (the build gate, `repro.tools lint`): the
 # historical pipeline, unchanged by the advisory cost pass.
 DEFAULT_PASSES = ("structural", "dataflow", "controlflow", "memory")
 

@@ -176,13 +176,27 @@ def _ensure_outdir(path, verb):
     return None
 
 
-def _add_compile_args(parser):
-    parser.add_argument("file", help="kernel-language source file")
+def _add_compile_args(parser, nargs=None):
+    parser.add_argument("file", nargs=nargs,
+                        help="kernel-language source file")
     parser.add_argument("--version", default=None,
                         help="compiler version preset (5.6 .. 6.2)")
     parser.add_argument("-D", "--define", action="append", default=[],
                         metavar="NAME=VALUE",
                         help="preprocessor define (repeatable)")
+
+
+def _add_static_args(parser, verb, schema):
+    """The target arguments ``lint`` and ``analyze`` share: FILE or
+    ``--builtin``, narrowed by ``--kernel``, in text or ``--json``."""
+    _add_compile_args(parser, nargs="?")
+    parser.add_argument("--kernel", default=None,
+                        help=f"{verb} only this kernel")
+    parser.add_argument("--builtin", action="store_true",
+                        help=f"{verb} every built-in workload + SLAM "
+                             "kernel instead of a file")
+    parser.add_argument("--json", action="store_true",
+                        help=f"stable {schema} JSON instead of text")
 
 
 def _add_launch_args(parser):
@@ -242,23 +256,8 @@ def _cmd_disasm(options):
             raise _no_such_kernel(options, names)
         names = [options.kernel]
     for name in names:
-        compiled = program.kernels[name]
-        annotations = None
-        if options.cost:
-            from repro.gpu.verify import VerifyContext, verify_program
-            from repro.gpu.verify.analyze import (
-                ANALYZE_PASSES,
-                cost_annotations,
-            )
-
-            ctx = VerifyContext.from_compiled_kernel(compiled)
-            report = verify_program(compiled.program, ctx,
-                                    passes=ANALYZE_PASSES)
-            summary = report.facts.get("cost")
-            if summary is not None:
-                annotations = cost_annotations(summary, ctx)
         print(f"; kernel {name}")
-        print(disassemble(compiled.program, annotations=annotations))
+        print(disassemble(program.kernels[name].program))
         print()
     return 0
 
@@ -771,9 +770,6 @@ def main(argv=None):
     p_disasm = sub.add_parser("disasm", help="clause-level disassembly")
     _add_compile_args(p_disasm)
     p_disasm.add_argument("--kernel", default=None)
-    p_disasm.add_argument("--cost", action="store_true",
-                          help="inline per-clause cost/loop/access "
-                               "annotations from the static analysis")
     p_disasm.set_defaults(func=_cmd_disasm)
 
     p_run = sub.add_parser("run", help="run a kernel on the platform")
@@ -851,51 +847,23 @@ def main(argv=None):
     p_lint = sub.add_parser(
         "lint",
         help="static verifier over compiled kernels (annotated disasm)")
-    p_lint.add_argument("file", nargs="?", default=None,
-                        help="kernel-language source file")
-    p_lint.add_argument("--version", default=None,
-                        help="compiler version preset (5.6 .. 6.2)")
-    p_lint.add_argument("-D", "--define", action="append", default=[],
-                        metavar="NAME=VALUE",
-                        help="preprocessor define (repeatable)")
-    p_lint.add_argument("--kernel", default=None,
-                        help="lint only this kernel")
-    p_lint.add_argument("--builtin", action="store_true",
-                        help="lint every built-in workload + SLAM kernel "
-                             "instead of a file")
+    _add_static_args(p_lint, "lint", "repro-lint-report/1")
     p_lint.add_argument("--notes", action="store_true",
                         help="also show note-severity findings")
     p_lint.add_argument("--no-disasm", action="store_true",
                         help="plain finding list, no annotated disassembly")
-    p_lint.add_argument("--json", action="store_true",
-                        help="stable repro-lint-report/1 JSON instead of "
-                             "text")
     p_lint.set_defaults(func=_cmd_lint)
 
     p_analyze = sub.add_parser(
         "analyze",
         help="static cost & resource analysis (loop bounds, issue/page "
              "bounds) or the --soundness dominance sweep")
-    p_analyze.add_argument("file", nargs="?", default=None,
-                           help="kernel-language source file")
-    p_analyze.add_argument("--version", default=None,
-                           help="compiler version preset (5.6 .. 6.2)")
-    p_analyze.add_argument("-D", "--define", action="append", default=[],
-                           metavar="NAME=VALUE",
-                           help="preprocessor define (repeatable)")
-    p_analyze.add_argument("--kernel", default=None,
-                           help="analyze only this kernel")
-    p_analyze.add_argument("--builtin", action="store_true",
-                           help="analyze every built-in workload + SLAM "
-                                "kernel instead of a file")
+    _add_static_args(p_analyze, "analyze", "repro-analyze-report/1")
     p_analyze.add_argument("--global-size", type=int, nargs="+",
                            default=None, dest="global_size",
                            help="evaluate bounds for this launch geometry")
     p_analyze.add_argument("--local-size", type=int, nargs="+",
                            default=None, dest="local_size")
-    p_analyze.add_argument("--json", action="store_true",
-                           help="stable repro-analyze-report/1 JSON "
-                                "instead of text")
     p_analyze.add_argument("--disasm", action="store_true",
                            help="include cost-annotated disassembly")
     p_analyze.add_argument("--soundness", action="store_true",

@@ -25,8 +25,8 @@ document CI uploads.
 
 import json
 
-from repro.gpu.verify import VerifyContext, verify_program
-from repro.gpu.verify.analyze import ANALYZE_PASSES
+from repro.gpu.verify import VerifyContext
+from repro.gpu.verify.analyze import analyze_program
 
 REPORT_SCHEMA = "repro-soundness-report/1"
 
@@ -66,12 +66,9 @@ def diffcase_context(case):
 def analyze_case(case):
     """Cost-analyze a DiffCase; returns (summary, bounds) or (None, None)
     when structural errors block the analysis."""
-    ctx = diffcase_context(case)
-    report = verify_program(case.program, ctx, passes=ANALYZE_PASSES)
-    summary = report.facts.get("cost")
-    if summary is None:
-        return None, None
-    return summary, summary.evaluate(ctx)
+    _report, summary, bounds = analyze_program(case.program,
+                                               diffcase_context(case))
+    return summary, bounds
 
 
 def check_case(case, runner=None, label=None):
@@ -127,6 +124,16 @@ def _dominates(record):
 # -- full-platform checks ------------------------------------------------------
 
 
+def _launch_records(prefix, log):
+    """The records of a runtime recorder's *log*, labelled
+    ``<prefix>:<kernel>``."""
+    return [make_record(f"{prefix}:{launch['kernel']}",
+                        launch["bound_issues"], launch["bound_pages"],
+                        launch["observed_issues"], launch["observed_pages"],
+                        error="" if launch["ok"] else "analysis blocked")
+            for launch in log]
+
+
 def workload_records(names=None, version=None):
     """Run workloads with the runtime recorder; returns (records, all
     verified). A failed output verification poisons the records (a wrong
@@ -141,12 +148,7 @@ def workload_records(names=None, version=None):
         log = context.enable_analysis_log()
         result = get_workload(name).run(context=context, version=version)
         verified = verified and result.verified
-        for launch in log:
-            records.append(make_record(
-                f"workload:{name}:{launch['kernel']}",
-                launch["bound_issues"], launch["bound_pages"],
-                launch["observed_issues"], launch["observed_pages"],
-                error="" if launch["ok"] else "analysis blocked"))
+        records.extend(_launch_records(f"workload:{name}", log))
     return records, verified
 
 
@@ -158,11 +160,7 @@ def slam_records(config="express", version=None):
     context = Context()
     log = context.enable_analysis_log()
     KFusionPipeline(config=config).run_gpu(context=context, version=version)
-    return [make_record(f"slam:{launch['kernel']}",
-                        launch["bound_issues"], launch["bound_pages"],
-                        launch["observed_issues"], launch["observed_pages"],
-                        error="" if launch["ok"] else "analysis blocked")
-            for launch in log]
+    return _launch_records("slam", log)
 
 
 def progen_records(seed, count, runner=None):

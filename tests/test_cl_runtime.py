@@ -192,23 +192,29 @@ class TestLaunch:
 
 
 def _count_gates(monkeypatch):
-    """Calls of the compiler's own gate and of the binary gate, counted
-    where the build looks them up."""
+    """Calls of the binary gate, counted where the build looks it up, and
+    of the program verifier every gate ends in, counted in every module
+    that looks it up (a second gate anywhere would show here)."""
+    import sys
+
     from repro.cl import runtime
-    from repro.clc import compiler
+    from repro.gpu.verify import pipeline
 
-    calls = {"compiler": 0, "binary": 0}
-    compiler_gate, binary_gate = compiler.verify_program, runtime.verify_binary
+    calls = {"verifier": 0, "binary": 0}
+    verifier, binary_gate = pipeline.verify_program, runtime.verify_binary
 
-    def counting_compiler_gate(program, ctx):
-        calls["compiler"] += 1
-        return compiler_gate(program, ctx)
+    def counting_verifier(*args, **kwargs):
+        calls["verifier"] += 1
+        return verifier(*args, **kwargs)
 
     def counting_binary_gate(binary, ctx):
         calls["binary"] += 1
         return binary_gate(binary, ctx)
 
-    monkeypatch.setattr(compiler, "verify_program", counting_compiler_gate)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") \
+                and getattr(module, "verify_program", None) is verifier:
+            monkeypatch.setattr(module, "verify_program", counting_verifier)
     monkeypatch.setattr(runtime, "verify_binary", counting_binary_gate)
     return calls
 
@@ -219,13 +225,14 @@ def _unique(source, tag):
 
 
 class TestBuildTable:
-    def test_both_gates_run_once_per_content(self, monkeypatch):
+    def test_the_gate_runs_once_per_content(self, monkeypatch):
         from repro.slam.kernels import ALL_SOURCES
 
         calls = _count_gates(monkeypatch)
         source = _unique(ALL_SOURCES, "gates-once")
         programs = [Context().build_program(source) for _ in range(2)]
-        assert calls == {"compiler": 9, "binary": 9}
+        # one verification per kernel, the binary gate's
+        assert calls == {"verifier": 9, "binary": 9}
         first, second = programs
         assert first.compiled is second.compiled
         # what a program writes is its own
@@ -233,6 +240,25 @@ class TestBuildTable:
         assert first.build_reports is not second.build_reports
         assert first._uploaded is not second._uploaded
         assert all(report.ok for report in second.build_reports.values())
+
+    def test_the_compiler_runs_no_verifier(self, monkeypatch):
+        from repro.clc import compile_source
+
+        calls = _count_gates(monkeypatch)
+        program = compile_source(_unique(KERNEL, "compile-only"))
+        assert sorted(program.kernels) == ["fill", "with_local"]
+        assert calls == {"verifier": 0, "binary": 0}
+
+    def test_m2s_builds_through_the_gate(self, monkeypatch):
+        from repro.baselines.m2s_runtime import M2SContext
+
+        calls = _count_gates(monkeypatch)
+        source = _unique(KERNEL, "m2s-gate")
+        m2s = M2SContext().build_program(source)
+        assert calls == {"verifier": 2, "binary": 2}
+        # one build table: the platform's build of the content is a hit
+        assert Context().build_program(source).compiled is m2s.compiled
+        assert calls == {"verifier": 2, "binary": 2}
 
     def test_stored_programs_are_never_written(self, monkeypatch):
         """The kernels the table hands to every tenant and platform still
@@ -275,9 +301,16 @@ class TestBuildTable:
         were damaged between compiler and driver): ``CLError`` on every
         attempt, nothing kept — and the intact build still passes."""
         from repro.cl import runtime
+        from repro.clc import compiler
         from repro.clc.compiler import build_key
 
         source = _unique(KERNEL, "rejected")
+        compiles = []
+        compile_kernel = compiler.compile_kernel
+        monkeypatch.setattr(
+            compiler, "compile_kernel",
+            lambda ast, options: compiles.append(ast.name)
+            or compile_kernel(ast, options))
         gate = runtime.verify_binary
         calls = _count_gates(monkeypatch)
         monkeypatch.setattr(
@@ -291,7 +324,8 @@ class TestBuildTable:
         assert Context().build_program(source).kernel_names \
             == ["fill", "with_local"]
         # the compile was kept from the first attempt, the verdict was not
-        assert calls["compiler"] == 2
+        assert compiles == ["fill", "with_local"]
+        assert calls["verifier"] == 2
 
     def test_a_failing_compile_fails_every_time(self):
         from repro.clc import compiler

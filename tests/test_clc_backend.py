@@ -327,7 +327,7 @@ class TestProgramTable:
             # the preprocessor substitutes in the order given
             compile_source(self.SOURCE, defines={"B": 2, "A": 1}),
             compile_source(self.SOURCE, "5.6", {"A": 1, "B": 2}),
-            compile_source(self.SOURCE, CompilerOptions(verify=False),
+            compile_source(self.SOURCE, CompilerOptions(dce=False),
                            {"A": 1, "B": 2}),
             compile_source(self.SOURCE + "\n", defines={"A": 1, "B": 2}),
         ]

@@ -260,7 +260,7 @@ def test_lint_json_schema(kernel_file, capsys):
 
 
 def test_disasm_cost_annotations(loop_file, capsys):
-    assert main(["disasm", loop_file, "--cost"]) == 0
+    assert main(["analyze", loop_file, "--disasm"]) == 0
     out = capsys.readouterr().out
     assert "[cost]" in out
     assert "back edge" in out

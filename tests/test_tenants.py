@@ -11,7 +11,7 @@ the recovery ladder all the way to a GPU reset.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cl import CommandQueue, Context
@@ -214,59 +214,55 @@ _OPS = st.lists(
     min_size=1, max_size=60)
 
 
+def _dispatch(arbiter):
+    """``arbiter.next_job()``, checked against the arbiter's documented
+    guarantee: while any queue head is over the starvation bound, the
+    over-bound head with the oldest claim is served — a starved head
+    yields only to older claims."""
+    over_bound = [
+        queue[0]
+        for priority_queues in arbiter._queues.values()
+        for queue in priority_queues.values()
+        if queue and (arbiter.tick + 1 - queue[0].queued_tick
+                      > arbiter.policy.starvation_bound)]
+    job = arbiter.next_job()
+    if job is None:
+        assert arbiter.waiting == 0
+    elif over_bound:
+        assert job is min(over_bound, key=lambda j: (j.queued_tick, j.seq))
+    return job
+
+
 class TestArbiterProperties:
     @given(ops=_OPS)
+    # one FIFO queue: the seventh job waits 7 ticks, over any bound that
+    # counts only the starvation bound and the number of queues
+    @example(ops=[("submit", 0, 1)] * 7)
     @settings(max_examples=120, deadline=None)
     def test_fifo_starvation_and_determinism(self, ops):
-        policy = ArbiterPolicy(starvation_bound=4)
-        arbiter = JobSlotArbiter(policy)
+        arbiter = JobSlotArbiter(ArbiterPolicy(starvation_bound=4))
         submitted, dispatched = [], []
         for op, tenant_id, priority in ops:
             if op == "submit":
                 job = _job(tenant_id, priority)
                 submitted.append(job)
                 arbiter.submit(job)
-            else:
-                over_bound = [
-                    queue[0]
-                    for priority_queues in arbiter._queues.values()
-                    for queue in priority_queues.values()
-                    if queue and (arbiter.tick - queue[0].queued_tick
-                                  > policy.starvation_bound)]
-                job = arbiter.next_job()
-                if job is None:
-                    assert arbiter.waiting == 0
-                    continue
-                if over_bound:
-                    # the starved head with the oldest claim is served
-                    oldest = min(over_bound,
-                                 key=lambda j: (j.queued_tick, j.seq))
-                    assert job is oldest
+            elif (job := _dispatch(arbiter)) is not None:
                 dispatched.append(job)
-        # drain the rest
-        while True:
-            job = arbiter.next_job()
-            if job is None:
-                break
+        # drain the rest, under the same guarantee
+        while (job := _dispatch(arbiter)) is not None:
             dispatched.append(job)
         # every submitted job dispatched exactly once
         assert len(dispatched) == len(submitted)
         assert {id(job) for job in dispatched} == {id(job)
                                                    for job in submitted}
         # per-(priority, tenant) FIFO: dispatch order preserves seq
-        for job_a, job_b in zip(dispatched, dispatched[1:]):
-            pass  # ordering checked per-class below
         order = {}
-        for index, job in enumerate(dispatched):
+        for job in dispatched:
             order.setdefault((job.priority, job.tenant_id),
                              []).append(job.seq)
         for seqs in order.values():
             assert seqs == sorted(seqs)
-        # bounded wait: nobody ever waited more than the bound plus the
-        # width of one full promotion round
-        width = len({(j.priority, j.tenant_id) for j in submitted})
-        for job in dispatched:
-            assert job.wait_ticks <= policy.starvation_bound + width + 1
 
     @given(ops=_OPS)
     @settings(max_examples=60, deadline=None)

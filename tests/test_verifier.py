@@ -396,17 +396,7 @@ class TestBuildGates:
         from repro.clc import compile_source
 
         compiled = compile_source(self.SAXPY).kernel("saxpy")
-        assert compiled.binary  # verify=True by default: no CompileError
-
-    def test_clc_gate_can_be_disabled(self):
-        from dataclasses import replace
-
-        from repro.clc import compile_source
-        from repro.clc.compiler import CompilerOptions
-
-        options = replace(CompilerOptions(), verify=False)
-        compiled = compile_source(self.SAXPY, options=options)
-        assert compiled.kernel("saxpy").binary
+        assert compiled.binary
 
     def test_runtime_gate_stores_reports(self):
         from repro.cl import Context
