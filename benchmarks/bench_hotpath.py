@@ -12,8 +12,8 @@ trajectory to regress against:
   path disabled (``GPUMMU.fast_path_enabled = False``, the scalar seed
   path) and enabled, plus interpreter clauses/sec and loads/sec;
 - **mega**: end-to-end sgemm across the engine tiers — the scalar seed
-  baseline against the JIT and the workgroup-wide megakernel engine —
-  asserting all tiers report bit-identical JobStats;
+  baseline against the workgroup-wide megakernel engine — asserting both
+  report bit-identical JobStats;
 - **mega_launch**: the fixed cost of the mega launch path — microseconds
   per one-workgroup job and per 64-lane workgroup of a 16-workgroup job —
   with the two counts that keep it small: kernel translations built
@@ -174,9 +174,9 @@ def engine_end_to_end(workload, sizes, repeats=3):
     """End-to-end wall-clock per engine tier on one workload.
 
     The scalar seed baseline (interpreter, fast path off) against the
-    JIT and the workgroup-wide megakernel engine. Every tier must report
+    workgroup-wide megakernel engine. Both tiers must report
     bit-identical JobStats — the same guarantee the conformance harness
-    fuzzes — so the speedups are measured on provably equivalent runs.
+    fuzzes — so the speedup is measured on provably equivalent runs.
     """
     get_workload(workload, **sizes).prebuild()
 
@@ -199,17 +199,14 @@ def engine_end_to_end(workload, sizes, repeats=3):
         return best, stats
 
     scalar_seconds, scalar_stats = timed("interpreter", False)
-    jit_seconds, jit_stats = timed("jit", True)
     mega_seconds, mega_stats = timed("mega", True)
-    assert vars(scalar_stats) == vars(jit_stats) == vars(mega_stats), \
+    assert vars(scalar_stats) == vars(mega_stats), \
         "engine tiers diverged on JobStats"
     return {
         "sizes": sizes,
         "repeats": repeats,
         "scalar_seconds": scalar_seconds,
-        "jit_seconds": jit_seconds,
         "mega_seconds": mega_seconds,
-        "jit_speedup": scalar_seconds / jit_seconds,
         "mega_speedup": scalar_seconds / mega_seconds,
         "mega_clauses_per_sec": mega_stats.clauses_executed / mega_seconds,
         "mega_loads_per_sec": mega_stats.main_mem_accesses / mega_seconds,
@@ -459,8 +456,7 @@ def mega_batch(repeats=3):
         megakernel.MegaKernel._run_uniform = run_uniform
         BatchPort._window = window
         QuadWarp.__init__ = init
-    kernels = [mega for (tier, _), (mega, _program)
-               in unit._translations.items() if tier == "mega"]
+    kernels = [mega for mega, _program in unit._translations.values()]
     return {
         "us_per_workgroup_trip": us_per_workgroup_trip,
         "wide_port_calls_one_group_at_a_time":
@@ -694,8 +690,6 @@ def main(argv=None):
     for name, row in report["mega"].items():
         print(f"{name} engines: scalar "
               f"{row['scalar_seconds'] * 1000:.1f} ms, "
-              f"jit {row['jit_seconds'] * 1000:.1f} ms "
-              f"({row['jit_speedup']:.2f}x), "
               f"mega {row['mega_seconds'] * 1000:.1f} ms "
               f"({row['mega_speedup']:.2f}x)")
     launch = report["mega_launch"]

@@ -50,7 +50,6 @@ HEAP_SIZE = 0x4000_0000  # 1 GiB driver heap
 ENGINE_MODES = {
     "interp": ("interpreter", False),
     "fast": ("interpreter", True),
-    "jit": ("jit", True),
     "mega": ("mega", True),
 }
 

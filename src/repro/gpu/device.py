@@ -30,6 +30,10 @@ class GPUConfig:
         tracer: optional instruction tracer (see repro.validate) recording
             every executed instruction's result — the paper's validation
             "instruction tracing mode".
+        engine: ``"mega"`` translates each program to workgroup-wide host
+            code where it can and runs the rest on the quad interpreter;
+            any other name (``"interpreter"``, or the retired clause JIT's
+            ``"jit"``) runs the quad interpreter.
     """
 
     num_shader_cores: int = 8
@@ -37,7 +41,7 @@ class GPUConfig:
     instrument: bool = True
     collect_cfg: bool = False
     tracer: object = None
-    engine: str = "interpreter"  # or "jit" / "mega" (translating engines)
+    engine: str = "interpreter"
 
 
 class GPUDevice(MMIODevice, Stateful):

@@ -143,7 +143,7 @@ class JobManager(Stateful):
         jm.probe("kernel_translations",
                  lambda: sum(unit.translations_built
                              for unit in self._units),
-                 desc="mega + JIT translations built (by this process)",
+                 desc="mega translations built (by this process)",
                  golden=False)
         jm.probe("batches_run",
                  lambda: sum(unit.batches_run for unit in self._units),

@@ -1,6 +1,6 @@
 """Megakernel engine: workgroup-wide structure-of-arrays execution.
 
-The third execution tier. The interpreter and the JIT both schedule one
+The translating execution tier. The interpreter schedules one
 *quad* (4 lanes) at a time, so a 64-thread workgroup pays the Python
 clause-dispatch overhead 16 times per clause. This engine holds the whole
 workgroup's architectural state as a structure of arrays — one contiguous
@@ -57,7 +57,7 @@ The functions take everything of a platform, job or launch from their
 in one bounded process-wide table (:func:`emitted_code`).
 
 The engine punts statically (the compute unit falls back to the
-interpreter/JIT tiers for the whole workgroup) when the program contains
+interpreter for the whole workgroup) when the program contains
 ``ATOM`` (the interpreter serializes atomics warp-by-warp, so a
 workgroup-wide interleaving could not be bit-exact), when CFG collection
 or per-word memory tracing is requested, when the memory port has no wide
@@ -105,7 +105,7 @@ _MAX_STEPS = 1_000_000
 BATCH_LANES = 1024
 
 #: every op the emitter handles; programs using anything else (today:
-#: ATOM) are statically ineligible and run on the quad tiers
+#: ATOM) are statically ineligible and run on the quad interpreter
 SUPPORTED_OPS = frozenset(OPS) | {Op.NOP, Op.LDU, Op.LD, Op.ST, Op.CMP}
 
 

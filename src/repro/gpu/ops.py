@@ -6,7 +6,7 @@ exactly ``arity`` uint32 lane vectors of any (equal) length and returns
 a uint32 lane vector of that length; lane *i* of the result depends only
 on lane *i* of the sources, never on the vector length, the lane
 position or the memory layout of the operands. That property is what
-lets the quad interpreter (4 strided lanes), the clause JIT, the
+lets the quad interpreter (4 strided lanes), the
 workgroup-wide megakernel (16..256 contiguous lanes) and the verifier's
 constant folder (1 lane) share the rows and stay bit-identical;
 ``tests/test_gpu_ops.py`` checks it row by row.

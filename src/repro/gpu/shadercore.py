@@ -92,7 +92,7 @@ class ComputeUnit:
         self.injector = None
         self.watchdog_budget = None
         self._local = None
-        self._translations = {}  # (tier, id(program)) -> (translation, program)
+        self._translations = {}  # id(program) -> (MegaKernel or None, program)
         self.translations_built = 0
         self._job = self._mega = self._quad = None
         self._abandoned = False  # this job has abandoned a batch
@@ -128,73 +128,42 @@ class ComputeUnit:
         or the local slab they were made from)."""
         self._translations.clear()
 
-    def _translation(self, tier, program, build):
-        """The one translation cache of both translated tiers: made once
-        per program, kept across jobs. The key uses ``id()`` for
-        hashability; the entry holds the program itself, so its id
-        cannot be recycled while the key is live. *build* may return
-        None (statically ineligible), which is cached too."""
-        key = (tier, id(program))
-        entry = self._translations.get(key)
-        if entry is None:
-            entry = self._translations[key] = (build(), program)
-            if entry[0] is not None:
-                self.translations_built += 1
-        return entry[0]
-
-    def _translated_tiers(self):
-        """CFG collection and per-word memory tracing need per-issue
-        visibility the translated tiers deliberately avoid, so they
-        demote a job to the interpreter."""
-        return (self.engine in ("jit", "mega")
-                and self.cfg is None and self.tracer is None)
-
-    def _executor(self, program, uniforms, mem):
-        """The quad-tier engine for this job.
-
-        The JIT engine (paper future work, Section VII-A) reports the
-        same JobStats as the interpreter, so instrumentation does not
-        force a fallback; the job's uniforms and counters are rebound
-        to its cached translation.
-        """
-        if not self._translated_tiers():
-            return ClauseInterpreter(
-                program, uniforms, mem, local=self._local, stats=self.stats,
-                cfg=self.cfg, tracer=self.tracer,
-            )
-        from repro.gpu.jit import ClauseJIT
-
-        jit = self._translation(
-            "jit", program,
-            lambda: ClauseJIT(program, uniforms, mem, local=self._local))
-        jit.uniforms = uniforms
-        jit.stats = self.stats
-        return jit
-
     def _mega_executor(self, program, uniforms, mem):
-        """Workgroup-wide (megakernel) engine bound to this job, or None.
+        """Workgroup-wide (megakernel) engine bound to this job, or None
+        — the job then runs on the interpreter.
 
-        Eligibility is static per program and cached with the
-        translation: every op must have an SoA translation (ATOM does
-        not — the interpreter serializes atomics warp by warp, an
+        CFG collection and per-word memory tracing need per-issue
+        visibility the translation deliberately avoids. Eligibility is
+        static per program: every op must have an SoA translation (ATOM
+        does not — the interpreter serializes atomics warp by warp, an
         ordering the workgroup-wide schedule cannot reproduce
         bit-exactly) and the memory port must expose the wide vector API.
-        """
-        if self.engine != "mega" or not self._translated_tiers():
-            return None
-        from repro.gpu.megakernel import (
-            MegaKernel,
-            RegisterFile,
-            mega_supported,
-        )
 
-        if self._register_file is None:
-            self._register_file = RegisterFile()
-        mega = self._translation(
-            "mega", program,
-            lambda: MegaKernel(program, mem, self._local,
-                               self._register_file)
-            if mega_supported(program, mem) else None)
+        The translation is made once per program and kept across jobs,
+        an ineligible verdict (None) too. The key uses ``id()`` for
+        hashability; the entry holds the program itself, so its id
+        cannot be recycled while the key is live.
+        """
+        if self.engine != "mega" or self.cfg is not None \
+                or self.tracer is not None:
+            return None
+        entry = self._translations.get(id(program))
+        if entry is None:
+            from repro.gpu.megakernel import (
+                MegaKernel,
+                RegisterFile,
+                mega_supported,
+            )
+
+            if self._register_file is None:
+                self._register_file = RegisterFile()
+            mega = MegaKernel(program, mem, self._local,
+                              self._register_file) \
+                if mega_supported(program, mem) else None
+            entry = self._translations[id(program)] = (mega, program)
+            if mega is not None:
+                self.translations_built += 1
+        mega = entry[0]
         if mega is not None:
             mega.bind(uniforms)
         return mega
@@ -274,7 +243,9 @@ class ComputeUnit:
         if mega is None:
             interp = self._quad
             if interp is None:
-                interp = self._quad = self._executor(program, uniforms, mem)
+                interp = self._quad = ClauseInterpreter(
+                    program, uniforms, mem, local=self._local,
+                    stats=self.stats, cfg=self.cfg, tracer=self.tracer)
             warps = self._spawn_warps(shape, flat_group)
         if self.stats is not None:
             self.stats.workgroups += 1

@@ -141,7 +141,7 @@ class ClauseInterpreter:
 
     def _flush_clause_stats(self):
         """Apply the deferred per-clause counters to the JobStats
-        (shared with the JIT engine so both produce identical counts)."""
+        (shared with the megakernel so both produce identical counts)."""
         if self._pending_stats:
             apply_clause_stats(self.stats, self.program.clauses,
                                self._pending_stats)

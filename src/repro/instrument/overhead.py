@@ -10,7 +10,7 @@ instrumented, bare, instrumented, ...) so slow host drift hits both
 equally, and the **minimum** over repeats is compared — the minimum is
 the least-noise estimate of the true cost on a timeshared host (the
 classic rule for microbenchmarks). A warmup run per mode is discarded to
-absorb decode caches, JIT translation and allocator warmup.
+absorb decode caches, kernel translation and allocator warmup.
 """
 
 import json

@@ -22,7 +22,7 @@ Stat kinds:
 
 Stats carry a ``golden`` flag: golden stats are architecturally defined
 and must be identical across execution engines (interpreter, fast-path,
-JIT) and stable across runs; non-golden stats are implementation
+megakernel) and stable across runs; non-golden stats are implementation
 diagnostics (TLB hit shapes, decode-cache effectiveness) that legitimately
 vary with the engine. ``dump(golden_only=True)`` is the cross-engine
 conformance surface.

@@ -145,7 +145,7 @@ def apply_clause_stats(stats, clauses, pending):
     scales linearly in issues/lanes, so accumulating ``(issues, lanes)``
     per clause index and multiplying out here is arithmetically identical
     to per-issue additions — at a dict increment per clause instead of ~16
-    attribute additions. Shared by the interpreter and the JIT engine so
+    attribute additions. Shared by the interpreter and the megakernel so
     both produce bit-identical :class:`JobStats`.
     """
     if not pending:

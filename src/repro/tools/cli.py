@@ -832,7 +832,7 @@ def main(argv=None):
                         help="number of programs to generate and run")
     p_conf.add_argument("--engines", default=None, metavar="A+B+...",
                         help="engine subset, e.g. interp+fast+mega+m2s "
-                             "(default: all five)")
+                             "(default: all four)")
     p_conf.add_argument("--replay", default=None, metavar="DIR",
                         help="replay a corpus directory instead of fuzzing "
                              "(open mismatch entries must still mismatch)")

@@ -19,8 +19,8 @@ The paper validates its GPU model two ways:
    testing (see tests/test_validation.py).
 
 Both are cases of one harness: :class:`DifferentialRunner` cross-executes
-a :class:`DiffCase` on any subset of :data:`ENGINES` — the platform's four
-instrumented tiers (interpreter, quad fast path, JIT, megakernel) plus the
+a :class:`DiffCase` on any subset of :data:`ENGINES` — the platform's three
+instrumented tiers (interpreter, quad fast path, megakernel) plus the
 scalar baseline, which keeps its own ALU as the independent oracle — and
 compares registers, memory, counters, golden statistics, CFG, MMU
 behaviour and traces. Beyond the paper, the **conformance subsystem**

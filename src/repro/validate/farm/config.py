@@ -12,7 +12,7 @@ provider (``conformance``, ``corpus``, ``fault``, ``lint``, ``analyze``,
       "max_attempts": 2,
       "sweeps": [
         {"kind": "conformance", "seeds": 2, "budget": 10,
-         "engines": ["interp", "fast", "jit"]},
+         "engines": ["interp", "fast", "mega"]},
         {"kind": "fault", "workloads": ["divergent"],
          "scenarios": ["mmu-transient", "irq-lost"], "seeds": 2},
         {"kind": "lint", "targets": "builtin"},

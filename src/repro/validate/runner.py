@@ -1,19 +1,17 @@
 """N-way differential execution of GPU programs (conformance harness).
 
-Runs one :class:`DiffCase` through up to five independent execution engines
+Runs one :class:`DiffCase` through up to four independent execution engines
 and compares every observable outcome:
 
 - ``interp`` — the quad-warp clause interpreter with the MMU quad fast path
   *disabled* (scalar per-word memory port), fully instrumented. This is the
   reference engine.
 - ``fast``   — the same interpreter with the quad gather/scatter fast path
-  enabled (PR 1's vectorized pipeline), fully instrumented.
-- ``jit``    — the closure-translation JIT engine, instrumented (it must
-  report the same unified counters as the interpreter).
+  enabled (the vectorized memory pipeline), fully instrumented.
 - ``mega``   — the workgroup-wide megakernel engine: one structure-of-arrays
   register file per thread-group, lane-mask divergence, wide MMU
   gather/scatter; instrumented (programs it cannot specialize — atomics —
-  fall back to the JIT tier inside the compute unit).
+  fall back to the interpreter inside the compute unit).
 - ``m2s``    — the scalar Multi2Sim-style baseline: thread-at-a-time, flat
   memory, per-visit re-decode from the encoded binary.
 
@@ -287,8 +285,8 @@ class DifferentialRunner:
         unit_engine, mmu.fast_path_enabled = ENGINE_MODES[engine]
 
         # every ENGINE_MODES tier is instrumented. CFG collection needs
-        # per-issue visibility the JIT's and the megakernel's translated
-        # code avoid, so only the interpreter tiers build it
+        # per-issue visibility the megakernel's translated code avoids,
+        # so only the interpreter tiers build it
         collect_cfg = unit_engine == "interpreter"
         unit = ComputeUnit(0)
         unit.prepare(case.local_bytes, instrument=True,

@@ -1,4 +1,5 @@
-"""Atomic-operation tests across the compiler and all three engines."""
+"""Atomic-operation tests across the compiler and the engines (on mega,
+an ATOM program runs on the interpreter)."""
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ def _context(engine="interpreter"):
     return Context(MobilePlatform(PlatformConfig(gpu=GPUConfig(engine=engine))))
 
 
-@pytest.mark.parametrize("engine", ["interpreter", "jit"])
+@pytest.mark.parametrize("engine", ["interpreter", "mega"])
 class TestAtomicsOnBothEngines:
     def test_histogram(self, engine):
         context = _context(engine)
@@ -104,6 +105,35 @@ class TestAtomicsOnBothEngines:
             chunk = sorted(tickets[g * group:(g + 1) * group].tolist())
             assert chunk == list(range(group))
         np.testing.assert_array_equal(totals, group)
+
+
+def _histogram_on(engine):
+    context = _context(engine)
+    queue = CommandQueue(context)
+    values = np.arange(64, dtype=np.int32)
+    buf_values = context.buffer_from_array(values)
+    buf_bins = context.buffer_from_array(np.zeros(4, dtype=np.int32))
+    kernel = context.build_program(HISTOGRAM).kernel("histogram")
+    kernel.set_args(buf_values, buf_bins, 4)
+    for _ in range(2):
+        queue.enqueue_nd_range(kernel, (64,), (16,))
+    registry = context.platform.stats_registry
+    return (queue.enqueue_read_buffer(buf_bins, np.int32),
+            registry.snapshot(), registry.snapshot(golden_only=True))
+
+
+def test_atomic_program_on_mega_runs_on_the_interpreter():
+    """Mega has no workgroup-wide form of ATOM: such a program is
+    statically ineligible, the verdict is cached like a translation, and
+    every job of it runs on the quad interpreter with identical results
+    and golden statistics."""
+    interp_bins, _, interp_golden = _histogram_on("interpreter")
+    mega_bins, mega, mega_golden = _histogram_on("mega")
+    np.testing.assert_array_equal(mega_bins, [32, 32, 32, 32])
+    np.testing.assert_array_equal(mega_bins, interp_bins)
+    assert mega["gpu.jobmanager.kernel_translations"] == 0
+    assert mega["gpu.jobmanager.batches_run"] == 0
+    assert mega_golden == interp_golden
 
 
 def test_mixed_atomics_semantics():

@@ -100,7 +100,7 @@ class TestDifferentialRunner:
 
     def test_engine_subset(self):
         report = run_conformance(seed=1, budget=3,
-                                 engines=("interp", "jit"))
+                                 engines=("interp", "mega"))
         assert report.ok, "\n".join(report.lines())
 
     def test_unknown_engine_rejected(self):

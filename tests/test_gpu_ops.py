@@ -23,7 +23,6 @@ from repro.gpu.isa import (
     Program,
     Tail,
 )
-from repro.gpu.jit import ClauseJIT
 from repro.gpu.megakernel import (
     SUPPORTED_OPS, MegaKernel, RegisterFile, emitted_code)
 from repro.gpu.shadercore import WorkgroupShape
@@ -320,10 +319,6 @@ def _run_interp(program):
         .run_warp(QuadWarp())
 
 
-def _run_jit(program):
-    ClauseJIT(program, np.zeros(1, np.uint32), mem=None).run_warp(QuadWarp())
-
-
 def _run_mega(program):
     port = types.SimpleNamespace(load_wide_u32=None, store_wide_u32=None)
     kernel = MegaKernel(program, port, None, RegisterFile())
@@ -331,10 +326,10 @@ def _run_mega(program):
     kernel.run_workgroup(WorkgroupShape((4, 1, 1), (4, 1, 1)), 0, None)
 
 
-_ENGINES = [_run_interp, _run_jit, _run_mega]
+_ENGINES = [_run_interp, _run_mega]
 
 
-@pytest.mark.parametrize("run", _ENGINES, ids=["interp", "jit", "mega"])
+@pytest.mark.parametrize("run", _ENGINES, ids=["interp", "mega"])
 @pytest.mark.parametrize("instr", [
     Instruction(Op.FADD, dst=0, srca=1),
     Instruction(Op.FMA, dst=0, srca=1, srcb=CONST_BASE),
@@ -345,7 +340,7 @@ def test_missing_required_source_faults_on_every_engine(run, instr):
         run(_one_slot_program(instr))
 
 
-@pytest.mark.parametrize("run", _ENGINES, ids=["interp", "jit", "mega"])
+@pytest.mark.parametrize("run", _ENGINES, ids=["interp", "mega"])
 def test_bad_source_in_unreachable_clause_is_harmless(run):
     # the fault belongs to the *issue* of the slot, not to translation
     dead = Clause(tuples=[(Instruction(Op.FADD, dst=0, srca=1), NOP_INSTR)],
@@ -359,7 +354,7 @@ _BAD_LDU = Clause(tuples=[(Instruction(Op.LDU, dst=0, imm=7), NOP_INSTR)],
                   tail=Tail.END)
 
 
-@pytest.mark.parametrize("run", _ENGINES, ids=["interp", "jit", "mega"])
+@pytest.mark.parametrize("run", _ENGINES, ids=["interp", "mega"])
 def test_uniform_index_past_the_table_in_unreachable_clause_is_harmless(run):
     # uniforms are bound per job, so the bounds check cannot run at
     # translation: like a bad source, it belongs to the issue of the slot
@@ -368,14 +363,14 @@ def test_uniform_index_past_the_table_in_unreachable_clause_is_harmless(run):
     run(Program(clauses=[live, _BAD_LDU]))
 
 
-@pytest.mark.parametrize("run", _ENGINES, ids=["interp", "jit", "mega"])
+@pytest.mark.parametrize("run", _ENGINES, ids=["interp", "mega"])
 def test_uniform_index_past_the_table_is_a_guest_error(run):
     # the helpers bind a 1-word table; a raw IndexError must not leak
     with pytest.raises(GuestError, match="uniform index 7 out of range"):
         run(Program(clauses=[_BAD_LDU]))
 
 
-@pytest.mark.parametrize("run", _ENGINES, ids=["interp", "jit", "mega"])
+@pytest.mark.parametrize("run", _ENGINES, ids=["interp", "mega"])
 def test_fields_beyond_the_arity_are_never_read(run):
     # FABS reads one source; garbage in srcb/srcc must not be touched
     run(_one_slot_program(Instruction(Op.FABS, dst=0, srca=1, srcb=200,

@@ -70,7 +70,7 @@ class TestJobStats:
 
 class TestApplyClauseStats:
     """The deferred (issues, lanes) accumulation scheme shared by the
-    interpreter and the JIT engine must be arithmetically identical to
+    interpreter and the megakernel must be arithmetically identical to
     per-issue counting."""
 
     def _clause(self):

@@ -87,7 +87,7 @@ def test_mega_divergence_reconvergence_matches_quad_tiers():
         DIVERGE_KERNEL, "diverge", (64,), (16,),
         buffers=[data, np.zeros(64, dtype=np.float32)],
         local_args=[4 * 16], name="mega-diverge")
-    runner = DifferentialRunner(engines=("interp", "fast", "jit", "mega"),
+    runner = DifferentialRunner(engines=("interp", "fast", "mega"),
                                 trace=False)
     _results, mismatches = runner.run_case(case)
     assert not mismatches, "\n".join(str(m) for m in mismatches)
@@ -499,7 +499,7 @@ def _run_diverge_on(context, kernel):
             context.platform.gpu.job_manager.results[-1].stats)
 
 
-@pytest.mark.parametrize("engine", ["mega", "jit"])
+@pytest.mark.parametrize("engine", ["mega"])
 @pytest.mark.parametrize("upset", ["mmu.page", "core.hang", "slice"])
 def test_upset_job_leaves_nothing_on_the_persistent_unit(engine, upset):
     """A job that faults, hangs or is sliced runs on the same unit (and

@@ -2,8 +2,8 @@
 
 Every KFusion-like stage is compiled once and the same binary is executed
 by the clause interpreter (scalar memory port), the quad fast-memory path
-and the JIT; final registers, buffer images and — for the two instrumented
-engines — the full JobStats/divergence CFG must be identical. Stages
+and the megakernel; final registers, buffer images and JobStats must be
+identical, and the divergence CFG on the two interpreter tiers. Stages
 without transcendentals additionally run against the scalar m2s baseline.
 """
 
@@ -13,10 +13,10 @@ import pytest
 from repro.slam import kernels
 from repro.validate import DifferentialRunner, make_kernel_case
 
-QUAD_ENGINES = ("interp", "fast", "jit")
+PLATFORM_ENGINES = ("interp", "fast", "mega")
 # bilateral uses exp(): the vectorized and thread-at-a-time baselines may
 # differ in the last ulp, so m2s joins only the transcendental-free stages
-ALL_ENGINES = ("interp", "fast", "jit", "m2s")
+ALL_ENGINES = ("interp", "fast", "mega", "m2s")
 
 W, H = 16, 8
 
@@ -47,7 +47,7 @@ def test_bilateral_quad_engines():
         kernels.BILATERAL, "bilateral", (W, H), (4, 2),
         [_depth(rng), np.zeros(W * H, dtype=np.float32)],
         scalars=[W, H, np.float32(100.0), np.float32(0.5)])
-    _run(case, QUAD_ENGINES)
+    _run(case, PLATFORM_ENGINES)
 
 
 def test_half_sample_all_engines():
@@ -75,7 +75,7 @@ def test_vertex2normal_quad_engines():
     case = make_kernel_case(
         kernels.VERTEX2NORMAL, "vertex2normal", (W, H), (4, 2),
         [vertex, np.zeros(3 * W * H, dtype=np.float32)], scalars=[W, H])
-    _run(case, QUAD_ENGINES)
+    _run(case, PLATFORM_ENGINES)
 
 
 def test_track_icp_all_engines():
@@ -104,7 +104,7 @@ def test_reduce_sum_all_engines():
     _run(case, ALL_ENGINES)
 
 
-@pytest.mark.parametrize("engines", [QUAD_ENGINES, ALL_ENGINES])
+@pytest.mark.parametrize("engines", [PLATFORM_ENGINES, ALL_ENGINES])
 def test_integrate_volume(engines):
     rng = np.random.default_rng(7)
     vol = 8

@@ -2,7 +2,7 @@
 
 The golden tests are the engine-conformance contract of ISSUE 3: sgemm and
 a warp-divergent kernel must produce *identical* ``dump(golden_only=True)``
-output on the interpreter, the quad fast path and the JIT engine, and the
+output on the interpreter, the quad fast path and the megakernel, and the
 dump must be stable across repeated runs.
 """
 
@@ -177,19 +177,19 @@ class TestGoldenCrossEngine:
     def test_divergent_kernel_identical_across_engines(self):
         interp = _run_divergent("interpreter", fast_path=False)
         fast = _run_divergent("interpreter", fast_path=True)
-        jit = _run_divergent("jit")
+        mega = _run_divergent("mega")
         assert interp == fast
-        assert interp == jit
+        assert interp == mega
         # the workload actually diverged, so the counters mean something
         assert interp["gpu.job.divergent_branches"] > 0
 
     def test_divergent_kernel_stable_across_runs(self):
-        assert _run_divergent("jit") == _run_divergent("jit")
+        assert _run_divergent("mega") == _run_divergent("mega")
 
     def test_sgemm_identical_across_engines(self):
         interp = _run_sgemm("interpreter")
-        jit = _run_sgemm("jit")
-        assert interp == jit
+        mega = _run_sgemm("mega")
+        assert interp == mega
         assert interp["gpu.job.total_instrs"] > 0
         assert interp["cl.runtime.kernels_launched"] >= 1
 

@@ -65,7 +65,7 @@ def test_fuzz_all_ops_agree_between_engines(op, a, b, c):
 @settings(max_examples=4000, deadline=None)
 def test_fuzz_all_ops_agree_on_every_engine(op, a, b, c):
     """The nightly campaign: the same one-clause case on every tier, so the
-    code `jit` and `mega` emit per op is fuzzed per instruction too."""
+    code `mega` emits per op is fuzzed per instruction too."""
     _assert_engines_agree(ENGINES, op, a, b, c)
 
 
@@ -120,13 +120,14 @@ class TestMinMaxDefaultNaN:
         assert [int(x) for x in warp.regs[:, 0]] == [_QNAN] * 4
 
     @pytest.mark.parametrize("op", [Op.FMIN, Op.FMAX])
-    def test_jit_table_is_canonical(self, op):
-        # the JIT (like every engine) executes the shared op-table row
+    def test_op_table_row_is_canonical(self, op):
+        # every engine executes the shared op-table row, mega at a whole
+        # workgroup's (or batch's) width
         from repro.gpu.ops import OPS
 
-        out = OPS[op].fn(np.full(4, _QNAN, np.uint32),
-                         np.full(4, _SNAN, np.uint32))
-        assert list(out) == [_QNAN] * 4
+        out = OPS[op].fn(np.full(64, _QNAN, np.uint32),
+                         np.full(64, _SNAN, np.uint32))
+        assert list(out) == [_QNAN] * 64
 
     def test_quiet_nan_still_loses_to_numbers(self):
         # default-NaN mode only applies to NaN *results*: fmax(x, qNaN)
