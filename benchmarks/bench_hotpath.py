@@ -434,7 +434,7 @@ def mega_batch(repeats=3):
         BatchPort._window = counting_window
         QuadWarp.__init__ = counting_init
         (_, batched), sgemm_merges, _ = counting(sgemm, batch_lanes, **job)
-        (unit,) = batched.gpu.job_manager._units
+        unit = batched.gpu.job_manager.unit
         port_calls = batched.gpu.mmu.wide_accesses
         sgemm_batches = (unit.batches_run, unit.batches_abandoned)
         # more programs on the same unit: bfs at the system benchmark's

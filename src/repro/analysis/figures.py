@@ -179,75 +179,6 @@ def fig09_driver_scaling(sizes=((16, 12), (32, 24), (48, 36), (64, 48))):
     return rows
 
 
-# -- Fig. 10: host-thread scaling --------------------------------------------------------------
-
-
-def fig10_thread_scaling(threads=(1, 2, 4, 8, 16, 32, 64),
-                         workload_names=("SobelFilter", "BinarySearch")):
-    """Host-thread scaling, modelled from the measured serial/parallel
-    split (Amdahl) plus a real-thread-pool correctness run.
-
-    CPython's GIL prevents genuine multi-thread speedup inside one
-    process, so the wall-clock curve is computed from measured quantities:
-    the serial CPU-interaction time and the parallel GPU execution time,
-    with parallelism capped by the number of thread-groups per job. The
-    real thread-pool path is exercised (and verified) at ``threads=4``.
-    """
-    # BinarySearch in the paper's AMD form is an iterative narrow search:
-    # very few threads per short kernel, so there is almost nothing to
-    # spread over host threads (one thread-group per job here)
-    sizes = {"BinarySearch": {"keys": 16}}
-    launch_overhead = _calibrate_launch_overhead()
-    results = {}
-    for name in workload_names:
-        workload = get_workload(name, **sizes.get(name, {}))
-        result = workload.prebuild().run()
-        # serial portion: simulated-CPU driver work + per-job descriptor/
-        # doorbell/IRQ handling (measured, not assumed)
-        serial = result.cpu_seconds + launch_overhead * result.jobs
-        parallel = max(result.total_seconds - serial, 0.0)
-        groups_per_job = max(result.stats.workgroups / max(result.jobs, 1), 1)
-        base = serial + parallel
-        curve = []
-        for t in threads:
-            effective = min(t, groups_per_job)
-            modelled = serial + parallel / effective
-            curve.append({"threads": t, "speedup": base / modelled})
-        # exercise the real virtual-core thread pool and verify outputs
-        config = PlatformConfig(gpu=GPUConfig(num_host_threads=4))
-        pool_context = Context(MobilePlatform(config))
-        pool_result = get_workload(name, **sizes.get(name, {})) \
-            .run(context=pool_context)
-        results[name] = {
-            "curve": curve,
-            "serial_fraction": serial / base if base else 0.0,
-            "threadpool_verified": pool_result.verified,
-        }
-    return results
-
-
-def _calibrate_launch_overhead(launches=30):
-    """Measure the fixed serial cost of one kernel launch: a minimal
-    one-workgroup kernel is launched repeatedly and the average wall time
-    per launch (descriptor build, uniform upload, doorbell, IRQ service)
-    is returned."""
-    source = """
-    __kernel void nopk(__global int* out) {
-        out[get_local_id(0)] = 0;
-    }
-    """
-    context = Context()
-    queue = CommandQueue(context)
-    kernel = context.build_program(source).kernel("nopk")
-    buffer = context.alloc_buffer(64)
-    kernel.set_args(buffer)
-    queue.enqueue_nd_range(kernel, (4,), (4,))  # warm caches
-    start = time.perf_counter()
-    for _ in range(launches):
-        queue.enqueue_nd_range(kernel, (4,), (4,))
-    return (time.perf_counter() - start) / launches
-
-
 # -- Figs. 11-13: program statistics across the suite ----------------------------------------------
 
 

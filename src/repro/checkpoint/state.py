@@ -30,10 +30,10 @@ def deserialize_config(data):
 
     try:
         return PlatformConfig.from_plain(data)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(
-            f"checkpoint config section lacks or mistypes a key — "
-            f"corrupt or hand-edited: {exc!r}") from exc
+            f"checkpoint config section lacks, mistypes or misvalues a "
+            f"key — corrupt or hand-edited: {exc!r}") from exc
 
 
 def capture_state(platform, extra=None):

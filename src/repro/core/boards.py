@@ -45,7 +45,7 @@ def make_platform(board="juno", **gpu_overrides):
     Args:
         board: a :class:`BoardDescription` or a name from :data:`BOARDS`.
         gpu_overrides: extra :class:`GPUConfig` fields (instrument,
-            num_host_threads, engine, ...).
+            engine, ...).
     """
     if isinstance(board, str):
         try:

@@ -151,8 +151,7 @@ class MobilePlatform(Stateful):
         self._register_stats()
 
     @classmethod
-    def for_mode(cls, mode, num_host_threads=1, tenancy=None,
-                 instrument=True):
+    def for_mode(cls, mode, tenancy=None, instrument=True):
         """The platform factory of every campaign: a fresh, not yet
         initialized platform running engine *mode*, one of
         :data:`ENGINE_NAMES`."""
@@ -162,8 +161,7 @@ class MobilePlatform(Stateful):
         engine, fast_path = ENGINE_MODES[
             "fast" if mode == "interpreter" else mode]
         platform = cls(PlatformConfig(
-            gpu=GPUConfig(engine=engine, num_host_threads=num_host_threads,
-                          instrument=instrument),
+            gpu=GPUConfig(engine=engine, instrument=instrument),
             tenancy=tenancy))
         platform.gpu.mmu.fast_path_enabled = fast_path
         return platform

@@ -22,9 +22,11 @@ class GPUConfig:
     """Static GPU configuration.
 
     Attributes:
-        num_shader_cores: modelled physical shader cores (G71 MP8 -> 8).
-        num_host_threads: execution units used by the simulator; more than
-            ``num_shader_cores`` creates virtual cores (Section III-B3).
+        num_shader_cores: modelled physical shader cores (G71 MP8 -> 8),
+            as ``SHADER_PRESENT`` reports them; every job runs on the Job
+            Manager's one execution unit whatever the count.
+        num_host_threads: must be 1; kept because pinned benchmark
+            configurations pass it.
         instrument: collect per-job program-execution statistics.
         collect_cfg: build the divergence CFG (Fig. 6) while executing.
         tracer: optional instruction tracer (see repro.validate) recording
@@ -42,6 +44,11 @@ class GPUConfig:
     collect_cfg: bool = False
     tracer: object = None
     engine: str = "interpreter"
+
+    def __post_init__(self):
+        if self.num_host_threads != 1:
+            raise ValueError(f"num_host_threads={self.num_host_threads!r}: "
+                             "the GPU model runs one execution unit")
 
 
 class GPUDevice(MMIODevice, Stateful):
@@ -62,8 +69,6 @@ class GPUDevice(MMIODevice, Stateful):
         self.mmu = GPUMMU(memory)
         self.job_manager = JobManager(
             self.mmu,
-            num_shader_cores=self.config.num_shader_cores,
-            num_host_threads=self.config.num_host_threads,
             instrument=self.config.instrument,
             collect_cfg=self.config.collect_cfg,
             tracer=self.config.tracer,
@@ -296,7 +301,7 @@ class GPUDevice(MMIODevice, Stateful):
 
     def register_stats(self, scope):
         """Register the GPU hierarchy under *scope* (typically ``gpu``):
-        Table III interaction counters, the Job Manager / per-core warp
+        Table III interaction counters, the Job Manager / core warp
         groups, and the MMU."""
         from repro.instrument.registry import register_mmu_stats
 

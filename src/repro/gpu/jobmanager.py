@@ -9,14 +9,16 @@ The driver writes a job descriptor into GPU-visible memory and rings the
 doorbell register with its GPU VA. The Job Manager parses the descriptor
 *through the GPU MMU* (so descriptor pages count as GPU page traffic),
 decodes the shader binary once (the decode cache of Section III-B3), splits
-the NDRange into thread-groups and maps them onto compute units — optionally
-many more host threads than shader cores (virtual cores, Fig. 10). The units
-persist, so a decoded program is also translated once, and dropped with it.
+the NDRange into thread-groups and runs them on its one compute unit, in
+lockstep batches where the unit's engine can. The unit persists, so a
+decoded program is also translated once, and dropped with it.
+
+The paper maps thread-groups onto host threads (Fig. 10). Under CPython a
+pool of host threads only ever slowed a job down, so the simulator runs
+one unit and spends workgroup independence on vector width instead.
 """
 
 import struct
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,13 +29,12 @@ from repro.errors import (
     JobHang,
     JobPreempted,
     MMUFault,
-    SimError,
     WatchdogTimeout,
 )
 from repro.gpu.encoding import decode_program
 from repro.gpu.shadercore import ComputeUnit, WorkgroupShape
 from repro.instrument.cfg import DivergenceCFG
-from repro.instrument.stats import JobStats, merge_stats
+from repro.instrument.stats import JobStats
 from repro.state import Stateful
 
 JOB_TYPE_COMPUTE = 1
@@ -82,7 +83,6 @@ class JobResult:
     descriptor: JobDescriptor
     stats: JobStats
     cfg: DivergenceCFG
-    host_local_slabs: int
 
 
 class JobManager(Stateful):
@@ -94,13 +94,10 @@ class JobManager(Stateful):
     )
     STATE_CHILDREN = ("total_stats",)
 
-    def __init__(self, mmu, num_shader_cores=8, num_host_threads=1,
-                 instrument=True, collect_cfg=False, tracer=None,
+    def __init__(self, mmu, instrument=True, collect_cfg=False, tracer=None,
                  engine="interpreter", events=None,
                  watchdog_budget=WATCHDOG_ROUND_BUDGET):
         self.mmu = mmu
-        self.num_shader_cores = num_shader_cores
-        self.num_host_threads = num_host_threads
         self.instrument = instrument
         self.collect_cfg = collect_cfg
         self.tracer = tracer
@@ -115,82 +112,63 @@ class JobManager(Stateful):
         self._decode_cache = {}
         self.decode_count = 0
         self.results = []
-        # persist across jobs: local slabs and kernel translations
-        self._units = [
-            ComputeUnit(unit_id=i, virtual=i >= num_shader_cores)
-            for i in range(max(1, num_host_threads))
-        ]
+        # persists across jobs: its local slab and kernel translations
+        self.unit = ComputeUnit()
         # running totals across retired jobs, observed by the StatsRegistry
         self.jobs_retired = 0
         self.total_stats = JobStats()
-        self.core_stats = {
-            unit_id: JobStats()
-            for unit_id in range(max(1, num_host_threads))
-        }
 
     def register_stats(self, gpu_scope):
         """Register Job Manager counters under the GPU's scope: the
-        ``jobmanager`` group, the merged per-``job`` JobStats view, and a
-        ``core<i>.warp`` hierarchy per execution unit."""
+        ``jobmanager`` group, the retired-``job`` JobStats view, and the
+        ``core0.warp`` group of the one execution unit (every job runs
+        there, so it reads the same totals)."""
         from repro.instrument.registry import register_job_stats
 
+        unit = self.unit
         jm = gpu_scope.scope("jobmanager")
         jm.probe("jobs_retired", lambda: self.jobs_retired,
                  desc="compute jobs run to completion")
         jm.probe("descriptor_decodes", lambda: self.decode_count,
                  desc="shader binaries decoded (cache misses)",
                  golden=False)
-        jm.probe("kernel_translations",
-                 lambda: sum(unit.translations_built
-                             for unit in self._units),
+        jm.probe("kernel_translations", lambda: unit.translations_built,
                  desc="mega translations built (by this process)",
                  golden=False)
-        jm.probe("batches_run",
-                 lambda: sum(unit.batches_run for unit in self._units),
+        jm.probe("batches_run", lambda: unit.batches_run,
                  desc="mega lockstep batches of workgroups started",
                  golden=False)
-        jm.probe("batches_abandoned",
-                 lambda: sum(unit.batches_abandoned for unit in self._units),
+        jm.probe("batches_abandoned", lambda: unit.batches_abandoned,
                  desc="lockstep batches abandoned (their groups rerun singly)",
                  golden=False)
         jm.probe("jobs_preempted", lambda: self.jobs_preempted,
                  desc="jobs parked at their JOB_SLICE workgroup budget",
                  golden=False)
         register_job_stats(gpu_scope.scope("job"), lambda: self.total_stats)
-        for unit_id, stats in self.core_stats.items():
-            warp_scope = gpu_scope.scope(f"core{unit_id}.warp")
-            for field_name in ("clauses_executed", "branch_events",
-                               "divergent_branches", "warps_launched",
-                               "threads_launched"):
-                warp_scope.probe(
-                    field_name,
-                    (lambda s=stats, f=field_name: getattr(s, f)))
+        warp_scope = gpu_scope.scope("core0.warp")
+        for field_name in ("clauses_executed", "branch_events",
+                           "divergent_branches", "warps_launched",
+                           "threads_launched"):
+            warp_scope.probe(
+                field_name,
+                (lambda f=field_name: getattr(self.total_stats, f)))
 
     def invalidate_decode_cache(self):
-        """Forget every decoded program, and with it what the units
+        """Forget every decoded program, and with it what the unit
         translated from it."""
         self._decode_cache.clear()
-        for unit in self._units:
-            unit.drop_translations()
+        self.unit.drop_translations()
 
     def get_state(self):
-        state = super().get_state()
-        state["decode_cache_keys"] = [list(key)
-                                      for key in self._decode_cache]
-        state["core_stats"] = [
-            [unit_id, stats.get_state()]
-            for unit_id, stats in sorted(self.core_stats.items())]
-        return state
-
-    def set_state(self, state):
-        """Counters and JobStats only; the decode cache stays cold until
+        """Counters, JobStats and the decode cache's keys. A restore sets
+        the first two; the cache stays cold until
         :meth:`rewarm_decode_cache`, which needs the driver's restored
         page tables. Kernel translations stay cold for good: rebuilding
         one on first use reads no guest memory and moves no counter."""
-        super().set_state(state)
-        for unit_id, stats in state["core_stats"]:
-            # KeyError: a unit this GPU config does not have
-            self.core_stats[unit_id].set_state(stats)
+        state = super().get_state()
+        state["decode_cache_keys"] = [list(key)
+                                      for key in self._decode_cache]
+        return state
 
     def rewarm_decode_cache(self, keys, read_binary):
         """Re-decode the cached kernel binaries named by *keys*.
@@ -331,26 +309,22 @@ class JobManager(Stateful):
             fault.fault_class = ("mmu" if isinstance(exc, MMUFault)
                                  else "descriptor")
             raise fault from exc
-        units = self._units
-        for unit in units:
-            unit.prepare(descriptor.local_mem_size, self.instrument,
-                         self.collect_cfg, tracer=self.tracer,
-                         engine=self.engine, events=events,
-                         injector=self.injector,
-                         watchdog_budget=self.watchdog_budget)
+        unit = self.unit
+        unit.prepare(descriptor.local_mem_size, self.instrument,
+                     self.collect_cfg, tracer=self.tracer,
+                     engine=self.engine, events=events,
+                     injector=self.injector,
+                     watchdog_budget=self.watchdog_budget)
 
         total_groups = shape.total_groups
         sliced = (workgroup_budget is not None
                   and 0 < workgroup_budget < total_groups)
         limit = workgroup_budget if sliced else total_groups
         try:
-            if len(units) == 1:
-                # lockstep batches where the unit's engine runs them
-                for _ in units[0].run_groups(program, uniforms, self.mmu,
-                                             shape, limit):
-                    pass
-            else:
-                self._run_parallel(units, program, uniforms, shape, limit)
+            # lockstep batches where the unit's engine runs them
+            for _ in unit.run_groups(program, uniforms, self.mmu, shape,
+                                     limit):
+                pass
         except MMUFault as exc:
             self.mmu.latch_fault(exc)
             self._fault_instant(exc)
@@ -379,61 +353,9 @@ class JobManager(Stateful):
                                           "total": total_groups})
             raise JobPreempted(limit, total_groups)
 
-        stats = merge_stats(unit.stats for unit in units if unit.stats is not None)
-        cfg = None
-        if self.collect_cfg:
-            cfg = DivergenceCFG()
-            for unit in units:
-                if unit.cfg is not None:
-                    cfg.merge(unit.cfg)
-        host_slabs = sum(1 for unit in units if unit.virtual)
-        result = JobResult(descriptor, stats, cfg, host_slabs)
+        stats = unit.stats if unit.stats is not None else JobStats()
+        result = JobResult(descriptor, stats, unit.cfg)
         self.results.append(result)
         self.jobs_retired += 1
         self.total_stats.merge(stats)
-        for unit in units:
-            if unit.stats is not None and unit.unit_id in self.core_stats:
-                self.core_stats[unit.unit_id].merge(unit.stats)
         return result
-
-    def _run_parallel(self, units, program, uniforms, shape, limit=None):
-        """Map thread-groups onto host threads (the Fig. 10 optimization).
-
-        Fault-safe: the first :class:`~repro.errors.SimError` sets a
-        shared stop flag so sibling workers drain promptly (they finish
-        the workgroup in flight and stop picking up new ones), and the
-        fault that is re-raised is chosen by *flat workgroup id* — not by
-        which host thread lost the race — so identical runs latch an
-        identical fault no matter the ``num_host_threads`` setting.
-        """
-        groups = list(range(shape.total_groups if limit is None else limit))
-        stop = threading.Event()
-        faults = []  # (flat_group, exception), guarded by fault_lock
-        fault_lock = threading.Lock()
-
-        def worker(unit, chunk):
-            for flat_group in chunk:
-                if stop.is_set():
-                    return
-                try:
-                    unit.run_workgroup(program, uniforms, self.mmu, shape,
-                                       flat_group)
-                except SimError as exc:
-                    with fault_lock:
-                        faults.append((flat_group, exc))
-                    stop.set()
-                    return
-
-        chunks = [groups[i::len(units)] for i in range(len(units))]
-        with ThreadPoolExecutor(max_workers=len(units)) as pool:
-            futures = [
-                pool.submit(worker, unit, chunk)
-                for unit, chunk in zip(units, chunks)
-                if chunk
-            ]
-            for future in futures:
-                # non-SimError exceptions (genuine bugs) propagate raw
-                future.result()
-        if faults:
-            faults.sort(key=lambda pair: pair[0])
-            raise faults[0][1]

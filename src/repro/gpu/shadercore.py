@@ -1,16 +1,12 @@
 """Shader-core / compute-unit simulation.
 
-Each :class:`ComputeUnit` executes one thread-group (OpenCL workgroup) at a
+A :class:`ComputeUnit` executes one thread-group (OpenCL workgroup) at a
 time, as the hardware shader cores do. The dispatcher (Section III-B2)
 iterates over the job dimensions, groups threads into quads ("warps") that
-execute in lockstep, and groups warps into thread-groups.
-
-Virtual cores (Section III-B3): the number of execution units is decoupled
-from the number of modelled shader cores. Units beyond the physical core
-count are *virtual*: their workgroup-local storage is allocated by the
-simulator outside the guest system ("the simulator allocates additional
-local memory for each host thread, outwith the guest system"), and local
-accesses are transparently served from it.
+execute in lockstep, and groups warps into thread-groups. The Job Manager
+runs every job on one unit; its workgroup-local storage is a slab the
+simulator allocates outside the guest system, and local accesses are
+served from it.
 
 On the mega tier a unit may take several consecutive thread-groups in
 one call (:meth:`ComputeUnit.run_groups` walks a job that way): they run in
@@ -74,17 +70,16 @@ class WorkgroupShape:
 
 
 class ComputeUnit:
-    """One execution unit (a shader core, or a virtual core).
+    """One execution unit (a shader core).
 
-    Owns its own :class:`~repro.instrument.stats.JobStats` so parallel units
-    never contend; stats are totalled at job completion (Section IV-A).
-    Units outlive jobs and keep their local slab and kernel translations;
-    everything a job can observe is reset by :meth:`prepare`.
+    Counts the running job into its own
+    :class:`~repro.instrument.stats.JobStats`, totalled at job completion
+    (Section IV-A). A unit outlives jobs and keeps its local slab and
+    kernel translations; everything a job can observe is reset by
+    :meth:`prepare`.
     """
 
-    def __init__(self, unit_id, virtual=False):
-        self.unit_id = unit_id
-        self.virtual = virtual
+    def __init__(self):
         self.stats = None
         self.cfg = None
         self.tracer = None
@@ -196,8 +191,8 @@ class ComputeUnit:
     def run_groups(self, program, uniforms, mem, shape, limit):
         """Run flat groups ``[0, limit)`` in order, in as few
         :meth:`run_workgroup` calls as :meth:`batch_groups` allows;
-        yields each call's retired warps. The Job Manager's single-unit
-        loop and the conformance harness's are this one."""
+        yields each call's retired warps. The Job Manager's group loop
+        and the conformance harness's are this one."""
         job = (program, uniforms, mem, shape)
         flat_group = 0
         while flat_group < limit:
@@ -252,7 +247,7 @@ class ComputeUnit:
             self.stats.warps_launched += shape.warps_per_group
             self.stats.threads_launched += shape.threads_per_group
         events = self.events
-        track = f"core{self.unit_id}"
+        track = "core0"
         if events is not None:
             events.begin("workgroup", "gpu", track,
                          args={"group": flat_group,
@@ -309,7 +304,7 @@ class ComputeUnit:
         # counted on the side: an abandoned batch's are dropped
         stats = None if self.stats is None else JobStats()
         events = self.events
-        track = f"core{self.unit_id}"
+        track = "core0"
         if events is not None:
             events.begin("workgroup", "gpu", track,
                          args={"group": flat_group, "groups": count,

@@ -26,7 +26,7 @@ For every (workload, scenario, seed) case the campaign:
    what makes every campaign failure a reproducer).
 
 This module runs **one case** (:func:`run_case`). Sweeping the
-``workloads x scenarios x seeds x engines x threads`` grid, reports and
+``workloads x scenarios x seeds x engines`` grid, reports and
 reproducers are the simulation farm's (sweep kind ``fault``,
 :mod:`repro.validate.farm.providers`): a case is a pure function of its
 coordinates — the plan is regenerated from the seed — so a failing
@@ -155,14 +155,14 @@ def _run_verified(workload, context):
     return outputs, workload.check(outputs, workload.reference(inputs))
 
 
-def _execute(workload_name, engine, num_host_threads, plan=None):
+def _execute(workload_name, engine, plan=None):
     """Run *workload_name* on a fresh platform, optionally under *plan*.
 
     SimErrors are captured (they are legal outcomes of a fault plan);
     anything else propagates — a non-SimError escaping is itself a
     campaign failure, caught and reported by the case runner.
     """
-    platform = MobilePlatform.for_mode(engine, num_host_threads)
+    platform = MobilePlatform.for_mode(engine)
     context = Context(platform)
     injector = None
     if plan is not None:
@@ -190,17 +190,17 @@ class _CleanRun:
     groups: int
 
 
-#: (workload, engine, threads) -> _CleanRun. Clean runs are deterministic,
+#: (workload, engine) -> _CleanRun. Clean runs are deterministic,
 #: so every case this process runs on the same coordinates shares one.
 #: Only the observables are kept (a few KB), never the _Execution: one
 #: retained platform is ~2 MB of a farm worker's peak RSS
 _clean_runs = {}
 
 
-def _clean_run(workload_name, engine, num_host_threads):
-    key = (workload_name, engine, num_host_threads)
+def _clean_run(workload_name, engine):
+    key = (workload_name, engine)
     if key not in _clean_runs:
-        execution = _execute(workload_name, engine, num_host_threads)
+        execution = _execute(workload_name, engine)
         platform = execution.platform
         groups = max((result.stats.workgroups
                       for result in platform.last_job_results()
@@ -256,10 +256,10 @@ def _usable_after(execution, workload_name):
                          execution.context)[1]
 
 
-def _run_grow_case(rng, engine, num_host_threads):
+def _run_grow_case(rng, engine):
     """heap-grow: a kernel sweeps a grow-on-fault buffer; the page-fault
     worker must grow the mapping and the result must be exact."""
-    platform = MobilePlatform.for_mode(engine, num_host_threads)
+    platform = MobilePlatform.for_mode(engine)
     context = Context(platform)
     queue = CommandQueue(context)
     n_pages = 4 + rng.randrange(8)
@@ -285,7 +285,7 @@ def _run_grow_case(rng, engine, num_host_threads):
 
 
 def run_case(workload_name, scenario, seed, engine="interpreter",
-             num_host_threads=1, check_determinism=True):
+             check_determinism=True):
     """Run one campaign case; returns (CaseResult, FaultPlan or None).
 
     *engine* is anything
@@ -297,26 +297,25 @@ def run_case(workload_name, scenario, seed, engine="interpreter",
     if expect == "isolate":
         ok, detail, counters = run_adversarial(
             scenario, seed, victim=workload_name, engine_mode=engine,
-            num_host_threads=num_host_threads,
             check_determinism=check_determinism)
         fired = counters.pop("inject.total", 0)
         return CaseResult(workload_name, scenario, seed, ok, detail,
                           fired=fired, counters=counters), None
 
     if expect == "grow":
-        ok, detail, driver = _run_grow_case(rng, engine, num_host_threads)
+        ok, detail, driver = _run_grow_case(rng, engine)
         counters = {"driver.page_faults": driver.page_faults,
                     "driver.pages_grown": driver.pages_grown}
         return CaseResult(workload_name, scenario, seed, ok, detail,
                           counters=counters), None
 
-    clean = _clean_run(workload_name, engine, num_host_threads)
+    clean = _clean_run(workload_name, engine)
     if clean.failure is not None:
         return CaseResult(workload_name, scenario, seed, False,
                           clean.failure), None
     plan = build_plan(scenario, rng, clean.pages, clean.groups)
 
-    faulted = _execute(workload_name, engine, num_host_threads, plan=plan)
+    faulted = _execute(workload_name, engine, plan=plan)
     fired = faulted.injector.total_fired
     counters = faulted.counters()
     result = CaseResult(workload_name, scenario, seed, True,
@@ -343,8 +342,7 @@ def run_case(workload_name, scenario, seed, engine="interpreter",
             return fail("platform unusable after unrecoverable fault")
 
     if check_determinism:
-        repeat = _execute(workload_name, engine, num_host_threads,
-                          plan=plan)
+        repeat = _execute(workload_name, engine, plan=plan)
         if repeat.counters() != counters:
             return fail(f"non-deterministic counters: {repeat.counters()} "
                         f"!= {counters}")

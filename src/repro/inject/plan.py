@@ -2,17 +2,16 @@
 
 A :class:`FaultPlan` is a list of :class:`FaultSpec` entries, each naming
 one *injection site* and a deterministic trigger. Sites are keyed one of
-two ways, chosen so a plan replays identically across runs and across
-``num_host_threads`` settings:
+two ways, chosen so a plan replays identically across runs and engines:
 
 - **key-keyed** sites fire on a deterministic identifier of the access —
   the GPU-VA page for ``mmu.page``, the flat workgroup id for
-  ``core.hang``. Keys are stable whatever order parallel units reach
-  them in.
+  ``core.hang``. Keys are stable however the engine groups the
+  workgroups it runs.
 - **occurrence-keyed** sites fire on the Nth visit to the site. These
-  sites all sit on the single-threaded driver/submission path
-  (descriptor reads, allocations, IRQ delivery), where visit order is
-  deterministic by construction.
+  sites all sit on the driver/submission path (descriptor reads,
+  allocations, IRQ delivery), where visit order is deterministic by
+  construction.
 
 Plans serialize to/from plain dicts (an attached injector's plan rides
 a platform checkpoint that way). A fault-campaign reproducer does not

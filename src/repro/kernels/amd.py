@@ -14,7 +14,7 @@ from repro.kernels.base import Workload
 class BinarySearch(Workload):
     """Iterative device-side binary search: one bisection step per kernel
     launch, so the workload is short kernels with heavy CPU interaction —
-    exactly why it scales poorly with host threads in Fig. 10."""
+    exactly why the paper's Fig. 10 finds it flat across host threads."""
 
     name = "BinarySearch"
     suite = "AMD APP 2.5"

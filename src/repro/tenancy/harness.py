@@ -135,15 +135,14 @@ def tenancy_config(tenant_plans, arbiter=None):
         arbiter=arbiter)
 
 
-def run_mixed(tenant_plans, engine_mode="fast", num_host_threads=1,
-              active=None, plan=None, seed=0, arbiter=None):
+def run_mixed(tenant_plans, engine_mode="fast", active=None, plan=None,
+              seed=0, arbiter=None):
     """Run one mixed multi-tenant campaign; returns a MixedRunResult.
 
     Args:
         tenant_plans: list of :class:`TenantPlan`, one per tenant.
         engine_mode: anything
             :meth:`~repro.core.platform.MobilePlatform.for_mode` takes.
-        num_host_threads: simulator execution units.
         active: tenant ids that actually run (default: all). Inactive
             tenants still exist — same carve-outs, same VA plan — they
             just never touch the GPU. ``active={v}`` is the solo
@@ -154,7 +153,7 @@ def run_mixed(tenant_plans, engine_mode="fast", num_host_threads=1,
         arbiter: optional :class:`ArbiterPolicy`.
     """
     platform = MobilePlatform.for_mode(
-        engine_mode, num_host_threads=num_host_threads,
+        engine_mode,
         tenancy=tenancy_config(tenant_plans, arbiter=arbiter)).initialize()
     driver = platform.driver
     injector = None
@@ -245,13 +244,12 @@ def run_mixed(tenant_plans, engine_mode="fast", num_host_threads=1,
                           injector=injector, engine_mode=engine_mode)
 
 
-def solo_baseline(tenant_plans, victim, engine_mode="fast",
-                  num_host_threads=1, seed=0, arbiter=None):
+def solo_baseline(tenant_plans, victim, engine_mode="fast", seed=0,
+                  arbiter=None):
     """The isolation reference: the same tenancy shape with only
     *victim* active. Identical carve-out bases and VA layout make its
     record byte-comparable to the mixed run's."""
-    return run_mixed(tenant_plans, engine_mode=engine_mode,
-                     num_host_threads=num_host_threads, active=[victim],
+    return run_mixed(tenant_plans, engine_mode=engine_mode, active=[victim],
                      seed=seed, arbiter=arbiter)
 
 
@@ -285,16 +283,14 @@ def solo_isolation(tenant_plans, multi, seed=0):
     skipped. Returns ``({tenant_id: differences}, skipped tenant ids)``
     (an empty difference list == isolated)."""
     diffs, skipped = {}, []
-    config = multi.platform.config
     for tenant_id in sorted(multi.records):
         record = multi.records[tenant_id]
         if record.preemptions:
             skipped.append(tenant_id)
             continue
-        solo = solo_baseline(tenant_plans, tenant_id,
-                             engine_mode=multi.engine_mode,
-                             num_host_threads=config.gpu.num_host_threads,
-                             seed=seed, arbiter=config.tenancy.arbiter)
+        solo = solo_baseline(
+            tenant_plans, tenant_id, engine_mode=multi.engine_mode,
+            seed=seed, arbiter=multi.platform.config.tenancy.arbiter)
         diffs[tenant_id] = check_isolation(record, solo.records[tenant_id])
     return diffs, skipped
 
@@ -356,7 +352,7 @@ def _adversarial_plans(scenario, victim="sgemm"):
 
 
 def _adversarial_plan(scenario, rng, tenant_plans, attacker_id,
-                      engine_mode, num_host_threads, seed):
+                      engine_mode, seed):
     """Derive the attacker-scoped fault plan (None for pure-OOB)."""
     if scenario == "xtenant-oob":
         return None
@@ -365,7 +361,6 @@ def _adversarial_plan(scenario, rng, tenant_plans, attacker_id,
         # persistent fault on one of them — tagged with the attacker's
         # address space, exactly as the MMU keys its accesses
         probe = run_mixed(tenant_plans, engine_mode=engine_mode,
-                          num_host_threads=num_host_threads,
                           active=[attacker_id], seed=seed)
         tagged = sorted(
             page for page in probe.platform.gpu.mmu.pages_accessed
@@ -386,7 +381,7 @@ def _adversarial_plan(scenario, rng, tenant_plans, attacker_id,
 
 
 def run_adversarial(scenario, seed, victim="sgemm", engine_mode="fast",
-                    num_host_threads=1, check_determinism=False):
+                    check_determinism=False):
     """One attacker-vs-victim case; returns ``(ok, detail, counters)``.
 
     The victim's mixed-run record must match its solo baseline in
@@ -405,13 +400,11 @@ def run_adversarial(scenario, seed, victim="sgemm", engine_mode="fast",
     tenant_plans = _adversarial_plans(scenario, victim=victim)
     victim_id, attacker_id = 0, 1
     plan = _adversarial_plan(scenario, rng, tenant_plans, attacker_id,
-                             engine_mode, num_host_threads, seed)
+                             engine_mode, seed)
 
-    solo = solo_baseline(tenant_plans, victim_id,
-                         engine_mode=engine_mode,
-                         num_host_threads=num_host_threads, seed=seed)
-    multi = run_mixed(tenant_plans, engine_mode=engine_mode,
-                      num_host_threads=num_host_threads, plan=plan,
+    solo = solo_baseline(tenant_plans, victim_id, engine_mode=engine_mode,
+                         seed=seed)
+    multi = run_mixed(tenant_plans, engine_mode=engine_mode, plan=plan,
                       seed=seed)
     counters = multi.counters()
 
@@ -429,8 +422,7 @@ def run_adversarial(scenario, seed, victim="sgemm", engine_mode="fast",
         diffs.append("attacker plan never fired")
 
     if not diffs and check_determinism:
-        repeat = run_mixed(tenant_plans, engine_mode=engine_mode,
-                           num_host_threads=num_host_threads, plan=plan,
+        repeat = run_mixed(tenant_plans, engine_mode=engine_mode, plan=plan,
                            seed=seed)
         if repeat.counters() != counters:
             diffs.append("non-deterministic counters on replay")

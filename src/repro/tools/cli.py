@@ -649,7 +649,6 @@ def _cmd_faultcampaign(options):
         "scenarios": (options.scenarios.split(",") if options.scenarios
                       else None),
         "seeds": options.seeds, "engines": [options.engine],
-        "threads": [options.threads],
         "check_determinism": not options.no_determinism,
     }, verbose=options.verbose)
     failing = [case["id"] for case in cases if case["verdict"] != "pass"]
@@ -667,7 +666,7 @@ def _cmd_tenants(options):
     _config, cases = _run_sweep("tenants", {
         "kind": "tenants", "tenants": [options.tenants],
         "engine_modes": [options.engine], "seeds": [options.seed],
-        "threads": [options.threads], "jobs": options.jobs})
+        "jobs": options.jobs})
     counters = cases[0]["counters"]
     return report_cases(
         "tenants", cases, mode="fairness", engine=options.engine,
@@ -900,8 +899,6 @@ def main(argv=None):
                          help="seeds per (workload, scenario) case")
     p_fault.add_argument("--engine", default="interpreter",
                          choices=ENGINE_NAMES)
-    p_fault.add_argument("--threads", type=int, default=1,
-                         help="num_host_threads for the GPU model")
     p_fault.add_argument("--write-repros", default=None, metavar="DIR",
                          help="write each failing case here as a "
                               "reproducer: its one-case farm config")
@@ -926,8 +923,6 @@ def main(argv=None):
                            help="jobs submitted per tenant")
     p_tenants.add_argument("--engine", default="fast",
                            choices=tuple(ENGINE_MODES))
-    p_tenants.add_argument("--threads", type=int, default=1,
-                           help="num_host_threads for the GPU model")
     p_tenants.add_argument("--seed", type=int, default=0,
                            help="input-data seed")
     p_tenants.set_defaults(func=_cmd_tenants)

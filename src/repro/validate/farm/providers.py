@@ -186,13 +186,18 @@ class CorpusProvider:
 
 class FaultProvider:
     """Seeded fault-injection cases over the recovery invariants: the
-    ``workloads x scenarios x seeds x engines x threads`` grid."""
+    ``workloads x scenarios x seeds x engines`` grid."""
 
     kind = "fault"
 
     def normalize(self, sweep):
         from repro.inject import campaign
 
+        # the GPU model runs one execution unit; the key (and the ids'
+        # /t1) stay only because pinned reports carry them
+        if sweep.get("threads", 1) not in (1, [1]):
+            raise FarmConfigError("fault sweep 'threads' must be 1: the "
+                                  "GPU model runs one execution unit")
         return {
             "kind": self.kind,
             "workloads": _checked(
@@ -204,19 +209,18 @@ class FaultProvider:
             "seeds": _seed_list(sweep.get("seeds", 1)),
             "engines": _checked(sweep.get("engines") or ["interpreter"],
                                 ENGINE_NAMES, "fault engine"),
-            "threads": _int_list(sweep.get("threads", [1]), "threads", 1),
+            "threads": [1],
             "check_determinism": bool(sweep.get("check_determinism",
                                                 False)),
         }
 
     def expand(self, sweep, config):
-        for workload, scenario, seed, engine, threads in product(
+        for workload, scenario, seed, engine in product(
                 sweep["workloads"], sweep["scenarios"], sweep["seeds"],
-                sweep["engines"], sweep["threads"]):
-            yield (f"fault/{workload}/{scenario}/s{seed}/{engine}"
-                   f"/t{threads}"), {
+                sweep["engines"]):
+            yield f"fault/{workload}/{scenario}/s{seed}/{engine}/t1", {
                 "workload": workload, "scenario": scenario, "seed": seed,
-                "engine": engine, "num_host_threads": threads,
+                "engine": engine,
                 "check_determinism": sweep["check_determinism"]}
 
     def execute(self, spec, artifact_dir):
@@ -226,7 +230,6 @@ class FaultProvider:
             case, _plan = run_case(
                 spec["workload"], spec["scenario"], spec["seed"],
                 engine=spec["engine"],
-                num_host_threads=spec["num_host_threads"],
                 check_determinism=spec["check_determinism"])
         except Exception as exc:  # invariant: nothing escapes raw
             case = CaseResult(
@@ -252,7 +255,6 @@ class FaultProvider:
                 "scenarios": [spec["scenario"]],
                 "seeds": [spec["seed"]],
                 "engines": [spec["engine"]],
-                "threads": [spec["num_host_threads"]],
                 "check_determinism": spec["check_determinism"],
             }],
         }
@@ -385,9 +387,9 @@ class BenchProvider:
 
 class TenantsProvider:
     """Mixed multi-tenant fairness campaigns: N client contexts over one
-    GPU, one case per ``tenants x engine_modes x seeds x threads`` grid
-    point, every tenant's outputs verified, every tenant the arbiter did
-    not preempt checked against its solo run (any difference fails the
+    GPU, one case per ``tenants x engine_modes x seeds`` grid point,
+    every tenant's outputs verified, every tenant the arbiter did not
+    preempt checked against its solo run (any difference fails the
     case), the fairness report captured as an artifact and a
     golden-stats fingerprint in the counters (so a sweep over engine
     modes or worker counts proves per-tenant golden stats invariant
@@ -402,25 +404,22 @@ class TenantsProvider:
             "engine_modes": _checked(sweep.get("engine_modes") or ["fast"],
                                      ENGINE_MODES, "engine mode"),
             "seeds": _seed_list(sweep.get("seeds", 1)),
-            "threads": _int_list(sweep.get("threads", [1]), "threads", 1),
             "jobs": _positive_int(sweep, "jobs", 2),
         }
 
     def expand(self, sweep, config):
-        for count, mode, seed, threads in product(
-                sweep["tenants"], sweep["engine_modes"], sweep["seeds"],
-                sweep["threads"]):
-            yield f"tenants/n{count}/{mode}/s{seed}/t{threads}", {
+        for count, mode, seed in product(
+                sweep["tenants"], sweep["engine_modes"], sweep["seeds"]):
+            yield f"tenants/n{count}/{mode}/s{seed}", {
                 "tenants": count, "engine_mode": mode, "seed": seed,
-                "num_host_threads": threads, "jobs": sweep["jobs"]}
+                "jobs": sweep["jobs"]}
 
     def execute(self, spec, artifact_dir):
         from repro.tenancy import harness
 
         plans = harness.default_plans(spec["tenants"], jobs=spec["jobs"])
-        result = harness.run_mixed(
-            plans, engine_mode=spec["engine_mode"],
-            num_host_threads=spec["num_host_threads"], seed=spec["seed"])
+        result = harness.run_mixed(plans, engine_mode=spec["engine_mode"],
+                                   seed=spec["seed"])
         problems = [
             f"tenant{record.tenant_id}: "
             f"{'; '.join(record.errors) or 'verification failed'}"

@@ -97,6 +97,11 @@ def worker_main(worker_index, task_queue, result_queue, outdir,
             result_queue.put(("start", worker_index, task.shard_id,
                               task.attempt, case["id"]))
             if case["id"] == chaos.get("kill_case") and task.attempt == 0:
+                # let the feeder thread finish writing "start" first: a
+                # kill mid-write leaves a torn message in the pipe, and
+                # the manager's reader stalls on it
+                result_queue.close()
+                result_queue.join_thread()
                 os._exit(137)
             outcome = execute_case(case, outdir)
             result_queue.put(("done", worker_index, task.shard_id,

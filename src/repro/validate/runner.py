@@ -288,7 +288,7 @@ class DifferentialRunner:
         # per-issue visibility the megakernel's translated code avoids,
         # so only the interpreter tiers build it
         collect_cfg = unit_engine == "interpreter"
-        unit = ComputeUnit(0)
+        unit = ComputeUnit()
         unit.prepare(case.local_bytes, instrument=True,
                      collect_cfg=collect_cfg, tracer=tracer,
                      engine=unit_engine)

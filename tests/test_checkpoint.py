@@ -326,6 +326,21 @@ def test_version_skew_fails_closed(saved_checkpoint, tmp_path):
         restore_checkpoint(directory)
 
 
+def test_version_2_layout_fails_closed(saved_checkpoint, tmp_path):
+    """Version 2 saved a per-unit ``core_stats`` table the Job Manager
+    no longer has: its manifest is refused before any state is read."""
+    directory = _copy_checkpoint(saved_checkpoint, tmp_path / "v2")
+    path = os.path.join(directory, MANIFEST_FILE)
+    with open(path) as handle:
+        manifest = json.load(handle)
+    manifest["checkpoint_version"] = 2
+    with open(path, "w") as handle:
+        json.dump(manifest, handle)
+    with pytest.raises(CheckpointError,
+                       match="unsupported checkpoint version 2 .*version 3"):
+        restore_checkpoint(directory)
+
+
 def test_tampered_golden_manifest_fails_closed(saved_checkpoint,
                                                tmp_path):
     """Even a self-consistent edit of the sealed golden snapshot is
@@ -364,14 +379,18 @@ def _gpu_section_not_a_mapping(config):
     config["gpu"] = "mega"
 
 
+def _two_host_threads(config):
+    config["gpu"]["num_host_threads"] = 2
+
+
 @pytest.mark.parametrize("edit", [
     _drop_config_key, _mistype_config_key, _mistype_gpu_key,
-    _drop_tenancy_key, _gpu_section_not_a_mapping])
+    _drop_tenancy_key, _gpu_section_not_a_mapping, _two_host_threads])
 def test_hand_edited_config_section_fails_closed(saved_checkpoint, tmp_path,
                                                  edit):
-    """A digest-valid checkpoint whose *config* section lacks or
-    mistypes a key: the error is a CheckpointError, not the KeyError /
-    TypeError the config constructors raise."""
+    """A digest-valid checkpoint whose *config* section lacks, mistypes
+    or misvalues a key: the error is a CheckpointError, not the KeyError
+    / TypeError / ValueError the config constructors raise."""
     from repro.checkpoint import (
         load_checkpoint_dir,
         state_to_bytes,

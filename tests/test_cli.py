@@ -308,7 +308,6 @@ USAGE_ERRORS = {
     "bench-param-name": ["bench", "sgemm", "--param", "zzz=3"],
     "conformance-engine": ["conformance", "--engines", "nosuch"],
     "tenants-jobs": ["tenants", "--tenants", "2", "--jobs", "0"],
-    "tenants-threads": ["tenants", "--tenants", "2", "--threads", "0"],
 }
 
 

@@ -167,6 +167,43 @@ class TestJobSubmission:
         assert platform.gpu.job_manager.decode_count == decode_before + 1
 
 
+class TestOneExecutionUnit:
+    def test_gpu_config_takes_one_host_thread_only(self):
+        from repro.gpu.device import GPUConfig
+
+        assert GPUConfig(num_host_threads=1).num_host_threads == 1
+        with pytest.raises(ValueError, match="one execution unit"):
+            GPUConfig(num_host_threads=2)
+
+    @pytest.mark.parametrize("engine", ["interpreter", "mega"])
+    def test_core0_warp_counters_are_the_job_totals(self, engine):
+        from repro.cl import CommandQueue, Context
+        from repro.core.platform import PlatformConfig
+        from repro.gpu.device import GPUConfig
+
+        context = Context(MobilePlatform(PlatformConfig(
+            gpu=GPUConfig(engine=engine))))
+        queue = CommandQueue(context)
+        kernel = context.build_program("""
+        __kernel void k(__global int* out) {
+            int i = get_global_id(0);
+            if (i % 3 == 0) { out[i] = i * 2; } else { out[i] = i; }
+        }""").kernel("k")
+        buffer = context.alloc_buffer(64 * 4)
+        kernel.set_args(buffer)
+        for _ in range(2):
+            queue.enqueue_nd_range(kernel, (64,), (16,))
+        snapshot = context.platform.stats_registry.snapshot()
+        fields = ("clauses_executed", "branch_events", "divergent_branches",
+                  "warps_launched", "threads_launched")
+        assert snapshot["gpu.job.divergent_branches"] > 0
+        assert snapshot["gpu.job.threads_launched"] == 128
+        for field in fields:
+            assert snapshot[f"gpu.core0.warp.{field}"] \
+                == snapshot[f"gpu.job.{field}"], field
+        assert not any(key.startswith("gpu.core1") for key in snapshot)
+
+
 class TestDriverNegativePaths:
     def test_submit_before_initialize_raises(self):
         platform = MobilePlatform()  # not initialized

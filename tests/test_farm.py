@@ -86,6 +86,8 @@ def test_load_config_from_file(tmp_path):
     {"sweeps": [{"kind": "analyze", "targets": ["builtin:nosuch"]}]},
     {"sweeps": [{"kind": "bench", "workloads": ["nn"],
                  "engines": ["warp9"]}]},
+    {"sweeps": [{"kind": "fault", "threads": [4]}]},     # one unit only
+    {"sweeps": [{"kind": "tenants", "threads": 1}]},     # no such key
 ])
 def test_load_config_rejects_bad_documents(document):
     with pytest.raises(FarmConfigError):
@@ -108,18 +110,28 @@ def test_seed_shorthand_expands():
     assert config.sweeps[0]["seeds"] == [0, 1, 2]
 
 
-def test_an_int_of_threads_is_a_thread_count_not_a_seed_count():
-    for kind in ("fault", "tenants"):
-        config = load_config({"sweeps": [{"kind": kind, "threads": 2}]})
-        assert config.sweeps[0]["threads"] == [2]
-        assert all(case["spec"]["num_host_threads"] == 2
-                   and case["id"].endswith("/t2")
+def test_the_fault_sweep_keeps_its_one_thread_key():
+    """Absent, ``1`` and ``[1]`` are one canonical config whose ids keep
+    the ``/t1`` suffix; the tenants sweep has no such key or suffix."""
+    hashes = set()
+    for extra in ({}, {"threads": 1}, {"threads": [1]}):
+        config = load_config({"sweeps": [
+            {"kind": "fault", "workloads": ["sgemm"], **extra}]})
+        assert config.sweeps[0]["threads"] == [1]
+        assert all(case["id"].endswith("/t1")
                    for case in expand_cases(config))
-    # the default and the list form are what they always were
-    assert load_config({"sweeps": [{"kind": "fault"}]}) \
-        .sweeps[0]["threads"] == [1]
-    assert load_config({"sweeps": [{"kind": "fault", "threads": [4, 1]}]}) \
-        .sweeps[0]["threads"] == [1, 4]
+        hashes.add(config.config_hash)
+    assert len(hashes) == 1
+    config = load_config({"sweeps": [{"kind": "tenants"}]})
+    assert "threads" not in config.sweeps[0]
+    assert [case["id"] for case in expand_cases(config)] \
+        == ["tenants/n4/fast/s0"]
+
+
+def test_smoke_config_hash_is_unchanged():
+    assert load_config(os.path.join(
+        os.path.dirname(__file__), "..", "examples", "farm", "smoke.json")) \
+        .config_hash.startswith("ff8b23ed34b1")
 
 
 def test_one_engine_mode_table_and_one_factory():
@@ -130,11 +142,10 @@ def test_one_engine_mode_table_and_one_factory():
     assert tenancy.ENGINE_MODES is harness.ENGINE_MODES \
         is platform.ENGINE_MODES
     for name in platform.ENGINE_NAMES:
-        built = platform.MobilePlatform.for_mode(name, num_host_threads=2)
+        built = platform.MobilePlatform.for_mode(name)
         assert (built.config.gpu.engine, built.gpu.mmu.fast_path_enabled) \
             == platform.ENGINE_MODES[
                 "fast" if name == "interpreter" else name]
-        assert built.config.gpu.num_host_threads == 2
     with pytest.raises(ValueError, match="warp9"):
         platform.MobilePlatform.for_mode("warp9")
 
@@ -446,19 +457,18 @@ def test_fault_reproducer_is_a_farm_config_both_verbs_replay(
 
     repros = tmp_path / "repros"
     sweep = ["faultcampaign", "--workloads", "sgemm", "--scenarios",
-             "irq-lost", "--no-determinism", "--engine", "mega",
-             "--threads", "2"]
+             "irq-lost", "--no-determinism", "--engine", "mega"]
     monkeypatch.setattr(campaign, "run_case", failing)
     assert main(sweep + ["--write-repros", str(repros)]) == 1
     [path] = sorted(repros.iterdir())
     assert path.name == "sgemm--irq-lost--s0.json"
     # the file is nothing but a farm config naming the case
     [case] = expand_cases(load_config(str(path)))
-    assert case["id"] == "fault/sgemm/irq-lost/s0/mega/t2"
+    assert case["id"] == "fault/sgemm/irq-lost/s0/mega/t1"
     capsys.readouterr()
     assert main(["faultcampaign", "--replay", str(repros)]) == 1
     assert _case_lines(capsys.readouterr().out) \
-        == ["fault/sgemm/irq-lost/s0/mega/t2 forced failure"]
+        == ["fault/sgemm/irq-lost/s0/mega/t1 forced failure"]
     assert main(["farm", "run", str(path), "--workers", "1"]) == 1
     assert "forced failure" in capsys.readouterr().out
     monkeypatch.undo()
@@ -473,8 +483,7 @@ def test_fault_reproducer_is_a_farm_config_both_verbs_replay(
 
 _GOOD_REPRODUCER = PROVIDERS["fault"].reproducer({
     "workload": "sgemm", "scenario": "irq-lost", "seed": 0,
-    "engine": "interpreter", "num_host_threads": 1,
-    "check_determinism": False})
+    "engine": "interpreter", "check_determinism": False})
 _GOOD_ENTRY = {"format": 1, "name": "gen", "expect": "match",
                "generator": {"seed": 3, "index": 2}}
 

@@ -12,7 +12,6 @@ from repro.errors import (
     JobFault,
     SimError,
 )
-from repro.gpu.device import GPUConfig
 from repro.inject import FaultInjector, FaultPlan, FaultSpec
 from repro.inject.campaign import SCENARIOS, run_case
 from repro.mem.physical import PAGE_SIZE
@@ -27,10 +26,8 @@ __kernel void fill(__global int* out, int n) {
 """
 
 
-def _fresh_context(num_host_threads=1, engine="interpreter"):
-    config = PlatformConfig(gpu=GPUConfig(
-        num_host_threads=num_host_threads, engine=engine))
-    return Context(MobilePlatform(config))
+def _fresh_context():
+    return Context(MobilePlatform(PlatformConfig()))
 
 
 def _run_fill(context, queue=None, n=256, grow=False):
@@ -150,8 +147,8 @@ class TestGrowOnFault:
 
 
 class TestRecoveryLadder:
-    def _faulted_run(self, plan, **context_kwargs):
-        context = _fresh_context(**context_kwargs)
+    def _faulted_run(self, plan):
+        context = _fresh_context()
         injector = context.platform.attach_injector(FaultInjector(plan))
         got = _run_fill(context)
         return context, injector, got
@@ -225,22 +222,6 @@ class TestRecoveryLadder:
         # the injected failure was transient; the platform keeps working
         assert np.array_equal(_run_fill(context), _expected_fill())
 
-    def test_recovery_is_deterministic_across_host_threads(self):
-        def counters(threads):
-            probe = _fresh_context(num_host_threads=threads)
-            _run_fill(probe)
-            page = max(probe.platform.gpu.mmu.pages_accessed)
-            plan = [FaultSpec("mmu.page", key=page,
-                              params={"access": "w"})]
-            context, injector, got = self._faulted_run(
-                plan, num_host_threads=threads)
-            driver = context.platform.driver
-            return (got.tobytes(), injector.log, driver.retries,
-                    driver.backoff_ticks,
-                    context.platform.gpu.mmu.injected_faults)
-
-        assert counters(1) == counters(4)
-
 
 class TestCLRuntimeFaults:
     def test_unrecoverable_launch_records_errored_event(self):
@@ -287,8 +268,7 @@ class TestCampaign:
         assert case.ok
         [name] = PROVIDERS["fault"].write_reproducer(str(tmp_path), {
             "workload": "divergent", "scenario": "irq-lost", "seed": 0,
-            "engine": "interpreter", "num_host_threads": 1,
-            "check_determinism": False})
+            "engine": "interpreter", "check_determinism": False})
         replayed = run_farm(str(tmp_path / name), workers=0)
         [outcome] = replayed.report["cases"]
         assert replayed.ok, outcome["detail"]

@@ -14,9 +14,10 @@ A failure lists ``file:line`` per offence. Fix it by giving the owning
 class a public accessor (or moving the logic to the owner), not by
 extending :data:`ALLOWED`.
 
-And two import rules: nothing outside ``repro/tools/`` imports
+And three import rules: nothing outside ``repro/tools/`` imports
 ``repro.tools``; and, checked in a fresh interpreter, a run loads NumPy
-and nothing else from outside the standard library.
+and nothing else from outside the standard library, and a kernel launch
+loads no thread pool.
 """
 
 import ast
@@ -182,3 +183,28 @@ def test_a_run_imports_numpy_and_nothing_else():
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
                          check=True, capture_output=True, text=True).stdout
     assert json.loads(out) == ["numpy"]
+
+
+_LAUNCH_PROBE = """
+import sys
+import repro.cl
+context = repro.cl.Context()
+kernel = context.build_program(
+    "__kernel void k(__global int* out) { out[get_global_id(0)] = 1; }"
+).kernel("k")
+buffer = context.alloc_buffer(64)
+kernel.set_args(buffer)
+repro.cl.CommandQueue(context).enqueue_nd_range(kernel, (16,), (16,))
+print("concurrent.futures" in sys.modules)
+"""
+
+
+def test_a_launch_loads_no_thread_pool():
+    """The Job Manager runs a job on one execution unit: nothing on the
+    launch path imports ``concurrent.futures``, which every fresh process
+    would otherwise pay for."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        os.path.dirname(SRC_ROOT), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _LAUNCH_PROBE], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["False"]

@@ -98,7 +98,7 @@ def _observe(monkeypatch, mode, run, one_at_a_time=False):
     image = hashlib.sha256()
     for chunk in platform.memory.dump_pages():  # backed pages, zero or not
         image.update(chunk)
-    unit = platform.gpu.job_manager._units[0]
+    unit = platform.gpu.job_manager.unit
     return {
         "error": error,
         "memory": image.hexdigest(),
@@ -253,7 +253,7 @@ def test_an_abandoned_batch_leaves_no_trace(monkeypatch):
     monkeypatch.setattr(ComputeUnit, "_run_batch", checking)
     batched = _late_conflict(Context(platform))
     assert abandoned == [(0, 8)]
-    unit = platform.gpu.job_manager._units[0]
+    unit = platform.gpu.job_manager.unit
     assert (unit.batches_run, unit.batches_abandoned) == (1, 1)
     reference = _late_conflict(Context(MobilePlatform.for_mode("interpreter")))
     np.testing.assert_array_equal(batched, reference)
@@ -410,7 +410,7 @@ def test_programs_alternating_on_one_register_file_keep_their_constants():
         def store_wide_u32(self, vaddrs, values, lanes=None):
             return None
 
-    unit = ComputeUnit(0)
+    unit = ComputeUnit()
     unit.prepare(64, instrument=False, collect_cfg=False, engine="mega")
     uniforms, mem = np.zeros(4, dtype=np.uint32), Port()
     shapes = {id(wide): WorkgroupShape((64, 1, 1), (64, 1, 1)),

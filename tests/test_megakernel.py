@@ -276,7 +276,7 @@ def test_mega_cache_validates_program_identity():
 
     from repro.gpu.shadercore import ComputeUnit, WorkgroupShape
 
-    unit = ComputeUnit(0)
+    unit = ComputeUnit()
     unit.prepare(64, instrument=False, collect_cfg=False, engine="mega")
     uniforms = np.zeros(1, dtype=np.uint32)
     mem = _WideStub()
@@ -449,7 +449,7 @@ def test_translations_follow_the_decode_cache():
         gpu=GPUConfig(engine="mega"),
         tenancy=TenancyConfig.symmetric(2))).initialize()
     manager = platform.gpu.job_manager
-    unit, = manager._units
+    unit = manager.unit
     data = np.arange(32, dtype=np.float32)
     contexts = [Context(platform, tenant=tenant)
                 for tenant in platform.driver.tenants]
@@ -520,7 +520,7 @@ def test_upset_job_leaves_nothing_on_the_persistent_unit(engine, upset):
     diverge = build(context)
     platform, driver = context.platform, context.platform.driver
     manager = platform.gpu.job_manager
-    units = list(manager._units)
+    unit = manager.unit
     _run_diverge_on(context, diverge)  # translated before the upset
     queue = CommandQueue(context)
     kernel = context.build_program(_FILL_SOURCE).kernel("fill")
@@ -550,34 +550,8 @@ def test_upset_job_leaves_nothing_on_the_persistent_unit(engine, upset):
     np.testing.assert_array_equal(out.view(np.uint32),
                                   fresh_out.view(np.uint32))
     assert stats == fresh_stats
-    assert manager._units == units
+    assert manager.unit is unit
     assert _kernel_translations(context) == translations
-
-
-def test_host_threads_keep_one_cache_per_unit():
-    def run(threads):
-        context = Context(MobilePlatform(PlatformConfig(gpu=GPUConfig(
-            engine="mega", instrument=True, num_host_threads=threads))))
-        kernel = context.build_program(_TENANT_KERNELS[0]).kernel("k")
-        data = np.arange(256, dtype=np.float32)
-        for _ in range(2):
-            np.testing.assert_array_equal(_launch_k(context, kernel, data),
-                                          data * np.float32(3.0))
-        return context
-
-    single, threaded = run(1), run(4)
-    units = threaded.platform.gpu.job_manager._units
-    assert len(units) == 4
-    assert [unit.translations_built for unit in units] == [1, 1, 1, 1]
-    assert _kernel_translations(single) == 1
-
-    def golden(context):
-        # the per-core warp counters split by unit, by construction
-        snapshot = context.platform.stats_registry.snapshot(golden_only=True)
-        return {key: value for key, value in snapshot.items()
-                if not key.startswith("gpu.core")}
-
-    assert golden(single) == golden(threaded)
 
 
 def test_retired_warps_slice_is_a_list_as_on_the_quad_tiers():
@@ -623,7 +597,7 @@ def _unit_run(engine, program, mmu, lanes=4):
     before the fault."""
     from repro.gpu.shadercore import ComputeUnit, WorkgroupShape
 
-    unit = ComputeUnit(0)
+    unit = ComputeUnit()
     unit.prepare(64, instrument=True, collect_cfg=False, engine=engine)
     raised = None
     try:
@@ -1168,7 +1142,7 @@ def _unit_outcome(engine, program, lanes, budget=None):
     and retired."""
     from repro.gpu.shadercore import ComputeUnit, WorkgroupShape
 
-    unit = ComputeUnit(0)
+    unit = ComputeUnit()
     unit.prepare(64, instrument=True, collect_cfg=False, engine=engine,
                  watchdog_budget=budget)
     try:
@@ -1266,7 +1240,7 @@ def test_every_workgroup_starts_from_zeroed_rows():
         + [Instruction(Op.MOV, dst=row, srca=CONST_BASE) for row in stale],
         Tail.END, constants=[0xDEAD]))
     for engine in ("mega", "interpreter"):
-        unit = ComputeUnit(0)
+        unit = ComputeUnit()
         unit.prepare(64, instrument=False, collect_cfg=False, engine=engine)
         shape = WorkgroupShape((24, 1, 1), (8, 1, 1))
         for group in range(3):

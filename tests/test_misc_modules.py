@@ -176,8 +176,7 @@ class TestFigureTimingIsIndependentOfProcessHistory:
         # a cold process: nothing built yet
         monkeypatch.setattr(compiler, "_programs", BoundedTable(64))
         monkeypatch.setattr(runtime, "_builds", BoundedTable(64))
-        timed = {("base.py", "run"), ("figures.py", "run_workload_m2s"),
-                 ("figures.py", "_calibrate_launch_overhead")}
+        timed = {("base.py", "run"), ("figures.py", "run_workload_m2s")}
         builds = {"inside": 0, "outside": 0, "regions": 0}
         running = [False]
         clock = time.perf_counter
@@ -211,16 +210,5 @@ class TestFigureTimingIsIndependentOfProcessHistory:
             builds.update(inside=0, outside=0, regions=0)
             row, = fig08_vs_m2s(("MatrixTranspose",), sizes)
             assert row["verified"]
-            assert builds == {"inside": 0, "outside": expected,
-                              "regions": 3}
-
-    def test_fig10_times_no_build(self, monkeypatch):
-        from repro.analysis.figures import fig10_thread_scaling
-
-        builds = self._builds_by_region(monkeypatch)
-        for expected in (4, 0):  # the calibration kernel and the workload
-            builds.update(inside=0, outside=0, regions=0)
-            results = fig10_thread_scaling((1, 2), ("BinarySearch",))
-            assert results["BinarySearch"]["threadpool_verified"]
             assert builds == {"inside": 0, "outside": expected,
                               "regions": 3}

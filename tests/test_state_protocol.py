@@ -150,13 +150,12 @@ TRANSIENT = {
     "JobManager": {
         "mmu": _WIRING, "injector": _WIRING,
         "events": _OBSERVER, "tracer": _OBSERVER,
-        "num_shader_cores": _CONSTANT, "num_host_threads": _CONSTANT,
         "instrument": _CONSTANT, "collect_cfg": _CONSTANT,
         "engine": _CONSTANT, "watchdog_budget": _CONSTANT,
         "_decode_cache": "keys are saved; rewarm_decode_cache re-decodes "
                          "them through TenantContext.read_va",
         "results": "host-side JobResult handles",
-        "_units": "execution units: local slabs and kernel translations "
+        "unit": "the execution unit: local slab and kernel translations "
                   "(the code mega emits sits in gpu.megakernel's "
                   "process-wide cache, keyed by program bytes: host "
                   "state, found warm or emitted again), " + _CACHE,
@@ -310,7 +309,7 @@ def test_restored_state_equals_saved_state(build, tmp_path):
 
 @pytest.mark.parametrize("config", [
     PlatformConfig(),
-    PlatformConfig(gpu=GPUConfig(engine="mega", num_host_threads=2),
+    PlatformConfig(gpu=GPUConfig(engine="mega"),
                    cpu_engine="interpretive", tenancy=_fg_bg()),
     PlatformConfig(tenancy=TenancyConfig(
         [TenantSpec("a", qos="hi"), TenantSpec("b", qos="lo")],
