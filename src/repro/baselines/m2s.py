@@ -74,10 +74,11 @@ def _is_nan_bits(bits):
 # the commutative operations (FADD, FMUL, FMA): an x86 add/mul keeps its
 # *first* operand's payload, and NumPy's SIMD body and scalar tail present
 # the operands in different orders, so the surviving payload can differ
-# between a 4-lane and a 67-lane issue of the same instruction. That gap
-# is open (ROADMAP item 2 prices closing it); tests/test_gpu_ops.py
-# excludes exactly that operand class. FMIN/FMAX never propagate a
-# payload and are plain scalar code below.
+# between a 4-lane and a 67-lane issue of the same instruction. Which
+# payload survives is unspecified by contract (docs/internals.md section
+# 5, "NaN payloads"); tests/test_gpu_ops.py excludes exactly that operand
+# class. FMIN/FMAX never propagate a payload and are plain scalar code
+# below.
 _NAN_PROPAGATING = {Op.FADD, Op.FSUB, Op.FMUL, Op.FMA}
 _QNAN_BITS = 0x7FC00000  # canonical quiet NaN
 

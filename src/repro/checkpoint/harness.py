@@ -49,7 +49,7 @@ __kernel void sgemm(__global float* c, __global const float* a,
 """
 
 
-def default_spec(engine_mode="fast", tenants=0, steps=2, n=8, seed=7):
+def default_spec(engine_mode="interp", tenants=0, steps=2, n=8, seed=7):
     """A harness spec: plain JSON, the complete description of a run.
 
     ``tenants=0`` is the single-client driver; ``tenants>=2`` configures

@@ -43,19 +43,31 @@ STAGING_SIZE = 0x0400_0000  # 64 MiB staging window
 HEAP_BASE = 0x2000_0000
 HEAP_SIZE = 0x4000_0000  # 1 GiB driver heap
 
-#: engine mode -> (``GPUConfig.engine``, GPU-MMU fast path): the execution
-#: tiers every harness, farm provider and CLI ``choices=`` sweeps. The
-#: scalar-MMU ablation lives only here: it is a knob on the built
-#: platform (``gpu.mmu.fast_path_enabled``), not a ``GPUConfig`` field.
+#: engine mode -> ``GPUConfig.engine``: the execution tiers every
+#: harness, farm provider and CLI ``choices=`` sweeps. ``interp`` runs on
+#: the quad MMU tier; the scalar-MMU ablation is a knob on the built
+#: platform (``gpu.mmu.fast_path_enabled``), not a mode.
 ENGINE_MODES = {
-    "interp": ("interpreter", False),
-    "fast": ("interpreter", True),
-    "mega": ("mega", True),
+    "interp": "interpreter",
+    "mega": "mega",
 }
 
-#: every name :meth:`MobilePlatform.for_mode` takes: the modes, plus
-#: ``GPUConfig.engine``'s own spelling of ``fast``
-ENGINE_NAMES = (*ENGINE_MODES, "interpreter")
+#: other spellings of a mode: ``GPUConfig.engine``'s own, and ``fast``,
+#: which a pinned benchmark config (``benchmarks/e2e/farm_sweep.json``)
+#: still names
+ENGINE_ALIASES = {"interpreter": "interp", "fast": "interp"}
+
+#: every name :func:`resolve_engine` takes
+ENGINE_NAMES = (*ENGINE_MODES, *ENGINE_ALIASES)
+
+
+def resolve_engine(name):
+    """The :data:`ENGINE_MODES` key *name* spells; ``ValueError`` for a
+    name outside :data:`ENGINE_NAMES`."""
+    if name not in ENGINE_NAMES:
+        raise ValueError(f"unknown engine mode {name!r}; "
+                         f"known: {ENGINE_NAMES}")
+    return ENGINE_ALIASES.get(name, name)
 
 
 @dataclass
@@ -155,16 +167,10 @@ class MobilePlatform(Stateful):
         """The platform factory of every campaign: a fresh, not yet
         initialized platform running engine *mode*, one of
         :data:`ENGINE_NAMES`."""
-        if mode not in ENGINE_NAMES:
-            raise ValueError(f"unknown engine mode {mode!r}; "
-                             f"known: {ENGINE_NAMES}")
-        engine, fast_path = ENGINE_MODES[
-            "fast" if mode == "interpreter" else mode]
-        platform = cls(PlatformConfig(
-            gpu=GPUConfig(engine=engine, instrument=instrument),
+        return cls(PlatformConfig(
+            gpu=GPUConfig(engine=ENGINE_MODES[resolve_engine(mode)],
+                          instrument=instrument),
             tenancy=tenancy))
-        platform.gpu.mmu.fast_path_enabled = fast_path
-        return platform
 
     def _register_stats(self):
         registry = self.stats_registry

@@ -93,16 +93,14 @@ class ClauseInterpreter:
         self.stats = stats
         self.cfg = cfg
         self.tracer = tracer
-        # quad-wide memory fast path: available when the memory port
-        # exposes the vector API (the GPU MMU over PhysicalMemory does;
-        # bus-routed or test stub ports fall back to per-word accesses).
-        # Tracing needs per-word visibility, so it pins the scalar path.
+        # quad-wide memory port: the GPU MMU over PhysicalMemory has the
+        # vector API; a port without it (test stubs) declines every quad,
+        # so each goes through the per-lane replay of a declined quad
         self._quad_load = getattr(mem, "load_quad_u32", None)
         self._quad_store = getattr(mem, "store_quad_u32", None)
-        if tracer is not None or self._quad_load is None \
-                or self._quad_store is None:
-            self._quad_load = None
-            self._quad_store = None
+        if self._quad_load is None or self._quad_store is None:
+            self._quad_load = _decline
+            self._quad_store = _decline
         # per-interpreter scratch: uniform broadcasts are materialized
         # once per slot instead of one np.full per issue
         self._uniform_vectors = {}
@@ -296,62 +294,61 @@ class ClauseInterpreter:
 
     def _execute_memory(self, warp, clause, instr, mask, lanes):
         width = instr.mem_width
-        local = instr.mem_is_local
         addrs = self._read(warp, clause, instr.srca, lanes)
-        if self.tracer is None:
-            if local:
-                self._memory_local_quad(warp, clause, instr, addrs, mask,
-                                        lanes, width)
-                return
-            if self._quad_load is not None:
-                self._memory_global_quad(warp, clause, instr, addrs, mask,
-                                         lanes, width)
-                return
-        self._execute_memory_scalar(warp, clause, instr, addrs, mask,
-                                    lanes, width, local)
+        if instr.mem_is_local:
+            self._memory_local_quad(warp, clause, instr, addrs, mask, lanes,
+                                    width)
+        else:
+            self._memory_global_quad(warp, clause, instr, addrs, mask,
+                                     lanes, width)
 
     def _memory_local_quad(self, warp, clause, instr, addrs, mask, lanes,
                            width):
         """Workgroup-local LD/ST as NumPy fancy indexing on the local slab."""
         local = self.local
-        if lanes == WARP_WIDTH:
+        tracer = self.tracer
+        full = lanes == WARP_WIDTH
+        if full:
             indices = addrs >> 2
-            if instr.op is Op.LD:
-                base = instr.dst
-                for element in range(width):
-                    idx = indices if element == 0 else indices + element
-                    warp.regs[:, base + element] = local[idx]
-            else:
-                base = instr.srcb
-                for element in range(width):
-                    values = self._read(warp, clause, base + element, lanes)
-                    idx = indices if element == 0 else indices + element
-                    local[idx] = values.view(np.uint32)
-            return
-        active = np.flatnonzero(mask)
-        indices = (addrs[active].astype(np.int64) >> 2)
+        else:
+            active = np.flatnonzero(mask)
+            indices = addrs[active].astype(np.int64) >> 2
         if instr.op is Op.LD:
             base = instr.dst
             for element in range(width):
-                warp.regs[active, base + element] = local[indices + element]
+                idx = indices if element == 0 else indices + element
+                if full:
+                    warp.regs[:, base + element] = local[idx]
+                else:
+                    warp.regs[active, base + element] = local[idx]
+                if tracer is not None:
+                    tracer.record_quad(warp, mask, instr,
+                                       warp.regs[:, base + element],
+                                       element=element)
         else:
             base = instr.srcb
             for element in range(width):
-                values = self._read(warp, clause, base + element, lanes)
-                local[indices + element] = values.view(np.uint32)[active]
+                values = self._read(warp, clause, base + element,
+                                    lanes).view(np.uint32)
+                idx = indices if element == 0 else indices + element
+                local[idx] = values if full else values[active]
+                if tracer is not None:
+                    tracer.record_quad(warp, mask, instr, values,
+                                       element=element)
 
     def _memory_global_quad(self, warp, clause, instr, addrs, mask, lanes,
                             width):
-        """Global LD/ST through the MMU quad gather/scatter fast path.
+        """Global LD/ST through the MMU quad gather/scatter port.
 
         Lane addresses travel as Python ints (one ``tolist`` per
         instruction) so the MMU's same-page probe stays off the NumPy
         small-array overhead. Each element row tries the coalesced path
-        first; a quad the MMU cannot serve whole (fault, permissions,
-        disabled fast path) is replayed lane-by-lane through the scalar
-        port, which reproduces the exact scalar-mode fault semantics and
-        statistics.
+        first; a quad the port declines (fault, permissions, the scalar
+        ablation, no vector API) is replayed lane-by-lane through the
+        scalar port, which reproduces the exact scalar-mode fault
+        semantics and statistics.
         """
+        tracer = self.tracer
         full = lanes == WARP_WIDTH
         if full:
             active = None
@@ -369,11 +366,15 @@ class ClauseInterpreter:
                     if active is None:
                         active = np.flatnonzero(mask)
                     self._scalar_load_element(warp, addrs, active,
-                                              base + element, element, False)
+                                              base + element, element)
                 elif full:
                     warp.regs[:, base + element] = values
                 else:
                     warp.regs[active, base + element] = values
+                if tracer is not None:
+                    tracer.record_quad(warp, mask, instr,
+                                       warp.regs[:, base + element],
+                                       element=element)
         else:
             base = instr.srcb
             for element in range(width):
@@ -385,57 +386,20 @@ class ClauseInterpreter:
                 if self._quad_store(elem_addrs, lane_values) is None:
                     if active is None:
                         active = np.flatnonzero(mask)
-                    self._scalar_store_element(addrs, active, u32,
-                                               element, False)
+                    self._scalar_store_element(addrs, active, u32, element)
+                if tracer is not None:
+                    tracer.record_quad(warp, mask, instr, u32,
+                                       element=element)
 
-    def _scalar_load_element(self, warp, addrs, active, reg, element, local):
+    def _scalar_load_element(self, warp, addrs, active, reg, element):
         for lane in active:
-            addr = int(addrs[lane]) + 4 * element
-            if local:
-                warp.regs[lane, reg] = self.local[addr >> 2]
-            else:
-                warp.regs[lane, reg] = self.mem.load_u32(addr)
+            warp.regs[lane, reg] = self.mem.load_u32(
+                int(addrs[lane]) + 4 * element)
 
-    def _scalar_store_element(self, addrs, active, values, element, local):
+    def _scalar_store_element(self, addrs, active, values, element):
         for lane in active:
-            addr = int(addrs[lane]) + 4 * element
-            if local:
-                self.local[addr >> 2] = values[lane]
-            else:
-                self.mem.store_u32(addr, int(values[lane]))
-
-    def _execute_memory_scalar(self, warp, clause, instr, addrs, mask,
-                               lanes, width, local):
-        """Reference per-word path (tracer mode / non-vector memory ports)."""
-        lanes_index = np.flatnonzero(mask)
-        if instr.op is Op.LD:
-            base = instr.dst
-            for element in range(width):
-                values = warp.regs[:, base + element].copy()
-                for lane in lanes_index:
-                    addr = int(addrs[lane]) + 4 * element
-                    if local:
-                        values[lane] = self.local[addr >> 2]
-                    else:
-                        values[lane] = self.mem.load_u32(addr)
-                self._write_vector_reg(warp, base + element, values, mask, lanes)
-                if self.tracer is not None:
-                    self.tracer.record_quad(warp, mask, instr, values,
-                                            element=element)
-        else:  # ST
-            base = instr.srcb
-            for element in range(width):
-                values = self._read(warp, clause, base + element, lanes)
-                for lane in lanes_index:
-                    addr = int(addrs[lane]) + 4 * element
-                    if local:
-                        self.local[addr >> 2] = values[lane]
-                    else:
-                        self.mem.store_u32(addr, int(values[lane]))
-                if self.tracer is not None:
-                    self.tracer.record_quad(warp, mask, instr,
-                                            values.view(np.uint32),
-                                            element=element)
+            self.mem.store_u32(int(addrs[lane]) + 4 * element,
+                               int(values[lane]))
 
     def _execute_atomic(self, warp, clause, instr, mask, lanes):
         """Atomic read-modify-write: lanes apply in lane order (the
@@ -462,8 +426,11 @@ class ClauseInterpreter:
         if self.tracer is not None:
             self.tracer.record_quad(warp, mask, instr, old)
 
-    def _write_vector_reg(self, warp, reg, values, mask, lanes):
-        np.copyto(warp.regs[:, reg], values, where=mask)
+
+def _decline(*_args):
+    """The quad call of a port without the vector API: every quad is
+    declined."""
+    return None
 
 
 DivergenceCFGEnd = "END"

@@ -21,10 +21,10 @@ Stat kinds:
   mixes, averages), never stored.
 
 Stats carry a ``golden`` flag: golden stats are architecturally defined
-and must be identical across execution engines (interpreter, fast-path,
-megakernel) and stable across runs; non-golden stats are implementation
+and must be identical across execution engines (interpreter, megakernel)
+and MMU tiers, and stable across runs; non-golden stats are implementation
 diagnostics (TLB hit shapes, decode-cache effectiveness) that legitimately
-vary with the engine. ``dump(golden_only=True)`` is the cross-engine
+vary with the engine or tier. ``dump(golden_only=True)`` is the cross-engine
 conformance surface.
 """
 

@@ -94,7 +94,7 @@ class MixedRunResult:
     platform: object
     records: dict  # tenant_id -> TenantRecord
     injector: object = None
-    engine_mode: str = "fast"
+    engine_mode: str = "interp"
 
     @property
     def driver(self):
@@ -135,7 +135,7 @@ def tenancy_config(tenant_plans, arbiter=None):
         arbiter=arbiter)
 
 
-def run_mixed(tenant_plans, engine_mode="fast", active=None, plan=None,
+def run_mixed(tenant_plans, engine_mode="interp", active=None, plan=None,
               seed=0, arbiter=None):
     """Run one mixed multi-tenant campaign; returns a MixedRunResult.
 
@@ -244,7 +244,7 @@ def run_mixed(tenant_plans, engine_mode="fast", active=None, plan=None,
                           injector=injector, engine_mode=engine_mode)
 
 
-def solo_baseline(tenant_plans, victim, engine_mode="fast", seed=0,
+def solo_baseline(tenant_plans, victim, engine_mode="interp", seed=0,
                   arbiter=None):
     """The isolation reference: the same tenancy shape with only
     *victim* active. Identical carve-out bases and VA layout make its
@@ -380,7 +380,7 @@ def _adversarial_plan(scenario, rng, tenant_plans, attacker_id,
     return FaultPlan([spec], name=scenario)
 
 
-def run_adversarial(scenario, seed, victim="sgemm", engine_mode="fast",
+def run_adversarial(scenario, seed, victim="sgemm", engine_mode="interp",
                     check_determinism=False):
     """One attacker-vs-victim case; returns ``(ok, detail, counters)``.
 

@@ -70,7 +70,7 @@ import sys
 
 import numpy as np
 
-from repro.core.platform import ENGINE_MODES, ENGINE_NAMES
+from repro.core.platform import ENGINE_NAMES
 from repro.errors import SimError, UsageError
 
 
@@ -436,7 +436,7 @@ def _cmd_overhead(options):
     from repro.kernels import get_workload
 
     def run(instrument):
-        context = Context(MobilePlatform.for_mode("fast",
+        context = Context(MobilePlatform.for_mode("interp",
                                                   instrument=instrument))
         workload = get_workload(options.workload)
         workload.run(context=context, verify=False)
@@ -453,6 +453,7 @@ def _cmd_overhead(options):
 
 def _cmd_conformance(options):
     from repro.validate import ENGINES, run_conformance
+    from repro.validate.runner import engine_mode
 
     if options.replay:
         _config, cases = _run_sweep("conformance", {
@@ -463,10 +464,12 @@ def _cmd_conformance(options):
                             mode="replay")
     engines = tuple(options.engines.split("+")) if options.engines \
         else ENGINES
-    unknown = sorted(set(engines) - set(ENGINES))
-    if unknown:
-        raise UsageError(f"unknown engines {unknown}; "
-                         f"known: {'+'.join(ENGINES)}")
+    for engine in engines:
+        try:
+            engine_mode(engine)
+        except ValueError:
+            raise UsageError(f"unknown engine {engine!r}; "
+                             f"known: {'+'.join(ENGINES)}") from None
 
     if options.write_corpus:
         error = _ensure_outdir(options.write_corpus, "conformance")
@@ -684,7 +687,7 @@ _FARM_EXAMPLE = """\
  "timeout_s": 120,
  "max_attempts": 2,
  "sweeps": [
-  {"kind": "conformance", "engines": ["interp", "fast"],
+  {"kind": "conformance", "engines": ["interp", "mega"],
    "seeds": 2, "budget": 5},
   {"kind": "fault", "workloads": ["sgemm"],
    "scenarios": ["irq-lost", "mmu-transient"], "seeds": [0],
@@ -830,8 +833,8 @@ def main(argv=None):
     p_conf.add_argument("--budget", type=int, default=200,
                         help="number of programs to generate and run")
     p_conf.add_argument("--engines", default=None, metavar="A+B+...",
-                        help="engine subset, e.g. interp+fast+mega+m2s "
-                             "(default: all four)")
+                        help="engine subset, e.g. interp+m2s "
+                             "(default: all three, interp+mega+m2s)")
     p_conf.add_argument("--replay", default=None, metavar="DIR",
                         help="replay a corpus directory instead of fuzzing "
                              "(open mismatch entries must still mismatch)")
@@ -921,8 +924,8 @@ def main(argv=None):
                                 "(default: 4, mixed rt/fg/bg classes)")
     p_tenants.add_argument("--jobs", type=int, default=2,
                            help="jobs submitted per tenant")
-    p_tenants.add_argument("--engine", default="fast",
-                           choices=tuple(ENGINE_MODES))
+    p_tenants.add_argument("--engine", default="interp",
+                           choices=ENGINE_NAMES)
     p_tenants.add_argument("--seed", type=int, default=0,
                            help="input-data seed")
     p_tenants.set_defaults(func=_cmd_tenants)

@@ -19,9 +19,9 @@ The paper validates its GPU model two ways:
    testing (see tests/test_validation.py).
 
 Both are cases of one harness: :class:`DifferentialRunner` cross-executes
-a :class:`DiffCase` on any subset of :data:`ENGINES` — the platform's three
-instrumented tiers (interpreter, quad fast path, megakernel) plus the
-scalar baseline, which keeps its own ALU as the independent oracle — and
+a :class:`DiffCase` on any subset of :data:`ENGINES` — the platform's two
+instrumented tiers (the quad interpreter, the megakernel) plus the scalar
+baseline, which keeps its own ALU as the independent oracle — and
 compares registers, memory, counters, golden statistics, CFG, MMU
 behaviour and traces. Beyond the paper, the **conformance subsystem**
 scales the methodology to whole programs: :class:`ProgramGenerator` emits

@@ -29,7 +29,7 @@ import os
 import re
 from itertools import product
 
-from repro.core.platform import ENGINE_MODES, ENGINE_NAMES, MobilePlatform
+from repro.core.platform import ENGINE_MODES, MobilePlatform, resolve_engine
 from repro.gpu.verify import analyze, lint
 from repro.validate.farm.config import FarmConfigError
 
@@ -73,6 +73,18 @@ def _checked(values, known, what):
     return values
 
 
+def _engines(values, resolve, what):
+    """*values* as a list of names *resolve* accepts, spelled as given:
+    case ids and the config hash carry the spelling."""
+    values = list(values)
+    for value in values:
+        try:
+            resolve(value)
+        except ValueError:
+            raise FarmConfigError(f"unknown {what} {value!r}") from None
+    return values
+
+
 def _write_artifact(artifact_dir, name, text):
     """Write one per-case artifact; returns the case's artifact list."""
     from repro.checkpoint.format import atomic_write_text
@@ -97,14 +109,14 @@ class ConformanceProvider:
     kind = "conformance"
 
     def normalize(self, sweep):
-        from repro.validate.runner import ENGINES
+        from repro.validate.runner import ENGINES, engine_mode
 
         return {
             "kind": self.kind,
             "seeds": _seed_list(sweep.get("seeds", 1)),
             "budget": _positive_int(sweep, "budget", 25),
-            "engines": _checked(sweep.get("engines") or ENGINES, ENGINES,
-                                "engine"),
+            "engines": _engines(sweep.get("engines") or ENGINES,
+                                engine_mode, "engine"),
             "minimize": bool(sweep.get("minimize", False)),
             "verify": bool(sweep.get("verify", True)),
         }
@@ -144,14 +156,14 @@ class CorpusProvider:
     kind = "corpus"
 
     def normalize(self, sweep):
-        from repro.validate.runner import ENGINES
+        from repro.validate.runner import engine_mode
 
         directory = sweep.get("dir")
         if not isinstance(directory, str) or not directory:
             raise FarmConfigError("corpus sweep needs a 'dir'")
         engines = sweep.get("engines")
         return {"kind": self.kind, "dir": directory,
-                "engines": (_checked(engines, ENGINES, "engine")
+                "engines": (_engines(engines, engine_mode, "engine")
                             if engines else None)}
 
     def expand(self, sweep, config):
@@ -207,8 +219,8 @@ class FaultProvider:
                 sweep.get("scenarios") or campaign.SCENARIOS,
                 campaign.SCENARIOS, "scenario")),
             "seeds": _seed_list(sweep.get("seeds", 1)),
-            "engines": _checked(sweep.get("engines") or ["interpreter"],
-                                ENGINE_NAMES, "fault engine"),
+            "engines": _engines(sweep.get("engines") or ["interpreter"],
+                                resolve_engine, "fault engine"),
             "threads": [1],
             "check_determinism": bool(sweep.get("check_determinism",
                                                 False)),
@@ -347,8 +359,8 @@ class BenchProvider:
             normalized.append({"name": name,
                                "params": dict(sorted(params.items()))})
         return {"kind": self.kind, "workloads": normalized,
-                "engines": _checked(sweep.get("engines") or ["interpreter"],
-                                    ENGINE_NAMES, "bench engine")}
+                "engines": _engines(sweep.get("engines") or ["interpreter"],
+                                    resolve_engine, "bench engine")}
 
     def expand(self, sweep, config):
         for item in sweep["workloads"]:
@@ -401,8 +413,9 @@ class TenantsProvider:
         return {
             "kind": self.kind,
             "tenants": _int_list(sweep.get("tenants", [4]), "tenants", 1),
-            "engine_modes": _checked(sweep.get("engine_modes") or ["fast"],
-                                     ENGINE_MODES, "engine mode"),
+            "engine_modes": _engines(sweep.get("engine_modes")
+                                     or ["interp"], resolve_engine,
+                                     "engine mode"),
             "seeds": _seed_list(sweep.get("seeds", 1)),
             "jobs": _positive_int(sweep, "jobs", 2),
         }
@@ -516,6 +529,8 @@ class SelftestProvider:
             runner.run_case(generated_case_to_diff(case))  # never returns
             return False, "hang case unexpectedly completed", {}, []
         generated = ProgramGenerator(spec["seed"]).generate()
+        # "fast" runs interp again; it stays because a pinned report
+        # (benchmarks/e2e/farm_sweep.json) carries its fast.* counters
         runner = DifferentialRunner(("interp", "fast"), trace=False)
         ok, detail, counters = run_case_outcome(
             runner, generated_case_to_diff(generated))

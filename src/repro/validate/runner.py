@@ -1,19 +1,19 @@
 """N-way differential execution of GPU programs (conformance harness).
 
-Runs one :class:`DiffCase` through up to four independent execution engines
-and compares every observable outcome:
+Runs one :class:`DiffCase` through up to three independent execution
+engines and compares every observable outcome:
 
-- ``interp`` — the quad-warp clause interpreter with the MMU quad fast path
-  *disabled* (scalar per-word memory port), fully instrumented. This is the
-  reference engine.
-- ``fast``   — the same interpreter with the quad gather/scatter fast path
-  enabled (the vectorized memory pipeline), fully instrumented.
+- ``interp`` — the quad-warp clause interpreter on the MMU quad
+  gather/scatter tier, fully instrumented. This is the reference engine.
 - ``mega``   — the workgroup-wide megakernel engine: one structure-of-arrays
   register file per thread-group, lane-mask divergence, wide MMU
   gather/scatter; instrumented (programs it cannot specialize — atomics —
   fall back to the interpreter inside the compute unit).
 - ``m2s``    — the scalar Multi2Sim-style baseline: thread-at-a-time, flat
   memory, per-visit re-decode from the encoded binary.
+
+The platform spellings of a mode (``interpreter``, ``fast``) run that
+mode; results stay keyed by the name the caller gave.
 
 Compared per engine pair: final registers and clause temporaries of every
 thread, the full memory image of every buffer region, normalized
@@ -24,8 +24,8 @@ divergence CFG and MMU translation behaviour. When both the reference and
 the baseline carry a tracer, retired per-thread instruction streams are
 diffed too.
 
-The quad engines run behind real page tables that map adjacent virtual
-pages to *non-adjacent* physical frames, so the fast path's cross-page
+The platform engines run behind real page tables that map adjacent
+virtual pages to *non-adjacent* physical frames, so the MMU's cross-page
 tiers cannot pass by accident; the m2s baseline places the same data at the
 same virtual addresses in its flat memory. Every engine is handed the same
 uniform image (:mod:`repro.gpu.launch`).
@@ -40,7 +40,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro.core.platform import ENGINE_MODES
+from repro.core.platform import ENGINE_MODES, resolve_engine
 from repro.gpu import launch
 from repro.gpu.isa import NUM_GRF, REG_GLOBAL_ID, Program
 from repro.gpu.encoding import encode_program
@@ -53,6 +53,14 @@ from repro.validate.trace import InstructionTracer, compare_traces
 
 #: the platform's instrumented tiers plus the independent scalar oracle
 ENGINES = (*ENGINE_MODES, "m2s")
+
+
+def engine_mode(engine):
+    """The :data:`ENGINES` member *engine* names: ``m2s``, or the platform
+    mode :func:`~repro.core.platform.resolve_engine` gives; ``ValueError``
+    for any other name."""
+    return engine if engine == "m2s" else resolve_engine(engine)
+
 
 # virtual layout for generated cases (shared with repro.validate.progen)
 VA_IN = 0x0010_0000
@@ -227,14 +235,12 @@ class DifferentialRunner:
     """Executes cases on an engine subset and compares all outcomes."""
 
     def __init__(self, engines=ENGINES, trace=True):
-        for engine in engines:
-            if engine not in ENGINES:
-                raise ValueError(f"unknown engine {engine!r}")
         self.engines = tuple(engines)
+        self.modes = {engine: engine_mode(engine) for engine in engines}
         # instruction tracing needs both the reference interpreter and the
-        # scalar baseline (tracing pins the interpreter's scalar memory
-        # path, which is exactly the "interp" configuration)
-        self.trace = trace and "interp" in engines and "m2s" in engines
+        # scalar baseline
+        self.trace = trace and "interp" in self.modes.values() \
+            and "m2s" in self.modes.values()
 
     # -- engine execution ------------------------------------------------------
 
@@ -242,13 +248,14 @@ class DifferentialRunner:
         """Run *case* on every engine; returns (results dict, mismatches)."""
         results = {}
         for engine in self.engines:
+            mode = self.modes[engine]
             tracer = InstructionTracer() \
-                if self.trace and engine in ("interp", "m2s") else None
+                if self.trace and mode in ("interp", "m2s") else None
             try:
-                if engine in ENGINE_MODES:
-                    results[engine] = self._run_quad(case, engine, tracer)
-                else:
+                if mode == "m2s":
                     results[engine] = self._run_m2s(case, tracer)
+                else:
+                    results[engine] = self._run_quad(case, engine, tracer)
             except Exception as exc:  # noqa: BLE001 - crash is an outcome
                 results[engine] = EngineResult(
                     engine=engine,
@@ -282,11 +289,11 @@ class DifferentialRunner:
         mmu = GPUMMU(phys)
         mmu.set_page_table(builder.root)
         mmu.enabled = True
-        unit_engine, mmu.fast_path_enabled = ENGINE_MODES[engine]
+        unit_engine = ENGINE_MODES[self.modes[engine]]
 
         # every ENGINE_MODES tier is instrumented. CFG collection needs
         # per-issue visibility the megakernel's translated code avoids,
-        # so only the interpreter tiers build it
+        # so only the interpreter builds it
         collect_cfg = unit_engine == "interpreter"
         unit = ComputeUnit()
         unit.prepare(case.local_bytes, instrument=True,

@@ -160,7 +160,7 @@ def test_stress_case_matches_metadata(category):
 
 
 def test_stress_cases_agree_across_engines():
-    runner = DifferentialRunner(("interp", "fast"), trace=False)
+    runner = DifferentialRunner(("interp", "mega"), trace=False)
     for category in sorted(STRESS_CATEGORIES):
         case = generated_case_to_diff(generate_stress_case(7, category))
         _results, mismatches = runner.run_case(case)
@@ -312,7 +312,7 @@ class TestSliceBudgetSeeding:
         assert driver._slice_budget(_pending(cost_hint=100)) == 0
 
 
-@pytest.mark.parametrize("engine_mode", ["fast", "mega"])
+@pytest.mark.parametrize("engine_mode", ["interp", "mega"])
 def test_budget_seeding_invisible_two_tenants(engine_mode):
     """Cost-seeded slices change the schedule, not the observables.
 

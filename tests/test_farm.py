@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.platform import ENGINE_NAMES
 from repro.instrument.registry import (
     StatsRegistry,
     diff_snapshots,
@@ -106,7 +107,7 @@ def test_case_seed_is_a_pure_function_of_hash_and_id():
 def test_seed_shorthand_expands():
     config = load_config({"sweeps": [
         {"kind": "conformance", "seeds": 3, "budget": 1,
-         "engines": ["interp", "fast"]}]})
+         "engines": ["interp", "mega"]}]})
     assert config.sweeps[0]["seeds"] == [0, 1, 2]
 
 
@@ -125,13 +126,13 @@ def test_the_fault_sweep_keeps_its_one_thread_key():
     config = load_config({"sweeps": [{"kind": "tenants"}]})
     assert "threads" not in config.sweeps[0]
     assert [case["id"] for case in expand_cases(config)] \
-        == ["tenants/n4/fast/s0"]
+        == ["tenants/n4/interp/s0"]
 
 
 def test_smoke_config_hash_is_unchanged():
     assert load_config(os.path.join(
         os.path.dirname(__file__), "..", "examples", "farm", "smoke.json")) \
-        .config_hash.startswith("ff8b23ed34b1")
+        .config_hash.startswith("5263c58174d3")
 
 
 def test_one_engine_mode_table_and_one_factory():
@@ -141,13 +142,87 @@ def test_one_engine_mode_table_and_one_factory():
 
     assert tenancy.ENGINE_MODES is harness.ENGINE_MODES \
         is platform.ENGINE_MODES
-    for name in platform.ENGINE_NAMES:
-        built = platform.MobilePlatform.for_mode(name)
-        assert (built.config.gpu.engine, built.gpu.mmu.fast_path_enabled) \
-            == platform.ENGINE_MODES[
-                "fast" if name == "interpreter" else name]
+    assert set(platform.ENGINE_MODES) == {"interp", "mega"}
     with pytest.raises(ValueError, match="warp9"):
         platform.MobilePlatform.for_mode("warp9")
+
+
+_CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
+
+
+def _engine_sweeps(name, corpus=_CORPUS):
+    """One small sweep of every engine-taking kind, each naming *name*."""
+    return [
+        {"kind": "conformance", "engines": [name], "budget": 1},
+        {"kind": "corpus", "dir": corpus, "engines": [name, "m2s"]},
+        {"kind": "fault", "workloads": ["nn"], "scenarios": ["irq-lost"],
+         "seeds": [0], "engines": [name]},
+        {"kind": "bench", "workloads": [{"name": "nn",
+                                         "params": {"records": 64}}],
+         "engines": [name]},
+        {"kind": "tenants", "tenants": [1], "jobs": 1,
+         "engine_modes": [name]},
+    ]
+
+
+@pytest.mark.parametrize("name", ENGINE_NAMES)
+def test_every_engine_name_resolves_at_every_entry_point(name, tmp_path,
+                                                         capsys):
+    """One table and one resolver: each spelling builds its mode's
+    platform (on the quad MMU tier), runs in the differential runner and
+    in every engine-taking sweep kind under the spelling it was given,
+    and is accepted by the CLI's engine options."""
+    import shutil
+
+    from repro.core.platform import (
+        ENGINE_MODES,
+        MobilePlatform,
+        resolve_engine,
+    )
+    from repro.tools.cli import main
+
+    built = MobilePlatform.for_mode(name)
+    assert built.config.gpu.engine == ENGINE_MODES[resolve_engine(name)]
+    assert built.gpu.mmu.fast_path_enabled
+    shutil.copy(os.path.join(_CORPUS, "00-seed0-i3.json"), tmp_path)
+    # the tenants sweep runs below, as the `tenants` verb
+    *sweeps, tenants = _engine_sweeps(name, str(tmp_path))
+    assert [case["id"] for case in expand_cases(load_config(
+        {"sweeps": [tenants]}))] == [f"tenants/n1/{name}/s0"]
+    run = run_farm({"sweeps": sweeps}, workers=0)
+    assert run.ok, run.summary()
+    cases = run.report["cases"]
+    assert [case["kind"] for case in cases] == sorted(
+        ["bench", "conformance", "corpus", "fault"])
+    for case in cases:
+        if case["kind"] == "corpus":
+            assert f"{name}.arith" in case["counters"]
+        else:
+            assert f"/{name}" in case["id"], case["id"]
+    assert main(["conformance", "--engines", f"{name}+m2s",
+                 "--budget", "2"]) == 0
+    assert main(["tenants", "--engine", name, "--tenants", "1",
+                 "--jobs", "1"]) == 0
+    assert f"engine={name} " in capsys.readouterr().out
+
+
+def test_an_unknown_engine_name_is_refused_everywhere():
+    from repro.tools.cli import main
+    from repro.validate import DifferentialRunner
+
+    with pytest.raises(ValueError, match="warp9"):
+        DifferentialRunner(("interp", "warp9"))
+    for sweep in _engine_sweeps("warp9"):
+        with pytest.raises(FarmConfigError, match="warp9"):
+            load_config({"sweeps": [sweep]})
+    for argv in (["conformance", "--engines", "interp+warp9"],
+                 ["conformance", "--replay", _CORPUS, "--engines", "warp9"]):
+        assert main(argv) == 2, argv
+    for argv in (["tenants", "--engine", "warp9"],
+                 ["faultcampaign", "--engine", "warp9"]):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2, argv
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +376,7 @@ def test_fault_and_conformance_cases_run_under_the_farm(tmp_path):
         "sweeps": [
             {"kind": "fault", "workloads": ["sgemm"],
              "scenarios": ["irq-lost"], "seeds": [0]},
-            {"kind": "conformance", "engines": ["interp", "fast"],
+            {"kind": "conformance", "engines": ["interp", "mega"],
              "seeds": 1, "budget": 3},
         ],
     }, workers=2, outdir=str(tmp_path))

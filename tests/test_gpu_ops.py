@@ -72,8 +72,9 @@ _WIDTHS = (4, 16, 67, 256)
 # sees first, and for the *commutative* operations NumPy's SIMD body and
 # its scalar tail present them in different orders — so FADD, FMUL and FMA
 # are not width-independent on that operand class (FSUB cannot be
-# reordered and is). The gap is known and priced in ROADMAP item 2;
-# everything else must be exact.
+# reordered and is). Which payload survives is unspecified by contract
+# (docs/internals.md section 5, "NaN payloads"); everything else must be
+# exact.
 _PAYLOAD_OPS = {Op.FADD, Op.FMUL, Op.FMA}
 
 

@@ -87,8 +87,7 @@ def test_mega_divergence_reconvergence_matches_quad_tiers():
         DIVERGE_KERNEL, "diverge", (64,), (16,),
         buffers=[data, np.zeros(64, dtype=np.float32)],
         local_args=[4 * 16], name="mega-diverge")
-    runner = DifferentialRunner(engines=("interp", "fast", "mega"),
-                                trace=False)
+    runner = DifferentialRunner(engines=("interp", "mega"), trace=False)
     _results, mismatches = runner.run_case(case)
     assert not mismatches, "\n".join(str(m) for m in mismatches)
 

@@ -1,10 +1,9 @@
 """Differential execution of the SLAM pipeline stages (conformance).
 
 Every KFusion-like stage is compiled once and the same binary is executed
-by the clause interpreter (scalar memory port), the quad fast-memory path
-and the megakernel; final registers, buffer images and JobStats must be
-identical, and the divergence CFG on the two interpreter tiers. Stages
-without transcendentals additionally run against the scalar m2s baseline.
+by the clause interpreter and the megakernel; final registers, buffer
+images and JobStats must be identical. Stages without transcendentals
+additionally run against the scalar m2s baseline.
 """
 
 import numpy as np
@@ -13,10 +12,10 @@ import pytest
 from repro.slam import kernels
 from repro.validate import DifferentialRunner, make_kernel_case
 
-PLATFORM_ENGINES = ("interp", "fast", "mega")
+PLATFORM_ENGINES = ("interp", "mega")
 # bilateral uses exp(): the vectorized and thread-at-a-time baselines may
 # differ in the last ulp, so m2s joins only the transcendental-free stages
-ALL_ENGINES = ("interp", "fast", "mega", "m2s")
+ALL_ENGINES = ("interp", "mega", "m2s")
 
 W, H = 16, 8
 

@@ -161,7 +161,7 @@ class TestPreemption:
         plans = [TenantPlan("sgemm", qos="fg", jobs=2),
                  TenantPlan("divergent", qos="bg",
                             params={"n": 8192}, jobs=2)]
-        result = run_mixed(plans, engine_mode="fast", seed=5)
+        result = run_mixed(plans, engine_mode="interp", seed=5)
         background = result.records[1]
         assert background.preemptions >= 1
         assert background.verified and not background.errors
@@ -179,8 +179,8 @@ class TestPreemption:
         plans = [TenantPlan("sgemm", qos="fg", jobs=2),
                  TenantPlan("divergent", qos="bg",
                             params={"n": 8192}, jobs=2)]
-        multi = run_mixed(plans, engine_mode="fast", seed=5)
-        baseline = run_mixed(plans, engine_mode="fast", seed=5,
+        multi = run_mixed(plans, engine_mode="interp", seed=5)
+        baseline = run_mixed(plans, engine_mode="interp", seed=5,
                              active=[1],
                              arbiter=ArbiterPolicy(max_preemptions=0))
         assert multi.records[1].preemptions >= 1
@@ -309,7 +309,9 @@ class TestArbiterProperties:
 
 
 class TestIsolation:
-    @pytest.mark.parametrize("engine_mode", sorted(ENGINE_MODES))
+    # the engine modes, plus the ``fast`` alias a pinned benchmark sweep
+    # still names: isolation must hold under every spelling a run takes
+    @pytest.mark.parametrize("engine_mode", sorted({*ENGINE_MODES, "fast"}))
     @pytest.mark.parametrize("scenario", sorted(ADVERSARIAL_SCENARIOS))
     def test_adversary_cannot_perturb_victim(self, scenario, engine_mode):
         ok, detail, counters = run_adversarial(
@@ -324,13 +326,13 @@ class TestIsolation:
 
     def test_adversarial_case_is_deterministic(self):
         ok, detail, _ = run_adversarial(
-            "xtenant-mmu", seed=3, engine_mode="fast",
+            "xtenant-mmu", seed=3, engine_mode="interp",
             check_determinism=True)
         assert ok, detail
 
     def test_benign_neighbors_match_solo(self):
         plans = default_plans(3, jobs=1)
-        multi = run_mixed(plans, engine_mode="fast", seed=2)
+        multi = run_mixed(plans, engine_mode="interp", seed=2)
         for tenant_id, record in multi.records.items():
             assert record.verified, (tenant_id, record.errors)
         isolation, _skipped = solo_isolation(plans, multi, seed=2)
@@ -354,13 +356,11 @@ class TestGoldenSubtrees:
                 for tenant_id, record in result.records.items()}
 
     def test_identical_across_engines(self):
-        baseline = self._goldens("interp")
-        for engine_mode in ("fast", "mega"):
-            assert self._goldens(engine_mode) == baseline, engine_mode
+        assert self._goldens("mega") == self._goldens("interp")
 
     def test_subtree_keys_are_scoped_per_tenant(self):
         plans = default_plans(2, jobs=1)
-        result = run_mixed(plans, engine_mode="fast", seed=0)
+        result = run_mixed(plans, engine_mode="interp", seed=0)
         for tenant_id, record in result.records.items():
             prefix = f"tenant{tenant_id}."
             assert all(key.startswith(prefix) for key in record.golden)
@@ -371,10 +371,10 @@ class TestGoldenSubtrees:
     def test_farm_fingerprint_matches_direct_run(self):
         from repro.validate.farm import PROVIDERS
 
-        spec = {"tenants": 3, "engine_mode": "fast", "seed": 4, "jobs": 1}
+        spec = {"tenants": 3, "engine_mode": "interp", "seed": 4, "jobs": 1}
         ok, detail, counters, _ = PROVIDERS["tenants"].execute(spec, None)
         assert ok, detail
-        result = run_mixed(default_plans(3, jobs=1), engine_mode="fast",
+        result = run_mixed(default_plans(3, jobs=1), engine_mode="interp",
                            seed=4)
         assert counters["golden_fingerprint"] == golden_fingerprint(
             result.records)

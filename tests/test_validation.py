@@ -253,37 +253,61 @@ class TestKernelTraces:
     def test_platform_tracer_matches_runner(self):
         """The tracer plumbing of the full platform (`GPUConfig.tracer` ->
         `JobManager` -> `ComputeUnit.prepare`) records what the runner's
-        reference engine records for the same launch."""
+        reference engine records for the same launch. Tracing keeps the
+        interpreter on the quad MMU tier and leaves every output as an
+        untraced platform leaves it."""
         from repro.cl import CommandQueue, Context
         from repro.core.platform import MobilePlatform, PlatformConfig
         from repro.gpu.device import GPUConfig
+        from repro.kernels.parboil import Sgemm
 
         rng = np.random.default_rng(3)
-        n = 32
-        x = rng.random(n, dtype=np.float32)
-        y = rng.random(n, dtype=np.float32)
-        tracer = InstructionTracer()
-        context = Context(MobilePlatform(PlatformConfig(
-            gpu=GPUConfig(tracer=tracer))))
-        queue = CommandQueue(context)
-        kernel = context.build_program(SAXPY).kernel("saxpy")
-        device = [context.buffer_from_array(x), context.buffer_from_array(y)]
-        kernel.set_args(*device, 2.5, n)
-        queue.enqueue_nd_range(kernel, (n,), (8,))
-        platform_y = queue.enqueue_read_buffer(device[1], np.float32)
+        n, rows, depth, cols = 32, 8, 6, 16
+        launches = [
+            (SAXPY, "saxpy", (n,), (8,),
+             [rng.random(n, dtype=np.float32) for _ in range(2)],
+             [2.5, n]),
+            (Sgemm.source, "sgemm", (cols, rows), (8, 8),
+             [rng.random(size, dtype=np.float32)
+              for size in (rows * depth, depth * cols, rows * cols)],
+             [rows, cols, depth, np.float32(1.0), np.float32(0.5)]),
+        ]
+        for source, name, global_size, local_size, arrays, scalars \
+                in launches:
+            def launch(tracer):
+                context = Context(MobilePlatform(PlatformConfig(
+                    gpu=GPUConfig(tracer=tracer))))
+                queue = CommandQueue(context)
+                kernel = context.build_program(source).kernel(name)
+                device = [context.buffer_from_array(array)
+                          for array in arrays]
+                kernel.set_args(*device, *scalars)
+                queue.enqueue_nd_range(kernel, global_size, local_size)
+                return context, device, queue.enqueue_read_buffer(
+                    device[-1], np.float32)
 
-        # the same launch as a runner case, its buffers at the addresses
-        # the driver chose, so address arithmetic traces identically
-        case = make_kernel_case(SAXPY, "saxpy", (n,), (8,), [x, y],
-                                scalars=[2.5, n])
-        case = replace(
-            case,
-            regions=[(name, buffer.gpu_va, words) for (name, _va, words),
-                     buffer in zip(case.regions, device)],
-            args=[buffer.gpu_va for buffer in device] + case.args[2:])
-        results, mismatches = DifferentialRunner(
-            ("interp", "m2s")).run_case(case)
-        assert mismatches == []
-        assert tracer.total_events == results["interp"].trace.total_events > 0
-        assert compare_traces(tracer, results["interp"].trace) == []
-        assert platform_y.tobytes() == results["interp"].memory["buf1"]
+            tracer = InstructionTracer()
+            context, device, traced = launch(tracer)
+            assert context.platform.gpu.mmu.quad_accesses > 0, name
+            assert traced.tobytes() == launch(None)[2].tobytes(), name
+
+            # the same launch as a runner case, its buffers at the
+            # addresses the driver chose, so address arithmetic traces
+            # identically
+            case = make_kernel_case(source, name, global_size, local_size,
+                                    arrays, scalars=scalars)
+            case = replace(
+                case,
+                regions=[(region, buffer.gpu_va, words)
+                         for (region, _va, words), buffer
+                         in zip(case.regions, device)],
+                args=[buffer.gpu_va for buffer in device]
+                + case.args[len(device):])
+            results, mismatches = DifferentialRunner(
+                ("interp", "m2s")).run_case(case)
+            assert mismatches == [], name
+            assert tracer.total_events \
+                == results["interp"].trace.total_events > 0
+            assert compare_traces(tracer, results["interp"].trace) == []
+            assert traced.tobytes() \
+                == results["interp"].memory[f"buf{len(device) - 1}"]

@@ -64,7 +64,7 @@ class TestGeneratedProgramsClean:
 
     def test_campaign_includes_static_verification(self):
         report = run_conformance(seed=4, budget=10,
-                                 engines=("interp", "fast"),
+                                 engines=("interp", "mega"),
                                  minimize=False, verify=True)
         assert report.ok, "\n".join(report.lines())
 
@@ -89,7 +89,7 @@ class TestDefectDetection:
 class TestDynamicSoundness:
     def test_must_fault_reproduces_dynamically(self):
         case = generate_defect_case(5, "oob-load")
-        runner = DifferentialRunner(engines=("interp", "fast"), trace=False)
+        runner = DifferentialRunner(engines=("interp", "mega"), trace=False)
         _results, mismatches = runner.run_case(generated_case_to_diff(case))
         crashes = [m for m in mismatches if m.kind == "crash"]
         assert len(crashes) == 2, [str(m) for m in mismatches]
@@ -103,7 +103,7 @@ class TestDynamicSoundness:
         # static-only defects (silent corruption, lints) must not disturb
         # the bit-exactness contract between engines
         case = generate_defect_case(5, category)
-        runner = DifferentialRunner(engines=("interp", "fast"), trace=False)
+        runner = DifferentialRunner(engines=("interp", "mega"), trace=False)
         _results, mismatches = runner.run_case(generated_case_to_diff(case))
         assert mismatches == [], [str(m) for m in mismatches]
 
@@ -121,7 +121,7 @@ class TestLongDifferential:
 
     @pytest.mark.parametrize("seed", range(25))
     def test_defect_grid(self, seed):
-        runner = DifferentialRunner(engines=("interp", "fast"), trace=False)
+        runner = DifferentialRunner(engines=("interp", "mega"), trace=False)
         for category, spec in sorted(DEFECT_CATEGORIES.items()):
             case = generate_defect_case(seed, category)
             report = verify_program(case.program,
