@@ -73,7 +73,7 @@ def write_checkpoint_dir(directory, state_bytes, memory_bytes,
                          golden_snapshot):
     """Materialize a checkpoint directory; the manifest is written last.
 
-    *golden_snapshot* (the registry's golden dump at save time) rides in
+    *golden_snapshot* (the registry's golden snapshot at save time) rides in
     the manifest so a restore can prove the re-assembled platform
     reports bit-identical golden statistics before handing it back.
     """

@@ -2,11 +2,11 @@
 JUNO platforms, each augmented with an Arm Mali-G71 GPU").
 
 A board bundles a platform configuration: memory size, GPU shader-core
-count, and which optional devices are present. Both boards run the same
+count and CPU engine. Both boards build every device and run the same
 software stack unmodified — the point of the paper's full-system approach.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.platform import MobilePlatform, PlatformConfig
 from repro.gpu.device import GPUConfig
@@ -20,8 +20,6 @@ class BoardDescription:
     memory_size: int
     gpu_cores: int
     cpu_engine: str = "dbt"
-    has_block_device: bool = True
-    has_network_device: bool = True
 
 
 VERSATILE_EXPRESS = BoardDescription(
@@ -58,6 +56,4 @@ def make_platform(board="juno", **gpu_overrides):
     config = PlatformConfig(
         gpu=gpu, cpu_engine=board.cpu_engine, memory_size=board.memory_size
     )
-    platform = MobilePlatform(config)
-    platform.board = board
-    return platform
+    return MobilePlatform(config)

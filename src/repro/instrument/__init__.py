@@ -6,9 +6,10 @@ metrics, system-level CPU-GPU interaction counters, and a control-flow
 graph pinpointing thread divergence on actual GPU instructions (Fig. 6).
 
 Cross-layer observability (the ROADMAP direction): every layer registers
-its counters into one hierarchical :class:`StatsRegistry`, the
-:class:`EventTracer` emits Chrome-trace/Perfetto JSON for the full job
-lifecycle, and :func:`measure_overhead` self-checks the paper's <5%
+its counters into one hierarchical :class:`StatsRegistry` (two stat
+kinds, :class:`Counter` and :class:`Probe`, and one output form,
+``snapshot``), the :class:`EventTracer` emits Chrome-trace/Perfetto
+JSON for the full job lifecycle, and :func:`measure_overhead` self-checks the paper's <5%
 instrumentation budget.
 """
 
@@ -21,8 +22,6 @@ from repro.instrument.stats import (
 from repro.instrument.cfg import DivergenceCFG
 from repro.instrument.registry import (
     Counter,
-    Distribution,
-    Formula,
     Probe,
     Scope,
     StatsRegistry,
@@ -46,8 +45,6 @@ __all__ = [
     "merge_stats",
     "DivergenceCFG",
     "Counter",
-    "Distribution",
-    "Formula",
     "Probe",
     "Scope",
     "StatsRegistry",

@@ -5,26 +5,27 @@ shader cores, GPU MMU — registers its counters into one
 :class:`StatsRegistry` under dotted hierarchical names
 (``gpu.core0.warp.divergent_branches``), the way gem5's versioned stats
 framework gives every SimObject a stats group. The registry is what turns
-the functional simulator into a measurement instrument: one place to dump,
+the functional simulator into a measurement instrument: one place to read,
 one schema to regress against, one report generator.
 
 Stat kinds:
 
 - :class:`Counter` — a plain accumulating integer, incremented by the
-  owning component.
+  owning component; the only stat whose home is the registry, so the
+  only one it checkpoints.
 - :class:`Probe` — a zero-cost view onto a value the component already
-  maintains (read via a callable at dump time). Hot paths keep their
-  existing attribute counters; the registry observes them without adding
-  per-event work, which is how the <5% instrumentation budget survives.
-- :class:`Distribution` — a value -> count histogram (clause sizes).
-- :class:`Formula` — derived at dump time from other stats (totals,
-  mixes, averages), never stored.
+  maintains (read via a callable at snapshot time): scalars, histograms
+  (clause sizes) and derived values (totals, averages) alike. Hot paths
+  keep their existing attribute counters; the registry observes them
+  without adding per-event work, which is how the <5% instrumentation
+  budget survives.
 
 Stats carry a ``golden`` flag: golden stats are architecturally defined
 and must be identical across execution engines (interpreter, megakernel)
 and MMU tiers, and stable across runs; non-golden stats are implementation
 diagnostics (TLB hit shapes, decode-cache effectiveness) that legitimately
-vary with the engine or tier. ``dump(golden_only=True)`` is the cross-engine
+vary with the engine or tier. :meth:`StatsRegistry.snapshot` is the one
+output form, and ``snapshot(golden_only=True)`` is the cross-engine
 conformance surface.
 """
 
@@ -46,9 +47,6 @@ class Stat:
     def value(self):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def reset(self):
-        """Return the stat to its initial state (no-op for views)."""
-
 
 class Counter(Stat, Stateful):
     """An accumulating integer owned by the registry."""
@@ -69,12 +67,9 @@ class Counter(Stat, Stateful):
     def value(self):
         return self._value
 
-    def reset(self):
-        self._value = 0
-
 
 class Probe(Stat):
-    """A read-only view onto a component-owned value (evaluated at dump)."""
+    """A read-only view onto a component-owned value (evaluated on read)."""
 
     kind = "probe"
 
@@ -84,54 +79,6 @@ class Probe(Stat):
 
     def value(self):
         return self._fn()
-
-
-class Distribution(Stat, Stateful):
-    """A value -> count histogram.
-
-    Either registry-owned (use :meth:`record`) or a view onto a
-    component-owned dict (pass ``fn`` returning the mapping).
-    """
-
-    kind = "distribution"
-    STATE_FIELDS = ("_samples",)  # None for a view
-
-    def __init__(self, name, fn=None, desc="", golden=True):
-        super().__init__(name, desc, golden)
-        self._fn = fn
-        self._samples = {} if fn is None else None
-
-    def record(self, sample, count=1):
-        if self._samples is None:
-            raise TypeError(f"{self.name} is a view distribution")
-        self._samples[sample] = self._samples.get(sample, 0) + count
-
-    def value(self):
-        samples = self._samples if self._fn is None else self._fn()
-        return {key: samples[key] for key in sorted(samples)}
-
-    def reset(self):
-        if self._samples is not None:
-            self._samples.clear()
-
-
-class Formula(Stat):
-    """A value derived from other stats at dump time.
-
-    The callable receives the owning :class:`StatsRegistry`, so formulas
-    can be expressed over dotted names:
-    ``lambda reg: reg.value("gpu.job.arith_instrs") + ...``.
-    """
-
-    kind = "formula"
-
-    def __init__(self, name, fn, desc="", golden=True):
-        super().__init__(name, desc, golden)
-        self._fn = fn
-        self._registry = None
-
-    def value(self):
-        return self._fn(self._registry)
 
 
 class StatsRegistry(Stateful):
@@ -161,16 +108,6 @@ class StatsRegistry(Stateful):
         """Register a view onto a component-owned value."""
         return self._install(Probe(name, fn, desc, golden))
 
-    def distribution(self, name, fn=None, desc="", golden=True):
-        """Get-or-create a histogram (or a view when *fn* is given)."""
-        return self._install(Distribution(name, fn, desc, golden))
-
-    def formula(self, name, fn, desc="", golden=True):
-        """Register a derived stat computed from the registry at dump."""
-        stat = self._install(Formula(name, fn, desc, golden))
-        stat._registry = self
-        return stat
-
     def scope(self, prefix):
         """A view of the registry that prefixes every name with *prefix*."""
         return Scope(self, prefix)
@@ -197,79 +134,52 @@ class StatsRegistry(Stateful):
 
     # -- output ----------------------------------------------------------------
 
-    def dump(self, golden_only=False):
+    def snapshot(self, golden_only=False):
         """Flat ``{dotted name: value}`` mapping, sorted by name.
 
-        With ``golden_only`` the dump contains exactly the stats that are
-        architecturally defined — the surface that must be identical
+        With ``golden_only`` the snapshot contains exactly the stats that
+        are architecturally defined — the surface that must be identical
         across execution engines and stable across runs.
-        """
-        out = {}
-        for name in self.names():
-            stat = self._stats[name]
-            if golden_only and not stat.golden:
-                continue
-            out[name] = stat.value()
-        return out
 
-    def tree(self, golden_only=False):
-        """The dump folded into nested dicts along the dotted hierarchy."""
-        root = {}
-        for name, value in self.dump(golden_only).items():
-            node = root
-            parts = name.split(".")
-            for part in parts[:-1]:
-                node = node.setdefault(part, {})
-            node[parts[-1]] = value
-        return root
-
-    def to_json(self, golden_only=False, indent=2):
-        return json.dumps(self.dump(golden_only), indent=indent, default=str)
-
-    def snapshot(self, golden_only=False):
-        """A transport-safe copy of :meth:`dump` for crossing process
-        boundaries (the simulation farm pickles per-case snapshots back
-        to the campaign manager and writes them into the aggregate
-        report).
-
-        Unlike the raw dump, every value is a plain ``int``/``float``/
-        ``str`` and distribution buckets become string keys, so the
+        Every value is a plain ``int``/``float``/``str`` and histogram
+        buckets become string keys in ascending bucket order, so the
         snapshot round-trips through both pickle and JSON without the
         int-vs-str key ambiguity ``json.loads(json.dumps(...))``
         introduces, and never drags live Probe callables (and the
-        component graph behind them) across the boundary.
+        component graph behind them) across a process boundary (the
+        simulation farm pickles per-case snapshots back to the campaign
+        manager and writes them into the aggregate report).
         """
-        return {name: snapshot_value(value)
-                for name, value in self.dump(golden_only).items()}
+        return {stat.name: snapshot_value(stat.value())
+                for stat in self.stats()
+                if stat.golden or not golden_only}
 
-    def reset(self):
-        for stat in self._stats.values():
-            stat.reset()
+    def to_json(self, golden_only=False, indent=2):
+        return json.dumps(self.snapshot(golden_only), indent=indent)
 
     # -- checkpoint state ------------------------------------------------------
 
     def get_state(self):
-        """The stats whose *only* home is the registry: accumulating
-        :class:`Counter` objects and owned :class:`Distribution`
-        histograms (e.g. ``cl.runtime.*``). Probes and formulas are views
+        """The stats whose *only* home is the registry: the accumulating
+        :class:`Counter` objects (e.g. ``cl.runtime.*``). Probes are views
         over component state that the components serialize themselves."""
         return {"stats": [
             {"name": stat.name, "kind": stat.kind, "desc": stat.desc,
              "golden": stat.golden, **stat.get_state()}
-            for stat in self.stats()
-            if isinstance(stat, Counter) or (
-                isinstance(stat, Distribution) and stat._fn is None)]}
+            for stat in self.stats() if isinstance(stat, Counter)]}
 
     def set_state(self, state):
-        """Get-or-create each owned stat and overwrite its value. A
+        """Get-or-create each saved counter and overwrite its value. A
         component that registers the same name later (a fresh CL
         ``Context`` re-running its registrations) gets the restored
         object back, so counts keep accumulating from the saved values."""
         for item in state["stats"]:
-            create = (self.counter if item["kind"] == Counter.kind
-                      else self.distribution)
-            create(item["name"], desc=item["desc"],
-                   golden=item["golden"]).set_state(item)
+            if item["kind"] != Counter.kind:
+                raise ValueError(
+                    f"saved stat {item['name']!r} is a {item['kind']!r}; "
+                    f"only counters are saved")
+            self.counter(item["name"], desc=item["desc"],
+                         golden=item["golden"]).set_state(item)
 
 
 class Scope:
@@ -287,12 +197,6 @@ class Scope:
 
     def probe(self, name, fn, desc="", golden=True):
         return self.registry.probe(self._name(name), fn, desc, golden)
-
-    def distribution(self, name, fn=None, desc="", golden=True):
-        return self.registry.distribution(self._name(name), fn, desc, golden)
-
-    def formula(self, name, fn, desc="", golden=True):
-        return self.registry.formula(self._name(name), fn, desc, golden)
 
     def scope(self, prefix):
         return Scope(self.registry, self._name(prefix))
@@ -324,23 +228,20 @@ def diff_snapshots(reference, other):
 
 
 def format_registry(registry, golden_only=False, show_desc=True):
-    """gem5-style text dump: aligned ``name  value  # description`` rows,
-    distributions expanded one bucket per row."""
+    """gem5-style text rendering of :meth:`StatsRegistry.snapshot`:
+    aligned ``name  value  # description`` rows, histograms expanded one
+    bucket per row."""
     rows = []
-    for stat in registry.stats():
-        if golden_only and not stat.golden:
-            continue
-        value = stat.value()
+    for name, value in registry.snapshot(golden_only).items():
+        desc = registry.get(name).desc
         if isinstance(value, dict):
-            rows.append((stat.name, "", stat.desc))
-            for bucket, count in value.items():
-                rows.append((f"{stat.name}::{bucket}", str(count), ""))
+            rows.append((name, "", desc))
+            rows.extend((f"{name}::{bucket}", str(count), "")
+                        for bucket, count in value.items())
+        elif isinstance(value, float):
+            rows.append((name, f"{value:.6g}", desc))
         else:
-            if isinstance(value, float):
-                text = f"{value:.6g}"
-            else:
-                text = str(value)
-            rows.append((stat.name, text, stat.desc))
+            rows.append((name, str(value), desc))
     if not rows:
         return "(no statistics registered)"
     name_width = max(len(name) for name, _v, _d in rows)
@@ -394,19 +295,17 @@ def register_job_stats(scope, provider):
     for field, desc in _JOB_STAT_FIELDS:
         scope.probe(field, (lambda f=field: getattr(provider(), f)),
                     desc=desc)
-    scope.distribution(
+    scope.probe(
         "clause_size_histogram",
-        fn=lambda: provider().clause_size_histogram,
+        lambda: dict(sorted(provider().clause_size_histogram.items())),
         desc="clause size -> execution count (Fig. 13)")
-    scope.formula(
-        "total_instrs", lambda _reg: provider().total_instrs,
-        desc="all executed instruction slots")
-    scope.formula(
-        "ls_instrs", lambda _reg: provider().ls_instrs,
-        desc="all load/store-class instructions")
-    scope.formula(
-        "average_clause_size", lambda _reg: provider().average_clause_size(),
-        desc="mean executed clause size")
+    scope.probe("total_instrs", lambda: provider().total_instrs,
+                desc="all executed instruction slots")
+    scope.probe("ls_instrs", lambda: provider().ls_instrs,
+                desc="all load/store-class instructions")
+    scope.probe("average_clause_size",
+                lambda: provider().average_clause_size(),
+                desc="mean executed clause size")
 
 
 def register_mmu_stats(scope, mmu):

@@ -36,6 +36,7 @@ from repro.errors import SimError
 from repro.gpu.mmu import AS_TAG_SHIFT
 from repro.inject.injector import FaultInjector
 from repro.inject.plan import FaultPlan, FaultSpec
+from repro.instrument.registry import diff_snapshots
 from repro.kernels.replayable import REPLAYABLE
 
 
@@ -265,11 +266,8 @@ def check_isolation(multi_record, solo_record):
         diffs.append("victim outputs differ from solo run")
     if multi_record.carveout_digest != solo_record.carveout_digest:
         diffs.append("victim carve-out memory image differs from solo run")
-    if multi_record.golden != solo_record.golden:
-        changed = sorted(
-            key for key in
-            set(multi_record.golden) | set(solo_record.golden)
-            if multi_record.golden.get(key) != solo_record.golden.get(key))
+    changed = diff_snapshots(solo_record.golden, multi_record.golden)
+    if changed:
         diffs.append(f"victim golden stats differ from solo run: "
                      f"{changed[:8]}")
     return diffs

@@ -587,6 +587,12 @@ def _analyze_soundness(options):
     comparison meaningless) fails the verb."""
     from repro.validate import soundness
 
+    if options.out:
+        error = _ensure_outdir(
+            os.path.dirname(os.path.abspath(options.out)), "analyze")
+        if error:
+            print(error)
+            return 2
     records = []
     verified = True
     if options.workloads != ["none"]:

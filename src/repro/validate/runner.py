@@ -18,7 +18,7 @@ mode; results stay keyed by the name the caller gave.
 Compared per engine pair: final registers and clause temporaries of every
 thread, the full memory image of every buffer region, normalized
 instruction-category counters, and for the instrumented engines the golden
-``StatsRegistry`` dump (the same registration helpers the full platform
+``StatsRegistry`` snapshot (the same registration helpers the full platform
 uses, so fuzzing guards exactly the counters the platform reports),
 divergence CFG and MMU translation behaviour. When both the reference and
 the baseline carry a tracer, retired per-thread instruction streams are
@@ -47,6 +47,12 @@ from repro.gpu.encoding import encode_program
 from repro.gpu.launch import U_FIRST_ARG, U_WORK_DIM
 from repro.gpu.mmu import GPUMMU
 from repro.gpu.shadercore import ComputeUnit, WorkgroupShape
+from repro.instrument.registry import (
+    StatsRegistry,
+    diff_snapshots,
+    register_job_stats,
+    register_mmu_stats,
+)
 from repro.mem import PAGE_SIZE, PTE_READ, PTE_WRITE, PageTableBuilder, \
     PhysicalMemory
 from repro.validate.trace import InstructionTracer, compare_traces
@@ -329,7 +335,7 @@ class DifferentialRunner:
                               memory=memory, trace=tracer)
         stats = unit.stats
         result.counters = _quad_counters(stats)
-        result.stats = _unified_dump(stats, mmu)
+        result.stats = _unified_snapshot(stats, mmu)
         if collect_cfg:
             result.cfg = (unit.cfg.edges, unit.cfg.divergences)
         result.mmu = {
@@ -395,7 +401,7 @@ class DifferentialRunner:
                 f"{ref.counters} != {other.counters}"))
         if ref.stats is not None and other.stats is not None \
                 and ref.stats != other.stats:
-            diff = [k for k in ref.stats if ref.stats[k] != other.stats[k]]
+            diff = diff_snapshots(ref.stats, other.stats)
             found.append(Mismatch("stats", pair, f"fields differ: {diff}"))
         if ref.cfg is not None and other.cfg is not None \
                 and ref.cfg != other.cfg:
@@ -504,24 +510,18 @@ def trace_kernel_both(source, kernel_name, global_size, local_size,
             m2s.trace, outputs)
 
 
-def _unified_dump(stats, mmu):
-    """The golden StatsRegistry dump for one engine's run.
+def _unified_snapshot(stats, mmu):
+    """The golden StatsRegistry snapshot for one engine's run.
 
     Uses the same registration helpers as the full platform, so the
     conformance fuzzer guards exactly the counters the platform reports;
     golden-only filtering drops engine diagnostics (quad-path shape) that
     legitimately differ between engines.
     """
-    from repro.instrument.registry import (
-        StatsRegistry,
-        register_job_stats,
-        register_mmu_stats,
-    )
-
     registry = StatsRegistry()
     register_job_stats(registry.scope("gpu.job"), lambda: stats)
     register_mmu_stats(registry.scope("gpu.mmu"), mmu)
-    return registry.dump(golden_only=True)
+    return registry.snapshot(golden_only=True)
 
 
 def _quad_counters(stats):

@@ -249,9 +249,10 @@ def build_report(records):
 
 
 def write_report(path, report):
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=1, default=str)
-        handle.write("\n")
+    from repro.checkpoint.format import atomic_write_text
+
+    atomic_write_text(
+        path, json.dumps(report, indent=1, default=str) + "\n")
 
 
 __all__ = [

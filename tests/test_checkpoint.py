@@ -407,6 +407,27 @@ def test_hand_edited_config_section_fails_closed(saved_checkpoint, tmp_path,
         restore_checkpoint(directory)
 
 
+def test_saved_stat_of_another_kind_fails_closed(saved_checkpoint, tmp_path):
+    """The registry saves and restores counters only: a digest-valid
+    state whose registry entry names any other kind is a CheckpointError,
+    not a stat the restore invents."""
+    from repro.checkpoint import (
+        load_checkpoint_dir,
+        state_to_bytes,
+        write_checkpoint_dir,
+    )
+
+    state, memory, manifest = load_checkpoint_dir(saved_checkpoint)
+    saved = state["platform"]["stats_registry"]["stats"]
+    assert saved and all(item["kind"] == "counter" for item in saved)
+    saved[0]["kind"] = "distribution"
+    directory = str(tmp_path / "edited")
+    write_checkpoint_dir(directory, state_to_bytes(state), memory,
+                         manifest["golden"])
+    with pytest.raises(CheckpointError, match="only counters are saved"):
+        restore_checkpoint(directory)
+
+
 def test_empty_directory_fails_closed(tmp_path):
     with pytest.raises(CheckpointError):
         restore_checkpoint(str(tmp_path / "void"))

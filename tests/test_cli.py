@@ -1,5 +1,8 @@
 """Tests: the repro-sim command-line interface."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.tools.cli import main
@@ -75,6 +78,25 @@ def test_bench_command(capsys):
     out = capsys.readouterr().out
     assert "verified=True" in out
     assert "cycle estimate" in out
+
+
+def test_stats_command(capsys):
+    saxpy = str(Path(__file__).resolve().parent.parent
+                / "examples" / "saxpy.cl")
+    assert main(["stats", saxpy]) == 0
+    text = capsys.readouterr().out
+    assert (text.index("gpu.job.clause_size_histogram::1")
+            < text.index("gpu.job.clause_size_histogram::8"))
+
+    assert main(["stats", saxpy, "--json"]) == 0
+    full = json.loads(capsys.readouterr().out)
+    assert main(["stats", saxpy, "--json", "--golden-only"]) == 0
+    golden = json.loads(capsys.readouterr().out)
+    assert "gpu.job.total_instrs" in golden
+    assert set(golden) <= set(full)
+    buckets = list(full["gpu.job.clause_size_histogram"])
+    assert all(isinstance(bucket, str) for bucket in buckets)
+    assert buckets == sorted(buckets, key=int)
 
 
 def test_unknown_command_rejected():
@@ -275,8 +297,6 @@ def test_analyze_soundness_sweep(tmp_path, capsys):
     assert code == 0
     assert fields["mode"] == "soundness"
     assert fields["violations"] == "0"
-    import json
-
     report = json.loads(report_path.read_text())
     assert report["schema"] == "repro-soundness-report/1"
     assert report["totals"]["violations"] == 0
@@ -298,6 +318,10 @@ USAGE_ERRORS = {
                                  "/nonexistent/corpus"],
     "soundness-empty-corpus": ["analyze", "--soundness", "--workloads",
                                "none", "--no-slam", "--corpus", "EMPTY"],
+    # a report whose parent is a regular file must fail before the sweep
+    "soundness-out-under-file": ["analyze", "--soundness", "--workloads",
+                                 "none", "--no-slam", "--out",
+                                 "FILE/report.json"],
     **{f"{verb}-unreadable": [verb, _MISSING]
        for verb in ("compile", "disasm", "run", "stats", "trace", "lint",
                     "analyze")},
@@ -315,7 +339,8 @@ USAGE_ERRORS = {
 def test_usage_errors_are_one_line_and_exit_two(case, kernel_file, tmp_path,
                                                 capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)  # trace's default output lands here
-    argv = [{"FILE": kernel_file, "EMPTY": str(tmp_path)}.get(arg, arg)
+    argv = [{"FILE": kernel_file, "EMPTY": str(tmp_path),
+             "FILE/report.json": f"{kernel_file}/report.json"}.get(arg, arg)
             for arg in USAGE_ERRORS[case]]
     assert main(argv) == 2
     captured = capsys.readouterr()

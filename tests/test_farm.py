@@ -407,7 +407,7 @@ def test_failing_case_fails_the_farm(tmp_path):
 def test_registry_snapshot_is_json_safe():
     registry = StatsRegistry()
     registry.counter("gpu.jobs").add(3)
-    registry.distribution("gpu.mix").record(("fma", 2), 5)
+    registry.probe("gpu.mix", lambda: {("fma", 2): 5})
     registry.counter("gpu.diag", golden=False).add(9)
     snapshot = registry.snapshot(golden_only=True)
     json.dumps(snapshot)                   # must serialize as-is

@@ -189,11 +189,6 @@ TRANSIENT = {
     "Counter": dict.fromkeys(
         ("name", "desc", "golden"),
         "saved beside the value by StatsRegistry.get_state"),
-    "Distribution": {
-        **dict.fromkeys(("name", "desc", "golden"),
-                        "saved beside the value by StatsRegistry.get_state"),
-        "_fn": "view callable; owned histograms have none",
-    },
 }
 
 

@@ -1,9 +1,10 @@
 """Unit + golden-regression tests: the unified cross-layer stats registry.
 
 The golden tests are the engine-conformance contract of ISSUE 3: sgemm and
-a warp-divergent kernel must produce *identical* ``dump(golden_only=True)``
-output on the interpreter, the quad fast path and the megakernel, and the
-dump must be stable across repeated runs.
+a warp-divergent kernel must produce *identical*
+``snapshot(golden_only=True)`` output on the interpreter, the quad fast
+path and the megakernel, and the snapshot must be stable across repeated
+runs.
 """
 
 from pathlib import Path
@@ -16,8 +17,8 @@ from repro.core.platform import MobilePlatform, PlatformConfig
 from repro.gpu.device import GPUConfig
 from repro.instrument import (
     Counter,
-    Distribution,
     JobStats,
+    Probe,
     StatsRegistry,
     format_registry,
     register_job_stats,
@@ -44,30 +45,6 @@ class TestStatsRegistry:
         state["n"] = 7
         assert registry.value("live") == 7
 
-    def test_owned_distribution_records(self):
-        registry = StatsRegistry()
-        dist = registry.distribution("sizes")
-        dist.record(4)
-        dist.record(4, count=2)
-        dist.record(1)
-        assert registry.value("sizes") == {1: 1, 4: 3}
-
-    def test_view_distribution_rejects_record(self):
-        registry = StatsRegistry()
-        backing = {8: 2, 2: 1}
-        dist = registry.distribution("view", fn=lambda: backing)
-        with pytest.raises(TypeError):
-            dist.record(1)
-        # sorted by bucket regardless of insertion order
-        assert list(registry.value("view")) == [2, 8]
-
-    def test_formula_sees_registry(self):
-        registry = StatsRegistry()
-        registry.counter("x").add(3)
-        registry.counter("y").add(4)
-        registry.formula("sum", lambda reg: reg.value("x") + reg.value("y"))
-        assert registry.value("sum") == 7
-
     def test_scope_prefixes_and_nests(self):
         registry = StatsRegistry()
         gpu = registry.scope("gpu")
@@ -88,38 +65,23 @@ class TestStatsRegistry:
         registry = StatsRegistry()
         registry.counter("name")
         with pytest.raises(ValueError, match="already registered"):
-            registry.distribution("name")
+            registry.probe("name", lambda: 0)
 
     def test_dump_golden_filter_and_sorting(self):
         registry = StatsRegistry()
         registry.counter("b.diag", golden=False).add(1)
         registry.counter("a.arch").add(2)
-        full = registry.dump()
+        full = registry.snapshot()
         assert list(full) == ["a.arch", "b.diag"]
-        assert registry.dump(golden_only=True) == {"a.arch": 2}
-
-    def test_tree_folds_dotted_names(self):
-        registry = StatsRegistry()
-        registry.counter("gpu.core0.warps").add(2)
-        registry.counter("gpu.jobs").add(1)
-        assert registry.tree() == {"gpu": {"core0": {"warps": 2}, "jobs": 1}}
-
-    def test_reset_clears_owned_stats_only(self):
-        registry = StatsRegistry()
-        registry.counter("owned").add(5)
-        registry.probe("view", lambda: 9)
-        registry.reset()
-        assert registry.value("owned") == 0
-        assert registry.value("view") == 9
+        assert registry.snapshot(golden_only=True) == {"a.arch": 2}
 
     def test_format_registry_alignment_and_buckets(self):
         registry = StatsRegistry()
         registry.counter("jobs", desc="jobs retired").add(3)
-        dist = registry.distribution("sizes")
-        dist.record(4, count=2)
+        registry.probe("sizes", lambda: {4: 2, 1: 7})
         text = format_registry(registry)
         assert "jobs" in text and "# jobs retired" in text
-        assert "sizes::4" in text
+        assert text.index("sizes::1") < text.index("sizes::4")
         assert format_registry(StatsRegistry()) == "(no statistics registered)"
 
     def test_register_job_stats_probes_and_formulas(self):
@@ -128,23 +90,28 @@ class TestStatsRegistry:
         register_job_stats(registry.scope("gpu.job"), lambda: stats)
         stats.arith_instrs = 10
         stats.nop_instrs = 5
-        stats.clause_size_histogram = {4: 2}
-        dump = registry.dump()
-        assert dump["gpu.job.arith_instrs"] == 10
-        assert dump["gpu.job.total_instrs"] == 15
-        assert dump["gpu.job.clause_size_histogram"] == {4: 2}
-        assert dump["gpu.job.average_clause_size"] == pytest.approx(4.0)
+        stats.clause_size_histogram = {8: 1, 4: 2}
+        assert all(isinstance(stat, Probe) for stat in registry.stats())
+        # a view, sorted by bucket regardless of insertion order
+        assert list(registry.value("gpu.job.clause_size_histogram")) == [4, 8]
+        snapshot = registry.snapshot()
+        assert snapshot["gpu.job.arith_instrs"] == 10
+        assert snapshot["gpu.job.total_instrs"] == 15
+        assert snapshot["gpu.job.clause_size_histogram"] == {"4": 2, "8": 1}
+        assert snapshot["gpu.job.average_clause_size"] == pytest.approx(
+            16 / 3)
 
     def test_exports(self):
         assert Counter.kind == "counter"
-        assert Distribution.kind == "distribution"
+        assert Probe.kind == "probe"
 
 
 # -- golden cross-engine regression --------------------------------------------
 
 
 def _run_divergent(engine, fast_path=True):
-    """Run examples/divergent.cl on a full platform; return the golden dump."""
+    """Run examples/divergent.cl on a full platform; return the golden
+    snapshot."""
     config = PlatformConfig(
         gpu=GPUConfig(engine=engine, instrument=True)
     )
@@ -159,7 +126,7 @@ def _run_divergent(engine, fast_path=True):
     kernel = context.build_program(source).kernel("divergent")
     kernel.set_args(buf_data, buf_out)
     queue.enqueue_nd_range(kernel, (n,), (16,))
-    return context.platform.stats_registry.dump(golden_only=True)
+    return context.platform.stats_registry.snapshot(golden_only=True)
 
 
 def _run_sgemm(engine):
@@ -170,7 +137,7 @@ def _run_sgemm(engine):
     workload = get_workload("sgemm", m=16, k=16, n=16)
     result = workload.run(context=context)
     assert result.verified
-    return context.platform.stats_registry.dump(golden_only=True)
+    return context.platform.stats_registry.snapshot(golden_only=True)
 
 
 class TestGoldenCrossEngine:
@@ -197,9 +164,9 @@ class TestGoldenCrossEngine:
         assert _run_sgemm("interpreter") == _run_sgemm("interpreter")
 
     def test_dump_spans_every_layer(self):
-        dump = _run_divergent("interpreter")
-        prefixes = {name.split(".")[0] for name in dump}
+        snapshot = _run_divergent("interpreter")
+        prefixes = {name.split(".")[0] for name in snapshot}
         assert {"cpu", "driver", "gpu", "cl"} <= prefixes
-        assert dump["gpu.jobmanager.jobs_retired"] == 1
-        assert dump["driver.kbase.jobs_submitted"] == 1
-        assert dump["gpu.mmu.translations"] > 0
+        assert snapshot["gpu.jobmanager.jobs_retired"] == 1
+        assert snapshot["driver.kbase.jobs_submitted"] == 1
+        assert snapshot["gpu.mmu.translations"] > 0
