@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Divergence profiler: build the Fig. 6 control-flow graph for a kernel.
 
-Runs a divergent kernel with CFG collection enabled and prints (a) the
-DOT graph with per-edge thread proportions, and (b) the divergence points
-with the fraction of divergent executions — the analysis the paper uses
+Runs a divergent kernel and prints (a) the DOT graph with per-edge
+thread proportions, and (b) the divergence points with the fraction of
+divergent warp issues — the analysis the paper uses
 to pinpoint BFS's 0.4%-divergent block on actual GPU instructions.
 
 Run: ``python examples/divergence_profiler.py``
@@ -12,8 +12,6 @@ Run: ``python examples/divergence_profiler.py``
 import numpy as np
 
 from repro.cl import CommandQueue, Context
-from repro.core.platform import MobilePlatform, PlatformConfig
-from repro.gpu.device import GPUConfig
 
 KERNEL = """
 __kernel void classify(__global float* values, __global int* labels, int n) {
@@ -42,8 +40,7 @@ __kernel void classify(__global float* values, __global int* labels, int n) {
 
 
 def main():
-    config = PlatformConfig(gpu=GPUConfig(collect_cfg=True))
-    context = Context(MobilePlatform(config))
+    context = Context()
     queue = CommandQueue(context)
 
     n = 256
@@ -67,7 +64,7 @@ def main():
     for node in sorted(cfg.divergences):
         fraction = cfg.divergence_fraction(node)
         print(f"  clause @{cfg.node_label(node)}: "
-              f"{100 * fraction:.2f}% of executions diverged")
+              f"{100 * fraction:.2f}% of warp issues diverged")
     nodes, _successors = cfg.graph()
     print()
     print(f"CFG: {len(nodes)} blocks, {len(cfg.edges)} edges")

@@ -10,6 +10,7 @@ from repro.baselines.desktopgpu import DesktopGPUModel, MobileGPUModel
 from repro.cl import CommandQueue, Context
 from repro.core.platform import MobilePlatform, PlatformConfig
 from repro.gpu.device import GPUConfig
+from repro.instrument.cfg import DivergenceCFG
 from repro.kernels import get_workload
 from repro.kernels.matrixmul import MatrixMul
 from repro.kernels.sgemm_variants import SgemmVariant
@@ -65,22 +66,17 @@ def fig01_compiler_versions(n=32):
 # -- Fig. 6: BFS divergence CFG ---------------------------------------------------------
 
 
-def fig06_bfs_cfg(n=128):
-    """Run BFS with CFG collection; returns (dot, divergences, cfg, engine)."""
-    config = PlatformConfig(gpu=GPUConfig(collect_cfg=True))
+def fig06_bfs_cfg(n=128, engine="interpreter"):
+    """Run BFS on *engine*; returns (dot, divergences, cfg, engine)."""
+    config = PlatformConfig(gpu=GPUConfig(engine=engine))
     context = Context(MobilePlatform(config))
     workload = get_workload("bfs", n=n)
     queue = CommandQueue(context)
     inputs = workload.prepare()
     workload.execute(context, queue, inputs)
-    merged = None
+    merged = DivergenceCFG()
     for result in context.platform.gpu.job_manager.results:
-        if result.cfg is None:
-            continue
-        if merged is None:
-            merged = result.cfg
-        else:
-            merged.merge(result.cfg)
+        merged.merge(result.cfg)
     divergent = {
         merged.node_label(node): merged.divergence_fraction(node)
         for node in merged.divergences

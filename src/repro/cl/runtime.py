@@ -238,7 +238,12 @@ class Kernel:
         self._args = [None] * len(compiled.params)
         self._uniform_region = None
         self.last_stats = None
-        self.last_cfg = None
+        self._last_result = None
+
+    @property
+    def last_cfg(self):
+        """The divergence CFG (Fig. 6) of the last launch, or None."""
+        return None if self._last_result is None else self._last_result.cfg
 
     @property
     def name(self):
@@ -450,7 +455,7 @@ class CommandQueue:
         results = platform.last_job_results()
         result = results[-1]
         kernel.last_stats = result.stats
-        kernel.last_cfg = result.cfg
+        kernel._last_result = result
         if record is not None:
             as_tag = context._tenant.as_id << AS_TAG_SHIFT
             data_pages = set()

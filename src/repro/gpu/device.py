@@ -27,8 +27,8 @@ class GPUConfig:
             Manager's one execution unit whatever the count.
         num_host_threads: must be 1; kept because pinned benchmark
             configurations pass it.
-        instrument: collect per-job program-execution statistics.
-        collect_cfg: build the divergence CFG (Fig. 6) while executing.
+        instrument: collect per-job program-execution statistics, the
+            divergence CFG (Fig. 6, ``JobResult.cfg``) included.
         tracer: optional instruction tracer (see repro.validate) recording
             every executed instruction's result — the paper's validation
             "instruction tracing mode".
@@ -41,7 +41,6 @@ class GPUConfig:
     num_shader_cores: int = 8
     num_host_threads: int = 1
     instrument: bool = True
-    collect_cfg: bool = False
     tracer: object = None
     engine: str = "interpreter"
 
@@ -70,7 +69,6 @@ class GPUDevice(MMIODevice, Stateful):
         self.job_manager = JobManager(
             self.mmu,
             instrument=self.config.instrument,
-            collect_cfg=self.config.collect_cfg,
             tracer=self.config.tracer,
             engine=self.config.engine,
         )

@@ -266,7 +266,8 @@ def _compute_clause_metrics(clause):
     """Static per-clause instrumentation (mirrors the executor's access
     pattern exactly: one read per consumed operand, one write per produced
     value, per-element counting for wide memory ops)."""
-    metrics = ClauseMetrics()
+    metrics = ClauseMetrics(cf_instrs=int(
+        clause.tail in (Tail.JUMP, Tail.BRANCH, Tail.BRANCH_Z)))
     for slot in clause.slots():
         op = slot.op
         if op is Op.NOP:
@@ -333,6 +334,7 @@ class ClauseMetrics:
     ls_global_instrs: int = 0
     ls_local_instrs: int = 0
     const_load_instrs: int = 0
+    cf_instrs: int = 0  # the JUMP/BRANCH tail; one branch event per issue
     # per-lane operand-port traffic
     temp_reads: int = 0
     temp_writes: int = 0

@@ -82,7 +82,15 @@ class JobResult:
 
     descriptor: JobDescriptor
     stats: JobStats
-    cfg: DivergenceCFG
+    program: object
+    clause_counts: dict
+
+    @property
+    def cfg(self):
+        """The divergence CFG (None without instrumentation)."""
+        if self.clause_counts is not None:
+            return DivergenceCFG.from_clause_counts(self.program.clauses,
+                                                    self.clause_counts)
 
 
 class JobManager(Stateful):
@@ -94,12 +102,11 @@ class JobManager(Stateful):
     )
     STATE_CHILDREN = ("total_stats",)
 
-    def __init__(self, mmu, instrument=True, collect_cfg=False, tracer=None,
+    def __init__(self, mmu, instrument=True, tracer=None,
                  engine="interpreter", events=None,
                  watchdog_budget=WATCHDOG_ROUND_BUDGET):
         self.mmu = mmu
         self.instrument = instrument
-        self.collect_cfg = collect_cfg
         self.tracer = tracer
         self.engine = engine
         self.events = events  # optional EventTracer (job-lifecycle spans)
@@ -311,7 +318,7 @@ class JobManager(Stateful):
             raise fault from exc
         unit = self.unit
         unit.prepare(descriptor.local_mem_size, self.instrument,
-                     self.collect_cfg, tracer=self.tracer,
+                     tracer=self.tracer,
                      engine=self.engine, events=events,
                      injector=self.injector,
                      watchdog_budget=self.watchdog_budget)
@@ -354,7 +361,7 @@ class JobManager(Stateful):
             raise JobPreempted(limit, total_groups)
 
         stats = unit.stats if unit.stats is not None else JobStats()
-        result = JobResult(descriptor, stats, unit.cfg)
+        result = JobResult(descriptor, stats, program, unit.clause_counts)
         self.results.append(result)
         self.jobs_retired += 1
         self.total_stats.merge(stats)

@@ -20,9 +20,10 @@ reference fault semantics with bit-identical golden statistics.
 Scheduling is global minimum-PC at clause granularity over all lanes.
 Restricted to any one quad's lanes, the global min-PC order executes
 exactly the same (clause, mask) sequence as the per-warp scheduler, so
-deferring ``(issues, lanes)`` per clause — where one *issue* is counted
-per quad with at least one active lane — reproduces the interpreter's
-:class:`~repro.instrument.stats.JobStats` bit-for-bit through the shared
+deferring ``(issues, lanes, taken, split)`` per clause — where one
+*issue* is counted per quad with at least one active lane — reproduces
+the interpreter's :class:`~repro.instrument.stats.JobStats` and CFG
+bit-for-bit through the shared
 :func:`~repro.instrument.stats.apply_clause_stats` flush. Barriers need no
 fallback: when every running lane waits, releasing them all reproduces the
 compute unit's release protocol. Two loops share a workgroup: while every
@@ -57,12 +58,11 @@ The functions take everything of a platform, job or launch from their
 in one bounded process-wide table (:func:`emitted_code`).
 
 The engine punts statically (the compute unit falls back to the
-interpreter for the whole workgroup) when the program contains
+interpreter for the whole job) when the program contains
 ``ATOM`` (the interpreter serializes atomics warp-by-warp, so a
-workgroup-wide interleaving could not be bit-exact), when CFG collection
-or per-word memory tracing is requested, when the memory port has no wide
-vector API, or when a core-hang injection must reproduce the watchdog's
-stall accounting.
+workgroup-wide interleaving could not be bit-exact), when per-word
+memory tracing is requested, or when the memory port has no wide vector
+API.
 """
 
 import binascii
@@ -74,7 +74,7 @@ import numpy as np
 
 from repro.errors import GuestError, SimError, WatchdogTimeout
 from repro.hostcode import BoundedTable, compile_source, forget_source
-from repro.instrument.stats import apply_clause_stats
+from repro.instrument.stats import apply_clause_stats, merge_clause_counts
 from repro.gpu.encoding import encode_program
 from repro.gpu.isa import (
     CONST_BASE,
@@ -517,17 +517,19 @@ class MegaKernel:
     # -- workgroup scheduling ----------------------------------------------------
 
     def run_workgroup(self, shape, flat_group, stats, watchdog_budget=None,
-                      count=1):
+                      count=1, counts=None, stalled=0):
         """Execute *count* whole thread-groups from *flat_group* on;
         returns their retired warps.
 
         Faults raised by the scalar replay propagate exactly as from the
-        quad tiers; the deferred clause stats recorded so far are flushed
-        either way, matching the interpreter's ``finally`` contract. A
-        batch (*count* > 1, at most :meth:`batch_groups`) either commits
-        as if its groups had run one after another or raises
+        quad tiers; the deferred clause counts recorded so far are flushed
+        into *stats* and the job's table *counts* either way, matching the
+        interpreter's ``finally`` contract. A batch (*count* > 1, at most
+        :meth:`batch_groups`) either commits as if its groups had run one
+        after another or raises
         :class:`~repro.gpu.mmu.BatchAbandoned` having changed nothing but
-        *stats* — the caller's to drop.
+        *stats* and *counts* — the caller's to drop. *stalled* is the
+        watchdog rounds an injected hang charged the group up front.
         """
         state = self._init_state(shape, flat_group, count)
         width = state.regs.shape[1]
@@ -541,16 +543,19 @@ class MegaKernel:
             # group that trips its stuck guard issues more than _MAX_STEPS
             # clauses, each a step of the batch in one loop or the other
             limits = (_MAX_STEPS // 2, _MAX_STEPS // 2)
-        hits = {}     # converged: clause -> issues, each of every lane
-        pending = {}  # masked: clause -> [issues, lanes]
+        hits = {}  # converged: clause -> issues, each of every lane
+        # converged branches' [0, 0, taken, split quads], masked clauses'
+        # [issues, lanes, taken, split quads]; None when nothing counts
+        splits, pending = (None, None) if stats is None else ({}, {})
         # progress-budget watchdog, same accounting as the compute unit's
-        # generic loop: round 1 starts now, and every barrier release
-        # opens a new round (checked before any further progress)
-        rounds = [1]
+        # generic loop: round 1 starts now, after any injected stall, and
+        # every barrier release opens a new round (checked before any
+        # further progress)
+        rounds = [1 + stalled]
         # steps: the stuck guard's converged clauses and masked steps so
         # far (bounded by *limits*), each counted across the hand-overs
         # between the two loops
-        job = (stats, flat_group, watchdog_budget, rounds, [0, 0], limits)
+        job = (flat_group, watchdog_budget, rounds, [0, 0], limits)
         try:
             if count > 1:
                 port = state.mem = self.mem.begin_batch(count,
@@ -562,7 +567,7 @@ class MegaKernel:
             with np.errstate(all="ignore"):
                 if shape.threads_per_group \
                         == shape.warps_per_group * QUAD_WIDTH:
-                    pcs = self._run_uniform(state, 0, hits, *job)
+                    pcs = self._run_uniform(state, 0, hits, splits, *job)
                 else:  # dead lanes in the last quad: masked to the end
                     pcs = np.full(width, _END_PC, dtype=np.int64)
                     pcs[:shape.threads_per_group] = 0
@@ -571,7 +576,7 @@ class MegaKernel:
                     pc = self._run_masked(state, pcs, pending, *job)
                     if pc is None:
                         break
-                    pcs = self._run_uniform(state, pc, hits, *job)
+                    pcs = self._run_uniform(state, pc, hits, splits, *job)
             if port is not None:
                 port.commit()
         except SimError as exc:
@@ -583,10 +588,12 @@ class MegaKernel:
                 port.close()
             if stats is not None:
                 quads = width // QUAD_WIDTH
-                converged = {pc: [issues * quads, issues * width]
+                converged = {pc: [issues * quads, issues * width, 0, 0]
                              for pc, issues in hits.items()}
-                for counts in (converged, pending):
-                    apply_clause_stats(stats, self.program.clauses, counts)
+                merge_clause_counts(converged, splits)
+                for table in (converged, pending):
+                    apply_clause_stats(stats, self.program.clauses, table,
+                                       counts)
         return RetiredWarps(state.arch.copy(), shape)
 
     def _init_state(self, shape, flat_group, count=1):
@@ -623,7 +630,7 @@ class MegaKernel:
         state.local = self.local
         return state
 
-    def _run_uniform(self, state, pc, hits, stats, flat_group, budget,
+    def _run_uniform(self, state, pc, hits, splits, flat_group, budget,
                      rounds, steps, limits):
         """Converged fast path: every lane live at the chain head *pc*,
         one generated function per chain of clauses. Returns None when
@@ -632,7 +639,6 @@ class MegaKernel:
         chains = self._code.chains
         rows = state.R
         width = state.regs.shape[1]
-        quads = width // QUAD_WIDTH
         max_steps = limits[0]
         issued = steps[0]
         while True:
@@ -648,9 +654,6 @@ class MegaKernel:
             elif tail is Tail.END:
                 return None
             elif tail is Tail.JUMP:
-                if stats is not None:
-                    stats.cf_instrs += width
-                    stats.branch_events += quads
                 pc = target
             elif tail is Tail.BARRIER:
                 # all lanes reach the barrier together: the compute
@@ -663,9 +666,9 @@ class MegaKernel:
                 taken = int(np.count_nonzero(rows[cond_reg]))
                 if tail is Tail.BRANCH_Z:
                     taken = width - taken
-                if stats is not None:
-                    stats.cf_instrs += width
-                    stats.branch_events += quads
+                if splits is not None:
+                    entry = splits.setdefault(pc, [0, 0, 0, 0])
+                    entry[2] += taken
                 # all or none taken: no quad can have split
                 if taken == width:
                     pc = target
@@ -674,12 +677,12 @@ class MegaKernel:
                 else:
                     cond = rows[cond_reg] == 0 if tail is Tail.BRANCH_Z \
                         else rows[cond_reg] != 0
-                    if stats is not None:
-                        stats.divergent_branches += _split_quads(cond, ~cond)
+                    if splits is not None:
+                        entry[3] += _split_quads(cond, ~cond)
                     steps[0] = issued
                     return np.where(cond, np.int64(target), np.int64(pc + 1))
 
-    def _run_masked(self, state, pcs, pending, stats, flat_group, budget,
+    def _run_masked(self, state, pcs, pending, flat_group, budget,
                     rounds, steps, limits):
         """General scheduler: global min-PC over the per-lane *pcs* with
         lane masks, one generated function per clause. Waiting lanes carry
@@ -708,10 +711,9 @@ class MegaKernel:
             if lanes == width and current in chains:
                 steps[1] = issued
                 return current
-            if stats is not None:
-                quads = int(np.count_nonzero(mask.view(np.uint32)))
-                entry = pending.setdefault(current, [0, 0])
-                entry[0] += quads
+            if pending is not None:
+                entry = pending.setdefault(current, [0, 0, 0, 0])
+                entry[0] += int(np.count_nonzero(mask.view(np.uint32)))
                 entry[1] += lanes
             run, tail, target, cond_reg = masked[current]
             run(state, mask)
@@ -721,9 +723,6 @@ class MegaKernel:
                 pcs[mask] = _END_PC
             elif tail is Tail.JUMP:
                 pcs[mask] = target
-                if stats is not None:
-                    stats.cf_instrs += lanes
-                    stats.branch_events += quads
             elif tail is Tail.BARRIER:
                 pcs[mask] = (current + 1) | _WAIT
             else:  # BRANCH / BRANCH_Z
@@ -732,13 +731,12 @@ class MegaKernel:
                 taken = mask & cond
                 pcs[mask] = current + 1
                 pcs[taken] = target
-                if stats is not None:
-                    stats.cf_instrs += lanes
-                    stats.branch_events += quads
+                if pending is not None:
+                    count = int(np.count_nonzero(taken))
+                    entry[2] += count
                     # a quad can only have split if the lanes did
-                    if 0 < np.count_nonzero(taken) < lanes:
-                        stats.divergent_branches += _split_quads(
-                            taken, mask & ~cond)
+                    if 0 < count < lanes:
+                        entry[3] += _split_quads(taken, mask & ~cond)
             issued += 1
             if issued > max_steps:
                 raise _stuck(max_steps)

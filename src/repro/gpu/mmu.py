@@ -266,7 +266,7 @@ class GPUMMU(Stateful):
         defer (the quad walk returns ``None``), which likewise routes
         grow-on-fault growth through the scalar path."""
         return self._injector is not None \
-            and self._injector.page_armed(vpage | self._as_tag)
+            and self._injector.armed("mmu.page", vpage | self._as_tag)
 
     def _translate_list(self, lanes, required):
         """Translate a list of lane addresses; one TLB probe per page.

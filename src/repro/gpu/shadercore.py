@@ -31,7 +31,7 @@ from repro.gpu.isa import (
     REG_LOCAL_ID,
 )
 from repro.gpu.warp import WARP_WIDTH, ClauseInterpreter, QuadWarp
-from repro.instrument.stats import JobStats
+from repro.instrument.stats import JobStats, merge_clause_counts
 
 
 class WorkgroupShape:
@@ -74,14 +74,14 @@ class ComputeUnit:
 
     Counts the running job into its own
     :class:`~repro.instrument.stats.JobStats`, totalled at job completion
-    (Section IV-A). A unit outlives jobs and keeps its local slab and
-    kernel translations; everything a job can observe is reset by
-    :meth:`prepare`.
+    (Section IV-A), and :attr:`clause_counts`, its divergence CFG. A unit
+    outlives jobs and keeps its local slab and kernel translations;
+    everything a job can observe is reset by :meth:`prepare`.
     """
 
     def __init__(self):
         self.stats = None
-        self.cfg = None
+        self.clause_counts = None
         self.tracer = None
         self.events = None
         self.injector = None
@@ -96,22 +96,17 @@ class ComputeUnit:
         self.batches_run = 0
         self.batches_abandoned = 0
 
-    def prepare(self, local_mem_bytes, instrument, collect_cfg, tracer=None,
+    def prepare(self, local_mem_bytes, instrument, tracer=None,
                 engine="interpreter", events=None, injector=None,
                 watchdog_budget=None):
         self.stats = JobStats() if instrument else None
+        self.clause_counts = {} if instrument else None
         self.tracer = tracer
         self.events = events
         self.engine = engine
         self.injector = injector
         self.watchdog_budget = watchdog_budget
         self._job = self._mega = self._quad = None
-        if collect_cfg:
-            from repro.instrument.cfg import DivergenceCFG
-
-            self.cfg = DivergenceCFG()
-        else:
-            self.cfg = None
         words = max(1, local_mem_bytes // 4)
         if self._local is None or len(self._local) < words:
             self._local = np.zeros(words, dtype=np.uint32)
@@ -127,8 +122,8 @@ class ComputeUnit:
         """Workgroup-wide (megakernel) engine bound to this job, or None
         — the job then runs on the interpreter.
 
-        CFG collection and per-word memory tracing need per-issue
-        visibility the translation deliberately avoids. Eligibility is
+        Per-word memory tracing needs per-issue visibility the
+        translation deliberately avoids. Eligibility is
         static per program: every op must have an SoA translation (ATOM
         does not — the interpreter serializes atomics warp by warp, an
         ordering the workgroup-wide schedule cannot reproduce
@@ -139,8 +134,7 @@ class ComputeUnit:
         hashability; the entry holds the program itself, so its id
         cannot be recycled while the key is live.
         """
-        if self.engine != "mega" or self.cfg is not None \
-                or self.tracer is not None:
+        if self.engine != "mega" or self.tracer is not None:
             return None
         entry = self._translations.get(id(program))
         if entry is None:
@@ -175,18 +169,23 @@ class ComputeUnit:
             self._abandoned = False
         return self._mega
 
-    def batch_groups(self, program, uniforms, mem, shape, left):
-        """How many of the *left* consecutive workgroups still to run the
-        next :meth:`run_workgroup` call should take: the mega tier's
-        lockstep batch where it can run one, else 1 — and 1 for the rest
-        of a job that abandoned a batch: what conflicted is its data. An
-        injector keeps it at 1 too: ``core.hang`` keys and armed pages
-        are per group."""
+    def batch_groups(self, program, uniforms, mem, shape, flat_group,
+                     left):
+        """How many of the *left* consecutive workgroups from
+        *flat_group* on the next :meth:`run_workgroup` call should take:
+        the mega tier's lockstep batch where it can run one, else 1 — and
+        1 for the rest of a job that abandoned a batch: what conflicted is
+        its data. A batch ends before a group with an armed ``core.hang``
+        key (an armed page abandons the batch it lands in)."""
         mega = self._bound(program, uniforms, mem)
-        if mega is None or not mega.batching or self._abandoned \
-                or self.injector is not None:
+        if mega is None or not mega.batching or self._abandoned:
             return 1
-        return min(mega.batch_groups(shape), left)
+        count = min(mega.batch_groups(shape), left)
+        if self.injector is not None:
+            for group in range(flat_group, flat_group + count):
+                if self.injector.armed("core.hang", group):
+                    return max(1, group - flat_group)
+        return count
 
     def run_groups(self, program, uniforms, mem, shape, limit):
         """Run flat groups ``[0, limit)`` in order, in as few
@@ -196,13 +195,9 @@ class ComputeUnit:
         job = (program, uniforms, mem, shape)
         flat_group = 0
         while flat_group < limit:
-            count = self.batch_groups(*job, limit - flat_group)
-            if count == 1:
-                break  # for the rest of the job: what said so holds
+            count = self.batch_groups(*job, flat_group, limit - flat_group)
             yield self.run_workgroup(*job, flat_group, count)
             flat_group += count
-        for flat_group in range(flat_group, limit):
-            yield self.run_workgroup(*job, flat_group)
 
     def run_workgroup(self, program, uniforms, mem, shape, flat_group,
                       count=1):
@@ -226,21 +221,25 @@ class ComputeUnit:
                 self.run_workgroup(program, uniforms, mem, shape, group)
                 for group in range(flat_group, flat_group + count)])
         self._local[:] = 0
-        # the hang injection is consumed before picking the tier: an
-        # injected stall must spin in the generic loop so the watchdog's
-        # round accounting matches the reference engines exactly
-        hang = None
+        # progress-budget watchdog: each scheduler round is one progress
+        # unit; a workgroup that burns its budget without finishing is a
+        # hang (injected clause-budget stalls, barrier livelocks)
+        budget = self.watchdog_budget
+        rounds = 0
         if self.injector is not None:
             hang = self.injector.fire("core.hang", key=flat_group)
+            if hang is not None:
+                # the injected stall charges the whole budget up front:
+                # the core spins in place without retiring a warp
+                rounds = hang.get("stall_rounds", (budget or 0) + 1)
         mega = self._bound(program, uniforms, mem)
-        if hang is not None:
-            mega = None
         if mega is None:
             interp = self._quad
             if interp is None:
                 interp = self._quad = ClauseInterpreter(
                     program, uniforms, mem, local=self._local,
-                    stats=self.stats, cfg=self.cfg, tracer=self.tracer)
+                    stats=self.stats, counts=self.clause_counts,
+                    tracer=self.tracer)
             warps = self._spawn_warps(shape, flat_group)
         if self.stats is not None:
             self.stats.workgroups += 1
@@ -252,21 +251,13 @@ class ComputeUnit:
             events.begin("workgroup", "gpu", track,
                          args={"group": flat_group,
                                "warps": shape.warps_per_group})
-        # progress-budget watchdog: each scheduler round is one progress
-        # unit; a workgroup that burns its budget without finishing is a
-        # hang (injected clause-budget stalls, barrier livelocks)
-        budget = self.watchdog_budget
-        rounds = 0
-        if hang is not None:
-            # the injected stall charges the whole budget up front:
-            # the core spins in place without retiring a warp
-            rounds = hang.get("stall_rounds", (budget or 0) + 1)
         try:
             if mega is not None:
                 # the kernel owns scheduling, barrier releases included,
                 # with the same round accounting as the loop below
-                return mega.run_workgroup(shape, flat_group, self.stats,
-                                          budget)
+                return mega.run_workgroup(
+                    shape, flat_group, self.stats, budget,
+                    counts=self.clause_counts, stalled=rounds)
             while True:
                 rounds += 1
                 if budget is not None and rounds > budget:
@@ -302,7 +293,8 @@ class ComputeUnit:
         mega = self._bound(program, uniforms, mem)
         self.batches_run += 1
         # counted on the side: an abandoned batch's are dropped
-        stats = None if self.stats is None else JobStats()
+        stats, counts = (None, None) if self.stats is None \
+            else (JobStats(), {})
         events = self.events
         track = "core0"
         if events is not None:
@@ -311,7 +303,8 @@ class ComputeUnit:
                                "warps": count * shape.warps_per_group})
         try:
             warps = mega.run_workgroup(
-                shape, flat_group, stats, self.watchdog_budget, count)
+                shape, flat_group, stats, self.watchdog_budget, count,
+                counts=counts)
         except BatchAbandoned as abandoned:
             self.batches_abandoned += 1
             self._abandoned = True
@@ -328,6 +321,7 @@ class ComputeUnit:
             stats.warps_launched += count * shape.warps_per_group
             stats.threads_launched += count * shape.threads_per_group
             self.stats.merge(stats)
+            merge_clause_counts(self.clause_counts, counts)
         return warps
 
     def _spawn_warps(self, shape, flat_group):

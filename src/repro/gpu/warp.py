@@ -10,8 +10,8 @@ Divergence is handled by minimum-PC scheduling at clause granularity: each
 lane carries its own next-clause index; on every step the warp executes the
 lanes positioned at the numerically smallest clause index. Because the
 compiler lays out clauses in forward order, diverged lanes naturally
-reconverge at the join clause. Divergent branches are recorded for the
-Fig. 6 CFG.
+reconverge at the join clause. Each clause's issues, lanes and branch
+split are counted for the stats and the Fig. 6 CFG.
 """
 
 import numpy as np
@@ -81,17 +81,17 @@ class ClauseInterpreter:
             no local memory.
         stats: a :class:`~repro.instrument.stats.JobStats` to fill, or None
             to run without instrumentation (the Fig. 8 "w/o instrum." mode).
-        cfg: a :class:`~repro.instrument.cfg.DivergenceCFG` or None.
+        counts: the job's per-clause table (its divergence CFG), or None.
     """
 
     def __init__(self, program, uniforms, mem, local=None, stats=None,
-                 cfg=None, tracer=None):
+                 counts=None, tracer=None):
         self.program = program
         self.uniforms = uniforms
         self.mem = mem
         self.local = local
         self.stats = stats
-        self.cfg = cfg
+        self.counts = counts
         self.tracer = tracer
         # quad-wide memory port: the GPU MMU over PhysicalMemory has the
         # vector API; a port without it (test stubs) declines every quad,
@@ -104,8 +104,8 @@ class ClauseInterpreter:
         # per-interpreter scratch: uniform broadcasts are materialized
         # once per slot instead of one np.full per issue
         self._uniform_vectors = {}
-        # deferred per-clause stat accumulation: clause index ->
-        # [issue count, total active lanes], flushed by run_warp
+        # deferred per-clause stat accumulation: clause index -> [issues,
+        # lanes, taken lanes, divergent issues], flushed by run_warp
         self._pending_stats = {}
 
     # -- warp scheduling ------------------------------------------------------
@@ -135,14 +135,8 @@ class ClauseInterpreter:
                         f"kernel is likely stuck"
                     )
         finally:
-            self._flush_clause_stats()
-
-    def _flush_clause_stats(self):
-        """Apply the deferred per-clause counters to the JobStats
-        (shared with the megakernel so both produce identical counts)."""
-        if self._pending_stats:
             apply_clause_stats(self.stats, self.program.clauses,
-                               self._pending_stats)
+                               self._pending_stats, self.counts)
 
     # -- clause execution -------------------------------------------------------
 
@@ -152,76 +146,42 @@ class ClauseInterpreter:
         if self.stats is not None:
             # decode-time clause metrics: execution only records clause
             # frequency and scales by active lanes (paper Section IV-A);
-            # the actual additions are deferred to _flush_clause_stats
-            entry = self._pending_stats.get(clause_index)
-            if entry is None:
-                self._pending_stats[clause_index] = [1, lanes]
-            else:
-                entry[0] += 1
-                entry[1] += lanes
+            # the actual additions are deferred to run_warp's flush
+            entry = self._pending_stats.setdefault(clause_index,
+                                                   [0, 0, 0, 0])
+            entry[0] += 1
+            entry[1] += lanes
         for instr in clause.active_slots():
             self._execute_instr(warp, clause, instr, mask, lanes)
         self._apply_tail(warp, clause, clause_index, mask, lanes)
 
     def _apply_tail(self, warp, clause, clause_index, mask, lanes):
         tail = clause.tail
-        stats = self.stats
-        full = lanes == WARP_WIDTH
-        if tail is Tail.FALLTHROUGH:
-            if full:
-                warp.pcs[:] = clause_index + 1
-            else:
-                warp.pcs[mask] = clause_index + 1
-            next_pcs = None
-        elif tail is Tail.END:
-            if full:
-                warp.pcs[:] = _END_PC
-            else:
-                warp.pcs[mask] = _END_PC
-            next_pcs = None
-        elif tail is Tail.JUMP:
-            if full:
-                warp.pcs[:] = clause.target
-            else:
-                warp.pcs[mask] = clause.target
-            next_pcs = None
-            if stats is not None:
-                stats.cf_instrs += lanes
-                stats.branch_events += 1
-        elif tail is Tail.BARRIER:
-            warp.pcs[mask] = clause_index + 1
-            warp.at_barrier |= mask
-            next_pcs = None
-        else:  # BRANCH / BRANCH_Z
+        if tail is Tail.BRANCH or tail is Tail.BRANCH_Z:
             cond = warp.regs[:, clause.cond_reg] != 0
             if tail is Tail.BRANCH_Z:
                 cond = ~cond
             taken = mask & cond
-            not_taken = mask & ~cond
+            warp.pcs[mask] = clause_index + 1
             warp.pcs[taken] = clause.target
-            warp.pcs[not_taken] = clause_index + 1
-            next_pcs = warp.pcs
-            if stats is not None:
-                stats.cf_instrs += lanes
-                stats.branch_events += 1
-                if taken.any() and not_taken.any():
-                    stats.divergent_branches += 1
-                    if self.cfg is not None:
-                        self.cfg.record_divergence(clause_index)
-        if self.cfg is not None:
-            self.cfg.record_execution(clause_index, lanes)
-            if next_pcs is None:
-                # uniform successor for all masked lanes
-                if tail is Tail.END:
-                    self.cfg.record_edge(clause_index, DivergenceCFGEnd, lanes)
-                else:
-                    successor = clause.target if tail is Tail.JUMP else clause_index + 1
-                    self.cfg.record_edge(clause_index, successor, lanes)
+            if self.stats is not None:
+                # the split, for the stats and the divergence CFG
+                entry = self._pending_stats[clause_index]
+                count = int(np.count_nonzero(taken))
+                entry[2] += count
+                if 0 < count < lanes:
+                    entry[3] += 1
+        elif tail is Tail.BARRIER:
+            warp.pcs[mask] = clause_index + 1
+            warp.at_barrier |= mask
+        else:
+            # one successor for every lane of the mask
+            successor = clause.target if tail is Tail.JUMP else \
+                _END_PC if tail is Tail.END else clause_index + 1
+            if lanes == WARP_WIDTH:
+                warp.pcs[:] = successor
             else:
-                for lane in np.flatnonzero(mask):
-                    pc = int(warp.pcs[lane])
-                    dst = DivergenceCFGEnd if pc >= _END_PC else pc
-                    self.cfg.record_edge(clause_index, dst, 1)
+                warp.pcs[mask] = successor
 
     # -- operand access ---------------------------------------------------------
 
@@ -432,5 +392,3 @@ def _decline(*_args):
     declined."""
     return None
 
-
-DivergenceCFGEnd = "END"

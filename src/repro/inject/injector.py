@@ -1,7 +1,7 @@
 """The fault injector: arms a :class:`~repro.inject.plan.FaultPlan` at
 the simulator's registered injection sites.
 
-The injector is consulted by the GPU MMU (``fire_page``/``page_armed``),
+The injector is consulted by the GPU MMU (``fire_page``/``armed``),
 the job manager and shader cores (``fire`` with a key), and the driver
 and platform IRQ routing (``fire`` occurrence-keyed). Every hook sits on
 a cold path — TLB misses, descriptor parses, submission, IRQ assertion —
@@ -121,17 +121,17 @@ class FaultInjector(Stateful):
         with self._lock:
             return self._fire_keyed("mmu.page", vpage)
 
-    def page_armed(self, vpage):
-        """Non-consuming probe: is *vpage* armed for injection?
+    def armed(self, site, key):
+        """Non-consuming probe: would :meth:`fire` at key-keyed *site*
+        inject a fault for *key* now (the tenant scope included)?
 
         The MMU's quad fast-path tiers use this to defer armed pages to
         the scalar replay without consuming the fault, so it fires
-        exactly once, with reference semantics, in the scalar miss path.
+        exactly once, with reference semantics, in the scalar miss path;
+        the compute unit ends a lockstep batch before an armed group.
         """
-        for armed in self._keyed.get(("mmu.page", vpage), ()):
-            if armed.live and self._eligible(armed):
-                return True
-        return False
+        return any(armed.live and self._eligible(armed)
+                   for armed in self._keyed.get((site, key), ()))
 
     # -- checkpoint state ----------------------------------------------------
 

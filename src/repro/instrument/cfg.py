@@ -4,16 +4,23 @@ The simulator tracks the program counter on clause boundaries and builds a
 control-flow graph whose edges carry the number of threads that followed
 them. Basic blocks where lanes of a warp chose different successors are
 flagged as divergence points, "pinpointing the divergence on actual GPU
-instructions".
+instructions". The graph of a job is built from the per-clause counts its
+engine flushed into the job's stats, so every engine has it.
 """
 
 
+def _node_order(node):
+    """Clause order, with ``END`` last."""
+    return (1, 0) if node == DivergenceCFG.END else (0, node)
+
+
 class DivergenceCFG:
-    """Collects clause-boundary transitions and renders the CFG.
+    """Clause-boundary transitions, and their rendering as the CFG.
 
     Nodes are clause indices (plus the virtual ``END`` node); edge weights
     are thread counts. ``divergences[node]`` counts warp-level divergent
-    branch events whose branch clause was *node*.
+    branch events whose branch clause was *node*, out of
+    ``executions[node]`` warp issues.
     """
 
     END = "END"
@@ -24,10 +31,34 @@ class DivergenceCFG:
         self._executions = {}
         self.base_address = base_address
 
-    # -- collection (called from the warp executor) --------------------------
+    @classmethod
+    def from_clause_counts(cls, clauses, counts):
+        """The graph of a job's per-clause counts (see
+        :func:`~repro.instrument.stats.apply_clause_stats`): a clause
+        sends its lanes to ``c+1`` (``END`` after an END tail) but for
+        those a JUMP or BRANCH sends to its target."""
+        from repro.gpu.isa import Tail
 
-    def record_execution(self, clause_index, thread_count):
-        self._executions[clause_index] = self._executions.get(clause_index, 0) + thread_count
+        cfg = cls()
+        for index in sorted(counts):
+            issues, lanes, taken, divergent = counts[index]
+            clause = clauses[index]
+            cfg.record_execution(index, issues)
+            if divergent:
+                cfg.record_divergence(index, divergent)
+            if clause.tail is Tail.JUMP:
+                taken = lanes
+            after = cls.END if clause.tail is Tail.END else index + 1
+            for dst, threads in ((after, lanes - taken),
+                                 (clause.target, taken)):
+                if threads:
+                    cfg.record_edge(index, dst, threads)
+        return cfg
+
+    # -- construction ---------------------------------------------------------
+
+    def record_execution(self, clause_index, issues):
+        self._executions[clause_index] = self._executions.get(clause_index, 0) + issues
 
     def record_edge(self, src_clause, dst_clause, thread_count):
         key = (src_clause, dst_clause)
@@ -46,6 +77,10 @@ class DivergenceCFG:
     def divergences(self):
         return dict(self._divergences)
 
+    @property
+    def executions(self):
+        return dict(self._executions)
+
     def merge(self, other):
         for (src, dst), count in other._edges.items():
             self.record_edge(src, dst, count)
@@ -62,24 +97,25 @@ class DivergenceCFG:
         return f"{self.base_address + node * 0x10:x}"
 
     def graph(self):
-        """``(nodes, successors)``: nodes in order of first appearance on
-        an edge (source before destination); ``successors[src]`` maps
-        ``dst -> (threads, fraction)`` in the order first taken, where
-        ``fraction`` is the share of threads leaving *src* along that
-        edge."""
-        nodes = {}
+        """``(nodes, successors)``: nodes in clause order, ``END`` last;
+        ``successors[src]`` maps ``dst -> (threads, fraction)`` in the
+        same order, where ``fraction`` is the share of threads leaving
+        *src* along that edge. The same counts give the same graph
+        whichever engine counted them."""
         successors = {}
-        for (src, dst), count in self._edges.items():
-            nodes[src] = nodes[dst] = None
-            successors.setdefault(src, {})[dst] = count
+        for src, dst in sorted(self._edges,
+                               key=lambda edge: tuple(map(_node_order, edge))):
+            successors.setdefault(src, {})[dst] = self._edges[(src, dst)]
         for out in successors.values():
             total = sum(out.values())
             for dst, count in out.items():
                 out[dst] = (count, count / total if total else 0.0)
-        return list(nodes), successors
+        nodes = {node for edge in self._edges for node in edge}
+        return sorted(nodes, key=_node_order), successors
 
     def divergence_fraction(self, node):
-        """Fraction of branch events at *node* that diverged."""
+        """Fraction of branch events at *node* (its warp issues) that
+        diverged."""
         executed = self._executions.get(node, 0)
         if not executed:
             return 0.0

@@ -137,21 +137,23 @@ def merge_stats(stats_list):
     return total
 
 
-def apply_clause_stats(stats, clauses, pending):
+def apply_clause_stats(stats, clauses, pending, totals=None):
     """Apply deferred per-clause counters to *stats* and clear *pending*.
 
-    *pending* maps clause index -> ``[issues, total active lanes]``. Every
-    field in :class:`~repro.gpu.isa.ClauseMetrics` is static per clause and
-    scales linearly in issues/lanes, so accumulating ``(issues, lanes)``
-    per clause index and multiplying out here is arithmetically identical
-    to per-issue additions — at a dict increment per clause instead of ~16
+    *pending* maps clause index -> ``[issues, total active lanes, lanes
+    a branch took, issues whose lanes it split]``. Every field in
+    :class:`~repro.gpu.isa.ClauseMetrics` is static per clause and scales
+    linearly in issues/lanes, so accumulating ``(issues, lanes)`` per
+    clause index and multiplying out here is arithmetically identical to
+    per-issue additions — at a dict increment per clause instead of ~16
     attribute additions. Shared by the interpreter and the megakernel so
-    both produce bit-identical :class:`JobStats`.
+    both produce bit-identical :class:`JobStats`, and summed into
+    *totals*, the job's table its divergence CFG is built from.
     """
     if not pending:
         return
     histogram = stats.clause_size_histogram
-    for clause_index, (issues, lanes) in pending.items():
+    for clause_index, (issues, lanes, taken, divergent) in pending.items():
         clause = clauses[clause_index]
         metrics = clause.metrics()
         size = clause.size
@@ -172,7 +174,20 @@ def apply_clause_stats(stats, clauses, pending):
         stats.rom_reads += metrics.rom_reads * lanes
         stats.main_mem_accesses += metrics.main_mem_accesses * lanes
         stats.local_mem_accesses += metrics.local_mem_accesses * lanes
+        stats.cf_instrs += metrics.cf_instrs * lanes
+        stats.branch_events += metrics.cf_instrs * issues
+        stats.divergent_branches += divergent
+    if totals is not None:
+        merge_clause_counts(totals, pending)
     pending.clear()
+
+
+def merge_clause_counts(totals, counts):
+    """Add the per-clause records of *counts* into *totals*."""
+    for clause_index, record in counts.items():
+        total = totals.setdefault(clause_index, [0, 0, 0, 0])
+        for field_index, value in enumerate(record):
+            total[field_index] += value
 
 
 @dataclass

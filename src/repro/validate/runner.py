@@ -219,7 +219,7 @@ class EngineResult:
     memory: dict = None      # region name -> bytes
     counters: dict = None    # normalized instruction categories
     stats: dict = None       # full JobStats fields (instrumented engines)
-    cfg: tuple = None        # (edges dict, divergences dict)
+    cfg: dict = None  # the divergence CFG's per-clause counts
     mmu: dict = None         # pages/translation behaviour
     trace: InstructionTracer = None
     error: str = None        # set when the engine raised
@@ -297,13 +297,9 @@ class DifferentialRunner:
         mmu.enabled = True
         unit_engine = ENGINE_MODES[self.modes[engine]]
 
-        # every ENGINE_MODES tier is instrumented. CFG collection needs
-        # per-issue visibility the megakernel's translated code avoids,
-        # so only the interpreter builds it
-        collect_cfg = unit_engine == "interpreter"
+        # every ENGINE_MODES tier is instrumented, divergence CFG included
         unit = ComputeUnit()
-        unit.prepare(case.local_bytes, instrument=True,
-                     collect_cfg=collect_cfg, tracer=tracer,
+        unit.prepare(case.local_bytes, instrument=True, tracer=tracer,
                      engine=unit_engine)
         shape = WorkgroupShape(case.global_size, case.local_size)
         uniforms = launch.uniform_image(case.global_size, case.local_size,
@@ -336,8 +332,7 @@ class DifferentialRunner:
         stats = unit.stats
         result.counters = _quad_counters(stats)
         result.stats = _unified_snapshot(stats, mmu)
-        if collect_cfg:
-            result.cfg = (unit.cfg.edges, unit.cfg.divergences)
+        result.cfg = unit.clause_counts
         result.mmu = {
             "pages_accessed": frozenset(mmu.pages_accessed),
             "translations": mmu.translations,

@@ -337,7 +337,22 @@ def test_version_2_layout_fails_closed(saved_checkpoint, tmp_path):
     with open(path, "w") as handle:
         json.dump(manifest, handle)
     with pytest.raises(CheckpointError,
-                       match="unsupported checkpoint version 2 .*version 3"):
+                       match="unsupported checkpoint version 2 .*version 4"):
+        restore_checkpoint(directory)
+
+
+def test_version_3_layout_fails_closed(saved_checkpoint, tmp_path):
+    """Version 3 saved ``GPUConfig.collect_cfg`` in the config section,
+    a field the configuration no longer has: refused the same way."""
+    directory = _copy_checkpoint(saved_checkpoint, tmp_path / "v3")
+    path = os.path.join(directory, MANIFEST_FILE)
+    with open(path) as handle:
+        manifest = json.load(handle)
+    manifest["checkpoint_version"] = 3
+    with open(path, "w") as handle:
+        json.dump(manifest, handle)
+    with pytest.raises(CheckpointError,
+                       match="unsupported checkpoint version 3 .*version 4"):
         restore_checkpoint(directory)
 
 

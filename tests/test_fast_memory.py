@@ -223,7 +223,7 @@ class _Armed:
     def __init__(self, *pages):
         self.pages = set(pages)
 
-    def page_armed(self, key):
+    def armed(self, site, key):
         return key in self.pages
 
     def fire_page(self, key):
@@ -378,7 +378,7 @@ __kernel void histogram(__global int* values, __global int* bins, int nbins) {
 
 def _run_kernel(source, name, gsize, lsize, arrays, scalars=(), fast=True):
     config = PlatformConfig(
-        gpu=GPUConfig(engine="interpreter", instrument=True, collect_cfg=True)
+        gpu=GPUConfig(engine="interpreter", instrument=True)
     )
     context = Context(MobilePlatform(config))
     mmu = context.platform.gpu.mmu
@@ -393,8 +393,8 @@ def _run_kernel(source, name, gsize, lsize, arrays, scalars=(), fast=True):
     return {
         "outputs": outputs,
         "stats": dict(vars(stats)),
-        "cfg_edges": dict(kernel.last_cfg._edges),
-        "cfg_divergences": dict(kernel.last_cfg._divergences),
+        "cfg_edges": kernel.last_cfg.edges,
+        "cfg_divergences": kernel.last_cfg.divergences,
         "pages": set(mmu.pages_accessed),
         "translations": mmu.translations,
         "quad_accesses": mmu.quad_accesses,
@@ -437,8 +437,7 @@ class TestFastPathBitExact:
     def test_sgemm_workload(self):
         def run(fast):
             config = PlatformConfig(
-                gpu=GPUConfig(engine="interpreter", instrument=True,
-                              collect_cfg=True)
+                gpu=GPUConfig(engine="interpreter", instrument=True)
             )
             context = Context(MobilePlatform(config))
             mmu = context.platform.gpu.mmu

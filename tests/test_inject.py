@@ -97,10 +97,11 @@ class TestInjector:
     def test_page_armed_is_non_consuming(self):
         injector = FaultInjector([FaultSpec("mmu.page", key=0x40)])
         for _ in range(3):
-            assert injector.page_armed(0x40)
-        assert not injector.page_armed(0x41)
+            assert injector.armed("mmu.page", 0x40)
+        assert not injector.armed("mmu.page", 0x41)
+        assert not injector.armed("core.hang", 0x40)
         assert injector.fire_page(0x40) is not None
-        assert not injector.page_armed(0x40)  # consumed
+        assert not injector.armed("mmu.page", 0x40)  # consumed
         assert injector.fire_page(0x40) is None
 
 
@@ -274,6 +275,86 @@ class TestCampaign:
         assert replayed.ok, outcome["detail"]
         assert outcome["id"] == "fault/divergent/irq-lost/s0/interpreter/t1"
         assert outcome["detail"] == case.detail
+
+
+def _planned_run(workload, scenario, engine):
+    """*scenario*'s seed-0 plan, built from *engine*'s clean run, run on
+    a fresh *engine* platform: (counters, error text, output bytes,
+    registry snapshot)."""
+    import random
+
+    from repro.inject import campaign
+
+    clean = campaign._clean_run(workload, engine)
+    plan = campaign.build_plan(
+        scenario, random.Random(f"{workload}:{scenario}:0"), clean.pages,
+        clean.groups)
+    run = campaign._execute(workload, engine, plan=plan)
+    return (run.counters(), str(run.error), run.output_bytes,
+            run.platform.stats_registry.snapshot())
+
+
+class TestMegaUnderFaultPlans:
+    """An attached fault plan neither moves a job off mega nor switches
+    its lockstep batching off: the campaign's counters, error text and
+    outputs are the interpreter's."""
+
+    @pytest.mark.parametrize("scenario", ["hang-transient",
+                                          "hang-persistent"])
+    def test_injected_hang_stalls_the_group_on_mega(self, scenario):
+        from repro.gpu.shadercore import ComputeUnit
+
+        interp = _planned_run("sgemm", scenario, "interp")
+        spawned = []
+        spawn = ComputeUnit._spawn_warps
+
+        def counted(self, *args):
+            spawned.append(args)
+            return spawn(self, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ComputeUnit, "_spawn_warps", counted)
+            mega = _planned_run("sgemm", scenario, "mega")
+        assert mega[:3] == interp[:3]
+        assert mega[0]["gpu.faults.watchdog_timeouts"] > 0
+        # the stalled group stayed on mega: no group ever spawned the
+        # interpreter's quad warps
+        assert spawned == []
+        assert mega[3]["gpu.mmu.quad_accesses"] == 0
+        case, _plan = run_case("sgemm", scenario, 0, engine="mega",
+                               check_determinism=False)
+        assert case.ok, case.detail
+
+    def test_fault_plan_keeps_batches(self):
+        mega = _planned_run("sgemm", "mmu-transient", "mega")
+        assert mega[:3] == _planned_run("sgemm", "mmu-transient",
+                                        "interp")[:3]
+        assert mega[0]["gpu.faults.mmu_injected"] == 1
+        assert mega[3]["gpu.jobmanager.batches_run"] > 0
+
+    def test_batch_ends_before_an_armed_hang_group(self):
+        """Groups before and after the armed one still run batched; the
+        armed group runs alone and consumes the hang."""
+        from repro.gpu.megakernel import MegaKernel
+
+        calls = []
+        run = MegaKernel.run_workgroup
+
+        def recording(self, shape, flat_group, *args, **kwargs):
+            count = args[2] if len(args) > 2 else kwargs.get("count", 1)
+            calls.append((flat_group, count, kwargs.get("stalled", 0)))
+            return run(self, shape, flat_group, *args, **kwargs)
+
+        context = Context(MobilePlatform.for_mode("mega"))
+        injector = FaultInjector([FaultSpec("core.hang", key=5, count=1,
+                                            params={"stall_rounds": 2})])
+        context.platform.attach_injector(injector)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(MegaKernel, "run_workgroup", recording)
+            out = _run_fill(context, n=1024)
+        np.testing.assert_array_equal(out, _expected_fill(1024))
+        assert injector.fired["core.hang"] == 1
+        assert calls == [(0, 5, 0), (5, 1, 2), (6, 10, 0)]
 
 
 class TestCleanRunMemo:

@@ -87,7 +87,7 @@ class TestApplyClauseStats:
         clause = self._clause()
         metrics = clause.metrics()
         stats = JobStats()
-        pending = {0: [3, 11]}  # 3 warp issues, 11 total active lanes
+        pending = {0: [3, 11, 0, 0]}  # 3 warp issues, 11 total active lanes
         apply_clause_stats(stats, [clause], pending)
         assert stats.clauses_executed == 3
         assert stats.clause_size_histogram == {clause.size: 3}
@@ -101,14 +101,14 @@ class TestApplyClauseStats:
     def test_equivalent_to_per_issue_additions(self):
         clause = self._clause()
         deferred = JobStats()
-        apply_clause_stats(deferred, [clause], {0: [5, 20]})
+        apply_clause_stats(deferred, [clause], {0: [5, 20, 0, 0]})
         per_issue = JobStats()
         for lanes in (4, 4, 4, 4, 4):  # 5 issues of 4 active lanes
-            apply_clause_stats(per_issue, [clause], {0: [1, lanes]})
+            apply_clause_stats(per_issue, [clause], {0: [1, lanes, 0, 0]})
         assert deferred == per_issue
 
     def test_clears_pending(self):
-        pending = {0: [1, 4]}
+        pending = {0: [1, 4, 0, 0]}
         apply_clause_stats(JobStats(), [self._clause()], pending)
         assert pending == {}
 
@@ -137,12 +137,13 @@ class TestDivergenceCFG:
         assert successors[0][2] == (25, 0.25)
 
     def test_divergence_fraction(self):
+        # over warp issues, not lanes: 2 of 50 issues (200 lanes) diverged
         cfg = DivergenceCFG()
-        cfg.record_execution(3, 200)
+        cfg.record_execution(3, 50)
         cfg.record_edge(3, 4, 200)
         cfg.record_divergence(3)
         cfg.record_divergence(3)
-        assert cfg.divergence_fraction(3) == pytest.approx(2 / 200)
+        assert cfg.divergence_fraction(3) == pytest.approx(2 / 50)
         assert cfg.divergence_fraction(99) == 0.0
 
     def test_merge(self):

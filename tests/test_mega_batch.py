@@ -45,11 +45,13 @@ def batches(monkeypatch):
     seen = []
     run = megakernel.MegaKernel.run_workgroup
 
-    def recording(self, shape, flat_group, stats, budget=None, count=1):
+    def recording(self, shape, flat_group, stats, budget=None, count=1,
+                  **job):
         if count == 1:
-            return run(self, shape, flat_group, stats, budget)
+            return run(self, shape, flat_group, stats, budget, **job)
         try:
-            warps = run(self, shape, flat_group, stats, budget, count)
+            warps = run(self, shape, flat_group, stats, budget, count,
+                        **job)
         except BatchAbandoned as abandoned:
             seen.append((flat_group, count, abandoned.reason))
             raise
@@ -411,7 +413,7 @@ def test_programs_alternating_on_one_register_file_keep_their_constants():
             return None
 
     unit = ComputeUnit()
-    unit.prepare(64, instrument=False, collect_cfg=False, engine="mega")
+    unit.prepare(64, instrument=False, engine="mega")
     uniforms, mem = np.zeros(4, dtype=np.uint32), Port()
     shapes = {id(wide): WorkgroupShape((64, 1, 1), (64, 1, 1)),
               id(narrow): WorkgroupShape((8, 1, 1), (8, 1, 1))}

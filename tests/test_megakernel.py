@@ -276,7 +276,7 @@ def test_mega_cache_validates_program_identity():
     from repro.gpu.shadercore import ComputeUnit, WorkgroupShape
 
     unit = ComputeUnit()
-    unit.prepare(64, instrument=False, collect_cfg=False, engine="mega")
+    unit.prepare(64, instrument=False, engine="mega")
     uniforms = np.zeros(1, dtype=np.uint32)
     mem = _WideStub()
     prog_a = _mov_const_program(1)
@@ -304,7 +304,7 @@ def test_mega_cache_validates_program_identity():
         assert mega.program is program
     assert unit.translations_built == 1 + 32
     # the next job unbinds the last one; a dropped entry lets go
-    unit.prepare(64, instrument=False, collect_cfg=False, engine="mega")
+    unit.prepare(64, instrument=False, engine="mega")
     unit.drop_translations()
     del mega, program, warps
     gc.collect()
@@ -597,7 +597,7 @@ def _unit_run(engine, program, mmu, lanes=4):
     from repro.gpu.shadercore import ComputeUnit, WorkgroupShape
 
     unit = ComputeUnit()
-    unit.prepare(64, instrument=True, collect_cfg=False, engine=engine)
+    unit.prepare(64, instrument=True, engine=engine)
     raised = None
     try:
         unit.run_workgroup(program, np.zeros(4, dtype=np.uint32), mmu,
@@ -1006,9 +1006,9 @@ def schedule(monkeypatch):
     observed = _Schedule()
     flush = megakernel.apply_clause_stats
 
-    def recording_flush(stats, clauses, counts):
+    def recording_flush(stats, clauses, counts, totals=None):
         observed.flushed.append(dict(counts))
-        flush(stats, clauses, counts)
+        flush(stats, clauses, counts, totals)
 
     monkeypatch.setattr(megakernel, "apply_clause_stats", recording_flush)
     previous = sys.getprofile()
@@ -1084,8 +1084,8 @@ def test_lanes_that_meet_again_leave_the_masked_scheduler(schedule, name):
     for converged, masked in schedule.workgroups():
         assert last in converged and last not in masked
         # only the sides of the `if` ever ran masked
-        assert sum(issues for issues, _ in masked.values()) \
-            < sum(issues for issues, _ in converged.values())
+        assert sum(issues for issues, *_ in masked.values()) \
+            < sum(issues for issues, *_ in converged.values())
 
 
 @pytest.mark.parametrize("name", sorted(_REJOIN_KERNELS))
@@ -1113,8 +1113,8 @@ def test_reduction_ladder_rejoins_after_every_barrier(schedule):
     assert schedule.steps
     assert not schedule.full_mask_steps_at_a_head(case.program)
     for converged, masked in schedule.workgroups():
-        assert sum(issues for issues, _ in masked.values()) \
-            < sum(issues for issues, _ in converged.values())
+        assert sum(issues for issues, *_ in masked.values()) \
+            < sum(issues for issues, *_ in converged.values())
 
 
 def _lane_program(*clauses):
@@ -1142,7 +1142,7 @@ def _unit_outcome(engine, program, lanes, budget=None):
     from repro.gpu.shadercore import ComputeUnit, WorkgroupShape
 
     unit = ComputeUnit()
-    unit.prepare(64, instrument=True, collect_cfg=False, engine=engine,
+    unit.prepare(64, instrument=True, engine=engine,
                  watchdog_budget=budget)
     try:
         warps = unit.run_workgroup(
@@ -1219,8 +1219,8 @@ def test_stuck_guard_counts_across_hand_overs(monkeypatch, schedule):
     # clause 101, the branch of trip 51, was the last one issued
     # converged: the guard fires when the lanes come back from that
     # trip's masked step (clause 1, the even lanes of both quads)
-    assert sum(issues for issues, _ in converged.values()) == 2 * 101
-    assert masked == {1: [2 * 51, 4 * 51]}
+    assert sum(issues for issues, *_ in converged.values()) == 2 * 101
+    assert masked == {1: [2 * 51, 4 * 51, 0, 0]}
     assert stats["clauses_executed"] == 2 * (101 + 51)
 
 
@@ -1240,7 +1240,7 @@ def test_every_workgroup_starts_from_zeroed_rows():
         Tail.END, constants=[0xDEAD]))
     for engine in ("mega", "interpreter"):
         unit = ComputeUnit()
-        unit.prepare(64, instrument=False, collect_cfg=False, engine=engine)
+        unit.prepare(64, instrument=False, engine=engine)
         shape = WorkgroupShape((24, 1, 1), (8, 1, 1))
         for group in range(3):
             warps = unit.run_workgroup(

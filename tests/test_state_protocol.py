@@ -150,7 +150,7 @@ TRANSIENT = {
     "JobManager": {
         "mmu": _WIRING, "injector": _WIRING,
         "events": _OBSERVER, "tracer": _OBSERVER,
-        "instrument": _CONSTANT, "collect_cfg": _CONSTANT,
+        "instrument": _CONSTANT,
         "engine": _CONSTANT, "watchdog_budget": _CONSTANT,
         "_decode_cache": "keys are saved; rewarm_decode_cache re-decodes "
                          "them through TenantContext.read_va",
