@@ -10,7 +10,9 @@ trajectory to regress against:
   the seed's four ``load_u32`` calls, same machine, same run;
 - **kernels**: end-to-end sgemm / SobelFilter wall-clock with the fast
   path disabled (``GPUMMU.fast_path_enabled = False``, the scalar seed
-  path) and enabled, plus interpreter clauses/sec and loads/sec;
+  path) and enabled, plus interpreter clauses/sec and loads/sec, and
+  the quads the MMU served against those of neither hot shape (calls
+  into its residual routine: none on sgemm, a gated count);
 - **mega**: end-to-end sgemm across the engine tiers — the scalar seed
   baseline against the workgroup-wide megakernel engine — asserting both
   report bit-identical JobStats;
@@ -133,9 +135,18 @@ def micro_mmu_loads(quads=2000, repeats=5):
 
 
 def kernel_end_to_end(workload, sizes, repeats=3):
-    """End-to-end wall-clock, fast path off vs on, plus throughput rates."""
+    """End-to-end wall-clock, fast path off vs on, plus throughput rates,
+    and per run the quads the MMU served (``quad_accesses``) and how
+    many went to its residual routine (``general_quads``: calls into
+    ``GPUMMU._quad_views``, the quads of neither hot shape)."""
     # a build is paid once per process: not by the first mode timed
     get_workload(workload, **sizes).prebuild()
+    general = [0]
+    views = GPUMMU._quad_views
+
+    def counting_views(self, *args):
+        general[0] += 1
+        return views(self, *args)
 
     def timed(fast_path):
         best = float("inf")
@@ -146,6 +157,7 @@ def kernel_end_to_end(workload, sizes, repeats=3):
             )
             context = Context(MobilePlatform(config))
             context.platform.gpu.mmu.fast_path_enabled = fast_path
+            general[0] = 0
             start = time.perf_counter()
             result = get_workload(workload, **sizes).run(context=context,
                                                          verify=True)
@@ -153,10 +165,14 @@ def kernel_end_to_end(workload, sizes, repeats=3):
             assert result.verified
             best = min(best, elapsed)
             stats = result.stats
-        return best, stats
+        return best, stats, context.platform.gpu.mmu.quad_accesses
 
-    scalar_seconds, scalar_stats = timed(False)
-    fast_seconds, fast_stats = timed(True)
+    scalar_seconds, scalar_stats, _ = timed(False)
+    GPUMMU._quad_views = counting_views
+    try:
+        fast_seconds, fast_stats, quads = timed(True)
+    finally:
+        GPUMMU._quad_views = views
     assert vars(scalar_stats) == vars(fast_stats), \
         "fast path diverged from scalar statistics"
     return {
@@ -167,6 +183,8 @@ def kernel_end_to_end(workload, sizes, repeats=3):
         "speedup": scalar_seconds / fast_seconds,
         "clauses_per_sec": fast_stats.clauses_executed / fast_seconds,
         "loads_per_sec": fast_stats.main_mem_accesses / fast_seconds,
+        "quad_accesses": quads,
+        "general_quads": general[0],
     }
 
 
@@ -686,7 +704,9 @@ def main(argv=None):
               f"fast {row['fast_seconds'] * 1000:.1f} ms, "
               f"speedup {row['speedup']:.2f}x, "
               f"{row['clauses_per_sec']:,.0f} clauses/s, "
-              f"{row['loads_per_sec']:,.0f} loads/s")
+              f"{row['loads_per_sec']:,.0f} loads/s, "
+              f"{row['general_quads']} of {row['quad_accesses']} quads "
+              "of neither hot shape")
     for name, row in report["mega"].items():
         print(f"{name} engines: scalar "
               f"{row['scalar_seconds'] * 1000:.1f} ms, "
@@ -736,6 +756,12 @@ def main(argv=None):
           f"{built['second_build_gate_calls']} gate calls")
     print(f"wrote {_OUTPUT}")
     failed = False
+    if report["kernels"]["sgemm"]["general_quads"]:
+        print("FAIL: interp sgemm sent a quad to the MMU's residual "
+              "routine; its lanes are contiguous or broadcast, the two "
+              "shapes load_quad_u32 / store_quad_u32 serve inline",
+              file=sys.stderr)
+        failed = True
     if (batch["wide_port_calls_one_group_at_a_time"],
             batch["wide_port_calls_batched"]) != (33280, 2080):
         print("FAIL: a sgemm 128x64x128 job makes 33280 wide-port calls one "

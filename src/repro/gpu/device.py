@@ -16,6 +16,9 @@ from repro.instrument.stats import SystemStats
 from repro.mem.bus import MMIODevice
 from repro.state import Stateful
 
+#: every name :attr:`GPUConfig.engine` takes
+GPU_ENGINES = ("interpreter", "mega", "jit")
+
 
 @dataclass
 class GPUConfig:
@@ -34,8 +37,9 @@ class GPUConfig:
             "instruction tracing mode".
         engine: ``"mega"`` translates each program to workgroup-wide host
             code where it can and runs the rest on the quad interpreter;
-            any other name (``"interpreter"``, or the retired clause JIT's
-            ``"jit"``) runs the quad interpreter.
+            ``"interpreter"`` (or the retired clause JIT's ``"jit"``,
+            which pinned benchmark configurations pass) runs the quad
+            interpreter. Any other name raises ``ValueError``.
     """
 
     num_shader_cores: int = 8
@@ -45,6 +49,9 @@ class GPUConfig:
     engine: str = "interpreter"
 
     def __post_init__(self):
+        if self.engine not in GPU_ENGINES:
+            raise ValueError(f"unknown GPU engine {self.engine!r}; "
+                             f"known: {GPU_ENGINES}")
         if self.num_host_threads != 1:
             raise ValueError(f"num_host_threads={self.num_host_threads!r}: "
                              "the GPU model runs one execution unit")

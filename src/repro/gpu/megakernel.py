@@ -10,12 +10,14 @@ traffic goes through the MMU's workgroup-wide gather/scatter tier
 (:meth:`~repro.gpu.mmu.GPUMMU.load_wide_u32`), which serves all lanes with
 one TLB probe per distinct page.
 
-The fast-path/slow-path contract mirrors the quad tier's: the wide path
-either serves an element access *whole* or returns ``None`` having
-recorded nothing, and the engine replays that access per lane through the
-scalar port — so armed injection pages, unmapped (grow-on-fault) pages,
-permission failures and unaligned lanes all funnel through the exact
-reference fault semantics with bit-identical golden statistics.
+The fast-path/slow-path contract is the quad tier's, over the same page
+lookup (:mod:`repro.gpu.mmu`): the wide path either serves an element
+access *whole* or returns ``None`` having recorded nothing but the
+fallback, and the engine replays that access per lane through the scalar
+port with the interpreter's own :func:`~repro.gpu.mmu.replay_load` /
+``replay_store`` — so armed injection pages, unmapped (grow-on-fault)
+pages, permission failures and unaligned lanes all funnel through the
+exact reference fault semantics with bit-identical golden statistics.
 
 Scheduling is global minimum-PC at clause granularity over all lanes.
 Restricted to any one quad's lanes, the global min-PC order executes
@@ -90,7 +92,7 @@ from repro.gpu.isa import (
     Tail,
     is_const,
 )
-from repro.gpu.mmu import BatchAbandoned
+from repro.gpu.mmu import BatchAbandoned, replay_load, replay_store
 from repro.gpu.ops import OPS, alu, uniform_word
 from repro.gpu.warp import QUAD_WIDTH, QuadWarp
 
@@ -146,24 +148,12 @@ _BIND = {
 _NAMES = re.compile(r"\b(%s)\b" % "|".join(_BIND))
 
 
-def _replay_load(mem, addrs, lanes, row, offset):
-    """Per-lane replay of an element the wide port refused: ascending
-    lane order, the reference fault semantics and statistics."""
-    for lane in range(len(addrs)) if lanes is None else lanes:
-        row[lane] = mem.load_u32(int(addrs[lane]) + offset)
-
-
-def _replay_store(mem, addrs, lanes, values, offset):
-    for lane in range(len(addrs)) if lanes is None else lanes:
-        mem.store_u32(int(addrs[lane]) + offset, int(values[lane]))
-
-
 #: what generated code may call: the table's own value functions (for
 #: the rows that are not one ufunc), never a second copy of a semantics
 _GLOBALS = {
     "np": np, "i64": np.int64, "GuestError": GuestError,
     "uniform_word": uniform_word,
-    "replay_load": _replay_load, "replay_store": _replay_store,
+    "replay_load": replay_load, "replay_store": replay_store,
     **{f"fn_{op.name}": row.fn for op, row in OPS.items()},
 }
 

@@ -13,19 +13,20 @@ Three translation tiers exist:
 
 - the scalar path (:meth:`GPUMMU.translate` / :meth:`GPUMMU.load_u32`),
   one walk-or-TLB-probe per 32-bit word — the reference semantics;
-- the quad fast path (:meth:`GPUMMU.translate_quad` and the
-  ``load_quad_u32`` / ``store_quad_u32`` wrappers), which translates a
-  whole vector of lane addresses with one TLB probe per *distinct* page
-  and serves the data through :meth:`~repro.mem.physical.PhysicalMemory.
-  gather_u32` / ``scatter_u32``. The fast path is bit-exact with the
-  scalar path (same ``pages_accessed`` set, same ``translations`` count)
-  and *side-effect-free on failure*: any lane that would fault makes the
-  whole quad return ``None`` so the caller can replay it scalar-wise and
-  reproduce the exact per-lane fault behaviour;
+- the quad tier (``load_quad_u32`` / ``store_quad_u32``), the
+  interpreter's port: contiguous and broadcast lanes served inline, any
+  other quad by ``_quad_views``;
 - the wide tier (``load_wide_u32`` / ``store_wide_u32``), the megakernel
-  engine's workgroup-wide gather/scatter: one probe per distinct page for
-  every lane of the group, under the same bit-exactness and
-  ``None``-means-scalar-replay contract as the quad tier.
+  engine's workgroup-wide gather/scatter.
+
+Both vector tiers find pages through one lookup, ``_probe`` behind the
+page-view cache (``_resolve_view``): one probe per distinct page. They are
+bit-exact with the scalar path (same ``pages_accessed`` set, same
+``translations`` count) and *side-effect-free on failure*: a lane that is
+unaligned, or on a page only the scalar path may decide (unmapped, armed
+for injection, permission failure), makes the whole access return
+``None``, and the engine replays it lane by lane (:func:`replay_load` /
+:func:`replay_store`) to reproduce the exact per-lane fault behaviour.
 
 A *lockstep batch* of workgroups (the megakernel running several groups
 side by side) goes through none of them while it runs: :class:`BatchPort`
@@ -97,13 +98,14 @@ class GPUMMU(Stateful):
         self.injected_faults = 0
         # Software TLB in front of the walker: VA page -> (PA page, PTE
         # flags). The walker keeps its own TLB for the table-walk cache;
-        # this one makes a whole quad cost a single dict probe per
-        # distinct page. `fast_path_enabled` is the ablation knob used by
-        # benchmarks/bench_ablation_design.py and bench_hotpath.py.
+        # this one makes a whole vector access cost a single dict probe
+        # per distinct page. `fast_path_enabled` is the scalar ablation
+        # knob of benchmarks/bench_hotpath.py and the system benchmark's
+        # engine ladder.
         self._tlb = {}
-        # permission-checked page views for the quad fast path:
-        # VA page -> u32 view of its physical page. Subsets of the TLB,
-        # flushed with it.
+        # permission-checked page views for the vector tiers: VA page ->
+        # u32 view of its physical page. Subsets of the TLB, flushed
+        # with it.
         self._rview = {}
         self._wview = {}
         self._fast_path_enabled = True
@@ -111,8 +113,6 @@ class GPUMMU(Stateful):
         self.quad_fallbacks = 0
         self.wide_accesses = 0
         self.wide_fallbacks = 0
-        self._gather = getattr(memory, "gather_u32", None)
-        self._scatter = getattr(memory, "scatter_u32", None)
         self._page_view = getattr(memory, "page_u32_view", None)
         self._fast = False
         self._batch_port = None  # made by the first batch
@@ -235,8 +235,9 @@ class GPUMMU(Stateful):
 
         Returns the resolved ``(physical page, flags)`` entry (now cached)
         or raises :class:`MMUFault`. Only the scalar path resolves misses;
-        the quad tiers return ``None`` on a miss so their scalar replay
-        funnels every fault — injected, grown, or real — through here.
+        the vector tiers return ``None`` where :meth:`_probe` cannot, so
+        their scalar replay funnels every fault — injected, grown, or
+        real — through here.
         """
         injector = self._injector
         if injector is not None:
@@ -258,67 +259,6 @@ class GPUMMU(Stateful):
         self._tlb[vpage] = entry
         return entry
 
-    def _page_armed(self, vpage):
-        """True when *vpage* is armed for fault injection: quad-tier TLB
-        misses on armed pages return ``None`` (defer to the scalar
-        replay) so the injected fault fires exactly once, in
-        :meth:`_miss`, with reference semantics. Unmapped pages already
-        defer (the quad walk returns ``None``), which likewise routes
-        grow-on-fault growth through the scalar path."""
-        return self._injector is not None \
-            and self._injector.armed("mmu.page", vpage | self._as_tag)
-
-    def _translate_list(self, lanes, required):
-        """Translate a list of lane addresses; one TLB probe per page.
-
-        Returns the physical-address list, or ``None`` when any lane
-        cannot be served — *without* having recorded anything, so the
-        scalar replay produces byte-identical statistics and the exact
-        per-lane fault the hardware would raise.
-        """
-        tlb = self._tlb
-        walker = self._walker
-        tag = self._as_tag
-        paddrs = []
-        pages = set()
-        for vaddr in lanes:
-            vpage = vaddr >> PAGE_SHIFT
-            entry = tlb.get(vpage)
-            if entry is None:
-                if self._page_armed(vpage):
-                    return None
-                entry = walker.lookup_page(vaddr)
-                if entry is None:
-                    return None
-                tlb[vpage] = entry
-            ppage, flags = entry
-            if not flags & required:
-                return None
-            paddrs.append(ppage | (vaddr & _PAGE_MASK))
-            pages.add(vpage | tag)
-        self.translations += len(lanes)
-        self.pages_accessed |= pages
-        return paddrs
-
-    def translate_quad(self, vaddrs, access="r"):
-        """Translate a vector of lane addresses (one TLB probe per page).
-
-        Returns an ``int64`` NumPy vector of physical addresses, or
-        ``None`` when the quad cannot be served whole (fast path disabled,
-        MMU off, an unmapped page, or a permission failure). The ``None``
-        case records *nothing* — no translation counts, no accessed pages
-        — so the caller can fall back to the scalar path.
-        """
-        if not self.fast_path_enabled or not self.enabled \
-                or self._walker is None:
-            return None
-        lanes = vaddrs.tolist() if isinstance(vaddrs, np.ndarray) \
-            else list(vaddrs)
-        paddrs = self._translate_list(lanes, _REQUIRED[access])
-        if paddrs is None:
-            return None
-        return np.asarray(paddrs, dtype=np.int64)
-
     def latch_fault(self, fault):
         self.fault_addr = fault.vaddr
         self.fault_status = {"r": 1, "w": 2, "x": 3}[fault.access]
@@ -331,44 +271,18 @@ class GPUMMU(Stateful):
     def store_u32(self, vaddr, value):
         self._memory.write_u32(self.translate(vaddr, "w"), value)
 
-    def _quad_page(self, lanes, required):
-        """Resolve a same-page, word-aligned quad to (u32 view, offsets).
-
-        Returns ``None`` when the quad is not eligible (different pages,
-        unaligned lanes, fast path off) or would fault — recording nothing
-        in the fault case so the scalar replay is byte-identical.
-        """
-        if not self.fast_path_enabled or not self.enabled \
-                or self._walker is None:
-            return None
-        vpage = lanes[0] >> PAGE_SHIFT
-        offsets = []
-        for vaddr in lanes:
-            if vaddr >> PAGE_SHIFT != vpage or vaddr & 3:
-                return None
-            offsets.append((vaddr & _PAGE_MASK) >> 2)
-        entry = self._tlb.get(vpage)
-        if entry is None:
-            if self._page_armed(vpage):
-                return None
-            entry = self._walker.lookup_page(lanes[0])
-            if entry is None:
-                return None
-            self._tlb[vpage] = entry
-        ppage, flags = entry
-        if not flags & required:
-            return None
-        self.translations += len(lanes)
-        self.pages_accessed.add(vpage | self._as_tag)
-        return self._memory.page_u32_view(ppage >> PAGE_SHIFT), offsets
-
     def _probe(self, vpage):
         """``(physical page, PTE flags)`` of *vpage*, or ``None`` where
-        only the scalar path may decide (unmapped, armed for injection).
-        Fills the TLB, moves no counter, backs no page."""
+        only the scalar path may decide: unmapped (so grow-on-fault
+        growth goes through :meth:`_miss`) or armed for injection (so the
+        injected fault fires once, in :meth:`_miss`). The one page lookup
+        of every vector tier: fills the TLB, moves no counter, backs no
+        page."""
         entry = self._tlb.get(vpage)
         if entry is None:
-            if self._page_armed(vpage):
+            injector = self._injector
+            if injector is not None \
+                    and injector.armed("mmu.page", vpage | self._as_tag):
                 return None
             entry = self._walker.lookup_page(vpage << PAGE_SHIFT)
             if entry is None:
@@ -377,7 +291,7 @@ class GPUMMU(Stateful):
         return entry
 
     def _resolve_view(self, vpage, required, cache):
-        """Slow half of the quad tiers: probe, perm-check, cache the view."""
+        """Slow half of the view caches: probe, perm-check, cache the view."""
         entry = self._probe(vpage)
         if entry is None or not entry[1] & required:
             return None
@@ -397,10 +311,9 @@ class GPUMMU(Stateful):
         - *broadcast* (all lanes at one address, e.g. a shared matrix
           element): one view-cache probe, one scalar read.
 
-        Remaining same-page quads go through a fancy-index gather;
-        cross-page quads through the per-lane translate + gather path.
-        Any lane that would fault makes the whole call return ``None``
-        with *no* state recorded, so the caller's scalar replay
+        Any other quad goes to :meth:`_quad_views`. A quad that cannot be
+        served whole returns ``None`` with nothing recorded but
+        ``quad_fallbacks``, so the caller's :func:`replay_load`
         reproduces the exact reference fault semantics and statistics.
         """
         if not self._fast:
@@ -433,25 +346,24 @@ class GPUMMU(Stateful):
                     self.pages_accessed.add(vpage | self._as_tag)
                     self.quad_accesses += 1
                     return view[offset >> 2]
-        hit = self._quad_page(lanes, PTE_READ)
-        if hit is not None:
-            self.quad_accesses += 1
-            view, offsets = hit
-            return view[offsets]
-        paddrs = self._translate_list(lanes, PTE_READ)
-        if not paddrs:
+        hit = self._quad_views(lanes, PTE_READ, self._rview)
+        if hit is None:
             self.quad_fallbacks += 1
             return None
         self.quad_accesses += 1
-        return self._gather(paddrs)
+        view, words = hit
+        if view is not None:
+            return view[words]
+        return np.array([page[word] for page, word in words],
+                        dtype=np.uint32)
 
     def store_quad_u32(self, vaddrs, values):
         """Scatter one u32 per lane address; ``None`` -> scalar replay.
 
         The contiguous lane shape is served as one slice assignment on
-        the page view; see :meth:`load_quad_u32` for the tiering.
+        the page view; see :meth:`load_quad_u32` for the rest.
         """
-        if not self._fast or self._scatter is None:
+        if not self._fast:
             return None
         lanes = vaddrs.tolist() if isinstance(vaddrs, np.ndarray) \
             else vaddrs
@@ -472,19 +384,53 @@ class GPUMMU(Stateful):
                     word = offset >> 2
                     view[word:word + 4] = values
                     return True
-        hit = self._quad_page(lanes, PTE_WRITE)
-        if hit is not None:
-            self.quad_accesses += 1
-            view, offsets = hit
-            view[offsets] = values
-            return True
-        paddrs = self._translate_list(lanes, PTE_WRITE)
-        if not paddrs:
+        hit = self._quad_views(lanes, PTE_WRITE, self._wview)
+        if hit is None:
             self.quad_fallbacks += 1
             return None
         self.quad_accesses += 1
-        self._scatter(paddrs, values)
+        view, words = hit
+        if view is not None:
+            view[words] = values
+        else:
+            for (page, word), value in zip(words, values):
+                page[word] = value
         return True
+
+    def _quad_views(self, lanes, required, cache):
+        """A quad of neither hot shape: ``(view, words)`` when its lanes
+        share a page, else ``(None, [(view, word), ...])`` lane by lane,
+        each page's view from the view cache; the counters move by what
+        the scalar path would add.
+
+        ``None``, recording nothing, for an unaligned lane (the scalar
+        path defines sub-word semantics) or a page only the scalar path
+        may decide (unmapped, armed, permission failure) — the wide
+        tier's rule — so the caller's per-lane replay reproduces the
+        reference semantics and statistics.
+        """
+        views = {}
+        words = []
+        for vaddr in lanes:
+            if vaddr & 3:
+                return None
+            vpage = vaddr >> PAGE_SHIFT
+            if vpage not in views:
+                view = cache.get(vpage)
+                if view is None:
+                    view = self._resolve_view(vpage, required, cache)
+                    if view is None:
+                        return None
+                views[vpage] = view
+            words.append((vaddr & _PAGE_MASK) >> 2)
+        self.translations += len(lanes)
+        tag = self._as_tag
+        if len(views) == 1:
+            self.pages_accessed.add(vpage | tag)
+            return view, words
+        self.pages_accessed.update([vpage | tag for vpage in views])
+        return None, [(views[vaddr >> PAGE_SHIFT], word)
+                      for vaddr, word in zip(lanes, words)]
 
     # -- workgroup-wide (megakernel) gather/scatter ---------------------------
 
@@ -545,9 +491,10 @@ class GPUMMU(Stateful):
         """Gather one u32 per lane address for a whole workgroup.
 
         Returns the gathered uint32 vector, or ``None`` for per-lane
-        scalar replay — with *no* state recorded in that case, exactly
-        like the quad tiers. *lanes* (which lanes of the row a masked
-        access is for) matters to a :class:`BatchPort` only.
+        scalar replay — with nothing recorded but ``wide_fallbacks`` in
+        that case, exactly like the quad tier. *lanes* (which lanes of
+        the row a masked access is for) matters to a :class:`BatchPort`
+        only.
         """
         groups = self._wide_groups(vaddrs, PTE_READ, self._rview)
         if groups is None:
@@ -597,6 +544,25 @@ class GPUMMU(Stateful):
             position += chunk
             remaining -= chunk
         return bytes(out)
+
+
+# -- per-lane replay of a refused vector access (both engines) ----------------
+
+
+def replay_load(mem, addrs, lanes, row, offset):
+    """Per-lane replay of an element a vector tier refused: lanes
+    ascending (*lanes*: their indices, None for all of *addrs*) through
+    the scalar port, with the reference fault semantics and statistics.
+    ``row[lane]`` receives the word at ``addrs[lane] + offset``."""
+    for lane in range(len(addrs)) if lanes is None else lanes:
+        row[lane] = mem.load_u32(int(addrs[lane]) + offset)
+
+
+def replay_store(mem, addrs, lanes, values, offset):
+    """The store twin of :func:`replay_load`: ``values[lane]`` to
+    ``addrs[lane] + offset``, lanes ascending (the last lane wins)."""
+    for lane in range(len(addrs)) if lanes is None else lanes:
+        mem.store_u32(int(addrs[lane]) + offset, int(values[lane]))
 
 
 # -- lockstep batches of workgroups (megakernel) ------------------------------

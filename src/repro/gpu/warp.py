@@ -32,6 +32,7 @@ from repro.gpu.isa import (
     is_grf,
     is_temp,
 )
+from repro.gpu.mmu import replay_load, replay_store
 from repro.gpu.ops import alu, atomic_apply, uniform_word
 
 WARP_WIDTH = QUAD_WIDTH
@@ -75,13 +76,22 @@ class ClauseInterpreter:
         program: decoded :class:`~repro.gpu.isa.Program`.
         uniforms: uint32 vector backing the uniform ("Constant Read") port.
         mem: object with ``load_u32(vaddr)`` / ``store_u32(vaddr, value)``
-            for global (main) memory, going through the GPU MMU.
+            for global (main) memory, going through the GPU MMU. It may
+            also have the quad API, ``load_quad_u32(lane addresses)`` /
+            ``store_quad_u32(lane addresses, values)`` (the GPU MMU's),
+            which serves one element of a LD/ST for the active lanes or
+            returns ``None`` for the per-lane replay; without it every
+            element is replayed lane by lane.
         local: uint32 NumPy array backing workgroup-local memory
             (byte offsets are divided by 4), or None when the kernel uses
             no local memory.
         stats: a :class:`~repro.instrument.stats.JobStats` to fill, or None
             to run without instrumentation (the Fig. 8 "w/o instrum." mode).
         counts: the job's per-clause table (its divergence CFG), or None.
+        tracer: an instruction tracer (:mod:`repro.validate`) whose
+            ``record_quad(warp, mask, instr, values, element=0)`` is called
+            with every result an instruction writes (each element of a
+            LD/ST once it landed), or None.
     """
 
     def __init__(self, program, uniforms, mem, local=None, stats=None,
@@ -303,9 +313,10 @@ class ClauseInterpreter:
         Lane addresses travel as Python ints (one ``tolist`` per
         instruction) so the MMU's same-page probe stays off the NumPy
         small-array overhead. Each element row tries the coalesced path
-        first; a quad the port declines (fault, permissions, the scalar
-        ablation, no vector API) is replayed lane-by-lane through the
-        scalar port, which reproduces the exact scalar-mode fault
+        first; a quad the port declines (fault, permissions, an unaligned
+        lane, the scalar ablation, no vector API) is replayed lane by
+        lane through the scalar port (:func:`~repro.gpu.mmu.replay_load`,
+        mega's replay too), which reproduces the exact scalar-mode fault
         semantics and statistics.
         """
         tracer = self.tracer
@@ -323,10 +334,8 @@ class ClauseInterpreter:
                     [a + 4 * element for a in addr_list]
                 values = self._quad_load(elem_addrs)
                 if values is None:
-                    if active is None:
-                        active = np.flatnonzero(mask)
-                    self._scalar_load_element(warp, addrs, active,
-                                              base + element, element)
+                    replay_load(self.mem, addrs, active,
+                                warp.regs[:, base + element], 4 * element)
                 elif full:
                     warp.regs[:, base + element] = values
                 else:
@@ -344,22 +353,10 @@ class ClauseInterpreter:
                     [a + 4 * element for a in addr_list]
                 lane_values = u32 if full else u32[active]
                 if self._quad_store(elem_addrs, lane_values) is None:
-                    if active is None:
-                        active = np.flatnonzero(mask)
-                    self._scalar_store_element(addrs, active, u32, element)
+                    replay_store(self.mem, addrs, active, u32, 4 * element)
                 if tracer is not None:
                     tracer.record_quad(warp, mask, instr, u32,
                                        element=element)
-
-    def _scalar_load_element(self, warp, addrs, active, reg, element):
-        for lane in active:
-            warp.regs[lane, reg] = self.mem.load_u32(
-                int(addrs[lane]) + 4 * element)
-
-    def _scalar_store_element(self, addrs, active, values, element):
-        for lane in active:
-            self.mem.store_u32(int(addrs[lane]) + 4 * element,
-                               int(values[lane]))
 
     def _execute_atomic(self, warp, clause, instr, mask, lanes):
         """Atomic read-modify-write: lanes apply in lane order (the

@@ -398,9 +398,14 @@ def _two_host_threads(config):
     config["gpu"]["num_host_threads"] = 2
 
 
+def _misspelled_engine(config):
+    config["gpu"]["engine"] = "warp9"
+
+
 @pytest.mark.parametrize("edit", [
     _drop_config_key, _mistype_config_key, _mistype_gpu_key,
-    _drop_tenancy_key, _gpu_section_not_a_mapping, _two_host_threads])
+    _drop_tenancy_key, _gpu_section_not_a_mapping, _two_host_threads,
+    _misspelled_engine])
 def test_hand_edited_config_section_fails_closed(saved_checkpoint, tmp_path,
                                                  edit):
     """A digest-valid checkpoint whose *config* section lacks, mistypes

@@ -1,22 +1,26 @@
-"""Fast quad memory path: gather/scatter, software TLB, bit-exactness.
+"""Fast memory path: gather/scatter, software TLB, bit-exactness.
 
-The quad fast path (PhysicalMemory.gather_u32/scatter_u32, the GPUMMU
-software TLB and translate_quad, and the interpreter's quad LD/ST) must be
+The vector tiers (the GPUMMU software TLB and page-view cache behind
+load_quad_u32/store_quad_u32 and the workgroup-wide port, the per-lane
+replay of what they refuse, and the interpreter's quad LD/ST) must be
 observationally identical to the scalar reference path: same register
 files, same JobStats, same pages-accessed set, same divergence CFG, and
-the exact same faults. These tests pin that contract at every layer.
+the exact same faults. These tests pin that contract at every layer,
+PhysicalMemory.gather_u32/scatter_u32 included.
 """
 
 import contextlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cl import CommandQueue, Context
 from repro.core.platform import MobilePlatform, PlatformConfig
 from repro.errors import MMUFault
 from repro.gpu.device import GPUConfig
-from repro.gpu.mmu import GPUMMU
+from repro.gpu.mmu import GPUMMU, replay_load, replay_store
 from repro.kernels import get_workload
 from repro.mem import (
     PAGE_SIZE,
@@ -129,28 +133,32 @@ def _mmu(npages=4, flags=PTE_READ | PTE_WRITE):
 
 
 class TestQuadTranslation:
-    def test_translate_quad_matches_scalar_translate(self):
-        _mem, _b, mmu = _mmu()
+    def test_load_quad_matches_scalar_load(self):
+        mem, _b, mmu = _mmu()
+        for i in range(8):
+            mem.write_u32(PA + i * 4, 100 + i)
+            mem.write_u32(PA + 2 * PAGE_SIZE + i * 4, 200 + i)
         addrs = [VA + 4, VA + 8, VA + PAGE_SIZE + 4, VA + 16]
-        quad = mmu.translate_quad(addrs, "r")
-        scalar = [mmu.translate(a, "r") for a in addrs]
+        quad = mmu.load_quad_u32(addrs)
+        scalar = [mmu.load_u32(a) for a in addrs]
         np.testing.assert_array_equal(quad, scalar)
 
     def test_quad_stats_identical_to_scalar(self):
         addrs = [VA + 4, VA + 8, VA + PAGE_SIZE + 4, VA + 16]
         _m, _b, quad_mmu = _mmu()
-        quad_mmu.translate_quad(addrs, "r")
+        assert quad_mmu.load_quad_u32(addrs) is not None
         _m, _b, scalar_mmu = _mmu()
         for a in addrs:
-            scalar_mmu.translate(a, "r")
+            scalar_mmu.load_u32(a)
         assert quad_mmu.translations == scalar_mmu.translations == 4
         assert quad_mmu.pages_accessed == scalar_mmu.pages_accessed
 
     def test_faulting_lane_records_nothing(self):
         _m, _b, mmu = _mmu(npages=1)
         addrs = [VA + 4, VA + 8, VA + PAGE_SIZE + 4, VA + 16]
-        assert mmu.translate_quad(addrs, "r") is None
         assert mmu.load_quad_u32(addrs) is None
+        assert mmu.store_quad_u32(addrs, np.arange(4, dtype=np.uint32)) \
+            is None
         assert mmu.translations == 0
         assert mmu.pages_accessed == set()
         # the scalar replay then reproduces the exact fault
@@ -202,7 +210,8 @@ class TestQuadTranslation:
         addrs = [VA, VA + 4, VA + 8, VA + 12]
         mmu.fast_path_enabled = False
         assert mmu.load_quad_u32(addrs) is None
-        assert mmu.translate_quad(addrs) is None
+        assert mmu.store_quad_u32(addrs, np.arange(4, dtype=np.uint32)) \
+            is None
         mmu.fast_path_enabled = True
         assert mmu.load_quad_u32(addrs) is not None
 
@@ -346,6 +355,152 @@ class TestWideOnePageTier:
         mmu.fast_path_enabled = False
         assert mmu.load_wide_u32(_ONE_PAGE_SHAPES["contiguous"]) is None
         assert _wide_counters(mmu) == (0, [], 0, 1, 0)
+
+
+# -- quad port against the scalar reference (property) ----------------------
+
+
+class _Injecting(_Armed):
+    """Injector stub whose armed pages fault on the scalar path."""
+
+    def fire_page(self, key):
+        return {"kind": "translation"} if key in self.pages else None
+
+
+#: virtual pages of :func:`_mixed_mmu`, by what a lane there meets
+_RW, _RW_NEXT, _RO, _UNMAPPED, _ARMED = range(5)
+
+
+def _mixed_mmu():
+    """Pages ``_RW`` and ``_RW_NEXT`` read-write (adjacent virtual pages,
+    non-adjacent frames), ``_RO`` read-only, ``_UNMAPPED`` unmapped,
+    ``_ARMED`` read-write but armed for injection; every mapped frame
+    holds distinct words."""
+    mem, builder, mmu = _mmu(npages=2)
+    builder.map_page(VA + _RO * PAGE_SIZE, PA + 2 * _RO * PAGE_SIZE,
+                     flags=PTE_READ)
+    builder.map_page(VA + _ARMED * PAGE_SIZE, PA + 2 * _ARMED * PAGE_SIZE,
+                     flags=PTE_READ | PTE_WRITE)
+    mmu.set_injector(_Injecting(VA // PAGE_SIZE + _ARMED))
+    words = PAGE_SIZE // 4
+    for page in (_RW, _RW_NEXT, _RO, _ARMED):
+        mem.write_block(PA + 2 * page * PAGE_SIZE, (
+            np.arange(words, dtype=np.uint32) + page * words).tobytes())
+    return mem, mmu
+
+
+# a few words at each end of a page, so lanes repeat and straddle pages
+_WORDS = st.one_of(st.sampled_from([0, 1, 2, PAGE_SIZE // 4 - 2,
+                                    PAGE_SIZE // 4 - 1]),
+                   st.integers(0, PAGE_SIZE // 4 - 1))
+# the two pages a quad's lanes are on: mostly the two read-write ones
+_PAGE_PAIRS = st.sampled_from([
+    (_RW, _RW_NEXT), (_RW_NEXT, _RW), (_RW, _RW_NEXT), (_RW, _RO),
+    (_RO, _RW_NEXT), (_RW, _UNMAPPED), (_ARMED, _RW_NEXT), (_RO, _RO)])
+
+
+@st.composite
+def _quad_lanes(draw):
+    """1-4 lane addresses on two pages: contiguous, broadcast, or drawn
+    lane by lane (same-page, cross-page, duplicated); one lane in five
+    quads off its word."""
+    count = draw(st.integers(1, 4))
+    pages = draw(_PAGE_PAIRS)
+    address = st.builds(lambda page, word: VA + page * PAGE_SIZE + 4 * word,
+                        st.sampled_from(pages), _WORDS)
+    shape = draw(st.sampled_from(["contiguous", "broadcast", "lanes",
+                                  "lanes"]))
+    if shape == "contiguous":
+        base = draw(address)
+        lanes = [base + 4 * lane for lane in range(count)]
+    elif shape == "broadcast":
+        lanes = [draw(address)] * count
+    else:
+        lanes = draw(st.lists(address, min_size=count, max_size=count))
+    if draw(st.integers(0, 4)) == 0:
+        lanes[draw(st.integers(0, count - 1))] += draw(st.integers(1, 3))
+    return lanes
+
+
+def _counts(mmu):
+    return (mmu.translations, sorted(mmu.pages_accessed),
+            mmu.quad_accesses, mmu.quad_fallbacks)
+
+
+def _lane_by_lane(mmu, lanes, values):
+    """The scalar reference: ``(words loaded, fault)``."""
+    loaded = []
+    try:
+        for lane, vaddr in enumerate(lanes):
+            if values is None:
+                loaded.append(mmu.load_u32(vaddr))
+            else:
+                mmu.store_u32(vaddr, int(values[lane]))
+    except MMUFault as fault:
+        return loaded, (fault.vaddr, fault.access)
+    return loaded, None
+
+
+def _through_the_port(mmu, lanes, values):
+    """``load_quad_u32`` / ``store_quad_u32``, and the per-lane replay
+    when it refuses: ``(words the replay loaded, fault, what the port
+    served)``."""
+    before = _counts(mmu)
+    if values is None:
+        got = mmu.load_quad_u32(lanes)
+    else:
+        got = mmu.store_quad_u32(lanes, values)
+    translations, pages, accesses, fallbacks = before
+    if got is not None:
+        assert _counts(mmu)[2:] == (accesses + 1, fallbacks)
+        return None, None, got
+    # a refused call moves nothing but quad_fallbacks
+    assert _counts(mmu) == (translations, pages, accesses, fallbacks + 1)
+    row = np.zeros(len(lanes), dtype=np.uint32)
+    try:
+        if values is None:
+            replay_load(mmu, lanes, None, row, 0)
+        else:
+            replay_store(mmu, lanes, None, values, 0)
+    except MMUFault as fault:
+        return row, (fault.vaddr, fault.access), None
+    return row, None, None
+
+
+class TestQuadPortProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(lanes=_quad_lanes(), store=st.booleans())
+    def test_port_or_replay_equals_lane_by_lane(self, lanes, store):
+        values = None if not store else \
+            np.arange(len(lanes), dtype=np.uint32) + 0xABC0
+        ref_mem, ref_mmu = _mixed_mmu()
+        want, want_fault = _lane_by_lane(ref_mmu, lanes, values)
+        mem, mmu = _mixed_mmu()
+        row, fault, served = _through_the_port(mmu, lanes, values)
+        assert fault == want_fault
+        if served is not None:
+            assert want_fault is None  # the port serves no faulting quad
+            if values is None:  # a broadcast is served as one word
+                assert np.broadcast_to(served, len(lanes)).tolist() == want
+        elif values is None:
+            assert row[:len(want)].tolist() == want
+        assert (mmu.translations, mmu.pages_accessed) == \
+            (ref_mmu.translations, ref_mmu.pages_accessed)
+        assert mem.read_block(PA, 2 * (_ARMED + 1) * PAGE_SIZE) == \
+            ref_mem.read_block(PA, 2 * (_ARMED + 1) * PAGE_SIZE)
+
+    def test_unaligned_lane_is_refused_and_replayed(self):
+        """A quad of neither hot shape with an unaligned lane is refused
+        (the scalar path defines sub-word semantics); the replay reads
+        the words the per-lane loop reads, with its counts."""
+        lanes = [VA + 8, VA + 2, VA + 16, VA + 40]
+        mem, mmu = _mixed_mmu()
+        assert mmu.load_quad_u32(lanes) is None
+        assert _counts(mmu) == (0, [], 0, 1)
+        row = np.zeros(4, dtype=np.uint32)
+        replay_load(mmu, lanes, None, row, 0)
+        assert row.tolist() == [mem.read_u32(PA + a - VA) for a in lanes]
+        assert _counts(mmu) == (4, [VA >> 12], 0, 1)
 
 
 # -- end-to-end differential: fast path vs scalar reference ------------------

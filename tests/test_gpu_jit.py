@@ -92,3 +92,13 @@ def test_jit_collects_stats_when_instrumented():
     assert "jit" not in ENGINE_NAMES
     with pytest.raises(ValueError):
         MobilePlatform.for_mode("jit")
+
+
+@pytest.mark.parametrize("engine", ["mgea", "interp", "fast", ""])
+def test_unknown_engine_name_fails_closed(engine):
+    """Only ``interpreter``, ``mega`` and the retired ``jit`` are GPU
+    engines: a misspelling raises instead of quietly running the
+    interpreter (``interp`` and ``fast`` are engine *modes*, resolved by
+    the platform, not ``GPUConfig`` names)."""
+    with pytest.raises(ValueError, match="unknown GPU engine"):
+        GPUConfig(engine=engine)

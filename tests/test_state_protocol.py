@@ -142,7 +142,7 @@ TRANSIENT = {
     },
     "GPUMMU": {
         "_memory": _WIRING, "_fault_handler": _WIRING, "_injector": _WIRING,
-        "_gather": _WIRING, "_scatter": _WIRING, "_page_view": _WIRING,
+        "_page_view": _WIRING,
         "_walker": "rebuilt by set_page_table from the saved root",
         "_tlb": _CACHE, "_rview": _CACHE, "_wview": _CACHE,
         "_fast": "derived by _update_fast from restored fields",
