@@ -43,7 +43,14 @@ trajectory to regress against:
 - **build**: what building the nine SLAM kernels costs cold, per kernel
   (compile and the binary gate, the one build gate: one call per
   kernel), and how many gate calls a second build of the same content
-  makes (none).
+  makes (none);
+- **guest**: microseconds per KiB of a 64 KiB guest ``memcpy`` and
+  ``memset`` on the DBT and the interpretive CPU engine, the guest
+  instructions each retires (the same on both), and the function calls
+  (Python and built-in) of a DBT ``memcpy`` / ``memset`` at 16 and at
+  64 KiB (the same: the DBT runs a counted copy or fill loop as block
+  transfers that call nothing per page, so its calls do not grow with
+  the length; trip by trip they grow with every trip).
 
 The report records the host (cores, Python, NumPy) beside the numbers.
 
@@ -65,6 +72,7 @@ sys.path.insert(0, str(_REPO_ROOT / "src"))
 
 from repro.cl import Context, runtime  # noqa: E402
 from repro.core.platform import MobilePlatform, PlatformConfig  # noqa: E402
+from repro.cpu import GuestRoutines  # noqa: E402
 from repro.cl import CommandQueue  # noqa: E402
 from repro.gpu import megakernel  # noqa: E402
 from repro.gpu.device import GPUConfig  # noqa: E402
@@ -75,6 +83,7 @@ from repro.gpu.shadercore import WorkgroupShape  # noqa: E402
 from repro.gpu.warp import QuadWarp  # noqa: E402
 from repro.instrument.stats import JobStats  # noqa: E402
 from repro.kernels import get_workload  # noqa: E402
+from repro.mem import Bus, PhysicalMemory  # noqa: E402
 from repro.slam import KFusionPipeline  # noqa: E402
 from repro.slam.kernels import ALL_SOURCES  # noqa: E402
 
@@ -648,6 +657,46 @@ def build():
     }
 
 
+def guest(nbytes=64 * 1024, short=16 * 1024, repeats=3):
+    """Guest ``memcpy`` and ``memset`` of *nbytes* on both CPU engines,
+    warm (translated, every page backed); and, on the DBT, the calls
+    of Python and built-in functions (``sys.setprofile``, exact) one
+    call of each makes at *short* and at *nbytes* bytes."""
+    src, dst = 0x40_0000, 0x80_0000
+    calls = [0]
+
+    def profile(_frame, event, _arg):
+        calls[0] += event in ("call", "c_call")
+
+    out = {"bytes": nbytes}
+    for engine in ("dbt", "interpretive"):
+        routines = GuestRoutines(Bus(PhysicalMemory(1 << 24)), engine=engine)
+        for name, value in (("memcpy", src), ("memset", 0x5A)):
+            def one(length=nbytes):
+                routines.call(name, dst, value, length)
+
+            one()
+            before = routines.instructions_executed
+            seconds = _best(one, repeats)
+            out[f"{engine}_{name}_us_per_kib"] = seconds / nbytes * 1024e6
+            out[f"{engine}_{name}_instructions"] = \
+                (routines.instructions_executed - before) // repeats
+            if engine != "dbt":
+                continue
+            counts = []
+            for length in (short, nbytes):
+                one(length)
+                calls[0] = 0
+                sys.setprofile(profile)
+                try:
+                    one(length)
+                finally:
+                    sys.setprofile(None)
+                counts.append(calls[0])
+            out[f"dbt_{name}_calls"] = dict(zip((short, nbytes), counts))
+    return out
+
+
 def host_metadata():
     return {"cores": os.cpu_count(), "python": platform.python_version(),
             "numpy": np.__version__, "machine": platform.machine()}
@@ -684,6 +733,7 @@ def run(quick=False):
         "mega_masked": mega_masked(workgroups=50 if quick else 200,
                                    repeats=micro_repeats),
         "build": build(),
+        "guest": guest(repeats=1 if quick else 3),
     }
     _OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
     return report
@@ -754,6 +804,15 @@ def main(argv=None):
           f"{built['kernels']} kernels), second build "
           f"{built['second_build_us']:.0f} us and "
           f"{built['second_build_gate_calls']} gate calls")
+    guest_row = report["guest"]
+    for name in ("memcpy", "memset"):
+        dbt = guest_row[f"dbt_{name}_us_per_kib"]
+        interp = guest_row[f"interpretive_{name}_us_per_kib"]
+        calls = " / ".join(map(str, guest_row[f"dbt_{name}_calls"].values()))
+        print(f"guest {name}: DBT {dbt:.1f} us/KiB, interpretive "
+              f"{interp:.0f} us/KiB ({interp / dbt:.0f}x), "
+              f"{guest_row[f'dbt_{name}_instructions']} instructions; "
+              f"DBT calls at 16 / 64 KiB: {calls}")
     print(f"wrote {_OUTPUT}")
     failed = False
     if report["kernels"]["sgemm"]["general_quads"]:
@@ -814,6 +873,18 @@ def main(argv=None):
               f"converged trip (checked-in: {MAX_CALLS_PER_TRIP}, and the "
               f"count must repeat exactly)", file=sys.stderr)
         failed = True
+    for name in ("memcpy", "memset"):
+        if guest_row[f"dbt_{name}_instructions"] \
+                != guest_row[f"interpretive_{name}_instructions"]:
+            print(f"FAIL: a guest {name} retired a different instruction "
+                  "count on the DBT and the interpretive engine",
+                  file=sys.stderr)
+            failed = True
+        if len(set(guest_row[f"dbt_{name}_calls"].values())) != 1:
+            print(f"FAIL: a DBT {name} made more Python calls at 64 KiB "
+                  "than at 16 KiB: its loop ran trip by trip",
+                  file=sys.stderr)
+            failed = True
     # count-based, so they hold on any host: a regression back to
     # per-job translation or eager retirement fails here
     if launch["kernel_translations"] != 1:

@@ -7,7 +7,10 @@ comparison point). The :class:`DBTCore` is a dynamic binary translator:
 guest code is translated a region at a time into host (Python) source,
 compiled once into one function per region, cached by entry address, and
 run without fetch, decode or per-instruction dispatch — the mechanism behind
-the paper's ">15x faster CPU-side software stack" result (Fig. 9).
+the paper's ">15x faster CPU-side software stack" result (Fig. 9). Beyond
+the paper's DBT, it runs the trips of a counted copy or fill loop (guest
+``memcpy`` / ``memset``) as block transfers; both engines still retire the
+same instructions and leave the same state.
 """
 
 import struct
@@ -255,7 +258,7 @@ def _emit_instruction(instr, out):
             suffix, width, fast = _LOADS[op]
             slow = f"bus.read_{suffix}(a & M)"
             if not rd:  # the access still happens; nothing to inline
-                out.append(slow)
+                out += [f"cpu.pc = {pc}", slow]
                 return
             fast, slow = f"regs[{rd}] = {fast}", f"regs[{rd}] = {slow}"
         else:
@@ -264,19 +267,176 @@ def _emit_instruction(instr, out):
             slow = f"bus.write_{suffix}(a & M, v)"
         # inline RAM path: a backed page, outside the MMIO envelope, the
         # access inside the page; the bus does everything else (first
-        # touch, devices, straddles, range errors)
+        # touch, devices, straddles, range errors), after `cpu.pc` is set
+        # so that a fault leaves it at this access
         straddle = f" and o <= {PAGE_SIZE - width}" if width > 1 else ""
         out += [f"p = backed(a >> {PAGE_SHIFT})",
                 f"o = a & {PAGE_SIZE - 1}",
                 f"if p is not None{straddle} and (a < lo or a >= hi):",
                 f"    {fast}",
                 "else:",
+                f"    cpu.pc = {pc}",
                 f"    {slow}"]
     elif op is not CpuOp.NOP:
         # the long tail of rare opcodes keeps the interpreter's semantics
         out += [f"cpu.pc = {pc}",
                 f"cpu.execute_decoded(CpuOp.{op.name}, {rd}, {rs1}, {rs2}, "
                 f"{imm}, {extra})"]
+
+
+#: fewest trips a loop summary transfers: below this it costs more than
+#: the trips it saves
+MIN_SUMMARY_TRIPS = 16
+
+# the complement of each branch condition a loop summary can count
+_NEGATED = {CpuOp.BEQ: CpuOp.BNE, CpuOp.BNE: CpuOp.BEQ,
+            CpuOp.BLTU: CpuOp.BGEU, CpuOp.BGEU: CpuOp.BLTU}
+
+
+def _trips(value, step, op, bound, cap):
+    """How many trips ``t = 0, 1, ...`` in a row, at most *cap*, find the
+    branch condition *op* true of ``value + t * step`` against *bound*
+    (exact integers: the caller has ruled out wrap)."""
+    x = value - bound
+    if op is CpuOp.BEQ:  # true while x stays 0
+        return 0 if x else cap if not step else min(cap, 1)
+    if op is CpuOp.BNE:  # true until x reaches 0, if it ever does
+        if x and step and not x % step and -x // step > 0:
+            return min(cap, -x // step)
+        return cap if x else 0
+    if op is CpuOp.BGEU:  # x >= 0 is -x - 1 < 0
+        x, step = -x - 1, -step
+    if x >= 0:
+        return 0
+    return cap if step <= 0 else min(cap, -(x // step))
+
+
+def _loop_summary(head, blocks, heads, cpu):
+    """The prologue of the counted copy or fill loop at *head*, as
+    ``(guard, summary)``: a source expression the dispatch arm tests
+    inline and the ``summary(n, limit) -> n`` it calls when that holds;
+    None when the cycle through *head* is not such a loop.
+
+    The cycle comes back to *head* by ``jal x0`` or a taken branch and
+    leaves by exactly one branch; besides those it holds only ``addi r,
+    r, k`` (induction registers), loads whose destination a later store
+    of the same width writes out, stores of a register the loop never
+    writes, and ``nop``. Every access's base is an induction register
+    stepping by the access width; the exit test compares an induction
+    register with a register the loop never writes (or ``x0``), unsigned
+    or for (in)equality. The prologue runs the leading trips whose exit
+    test is certain to continue as page-wise block transfers and leaves
+    the registers, memory and *n* those trips would have left. It does
+    nothing unless the trips fit the budget, no register wraps, every
+    byte is RAM below the memory end and outside the MMIO envelope, no
+    store overlaps another access, and there are at least
+    :data:`MIN_SUMMARY_TRIPS` of them."""
+    trip, test = [], None
+    position = head
+    while True:
+        instrs = blocks.get(position)
+        if instrs is None or position in heads and trip:
+            return None
+        trip += instrs
+        pc, op, rd, rs1, rs2, imm, _extra, position = instrs[-1]
+        back = pc + imm * 4 == head
+        if op in _NEGATED and test is None:
+            # the condition under which the trip goes round again
+            test = op if back else _NEGATED[op]
+            if back:
+                break
+        elif op is CpuOp.JAL and not rd and back and test is not None:
+            break
+        elif op in BLOCK_TERMINATORS:
+            return None
+    steps, low, high = {}, {}, {}  # induction register -> offset so far
+    loads, accesses, invariant = {}, [], set()
+    for _pc, op, rd, rs1, rs2, imm, _extra, _next in trip:
+        if op is CpuOp.ADDI and rd == rs1 and rd and rd not in loads:
+            at = steps[rd] = steps.get(rd, 0) + imm
+            low[rd] = min(low.get(rd, 0), at)
+            high[rd] = max(high.get(rd, 0), at)
+        elif op in _LOADS and rd and rd not in loads and rd not in steps:
+            loads[rd] = [_LOADS[op][1], False]
+            accesses.append((rs1, steps.get(rs1, 0) + imm, _LOADS[op][1], rd,
+                             False))
+        elif op in _STORES:
+            width = _STORES[op][1]
+            if rd in loads:
+                if loads[rd][0] != width:
+                    return None
+                loads[rd][1] = True
+            else:
+                invariant.add(rd)
+            accesses.append((rs1, steps.get(rs1, 0) + imm, width, rd, True))
+        elif op in _NEGATED:
+            tested = [(rs1, steps.get(rs1, 0), rs2, 1),
+                      (rs2, steps.get(rs2, 0), rs1, -1)]
+        elif op is not CpuOp.NOP and op is not CpuOp.JAL:
+            return None
+    written = steps.keys() | loads.keys()
+    # the induction side of the test; a value on the right is mirrored:
+    # c < v is -v < -c
+    tested = [t for t in tested if t[0] in steps and t[2] not in written]
+    if (len(tested) != 1 or invariant & written
+            or not all(stored for _width, stored in loads.values())
+            or any(steps.get(base) != width
+                   for base, _at, width, _reg, _store in accesses)):
+        return None
+    (reg, at, other, sign), = tested
+    step = steps[reg]
+    per_trip = len(trip)
+    regs, bus, memory = cpu.regs, cpu.bus, cpu.bus.memory
+    wraps = [(r, k, low[r], high[r]) for r, k in steps.items()]
+    # a store must not overlap any other access
+    pairs = [(i, j) for i, access in enumerate(accesses) if access[4]
+             for j in range(len(accesses)) if j != i]
+
+    def summary(n, limit):
+        trips = _trips(sign * (regs[reg] + at), sign * step, test,
+                       sign * regs[other], (limit - n) // per_trip)
+        for r, k, lo, hi in wraps:  # stop before a register wraps
+            v, last = regs[r], max(trips - 1, 0) * k
+            if v + lo + min(last, 0) < 0 or v + hi + max(last, 0) > MASK64:
+                trips = _trips(v + lo, k, CpuOp.BGEU, 0,
+                               _trips(v + hi, k, CpuOp.BLTU, 1 << 64, trips))
+        if trips < MIN_SUMMARY_TRIPS:
+            return n
+        spans = []
+        for base, offset, width, _reg, _store in accesses:
+            start = regs[base] + offset
+            end = start + trips * width
+            if (start < 0 or end > memory.size
+                    or start < bus.mmio_hi and end > bus.mmio_lo):
+                return n
+            spans.append((start, end))
+        for i, j in pairs:
+            if spans[i][0] < spans[j][1] and spans[j][0] < spans[i][1]:
+                return n
+        source = {}
+        for (start, end), (_base, _at, width, r, store) in zip(spans,
+                                                               accesses):
+            if not store:
+                source[r] = start
+            elif r in source:
+                memory.copy(start, source[r], end - start)
+            else:
+                memory.fill(start, end - start, regs[r], width)
+        for r, start in source.items():
+            width = loads[r][0]
+            regs[r] = int.from_bytes(memory.read_block(
+                start + (trips - 1) * width, width), "little")
+        for r, k, _lo, _hi in wraps:
+            regs[r] += trips * k
+        return n + trips * per_trip
+
+    # inline, so a short loop pays one comparison: the bound must lie
+    # MIN_SUMMARY_TRIPS strides ahead of the tested register, in the
+    # direction it moves (a test it moves away from runs trip by trip)
+    toward = -1 if step < 0 else 1
+    ahead, behind = (_reg(other), _reg(reg))[::toward]
+    return (f"{ahead} - {behind} >= "
+            f"{MIN_SUMMARY_TRIPS * abs(step) + toward * at}", summary)
 
 
 def _emit_trace(head, blocks, heads):
@@ -339,7 +499,13 @@ class DBTCore:
     retargetable-simulator lineage); blocks chain to each other inside
     the function, so a hot loop never returns to :meth:`run`; and loads
     and stores index the backing page directly when the address is plain
-    backed RAM.
+    backed RAM, leaving ``cpu.pc`` at the access when the bus faults.
+
+    A dispatch arm whose head starts a counted copy or fill loop (see
+    :func:`_loop_summary`) first runs the trips its exit test is certain
+    to take, within the budget, as page-wise block transfers, and adds
+    their instructions to the count; the trip-by-trip code then runs
+    the rest and the exit.
 
     A basic block runs from its entry PC to the first terminator or
     ``max_block`` instructions (blocks entered mid-way overlap); executed
@@ -430,6 +596,12 @@ class DBTCore:
         ``cpu.pc`` set."""
         cpu = self.cpu
         blocks, heads = self._discover(entry_pc)
+        namespace = {
+            "regs": cpu.regs, "cpu": cpu, "bus": cpu.bus, "M": MASK64,
+            "backed": cpu.bus.memory.backed_page, "CpuOp": CpuOp,
+            "u32": _U32.unpack_from, "u64": _U64.unpack_from,
+            "p32": _U32.pack_into, "p64": _U64.pack_into,
+        }
         # the defaults turn the names the hot path uses into fast locals
         out = ["def region(n, limit, regs=regs, cpu=cpu, bus=bus, M=M, "
                "backed=backed, u32=u32, u64=u64, p32=p32, p64=p64):",
@@ -438,16 +610,17 @@ class DBTCore:
                f"    pc = {entry_pc}",
                "    while True:"]
         for head in sorted(heads):
-            out += [f"        if pc == {head}:", "            while True:"]
+            out.append(f"        if pc == {head}:")
+            prologue = _loop_summary(head, blocks, heads, cpu)
+            if prologue is not None:  # the certain trips, as block transfers
+                guard, namespace[f"summary_{head}"] = prologue
+                out += [f"            if {guard}:",
+                        f"                n = summary_{head}(n, limit)"]
+            out.append("            while True:")
             out += [" " * 16 + line
                     for line in _emit_trace(head, blocks, heads)]
-        namespace = compile_source(
-            "\n".join(out) + "\n", f"<dbt region 0x{entry_pc:x}>", {
-                "regs": cpu.regs, "cpu": cpu, "bus": cpu.bus, "M": MASK64,
-                "backed": cpu.bus.memory.backed_page, "CpuOp": CpuOp,
-                "u32": _U32.unpack_from, "u64": _U64.unpack_from,
-                "p32": _U32.pack_into, "p64": _U64.pack_into,
-            })
+        compile_source("\n".join(out) + "\n", f"<dbt region 0x{entry_pc:x}>",
+                       namespace)
         self.translations += 1
         return namespace["region"]
 

@@ -35,9 +35,9 @@ class PhysicalMemory:
     """Lazily-allocated paged physical memory.
 
     Pages are ``bytearray`` objects created on first touch. Bulk transfers
-    (:meth:`write_block`, :meth:`read_block`) operate page-by-page and are
-    the backing for simulated-CPU ``memcpy`` routines and GPU vector
-    accesses.
+    (:meth:`write_block`, :meth:`read_block`, :meth:`copy`, :meth:`fill`)
+    operate page-by-page and are the backing for host staging, the DBT's
+    summarised copy and fill loops and GPU vector accesses.
 
     Args:
         size: total physical memory size in bytes. Accesses beyond this
@@ -316,11 +316,49 @@ class PhysicalMemory:
         for position in range(count):
             self.write_u32(int(addrs[position]), int(values[position]))
 
-    def fill(self, addr, length, value=0):
-        """Set *length* bytes starting at *addr* to *value*."""
+    def _span_pages(self, addr, length):
+        """The pages under ``[addr, addr + length)`` in address order,
+        allocated; nothing is touched unless all of it is in range. The
+        block transfers below make no call per page they walk."""
+        if addr < 0 or addr + length > self.size:
+            raise MemoryError_(
+                f"physical access out of range: 0x{addr:x}+{length}")
+        pages = self._pages
+        indices = range(addr >> PAGE_SHIFT,
+                        ((addr + length - 1) >> PAGE_SHIFT) + 1)
+        for index in indices:
+            if index not in pages:
+                pages[index] = bytearray(PAGE_SIZE)
+        return [pages[index] for index in indices]
+
+    def fill(self, addr, length, value=0, width=1):
+        """Set *length* bytes from *addr* to the *width*-byte
+        little-endian *value*, repeated (one byte by default)."""
+        pattern = (value & ((1 << 8 * width) - 1)).to_bytes(
+            width, "little") * (PAGE_SIZE // width + 1)
+        pos = 0
+        for page in self._span_pages(addr, length):
+            off = (addr + pos) & _PAGE_MASK
+            chunk = PAGE_SIZE - off
+            if chunk > length - pos:
+                chunk = length - pos
+            phase = pos % width
+            page[off:off + chunk] = pattern[phase:phase + chunk]
+            pos += chunk
+
+    def copy(self, dst, src, length):
+        """Copy *length* bytes from *src* to *dst*, page by page; the two
+        ranges must not overlap."""
+        sources = self._span_pages(src, length)
+        targets = self._span_pages(dst, length)
         pos = 0
         while pos < length:
-            page, off = self._page(addr + pos)
-            chunk = min(length - pos, PAGE_SIZE - off)
-            page[off:off + chunk] = bytes([value & 0xFF]) * chunk
+            s_off = (src + pos) & _PAGE_MASK
+            d_off = (dst + pos) & _PAGE_MASK
+            chunk = PAGE_SIZE - (s_off if s_off > d_off else d_off)
+            if chunk > length - pos:
+                chunk = length - pos
+            target = targets[((dst & _PAGE_MASK) + pos) >> PAGE_SHIFT]
+            source = sources[((src & _PAGE_MASK) + pos) >> PAGE_SHIFT]
+            target[d_off:d_off + chunk] = source[s_off:s_off + chunk]
             pos += chunk

@@ -1,14 +1,16 @@
 """Unit tests: guest CPU ISA, assembler, interpreter, DBT engine."""
 
 import struct
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.checkpoint.state import apply_memory, serialize_memory
 from repro.core.platform import MobilePlatform, PlatformConfig
-from repro.errors import GuestError, MemoryError_
+from repro.cpu import core as cpu_core
+from repro.errors import BusError, GuestError, MemoryError_
 from repro.cpu import CPU, DBTCore, GuestRoutines, Interpreter, assemble
 from repro.cpu.isa import CpuOp, decode, encode
 from repro.mem import Bus, MMIODevice, PhysicalMemory
@@ -512,6 +514,39 @@ class TestGuestRoutines:
         with pytest.raises(ValueError):
             GuestRoutines(self._bus(), engine="quantum")
 
+    def test_a_fault_leaves_pc_at_the_faulting_instruction(self):
+        outcomes = []
+        for engine in ENGINES:
+            bus = self._bus()
+            bus.map_device("latch", 0x40_0100, 0x100, _Latch())
+            routines = GuestRoutines(bus, engine=engine)
+            cpu = routines.cpu
+            with pytest.raises(BusError):  # a misaligned device read
+                routines.memcpy(0x50_0000, 0x40_0003, 0x400)
+            outcomes.append((cpu.pc, list(cpu.regs)))
+            with pytest.raises(MemoryError_):  # runs off the memory end
+                routines.memset((1 << 24) - 100, 1, 200)
+            outcomes.append((cpu.pc, list(cpu.regs)))
+        assert outcomes[:2] == outcomes[2:]
+        entries = routines._entries
+        # the `ld` of memcpy's first trip, the `sb` of memset's loop
+        assert [pc for pc, _regs in outcomes[:2]] == [
+            entries["memcpy"] + 12, entries["memset"] + 4]
+
+    def test_copy_and_fill_loops_are_summarised(self):
+        import linecache
+
+        routines = GuestRoutines(self._bus())
+        routines.memcpy(0x50_0000, 0x40_0000, 64)
+        routines.memset(0x50_0000, 1, 64)
+        routines.checksum(0x40_0000, 16)
+        # memcpy's 8-byte loop and byte tail and memset's loop; the
+        # checksum's loop adds what it loads and is no copy
+        for name, loops in (("memcpy", 2), ("memset", 1), ("checksum", 0)):
+            source = "".join(linecache.getlines(
+                f"<dbt region 0x{routines._entries[name]:x}>"))
+            assert source.count(" = summary_") == loops, name
+
 
 # -- generated programs: DBT vs interpreter -----------------------------------
 
@@ -526,6 +561,8 @@ _RI_OPS = [CpuOp.ADDI, CpuOp.ANDI, CpuOp.ORI, CpuOp.XORI, CpuOp.SLLI,
 _BRANCHES = [CpuOp.BEQ, CpuOp.BNE, CpuOp.BLT, CpuOp.BGE, CpuOp.BLTU,
              CpuOp.BGEU]
 
+_WIDTH_OPS = {1: (CpuOp.LBU, CpuOp.SB), 4: (CpuOp.LW, CpuOp.SW),
+              8: (CpuOp.LD, CpuOp.SD)}
 _reg = st.integers(0, 11)  # never the base or the loop counter
 _imm = st.integers(-2048, 2047)
 _u32 = st.integers(0, 0xFFFFFFFF)
@@ -549,8 +586,12 @@ _forward = st.one_of(
     st.tuples(st.just("jalr"), _reg, st.integers(1, 11),
               st.integers(-64, 64), _body),
 )
+# a memcpy-shaped loop over the data window: spans may overlap
+_copy = st.tuples(st.just("copy"), st.sampled_from([1, 8]),
+                  st.one_of(_offset, st.integers(600, 648)), _offset,
+                  st.one_of(st.integers(0, 20), st.integers(16, 64)))
 _item = st.one_of(
-    _straight, _forward,
+    _straight, _forward, _copy,
     st.tuples(st.just("loop"), st.integers(1, 4),
               st.lists(st.one_of(_straight, _forward), max_size=5)))
 
@@ -583,6 +624,18 @@ def _encode_items(items, address):
             _, rd, body = item
             skipped = _encode_items(body, here + 4)
             words += [encode(CpuOp.JAL, rd, 0, 0, len(skipped) + 1)] + skipped
+        elif kind == "copy":  # x1 dst, x2 src, x3 trips; x5 carries
+            _, width, dst, src, trips = item
+            load, store = _WIDTH_OPS[width]
+            words += [encode(CpuOp.LDI, 1), _DATA_BASE + dst,
+                      encode(CpuOp.LDI, 2), _DATA_BASE + src,
+                      encode(CpuOp.LDI, 3), trips,
+                      encode(CpuOp.BEQ, 0, 3, 0, 7),
+                      encode(load, 5, 2), encode(store, 5, 1),
+                      encode(CpuOp.ADDI, 1, 1, 0, width),
+                      encode(CpuOp.ADDI, 2, 2, 0, width),
+                      encode(CpuOp.ADDI, 3, 3, 0, -1),
+                      encode(CpuOp.JAL, 0, 0, 0, -6)]
         elif kind == "jalr":  # rd may be the base register itself
             _, rd, base, imm, body = item
             skipped = _encode_items(body, here + 12)
@@ -614,3 +667,144 @@ def test_dbt_matches_interpreter_on_generated_programs(items, max_block):
                          cpu.instructions_executed, mem.allocated_pages,
                          b"".join(mem.dump_pages())))
     assert outcomes[0] == outcomes[1]
+
+
+# -- counted copy and fill loops: summarised vs trip by trip ------------------
+
+_LOOP_CODE = 0x10_0000
+_LOOP_DATA = 0x20_0000   # two backed pages; the rest starts out unbacked
+_LOOP_MEMORY = 0x40_0000
+_LOOP_WINDOW = _LOOP_DATA + 0x3000
+_M64 = (1 << 64) - 1
+
+
+def _counted_loop(width, copy, bottom, test, operands, step, offset,
+                  stride):
+    """A counted loop over x1 (stores), x2 (loads), x3 (a counter) and
+    the bound x4, one copy or fill access per trip, tested at the top
+    (like memcpy) or at the bottom (like memset); the pointers step by
+    *stride*, which only the access width qualifies."""
+    load, store = _WIDTH_OPS[width]
+    body = [encode(store, 6, 1, 0, offset)]
+    if copy:
+        body = [encode(load, 5, 2, 0, offset), encode(store, 5, 1, 0, offset)]
+    body += [encode(CpuOp.ADDI, 1, 1, 0, stride),
+             encode(CpuOp.ADDI, 2, 2, 0, stride),
+             encode(CpuOp.ADDI, 3, 3, 0, step), encode(CpuOp.NOP)]
+    rs1, rs2 = operands
+    if bottom:  # taken: go round again
+        return [encode(CpuOp.NOP)] + body + [
+            encode(test, 0, rs1, rs2, -len(body)), encode(CpuOp.HALT)]
+    return [encode(CpuOp.NOP), encode(test, 0, rs1, rs2, len(body) + 2)] \
+        + body + [encode(CpuOp.JAL, 0, 0, 0, -len(body) - 1),
+                  encode(CpuOp.HALT)]
+
+
+_place = st.one_of(
+    st.tuples(st.sampled_from([_LOOP_DATA, _LOOP_DATA + 0x1000]),
+              st.integers(0, 0x800)),
+    st.tuples(st.sampled_from([_LOOP_DATA + 0x2FF0, _LOOP_WINDOW,
+                               _LOOP_MEMORY, 1 << 64]),
+              st.integers(-400, 40)))
+_loop_case = st.fixed_dictionaries({
+    "width": st.sampled_from([1, 4, 8]),
+    "copy": st.booleans(),
+    "bottom": st.booleans(),
+    # a test that ends the loop after the bound's trips, or any test
+    "test": st.one_of(st.sampled_from(["!=", "order"]), st.sampled_from(
+        [CpuOp.BEQ, CpuOp.BNE, CpuOp.BLTU, CpuOp.BGEU])),
+    # the induction register tested, against x4 or x0, on either side
+    "operands": st.tuples(st.sampled_from([1, 2, 3]),
+                          st.sampled_from([4, 4, 0])).flatmap(
+        lambda pair: st.sampled_from([pair, pair[::-1]])),
+    "step": st.sampled_from([-1, -4, -8, 1]),
+    "offset": st.sampled_from([0, -8, 16]),
+    "stride": st.sampled_from([1, 1, 1, 2]),  # in access widths
+    "dst": _place,
+    "src": st.one_of(  # an int is relative to dst
+        _place, st.integers(-40, 40), st.sampled_from([-0x1000, 0x1800])),
+    "count": st.integers(0, 2500),
+    # from the tested register: trips of its step, give or take a byte
+    "bound": st.tuples(st.one_of(st.integers(0, 20), st.integers(40, 300)),
+                       st.sampled_from([0, 0, 1, -3])),
+    "value": st.integers(0, _M64),
+    "window": st.booleans(),
+    "budget": st.one_of(st.integers(0, 2000), st.just(20_000)),
+})
+
+
+def _run_counted_loop(case, engine):
+    operands, bottom = case["operands"], case["bottom"]
+    tested = next(reg for reg in operands if reg not in (0, 4))
+    stride = case["stride"] * case["width"]
+    step = case["step"] if tested == 3 else stride
+    test = case["test"]
+    if test == "!=":
+        test = CpuOp.BNE if bottom else CpuOp.BEQ
+    elif test == "order":  # stay while the tested value is short of x4
+        stay = CpuOp.BLTU if (step > 0) == (operands[0] == tested) \
+            else CpuOp.BGEU
+        test = stay if bottom else cpu_core._NEGATED[stay]
+    memory = PhysicalMemory(_LOOP_MEMORY)
+    bus = Bus(memory)
+    device = _Latch()
+    if case["window"]:
+        bus.map_device("latch", _LOOP_WINDOW, 0x100, device)
+    words = _counted_loop(case["width"], case["copy"], bottom, test,
+                          operands, case["step"], case["offset"], stride)
+    bus.write_block(_LOOP_CODE, struct.pack(f"<{len(words)}I", *words))
+    bus.write_block(_LOOP_DATA, bytes(range(1, 256)) * 33)
+    cpu = CPU(bus)
+    cpu.reset(pc=_LOOP_CODE)
+    dst = sum(case["dst"]) & _M64
+    src = case["src"]
+    src = (dst + src if isinstance(src, int) else sum(src)) & _M64
+    cpu.regs[1:7] = [dst, src, case["count"], 0, 0x77, case["value"]]
+    trips, jitter = case["bound"]
+    cpu.regs[4] = (cpu.regs[tested] + trips * step + jitter) & _M64
+    core = DBTCore(cpu) if engine == "dbt" else Interpreter(cpu)
+    try:
+        core.run(max_instructions=case["budget"])
+        fault = None
+    except (GuestError, MemoryError_, BusError) as error:
+        fault = type(error)
+    return (fault, list(cpu.regs), cpu.pc, cpu.halted,
+            cpu.instructions_executed, memory.allocated_pages,
+            b"".join(memory.dump_pages()), device.log)
+
+
+@given(case=_loop_case)
+# memcpy-like: x5 must end with the last word the loop loaded
+@example(case={"width": 8, "copy": True, "bottom": False, "test": "!=",
+               "operands": (3, 0), "step": -1, "offset": 0, "stride": 1,
+               "dst": (_LOOP_DATA, 8), "src": 0x1800, "count": 100,
+               "bound": (0, 0), "value": 0, "window": False,
+               "budget": 20_000})
+# memset-like, running off the memory end half way
+@example(case={"width": 1, "copy": False, "bottom": True, "test": "!=",
+               "operands": (3, 4), "step": -1, "offset": 0, "stride": 1,
+               "dst": (_LOOP_MEMORY, -100), "src": 0, "count": 200,
+               "bound": (200, 0), "value": 0xAB, "window": False,
+               "budget": 20_000})
+@settings(max_examples=400, deadline=None)
+def test_summarised_loops_match_trip_by_trip_execution(case):
+    summarised = _run_counted_loop(case, "dbt")
+    with mock.patch.object(cpu_core, "_loop_summary", lambda *args: None):
+        trip_by_trip = _run_counted_loop(case, "dbt")
+    assert summarised == trip_by_trip
+    if summarised[0] is None:
+        assert _run_counted_loop(case, "interpretive") == summarised
+
+
+_HOLDS = {CpuOp.BEQ: lambda a, b: a == b, CpuOp.BNE: lambda a, b: a != b,
+          CpuOp.BLTU: lambda a, b: a < b, CpuOp.BGEU: lambda a, b: a >= b}
+
+
+@given(value=st.integers(-60, 60), step=st.integers(-6, 6),
+       op=st.sampled_from(sorted(_HOLDS)), bound=st.integers(-60, 60),
+       cap=st.integers(0, 50))
+@settings(max_examples=300)
+def test_trip_count_matches_counting_the_trips(value, step, op, bound, cap):
+    expected = next((trip for trip in range(cap)
+                     if not _HOLDS[op](value + trip * step, bound)), cap)
+    assert cpu_core._trips(value, step, op, bound, cap) == expected

@@ -53,6 +53,33 @@ class TestPhysicalMemory:
         assert mem.read_u8(9) == 0
         assert mem.read_u8(10 + 5000) == 0
 
+    def test_fill_repeats_a_wide_value_across_pages(self):
+        mem = PhysicalMemory(1 << 20)
+        mem.fill(PAGE_SIZE - 12, 40, 0x1122334455667788, width=8)
+        assert mem.read_block(PAGE_SIZE - 12, 40) == \
+            bytes.fromhex("8877665544332211") * 5
+
+    @given(dst=st.integers(0, 3 * PAGE_SIZE),
+           src=st.integers(0, 3 * PAGE_SIZE),
+           length=st.integers(0, 2 * PAGE_SIZE))
+    @settings(max_examples=50)
+    def test_copy_matches_a_read_and_a_write(self, dst, src, length):
+        if dst < src + length and src < dst + length:
+            return  # the ranges of a copy must not overlap
+        mem = PhysicalMemory(1 << 20)
+        mem.write_block(src, bytes(range(251)) * (length // 251 + 1))
+        expected = mem.read_block(src, length)
+        mem.copy(dst, src, length)
+        assert mem.read_block(dst, length) == expected
+
+    def test_block_transfers_out_of_range_touch_nothing(self):
+        mem = PhysicalMemory(1 << 20)
+        with pytest.raises(MemoryError_):
+            mem.fill((1 << 20) - 8, 16, 1)
+        with pytest.raises(MemoryError_):
+            mem.copy(0, (1 << 20) - 8, 16)
+        assert mem.allocated_pages == 0
+
     def test_lazy_allocation(self):
         mem = PhysicalMemory(1 << 30)
         assert mem.allocated_pages == 0
