@@ -9,8 +9,9 @@ execution engines per core, DRAM behaviour) through the first-order cycle
 model — no re-simulation needed.
 """
 
-from conftest import emit
+from conftest import emit, host_line
 
+from repro.gpu.device import GPUConfig
 from repro.instrument.report import format_table
 from repro.instrument.timing import CycleModel, MachineDescription
 from repro.kernels import get_workload
@@ -67,7 +68,8 @@ def test_design_space_core_sweep(benchmark):
         mem_rows,
         title="Extension: on-chip hit-rate sensitivity (MP8)",
     )
-    emit("ext_design_space", table)
+    emit("ext_design_space",
+         table + "\n\n" + host_line(GPUConfig().engine))
 
     # scaling must saturate at the workgroup count, not run away
     for name, (stats, _jobs) in collected.items():

@@ -5,14 +5,16 @@ correlation between speedups on Mali and NVIDIA. The best Mali variant
 (4: wider data types) almost completely avoids global memory, shifting to
 local; variant 6 (2D register blocking, the desktop winner's direction)
 greatly reduces local and increases global accesses and is the slowest on
-Mali. Here: same six kernels, simulated Mali statistics + analytical
-desktop model; the anti-correlation and the memory-shift claims are
-asserted.
+Mali. Here: same six kernels, simulated Mali statistics; the Mali
+runtime is the first-order cycle model (``instrument.timing``) that
+``bench`` prints, the desktop one an analytical model; the
+anti-correlation and the memory-shift claims are asserted.
 """
 
-from conftest import emit
+from conftest import emit, host_line
 
 from repro.analysis.figures import fig15_sgemm
+from repro.gpu.device import GPUConfig
 from repro.instrument.report import format_table
 
 
@@ -52,7 +54,7 @@ def test_fig15_sgemm_variants(benchmark):
         title="Fig. 15: SGEMM variants, normalized to variant 6 (= 1.0); "
               "local LS in raw counts (variant 6 uses none)",
     )
-    emit("fig15_sgemm", table)
+    emit("fig15_sgemm", table + "\n\n" + host_line(GPUConfig().engine))
 
     by_variant = {row["variant"]: row for row in rows}
     # variant 4 shifts global -> local relative to variant 6

@@ -6,11 +6,12 @@ import numpy as np
 
 from repro.baselines.m2s_runtime import M2SContext, M2SQueue
 from repro.baselines.native import native_seconds
-from repro.baselines.desktopgpu import DesktopGPUModel, MobileGPUModel
+from repro.baselines.desktopgpu import DesktopGPUModel
 from repro.cl import CommandQueue, Context
 from repro.core.platform import MobilePlatform, PlatformConfig
 from repro.gpu.device import GPUConfig
 from repro.instrument.cfg import DivergenceCFG
+from repro.instrument.timing import CycleModel
 from repro.kernels import get_workload
 from repro.kernels.matrixmul import MatrixMul
 from repro.kernels.sgemm_variants import SgemmVariant
@@ -258,14 +259,14 @@ def fig14_slambench():
 
 
 def fig15_sgemm(n=32):
-    """Six SGEMM variants: stats normalized to variant 6, plus mobile and
-    desktop-GPU runtime estimates (both normalized to variant 6).
+    """Six SGEMM variants: stats normalized to variant 6, plus Mali cycle
+    and desktop-GPU runtime estimates (both normalized to variant 6).
 
     All variants touch the same data (A, B, C: 3*n^2 elements), which sets
-    the mobile model's compulsory DRAM footprint.
+    the Mali model's compulsory DRAM misses.
     """
     desktop_model = DesktopGPUModel()
-    mobile_model = MobileGPUModel()
+    mobile_model = CycleModel()
     footprint = 3 * n * n
     raw = []
     for variant in range(1, 7):
@@ -278,7 +279,8 @@ def fig15_sgemm(n=32):
             stats, registers, stats.threads_launched,
             wide_fraction=wide_fraction,
         )
-        mobile_cost = mobile_model.estimate_cost(stats, registers, footprint)
+        mobile_cost = mobile_model.estimate(
+            stats, result.jobs, registers, footprint)["total_cycles"]
         raw.append({
             "variant": variant,
             "label": workload.spec.label,

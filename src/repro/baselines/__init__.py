@@ -6,12 +6,12 @@
 - :mod:`repro.baselines.native` — NumPy "native hardware" timing helpers
   (Fig. 7 slowdowns).
 - :mod:`repro.baselines.desktopgpu` — an analytical desktop-GPU cost model
-  standing in for the NVIDIA K20m of Fig. 15.
+  standing in for the NVIDIA K20m of Fig. 15 (the Mali side is
+  :class:`repro.instrument.timing.CycleModel`).
 """
 
 from repro.baselines.m2s import M2SSimulator
 from repro.baselines.native import native_seconds
-from repro.baselines.desktopgpu import DesktopGPUModel, MobileGPUModel
+from repro.baselines.desktopgpu import DesktopGPUModel
 
-__all__ = ["M2SSimulator", "native_seconds", "DesktopGPUModel",
-           "MobileGPUModel"]
+__all__ = ["M2SSimulator", "native_seconds", "DesktopGPUModel"]

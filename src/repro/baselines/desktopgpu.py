@@ -1,28 +1,18 @@
-"""Analytical GPU cost models for the Fig. 15 cross-platform study.
+"""Analytical desktop-GPU cost model for the Fig. 15 cross-platform study.
 
 Fig. 15's point is that the six SGEMM optimisation steps — tuned for a
 desktop NVIDIA GPU — change desktop and mobile runtimes in *uncorrelated*
-(largely opposite) directions. We reproduce both sides with analytical
-latency models fed by the simulator's instrumented statistics. Neither is
-a cycle model of real silicon; each is the simplest model under which the
-platform's documented first-order behaviours appear:
+(largely opposite) directions. Both sides are estimated from the
+simulator's instrumented statistics: the Mali side by the first-order
+:class:`~repro.instrument.timing.CycleModel`, the desktop side here.
+Neither is a cycle model of real silicon; :class:`DesktopGPUModel` (the
+NVIDIA K20m stand-in) is the simplest model under which a big discrete
+GPU's documented first-order behaviours appear:
 
-:class:`DesktopGPUModel` (the NVIDIA K20m stand-in)
-    - DRAM traffic dominates; wide/coalesced accesses are discounted;
-    - register blocking amortizes DRAM traffic (reuse discount);
-    - on-chip shared memory is much cheaper than DRAM but not free;
-    - the machine starves below thousands of resident threads.
-
-:class:`MobileGPUModel` (the Mali-G71 stand-in)
-    - compulsory DRAM traffic is set by the data *footprint* (mobile L2
-      easily holds these tiles; repeated accesses hit on-chip);
-    - local ("shared") memory is just core memory — it costs about the
-      same as an L2 hit, so tiling into local buys little (the paper's
-      Section V-E2 observation);
-    - register pressure beyond the thread-capacity threshold serializes
-      the core (Bifrost halves resident threads above 32 registers; we
-      penalize above 16 for the scaled-down problem sizes);
-    - no occupancy cliff: mobile GPUs saturate with few threads.
+- DRAM traffic dominates; wide/coalesced accesses are discounted;
+- register blocking amortizes DRAM traffic (reuse discount);
+- on-chip shared memory is much cheaper than DRAM but not free;
+- the machine starves below thousands of resident threads.
 """
 
 from dataclasses import dataclass
@@ -64,47 +54,4 @@ class DesktopGPUModel:
             shortfall = self.min_occupancy_threads / max(threads, 1) - 1.0
             base *= 1.0 + min(self.occupancy_cap,
                               self.occupancy_slope * shortfall)
-        return base
-
-
-@dataclass
-class MobileGPUModel:
-    """Relative-latency model of a mobile (Bifrost-like) GPU.
-
-    Mobile GPUs are dominated by memory-system *issue* pressure: each
-    load/store message occupies the LS pipe regardless of width (so
-    vector accesses amortize), compulsory DRAM traffic is set by the data
-    footprint (the L2 easily holds these tiles), local memory is ordinary
-    core memory (tiling into it buys far less than on a desktop GPU), and
-    exceeding the register-capacity knee halves the resident threads per
-    execution engine — a hard serialization cliff (Bifrost drops from 4 to
-    2 resident threads above 32 registers; the knee scales down with our
-    problem sizes).
-    """
-
-    alu_cost: float = 0.03  # per arithmetic instruction
-    dram_cost: float = 2.0  # per *footprint* element (compulsory misses)
-    issue_cost: float = 1.0  # per global LS instruction issue
-    local_cost: float = 0.25  # per local access (ordinary core memory)
-    register_cost: float = 0.004
-    reg_threshold: int = 20  # resident-thread capacity knee
-    reg_penalty: float = 0.2
-
-    def estimate_cost(self, stats, registers_used, footprint_elems):
-        """Relative runtime for one kernel execution.
-
-        Args:
-            stats: a :class:`~repro.instrument.stats.JobStats`.
-            registers_used: kernel register footprint.
-            footprint_elems: distinct 32-bit elements the kernel touches
-                in global memory (sets the compulsory DRAM traffic).
-        """
-        dram = self.dram_cost * footprint_elems
-        issues = self.issue_cost * stats.ls_global_instrs
-        local = self.local_cost * stats.local_mem_accesses
-        alu = self.alu_cost * stats.arith_instrs
-        regs = self.register_cost * (stats.grf_reads + stats.grf_writes)
-        base = dram + issues + local + alu + regs
-        if registers_used > self.reg_threshold:
-            base *= 1.0 + self.reg_penalty * (registers_used - self.reg_threshold)
         return base

@@ -12,12 +12,24 @@ The model is deliberately first-order (issue-bound, not stall-accurate):
   ``arith_cycles`` (tuples issued, including empty slots) divided by the
   machine's total EE count bounds arithmetic time;
 - the load/store unit costs ``ls_cycles`` beats plus a per-access DRAM
-  penalty for the fraction of traffic that misses on-chip storage;
+  penalty for the traffic that misses on-chip storage: a fixed fraction
+  of the global accesses, or, when the caller knows it, the data
+  footprint (the compulsory misses a Mali L2 leaves on small tiles);
+- resident warps hide DRAM latency, and a kernel holding more than
+  :data:`REGISTER_KNEE` registers keeps half as many (Bifrost halves its
+  resident threads above 32 registers; the knee scales down with the
+  problem sizes used here);
 - thread-group occupancy limits how much of the machine a job can use;
 - divergence serializes: each divergent branch re-issues its path.
+
+It is the one Mali model: ``bench`` prints it, the design-space bench
+sweeps it, and Fig. 15 sets it against the desktop model.
 """
 
 from dataclasses import dataclass
+
+#: registers per thread above which a core keeps half its resident warps
+REGISTER_KNEE = 20
 
 
 @dataclass
@@ -40,9 +52,12 @@ class CycleModel:
     def __init__(self, machine=None):
         self.machine = machine or MachineDescription()
 
-    def estimate(self, stats, jobs=1):
+    def estimate(self, stats, jobs=1, registers=0, footprint=None):
         """Estimated cycles for *stats* (merged over *jobs* jobs).
 
+        *registers* is the kernel's register count per thread; *footprint*,
+        when given, is the number of distinct global 32-bit elements the
+        job touches and replaces the hit-fraction estimate of DRAM misses.
         Returns a dict with the bound components and the total, so callers
         can see whether a kernel is issue-, memory- or occupancy-bound.
         """
@@ -58,17 +73,21 @@ class CycleModel:
         arith_bound = stats.arith_cycles / max(usable_engines, 1)
 
         ls_beats = stats.ls_cycles
-        misses = (stats.main_mem_accesses * (1.0 - m.dram_hit_fraction))
+        if footprint is None:
+            misses = stats.main_mem_accesses * (1.0 - m.dram_hit_fraction)
+        else:
+            misses = footprint
+        warps = m.warps_per_engine
+        if registers > REGISTER_KNEE:
+            warps /= 2
         memory_bound = (
             ls_beats / max(usable_cores * m.ls_units_per_core, 1)
-            + misses * m.dram_latency
-            / max(usable_cores * m.warps_per_engine, 1)
+            + misses * m.dram_latency / max(usable_cores * warps, 1)
         )
 
         divergence_penalty = stats.divergent_branches * 2.0
-        barrier_cycles = 0.0
-        # each barrier tail executed once per warp; approximate workgroup
-        # barriers from clause histogram is not possible, so use warps
+        # one barrier charge per workgroup, whether or not the kernel
+        # has a barrier: the statistics do not count barriers
         barrier_cycles = m.barrier_cost * stats.workgroups
 
         total = (max(arith_bound, memory_bound)
@@ -83,7 +102,3 @@ class CycleModel:
             "bound_by": "memory" if memory_bound > arith_bound else "arith",
             "total_cycles": total,
         }
-
-    def estimate_runtime_seconds(self, stats, jobs=1, frequency_hz=850e6):
-        """Wall-clock estimate at a given GPU clock (G71: ~850 MHz)."""
-        return self.estimate(stats, jobs)["total_cycles"] / frequency_hz

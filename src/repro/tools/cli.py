@@ -17,8 +17,6 @@ Subcommands:
 - ``trace FILE``    — run a kernel with the event tracer attached; write
   Chrome-trace/Perfetto JSON (load it in chrome://tracing or
   https://ui.perfetto.dev).
-- ``overhead``      — self-measure instrumentation overhead on a built-in
-  workload against the paper's <5% budget.
 - ``faultcampaign`` — seeded fault-injection sweep asserting the
   kbase-faithful recovery invariants (bit-exact recovery, clean failure,
   usable-after, determinism); a failing case's reproducer is a one-case
@@ -429,28 +427,6 @@ def _cmd_trace(options):
     return 0
 
 
-def _cmd_overhead(options):
-    from repro.core.platform import MobilePlatform
-    from repro.cl import Context
-    from repro.instrument.overhead import measure_overhead
-    from repro.kernels import get_workload
-
-    def run(instrument):
-        context = Context(MobilePlatform.for_mode("interp",
-                                                  instrument=instrument))
-        workload = get_workload(options.workload)
-        workload.run(context=context, verify=False)
-
-    report = measure_overhead(run, workload=options.workload,
-                              repeats=options.repeats,
-                              budget=options.budget)
-    if options.json:
-        print(report.to_json())
-    else:
-        print("\n".join(report.lines()))
-    return 0 if report.within_budget else 1
-
-
 def _cmd_conformance(options):
     from repro.validate import ENGINES, run_conformance
     from repro.validate.runner import engine_mode
@@ -809,18 +785,6 @@ def main(argv=None):
     p_trace.add_argument("--validate", action="store_true",
                          help="check the emitted trace against the schema")
     p_trace.set_defaults(func=_cmd_trace)
-
-    p_over = sub.add_parser(
-        "overhead",
-        help="self-measure instrumentation overhead (paper: <5%%)")
-    p_over.add_argument("--workload", default="sgemm",
-                        help="built-in workload name (default: sgemm)")
-    p_over.add_argument("--repeats", type=int, default=5,
-                        help="timed repetitions per mode")
-    p_over.add_argument("--budget", type=float, default=0.05,
-                        help="overhead budget as a fraction (default 0.05)")
-    p_over.add_argument("--json", action="store_true")
-    p_over.set_defaults(func=_cmd_overhead)
 
     p_work = sub.add_parser("workloads", help="list built-in workloads")
     p_work.set_defaults(func=_cmd_workloads)

@@ -326,7 +326,6 @@ USAGE_ERRORS = {
        for verb in ("compile", "disasm", "run", "stats", "trace", "lint",
                     "analyze")},
     "bench-unknown": ["bench", "nosuch"],
-    "overhead-unknown": ["overhead", "--workload", "nosuch"],
     "soundness-unknown": ["analyze", "--soundness", "--workloads", "nosuch"],
     "bench-param-value": ["bench", "sgemm", "--param", "m=abc"],
     "bench-param-name": ["bench", "sgemm", "--param", "zzz=3"],

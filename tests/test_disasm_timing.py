@@ -7,7 +7,11 @@ from repro.clc import compile_source
 from repro.gpu.disasm import disassemble, format_instruction, operand_name
 from repro.gpu.isa import Instruction, Op
 from repro.instrument.stats import JobStats
-from repro.instrument.timing import CycleModel, MachineDescription
+from repro.instrument.timing import (
+    REGISTER_KNEE,
+    CycleModel,
+    MachineDescription,
+)
 
 SOURCE = """
 __kernel void k(__global float* a, __global float* out, int n) {
@@ -106,10 +110,33 @@ class TestCycleModel:
         assert (large.estimate(stats)["total_cycles"]
                 <= small.estimate(stats)["total_cycles"])
 
-    def test_runtime_seconds(self):
+    def test_footprint_sets_the_misses_whatever_the_hit_fraction(self):
+        stats = self._stats(arith_cycles=100, ls_cycles=50_000,
+                            main_mem=100_000)
+        cold = CycleModel(MachineDescription(dram_hit_fraction=0.5))
+        warm = CycleModel(MachineDescription(dram_hit_fraction=0.99))
+        assert (cold.estimate(stats, footprint=3072)
+                == warm.estimate(stats, footprint=3072))
+        assert (cold.estimate(stats)["memory_bound"]
+                > cold.estimate(stats, footprint=3072)["memory_bound"])
+
+    def test_registers_above_the_knee_halve_latency_hiding(self):
+        stats = self._stats(arith_cycles=100_000, ls_cycles=50_000,
+                            main_mem=100_000)
         model = CycleModel()
-        seconds = model.estimate_runtime_seconds(self._stats(), jobs=1)
-        assert 0 < seconds < 1.0
+        light = model.estimate(stats, registers=REGISTER_KNEE)
+        heavy = model.estimate(stats, registers=REGISTER_KNEE + 1)
+        assert heavy["memory_bound"] > light["memory_bound"]
+        assert heavy["arith_bound"] == light["arith_bound"]
+        assert light == model.estimate(stats)
+
+    def test_default_arguments_keep_the_first_order_formula(self):
+        # pinned: with no registers and no footprint, what `bench` and the
+        # design-space sweep print must not move
+        stats = self._stats(arith_cycles=100, ls_cycles=50_000,
+                            main_mem=100_000, workgroups=5, divergent=7)
+        estimate = CycleModel().estimate(stats, jobs=3)
+        assert estimate["total_cycles"] == 61613.999999999985
 
     def test_on_real_workload_stats(self):
         from repro.kernels import get_workload
