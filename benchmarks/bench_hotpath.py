@@ -576,7 +576,7 @@ def mega_masked(workgroups=200, repeats=5):
 
     def run(clauses, counted=False):
         kernel = megakernel.MegaKernel(_fallthrough_program(clauses),
-                                       None, None, megakernel.RegisterFile())
+                                       None, megakernel.RegisterFile())
         kernel.bind(np.zeros(1, dtype=np.uint32))
         stats = JobStats()
         if counted:

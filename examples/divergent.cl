@@ -1,9 +1,9 @@
 /* A deliberately warp-divergent kernel: even and odd lanes take different
  * paths and the loop trip count is data-dependent, so quads split and
  * reconverge. Exercises the divergence counters in the stats registry and
- * the clause-batch spans in the trace:
+ * the workgroup spans in the trace:
  *
- *   python -m repro.tools trace examples/divergent.cl --sample 4
+ *   python -m repro.tools trace examples/divergent.cl --limit 256
  *   python -m repro.tools stats examples/divergent.cl --golden-only
  */
 __kernel void divergent(__global int* data, __global int* out) {

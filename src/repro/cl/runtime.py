@@ -414,7 +414,7 @@ class CommandQueue:
         record = None
         pages_before = None
         if context.analysis_log is not None:
-            summary, bounds = kernel.analyze_launch(
+            _summary, bounds = kernel.analyze_launch(
                 global_size, local_size, uniforms,
                 local_mem_size=job_args["local_mem_size"],
                 tenant=context._tenant)
@@ -425,14 +425,12 @@ class CommandQueue:
                 "ok": bounds is not None,
                 "bound_issues": None, "bound_pages": None,
                 "loop_trips": {},
-                "mega_eligible": None,
             }
             if bounds is not None:
                 record["bound_issues"] = bounds.total_issues
                 record["bound_pages"] = bounds.pages
                 record["loop_trips"] = {str(h): n for h, n
                                         in bounds.loop_trips.items()}
-                record["mega_eligible"] = summary.mega_eligible
             pages_before = set(platform.gpu.mmu.pages_accessed)
 
         span_args = {"kernel": kernel.name,

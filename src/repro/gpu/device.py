@@ -35,11 +35,11 @@ class GPUConfig:
         tracer: optional instruction tracer (see repro.validate) recording
             every executed instruction's result — the paper's validation
             "instruction tracing mode".
-        engine: ``"mega"`` translates each program to workgroup-wide host
-            code where it can and runs the rest on the quad interpreter;
-            ``"interpreter"`` (or the retired clause JIT's ``"jit"``,
-            which pinned benchmark configurations pass) runs the quad
-            interpreter. Any other name raises ``ValueError``.
+        engine: ``"mega"`` translates every program, atomics and traced
+            jobs included, to workgroup-wide host code; ``"interpreter"``
+            (or the retired clause JIT's ``"jit"``, which pinned benchmark
+            configurations pass) runs the quad interpreter. Any other name
+            raises ``ValueError``.
     """
 
     num_shader_cores: int = 8

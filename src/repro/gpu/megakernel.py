@@ -47,8 +47,8 @@ access that running the groups one after another would have answered
 differently abandons the batch — nothing has reached memory, and the
 caller runs the same groups one at a time for the rest of that job (what
 conflicted is the job's data: the next job starts batched again).
-Programs with a local-memory access and groups with a partial last quad
-are never batched.
+Programs with a local-memory access or an ``ATOM`` and groups with a
+partial last quad are never batched.
 
 Clauses are translated to host *source* (docs/internals.md §9): one
 generated function per chain of fall-through clauses on the converged
@@ -59,12 +59,12 @@ The functions take everything of a platform, job or launch from their
 ``state`` argument, so they depend on the program's bytes alone and live
 in one bounded process-wide table (:func:`emitted_code`).
 
-The engine punts statically (the compute unit falls back to the
-interpreter for the whole job) when the program contains
-``ATOM`` (the interpreter serializes atomics warp-by-warp, so a
-workgroup-wide interleaving could not be bit-exact), when per-word
-memory tracing is requested, or when the memory port has no wide vector
-API.
+The engine runs every program it is given. One with an ``ATOM`` runs
+*warp-serially* — masked functions only, one quad at a time in the
+interpreter's order, never batched — through the interpreter's own
+:func:`~repro.gpu.ops.atomic`, so every old value is the interpreter's.
+A traced job runs a *traced* variant of the source, which records every
+result; the untraced source is unchanged by it.
 """
 
 import binascii
@@ -93,7 +93,7 @@ from repro.gpu.isa import (
     is_const,
 )
 from repro.gpu.mmu import BatchAbandoned, replay_load, replay_store
-from repro.gpu.ops import OPS, alu, uniform_word
+from repro.gpu.ops import OPS, alu, atomic, uniform_word
 from repro.gpu.warp import QUAD_WIDTH, QuadWarp
 
 _END_PC = 1 << 30
@@ -105,23 +105,6 @@ _MAX_STEPS = 1_000_000
 #: lanes of one lockstep batch: consecutive workgroups that fill them run
 #: side by side in one register file
 BATCH_LANES = 1024
-
-#: every op the emitter handles; programs using anything else (today:
-#: ATOM) are statically ineligible and run on the quad interpreter
-SUPPORTED_OPS = frozenset(OPS) | {Op.NOP, Op.LDU, Op.LD, Op.ST, Op.CMP}
-
-
-def mega_supported(program, mem):
-    """Static eligibility: every op translatable and a wide memory port."""
-    if getattr(mem, "load_wide_u32", None) is None \
-            or getattr(mem, "store_wide_u32", None) is None:
-        return False
-    for clause in program.clauses:
-        for fma, add in clause.tuples:
-            if fma.op not in SUPPORTED_OPS or add.op not in SUPPORTED_OPS:
-                return False
-    return True
-
 
 #: register rows of the SoA register file: operand number == row, for GRF
 #: registers and (from TEMP_BASE) clause temporaries alike. The program's
@@ -144,6 +127,7 @@ _BIND = {
     "L": "L = state.local",
     "mem": "mem = state.mem",
     "act": "act = np.flatnonzero(mask)",
+    "trace": "trace = state.trace",
 }
 _NAMES = re.compile(r"\b(%s)\b" % "|".join(_BIND))
 
@@ -154,6 +138,7 @@ _GLOBALS = {
     "np": np, "i64": np.int64, "GuestError": GuestError,
     "uniform_word": uniform_word,
     "replay_load": replay_load, "replay_store": replay_store,
+    "atomic": atomic,
     **{f"fn_{op.name}": row.fn for op, row in OPS.items()},
 }
 
@@ -166,10 +151,12 @@ def _invalid(kind, operand):
 
 class _Emitter:
     """Host source of one program. One emitter, two bodies per clause:
-    *converged* (every lane) and *masked* (the lanes of ``mask``)."""
+    *converged* (every lane) and *masked* (the lanes of ``mask``); the
+    *traced* variant follows every result with a ``trace`` call."""
 
-    def __init__(self, program):
+    def __init__(self, program, traced=False):
         self.clauses = program.clauses
+        self.traced = traced
         self.constants = {}  # value -> row
 
     def _source_row(self, clause, operand):
@@ -188,9 +175,21 @@ class _Emitter:
         for instr in clause.active_slots():
             if instr.op is Op.LD or instr.op is Op.ST:
                 lines += self._memory(clause, instr, masked)
-            else:
-                lines += self._value(clause, instr, masked)
+                continue
+            lines += self._atomic(clause, instr) if instr.op is Op.ATOM \
+                else self._value(clause, instr, masked)
+            if not lines[-1].startswith("raise"):
+                lines += self._trace(instr, instr.dst, masked)
         return lines
+
+    def _trace(self, instr, row, masked, element=0):
+        """The traced variant's record of what the slot wrote (or
+        stored) in *row*, lane by lane; nothing in the untraced one."""
+        if not self.traced:
+            return []
+        lanes = "act" if masked else "None"
+        return [f"trace(R, {lanes}, {instr.op.name!r}, {instr.dst}, "
+                f"R[{row}], {element})"]
 
     def _value(self, clause, instr, masked):
         """LDU, CMP or a row of :data:`repro.gpu.ops.OPS`."""
@@ -250,8 +249,9 @@ class _Emitter:
                     lines.append(_invalid("destination", dst))
                     break
                 into = f"R[{dst}]{pick or '[:]'}"
+                trace = self._trace(instr, dst, masked, element)
                 if local:
-                    lines.append(f"{into} = {at}")
+                    lines += [f"{into} = {at}", *trace]
                     continue
                 lines += [
                     f"v = mem.load_wide_u32({at}{of})",
@@ -259,20 +259,38 @@ class _Emitter:
                     f"    replay_load(mem, R[{addr}], {lanes}, R[{dst}], "
                     f"{4 * element})",
                     "else:",
-                    f"    {into} = v"]
+                    f"    {into} = v", *trace]
                 continue
             data = self._source_row(clause, instr.srcb + element)
             if data is None:  # the elements before it are stored
                 lines.append(_invalid("source", instr.srcb + element))
                 break
+            trace = self._trace(instr, data, masked, element)
             if local:
-                lines.append(f"{at} = R[{data}]{pick}")
+                lines += [f"{at} = R[{data}]{pick}", *trace]
                 continue
             lines += [
                 f"if mem.store_wide_u32({at}, R[{data}]{pick}{of}) is None:",
                 f"    replay_store(mem, R[{addr}], {lanes}, R[{data}], "
-                f"{4 * element})"]
+                f"{4 * element})", *trace]
         return lines
+
+    def _atomic(self, clause, instr):
+        """ATOM through the interpreter's own :func:`~repro.gpu.ops.atomic`
+        over the lanes of ``mask``: a program with one runs masked only."""
+        rows = []
+        for operand in (instr.srca, instr.srcb):
+            rows.append(self._source_row(clause, operand))
+            if rows[-1] is None:
+                return [_invalid("source", operand)]
+        port = "None, L" if instr.mem_is_local else "mem, None"
+        call = f"atomic({port}, {instr.flags}, R[{rows[0]}], R[{rows[1]}], " \
+            f"act, "
+        if 0 <= instr.dst < _ROWS:
+            return [f"{call}R[{instr.dst}])"]
+        # as on the interpreter, the lanes' updates land before it raises
+        return [f"{call}np.empty_like(R[0]))",
+                _invalid("destination", instr.dst)]
 
     def chains(self):
         """``{head: [clause, ...]}``: the maximal runs of clauses joined
@@ -302,14 +320,17 @@ def _function(name, parameters, body):
 
 
 #: What one program's bytes translate to. chains: head -> (run, length,
-#: last clause, *that clause's tail); masked: clause -> (run, tail, target,
-#: cond_reg); constants: values of the rows from _ROWS up; typed: (F, I used)
+#: last clause, *that clause's tail), none for a program with an ATOM (it
+#: runs warp-serially); masked: clause -> (run, tail, target, cond_reg);
+#: constants: values of the rows from _ROWS up; typed: (F, I used)
 _Code = namedtuple("_Code", "chains masked constants typed filename")
 
 
-def _emit(program, filename):
-    emitter = _Emitter(program)
-    chains = emitter.chains()
+def _emit(program, filename, traced):
+    emitter = _Emitter(program, traced)
+    chains = {} if any(instr.op is Op.ATOM for clause in program.clauses
+                       for instr in clause.active_slots()) \
+        else emitter.chains()
     lines = []
     for head, clauses in chains.items():
         # each clause of a chain counts its issue before its slots run and
@@ -339,18 +360,20 @@ def _emit(program, filename):
         filename)
 
 
-#: The process-wide code cache: binary image -> :class:`_Code`. The exact
-#: bytes are the key: every field the emitter reads is an encoded field.
+#: The process-wide code cache: binary image (paired with "traced", the
+#: traced variant) -> :class:`_Code`. The exact bytes are the key: every
+#: field the emitter reads is an encoded field.
 CODE_CACHE_SIZE = 256
 _code_cache = BoundedTable(CODE_CACHE_SIZE,
                            evicted=lambda code: forget_source(code.filename))
 
 
-def emitted_code(program):
-    """The :class:`_Code` of *program*."""
+def emitted_code(program, traced=False):
+    """The :class:`_Code` of *program*, or of its *traced* variant."""
     key = encode_program(program)
-    return _code_cache.lookup(
-        key, lambda: _emit(program, f"<mega {binascii.crc32(key):08x}>"))
+    name = f"<mega {binascii.crc32(key):08x}{' traced' * traced}>"
+    return _code_cache.lookup((key, "traced") if traced else key,
+                              lambda: _emit(program, name, traced))
 
 
 class MegaState:
@@ -358,9 +381,10 @@ class MegaState:
     side by side — ``regs``, one row per register and per constant, and
     the row lists generated code indexes (``R``/``F``/``I``: each row as
     uint32/float32/int32) — with the ports of the run in progress:
-    uniform table, memory port, local slab."""
+    uniform table, memory port, local slab, trace recorder."""
 
-    __slots__ = ("regs", "arch", "R", "F", "I", "uniforms", "mem", "local")
+    __slots__ = ("regs", "arch", "R", "F", "I", "uniforms", "mem", "local",
+                 "trace")
 
     def __init__(self, regs, typed):
         self.regs = regs
@@ -465,34 +489,38 @@ def _stuck(max_steps):
 class MegaKernel:
     """One program on the workgroup-wide engine, kept by the compute unit
     across jobs and launch shapes: the code comes from the process-wide
-    cache, uniforms are bound per job, and every workgroup or batch starts
-    over in the unit's register file (*file*)."""
+    cache, what a job brings is bound per job, and every workgroup or
+    batch starts over in the unit's register file (*file*)."""
 
-    def __init__(self, program, mem, local, file):
+    def __init__(self, program, mem, file):
         self.program = program
-        self.uniforms = None
+        self.uniforms = self.local = None
         self.mem = mem
-        self.local = local
         self.file = file
-        self._code = emitted_code(program)
+        self._plain = self._code = emitted_code(program)
         constants = self._code.constants
         # one column: broadcast over the lanes of whatever width runs
         self._constants = np.array(constants, dtype=np.uint32)[:, None] \
             if constants else None
         self._rows = _ROWS + len(constants)
         #: may consecutive workgroups share a row? Static: never with a
-        #: local slab (one per unit) or a port without batches. Whether a
-        #: batch of them commits depends on a job's data, and is the
-        #: compute unit's to remember for that job
+        #: local slab (one per unit), an ATOM (warp-serial) or a port
+        #: without batches. Whether a batch of them commits depends on a
+        #: job's data, and is the compute unit's to remember for that job
         self.batching = getattr(mem, "begin_batch", None) is not None \
+            and bool(self._code.chains) \
             and not any(instr.mem_is_local
                         for clause in program.clauses
                         for instr in clause.active_slots()
                         if instr.op is Op.LD or instr.op is Op.ST)
 
-    def bind(self, uniforms):
-        """Install the uniform table of the job about to run."""
+    def bind(self, uniforms, local=None, traced=False):
+        """Install the uniform table, local slab and code of the job about
+        to run: *traced* code records every result in a tracer."""
         self.uniforms = uniforms
+        self.local = local
+        self._code = emitted_code(self.program, True) if traced \
+            else self._plain
 
     def batch_groups(self, shape):
         """Workgroups of *shape* one :meth:`run_workgroup` call may take
@@ -507,7 +535,7 @@ class MegaKernel:
     # -- workgroup scheduling ----------------------------------------------------
 
     def run_workgroup(self, shape, flat_group, stats, watchdog_budget=None,
-                      count=1, counts=None, stalled=0):
+                      count=1, counts=None, stalled=0, tracer=None):
         """Execute *count* whole thread-groups from *flat_group* on;
         returns their retired warps.
 
@@ -520,8 +548,10 @@ class MegaKernel:
         :class:`~repro.gpu.mmu.BatchAbandoned` having changed nothing but
         *stats* and *counts* — the caller's to drop. *stalled* is the
         watchdog rounds an injected hang charged the group up front.
+        *tracer* records the results of traced code (see :meth:`bind`).
         """
         state = self._init_state(shape, flat_group, count)
+        state.trace = None if tracer is None else tracer.record
         width = state.regs.shape[1]
         port = None
         if count == 1:
@@ -556,9 +586,10 @@ class MegaKernel:
             # per slot; where= forms also compute on dead lanes' garbage
             with np.errstate(all="ignore"):
                 if shape.threads_per_group \
-                        == shape.warps_per_group * QUAD_WIDTH:
+                        == shape.warps_per_group * QUAD_WIDTH \
+                        and self._code.chains:
                     pcs = self._run_uniform(state, 0, hits, splits, *job)
-                else:  # dead lanes in the last quad: masked to the end
+                else:  # dead lanes in the last quad, or warp-serial
                     pcs = np.full(width, _END_PC, dtype=np.int64)
                     pcs[:shape.threads_per_group] = 0
                 # split lanes run masked until all meet again at a chain head
@@ -678,7 +709,9 @@ class MegaKernel:
         lane masks, one generated function per clause. Waiting lanes carry
         ``_WAIT``, dead and retired ones sit at ``_END_PC``: the minimum
         alone says what is next. Returns None when the workgroup retired,
-        else the chain head every lane of the row has met at again."""
+        else the chain head every lane of the row has met at again. A
+        warp-serial program runs the interpreter's order instead: the first
+        quad with a runnable lane alone, at its own minimum PC."""
         masked = self._code.masked
         chains = self._code.chains
         rows = state.R
@@ -696,7 +729,12 @@ class MegaKernel:
                 if budget is not None and rounds[0] > budget:
                     raise WatchdogTimeout(flat_group, rounds[0])
                 continue
+            if not chains:  # warp-serial: one quad, its own minimum PC
+                first = int(np.argmax(pcs < _WAIT)) & -QUAD_WIDTH
+                current = int(pcs[first:first + QUAD_WIDTH].min())
             mask = pcs == current
+            if not chains:
+                mask[:first] = mask[first + QUAD_WIDTH:] = False
             lanes = int(np.count_nonzero(mask))
             if lanes == width and current in chains:
                 steps[1] = issued

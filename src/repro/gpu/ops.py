@@ -18,8 +18,9 @@ emits such a row as the ufunc itself, ``out=`` the destination row.
 ``CMP`` has no row — its function depends on the mode in the flags field
 — and is built by :func:`compare`. :func:`alu` resolves either kind for
 an instruction slot. :func:`atomic_apply` is the scalar update function
-of ``ATOM``. The memory ops have no value semantics and live in the
-engines. :func:`uniform_word` is the read port of ``LDU``.
+of ``ATOM`` and :func:`atomic` its lane-serial read-modify-write, which
+both platform engines call. The other memory ops have no value semantics
+and live in the engines. :func:`uniform_word` is the read port of ``LDU``.
 
 ``repro.baselines.m2s`` deliberately does *not* use this table: it is the
 independent scalar oracle the single-instruction fuzzer compares against.
@@ -36,6 +37,7 @@ from repro.gpu.isa import (
     ATOM_AND,
     ATOM_MAX,
     ATOM_MIN,
+    ATOM_MODE_SHIFT,
     ATOM_OR,
     ATOM_SUB,
     ATOM_XCHG,
@@ -309,3 +311,21 @@ def atomic_apply(mode, current, operand):
     if mode == ATOM_XCHG:
         return operand & 0xFFFFFFFF
     raise GuestError(f"unknown atomic mode {mode}")
+
+
+def atomic(mem, local, flags, addrs, values, lanes, old):
+    """``ATOM`` (mode in *flags*) for the lane indices *lanes*, one after
+    another: each updates its word in the slab *local* (None: through
+    *mem*'s scalar port) with its operand; ``old[lane]`` gets the word it
+    found."""
+    mode = (flags >> ATOM_MODE_SHIFT) & 0x7
+    for lane in lanes:
+        addr = int(addrs[lane])
+        operand = int(values[lane])
+        if local is None:
+            current = mem.load_u32(addr)
+            mem.store_u32(addr, atomic_apply(mode, current, operand))
+        else:
+            current = int(local[addr >> 2])
+            local[addr >> 2] = atomic_apply(mode, current, operand)
+        old[lane] = current

@@ -6,7 +6,8 @@ iterates over the job dimensions, groups threads into quads ("warps") that
 execute in lockstep, and groups warps into thread-groups. The Job Manager
 runs every job on one unit; its workgroup-local storage is a slab the
 simulator allocates outside the guest system, and local accesses are
-served from it.
+served from it. The mega tier runs every program, atomics and traced
+jobs included (:mod:`repro.gpu.megakernel`).
 
 On the mega tier a unit may take several consecutive thread-groups in
 one call (:meth:`ComputeUnit.run_groups` walks a job that way): they run in
@@ -21,7 +22,7 @@ instead: under CPython it is the form this host can measure.
 
 import numpy as np
 
-from repro.errors import WatchdogTimeout
+from repro.errors import GuestError, WatchdogTimeout
 from repro.gpu.mmu import BatchAbandoned
 from repro.gpu.isa import (
     REG_GLOBAL_ID,
@@ -76,7 +77,9 @@ class ComputeUnit:
     :class:`~repro.instrument.stats.JobStats`, totalled at job completion
     (Section IV-A), and :attr:`clause_counts`, its divergence CFG. A unit
     outlives jobs and keeps its local slab and kernel translations;
-    everything a job can observe is reset by :meth:`prepare`.
+    everything a job can observe is reset by :meth:`prepare`. A job sees
+    exactly the local bytes it declares: an access past them is a
+    :class:`~repro.errors.GuestError` however large the slab has grown.
     """
 
     def __init__(self):
@@ -86,8 +89,9 @@ class ComputeUnit:
         self.events = None
         self.injector = None
         self.watchdog_budget = None
-        self._local = None
-        self._translations = {}  # id(program) -> (MegaKernel or None, program)
+        self._slab = None  # grows to the largest local size a job declared
+        self._local = None  # this job's view of it: the declared size
+        self._translations = {}  # id(program) -> (MegaKernel, program)
         self.translations_built = 0
         self._job = self._mega = self._quad = None
         self._abandoned = False  # this job has abandoned a batch
@@ -107,54 +111,38 @@ class ComputeUnit:
         self.injector = injector
         self.watchdog_budget = watchdog_budget
         self._job = self._mega = self._quad = None
-        words = max(1, local_mem_bytes // 4)
-        if self._local is None or len(self._local) < words:
-            self._local = np.zeros(words, dtype=np.uint32)
-            # translations address the slab they were made on
-            self.drop_translations()
+        words = local_mem_bytes // 4
+        if self._slab is None or len(self._slab) < words:
+            self._slab = np.zeros(words, dtype=np.uint32)
+        self._local = self._slab[:words]
 
     def drop_translations(self):
         """Forget every cached translation (with the decoded programs
-        or the local slab they were made from)."""
+        they were made from)."""
         self._translations.clear()
 
     def _mega_executor(self, program, uniforms, mem):
         """Workgroup-wide (megakernel) engine bound to this job, or None
-        — the job then runs on the interpreter.
+        on the interpreter.
 
-        Per-word memory tracing needs per-issue visibility the
-        translation deliberately avoids. Eligibility is
-        static per program: every op must have an SoA translation (ATOM
-        does not — the interpreter serializes atomics warp by warp, an
-        ordering the workgroup-wide schedule cannot reproduce
-        bit-exactly) and the memory port must expose the wide vector API.
-
-        The translation is made once per program and kept across jobs,
-        an ineligible verdict (None) too. The key uses ``id()`` for
-        hashability; the entry holds the program itself, so its id
-        cannot be recycled while the key is live.
+        The translation is made once per program and kept across jobs.
+        The key uses ``id()`` for hashability; the entry holds the
+        program itself, so its id cannot be recycled while the key is
+        live.
         """
-        if self.engine != "mega" or self.tracer is not None:
+        if self.engine != "mega":
             return None
         entry = self._translations.get(id(program))
         if entry is None:
-            from repro.gpu.megakernel import (
-                MegaKernel,
-                RegisterFile,
-                mega_supported,
-            )
+            from repro.gpu.megakernel import MegaKernel, RegisterFile
 
             if self._register_file is None:
                 self._register_file = RegisterFile()
-            mega = MegaKernel(program, mem, self._local,
-                              self._register_file) \
-                if mega_supported(program, mem) else None
-            entry = self._translations[id(program)] = (mega, program)
-            if mega is not None:
-                self.translations_built += 1
+            entry = self._translations[id(program)] = (
+                MegaKernel(program, mem, self._register_file), program)
+            self.translations_built += 1
         mega = entry[0]
-        if mega is not None:
-            mega.bind(uniforms)
+        mega.bind(uniforms, self._local, self.tracer is not None)
         return mega
 
     def _bound(self, program, uniforms, mem):
@@ -257,29 +245,26 @@ class ComputeUnit:
                 # with the same round accounting as the loop below
                 return mega.run_workgroup(
                     shape, flat_group, self.stats, budget,
-                    counts=self.clause_counts, stalled=rounds)
+                    counts=self.clause_counts, stalled=rounds,
+                    tracer=self.tracer)
             while True:
                 rounds += 1
                 if budget is not None and rounds > budget:
                     raise WatchdogTimeout(flat_group, rounds)
-                runnable = [w for w in warps
-                            if not w.finished and not w.blocked]
-                for index, warp in enumerate(runnable):
-                    if events is None:
-                        interp.run_warp(warp)
-                    else:
-                        # per-warp clause batches are the highest-frequency
-                        # span, so they go through the sampling gate
-                        with events.sampled_span(
-                                "clause_batch", "gpu", track,
-                                args={"group": flat_group, "warp": index}):
-                            interp.run_warp(warp)
+                for warp in [w for w in warps
+                             if not w.finished and not w.blocked]:
+                    interp.run_warp(warp)
                 if all(warp.finished for warp in warps):
                     return warps
                 if all(warp.finished or warp.blocked for warp in warps):
                     # every live warp reached the barrier: release together
                     for warp in warps:
                         warp.release_barrier()
+        except IndexError as exc:
+            # NumPy's bounds check of the job's local view
+            raise GuestError(
+                f"workgroup {flat_group}: local memory access outside the "
+                f"{4 * len(self._local)} bytes the job declared") from exc
         finally:
             if events is not None:
                 events.end("workgroup", "gpu", track)
@@ -292,9 +277,10 @@ class ComputeUnit:
         started."""
         mega = self._bound(program, uniforms, mem)
         self.batches_run += 1
-        # counted on the side: an abandoned batch's are dropped
+        # counted and traced on the side: an abandoned batch's are dropped
         stats, counts = (None, None) if self.stats is None \
             else (JobStats(), {})
+        tracer = None if self.tracer is None else type(self.tracer)()
         events = self.events
         track = "core0"
         if events is not None:
@@ -304,7 +290,7 @@ class ComputeUnit:
         try:
             warps = mega.run_workgroup(
                 shape, flat_group, stats, self.watchdog_budget, count,
-                counts=counts)
+                counts=counts, tracer=tracer)
         except BatchAbandoned as abandoned:
             self.batches_abandoned += 1
             self._abandoned = True
@@ -322,6 +308,8 @@ class ComputeUnit:
             stats.threads_launched += count * shape.threads_per_group
             self.stats.merge(stats)
             merge_clause_counts(self.clause_counts, counts)
+        if tracer is not None:
+            self.tracer.merge(tracer)
         return warps
 
     def _spawn_warps(self, shape, flat_group):

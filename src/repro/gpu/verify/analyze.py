@@ -66,8 +66,6 @@ class AnalyzeUnit:
             parts.append("issues/warp unbounded")
         if self.bounds.pages is not None:
             parts.append(f"<= {self.bounds.pages} pages")
-        parts.append("mega" if self.summary.mega_eligible
-                     else "no-mega")
         return ", ".join(parts)
 
 

@@ -26,9 +26,7 @@ clause program alone:
 - a working-set **page-interval bound** on ``pages_accessed`` from the
   abstract address intervals of every global access (falling back to
   the whole mapped range when an address resists analysis);
-- wide-tier/megakernel **eligibility**: uniformity + contiguity
-  classification of every global access, plus the static no-atomics
-  megakernel criterion.
+- uniformity + contiguity classification of every global access.
 
 Everything here is *advisory*: the pass emits facts (``report.facts
 ["cost"]``) and NOTE findings only, never warnings or errors, so the
@@ -118,8 +116,6 @@ class CostSummary:
         self.barrier_waves = self._barrier_waves()
         self.clauses = self._clause_costs()
         self.access_classes = self._classify_accesses()
-        self.atomics = any(a.kind == "atom" for a in absres.accesses)
-        self.mega_eligible = not self.atomics
 
     # -- structural facts --------------------------------------------------
 
@@ -281,7 +277,6 @@ class CostSummary:
             "lockstep": self.lockstep,
             "accesses": [c.to_dict() for c in self.access_classes],
             "patterns": self.pattern_counts(),
-            "mega_eligible": self.mega_eligible,
         }
         if ctx is not None:
             data["bounds"] = self.evaluate(ctx).to_dict()
@@ -313,10 +308,4 @@ def run(program, cfg, ctx, absres, report):
             message=(f"loop {loop.head}..{loop.latch}: "
                      f"trips {loop.describe()}"),
             clause=loop.head, slot="tail", pass_name=PASS_NAME))
-    if summary.atomics:
-        report.add(Finding(
-            code="mega-ineligible", severity=Severity.NOTE,
-            message="atomics force the generic warp tier "
-                    "(megakernel-ineligible)",
-            pass_name=PASS_NAME))
     return summary

@@ -19,7 +19,6 @@ import numpy as np
 from repro.errors import GuestError
 from repro.instrument.stats import apply_clause_stats
 from repro.gpu.isa import (
-    ATOM_MODE_SHIFT,
     CONST_BASE,
     NUM_GRF,
     NUM_TEMPS,
@@ -33,7 +32,7 @@ from repro.gpu.isa import (
     is_temp,
 )
 from repro.gpu.mmu import replay_load, replay_store
-from repro.gpu.ops import alu, atomic_apply, uniform_word
+from repro.gpu.ops import alu, atomic, uniform_word
 
 WARP_WIDTH = QUAD_WIDTH
 _END_PC = 1 << 30
@@ -359,26 +358,13 @@ class ClauseInterpreter:
                                        element=element)
 
     def _execute_atomic(self, warp, clause, instr, mask, lanes):
-        """Atomic read-modify-write: lanes apply in lane order (the
-        machine's serialization point); dst receives each lane's old value."""
-        local = instr.mem_is_local
+        """Atomic read-modify-write (:func:`~repro.gpu.ops.atomic`, mega's
+        too): dst receives each lane's old value."""
         addrs = self._read(warp, clause, instr.srca, lanes)
         values = self._read(warp, clause, instr.srcb, lanes)
-        mode = (instr.flags >> ATOM_MODE_SHIFT) & 0x7
-        old = warp.regs[:, instr.dst].copy() if is_grf(instr.dst) else \
-            np.zeros(WARP_WIDTH, dtype=np.uint32)
-        for lane in np.flatnonzero(mask):
-            addr = int(addrs[lane])
-            if local:
-                current = int(self.local[addr >> 2])
-            else:
-                current = self.mem.load_u32(addr)
-            old[lane] = current
-            updated = atomic_apply(mode, current, int(values[lane]))
-            if local:
-                self.local[addr >> 2] = updated
-            else:
-                self.mem.store_u32(addr, updated)
+        old = np.zeros(WARP_WIDTH, dtype=np.uint32)
+        atomic(self.mem, self.local if instr.mem_is_local else None,
+               instr.flags, addrs, values, np.flatnonzero(mask), old)
         self._write(warp, instr.dst, old, mask, lanes)
         if self.tracer is not None:
             self.tracer.record_quad(warp, mask, instr, old)

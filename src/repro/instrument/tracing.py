@@ -2,7 +2,7 @@
 
 The tracer records the full job lifecycle as duration spans —
 ``clEnqueueNDRangeKernel`` → ``kbase_ioctl(job_submit)`` → Job Manager
-slot → workgroup → clause batches — plus instant events for asynchronous
+slot → workgroup — plus instant events for asynchronous
 happenings (MMU faults, interrupts). The output is the Trace Event Format
 consumed by ``chrome://tracing`` and https://ui.perfetto.dev: a JSON
 object with a ``traceEvents`` array of ``{name, ph, ts, pid, tid}``
@@ -14,13 +14,9 @@ Components pass human-readable process/track labels (``"gpu"``,
 requires and emits ``process_name``/``thread_name`` metadata so the
 viewer shows the labels. Timestamps are host-relative microseconds.
 
-Two always-on modes keep tracing affordable:
-
-- **ring buffer** (``ring_size=N``): only the most recent N events are
-  retained (flight-recorder style — attach after the interesting moment).
-- **sampling** (``sample_every=N`` via :meth:`sampled_span`): only every
-  Nth span per name is recorded, for high-frequency spans like per-warp
-  clause batches.
+The **ring buffer** (``ring_size=N``) keeps tracing affordable: only the
+most recent N events are retained (flight-recorder style — attach after
+the interesting moment).
 """
 
 import json
@@ -36,19 +32,15 @@ class EventTracer:
     Thread-safe: parallel execution units append concurrently.
     """
 
-    def __init__(self, ring_size=None, sample_every=1):
+    def __init__(self, ring_size=None):
         if ring_size is not None and ring_size <= 0:
             raise ValueError("ring_size must be positive")
-        if sample_every <= 0:
-            raise ValueError("sample_every must be positive")
         self.ring_size = ring_size
-        self.sample_every = sample_every
         self._events = deque(maxlen=ring_size) if ring_size else []
         self._lock = threading.Lock()
         self._t0 = time.perf_counter_ns()
         self._pids = {}  # label -> pid int
         self._tids = {}  # (pid, label) -> tid int
-        self._sample_counts = {}  # span name -> occurrences seen
 
     # -- identity interning ----------------------------------------------------
 
@@ -105,19 +97,6 @@ class EventTracer:
         finally:
             self.end(name, process, track)
 
-    @contextmanager
-    def sampled_span(self, name, process, track, args=None):
-        """Like :meth:`span`, but records only every Nth occurrence of
-        *name* (N = ``sample_every``); the rest run untraced."""
-        with self._lock:
-            count = self._sample_counts.get(name, 0)
-            self._sample_counts[name] = count + 1
-        if count % self.sample_every:
-            yield
-            return
-        with self.span(name, process, track, args):
-            yield
-
     def instant(self, name, process, track, args=None):
         """A point-in-time event (``ph: i``, thread-scoped)."""
         with self._lock:
@@ -167,7 +146,6 @@ class EventTracer:
     def clear(self):
         with self._lock:
             self._events.clear()
-            self._sample_counts.clear()
 
 
 _VALID_PHASES = {"B", "E", "X", "i", "M"}

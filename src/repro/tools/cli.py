@@ -397,8 +397,7 @@ def _cmd_trace(options):
         return 2
 
     context = Context()
-    tracer = EventTracer(ring_size=options.limit,
-                         sample_every=options.sample)
+    tracer = EventTracer(ring_size=options.limit)
     context.platform.attach_events(tracer)
     queue, kernel, _buffers, global_size, local_size = \
         _prepare_launch(options, context)
@@ -780,8 +779,6 @@ def main(argv=None):
                          help="output path (default: trace.json)")
     p_trace.add_argument("--limit", type=int, default=None, metavar="N",
                          help="ring-buffer mode: keep only the last N events")
-    p_trace.add_argument("--sample", type=int, default=1, metavar="N",
-                         help="record every Nth high-frequency span")
     p_trace.add_argument("--validate", action="store_true",
                          help="check the emitted trace against the schema")
     p_trace.set_defaults(func=_cmd_trace)

@@ -4,11 +4,10 @@ Runs one :class:`DiffCase` through up to three independent execution
 engines and compares every observable outcome:
 
 - ``interp`` — the quad-warp clause interpreter on the MMU quad
-  gather/scatter tier, fully instrumented. This is the reference engine.
+  gather/scatter tier, fully instrumented.
 - ``mega``   — the workgroup-wide megakernel engine: one structure-of-arrays
   register file per thread-group, lane-mask divergence, wide MMU
-  gather/scatter; instrumented (programs it cannot specialize — atomics —
-  fall back to the interpreter inside the compute unit).
+  gather/scatter; instrumented, and runs every program itself.
 - ``m2s``    — the scalar Multi2Sim-style baseline: thread-at-a-time, flat
   memory, per-visit re-decode from the encoded binary.
 
@@ -20,9 +19,9 @@ thread, the full memory image of every buffer region, normalized
 instruction-category counters, and for the instrumented engines the golden
 ``StatsRegistry`` snapshot (the same registration helpers the full platform
 uses, so fuzzing guards exactly the counters the platform reports),
-divergence CFG and MMU translation behaviour. When both the reference and
-the baseline carry a tracer, retired per-thread instruction streams are
-diffed too.
+divergence CFG and MMU translation behaviour. When the baseline runs,
+every engine carries an instruction tracer and the retired per-thread
+instruction streams are diffed too.
 
 The platform engines run behind real page tables that map adjacent
 virtual pages to *non-adjacent* physical frames, so the MMU's cross-page
@@ -243,10 +242,8 @@ class DifferentialRunner:
     def __init__(self, engines=ENGINES, trace=True):
         self.engines = tuple(engines)
         self.modes = {engine: engine_mode(engine) for engine in engines}
-        # instruction tracing needs both the reference interpreter and the
-        # scalar baseline
-        self.trace = trace and "interp" in self.modes.values() \
-            and "m2s" in self.modes.values()
+        # instruction traces are checked against the scalar baseline's
+        self.trace = trace and "m2s" in self.modes.values()
 
     # -- engine execution ------------------------------------------------------
 
@@ -255,8 +252,7 @@ class DifferentialRunner:
         results = {}
         for engine in self.engines:
             mode = self.modes[engine]
-            tracer = InstructionTracer() \
-                if self.trace and mode in ("interp", "m2s") else None
+            tracer = InstructionTracer() if self.trace else None
             try:
                 if mode == "m2s":
                     results[engine] = self._run_m2s(case, tracer)

@@ -23,10 +23,10 @@ class TraceEvent:
 class InstructionTracer:
     """Records per-thread instruction effects.
 
-    Works with both engines: the quad-warp executor calls
-    :meth:`record_quad` (one call covers up to four lanes), the scalar
-    baseline calls :meth:`record_scalar`. Threads are keyed by their global
-    id triple, so traces from differently-scheduled engines align.
+    Works with every engine: mega's traced code calls :meth:`record`, the
+    quad-warp executor :meth:`record_quad`, the scalar baseline
+    :meth:`record_scalar`. Threads are keyed by their global id triple,
+    so traces from differently-scheduled engines align.
     """
 
     def __init__(self):
@@ -35,14 +35,24 @@ class InstructionTracer:
     def _append(self, key, event):
         self.by_thread.setdefault(key, []).append(event)
 
+    def record(self, rows, lanes, op, dst, values, element=0):
+        """The lanes' *values* for instruction *op* with destination field
+        *dst*: ``rows[r]`` is register *r* as a lane vector, *lanes* lane
+        indices (None: every lane)."""
+        gx, gy, gz = rows[REG_GLOBAL_ID:REG_GLOBAL_ID + 3]
+        for lane in range(len(values)) if lanes is None else lanes:
+            self._append((int(gx[lane]), int(gy[lane]), int(gz[lane])),
+                         TraceEvent(op, dst, element,
+                                    int(values[lane]) & 0xFFFFFFFF))
+
     def record_quad(self, warp, mask, instr, values, element=0):
-        regs = warp.regs
-        for lane in np.flatnonzero(mask):
-            key = (int(regs[lane, REG_GLOBAL_ID]),
-                   int(regs[lane, REG_GLOBAL_ID + 1]),
-                   int(regs[lane, REG_GLOBAL_ID + 2]))
-            self._append(key, TraceEvent(instr.op.name, instr.dst, element,
-                                         int(values[lane]) & 0xFFFFFFFF))
+        self.record(warp.regs.T, np.flatnonzero(mask), instr.op.name,
+                    instr.dst, values, element)
+
+    def merge(self, other):
+        """Append *other*'s events, thread by thread, to this trace."""
+        for key, events in other.by_thread.items():
+            self.by_thread.setdefault(key, []).extend(events)
 
     def record_scalar(self, thread, instr, value, element=0):
         regs = thread.regs

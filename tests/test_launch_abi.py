@@ -9,7 +9,8 @@ from repro.baselines.m2s import M2SSimulator
 from repro.baselines.m2s_runtime import M2SContext, M2SQueue
 from repro.cl import CommandQueue, Context, LocalMemory
 from repro.clc import compile_source
-from repro.errors import CLError
+from repro.core.platform import MobilePlatform
+from repro.errors import CLError, GuestError
 from repro.gpu import launch
 from repro.gpu.verify.lint import target_source
 from repro.kernels import REPLAYABLE, WORKLOADS
@@ -259,3 +260,40 @@ class TestLocalArgumentOver4KiB:
         np.testing.assert_array_equal(
             np.frombuffer(results["m2s"].memory["buf0"], np.float32),
             np.arange(128, dtype=np.float32))
+
+
+# reads a word past the __local argument it was given once *at* is large
+LOCAL_PAST_END = """
+__kernel void k(__global int* out, __local int* tile, int at) {
+    int i = get_global_id(0);
+    tile[i] = i;
+    barrier(1);
+    out[i] = tile[at];
+}
+"""
+
+
+class TestLocalAccessPastTheDeclaredSize:
+    """A job sees exactly the `__local` bytes it declares: an access past
+    them is a GuestError on both engines, on a fresh platform and on one
+    whose slab an earlier job grew."""
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+    @pytest.mark.parametrize("engine", ["interpreter", "mega"])
+    def test_raises_guest_error(self, engine, warm):
+        context = Context(MobilePlatform.for_mode(engine))
+        queue = CommandQueue(context)
+        out = context.buffer_from_array(np.zeros(16, np.int32))
+        kernel = context.build_program(LOCAL_PAST_END).kernel("k")
+        if warm:
+            kernel.set_args(out, LocalMemory(4096), 100)
+            queue.enqueue_nd_range(kernel, (16,), (16,))
+            assert queue.enqueue_read_buffer(out, np.int32)[0] == 0
+        kernel.set_args(out, LocalMemory(64), 100)
+        with pytest.raises(GuestError, match="outside the 64 bytes"):
+            queue.enqueue_nd_range(kernel, (16,), (16,))
+        # in range, the same platform runs the kernel
+        kernel.set_args(out, LocalMemory(64), 15)
+        queue.enqueue_nd_range(kernel, (16,), (16,))
+        np.testing.assert_array_equal(
+            queue.enqueue_read_buffer(out, np.int32), 15)

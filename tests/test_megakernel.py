@@ -3,10 +3,11 @@
 The mega tier executes each clause once over every lane of a thread-group
 (structure-of-arrays register file, lane-mask divergence, wide MMU
 gather/scatter). It must be bit-for-bit identical to the quad tiers on
-architectural state *and* golden statistics, punt to per-lane scalar
+architectural state *and* golden statistics and punt to per-lane scalar
 replay on anything the wide path cannot serve whole (armed injection
-pages, unmapped grow-on-fault pages), and fall back to the quad tiers
-entirely for programs it cannot specialize (atomics) or injected hangs.
+pages, unmapped grow-on-fault pages). It runs every program itself:
+atomics warp-serially, traced jobs as traced code, injected hangs with
+the interpreter's watchdog rounds.
 """
 
 import numpy as np
@@ -203,12 +204,10 @@ def test_mega_tier_switch_stats_equivalence():
     assert mega_mmu.wide_accesses == 0
 
 
-def test_mega_atomics_fall_back_to_quad_tiers():
-    """ATOM has no workgroup-wide translation (the interpreter
-    serializes atomics warp by warp); programs using it must run on the
-    quad tiers with identical results and stats."""
-    from repro.clc import compile_source
-    from repro.gpu.megakernel import mega_supported
+def test_mega_runs_atomics_itself(monkeypatch):
+    """A divergent ATOM program runs on mega (translated, never on the
+    interpreter) with the interpreter's results and golden stats."""
+    from repro.gpu.warp import ClauseInterpreter
 
     source = """
     __kernel void count(__global int* data, __global int* total) {
@@ -231,14 +230,20 @@ def test_mega_atomics_fall_back_to_quad_tiers():
         kernel.set_args(buf_data, buf_total)
         queue.enqueue_nd_range(kernel, (64,), (16,))
         total = queue.enqueue_read_buffer(buf_total, np.int32)
-        return int(total[0]), context
+        return int(total[0]), context.platform.stats_registry
 
-    mega_total, mega_ctx = run("mega")
-    interp_total, _ic = run("interpreter")
-    program = compile_source(source).kernel("count").program
-    assert mega_total == interp_total
-    assert mega_total == int(data[data % 2 == 0].sum())
-    assert not mega_supported(program, mega_ctx.platform.gpu.mmu)
+    interp_total, interp = run("interpreter")
+    with monkeypatch.context() as patch:
+        patch.setattr(ClauseInterpreter, "__init__", _no_interpreter)
+        mega_total, mega = run("mega")
+    assert mega_total == interp_total == int(data[data % 2 == 0].sum())
+    assert mega.snapshot()["gpu.jobmanager.kernel_translations"] == 1
+    assert mega.snapshot(golden_only=True) \
+        == interp.snapshot(golden_only=True)
+
+
+def _no_interpreter(*_args, **_kwargs):
+    raise AssertionError("the interpreter was built")
 
 
 def _mov_const_program(constant):
@@ -382,7 +387,7 @@ def test_retired_warps_is_a_lazy_sequence():
         MegaKernel, RegisterFile, RetiredWarps)
     from repro.gpu.shadercore import WorkgroupShape
 
-    kernel = MegaKernel(_mov_const_program(9), _WideStub(), None,
+    kernel = MegaKernel(_mov_const_program(9), _WideStub(),
                         RegisterFile())
     kernel.bind(np.zeros(1, dtype=np.uint32))
     warps = kernel.run_workgroup(WorkgroupShape((6, 1, 1), (6, 1, 1)), 0,
@@ -557,7 +562,7 @@ def test_retired_warps_slice_is_a_list_as_on_the_quad_tiers():
     from repro.gpu.megakernel import MegaKernel, RegisterFile
     from repro.gpu.shadercore import WorkgroupShape
 
-    kernel = MegaKernel(_mov_const_program(9), _WideStub(), None,
+    kernel = MegaKernel(_mov_const_program(9), _WideStub(),
                         RegisterFile())
     kernel.bind(np.zeros(1, dtype=np.uint32))
     warps = kernel.run_workgroup(WorkgroupShape((10, 1, 1), (10, 1, 1)), 0,
@@ -721,7 +726,7 @@ def test_generated_float_code_raises_no_runtime_warning():
     program = _program(_clause(
         slots, Tail.END,
         constants=[0x7F7FFFFF, 0, 0xBF800000, 0x7FC00000]))
-    kernel = MegaKernel(program, _WideStub(), None, RegisterFile())
+    kernel = MegaKernel(program, _WideStub(), RegisterFile())
     kernel.bind(np.zeros(1, dtype=np.uint32))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -774,7 +779,7 @@ def test_equal_shapes_never_share_an_entry_and_the_table_is_bounded():
     first = _mov_const_program(1_000_001)
     for constant in range(1_000_001, 1_000_001 + 2 * megakernel.CODE_CACHE_SIZE):
         program = _mov_const_program(constant)
-        kernel = MegaKernel(program, _WideStub(), None, RegisterFile())
+        kernel = MegaKernel(program, _WideStub(), RegisterFile())
         kernel.bind(np.zeros(1, dtype=np.uint32))
         assert kernel.run_workgroup(shape, 0, None)[0].regs[0, 0] == constant
         assert emitted_code(program) is emitted_code(
@@ -812,7 +817,7 @@ def test_code_cache_under_racing_host_threads():
     def worker():
         for constant in constants:
             kernel = MegaKernel(_mov_const_program(constant), _WideStub(),
-                                None, RegisterFile())
+                                RegisterFile())
             kernel.bind(np.zeros(1, dtype=np.uint32))
             got = int(kernel.run_workgroup(shape, 0, None)[0].regs[0, 0])
             if got != constant:
@@ -1259,7 +1264,7 @@ def test_retired_warps_are_a_snapshot():
     from repro.gpu.megakernel import MegaKernel, RegisterFile
     from repro.gpu.shadercore import WorkgroupShape
 
-    kernel = MegaKernel(_mov_const_program(9), _WideStub(), None,
+    kernel = MegaKernel(_mov_const_program(9), _WideStub(),
                         RegisterFile())
     kernel.bind(np.zeros(1, dtype=np.uint32))
     shape = WorkgroupShape((16, 1, 1), (8, 1, 1))
