@@ -6,8 +6,9 @@ stack in <10s, with much flatter scaling. Here: the same driver path
 (buffer movement through guest memcpy) runs on the DBT engine vs the
 interpretive engine; DBT must win by an increasing absolute margin.
 
-Every size builds a fresh platform, so the DBT side pays for
-translating its routines (~1 ms) each time. Unlike the paper's DBT, ours
+Every size builds a fresh platform, so the DBT side translates its
+routines each time; region code is compiled once per process, so only
+the first size pays for ``compile()`` (~1 ms). Unlike the paper's DBT, ours
 also runs the trips of a counted copy or fill loop (the guest ``memcpy``
 and ``memset``) as block transfers, so its ratio far exceeds the paper's
 ~15x while both engines retire the same guest instructions (asserted).

@@ -50,7 +50,9 @@ trajectory to regress against:
   (Python and built-in) of a DBT ``memcpy`` / ``memset`` at 16 and at
   64 KiB (the same: the DBT runs a counted copy or fill loop as block
   transfers that call nothing per page, so its calls do not grow with
-  the length; trip by trip they grow with every trip).
+  the length; trip by trip they grow with every trip), and the regions
+  a second fresh platform compiles for a guest ``memcpy`` (none: region
+  code is kept per process, so it only translates).
 
 The report records the host (cores, Python, NumPy) beside the numbers.
 
@@ -70,6 +72,7 @@ import numpy as np
 _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(_REPO_ROOT / "src"))
 
+from repro import hostcode  # noqa: E402
 from repro.cl import Context, runtime  # noqa: E402
 from repro.core.platform import MobilePlatform, PlatformConfig  # noqa: E402
 from repro.cpu import GuestRoutines  # noqa: E402
@@ -694,7 +697,31 @@ def guest(nbytes=64 * 1024, short=16 * 1024, repeats=3):
                     sys.setprofile(None)
                 counts.append(calls[0])
             out[f"dbt_{name}_calls"] = dict(zip((short, nbytes), counts))
+    out["dbt_second_platform"] = second_platform_regions()
     return out
+
+
+def second_platform_regions(nbytes=4096):
+    """Regions a guest ``memcpy`` translates and compiles on a fresh
+    platform, after another platform of the process ran it."""
+    compiled = []
+
+    def counting(source, filename, mode):
+        compiled.append(filename)
+        return compile(source, filename, mode)
+
+    for _ in range(2):
+        platform = MobilePlatform(PlatformConfig())
+        source = platform.stage_bytes(bytes(nbytes))
+        target = platform.stage_bytes(bytes(nbytes))
+        compiled.clear()
+        hostcode.compile = counting
+        try:
+            platform.guest.memcpy(target, source, nbytes)
+        finally:
+            del hostcode.compile
+    return {"translations": platform.guest.engine.translations,
+            "compiles": len(compiled)}
 
 
 def host_metadata():
@@ -813,6 +840,10 @@ def main(argv=None):
               f"{interp:.0f} us/KiB ({interp / dbt:.0f}x), "
               f"{guest_row[f'dbt_{name}_instructions']} instructions; "
               f"DBT calls at 16 / 64 KiB: {calls}")
+    second = guest_row["dbt_second_platform"]
+    print(f"guest memcpy on a second fresh platform: "
+          f"{second['translations']} region(s) translated, "
+          f"{second['compiles']} compiled")
     print(f"wrote {_OUTPUT}")
     failed = False
     if report["kernels"]["sgemm"]["general_quads"]:
@@ -885,6 +916,10 @@ def main(argv=None):
                   "than at 16 KiB: its loop ran trip by trip",
                   file=sys.stderr)
             failed = True
+    if second["compiles"] or not second["translations"]:
+        print("FAIL: a second fresh platform compiled a DBT region the "
+              "process had already compiled", file=sys.stderr)
+        failed = True
     # count-based, so they hold on any host: a regression back to
     # per-job translation or eager retirement fails here
     if launch["kernel_translations"] != 1:

@@ -18,7 +18,6 @@ docs/internals.md for a code walkthrough.
 __version__ = "1.0.0"
 
 from repro.cl import Buffer, CommandQueue, Context, Kernel, LocalMemory, Program
-from repro.clc import compile_source
 from repro.core.platform import MobilePlatform, PlatformConfig
 from repro.gpu.device import GPUConfig
 from repro.kernels import WORKLOADS, get_workload
@@ -38,3 +37,13 @@ __all__ = [
     "get_workload",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # the compiler loads on first use: a context that only moves data
+    # never needs it
+    if name == "compile_source":
+        from repro.clc import compile_source
+
+        return compile_source
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,15 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import CLError, JobFault
-from repro.hostcode import BoundedTable
-from repro.clc import compile_source
-from repro.clc.compiler import PROGRAM_CACHE_SIZE, build_key
+from repro.hostcode import PROGRAM_CACHE_SIZE, BoundedTable
 from repro.core.platform import MobilePlatform
 from repro.gpu import launch
 from repro.gpu.launch import LocalMemory
 from repro.gpu.mmu import AS_TAG_SHIFT
-from repro.gpu.verify import VerifyContext, verify_binary
-from repro.gpu.verify.analyze import analyze_program
 from repro.mem.physical import PAGE_SHIFT
 from repro.instrument.stats import JobStats
 
@@ -168,6 +164,24 @@ class Context:
 _builds = BoundedTable(PROGRAM_CACHE_SIZE)
 
 
+# The build stack (compiler, verifier, cost analysis) loads on the first
+# build or launch analysis, not with the runtime: a context that only
+# moves data never loads it. The build calls the compiler and the gate
+# through these two names.
+def compile_source(source, options=None, defines=None):
+    """:func:`repro.clc.compile_source`."""
+    from repro.clc import compile_source as compile_
+
+    return compile_(source, options=options, defines=defines)
+
+
+def verify_binary(binary, ctx):
+    """The binary gate, :func:`repro.gpu.verify.verify_binary`."""
+    from repro.gpu.verify import verify_binary as gate
+
+    return gate(binary, ctx)
+
+
 def gated_build(source, version=None, defines=None):
     """The compiled program of *source* and its per-kernel build reports.
 
@@ -180,6 +194,9 @@ def gated_build(source, version=None, defines=None):
     that raises keeps nothing and raises again. Both the CL runtime and
     the m2s baseline build here.
     """
+    from repro.clc.compiler import build_key
+    from repro.gpu.verify import VerifyContext
+
     def run_gate():
         compiled = compile_source(source, options=version, defines=defines)
         reports = {}
@@ -278,6 +295,9 @@ class Kernel:
         regions) and runs the cost analysis on it; returns ``(summary,
         bounds)``, both None when structural errors block the analysis.
         """
+        from repro.gpu.verify import VerifyContext
+        from repro.gpu.verify.analyze import analyze_program
+
         buffers = {}
         for position, ((_pname, kind, _ty), value) in enumerate(
                 zip(self.compiled.params, self._args)):

@@ -9,7 +9,7 @@ per-kernel binaries and metadata — the artifact the OpenCL runtime's
 from dataclasses import dataclass, field
 
 from repro.errors import CompileError
-from repro.hostcode import BoundedTable
+from repro.hostcode import PROGRAM_CACHE_SIZE, BoundedTable
 from repro.clc.codegen import generate_program
 from repro.clc.ir import Const
 from repro.clc.lower import KernelLowering
@@ -189,7 +189,6 @@ def compile_kernel(kernel_ast, options):
 
 #: Compiled programs by build key, handed to every producer of binaries
 #: (CL runtime, m2s, conformance, lint): never written after insertion.
-PROGRAM_CACHE_SIZE = 256
 _programs = BoundedTable(PROGRAM_CACHE_SIZE)
 
 

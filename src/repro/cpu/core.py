@@ -16,7 +16,7 @@ same instructions and leave the same state.
 import struct
 
 from repro.errors import GuestError
-from repro.hostcode import compile_source
+from repro.hostcode import BoundedTable, compile_source
 from repro.cpu.isa import (
     BLOCK_TERMINATORS,
     BRANCH_OPS,
@@ -487,19 +487,32 @@ def _emit_trace(head, blocks, heads):
         position = next_pc
 
 
+#: Most region code objects one process keeps (oldest out).
+REGION_CACHE_SIZE = 256
+
+#: Region source text -> its compiled code, shared by every core of the
+#: process: the text determines the code, so a fresh platform running
+#: the same guest routine ``exec``'s the code into its own namespace
+#: instead of compiling it again.
+_region_codes = BoundedTable(REGION_CACHE_SIZE)
+
+
 class DBTCore:
     """Dynamic-binary-translation engine.
 
     On a miss the translator follows direct branches and ``jal`` from the
     entry PC, generates Python source for the whole **region** — every
     basic block reachable by static targets, up to
-    :data:`MAX_REGION_BLOCKS` — and compiles it once into a single host
-    function cached by entry PC. Operand indices, immediates and PCs are
-    baked into the source (the "early partial evaluation" of the paper's
-    retargetable-simulator lineage); blocks chain to each other inside
-    the function, so a hot loop never returns to :meth:`run`; and loads
-    and stores index the backing page directly when the address is plain
-    backed RAM, leaving ``cpu.pc`` at the access when the bus faults.
+    :data:`MAX_REGION_BLOCKS` — into a single host function, cached on
+    the core by entry PC. The source is compiled once per process
+    (:data:`_region_codes`) and its code ``exec``'d into each core's own
+    namespace, so the function binds that core's CPU, registers and bus.
+    Operand indices, immediates and PCs are baked into the source (the
+    "early partial evaluation" of the paper's retargetable-simulator
+    lineage); blocks chain to each other inside the function, so a hot
+    loop never returns to :meth:`run`; and loads and stores index the
+    backing page directly when the address is plain backed RAM, leaving
+    ``cpu.pc`` at the access when the bus faults.
 
     A dispatch arm whose head starts a counted copy or fill loop (see
     :func:`_loop_summary`) first runs the trips its exit test is certain
@@ -620,7 +633,7 @@ class DBTCore:
             out += [" " * 16 + line
                     for line in _emit_trace(head, blocks, heads)]
         compile_source("\n".join(out) + "\n", f"<dbt region 0x{entry_pc:x}>",
-                       namespace)
+                       namespace, _region_codes)
         self.translations += 1
         return namespace["region"]
 

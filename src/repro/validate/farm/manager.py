@@ -35,6 +35,13 @@ from dataclasses import dataclass, field
 
 import multiprocessing as mp
 
+# The runtime loads the build stack (compiler, verifier) on a process's
+# first build; the farm loads it on import instead. Forked workers
+# inherit it rather than each importing it, and the campaign the parent
+# then allocates reuses the import's transient memory, which an import
+# at fork time would leave resident on top of the campaign.
+import repro.clc  # noqa: F401
+import repro.gpu.verify  # noqa: F401
 from repro.errors import SimError
 from repro.validate.farm.config import load_config
 from repro.validate.farm.providers import expand_cases

@@ -547,6 +547,38 @@ class TestGuestRoutines:
                 f"<dbt region 0x{routines._entries[name]:x}>"))
             assert source.count(" = summary_") == loops, name
 
+    def test_a_second_fresh_platform_compiles_no_region(self, monkeypatch):
+        """Region code is kept per process, keyed by its source: the
+        second platform runs the first one's code in a namespace of its
+        own, and counts the region as translated all the same."""
+        from repro import hostcode
+
+        compiled = []
+
+        def counting(source, filename, mode):
+            compiled.append(filename)
+            return compile(source, filename, mode)
+
+        monkeypatch.setattr(cpu_core, "_region_codes",
+                            hostcode.BoundedTable(cpu_core.REGION_CACHE_SIZE))
+        monkeypatch.setattr(hostcode, "compile", counting, raising=False)
+        payload = bytes(range(256)) * 20
+        counts = []
+        for _ in range(2):
+            platform = MobilePlatform(PlatformConfig())
+            source = platform.stage_bytes(payload)
+            target = platform.stage_bytes(bytes(len(payload)))
+            platform.guest.memcpy(target, source, len(payload))
+            assert platform.memory.read_block(target, len(payload)) \
+                == payload
+            snapshot = platform.stats_registry.snapshot()
+            counts.append((snapshot["cpu.core.dbt_translations"],
+                           snapshot["cpu.core.instructions"]))
+        entry = platform.guest._entries["memcpy"]
+        assert compiled == [f"<dbt region 0x{entry:x}>"]
+        assert counts[0] == counts[1]
+        assert counts[0][0] == 1
+
 
 # -- generated programs: DBT vs interpreter -----------------------------------
 

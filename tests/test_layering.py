@@ -14,10 +14,11 @@ A failure lists ``file:line`` per offence. Fix it by giving the owning
 class a public accessor (or moving the logic to the owner), not by
 extending :data:`ALLOWED`.
 
-And three import rules: nothing outside ``repro/tools/`` imports
+And four import rules: nothing outside ``repro/tools/`` imports
 ``repro.tools``; and, checked in a fresh interpreter, a run loads NumPy
-and nothing else from outside the standard library, and a kernel launch
-loads no thread pool.
+and nothing else from outside the standard library, a kernel launch
+loads no thread pool, and creating a context loads no compiler or
+verifier.
 """
 
 import ast
@@ -208,3 +209,30 @@ def test_a_launch_loads_no_thread_pool():
     out = subprocess.run([sys.executable, "-c", _LAUNCH_PROBE], env=env,
                          check=True, capture_output=True, text=True).stdout
     assert out.split() == ["False"]
+
+
+_CONTEXT_PROBE = """
+import sys
+import repro, repro.cl
+repro.cl.Context()
+
+def build_stack():
+    return any(name.startswith(("repro.clc", "repro.gpu.verify"))
+               for name in sys.modules)
+
+print(build_stack())
+repro.cl.Context().build_program("__kernel void k(__global int* out) {}")
+print("repro.clc" in sys.modules, "repro.gpu.verify" in sys.modules)
+print(callable(repro.compile_source))
+"""
+
+
+def test_a_context_loads_no_compiler():
+    """Creating a context loads no compiler or verifier: a process that
+    only moves data never pays for them. ``repro.compile_source`` still
+    resolves, and the first build loads both."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        os.path.dirname(SRC_ROOT), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _CONTEXT_PROBE], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["False", "True", "True", "True"]
