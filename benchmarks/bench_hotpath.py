@@ -35,6 +35,10 @@ trajectory to regress against:
   ``QuadWarp`` objects its fallback builds (none), ``BatchPort`` window
   merges on the system benchmark's sgemm, bfs and SLAM ``fast3`` runs,
   register files per compute unit (one);
+- **local_batch**: Reduction at its default size on mega — lockstep
+  batches run and abandoned, seconds per run, and the multi-group
+  local-memory jobs that started one group at a time (none: each slot of
+  a batch has its own ``__local`` slab);
 - **mega_masked**: what one step of the masked scheduler costs around a
   fall-through body — NumPy-level operations on the lane PCs and masks
   (exact, gated against the checked-in number) and microseconds — and
@@ -505,6 +509,42 @@ def mega_batch(repeats=3):
     }
 
 
+def local_batch(repeats=3):
+    """Reduction on mega, warm: the batches one run starts and abandons,
+    its best time over *repeats*, and its jobs of more than one group
+    with a ``__local`` slab whose first call ran one group alone."""
+    run_workgroup = megakernel.MegaKernel.run_workgroup
+    jobs = []  # (groups, groups of the first call) of each local job
+
+    def recording(self, shape, flat_group, stats, budget=None, count=1,
+                  local=None, **job):
+        if not flat_group and local is not None and local.shape[1]:
+            jobs.append((shape.total_groups, count))
+        return run_workgroup(self, shape, flat_group, stats, budget, count,
+                             local=local, **job)
+
+    def reduction():
+        context = _mega_context()
+        get_workload("Reduction").run(context=context, verify=False)
+        return context.platform.gpu.job_manager.unit
+
+    reduction()  # build and translate
+    seconds = _best(reduction, repeats)
+    megakernel.MegaKernel.run_workgroup = recording
+    try:
+        unit = reduction()
+    finally:
+        megakernel.MegaKernel.run_workgroup = run_workgroup
+    return {
+        "seconds": seconds,
+        "batches_run": unit.batches_run,
+        "batches_abandoned": unit.batches_abandoned,
+        "local_jobs": len(jobs),
+        "local_jobs_unbatched": sum(1 for groups, count in jobs
+                                    if groups > 1 and count == 1),
+    }
+
+
 #: NumPy-level operations one masked step may make on the lane PCs and
 #: the mask around a fall-through body with statistics on (min, ==,
 #: count_nonzero, view, count_nonzero, the indexed store); 14 before the
@@ -757,6 +797,7 @@ def run(quick=False):
                                    repeats=micro_repeats),
         "mega_clause": clause,
         "mega_batch": mega_batch(repeats=micro_repeats),
+        "local_batch": local_batch(repeats=micro_repeats),
         "mega_masked": mega_masked(workgroups=50 if quick else 200,
                                    repeats=micro_repeats),
         "build": build(),
@@ -819,6 +860,11 @@ def main(argv=None):
           f"(sgemm / bfs / SLAM fast3); "
           f"{batch['register_files_per_unit']} register file(s) for "
           f"{batch['kernels_on_the_unit']} kernels")
+    local = report["local_batch"]
+    print(f"local batch: Reduction {local['seconds'] * 1000:.1f} ms, "
+          f"{local['batches_run']} batches ({local['batches_abandoned']} "
+          f"abandoned); {local['local_jobs_unbatched']} of "
+          f"{local['local_jobs']} local-memory jobs started unbatched")
     masked = report["mega_masked"]
     print(f"mega masked: {masked['calls_per_step']:g} NumPy-level calls and "
           f"{masked['us_per_step']:.2f} us per masked fall-through step; "
@@ -868,6 +914,11 @@ def main(argv=None):
     if batch["bfs_quadwarps_built"] != 0:
         print("FAIL: bfs built QuadWarps nobody read (the groups of an "
               "abandoned batch retire as a committed batch does)",
+              file=sys.stderr)
+        failed = True
+    if local["local_jobs_unbatched"] or not local["batches_run"]:
+        print("FAIL: a multi-group Reduction job with a __local slab ran "
+              "unbatched; each slot of a batch has its own slab",
               file=sys.stderr)
         failed = True
     if batch["register_files_per_unit"] != 1:

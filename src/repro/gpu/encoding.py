@@ -155,10 +155,14 @@ def encode_program(program):
 
 
 def decode_program(data):
-    """Decode a binary image back into a :class:`~repro.gpu.isa.Program`.
+    """Decode a binary image back into a :class:`~repro.gpu.isa.Program`,
+    which keeps the image (``program.image``) as the key of what is built
+    from it.
 
-    This is the shader core's decode phase; the result is cached per binary
-    address so that "the entire shader program is decoded exactly once".
+    This is the shader core's decode phase. The Job Manager keeps the
+    result per binary address, and the process per image, so that "the
+    entire shader program is decoded exactly once" however many
+    platforms run it.
     """
     magic, num_clauses = _unpack("<II", data, 0, "program header")
     if magic != MAGIC:
@@ -170,4 +174,5 @@ def decode_program(data):
         clauses.append(clause)
     program = Program(clauses=clauses)
     program.validate()
+    program.image = bytes(data)
     return program

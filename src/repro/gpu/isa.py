@@ -438,10 +438,15 @@ class Program:
     Attributes:
         clauses: the clause list; branch targets are indices into it.
         meta: optional compiler metadata (register usage, symbol names).
+        image: the binary image it was decoded from, None for a program
+            built in memory (a copy or a ``replace`` starts with None).
+            A decoded program is shared process-wide: never mutate one.
     """
 
     clauses: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    image: bytes = field(default=None, init=False, repr=False,
+                         compare=False)
 
     def validate(self):
         for index, clause in enumerate(self.clauses):

@@ -8,7 +8,10 @@ to the shader binary, which is then used to map jobs onto SCs."
 The driver writes a job descriptor into GPU-visible memory and rings the
 doorbell register with its GPU VA. The Job Manager parses the descriptor
 *through the GPU MMU* (so descriptor pages count as GPU page traffic),
-decodes the shader binary once (the decode cache of Section III-B3), splits
+decodes the shader binary once (the decode cache of Section III-B3: per
+platform by binary address, behind it one process-wide table by image
+bytes, so a fresh platform still fetches each binary but decodes
+nothing the process has decoded before), splits
 the NDRange into thread-groups and runs them on its one compute unit, in
 lockstep batches where the unit's engine can. The unit persists, so a
 decoded program is also translated once, and dropped with it.
@@ -33,6 +36,7 @@ from repro.errors import (
 )
 from repro.gpu.encoding import decode_program
 from repro.gpu.shadercore import ComputeUnit, WorkgroupShape
+from repro.hostcode import BoundedTable
 from repro.instrument.cfg import DivergenceCFG
 from repro.instrument.stats import JobStats
 from repro.state import Stateful
@@ -58,6 +62,16 @@ _OFF_UNIFORM_VA = 0x30  # u64
 _OFF_UNIFORM_COUNT = 0x38  # u32
 _OFF_NEXT = 0x40  # u64
 DESCRIPTOR_SIZE = 0x48
+
+#: The process-wide decode table: binary image -> the program decoded
+#: from it, shared by every platform (a decoded program is read-only). A
+#: failed decode stores nothing, so a corrupt image raises every time.
+DECODE_TABLE_SIZE = 256
+_programs = BoundedTable(DECODE_TABLE_SIZE)
+
+
+def _decoded(image):
+    return _programs.lookup(image, lambda: decode_program(image))
 
 
 @dataclass
@@ -194,7 +208,7 @@ class JobManager(Stateful):
             image = read_binary(as_id, binary_va, binary_size)
             if image is not None:
                 self._decode_cache[(as_id, binary_va, binary_size)] = \
-                    decode_program(image)
+                    _decoded(bytes(image))
 
     # -- descriptor parsing (through the MMU) ---------------------------------
 
@@ -239,11 +253,12 @@ class JobManager(Stateful):
         program = (self._decode_cache.get(key)
                    if self.decode_cache_enabled else None)
         if program is None:
+            # fetched on every miss: the page traffic is the platform's
             image = self.mmu.load_block(descriptor.binary_va, descriptor.binary_size)
-            program = decode_program(image)
             if self.decode_cache_enabled:
-                self._decode_cache[key] = program
+                program = self._decode_cache[key] = _decoded(image)
             else:
+                program = decode_program(image)
                 # no Program decoded so far is ever handed out again
                 self.invalidate_decode_cache()
             self.decode_count += 1

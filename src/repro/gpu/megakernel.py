@@ -47,8 +47,12 @@ access that running the groups one after another would have answered
 differently abandons the batch — nothing has reached memory, and the
 caller runs the same groups one at a time for the rest of that job (what
 conflicted is the job's data: the next job starts batched again).
-Programs with a local-memory access or an ``ATOM`` and groups with a
-partial last quad are never batched.
+``__local`` memory is private to a group, so the port never sees it: each
+slot of a batch has its own zeroed slab, and a local access indexes the
+slab of its lane's slot, bounds-checked per slot (an access past the
+declared bytes abandons the batch, and the group that made it raises
+when it runs alone). Programs with an ``ATOM`` and groups with a partial
+last quad are never batched.
 
 Clauses are translated to host *source* (docs/internals.md §9): one
 generated function per chain of fall-through clauses on the converged
@@ -125,6 +129,7 @@ _BIND = {
     "I": "I = state.I",
     "U": "U = state.uniforms",
     "L": "L = state.local",
+    "S": "S = state.slot",
     "mem": "mem = state.mem",
     "act": "act = np.flatnonzero(mask)",
     "trace": "trace = state.trace",
@@ -226,10 +231,11 @@ class _Emitter:
         return [f"R[{dst}][:] = {value}"]
 
     def _memory(self, clause, instr, masked):
-        """Local LD/ST as fancy indexing on the slab; global LD/ST as a
-        workgroup-wide gather/scatter (a masked one tells the port which
-        lanes it is for) with per-lane replay of any element the wide
-        port returns None for."""
+        """Local LD/ST as fancy indexing on the slabs — ``L[S, a]``: the
+        row of each lane's slot, bounds-checked per slot; global LD/ST
+        as a workgroup-wide gather/scatter (a masked one tells the port
+        which lanes it is for) with per-lane replay of any element the
+        wide port returns None for."""
         addr = self._source_row(clause, instr.srca)
         if addr is None:
             return [_invalid("source", instr.srca)]
@@ -238,9 +244,13 @@ class _Emitter:
         local = instr.mem_is_local
         lines = [f"a = R[{addr}]{pick}.astype(i64)"
                  + (" >> 2" if local else "")]
+        if local and masked:
+            lines.append("s = S[act]")
         for element in range(instr.mem_width):
             if local:
-                at = f"L[a + {element}]" if element else "L[a]"
+                slot = "s" if masked else "S"
+                at = f"L[{slot}, a + {element}]" if element \
+                    else f"L[{slot}, a]"
             else:
                 at = f"a + {4 * element}" if element else "a"
             if instr.op is Op.LD:
@@ -277,13 +287,14 @@ class _Emitter:
 
     def _atomic(self, clause, instr):
         """ATOM through the interpreter's own :func:`~repro.gpu.ops.atomic`
-        over the lanes of ``mask``: a program with one runs masked only."""
+        over the lanes of ``mask``: a program with one runs masked only,
+        never batched, so its flat slab is slot 0's."""
         rows = []
         for operand in (instr.srca, instr.srcb):
             rows.append(self._source_row(clause, operand))
             if rows[-1] is None:
                 return [_invalid("source", operand)]
-        port = "None, L" if instr.mem_is_local else "mem, None"
+        port = "None, L[0]" if instr.mem_is_local else "mem, None"
         call = f"atomic({port}, {instr.flags}, R[{rows[0]}], R[{rows[1]}], " \
             f"act, "
         if 0 <= instr.dst < _ROWS:
@@ -362,7 +373,8 @@ def _emit(program, filename, traced):
 
 #: The process-wide code cache: binary image (paired with "traced", the
 #: traced variant) -> :class:`_Code`. The exact bytes are the key: every
-#: field the emitter reads is an encoded field.
+#: field the emitter reads is an encoded field. A program decoded from an
+#: image is keyed by that image, one built in memory by its encoding.
 CODE_CACHE_SIZE = 256
 _code_cache = BoundedTable(CODE_CACHE_SIZE,
                            evicted=lambda code: forget_source(code.filename))
@@ -370,7 +382,7 @@ _code_cache = BoundedTable(CODE_CACHE_SIZE,
 
 def emitted_code(program, traced=False):
     """The :class:`_Code` of *program*, or of its *traced* variant."""
-    key = encode_program(program)
+    key = program.image or encode_program(program)
     name = f"<mega {binascii.crc32(key):08x}{' traced' * traced}>"
     return _code_cache.lookup((key, "traced") if traced else key,
                               lambda: _emit(program, name, traced))
@@ -381,13 +393,16 @@ class MegaState:
     side by side — ``regs``, one row per register and per constant, and
     the row lists generated code indexes (``R``/``F``/``I``: each row as
     uint32/float32/int32) — with the ports of the run in progress:
-    uniform table, memory port, local slab, trace recorder."""
+    uniform table, memory port, local slabs (``(groups, words)``: one
+    row per slot), trace recorder — and ``slot``, each lane's slot (its
+    row of the slabs)."""
 
     __slots__ = ("regs", "arch", "R", "F", "I", "uniforms", "mem", "local",
-                 "trace")
+                 "slot", "trace")
 
-    def __init__(self, regs, typed):
+    def __init__(self, regs, typed, slot):
         self.regs = regs
+        self.slot = slot
         self.arch = regs[:_ROWS]  # the rows a workgroup retires with
         # row views of a C-contiguous array: contiguous lane vectors
         self.R = list(regs)
@@ -422,7 +437,7 @@ class RegisterFile:
                 self._words = np.empty(words, dtype=np.uint32)
             layout = self._layouts[key] = (
                 MegaState(self._words[:words].reshape(rows, count * lanes),
-                          typed),
+                          typed, np.repeat(np.arange(count), lanes)),
                 self._template(shape, lanes))
         return layout
 
@@ -494,7 +509,7 @@ class MegaKernel:
 
     def __init__(self, program, mem, file):
         self.program = program
-        self.uniforms = self.local = None
+        self.uniforms = None
         self.mem = mem
         self.file = file
         self._plain = self._code = emitted_code(program)
@@ -503,22 +518,17 @@ class MegaKernel:
         self._constants = np.array(constants, dtype=np.uint32)[:, None] \
             if constants else None
         self._rows = _ROWS + len(constants)
-        #: may consecutive workgroups share a row? Static: never with a
-        #: local slab (one per unit), an ATOM (warp-serial) or a port
-        #: without batches. Whether a batch of them commits depends on a
-        #: job's data, and is the compute unit's to remember for that job
+        #: may consecutive workgroups share a row? Static: never with an
+        #: ATOM (warp-serial) or a port without batches; each slot has
+        #: its own local slab. Whether a batch of them commits depends on
+        #: a job's data, and is the compute unit's to remember for that job
         self.batching = getattr(mem, "begin_batch", None) is not None \
-            and bool(self._code.chains) \
-            and not any(instr.mem_is_local
-                        for clause in program.clauses
-                        for instr in clause.active_slots()
-                        if instr.op is Op.LD or instr.op is Op.ST)
+            and bool(self._code.chains)
 
-    def bind(self, uniforms, local=None, traced=False):
-        """Install the uniform table, local slab and code of the job about
-        to run: *traced* code records every result in a tracer."""
+    def bind(self, uniforms, traced=False):
+        """Install the uniform table and code of the job about to run:
+        *traced* code records every result in a tracer."""
         self.uniforms = uniforms
-        self.local = local
         self._code = emitted_code(self.program, True) if traced \
             else self._plain
 
@@ -535,7 +545,8 @@ class MegaKernel:
     # -- workgroup scheduling ----------------------------------------------------
 
     def run_workgroup(self, shape, flat_group, stats, watchdog_budget=None,
-                      count=1, counts=None, stalled=0, tracer=None):
+                      count=1, counts=None, stalled=0, tracer=None,
+                      local=None):
         """Execute *count* whole thread-groups from *flat_group* on;
         returns their retired warps.
 
@@ -549,8 +560,12 @@ class MegaKernel:
         *stats* and *counts* — the caller's to drop. *stalled* is the
         watchdog rounds an injected hang charged the group up front.
         *tracer* records the results of traced code (see :meth:`bind`).
+        *local* is the groups' zeroed ``__local`` slabs, ``(count,
+        words)``; an access past *words* raises :class:`IndexError` from
+        one group (the compute unit's to report) and abandons a batch.
         """
         state = self._init_state(shape, flat_group, count)
+        state.local = local
         state.trace = None if tracer is None else tracer.record
         width = state.regs.shape[1]
         port = None
@@ -600,7 +615,7 @@ class MegaKernel:
                     pcs = self._run_uniform(state, pc, hits, splits, *job)
             if port is not None:
                 port.commit()
-        except SimError as exc:
+        except (SimError, IndexError) as exc:
             if count == 1:
                 raise
             raise BatchAbandoned("exception") from exc
@@ -648,7 +663,6 @@ class MegaKernel:
         regs[REG_GROUP_FLAT, :live] = flat
         state.uniforms = self.uniforms
         state.mem = self.mem
-        state.local = self.local
         return state
 
     def _run_uniform(self, state, pc, hits, splits, flat_group, budget,

@@ -6,8 +6,9 @@ iterates over the job dimensions, groups threads into quads ("warps") that
 execute in lockstep, and groups warps into thread-groups. The Job Manager
 runs every job on one unit; its workgroup-local storage is a slab the
 simulator allocates outside the guest system, and local accesses are
-served from it. The mega tier runs every program, atomics and traced
-jobs included (:mod:`repro.gpu.megakernel`).
+served from it — each group of a batch from its own zeroed part. The mega
+tier runs every program, atomics and traced jobs included
+(:mod:`repro.gpu.megakernel`).
 
 On the mega tier a unit may take several consecutive thread-groups in
 one call (:meth:`ComputeUnit.run_groups` walks a job that way): they run in
@@ -15,7 +16,9 @@ lockstep, side by side in the unit's one register file, and commit only
 if that cannot be told from running them one after another — otherwise
 the batch is abandoned, having changed nothing, and the unit runs the
 same groups, and the rest of that job, one at a time; the next job starts
-batched again. The independence of thread-groups that the
+batched again. A group's ``__local`` bytes are its own, so they batch as
+registers do; only programs with an ``ATOM`` and groups with a partial
+last quad run one at a time. The independence of thread-groups that the
 paper maps onto host threads (Fig. 10) is spent here on vector width
 instead: under CPython it is the form this host can measure.
 """
@@ -89,8 +92,10 @@ class ComputeUnit:
         self.events = None
         self.injector = None
         self.watchdog_budget = None
-        self._slab = None  # grows to the largest local size a job declared
-        self._local = None  # this job's view of it: the declared size
+        # grows to the most local words a job or batch needed; a group
+        # sees its job's declared words of it
+        self._slab = np.zeros(0, dtype=np.uint32)
+        self._words = 0
         self._translations = {}  # id(program) -> (MegaKernel, program)
         self.translations_built = 0
         self._job = self._mega = self._quad = None
@@ -111,10 +116,17 @@ class ComputeUnit:
         self.injector = injector
         self.watchdog_budget = watchdog_budget
         self._job = self._mega = self._quad = None
-        words = local_mem_bytes // 4
-        if self._slab is None or len(self._slab) < words:
+        self._words = local_mem_bytes // 4
+
+    def _slabs(self, count):
+        """Zeroed local slabs for *count* groups side by side, ``(count,
+        words)``, cut from the unit's one slab (grown if it is short)."""
+        words = count * self._words
+        if len(self._slab) < words:
             self._slab = np.zeros(words, dtype=np.uint32)
-        self._local = self._slab[:words]
+        slabs = self._slab[:words].reshape(count, self._words)
+        slabs.fill(0)
+        return slabs
 
     def drop_translations(self):
         """Forget every cached translation (with the decoded programs
@@ -142,7 +154,7 @@ class ComputeUnit:
                 MegaKernel(program, mem, self._register_file), program)
             self.translations_built += 1
         mega = entry[0]
-        mega.bind(uniforms, self._local, self.tracer is not None)
+        mega.bind(uniforms, self.tracer is not None)
         return mega
 
     def _bound(self, program, uniforms, mem):
@@ -208,7 +220,7 @@ class ComputeUnit:
             return RetiredWarps.joined([
                 self.run_workgroup(program, uniforms, mem, shape, group)
                 for group in range(flat_group, flat_group + count)])
-        self._local[:] = 0
+        local = self._slabs(1)
         # progress-budget watchdog: each scheduler round is one progress
         # unit; a workgroup that burns its budget without finishing is a
         # hang (injected clause-budget stalls, barrier livelocks)
@@ -224,8 +236,9 @@ class ComputeUnit:
         if mega is None:
             interp = self._quad
             if interp is None:
+                # its job never batches: every group's slab is these words
                 interp = self._quad = ClauseInterpreter(
-                    program, uniforms, mem, local=self._local,
+                    program, uniforms, mem, local=local[0],
                     stats=self.stats, counts=self.clause_counts,
                     tracer=self.tracer)
             warps = self._spawn_warps(shape, flat_group)
@@ -246,7 +259,7 @@ class ComputeUnit:
                 return mega.run_workgroup(
                     shape, flat_group, self.stats, budget,
                     counts=self.clause_counts, stalled=rounds,
-                    tracer=self.tracer)
+                    tracer=self.tracer, local=local)
             while True:
                 rounds += 1
                 if budget is not None and rounds > budget:
@@ -264,7 +277,7 @@ class ComputeUnit:
             # NumPy's bounds check of the job's local view
             raise GuestError(
                 f"workgroup {flat_group}: local memory access outside the "
-                f"{4 * len(self._local)} bytes the job declared") from exc
+                f"{4 * self._words} bytes the job declared") from exc
         finally:
             if events is not None:
                 events.end("workgroup", "gpu", track)
@@ -290,7 +303,7 @@ class ComputeUnit:
         try:
             warps = mega.run_workgroup(
                 shape, flat_group, stats, self.watchdog_budget, count,
-                counts=counts, tracer=tracer)
+                counts=counts, tracer=tracer, local=self._slabs(count))
         except BatchAbandoned as abandoned:
             self.batches_abandoned += 1
             self._abandoned = True

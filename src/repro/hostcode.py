@@ -3,8 +3,8 @@
 Both translators write Python source and run it; this is the one place
 that turns such source into functions, so that every generated line is
 also readable from a traceback — and the one :class:`BoundedTable` that
-mega's code, the DBT's region code and the kernel-language build keep
-their results in.
+mega's code, the DBT's region code, the kernel-language build and the
+Job Manager's decoded programs keep their results in.
 """
 
 import linecache

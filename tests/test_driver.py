@@ -167,6 +167,101 @@ class TestJobSubmission:
         assert platform.gpu.job_manager.decode_count == decode_before + 1
 
 
+class TestProcessDecodeTable:
+    """A binary image is decoded once per process: a fresh platform still
+    fetches it through its MMU and counts the miss, but decodes nothing
+    another platform already decoded. A failed decode is never kept."""
+
+    @staticmethod
+    def _binary(constant):
+        # a constant no other test uses: an image this process never saw
+        clause = Clause(tuples=[(Instruction(Op.NOP), Instruction(Op.NOP))],
+                        constants=[constant], tail=Tail.END)
+        return encode_program(Program(clauses=[clause]))
+
+    @staticmethod
+    def _run(platform, binary, jobs=1):
+        driver = platform.driver
+        region = driver.alloc_region(len(binary), executable=True)
+        platform.memory.write_block(region.phys, binary)
+        uniform_region = driver.alloc_region(64)
+        for _ in range(jobs):
+            driver.run_job((4, 1, 1), (4, 1, 1), region, len(binary),
+                           uniform_region, 10)
+
+    @staticmethod
+    def _count_decodes(monkeypatch):
+        """``[(image, raised), ...]`` of every Job Manager decode."""
+        from repro.errors import DecodeError
+        from repro.gpu import jobmanager
+
+        calls = []
+        real = jobmanager.decode_program
+
+        def counting(image):
+            try:
+                program = real(image)
+            except DecodeError:
+                calls.append((image, True))
+                raise
+            calls.append((image, False))
+            return program
+
+        monkeypatch.setattr(jobmanager, "decode_program", counting)
+        return calls
+
+    def test_a_second_fresh_platform_decodes_nothing(self, monkeypatch):
+        calls = self._count_decodes(monkeypatch)
+        binary = self._binary(0x5EED0001)
+        misses, decoded = [], []
+        for _ in range(2):
+            platform = MobilePlatform().initialize()
+            calls.clear()
+            before = platform.stats_registry.snapshot()
+            self._run(platform, binary, jobs=3)
+            after = platform.stats_registry.snapshot()
+            misses.append(after["gpu.jobmanager.descriptor_decodes"]
+                          - before["gpu.jobmanager.descriptor_decodes"])
+            decoded.append(len(calls))
+        assert misses == [1, 1]
+        assert decoded == [1, 0]
+
+    def test_a_corrupt_binary_fails_every_time(self, monkeypatch):
+        from repro.gpu import jobmanager
+
+        calls = self._count_decodes(monkeypatch)
+        binary = bytearray(self._binary(0x5EED0002))
+        binary[0] ^= 0xFF  # the program magic
+        attempts = 0
+        for _ in range(2):
+            platform = MobilePlatform().initialize()
+            with pytest.raises(JobFault, match="unrecoverable"):
+                self._run(platform, bytes(binary))
+            attempts += platform.driver.policy.max_retries + 1
+        # every attempt of every platform decoded the image, and failed
+        assert len(calls) == attempts
+        assert all(raised for _, raised in calls)
+        assert bytes(binary) not in jobmanager._programs
+
+    def test_rewarm_re_reads_every_binary(self, platform):
+        from repro.gpu import jobmanager
+
+        binary = self._binary(0x5EED0003)
+        self._run(platform, binary)
+        manager = platform.gpu.job_manager
+        keys = manager.get_state()["decode_cache_keys"]
+        reads = []
+
+        def read_binary(as_id, va, size):
+            reads.append([as_id, va, size])
+            return platform.driver.tenant(as_id).read_va(va, size)
+
+        manager.invalidate_decode_cache()
+        manager.rewarm_decode_cache(keys, read_binary)
+        assert reads == keys
+        assert jobmanager._programs[binary] in manager._decode_cache.values()
+
+
 class TestOneExecutionUnit:
     def test_gpu_config_takes_one_host_thread_only(self):
         from repro.gpu.device import GPUConfig

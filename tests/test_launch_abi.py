@@ -273,6 +273,20 @@ __kernel void k(__global int* out, __local int* tile, int at) {
 """
 
 
+GROUP_1_LOADS_AT = """
+__kernel void k(__global int* out, __local int* tile, int at) {
+    int i = get_global_id(0);
+    int j = get_local_id(0);
+    tile[j] = i;
+    barrier(1);
+    if (get_group_id(0) == 1) {
+        j = at;
+    }
+    out[i] = tile[j];
+}
+"""
+
+
 class TestLocalAccessPastTheDeclaredSize:
     """A job sees exactly the `__local` bytes it declares: an access past
     them is a GuestError on both engines, on a fresh platform and on one
@@ -297,3 +311,34 @@ class TestLocalAccessPastTheDeclaredSize:
         queue.enqueue_nd_range(kernel, (16,), (16,))
         np.testing.assert_array_equal(
             queue.enqueue_read_buffer(out, np.int32), 15)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+    @pytest.mark.parametrize("engine", ["interpreter", "mega"])
+    def test_a_batch_raises_for_its_first_offending_group(self, engine,
+                                                          warm):
+        """Four groups of 16 (one lockstep batch on mega), and only group
+        1 loads at *at*: one word past its 64 bytes is still inside the
+        batch's slabs, yet the batch is abandoned, the groups run alone
+        and group 1 raises. In range, each group reads its own slab,
+        zeroed where it did not store."""
+        context = Context(MobilePlatform.for_mode(engine))
+        queue = CommandQueue(context)
+        unit = context.platform.gpu.job_manager.unit
+        out = context.buffer_from_array(np.zeros(64, np.int32))
+        kernel = context.build_program(GROUP_1_LOADS_AT).kernel("k")
+        if warm:
+            kernel.set_args(out, LocalMemory(4096), 100)
+            queue.enqueue_nd_range(kernel, (64,), (16,))
+        kernel.set_args(out, LocalMemory(64), 16)
+        with pytest.raises(GuestError, match="workgroup 1: local memory "
+                           "access outside the 64 bytes"):
+            queue.enqueue_nd_range(kernel, (64,), (16,))
+        kernel.set_args(out, LocalMemory(128), 20)
+        queue.enqueue_nd_range(kernel, (64,), (16,))
+        want = np.arange(64, dtype=np.int32)
+        want[16:32] = 0
+        np.testing.assert_array_equal(
+            queue.enqueue_read_buffer(out, np.int32), want)
+        if engine == "mega":
+            assert (unit.batches_run, unit.batches_abandoned) \
+                == (2 + warm, 1)

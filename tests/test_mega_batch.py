@@ -139,19 +139,28 @@ def _workload(build):
     return run
 
 
+#: the ``WORKLOADS`` whose kernels load or store ``__local`` memory: each
+#: slot of a batch has its own slab, so they run batched too
+LOCAL_MEMORY = {"BinomialOption", "MatrixTranspose", "Reduction",
+                "ScanLargeArrays", "clblas_sgemm"}
+
+
 @pytest.mark.parametrize("build", [
     *(pytest.param(lambda name=name: get_workload(name), id=name)
       for name in sorted(WORKLOADS)),
     *(pytest.param(cls, id=f"replayable-{name}")
       for name, cls in sorted(REPLAYABLE.items()))])
 def test_shipped_kernels_batched_equal_the_reference_order(build,
-                                                           monkeypatch):
+                                                           monkeypatch,
+                                                           request):
     """``WORKLOADS`` and ``REPLAYABLE`` on a full platform: the physical
     memory image (backed pages included), every retired register, every
     golden statistic and the set of pages the GPU touched."""
     run, abandoned = _assert_grouping_invisible(monkeypatch,
                                                 _workload(build))
     assert abandoned <= run
+    if request.node.callspec.id in LOCAL_MEMORY:
+        assert run > 0
 
 
 def test_slam_express_batched_equals_the_reference_order(monkeypatch):
@@ -160,9 +169,26 @@ def test_slam_express_batched_equals_the_reference_order(monkeypatch):
     def run(platform):
         KFusionPipeline("express").run_gpu(context=Context(platform))
 
+    # (groups of the job, groups of the call) of every mega call of the
+    # pipeline's one kernel with a local slab, reduce_sum, that starts a
+    # job of the batched run
+    reduce_sum = []
+    record = megakernel.MegaKernel.run_workgroup
+
+    def recording(self, shape, flat_group, stats, budget=None, count=1,
+                  local=None, **job):
+        if local is not None and local.shape[1] and not flat_group \
+                and megakernel.BATCH_LANES:
+            reduce_sum.append((shape.total_groups, count))
+        return record(self, shape, flat_group, stats, budget, count,
+                      local=local, **job)
+
+    monkeypatch.setattr(megakernel.MegaKernel, "run_workgroup", recording)
     ran, abandoned = _assert_grouping_invisible(monkeypatch, run)
-    # the stages without a local slab do run batched, and commit
+    # every stage runs batched and commits, reduce_sum's too
     assert ran >= 10 and not abandoned
+    assert any(groups > 1 for groups, _ in reduce_sum)
+    assert all(count > 1 for groups, count in reduce_sum if groups > 1)
 
 
 # -- the conformance corpus, and the three planted conflicts ---------------------------
@@ -199,7 +225,7 @@ def test_corpus_entries_batched_equal_the_reference_order(
         # 1 loaded earlier / two groups store one word from different
         # clauses: each must abandon, for its own rule
         assert batches == [(0, 4, planted)]
-    else:  # atomics and local slabs never batch; what does, commits
+    else:  # atomics never batch; what does, commits
         assert all(reason is None for *_, reason in batches)
 
 
