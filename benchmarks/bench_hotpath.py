@@ -18,9 +18,8 @@ trajectory to regress against:
   report bit-identical JobStats;
 - **mega_launch**: the fixed cost of the mega launch path — microseconds
   per one-workgroup job and per 64-lane workgroup of a 16-workgroup job —
-  with the two counts that keep it small: kernel translations built
-  (one per program, however many jobs) and ``QuadWarp`` objects
-  constructed to retire workgroups nobody inspects (none);
+  with the count that keeps it small: ``QuadWarp`` objects constructed
+  to retire workgroups nobody inspects (none);
 - **mega_clause**: what one converged trip of the sgemm inner loop costs
   on mega — Python-level calls (a ``sys.setprofile`` count: exact, and
   gated against the checked-in number) and microseconds — and what
@@ -88,7 +87,6 @@ from repro.gpu.isa import (  # noqa: E402
 from repro.gpu.mmu import BatchPort, GPUMMU  # noqa: E402
 from repro.gpu.shadercore import WorkgroupShape  # noqa: E402
 from repro.gpu.warp import QuadWarp  # noqa: E402
-from repro.instrument.stats import JobStats  # noqa: E402
 from repro.kernels import get_workload  # noqa: E402
 from repro.mem import Bus, PhysicalMemory  # noqa: E402
 from repro.slam import KFusionPipeline  # noqa: E402
@@ -263,9 +261,9 @@ def _mega_context():
 def mega_launch(jobs=64, repeats=5):
     """Fixed cost of a mega launch: *jobs* synchronous saxpy launches of
     1 and of 16 workgroups (64 lanes each), every one with another
-    uniform, on one platform. The counts are exact and are what the
-    launch path promises: one translation for all of them, and no
-    ``QuadWarp`` built for workgroups the Job Manager retires unread."""
+    uniform, on one platform. The count is exact and is what the launch
+    path promises: no ``QuadWarp`` built for workgroups the Job Manager
+    retires unread."""
     context = _mega_context()
     queue = CommandQueue(context)
     kernel = context.build_program(_SAXPY).kernel("saxpy")
@@ -295,13 +293,10 @@ def mega_launch(jobs=64, repeats=5):
         sixteen = _best(launch(16), repeats)
     finally:
         QuadWarp.__init__ = init
-    snapshot = context.platform.stats_registry.snapshot()
     return {
         "jobs": launched[0],
         "us_per_one_workgroup_job": one / jobs * 1e6,
         "us_per_workgroup_of_16": sixteen / jobs / 16 * 1e6,
-        "kernel_translations":
-            snapshot["gpu.jobmanager.kernel_translations"],
         "quadwarps_built": built[0],
     }
 
@@ -412,6 +407,8 @@ def mega_batch(repeats=3):
     run_uniform = megakernel.MegaKernel._run_uniform
     window = BatchPort._window
     init = QuadWarp.__init__
+    kernel_init = megakernel.MegaKernel.__init__
+    kernels = []  # every job's MegaKernel
     spent = [0.0]
     counted = {"merges": 0, "quadwarps": 0}
 
@@ -431,6 +428,10 @@ def mega_batch(repeats=3):
     def counting_init(self, *args, **kwargs):
         counted["quadwarps"] += 1
         init(self, *args, **kwargs)
+
+    def recording_kernel(self, program, mem, *args, **kwargs):
+        kernel_init(self, program, mem, *args, **kwargs)
+        kernels.append(self)
 
     def counting(run, *args, **kwargs):
         """``(what run returns, window merges, QuadWarps built)``."""
@@ -467,6 +468,7 @@ def mega_batch(repeats=3):
         one_at_a_time = sgemm(0, **job)[1]
         BatchPort._window = counting_window
         QuadWarp.__init__ = counting_init
+        megakernel.MegaKernel.__init__ = recording_kernel
         (_, batched), sgemm_merges, _ = counting(sgemm, batch_lanes, **job)
         unit = batched.gpu.job_manager.unit
         port_calls = batched.gpu.mmu.wide_accesses
@@ -488,9 +490,12 @@ def mega_batch(repeats=3):
     finally:
         megakernel.BATCH_LANES = batch_lanes
         megakernel.MegaKernel._run_uniform = run_uniform
+        megakernel.MegaKernel.__init__ = kernel_init
         BatchPort._window = window
         QuadWarp.__init__ = init
-    kernels = [mega for mega, _program in unit._translations.values()]
+    # the kernels of the jobs of the one unit the last three ran on
+    kernels = [kernel for kernel in kernels
+               if kernel.mem is batched.gpu.mmu]
     return {
         "us_per_workgroup_trip": us_per_workgroup_trip,
         "wide_port_calls_one_group_at_a_time":
@@ -504,7 +509,8 @@ def mega_batch(repeats=3):
         "bfs_quadwarps_built": bfs_quadwarps,
         "window_merges": {"sgemm": sgemm_merges, "bfs": bfs_merges,
                           "slam_fast3": slam_merges},
-        "kernels_on_the_unit": len(kernels),
+        "kernels_on_the_unit": len({id(kernel.program)
+                                    for kernel in kernels}),
         "register_files_per_unit": len({id(mega.file) for mega in kernels}),
     }
 
@@ -516,11 +522,11 @@ def local_batch(repeats=3):
     run_workgroup = megakernel.MegaKernel.run_workgroup
     jobs = []  # (groups, groups of the first call) of each local job
 
-    def recording(self, shape, flat_group, stats, budget=None, count=1,
+    def recording(self, shape, flat_group, budget=None, count=1,
                   local=None, **job):
         if not flat_group and local is not None and local.shape[1]:
             jobs.append((shape.total_groups, count))
-        return run_workgroup(self, shape, flat_group, stats, budget, count,
+        return run_workgroup(self, shape, flat_group, budget, count,
                              local=local, **job)
 
     def reduction():
@@ -619,21 +625,21 @@ def mega_masked(workgroups=200, repeats=5):
 
     def run(clauses, counted=False):
         kernel = megakernel.MegaKernel(_fallthrough_program(clauses),
-                                       None, megakernel.RegisterFile())
-        kernel.bind(np.zeros(1, dtype=np.uint32))
-        stats = JobStats()
+                                       None, megakernel.RegisterFile(),
+                                       np.zeros(1, dtype=np.uint32))
+        counts = {}
         if counted:
             _CountedLanes.calls[0] = 0
             megakernel.MegaKernel._run_masked = counting_masked
             try:
-                kernel.run_workgroup(shape, 0, stats)
+                kernel.run_workgroup(shape, 0, counts=counts)
             finally:
                 megakernel.MegaKernel._run_masked = run_masked
             return _CountedLanes.calls[0]
 
         def launch():
             for group in range(workgroups):
-                kernel.run_workgroup(shape, group, stats)
+                kernel.run_workgroup(shape, group, counts=counts)
         return _best(launch, repeats)
 
     calls = [run(clauses, counted=True) for clauses in (short, long_, long_)]
@@ -833,9 +839,8 @@ def main(argv=None):
     launch = report["mega_launch"]
     print(f"mega launch: {launch['us_per_one_workgroup_job']:.0f} us per "
           f"one-workgroup job, {launch['us_per_workgroup_of_16']:.0f} us "
-          f"per workgroup of 16; {launch['kernel_translations']} "
-          f"translation(s) and {launch['quadwarps_built']} QuadWarps over "
-          f"{launch['jobs']} jobs")
+          f"per workgroup of 16; {launch['quadwarps_built']} QuadWarps "
+          f"over {launch['jobs']} jobs")
     clause = report["mega_clause"]
     cold = clause["translate_us_per_clause_cold"]
     print(f"mega clause: {clause['calls_per_trip']:g} Python calls and "
@@ -971,12 +976,8 @@ def main(argv=None):
         print("FAIL: a second fresh platform compiled a DBT region the "
               "process had already compiled", file=sys.stderr)
         failed = True
-    # count-based, so they hold on any host: a regression back to
-    # per-job translation or eager retirement fails here
-    if launch["kernel_translations"] != 1:
-        print("FAIL: mega translated the one program more than once",
-              file=sys.stderr)
-        failed = True
+    # count-based, so it holds on any host: a regression back to eager
+    # retirement fails here
     if launch["quadwarps_built"] != 0:
         print("FAIL: the mega launch path built QuadWarps nobody read",
               file=sys.stderr)

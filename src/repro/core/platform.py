@@ -24,7 +24,14 @@ from repro.cpu.devices import (
 from repro.cpu.routines import GuestRoutines
 from repro.driver.kbase import KBaseDriver, TenancyConfig
 from repro.gpu import regs as gpu_regs
-from repro.gpu.device import GPUConfig, GPUDevice
+from repro.gpu.device import (  # noqa: F401 - re-exports the engine names
+    ENGINE_ALIASES,
+    ENGINE_MODES,
+    ENGINE_NAMES,
+    GPUConfig,
+    GPUDevice,
+    resolve_engine,
+)
 from repro.instrument.registry import StatsRegistry
 from repro.mem.bus import Bus
 from repro.mem.physical import PhysicalMemory
@@ -42,32 +49,6 @@ STAGING_BASE = 0x0080_0000
 STAGING_SIZE = 0x0400_0000  # 64 MiB staging window
 HEAP_BASE = 0x2000_0000
 HEAP_SIZE = 0x4000_0000  # 1 GiB driver heap
-
-#: engine mode -> ``GPUConfig.engine``: the execution tiers every
-#: harness, farm provider and CLI ``choices=`` sweeps. ``interp`` runs on
-#: the quad MMU tier; the scalar-MMU ablation is a knob on the built
-#: platform (``gpu.mmu.fast_path_enabled``), not a mode.
-ENGINE_MODES = {
-    "interp": "interpreter",
-    "mega": "mega",
-}
-
-#: other spellings of a mode: ``GPUConfig.engine``'s own, and ``fast``,
-#: which a pinned benchmark config (``benchmarks/e2e/farm_sweep.json``)
-#: still names
-ENGINE_ALIASES = {"interpreter": "interp", "fast": "interp"}
-
-#: every name :func:`resolve_engine` takes
-ENGINE_NAMES = (*ENGINE_MODES, *ENGINE_ALIASES)
-
-
-def resolve_engine(name):
-    """The :data:`ENGINE_MODES` key *name* spells; ``ValueError`` for a
-    name outside :data:`ENGINE_NAMES`."""
-    if name not in ENGINE_NAMES:
-        raise ValueError(f"unknown engine mode {name!r}; "
-                         f"known: {ENGINE_NAMES}")
-    return ENGINE_ALIASES.get(name, name)
 
 
 @dataclass

@@ -16,8 +16,31 @@ from repro.instrument.stats import SystemStats
 from repro.mem.bus import MMIODevice
 from repro.state import Stateful
 
-#: every name :attr:`GPUConfig.engine` takes
-GPU_ENGINES = ("interpreter", "mega", "jit")
+#: engine mode -> ``GPUConfig.engine``: the execution tiers every
+#: harness, farm provider and CLI ``choices=`` sweeps. ``interp`` runs on
+#: the quad MMU tier; the scalar-MMU ablation is a knob on the built
+#: platform (``gpu.mmu.fast_path_enabled``), not a mode.
+ENGINE_MODES = {
+    "interp": "interpreter",
+    "mega": "mega",
+}
+
+#: other spellings of a mode: ``GPUConfig.engine``'s own, and ``fast``
+#: and ``jit``, which pinned benchmark configurations still name
+#: (``benchmarks/e2e/farm_sweep.json``, the e2e engine ladder)
+ENGINE_ALIASES = {"interpreter": "interp", "fast": "interp", "jit": "interp"}
+
+#: every name :func:`resolve_engine` takes
+ENGINE_NAMES = (*ENGINE_MODES, *ENGINE_ALIASES)
+
+
+def resolve_engine(name):
+    """The :data:`ENGINE_MODES` key *name* spells; ``ValueError`` for a
+    name outside :data:`ENGINE_NAMES`."""
+    if name not in ENGINE_NAMES:
+        raise ValueError(f"unknown engine mode {name!r}; "
+                         f"known: {ENGINE_NAMES}")
+    return ENGINE_ALIASES.get(name, name)
 
 
 @dataclass
@@ -35,11 +58,10 @@ class GPUConfig:
         tracer: optional instruction tracer (see repro.validate) recording
             every executed instruction's result — the paper's validation
             "instruction tracing mode".
-        engine: ``"mega"`` translates every program, atomics and traced
-            jobs included, to workgroup-wide host code; ``"interpreter"``
-            (or the retired clause JIT's ``"jit"``, which pinned benchmark
-            configurations pass) runs the quad interpreter. Any other name
-            raises ``ValueError``.
+        engine: one of :data:`ENGINE_NAMES`. ``"mega"`` translates every
+            program, atomics and traced jobs included, to workgroup-wide
+            host code; every other name spells ``interp``, the quad
+            interpreter. Any name outside them raises ``ValueError``.
     """
 
     num_shader_cores: int = 8
@@ -49,9 +71,7 @@ class GPUConfig:
     engine: str = "interpreter"
 
     def __post_init__(self):
-        if self.engine not in GPU_ENGINES:
-            raise ValueError(f"unknown GPU engine {self.engine!r}; "
-                             f"known: {GPU_ENGINES}")
+        resolve_engine(self.engine)
         if self.num_host_threads != 1:
             raise ValueError(f"num_host_threads={self.num_host_threads!r}: "
                              "the GPU model runs one execution unit")

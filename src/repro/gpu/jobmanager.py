@@ -13,8 +13,9 @@ platform by binary address, behind it one process-wide table by image
 bytes, so a fresh platform still fetches each binary but decodes
 nothing the process has decoded before), splits
 the NDRange into thread-groups and runs them on its one compute unit, in
-lockstep batches where the unit's engine can. The unit persists, so a
-decoded program is also translated once, and dropped with it.
+lockstep batches where the unit's engine can. The unit records which
+clauses a job ran; the job's statistics are computed from that record
+once, when the job retires.
 
 The paper maps thread-groups onto host threads (Fig. 10). Under CPython a
 pool of host threads only ever slowed a job down, so the simulator runs
@@ -38,7 +39,7 @@ from repro.gpu.encoding import decode_program
 from repro.gpu.shadercore import ComputeUnit, WorkgroupShape
 from repro.hostcode import BoundedTable
 from repro.instrument.cfg import DivergenceCFG
-from repro.instrument.stats import JobStats
+from repro.instrument.stats import JobStats, job_stats
 from repro.state import Stateful
 
 JOB_TYPE_COMPUTE = 1
@@ -122,7 +123,6 @@ class JobManager(Stateful):
         self.mmu = mmu
         self.instrument = instrument
         self.tracer = tracer
-        self.engine = engine
         self.events = events  # optional EventTracer (job-lifecycle spans)
         self.injector = None  # optional FaultInjector (repro.inject)
         self.watchdog_budget = watchdog_budget
@@ -133,8 +133,8 @@ class JobManager(Stateful):
         self._decode_cache = {}
         self.decode_count = 0
         self.results = []
-        # persists across jobs: its local slab and kernel translations
-        self.unit = ComputeUnit()
+        # persists across jobs: its local slab and register file
+        self.unit = ComputeUnit(engine)
         # running totals across retired jobs, observed by the StatsRegistry
         self.jobs_retired = 0
         self.total_stats = JobStats()
@@ -152,9 +152,6 @@ class JobManager(Stateful):
                  desc="compute jobs run to completion")
         jm.probe("descriptor_decodes", lambda: self.decode_count,
                  desc="shader binaries decoded (cache misses)",
-                 golden=False)
-        jm.probe("kernel_translations", lambda: unit.translations_built,
-                 desc="mega translations built (by this process)",
                  golden=False)
         jm.probe("batches_run", lambda: unit.batches_run,
                  desc="mega lockstep batches of workgroups started",
@@ -175,17 +172,14 @@ class JobManager(Stateful):
                 (lambda f=field_name: getattr(self.total_stats, f)))
 
     def invalidate_decode_cache(self):
-        """Forget every decoded program, and with it what the unit
-        translated from it."""
+        """Forget every decoded program."""
         self._decode_cache.clear()
-        self.unit.drop_translations()
 
     def get_state(self):
         """Counters, JobStats and the decode cache's keys. A restore sets
         the first two; the cache stays cold until
         :meth:`rewarm_decode_cache`, which needs the driver's restored
-        page tables. Kernel translations stay cold for good: rebuilding
-        one on first use reads no guest memory and moves no counter."""
+        page tables."""
         state = super().get_state()
         state["decode_cache_keys"] = [list(key)
                                       for key in self._decode_cache]
@@ -333,8 +327,7 @@ class JobManager(Stateful):
             raise fault from exc
         unit = self.unit
         unit.prepare(descriptor.local_mem_size, self.instrument,
-                     tracer=self.tracer,
-                     engine=self.engine, events=events,
+                     tracer=self.tracer, events=events,
                      injector=self.injector,
                      watchdog_budget=self.watchdog_budget)
 
@@ -375,7 +368,8 @@ class JobManager(Stateful):
                                           "total": total_groups})
             raise JobPreempted(limit, total_groups)
 
-        stats = unit.stats if unit.stats is not None else JobStats()
+        stats = job_stats(program.clauses, unit.clause_counts,
+                          unit.groups_started, shape)
         result = JobResult(descriptor, stats, program, unit.clause_counts)
         self.results.append(result)
         self.jobs_retired += 1

@@ -22,11 +22,12 @@ exact reference fault semantics with bit-identical golden statistics.
 Scheduling is global minimum-PC at clause granularity over all lanes.
 Restricted to any one quad's lanes, the global min-PC order executes
 exactly the same (clause, mask) sequence as the per-warp scheduler, so
-deferring ``(issues, lanes, taken, split)`` per clause — where one
-*issue* is counted per quad with at least one active lane — reproduces
-the interpreter's :class:`~repro.instrument.stats.JobStats` and CFG
-bit-for-bit through the shared
-:func:`~repro.instrument.stats.apply_clause_stats` flush. Barriers need no
+counting ``(issues, lanes, taken, split)`` per clause — where one
+*issue* is counted per quad with at least one active lane — into the
+job's per-clause table gives the interpreter's table, and with it the
+interpreter's :class:`~repro.instrument.stats.JobStats` and CFG,
+bit-for-bit (both are computed from the table when the job retires,
+:func:`~repro.instrument.stats.job_stats`). Barriers need no
 fallback: when every running lane waits, releasing them all reproduces the
 compute unit's release protocol. Two loops share a workgroup: while every
 lane sits at one PC the *converged* loop dispatches chain functions with
@@ -80,7 +81,7 @@ import numpy as np
 
 from repro.errors import GuestError, SimError, WatchdogTimeout
 from repro.hostcode import BoundedTable, compile_source, forget_source
-from repro.instrument.stats import apply_clause_stats, merge_clause_counts
+from repro.instrument.stats import merge_clause_counts
 from repro.gpu.encoding import encode_program
 from repro.gpu.isa import (
     CONST_BASE,
@@ -333,7 +334,8 @@ def _function(name, parameters, body):
 #: What one program's bytes translate to. chains: head -> (run, length,
 #: last clause, *that clause's tail), none for a program with an ATOM (it
 #: runs warp-serially); masked: clause -> (run, tail, target, cond_reg);
-#: constants: values of the rows from _ROWS up; typed: (F, I used)
+#: constants: the rows from _ROWS up as one uint32 column each, broadcast
+#: over the lanes of whatever width runs; typed: (F, I used)
 _Code = namedtuple("_Code", "chains masked constants typed filename")
 
 
@@ -366,7 +368,7 @@ def _emit(program, filename, traced):
                 *tails[clauses[-1]])
          for head, clauses in chains.items()},
         [(functions[f"masked_{pc}"], *tail) for pc, tail in enumerate(tails)],
-        tuple(emitter.constants),
+        np.array(tuple(emitter.constants), dtype=np.uint32)[:, None],
         ("F[" in source, "I[" in source),
         filename)
 
@@ -383,9 +385,10 @@ _code_cache = BoundedTable(CODE_CACHE_SIZE,
 def emitted_code(program, traced=False):
     """The :class:`_Code` of *program*, or of its *traced* variant."""
     key = program.image or encode_program(program)
-    name = f"<mega {binascii.crc32(key):08x}{' traced' * traced}>"
-    return _code_cache.lookup((key, "traced") if traced else key,
-                              lambda: _emit(program, name, traced))
+    return _code_cache.lookup(
+        (key, "traced") if traced else key,
+        lambda: _emit(program, f"<mega {binascii.crc32(key):08x}"
+                      f"{' traced' * traced}>", traced))
 
 
 class MegaState:
@@ -502,35 +505,27 @@ def _stuck(max_steps):
 
 
 class MegaKernel:
-    """One program on the workgroup-wide engine, kept by the compute unit
-    across jobs and launch shapes: the code comes from the process-wide
-    cache, what a job brings is bound per job, and every workgroup or
-    batch starts over in the unit's register file (*file*)."""
+    """One job's program on the workgroup-wide engine: the code comes
+    from the process-wide cache, the job brings its uniform table
+    (*uniforms*) and memory port (*mem*), and every workgroup or batch
+    starts over in the compute unit's register file (*file*). With a
+    *tracer* the job runs the traced code, which records every result in
+    it."""
 
-    def __init__(self, program, mem, file):
+    def __init__(self, program, mem, file, uniforms=None, tracer=None):
         self.program = program
-        self.uniforms = None
+        self.uniforms = uniforms
         self.mem = mem
         self.file = file
-        self._plain = self._code = emitted_code(program)
-        constants = self._code.constants
-        # one column: broadcast over the lanes of whatever width runs
-        self._constants = np.array(constants, dtype=np.uint32)[:, None] \
-            if constants else None
-        self._rows = _ROWS + len(constants)
+        self._trace = None if tracer is None else tracer.record
+        self._code = emitted_code(program, tracer is not None)
+        self._rows = _ROWS + len(self._code.constants)
         #: may consecutive workgroups share a row? Static: never with an
         #: ATOM (warp-serial) or a port without batches; each slot has
         #: its own local slab. Whether a batch of them commits depends on
         #: a job's data, and is the compute unit's to remember for that job
         self.batching = getattr(mem, "begin_batch", None) is not None \
             and bool(self._code.chains)
-
-    def bind(self, uniforms, traced=False):
-        """Install the uniform table and code of the job about to run:
-        *traced* code records every result in a tracer."""
-        self.uniforms = uniforms
-        self._code = emitted_code(self.program, True) if traced \
-            else self._plain
 
     def batch_groups(self, shape):
         """Workgroups of *shape* one :meth:`run_workgroup` call may take
@@ -544,29 +539,26 @@ class MegaKernel:
 
     # -- workgroup scheduling ----------------------------------------------------
 
-    def run_workgroup(self, shape, flat_group, stats, watchdog_budget=None,
-                      count=1, counts=None, stalled=0, tracer=None,
-                      local=None):
+    def run_workgroup(self, shape, flat_group, watchdog_budget=None,
+                      count=1, counts=None, stalled=0, local=None):
         """Execute *count* whole thread-groups from *flat_group* on;
         returns their retired warps.
 
         Faults raised by the scalar replay propagate exactly as from the
-        quad tiers; the deferred clause counts recorded so far are flushed
-        into *stats* and the job's table *counts* either way, matching the
-        interpreter's ``finally`` contract. A batch (*count* > 1, at most
-        :meth:`batch_groups`) either commits as if its groups had run one
-        after another or raises
-        :class:`~repro.gpu.mmu.BatchAbandoned` having changed nothing but
-        *stats* and *counts* — the caller's to drop. *stalled* is the
-        watchdog rounds an injected hang charged the group up front.
-        *tracer* records the results of traced code (see :meth:`bind`).
-        *local* is the groups' zeroed ``__local`` slabs, ``(count,
-        words)``; an access past *words* raises :class:`IndexError` from
-        one group (the compute unit's to report) and abandons a batch.
+        quad tiers. The clauses the groups issued are added to the job's
+        per-clause table *counts* (None: nothing is counted): one group's
+        even when it faults, as the interpreter's are. A batch (*count* >
+        1, at most :meth:`batch_groups`) either commits as if its groups
+        had run one after another, and counts then, or raises
+        :class:`~repro.gpu.mmu.BatchAbandoned` having changed nothing.
+        *stalled* is the watchdog rounds an injected hang charged the
+        group up front. *local* is the groups' zeroed ``__local`` slabs,
+        ``(count, words)``; an access past *words* raises
+        :class:`IndexError` from one group (the compute unit's to report)
+        and abandons a batch.
         """
         state = self._init_state(shape, flat_group, count)
         state.local = local
-        state.trace = None if tracer is None else tracer.record
         width = state.regs.shape[1]
         port = None
         if count == 1:
@@ -579,9 +571,9 @@ class MegaKernel:
             # clauses, each a step of the batch in one loop or the other
             limits = (_MAX_STEPS // 2, _MAX_STEPS // 2)
         hits = {}  # converged: clause -> issues, each of every lane
-        # converged branches' [0, 0, taken, split quads], masked clauses'
+        # converged branches' [taken, split quads], masked clauses'
         # [issues, lanes, taken, split quads]; None when nothing counts
-        splits, pending = (None, None) if stats is None else ({}, {})
+        splits, pending = (None, None) if counts is None else ({}, {})
         # progress-budget watchdog, same accounting as the compute unit's
         # generic loop: round 1 starts now, after any injected stall, and
         # every barrier release opens a new round (checked before any
@@ -622,14 +614,10 @@ class MegaKernel:
         finally:
             if port is not None:
                 port.close()
-            if stats is not None:
-                quads = width // QUAD_WIDTH
-                converged = {pc: [issues * quads, issues * width, 0, 0]
-                             for pc, issues in hits.items()}
-                merge_clause_counts(converged, splits)
-                for table in (converged, pending):
-                    apply_clause_stats(stats, self.program.clauses, table,
-                                       counts)
+            elif counts is not None:
+                _count(counts, hits, splits, pending, width)
+        if port is not None and counts is not None:  # a committed batch
+            _count(counts, hits, splits, pending, width)
         return RetiredWarps(state.arch.copy(), shape)
 
     def _init_state(self, shape, flat_group, count=1):
@@ -649,9 +637,9 @@ class MegaKernel:
                       template[:, None])
             flat = np.repeat(np.arange(flat_group, flat_group + count,
                                        dtype=np.uint32), lanes)
-        if self._constants is not None:
+        if self._rows > _ROWS:
             # every run: another program's rows may have been these words
-            regs[_ROWS:] = self._constants
+            regs[_ROWS:] = self._code.constants
         # a batch has no dead lanes: its groups fill their last quad
         live = (count - 1) * lanes + shape.threads_per_group
         group = shape.group_coords(flat)
@@ -663,6 +651,7 @@ class MegaKernel:
         regs[REG_GROUP_FLAT, :live] = flat
         state.uniforms = self.uniforms
         state.mem = self.mem
+        state.trace = self._trace
         return state
 
     def _run_uniform(self, state, pc, hits, splits, flat_group, budget,
@@ -702,8 +691,8 @@ class MegaKernel:
                 if tail is Tail.BRANCH_Z:
                     taken = width - taken
                 if splits is not None:
-                    entry = splits.setdefault(pc, [0, 0, 0, 0])
-                    entry[2] += taken
+                    entry = splits.setdefault(pc, [0, 0])
+                    entry[0] += taken
                 # all or none taken: no quad can have split
                 if taken == width:
                     pc = target
@@ -713,7 +702,7 @@ class MegaKernel:
                     cond = rows[cond_reg] == 0 if tail is Tail.BRANCH_Z \
                         else rows[cond_reg] != 0
                     if splits is not None:
-                        entry[3] += _split_quads(cond, ~cond)
+                        entry[1] += _split_quads(cond, ~cond)
                     steps[0] = issued
                     return np.where(cond, np.int64(target), np.int64(pc + 1))
 
@@ -782,6 +771,18 @@ class MegaKernel:
             issued += 1
             if issued > max_steps:
                 raise _stuck(max_steps)
+
+
+def _count(counts, hits, splits, pending, width):
+    """Add what a row *width* lanes wide issued to the job's table
+    *counts*: the converged issues of each clause (*hits*, every quad
+    and lane of the row each), with its branch's *splits*, then the
+    masked clauses' records (*pending*)."""
+    quads = width // QUAD_WIDTH
+    converged = {pc: [issues * quads, issues * width, *splits.get(pc, (0, 0))]
+                 for pc, issues in hits.items()}
+    for table in (converged, pending):
+        merge_clause_counts(counts, table)
 
 
 def _split_quads(taken, not_taken):

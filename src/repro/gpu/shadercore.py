@@ -35,7 +35,6 @@ from repro.gpu.isa import (
     REG_LOCAL_ID,
 )
 from repro.gpu.warp import WARP_WIDTH, ClauseInterpreter, QuadWarp
-from repro.instrument.stats import JobStats, merge_clause_counts
 
 
 class WorkgroupShape:
@@ -74,20 +73,23 @@ class WorkgroupShape:
 
 
 class ComputeUnit:
-    """One execution unit (a shader core).
+    """One execution unit (a shader core) running *engine*: ``"mega"``
+    or, under any other name, the quad interpreter.
 
-    Counts the running job into its own
-    :class:`~repro.instrument.stats.JobStats`, totalled at job completion
-    (Section IV-A), and :attr:`clause_counts`, its divergence CFG. A unit
-    outlives jobs and keeps its local slab and kernel translations;
-    everything a job can observe is reset by :meth:`prepare`. A job sees
-    exactly the local bytes it declares: an access past them is a
+    Records the running job in :attr:`clause_counts`, its per-clause
+    table, and :attr:`groups_started`; the job's
+    :class:`~repro.instrument.stats.JobStats` and divergence CFG are
+    computed from the two when it retires (Section IV-A). A unit
+    outlives jobs and keeps its local slab and register file; everything
+    a job can observe is reset by :meth:`prepare`. A job sees exactly
+    the local bytes it declares: an access past them is a
     :class:`~repro.errors.GuestError` however large the slab has grown.
     """
 
-    def __init__(self):
-        self.stats = None
+    def __init__(self, engine):
+        self.engine = engine
         self.clause_counts = None
+        self.groups_started = 0
         self.tracer = None
         self.events = None
         self.injector = None
@@ -96,8 +98,6 @@ class ComputeUnit:
         # sees its job's declared words of it
         self._slab = np.zeros(0, dtype=np.uint32)
         self._words = 0
-        self._translations = {}  # id(program) -> (MegaKernel, program)
-        self.translations_built = 0
         self._job = self._mega = self._quad = None
         self._abandoned = False  # this job has abandoned a batch
         self._register_file = None  # the mega tier's, made with its first kernel
@@ -105,14 +105,12 @@ class ComputeUnit:
         self.batches_run = 0
         self.batches_abandoned = 0
 
-    def prepare(self, local_mem_bytes, instrument, tracer=None,
-                engine="interpreter", events=None, injector=None,
-                watchdog_budget=None):
-        self.stats = JobStats() if instrument else None
+    def prepare(self, local_mem_bytes, instrument, tracer=None, events=None,
+                injector=None, watchdog_budget=None):
         self.clause_counts = {} if instrument else None
+        self.groups_started = 0
         self.tracer = tracer
         self.events = events
-        self.engine = engine
         self.injector = injector
         self.watchdog_budget = watchdog_budget
         self._job = self._mega = self._quad = None
@@ -128,45 +126,22 @@ class ComputeUnit:
         slabs.fill(0)
         return slabs
 
-    def drop_translations(self):
-        """Forget every cached translation (with the decoded programs
-        they were made from)."""
-        self._translations.clear()
-
-    def _mega_executor(self, program, uniforms, mem):
-        """Workgroup-wide (megakernel) engine bound to this job, or None
-        on the interpreter.
-
-        The translation is made once per program and kept across jobs.
-        The key uses ``id()`` for hashability; the entry holds the
-        program itself, so its id cannot be recycled while the key is
-        live.
-        """
-        if self.engine != "mega":
-            return None
-        entry = self._translations.get(id(program))
-        if entry is None:
-            from repro.gpu.megakernel import MegaKernel, RegisterFile
-
-            if self._register_file is None:
-                self._register_file = RegisterFile()
-            entry = self._translations[id(program)] = (
-                MegaKernel(program, mem, self._register_file), program)
-            self.translations_built += 1
-        mega = entry[0]
-        mega.bind(uniforms, self.tracer is not None)
-        return mega
-
     def _bound(self, program, uniforms, mem):
-        """This job's mega engine (or None). Engines are looked up and
-        bound once per job, by whoever asks first after prepare() (or
-        after the arguments change)."""
+        """This job's mega engine (None on the interpreter), built by
+        whoever asks first after prepare() (or after the arguments
+        change); its code comes from the process-wide table."""
         job = self._job
         if job is None or job[0] is not program or job[1] is not uniforms:
             self._job = (program, uniforms)
-            self._mega = self._mega_executor(program, uniforms, mem)
-            self._quad = None
+            self._mega = self._quad = None
             self._abandoned = False
+            if self.engine == "mega":
+                from repro.gpu.megakernel import MegaKernel, RegisterFile
+
+                if self._register_file is None:
+                    self._register_file = RegisterFile()
+                self._mega = MegaKernel(program, mem, self._register_file,
+                                        uniforms, self.tracer)
         return self._mega
 
     def batch_groups(self, program, uniforms, mem, shape, flat_group,
@@ -239,13 +214,9 @@ class ComputeUnit:
                 # its job never batches: every group's slab is these words
                 interp = self._quad = ClauseInterpreter(
                     program, uniforms, mem, local=local[0],
-                    stats=self.stats, counts=self.clause_counts,
-                    tracer=self.tracer)
+                    counts=self.clause_counts, tracer=self.tracer)
             warps = self._spawn_warps(shape, flat_group)
-        if self.stats is not None:
-            self.stats.workgroups += 1
-            self.stats.warps_launched += shape.warps_per_group
-            self.stats.threads_launched += shape.threads_per_group
+        self.groups_started += 1
         events = self.events
         track = "core0"
         if events is not None:
@@ -257,9 +228,8 @@ class ComputeUnit:
                 # the kernel owns scheduling, barrier releases included,
                 # with the same round accounting as the loop below
                 return mega.run_workgroup(
-                    shape, flat_group, self.stats, budget,
-                    counts=self.clause_counts, stalled=rounds,
-                    tracer=self.tracer, local=local)
+                    shape, flat_group, budget, counts=self.clause_counts,
+                    stalled=rounds, local=local)
             while True:
                 rounds += 1
                 if budget is not None and rounds > budget:
@@ -286,14 +256,12 @@ class ComputeUnit:
         """One lockstep batch on the mega tier (*count* is what
         :meth:`batch_groups` answered for this job): the retired warps of
         its groups, or None if it was abandoned — memory, the MMU's
-        counters and this unit's stats then are as if it had never
-        started."""
+        counters, this job's records and its trace then are as if it had
+        never started."""
         mega = self._bound(program, uniforms, mem)
         self.batches_run += 1
-        # counted and traced on the side: an abandoned batch's are dropped
-        stats, counts = (None, None) if self.stats is None \
-            else (JobStats(), {})
-        tracer = None if self.tracer is None else type(self.tracer)()
+        tracer = self.tracer
+        recorded = None if tracer is None else tracer.total_events
         events = self.events
         track = "core0"
         if events is not None:
@@ -302,11 +270,13 @@ class ComputeUnit:
                                "warps": count * shape.warps_per_group})
         try:
             warps = mega.run_workgroup(
-                shape, flat_group, stats, self.watchdog_budget, count,
-                counts=counts, tracer=tracer, local=self._slabs(count))
+                shape, flat_group, self.watchdog_budget, count,
+                counts=self.clause_counts, local=self._slabs(count))
         except BatchAbandoned as abandoned:
             self.batches_abandoned += 1
             self._abandoned = True
+            if tracer is not None:
+                tracer.rollback(recorded)
             if events is not None:
                 events.instant("batch_abandoned", "gpu", "jobmanager",
                                args={"reason": abandoned.reason,
@@ -315,14 +285,7 @@ class ComputeUnit:
         finally:
             if events is not None:
                 events.end("workgroup", "gpu", track)
-        if stats is not None:
-            stats.workgroups += count
-            stats.warps_launched += count * shape.warps_per_group
-            stats.threads_launched += count * shape.threads_per_group
-            self.stats.merge(stats)
-            merge_clause_counts(self.clause_counts, counts)
-        if tracer is not None:
-            self.tracer.merge(tracer)
+        self.groups_started += count
         return warps
 
     def _spawn_warps(self, shape, flat_group):

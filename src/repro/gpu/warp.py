@@ -11,13 +11,13 @@ lane carries its own next-clause index; on every step the warp executes the
 lanes positioned at the numerically smallest clause index. Because the
 compiler lays out clauses in forward order, diverged lanes naturally
 reconverge at the join clause. Each clause's issues, lanes and branch
-split are counted for the stats and the Fig. 6 CFG.
+split are counted in the job's per-clause table, which the job's
+statistics and its Fig. 6 CFG are computed from when it retires.
 """
 
 import numpy as np
 
 from repro.errors import GuestError
-from repro.instrument.stats import apply_clause_stats
 from repro.gpu.isa import (
     CONST_BASE,
     NUM_GRF,
@@ -84,22 +84,21 @@ class ClauseInterpreter:
         local: uint32 NumPy array backing workgroup-local memory
             (byte offsets are divided by 4), or None when the kernel uses
             no local memory.
-        stats: a :class:`~repro.instrument.stats.JobStats` to fill, or None
-            to run without instrumentation (the Fig. 8 "w/o instrum." mode).
-        counts: the job's per-clause table (its divergence CFG), or None.
+        counts: the job's per-clause table to count into (see
+            :func:`~repro.instrument.stats.apply_clause_stats`), or None to
+            run without instrumentation (the Fig. 8 "w/o instrum." mode).
         tracer: an instruction tracer (:mod:`repro.validate`) whose
             ``record_quad(warp, mask, instr, values, element=0)`` is called
             with every result an instruction writes (each element of a
             LD/ST once it landed), or None.
     """
 
-    def __init__(self, program, uniforms, mem, local=None, stats=None,
-                 counts=None, tracer=None):
+    def __init__(self, program, uniforms, mem, local=None, counts=None,
+                 tracer=None):
         self.program = program
         self.uniforms = uniforms
         self.mem = mem
         self.local = local
-        self.stats = stats
         self.counts = counts
         self.tracer = tracer
         # quad-wide memory port: the GPU MMU over PhysicalMemory has the
@@ -113,9 +112,6 @@ class ClauseInterpreter:
         # per-interpreter scratch: uniform broadcasts are materialized
         # once per slot instead of one np.full per issue
         self._uniform_vectors = {}
-        # deferred per-clause stat accumulation: clause index -> [issues,
-        # lanes, taken lanes, divergent issues], flushed by run_warp
-        self._pending_stats = {}
 
     # -- warp scheduling ------------------------------------------------------
 
@@ -126,38 +122,33 @@ class ClauseInterpreter:
         """
         pcs = warp.pcs
         at_barrier = warp.at_barrier
-        try:
-            while True:
-                running = pcs < _END_PC
-                if not running.any():
-                    return "done"
-                runnable = running & ~at_barrier
-                if not runnable.any():
-                    return "barrier"
-                current = int(pcs[runnable].min())
-                mask = runnable & (pcs == current)
-                self._execute_clause(warp, current, mask)
-                warp.clause_steps += 1
-                if warp.clause_steps > max_clauses:
-                    raise GuestError(
-                        f"warp exceeded {max_clauses} clauses; "
-                        f"kernel is likely stuck"
-                    )
-        finally:
-            apply_clause_stats(self.stats, self.program.clauses,
-                               self._pending_stats, self.counts)
+        while True:
+            running = pcs < _END_PC
+            if not running.any():
+                return "done"
+            runnable = running & ~at_barrier
+            if not runnable.any():
+                return "barrier"
+            current = int(pcs[runnable].min())
+            mask = runnable & (pcs == current)
+            self._execute_clause(warp, current, mask)
+            warp.clause_steps += 1
+            if warp.clause_steps > max_clauses:
+                raise GuestError(
+                    f"warp exceeded {max_clauses} clauses; "
+                    f"kernel is likely stuck"
+                )
 
     # -- clause execution -------------------------------------------------------
 
     def _execute_clause(self, warp, clause_index, mask):
         clause = self.program.clauses[clause_index]
         lanes = int(mask.sum())
-        if self.stats is not None:
-            # decode-time clause metrics: execution only records clause
-            # frequency and scales by active lanes (paper Section IV-A);
-            # the actual additions are deferred to run_warp's flush
-            entry = self._pending_stats.setdefault(clause_index,
-                                                   [0, 0, 0, 0])
+        if self.counts is not None:
+            # execution only records clause frequency and active lanes
+            # (paper Section IV-A); the decode-time clause metrics are
+            # multiplied out when the job retires
+            entry = self.counts.setdefault(clause_index, [0, 0, 0, 0])
             entry[0] += 1
             entry[1] += lanes
         for instr in clause.active_slots():
@@ -173,9 +164,9 @@ class ClauseInterpreter:
             taken = mask & cond
             warp.pcs[mask] = clause_index + 1
             warp.pcs[taken] = clause.target
-            if self.stats is not None:
+            if self.counts is not None:
                 # the split, for the stats and the divergence CFG
-                entry = self._pending_stats[clause_index]
+                entry = self.counts[clause_index]
                 count = int(np.count_nonzero(taken))
                 entry[2] += count
                 if 0 < count < lanes:

@@ -19,7 +19,7 @@ from repro.instrument.stats import (
     JobStats,
     SystemStats,
     apply_clause_stats,
-    merge_stats,
+    job_stats,
 )
 from repro.instrument.cfg import DivergenceCFG
 from repro.instrument.registry import (
@@ -43,7 +43,7 @@ __all__ = [
     "JobStats",
     "SystemStats",
     "apply_clause_stats",
-    "merge_stats",
+    "job_stats",
     "DivergenceCFG",
     "Counter",
     "Probe",

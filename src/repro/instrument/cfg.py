@@ -4,8 +4,9 @@ The simulator tracks the program counter on clause boundaries and builds a
 control-flow graph whose edges carry the number of threads that followed
 them. Basic blocks where lanes of a warp chose different successors are
 flagged as divergence points, "pinpointing the divergence on actual GPU
-instructions". The graph of a job is built from the per-clause counts its
-engine flushed into the job's stats, so every engine has it.
+instructions". The graph of a job is built from its per-clause table, the
+one record every engine counts into and the job's statistics are computed
+from, so every engine has it.
 """
 
 
@@ -33,7 +34,7 @@ class DivergenceCFG:
 
     @classmethod
     def from_clause_counts(cls, clauses, counts):
-        """The graph of a job's per-clause counts (see
+        """The graph of a job's per-clause table (see
         :func:`~repro.instrument.stats.apply_clause_stats`): a clause
         sends its lanes to ``c+1`` (``END`` after an END tail) but for
         those a JUMP or BRANCH sends to its target."""

@@ -4,9 +4,9 @@ Two granularities:
 
 - :class:`JobStats` — per-GPU-job program-execution metrics (Section IV-A/C):
   instruction mix, data-access breakdown, clause metrics, divergence.
-  Collected by the shader cores. When several parallel execution units run
-  thread-groups of the same job, each unit fills its own instance and they
-  are merged at job completion ("requiring no further synchronization").
+  The engines only record which clauses ran, in the job's per-clause
+  table; :func:`job_stats` multiplies that table out once, when the job
+  retires.
 - :class:`SystemStats` — platform-level CPU-GPU interaction metrics
   (Section IV-B, Table III): pages accessed by the GPU, control-register
   reads/writes, interrupts asserted, compute jobs. Collected by the GPU
@@ -115,7 +115,8 @@ class JobStats(Stateful):
         return weighted / total
 
     def merge(self, other):
-        """Accumulate *other* into self (job-completion totalling)."""
+        """Accumulate *other* into self (the running totals of retired
+        jobs)."""
         for name in _COUNTER_FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         for size, count in other.clause_size_histogram.items():
@@ -129,31 +130,18 @@ _COUNTER_FIELDS = tuple(name for name in JobStats.state_fields()
                         if name != "clause_size_histogram")
 
 
-def merge_stats(stats_list):
-    """Merge an iterable of :class:`JobStats` into a fresh instance."""
-    total = JobStats()
-    for stats in stats_list:
-        total.merge(stats)
-    return total
+def apply_clause_stats(stats, clauses, counts):
+    """Add the per-clause table *counts* of a job to *stats*.
 
-
-def apply_clause_stats(stats, clauses, pending, totals=None):
-    """Apply deferred per-clause counters to *stats* and clear *pending*.
-
-    *pending* maps clause index -> ``[issues, total active lanes, lanes
-    a branch took, issues whose lanes it split]``. Every field in
+    *counts* maps clause index -> ``[issues, total active lanes, lanes a
+    branch took, issues whose lanes it split]``. Every field in
     :class:`~repro.gpu.isa.ClauseMetrics` is static per clause and scales
-    linearly in issues/lanes, so accumulating ``(issues, lanes)`` per
-    clause index and multiplying out here is arithmetically identical to
-    per-issue additions — at a dict increment per clause instead of ~16
-    attribute additions. Shared by the interpreter and the megakernel so
-    both produce bit-identical :class:`JobStats`, and summed into
-    *totals*, the job's table its divergence CFG is built from.
+    linearly in issues/lanes, so multiplying the table out once is
+    arithmetically identical to per-issue additions (the paper's Section
+    IV-A: execution records clause frequency only).
     """
-    if not pending:
-        return
     histogram = stats.clause_size_histogram
-    for clause_index, (issues, lanes, taken, divergent) in pending.items():
+    for clause_index, (issues, lanes, _taken, divergent) in counts.items():
         clause = clauses[clause_index]
         metrics = clause.metrics()
         size = clause.size
@@ -177,9 +165,19 @@ def apply_clause_stats(stats, clauses, pending, totals=None):
         stats.cf_instrs += metrics.cf_instrs * lanes
         stats.branch_events += metrics.cf_instrs * issues
         stats.divergent_branches += divergent
-    if totals is not None:
-        merge_clause_counts(totals, pending)
-    pending.clear()
+
+
+def job_stats(clauses, counts, groups, shape):
+    """The :class:`JobStats` of a job that ran *groups* workgroups of
+    *shape* and recorded the per-clause table *counts* (None: it ran
+    uninstrumented, and counted nothing)."""
+    if counts is None:
+        return JobStats()
+    stats = JobStats(workgroups=groups,
+                     warps_launched=groups * shape.warps_per_group,
+                     threads_launched=groups * shape.threads_per_group)
+    apply_clause_stats(stats, clauses, counts)
+    return stats
 
 
 def merge_clause_counts(totals, counts):

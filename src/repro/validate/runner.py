@@ -52,6 +52,7 @@ from repro.instrument.registry import (
     register_job_stats,
     register_mmu_stats,
 )
+from repro.instrument.stats import job_stats
 from repro.mem import PAGE_SIZE, PTE_READ, PTE_WRITE, PageTableBuilder, \
     PhysicalMemory
 from repro.validate.trace import InstructionTracer, compare_traces
@@ -291,12 +292,9 @@ class DifferentialRunner:
         mmu = GPUMMU(phys)
         mmu.set_page_table(builder.root)
         mmu.enabled = True
-        unit_engine = ENGINE_MODES[self.modes[engine]]
-
         # every ENGINE_MODES tier is instrumented, divergence CFG included
-        unit = ComputeUnit()
-        unit.prepare(case.local_bytes, instrument=True, tracer=tracer,
-                     engine=unit_engine)
+        unit = ComputeUnit(ENGINE_MODES[self.modes[engine]])
+        unit.prepare(case.local_bytes, instrument=True, tracer=tracer)
         shape = WorkgroupShape(case.global_size, case.local_size)
         uniforms = launch.uniform_image(case.global_size, case.local_size,
                                         case.args)
@@ -325,7 +323,8 @@ class DifferentialRunner:
 
         result = EngineResult(engine=engine, registers=registers,
                               memory=memory, trace=tracer)
-        stats = unit.stats
+        stats = job_stats(case.program.clauses, unit.clause_counts,
+                          unit.groups_started, shape)
         result.counters = _quad_counters(stats)
         result.stats = _unified_snapshot(stats, mmu)
         result.cfg = unit.clause_counts

@@ -31,9 +31,22 @@ class InstructionTracer:
 
     def __init__(self):
         self.by_thread = {}
+        self._threads = []  # the thread of every event, in recording order
 
     def _append(self, key, event):
         self.by_thread.setdefault(key, []).append(event)
+        self._threads.append(key)
+
+    def rollback(self, total_events):
+        """Drop every event recorded since :attr:`total_events` read
+        *total_events* (an abandoned lockstep batch's)."""
+        threads = self._threads
+        while len(threads) > total_events:
+            key = threads.pop()
+            events = self.by_thread[key]
+            events.pop()
+            if not events:
+                del self.by_thread[key]
 
     def record(self, rows, lanes, op, dst, values, element=0):
         """The lanes' *values* for instruction *op* with destination field
@@ -49,11 +62,6 @@ class InstructionTracer:
         self.record(warp.regs.T, np.flatnonzero(mask), instr.op.name,
                     instr.dst, values, element)
 
-    def merge(self, other):
-        """Append *other*'s events, thread by thread, to this trace."""
-        for key, events in other.by_thread.items():
-            self.by_thread.setdefault(key, []).extend(events)
-
     def record_scalar(self, thread, instr, value, element=0):
         regs = thread.regs
         key = (regs[REG_GLOBAL_ID], regs[REG_GLOBAL_ID + 1],
@@ -63,7 +71,7 @@ class InstructionTracer:
 
     @property
     def total_events(self):
-        return sum(len(events) for events in self.by_thread.values())
+        return len(self._threads)
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """The divergence CFG (Fig. 6) and the instruction trace are the same on
 both platform engines.
 
-Each job's CFG is built from the per-clause counts its engine flushed
-into the stats, so mega runs the job (no demotion to the interpreter)
+Each job's CFG is built from the per-clause table its engine counted
+into, so mega runs the job (no demotion to the interpreter)
 and must give the interpreter's graph: edges, divergence events and
 executed lanes, job by job, on every shipped workload. With an
 instruction tracer attached, mega runs traced code and must record the
@@ -29,7 +29,7 @@ from tests.test_workloads import _SMALL
 
 def _job_cfgs(run, mode):
     """``run(context)`` on a fresh *mode* platform: each retired job's
-    CFG as plain dicts, and the translations mega built."""
+    CFG as plain dicts, and the engine its unit ran."""
     platform = MobilePlatform.for_mode(mode)
     try:
         run(Context(platform))
@@ -38,15 +38,13 @@ def _job_cfgs(run, mode):
     cfgs = [(cfg.edges, cfg.divergences, cfg.executions)
             for cfg in (result.cfg
                         for result in platform.gpu.job_manager.results)]
-    translations = platform.stats_registry.snapshot()[
-        "gpu.jobmanager.kernel_translations"]
-    return cfgs, translations
+    return cfgs, platform.gpu.job_manager.unit.engine
 
 
 def _assert_parity(run):
     interp, _ = _job_cfgs(run, "interp")
-    mega, translations = _job_cfgs(run, "mega")
-    assert translations > 0  # mega ran the jobs itself
+    mega, engine = _job_cfgs(run, "mega")
+    assert engine == "mega"  # mega ran the jobs itself
     assert mega == interp
     return interp
 
@@ -86,7 +84,7 @@ def _job_traces(run, mode):
     """``run(context)`` on a fresh *mode* platform, every job attempt
     traced on its own: the trace of each retired job (a faulted
     attempt's events stop wherever its engine's schedule had got to, so
-    they are dropped), and the translations mega built."""
+    they are dropped), and the engine its unit ran."""
     platform = MobilePlatform.for_mode(mode)
     jobs = platform.gpu.job_manager
     attempts = []  # (tracer, jobs retired before the attempt)
@@ -102,16 +100,14 @@ def _job_traces(run, mode):
     except SimError:
         pass  # a workload that expects to fault: its retired jobs count
     ends = [before for _tracer, before in attempts[1:]] + [len(jobs.results)]
-    translations = platform.stats_registry.snapshot()[
-        "gpu.jobmanager.kernel_translations"]
     return [tracer for (tracer, before), end in zip(attempts, ends)
-            if end > before], translations
+            if end > before], jobs.unit.engine
 
 
 def _assert_trace_parity(run):
     interp, _ = _job_traces(run, "interp")
-    mega, translations = _job_traces(run, "mega")
-    assert translations > 0  # mega ran the traced jobs itself
+    mega, engine = _job_traces(run, "mega")
+    assert engine == "mega"  # mega ran the traced jobs itself
     assert len(mega) == len(interp)
     # a run whose every job faults (the oob entry) retires none to trace
     assert not mega or sum(trace.total_events for trace in mega) > 0
@@ -150,8 +146,8 @@ def test_bfs_traces_agree_up_to_its_race():
     branch apart after it); memory, stats and the CFG still agree."""
     run = _workload("bfs")
     interp, _ = _job_traces(run, "interp")
-    mega, translations = _job_traces(run, "mega")
-    assert translations > 0 and len(mega) == len(interp)
+    mega, engine = _job_traces(run, "mega")
+    assert engine == "mega" and len(mega) == len(interp)
     raced = 0
     for ours, reference in zip(mega, interp):
         assert ours.by_thread.keys() == reference.by_thread.keys()

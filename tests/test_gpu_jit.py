@@ -1,17 +1,22 @@
-"""Tests: the retired clause-JIT engine name.
+"""Tests: the retired clause-JIT engine name, and the engine names.
 
 The clause-closure JIT tier is gone; mega is the one translating tier.
-``GPUConfig(engine="jit")`` is still accepted — the system benchmark's
+``jit`` is still a name of the ``interp`` mode — the system benchmark's
 engine ladder (``benchmarks/e2e/micro.py``) names it — and runs the quad
-interpreter: bit-identical outputs, identical statistics, nothing
-translated.
+interpreter: bit-identical outputs, identical statistics. Every engine
+name is taken alike by ``GPUConfig`` and ``MobilePlatform.for_mode``.
 """
 
 import numpy as np
 import pytest
 
 from repro.cl import CommandQueue, Context, LocalMemory
-from repro.core.platform import ENGINE_NAMES, MobilePlatform, PlatformConfig
+from repro.core.platform import (
+    ENGINE_NAMES,
+    MobilePlatform,
+    PlatformConfig,
+    resolve_engine,
+)
 from repro.gpu.device import GPUConfig
 from repro.kernels import get_workload
 
@@ -78,8 +83,8 @@ def test_jit_verifies_on_workloads(name):
 
 
 def test_jit_collects_stats_when_instrumented():
-    """The retired name is the interpreter: the same JobStats, nothing
-    translated, and no engine mode of that name for a harness to sweep."""
+    """The retired name is the interpreter: the same JobStats, on a unit
+    that runs the interpreter."""
     jit_context = _context("jit", instrument=True)
     jit_result = get_workload("URNG", n=256).run(context=jit_context)
     assert jit_result.verified
@@ -87,18 +92,28 @@ def test_jit_collects_stats_when_instrumented():
     interp_result = get_workload("URNG", n=256).run(
         context=_context("interpreter", instrument=True))
     assert jit_result.stats == interp_result.stats
-    snapshot = jit_context.platform.stats_registry.snapshot()
-    assert snapshot["gpu.jobmanager.kernel_translations"] == 0
-    assert "jit" not in ENGINE_NAMES
-    with pytest.raises(ValueError):
-        MobilePlatform.for_mode("jit")
+    assert resolve_engine("jit") == "interp"
+    assert jit_context.platform.gpu.job_manager.unit.engine != "mega"
 
 
-@pytest.mark.parametrize("engine", ["mgea", "interp", "fast", ""])
+@pytest.mark.parametrize("name", ENGINE_NAMES)
+def test_every_engine_name_builds_a_config_and_a_platform(name):
+    """One vocabulary: each name is a ``GPUConfig`` engine and a
+    ``for_mode`` mode, and both run the same tier."""
+    mega = resolve_engine(name) == "mega"
+    assert GPUConfig(engine=name).engine == name
+    platform = MobilePlatform.for_mode(name)
+    assert (platform.gpu.job_manager.unit.engine == "mega") == mega
+    unit = MobilePlatform(PlatformConfig(gpu=GPUConfig(engine=name))) \
+        .gpu.job_manager.unit
+    assert (unit.engine == "mega") == mega
+
+
+@pytest.mark.parametrize("engine", ["mgea", ""])
 def test_unknown_engine_name_fails_closed(engine):
-    """Only ``interpreter``, ``mega`` and the retired ``jit`` are GPU
-    engines: a misspelling raises instead of quietly running the
-    interpreter (``interp`` and ``fast`` are engine *modes*, resolved by
-    the platform, not ``GPUConfig`` names)."""
-    with pytest.raises(ValueError, match="unknown GPU engine"):
+    """A misspelling raises, in ``GPUConfig`` and in ``for_mode`` alike,
+    instead of quietly running the interpreter."""
+    with pytest.raises(ValueError, match="unknown engine mode"):
         GPUConfig(engine=engine)
+    with pytest.raises(ValueError, match="unknown engine mode"):
+        MobilePlatform.for_mode(engine)

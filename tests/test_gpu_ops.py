@@ -320,9 +320,8 @@ def _run_interp(program):
 
 def _run_mega(program):
     port = types.SimpleNamespace(load_wide_u32=None, store_wide_u32=None)
-    kernel = MegaKernel(program, port, RegisterFile())
-    kernel.bind(np.zeros(1, np.uint32))
-    kernel.run_workgroup(WorkgroupShape((4, 1, 1), (4, 1, 1)), 0, None)
+    kernel = MegaKernel(program, port, RegisterFile(), np.zeros(1, np.uint32))
+    kernel.run_workgroup(WorkgroupShape((4, 1, 1), (4, 1, 1)), 0)
 
 
 _ENGINES = [_run_interp, _run_mega]

@@ -341,7 +341,7 @@ class TestMegaUnderFaultPlans:
         run = MegaKernel.run_workgroup
 
         def recording(self, shape, flat_group, *args, **kwargs):
-            count = args[2] if len(args) > 2 else kwargs.get("count", 1)
+            count = args[1] if len(args) > 1 else kwargs.get("count", 1)
             calls.append((flat_group, count, kwargs.get("stalled", 0)))
             return run(self, shape, flat_group, *args, **kwargs)
 

@@ -11,7 +11,6 @@ from repro.instrument import (
     format_data_access_breakdown,
     format_instruction_mix,
     format_table,
-    merge_stats,
 )
 
 
@@ -49,7 +48,7 @@ class TestJobStats:
 
     def test_merge_accumulates(self):
         a, b = self._sample(), self._sample()
-        merged = merge_stats([a, b])
+        merged = JobStats().merge(a).merge(b)
         assert merged.arith_instrs == 100
         assert merged.clause_size_histogram == {1: 4, 4: 6, 8: 2}
         # inputs untouched
@@ -69,9 +68,9 @@ class TestJobStats:
 
 
 class TestApplyClauseStats:
-    """The deferred (issues, lanes) accumulation scheme shared by the
-    interpreter and the megakernel must be arithmetically identical to
-    per-issue counting."""
+    """A job's per-clause table, multiplied out once when the job
+    retires, must be arithmetically identical to counting each issue as
+    it happens."""
 
     def _clause(self):
         from repro.gpu.isa import CONST_BASE, Clause, Instruction, Op, Tail
@@ -82,6 +81,16 @@ class TestApplyClauseStats:
             tail=Tail.END,
         )
         return clause
+
+    def _branch(self):
+        from repro.gpu.isa import CONST_BASE, Clause, Instruction, Op, Tail
+        return Clause(
+            tuples=[(Instruction(Op.IADD, dst=1, srca=1, srcb=CONST_BASE),
+                     Instruction(Op.LDU, dst=2, imm=0)),
+                    (Instruction(Op.NOP), Instruction(Op.NOP))],
+            constants=[1],
+            tail=Tail.BRANCH, cond_reg=1, target=0,
+        )
 
     def test_multiplies_out_issues_and_lanes(self):
         clause = self._clause()
@@ -99,18 +108,26 @@ class TestApplyClauseStats:
         assert stats.grf_writes == metrics.grf_writes * 11
 
     def test_equivalent_to_per_issue_additions(self):
-        clause = self._clause()
-        deferred = JobStats()
-        apply_clause_stats(deferred, [clause], {0: [5, 20, 0, 0]})
-        per_issue = JobStats()
-        for lanes in (4, 4, 4, 4, 4):  # 5 issues of 4 active lanes
-            apply_clause_stats(per_issue, [clause], {0: [1, lanes, 0, 0]})
-        assert deferred == per_issue
+        """A job's table (here: two clauses, a diverging branch) applied
+        once equals its pieces — single issues, as engines record them —
+        each applied on its own."""
+        from repro.instrument.stats import merge_clause_counts
 
-    def test_clears_pending(self):
-        pending = {0: [1, 4, 0, 0]}
-        apply_clause_stats(JobStats(), [self._clause()], pending)
-        assert pending == {}
+        clauses = [self._clause(), self._branch()]
+        pieces = [{0: [1, 4, 0, 0]}, {1: [1, 3, 2, 1]}, {0: [1, 2, 0, 0]},
+                  {1: [1, 4, 4, 0]}, {0: [1, 4, 0, 0]}, {1: [1, 1, 0, 0]}]
+        table = {}
+        for piece in pieces:
+            merge_clause_counts(table, piece)
+        assert table == {0: [3, 10, 0, 0], 1: [3, 8, 6, 1]}
+        once = JobStats()
+        apply_clause_stats(once, clauses, table)
+        separately = JobStats()
+        for piece in pieces:
+            apply_clause_stats(separately, clauses, piece)
+        assert once == separately
+        assert once.divergent_branches == 1 and once.clauses_executed == 6
+        assert once.clause_size_histogram == {1: 3, 2: 3}
 
     def test_empty_pending_is_noop(self):
         stats = JobStats()

@@ -26,6 +26,7 @@ from repro.gpu import megakernel
 from repro.gpu.isa import REG_GROUP_FLAT
 from repro.gpu.mmu import BatchAbandoned
 from repro.gpu.shadercore import ComputeUnit
+from repro.instrument.stats import job_stats
 from repro.kernels import WORKLOADS, get_workload
 from repro.kernels.replayable import REPLAYABLE
 from repro.mem import PAGE_SIZE
@@ -45,13 +46,11 @@ def batches(monkeypatch):
     seen = []
     run = megakernel.MegaKernel.run_workgroup
 
-    def recording(self, shape, flat_group, stats, budget=None, count=1,
-                  **job):
+    def recording(self, shape, flat_group, budget=None, count=1, **job):
         if count == 1:
-            return run(self, shape, flat_group, stats, budget, **job)
+            return run(self, shape, flat_group, budget, **job)
         try:
-            warps = run(self, shape, flat_group, stats, budget, count,
-                        **job)
+            warps = run(self, shape, flat_group, budget, count, **job)
         except BatchAbandoned as abandoned:
             seen.append((flat_group, count, abandoned.reason))
             raise
@@ -175,13 +174,13 @@ def test_slam_express_batched_equals_the_reference_order(monkeypatch):
     reduce_sum = []
     record = megakernel.MegaKernel.run_workgroup
 
-    def recording(self, shape, flat_group, stats, budget=None, count=1,
+    def recording(self, shape, flat_group, budget=None, count=1,
                   local=None, **job):
         if local is not None and local.shape[1] and not flat_group \
                 and megakernel.BATCH_LANES:
             reduce_sum.append((shape.total_groups, count))
-        return record(self, shape, flat_group, stats, budget, count,
-                      local=local, **job)
+        return record(self, shape, flat_group, budget, count, local=local,
+                      **job)
 
     monkeypatch.setattr(megakernel.MegaKernel, "run_workgroup", recording)
     ran, abandoned = _assert_grouping_invisible(monkeypatch, run)
@@ -258,24 +257,28 @@ def _late_conflict(context, n=64):
 
 
 def test_an_abandoned_batch_leaves_no_trace(monkeypatch):
-    """Memory (backed pages included), the MMU's counters and the unit's
-    JobStats after a batch abandoned in its last clause — stores already
-    buffered — are those from before it started."""
+    """Memory (backed pages included), the MMU's counters and the job's
+    JobStats (as computed from the unit's records) after a batch
+    abandoned in its last clause — stores already buffered — are those
+    from before it started."""
     platform = MobilePlatform.for_mode("mega")
     mmu, abandoned = platform.gpu.mmu, []
     run_batch = ComputeUnit._run_batch
 
-    def state(unit):
+    def state(unit, program, shape):
+        stats = job_stats(program.clauses, unit.clause_counts,
+                          unit.groups_started, shape)
         return (platform.memory.dump_pages(), mmu.translations,
                 set(mmu.pages_accessed), mmu.wide_accesses,
-                mmu.wide_fallbacks, unit.stats.get_state())
+                mmu.wide_fallbacks, stats.get_state())
 
     def checking(self, *args):
-        before = state(self)
+        program, _uniforms, _mem, shape = args[:4]
+        before = state(self, program, shape)
         warps = run_batch(self, *args)
         if warps is None:
             abandoned.append(args[-2:])
-            assert state(self) == before
+            assert state(self, program, shape) == before
         return warps
 
     monkeypatch.setattr(ComputeUnit, "_run_batch", checking)
@@ -438,14 +441,16 @@ def test_programs_alternating_on_one_register_file_keep_their_constants():
         def store_wide_u32(self, vaddrs, values, lanes=None):
             return None
 
-    unit = ComputeUnit()
-    unit.prepare(64, instrument=False, engine="mega")
+    unit = ComputeUnit("mega")
+    unit.prepare(64, instrument=False)
     uniforms, mem = np.zeros(4, dtype=np.uint32), Port()
+    files = set()
     shapes = {id(wide): WorkgroupShape((64, 1, 1), (64, 1, 1)),
               id(narrow): WorkgroupShape((8, 1, 1), (8, 1, 1))}
     for which in (wide, narrow, wide, narrow, wide, narrow):
         warps = unit.run_workgroup(which, uniforms, mem, shapes[id(which)],
                                    0)
+        files.add(id(unit._mega.file))
         if which is narrow:
             for warp in warps:
                 assert (warp.regs[:, 0] == 0x5EED).all()
@@ -453,7 +458,7 @@ def test_programs_alternating_on_one_register_file_keep_their_constants():
         else:
             lanes = np.concatenate([warp.regs[:, 7] for warp in warps])
             np.testing.assert_array_equal(lanes, np.arange(64))
-    assert len({id(mega.file) for mega, _ in unit._translations.values()}) == 1
+    assert files == {id(unit._register_file)}
 
 
 # -- pages a batch must leave to the reference -------------------------------------------

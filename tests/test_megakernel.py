@@ -237,7 +237,6 @@ def test_mega_runs_atomics_itself(monkeypatch):
         patch.setattr(ClauseInterpreter, "__init__", _no_interpreter)
         mega_total, mega = run("mega")
     assert mega_total == interp_total == int(data[data % 2 == 0].sum())
-    assert mega.snapshot()["gpu.jobmanager.kernel_translations"] == 1
     assert mega.snapshot(golden_only=True) \
         == interp.snapshot(golden_only=True)
 
@@ -271,51 +270,6 @@ class _WideStub:
         return None
 
 
-def test_mega_cache_validates_program_identity():
-    """The per-unit translation cache keys on ``id(program)`` and holds
-    the keyed program itself, so the id cannot be recycled for another
-    program while the entry is live — and a dropped entry lets go."""
-    import gc
-    import weakref
-
-    from repro.gpu.shadercore import ComputeUnit, WorkgroupShape
-
-    unit = ComputeUnit()
-    unit.prepare(64, instrument=False, engine="mega")
-    uniforms = np.zeros(1, dtype=np.uint32)
-    mem = _WideStub()
-    prog_a = _mov_const_program(1)
-    mega_a = unit._mega_executor(prog_a, uniforms, mem)
-    assert mega_a is not None
-    assert unit._mega_executor(prog_a, uniforms, mem) is mega_a
-    # uniforms are bound, not keyed: another table is the same translation
-    other = np.ones(1, dtype=np.uint32)
-    assert unit._mega_executor(prog_a, other, mem) is mega_a
-    assert mega_a.uniforms is other
-    # and so is another launch shape: width belongs to the launch
-    for size in (4, 8, 6):
-        warps = unit.run_workgroup(
-            prog_a, other, mem, WorkgroupShape((size, 1, 1), (size, 1, 1)),
-            0)
-        assert [int(w.regs[0, 0]) for w in warps] == [1] * len(warps)
-    assert unit.translations_built == 1
-    alive = weakref.ref(prog_a)
-    del prog_a, mega_a
-    gc.collect()
-    assert alive() is not None
-    for constant in range(2, 34):
-        program = _mov_const_program(constant)
-        mega = unit._mega_executor(program, uniforms, mem)
-        assert mega.program is program
-    assert unit.translations_built == 1 + 32
-    # the next job unbinds the last one; a dropped entry lets go
-    unit.prepare(64, instrument=False, engine="mega")
-    unit.drop_translations()
-    del mega, program, warps
-    gc.collect()
-    assert alive() is None
-
-
 def test_mega_partial_quads_use_masked_path():
     """A local size that is not a multiple of the quad width leaves dead
     lanes; the mega engine must run masked and retire the same per-thread
@@ -338,11 +292,6 @@ def test_mega_partial_quads_use_masked_path():
 
 
 # -- launch path: lazy retirement, one translation per program ---------------
-
-
-def _kernel_translations(context):
-    return context.platform.stats_registry.snapshot()[
-        "gpu.jobmanager.kernel_translations"]
 
 
 def _count_quadwarps(monkeypatch):
@@ -388,10 +337,8 @@ def test_retired_warps_is_a_lazy_sequence():
     from repro.gpu.shadercore import WorkgroupShape
 
     kernel = MegaKernel(_mov_const_program(9), _WideStub(),
-                        RegisterFile())
-    kernel.bind(np.zeros(1, dtype=np.uint32))
-    warps = kernel.run_workgroup(WorkgroupShape((6, 1, 1), (6, 1, 1)), 0,
-                                 None)
+                        RegisterFile(), np.zeros(1, dtype=np.uint32))
+    warps = kernel.run_workgroup(WorkgroupShape((6, 1, 1), (6, 1, 1)), 0)
     assert isinstance(warps, RetiredWarps) and len(warps) == 2
     assert [int(w.live.sum()) for w in warps] == [4, 2]
     assert warps[-1].regs[1, 0] == 9 and warps[0].finished
@@ -399,10 +346,12 @@ def test_retired_warps_is_a_lazy_sequence():
         warps[2]
 
 
-def test_bfs_levels_share_one_translation():
-    """Every BFS level binds another ``depth`` uniform; the program is
-    translated once, and levels (both verified against one reference)
-    and golden stats equal the interpreter's."""
+def test_bfs_levels_share_one_translation(monkeypatch):
+    """Every BFS level brings another ``depth`` uniform; the program is
+    translated at most once in the process, and levels (both verified
+    against one reference) and golden stats equal the interpreter's."""
+    emitted = _count_emits(monkeypatch)
+
     def run(engine):
         context = _context(engine, instrument=True)
         result = get_workload("bfs", n=128, chord_every=16).run(
@@ -414,8 +363,7 @@ def test_bfs_levels_share_one_translation():
     interp_ctx, interp = run("interpreter")
     jobs = mega_ctx.platform.gpu.job_manager.jobs_retired
     assert jobs > 8
-    assert _kernel_translations(mega_ctx) == 1
-    assert _kernel_translations(interp_ctx) == 0
+    assert len(emitted) <= 1
     assert mega.stats == interp.stats
     assert mega_ctx.platform.stats_registry.snapshot(golden_only=True) \
         == interp_ctx.platform.stats_registry.snapshot(golden_only=True)
@@ -444,16 +392,15 @@ def _launch_k(context, kernel, data):
 
 def test_translations_follow_the_decode_cache():
     """Two tenants load different programs at the same GPU VA: they are
-    two decoded programs and never share a translation. Invalidating the
-    decode cache drops the translations with it; with the cache disabled
-    (a fresh Program per job) they do not accumulate."""
+    two decoded programs, each run on its own code — also after the
+    decode cache was invalidated, and with it disabled (a fresh Program
+    per job)."""
     from repro.driver.kbase import TenancyConfig
 
     platform = MobilePlatform(PlatformConfig(
         gpu=GPUConfig(engine="mega"),
         tenancy=TenancyConfig.symmetric(2))).initialize()
     manager = platform.gpu.job_manager
-    unit = manager.unit
     data = np.arange(32, dtype=np.float32)
     contexts = [Context(platform, tenant=tenant)
                 for tenant in platform.driver.tenants]
@@ -467,18 +414,15 @@ def test_translations_follow_the_decode_cache():
     spaces, binaries = zip(*[(key[0], key[1:])
                              for key in manager._decode_cache])
     assert sorted(spaces) == [0, 1] and binaries[0] == binaries[1]
-    assert _kernel_translations(contexts[0]) == 2
-    assert len(unit._translations) == 2
 
     manager.invalidate_decode_cache()
-    assert not unit._translations
-
-    manager.decode_cache_enabled = False
-    before = _kernel_translations(contexts[0])
-    for _ in range(50):
-        _launch_k(contexts[0], kernels[0], data)
-        assert len(unit._translations) == 1
-    assert _kernel_translations(contexts[0]) == before + 50
+    assert not manager._decode_cache
+    for enabled in (True, False):
+        manager.decode_cache_enabled = enabled
+        for context, kernel, want in zip(contexts, kernels,
+                                         (data * 3.0, data * 5.0)):
+            np.testing.assert_array_equal(
+                _launch_k(context, kernel, data), want.astype(np.float32))
 
 
 _FILL_SOURCE = """
@@ -507,8 +451,8 @@ def _run_diverge_on(context, kernel):
 @pytest.mark.parametrize("upset", ["mmu.page", "core.hang", "slice"])
 def test_upset_job_leaves_nothing_on_the_persistent_unit(engine, upset):
     """A job that faults, hangs or is sliced runs on the same unit (and
-    the same cached translations) as the clean job after it, which must
-    not be able to tell: outputs and JobStats equal a fresh platform's."""
+    the same register file) as the clean job after it, which must not be
+    able to tell: outputs and JobStats equal a fresh platform's."""
     from repro.driver.kbase import PREEMPTED
     from repro.gpu import regs
     from repro.inject.injector import FaultInjector
@@ -525,7 +469,8 @@ def test_upset_job_leaves_nothing_on_the_persistent_unit(engine, upset):
     platform, driver = context.platform, context.platform.driver
     manager = platform.gpu.job_manager
     unit = manager.unit
-    _run_diverge_on(context, diverge)  # translated before the upset
+    _run_diverge_on(context, diverge)  # its register file made
+    registers = unit._register_file
     queue = CommandQueue(context)
     kernel = context.build_program(_FILL_SOURCE).kernel("fill")
     n = 2048  # 32 workgroups of 64
@@ -549,13 +494,11 @@ def test_upset_job_leaves_nothing_on_the_persistent_unit(engine, upset):
             queue.enqueue_read_buffer(buf, np.int32),
             np.arange(n, dtype=np.int32) * 3 + 1)
         platform.attach_injector(None)
-    translations = _kernel_translations(context)
     out, stats = _run_diverge_on(context, diverge)
     np.testing.assert_array_equal(out.view(np.uint32),
                                   fresh_out.view(np.uint32))
     assert stats == fresh_stats
-    assert manager.unit is unit
-    assert _kernel_translations(context) == translations
+    assert manager.unit is unit and unit._register_file is registers
 
 
 def test_retired_warps_slice_is_a_list_as_on_the_quad_tiers():
@@ -563,10 +506,9 @@ def test_retired_warps_slice_is_a_list_as_on_the_quad_tiers():
     from repro.gpu.shadercore import WorkgroupShape
 
     kernel = MegaKernel(_mov_const_program(9), _WideStub(),
-                        RegisterFile())
-    kernel.bind(np.zeros(1, dtype=np.uint32))
-    warps = kernel.run_workgroup(WorkgroupShape((10, 1, 1), (10, 1, 1)), 0,
-                                 None)
+                        RegisterFile(), np.zeros(1, dtype=np.uint32))
+    shape = WorkgroupShape((10, 1, 1), (10, 1, 1))
+    warps = kernel.run_workgroup(shape, 0)
     assert len(warps) == 3
     head = warps[:2]
     assert isinstance(head, list) and len(head) == 2
@@ -593,23 +535,33 @@ def _clause(slots, tail, constants=(), **fields):
                   constants=list(constants), tail=tail, **fields)
 
 
+def _job_stats(unit, program, shape):
+    """The JobStats of what *unit* ran of *program* so far, as the Job
+    Manager computes them when a job retires."""
+    from repro.instrument.stats import job_stats
+
+    return job_stats(program.clauses, unit.clause_counts,
+                     unit.groups_started, shape)
+
+
 def _unit_run(engine, program, mmu, lanes=4):
     """One workgroup of *program* on a bare compute unit; returns the
-    unit and what the run raised (or None). One quad by default: with
-    more, the interpreter faults in its first warp before the others
-    start, the workgroup-wide engine after every quad ran the clauses
-    before the fault."""
+    JobStats it counted and what the run raised (or None). One quad by
+    default: with more, the interpreter faults in its first warp before
+    the others start, the workgroup-wide engine after every quad ran
+    the clauses before the fault."""
     from repro.gpu.shadercore import ComputeUnit, WorkgroupShape
 
-    unit = ComputeUnit()
-    unit.prepare(64, instrument=True, engine=engine)
+    unit = ComputeUnit(engine)
+    unit.prepare(64, instrument=True)
+    shape = WorkgroupShape((lanes, 1, 1), (lanes, 1, 1))
     raised = None
     try:
         unit.run_workgroup(program, np.zeros(4, dtype=np.uint32), mmu,
-                           WorkgroupShape((lanes, 1, 1), (lanes, 1, 1)), 0)
+                           shape, 0)
     except Exception as exc:  # compared between the engines below
         raised = exc
-    return unit, raised
+    return _job_stats(unit, program, shape), raised
 
 
 def _chain_programs():
@@ -652,9 +604,9 @@ def test_fault_in_second_clause_of_a_chain_flushes_like_the_interpreter(
     results = {}
     for engine in ("interpreter", "mega"):
         mem, _builder, mmu = _mmu()
-        unit, raised = _unit_run(engine, program, mmu)
+        stats, raised = _unit_run(engine, program, mmu)
         results[engine] = (
-            type(raised), str(raised), vars(unit.stats), mmu.translations,
+            type(raised), str(raised), vars(stats), mmu.translations,
             sorted(mmu.pages_accessed), mmu.load_u32(VA + 64),
             mmu.load_u32(VA + 128))
     assert results["mega"] == results["interpreter"]
@@ -677,7 +629,7 @@ def test_bad_operand_in_a_chain_that_is_never_issued_is_harmless():
     fine = _clause([Instruction(Op.MOV, dst=2, srca=1)], Tail.FALLTHROUGH)
     bad = _clause([Instruction(Op.FADD, dst=0, srca=1)], Tail.FALLTHROUGH)
     end = _clause([Instruction(Op.MOV, dst=3, srca=1)], Tail.END)
-    _unit, raised = _unit_run("mega", _program(skip, fine, bad, end),
+    _stats, raised = _unit_run("mega", _program(skip, fine, bad, end),
                               _WideStub())
     assert raised is None
 
@@ -692,7 +644,7 @@ def test_invalid_operand_traceback_shows_the_emitted_line():
 
     program = _program(_clause([Instruction(Op.IADD, dst=0, srca=1)],
                                Tail.END))
-    _unit, raised = _unit_run("mega", program, _WideStub())
+    _stats, raised = _unit_run("mega", program, _WideStub())
     assert isinstance(raised, GuestError)
     frame = traceback.extract_tb(raised.__traceback__)[-1]
     assert frame.filename.startswith("<mega ") and frame.name == "chain_0"
@@ -726,13 +678,13 @@ def test_generated_float_code_raises_no_runtime_warning():
     program = _program(_clause(
         slots, Tail.END,
         constants=[0x7F7FFFFF, 0, 0xBF800000, 0x7FC00000]))
-    kernel = MegaKernel(program, _WideStub(), RegisterFile())
-    kernel.bind(np.zeros(1, dtype=np.uint32))
+    kernel = MegaKernel(program, _WideStub(), RegisterFile(),
+                        np.zeros(1, dtype=np.uint32))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for lanes in (8, 6):  # converged, then masked (partial quad)
             warps = kernel.run_workgroup(
-                WorkgroupShape((lanes, 1, 1), (lanes, 1, 1)), 0, None)
+                WorkgroupShape((lanes, 1, 1), (lanes, 1, 1)), 0)
             regs = warps[-1].regs[0]
             assert regs[0] == 0x7F800000 and regs[2] == 0x7F800000
             assert regs[6] == 0 and regs[7] == 0
@@ -765,7 +717,6 @@ def test_two_fresh_platforms_emit_once(monkeypatch):
         data = np.arange(64, dtype=np.float32)
         np.testing.assert_array_equal(_launch_k(context, kernel, data),
                                       data * np.float32(11.0))
-        assert _kernel_translations(context) == 1
     assert len(emitted) == 1
 
 
@@ -779,9 +730,9 @@ def test_equal_shapes_never_share_an_entry_and_the_table_is_bounded():
     first = _mov_const_program(1_000_001)
     for constant in range(1_000_001, 1_000_001 + 2 * megakernel.CODE_CACHE_SIZE):
         program = _mov_const_program(constant)
-        kernel = MegaKernel(program, _WideStub(), RegisterFile())
-        kernel.bind(np.zeros(1, dtype=np.uint32))
-        assert kernel.run_workgroup(shape, 0, None)[0].regs[0, 0] == constant
+        kernel = MegaKernel(program, _WideStub(), RegisterFile(),
+                            np.zeros(1, dtype=np.uint32))
+        assert kernel.run_workgroup(shape, 0)[0].regs[0, 0] == constant
         assert emitted_code(program) is emitted_code(
             _mov_const_program(constant))
         assert len(megakernel._code_cache) <= megakernel.CODE_CACHE_SIZE
@@ -817,9 +768,8 @@ def test_code_cache_under_racing_host_threads():
     def worker():
         for constant in constants:
             kernel = MegaKernel(_mov_const_program(constant), _WideStub(),
-                                RegisterFile())
-            kernel.bind(np.zeros(1, dtype=np.uint32))
-            got = int(kernel.run_workgroup(shape, 0, None)[0].regs[0, 0])
+                                RegisterFile(), np.zeros(1, dtype=np.uint32))
+            got = int(kernel.run_workgroup(shape, 0)[0].regs[0, 0])
             if got != constant:
                 wrong.append((constant, got))
 
@@ -859,9 +809,8 @@ def test_stuck_kernel_guard_trips_at_the_same_clause_mid_chain(
                 Tail.JUMP, constants=[1], target=0))
     assert megakernel.emitted_code(loop).chains[0][1] == 2
     monkeypatch.setattr(megakernel, "_MAX_STEPS", limit)
-    unit, raised = _unit_run("mega", loop, _WideStub())
+    stats, raised = _unit_run("mega", loop, _WideStub())
     assert isinstance(raised, GuestError) and "likely stuck" in str(raised)
-    stats = unit.stats
     assert stats.clauses_executed == sum(issued) == limit + 1
     assert stats.arith_instrs == 4 * (limit + 1)
     # the JUMP tail of every second clause issued was taken, the last too
@@ -1009,13 +958,13 @@ def schedule(monkeypatch):
     from repro.gpu import megakernel
 
     observed = _Schedule()
-    flush = megakernel.apply_clause_stats
+    count = megakernel.merge_clause_counts
 
-    def recording_flush(stats, clauses, counts, totals=None):
+    def recording_count(totals, counts):
         observed.flushed.append(dict(counts))
-        flush(stats, clauses, counts, totals)
+        count(totals, counts)
 
-    monkeypatch.setattr(megakernel, "apply_clause_stats", recording_flush)
+    monkeypatch.setattr(megakernel, "merge_clause_counts", recording_count)
     previous = sys.getprofile()
     sys.setprofile(observed.profile)
     yield observed
@@ -1146,16 +1095,16 @@ def _unit_outcome(engine, program, lanes, budget=None):
     and retired."""
     from repro.gpu.shadercore import ComputeUnit, WorkgroupShape
 
-    unit = ComputeUnit()
-    unit.prepare(64, instrument=True, engine=engine,
-                 watchdog_budget=budget)
+    unit = ComputeUnit(engine)
+    unit.prepare(64, instrument=True, watchdog_budget=budget)
+    shape = WorkgroupShape((lanes, 1, 1), (lanes, 1, 1))
     try:
         warps = unit.run_workgroup(
-            program, np.zeros(4, dtype=np.uint32), _WideStub(),
-            WorkgroupShape((lanes, 1, 1), (lanes, 1, 1)), 0)
+            program, np.zeros(4, dtype=np.uint32), _WideStub(), shape, 0)
     except Exception as exc:  # compared between the engines
-        return type(exc), str(exc), vars(unit.stats), None
-    return None, None, vars(unit.stats), [
+        return (type(exc), str(exc), vars(_job_stats(unit, program, shape)),
+                None)
+    return None, None, vars(_job_stats(unit, program, shape)), [
         (warp.regs[warp.live].tolist(), warp.temps[warp.live].tolist())
         for warp in warps]
 
@@ -1244,8 +1193,8 @@ def test_every_workgroup_starts_from_zeroed_rows():
         + [Instruction(Op.MOV, dst=row, srca=CONST_BASE) for row in stale],
         Tail.END, constants=[0xDEAD]))
     for engine in ("mega", "interpreter"):
-        unit = ComputeUnit()
-        unit.prepare(64, instrument=False, engine=engine)
+        unit = ComputeUnit(engine)
+        unit.prepare(64, instrument=False)
         shape = WorkgroupShape((24, 1, 1), (8, 1, 1))
         for group in range(3):
             warps = unit.run_workgroup(
@@ -1265,12 +1214,11 @@ def test_retired_warps_are_a_snapshot():
     from repro.gpu.shadercore import WorkgroupShape
 
     kernel = MegaKernel(_mov_const_program(9), _WideStub(),
-                        RegisterFile())
-    kernel.bind(np.zeros(1, dtype=np.uint32))
+                        RegisterFile(), np.zeros(1, dtype=np.uint32))
     shape = WorkgroupShape((16, 1, 1), (8, 1, 1))
-    first = kernel.run_workgroup(shape, 0, None)
+    first = kernel.run_workgroup(shape, 0)
     before = [warp.regs.copy() for warp in first]
-    second = kernel.run_workgroup(shape, 1, None)
+    second = kernel.run_workgroup(shape, 1)
     assert (second[0].regs[:, REG_GROUP_FLAT] == 1).all()
     for warp, regs in zip(first, before):
         np.testing.assert_array_equal(warp.regs, regs)

@@ -150,13 +150,12 @@ TRANSIENT = {
     "JobManager": {
         "mmu": _WIRING, "injector": _WIRING,
         "events": _OBSERVER, "tracer": _OBSERVER,
-        "instrument": _CONSTANT,
-        "engine": _CONSTANT, "watchdog_budget": _CONSTANT,
+        "instrument": _CONSTANT, "watchdog_budget": _CONSTANT,
         "_decode_cache": "keys are saved; rewarm_decode_cache re-decodes "
                          "them through TenantContext.read_va",
         "results": "host-side JobResult handles",
-        "unit": "the execution unit: local slab and kernel translations "
-                  "(the code mega emits sits in gpu.megakernel's "
+        "unit": "the execution unit: its engine, local slab and register "
+                  "file (the code mega emits sits in gpu.megakernel's "
                   "process-wide cache, keyed by program bytes: host "
                   "state, found warm or emitted again), " + _CACHE,
     },

@@ -16,7 +16,7 @@ from repro.gpu.isa import (
     Tail,
 )
 from repro.gpu.warp import WARP_WIDTH, ClauseInterpreter, QuadWarp
-from repro.instrument.stats import JobStats
+from repro.instrument.stats import JobStats, apply_clause_stats
 
 NOP = Instruction(Op.NOP)
 
@@ -35,16 +35,20 @@ class _FlatMemory:
 
 
 def _run(clauses, uniforms=(0,), setup=None, local_words=64, stats=None):
+    """Run one warp; its clause table is multiplied out into *stats*."""
     program = Program(clauses=clauses)
     program.validate()
     local = np.zeros(local_words, dtype=np.uint32)
     mem = _FlatMemory()
+    counts = None if stats is None else {}
     interp = ClauseInterpreter(program, np.array(uniforms, dtype=np.uint32),
-                               mem, local=local, stats=stats)
+                               mem, local=local, counts=counts)
     warp = QuadWarp()
     if setup:
         setup(warp, mem)
     status = interp.run_warp(warp)
+    if stats is not None:
+        apply_clause_stats(stats, program.clauses, counts)
     return warp, mem, local, status
 
 
