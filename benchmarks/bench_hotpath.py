@@ -10,7 +10,8 @@ trajectory to regress against:
   the seed's four ``load_u32`` calls, same machine, same run;
 - **kernels**: end-to-end sgemm / SobelFilter wall-clock with the fast
   path disabled (``GPUMMU.fast_path_enabled = False``, the scalar seed
-  path) and enabled, plus interpreter clauses/sec and loads/sec, and
+  path) and enabled, in alternating pairs (medians, and the spread of
+  the pairs' speedups), plus interpreter clauses/sec and loads/sec, and
   the quads the MMU served against those of neither hot shape (calls
   into its residual routine: none on sgemm, a gated count);
 - **mega**: end-to-end sgemm across the engine tiers — the scalar seed
@@ -27,13 +28,18 @@ trajectory to regress against:
   process-wide code cache (a second fresh platform must emit nothing);
 - **mega_batch**: what a lockstep batch of workgroups buys and what it
   promises — microseconds per workgroup of one converged sgemm trip with
-  1, 4 and 16 workgroups to the row, and the counts: wide-port calls of
-  one sgemm 128x64x128 job one group at a time and batched, batches
-  abandoned on sgemm (none), batches run and abandoned on bfs (every job
-  starts one: an abandon costs the rest of its own job only) and the
-  ``QuadWarp`` objects its fallback builds (none), ``BatchPort`` window
-  merges on the system benchmark's sgemm, bfs and SLAM ``fast3`` runs,
-  register files per compute unit (one);
+  1, 4, 16, ... workgroups to the row, up to ``BATCH_LANES``, and the
+  counts: wide-port calls of one sgemm 128x64x128 job one group at a
+  time and batched, batches abandoned on sgemm (none), batches run and
+  abandoned on bfs (every job starts one: an abandon costs the rest of
+  its own job only) and the ``QuadWarp`` objects its fallback builds
+  (none), copies of retired registers the Job Manager path takes
+  (none), ``BatchPort`` window merges on the system benchmark's sgemm,
+  bfs and SLAM ``fast3`` runs, register files per compute unit (one);
+- **capacity_batch**: a MatrixTranspose whose full-width batch needs
+  more window pages than the batch port has — batches run and abandoned,
+  why, and the groups that ran one at a time (none: a batch out of port
+  capacity runs again at half the width);
 - **local_batch**: Reduction at its default size on mega — lockstep
   batches run and abandoned, seconds per run, and the multi-group
   local-memory jobs that started one group at a time (none: each slot of
@@ -148,11 +154,15 @@ def micro_mmu_loads(quads=2000, repeats=5):
     }
 
 
-def kernel_end_to_end(workload, sizes, repeats=3):
-    """End-to-end wall-clock, fast path off vs on, plus throughput rates,
-    and per run the quads the MMU served (``quad_accesses``) and how
-    many went to its residual routine (``general_quads``: calls into
-    ``GPUMMU._quad_views``, the quads of neither hot shape)."""
+def kernel_end_to_end(workload, sizes, repeats=5):
+    """End-to-end wall-clock, fast path off vs on, in *repeats*
+    alternating pairs (one run of each, the order swapped every other
+    pair so that drift favours neither): the median of each, the median
+    of the pairs' speedups and their spread (the lowest and the highest
+    pair), plus throughput rates, and per run the quads the MMU served
+    (``quad_accesses``) and how many went to its residual routine
+    (``general_quads``: calls into ``GPUMMU._quad_views``, the quads of
+    neither hot shape)."""
     # a build is paid once per process: not by the first mode timed
     get_workload(workload, **sizes).prebuild()
     general = [0]
@@ -163,42 +173,45 @@ def kernel_end_to_end(workload, sizes, repeats=3):
         return views(self, *args)
 
     def timed(fast_path):
-        best = float("inf")
-        stats = None
-        for _ in range(repeats):
-            config = PlatformConfig(
-                gpu=GPUConfig(engine="interpreter", instrument=True)
-            )
-            context = Context(MobilePlatform(config))
-            context.platform.gpu.mmu.fast_path_enabled = fast_path
-            general[0] = 0
+        config = PlatformConfig(
+            gpu=GPUConfig(engine="interpreter", instrument=True)
+        )
+        context = Context(MobilePlatform(config))
+        mmu = context.platform.gpu.mmu
+        mmu.fast_path_enabled = fast_path
+        general[0] = 0
+        GPUMMU._quad_views = counting_views
+        try:
             start = time.perf_counter()
             result = get_workload(workload, **sizes).run(context=context,
                                                          verify=True)
             elapsed = time.perf_counter() - start
-            assert result.verified
-            best = min(best, elapsed)
-            stats = result.stats
-        return best, stats, context.platform.gpu.mmu.quad_accesses
+        finally:
+            GPUMMU._quad_views = views
+        assert result.verified
+        return elapsed, result.stats, mmu.quad_accesses, general[0]
 
-    scalar_seconds, scalar_stats, _ = timed(False)
-    GPUMMU._quad_views = counting_views
-    try:
-        fast_seconds, fast_stats, quads = timed(True)
-    finally:
-        GPUMMU._quad_views = views
+    pairs = []
+    for repeat in range(repeats):
+        order = (False, True) if repeat % 2 == 0 else (True, False)
+        pairs.append({fast: timed(fast) for fast in order})
+    scalar_stats, fast_stats = pairs[-1][False][1], pairs[-1][True][1]
     assert vars(scalar_stats) == vars(fast_stats), \
         "fast path diverged from scalar statistics"
+    scalar_seconds = float(np.median([pair[False][0] for pair in pairs]))
+    fast_seconds = float(np.median([pair[True][0] for pair in pairs]))
+    speedups = [pair[False][0] / pair[True][0] for pair in pairs]
     return {
         "sizes": sizes,
         "repeats": repeats,
         "scalar_seconds": scalar_seconds,
         "fast_seconds": fast_seconds,
-        "speedup": scalar_seconds / fast_seconds,
+        "speedup": float(np.median(speedups)),
+        "speedup_spread": [min(speedups), max(speedups)],
         "clauses_per_sec": fast_stats.clauses_executed / fast_seconds,
         "loads_per_sec": fast_stats.main_mem_accesses / fast_seconds,
-        "quad_accesses": quads,
-        "general_quads": general[0],
+        "quad_accesses": pairs[-1][True][2],
+        "general_quads": pairs[-1][True][3],
     }
 
 
@@ -408,9 +421,11 @@ def mega_batch(repeats=3):
     window = BatchPort._window
     init = QuadWarp.__init__
     kernel_init = megakernel.MegaKernel.__init__
+    snapshot = megakernel.RetiredWarps.snapshot
     kernels = []  # every job's MegaKernel
     spent = [0.0]
     counted = {"merges": 0, "quadwarps": 0}
+    snapshots = [0]  # copies of retired registers, Job Manager path
 
     def timed_uniform(self, *args):
         start = time.perf_counter()
@@ -432,6 +447,10 @@ def mega_batch(repeats=3):
     def recording_kernel(self, program, mem, *args, **kwargs):
         kernel_init(self, program, mem, *args, **kwargs)
         kernels.append(self)
+
+    def counting_snapshot(self):
+        snapshots[0] += 1
+        return snapshot(self)
 
     def counting(run, *args, **kwargs):
         """``(what run returns, window merges, QuadWarps built)``."""
@@ -459,7 +478,7 @@ def mega_batch(repeats=3):
     megakernel.MegaKernel._run_uniform = timed_uniform
     try:
         us_per_workgroup_trip = {}
-        for groups in (1, 4, 16):
+        for groups in _row_groups():
             seconds = [min(sgemm(64 * groups, m=64, k=k, n=64)[0]
                            for _ in range(repeats))
                        for k in (short, long_)]
@@ -469,6 +488,7 @@ def mega_batch(repeats=3):
         BatchPort._window = counting_window
         QuadWarp.__init__ = counting_init
         megakernel.MegaKernel.__init__ = recording_kernel
+        megakernel.RetiredWarps.snapshot = counting_snapshot
         (_, batched), sgemm_merges, _ = counting(sgemm, batch_lanes, **job)
         unit = batched.gpu.job_manager.unit
         port_calls = batched.gpu.mmu.wide_accesses
@@ -491,6 +511,7 @@ def mega_batch(repeats=3):
         megakernel.BATCH_LANES = batch_lanes
         megakernel.MegaKernel._run_uniform = run_uniform
         megakernel.MegaKernel.__init__ = kernel_init
+        megakernel.RetiredWarps.snapshot = snapshot
         BatchPort._window = window
         QuadWarp.__init__ = init
     # the kernels of the jobs of the one unit the last three ran on
@@ -507,11 +528,75 @@ def mega_batch(repeats=3):
         "bfs_batches": bfs[1],
         "bfs_batches_abandoned": bfs[2],
         "bfs_quadwarps_built": bfs_quadwarps,
+        "snapshots": snapshots[0],
         "window_merges": {"sgemm": sgemm_merges, "bfs": bfs_merges,
                           "slam_fast3": slam_merges},
         "kernels_on_the_unit": len({id(kernel.program)
                                     for kernel in kernels}),
         "register_files_per_unit": len({id(mega.file) for mega in kernels}),
+    }
+
+
+def _row_groups():
+    """Workgroups of 64 lanes to the row the ``us_per_workgroup_trip``
+    rows price: 1, 4, 16, ... up to the batch width."""
+    groups = [1]
+    while groups[-1] * 4 < megakernel.BATCH_LANES // 64:
+        groups.append(groups[-1] * 4)
+    return groups + [megakernel.BATCH_LANES // 64]
+
+
+#: a MatrixTranspose whose full-width batch needs more window pages than
+#: the batch port has: each 64-lane group writes 8 output rows of 4 KiB
+#: (1024 floats), so the 64 groups of a 4096-lane batch ask for 512
+#: pages, and 32 groups for 256 plus the input's
+CAPACITY_TRANSPOSE = {"width": 512, "height": 1024}
+
+
+def capacity_batch():
+    """MatrixTranspose at :data:`CAPACITY_TRANSPOSE` on mega, warm: the
+    batches it runs and abandons, why, the groups that ran one at a time
+    (none: a batch out of window space runs again at half the width),
+    and its seconds."""
+    from repro.instrument import EventTracer
+
+    run_workgroup = megakernel.MegaKernel.run_workgroup
+    alone = [0]
+
+    def recording(self, shape, flat_group, budget=None, count=1, **job):
+        alone[0] += count == 1
+        return run_workgroup(self, shape, flat_group, budget, count, **job)
+
+    def transpose(events=None):
+        context = _mega_context()
+        if events is not None:
+            context.platform.attach_events(events)
+        start = time.perf_counter()
+        get_workload("MatrixTranspose", **CAPACITY_TRANSPOSE).run(
+            context=context, verify=False)
+        return time.perf_counter() - start, \
+            context.platform.gpu.job_manager.unit
+
+    transpose()  # build and translate
+    events = EventTracer()
+    megakernel.MegaKernel.run_workgroup = recording
+    try:
+        seconds, unit = transpose(events)
+    finally:
+        megakernel.MegaKernel.run_workgroup = run_workgroup
+    reasons = {}
+    for event in events.events():
+        if event["name"] == "batch_abandoned":
+            reason = event["args"]["reason"]
+            reasons[reason] = reasons.get(reason, 0) + 1
+    return {
+        "sizes": CAPACITY_TRANSPOSE,
+        "batch_lanes": megakernel.BATCH_LANES,
+        "seconds": seconds,
+        "batches_run": unit.batches_run,
+        "batches_abandoned": unit.batches_abandoned,
+        "abandon_reasons": reasons,
+        "groups_run_alone": alone[0],
     }
 
 
@@ -778,6 +863,7 @@ def host_metadata():
 def run(quick=False):
     micro_repeats = 3 if quick else 7
     kernel_repeats = 1 if quick else 3
+    pairs = 3 if quick else 5
     # explicit dims (not {}) so the report records what actually ran;
     # the non-quick sgemm sizes are the workload's defaults
     sgemm_sizes = {"m": 16, "k": 8, "n": 24} if quick else \
@@ -791,9 +877,9 @@ def run(quick=False):
         "micro": micro_mmu_loads(repeats=micro_repeats),
         "kernels": {
             "sgemm": kernel_end_to_end("sgemm", sgemm_sizes,
-                                       repeats=kernel_repeats),
+                                       repeats=pairs),
             "SobelFilter": kernel_end_to_end("SobelFilter", sobel_sizes,
-                                             repeats=kernel_repeats),
+                                             repeats=pairs),
         },
         "mega": {
             "sgemm": engine_end_to_end("sgemm", sgemm_sizes,
@@ -804,6 +890,7 @@ def run(quick=False):
         "mega_clause": clause,
         "mega_batch": mega_batch(repeats=micro_repeats),
         "local_batch": local_batch(repeats=micro_repeats),
+        "capacity_batch": capacity_batch(),
         "mega_masked": mega_masked(workgroups=50 if quick else 200,
                                    repeats=micro_repeats),
         "build": build(),
@@ -824,9 +911,11 @@ def main(argv=None):
           f"us/quad, fast {micro['fast_us_per_quad']:.2f} us/quad, "
           f"speedup {micro['speedup']:.2f}x")
     for name, row in report["kernels"].items():
+        low, high = row["speedup_spread"]
         print(f"{name}: scalar {row['scalar_seconds'] * 1000:.1f} ms, "
-              f"fast {row['fast_seconds'] * 1000:.1f} ms, "
-              f"speedup {row['speedup']:.2f}x, "
+              f"fast {row['fast_seconds'] * 1000:.1f} ms (medians of "
+              f"{row['repeats']} pairs), speedup {row['speedup']:.2f}x "
+              f"({low:.2f}-{high:.2f}x), "
               f"{row['clauses_per_sec']:,.0f} clauses/s, "
               f"{row['loads_per_sec']:,.0f} loads/s, "
               f"{row['general_quads']} of {row['quad_accesses']} quads "
@@ -851,20 +940,30 @@ def main(argv=None):
     batch = report["mega_batch"]
     per_trip = batch["us_per_workgroup_trip"]
     merges = batch["window_merges"]
-    print(f"mega batch: {per_trip[1]:.2f} / {per_trip[4]:.2f} / "
-          f"{per_trip[16]:.2f} us per workgroup of a converged sgemm trip "
-          f"at 1 / 4 / 16 workgroups to the row; "
+    print(f"mega batch: "
+          f"{' / '.join(format(us, '.2f') for us in per_trip.values())} "
+          f"us per workgroup of a converged sgemm trip at "
+          f"{' / '.join(map(str, per_trip))} workgroups to the row; "
           f"{batch['wide_port_calls_one_group_at_a_time']} -> "
           f"{batch['wide_port_calls_batched']} wide-port calls per sgemm "
           f"128x64x128 job; {batch['sgemm_batches_abandoned']} of "
           f"{batch['sgemm_batches']} sgemm batches abandoned; bfs "
           f"{batch['bfs_batches']} batches over {batch['bfs_jobs']} jobs, "
           f"{batch['bfs_batches_abandoned']} abandoned, "
-          f"{batch['bfs_quadwarps_built']} QuadWarps; window merges "
+          f"{batch['bfs_quadwarps_built']} QuadWarps; "
+          f"{batch['snapshots']} register snapshots; window merges "
           f"{merges['sgemm']} / {merges['bfs']} / {merges['slam_fast3']} "
           f"(sgemm / bfs / SLAM fast3); "
           f"{batch['register_files_per_unit']} register file(s) for "
           f"{batch['kernels_on_the_unit']} kernels")
+    capacity = report["capacity_batch"]
+    print(f"capacity batch: MatrixTranspose "
+          f"{capacity['sizes']['width']}x{capacity['sizes']['height']} "
+          f"{capacity['seconds'] * 1000:.0f} ms, "
+          f"{capacity['batches_run']} batches "
+          f"({capacity['batches_abandoned']} abandoned: "
+          f"{capacity['abandon_reasons']}), "
+          f"{capacity['groups_run_alone']} groups run one at a time")
     local = report["local_batch"]
     print(f"local batch: Reduction {local['seconds'] * 1000:.1f} ms, "
           f"{local['batches_run']} batches ({local['batches_abandoned']} "
@@ -903,13 +1002,27 @@ def main(argv=None):
               "shapes load_quad_u32 / store_quad_u32 serve inline",
               file=sys.stderr)
         failed = True
+    # sgemm 128x64x128: 256 groups of 64 lanes, 130 wide-port calls each
+    width = megakernel.BATCH_LANES // 64
     if (batch["wide_port_calls_one_group_at_a_time"],
-            batch["wide_port_calls_batched"]) != (33280, 2080):
-        print("FAIL: a sgemm 128x64x128 job makes 33280 wide-port calls one "
-              "group at a time and 2080 in batches of 16", file=sys.stderr)
+            batch["wide_port_calls_batched"]) != (33280, 33280 // width):
+        print(f"FAIL: a sgemm 128x64x128 job makes 33280 wide-port calls "
+              f"one group at a time and {33280 // width} in batches of "
+              f"{width}", file=sys.stderr)
         failed = True
-    if batch["sgemm_batches_abandoned"] or batch["sgemm_batches"] != 16:
-        print("FAIL: sgemm 128x64x128 is 16 batches, none abandoned",
+    if batch["sgemm_batches_abandoned"] \
+            or batch["sgemm_batches"] != 256 // width:
+        print(f"FAIL: sgemm 128x64x128 is {256 // width} batches, none "
+              "abandoned", file=sys.stderr)
+        failed = True
+    if batch["snapshots"] != 0:
+        print("FAIL: the Job Manager path copied retired registers "
+              "nobody reads", file=sys.stderr)
+        failed = True
+    if not capacity["batches_abandoned"] or capacity["groups_run_alone"]:
+        print("FAIL: the capacity MatrixTranspose must overflow the batch "
+              "port at full width and run no group alone: a batch out of "
+              "window space runs again at half the width",
               file=sys.stderr)
         failed = True
     if batch["bfs_batches"] != batch["bfs_jobs"]:
@@ -918,8 +1031,8 @@ def main(argv=None):
         failed = True
     if batch["bfs_quadwarps_built"] != 0:
         print("FAIL: bfs built QuadWarps nobody read (the groups of an "
-              "abandoned batch retire as a committed batch does)",
-              file=sys.stderr)
+              "abandoned batch retire from the register file, as a "
+              "committed batch does)", file=sys.stderr)
         failed = True
     if local["local_jobs_unbatched"] or not local["batches_run"]:
         print("FAIL: a multi-group Reduction job with a __local slab ran "

@@ -133,7 +133,7 @@ class JobManager(Stateful):
         self._decode_cache = {}
         self.decode_count = 0
         self.results = []
-        # persists across jobs: its local slab and register file
+        # persists across jobs, and with it its local slab
         self.unit = ComputeUnit(engine)
         # running totals across retired jobs, observed by the StatsRegistry
         self.jobs_retired = 0
@@ -336,9 +336,10 @@ class JobManager(Stateful):
                   and 0 < workgroup_budget < total_groups)
         limit = workgroup_budget if sliced else total_groups
         try:
-            # lockstep batches where the unit's engine runs them
+            # lockstep batches where the unit's engine runs them; the
+            # retired warps are nobody's to read: no snapshot of them
             for _ in unit.run_groups(program, uniforms, self.mmu, shape,
-                                     limit):
+                                     limit, snapshot=False):
                 pass
         except MMUFault as exc:
             self.mmu.latch_fault(exc)

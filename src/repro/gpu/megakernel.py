@@ -39,7 +39,7 @@ None of this depends on the row being one workgroup: the same argument,
 restricted to the lanes of one *slot*, makes a row of several workgroups
 side by side schedule and account each of them as it would alone. A
 *lockstep batch* is that row — ``BATCH_LANES`` lanes of consecutive flat
-groups in the compute unit's one register file — and what it cannot know
+groups in the process's one register file — and what it cannot know
 beforehand, whether the groups are independent through memory, is decided
 while it runs by the MMU's batch port (``state.mem`` of a batch; see
 :class:`~repro.gpu.mmu.BatchPort`): stores are buffered, every word
@@ -47,7 +47,9 @@ remembers the highest slot that loaded and that stored it, and the first
 access that running the groups one after another would have answered
 differently abandons the batch — nothing has reached memory, and the
 caller runs the same groups one at a time for the rest of that job (what
-conflicted is the job's data: the next job starts batched again).
+conflicted is the job's data: the next job starts batched again). A
+batch that ran out of port capacity (window pages or store buffer) is
+retried at half the width instead, which the rest of its job keeps.
 ``__local`` memory is private to a group, so the port never sees it: each
 slot of a batch has its own zeroed slab, and a local access indexes the
 slab of its lane's slot, bounds-checked per slot (an access past the
@@ -108,8 +110,10 @@ _WAIT = 1 << 29
 #: before it is declared stuck
 _MAX_STEPS = 1_000_000
 #: lanes of one lockstep batch: consecutive workgroups that fill them run
-#: side by side in one register file
-BATCH_LANES = 1024
+#: side by side in one register file. The widest of 1024 / 2048 / 4096 /
+#: 8192 that keeps every system-benchmark workload's peak RSS within 2%
+#: of 1024's (docs/internals.md §9)
+BATCH_LANES = 4096
 
 #: register rows of the SoA register file: operand number == row, for GRF
 #: registers and (from TEMP_BASE) clause temporaries alike. The program's
@@ -413,36 +417,44 @@ class MegaState:
         self.I = list(regs.view(np.int32)) if typed[1] else None
 
 
+#: layouts a register file keeps (each a ``MegaState``: row views and
+#: the lanes' slot indices) before it drops the oldest
+LAYOUTS = 32
+
+
 class RegisterFile:
-    """The one SoA register file of a compute unit: every program, launch
-    shape and batch width runs in (a reshaped prefix of) the same words,
-    one workgroup or batch at a time. What is kept beside the words is
-    small: per layout the row views of a ``(rows, width)`` prefix (no
-    lanes of their own), per launch shape what the architectural rows of
-    one workgroup start from."""
+    """An SoA register file: every program, launch shape and batch width
+    runs in (a reshaped prefix of) the same words, one workgroup or
+    batch at a time. What is kept beside the words is small: per layout
+    the row views of a ``(rows, width)`` prefix (no lanes of their own),
+    per launch shape what the architectural rows of one workgroup start
+    from. The compute units of a process all run in one,
+    :data:`REGISTER_FILE`."""
 
     def __init__(self):
         self._words = np.empty(0, dtype=np.uint32)
-        self._layouts = {}    # (local size, rows, count, typed) -> layout
+        # (local size, rows, count, typed) -> layout
+        self._layouts = BoundedTable(LAYOUTS)
         self._templates = {}  # local size -> (_ROWS, lanes) start rows
 
     def layout(self, shape, rows, count, typed):
         """``(state, template)`` for *count* workgroups of *shape* side
         by side in *rows* rows: the state they run in, and the
         architectural rows each of them starts from."""
-        key = (shape.local_size, rows, count, typed)
-        layout = self._layouts.get(key)
-        if layout is None:
+
+        def build():
             lanes = shape.warps_per_group * QUAD_WIDTH
             words = rows * count * lanes
             if words > len(self._words):
                 self._layouts.clear()  # views of the words replaced here
                 self._words = np.empty(words, dtype=np.uint32)
-            layout = self._layouts[key] = (
-                MegaState(self._words[:words].reshape(rows, count * lanes),
-                          typed, np.repeat(np.arange(count), lanes)),
-                self._template(shape, lanes))
-        return layout
+            return (MegaState(self._words[:words].reshape(rows,
+                                                          count * lanes),
+                              typed, np.repeat(np.arange(count), lanes)),
+                    self._template(shape, lanes))
+
+        return self._layouts.lookup((shape.local_size, rows, count, typed),
+                                    build)
 
     def _template(self, shape, lanes):
         """Group (0, 0, 0): dispatcher-preloaded lane and local ids,
@@ -464,22 +476,28 @@ class RegisterFile:
         return template
 
 
+#: The register file of every compute unit of the process. A run starts
+#: over and runs to completion before the next one, wherever it comes
+#: from, so units need no words of their own — and a platform that is
+#: dropped leaves none behind until the cycle collector finds it.
+REGISTER_FILE = RegisterFile()
+
+
 class RetiredWarps(Sequence):
     """The retired warps of one workgroup — of a batch, its groups' in
-    order — each transposed out of a snapshot of the architectural rows
-    only when read: the Job Manager never looks, the conformance harness
+    order — each transposed out of the architectural rows only when
+    read. The rows are the register file's own until :meth:`snapshot`
+    copies them: the Job Manager never looks, the conformance harness
     inspects every lane."""
 
     def __init__(self, rows, shape):
         self._rows = rows
         self._shape = shape
 
-    @classmethod
-    def joined(cls, parts):
-        """The retired warps of consecutive workgroups of one shape, each
-        of *parts* a workgroup's, as one sequence in order."""
-        return cls(np.concatenate([part._rows for part in parts], axis=1),
-                   parts[0]._shape)
+    def snapshot(self):
+        """These warps on a copy of their rows, which the register file's
+        next run leaves as they are."""
+        return RetiredWarps(self._rows.copy(), self._shape)
 
     def __len__(self):
         return self._rows.shape[1] // QUAD_WIDTH
@@ -508,7 +526,7 @@ class MegaKernel:
     """One job's program on the workgroup-wide engine: the code comes
     from the process-wide cache, the job brings its uniform table
     (*uniforms*) and memory port (*mem*), and every workgroup or batch
-    starts over in the compute unit's register file (*file*). With a
+    starts over in the register file *file*. With a
     *tracer* the job runs the traced code, which records every result in
     it."""
 
@@ -540,9 +558,11 @@ class MegaKernel:
     # -- workgroup scheduling ----------------------------------------------------
 
     def run_workgroup(self, shape, flat_group, watchdog_budget=None,
-                      count=1, counts=None, stalled=0, local=None):
+                      count=1, counts=None, stalled=0, local=None,
+                      snapshot=True):
         """Execute *count* whole thread-groups from *flat_group* on;
-        returns their retired warps.
+        returns their retired warps — without *snapshot*, over the rows
+        of the register file, which the next run overwrites.
 
         Faults raised by the scalar replay propagate exactly as from the
         quad tiers. The clauses the groups issued are added to the job's
@@ -612,16 +632,19 @@ class MegaKernel:
                 raise
             raise BatchAbandoned("exception") from exc
         finally:
+            # the register file outlives the job: it keeps no port of it
+            state.uniforms = state.mem = state.local = state.trace = None
             if port is not None:
                 port.close()
             elif counts is not None:
                 _count(counts, hits, splits, pending, width)
         if port is not None and counts is not None:  # a committed batch
             _count(counts, hits, splits, pending, width)
-        return RetiredWarps(state.arch.copy(), shape)
+        retired = RetiredWarps(state.arch, shape)
+        return retired.snapshot() if snapshot else retired
 
     def _init_state(self, shape, flat_group, count=1):
-        """The unit's register file laid out for *count* workgroups of
+        """The kernel's register file laid out for *count* workgroups of
         *shape* and started over: nothing survives from the run before.
         Slot ``s`` (lanes ``s * lanes`` on) is flat group
         ``flat_group + s``."""

@@ -579,17 +579,25 @@ _ABSENT = 0xFFFF
 _READ_WRITE = PTE_READ | PTE_WRITE
 
 
+#: reasons a batch of fewer groups may not meet: the port ran out of
+#: window pages or of store buffer
+_CAPACITY = frozenset({"port-full", "store-bound"})
+
+
 class BatchAbandoned(Exception):
     """A lockstep batch cannot promise the result of running its groups
     one after another. Nothing it did has left the port: the same groups
-    run one at a time instead. ``reason``: ``load-after-store``,
-    ``store-after-load``, ``store-order`` (the conflict rules), ``port``
-    (an access the wide tier would not serve whole, or no window space),
-    ``store-bound``, ``exception``."""
+    run again, in narrower batches or one at a time. ``reason``:
+    ``load-after-store``, ``store-after-load``, ``store-order`` (the
+    conflict rules), ``port`` (an access the wide tier would not serve
+    whole), ``port-full`` (no window space left), ``store-bound``,
+    ``exception``. :attr:`capacity` tells the two a narrower batch may
+    avoid (``port-full``, ``store-bound``) from the rest."""
 
     def __init__(self, reason):
         super().__init__(reason)
         self.reason = reason
+        self.capacity = reason in _CAPACITY
 
 
 class _Window:
@@ -738,7 +746,7 @@ class BatchPort:
         while True:
             pages = 1 << (last - first).bit_length()
             if pages > _PORT_PAGES - self._used:
-                raise BatchAbandoned("port")
+                raise BatchAbandoned("port-full")
             overlapped = [old for old in self._live if old not in merged
                           and old.first < first + pages
                           and first < old.first + old.pages]

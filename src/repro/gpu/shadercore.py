@@ -12,11 +12,13 @@ tier runs every program, atomics and traced jobs included
 
 On the mega tier a unit may take several consecutive thread-groups in
 one call (:meth:`ComputeUnit.run_groups` walks a job that way): they run in
-lockstep, side by side in the unit's one register file, and commit only
+lockstep, side by side in the register file, and commit only
 if that cannot be told from running them one after another — otherwise
 the batch is abandoned, having changed nothing, and the unit runs the
 same groups, and the rest of that job, one at a time; the next job starts
-batched again. A group's ``__local`` bytes are its own, so they batch as
+batched again. A batch that only ran out of port capacity is retried at
+half the width, the rest of its job's batches no wider. A group's
+``__local`` bytes are its own, so they batch as
 registers do; only programs with an ``ATOM`` and groups with a partial
 last quad run one at a time. The independence of thread-groups that the
 paper maps onto host threads (Fig. 10) is spent here on vector width
@@ -80,8 +82,10 @@ class ComputeUnit:
     table, and :attr:`groups_started`; the job's
     :class:`~repro.instrument.stats.JobStats` and divergence CFG are
     computed from the two when it retires (Section IV-A). A unit
-    outlives jobs and keeps its local slab and register file; everything
-    a job can observe is reset by :meth:`prepare`. A job sees exactly
+    outlives jobs and keeps its local slab; on the mega tier it runs in
+    the process's one register file
+    (:data:`~repro.gpu.megakernel.REGISTER_FILE`). Everything a job can
+    observe is reset by :meth:`prepare`. A job sees exactly
     the local bytes it declares: an access past them is a
     :class:`~repro.errors.GuestError` however large the slab has grown.
     """
@@ -99,8 +103,8 @@ class ComputeUnit:
         self._slab = np.zeros(0, dtype=np.uint32)
         self._words = 0
         self._job = self._mega = self._quad = None
-        self._abandoned = False  # this job has abandoned a batch
-        self._register_file = None  # the mega tier's, made with its first kernel
+        self._cap = None  # most groups this job's calls take, if capped
+        self._register_file = None  # the mega tier's: the process's one
         #: lockstep batches this unit started / abandoned (never reset)
         self.batches_run = 0
         self.batches_abandoned = 0
@@ -134,12 +138,11 @@ class ComputeUnit:
         if job is None or job[0] is not program or job[1] is not uniforms:
             self._job = (program, uniforms)
             self._mega = self._quad = None
-            self._abandoned = False
+            self._cap = None
             if self.engine == "mega":
-                from repro.gpu.megakernel import MegaKernel, RegisterFile
+                from repro.gpu.megakernel import REGISTER_FILE, MegaKernel
 
-                if self._register_file is None:
-                    self._register_file = RegisterFile()
+                self._register_file = REGISTER_FILE
                 self._mega = MegaKernel(program, mem, self._register_file,
                                         uniforms, self.tracer)
         return self._mega
@@ -148,53 +151,57 @@ class ComputeUnit:
                      left):
         """How many of the *left* consecutive workgroups from
         *flat_group* on the next :meth:`run_workgroup` call should take:
-        the mega tier's lockstep batch where it can run one, else 1 — and
-        1 for the rest of a job that abandoned a batch: what conflicted is
-        its data. A batch ends before a group with an armed ``core.hang``
-        key (an armed page abandons the batch it lands in)."""
+        the mega tier's lockstep batch where it can run one, else 1 — no
+        more than the job's cap (see :meth:`_run_batch`). A batch ends
+        before a group with an armed ``core.hang`` key (an armed page
+        abandons the batch it lands in)."""
         mega = self._bound(program, uniforms, mem)
-        if mega is None or not mega.batching or self._abandoned:
+        if mega is None or not mega.batching:
             return 1
         count = min(mega.batch_groups(shape), left)
+        if self._cap is not None:
+            count = min(count, self._cap)
         if self.injector is not None:
             for group in range(flat_group, flat_group + count):
                 if self.injector.armed("core.hang", group):
                     return max(1, group - flat_group)
         return count
 
-    def run_groups(self, program, uniforms, mem, shape, limit):
+    def run_groups(self, program, uniforms, mem, shape, limit,
+                   snapshot=True):
         """Run flat groups ``[0, limit)`` in order, in as few
-        :meth:`run_workgroup` calls as :meth:`batch_groups` allows;
-        yields each call's retired warps. The Job Manager's group loop
-        and the conformance harness's are this one."""
+        :meth:`run_workgroup` calls as :meth:`batch_groups` allows
+        (the groups of an abandoned batch run again, narrower); yields
+        each call's retired warps, with or without *snapshot*. The Job
+        Manager's group loop, which reads none, and the conformance
+        harness's are this one."""
         job = (program, uniforms, mem, shape)
         flat_group = 0
         while flat_group < limit:
             count = self.batch_groups(*job, flat_group, limit - flat_group)
-            yield self.run_workgroup(*job, flat_group, count)
-            flat_group += count
+            warps = self.run_workgroup(*job, flat_group, count, snapshot)
+            if len(warps):  # an abandoned batch retired none
+                yield warps
+                flat_group += count
 
     def run_workgroup(self, program, uniforms, mem, shape, flat_group,
-                      count=1):
+                      count=1, snapshot=True):
         """Execute one thread-group to completion (including barriers) —
         or, on the mega tier, *count* consecutive ones from *flat_group*
         on as one lockstep batch (at most :meth:`batch_groups`).
 
         Returns the groups' warps so callers (the conformance harness)
-        can inspect the retired architectural state.
+        can inspect the retired architectural state; on the mega tier
+        without *snapshot* they are read from the register file, valid
+        until the unit runs again. An abandoned batch ran no group and
+        returns no warps.
         """
         if count > 1:
             warps = self._run_batch(program, uniforms, mem, shape,
                                     flat_group, count)
-            if warps is not None:
-                return warps
-            from repro.gpu.megakernel import RetiredWarps
-
-            # abandoned, nothing changed: the reference order instead,
-            # retired as a committed batch is (nothing transposed unread)
-            return RetiredWarps.joined([
-                self.run_workgroup(program, uniforms, mem, shape, group)
-                for group in range(flat_group, flat_group + count)])
+            if warps is None:
+                return ()
+            return warps.snapshot() if snapshot else warps
         local = self._slabs(1)
         # progress-budget watchdog: each scheduler round is one progress
         # unit; a workgroup that burns its budget without finishing is a
@@ -229,7 +236,7 @@ class ComputeUnit:
                 # with the same round accounting as the loop below
                 return mega.run_workgroup(
                     shape, flat_group, budget, counts=self.clause_counts,
-                    stalled=rounds, local=local)
+                    stalled=rounds, local=local, snapshot=snapshot)
             while True:
                 rounds += 1
                 if budget is not None and rounds > budget:
@@ -255,9 +262,12 @@ class ComputeUnit:
     def _run_batch(self, program, uniforms, mem, shape, flat_group, count):
         """One lockstep batch on the mega tier (*count* is what
         :meth:`batch_groups` answered for this job): the retired warps of
-        its groups, or None if it was abandoned — memory, the MMU's
-        counters, this job's records and its trace then are as if it had
-        never started."""
+        its groups, over the register file's rows, or None if it was
+        abandoned — memory, the MMU's counters, this job's records and
+        its trace then are as if it had never started, and the job's cap
+        is lowered: to half of *count* if the port only ran out of
+        capacity, which fewer groups may not, else to one group for the
+        rest of the job (what conflicted is its data)."""
         mega = self._bound(program, uniforms, mem)
         self.batches_run += 1
         tracer = self.tracer
@@ -271,10 +281,11 @@ class ComputeUnit:
         try:
             warps = mega.run_workgroup(
                 shape, flat_group, self.watchdog_budget, count,
-                counts=self.clause_counts, local=self._slabs(count))
+                counts=self.clause_counts, local=self._slabs(count),
+                snapshot=False)
         except BatchAbandoned as abandoned:
             self.batches_abandoned += 1
-            self._abandoned = True
+            self._cap = count // 2 if abandoned.capacity else 1
             if tracer is not None:
                 tracer.rollback(recorded)
             if events is not None:

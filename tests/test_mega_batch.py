@@ -374,12 +374,14 @@ def test_retired_warps_of_a_batch_span_its_groups_in_order(batches):
     assert flats == [[group for group in range(12) for _ in range(2)]]
 
 
-def test_a_job_slice_limit_cuts_a_batch(batches):
+def test_a_job_slice_limit_cuts_a_batch(monkeypatch, batches):
     """JOB_SLICE parks a job after a number of workgroups that is no
     multiple of the batch width: the last batch is cut to the groups
     left, and exactly the reference's groups have run."""
     from repro.driver.kbase import PREEMPTED
     from repro.gpu import regs
+
+    monkeypatch.setattr(megakernel, "BATCH_LANES", 1024)  # 16 groups
 
     def sliced(mode, n=64 * 40, budget=21):
         platform = MobilePlatform.for_mode(mode).initialize()
@@ -501,6 +503,7 @@ def test_a_grow_on_fault_page_inside_a_batch_grows_on_the_reference_path(
     """A heap region grows page by page under the GPU's stores: the
     batch meets an unmapped page and abandons, the same groups then
     fault, grow and resume exactly as on the interpreter."""
+    monkeypatch.setattr(megakernel, "BATCH_LANES", 1024)  # 16 groups
     grown = []
 
     def run(platform):
@@ -512,6 +515,105 @@ def test_a_grow_on_fault_page_inside_a_batch_grows_on_the_reference_path(
     assert _assert_grouping_invisible(monkeypatch, run) == (2, 1)
     assert batches == [(0, 16, None), (16, 16, "port")]
     assert grown[0] and grown == [grown[0]] * 3
+
+
+# -- a batch the port has no room for -------------------------------------------------------
+
+# group g writes its eight words on page g * stride of `out`, after
+# `rounds` stores to its own words of `scratch`
+_SPREAD = """
+__kernel void k(__global int* out, __global int* scratch, int stride,
+                int rounds) {
+    int i = get_global_id(0);
+    for (int r = 0; r < rounds; r++) {
+        scratch[i] = i * r;
+    }
+    out[get_group_id(0) * stride * 1024 + get_local_id(0)] = i + 1;
+}
+"""
+
+
+def _spread(platform, groups=16, stride=40, rounds=1, jobs=2):
+    """*jobs* launches of :data:`_SPREAD` over *groups* groups of eight
+    lanes; returns the words the groups wrote."""
+    context = Context(platform)
+    queue = CommandQueue(context)
+    kernel = context.build_program(_SPREAD).kernel("k")
+    out = context.alloc_buffer(groups * stride * PAGE_SIZE)
+    scratch = context.alloc_buffer(4 * 8 * groups)
+    for _ in range(jobs):
+        kernel.set_args(out, scratch, stride, rounds)
+        queue.enqueue_nd_range(kernel, (8 * groups,), (8,))
+    words = queue.enqueue_read_buffer(out, np.int32)
+    return words.reshape(groups, -1)[:, :8].tolist()
+
+
+@pytest.mark.parametrize("limit, spread, reason", [
+    # eight groups 40 pages apart need a 512-page window, four 128
+    ("_PORT_PAGES", {"stride": 40}, "port-full"),
+    # eight groups of eight lanes buffer 8 x 768 bytes of stores
+    ("_STORE_BUFFER_BYTES", {"stride": 1, "rounds": 7}, "store-bound"),
+])
+def test_a_capacity_abandon_retries_at_half_width(monkeypatch, batches,
+                                                  limit, spread, reason):
+    """A batch that only ran out of port capacity runs again at half the
+    width, and the rest of its job no wider; the next job starts at
+    full width again. Whatever the grouping, the memory image, golden
+    statistics and pages are the reference order's."""
+    from repro.gpu import mmu as mmu_module
+
+    assert mmu_module._PORT_PAGES == 256
+    monkeypatch.setattr(megakernel, "BATCH_LANES", 64)  # eight groups
+    if limit == "_STORE_BUFFER_BYTES":
+        monkeypatch.setattr(mmu_module, limit, 4096)
+    written = []
+
+    def run(platform):
+        written.append(_spread(platform, **spread))
+
+    assert _assert_grouping_invisible(monkeypatch, run) == (10, 2)
+    job = [(0, 8, reason), (0, 4, None), (4, 4, None), (8, 4, None),
+           (12, 4, None)]
+    assert batches == job + job
+    assert written[0] == [[8 * g + lane + 1 for lane in range(8)]
+                          for g in range(16)]
+    assert written == [written[0]] * 3
+
+
+def test_a_port_that_stays_full_runs_its_groups_alone(monkeypatch,
+                                                      batches):
+    """Two groups 256 pages apart fit no window: the width halves down
+    to one group at a time."""
+    monkeypatch.setattr(megakernel, "BATCH_LANES", 32)  # four groups
+
+    def run(platform):
+        _spread(platform, groups=4, stride=256, jobs=1)
+
+    assert _assert_grouping_invisible(monkeypatch, run) == (2, 2)
+    assert batches == [(0, 4, "port-full"), (0, 2, "port-full")]
+
+
+def test_the_job_manager_path_takes_no_snapshot(monkeypatch):
+    """Nobody reads the warps a job retires through a Context: a batched
+    sgemm and bfs (whose abandoned batches run again one group at a
+    time) read them off the register file's own rows, never a copy."""
+    owned = []
+    init = megakernel.RetiredWarps.__init__
+
+    def recording(self, rows, shape):
+        owned.append(rows.flags.owndata)
+        init(self, rows, shape)
+
+    monkeypatch.setattr(megakernel.RetiredWarps, "__init__", recording)
+    platform = MobilePlatform.for_mode("mega")
+    context = Context(platform)
+    assert get_workload("sgemm", m=128, k=64, n=128).run(
+        context=context).verified
+    assert get_workload("bfs", n=1024, chord_every=64).run(
+        context=context).verified
+    unit = platform.gpu.job_manager.unit
+    assert unit.batches_run > unit.batches_abandoned > 0
+    assert owned and not any(owned)
 
 
 # -- random cross-group traffic ------------------------------------------------------------
