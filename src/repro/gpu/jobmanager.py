@@ -336,10 +336,9 @@ class JobManager(Stateful):
                   and 0 < workgroup_budget < total_groups)
         limit = workgroup_budget if sliced else total_groups
         try:
-            # lockstep batches where the unit's engine runs them; the
-            # retired warps are nobody's to read: no snapshot of them
+            # lockstep batches where the unit's engine runs them
             for _ in unit.run_groups(program, uniforms, self.mmu, shape,
-                                     limit, snapshot=False):
+                                     limit):
                 pass
         except MMUFault as exc:
             self.mmu.latch_fault(exc)

@@ -39,7 +39,7 @@ None of this depends on the row being one workgroup: the same argument,
 restricted to the lanes of one *slot*, makes a row of several workgroups
 side by side schedule and account each of them as it would alone. A
 *lockstep batch* is that row — ``BATCH_LANES`` lanes of consecutive flat
-groups in the process's one register file — and what it cannot know
+groups in the host thread's one register file — and what it cannot know
 beforehand, whether the groups are independent through memory, is decided
 while it runs by the MMU's batch port (``state.mem`` of a batch; see
 :class:`~repro.gpu.mmu.BatchPort`): stores are buffered, every word
@@ -76,6 +76,7 @@ result; the untraced source is unchanged by it.
 
 import binascii
 import re
+import threading
 from collections import namedtuple
 from collections.abc import Sequence
 
@@ -418,7 +419,9 @@ class MegaState:
 
 
 #: layouts a register file keeps (each a ``MegaState``: row views and
-#: the lanes' slot indices) before it drops the oldest
+#: the lanes' slot indices) before it drops the oldest. Distinct layouts
+#: per iteration of the system benchmark at 4096 lanes: gemm_mega 1,
+#: bfs_mega 2, slam_mega 15, farm_sweep 32 with every case in one process
 LAYOUTS = 32
 
 
@@ -428,33 +431,34 @@ class RegisterFile:
     batch at a time. What is kept beside the words is small: per layout
     the row views of a ``(rows, width)`` prefix (no lanes of their own),
     per launch shape what the architectural rows of one workgroup start
-    from. The compute units of a process all run in one,
-    :data:`REGISTER_FILE`."""
+    from. A run rewrites its layout's views and words, so a file is one
+    host thread's: the compute units of a thread all run in
+    :func:`register_file`."""
 
     def __init__(self):
         self._words = np.empty(0, dtype=np.uint32)
-        # (local size, rows, count, typed) -> layout
-        self._layouts = BoundedTable(LAYOUTS)
+        self._layouts = {}    # (local size, rows, count, typed) -> layout
         self._templates = {}  # local size -> (_ROWS, lanes) start rows
 
     def layout(self, shape, rows, count, typed):
         """``(state, template)`` for *count* workgroups of *shape* side
         by side in *rows* rows: the state they run in, and the
         architectural rows each of them starts from."""
-
-        def build():
+        key = (shape.local_size, rows, count, typed)
+        layout = self._layouts.get(key)
+        if layout is None:
             lanes = shape.warps_per_group * QUAD_WIDTH
             words = rows * count * lanes
             if words > len(self._words):
                 self._layouts.clear()  # views of the words replaced here
                 self._words = np.empty(words, dtype=np.uint32)
-            return (MegaState(self._words[:words].reshape(rows,
-                                                          count * lanes),
-                              typed, np.repeat(np.arange(count), lanes)),
-                    self._template(shape, lanes))
-
-        return self._layouts.lookup((shape.local_size, rows, count, typed),
-                                    build)
+            elif len(self._layouts) >= LAYOUTS:
+                del self._layouts[next(iter(self._layouts))]  # the oldest
+            layout = self._layouts[key] = (
+                MegaState(self._words[:words].reshape(rows, count * lanes),
+                          typed, np.repeat(np.arange(count), lanes)),
+                self._template(shape, lanes))
+        return layout
 
     def _template(self, shape, lanes):
         """Group (0, 0, 0): dispatcher-preloaded lane and local ids,
@@ -476,11 +480,19 @@ class RegisterFile:
         return template
 
 
-#: The register file of every compute unit of the process. A run starts
-#: over and runs to completion before the next one, wherever it comes
-#: from, so units need no words of their own — and a platform that is
-#: dropped leaves none behind until the cycle collector finds it.
-REGISTER_FILE = RegisterFile()
+_files = threading.local()
+
+
+def register_file():
+    """The register file of the calling host thread, made at its first
+    mega run. A run starts over and runs to completion before the next
+    one on its thread, wherever it comes from, so units need no words
+    of their own — and a platform that is dropped leaves none behind
+    until the cycle collector finds it. Threads never share one."""
+    file = getattr(_files, "file", None)
+    if file is None:
+        file = _files.file = RegisterFile()
+    return file
 
 
 class RetiredWarps(Sequence):

@@ -83,8 +83,8 @@ class ComputeUnit:
     :class:`~repro.instrument.stats.JobStats` and divergence CFG are
     computed from the two when it retires (Section IV-A). A unit
     outlives jobs and keeps its local slab; on the mega tier it runs in
-    the process's one register file
-    (:data:`~repro.gpu.megakernel.REGISTER_FILE`). Everything a job can
+    its host thread's one register file
+    (:func:`~repro.gpu.megakernel.register_file`). Everything a job can
     observe is reset by :meth:`prepare`. A job sees exactly
     the local bytes it declares: an access past them is a
     :class:`~repro.errors.GuestError` however large the slab has grown.
@@ -104,7 +104,6 @@ class ComputeUnit:
         self._words = 0
         self._job = self._mega = self._quad = None
         self._cap = None  # most groups this job's calls take, if capped
-        self._register_file = None  # the mega tier's: the process's one
         #: lockstep batches this unit started / abandoned (never reset)
         self.batches_run = 0
         self.batches_abandoned = 0
@@ -140,10 +139,9 @@ class ComputeUnit:
             self._mega = self._quad = None
             self._cap = None
             if self.engine == "mega":
-                from repro.gpu.megakernel import REGISTER_FILE, MegaKernel
+                from repro.gpu.megakernel import MegaKernel, register_file
 
-                self._register_file = REGISTER_FILE
-                self._mega = MegaKernel(program, mem, self._register_file,
+                self._mega = MegaKernel(program, mem, register_file(),
                                         uniforms, self.tracer)
         return self._mega
 
@@ -167,41 +165,39 @@ class ComputeUnit:
                     return max(1, group - flat_group)
         return count
 
-    def run_groups(self, program, uniforms, mem, shape, limit,
-                   snapshot=True):
+    def run_groups(self, program, uniforms, mem, shape, limit):
         """Run flat groups ``[0, limit)`` in order, in as few
         :meth:`run_workgroup` calls as :meth:`batch_groups` allows
         (the groups of an abandoned batch run again, narrower); yields
-        each call's retired warps, with or without *snapshot*. The Job
-        Manager's group loop, which reads none, and the conformance
-        harness's are this one."""
+        each call's retired warps, valid until the generator resumes.
+        The Job Manager's group loop, which reads none, and the
+        conformance harness's, which reads each batch before the next,
+        are this one."""
         job = (program, uniforms, mem, shape)
         flat_group = 0
         while flat_group < limit:
             count = self.batch_groups(*job, flat_group, limit - flat_group)
-            warps = self.run_workgroup(*job, flat_group, count, snapshot)
+            warps = self.run_workgroup(*job, flat_group, count)
             if len(warps):  # an abandoned batch retired none
                 yield warps
                 flat_group += count
 
     def run_workgroup(self, program, uniforms, mem, shape, flat_group,
-                      count=1, snapshot=True):
+                      count=1):
         """Execute one thread-group to completion (including barriers) —
         or, on the mega tier, *count* consecutive ones from *flat_group*
         on as one lockstep batch (at most :meth:`batch_groups`).
 
         Returns the groups' warps so callers (the conformance harness)
         can inspect the retired architectural state; on the mega tier
-        without *snapshot* they are read from the register file, valid
-        until the unit runs again. An abandoned batch ran no group and
+        they are read from the register file, valid until a unit of this
+        host thread runs again. An abandoned batch ran no group and
         returns no warps.
         """
         if count > 1:
             warps = self._run_batch(program, uniforms, mem, shape,
                                     flat_group, count)
-            if warps is None:
-                return ()
-            return warps.snapshot() if snapshot else warps
+            return () if warps is None else warps
         local = self._slabs(1)
         # progress-budget watchdog: each scheduler round is one progress
         # unit; a workgroup that burns its budget without finishing is a
@@ -236,7 +232,7 @@ class ComputeUnit:
                 # with the same round accounting as the loop below
                 return mega.run_workgroup(
                     shape, flat_group, budget, counts=self.clause_counts,
-                    stalled=rounds, local=local, snapshot=snapshot)
+                    stalled=rounds, local=local, snapshot=False)
             while True:
                 rounds += 1
                 if budget is not None and rounds > budget:

@@ -66,19 +66,13 @@ def _record_retired(patch):
     (live lanes' registers and temporaries, in dispatch order): the same
     bytes whether a call retired one group or a batch of them."""
     digest = hashlib.sha256()
-    depth = [0]
     run = ComputeUnit.run_workgroup
 
     def recording(self, *args):
-        depth[0] += 1
-        try:
-            warps = run(self, *args)
-        finally:
-            depth[0] -= 1
-        if not depth[0]:  # an abandoned batch re-enters, group by group
-            for warp in warps:
-                digest.update(warp.regs[warp.live].tobytes())
-                digest.update(warp.temps[warp.live].tobytes())
+        warps = run(self, *args)  # none from an abandoned batch
+        for warp in warps:
+            digest.update(warp.regs[warp.live].tobytes())
+            digest.update(warp.temps[warp.live].tobytes())
         return warps
 
     patch.setattr(ComputeUnit, "run_workgroup", recording)
@@ -405,47 +399,46 @@ def test_a_job_slice_limit_cuts_a_batch(monkeypatch, batches):
     assert batched[21 * 64 - 1] and not batched[21 * 64:].any()
 
 
+def _one_clause(tuples, constants):
+    """A one-clause program of *tuples* and *constants* that ends."""
+    from repro.gpu.isa import Clause, Program, Tail
+
+    built = Program(clauses=[Clause(tuples=tuples, constants=constants,
+                                    tail=Tail.END)])
+    built.validate()
+    return built
+
+
+class _QuietPort:
+    """A wide-capable memory port that is never accessed."""
+
+    def load_wide_u32(self, vaddrs, lanes=None):
+        return None
+
+    def store_wide_u32(self, vaddrs, values, lanes=None):
+        return None
+
+
 def test_programs_alternating_on_one_register_file_keep_their_constants():
     """A narrow program's constant rows are register words of a wider
     layout: a wide constant-free program in between writes them, and the
     narrow one must start from its own constants again, not from what
     was left there."""
-    from repro.gpu.isa import (
-        CONST_BASE,
-        REG_LOCAL_ID,
-        Clause,
-        Instruction,
-        Op,
-        Program,
-        Tail,
-    )
+    from repro.gpu.isa import CONST_BASE, REG_LOCAL_ID, Instruction, Op
     from repro.gpu.shadercore import WorkgroupShape
 
-    def program(tuples, constants):
-        built = Program(clauses=[Clause(tuples=tuples, constants=constants,
-                                        tail=Tail.END)])
-        built.validate()
-        return built
-
     # r0..r15 <- the local id (no lane of 16..63 reads zero): no constants
-    wide = program([(Instruction(Op.MOV, dst=2 * pair, srca=REG_LOCAL_ID),
-                     Instruction(Op.MOV, dst=2 * pair + 1,
-                                 srca=REG_LOCAL_ID)) for pair in range(8)],
-                   [])
-    narrow = program([(Instruction(Op.MOV, dst=0, srca=CONST_BASE),
-                       Instruction(Op.MOV, dst=1, srca=CONST_BASE + 1))],
-                     [0x5EED, 0xFEED])
-
-    class Port:  # wide-capable, never accessed
-        def load_wide_u32(self, vaddrs, lanes=None):
-            return None
-
-        def store_wide_u32(self, vaddrs, values, lanes=None):
-            return None
+    wide = _one_clause(
+        [(Instruction(Op.MOV, dst=2 * pair, srca=REG_LOCAL_ID),
+          Instruction(Op.MOV, dst=2 * pair + 1, srca=REG_LOCAL_ID))
+         for pair in range(8)], [])
+    narrow = _one_clause([(Instruction(Op.MOV, dst=0, srca=CONST_BASE),
+                           Instruction(Op.MOV, dst=1, srca=CONST_BASE + 1))],
+                         [0x5EED, 0xFEED])
 
     unit = ComputeUnit("mega")
     unit.prepare(64, instrument=False)
-    uniforms, mem = np.zeros(4, dtype=np.uint32), Port()
+    uniforms, mem = np.zeros(4, dtype=np.uint32), _QuietPort()
     files = set()
     shapes = {id(wide): WorkgroupShape((64, 1, 1), (64, 1, 1)),
               id(narrow): WorkgroupShape((8, 1, 1), (8, 1, 1))}
@@ -460,7 +453,52 @@ def test_programs_alternating_on_one_register_file_keep_their_constants():
         else:
             lanes = np.concatenate([warp.regs[:, 7] for warp in warps])
             np.testing.assert_array_equal(lanes, np.arange(64))
-    assert files == {id(unit._register_file)}
+    assert files == {id(megakernel.register_file())}
+
+
+def test_host_threads_never_share_a_register_file():
+    """A run rewrites its register file's rows and views, so the units
+    of each host thread run in a file of that thread's: units on racing
+    threads (more threads than cores, a short switch interval), each
+    running a program of its own constant, retire their own value."""
+    import sys
+    import threading
+
+    from repro.gpu.isa import CONST_BASE, Instruction, Op
+    from repro.gpu.shadercore import WorkgroupShape
+
+    shape = WorkgroupShape((64, 1, 1), (64, 1, 1))
+    files, wrong = [], []
+
+    def worker(constant):
+        program = _one_clause([(Instruction(Op.MOV, dst=0, srca=CONST_BASE),
+                                Instruction(Op.MOV, dst=1, srca=0))],
+                              [constant])
+        unit = ComputeUnit("mega")
+        unit.prepare(64, instrument=False)
+        for _ in range(40):
+            warps = unit.run_workgroup(program, np.zeros(4, dtype=np.uint32),
+                                       _QuietPort(), shape, 0)
+            got = {int(v) for warp in warps for v in warp.regs[:, 1]}
+            if got != {constant}:
+                wrong.append((constant, got))
+        files.append(unit._mega.file)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(0xC0DE + n,))
+                   for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+    assert len({id(file) for file in files}) == len(threads)
+    assert megakernel.register_file() not in files
 
 
 # -- pages a batch must leave to the reference -------------------------------------------

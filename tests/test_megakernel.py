@@ -470,7 +470,7 @@ def test_upset_job_leaves_nothing_on_the_persistent_unit(engine, upset):
     manager = platform.gpu.job_manager
     unit = manager.unit
     _run_diverge_on(context, diverge)  # its register file made
-    registers = unit._register_file
+    registers = unit._mega.file
     queue = CommandQueue(context)
     kernel = context.build_program(_FILL_SOURCE).kernel("fill")
     n = 2048  # 32 workgroups of 64
@@ -498,7 +498,7 @@ def test_upset_job_leaves_nothing_on_the_persistent_unit(engine, upset):
     np.testing.assert_array_equal(out.view(np.uint32),
                                   fresh_out.view(np.uint32))
     assert stats == fresh_stats
-    assert manager.unit is unit and unit._register_file is registers
+    assert manager.unit is unit and unit._mega.file is registers
 
 
 def test_retired_warps_slice_is_a_list_as_on_the_quad_tiers():
