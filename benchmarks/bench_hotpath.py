@@ -53,6 +53,10 @@ trajectory to regress against:
   (compile and the binary gate, the one build gate: one call per
   kernel), and how many gate calls a second build of the same content
   makes (none);
+- **snapshot**: microseconds per registry snapshot of a two-tenant
+  platform, and the ``JobStats`` its scopes derive from their clause
+  ledgers (one per scope, however many probes read it; none on a second
+  snapshot with no job between);
 - **guest**: microseconds per KiB of a 64 KiB guest ``memcpy`` and
   ``memset`` on the DBT and the interpretive CPU engine, the guest
   instructions each retires (the same on both), and the function calls
@@ -791,6 +795,47 @@ def build():
     }
 
 
+def snapshot(repeats=5):
+    """One registry snapshot of a two-tenant platform after a saxpy job
+    per tenant: microseconds, and the ``JobStats`` each scope (the Job
+    Manager and each tenant) derives from its clause ledger — one per
+    scope, not one per probe read, and none on a second snapshot."""
+    from repro.driver.kbase import TenancyConfig
+    from repro.gpu import jobmanager
+
+    platform = MobilePlatform(PlatformConfig(
+        tenancy=TenancyConfig.symmetric(2)))
+    for tenant in platform.driver.tenants:
+        context = Context(platform, tenant=tenant)
+        kernel = context.build_program(_SAXPY).kernel("saxpy")
+        kernel.set_args(context.alloc_buffer(64 * 4),
+                        context.alloc_buffer(64 * 4), np.float32(2.0))
+        CommandQueue(context).enqueue_nd_range(kernel, (64,), (16,))
+    derived = []  # the JobStats each derivation fills in
+    apply = jobmanager.apply_clause_stats
+
+    def counting(stats, *args):
+        derived.append(stats)
+        apply(stats, *args)
+
+    registry = platform.stats_registry
+    jobmanager.apply_clause_stats = counting
+    try:
+        registry.snapshot()
+        first = len({id(stats) for stats in derived})
+        derived.clear()
+        registry.snapshot()
+        second = len(derived)
+    finally:
+        jobmanager.apply_clause_stats = apply
+    return {
+        "scopes": 1 + len(platform.driver.tenants),
+        "first_snapshot_derivations": first,
+        "second_snapshot_derivations": second,
+        "us": _best(registry.snapshot, repeats) * 1e6,
+    }
+
+
 def guest(nbytes=64 * 1024, short=16 * 1024, repeats=3):
     """Guest ``memcpy`` and ``memset`` of *nbytes* on both CPU engines,
     warm (translated, every page backed); and, on the DBT, the calls
@@ -894,6 +939,7 @@ def run(quick=False):
         "mega_masked": mega_masked(workgroups=50 if quick else 200,
                                    repeats=micro_repeats),
         "build": build(),
+        "snapshot": snapshot(repeats=micro_repeats),
         "guest": guest(repeats=1 if quick else 3),
     }
     _OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
@@ -981,6 +1027,11 @@ def main(argv=None):
           f"{built['kernels']} kernels), second build "
           f"{built['second_build_us']:.0f} us and "
           f"{built['second_build_gate_calls']} gate calls")
+    snap = report["snapshot"]
+    print(f"snapshot: {snap['us']:.0f} us per registry snapshot of a "
+          f"two-tenant platform, {snap['first_snapshot_derivations']} "
+          f"JobStats derived for {snap['scopes']} scopes, "
+          f"{snap['second_snapshot_derivations']} on a second snapshot")
     guest_row = report["guest"]
     for name in ("memcpy", "memset"):
         dbt = guest_row[f"dbt_{name}_us_per_kib"]
@@ -1061,6 +1112,12 @@ def main(argv=None):
         failed = True
     if built["second_build_gate_calls"] != 0:
         print("FAIL: a second build of the same content ran a gate again",
+              file=sys.stderr)
+        failed = True
+    if (snap["first_snapshot_derivations"],
+            snap["second_snapshot_derivations"]) != (snap["scopes"], 0):
+        print("FAIL: a registry snapshot must derive each scope's JobStats "
+              "from its clause ledger once, and a second snapshot none",
               file=sys.stderr)
         failed = True
     if clause["second_platform_emits"] != 0:

@@ -75,14 +75,14 @@ def fig06_bfs_cfg(n=128, engine="interpreter"):
     queue = CommandQueue(context)
     inputs = workload.prepare()
     workload.execute(context, queue, inputs)
-    merged = DivergenceCFG()
-    for result in context.platform.gpu.job_manager.results:
-        merged.merge(result.cfg)
-    divergent = {
-        merged.node_label(node): merged.divergence_fraction(node)
-        for node in merged.divergences
-    }
-    return merged.to_dot(), divergent, merged, config.gpu.engine
+    programs = context.platform.gpu.job_manager.ledger.programs()
+    if len(programs) != 1:
+        raise RuntimeError(f"Fig. 6 needs one program; BFS ran {len(programs)}")
+    [(program, counts)] = programs
+    cfg = DivergenceCFG.from_clause_counts(program.clauses, counts)
+    divergent = {cfg.node_label(node): cfg.divergence_fraction(node)
+                 for node in cfg.divergences}
+    return cfg.to_dot(), divergent, cfg, config.gpu.engine
 
 
 # -- Fig. 7: slowdown over native --------------------------------------------------------

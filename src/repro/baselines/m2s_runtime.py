@@ -72,7 +72,6 @@ class M2SKernel:
         self.program = program
         self.compiled = compiled
         self._args = [None] * len(compiled.params)
-        self.last_stats = None
 
     @property
     def name(self):

@@ -10,10 +10,10 @@ from repro.errors import CLError, JobFault
 from repro.hostcode import PROGRAM_CACHE_SIZE, BoundedTable
 from repro.core.platform import MobilePlatform
 from repro.gpu import launch
+from repro.gpu.jobmanager import ClauseLedger
 from repro.gpu.launch import LocalMemory
 from repro.gpu.mmu import AS_TAG_SHIFT
 from repro.mem.physical import PAGE_SHIFT
-from repro.instrument.stats import JobStats
 
 
 @dataclass
@@ -254,7 +254,6 @@ class Kernel:
         self.compiled = compiled
         self._args = [None] * len(compiled.params)
         self._uniform_region = None
-        self.last_stats = None
         self._last_result = None
 
     @property
@@ -321,7 +320,7 @@ class CommandQueue:
 
     def __init__(self, context, profiling=False):
         self.context = context
-        self.total_stats = JobStats()
+        self.ledger = ClauseLedger()  # its synchronous launches
         self.kernels_launched = 0
         self.profiling = profiling
         self.events = []
@@ -472,7 +471,6 @@ class CommandQueue:
                 raise
         results = platform.last_job_results()
         result = results[-1]
-        kernel.last_stats = result.stats
         kernel._last_result = result
         if record is not None:
             as_tag = context._tenant.as_id << AS_TAG_SHIFT
@@ -487,7 +485,7 @@ class CommandQueue:
             record["observed_issues"] = result.stats.clauses_executed
             record["observed_pages"] = len(delta & data_pages)
             context.analysis_log.append(record)
-        self.total_stats.merge(result.stats)
+        self.ledger.add(result)
         self.kernels_launched += 1
         context.stat_kernels_launched.increment()
         self._record_event("ndrange", kernel.name, event_start,

@@ -296,7 +296,6 @@ class KernelLowering:
         self._local_offset = 0
         self._scratch_offset = 0
         self._array_const_info = {}
-        self._dead_counter = 0
 
     # -- entry point -----------------------------------------------------------
 
@@ -479,7 +478,6 @@ class KernelLowering:
     def _lower_statement(self, stmt):
         if self._block.terminator is not None:
             # unreachable code after return/break: absorb into a dead block
-            self._dead_counter += 1
             self._switch_to(self._new_block("dead"))
         if isinstance(stmt, ast.Block):
             self._scopes.append({})

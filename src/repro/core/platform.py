@@ -127,7 +127,7 @@ class MobilePlatform(Stateful):
             heap_size=HEAP_SIZE, tenancy=self.config.tenancy
         )
         # direct GPU handle for statistics capture only (per-tenant
-        # JobStats merging, MMU translation deltas); control stays MMIO
+        # clause ledgers, MMU translation deltas); control stays MMIO
         self.driver.attach_gpu(self.gpu)
         # the driver's page-fault worker resolves translation misses in
         # grow-on-fault regions synchronously, so the faulting GPU access

@@ -62,10 +62,11 @@ from repro.errors import DriverError, IRQMismatchError, JobFault, SimError
 from repro.cpu.devices import IRQC_ACK, IRQC_PENDING, InterruptController
 from repro.gpu import regs
 from repro.gpu.jobmanager import (
+    DESCRIPTOR_FORMAT,
     DESCRIPTOR_SIZE,
     JOB_TYPE_COMPUTE,
+    ClauseLedger,
 )
-from repro.instrument.stats import JobStats
 from repro.mem.pagetable import PTE_EXEC, PTE_READ, PTE_WRITE
 from repro.mem.pagetable import PageTableBuilder, PageTableWalker
 from repro.mem.physical import PAGE_SIZE
@@ -473,11 +474,10 @@ class PendingJob(Stateful):
     done: bool = False
     status: int = None
     error: object = None
-    results: list = None
 
     # not checkpointed: ``tenant`` is rebound by id on restore, and the
     # completion state of a job still in the queue is its default
-    TRANSIENT = ("tenant", "done", "status", "error", "results")
+    TRANSIENT = ("tenant", "done", "status", "error")
 
 
 # -- per-tenant context --------------------------------------------------------
@@ -502,7 +502,7 @@ class TenantContext(Stateful):
         "jobs_submitted", "jobs_completed", "jobs_failed", "dispatches",
         "preemptions", "wait_ticks", "translations",
     )
-    STATE_CHILDREN = ("allocator", "_page_table", "completed_stats")
+    STATE_CHILDREN = ("allocator", "_page_table", "ledger")
 
     def __init__(self, driver, tenant_id, spec, qos, carveout_base,
                  carveout_size):
@@ -534,11 +534,11 @@ class TenantContext(Stateful):
         self.dispatches = 0
         self.preemptions = 0
         self.wait_ticks = 0
-        # per-tenant architectural stats: merged JobStats of *completed*
+        # per-tenant architectural stats: the clause ledger of *completed*
         # jobs only (preempted partial runs are discarded and replayed,
         # keeping this preemption-invariant), plus the tenant's share of
         # MMU translations captured around its dispatch windows
-        self.completed_stats = JobStats()
+        self.ledger = ClauseLedger()
         self.translations = 0
 
     # -- physical / virtual allocators ------------------------------------
@@ -670,7 +670,7 @@ class TenantContext(Stateful):
         if offset + DESCRIPTOR_SIZE > descriptor_region.size:
             raise DriverError(f"descriptor slot {slot} out of range")
         blob = struct.pack(
-            "<IIIIIIIIQIIQIIQ",
+            DESCRIPTOR_FORMAT,
             JOB_TYPE_COMPUTE,
             0,  # flags
             global_size[0], global_size[1], global_size[2],
@@ -683,7 +683,6 @@ class TenantContext(Stateful):
             0,  # reserved
             next_va,
         )
-        assert len(blob) == DESCRIPTOR_SIZE
         self.driver.bus.write_block(descriptor_region.phys + offset, blob)
         return descriptor_region.gpu_va + offset
 
@@ -781,16 +780,16 @@ class TenantContext(Stateful):
     def register_stats(self, scope):
         """Register this tenant's subtree under *scope* (``tenant{i}``).
 
-        The architectural stats (completed-job JobStats, MMU translation
-        share, distinct pages in this address space, allocation shape)
-        are golden — identical across engines and schedulers for
+        The architectural stats (the JobStats of completed jobs, derived
+        from the tenant's clause ledger when read; MMU translation share,
+        distinct pages in this address space, allocation shape) are
+        golden — identical across engines and schedulers for
         replayable workloads. The scheduling probes (waits, preemptions,
         dispatches) are diagnostics.
         """
         from repro.instrument.registry import register_job_stats
 
-        register_job_stats(scope.scope("gpu.job"),
-                           lambda: self.completed_stats)
+        register_job_stats(scope.scope("gpu.job"), self.ledger.stats)
         mmu_scope = scope.scope("gpu.mmu")
         mmu_scope.probe("translations", lambda: self.translations,
                         desc="MMU translations in this tenant's windows")
@@ -986,7 +985,7 @@ class KBaseDriver(Stateful):
 
     def attach_gpu(self, gpu):
         """Give the driver a direct handle on the GPU device (used only
-        for statistics capture: per-tenant JobStats merging and MMU
+        for statistics capture: per-tenant clause ledgers and MMU
         translation deltas — never for control, which stays MMIO)."""
         self._gpu = gpu
 
@@ -1222,10 +1221,8 @@ class KBaseDriver(Stateful):
             job.status = result
             tenant.jobs_completed += 1
             if gpu is not None:
-                job.results = list(gpu.last_results)
-                for result in job.results:
-                    if getattr(result, "stats", None) is not None:
-                        tenant.completed_stats.merge(result.stats)
+                for result in gpu.last_results:
+                    tenant.ledger.add(result)
         if self.on_job_retired is not None:
             self.on_job_retired()
 

@@ -15,7 +15,7 @@ nothing the process has decoded before), splits
 the NDRange into thread-groups and runs them on its one compute unit, in
 lockstep batches where the unit's engine can. The unit records which
 clauses a job ran; the job's statistics are computed from that record
-once, when the job retires.
+once, when the job retires; totals are read off a :class:`ClauseLedger`.
 
 The paper maps thread-groups onto host threads (Fig. 10). Under CPython a
 pool of host threads only ever slowed a job down, so the simulator runs
@@ -39,7 +39,8 @@ from repro.gpu.encoding import decode_program
 from repro.gpu.shadercore import ComputeUnit, WorkgroupShape
 from repro.hostcode import BoundedTable
 from repro.instrument.cfg import DivergenceCFG
-from repro.instrument.stats import JobStats, job_stats
+from repro.instrument.stats import (JobStats, apply_clause_stats, job_stats,
+                                    merge_clause_counts)
 from repro.state import Stateful
 
 JOB_TYPE_COMPUTE = 1
@@ -51,18 +52,12 @@ JOB_TYPE_COMPUTE = 1
 # barrier livelocks. Progress units, never wall-clock time.
 WATCHDOG_ROUND_BUDGET = 4096
 
-# descriptor field offsets (bytes)
-_OFF_TYPE = 0x00
-_OFF_FLAGS = 0x04
-_OFF_GLOBAL = 0x08  # 3 x u32
-_OFF_LOCAL = 0x14  # 3 x u32
-_OFF_BINARY_VA = 0x20  # u64
-_OFF_BINARY_SIZE = 0x28  # u32
-_OFF_LOCAL_MEM = 0x2C  # u32
-_OFF_UNIFORM_VA = 0x30  # u64
-_OFF_UNIFORM_COUNT = 0x38  # u32
-_OFF_NEXT = 0x40  # u64
-DESCRIPTOR_SIZE = 0x48
+#: The compute-job descriptor the driver packs and the Job Manager
+#: unpacks: type, flags, global and local size (3 x u32 each), binary VA
+#: (u64) and size, local-memory size, uniform VA (u64) and count, a
+#: reserved word, next-job VA (u64) — 0x48 bytes
+DESCRIPTOR_FORMAT = "<IIIIIIIIQIIQIIQ"
+DESCRIPTOR_SIZE = struct.calcsize(DESCRIPTOR_FORMAT)
 
 #: The process-wide decode table: binary image -> the program decoded
 #: from it, shared by every platform (a decoded program is read-only). A
@@ -108,6 +103,57 @@ class JobResult:
                                                     self.clause_counts)
 
 
+class ClauseLedger(Stateful):
+    """A scope's retired jobs: a clause table per program image, and the
+    workgroups, warps and threads launched. Its JobStats is derived from
+    the tables once per change, when read (Section IV-A: record clause
+    frequencies, multiply the clause metrics out afterwards)."""
+
+    STATE_FIELDS = ("workgroups", "warps_launched", "threads_launched")
+
+    def __init__(self):
+        self.tables = {}
+        self.workgroups = self.warps_launched = self.threads_launched = 0
+        self._stats = None
+
+    def add(self, result):
+        """Count the retired job *result*, unless it ran uninstrumented."""
+        if result.clause_counts is not None:
+            merge_clause_counts(
+                self.tables.setdefault(result.program.image, {}),
+                result.clause_counts)
+            self.workgroups += result.stats.workgroups
+            self.warps_launched += result.stats.warps_launched
+            self.threads_launched += result.stats.threads_launched
+            self._stats = None
+
+    def programs(self):
+        """``(program, clause table)`` pairs; a restored ledger decodes
+        its images through the process-wide table, not guest memory."""
+        return [(_decoded(image), counts)
+                for image, counts in self.tables.items()]
+
+    def stats(self):
+        if self._stats is None:
+            stats = JobStats(workgroups=self.workgroups,
+                             warps_launched=self.warps_launched,
+                             threads_launched=self.threads_launched)
+            for program, counts in self.programs():
+                apply_clause_stats(stats, program.clauses, counts)
+            self._stats = stats
+        return self._stats
+
+    def get_state(self):
+        return {**super().get_state(),
+                "tables": [[image.hex(), list(counts.items())]
+                           for image, counts in self.tables.items()]}
+
+    def set_state(self, state):
+        super().set_state(state)
+        self.tables = {bytes.fromhex(image): dict(counts)
+                       for image, counts in state["tables"]}
+
+
 class JobManager(Stateful):
     """Parses descriptors, owns the decode cache, dispatches thread-groups."""
 
@@ -115,7 +161,7 @@ class JobManager(Stateful):
         "decode_count", "jobs_retired", "watchdog_timeouts",
         "jobs_preempted", "descriptor_corruptions", "decode_cache_enabled",
     )
-    STATE_CHILDREN = ("total_stats",)
+    STATE_CHILDREN = ("ledger",)
 
     def __init__(self, mmu, instrument=True, tracer=None,
                  engine="interpreter", events=None,
@@ -132,12 +178,10 @@ class JobManager(Stateful):
         self.decode_cache_enabled = True  # ablation knob (Section III-B3)
         self._decode_cache = {}
         self.decode_count = 0
-        self.results = []
         # persists across jobs, and with it its local slab
         self.unit = ComputeUnit(engine)
-        # running totals across retired jobs, observed by the StatsRegistry
         self.jobs_retired = 0
-        self.total_stats = JobStats()
+        self.ledger = ClauseLedger()
 
     def register_stats(self, gpu_scope):
         """Register Job Manager counters under the GPU's scope: the
@@ -162,21 +206,21 @@ class JobManager(Stateful):
         jm.probe("jobs_preempted", lambda: self.jobs_preempted,
                  desc="jobs parked at their JOB_SLICE workgroup budget",
                  golden=False)
-        register_job_stats(gpu_scope.scope("job"), lambda: self.total_stats)
+        stats = self.ledger.stats
+        register_job_stats(gpu_scope.scope("job"), stats)
         warp_scope = gpu_scope.scope("core0.warp")
         for field_name in ("clauses_executed", "branch_events",
                            "divergent_branches", "warps_launched",
                            "threads_launched"):
-            warp_scope.probe(
-                field_name,
-                (lambda f=field_name: getattr(self.total_stats, f)))
+            warp_scope.probe(field_name,
+                             lambda f=field_name: getattr(stats(), f))
 
     def invalidate_decode_cache(self):
         """Forget every decoded program."""
         self._decode_cache.clear()
 
     def get_state(self):
-        """Counters, JobStats and the decode cache's keys. A restore sets
+        """Counters, the ledger and the decode cache's keys. A restore sets
         the first two; the cache stays cold until
         :meth:`rewarm_decode_cache`, which needs the driver's restored
         page tables."""
@@ -218,25 +262,12 @@ class JobManager(Stateful):
                 corrupted = bytearray(raw)
                 corrupted[offset] ^= params.get("mask", 0xFF) & 0xFF
                 raw = bytes(corrupted)
-
-        def u32(offset):
-            return struct.unpack_from("<I", raw, offset)[0]
-
-        def u64(offset):
-            return struct.unpack_from("<Q", raw, offset)[0]
-
-        return JobDescriptor(
-            job_type=u32(_OFF_TYPE),
-            flags=u32(_OFF_FLAGS),
-            global_size=(u32(_OFF_GLOBAL), u32(_OFF_GLOBAL + 4), u32(_OFF_GLOBAL + 8)),
-            local_size=(u32(_OFF_LOCAL), u32(_OFF_LOCAL + 4), u32(_OFF_LOCAL + 8)),
-            binary_va=u64(_OFF_BINARY_VA),
-            binary_size=u32(_OFF_BINARY_SIZE),
-            local_mem_size=u32(_OFF_LOCAL_MEM),
-            uniform_va=u64(_OFF_UNIFORM_VA),
-            uniform_count=u32(_OFF_UNIFORM_COUNT),
-            next_va=u64(_OFF_NEXT),
-        )
+        (job_type, flags, gx, gy, gz, lx, ly, lz, binary_va, binary_size,
+         local_mem_size, uniform_va, uniform_count, _reserved,
+         next_va) = struct.unpack_from(DESCRIPTOR_FORMAT, raw)
+        return JobDescriptor(job_type, flags, (gx, gy, gz), (lx, ly, lz),
+                             binary_va, binary_size, local_mem_size,
+                             uniform_va, uniform_count, next_va)
 
     def _decode_binary(self, descriptor):
         # the address-space id is part of the key: tenants share the same
@@ -359,8 +390,8 @@ class JobManager(Stateful):
         if sliced:
             # the budgeted prefix ran to completion; park the slot so the
             # driver soft-stops and requeues. Partial stats are discarded
-            # (only completed attempts merge), keeping golden job stats
-            # preemption-invariant for replayable kernels.
+            # (only completed attempts are counted), keeping golden job
+            # stats preemption-invariant for replayable kernels.
             self.jobs_preempted += 1
             if self.events is not None:
                 self.events.instant("job_sliced", "gpu", "jobmanager",
@@ -371,7 +402,6 @@ class JobManager(Stateful):
         stats = job_stats(program.clauses, unit.clause_counts,
                           unit.groups_started, shape)
         result = JobResult(descriptor, stats, program, unit.clause_counts)
-        self.results.append(result)
         self.jobs_retired += 1
-        self.total_stats.merge(stats)
+        self.ledger.add(result)
         return result

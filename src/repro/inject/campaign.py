@@ -203,8 +203,7 @@ def _clean_run(workload_name, engine):
         execution = _execute(workload_name, engine)
         platform = execution.platform
         groups = max((result.stats.workgroups
-                      for result in platform.last_job_results()
-                      if result.stats is not None), default=1)
+                      for result in platform.last_job_results()), default=1)
         _clean_runs[key] = _CleanRun(
             failure=(None if execution.error is None and execution.verified
                      else "clean run failed: "

@@ -82,15 +82,6 @@ class DivergenceCFG:
     def executions(self):
         return dict(self._executions)
 
-    def merge(self, other):
-        for (src, dst), count in other._edges.items():
-            self.record_edge(src, dst, count)
-        for node, count in other._divergences.items():
-            self.record_divergence(node, count)
-        for node, count in other._executions.items():
-            self.record_execution(node, count)
-        return self
-
     def node_label(self, node):
         """Paper-style label: the clause's instruction address."""
         if node == self.END:

@@ -290,8 +290,8 @@ _JOB_STAT_FIELDS = (
 
 def register_job_stats(scope, provider):
     """Register a :class:`~repro.instrument.stats.JobStats` view under
-    *scope*. *provider* is a zero-arg callable returning the live JobStats
-    (so merged totals keep flowing into already-registered probes)."""
+    *scope*. *provider* is a zero-arg callable returning the current
+    JobStats (a scope's ledger derives a new one after each job)."""
     for field, desc in _JOB_STAT_FIELDS:
         scope.probe(field, (lambda f=field: getattr(provider(), f)),
                     desc=desc)

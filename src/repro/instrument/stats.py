@@ -2,11 +2,12 @@
 
 Two granularities:
 
-- :class:`JobStats` — per-GPU-job program-execution metrics (Section IV-A/C):
+- :class:`JobStats` — GPU program-execution metrics (Section IV-A/C):
   instruction mix, data-access breakdown, clause metrics, divergence.
   The engines only record which clauses ran, in the job's per-clause
   table; :func:`job_stats` multiplies that table out once, when the job
-  retires.
+  retires; a scope's totals are multiplied out, when read, from its
+  per-program tables (:class:`~repro.gpu.jobmanager.ClauseLedger`).
 - :class:`SystemStats` — platform-level CPU-GPU interaction metrics
   (Section IV-B, Table III): pages accessed by the GPU, control-register
   reads/writes, interrupts asserted, compute jobs. Collected by the GPU
@@ -19,8 +20,8 @@ from repro.state import Stateful
 
 
 @dataclass
-class JobStats(Stateful):
-    """Program-execution metrics for one GPU job (dynamic counts).
+class JobStats:
+    """Program-execution metrics of GPU jobs (dynamic counts).
 
     "Instructions" are counted per active lane (a thread-level view);
     "cycles" are counted per warp issue (a machine-level view) — the
@@ -114,21 +115,6 @@ class JobStats(Stateful):
         weighted = sum(size * count for size, count in self.clause_size_histogram.items())
         return weighted / total
 
-    def merge(self, other):
-        """Accumulate *other* into self (the running totals of retired
-        jobs)."""
-        for name in _COUNTER_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        for size, count in other.clause_size_histogram.items():
-            self.clause_size_histogram[size] = self.clause_size_histogram.get(size, 0) + count
-        return self
-
-
-#: every JobStats field but the histogram, so a new counter is merged
-#: (and checkpointed) without being named anywhere else
-_COUNTER_FIELDS = tuple(name for name in JobStats.state_fields()
-                        if name != "clause_size_histogram")
-
 
 def apply_clause_stats(stats, clauses, counts):
     """Add the per-clause table *counts* of a job to *stats*.
@@ -182,10 +168,12 @@ def job_stats(clauses, counts, groups, shape):
 
 def merge_clause_counts(totals, counts):
     """Add the per-clause records of *counts* into *totals*."""
-    for clause_index, record in counts.items():
+    for clause_index, (issues, lanes, taken, divergent) in counts.items():
         total = totals.setdefault(clause_index, [0, 0, 0, 0])
-        for field_index, value in enumerate(record):
-            total[field_index] += value
+        total[0] += issues
+        total[1] += lanes
+        total[2] += taken
+        total[3] += divergent
 
 
 @dataclass

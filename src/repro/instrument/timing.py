@@ -53,7 +53,7 @@ class CycleModel:
         self.machine = machine or MachineDescription()
 
     def estimate(self, stats, jobs=1, registers=0, footprint=None):
-        """Estimated cycles for *stats* (merged over *jobs* jobs).
+        """Estimated cycles for *stats* (the total of *jobs* jobs).
 
         *registers* is the kernel's register count per thread; *footprint*,
         when given, is the number of distinct global 32-bit elements the

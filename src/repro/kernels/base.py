@@ -19,7 +19,7 @@ class WorkloadResult:
 
     Attributes:
         name: workload name.
-        stats: merged per-job statistics over all kernel launches.
+        stats: the statistics of all its kernel launches.
         jobs: number of kernel launches (Table III "Comp. Jobs").
         verified: True if outputs matched the NumPy reference.
         gpu_seconds: host wall time inside kernel launches (GPU simulation).
@@ -135,7 +135,7 @@ class Workload(abc.ABC):
             verified = self.check(outputs, expected)
         return WorkloadResult(
             name=self.name,
-            stats=queue.total_stats,
+            stats=queue.ledger.stats(),
             jobs=queue.kernels_launched,
             verified=verified,
             total_seconds=total_seconds,

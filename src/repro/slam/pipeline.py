@@ -169,7 +169,7 @@ class KFusionPipeline:
 
         total_seconds = time.perf_counter() - start
         system = context.platform.system_stats()
-        stats = queue.total_stats
+        stats = queue.ledger.stats()
         metrics = {
             "arithmetic_instrs": stats.arith_instrs,
             "avg_clause_size": stats.average_clause_size(),

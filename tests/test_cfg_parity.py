@@ -31,14 +31,22 @@ def _job_cfgs(run, mode):
     """``run(context)`` on a fresh *mode* platform: each retired job's
     CFG as plain dicts, and the engine its unit ran."""
     platform = MobilePlatform.for_mode(mode)
+    jobs = platform.gpu.job_manager
+    results = []  # every retired job's, in order: the Job Manager keeps none
+    run_job = jobs.run_job
+
+    def recorded(*args, **kwargs):
+        results.append(run_job(*args, **kwargs))
+        return results[-1]
+
+    jobs.run_job = recorded
     try:
         run(Context(platform))
     except SimError:
         pass  # a workload that expects to fault: its retired jobs count
     cfgs = [(cfg.edges, cfg.divergences, cfg.executions)
-            for cfg in (result.cfg
-                        for result in platform.gpu.job_manager.results)]
-    return cfgs, platform.gpu.job_manager.unit.engine
+            for cfg in (result.cfg for result in results)]
+    return cfgs, jobs.unit.engine
 
 
 def _assert_parity(run):
@@ -91,7 +99,7 @@ def _job_traces(run, mode):
     prepare = jobs.unit.prepare
 
     def traced(*args, **kwargs):
-        attempts.append((InstructionTracer(), len(jobs.results)))
+        attempts.append((InstructionTracer(), jobs.jobs_retired))
         prepare(*args, **{**kwargs, "tracer": attempts[-1][0]})
 
     jobs.unit.prepare = traced
@@ -99,7 +107,7 @@ def _job_traces(run, mode):
         run(Context(platform))
     except SimError:
         pass  # a workload that expects to fault: its retired jobs count
-    ends = [before for _tracer, before in attempts[1:]] + [len(jobs.results)]
+    ends = [before for _tracer, before in attempts[1:]] + [jobs.jobs_retired]
     return [tracer for (tracer, before), end in zip(attempts, ends)
             if end > before], jobs.unit.engine
 

@@ -258,6 +258,76 @@ def test_restore_keeps_policy_cost_hints_regions_and_recovery(tmp_path):
     assert not driver.tenants[0].handle_fault(grown.gpu_va + 4096, "w")
 
 
+FILL_SRC = """
+__kernel void fill(__global int* out, int n) {
+    out[get_global_id(0)] = n + get_global_id(0);
+}
+"""
+
+
+def _launch_on(platform, tenant_id, source, name, make_args):
+    """One synchronous 64-thread launch of kernel *name* of *source* by a
+    fresh client of tenant *tenant_id*, its arguments made by
+    ``make_args(context)``; returns the client's program."""
+    from repro.cl import CommandQueue, Context
+
+    context = Context(platform, tenant=platform.driver.tenant(tenant_id))
+    program = context.build_program(source)
+    kernel = program.kernel(name)
+    kernel.set_args(*make_args(context))
+    CommandQueue(context).enqueue_nd_range(kernel, (64,), (8,))
+    return program
+
+
+def _scale_args(context):
+    return (context.alloc_buffer(64 * 4),
+            context.buffer_from_array(np.arange(64, dtype=np.float32)),
+            np.float32(2))
+
+
+def _fill_args(n):
+    return lambda context: (context.alloc_buffer(64 * 4), np.int32(n))
+
+
+def _ledger_stats(platform):
+    golden = platform.stats_registry.snapshot(golden_only=True)
+    return {key: value for key, value in golden.items()
+            if key.startswith(("gpu.job.", "tenant0.gpu.job.",
+                               "tenant1.gpu.job."))}
+
+
+def test_ledgers_restore_a_program_whose_binary_was_freed(tmp_path,
+                                                          monkeypatch):
+    """The clause ledgers save each program's image beside its table: a
+    program whose binary region was freed before the save restores from
+    the checkpoint alone (the process-wide decode table emptied, the
+    guest copy unmapped), and one job later every job total equals the
+    uninterrupted run's."""
+    from repro.gpu import jobmanager
+    from repro.hostcode import BoundedTable
+
+    def run(bounce):
+        platform = _two_tenant_platform()
+        scale = _launch_on(platform, 0, SCALE_SRC, "scale", _scale_args)
+        _launch_on(platform, 1, FILL_SRC, "fill", _fill_args(3))
+        platform.driver.tenant(0).free_region(scale._uploaded["scale"])
+        if bounce:
+            save_checkpoint(platform, str(tmp_path / "ckpt"))
+            monkeypatch.setattr(jobmanager, "_programs", BoundedTable(
+                jobmanager.DECODE_TABLE_SIZE))
+            platform, _extra = restore_checkpoint(str(tmp_path / "ckpt"))
+            # only the fill binary is still mapped to re-decode from
+            assert [key[0] for key in
+                    platform.gpu.job_manager._decode_cache] == [1]
+        assert len(platform.gpu.job_manager.ledger.tables) == 2
+        _launch_on(platform, 1, FILL_SRC, "fill", _fill_args(4))
+        return _ledger_stats(platform)
+
+    straight = run(bounce=False)
+    assert straight["tenant1.gpu.job.threads_launched"] == 128
+    assert run(bounce=True) == straight
+
+
 # ---------------------------------------------------------------------------
 # corruption fails closed
 
@@ -326,33 +396,23 @@ def test_version_skew_fails_closed(saved_checkpoint, tmp_path):
         restore_checkpoint(directory)
 
 
-def test_version_2_layout_fails_closed(saved_checkpoint, tmp_path):
-    """Version 2 saved a per-unit ``core_stats`` table the Job Manager
-    no longer has: its manifest is refused before any state is read."""
-    directory = _copy_checkpoint(saved_checkpoint, tmp_path / "v2")
+@pytest.mark.parametrize("version", [2, 3, 4])
+def test_older_layout_fails_closed(saved_checkpoint, tmp_path, version):
+    """Each older layout is refused by its manifest, before any state is
+    read: version 2 saved a per-unit ``core_stats`` table the Job
+    Manager no longer has, version 3 ``GPUConfig.collect_cfg`` in the
+    config section, version 4 running ``JobStats`` totals where clause
+    ledgers are saved now."""
+    directory = _copy_checkpoint(saved_checkpoint, tmp_path / "old")
     path = os.path.join(directory, MANIFEST_FILE)
     with open(path) as handle:
         manifest = json.load(handle)
-    manifest["checkpoint_version"] = 2
+    manifest["checkpoint_version"] = version
     with open(path, "w") as handle:
         json.dump(manifest, handle)
-    with pytest.raises(CheckpointError,
-                       match="unsupported checkpoint version 2 .*version 4"):
-        restore_checkpoint(directory)
-
-
-def test_version_3_layout_fails_closed(saved_checkpoint, tmp_path):
-    """Version 3 saved ``GPUConfig.collect_cfg`` in the config section,
-    a field the configuration no longer has: refused the same way."""
-    directory = _copy_checkpoint(saved_checkpoint, tmp_path / "v3")
-    path = os.path.join(directory, MANIFEST_FILE)
-    with open(path) as handle:
-        manifest = json.load(handle)
-    manifest["checkpoint_version"] = 3
-    with open(path, "w") as handle:
-        json.dump(manifest, handle)
-    with pytest.raises(CheckpointError,
-                       match="unsupported checkpoint version 3 .*version 4"):
+    with pytest.raises(
+            CheckpointError,
+            match=f"unsupported checkpoint version {version} .*version 5"):
         restore_checkpoint(directory)
 
 

@@ -177,7 +177,7 @@ class TestLaunch:
         queue.enqueue_nd_range(kernel, (16,), (8,))
         queue.enqueue_nd_range(kernel, (16,), (8,))
         assert queue.kernels_launched == 2
-        assert queue.total_stats.threads_launched == 32
+        assert queue.ledger.stats().threads_launched == 32
         queue.finish()  # no-op, must not raise
 
     def test_guest_cpu_cost_accumulates(self, context):

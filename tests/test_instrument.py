@@ -1,5 +1,11 @@
-"""Unit tests: statistics containers, merging, CFG, report formatting."""
+"""Unit tests: statistics containers, clause ledgers, CFG, report
+formatting."""
 
+import collections
+import dataclasses
+import gc
+
+import numpy as np
 import pytest
 
 from repro.instrument import (
@@ -45,14 +51,6 @@ class TestJobStats:
         expected = (1 * 2 + 4 * 3 + 8 * 1) / 6
         assert stats.average_clause_size() == pytest.approx(expected)
         assert JobStats().average_clause_size() == 0.0
-
-    def test_merge_accumulates(self):
-        a, b = self._sample(), self._sample()
-        merged = JobStats().merge(a).merge(b)
-        assert merged.arith_instrs == 100
-        assert merged.clause_size_histogram == {1: 4, 4: 6, 8: 2}
-        # inputs untouched
-        assert a.arith_instrs == 50
 
     def test_data_access_breakdown_normalizes(self):
         stats = JobStats()
@@ -135,6 +133,109 @@ class TestApplyClauseStats:
         assert stats == JobStats()
 
 
+_LEDGER_SOURCE = """
+__kernel void gated(__global int* out, int n) {
+    int i = get_global_id(0);
+    if (n > 0) {
+        out[i] = i * 3 + n;
+    }
+}
+__kernel void fill(__global int* out, int n) {
+    out[get_global_id(0)] = n;
+}
+"""
+
+
+def _summed(stats_list):
+    """The field-wise sum of *stats_list* (the JobStats of single
+    jobs), histogram buckets included."""
+    total = JobStats()
+    for stats in stats_list:
+        for field in dataclasses.fields(JobStats):
+            if field.name != "clause_size_histogram":
+                setattr(total, field.name, getattr(total, field.name)
+                        + getattr(stats, field.name))
+    total.clause_size_histogram = dict(sum(
+        (collections.Counter(stats.clause_size_histogram)
+         for stats in stats_list), collections.Counter()))
+    return total
+
+
+class TestClauseLedger:
+    """Every scope's totals are read off its per-program clause tables:
+    they must be what adding the jobs up one by one gives."""
+
+    def _launcher(self):
+        """A client of tenant 1 on a two-tenant platform, and a launch
+        function returning each job's JobStats and the clauses it ran."""
+        from repro.cl import CommandQueue, Context
+        from repro.core.platform import MobilePlatform, PlatformConfig
+        from repro.driver.kbase import TenancyConfig
+
+        platform = MobilePlatform(PlatformConfig(
+            tenancy=TenancyConfig.symmetric(2)))
+        context = Context(platform, tenant=platform.driver.tenant(1))
+        queue = CommandQueue(context)
+        program = context.build_program(_LEDGER_SOURCE)
+        out = context.alloc_buffer(4 * 32)
+
+        def launch(name, n):
+            kernel = program.kernel(name)
+            kernel.set_args(out, np.int32(n))
+            stats = queue.enqueue_nd_range(kernel, (32,), (8,))
+            return stats, set(kernel.last_cfg.executions)
+
+        return platform, queue, launch
+
+    def test_scope_stats_are_the_sum_of_its_jobs(self):
+        platform, queue, launch = self._launcher()
+        first, first_clauses = launch("gated", 0)  # P1: skips its body
+        second, _ = launch("fill", 4)  # P2
+        third, third_clauses = launch("gated", 5)  # P1 again, body taken
+        assert third_clauses > first_clauses
+        expected = _summed([first, second, third])
+        ledgers = (platform.gpu.job_manager.ledger,
+                   platform.driver.tenant(1).ledger, queue.ledger)
+        for ledger in ledgers:
+            assert len(ledger.tables) == 2  # one table per program
+            assert ledger.stats() == expected
+        assert platform.driver.tenant(0).ledger.stats() == JobStats()
+        registry = platform.stats_registry
+        for scope in ("gpu.job", "tenant1.gpu.job"):
+            assert registry.value(f"{scope}.clause_size_histogram") \
+                == dict(sorted(expected.clause_size_histogram.items()))
+            assert registry.value(f"{scope}.clauses_executed") \
+                == expected.clauses_executed
+        assert registry.value("gpu.core0.warp.threads_launched") == 96
+
+    def test_stats_are_derived_once_per_change(self):
+        platform, _queue, launch = self._launcher()
+        ledger = platform.gpu.job_manager.ledger
+        launch("fill", 1)
+        stats = ledger.stats()
+        assert ledger.stats() is stats
+        launch("fill", 2)
+        assert ledger.stats() is not stats
+        assert ledger.stats().threads_launched == 64
+
+    def test_job_manager_keeps_no_retired_job(self):
+        """64 retired jobs leave at most the last chain's results alive
+        (the launching kernel holds its last one)."""
+        from repro.gpu.jobmanager import JobResult
+
+        def alive():
+            gc.collect()
+            return sum(isinstance(obj, JobResult)
+                       for obj in gc.get_objects())
+
+        platform, _queue, launch = self._launcher()
+        before = alive()
+        for n in range(64):
+            launch("fill", n)
+        assert platform.gpu.job_manager.jobs_retired == 64
+        assert alive() - before <= len(platform.last_job_results())
+
+
 class TestSystemStats:
     def test_row(self):
         stats = SystemStats(pages_accessed=5, ctrl_reg_reads=10,
@@ -162,17 +263,6 @@ class TestDivergenceCFG:
         cfg.record_divergence(3)
         assert cfg.divergence_fraction(3) == pytest.approx(2 / 50)
         assert cfg.divergence_fraction(99) == 0.0
-
-    def test_merge(self):
-        a, b = DivergenceCFG(), DivergenceCFG()
-        a.record_edge(0, 1, 10)
-        b.record_edge(0, 1, 5)
-        b.record_edge(1, "END", 5)
-        b.record_divergence(0)
-        a.merge(b)
-        assert a.edges[(0, 1)] == 15
-        assert a.edges[(1, "END")] == 5
-        assert a.divergences == {0: 1}
 
     def test_dot_output(self):
         cfg = DivergenceCFG(base_address=0xAA000000)

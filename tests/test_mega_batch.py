@@ -264,7 +264,7 @@ def test_an_abandoned_batch_leaves_no_trace(monkeypatch):
                           unit.groups_started, shape)
         return (platform.memory.dump_pages(), mmu.translations,
                 set(mmu.pages_accessed), mmu.wide_accesses,
-                mmu.wide_fallbacks, stats.get_state())
+                mmu.wide_fallbacks, stats)
 
     def checking(self, *args):
         program, _uniforms, _mem, shape = args[:4]

@@ -442,9 +442,8 @@ def _run_diverge_on(context, kernel):
     buf_out = context.alloc_buffer(4 * n)
     kernel.set_args(context.buffer_from_array(data), buf_out,
                     LocalMemory(4 * 16))
-    queue.enqueue_nd_range(kernel, (n,), (16,))
-    return (queue.enqueue_read_buffer(buf_out, np.float32),
-            context.platform.gpu.job_manager.results[-1].stats)
+    stats = queue.enqueue_nd_range(kernel, (n,), (16,))
+    return queue.enqueue_read_buffer(buf_out, np.float32), stats
 
 
 @pytest.mark.parametrize("engine", ["mega"])

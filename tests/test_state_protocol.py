@@ -153,12 +153,12 @@ TRANSIENT = {
         "instrument": _CONSTANT, "watchdog_budget": _CONSTANT,
         "_decode_cache": "keys are saved; rewarm_decode_cache re-decodes "
                          "them through TenantContext.read_va",
-        "results": "host-side JobResult handles",
         "unit": "the execution unit: its engine, local slab and register "
                   "file (the code mega emits sits in gpu.megakernel's "
                   "process-wide cache, keyed by program bytes: host "
                   "state, found warm or emitted again), " + _CACHE,
     },
+    "ClauseLedger": {"_stats": "derived from the tables when read"},
     "KBaseDriver": {
         "bus": _WIRING, "irqc": _WIRING, "_gpu": _WIRING,
         "injector": _WIRING,
@@ -254,7 +254,8 @@ def test_walk_reaches_every_component_class():
     assert reached >= {
         "MobilePlatform", "UART", "Timer", "InterruptController",
         "NetworkDevice", "BlockDevice", "CPU", "GPUDevice", "SystemStats",
-        "GPUMMU", "JobManager", "JobStats", "KBaseDriver", "TenantContext",
+        "GPUMMU", "JobManager", "ClauseLedger", "KBaseDriver",
+        "TenantContext",
         "PhysAllocator", "PageTableBuilder", "JobSlotArbiter", "PendingJob",
         "FaultInjector", "StatsRegistry", "Counter"}
 

@@ -545,7 +545,7 @@ class TestDispatchEnvelope:
         def hook():
             seen.append((
                 sum(t.jobs_completed + t.jobs_failed for t in tenants),
-                sum(t.completed_stats.threads_launched for t in tenants)))
+                sum(t.ledger.stats().threads_launched for t in tenants)))
 
         platform.driver.on_job_retired = hook
         settled, threads = route(platform)
