@@ -54,9 +54,12 @@ trajectory to regress against:
   kernel), and how many gate calls a second build of the same content
   makes (none);
 - **snapshot**: microseconds per registry snapshot of a two-tenant
-  platform, and the ``JobStats`` its scopes derive from their clause
-  ledgers (one per scope, however many probes read it; none on a second
-  snapshot with no job between);
+  platform, and the ``JobStats`` derived: none by synchronous launches
+  on a profiling queue (a launch returns its job's record, and the
+  record derives its statistics when read), one by reading one record's
+  twice, one per scope from its clause ledger by a snapshot, however
+  many probes read it, and none by a second snapshot with no job
+  between;
 - **guest**: microseconds per KiB of a 64 KiB guest ``memcpy`` and
   ``memset`` on the DBT and the interpretive CPU engine, the guest
   instructions each retires (the same on both), and the function calls
@@ -795,40 +798,53 @@ def build():
     }
 
 
-def snapshot(repeats=5):
-    """One registry snapshot of a two-tenant platform after a saxpy job
-    per tenant: microseconds, and the ``JobStats`` each scope (the Job
-    Manager and each tenant) derives from its clause ledger — one per
-    scope, not one per probe read, and none on a second snapshot."""
+def snapshot(repeats=5, launches=8):
+    """*launches* synchronous saxpy jobs per tenant on a profiling queue
+    of a two-tenant platform, then one registry snapshot: microseconds,
+    and the ``JobStats`` derived, counted at the one derivation function
+    — none by the launches (a launch returns its job's record, which
+    derives its statistics only when read), one by reading the last
+    record's ``stats`` twice, and one per scope (the Job Manager and
+    each tenant) from its clause ledger by the snapshot, however many
+    probes read it, and none by a second snapshot."""
     from repro.driver.kbase import TenancyConfig
     from repro.gpu import jobmanager
 
+    derived = [0]
+    derive = jobmanager.derive_stats
+
+    def counting(*args):
+        derived[0] += 1
+        return derive(*args)
+
     platform = MobilePlatform(PlatformConfig(
         tenancy=TenancyConfig.symmetric(2)))
-    for tenant in platform.driver.tenants:
-        context = Context(platform, tenant=tenant)
-        kernel = context.build_program(_SAXPY).kernel("saxpy")
-        kernel.set_args(context.alloc_buffer(64 * 4),
-                        context.alloc_buffer(64 * 4), np.float32(2.0))
-        CommandQueue(context).enqueue_nd_range(kernel, (64,), (16,))
-    derived = []  # the JobStats each derivation fills in
-    apply = jobmanager.apply_clause_stats
-
-    def counting(stats, *args):
-        derived.append(stats)
-        apply(stats, *args)
-
     registry = platform.stats_registry
-    jobmanager.apply_clause_stats = counting
+    jobmanager.derive_stats = counting
     try:
+        for tenant in platform.driver.tenants:
+            context = Context(platform, tenant=tenant)
+            kernel = context.build_program(_SAXPY).kernel("saxpy")
+            kernel.set_args(context.alloc_buffer(64 * 4),
+                            context.alloc_buffer(64 * 4), np.float32(2.0))
+            queue = CommandQueue(context, profiling=True)
+            records = [queue.enqueue_nd_range(kernel, (64,), (16,))
+                       for _ in range(launches)]
+        launch_derivations = derived[0]
+        _reads = [records[-1].stats for _ in range(2)]
+        read_derivations = derived[0] - launch_derivations
+        derived[0] = 0
         registry.snapshot()
-        first = len({id(stats) for stats in derived})
-        derived.clear()
+        first = derived[0]
+        derived[0] = 0
         registry.snapshot()
-        second = len(derived)
+        second = derived[0]
     finally:
-        jobmanager.apply_clause_stats = apply
+        jobmanager.derive_stats = derive
     return {
+        "launches": launches * len(platform.driver.tenants),
+        "launch_derivations": launch_derivations,
+        "record_read_twice_derivations": read_derivations,
         "scopes": 1 + len(platform.driver.tenants),
         "first_snapshot_derivations": first,
         "second_snapshot_derivations": second,
@@ -1028,8 +1044,11 @@ def main(argv=None):
           f"{built['second_build_us']:.0f} us and "
           f"{built['second_build_gate_calls']} gate calls")
     snap = report["snapshot"]
-    print(f"snapshot: {snap['us']:.0f} us per registry snapshot of a "
-          f"two-tenant platform, {snap['first_snapshot_derivations']} "
+    print(f"snapshot: {snap['launch_derivations']} JobStats derived by "
+          f"{snap['launches']} launches, "
+          f"{snap['record_read_twice_derivations']} by reading one "
+          f"record's twice; {snap['us']:.0f} us per registry snapshot of "
+          f"a two-tenant platform, {snap['first_snapshot_derivations']} "
           f"JobStats derived for {snap['scopes']} scopes, "
           f"{snap['second_snapshot_derivations']} on a second snapshot")
     guest_row = report["guest"]
@@ -1118,6 +1137,12 @@ def main(argv=None):
             snap["second_snapshot_derivations"]) != (snap["scopes"], 0):
         print("FAIL: a registry snapshot must derive each scope's JobStats "
               "from its clause ledger once, and a second snapshot none",
+              file=sys.stderr)
+        failed = True
+    if (snap["launch_derivations"],
+            snap["record_read_twice_derivations"]) != (0, 1):
+        print("FAIL: a launch must derive no JobStats, and reading one "
+              "record's statistics twice must derive them once",
               file=sys.stderr)
         failed = True
     if clause["second_platform_emits"] != 0:

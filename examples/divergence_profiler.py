@@ -50,13 +50,13 @@ def main():
     buf_labels = context.alloc_buffer(4 * n)
     kernel = context.build_program(KERNEL).kernel("classify")
     kernel.set_args(buf_values, buf_labels, n)
-    queue.enqueue_nd_range(kernel, (n,), (32,))
+    job = queue.enqueue_nd_range(kernel, (n,), (32,))
 
     labels = queue.enqueue_read_buffer(buf_labels, np.int32)
     print(f"classified {n} values into {len(set(labels.tolist()))} labels")
     print()
 
-    cfg = kernel.last_cfg
+    cfg = job.cfg
     print("control-flow graph (DOT, Fig. 6 style):")
     print(cfg.to_dot())
     print()

@@ -47,9 +47,11 @@ def main():
     buf_x = context.buffer_from_array(x)
     buf_y = context.buffer_from_array(y)
 
-    # 4. launch: descriptor -> doorbell -> Job Manager -> shader cores
+    # 4. launch: descriptor -> doorbell -> Job Manager -> shader cores;
+    #    the launch returns the retired job's record, which multiplies its
+    #    clause table out into statistics when they are read
     kernel.set_args(buf_x, buf_y, np.float32(2.0), n)
-    stats = queue.enqueue_nd_range(kernel, (n,), (64,))
+    stats = queue.enqueue_nd_range(kernel, (n,), (64,)).stats
 
     # 5. results + instrumentation
     result = queue.enqueue_read_buffer(buf_y, np.float32)

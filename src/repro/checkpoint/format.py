@@ -108,7 +108,8 @@ def load_checkpoint_dir(directory):
 
     Returns ``(state_dict, memory_bytes, manifest)``. Raises
     :class:`CheckpointError` on any missing file, digest mismatch,
-    malformed JSON or unknown version — before any state is applied.
+    malformed JSON, JSON of the wrong shape or unknown version — before
+    any state is applied.
     """
     raw_manifest = _read_file(directory, MANIFEST_FILE)
     try:
@@ -116,6 +117,11 @@ def load_checkpoint_dir(directory):
     except ValueError as exc:
         raise CheckpointError(
             f"corrupt checkpoint manifest in {directory}: {exc}") from exc
+    if not isinstance(manifest, dict) \
+            or not isinstance(manifest.get("golden"), dict):
+        raise CheckpointError(
+            f"checkpoint manifest in {directory} is not an object with a "
+            f"golden snapshot")
     version = manifest.get("checkpoint_version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
@@ -142,4 +148,8 @@ def load_checkpoint_dir(directory):
     except ValueError as exc:
         raise CheckpointError(
             f"corrupt checkpoint state in {directory}: {exc}") from exc
+    if not isinstance(state, dict) or not {"config", "platform"} <= set(state):
+        raise CheckpointError(
+            f"checkpoint state in {directory} is not an object with config "
+            f"and platform sections")
     return state, payloads[MEMORY_FILE], manifest

@@ -21,9 +21,9 @@ class Event:
     """A profiling event (clGetEventProfilingInfo-style).
 
     One event is recorded per enqueued command when the queue has
-    profiling enabled; ``stats`` carries the per-job statistics for kernel
-    launches. ``status`` is ``"complete"`` or ``"error"`` — a kernel
-    launch the driver could not recover (an unrecoverable
+    profiling enabled; a kernel launch's keeps its job's ``result`` and
+    derives ``stats`` from it when read. ``status`` is ``"complete"`` or
+    ``"error"`` — a launch the driver could not recover (an unrecoverable
     :class:`~repro.errors.JobFault`) records an errored event, mirroring
     ``CL_EVENT_COMMAND_EXECUTION_STATUS`` going negative.
     """
@@ -32,8 +32,13 @@ class Event:
     name: str
     start: float
     end: float
-    stats: object = None
+    result: object = None
     status: str = "complete"
+
+    @property
+    def stats(self):
+        """The launch's JobStats (None for any other command)."""
+        return None if self.result is None else self.result.stats
 
     @property
     def duration(self):
@@ -254,12 +259,6 @@ class Kernel:
         self.compiled = compiled
         self._args = [None] * len(compiled.params)
         self._uniform_region = None
-        self._last_result = None
-
-    @property
-    def last_cfg(self):
-        """The divergence CFG (Fig. 6) of the last launch, or None."""
-        return None if self._last_result is None else self._last_result.cfg
 
     @property
     def name(self):
@@ -325,11 +324,11 @@ class CommandQueue:
         self.profiling = profiling
         self.events = []
 
-    def _record_event(self, kind, name, start, stats=None,
+    def _record_event(self, kind, name, start, result=None,
                       status="complete"):
         if self.profiling:
             self.events.append(Event(kind, name, start, time.perf_counter(),
-                                     stats=stats, status=status))
+                                     result=result, status=status))
 
     def _span(self, name, args=None):
         """A Chrome-trace span on the CL command track (no-op untraced)."""
@@ -417,7 +416,8 @@ class CommandQueue:
         }, uniforms
 
     def enqueue_nd_range(self, kernel, global_size, local_size=None):
-        """Launch *kernel*; returns the per-job statistics. The kernel
+        """Launch *kernel*; returns the retired job's record (``stats``,
+        ``cfg``: :class:`~repro.gpu.jobmanager.JobResult`). The kernel
         keeps one uniform region across its synchronous launches."""
         event_start = time.perf_counter()
         context = self.context
@@ -469,9 +469,7 @@ class CommandQueue:
                 self._record_event("ndrange", kernel.name, event_start,
                                    status="error")
                 raise
-        results = platform.last_job_results()
-        result = results[-1]
-        kernel._last_result = result
+        result = platform.last_job_results()[-1]
         if record is not None:
             as_tag = context._tenant.as_id << AS_TAG_SHIFT
             data_pages = set()
@@ -489,8 +487,8 @@ class CommandQueue:
         self.kernels_launched += 1
         context.stat_kernels_launched.increment()
         self._record_event("ndrange", kernel.name, event_start,
-                           stats=result.stats)
-        return result.stats
+                           result=result)
+        return result
 
     def enqueue_nd_range_async(self, kernel, global_size, local_size=None):
         """Queue *kernel* with the driver's job-slot arbiter; returns the

@@ -14,8 +14,9 @@ bytes, so a fresh platform still fetches each binary but decodes
 nothing the process has decoded before), splits
 the NDRange into thread-groups and runs them on its one compute unit, in
 lockstep batches where the unit's engine can. The unit records which
-clauses a job ran; the job's statistics are computed from that record
-once, when the job retires; totals are read off a :class:`ClauseLedger`.
+clauses a job ran; the retired job's :class:`JobResult` keeps that
+table, and its statistics are multiplied out of it only when read, as
+are the totals of a :class:`ClauseLedger`.
 
 The paper maps thread-groups onto host threads (Fig. 10). Under CPython a
 pool of host threads only ever slowed a job down, so the simulator runs
@@ -24,6 +25,7 @@ one unit and spends workgroup independence on vector width instead.
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,8 +41,7 @@ from repro.gpu.encoding import decode_program
 from repro.gpu.shadercore import ComputeUnit, WorkgroupShape
 from repro.hostcode import BoundedTable
 from repro.instrument.cfg import DivergenceCFG
-from repro.instrument.stats import (JobStats, apply_clause_stats, job_stats,
-                                    merge_clause_counts)
+from repro.instrument.stats import derive_stats, merge_clause_counts
 from repro.state import Stateful
 
 JOB_TYPE_COMPUTE = 1
@@ -88,12 +89,30 @@ class JobDescriptor:
 
 @dataclass
 class JobResult:
-    """Outcome of one retired job."""
+    """One retired job: descriptor, program, clause table (None:
+    uninstrumented) and shape; its JobStats and CFG are derived when read."""
 
     descriptor: JobDescriptor
-    stats: JobStats
     program: object
     clause_counts: dict
+    shape: WorkgroupShape
+
+    @property
+    def launched(self):
+        """Workgroups, warps and threads: a job that retired ran every
+        group of its shape (a sliced or hung one raises instead)."""
+        shape = self.shape
+        groups = shape.total_groups
+        return (groups, groups * shape.warps_per_group,
+                groups * shape.threads_per_group)
+
+    @cached_property
+    def stats(self):
+        """The job's JobStats (all zero if it ran uninstrumented)."""
+        if self.clause_counts is None:
+            return derive_stats(())
+        return derive_stats(((self.program.clauses, self.clause_counts),),
+                            *self.launched)
 
     @property
     def cfg(self):
@@ -122,9 +141,10 @@ class ClauseLedger(Stateful):
             merge_clause_counts(
                 self.tables.setdefault(result.program.image, {}),
                 result.clause_counts)
-            self.workgroups += result.stats.workgroups
-            self.warps_launched += result.stats.warps_launched
-            self.threads_launched += result.stats.threads_launched
+            groups, warps, threads = result.launched
+            self.workgroups += groups
+            self.warps_launched += warps
+            self.threads_launched += threads
             self._stats = None
 
     def programs(self):
@@ -135,12 +155,10 @@ class ClauseLedger(Stateful):
 
     def stats(self):
         if self._stats is None:
-            stats = JobStats(workgroups=self.workgroups,
-                             warps_launched=self.warps_launched,
-                             threads_launched=self.threads_launched)
-            for program, counts in self.programs():
-                apply_clause_stats(stats, program.clauses, counts)
-            self._stats = stats
+            self._stats = derive_stats(
+                ((program.clauses, counts)
+                 for program, counts in self.programs()),
+                self.workgroups, self.warps_launched, self.threads_launched)
         return self._stats
 
     def get_state(self):
@@ -318,15 +336,11 @@ class JobManager(Stateful):
         return results
 
     def run_job(self, descriptor_va, workgroup_budget=None):
-        events = self.events
-        if events is not None:
-            events.begin("job", "gpu", "jobmanager",
-                         args={"descriptor_va": descriptor_va})
-        try:
-            return self._run_job(descriptor_va, workgroup_budget)
-        finally:
-            if events is not None:
-                events.end("job", "gpu", "jobmanager")
+        if self.events is not None:
+            with self.events.span("job", "gpu", "jobmanager",
+                                  args={"descriptor_va": descriptor_va}):
+                return self._run_job(descriptor_va, workgroup_budget)
+        return self._run_job(descriptor_va, workgroup_budget)
 
     def _fault_instant(self, exc):
         if self.events is not None:
@@ -399,9 +413,7 @@ class JobManager(Stateful):
                                           "total": total_groups})
             raise JobPreempted(limit, total_groups)
 
-        stats = job_stats(program.clauses, unit.clause_counts,
-                          unit.groups_started, shape)
-        result = JobResult(descriptor, stats, program, unit.clause_counts)
+        result = JobResult(descriptor, program, unit.clause_counts, shape)
         self.jobs_retired += 1
         self.ledger.add(result)
         return result

@@ -26,8 +26,8 @@ counting ``(issues, lanes, taken, split)`` per clause — where one
 *issue* is counted per quad with at least one active lane — into the
 job's per-clause table gives the interpreter's table, and with it the
 interpreter's :class:`~repro.instrument.stats.JobStats` and CFG,
-bit-for-bit (both are computed from the table when the job retires,
-:func:`~repro.instrument.stats.job_stats`). Barriers need no
+bit-for-bit (both are derived from the table when read,
+:func:`~repro.instrument.stats.derive_stats`). Barriers need no
 fallback: when every running lane waits, releasing them all reproduces the
 compute unit's release protocol. Two loops share a workgroup: while every
 lane sits at one PC the *converged* loop dispatches chain functions with

@@ -25,6 +25,8 @@ paper maps onto host threads (Fig. 10) is spent here on vector width
 instead: under CPython it is the form this host can measure.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 
 from repro.errors import GuestError, WatchdogTimeout
@@ -79,9 +81,9 @@ class ComputeUnit:
     or, under any other name, the quad interpreter.
 
     Records the running job in :attr:`clause_counts`, its per-clause
-    table, and :attr:`groups_started`; the job's
-    :class:`~repro.instrument.stats.JobStats` and divergence CFG are
-    computed from the two when it retires (Section IV-A). A unit
+    table; the job's :class:`~repro.instrument.stats.JobStats` and
+    divergence CFG are derived from it and the job's shape when read
+    (Section IV-A). A unit
     outlives jobs and keeps its local slab; on the mega tier it runs in
     its host thread's one register file
     (:func:`~repro.gpu.megakernel.register_file`). Everything a job can
@@ -92,17 +94,10 @@ class ComputeUnit:
 
     def __init__(self, engine):
         self.engine = engine
-        self.clause_counts = None
-        self.groups_started = 0
-        self.tracer = None
-        self.events = None
-        self.injector = None
-        self.watchdog_budget = None
+        self.prepare(0, instrument=False)
         # grows to the most local words a job or batch needed; a group
         # sees its job's declared words of it
         self._slab = np.zeros(0, dtype=np.uint32)
-        self._words = 0
-        self._job = self._mega = self._quad = None
         self._cap = None  # most groups this job's calls take, if capped
         #: lockstep batches this unit started / abandoned (never reset)
         self.batches_run = 0
@@ -111,7 +106,6 @@ class ComputeUnit:
     def prepare(self, local_mem_bytes, instrument, tracer=None, events=None,
                 injector=None, watchdog_budget=None):
         self.clause_counts = {} if instrument else None
-        self.groups_started = 0
         self.tracer = tracer
         self.events = events
         self.injector = injector
@@ -195,9 +189,8 @@ class ComputeUnit:
         returns no warps.
         """
         if count > 1:
-            warps = self._run_batch(program, uniforms, mem, shape,
-                                    flat_group, count)
-            return () if warps is None else warps
+            return self._run_batch(program, uniforms, mem, shape,
+                                   flat_group, count)
         local = self._slabs(1)
         # progress-budget watchdog: each scheduler round is one progress
         # unit; a workgroup that burns its budget without finishing is a
@@ -219,46 +212,45 @@ class ComputeUnit:
                     program, uniforms, mem, local=local[0],
                     counts=self.clause_counts, tracer=self.tracer)
             warps = self._spawn_warps(shape, flat_group)
-        self.groups_started += 1
+        with self._span({"group": flat_group,
+                         "warps": shape.warps_per_group}):
+            try:
+                if mega is not None:
+                    # the kernel owns scheduling, barrier releases
+                    # included, with the same round accounting as below
+                    return mega.run_workgroup(
+                        shape, flat_group, budget, counts=self.clause_counts,
+                        stalled=rounds, local=local, snapshot=False)
+                while True:
+                    rounds += 1
+                    if budget is not None and rounds > budget:
+                        raise WatchdogTimeout(flat_group, rounds)
+                    for warp in [w for w in warps
+                                 if not w.finished and not w.blocked]:
+                        interp.run_warp(warp)
+                    if all(warp.finished for warp in warps):
+                        return warps
+                    if all(warp.finished or warp.blocked for warp in warps):
+                        # every live warp is at the barrier: release all
+                        for warp in warps:
+                            warp.release_barrier()
+            except IndexError as exc:
+                # NumPy's bounds check of the job's local view
+                raise GuestError(
+                    f"workgroup {flat_group}: local memory access outside "
+                    f"the {4 * self._words} bytes the job declared") from exc
+
+    def _span(self, args):
+        """A ``workgroup`` span on the core's track (no-op untraced)."""
         events = self.events
-        track = "core0"
-        if events is not None:
-            events.begin("workgroup", "gpu", track,
-                         args={"group": flat_group,
-                               "warps": shape.warps_per_group})
-        try:
-            if mega is not None:
-                # the kernel owns scheduling, barrier releases included,
-                # with the same round accounting as the loop below
-                return mega.run_workgroup(
-                    shape, flat_group, budget, counts=self.clause_counts,
-                    stalled=rounds, local=local, snapshot=False)
-            while True:
-                rounds += 1
-                if budget is not None and rounds > budget:
-                    raise WatchdogTimeout(flat_group, rounds)
-                for warp in [w for w in warps
-                             if not w.finished and not w.blocked]:
-                    interp.run_warp(warp)
-                if all(warp.finished for warp in warps):
-                    return warps
-                if all(warp.finished or warp.blocked for warp in warps):
-                    # every live warp reached the barrier: release together
-                    for warp in warps:
-                        warp.release_barrier()
-        except IndexError as exc:
-            # NumPy's bounds check of the job's local view
-            raise GuestError(
-                f"workgroup {flat_group}: local memory access outside the "
-                f"{4 * self._words} bytes the job declared") from exc
-        finally:
-            if events is not None:
-                events.end("workgroup", "gpu", track)
+        if events is None:
+            return nullcontext()
+        return events.span("workgroup", "gpu", "core0", args)
 
     def _run_batch(self, program, uniforms, mem, shape, flat_group, count):
         """One lockstep batch on the mega tier (*count* is what
         :meth:`batch_groups` answered for this job): the retired warps of
-        its groups, over the register file's rows, or None if it was
+        its groups, over the register file's rows, or none if it was
         abandoned — memory, the MMU's counters, this job's records and
         its trace then are as if it had never started, and the job's cap
         is lowered: to half of *count* if the port only ran out of
@@ -268,32 +260,24 @@ class ComputeUnit:
         self.batches_run += 1
         tracer = self.tracer
         recorded = None if tracer is None else tracer.total_events
-        events = self.events
-        track = "core0"
-        if events is not None:
-            events.begin("workgroup", "gpu", track,
-                         args={"group": flat_group, "groups": count,
-                               "warps": count * shape.warps_per_group})
-        try:
-            warps = mega.run_workgroup(
-                shape, flat_group, self.watchdog_budget, count,
-                counts=self.clause_counts, local=self._slabs(count),
-                snapshot=False)
-        except BatchAbandoned as abandoned:
-            self.batches_abandoned += 1
-            self._cap = count // 2 if abandoned.capacity else 1
-            if tracer is not None:
-                tracer.rollback(recorded)
-            if events is not None:
-                events.instant("batch_abandoned", "gpu", "jobmanager",
-                               args={"reason": abandoned.reason,
-                                     "group": flat_group})
-            return None
-        finally:
-            if events is not None:
-                events.end("workgroup", "gpu", track)
-        self.groups_started += count
-        return warps
+        with self._span({"group": flat_group, "groups": count,
+                         "warps": count * shape.warps_per_group}):
+            try:
+                return mega.run_workgroup(
+                    shape, flat_group, self.watchdog_budget, count,
+                    counts=self.clause_counts, local=self._slabs(count),
+                    snapshot=False)
+            except BatchAbandoned as abandoned:
+                self.batches_abandoned += 1
+                self._cap = count // 2 if abandoned.capacity else 1
+                if tracer is not None:
+                    tracer.rollback(recorded)
+                if self.events is not None:
+                    self.events.instant(
+                        "batch_abandoned", "gpu", "jobmanager",
+                        args={"reason": abandoned.reason,
+                              "group": flat_group})
+                return ()
 
     def _spawn_warps(self, shape, flat_group):
         gx, gy, gz = shape.group_coords(flat_group)

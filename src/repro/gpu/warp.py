@@ -85,7 +85,7 @@ class ClauseInterpreter:
             (byte offsets are divided by 4), or None when the kernel uses
             no local memory.
         counts: the job's per-clause table to count into (see
-            :func:`~repro.instrument.stats.apply_clause_stats`), or None to
+            :func:`~repro.instrument.stats.derive_stats`), or None to
             run without instrumentation (the Fig. 8 "w/o instrum." mode).
         tracer: an instruction tracer (:mod:`repro.validate`) whose
             ``record_quad(warp, mask, instr, values, element=0)`` is called
@@ -147,7 +147,7 @@ class ClauseInterpreter:
         if self.counts is not None:
             # execution only records clause frequency and active lanes
             # (paper Section IV-A); the decode-time clause metrics are
-            # multiplied out when the job retires
+            # multiplied out when the job's statistics are read
             entry = self.counts.setdefault(clause_index, [0, 0, 0, 0])
             entry[0] += 1
             entry[1] += lanes

@@ -202,7 +202,7 @@ def _clean_run(workload_name, engine):
     if key not in _clean_runs:
         execution = _execute(workload_name, engine)
         platform = execution.platform
-        groups = max((result.stats.workgroups
+        groups = max((result.shape.total_groups
                       for result in platform.last_job_results()), default=1)
         _clean_runs[key] = _CleanRun(
             failure=(None if execution.error is None and execution.verified

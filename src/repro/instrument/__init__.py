@@ -18,8 +18,7 @@ end-to-end ledger's ``instrument.overhead_frac`` (``benchmarks/e2e``).
 from repro.instrument.stats import (
     JobStats,
     SystemStats,
-    apply_clause_stats,
-    job_stats,
+    derive_stats,
 )
 from repro.instrument.cfg import DivergenceCFG
 from repro.instrument.registry import (
@@ -42,8 +41,7 @@ from repro.instrument.report import (
 __all__ = [
     "JobStats",
     "SystemStats",
-    "apply_clause_stats",
-    "job_stats",
+    "derive_stats",
     "DivergenceCFG",
     "Counter",
     "Probe",

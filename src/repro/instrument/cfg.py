@@ -35,7 +35,7 @@ class DivergenceCFG:
     @classmethod
     def from_clause_counts(cls, clauses, counts):
         """The graph of a job's per-clause table (see
-        :func:`~repro.instrument.stats.apply_clause_stats`): a clause
+        :func:`~repro.instrument.stats.derive_stats`): a clause
         sends its lanes to ``c+1`` (``END`` after an END tail) but for
         those a JUMP or BRANCH sends to its target."""
         from repro.gpu.isa import Tail

@@ -5,9 +5,10 @@ Two granularities:
 - :class:`JobStats` — GPU program-execution metrics (Section IV-A/C):
   instruction mix, data-access breakdown, clause metrics, divergence.
   The engines only record which clauses ran, in the job's per-clause
-  table; :func:`job_stats` multiplies that table out once, when the job
-  retires; a scope's totals are multiplied out, when read, from its
-  per-program tables (:class:`~repro.gpu.jobmanager.ClauseLedger`).
+  table; :func:`derive_stats` multiplies clause tables out, when someone
+  reads a job's statistics (:class:`~repro.gpu.jobmanager.JobResult`) or
+  a scope's, which keeps one table per program
+  (:class:`~repro.gpu.jobmanager.ClauseLedger`).
 - :class:`SystemStats` — platform-level CPU-GPU interaction metrics
   (Section IV-B, Table III): pages accessed by the GPU, control-register
   reads/writes, interrupts asserted, compute jobs. Collected by the GPU
@@ -116,8 +117,10 @@ class JobStats:
         return weighted / total
 
 
-def apply_clause_stats(stats, clauses, counts):
-    """Add the per-clause table *counts* of a job to *stats*.
+def derive_stats(tables, workgroups=0, warps_launched=0,
+                 threads_launched=0):
+    """The :class:`JobStats` of the per-clause tables *tables*,
+    ``(clauses, counts)`` pairs, and the launch counters given.
 
     *counts* maps clause index -> ``[issues, total active lanes, lanes a
     branch took, issues whose lanes it split]``. Every field in
@@ -126,43 +129,35 @@ def apply_clause_stats(stats, clauses, counts):
     arithmetically identical to per-issue additions (the paper's Section
     IV-A: execution records clause frequency only).
     """
+    stats = JobStats(workgroups=workgroups, warps_launched=warps_launched,
+                     threads_launched=threads_launched)
     histogram = stats.clause_size_histogram
-    for clause_index, (issues, lanes, _taken, divergent) in counts.items():
-        clause = clauses[clause_index]
-        metrics = clause.metrics()
-        size = clause.size
-        stats.clauses_executed += issues
-        histogram[size] = histogram.get(size, 0) + issues
-        stats.arith_cycles += size * issues
-        stats.ls_cycles += metrics.ls_beats * issues
-        stats.arith_instrs += metrics.arith_instrs * lanes
-        stats.nop_instrs += metrics.nop_instrs * lanes
-        stats.ls_global_instrs += metrics.ls_global_instrs * lanes
-        stats.ls_local_instrs += metrics.ls_local_instrs * lanes
-        stats.const_load_instrs += metrics.const_load_instrs * lanes
-        stats.temp_reads += metrics.temp_reads * lanes
-        stats.temp_writes += metrics.temp_writes * lanes
-        stats.grf_reads += metrics.grf_reads * lanes
-        stats.grf_writes += metrics.grf_writes * lanes
-        stats.const_reads += metrics.const_reads * lanes
-        stats.rom_reads += metrics.rom_reads * lanes
-        stats.main_mem_accesses += metrics.main_mem_accesses * lanes
-        stats.local_mem_accesses += metrics.local_mem_accesses * lanes
-        stats.cf_instrs += metrics.cf_instrs * lanes
-        stats.branch_events += metrics.cf_instrs * issues
-        stats.divergent_branches += divergent
-
-
-def job_stats(clauses, counts, groups, shape):
-    """The :class:`JobStats` of a job that ran *groups* workgroups of
-    *shape* and recorded the per-clause table *counts* (None: it ran
-    uninstrumented, and counted nothing)."""
-    if counts is None:
-        return JobStats()
-    stats = JobStats(workgroups=groups,
-                     warps_launched=groups * shape.warps_per_group,
-                     threads_launched=groups * shape.threads_per_group)
-    apply_clause_stats(stats, clauses, counts)
+    for clauses, counts in tables:
+        for clause_index, (issues, lanes, _taken, divergent) in \
+                counts.items():
+            clause = clauses[clause_index]
+            metrics = clause.metrics()
+            size = clause.size
+            stats.clauses_executed += issues
+            histogram[size] = histogram.get(size, 0) + issues
+            stats.arith_cycles += size * issues
+            stats.ls_cycles += metrics.ls_beats * issues
+            stats.arith_instrs += metrics.arith_instrs * lanes
+            stats.nop_instrs += metrics.nop_instrs * lanes
+            stats.ls_global_instrs += metrics.ls_global_instrs * lanes
+            stats.ls_local_instrs += metrics.ls_local_instrs * lanes
+            stats.const_load_instrs += metrics.const_load_instrs * lanes
+            stats.temp_reads += metrics.temp_reads * lanes
+            stats.temp_writes += metrics.temp_writes * lanes
+            stats.grf_reads += metrics.grf_reads * lanes
+            stats.grf_writes += metrics.grf_writes * lanes
+            stats.const_reads += metrics.const_reads * lanes
+            stats.rom_reads += metrics.rom_reads * lanes
+            stats.main_mem_accesses += metrics.main_mem_accesses * lanes
+            stats.local_mem_accesses += metrics.local_mem_accesses * lanes
+            stats.cf_instrs += metrics.cf_instrs * lanes
+            stats.branch_events += metrics.cf_instrs * issues
+            stats.divergent_branches += divergent
     return stats
 
 

@@ -308,7 +308,7 @@ def _cmd_run(options):
     queue, kernel, buffers, global_size, local_size = \
         _prepare_launch(options, context)
     name = kernel.name
-    stats = queue.enqueue_nd_range(kernel, global_size, local_size)
+    stats = queue.enqueue_nd_range(kernel, global_size, local_size).stats
     print(f"ran {name}: {stats.threads_launched} threads, "
           f"{stats.workgroups} workgroups")
     mix = stats.instruction_mix()

@@ -43,6 +43,7 @@ from repro.core.platform import ENGINE_MODES, resolve_engine
 from repro.gpu import launch
 from repro.gpu.isa import NUM_GRF, REG_GLOBAL_ID, Program
 from repro.gpu.encoding import encode_program
+from repro.gpu.jobmanager import JobResult
 from repro.gpu.launch import U_FIRST_ARG, U_WORK_DIM
 from repro.gpu.mmu import GPUMMU
 from repro.gpu.shadercore import ComputeUnit, WorkgroupShape
@@ -52,7 +53,6 @@ from repro.instrument.registry import (
     register_job_stats,
     register_mmu_stats,
 )
-from repro.instrument.stats import job_stats
 from repro.mem import PAGE_SIZE, PTE_READ, PTE_WRITE, PageTableBuilder, \
     PhysicalMemory
 from repro.validate.trace import InstructionTracer, compare_traces
@@ -323,8 +323,8 @@ class DifferentialRunner:
 
         result = EngineResult(engine=engine, registers=registers,
                               memory=memory, trace=tracer)
-        stats = job_stats(case.program.clauses, unit.clause_counts,
-                          unit.groups_started, shape)
+        stats = JobResult(None, case.program, unit.clause_counts,
+                          shape).stats
         result.counters = _quad_counters(stats)
         result.stats = _unified_snapshot(stats, mmu)
         result.cfg = unit.clause_counts
@@ -518,8 +518,7 @@ def _quad_counters(stats):
     """JobStats collapsed to the categories the m2s baseline reports."""
     return {
         "arith": stats.arith_instrs,
-        "ls": (stats.ls_global_instrs + stats.ls_local_instrs
-               + stats.const_load_instrs),
+        "ls": stats.ls_instrs,
         "nop": stats.nop_instrs,
         "cf": stats.cf_instrs,
     }

@@ -314,7 +314,7 @@ def test_atomic_stats_counted():
         buf_b = context.buffer_from_array(bins)
         kernel = context.build_program(HISTOGRAM).kernel("histogram")
         kernel.set_args(buf_v, buf_b, 4)
-        stats = queue.enqueue_nd_range(kernel, (n,), (8,))
+        stats = queue.enqueue_nd_range(kernel, (n,), (8,)).stats
         # one atomic + one load per thread; the atomic is an RMW (2
         # accesses)
         assert stats.ls_global_instrs == 2 * n

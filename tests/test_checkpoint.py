@@ -385,6 +385,12 @@ def test_missing_manifest_fails_closed(saved_checkpoint, tmp_path):
 
 
 def test_version_skew_fails_closed(saved_checkpoint, tmp_path):
+    """A manifest of another version, a manifest that is well-formed JSON
+    but no object, and a digest-valid state of the wrong shape are each
+    a CheckpointError, not the AttributeError / TypeError / KeyError of
+    reading them as a checkpoint."""
+    from repro.checkpoint import load_checkpoint_dir, write_checkpoint_dir
+
     directory = _copy_checkpoint(saved_checkpoint, tmp_path / "ver")
     path = os.path.join(directory, MANIFEST_FILE)
     with open(path) as handle:
@@ -394,6 +400,16 @@ def test_version_skew_fails_closed(saved_checkpoint, tmp_path):
         json.dump(manifest, handle)
     with pytest.raises(CheckpointError, match="unsupported checkpoint"):
         restore_checkpoint(directory)
+    with open(path, "w") as handle:
+        json.dump([], handle)
+    with pytest.raises(CheckpointError, match="manifest .* is not an object"):
+        load_checkpoint_dir(directory)
+    _state, memory, manifest = load_checkpoint_dir(saved_checkpoint)
+    for shape, raw in (("list", b"[]"), ("empty", b"{}")):
+        resealed = str(tmp_path / shape)
+        write_checkpoint_dir(resealed, raw, memory, manifest["golden"])
+        with pytest.raises(CheckpointError, match="state .* is not an object"):
+            restore_checkpoint(resealed)
 
 
 @pytest.mark.parametrize("version", [2, 3, 4])

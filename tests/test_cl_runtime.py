@@ -149,7 +149,7 @@ class TestLaunch:
         kernel = program.kernel("fill")
         buffer = context.alloc_buffer(4 * 96)
         kernel.set_args(buffer, np.float32(1.0), 96)
-        stats = CommandQueue(context).enqueue_nd_range(kernel, (96,))
+        stats = CommandQueue(context).enqueue_nd_range(kernel, (96,)).stats
         assert stats.threads_launched == 96
 
     def test_indivisible_sizes_rejected(self, context, program):

@@ -105,7 +105,7 @@ def test_dynamic_totals_equal_static_times_lanes():
     buf_out = context.alloc_buffer(4 * n)
     kernel = context.build_program(source).kernel("k")
     kernel.set_args(buf_a, buf_out, n)
-    stats = queue.enqueue_nd_range(kernel, (n,), (8,))
+    stats = queue.enqueue_nd_range(kernel, (n,), (8,)).stats
 
     # recompute expectations from the clause metrics and the recorded
     # execution frequencies: with full warps, every clause execution has

@@ -85,7 +85,7 @@ def test_vecadd(context, queue):
     buf_out = context.alloc_buffer(4 * n)
     kernel = context.build_program(VECADD).kernel("vecadd")
     kernel.set_args(buf_a, buf_b, buf_out, n)
-    stats = queue.enqueue_nd_range(kernel, (n,), (32,))
+    stats = queue.enqueue_nd_range(kernel, (n,), (32,)).stats
     out = queue.enqueue_read_buffer(buf_out, np.float32)
     np.testing.assert_allclose(out, a + b, rtol=1e-6)
     assert stats.threads_launched == n
@@ -145,7 +145,7 @@ def test_divergent_while_loop(context, queue):
     buf_out = context.alloc_buffer(4 * n)
     kernel = context.build_program(WHILE_DIVERGE).kernel("collatz_steps")
     kernel.set_args(buf_in, buf_out)
-    stats = queue.enqueue_nd_range(kernel, (n,), (8,))
+    stats = queue.enqueue_nd_range(kernel, (n,), (8,)).stats
     out = queue.enqueue_read_buffer(buf_out, np.uint32)
 
     def collatz(v):

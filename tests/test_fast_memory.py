@@ -542,14 +542,14 @@ def _run_kernel(source, name, gsize, lsize, arrays, scalars=(), fast=True):
     buffers = [context.buffer_from_array(a) for a in arrays]
     kernel = context.build_program(source).kernel(name)
     kernel.set_args(*buffers, *scalars)
-    stats = queue.enqueue_nd_range(kernel, gsize, lsize)
+    result = queue.enqueue_nd_range(kernel, gsize, lsize)
     outputs = [queue.enqueue_read_buffer(b, a.dtype)
                for b, a in zip(buffers, arrays)]
     return {
         "outputs": outputs,
-        "stats": dict(vars(stats)),
-        "cfg_edges": kernel.last_cfg.edges,
-        "cfg_divergences": kernel.last_cfg.divergences,
+        "stats": dict(vars(result.stats)),
+        "cfg_edges": result.cfg.edges,
+        "cfg_divergences": result.cfg.divergences,
         "pages": set(mmu.pages_accessed),
         "translations": mmu.translations,
         "quad_accesses": mmu.quad_accesses,

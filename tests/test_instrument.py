@@ -12,7 +12,7 @@ from repro.instrument import (
     DivergenceCFG,
     JobStats,
     SystemStats,
-    apply_clause_stats,
+    derive_stats,
     format_clause_histogram,
     format_data_access_breakdown,
     format_instruction_mix,
@@ -66,8 +66,8 @@ class TestJobStats:
 
 
 class TestApplyClauseStats:
-    """A job's per-clause table, multiplied out once when the job
-    retires, must be arithmetically identical to counting each issue as
+    """A job's per-clause table, multiplied out once when its statistics
+    are read, must be arithmetically identical to counting each issue as
     it happens."""
 
     def _clause(self):
@@ -93,9 +93,8 @@ class TestApplyClauseStats:
     def test_multiplies_out_issues_and_lanes(self):
         clause = self._clause()
         metrics = clause.metrics()
-        stats = JobStats()
         pending = {0: [3, 11, 0, 0]}  # 3 warp issues, 11 total active lanes
-        apply_clause_stats(stats, [clause], pending)
+        stats = derive_stats([([clause], pending)])
         assert stats.clauses_executed == 3
         assert stats.clause_size_histogram == {clause.size: 3}
         assert stats.arith_cycles == clause.size * 3
@@ -118,19 +117,14 @@ class TestApplyClauseStats:
         for piece in pieces:
             merge_clause_counts(table, piece)
         assert table == {0: [3, 10, 0, 0], 1: [3, 8, 6, 1]}
-        once = JobStats()
-        apply_clause_stats(once, clauses, table)
-        separately = JobStats()
-        for piece in pieces:
-            apply_clause_stats(separately, clauses, piece)
+        once = derive_stats([(clauses, table)])
+        separately = derive_stats((clauses, piece) for piece in pieces)
         assert once == separately
         assert once.divergent_branches == 1 and once.clauses_executed == 6
         assert once.clause_size_histogram == {1: 3, 2: 3}
 
     def test_empty_pending_is_noop(self):
-        stats = JobStats()
-        apply_clause_stats(stats, [], {})
-        assert stats == JobStats()
+        assert derive_stats([([], {})]) == JobStats()
 
 
 _LEDGER_SOURCE = """
@@ -167,7 +161,8 @@ class TestClauseLedger:
 
     def _launcher(self):
         """A client of tenant 1 on a two-tenant platform, and a launch
-        function returning each job's JobStats and the clauses it ran."""
+        function returning each job's JobStats and the clauses it ran,
+        both read off the record the launch returns."""
         from repro.cl import CommandQueue, Context
         from repro.core.platform import MobilePlatform, PlatformConfig
         from repro.driver.kbase import TenancyConfig
@@ -182,8 +177,8 @@ class TestClauseLedger:
         def launch(name, n):
             kernel = program.kernel(name)
             kernel.set_args(out, np.int32(n))
-            stats = queue.enqueue_nd_range(kernel, (32,), (8,))
-            return stats, set(kernel.last_cfg.executions)
+            result = queue.enqueue_nd_range(kernel, (32,), (8,))
+            return result.stats, set(result.cfg.executions)
 
         return platform, queue, launch
 
@@ -219,21 +214,76 @@ class TestClauseLedger:
         assert ledger.stats().threads_launched == 64
 
     def test_job_manager_keeps_no_retired_job(self):
-        """64 retired jobs leave at most the last chain's results alive
-        (the launching kernel holds its last one)."""
+        """64 retired jobs, launched by 64 kernels still held, leave
+        exactly the last chain's results alive: neither the Job Manager
+        nor a kernel keeps any other."""
         from repro.gpu.jobmanager import JobResult
 
         def alive():
             gc.collect()
-            return sum(isinstance(obj, JobResult)
-                       for obj in gc.get_objects())
+            return [obj for obj in gc.get_objects()
+                    if isinstance(obj, JobResult)]
 
-        platform, _queue, launch = self._launcher()
-        before = alive()
+        platform, queue, _launch = self._launcher()
+        program = queue.context.build_program(_LEDGER_SOURCE)
+        out = queue.context.alloc_buffer(4 * 32)
+        before = alive()  # held, so no id below is reused
+        kernels = []
         for n in range(64):
-            launch("fill", n)
+            kernels.append(program.kernel("fill"))
+            kernels[-1].set_args(out, np.int32(n))
+            queue.enqueue_nd_range(kernels[-1], (32,), (8,))
         assert platform.gpu.job_manager.jobs_retired == 64
-        assert alive() - before <= len(platform.last_job_results())
+        new = {id(obj) for obj in alive()} - {id(obj) for obj in before}
+        assert new == {id(obj) for obj in platform.last_job_results()}
+
+    def test_a_launch_derives_no_stats_until_read(self, monkeypatch):
+        """Launches on a profiling queue multiply out no JobStats; the
+        first read of a record's (or its event's) does, once."""
+        from repro.gpu import jobmanager
+
+        derived = []
+
+        def counting(*args):
+            derived.append(args)
+            return derive_stats(*args)
+
+        monkeypatch.setattr(jobmanager, "derive_stats", counting)
+        platform, queue, _launch = self._launcher()
+        queue.profiling = True
+        kernel = queue.context.build_program(_LEDGER_SOURCE).kernel("fill")
+        kernel.set_args(queue.context.alloc_buffer(4 * 32), np.int32(1))
+        results = [queue.enqueue_nd_range(kernel, (32,), (8,))
+                   for _ in range(8)]
+        assert derived == []
+        stats = results[-1].stats
+        assert results[-1].stats is stats
+        assert queue.events[-1].stats is stats
+        assert len(derived) == 1
+        assert stats.threads_launched == 32 and stats.workgroups == 4
+
+    def test_records_and_events_keep_no_platform_alive(self):
+        """A launch's record and its profiling event outlive the
+        platform, and their statistics still read."""
+        import weakref
+
+        from repro.cl import CommandQueue, Context
+        from repro.core.platform import MobilePlatform
+
+        platform = MobilePlatform.for_mode("mega")
+        context = Context(platform)
+        queue = CommandQueue(context, profiling=True)
+        kernel = context.build_program(_LEDGER_SOURCE).kernel("fill")
+        kernel.set_args(context.alloc_buffer(4 * 32), np.int32(3))
+        result = queue.enqueue_nd_range(kernel, (32,), (8,))
+        event = queue.events[-1]
+        dropped = weakref.ref(platform)
+        del platform, context, queue, kernel
+        gc.collect()
+        assert dropped() is None
+        assert event.result is result
+        assert event.stats.threads_launched == 32
+        assert set(result.cfg.executions)
 
 
 class TestSystemStats:

@@ -442,7 +442,7 @@ def _run_diverge_on(context, kernel):
     buf_out = context.alloc_buffer(4 * n)
     kernel.set_args(context.buffer_from_array(data), buf_out,
                     LocalMemory(4 * 16))
-    stats = queue.enqueue_nd_range(kernel, (n,), (16,))
+    stats = queue.enqueue_nd_range(kernel, (n,), (16,)).stats
     return queue.enqueue_read_buffer(buf_out, np.float32), stats
 
 
@@ -535,12 +535,11 @@ def _clause(slots, tail, constants=(), **fields):
 
 
 def _job_stats(unit, program, shape):
-    """The JobStats of what *unit* ran of *program* so far, as the Job
-    Manager computes them when a job retires."""
-    from repro.instrument.stats import job_stats
+    """The JobStats of what *unit* ran of *program* so far, as a retired
+    job's record derives them."""
+    from repro.gpu.jobmanager import JobResult
 
-    return job_stats(program.clauses, unit.clause_counts,
-                     unit.groups_started, shape)
+    return JobResult(None, program, unit.clause_counts, shape).stats
 
 
 def _unit_run(engine, program, mmu, lanes=4):

@@ -16,7 +16,7 @@ from repro.gpu.isa import (
     Tail,
 )
 from repro.gpu.warp import WARP_WIDTH, ClauseInterpreter, QuadWarp
-from repro.instrument.stats import JobStats, apply_clause_stats
+from repro.instrument.stats import derive_stats
 
 NOP = Instruction(Op.NOP)
 
@@ -34,21 +34,18 @@ class _FlatMemory:
         struct.pack_into("<I", self.data, addr, value & 0xFFFFFFFF)
 
 
-def _run(clauses, uniforms=(0,), setup=None, local_words=64, stats=None):
-    """Run one warp; its clause table is multiplied out into *stats*."""
+def _run(clauses, uniforms=(0,), setup=None, local_words=64, counts=None):
+    """Run one warp, recording its clause table into *counts* if given."""
     program = Program(clauses=clauses)
     program.validate()
     local = np.zeros(local_words, dtype=np.uint32)
     mem = _FlatMemory()
-    counts = None if stats is None else {}
     interp = ClauseInterpreter(program, np.array(uniforms, dtype=np.uint32),
                                mem, local=local, counts=counts)
     warp = QuadWarp()
     if setup:
         setup(warp, mem)
     status = interp.run_warp(warp)
-    if stats is not None:
-        apply_clause_stats(stats, program.clauses, counts)
     return warp, mem, local, status
 
 
@@ -237,8 +234,9 @@ class TestControlFlowAndDivergence:
         return [cmp_clause, then_clause, else_clause, join]
 
     def test_divergent_lanes_take_both_paths(self):
-        stats = JobStats()
-        warp, _, _, status = _run(self._branchy_program(), stats=stats)
+        program, counts = self._branchy_program(), {}
+        warp, _, _, status = _run(program, counts=counts)
+        stats = derive_stats([(program, counts)])
         assert status == "done"
         np.testing.assert_array_equal(warp.regs[:, 1], [111, 111, 222, 222])
         assert stats.divergent_branches == 1
@@ -247,8 +245,9 @@ class TestControlFlowAndDivergence:
     def test_uniform_branch_not_divergent(self):
         program = self._branchy_program()
         program[0].constants = [4]  # all lanes < 4: uniform taken
-        stats = JobStats()
-        warp, _, _, _ = _run(program, stats=stats)
+        counts = {}
+        warp, _, _, _ = _run(program, counts=counts)
+        stats = derive_stats([(program, counts)])
         np.testing.assert_array_equal(warp.regs[:, 1], [111] * 4)
         assert stats.divergent_branches == 0
 
@@ -308,7 +307,7 @@ class TestControlFlowAndDivergence:
 
 class TestStatsCounting:
     def test_per_lane_and_per_warp_counters(self):
-        stats = JobStats()
+        counts = {}
         clause = Clause(
             tuples=[
                 (Instruction(Op.IADD, dst=0, srca=REG_LANE, srcb=REG_LANE),
@@ -317,7 +316,8 @@ class TestStatsCounting:
             ],
             tail=Tail.END,
         )
-        _run([clause], stats=stats)
+        _run([clause], counts=counts)
+        stats = derive_stats([([clause], counts)])
         assert stats.arith_instrs == WARP_WIDTH  # 1 op x 4 lanes
         assert stats.nop_instrs == 2 * WARP_WIDTH
         assert stats.const_load_instrs == WARP_WIDTH
@@ -329,5 +329,5 @@ class TestStatsCounting:
 
     def test_instrumentation_off_collects_nothing(self):
         warp, _, _, _ = _run(_single(Op.MOV, srca=CONST_BASE, srcb=255,
-                                     constants=[1]), stats=None)
+                                     constants=[1]), counts=None)
         assert (warp.regs[:, 0] == 1).all()
