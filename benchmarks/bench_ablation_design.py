@@ -24,7 +24,7 @@ from repro.kernels import get_workload
 _SOBEL = {"width": 48, "height": 32}
 
 
-def _timed_run(engine="interpreter", instrument=True, decode_cache=True,
+def _timed_run(engine, instrument=True, decode_cache=True,
                workload="SobelFilter", sizes=_SOBEL, repeats=2):
     best = float("inf")
     for _ in range(repeats):

@@ -14,7 +14,7 @@ from repro.analysis.figures import fig06_bfs_cfg
 
 def test_fig06_bfs_divergence_cfg(benchmark):
     dot, divergent, cfg, engine = benchmark.pedantic(
-        fig06_bfs_cfg, rounds=1, iterations=1
+        fig06_bfs_cfg, kwargs={"engine": "interp"}, rounds=1, iterations=1
     )
     lines = ["Fig. 6: BFS divergence CFG (DOT)", dot, "",
              "Divergence points (clause address: fraction of divergent "
@@ -30,6 +30,6 @@ def test_fig06_bfs_divergence_cfg(benchmark):
     assert len(nodes) >= 4
     assert len(cfg.edges) > len(nodes) - 1
     # the CFG is built from the per-clause counts every engine keeps: the
-    # translating engine gives the same graph
+    # translating engine gives the reference interpreter's graph
     _dot, _divergent, mega, _engine = fig06_bfs_cfg(engine="mega")
     assert (mega.edges, mega.divergences) == (cfg.edges, cfg.divergences)

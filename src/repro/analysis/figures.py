@@ -9,7 +9,7 @@ from repro.baselines.native import native_seconds
 from repro.baselines.desktopgpu import DesktopGPUModel
 from repro.cl import CommandQueue, Context
 from repro.core.platform import MobilePlatform, PlatformConfig
-from repro.gpu.device import GPUConfig
+from repro.gpu.device import DEFAULT_ENGINE, GPUConfig
 from repro.instrument.cfg import DivergenceCFG
 from repro.instrument.timing import CycleModel
 from repro.kernels import get_workload
@@ -67,7 +67,7 @@ def fig01_compiler_versions(n=32):
 # -- Fig. 6: BFS divergence CFG ---------------------------------------------------------
 
 
-def fig06_bfs_cfg(n=128, engine="interpreter"):
+def fig06_bfs_cfg(n=128, engine=DEFAULT_ENGINE):
     """Run BFS on *engine*; returns (dot, divergences, cfg, engine)."""
     config = PlatformConfig(gpu=GPUConfig(engine=engine))
     context = Context(MobilePlatform(config))
@@ -135,7 +135,9 @@ def fig08_vs_m2s(workloads=FIG8_WORKLOADS, sizes=None):
             get_workload(name, **params).prebuild())
 
         def _full_system(instrument):
-            config = PlatformConfig(gpu=GPUConfig(instrument=instrument))
+            # the paper's band (0.1x-8.8x) is checked on the interpreter
+            config = PlatformConfig(gpu=GPUConfig(engine="interp",
+                                                  instrument=instrument))
             context = Context(MobilePlatform(config))
             workload = get_workload(name, **params)
             result = workload.run(context=context)

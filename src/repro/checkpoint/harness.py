@@ -31,6 +31,7 @@ import tempfile
 import numpy as np
 
 from repro.core.platform import (  # noqa: F401 - re-exports the table
+    DEFAULT_ENGINE,
     ENGINE_MODES,
     MobilePlatform,
 )
@@ -49,7 +50,7 @@ __kernel void sgemm(__global float* c, __global const float* a,
 """
 
 
-def default_spec(engine_mode="interp", tenants=0, steps=2, n=8, seed=7):
+def default_spec(engine_mode=DEFAULT_ENGINE, tenants=0, steps=2, n=8, seed=7):
     """A harness spec: plain JSON, the complete description of a run.
 
     ``tenants=0`` is the single-client driver; ``tenants>=2`` configures

@@ -25,7 +25,7 @@ from repro.cpu.routines import GuestRoutines
 from repro.driver.kbase import KBaseDriver, TenancyConfig
 from repro.gpu import regs as gpu_regs
 from repro.gpu.device import (  # noqa: F401 - re-exports the engine names
-    ENGINE_ALIASES,
+    DEFAULT_ENGINE,
     ENGINE_MODES,
     ENGINE_NAMES,
     GPUConfig,
@@ -149,8 +149,7 @@ class MobilePlatform(Stateful):
         initialized platform running engine *mode*, one of
         :data:`ENGINE_NAMES`."""
         return cls(PlatformConfig(
-            gpu=GPUConfig(engine=ENGINE_MODES[resolve_engine(mode)],
-                          instrument=instrument),
+            gpu=GPUConfig(engine=mode, instrument=instrument),
             tenancy=tenancy))
 
     def _register_stats(self):

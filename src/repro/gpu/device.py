@@ -16,18 +16,16 @@ from repro.instrument.stats import SystemStats
 from repro.mem.bus import MMIODevice
 from repro.state import Stateful
 
-#: engine mode -> ``GPUConfig.engine``: the execution tiers every
-#: harness, farm provider and CLI ``choices=`` sweeps. ``interp`` runs on
-#: the quad MMU tier; the scalar-MMU ablation is a knob on the built
-#: platform (``gpu.mmu.fast_path_enabled``), not a mode.
-ENGINE_MODES = {
-    "interp": "interpreter",
-    "mega": "mega",
-}
+#: the execution tiers every harness, farm provider and CLI ``choices=``
+#: sweeps; the scalar-MMU ablation is a knob on the built platform
+#: (``gpu.mmu.fast_path_enabled``), not a mode
+ENGINE_MODES = ("interp", "mega")
+#: the mode run wherever a caller names none
+DEFAULT_ENGINE = "mega"
 
-#: other spellings of a mode: ``GPUConfig.engine``'s own, and ``fast``
-#: and ``jit``, which pinned benchmark configurations still name
-#: (``benchmarks/e2e/farm_sweep.json``, the e2e engine ladder)
+#: other spellings of ``interp``: ``interpreter``, which saved checkpoints
+#: and pinned configurations carry, and ``fast`` and ``jit``, which pinned
+#: benchmark configurations name (``benchmarks/e2e``)
 ENGINE_ALIASES = {"interpreter": "interp", "fast": "interp", "jit": "interp"}
 
 #: every name :func:`resolve_engine` takes
@@ -35,7 +33,7 @@ ENGINE_NAMES = (*ENGINE_MODES, *ENGINE_ALIASES)
 
 
 def resolve_engine(name):
-    """The :data:`ENGINE_MODES` key *name* spells; ``ValueError`` for a
+    """The :data:`ENGINE_MODES` member *name* spells; ``ValueError`` for a
     name outside :data:`ENGINE_NAMES`."""
     if name not in ENGINE_NAMES:
         raise ValueError(f"unknown engine mode {name!r}; "
@@ -58,20 +56,20 @@ class GPUConfig:
         tracer: optional instruction tracer (see repro.validate) recording
             every executed instruction's result — the paper's validation
             "instruction tracing mode".
-        engine: one of :data:`ENGINE_NAMES`. ``"mega"`` translates every
-            program, atomics and traced jobs included, to workgroup-wide
-            host code; every other name spells ``interp``, the quad
-            interpreter. Any name outside them raises ``ValueError``.
+        engine: a name :func:`resolve_engine` takes, stored as the mode
+            it spells (:data:`DEFAULT_ENGINE` if none): ``"mega"``
+            translates every program to workgroup-wide host code,
+            ``"interp"`` is the reference quad interpreter.
     """
 
     num_shader_cores: int = 8
     num_host_threads: int = 1
     instrument: bool = True
     tracer: object = None
-    engine: str = "interpreter"
+    engine: str = DEFAULT_ENGINE
 
     def __post_init__(self):
-        resolve_engine(self.engine)
+        self.engine = resolve_engine(self.engine)
         if self.num_host_threads != 1:
             raise ValueError(f"num_host_threads={self.num_host_threads!r}: "
                              "the GPU model runs one execution unit")
@@ -95,9 +93,9 @@ class GPUDevice(MMIODevice, Stateful):
         self.mmu = GPUMMU(memory)
         self.job_manager = JobManager(
             self.mmu,
+            self.config.engine,
             instrument=self.config.instrument,
             tracer=self.config.tracer,
-            engine=self.config.engine,
         )
         self.system_stats = SystemStats()
         self._irq_callback = irq_callback

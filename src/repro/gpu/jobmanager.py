@@ -181,9 +181,8 @@ class JobManager(Stateful):
     )
     STATE_CHILDREN = ("ledger",)
 
-    def __init__(self, mmu, instrument=True, tracer=None,
-                 engine="interpreter", events=None,
-                 watchdog_budget=WATCHDOG_ROUND_BUDGET):
+    def __init__(self, mmu, engine, instrument=True, tracer=None,
+                 events=None, watchdog_budget=WATCHDOG_ROUND_BUDGET):
         self.mmu = mmu
         self.instrument = instrument
         self.tracer = tracer

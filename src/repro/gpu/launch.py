@@ -62,8 +62,10 @@ def _triple(size):
 
 def normalize_sizes(global_size, local_size=None):
     """Both sizes as 3-tuples; :class:`CLError` unless every global
-    dimension is a whole number of workgroups."""
+    dimension is a positive whole number of workgroups."""
     global_size = _triple(global_size)
+    if min(global_size) <= 0:
+        raise CLError(f"global size {global_size} has a dimension <= 0")
     local_size = _triple(default_local(global_size[0])
                          if local_size is None else local_size)
     for g, l in zip(global_size, local_size):

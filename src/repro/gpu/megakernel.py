@@ -570,11 +570,10 @@ class MegaKernel:
     # -- workgroup scheduling ----------------------------------------------------
 
     def run_workgroup(self, shape, flat_group, watchdog_budget=None,
-                      count=1, counts=None, stalled=0, local=None,
-                      snapshot=True):
+                      count=1, counts=None, stalled=0, local=None):
         """Execute *count* whole thread-groups from *flat_group* on;
-        returns their retired warps — without *snapshot*, over the rows
-        of the register file, which the next run overwrites.
+        returns their retired warps over the rows of the register file,
+        which the next run overwrites.
 
         Faults raised by the scalar replay propagate exactly as from the
         quad tiers. The clauses the groups issued are added to the job's
@@ -652,8 +651,7 @@ class MegaKernel:
                 _count(counts, hits, splits, pending, width)
         if port is not None and counts is not None:  # a committed batch
             _count(counts, hits, splits, pending, width)
-        retired = RetiredWarps(state.arch, shape)
-        return retired.snapshot() if snapshot else retired
+        return RetiredWarps(state.arch, shape)
 
     def _init_state(self, shape, flat_group, count=1):
         """The kernel's register file laid out for *count* workgroups of

@@ -78,7 +78,7 @@ class WorkgroupShape:
 
 class ComputeUnit:
     """One execution unit (a shader core) running *engine*: ``"mega"``
-    or, under any other name, the quad interpreter.
+    or ``"interp"``, the quad interpreter.
 
     Records the running job in :attr:`clause_counts`, its per-clause
     table; the job's :class:`~repro.instrument.stats.JobStats` and
@@ -220,7 +220,7 @@ class ComputeUnit:
                     # included, with the same round accounting as below
                     return mega.run_workgroup(
                         shape, flat_group, budget, counts=self.clause_counts,
-                        stalled=rounds, local=local, snapshot=False)
+                        stalled=rounds, local=local)
                 while True:
                     rounds += 1
                     if budget is not None and rounds > budget:
@@ -265,8 +265,7 @@ class ComputeUnit:
             try:
                 return mega.run_workgroup(
                     shape, flat_group, self.watchdog_budget, count,
-                    counts=self.clause_counts, local=self._slabs(count),
-                    snapshot=False)
+                    counts=self.clause_counts, local=self._slabs(count))
             except BatchAbandoned as abandoned:
                 self.batches_abandoned += 1
                 self._cap = count // 2 if abandoned.capacity else 1

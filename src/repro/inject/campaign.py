@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cl import CommandQueue, Context
-from repro.core.platform import MobilePlatform
+from repro.core.platform import DEFAULT_ENGINE, MobilePlatform
 from repro.errors import SimError
 from repro.inject.injector import FaultInjector
 from repro.inject.plan import FaultPlan, FaultSpec
@@ -283,7 +283,7 @@ def _run_grow_case(rng, engine):
                   f"page_faults={driver.page_faults}"), driver
 
 
-def run_case(workload_name, scenario, seed, engine="interpreter",
+def run_case(workload_name, scenario, seed, engine=DEFAULT_ENGINE,
              check_determinism=True):
     """Run one campaign case; returns (CaseResult, FaultPlan or None).
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.cl import CommandQueue, Context
 from repro.core.platform import (  # noqa: F401 - re-exports the table
+    DEFAULT_ENGINE,
     ENGINE_MODES,
     MobilePlatform,
 )
@@ -94,8 +95,8 @@ class MixedRunResult:
 
     platform: object
     records: dict  # tenant_id -> TenantRecord
+    engine_mode: str
     injector: object = None
-    engine_mode: str = "interp"
 
     @property
     def driver(self):
@@ -136,8 +137,8 @@ def tenancy_config(tenant_plans, arbiter=None):
         arbiter=arbiter)
 
 
-def run_mixed(tenant_plans, engine_mode="interp", active=None, plan=None,
-              seed=0, arbiter=None):
+def run_mixed(tenant_plans, engine_mode=DEFAULT_ENGINE, active=None,
+              plan=None, seed=0, arbiter=None):
     """Run one mixed multi-tenant campaign; returns a MixedRunResult.
 
     Args:
@@ -245,8 +246,7 @@ def run_mixed(tenant_plans, engine_mode="interp", active=None, plan=None,
                           injector=injector, engine_mode=engine_mode)
 
 
-def solo_baseline(tenant_plans, victim, engine_mode="interp", seed=0,
-                  arbiter=None):
+def solo_baseline(tenant_plans, victim, engine_mode, seed=0, arbiter=None):
     """The isolation reference: the same tenancy shape with only
     *victim* active. Identical carve-out bases and VA layout make its
     record byte-comparable to the mixed run's."""
@@ -378,7 +378,7 @@ def _adversarial_plan(scenario, rng, tenant_plans, attacker_id,
     return FaultPlan([spec], name=scenario)
 
 
-def run_adversarial(scenario, seed, victim="sgemm", engine_mode="interp",
+def run_adversarial(scenario, seed, engine_mode, victim="sgemm",
                     check_determinism=False):
     """One attacker-vs-victim case; returns ``(ok, detail, counters)``.
 

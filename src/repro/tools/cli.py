@@ -68,7 +68,7 @@ import sys
 
 import numpy as np
 
-from repro.core.platform import ENGINE_NAMES
+from repro.core.platform import DEFAULT_ENGINE, ENGINE_NAMES
 from repro.errors import SimError, UsageError
 
 
@@ -867,7 +867,7 @@ def main(argv=None):
                               "(default: all)")
     p_fault.add_argument("--seeds", type=int, default=1,
                          help="seeds per (workload, scenario) case")
-    p_fault.add_argument("--engine", default="interpreter",
+    p_fault.add_argument("--engine", default=DEFAULT_ENGINE,
                          choices=ENGINE_NAMES)
     p_fault.add_argument("--write-repros", default=None, metavar="DIR",
                          help="write each failing case here as a "
@@ -891,7 +891,7 @@ def main(argv=None):
                                 "(default: 4, mixed rt/fg/bg classes)")
     p_tenants.add_argument("--jobs", type=int, default=2,
                            help="jobs submitted per tenant")
-    p_tenants.add_argument("--engine", default="interp",
+    p_tenants.add_argument("--engine", default=DEFAULT_ENGINE,
                            choices=ENGINE_NAMES)
     p_tenants.add_argument("--seed", type=int, default=0,
                            help="input-data seed")

@@ -30,6 +30,7 @@ import re
 from itertools import product
 
 from repro.core.platform import ENGINE_MODES, MobilePlatform, resolve_engine
+from repro.gpu.device import DEFAULT_ENGINE
 from repro.gpu.verify import analyze, lint
 from repro.validate.farm.config import FarmConfigError
 
@@ -74,9 +75,9 @@ def _checked(values, known, what):
 
 
 def _engines(values, resolve, what):
-    """*values* as a list of names *resolve* accepts, spelled as given:
-    case ids and the config hash carry the spelling."""
-    values = list(values)
+    """*values* (``[DEFAULT_ENGINE]`` if none) as a list of names *resolve*
+    accepts, spelled as given: case ids and the config hash carry it."""
+    values = list(values or [DEFAULT_ENGINE])
     for value in values:
         try:
             resolve(value)
@@ -219,8 +220,8 @@ class FaultProvider:
                 sweep.get("scenarios") or campaign.SCENARIOS,
                 campaign.SCENARIOS, "scenario")),
             "seeds": _seed_list(sweep.get("seeds", 1)),
-            "engines": _engines(sweep.get("engines") or ["interpreter"],
-                                resolve_engine, "fault engine"),
+            "engines": _engines(sweep.get("engines"), resolve_engine,
+                                "fault engine"),
             "threads": [1],
             "check_determinism": bool(sweep.get("check_determinism",
                                                 False)),
@@ -359,8 +360,8 @@ class BenchProvider:
             normalized.append({"name": name,
                                "params": dict(sorted(params.items()))})
         return {"kind": self.kind, "workloads": normalized,
-                "engines": _engines(sweep.get("engines") or ["interpreter"],
-                                    resolve_engine, "bench engine")}
+                "engines": _engines(sweep.get("engines"), resolve_engine,
+                                    "bench engine")}
 
     def expand(self, sweep, config):
         for item in sweep["workloads"]:
@@ -413,9 +414,8 @@ class TenantsProvider:
         return {
             "kind": self.kind,
             "tenants": _int_list(sweep.get("tenants", [4]), "tenants", 1),
-            "engine_modes": _engines(sweep.get("engine_modes")
-                                     or ["interp"], resolve_engine,
-                                     "engine mode"),
+            "engine_modes": _engines(sweep.get("engine_modes"),
+                                     resolve_engine, "engine mode"),
             "seeds": _seed_list(sweep.get("seeds", 1)),
             "jobs": _positive_int(sweep, "jobs", 2),
         }

@@ -293,7 +293,7 @@ class DifferentialRunner:
         mmu.set_page_table(builder.root)
         mmu.enabled = True
         # every ENGINE_MODES tier is instrumented, divergence CFG included
-        unit = ComputeUnit(ENGINE_MODES[self.modes[engine]])
+        unit = ComputeUnit(self.modes[engine])
         unit.prepare(case.local_bytes, instrument=True, tracer=tracer)
         shape = WorkgroupShape(case.global_size, case.local_size)
         uniforms = launch.uniform_image(case.global_size, case.local_size,

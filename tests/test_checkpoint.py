@@ -503,6 +503,28 @@ def test_hand_edited_config_section_fails_closed(saved_checkpoint, tmp_path,
         restore_checkpoint(directory)
 
 
+def test_a_saved_interpreter_spelling_restores_as_interp(saved_checkpoint,
+                                                        tmp_path):
+    """A checkpoint's config may carry ``"interpreter"``, the spelling
+    ``GPUConfig`` stored before it kept the mode name: it restores
+    through the alias as ``interp``, and the restored platform drains."""
+    from repro.checkpoint import (
+        load_checkpoint_dir,
+        state_to_bytes,
+        write_checkpoint_dir,
+    )
+
+    state, memory, manifest = load_checkpoint_dir(saved_checkpoint)
+    state["config"]["gpu"]["engine"] = "interpreter"
+    directory = str(tmp_path / "interpreter")
+    write_checkpoint_dir(directory, state_to_bytes(state), memory,
+                         manifest["golden"])
+    platform, _extra = restore_checkpoint(directory)
+    assert platform.config.gpu.engine == "interp"
+    assert platform.gpu.job_manager.unit.engine == "interp"
+    platform.driver.drain()
+
+
 def test_saved_stat_of_another_kind_fails_closed(saved_checkpoint, tmp_path):
     """The registry saves and restores counters only: a digest-valid
     state whose registry entry names any other kind is a CheckpointError,

@@ -236,6 +236,12 @@ def test_analyze_uses_the_launch_abi_geometry(kernel_file, capsys):
     assert code == 2
     assert out.strip() == ("analyze: global size (100, 1, 1) not divisible "
                            "by local (32, 1, 1)")
+    # and so is an empty one
+    code = main(["analyze", kernel_file, "--global-size", "0"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.strip() == ("analyze: global size (0, 1, 1) has a "
+                           "dimension <= 0")
 
 
 def test_analyze_json_schema(kernel_file, capsys):

@@ -17,13 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.platform import ENGINE_NAMES
+from repro.checkpoint.harness import default_spec
+from repro.cl import Context
+from repro.core.platform import DEFAULT_ENGINE, ENGINE_NAMES, MobilePlatform
 from repro.instrument.registry import (
     StatsRegistry,
     diff_snapshots,
     snapshot_value,
 )
 from repro.errors import CorpusError
+from repro.tenancy.harness import default_plans, run_mixed
 from repro.validate.farm import (
     PROVIDERS,
     FarmConfigError,
@@ -126,13 +129,66 @@ def test_the_fault_sweep_keeps_its_one_thread_key():
     config = load_config({"sweeps": [{"kind": "tenants"}]})
     assert "threads" not in config.sweeps[0]
     assert [case["id"] for case in expand_cases(config)] \
-        == ["tenants/n4/interp/s0"]
+        == ["tenants/n4/mega/s0"]
 
 
 def test_smoke_config_hash_is_unchanged():
-    assert load_config(os.path.join(
-        os.path.dirname(__file__), "..", "examples", "farm", "smoke.json")) \
-        .config_hash.startswith("5263c58174d3")
+    """Every checked-in sweep config names the engines it runs, so no
+    pinned config hash moves with a provider's default engine."""
+    root = os.path.join(os.path.dirname(__file__), "..")
+    for path, pinned in (
+            ("examples/farm/smoke.json", "5263c58174d3"),
+            ("examples/farm/tenants.json", "8dfc3dcd77c5"),
+            ("examples/farm/nightly.json", "d11f8b752b63"),
+            ("benchmarks/e2e/farm_sweep.json", "f34b537ee726")):
+        assert load_config(os.path.join(root, path)).config_hash \
+            .startswith(pinned), path
+
+
+def _sweep_engine(sweep, key="engine"):
+    return expand_cases(load_config({"sweeps": [sweep]}))[0]["spec"][key]
+
+
+def _cli_result_engine(capsys, *argv):
+    from repro.tools.cli import main
+
+    assert main(list(argv)) == 0
+    [result] = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("RESULT")]
+    return result.split(" engine=")[1].split()[0]
+
+
+def _unit_engine(platform):
+    return platform.gpu.job_manager.unit.engine
+
+
+_UNNAMED_ENGINE = {
+    "MobilePlatform()": lambda _: _unit_engine(MobilePlatform()),
+    "Context()": lambda _: _unit_engine(Context().platform),
+    "run_mixed": lambda _: _unit_engine(run_mixed(
+        default_plans(1), active=[]).platform),
+    "default_spec": lambda _: default_spec()["engine_mode"],
+    "faultcampaign": lambda capsys: _cli_result_engine(
+        capsys, "faultcampaign", "--workloads", "sgemm", "--scenarios",
+        "irq-lost", "--no-determinism"),
+    "tenants": lambda capsys: _cli_result_engine(
+        capsys, "tenants", "--tenants", "1", "--jobs", "1"),
+    "fault sweep": lambda _: _sweep_engine(
+        {"kind": "fault", "workloads": ["nn"]}),
+    "bench sweep": lambda _: _sweep_engine(
+        {"kind": "bench", "workloads": ["nn"]}),
+    "tenants sweep": lambda _: _sweep_engine({"kind": "tenants"},
+                                             "engine_mode"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_UNNAMED_ENGINE))
+def test_every_entry_point_defaults_to_the_one_default_engine(entry,
+                                                              capsys):
+    """A caller that names no engine gets ``DEFAULT_ENGINE``, mega,
+    whichever entry point it came in by."""
+    assert DEFAULT_ENGINE == "mega"
+    assert _UNNAMED_ENGINE[entry](capsys) == DEFAULT_ENGINE
 
 
 def test_one_engine_mode_table_and_one_factory():
@@ -174,15 +230,11 @@ def test_every_engine_name_resolves_at_every_entry_point(name, tmp_path,
     and is accepted by the CLI's engine options."""
     import shutil
 
-    from repro.core.platform import (
-        ENGINE_MODES,
-        MobilePlatform,
-        resolve_engine,
-    )
+    from repro.core.platform import MobilePlatform, resolve_engine
     from repro.tools.cli import main
 
     built = MobilePlatform.for_mode(name)
-    assert built.config.gpu.engine == ENGINE_MODES[resolve_engine(name)]
+    assert built.config.gpu.engine == resolve_engine(name)
     assert built.gpu.mmu.fast_path_enabled
     shutil.copy(os.path.join(_CORPUS, "00-seed0-i3.json"), tmp_path)
     # the tenants sweep runs below, as the `tenants` verb
@@ -507,13 +559,13 @@ def test_cli_faultcampaign_is_the_fault_sweep_in_process(capsys):
     farmed = run_farm({"name": "equivalent", "sweeps": [
         {"kind": "fault", "workloads": ["sgemm"],
          "scenarios": ["irq-lost", "irq-spurious"], "seeds": 1,
-         "engines": ["interpreter"], "threads": [1]}]}, workers=1)
+         "engines": [DEFAULT_ENGINE], "threads": [1]}]}, workers=1)
     assert _case_lines(out) == [
         f"{case['id']} {case['detail']}" for case in farmed.report["cases"]]
     assert [case["verdict"] for case in farmed.report["cases"]] \
         == ["pass", "pass"]
-    assert "RESULT faultcampaign status=ok mode=sweep engine=interpreter " \
-        "cases=2 failures=0" in out
+    assert "RESULT faultcampaign status=ok mode=sweep " \
+        f"engine={DEFAULT_ENGINE} cases=2 failures=0" in out
 
 
 def test_fault_reproducer_is_a_farm_config_both_verbs_replay(

@@ -101,7 +101,7 @@ def test_every_engine_name_builds_a_config_and_a_platform(name):
     """One vocabulary: each name is a ``GPUConfig`` engine and a
     ``for_mode`` mode, and both run the same tier."""
     mega = resolve_engine(name) == "mega"
-    assert GPUConfig(engine=name).engine == name
+    assert GPUConfig(engine=name).engine == resolve_engine(name)
     platform = MobilePlatform.for_mode(name)
     assert (platform.gpu.job_manager.unit.engine == "mega") == mega
     unit = MobilePlatform(PlatformConfig(gpu=GPUConfig(engine=name))) \

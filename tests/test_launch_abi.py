@@ -187,6 +187,19 @@ class TestIndivisibleNDRange:
         with pytest.raises(CLError, match="not divisible"):
             sim.run_kernel(kernel, (96,), (64,), [out, 0])
 
+    @pytest.mark.parametrize("global_size", [(0,), (-8,), (8, 0)])
+    def test_an_empty_or_negative_range_is_refused_before_submission(
+            self, global_size):
+        context = Context()
+        kernel = context.build_program(FILL).kernel("fill")
+        kernel.set_args(context.alloc_buffer(32), 1.0)
+        driver = context.platform.driver
+        before = driver.jobs_submitted, driver.retries
+        with pytest.raises(CLError, match="dimension <= 0"):
+            CommandQueue(context).enqueue_nd_range(
+                kernel, global_size, (8,) + (1,) * (len(global_size) - 1))
+        assert (driver.jobs_submitted, driver.retries) == before
+
     def test_default_local_size_covers_the_whole_range(self):
         context = Context()
         kernel = context.build_program(FILL).kernel("fill")

@@ -1214,7 +1214,7 @@ def test_retired_warps_are_a_snapshot():
     kernel = MegaKernel(_mov_const_program(9), _WideStub(),
                         RegisterFile(), np.zeros(1, dtype=np.uint32))
     shape = WorkgroupShape((16, 1, 1), (8, 1, 1))
-    first = kernel.run_workgroup(shape, 0)
+    first = kernel.run_workgroup(shape, 0).snapshot()
     before = [warp.regs.copy() for warp in first]
     second = kernel.run_workgroup(shape, 1)
     assert (second[0].regs[:, REG_GROUP_FLAT] == 1).all()

@@ -276,7 +276,7 @@ class TestKernelTraces:
                 in launches:
             def launch(tracer):
                 context = Context(MobilePlatform(PlatformConfig(
-                    gpu=GPUConfig(tracer=tracer))))
+                    gpu=GPUConfig(engine="interp", tracer=tracer))))
                 queue = CommandQueue(context)
                 kernel = context.build_program(source).kernel(name)
                 device = [context.buffer_from_array(array)
