@@ -34,8 +34,11 @@ trajectory to regress against:
   abandoned on bfs (every job starts one: an abandon costs the rest of
   its own job only) and the ``QuadWarp`` objects its fallback builds
   (none), copies of retired registers the Job Manager path takes
-  (none), ``BatchPort`` window merges on the system benchmark's sgemm,
-  bfs and SLAM ``fast3`` runs, register files per compute unit (one);
+  (none), ``BatchPort`` window cuts and merges on the system
+  benchmark's sgemm, bfs and SLAM ``fast3`` runs (the port keeps its
+  windows: no sgemm page is cut twice, and bfs's later jobs together cut
+  no more windows than its first), register files per compute unit
+  (one);
 - **capacity_batch**: a MatrixTranspose whose full-width batch needs
   more window pages than the batch port has — batches run and abandoned,
   why, and the groups that ran one at a time (none: a batch out of port
@@ -431,7 +434,7 @@ def mega_batch(repeats=3):
     snapshot = megakernel.RetiredWarps.snapshot
     kernels = []  # every job's MegaKernel
     spent = [0.0]
-    counted = {"merges": 0, "quadwarps": 0}
+    counted = {"cuts": [], "merges": 0, "quadwarps": 0}
     snapshots = [0]  # copies of retired registers, Job Manager path
 
     def timed_uniform(self, *args):
@@ -442,9 +445,11 @@ def mega_batch(repeats=3):
             spent[0] += time.perf_counter() - start
 
     def counting_window(self, vaddrs):
-        live = len(self._live)
+        batch = [old for old in self._live if old.used == self._batch]
         cut = window(self, vaddrs)
-        counted["merges"] += live + 1 - len(self._live)  # windows absorbed
+        # windows of this batch absorbed into the new one
+        counted["merges"] += sum(old not in self._live for old in batch)
+        counted["cuts"].append((self._batch, cut.first, cut.pages))
         return cut
 
     def counting_init(self, *args, **kwargs):
@@ -460,8 +465,9 @@ def mega_batch(repeats=3):
         return snapshot(self)
 
     def counting(run, *args, **kwargs):
-        """``(what run returns, window merges, QuadWarps built)``."""
-        counted.update(merges=0, quadwarps=0)
+        """``(what run returns, window merges, QuadWarps built)``; the
+        windows cut stay in ``counted["cuts"]``."""
+        counted.update(cuts=[], merges=0, quadwarps=0)
         result = run(*args, **kwargs)
         return result, counted["merges"], counted["quadwarps"]
 
@@ -497,6 +503,7 @@ def mega_batch(repeats=3):
         megakernel.MegaKernel.__init__ = recording_kernel
         megakernel.RetiredWarps.snapshot = counting_snapshot
         (_, batched), sgemm_merges, _ = counting(sgemm, batch_lanes, **job)
+        sgemm_cuts = counted["cuts"]
         unit = batched.gpu.job_manager.unit
         port_calls = batched.gpu.mmu.wide_accesses
         sgemm_batches = (unit.batches_run, unit.batches_abandoned)
@@ -508,12 +515,14 @@ def mega_batch(repeats=3):
         _, bfs_merges, bfs_quadwarps = counting(
             get_workload("bfs", n=1024, chord_every=64).run,
             context=Context(batched), verify=False)
+        bfs_cuts = counted["cuts"]
         bfs = [after - start
                for after, start in zip(jobs_and_batches(batched), before)]
         get_workload("SobelFilter").run(context=Context(batched),
                                         verify=False)
         _, slam_merges, _ = counting(KFusionPipeline("fast3").run_gpu,
                                      context=_mega_context())
+        slam_cuts = len(counted["cuts"])
     finally:
         megakernel.BATCH_LANES = batch_lanes
         megakernel.MegaKernel._run_uniform = run_uniform
@@ -538,10 +547,31 @@ def mega_batch(repeats=3):
         "snapshots": snapshots[0],
         "window_merges": {"sgemm": sgemm_merges, "bfs": bfs_merges,
                           "slam_fast3": slam_merges},
+        # windows cut by each batch of the sgemm job, and the pages
+        # their cuts laid out more than once
+        "sgemm_window_cuts": [
+            sum(batch == number for batch, _, _ in sgemm_cuts)
+            for number in range(1, sgemm_batches[0] + 1)],
+        "sgemm_pages_cut_again": _pages_cut_again(sgemm_cuts),
+        # each bfs job starts one batch: its first job's cuts, then the
+        # other 255 jobs' together
+        "bfs_window_cuts_first_job":
+            sum(batch == bfs_cuts[0][0] for batch, _, _ in bfs_cuts),
+        "bfs_window_cuts_later_jobs":
+            sum(batch != bfs_cuts[0][0] for batch, _, _ in bfs_cuts),
+        "slam_fast3_window_cuts": slam_cuts,
         "kernels_on_the_unit": len({id(kernel.program)
                                     for kernel in kernels}),
         "register_files_per_unit": len({id(mega.file) for mega in kernels}),
     }
+
+
+def _pages_cut_again(cuts):
+    """Pages the ``(batch, first page, pages)`` window *cuts* laid out
+    more than once."""
+    pages = [page for _, first, count in cuts
+             for page in range(first, first + count)]
+    return len(pages) - len(set(pages))
 
 
 def _row_groups():
@@ -1015,7 +1045,13 @@ def main(argv=None):
           f"{batch['bfs_quadwarps_built']} QuadWarps; "
           f"{batch['snapshots']} register snapshots; window merges "
           f"{merges['sgemm']} / {merges['bfs']} / {merges['slam_fast3']} "
-          f"(sgemm / bfs / SLAM fast3); "
+          f"(sgemm / bfs / SLAM fast3); window cuts per sgemm batch "
+          f"{batch['sgemm_window_cuts']} "
+          f"({batch['sgemm_pages_cut_again']} pages cut again), bfs "
+          f"{batch['bfs_window_cuts_first_job']} in its first job and "
+          f"{batch['bfs_window_cuts_later_jobs']} in the other "
+          f"{batch['bfs_jobs'] - 1}, SLAM fast3 "
+          f"{batch['slam_fast3_window_cuts']}; "
           f"{batch['register_files_per_unit']} register file(s) for "
           f"{batch['kernels_on_the_unit']} kernels")
     capacity = report["capacity_batch"]
@@ -1084,6 +1120,21 @@ def main(argv=None):
             or batch["sgemm_batches"] != 256 // width:
         print(f"FAIL: sgemm 128x64x128 is {256 // width} batches, none "
               "abandoned", file=sys.stderr)
+        failed = True
+    # the port keeps its windows: a later batch cuts none over a page an
+    # earlier one laid out, and a job of bfs finds the windows of the
+    # jobs before it
+    if batch["sgemm_pages_cut_again"]:
+        print(f"FAIL: the sgemm 128x64x128 job cut "
+              f"{batch['sgemm_pages_cut_again']} pages' windows again; a "
+              "later batch keeps the windows an earlier one cut",
+              file=sys.stderr)
+        failed = True
+    if batch["bfs_window_cuts_later_jobs"] \
+            > batch["bfs_window_cuts_first_job"]:
+        print("FAIL: bfs's later jobs cut more windows than its first "
+              "job; the port keeps its windows across jobs",
+              file=sys.stderr)
         failed = True
     if batch["snapshots"] != 0:
         print("FAIL: the Job Manager path copied retired registers "

@@ -67,8 +67,8 @@ class GPUMMU(Stateful):
         "quad_accesses", "quad_fallbacks", "wide_accesses", "wide_fallbacks",
         "_fast_path_enabled",
     )
-    # the batch port holds nothing between batches: the first one after a
-    # restore makes a new one
+    # the batch port keeps only window layouts between batches: the
+    # first batch after a restore makes a new one
     TRANSIENT = ("_batch_port",)
 
     def __init__(self, memory):
@@ -568,15 +568,12 @@ def replay_store(mem, addrs, lanes, values, offset):
 # -- lockstep batches of workgroups (megakernel) ------------------------------
 
 _PAGE_WORDS_SHIFT = PAGE_SHIFT - 2
-_PAGE_WORDS = 1 << _PAGE_WORDS_SHIFT
 #: pages of window space (content + two shadows) one batch may use
 _PORT_PAGES = 256
 #: bytes of buffered store vectors (addresses + values) one batch may hold
 _STORE_BUFFER_BYTES = 1 << 20
-#: load shadow of a word whose page is not in its window (yet): above
-#: every slot, so either conflict check trips on it
-_ABSENT = 0xFFFF
 _READ_WRITE = PTE_READ | PTE_WRITE
+_ZERO_PAGE = bytes(1 << PAGE_SHIFT)
 
 
 #: reasons a batch of fewer groups may not meet: the port ran out of
@@ -601,15 +598,15 @@ class BatchAbandoned(Exception):
 
 
 class _Window:
-    """A power-of-two run of virtual pages, concatenated: ``words`` is
-    their content when the batch started, ``loaded`` / ``stored`` the
-    highest slot + 1 that loaded / stored each word. A page comes in when
-    a lane first touches it (until then its ``loaded`` reads ``_ABSENT``
-    and its ``frames`` entry None): the pages in between are not the
-    batch's to count."""
+    """A power-of-two run of virtual pages at pool page ``at``, kept
+    across batches. A batch's first access to a page (``stamps``) probes
+    it (``frames``), reads it into ``words`` and zeroes its ``loaded`` /
+    ``stored`` shadows (highest slot + 1 that loaded / stored a word).
+    ``used`` / ``ready`` / ``dirty``: the last batch that touched it /
+    had all its pages / stored into it."""
 
-    __slots__ = ("first", "pages", "base", "mask", "words", "loaded",
-                 "stored", "frames", "absent", "dirty")
+    __slots__ = ("first", "pages", "base", "mask", "at", "words", "loaded",
+                 "stored", "frames", "stamps", "used", "ready", "dirty")
 
 
 class BatchPort:
@@ -628,6 +625,10 @@ class BatchPort:
     to (an unmapped, armed or not read-write page, an unaligned lane)
     abandons too: the scalar replay is the reference's to do.
 
+    Window layouts outlive their batch; the pages in them do not, as
+    memory and mappings change between batches: a batch re-reads a page
+    at its first access to it, and checks, counts or backs no other.
+
     Until :meth:`commit` the batch has only read: the MMU's counters
     have not moved and no physical page was backed (its TLB fills, as
     any probe fills it).
@@ -635,23 +636,25 @@ class BatchPort:
 
     def __init__(self, mmu):
         self._mmu = mmu
-        words = _PORT_PAGES * _PAGE_WORDS
-        # untouched until a window is cut from them
-        self._words = np.empty(words, dtype=np.uint32)
-        self._loaded = np.empty(words, dtype=np.uint16)
-        self._stored = np.empty(words, dtype=np.uint16)
+        # content and the two shadows, each page touched when a batch
+        # first reads it; ``_bytes``: the byte views of the three rows
+        self._pool = np.empty((3, _PORT_PAGES << _PAGE_WORDS_SHIFT),
+                              np.uint32)
+        self._bytes = [memoryview(row).cast("B") for row in self._pool]
+        self._windows = {}  # virtual page -> the window it lies in
+        self._live = []     # every window, in pool order
+        self._batch = 0
         self.close()
 
     def begin(self, count, lanes):
+        self._batch += 1
         self._slots = np.repeat(
-            np.arange(1, count + 1, dtype=np.uint16), lanes)
+            np.arange(1, count + 1, dtype=np.uint32), lanes)
         self._translations = self._accesses = 0
 
     def close(self):
-        """Let go of what the batch held; the pools stay."""
-        self._windows = {}  # virtual page -> the window it lies in
-        self._live = []
-        self._used = 0      # pool pages cut so far
+        """Let go of what the batch held; the window layouts stay."""
+        self._pages = []    # virtual pages the batch touched
         self._stores = []   # (lane addresses, values) in program order
         self._buffered = 0
         self._slots = None
@@ -660,36 +663,28 @@ class BatchPort:
 
     def load_wide_u32(self, vaddrs, lanes=None):
         window, index = self._locate(vaddrs)
-        slots = self._slots if lanes is None else self._slots[lanes]
-        seen = window.loaded[index]
-        if window.absent and seen.max() == _ABSENT:
-            self._page_in(window, index, seen)
-            seen = window.loaded[index]
-        if window.dirty and np.count_nonzero(window.stored[index]):
+        if window.dirty == self._batch \
+                and np.count_nonzero(window.stored.take(index)):
             raise BatchAbandoned("load-after-store")
-        np.maximum(seen, slots, out=seen)
-        window.loaded[index] = seen  # lanes ascend in slot: the last wins
+        np.maximum.at(window.loaded, index,
+                      self._slots if lanes is None else self._slots[lanes])
         self._translations += len(vaddrs)
         self._accesses += 1
-        return window.words[index]
+        return window.words.take(index)
 
     def store_wide_u32(self, vaddrs, values, lanes=None):
         window, index = self._locate(vaddrs)
         slots = self._slots if lanes is None else self._slots[lanes]
-        seen = window.loaded[index]
-        if np.count_nonzero(seen > slots):
-            if window.absent and seen.max() == _ABSENT:
-                self._page_in(window, index, seen)
-                seen = window.loaded[index]
-            if np.count_nonzero(seen > slots):
-                raise BatchAbandoned("store-after-load")
-        if window.dirty and np.count_nonzero(window.stored[index] > slots):
+        if np.count_nonzero(window.loaded.take(index) > slots):
+            raise BatchAbandoned("store-after-load")
+        if window.dirty == self._batch \
+                and np.count_nonzero(window.stored.take(index) > slots):
             raise BatchAbandoned("store-order")
         self._buffered += vaddrs.nbytes + values.nbytes
         if self._buffered > _STORE_BUFFER_BYTES:
             raise BatchAbandoned("store-bound")
         window.stored[index] = slots
-        window.dirty = True
+        window.dirty = self._batch
         self._stores.append((vaddrs, values.copy()))
         self._translations += len(vaddrs)
         self._accesses += 1
@@ -697,114 +692,159 @@ class BatchPort:
 
     def commit(self):
         """Every lane has retired: apply the buffered stores in program
-        order and hand the MMU what the batch counted."""
+        order and hand the MMU what the batch counted: the pages it
+        touched are the ones it refreshed (a nonzero shadow of its own)."""
+        windows = self._windows
         for vaddrs, values in self._stores:
-            window = self._windows[int(vaddrs[0]) >> PAGE_SHIFT]
+            window = windows[int(vaddrs[0]) >> PAGE_SHIFT]
             window.words[(vaddrs - window.base) >> 2] = values
         mmu = self._mmu
+        words, _, stored = self._bytes
+        for vpage in self._pages:
+            window = windows[vpage]
+            frame = window.frames[vpage - window.first]
+            # the reference would have backed the page at that access
+            mmu._page_view(frame)
+            at = window.at + vpage - window.first << PAGE_SHIFT
+            span = slice(at, at + len(_ZERO_PAGE))
+            if window.dirty == self._batch \
+                    and stored[span].tobytes() != _ZERO_PAGE:
+                mmu._memory.backed_page(frame)[:] = words[span]
         tag = mmu._as_tag
-        touched = []
-        for window in self._live:
-            stored = window.stored.reshape(-1, _PAGE_WORDS).any(axis=1) \
-                if window.dirty else ()
-            for page, frame in enumerate(window.frames):
-                if frame is None:
-                    continue
-                # a page is in its window because a lane touched it; the
-                # reference would have backed it at that access
-                touched.append(window.first + page | tag)
-                view = mmu._page_view(frame)
-                if window.dirty and stored[page]:
-                    view[:] = window.words[page << _PAGE_WORDS_SHIFT:
-                                           (page + 1) << _PAGE_WORDS_SHIFT]
-        mmu.pages_accessed.update(touched)
+        mmu.pages_accessed.update([vpage | tag for vpage in self._pages])
         mmu.translations += self._translations
         mmu.wide_accesses += self._accesses
 
     # -- windows ---------------------------------------------------------------
 
     def _locate(self, vaddrs):
-        """``(window, word index per lane)`` of an access."""
+        """``(window, word index per lane)`` of an access, its pages read."""
         window = self._windows.get(int(vaddrs[0]) >> PAGE_SHIFT)
-        if window is not None:
+        within = None if window is None else vaddrs - window.base
+        # nothing outside the word-offset bits of the window: every lane
+        # word-aligned and inside it
+        if within is None or np.count_nonzero(within & window.mask):
+            window = self._window(vaddrs)
             within = vaddrs - window.base
-            # nothing outside the word-offset bits of the window: every
-            # lane word-aligned and inside it
-            if not np.count_nonzero(within & window.mask):
-                return window, within >> 2
-        window = self._window(vaddrs)
-        return window, (vaddrs - window.base) >> 2
+        index = within >> 2
+        if window.ready != self._batch:
+            self._refresh(window, index)
+        return window, index
 
     def _window(self, vaddrs):
         """Miss path: a window over the pages of this access and of every
-        window it overlaps (their shadows move in)."""
+        window this batch touched that it overlaps (their pages move in);
+        the earlier batches' it overlaps go, lest windows grow unbounded."""
         if np.count_nonzero(vaddrs & 3):
             raise BatchAbandoned("port")
         first = int(vaddrs.min()) >> PAGE_SHIFT
         last = int(vaddrs.max()) >> PAGE_SHIFT
+        batch = self._batch
         merged = []
         while True:
             pages = 1 << (last - first).bit_length()
-            if pages > _PORT_PAGES - self._used:
+            if pages > _PORT_PAGES:
                 raise BatchAbandoned("port-full")
             overlapped = [old for old in self._live if old not in merged
                           and old.first < first + pages
                           and first < old.first + old.pages]
+            for old in overlapped:
+                if old.used != batch:
+                    self._drop(old)
+            overlapped = [old for old in overlapped if old.used == batch]
             if not overlapped:
                 break
             merged += overlapped
             first = min(first, *(old.first for old in overlapped))
             last = max(last, *(old.first + old.pages - 1
                                for old in overlapped))
+        at = self._room(pages)
+        if at is None:
+            self._reclaim()  # the windows of earlier batches go first
+            at = self._room(pages)
+            if at is None:
+                raise BatchAbandoned("port-full")
         window = _Window()
         window.first, window.pages = first, pages
         window.base = first << PAGE_SHIFT
         window.mask = ~((pages << PAGE_SHIFT) - 4)
-        cut = slice(self._used << _PAGE_WORDS_SHIFT,
-                    self._used + pages << _PAGE_WORDS_SHIFT)
-        self._used += pages
-        window.words = self._words[cut]
-        window.loaded = self._loaded[cut]
-        window.stored = self._stored[cut]
-        window.loaded[:] = _ABSENT
-        window.stored[:] = 0
-        window.frames = [None] * pages
-        window.absent = pages
-        window.dirty = False
+        self._place(window, at)
+        window.frames, window.stamps = [None] * pages, [0] * pages
+        window.used, window.ready, window.dirty = batch, 0, 0
         for old in merged:
             at = old.first - first
-            words = slice(at << _PAGE_WORDS_SHIFT,
-                          at + old.pages << _PAGE_WORDS_SHIFT)
-            window.words[words] = old.words
-            window.loaded[words] = old.loaded
-            window.stored[words] = old.stored
+            self._rows(window.at + at, old.pages)[:] = \
+                self._rows(old.at, old.pages)
             window.frames[at:at + old.pages] = old.frames
-            window.absent -= old.pages - old.absent
-            window.dirty |= old.dirty
+            window.stamps[at:at + old.pages] = old.stamps
+            window.dirty = max(window.dirty, old.dirty)
             self._live.remove(old)
-        self._live.append(window)
+        self._live.insert(sum(w.at < window.at for w in self._live), window)
         self._windows.update(dict.fromkeys(range(first, first + pages),
                                            window))
         return window
 
-    def _page_in(self, window, index, seen):
-        """Bring in the pages the lanes at *index* are the first to touch
-        (*seen*: their load shadows). A batch takes read-write pages
-        only: which access of which group a lesser one refuses is the
-        reference's to find out."""
+    def _rows(self, at, pages):
+        """The three pool rows of *pages* pages from pool page *at*."""
+        return self._pool[:, at << _PAGE_WORDS_SHIFT:
+                          at + pages << _PAGE_WORDS_SHIFT]
+
+    def _place(self, window, at):
+        window.at = at
+        window.words, window.loaded, window.stored = \
+            self._rows(at, window.pages)
+
+    def _drop(self, window):
+        self._live.remove(window)
+        for vpage in range(window.first, window.first + window.pages):
+            del self._windows[vpage]
+
+    def _room(self, pages):
+        """The first pool page of the lowest free run of *pages*, or None."""
+        at = 0
+        for window in self._live:
+            if window.at - at >= pages:
+                return at
+            at = window.at + window.pages
+        return at if at + pages <= _PORT_PAGES else None
+
+    def _reclaim(self):
+        """Drop every window this batch has not touched and move the rest
+        to the front of the pool, in order."""
+        at = 0
+        for window in list(self._live):
+            if window.used != self._batch:
+                self._drop(window)
+                continue
+            self._rows(at, window.pages)[:] = self._rows(window.at,
+                                                         window.pages)
+            self._place(window, at)
+            at += window.pages
+
+    def _refresh(self, window, index):
+        """Make fresh the pages of *window* the lanes at *index* touch.
+        A batch takes read-write pages only: which access of which group
+        a lesser one refuses is the reference's to find out."""
+        batch = window.used = self._batch
+        touched = (0,) if window.pages == 1 else np.flatnonzero(
+            np.bincount(index >> _PAGE_WORDS_SHIFT)).tolist()
         mmu = self._mmu
-        for page in sorted(set(
-                (index[seen == _ABSENT] >> _PAGE_WORDS_SHIFT).tolist())):
+        words, loaded, stored = self._bytes
+        stamps = window.stamps
+        for page in touched:
+            if stamps[page] == batch:
+                continue
             entry = mmu._probe(window.first + page)
             if entry is None or entry[1] & _READ_WRITE != _READ_WRITE:
                 raise BatchAbandoned("port")
             frame = entry[0] >> PAGE_SHIFT
-            backed = mmu._memory.backed_page(frame)
-            words = slice(page << _PAGE_WORDS_SHIFT,
-                          (page + 1) << _PAGE_WORDS_SHIFT)
+            at = window.at + page << PAGE_SHIFT
+            span = slice(at, at + len(_ZERO_PAGE))
             # unbacked reads as zeros, and stays unbacked until commit
-            window.words[words] = 0 if backed is None \
-                else np.frombuffer(backed, dtype=np.uint32)
-            window.loaded[words] = 0
+            words[span] = mmu._memory.backed_page(frame) or _ZERO_PAGE
+            loaded[span] = stored[span] = _ZERO_PAGE
             window.frames[page] = frame
-            window.absent -= 1
+            stamps[page] = batch
+            self._pages.append(window.first + page)
+        if min(stamps) == batch:
+            window.ready = batch

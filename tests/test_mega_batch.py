@@ -890,3 +890,218 @@ def test_port_pages_between_the_lanes_are_not_the_batch_s(monkeypatch):
                                   (strided - _BASE) >> 2)
     port.commit()
     assert {page - (_BASE >> 12) for page in mmu.pages_accessed} == {0, 2}
+
+
+# -- windows across batches ----------------------------------------------------------------
+
+
+def _next_batch(port, count=2, lanes=4):
+    """Close the port's batch as the engine does and begin the next."""
+    port.close()
+    port.begin(count, lanes)
+    return port
+
+
+def test_port_keeps_window_layouts_but_no_page_of_an_earlier_batch():
+    """A later batch finds the windows an earlier one cut, and reads
+    the words memory holds when it starts, not what the window held."""
+    mmu, port = _port()
+    across = _words(1022, 1023, 1024, 1025, 5, 5, 6, 7)
+    port.load_wide_u32(across)
+    port.commit()
+    (window,) = port._live
+    mmu.store_u32(int(across[4]), 500)  # memory moves between batches
+    _next_batch(port)
+    np.testing.assert_array_equal(port.load_wide_u32(across),
+                                  [1022, 1023, 1024, 1025, 500, 500, 6, 7])
+    assert port._live == [window]
+
+
+@pytest.mark.parametrize("between", ["unmapped", "armed"])
+def test_port_window_over_a_hole_commits_until_a_lane_touches_it(between):
+    """Page 1 of a kept window stops being the batch's to serve between
+    two batches: a batch that does not touch it commits, one that does
+    abandons at the port, for the reference to decide."""
+    from repro.inject import FaultInjector, FaultSpec
+
+    mmu, port = _port()
+    strided = _words(0, 1, 2, 3, 1024, 1025, 2048, 2049)
+    port.load_wide_u32(strided)  # one window over pages 0-3
+    port.commit()
+    hole = (_BASE >> 12) + 1
+    if between == "unmapped":
+        from repro.mem import PageTableBuilder
+
+        tables = PageTableBuilder.__new__(PageTableBuilder)  # the MMU's
+        tables._memory, tables.root = mmu._memory, mmu._walker.root
+        tables.unmap_page(hole << 12)
+        mmu.flush_tlb()  # as the driver does after an unmap
+    else:
+        mmu.set_injector(FaultInjector([FaultSpec("mmu.page", key=hole)]))
+    around = _words(0, 1, 2, 3, 2048, 2049, 2050, 2051)
+    np.testing.assert_array_equal(_next_batch(port).load_wide_u32(around),
+                                  (around - _BASE) >> 2)
+    port.commit()
+    assert len(port._live) == 1
+    with pytest.raises(BatchAbandoned, match="^port$"):
+        _next_batch(port).load_wide_u32(strided)
+
+
+def test_port_reclaims_earlier_windows_before_it_is_full(monkeypatch):
+    """Windows an earlier batch cut fill most of the pool: a batch that
+    needs a fresh pool's worth reclaims them, and moves the ones it has
+    touched to the front of the pool with their shadows."""
+    from repro.gpu import mmu as mmu_module
+
+    monkeypatch.setattr(mmu_module, "_PORT_PAGES", 8)
+    _, port = _port(pages=16)
+    port.load_wide_u32(_words(0, 1, 2, 3, 3072, 3073, 3074, 3075))
+    port.load_wide_u32(_words(4096, 4097, 4098, 4099,
+                              5120, 5121, 5122, 5123))
+    port.commit()
+    assert [(window.first, window.pages) for window in port._live] \
+        == [(_BASE >> 12, 4), ((_BASE >> 12) + 4, 2)]
+    # slot 2 loads from the second window, then the batch needs four
+    # pages more: the first window goes, the second moves to the front
+    _next_batch(port).load_wide_u32(_words(*range(4096, 4104)))
+    wide = _words(8192, 8193, 9216, 9217, 10240, 10241, 11264, 11265)
+    np.testing.assert_array_equal(port.load_wide_u32(wide),
+                                  (wide - _BASE) >> 2)
+    assert [(window.at, window.pages) for window in port._live] \
+        == [(0, 2), (2, 4)]
+    with pytest.raises(BatchAbandoned, match="store-after-load"):
+        port.store_wide_u32(_words(4100, 4100, 4100, 4100,
+                                   4104, 4105, 4106, 4107),
+                            np.zeros(8, np.uint32))
+    # two four-page windows fill the pool; a fresh one has no more room
+    _next_batch(port).load_wide_u32(wide)
+    high = wide + 4 * 4096
+    np.testing.assert_array_equal(port.load_wide_u32(high),
+                                  (high - _BASE) >> 2)
+    with pytest.raises(BatchAbandoned, match="port-full"):
+        port.load_wide_u32(_words(*range(6 * 1024, 6 * 1024 + 8)))
+
+
+def test_port_pool_pages_stay_one_window_s_through_merges():
+    """A merge leaves a hole low in the pool and its window high: a later
+    cut takes a free run, never a pool page a live window holds."""
+    _, port = _port()
+    port.load_wide_u32(_words(*range(8)))               # page 0
+    high = _words(*range(4096, 4104))                   # page 4
+    port.load_wide_u32(high)
+    port.load_wide_u32(_words(0, 1, 2, 3, 1024, 1025, 1026, 1027))
+    both = _words(6144, 6145, 6146, 6147, 7168, 7169, 7170, 7171)
+    np.testing.assert_array_equal(port.load_wide_u32(both),
+                                  (both - _BASE) >> 2)
+    np.testing.assert_array_equal(port.load_wide_u32(high),
+                                  (high - _BASE) >> 2)
+    spans = sorted((window.at, window.at + window.pages)
+                   for window in port._live)
+    assert all(end <= start for (_, end), (start, _) in zip(spans,
+                                                              spans[1:]))
+
+
+def test_port_counts_the_pages_this_batch_touched_not_the_window_s():
+    """A kept window holds a page an abandoned batch touched: the next
+    batch, which does not touch it, does not count it."""
+    mmu, port = _port()
+    port.load_wide_u32(_words(0, 1, 2, 3, 1024, 1025, 1026, 1027))
+    _next_batch(port).load_wide_u32(_words(0, 1, 2, 3, 4, 5, 6, 7))
+    port.commit()
+    assert mmu.pages_accessed == {_BASE >> 12}
+
+
+_COPY = """
+__kernel void k(__global int* out, __global int* in, int stride) {
+    int i = get_global_id(0);
+    out[i] = in[i * stride] + 1;
+}
+"""
+
+
+def _copier(context, words, stride=1):
+    """``(source VA, launch)``: *launch* writes an array of *words* into
+    the source buffer, runs one job of :data:`_COPY` over 64 threads
+    and returns what it wrote."""
+    queue = CommandQueue(context)
+    kernel = context.build_program(_COPY).kernel("k")
+    source = context.alloc_buffer(4 * words)
+    out = context.alloc_buffer(4 * 64)
+    kernel.set_args(out, source, stride)
+
+    def launch(data):
+        queue.enqueue_write_buffer(source, data)
+        queue.enqueue_nd_range(kernel, (64,), (8,))
+        return queue.enqueue_read_buffer(out, np.int32).tolist()
+
+    return source.gpu_va, launch
+
+
+def test_a_batch_reads_what_the_host_wrote_after_the_last_batch(
+        monkeypatch, batches):
+    """Job 2 runs in the windows job 1 cut, over a buffer the host
+    rewrote in between: it reads the new words."""
+    monkeypatch.setattr(megakernel, "BATCH_LANES", 64)  # eight groups
+    data = np.arange(64, dtype=np.int32)
+    written = []
+
+    def run(platform):
+        _, launch = _copier(Context(platform), 64)
+        written.append([launch(data), launch(7 * data)])
+
+    _assert_grouping_invisible(monkeypatch, run)
+    assert batches == [(0, 8, None)] * 2
+    assert written[0] == [(data + 1).tolist(), (7 * data + 1).tolist()]
+    assert written == [written[0]] * 3
+
+
+def test_tenants_on_the_same_vas_batch_over_their_own_frames(monkeypatch):
+    """Two tenants map the same VAs to their own frames and take turns
+    on one MMU, each in the windows the other cut: each reads its own
+    words, and each counts only the pages it touched, as one group at
+    a time does (tenant 1 reads two pages, tenant 2 one of them)."""
+    from repro.driver.kbase import TenancyConfig
+
+    words = 64 * 32
+    strides = (32, 1)
+
+    def run(mode, lanes):
+        monkeypatch.setattr(megakernel, "BATCH_LANES", lanes)
+        platform = MobilePlatform.for_mode(
+            mode, tenancy=TenancyConfig.symmetric(2)).initialize()
+        vas, launches = zip(*[
+            _copier(Context(platform, tenant=tenant), words, stride)
+            for tenant, stride in zip(platform.driver.tenants, strides)])
+        assert len(set(vas)) == 1  # one VA, two tenants
+        seen = [launch(np.arange(words, dtype=np.int32) * (2 + number)
+                       + 1000 * turn)
+                for turn in range(2)
+                for number, launch in enumerate(launches)]
+        unit = platform.gpu.job_manager.unit
+        return seen, sorted(platform.gpu.mmu.pages_accessed), \
+            (unit.batches_run, unit.batches_abandoned)
+
+    batched, pages, counts = run("mega", 64)
+    assert counts == (4, 0)
+    assert batched == [
+        (np.arange(64) * stride * (2 + number) + 1000 * turn + 1).tolist()
+        for turn in range(2) for number, stride in enumerate(strides)]
+    assert len({page >> 32 for page in pages}) == 2
+    assert run("mega", 0)[:2] == (batched, pages)
+    assert run("interp", 64)[:2] == (batched, pages)
+
+
+def test_a_batch_reclaims_the_windows_of_the_job_before(monkeypatch,
+                                                       batches):
+    """Job 1's windows take half the pool and job 2's batch needs more
+    than the other half, as much as a fresh pool holds: it commits."""
+    monkeypatch.setattr(megakernel, "BATCH_LANES", 64)  # eight groups
+
+    def run(platform):
+        # eight groups 16 pages apart: a 128-page window per job, on
+        # two buffers
+        _spread(platform, groups=8, stride=16, jobs=1)
+        _spread(platform, groups=8, stride=16, jobs=1)
+
+    assert _assert_grouping_invisible(monkeypatch, run) == (2, 0)
+    assert batches == [(0, 8, None)] * 2
