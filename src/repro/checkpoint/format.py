@@ -24,7 +24,7 @@ import tempfile
 from repro.errors import CheckpointError
 
 #: bump when the serialized state layout changes incompatibly
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 STATE_FILE = "state.json"
 MEMORY_FILE = "memory.bin"

@@ -502,23 +502,9 @@ class CommandQueue:
         kernel never alias their arguments.
         """
         context = self.context
-        tenant = context._tenant
-        job_args, uniforms = self._stage_launch(kernel, global_size,
-                                                local_size)
-
-        # cost-seeded scheduling: only when the arbiter policy opts in
-        # does the launch pay for the static analysis, handing the
-        # predicted per-workgroup issue cost to the slice-budget logic
-        cost_hint = 0
-        if context.platform.driver.arbiter.policy.slice_issue_budget:
-            _summary, bounds = kernel.analyze_launch(
-                job_args["global_size"], job_args["local_size"], uniforms,
-                local_mem_size=job_args["local_mem_size"], tenant=tenant)
-            if bounds is not None and bounds.per_workgroup_issues:
-                cost_hint = bounds.per_workgroup_issues
-
-        job = tenant.submit_job_async(**job_args, label=kernel.name,
-                                      cost_hint=cost_hint)
+        job_args, _uniforms = self._stage_launch(kernel, global_size,
+                                                 local_size)
+        job = context._tenant.submit_job_async(**job_args, label=kernel.name)
         self.kernels_launched += 1
         context.stat_kernels_launched.increment()
         return job

@@ -5,11 +5,12 @@ memory, constructs job descriptors, rings the GPU doorbell, and services
 interrupts — the low-level CPU-GPU interaction layer of Fig. 2(a)/(b).
 Hosts N client :class:`TenantContext` instances over the one GPU, each
 with a private VA space and physical carve-out, scheduled by a
-QoS-class :class:`JobSlotArbiter` with soft-stop preemption.
+QoS-class :class:`JobSlotArbiter` with soft-stop preemption. The
+recovery ladder's and the scheduler's bounds are module constants of
+:mod:`repro.driver.kbase` (``MAX_RETRIES``, ``STARVATION_BOUND``, ...).
 """
 
 from repro.driver.kbase import (
-    ArbiterPolicy,
     JobSlotArbiter,
     KBaseDriver,
     PendingJob,
@@ -22,7 +23,6 @@ from repro.driver.kbase import (
 )
 
 __all__ = [
-    "ArbiterPolicy",
     "JobSlotArbiter",
     "KBaseDriver",
     "PendingJob",

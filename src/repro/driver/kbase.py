@@ -25,7 +25,16 @@ actually structured:
 - **IRQ cross-checking**: the completion poll reads the interrupt
   controller's pending lines *and* the GPU raw status and raises a
   distinct :class:`~repro.errors.IRQMismatchError` when they disagree
-  (lost or spurious IRQs), recovering unless ``strict_irq`` is set.
+  (lost or spurious IRQs), and recovers from both.
+
+The ladder, the grow-on-fault sizes and the scheduler's bounds are the
+vendor driver's, not the user's: they are the module constants below
+(:data:`MAX_RETRIES`, :data:`GROW_INITIAL_PAGES`,
+:data:`GROW_CHUNK_PAGES`, :data:`BACKOFF_BASE`,
+:data:`STARVATION_BOUND`, :data:`MAX_PREEMPTIONS`, :data:`GPU_VA_BASE`),
+read when used, and count deterministic events — retries, pages,
+progress units, dispatch ticks — never wall-clock time, so identical
+fault plans produce identical recovery and scheduling run to run.
 
 Multi-tenancy (kbase's per-process GPU contexts): the driver can host N
 client :class:`TenantContext` instances over the one GPU. Each tenant
@@ -77,6 +86,26 @@ def _round_up(value, alignment):
     return (value + alignment - 1) & ~(alignment - 1)
 
 
+#: start of the GPU virtual address zone (every tenant's, each over its
+#: own page tables)
+GPU_VA_BASE = 0x0100_0000
+#: job resubmissions before a fault is declared unrecoverable (the ladder
+#: escalates soft-stop → hard-stop → GPU reset across these attempts)
+MAX_RETRIES = 3
+#: committed window of a fresh grow-on-fault region, in pages
+GROW_INITIAL_PAGES = 1
+#: pages mapped per page fault beyond the faulting page (the heap grow
+#: chunk)
+GROW_CHUNK_PAGES = 4
+#: progress units of backoff before the first retry; doubles per attempt
+BACKOFF_BASE = 8
+#: dispatch ticks a queued job may wait before it is promoted over every
+#: class (oldest first), bounding cross-class starvation
+STARVATION_BOUND = 8
+#: soft-stop preemptions per job; its slice budget doubles per preemption
+#: up to this count, then the job runs to completion
+MAX_PREEMPTIONS = 2
+
 #: sentinel returned by the submission path when the GPU parked a sliced
 #: job with ``REASON_SOFT_STOPPED`` (arbiter preemption, not a fault)
 PREEMPTED = object()
@@ -109,35 +138,6 @@ class Region:
             self.committed = self.size
 
 
-@dataclass
-class RecoveryPolicy:
-    """Knobs for the kbase-faithful fault-recovery ladder.
-
-    All budgets are counts of deterministic events — retries, pages,
-    progress units — never wall-clock time, so identical fault plans
-    produce identical recovery behaviour run to run.
-
-    Attributes:
-        max_retries: job resubmissions before a fault is declared
-            unrecoverable (the ladder escalates soft-stop → hard-stop →
-            GPU reset across these attempts).
-        grow_initial_pages: committed window of a fresh grow-on-fault
-            region, in pages.
-        grow_chunk_pages: pages mapped per page-fault beyond the faulting
-            page (kbase's heap grow chunk).
-        backoff_base: progress units accumulated into ``backoff_ticks``
-            before the first retry; doubles per subsequent attempt.
-        strict_irq: propagate :class:`~repro.errors.IRQMismatchError`
-            instead of recovering (used by negative-path tests).
-    """
-
-    max_retries: int = 3
-    grow_initial_pages: int = 1
-    grow_chunk_pages: int = 4
-    backoff_base: int = 8
-    strict_irq: bool = False
-
-
 # -- multi-tenancy configuration ----------------------------------------------
 
 
@@ -166,32 +166,6 @@ DEFAULT_QOS_CLASSES = {
 }
 
 
-@dataclass
-class ArbiterPolicy:
-    """Scheduling knobs, all in deterministic dispatch ticks/counts.
-
-    Attributes:
-        starvation_bound: a queued job that has waited more than this
-            many dispatch ticks is promoted over every class (oldest
-            first), bounding cross-class starvation.
-        max_preemptions: soft-stop preemptions per job before its slice
-            budget is lifted (the effective budget doubles per preemption
-            up to this count, then the job runs to completion —
-            guaranteed termination).
-        slice_issue_budget: when set, a job submitted with a static
-            ``cost_hint`` (predicted worst-case clause issues per
-            workgroup, from the verifier's cost analysis) derives its
-            initial ``JOB_SLICE`` workgroup budget as roughly this many
-            clause issues per slice instead of the QoS class's fixed
-            workgroup count. Scheduling-only: preemption stays invisible
-            to outputs and completed-job golden statistics.
-    """
-
-    starvation_bound: int = 8
-    max_preemptions: int = 2
-    slice_issue_budget: int = None
-
-
 @dataclass(frozen=True)
 class TenantSpec:
     """Configuration for one tenant: a name and a QoS class key."""
@@ -206,15 +180,11 @@ class TenancyConfig:
 
     Attributes:
         tenants: one :class:`TenantSpec` per client context; tenant ids
-            (== MMU address-space ids) are assigned in list order.
-        arbiter: an :class:`ArbiterPolicy` (defaults when None).
-        qos_classes: name -> :class:`QoSClass` map
-            (:data:`DEFAULT_QOS_CLASSES` when None).
+            (== MMU address-space ids) are assigned in list order; each
+            names a class of :data:`DEFAULT_QOS_CLASSES`.
     """
 
     tenants: list
-    arbiter: ArbiterPolicy = None
-    qos_classes: dict = None
 
     def __post_init__(self):
         if not self.tenants:
@@ -222,28 +192,21 @@ class TenancyConfig:
         names = [spec.name for spec in self.tenants]
         if len(set(names)) != len(names):
             raise DriverError(f"duplicate tenant names: {names}")
-        classes = self.qos_classes or DEFAULT_QOS_CLASSES
         for spec in self.tenants:
-            if spec.qos not in classes:
+            if spec.qos not in DEFAULT_QOS_CLASSES:
                 raise DriverError(
                     f"tenant {spec.name!r}: unknown QoS class {spec.qos!r}; "
-                    f"known: {sorted(classes)}")
+                    f"known: {sorted(DEFAULT_QOS_CLASSES)}")
 
     @classmethod
     def from_plain(cls, plain):
         """Inverse of ``dataclasses.asdict`` on a :class:`TenancyConfig`."""
-        arbiter, classes = plain["arbiter"], plain["qos_classes"]
-        return cls(
-            tenants=[TenantSpec(**spec) for spec in plain["tenants"]],
-            arbiter=None if arbiter is None else ArbiterPolicy(**arbiter),
-            qos_classes=None if classes is None else {
-                key: QoSClass(**qos) for key, qos in classes.items()})
+        return cls([TenantSpec(**spec) for spec in plain["tenants"]])
 
     @classmethod
-    def symmetric(cls, count, qos="fg", arbiter=None):
+    def symmetric(cls, count, qos="fg"):
         """*count* identical tenants named ``tenant0..tenantN-1``."""
-        return cls([TenantSpec(f"tenant{i}", qos=qos) for i in range(count)],
-                   arbiter=arbiter)
+        return cls([TenantSpec(f"tenant{i}", qos=qos) for i in range(count)])
 
 
 # -- physical allocator --------------------------------------------------------
@@ -327,7 +290,7 @@ class JobSlotArbiter(Stateful):
     Queues are keyed (priority, tenant): strict priority across QoS
     classes, round-robin across tenants inside a class, FIFO per
     (class, tenant). A job whose head-of-queue wait exceeds
-    ``ArbiterPolicy.starvation_bound`` dispatch ticks is promoted over
+    :data:`STARVATION_BOUND` dispatch ticks is promoted over
     everything, oldest first (ties broken by global submission order),
     bounding starvation of background classes.
 
@@ -341,8 +304,7 @@ class JobSlotArbiter(Stateful):
     STATE_FIELDS = ("tick", "submitted", "dispatched", "promotions",
                     "_order", "_cursor")
 
-    def __init__(self, policy=None):
-        self.policy = policy or ArbiterPolicy()
+    def __init__(self):
         self.tick = 0
         self.submitted = 0
         self.dispatched = 0
@@ -366,7 +328,6 @@ class JobSlotArbiter(Stateful):
         already requeued as preempted, so between dispatches the queues
         are the whole scheduling state."""
         state = super().get_state()
-        state["policy"] = asdict(self.policy)
         state["queues"] = [
             [priority, [[tenant_id, [job.get_state() for job in queue]]
                         for tenant_id, queue in per.items()]]
@@ -377,7 +338,6 @@ class JobSlotArbiter(Stateful):
         """Restored jobs carry ``tenant=None``; a driver rebinds them by
         ``tenant_id`` (:meth:`KBaseDriver.set_state`)."""
         super().set_state(state)
-        self.policy = ArbiterPolicy(**state["policy"])
         self._queues = {
             priority: {tenant_id: deque(PendingJob(**job) for job in jobs)
                        for tenant_id, jobs in per}
@@ -412,14 +372,13 @@ class JobSlotArbiter(Stateful):
         return job
 
     def _pop_starved(self):
-        bound = self.policy.starvation_bound
         starved = None
         for per in self._queues.values():
             for queue in per.values():
                 if not queue:
                     continue
                 head = queue[0]
-                if self.tick - head.queued_tick <= bound:
+                if self.tick - head.queued_tick <= STARVATION_BOUND:
                     continue
                 if starved is None or ((head.queued_tick, head.seq)
                                        < (starved.queued_tick, starved.seq)):
@@ -463,7 +422,6 @@ class PendingJob(Stateful):
     workgroups: int = 0  # total flat workgroups; 0 = unknown (never sliced)
     tenant: object = None
     label: str = ""
-    cost_hint: int = 0  # predicted clause issues per workgroup; 0 = none
     # arbiter bookkeeping
     seq: int = -1
     queued_tick: int = 0
@@ -490,7 +448,7 @@ class TenantContext(Stateful):
     ``free_region``, ``build_descriptor``, ``submit_and_wait``,
     ``run_job``), so a runtime context can be pointed at a tenant
     instead of the raw driver without code changes. All tenants share
-    the same ``gpu_va_base``, each over its own page tables — identical
+    the same :data:`GPU_VA_BASE`, each over its own page tables — identical
     allocation sequences produce identical GPU VAs in every tenant,
     which is what makes solo-vs-multi memory images comparable
     byte-for-byte.
@@ -515,7 +473,7 @@ class TenantContext(Stateful):
                                        carveout_size)
         self._page_table = PageTableBuilder(driver.bus.memory,
                                             self._alloc_frame)
-        self._va_next = driver.gpu_va_base
+        self._va_next = GPU_VA_BASE
         self.live_regions = []
         self._descriptor_region = None
         self._descriptor_slots = PAGE_SIZE // DESCRIPTOR_SIZE
@@ -578,7 +536,7 @@ class TenantContext(Stateful):
         """Allocate and GPU-map a region of at least *size* bytes.
 
         With ``grow_on_fault`` the region reserves its full extent but
-        commits only ``RecoveryPolicy.grow_initial_pages`` pages; the
+        commits only :data:`GROW_INITIAL_PAGES` pages; the
         remainder is mapped on demand by :meth:`handle_fault`.
         """
         if grow_on_fault and executable:
@@ -589,8 +547,7 @@ class TenantContext(Stateful):
         self._va_next += size + PAGE_SIZE  # guard page between regions
         flags = PTE_READ | PTE_WRITE | (PTE_EXEC if executable else 0)
         if grow_on_fault:
-            committed = min(
-                size, self.driver.policy.grow_initial_pages * PAGE_SIZE)
+            committed = min(size, GROW_INITIAL_PAGES * PAGE_SIZE)
         else:
             committed = size
         self._page_table.map_range(gpu_va, phys, committed, flags)
@@ -618,7 +575,6 @@ class TenantContext(Stateful):
     def handle_fault(self, vaddr, access):
         """Grow-on-fault resolver for this tenant's VA space (see
         :meth:`KBaseDriver.handle_page_fault`)."""
-        policy = self.driver.policy
         for region in self.live_regions:
             if not (region.growable
                     and region.gpu_va <= vaddr < region.gpu_va + region.size):
@@ -629,7 +585,7 @@ class TenantContext(Stateful):
             fault_page_end = _round_up(offset + 1, PAGE_SIZE)
             target = min(
                 region.size,
-                fault_page_end + policy.grow_chunk_pages * PAGE_SIZE)
+                fault_page_end + GROW_CHUNK_PAGES * PAGE_SIZE)
             grow = target - region.committed
             self._page_table.map_range(
                 region.gpu_va + region.committed,
@@ -703,7 +659,7 @@ class TenantContext(Stateful):
 
     def submit_job_async(self, global_size, local_size, binary_region,
                          binary_size, uniform_region, uniform_count,
-                         local_mem_size=0, label="", cost_hint=0):
+                         local_mem_size=0, label=""):
         """Queue a job with the arbiter; returns a :class:`PendingJob`.
 
         The descriptor lands in this tenant's next cycling descriptor
@@ -724,8 +680,7 @@ class TenantContext(Stateful):
         job = PendingJob(tenant_id=self.tenant_id,
                          priority=self.qos.priority,
                          descriptor_va=descriptor_va,
-                         workgroups=workgroups, tenant=self, label=label,
-                         cost_hint=cost_hint)
+                         workgroups=workgroups, tenant=self, label=label)
         self.jobs_submitted += 1
         self.driver.arbiter.submit(job)
         return job
@@ -840,9 +795,6 @@ class KBaseDriver(Stateful):
         gpu_mmio_base: physical base of the GPU register window.
         heap_base/heap_size: physical carve-out the driver allocates
             buffers, page tables and descriptors from.
-        gpu_va_base: start of the GPU virtual address zone (shared by
-            every tenant, each over its own page tables).
-        recovery: a :class:`RecoveryPolicy` (defaults used when None).
         tenancy: a :class:`TenancyConfig`; None hosts a single default
             tenant spanning the whole heap (the pre-tenancy behaviour).
     """
@@ -855,12 +807,10 @@ class KBaseDriver(Stateful):
     STATE_CHILDREN = ("arbiter",)
 
     def __init__(self, bus, irqc, gpu_mmio_base, heap_base, heap_size,
-                 gpu_va_base=0x0100_0000, recovery=None, tenancy=None):
+                 tenancy=None):
         self.bus = bus
         self.irqc = irqc
         self.gpu_mmio_base = gpu_mmio_base
-        self.policy = recovery or RecoveryPolicy()
-        self.gpu_va_base = gpu_va_base
         self.heap_base = heap_base
         self.heap_size = heap_size
         self.events = None  # optional EventTracer (ioctl-level spans)
@@ -883,8 +833,7 @@ class KBaseDriver(Stateful):
         # degenerate single-tenant config spans the whole heap, making
         # the legacy surface bit-identical to the pre-tenancy driver)
         self.tenancy = tenancy or TenancyConfig([TenantSpec("default")])
-        classes = self.tenancy.qos_classes or DEFAULT_QOS_CLASSES
-        self.arbiter = JobSlotArbiter(self.tenancy.arbiter)
+        self.arbiter = JobSlotArbiter()
         count = len(self.tenancy.tenants)
         quota = (heap_size // count) & ~(PAGE_SIZE - 1)
         if quota < 8 * PAGE_SIZE:
@@ -895,7 +844,8 @@ class KBaseDriver(Stateful):
             base = heap_base + index * quota
             bus.memory.register_carveout(f"tenant{index}", base, quota)
             self.tenants.append(TenantContext(
-                self, index, spec, classes[spec.qos], base, quota))
+                self, index, spec, DEFAULT_QOS_CLASSES[spec.qos], base,
+                quota))
         self._default_tenant = self.tenants[0]
         # the tenant whose page tables the GPU MMU currently walks
         self._mmu_tenant = self._default_tenant
@@ -914,7 +864,6 @@ class KBaseDriver(Stateful):
 
     def get_state(self):
         state = super().get_state()
-        state["policy"] = asdict(self.policy)
         state["mmu_tenant"] = self._mmu_tenant.tenant_id
         state["tenants"] = [tenant.get_state() for tenant in self.tenants]
         return state
@@ -924,7 +873,6 @@ class KBaseDriver(Stateful):
             raise ValueError(
                 "saved tenant set does not match the tenancy config")
         super().set_state(state)
-        self.policy = RecoveryPolicy(**state["policy"])
         for tenant, saved in zip(self.tenants, state["tenants"]):
             tenant.set_state(saved)
         self._mmu_tenant = self.tenants[state["mmu_tenant"]]
@@ -1146,27 +1094,17 @@ class KBaseDriver(Stateful):
         """Workgroup budget for this dispatch; 0 runs to completion.
 
         A job is sliced only when its class says so, other work is
-        waiting, and it has not exhausted ``max_preemptions`` (the
+        waiting, and it has not exhausted :data:`MAX_PREEMPTIONS` (the
         budget doubles per preemption, then the job runs unbounded —
         guaranteed forward progress).
-
-        With ``ArbiterPolicy.slice_issue_budget`` set and a static
-        ``cost_hint`` attached, the base budget is derived from the
-        predicted per-workgroup clause-issue cost — cheap jobs get wider
-        slices, expensive ones narrower — instead of the QoS class's
-        fixed workgroup count. Classes that are never sliced
-        (``slice_workgroups == 0``, e.g. rt) stay never-sliced.
         """
         if job.tenant is None or job.workgroups <= 0:
             return 0
         slice_workgroups = job.tenant.qos.slice_workgroups
         if not slice_workgroups or not self.arbiter.waiting:
             return 0
-        if job.preemptions >= self.arbiter.policy.max_preemptions:
+        if job.preemptions >= MAX_PREEMPTIONS:
             return 0
-        issue_budget = self.arbiter.policy.slice_issue_budget
-        if issue_budget and job.cost_hint > 0:
-            slice_workgroups = max(1, issue_budget // job.cost_hint)
         budget = slice_workgroups << job.preemptions
         return budget if budget < job.workgroups else 0
 
@@ -1274,7 +1212,6 @@ class KBaseDriver(Stateful):
         return self._submit_and_wait(descriptor_va)
 
     def _submit_and_wait(self, descriptor_va):
-        policy = self.policy
         attempt = 0
         while True:
             if self.injector is not None:
@@ -1298,7 +1235,7 @@ class KBaseDriver(Stateful):
                 # parked cleanly — not a fault, the dispatcher requeues
                 return PREEMPTED
             attempt += 1
-            if attempt > policy.max_retries:
+            if attempt > MAX_RETRIES:
                 self.faults_unrecovered += 1
                 raise JobFault(
                     f"unrecoverable job fault after {attempt - 1} "
@@ -1312,12 +1249,12 @@ class KBaseDriver(Stateful):
             elif reason == regs.REASON_HANG and attempt == 2:
                 self._write(regs.JOB_COMMAND, regs.JOB_COMMAND_HARD_STOP)
                 self.hard_stops += 1
-            elif attempt == policy.max_retries:
+            elif attempt == MAX_RETRIES:
                 self.reset_gpu()
             self.retries += 1
             # progress-unit backoff, doubling per attempt — deterministic,
             # no wall clock involved
-            self.backoff_ticks += policy.backoff_base << (attempt - 1)
+            self.backoff_ticks += BACKOFF_BASE << (attempt - 1)
             if self.events is not None:
                 self.events.instant(
                     "job_retry", "driver", "kbase",
@@ -1343,13 +1280,10 @@ class KBaseDriver(Stateful):
     def _complete_one(self):
         """Wait for one submission; returns ``(True, status)`` on
         completion or ``(False, (reason, info))`` on a fault the ladder
-        may retry. IRQ mismatches are recovered here (and counted)
-        unless the policy is strict."""
+        may retry. IRQ mismatches are recovered here (and counted)."""
         try:
             pending, rawstat = self._poll_completion()
         except IRQMismatchError as exc:
-            if self.policy.strict_irq:
-                raise
             if exc.kind == "lost":
                 # the GPU finished but the line never latched: trust the
                 # rawstat we already read, acknowledge everything below
@@ -1387,8 +1321,6 @@ class KBaseDriver(Stateful):
         if pending & InterruptController.SRC_GPU_MMU:
             mmu_raw = self._read(regs.MMU_IRQ_RAWSTAT)
             if not mmu_raw:
-                if self.policy.strict_irq:
-                    raise IRQMismatchError(pending, 0, "spurious")
                 self.spurious_irqs += 1
             else:
                 self._write(regs.MMU_IRQ_CLEAR, mmu_raw)

@@ -181,14 +181,12 @@ class JobManager(Stateful):
     )
     STATE_CHILDREN = ("ledger",)
 
-    def __init__(self, mmu, engine, instrument=True, tracer=None,
-                 events=None, watchdog_budget=WATCHDOG_ROUND_BUDGET):
+    def __init__(self, mmu, engine, instrument=True, tracer=None):
         self.mmu = mmu
         self.instrument = instrument
         self.tracer = tracer
-        self.events = events  # optional EventTracer (job-lifecycle spans)
+        self.events = None  # optional EventTracer (job-lifecycle spans)
         self.injector = None  # optional FaultInjector (repro.inject)
-        self.watchdog_budget = watchdog_budget
         self.watchdog_timeouts = 0
         self.jobs_preempted = 0
         self.descriptor_corruptions = 0
@@ -373,7 +371,7 @@ class JobManager(Stateful):
         unit.prepare(descriptor.local_mem_size, self.instrument,
                      tracer=self.tracer, events=events,
                      injector=self.injector,
-                     watchdog_budget=self.watchdog_budget)
+                     watchdog_budget=WATCHDOG_ROUND_BUDGET)
 
         total_groups = shape.total_groups
         sliced = (workgroup_budget is not None

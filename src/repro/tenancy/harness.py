@@ -127,18 +127,17 @@ def _digest(chunks):
     return digest.hexdigest()
 
 
-def tenancy_config(tenant_plans, arbiter=None):
+def tenancy_config(tenant_plans):
     """The driver-level :class:`TenancyConfig` for *tenant_plans* — the
     solo baseline reuses it verbatim so carve-out bases and VA layout
     match the mixed run exactly."""
     return TenancyConfig(
         [TenantSpec(f"tenant{i}", qos=plan.qos)
-         for i, plan in enumerate(tenant_plans)],
-        arbiter=arbiter)
+         for i, plan in enumerate(tenant_plans)])
 
 
 def run_mixed(tenant_plans, engine_mode=DEFAULT_ENGINE, active=None,
-              plan=None, seed=0, arbiter=None):
+              plan=None, seed=0):
     """Run one mixed multi-tenant campaign; returns a MixedRunResult.
 
     Args:
@@ -152,11 +151,9 @@ def run_mixed(tenant_plans, engine_mode=DEFAULT_ENGINE, active=None,
         plan: optional :class:`FaultPlan` (specs may carry ``tenant=``
             so an attacker's faults never target anyone else).
         seed: input-data seed (per-tenant RNG derives from it).
-        arbiter: optional :class:`ArbiterPolicy`.
     """
     platform = MobilePlatform.for_mode(
-        engine_mode,
-        tenancy=tenancy_config(tenant_plans, arbiter=arbiter)).initialize()
+        engine_mode, tenancy=tenancy_config(tenant_plans)).initialize()
     driver = platform.driver
     injector = None
     if plan is not None:
@@ -246,12 +243,12 @@ def run_mixed(tenant_plans, engine_mode=DEFAULT_ENGINE, active=None,
                           injector=injector, engine_mode=engine_mode)
 
 
-def solo_baseline(tenant_plans, victim, engine_mode, seed=0, arbiter=None):
+def solo_baseline(tenant_plans, victim, engine_mode, seed=0):
     """The isolation reference: the same tenancy shape with only
     *victim* active. Identical carve-out bases and VA layout make its
     record byte-comparable to the mixed run's."""
     return run_mixed(tenant_plans, engine_mode=engine_mode, active=[victim],
-                     seed=seed, arbiter=arbiter)
+                     seed=seed)
 
 
 def check_isolation(multi_record, solo_record):
@@ -286,9 +283,8 @@ def solo_isolation(tenant_plans, multi, seed=0):
         if record.preemptions:
             skipped.append(tenant_id)
             continue
-        solo = solo_baseline(
-            tenant_plans, tenant_id, engine_mode=multi.engine_mode,
-            seed=seed, arbiter=multi.platform.config.tenancy.arbiter)
+        solo = solo_baseline(tenant_plans, tenant_id,
+                             engine_mode=multi.engine_mode, seed=seed)
         diffs[tenant_id] = check_isolation(record, solo.records[tenant_id])
     return diffs, skipped
 

@@ -390,6 +390,8 @@ def _cmd_trace(options):
     from repro.cl import Context
     from repro.instrument.tracing import EventTracer, validate_trace
 
+    if options.limit is not None and options.limit < 1:
+        raise UsageError(f"--limit must be at least 1, got {options.limit}")
     parent = os.path.dirname(os.path.abspath(options.output))
     error = _ensure_outdir(parent, "trace")
     if error:
@@ -430,6 +432,11 @@ def _cmd_conformance(options):
     from repro.validate import ENGINES, run_conformance
     from repro.validate.runner import engine_mode
 
+    if options.budget < 1:
+        raise UsageError(f"--budget must be at least 1, got {options.budget}")
+    if not 0.0 <= options.min_coverage <= 1.0:
+        raise UsageError(f"--min-coverage must be in [0, 1], "
+                         f"got {options.min_coverage}")
     if options.replay:
         _config, cases = _run_sweep("conformance", {
             "kind": "corpus", "dir": options.replay,

@@ -156,78 +156,19 @@ def test_checkpoint_mid_drain_with_preempted_job(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# state added after the serializer was written (PR 10) must survive:
-# ArbiterPolicy.slice_issue_budget, PendingJob.cost_hint,
-# TenantContext.live_regions, the driver's RecoveryPolicy
+# state added after the serializer was written must survive: each
+# TenantContext's live_regions and the queued jobs' tenant binding
 
 
-def _cost_seeded_platform(engine_mode, slice_issue_budget=40):
-    from repro.core.platform import MobilePlatform
-    from repro.driver.kbase import (
-        ArbiterPolicy,
-        TenancyConfig,
-        TenantSpec,
-    )
-
-    tenancy = TenancyConfig(
-        [TenantSpec("fg0", qos="fg"), TenantSpec("bg0", qos="bg")],
-        arbiter=ArbiterPolicy(slice_issue_budget=slice_issue_budget,
-                              max_preemptions=6))
-    return MobilePlatform.for_mode(engine_mode, tenancy=tenancy).initialize()
-
-
-def _scheduling_record(platform, outputs):
-    import hashlib
-
-    record = _final_record(platform)
-    record["tenants"] = [(tenant.dispatches, tenant.preemptions)
-                         for tenant in platform.driver.tenants]
-    record["dispatched"] = platform.driver.arbiter.dispatched
-    record["outputs"] = [
-        hashlib.sha256(
-            platform.memory.read_block(phys, nbytes)).hexdigest()
-        for phys, nbytes in outputs]
-    return record
-
-
-@pytest.mark.parametrize("engine_mode", CHECKPOINT_ENGINES)
-def test_cost_seeded_slices_survive_a_mid_drain_checkpoint(engine_mode,
-                                                           tmp_path):
-    """Cost-seeded JOB_SLICE budgets come from the arbiter policy and
-    each queued job's cost_hint; a restore that drops either reschedules
-    the rest of the drain (fewer, wider slices) and the golden snapshot
-    drifts. Straight and checkpointed runs must agree on everything."""
-    reference = _cost_seeded_platform(engine_mode)
-    outputs = [(buf.region.phys, buf.nbytes)
-               for _queue, buf in _submit_scale_jobs(reference)]
-    reference.driver.drain()
-    expected = _scheduling_record(reference, outputs)
-    assert expected["tenants"][1][1] > 0, "scenario must preempt bg"
-
-    platform = _cost_seeded_platform(engine_mode)
-    assert outputs == [(buf.region.phys, buf.nbytes)
-                       for _queue, buf in _submit_scale_jobs(platform)]
-    platform.driver.drain(max_dispatches=2)
-    directory = str(tmp_path / "ckpt")
-    save_checkpoint(platform, directory)
-    del platform
-    restored, _extra = restore_checkpoint(directory)
-    restored.driver.drain()
-    assert _scheduling_record(restored, outputs) == expected
-
-
-def test_restore_keeps_policy_cost_hints_regions_and_recovery(tmp_path):
-    from repro.driver.kbase import RecoveryPolicy
-
-    platform = _cost_seeded_platform("interp", slice_issue_budget=5000)
-    platform.driver.policy = RecoveryPolicy(max_retries=7, strict_irq=True)
+def test_restore_keeps_queued_jobs_and_regions(tmp_path):
+    platform = _two_tenant_platform()
     _submit_scale_jobs(platform)
     grown = platform.driver.tenants[0].alloc_region(
         8 * 4096, grow_on_fault=True)
     platform.driver.drain(max_dispatches=1)
-    saved_hints = [job.cost_hint
-                   for job in platform.driver.arbiter.queued_jobs()]
-    assert saved_hints and all(hint > 0 for hint in saved_hints)
+    saved_jobs = [job.get_state()
+                  for job in platform.driver.arbiter.queued_jobs()]
+    assert saved_jobs
     saved_regions = [len(tenant.live_regions)
                      for tenant in platform.driver.tenants]
 
@@ -235,15 +176,12 @@ def test_restore_keeps_policy_cost_hints_regions_and_recovery(tmp_path):
     save_checkpoint(platform, directory)
     restored, _extra = restore_checkpoint(directory)
     driver = restored.driver
-    assert driver.arbiter.policy.slice_issue_budget == 5000
-    assert driver.arbiter.policy.max_preemptions == 6
-    assert [job.cost_hint
-            for job in driver.arbiter.queued_jobs()] == saved_hints
+    assert [job.get_state()
+            for job in driver.arbiter.queued_jobs()] == saved_jobs
     assert all(job.tenant is driver.tenants[job.tenant_id]
                for job in driver.arbiter.queued_jobs())
     assert [len(tenant.live_regions)
             for tenant in driver.tenants] == saved_regions
-    assert driver.policy == RecoveryPolicy(max_retries=7, strict_irq=True)
     for tenant in driver.tenants:
         # free_region filters by identity: the restored handles must be
         # the live_regions entries themselves, not equal copies
@@ -412,13 +350,15 @@ def test_version_skew_fails_closed(saved_checkpoint, tmp_path):
             restore_checkpoint(resealed)
 
 
-@pytest.mark.parametrize("version", [2, 3, 4])
+@pytest.mark.parametrize("version", [2, 3, 4, 5])
 def test_older_layout_fails_closed(saved_checkpoint, tmp_path, version):
     """Each older layout is refused by its manifest, before any state is
     read: version 2 saved a per-unit ``core_stats`` table the Job
     Manager no longer has, version 3 ``GPUConfig.collect_cfg`` in the
     config section, version 4 running ``JobStats`` totals where clause
-    ledgers are saved now."""
+    ledgers are saved now, version 5 the driver's recovery and arbiter
+    policies, each queued job's ``cost_hint`` and the tenancy config's
+    ``arbiter`` / ``qos_classes``."""
     directory = _copy_checkpoint(saved_checkpoint, tmp_path / "old")
     path = os.path.join(directory, MANIFEST_FILE)
     with open(path) as handle:
@@ -428,7 +368,7 @@ def test_older_layout_fails_closed(saved_checkpoint, tmp_path, version):
         json.dump(manifest, handle)
     with pytest.raises(
             CheckpointError,
-            match=f"unsupported checkpoint version {version} .*version 5"):
+            match=f"unsupported checkpoint version {version} .*version 6"):
         restore_checkpoint(directory)
 
 
@@ -463,7 +403,7 @@ def _mistype_gpu_key(config):
 
 
 def _drop_tenancy_key(config):
-    del config["tenancy"]["arbiter"]
+    del config["tenancy"]["tenants"]
 
 
 def _gpu_section_not_a_mapping(config):

@@ -336,6 +336,14 @@ USAGE_ERRORS = {
     "bench-param-value": ["bench", "sgemm", "--param", "m=abc"],
     "bench-param-name": ["bench", "sgemm", "--param", "zzz=3"],
     "conformance-engine": ["conformance", "--engines", "nosuch"],
+    # a gate that checks nothing must not pass
+    "conformance-budget-zero": ["conformance", "--budget", "0"],
+    "conformance-budget-negative": ["conformance", "--budget", "-3"],
+    "conformance-coverage-high": ["conformance", "--min-coverage", "1.5"],
+    "conformance-coverage-negative": ["conformance", "--min-coverage",
+                                      "-0.1"],
+    "trace-limit-zero": ["trace", "FILE", "--limit", "0"],
+    "trace-limit-negative": ["trace", "FILE", "--limit", "-1"],
     "tenants-jobs": ["tenants", "--tenants", "2", "--jobs", "0"],
 }
 

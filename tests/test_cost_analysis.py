@@ -1,22 +1,14 @@
-"""Tests: static cost & resource analysis and its three consumers.
+"""Tests: static cost & resource analysis and its consumers.
 
 Covers the loop-bound inference kinds, the progen stress categories'
-expected-bound metadata, the analyze library units, the differential
+expected-bound metadata, the analyze library units and the differential
 soundness gate (static bounds must dominate observed golden counters on
-workloads, SLAM, generated programs and the shipped corpus), and the
-cost-seeded ``JOB_SLICE`` budgets — which must change scheduling without
-changing anything observable.
+workloads, SLAM, generated programs and the shipped corpus).
 """
 
 import numpy as np
 import pytest
 
-from repro.driver.kbase import (
-    DEFAULT_QOS_CLASSES,
-    ArbiterPolicy,
-    KBaseDriver,
-    PendingJob,
-)
 from repro.gpu.isa import CmpMode, Op, Program
 from repro.gpu.verify import verify_program
 from repro.gpu.verify.analyze import analyze_target
@@ -243,146 +235,3 @@ def test_soundness_report_shape():
     assert not broken["ok"]
     assert soundness.build_report(records + [broken])["totals"][
         "violations"] == 1
-
-
-# -- cost-seeded slice budgets -------------------------------------------------
-
-
-class _StubArbiter:
-    def __init__(self, policy, waiting=True):
-        self.policy = policy
-        self.waiting = [object()] if waiting else []
-
-
-class _StubDriver:
-    """Just enough driver for KBaseDriver._slice_budget."""
-
-    def __init__(self, policy, waiting=True):
-        self.arbiter = _StubArbiter(policy, waiting=waiting)
-
-    _slice_budget = KBaseDriver._slice_budget
-
-
-class _Tenant:
-    def __init__(self, qos):
-        self.qos = DEFAULT_QOS_CLASSES[qos]
-
-
-def _pending(qos="fg", workgroups=1024, cost_hint=0, preemptions=0):
-    return PendingJob(tenant_id=0, priority=0, workgroups=workgroups,
-                      tenant=_Tenant(qos), cost_hint=cost_hint,
-                      preemptions=preemptions)
-
-
-class TestSliceBudgetSeeding:
-    def test_cost_hint_derives_budget(self):
-        driver = _StubDriver(ArbiterPolicy(slice_issue_budget=1000))
-        assert driver._slice_budget(_pending(cost_hint=100)) == 10
-        # cheap jobs get wider slices, expensive ones narrower
-        assert driver._slice_budget(_pending(cost_hint=10)) == 100
-        assert driver._slice_budget(_pending(cost_hint=900)) == 1
-
-    def test_budget_never_below_one_workgroup(self):
-        driver = _StubDriver(ArbiterPolicy(slice_issue_budget=4))
-        assert driver._slice_budget(_pending(cost_hint=10_000)) == 1
-
-    def test_without_policy_uses_qos_class(self):
-        driver = _StubDriver(ArbiterPolicy())
-        assert driver._slice_budget(_pending(cost_hint=100)) == \
-            DEFAULT_QOS_CLASSES["fg"].slice_workgroups
-
-    def test_without_hint_uses_qos_class(self):
-        driver = _StubDriver(ArbiterPolicy(slice_issue_budget=1000))
-        assert driver._slice_budget(_pending(cost_hint=0)) == \
-            DEFAULT_QOS_CLASSES["fg"].slice_workgroups
-
-    def test_rt_class_stays_never_sliced(self):
-        driver = _StubDriver(ArbiterPolicy(slice_issue_budget=1000))
-        assert driver._slice_budget(_pending(qos="rt",
-                                             cost_hint=100)) == 0
-
-    def test_budget_still_doubles_per_preemption(self):
-        driver = _StubDriver(ArbiterPolicy(slice_issue_budget=1000))
-        assert driver._slice_budget(_pending(cost_hint=100,
-                                             preemptions=1)) == 20
-
-    def test_no_waiting_runs_to_completion(self):
-        driver = _StubDriver(ArbiterPolicy(slice_issue_budget=1000),
-                             waiting=False)
-        assert driver._slice_budget(_pending(cost_hint=100)) == 0
-
-
-@pytest.mark.parametrize("engine_mode", ["interp", "mega"])
-def test_budget_seeding_invisible_two_tenants(engine_mode):
-    """Cost-seeded slices change the schedule, not the observables.
-
-    Same convention as the preemption-invisibility test in
-    test_tenants.py: per-tenant outputs, carve-out digests and
-    completed-job golden stats match bit-for-bit; only ``.mmu.``
-    translation counts may grow with replay.
-    """
-    from repro.tenancy.harness import TenantPlan, run_mixed
-
-    plans = [TenantPlan("sgemm", qos="fg", jobs=2),
-             TenantPlan("fillseq", qos="bg", jobs=2)]
-    base = run_mixed(plans, engine_mode=engine_mode, seed=3)
-    seeded = run_mixed(plans, engine_mode=engine_mode, seed=3,
-                       arbiter=ArbiterPolicy(slice_issue_budget=64))
-
-    def job_stats(record):
-        return {key: value for key, value in record.golden.items()
-                if ".mmu." not in key}
-
-    for tid in base.records:
-        b, s = base.records[tid], seeded.records[tid]
-        assert b.verified and s.verified
-        assert b.output_digest == s.output_digest
-        assert b.carveout_digest == s.carveout_digest
-        assert b.jobs_completed == s.jobs_completed
-        assert b.jobs_failed == s.jobs_failed == 0
-        assert job_stats(b) == job_stats(s)
-    # the seeding genuinely engaged: the fg tenant, never sliced under
-    # the fixed per-class budget (64 workgroups == its whole launch),
-    # now runs in issue-budgeted slices
-    assert seeded.records[0].preemptions > base.records[0].preemptions
-
-
-def test_budget_seeding_attaches_cost_hints():
-    """The async enqueue path computes a per-workgroup cost hint from
-    the static analysis exactly when the policy asks for it."""
-    from repro.cl import CommandQueue, Context
-    from repro.core.platform import MobilePlatform, PlatformConfig
-    from repro.driver.kbase import TenancyConfig
-
-    source = """
-    __kernel void fill(__global uint* out) {
-        out[get_global_id(0)] = get_global_id(0);
-    }
-    """
-    config = PlatformConfig(tenancy=TenancyConfig.symmetric(
-        1, arbiter=ArbiterPolicy(slice_issue_budget=5000)))
-    context = Context(MobilePlatform(config))
-    queue = CommandQueue(context)
-    program = context.build_program(source)
-    kernel = program.kernel("fill")
-    out = context.buffer_from_array(np.zeros(256, dtype=np.uint32))
-    kernel.set_args(out)
-
-    seen = []
-    driver = context.platform.driver
-    tenant = driver._default_tenant
-    original = tenant.submit_job_async
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs.get("cost_hint", 0))
-        return original(*args, **kwargs)
-
-    tenant.submit_job_async = spy
-    try:
-        queue.enqueue_nd_range_async(kernel, (256,), (64,))
-        driver.drain()
-    finally:
-        tenant.submit_job_async = original
-    assert seen and all(hint > 0 for hint in seen)
-    assert np.array_equal(queue.enqueue_read_buffer(out, np.uint32),
-                          np.arange(256, dtype=np.uint32))

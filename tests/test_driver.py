@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.driver import kbase
 from repro.errors import DriverError, JobFault
 from repro.core.platform import GPU_BASE, MobilePlatform
 from repro.cpu.devices import (
@@ -133,9 +134,9 @@ class TestJobSubmission:
             driver.submit_and_wait(0xDEAD0000)  # unmapped VA
         # the recovery ladder retried the persistent fault to exhaustion
         # (ending with a GPU reset) before surfacing it
-        attempts = driver.policy.max_retries + 1
+        attempts = kbase.MAX_RETRIES + 1
         assert platform.system_stats().mmu_faults == attempts
-        assert driver.retries == driver.policy.max_retries
+        assert driver.retries == kbase.MAX_RETRIES
         assert driver.resets == 1
         assert driver.faults_unrecovered == 1
 
@@ -237,7 +238,7 @@ class TestProcessDecodeTable:
             platform = MobilePlatform().initialize()
             with pytest.raises(JobFault, match="unrecoverable"):
                 self._run(platform, bytes(binary))
-            attempts += platform.driver.policy.max_retries + 1
+            attempts += kbase.MAX_RETRIES + 1
         # every attempt of every platform decoded the image, and failed
         assert len(calls) == attempts
         assert all(raised for _, raised in calls)

@@ -5,10 +5,9 @@ import pytest
 
 from repro.cl import CommandQueue, Context
 from repro.core.platform import MobilePlatform, PlatformConfig
-from repro.driver.kbase import RecoveryPolicy
+from repro.driver import kbase
 from repro.errors import (
     DriverError,
-    IRQMismatchError,
     JobFault,
     SimError,
 )
@@ -111,8 +110,7 @@ class TestGrowOnFault:
         driver = platform.driver
         region = driver.alloc_region(8 * PAGE_SIZE, grow_on_fault=True)
         assert region.growable
-        assert region.committed \
-            == driver.policy.grow_initial_pages * PAGE_SIZE
+        assert region.committed == kbase.GROW_INITIAL_PAGES * PAGE_SIZE
         # the committed window translates; the rest faults into the
         # driver's page-fault worker, which grows the mapping and the
         # access resumes
@@ -176,7 +174,7 @@ class TestRecoveryLadder:
             _run_fill(context)
         driver = context.platform.driver
         assert driver.faults_unrecovered == 1
-        assert driver.retries == driver.policy.max_retries
+        assert driver.retries == kbase.MAX_RETRIES
         assert driver.resets == 1
         assert context.platform.gpu.soft_resets == 1
         # the reset + re-bring-up leaves the same platform fully usable
@@ -204,14 +202,6 @@ class TestRecoveryLadder:
         context, injector, got = self._faulted_run(plan)
         assert np.array_equal(got, _expected_fill())
         assert context.platform.driver.spurious_irqs == 1
-
-    def test_strict_irq_policy_raises_mismatch(self):
-        context = _fresh_context()
-        context.platform.driver.policy = RecoveryPolicy(strict_irq=True)
-        context.platform.attach_injector(
-            FaultInjector([FaultSpec("irq.spurious", params={"line": "mmu"})]))
-        with pytest.raises(IRQMismatchError, match="spurious"):
-            _run_fill(context)
 
     def test_injected_alloc_failure_is_clean_and_transient(self):
         context = _fresh_context()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.platform import MobilePlatform
+from repro.driver.kbase import MAX_RETRIES
 from repro.gpu.encoding import encode_program
 from repro.gpu.isa import (
     CONST_BASE,
@@ -133,5 +134,5 @@ def test_mmu_fault_reported(platform):
         driver.run_job((4, 1, 1), (4, 1, 1), binary_region, len(binary),
                        uniform_region, len(uniforms))
     # the recovery ladder retried the persistent fault before giving up
-    assert platform.system_stats().mmu_faults == driver.policy.max_retries + 1
+    assert platform.system_stats().mmu_faults == MAX_RETRIES + 1
     assert driver.faults_unrecovered == 1

@@ -31,12 +31,7 @@ from hypothesis import strategies as st
 from repro.checkpoint import harness, restore_checkpoint, save_checkpoint
 from repro.cl import CommandQueue, Context
 from repro.core.platform import MobilePlatform, PlatformConfig
-from repro.driver.kbase import (
-    ArbiterPolicy,
-    QoSClass,
-    TenancyConfig,
-    TenantSpec,
-)
+from repro.driver.kbase import GPU_VA_BASE, TenancyConfig, TenantSpec
 from repro.gpu.device import GPUConfig
 from repro.inject.injector import FaultInjector
 from repro.inject.plan import FaultPlan, FaultSpec
@@ -150,7 +145,7 @@ TRANSIENT = {
     "JobManager": {
         "mmu": _WIRING, "injector": _WIRING,
         "events": _OBSERVER, "tracer": _OBSERVER,
-        "instrument": _CONSTANT, "watchdog_budget": _CONSTANT,
+        "instrument": _CONSTANT,
         "_decode_cache": "keys are saved; rewarm_decode_cache re-decodes "
                          "them through TenantContext.read_va",
         "unit": "the execution unit: its engine, local slab and register "
@@ -162,7 +157,7 @@ TRANSIENT = {
     "KBaseDriver": {
         "bus": _WIRING, "irqc": _WIRING, "_gpu": _WIRING,
         "injector": _WIRING,
-        "gpu_mmio_base": _CONSTANT, "gpu_va_base": _CONSTANT,
+        "gpu_mmio_base": _CONSTANT,
         "heap_base": _CONSTANT, "heap_size": _CONSTANT,
         "tenancy": _CONSTANT,
         "_default_tenant": "alias of tenants[0]",
@@ -306,13 +301,7 @@ def test_restored_state_equals_saved_state(build, tmp_path):
     PlatformConfig(),
     PlatformConfig(gpu=GPUConfig(engine="mega"),
                    cpu_engine="interpretive", tenancy=_fg_bg()),
-    PlatformConfig(tenancy=TenancyConfig(
-        [TenantSpec("a", qos="hi"), TenantSpec("b", qos="lo")],
-        arbiter=ArbiterPolicy(starvation_bound=3, max_preemptions=5,
-                              slice_issue_budget=777),
-        qos_classes={"hi": QoSClass("hi", 9, 0),
-                     "lo": QoSClass("lo", 1, 8)})),
-], ids=["default", "two-tenant", "custom-qos-arbiter"])
+], ids=["default", "two-tenant"])
 def test_config_plain_round_trip(config):
     plain = json.loads(json.dumps(config.to_plain()))
     assert PlatformConfig.from_plain(plain) == config
@@ -329,7 +318,7 @@ def test_config_plain_drops_only_the_tracer():
 # cut-anywhere property
 
 STEPS = 2
-_BASE_PAGE = 0x0100_0000 >> 12  # KBaseDriver's gpu_va_base
+_BASE_PAGE = GPU_VA_BASE >> 12
 
 
 def _spec(site, **fields):

@@ -9,6 +9,8 @@ every execution engine, including the cases where the attacker drives
 the recovery ladder all the way to a GPU reset.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,9 +19,13 @@ from hypothesis import strategies as st
 from repro.cl import CommandQueue, Context
 from repro.errors import CLError, JobFault
 from repro.core.platform import HEAP_SIZE, MobilePlatform, PlatformConfig
+from repro.driver import kbase
 from repro.driver.kbase import (
+    DEFAULT_QOS_CLASSES,
+    GPU_VA_BASE,
+    MAX_PREEMPTIONS,
     PREEMPTED,
-    ArbiterPolicy,
+    STARVATION_BOUND,
     JobSlotArbiter,
     KBaseDriver,
     PendingJob,
@@ -90,7 +96,7 @@ class TestTenantContexts:
         assert driver.tenant(0).as_id == 0
         assert driver.as_switches == 0
         region = driver.alloc_region(PAGE_SIZE)
-        assert region.gpu_va >= driver.gpu_va_base
+        assert region.gpu_va >= GPU_VA_BASE
         snapshot = platform.stats_registry.snapshot()
         assert not any(key.startswith("tenant") for key in snapshot)
 
@@ -171,18 +177,18 @@ class TestPreemption:
         assert result.records[0].preemptions == 0
         assert result.records[0].verified
 
-    def test_preemption_invisible_in_golden_stats(self):
+    def test_preemption_invisible_in_golden_stats(self, monkeypatch):
         # the same bg workload, sliced + replayed vs never sliced
-        # (slicing disabled by policy): completed-job golden stats,
+        # (no preemption allowed): completed-job golden stats,
         # outputs and carve-out image match bit-for-bit — translations
         # legitimately grow with replay and are excluded
         plans = [TenantPlan("sgemm", qos="fg", jobs=2),
                  TenantPlan("divergent", qos="bg",
                             params={"n": 8192}, jobs=2)]
         multi = run_mixed(plans, engine_mode="interp", seed=5)
+        monkeypatch.setattr(kbase, "MAX_PREEMPTIONS", 0)
         baseline = run_mixed(plans, engine_mode="interp", seed=5,
-                             active=[1],
-                             arbiter=ArbiterPolicy(max_preemptions=0))
+                             active=[1])
         assert multi.records[1].preemptions >= 1
         assert baseline.records[1].preemptions == 0
 
@@ -224,7 +230,7 @@ def _dispatch(arbiter):
         for priority_queues in arbiter._queues.values()
         for queue in priority_queues.values()
         if queue and (arbiter.tick + 1 - queue[0].queued_tick
-                      > arbiter.policy.starvation_bound)]
+                      > kbase.STARVATION_BOUND)]
     job = arbiter.next_job()
     if job is None:
         assert arbiter.waiting == 0
@@ -235,12 +241,13 @@ def _dispatch(arbiter):
 
 class TestArbiterProperties:
     @given(ops=_OPS)
-    # one FIFO queue: the seventh job waits 7 ticks, over any bound that
-    # counts only the starvation bound and the number of queues
-    @example(ops=[("submit", 0, 1)] * 7)
+    # one FIFO queue: its last job waits STARVATION_BOUND + 3 ticks, over
+    # any bound that counts only the starvation bound and the number of
+    # queues
+    @example(ops=[("submit", 0, 1)] * (STARVATION_BOUND + 3))
     @settings(max_examples=120, deadline=None)
     def test_fifo_starvation_and_determinism(self, ops):
-        arbiter = JobSlotArbiter(ArbiterPolicy(starvation_bound=4))
+        arbiter = JobSlotArbiter()
         submitted, dispatched = [], []
         for op, tenant_id, priority in ops:
             if op == "submit":
@@ -268,7 +275,7 @@ class TestArbiterProperties:
     @settings(max_examples=60, deadline=None)
     def test_replay_is_deterministic(self, ops):
         def run():
-            arbiter = JobSlotArbiter(ArbiterPolicy(starvation_bound=4))
+            arbiter = JobSlotArbiter()
             trace = []
             for op, tenant_id, priority in ops:
                 if op == "submit":
@@ -295,14 +302,36 @@ class TestArbiterProperties:
         seen = [arbiter.next_job().tenant_id for _ in range(9)]
         assert seen == [0, 1, 2] * 3
 
-    def test_strict_priority_between_classes(self):
-        arbiter = JobSlotArbiter(ArbiterPolicy(starvation_bound=100))
+    def test_strict_priority_between_classes(self, monkeypatch):
+        monkeypatch.setattr(kbase, "STARVATION_BOUND", 100)
+        arbiter = JobSlotArbiter()
         low = _job(0, priority=1)
         arbiter.submit(low)
         high = [_job(1, priority=3) for _ in range(4)]
         for job in high:
             arbiter.submit(job)
         assert [arbiter.next_job() for _ in range(5)] == high + [low]
+
+
+def _slice_budget(qos="fg", workgroups=1024, preemptions=0, waiting=1):
+    """``KBaseDriver._slice_budget`` for one job, on just enough driver."""
+    driver = SimpleNamespace(arbiter=SimpleNamespace(waiting=waiting))
+    job = PendingJob(tenant_id=0, priority=0, workgroups=workgroups,
+                     tenant=SimpleNamespace(qos=DEFAULT_QOS_CLASSES[qos]),
+                     preemptions=preemptions)
+    return KBaseDriver._slice_budget(driver, job)
+
+
+def test_slice_budget_doubles_per_preemption_then_lifts():
+    fg = DEFAULT_QOS_CLASSES["fg"].slice_workgroups
+    assert _slice_budget() == fg
+    assert _slice_budget(preemptions=1) == 2 * fg
+    assert _slice_budget(preemptions=MAX_PREEMPTIONS) == 0
+    # rt is never sliced; nobody waiting or one slice covering the whole
+    # launch runs to completion
+    assert _slice_budget(qos="rt") == 0
+    assert _slice_budget(waiting=0) == 0
+    assert _slice_budget(workgroups=fg) == 0
 
 
 # -- cross-tenant isolation (the headline matrix) -----------------------------
