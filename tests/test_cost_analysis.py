@@ -1,14 +1,23 @@
 """Tests: static cost & resource analysis and its consumers.
 
 Covers the loop-bound inference kinds, the progen stress categories'
-expected-bound metadata, the analyze library units and the differential
+expected-bound metadata, the analyze library units, the differential
 soundness gate (static bounds must dominate observed golden counters on
-workloads, SLAM, generated programs and the shipped corpus).
+workloads, SLAM, generated programs and the shipped corpus), and the
+per-class ``JOB_SLICE`` workgroup budgets the scheduler arms.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.driver.kbase import (
+    DEFAULT_QOS_CLASSES,
+    MAX_PREEMPTIONS,
+    KBaseDriver,
+    PendingJob,
+)
 from repro.gpu.isa import CmpMode, Op, Program
 from repro.gpu.verify import verify_program
 from repro.gpu.verify.analyze import analyze_target
@@ -235,3 +244,41 @@ def test_soundness_report_shape():
     assert not broken["ok"]
     assert soundness.build_report(records + [broken])["totals"][
         "violations"] == 1
+
+
+# -- slice budgets -------------------------------------------------------------
+
+
+def _slice_budget(qos="fg", workgroups=1024, preemptions=0, waiting=1):
+    """``KBaseDriver._slice_budget`` for one job, on just enough driver."""
+    driver = SimpleNamespace(arbiter=SimpleNamespace(waiting=waiting))
+    job = PendingJob(tenant_id=0, priority=0, workgroups=workgroups,
+                     tenant=SimpleNamespace(qos=DEFAULT_QOS_CLASSES[qos]),
+                     preemptions=preemptions)
+    return KBaseDriver._slice_budget(driver, job)
+
+
+class TestSliceBudgetSeeding:
+    def test_without_policy_uses_qos_class(self):
+        assert _slice_budget() == DEFAULT_QOS_CLASSES["fg"].slice_workgroups
+
+    def test_without_hint_uses_qos_class(self):
+        # every sliced class is seeded from its own table entry
+        for qos in ("fg", "bg"):
+            assert _slice_budget(qos=qos) == \
+                DEFAULT_QOS_CLASSES[qos].slice_workgroups
+
+    def test_rt_class_stays_never_sliced(self):
+        assert _slice_budget(qos="rt") == 0
+
+    def test_budget_still_doubles_per_preemption(self):
+        fg = DEFAULT_QOS_CLASSES["fg"].slice_workgroups
+        assert _slice_budget(preemptions=1) == 2 * fg
+        # past the preemption bound the job runs unbounded
+        assert _slice_budget(preemptions=MAX_PREEMPTIONS) == 0
+
+    def test_no_waiting_runs_to_completion(self):
+        assert _slice_budget(waiting=0) == 0
+        # one slice covering the whole launch is no slice at all
+        fg = DEFAULT_QOS_CLASSES["fg"].slice_workgroups
+        assert _slice_budget(workgroups=fg) == 0

@@ -9,8 +9,6 @@ every execution engine, including the cases where the attacker drives
 the recovery ladder all the way to a GPU reset.
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,13 +19,10 @@ from repro.errors import CLError, JobFault
 from repro.core.platform import HEAP_SIZE, MobilePlatform, PlatformConfig
 from repro.driver import kbase
 from repro.driver.kbase import (
-    DEFAULT_QOS_CLASSES,
     GPU_VA_BASE,
-    MAX_PREEMPTIONS,
     PREEMPTED,
     STARVATION_BOUND,
     JobSlotArbiter,
-    KBaseDriver,
     PendingJob,
     TenancyConfig,
     TenantSpec,
@@ -311,27 +306,6 @@ class TestArbiterProperties:
         for job in high:
             arbiter.submit(job)
         assert [arbiter.next_job() for _ in range(5)] == high + [low]
-
-
-def _slice_budget(qos="fg", workgroups=1024, preemptions=0, waiting=1):
-    """``KBaseDriver._slice_budget`` for one job, on just enough driver."""
-    driver = SimpleNamespace(arbiter=SimpleNamespace(waiting=waiting))
-    job = PendingJob(tenant_id=0, priority=0, workgroups=workgroups,
-                     tenant=SimpleNamespace(qos=DEFAULT_QOS_CLASSES[qos]),
-                     preemptions=preemptions)
-    return KBaseDriver._slice_budget(driver, job)
-
-
-def test_slice_budget_doubles_per_preemption_then_lifts():
-    fg = DEFAULT_QOS_CLASSES["fg"].slice_workgroups
-    assert _slice_budget() == fg
-    assert _slice_budget(preemptions=1) == 2 * fg
-    assert _slice_budget(preemptions=MAX_PREEMPTIONS) == 0
-    # rt is never sliced; nobody waiting or one slice covering the whole
-    # launch runs to completion
-    assert _slice_budget(qos="rt") == 0
-    assert _slice_budget(waiting=0) == 0
-    assert _slice_budget(workgroups=fg) == 0
 
 
 # -- cross-tenant isolation (the headline matrix) -----------------------------
