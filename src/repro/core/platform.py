@@ -215,7 +215,7 @@ class MobilePlatform(Stateful):
                 self.irqc.raise_irq(InterruptController.SRC_GPU_JOB)
             # else: the JOB line assertion is dropped on the floor — the
             # driver's completion poll detects rawstat with no pending
-            # line and recovers (IRQMismatchError "lost")
+            # line and recovers (a "lost" IRQ)
         if gpu.mmu_irq_pending:
             self.irqc.raise_irq(InterruptController.SRC_GPU_MMU)
 

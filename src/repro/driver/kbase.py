@@ -23,9 +23,9 @@ actually structured:
   Unrecoverable jobs surface as a clean :class:`~repro.errors.JobFault`
   that leaves the driver, its regions and the GPU usable.
 - **IRQ cross-checking**: the completion poll reads the interrupt
-  controller's pending lines *and* the GPU raw status and raises a
-  distinct :class:`~repro.errors.IRQMismatchError` when they disagree
-  (lost or spurious IRQs), and recovers from both.
+  controller's pending lines *and* the GPU raw status, tells a *lost*
+  IRQ (rawstat with no pending line) from a *spurious* one (a pending
+  line with nothing behind it), and recovers from and counts both.
 
 The ladder, the grow-on-fault sizes and the scheduler's bounds are the
 vendor driver's, not the user's: they are the module constants below
@@ -67,7 +67,7 @@ import threading
 from collections import deque
 from dataclasses import asdict, dataclass
 
-from repro.errors import DriverError, IRQMismatchError, JobFault, SimError
+from repro.errors import DriverError, JobFault, SimError
 from repro.cpu.devices import IRQC_ACK, IRQC_PENDING, InterruptController
 from repro.gpu import regs
 from repro.gpu.jobmanager import (
@@ -1263,43 +1263,38 @@ class KBaseDriver(Stateful):
     def _poll_completion(self):
         """Cross-check the IRQC pending lines against GPU rawstat.
 
-        Raises:
-            IRQMismatchError: the two disagree (lost or spurious IRQ).
-            DriverError: neither shows a completion at all.
+        Returns ``(pending, rawstat, mismatch)``: ``mismatch`` is None
+        when the two agree, ``'lost'`` for rawstat with no pending line
+        and ``'spurious'`` for a pending line with nothing behind it.
         """
         pending = self.irqc.read_reg(IRQC_PENDING)
         rawstat = self._read(regs.JOB_IRQ_RAWSTAT)
         if rawstat and not pending & InterruptController.SRC_GPU_JOB:
-            raise IRQMismatchError(pending, rawstat, "lost")
+            return pending, rawstat, "lost"
         if pending & InterruptController.SRC_GPU_JOB and not rawstat:
-            raise IRQMismatchError(pending, rawstat, "spurious")
+            return pending, rawstat, "spurious"
         if not rawstat:
             raise DriverError("job submitted but no completion IRQ")
-        return pending, rawstat
+        return pending, rawstat, None
 
     def _complete_one(self):
         """Wait for one submission; returns ``(True, status)`` on
         completion or ``(False, (reason, info))`` on a fault the ladder
         may retry. IRQ mismatches are recovered here (and counted)."""
-        try:
-            pending, rawstat = self._poll_completion()
-        except IRQMismatchError as exc:
-            if exc.kind == "lost":
-                # the GPU finished but the line never latched: trust the
-                # rawstat we already read, acknowledge everything below
-                self.irq_mismatches += 1
-                pending, rawstat = exc.pending, exc.rawstat
-            else:
-                # pending line with no work behind it: acknowledge the
-                # ghost and look again
-                self.spurious_irqs += 1
-                self.irqc.write_reg(IRQC_ACK,
-                                    InterruptController.SRC_GPU_JOB)
-                pending = self.irqc.read_reg(IRQC_PENDING)
-                rawstat = self._read(regs.JOB_IRQ_RAWSTAT)
-                if not rawstat:
-                    raise DriverError(
-                        "spurious completion IRQ with idle GPU") from exc
+        pending, rawstat, mismatch = self._poll_completion()
+        if mismatch == "lost":
+            # the GPU finished but the line never latched: trust the
+            # rawstat we already read, acknowledge everything below
+            self.irq_mismatches += 1
+        elif mismatch == "spurious":
+            # pending line with no work behind it: acknowledge the
+            # ghost and look again
+            self.spurious_irqs += 1
+            self.irqc.write_reg(IRQC_ACK, InterruptController.SRC_GPU_JOB)
+            pending = self.irqc.read_reg(IRQC_PENDING)
+            rawstat = self._read(regs.JOB_IRQ_RAWSTAT)
+            if not rawstat:
+                raise DriverError("spurious completion IRQ with idle GPU")
         status = self._read(regs.JOB_STATUS)
         self._write(regs.JOB_IRQ_CLEAR, rawstat)
         ack_mask = InterruptController.SRC_GPU_JOB

@@ -91,29 +91,6 @@ class UnknownWorkloadError(SimError, KeyError):
         return self.args[0]
 
 
-class IRQMismatchError(DriverError):
-    """The interrupt controller and the GPU's raw IRQ status disagree.
-
-    Raised by the driver's completion poll when the GPU reports work done
-    (or faulted) in ``JOB_IRQ_RAWSTAT`` but the interrupt controller never
-    latched the line (a *lost* IRQ), or the controller shows a pending GPU
-    line with nothing backing it in the raw status (a *spurious* IRQ).
-
-    Attributes:
-        pending: the IRQC pending bitmask observed.
-        rawstat: the GPU ``JOB_IRQ_RAWSTAT`` value observed.
-        kind: ``'lost'`` or ``'spurious'``.
-    """
-
-    def __init__(self, pending, rawstat, kind):
-        super().__init__(
-            f"{kind} IRQ: irqc pending=0x{pending:x} "
-            f"gpu rawstat=0x{rawstat:x}")
-        self.pending = pending
-        self.rawstat = rawstat
-        self.kind = kind
-
-
 class WatchdogTimeout(SimError):
     """A job exceeded its progress budget (the hardware job-slot timeout).
 
