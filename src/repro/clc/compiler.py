@@ -23,39 +23,8 @@ from repro.clc.passes import (
 from repro.clc.regalloc import SpillRequired, allocate_registers
 from repro.clc.schedule import assign_temporaries, schedule_block
 from repro.clc.spill import spill_vreg, spillable_candidates
-from repro.clc.versions import COMPILER_VERSIONS, DEFAULT_VERSION
+from repro.clc.versions import DEFAULT_VERSION, CompilerOptions
 from repro.gpu.encoding import encode_program
-
-
-@dataclass(frozen=True)
-class CompilerOptions:
-    """Pass configuration; usually derived from a version preset."""
-
-    version: str = DEFAULT_VERSION
-    unroll_limit: int = 2
-    dual_issue: bool = True
-    vector_ls: bool = True
-    temp_forward: bool = True
-    copyprop: bool = True
-    dce: bool = True
-    hoist_uniforms: bool = True
-
-    @staticmethod
-    def from_version(version):
-        try:
-            preset = COMPILER_VERSIONS[str(version)]
-        except KeyError:
-            raise CompileError(f"unknown compiler version {version!r}") from None
-        return CompilerOptions(
-            version=preset.name,
-            unroll_limit=preset.unroll_limit,
-            dual_issue=preset.dual_issue,
-            vector_ls=preset.vector_ls,
-            temp_forward=preset.temp_forward,
-            copyprop=preset.copyprop,
-            dce=preset.dce,
-            hoist_uniforms=preset.hoist_uniforms,
-        )
 
 
 @dataclass

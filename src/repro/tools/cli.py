@@ -28,9 +28,10 @@ Subcommands:
 - ``analyze FILE``  — static cost & resource analysis: loop trip
   bounds, per-clause issue costs, access-pattern classes and sound
   per-launch upper bounds on clause issues and pages touched
-  (``--json`` emits ``repro-analyze-report/1``; ``--soundness`` runs
-  the differential dominance sweep holding the bounds against observed
-  golden counters and writes ``analysis_report.json`` with ``--out``).
+  (``--json`` emits ``repro-analyze-report/1``; ``--soundness`` holds
+  the bounds against observed golden counters on every workload, SLAM,
+  the stress categories, ``--progen N`` generated programs and a
+  ``--corpus``, and writes the farm report with ``--out FILE``).
 - ``farm``          — the config-driven simulation farm: ``farm run
   CONFIG`` executes a declarative mixed sweep (conformance + faults +
   lint + bench) on a multiprocess worker pool with a deterministic
@@ -40,11 +41,11 @@ Subcommands:
   case/shard expansion; ``farm example`` prints a copy-pasteable
   config.
 
-``faultcampaign``, ``tenants`` and ``conformance --replay`` are sugar:
-their arguments become the one sweep of a farm config that
-``run_farm(..., workers=0)`` executes in this process (so a replayed
-corpus's open ``mismatch`` entries must still mismatch, and a tenant
-that differs from its solo run fails, as in the farm). The
+``faultcampaign``, ``tenants``, ``conformance --replay`` and ``analyze
+--soundness`` are sugar: their arguments become the one sweep of a farm
+config that ``run_farm(..., workers=0)`` executes in this process (so a
+replayed corpus's open ``mismatch`` entries must still mismatch, and a
+tenant that differs from its solo run fails, as in the farm). The
 cross-tenant attacker scenarios are ``faultcampaign --scenarios
 xtenant-...``; the checkpoint matrix is ``farm run
 examples/farm/checkpoint.json``.
@@ -82,25 +83,35 @@ def result_line(verb, ok, **fields):
     return 0 if ok else 1
 
 
-def report_cases(verb, cases, count="cases", **fields):
-    """The tail of every per-case campaign: one ``mark id detail`` line
-    per case outcome (``{"id", "verdict", "detail"}``, as in a farm
-    report), then the summary line; returns the exit code."""
+def print_cases(cases):
+    """One ``mark id detail`` line per case outcome (``{"id",
+    "verdict", "detail"}``, as in a farm report); returns the number of
+    failing cases."""
     for case in cases:
         mark = "ok  " if case["verdict"] == "pass" else "FAIL"
         print(f"{mark} {case['id']} {case['detail']}".rstrip())
-    failures = sum(case["verdict"] != "pass" for case in cases)
+    return sum(case["verdict"] != "pass" for case in cases)
+
+
+def report_cases(verb, cases, count="cases", **fields):
+    """The tail of every per-case campaign: the case lines, then the
+    summary line; returns the exit code."""
+    failures = print_cases(cases)
     return result_line(verb, not failures, **fields,
                        **{count: len(cases)}, failures=failures)
 
 
-def _run_sweep(verb, sweep, verbose=False):
+def _run_sweep(verb, sweep, verbose=False, out=None):
     """What the sweeping verbs are sugar for: one sweep as a farm config
-    run in this process; returns the config and the case outcomes."""
+    run in this process, its report written to the file *out* if given;
+    returns the config and the case outcomes."""
+    from repro.checkpoint.format import atomic_write_bytes
     from repro.validate.farm import load_config, run_farm
 
     config = load_config({"name": verb, "sweeps": [sweep]})
     run = run_farm(config, workers=0, progress=print if verbose else None)
+    if out:
+        atomic_write_bytes(out, run.report_bytes)
     return config, run.report["cases"]
 
 
@@ -438,6 +449,9 @@ def _cmd_conformance(options):
         raise UsageError(f"--min-coverage must be in [0, 1], "
                          f"got {options.min_coverage}")
     if options.replay:
+        if options.min_coverage > 0:
+            raise UsageError("--min-coverage does not apply to --replay "
+                             "(a replay measures no coverage)")
         _config, cases = _run_sweep("conformance", {
             "kind": "corpus", "dir": options.replay,
             "engines": (options.engines.split("+") if options.engines
@@ -562,12 +576,9 @@ def _cmd_analyze(options):
 
 
 def _analyze_soundness(options):
-    """``analyze --soundness``: the differential dominance sweep.
-
-    Every static bound must dominate the observed golden counters; any
-    violation (or a failed output verification, which would make the
-    comparison meaningless) fails the verb."""
-    from repro.validate import soundness
+    """``analyze --soundness``: the ``soundness`` sweep, in process; a
+    case fails on any bound violation or failed output verification."""
+    from collections import Counter
 
     if options.out:
         error = _ensure_outdir(
@@ -575,44 +586,19 @@ def _analyze_soundness(options):
         if error:
             print(error)
             return 2
-    records = []
-    verified = True
-    if options.workloads != ["none"]:
-        names = None if options.workloads == ["all"] else options.workloads
-        workload_records, verified = soundness.workload_records(
-            names=names, version=options.version)
-        records.extend(workload_records)
-    if not options.no_slam:
-        records.extend(soundness.slam_records(version=options.version))
-    records.extend(soundness.stress_records(options.seed))
-    if options.progen:
-        records.extend(soundness.progen_records(options.seed,
-                                                options.progen))
-    if options.corpus:
-        records.extend(soundness.corpus_records(options.corpus))
-
-    report = soundness.build_report(records)
-    totals = report["totals"]
-    for record in records:
-        if not record["ok"]:
-            print(f"VIOLATION {record['label']}: "
-                  f"issues {record['observed_issues']} vs bound "
-                  f"{record['bound_issues']}, pages "
-                  f"{record['observed_pages']} vs bound "
-                  f"{record['bound_pages']} {record['error']}")
+    _config, cases = _run_sweep("analyze", {
+        "kind": "soundness", "seeds": [options.seed],
+        "progen": options.progen, "corpus": options.corpus,
+        "version": options.version}, out=options.out)
+    failures = print_cases(cases)
     if options.out:
-        soundness.write_report(options.out, report)
         print(f"report: {options.out}")
-    tight = totals["median_tightness_issues"]
-    print(f"soundness: {totals['records']} record(s), "
-          f"{totals['violations']} violation(s), "
-          f"{totals['unbounded_issues']} unbounded, median tightness "
-          f"{'n/a' if tight is None else f'{tight:.3f}'}")
-    return result_line("analyze", verified and not totals["violations"],
-                       mode="soundness", records=totals["records"],
+    totals = sum((Counter(case["counters"]) for case in cases), Counter())
+    return result_line("analyze", not failures, mode="soundness",
+                       records=totals["records"],
                        violations=totals["violations"],
                        unbounded=totals["unbounded_issues"],
-                       verified=verified)
+                       verified=not totals["failed_verifications"])
 
 
 def _cmd_faultcampaign(options):
@@ -845,12 +831,6 @@ def main(argv=None):
     p_analyze.add_argument("--soundness", action="store_true",
                            help="differential dominance sweep: static "
                                 "bounds vs observed golden counters")
-    p_analyze.add_argument("--workloads", nargs="+", default=["all"],
-                           metavar="NAME",
-                           help="soundness workload subset ('all' or "
-                                "'none')")
-    p_analyze.add_argument("--no-slam", action="store_true",
-                           help="skip the SLAM pipeline in --soundness")
     p_analyze.add_argument("--progen", type=int, default=0, metavar="N",
                            help="also check N generated programs")
     p_analyze.add_argument("--corpus", default=None, metavar="DIR",
@@ -858,8 +838,7 @@ def main(argv=None):
     p_analyze.add_argument("--seed", type=int, default=0,
                            help="generator seed for --soundness")
     p_analyze.add_argument("--out", default=None, metavar="FILE",
-                           help="write analysis_report.json here "
-                                "(--soundness)")
+                           help="write the --soundness farm report here")
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_fault = sub.add_parser(

@@ -54,6 +54,11 @@ from repro.validate.farm.shard import plan_shards, retry_shard
 from repro.validate.farm.worker import ShardTask, execute_case, worker_main
 
 
+#: seconds the manager waits on the result queue before it polices
+#: timeouts and dead workers again
+POLL_INTERVAL = 0.05
+
+
 class FarmError(SimError):
     """The farm itself failed (config, spawn, or global stall)."""
 
@@ -96,7 +101,6 @@ def default_start_method():
 
 
 def run_farm(config, workers=2, outdir=None, chaos=None, progress=None,
-             start_method=None, poll_interval=0.05, stall_limit=None,
              preloaded=None):
     """Execute a farm config; returns a :class:`FarmRun`.
 
@@ -105,16 +109,15 @@ def run_farm(config, workers=2, outdir=None, chaos=None, progress=None,
             config dict, or a JSON file path.
         workers: worker process count (the report does not depend on
             it); 0 executes every case in the calling process, without
-            timeout policing (*chaos* and the pool knobs do not apply).
+            timeout policing (*chaos* does not apply). A pool declares
+            the run stalled after ``timeout_s + 60`` seconds without
+            any worker message.
         outdir: artifact/report directory (created); ``report.json``,
             per-case artifacts and the crash-resume journal
             (``resume/``) land here.
         chaos: farm self-test fault hook, e.g. ``{"kill_case": id}``
             (see ``worker.worker_main``).
         progress: optional callable receiving human log lines live.
-        start_method: multiprocessing start method override.
-        stall_limit: seconds without any worker message before the run
-            is declared stalled (default: ``timeout_s + 60``).
         preloaded: case id -> outcome dict of already-settled cases
             (from a verified journal — see :func:`resume_farm`); those
             cases are not re-run, and the report is byte-identical to
@@ -192,8 +195,8 @@ def run_farm(config, workers=2, outdir=None, chaos=None, progress=None,
                 record(execute_case(case, outdir))
         return finish()
 
-    stall_limit = stall_limit or config.timeout_s + 60.0
-    ctx = mp.get_context(start_method or default_start_method())
+    stall_limit = config.timeout_s + 60.0
+    ctx = mp.get_context(default_start_method())
     task_queue = ctx.Queue()
     result_queue = ctx.Queue()
 
@@ -280,7 +283,7 @@ def run_farm(config, workers=2, outdir=None, chaos=None, progress=None,
                 spawn(slot)
         while len(outcomes) < len(cases):
             try:
-                message = result_queue.get(timeout=poll_interval)
+                message = result_queue.get(timeout=POLL_INTERVAL)
             except queue_mod.Empty:
                 message = None
             now = time.monotonic()
@@ -355,9 +358,7 @@ def run_farm(config, workers=2, outdir=None, chaos=None, progress=None,
     return finish()
 
 
-def resume_farm(outdir, workers=2, chaos=None, progress=None,
-                start_method=None, poll_interval=0.05,
-                stall_limit=None):
+def resume_farm(outdir, workers=2, progress=None):
     """Finish an interrupted campaign from its on-disk journal.
 
     Loads and digest-verifies ``<outdir>/resume/`` (config + settled
@@ -372,7 +373,4 @@ def resume_farm(outdir, workers=2, chaos=None, progress=None,
 
     config, preloaded = load_journal(outdir)
     return run_farm(config, workers=workers, outdir=outdir,
-                    chaos=chaos, progress=progress,
-                    start_method=start_method,
-                    poll_interval=poll_interval,
-                    stall_limit=stall_limit, preloaded=preloaded)
+                    progress=progress, preloaded=preloaded)

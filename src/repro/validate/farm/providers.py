@@ -16,12 +16,14 @@ A provider is the one layer between a sweep dict and a case outcome:
 The subsystems being swept export what runs *one* thing —
 ``run_conformance``, ``dict_to_case``, ``run_case``, ``run_mixed`` and
 ``solo_isolation``, ``run_differential``, ``lint_target``,
-``analyze_target`` — and are imported lazily; the grids and the outcome
-shaping live here and nowhere else. ``bench`` runs registered
-workloads; ``checkpoint`` is the save/restore/finish matrix over every
-engine mode; ``selftest`` exercises the farm itself (a case that
-passes, a case that raises, a case that genuinely hangs) and is what
-the isolation and kill-recovery tests sweep.
+``analyze_target``, the :mod:`repro.validate.soundness` record
+functions — and are imported lazily; the grids and the outcome shaping
+live here and nowhere else. ``bench`` runs registered workloads;
+``soundness`` holds the cost analysis's bounds against real runs;
+``checkpoint`` is the save/restore/finish matrix over every engine
+mode; ``selftest`` exercises the farm itself (a case that passes, a
+case that raises, a case that genuinely hangs) and is what the
+isolation and kill-recovery tests sweep.
 """
 
 import json
@@ -84,6 +86,16 @@ def _engines(values, resolve, what):
         except ValueError:
             raise FarmConfigError(f"unknown {what} {value!r}") from None
     return values
+
+
+def _version(sweep):
+    """The sweep's compiler version preset, None for the default."""
+    from repro.clc import COMPILER_VERSIONS
+
+    version = sweep.get("version")
+    if version is not None and str(version) not in COMPILER_VERSIONS:
+        raise FarmConfigError(f"unknown compiler version {version!r}")
+    return version
 
 
 def _write_artifact(artifact_dir, name, text):
@@ -291,8 +303,8 @@ class StaticToolProvider:
     An analyze case fails when any kernel fails to analyze (compile
     error or structural errors blocking the cost pass); unbounded loops
     are reported in the counters but are not failures (data-dependent
-    loops are legitimate — the soundness gate, not the farm, decides
-    whether their page bounds still dominate)."""
+    loops are legitimate — the ``soundness`` sweep decides whether
+    their page bounds still dominate)."""
 
     def __init__(self, kind, tool, artifact, headline):
         self.kind = kind
@@ -314,7 +326,7 @@ class StaticToolProvider:
                 raise FarmConfigError(
                     f"unknown {self.kind} target {target!r}")
         return {"kind": self.kind, "targets": sorted(targets),
-                "version": sweep.get("version")}
+                "version": _version(sweep)}
 
     def expand(self, sweep, config):
         for target in sweep["targets"]:
@@ -333,6 +345,84 @@ class StaticToolProvider:
             f"{u.label}:{u.kernel or '<compile>'} "
             f"{getattr(u, self.headline)()}" for u in failing[:3])
         return not failing, detail, tool.totals(units), artifacts
+
+
+class SoundnessProvider:
+    """The cost analysis's dominance gate (:mod:`repro.validate.soundness`),
+    one case per workload, SLAM, stress category x seed, progen stream
+    (per seed) and corpus entry. A case's counters sum bound and observed
+    issues and pages over the records each bound is finite for: its
+    tightness is ``bound_issues / observed_issues``."""
+
+    kind = "soundness"
+
+    def normalize(self, sweep):
+        progen, corpus = sweep.get("progen", 0), sweep.get("corpus")
+        if not isinstance(progen, int) or progen < 0:
+            raise FarmConfigError("'progen' must be an integer >= 0")
+        if corpus is not None and not (isinstance(corpus, str) and corpus):
+            raise FarmConfigError("'corpus' must be a directory or null")
+        return {"kind": self.kind,
+                "seeds": _seed_list(sweep.get("seeds", [0])),
+                "progen": progen, "corpus": corpus,
+                "version": _version(sweep)}
+
+    def expand(self, sweep, config):
+        from repro.kernels import WORKLOADS
+        from repro.validate.corpus import load_entries
+        from repro.validate.progen import STRESS_CATEGORIES
+
+        version = sweep["version"]
+        for name in sorted(WORKLOADS):
+            yield f"soundness/workload/{name}", {
+                "source": "workload", "name": name, "version": version}
+        yield "soundness/slam", {"source": "slam", "version": version}
+        for category, seed in product(STRESS_CATEGORIES, sweep["seeds"]):
+            yield f"soundness/stress/{category}/s{seed}", {
+                "source": "stress", "category": category, "seed": seed}
+        for seed in sweep["seeds"] if sweep["progen"] else ():
+            yield f"soundness/progen/s{seed}", {
+                "source": "progen", "seed": seed, "count": sweep["progen"]}
+        # a missing or empty corpus raises here, before any case runs
+        for path, _entry in (load_entries(sweep["corpus"])
+                             if sweep["corpus"] is not None else ()):
+            yield f"soundness/corpus/{os.path.basename(path)}", {
+                "source": "corpus", "path": path}
+
+    def execute(self, spec, artifact_dir):
+        from repro.validate import soundness
+        from repro.validate.corpus import load_entry
+
+        source, verified = spec["source"], True
+        if source == "workload":
+            records, verified = soundness.workload_records(
+                [spec["name"]], version=spec["version"])
+        elif source == "slam":
+            records = soundness.slam_records(version=spec["version"])
+        elif source == "stress":
+            records = soundness.stress_records(
+                spec["seed"], categories=[spec["category"]])
+        elif source == "progen":
+            records = soundness.progen_records(spec["seed"], spec["count"])
+        else:
+            records = [soundness.corpus_record(load_entry(spec["path"]))]
+        violations = [r for r in records if not r["ok"]]
+        counters = {"records": len(records), "violations": len(violations),
+                    "unbounded_issues": sum(r["bound_issues"] is None
+                                            for r in records),
+                    "failed_verifications": int(not verified)}
+        for side, counter in product(("bound", "observed"),
+                                     ("issues", "pages")):
+            counters[f"{side}_{counter}"] = sum(
+                int(r[f"{side}_{counter}"]) for r in records
+                if r[f"bound_{counter}"] is not None
+                and r[f"observed_{counter}"] is not None)
+        problems = ["verification failed"] * (not verified) + [
+            f"{r['label']}: issues {r['observed_issues']} vs bound "
+            f"{r['bound_issues']}, pages {r['observed_pages']} vs bound "
+            f"{r['bound_pages']} {r['error']}".rstrip()
+            for r in violations[:3]]
+        return not problems, "; ".join(problems), counters, []
 
 
 class BenchProvider:
@@ -543,6 +633,7 @@ PROVIDERS = {provider.kind: provider for provider in (
     FaultProvider(),
     StaticToolProvider("lint", lint, "findings.txt", "summary"),
     StaticToolProvider("analyze", analyze, "analysis.txt", "headline"),
+    SoundnessProvider(),
     BenchProvider(),
     TenantsProvider(),
     CheckpointProvider(),

@@ -16,19 +16,15 @@ project ships:
   interpreter with a fully pinned :class:`VerifyContext`.
 
 Every record compares ``observed <= bound`` for both counters; a
-violation is a hard test failure. Finite, non-trivial bounds also get a
-*tightness ratio* (``bound / observed``, 1.0 = exact) so the report
-tracks not just soundness but how much headroom the analysis leaves.
-``build_report`` aggregates everything into the ``analysis_report.json``
-document CI uploads.
+violation is a hard test failure. The ``soundness`` farm sweep
+(:mod:`repro.validate.farm.providers`, and ``analyze --soundness`` on
+top of it) runs one case per source and sums each case's bounded
+records into its counters, so the farm report carries every workload's
+tightness (``bound / observed``, 1.0 = exact) beside its verdict.
 """
-
-import json
 
 from repro.gpu.verify import VerifyContext
 from repro.gpu.verify.analyze import analyze_program
-
-REPORT_SCHEMA = "repro-soundness-report/1"
 
 
 # -- generated-case checks -----------------------------------------------------
@@ -96,7 +92,8 @@ def check_case(case, runner=None, label=None):
 
 def make_record(label, bound_issues, bound_pages, observed_issues,
                 observed_pages, error=""):
-    """One soundness comparison in the report's record shape."""
+    """One soundness comparison: both bounds beside both observations;
+    ``ok`` when every observation is present and dominated."""
     record = {
         "label": label,
         "bound_issues": bound_issues,
@@ -134,16 +131,16 @@ def _launch_records(prefix, log):
             for launch in log]
 
 
-def workload_records(names=None, version=None):
+def workload_records(names, version=None):
     """Run workloads with the runtime recorder; returns (records, all
     verified). A failed output verification poisons the records (a wrong
     simulation would make the dominance check meaningless)."""
     from repro.cl import Context
-    from repro.kernels import WORKLOADS, get_workload
+    from repro.kernels import get_workload
 
     records = []
     verified = True
-    for name in names or sorted(WORKLOADS):
+    for name in names:
         context = Context()
         log = context.enable_analysis_log()
         result = get_workload(name).run(context=context, version=version)
@@ -190,83 +187,32 @@ def stress_records(seed, runner=None, categories=None):
     return records
 
 
+def corpus_record(entry, runner=None):
+    """Check one corpus entry (reproducers included: soundness must hold
+    even on programs that once exposed an engine bug)."""
+    from repro.validate.corpus import dict_to_case
+
+    case = dict_to_case(entry)
+    return check_case(case, runner=runner, label=f"corpus:{case.name}")
+
+
 def corpus_records(directory, runner=None):
-    """Check every corpus entry (reproducers included: soundness must
-    hold even on programs that once exposed an engine bug)."""
-    from repro.validate.corpus import dict_to_case, load_entries
+    """Check every entry of a corpus directory."""
+    from repro.validate.corpus import load_entries
 
-    records = []
-    for path, entry in load_entries(directory):
-        case = dict_to_case(entry)
-        records.append(check_case(case, runner=runner,
-                                  label=f"corpus:{case.name}"))
-    return records
-
-
-# -- aggregation ---------------------------------------------------------------
-
-
-def _median(values):
-    if not values:
-        return None
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
-
-
-def tightness(records, kind):
-    """Per-record ``bound / observed`` ratios for one counter (finite
-    bounds with nonzero observations only)."""
-    ratios = []
-    for record in records:
-        bound = record[f"bound_{kind}"]
-        observed = record[f"observed_{kind}"]
-        if bound and observed:
-            ratios.append(bound / observed)
-    return ratios
-
-
-def build_report(records):
-    """The ``analysis_report.json`` document: every record plus violation
-    counts and median tightness ratios."""
-    violations = [r for r in records if not r["ok"]]
-    issue_ratios = tightness(records, "issues")
-    page_ratios = tightness(records, "pages")
-    return {
-        "schema": REPORT_SCHEMA,
-        "records": records,
-        "totals": {
-            "records": len(records),
-            "violations": len(violations),
-            "unbounded_issues": sum(
-                1 for r in records if r["bound_issues"] is None),
-            "median_tightness_issues": _median(issue_ratios),
-            "median_tightness_pages": _median(page_ratios),
-        },
-    }
-
-
-def write_report(path, report):
-    from repro.checkpoint.format import atomic_write_text
-
-    atomic_write_text(
-        path, json.dumps(report, indent=1, default=str) + "\n")
+    return [corpus_record(entry, runner=runner)
+            for _path, entry in load_entries(directory)]
 
 
 __all__ = [
-    "REPORT_SCHEMA",
     "analyze_case",
-    "build_report",
     "check_case",
+    "corpus_record",
     "corpus_records",
     "diffcase_context",
     "make_record",
     "progen_records",
     "slam_records",
     "stress_records",
-    "tightness",
     "workload_records",
-    "write_report",
 ]

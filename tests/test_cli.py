@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.kernels import WORKLOADS
 from repro.tools.cli import main
 
 KERNEL = """
@@ -296,17 +297,30 @@ def test_disasm_cost_annotations(loop_file, capsys):
 
 def test_analyze_soundness_sweep(tmp_path, capsys):
     report_path = tmp_path / "analysis_report.json"
-    code = main(["analyze", "--soundness", "--workloads", "none",
-                 "--no-slam", "--progen", "2", "--seed", "5",
+    code = main(["analyze", "--soundness", "--progen", "2", "--seed", "5",
                  "--out", str(report_path)])
     fields = _result(capsys.readouterr().out, "analyze")
     assert code == 0
     assert fields["mode"] == "soundness"
     assert fields["violations"] == "0"
+    assert fields["verified"] == "True"
     report = json.loads(report_path.read_text())
-    assert report["schema"] == "repro-soundness-report/1"
-    assert report["totals"]["violations"] == 0
-    assert report["totals"]["records"] == 7  # 5 stress + 2 progen
+    assert report["farm_report_version"] == 1
+    assert report["ok"]
+    assert all(case["verdict"] == "pass" for case in report["cases"])
+    # every workload, SLAM, 5 stress categories and one progen stream
+    assert report["totals"]["cases"] == len(WORKLOADS) + 1 + 5 + 1
+    assert int(fields["records"]) == sum(
+        case["counters"]["records"] for case in report["cases"])
+    assert int(fields["unbounded"]) == sum(
+        case["counters"]["unbounded_issues"] for case in report["cases"])
+    # the verb is sugar: a worker pool running the same sweep writes the
+    # same bytes
+    from repro.validate.farm import run_farm
+
+    pooled = run_farm({"name": "analyze", "sweeps": [
+        {"kind": "soundness", "seeds": [5], "progen": 2}]}, workers=2)
+    assert pooled.report_bytes == report_path.read_bytes()
 
 
 _MISSING = "/nonexistent/k.cl"
@@ -319,20 +333,18 @@ USAGE_ERRORS = {
     "disasm-no-kernel": ["disasm", "FILE", "--kernel", "nosuch"],
     "run-no-kernel": ["run", "FILE", "--kernel", "nosuch"],
     # a corpus that is not there must not drop out of the sweep
-    "soundness-missing-corpus": ["analyze", "--soundness", "--workloads",
-                                 "none", "--no-slam", "--corpus",
+    "soundness-missing-corpus": ["analyze", "--soundness", "--corpus",
                                  "/nonexistent/corpus"],
-    "soundness-empty-corpus": ["analyze", "--soundness", "--workloads",
-                               "none", "--no-slam", "--corpus", "EMPTY"],
+    "soundness-empty-corpus": ["analyze", "--soundness", "--corpus",
+                               "EMPTY"],
     # a report whose parent is a regular file must fail before the sweep
-    "soundness-out-under-file": ["analyze", "--soundness", "--workloads",
-                                 "none", "--no-slam", "--out",
+    "soundness-out-under-file": ["analyze", "--soundness", "--out",
                                  "FILE/report.json"],
+    "soundness-version": ["analyze", "--soundness", "--version", "9.9"],
     **{f"{verb}-unreadable": [verb, _MISSING]
        for verb in ("compile", "disasm", "run", "stats", "trace", "lint",
                     "analyze")},
     "bench-unknown": ["bench", "nosuch"],
-    "soundness-unknown": ["analyze", "--soundness", "--workloads", "nosuch"],
     "bench-param-value": ["bench", "sgemm", "--param", "m=abc"],
     "bench-param-name": ["bench", "sgemm", "--param", "zzz=3"],
     "conformance-engine": ["conformance", "--engines", "nosuch"],
@@ -342,6 +354,11 @@ USAGE_ERRORS = {
     "conformance-coverage-high": ["conformance", "--min-coverage", "1.5"],
     "conformance-coverage-negative": ["conformance", "--min-coverage",
                                       "-0.1"],
+    # a replay measures no coverage: a coverage gate on it checks nothing
+    "conformance-replay-min-coverage": [
+        "conformance", "--replay",
+        str(Path(__file__).resolve().parent / "corpus"),
+        "--min-coverage", "0.99"],
     "trace-limit-zero": ["trace", "FILE", "--limit", "0"],
     "trace-limit-negative": ["trace", "FILE", "--limit", "-1"],
     "tenants-jobs": ["tenants", "--tenants", "2", "--jobs", "0"],

@@ -7,6 +7,7 @@ workloads, SLAM, generated programs and the shipped corpus), and the
 per-class ``JOB_SLICE`` workgroup budgets the scheduler arms.
 """
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -178,13 +179,11 @@ def test_analyze_target_builtin_sgemm():
     assert len(unit.summary.loops) == 1
     # the k-loop limit is a kernel argument: unbounded at compile time
     assert not unit.bounded
-    data = soundness  # keep namespace use obvious for the json path
     from repro.gpu.verify.analyze import units_to_json
 
     document = units_to_json([unit])
     assert document["schema"] == "repro-analyze-report/1"
     assert document["totals"] == {"units": 1, "failed": 0, "unbounded": 1}
-    assert data.REPORT_SCHEMA == "repro-soundness-report/1"
 
 
 def test_analyze_slam_kernels_all_analyze():
@@ -230,20 +229,37 @@ def test_soundness_slam_dominates():
     assert not bad, bad
 
 
-def test_soundness_report_shape():
-    records = soundness.stress_records(5)
-    report = soundness.build_report(records)
-    assert report["schema"] == soundness.REPORT_SCHEMA
-    totals = report["totals"]
-    assert totals["records"] == len(records)
-    assert totals["violations"] == 0
-    assert totals["median_tightness_issues"] >= 1.0
-    assert totals["median_tightness_pages"] >= 1.0
-    # a fabricated violation must be counted
-    broken = soundness.make_record("x", 10, 1, 99, 1)
-    assert not broken["ok"]
-    assert soundness.build_report(records + [broken])["totals"][
-        "violations"] == 1
+def test_soundness_report_shape(monkeypatch, tmp_path, capsys):
+    """A violation planted in one case of the ``soundness`` sweep fails
+    exactly that case, names itself in the case's detail and counters,
+    and fails ``analyze --soundness``."""
+    from repro.tools.cli import main
+
+    stress_records = soundness.stress_records
+
+    def planted(seed, runner=None, categories=None):
+        records = stress_records(seed, runner=runner, categories=categories)
+        if categories == ["gather"]:
+            records.append(soundness.make_record("x", 10, 1, 99, 1))
+        return records
+
+    monkeypatch.setattr(soundness, "stress_records", planted)
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--soundness", "--out", str(out)]) == 1
+    result = capsys.readouterr().out.splitlines()[-1]
+    assert result.startswith("RESULT analyze status=fail mode=soundness")
+    assert " violations=1 " in result
+    report = json.loads(out.read_text())
+    assert report["farm_report_version"] == 1
+    failing = [case for case in report["cases"]
+               if case["verdict"] != "pass"]
+    assert [case["id"] for case in failing] == ["soundness/stress/gather/s0"]
+    (case,) = failing
+    assert case["verdict"] == "fail"
+    assert case["detail"] == "x: issues 99 vs bound 10, pages 1 vs bound 1"
+    assert case["counters"]["violations"] == 1
+    assert case["counters"]["observed_issues"] > \
+        case["counters"]["bound_issues"]
 
 
 # -- slice budgets -------------------------------------------------------------
@@ -258,11 +274,11 @@ def _slice_budget(qos="fg", workgroups=1024, preemptions=0, waiting=1):
     return KBaseDriver._slice_budget(driver, job)
 
 
-class TestSliceBudgetSeeding:
-    def test_without_policy_uses_qos_class(self):
+class TestQosClassSliceBudget:
+    def test_fg_job_gets_its_class_budget(self):
         assert _slice_budget() == DEFAULT_QOS_CLASSES["fg"].slice_workgroups
 
-    def test_without_hint_uses_qos_class(self):
+    def test_every_sliced_class_reads_its_own_entry(self):
         # every sliced class is seeded from its own table entry
         for qos in ("fg", "bg"):
             assert _slice_budget(qos=qos) == \

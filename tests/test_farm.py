@@ -92,6 +92,9 @@ def test_load_config_from_file(tmp_path):
                  "engines": ["warp9"]}]},
     {"sweeps": [{"kind": "fault", "threads": [4]}]},     # one unit only
     {"sweeps": [{"kind": "tenants", "threads": 1}]},     # no such key
+    {"sweeps": [{"kind": "soundness", "progen": -1}]},
+    {"sweeps": [{"kind": "soundness", "corpus": 3}]},
+    {"sweeps": [{"kind": "lint", "version": "9.9"}]},
 ])
 def test_load_config_rejects_bad_documents(document):
     with pytest.raises(FarmConfigError):
