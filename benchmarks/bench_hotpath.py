@@ -38,7 +38,10 @@ trajectory to regress against:
   benchmark's sgemm, bfs and SLAM ``fast3`` runs (the port keeps its
   windows: no sgemm page is cut twice, and bfs's later jobs together cut
   no more windows than its first), register files per compute unit
-  (one);
+  (one), the sgemm job's load calls and the load shadows among them
+  (only C's: A and B are store-free), batches abandoned ``unshadowed``
+  on sgemm, bfs and SLAM ``fast3`` (none), bfs's abandons (24) and the
+  bincounts per bfs job that find the pages an access touches;
 - **capacity_batch**: a MatrixTranspose whose full-width batch needs
   more window pages than the batch port has — batches run and abandoned,
   why, and the groups that ran one at a time (none: a batch out of port
@@ -97,6 +100,7 @@ from repro.core.platform import MobilePlatform, PlatformConfig  # noqa: E402
 from repro.cpu import GuestRoutines  # noqa: E402
 from repro.cl import CommandQueue  # noqa: E402
 from repro.gpu import megakernel  # noqa: E402
+from repro.gpu import mmu as mmu_module  # noqa: E402
 from repro.gpu.device import GPUConfig  # noqa: E402
 from repro.gpu.isa import (  # noqa: E402
     CONST_BASE, NOP_INSTR, Clause, Instruction, Op, Program, Tail)
@@ -428,13 +432,19 @@ def mega_batch(repeats=3):
     differ only in ``k``, as in :func:`mega_clause`), and the counts a
     batch is held to — all exact, none depends on the host."""
     run_uniform = megakernel.MegaKernel._run_uniform
+    run_workgroup = megakernel.MegaKernel.run_workgroup
     window = BatchPort._window
+    load = BatchPort.load_wide_u32
+    shadow = BatchPort._shadow
+    pages_touched = mmu_module._pages_touched
     init = QuadWarp.__init__
     kernel_init = megakernel.MegaKernel.__init__
     snapshot = megakernel.RetiredWarps.snapshot
     kernels = []  # every job's MegaKernel
     spent = [0.0]
     counted = {"cuts": [], "merges": 0, "quadwarps": 0}
+    # load calls, load shadows, refresh bincounts and abandons by reason
+    port = {}
     snapshots = [0]  # copies of retired registers, Job Manager path
 
     def timed_uniform(self, *args):
@@ -456,6 +466,25 @@ def mega_batch(repeats=3):
         counted["quadwarps"] += 1
         init(self, *args, **kwargs)
 
+    def counting_load(self, *args):
+        port["loads"] += 1
+        return load(self, *args)
+
+    def counting_shadow(self, *args):
+        port["shadows"] += 1
+        return shadow(self, *args)
+
+    def counting_pages(index):
+        port["bincounts"] += 1
+        return pages_touched(index)
+
+    def recording_run(self, *args, **kwargs):
+        try:
+            return run_workgroup(self, *args, **kwargs)
+        except mmu_module.BatchAbandoned as abandoned:
+            port[abandoned.reason] = port.get(abandoned.reason, 0) + 1
+            raise
+
     def recording_kernel(self, program, mem, *args, **kwargs):
         kernel_init(self, program, mem, *args, **kwargs)
         kernels.append(self)
@@ -466,8 +495,11 @@ def mega_batch(repeats=3):
 
     def counting(run, *args, **kwargs):
         """``(what run returns, window merges, QuadWarps built)``; the
-        windows cut stay in ``counted["cuts"]``."""
+        windows cut stay in ``counted["cuts"]``, the port's counts in
+        ``port``."""
         counted.update(cuts=[], merges=0, quadwarps=0)
+        port.clear()
+        port.update(loads=0, shadows=0, bincounts=0)
         result = run(*args, **kwargs)
         return result, counted["merges"], counted["quadwarps"]
 
@@ -499,11 +531,16 @@ def mega_batch(repeats=3):
                 / (workgroups * (long_ - short)) * 1e6
         one_at_a_time = sgemm(0, **job)[1]
         BatchPort._window = counting_window
+        BatchPort.load_wide_u32 = counting_load
+        BatchPort._shadow = counting_shadow
+        mmu_module._pages_touched = counting_pages
         QuadWarp.__init__ = counting_init
         megakernel.MegaKernel.__init__ = recording_kernel
+        megakernel.MegaKernel.run_workgroup = recording_run
         megakernel.RetiredWarps.snapshot = counting_snapshot
         (_, batched), sgemm_merges, _ = counting(sgemm, batch_lanes, **job)
         sgemm_cuts = counted["cuts"]
+        sgemm_port = dict(port)
         unit = batched.gpu.job_manager.unit
         port_calls = batched.gpu.mmu.wide_accesses
         sgemm_batches = (unit.batches_run, unit.batches_abandoned)
@@ -516,6 +553,7 @@ def mega_batch(repeats=3):
             get_workload("bfs", n=1024, chord_every=64).run,
             context=Context(batched), verify=False)
         bfs_cuts = counted["cuts"]
+        bfs_port = dict(port)
         bfs = [after - start
                for after, start in zip(jobs_and_batches(batched), before)]
         get_workload("SobelFilter").run(context=Context(batched),
@@ -523,12 +561,17 @@ def mega_batch(repeats=3):
         _, slam_merges, _ = counting(KFusionPipeline("fast3").run_gpu,
                                      context=_mega_context())
         slam_cuts = len(counted["cuts"])
+        slam_port = dict(port)
     finally:
         megakernel.BATCH_LANES = batch_lanes
         megakernel.MegaKernel._run_uniform = run_uniform
+        megakernel.MegaKernel.run_workgroup = run_workgroup
         megakernel.MegaKernel.__init__ = kernel_init
         megakernel.RetiredWarps.snapshot = snapshot
         BatchPort._window = window
+        BatchPort.load_wide_u32 = load
+        BatchPort._shadow = shadow
+        mmu_module._pages_touched = pages_touched
         QuadWarp.__init__ = init
     # the kernels of the jobs of the one unit the last three ran on
     kernels = [kernel for kernel in kernels
@@ -560,6 +603,18 @@ def mega_batch(repeats=3):
         "bfs_window_cuts_later_jobs":
             sum(batch != bfs_cuts[0][0] for batch, _, _ in bfs_cuts),
         "slam_fast3_window_cuts": slam_cuts,
+        # the sgemm job's load calls and the loads among them that kept
+        # a shadow: C's, which it stores (A and B are store-free)
+        "sgemm_load_calls": sgemm_port["loads"],
+        "sgemm_load_shadows": sgemm_port["shadows"],
+        # bincounts finding the pages an access touches, per bfs job
+        "bfs_refresh_bincounts_per_job": bfs_port["bincounts"] / bfs[0],
+        # batches abandoned because a store met a window whose loads
+        # went unshadowed: a stored buffer the program does not name
+        "unshadowed_abandons": {
+            name: counts.get("unshadowed", 0) for name, counts in
+            (("sgemm", sgemm_port), ("bfs", bfs_port),
+             ("slam_fast3", slam_port))},
         "kernels_on_the_unit": len({id(kernel.program)
                                     for kernel in kernels}),
         "register_files_per_unit": len({id(mega.file) for mega in kernels}),
@@ -1053,7 +1108,13 @@ def main(argv=None):
           f"{batch['bfs_jobs'] - 1}, SLAM fast3 "
           f"{batch['slam_fast3_window_cuts']}; "
           f"{batch['register_files_per_unit']} register file(s) for "
-          f"{batch['kernels_on_the_unit']} kernels")
+          f"{batch['kernels_on_the_unit']} kernels; "
+          f"{batch['sgemm_load_shadows']} of {batch['sgemm_load_calls']} "
+          f"sgemm load calls shadowed; unshadowed abandons "
+          f"{' / '.join(map(str, batch['unshadowed_abandons'].values()))} "
+          f"(sgemm / bfs / SLAM fast3); "
+          f"{batch['bfs_refresh_bincounts_per_job']:.2f} refresh bincounts "
+          f"per bfs job")
     capacity = report["capacity_batch"]
     print(f"capacity batch: MatrixTranspose "
           f"{capacity['sizes']['width']}x{capacity['sizes']['height']} "
@@ -1120,6 +1181,24 @@ def main(argv=None):
             or batch["sgemm_batches"] != 256 // width:
         print(f"FAIL: sgemm 128x64x128 is {256 // width} batches, none "
               "abandoned", file=sys.stderr)
+        failed = True
+    # each sgemm batch loads 64 A and 64 B rows and C's tile; only C,
+    # which the job stores, keeps a load shadow
+    if (batch["sgemm_load_calls"], batch["sgemm_load_shadows"]) \
+            != (129 * (256 // width), 256 // width):
+        print(f"FAIL: a sgemm 128x64x128 job makes {129 * (256 // width)} "
+              f"load calls and shadows {256 // width}, its loads of C: A "
+              "and B are store-free", file=sys.stderr)
+        failed = True
+    if any(batch["unshadowed_abandons"].values()):
+        print(f"FAIL: a store met a window whose loads went unshadowed "
+              f"({batch['unshadowed_abandons']}): a kernel stores through "
+              "a buffer its program does not name", file=sys.stderr)
+        failed = True
+    if batch["bfs_batches_abandoned"] != 24:
+        print(f"FAIL: bfs (n=1024) abandoned "
+              f"{batch['bfs_batches_abandoned']} batches, not 24: its "
+              "benign races are the only conflicts", file=sys.stderr)
         failed = True
     # the port keeps its windows: a later batch cuts none over a page an
     # earlier one laid out, and a job of bfs finds the windows of the

@@ -43,9 +43,11 @@ groups in the host thread's one register file — and what it cannot know
 beforehand, whether the groups are independent through memory, is decided
 while it runs by the MMU's batch port (``state.mem`` of a batch; see
 :class:`~repro.gpu.mmu.BatchPort`): stores are buffered, every word
-remembers the highest slot that loaded and that stored it, and the first
-access that running the groups one after another would have answered
-differently abandons the batch — nothing has reached memory, and the
+remembers the highest slot that loaded and that stored it — a load
+remembers nothing outside the pages of the buffers the program stores
+through, which its code names (``_Code.stored``), and a store there
+abandons — and the first access that running the groups one after
+another would have answered differently abandons the batch — nothing has reached memory, and the
 caller runs the same groups one at a time for the rest of that job (what
 conflicted is the job's data: the next job starts batched again). A
 batch that ran out of port capacity (window pages or store buffer) is
@@ -340,11 +342,16 @@ def _function(name, parameters, body):
 #: last clause, *that clause's tail), none for a program with an ATOM (it
 #: runs warp-serially); masked: clause -> (run, tail, target, cond_reg);
 #: constants: the rows from _ROWS up as one uint32 column each, broadcast
-#: over the lanes of whatever width runs; typed: (F, I used)
-_Code = namedtuple("_Code", "chains masked constants typed filename")
+#: over the lanes of whatever width runs; typed: (F, I used); stored: the
+#: uniform slots its global stores go through, None for any
+#: (:func:`repro.gpu.verify.absint.stored_slots`)
+_Code = namedtuple("_Code", "chains masked constants typed filename stored")
 
 
 def _emit(program, filename, traced):
+    # the verifier loads with the first program this process translates
+    from repro.gpu.verify.absint import stored_slots
+
     emitter = _Emitter(program, traced)
     chains = {} if any(instr.op is Op.ATOM for clause in program.clauses
                        for instr in clause.active_slots()) \
@@ -375,7 +382,8 @@ def _emit(program, filename, traced):
         [(functions[f"masked_{pc}"], *tail) for pc, tail in enumerate(tails)],
         np.array(tuple(emitter.constants), dtype=np.uint32)[:, None],
         ("F[" in source, "I[" in source),
-        filename)
+        filename,
+        stored_slots(program))
 
 
 #: The process-wide code cache: binary image (paired with "traced", the
@@ -556,6 +564,15 @@ class MegaKernel:
         #: a job's data, and is the compute unit's to remember for that job
         self.batching = getattr(mem, "begin_batch", None) is not None \
             and bool(self._code.chains)
+        #: the pages this job may store to, as ``(first, end)`` page runs
+        #: of the mapped memory from each argument the program stores
+        #: through (None: any page): a batch's loads elsewhere go
+        #: unshadowed, and the port abandons a store that meets one
+        self.stored_pages = None
+        if self.batching and self._code.stored is not None:
+            self.stored_pages = mem.mapped_runs(
+                int(uniforms[slot]) for slot in sorted(self._code.stored)
+                if slot < len(uniforms))
 
     def batch_groups(self, shape):
         """Workgroups of *shape* one :meth:`run_workgroup` call may take
@@ -616,8 +633,8 @@ class MegaKernel:
         job = (flat_group, watchdog_budget, rounds, [0, 0], limits)
         try:
             if count > 1:
-                port = state.mem = self.mem.begin_batch(count,
-                                                        width // count)
+                port = state.mem = self.mem.begin_batch(
+                    count, width // count, self.stored_pages)
             if watchdog_budget is not None and rounds[0] > watchdog_budget:
                 raise WatchdogTimeout(flat_group, rounds[0])
             # float traps are silenced once for the whole workgroup, not

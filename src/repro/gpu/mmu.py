@@ -520,15 +520,33 @@ class GPUMMU(Stateful):
             view[offsets] = values[lanes]
         return True
 
-    def begin_batch(self, count, lanes):
+    def mapped_runs(self, vaddrs):
+        """``(first page, end page)`` of the run of pages from each of
+        *vaddrs*' page up to the first page :meth:`_probe` refuses
+        (unmapped, or armed): a buffer, as the driver leaves a guard page
+        after each region. The probes fill the TLB and move no counter."""
+        if not self._fast:
+            return None
+        runs = []
+        for vaddr in vaddrs:
+            first = end = vaddr >> PAGE_SHIFT
+            while self._probe(end) is not None:
+                end += 1
+            if end > first:
+                runs.append((first, end))
+        return tuple(runs)
+
+    def begin_batch(self, count, lanes, stored=None):
         """Start a lockstep batch of *count* workgroups of *lanes* lanes
-        each; returns the port that is its memory until it commits."""
+        each; returns the port that is its memory until it commits.
+        *stored*: the ``(first, end)`` page runs the job may store to
+        (None: any page)."""
         if not self._fast \
                 or getattr(self._memory, "backed_page", None) is None:
             raise BatchAbandoned("port")
         if self._batch_port is None:
             self._batch_port = BatchPort(self)
-        self._batch_port.begin(count, lanes)
+        self._batch_port.begin(count, lanes, stored)
         return self._batch_port
 
     def load_block(self, vaddr, length):
@@ -581,12 +599,18 @@ _ZERO_PAGE = bytes(1 << PAGE_SHIFT)
 _CAPACITY = frozenset({"port-full", "store-bound"})
 
 
+def _pages_touched(index):
+    """The window pages the words at *index* lie in, ascending."""
+    return np.flatnonzero(np.bincount(index >> _PAGE_WORDS_SHIFT)).tolist()
+
+
 class BatchAbandoned(Exception):
     """A lockstep batch cannot promise the result of running its groups
     one after another. Nothing it did has left the port: the same groups
     run again, in narrower batches or one at a time. ``reason``:
     ``load-after-store``, ``store-after-load``, ``store-order`` (the
-    conflict rules), ``port`` (an access the wide tier would not serve
+    conflict rules), ``unshadowed`` (a store into a window whose loads
+    went unshadowed), ``port`` (an access the wide tier would not serve
     whole), ``port-full`` (no window space left), ``store-bound``,
     ``exception``. :attr:`capacity` tells the two a narrower batch may
     avoid (``port-full``, ``store-bound``) from the rest."""
@@ -603,10 +627,15 @@ class _Window:
     it (``frames``), reads it into ``words`` and zeroes its ``loaded`` /
     ``stored`` shadows (highest slot + 1 that loaded / stored a word).
     ``used`` / ``ready`` / ``dirty``: the last batch that touched it /
-    had all its pages / stored into it."""
+    had all its pages / stored into it; ``fresh``: a ``(first, end)``
+    span of its pages all fresh in batch ``used``. ``shadowed`` /
+    ``unshadowed``: the last batch whose loads into it were shadowed (it
+    holds a page the job may store to, or was stored into) / a load
+    into it was not."""
 
     __slots__ = ("first", "pages", "base", "mask", "at", "words", "loaded",
-                 "stored", "frames", "stamps", "used", "ready", "dirty")
+                 "stored", "frames", "stamps", "used", "ready", "dirty",
+                 "fresh", "shadowed", "unshadowed")
 
 
 class BatchPort:
@@ -624,6 +653,18 @@ class BatchPort:
     wins as the last group would. Whatever the wide tier answers ``None``
     to (an unmapped, armed or not read-write page, an unaligned lane)
     abandons too: the scalar replay is the reference's to do.
+
+    Rule (S) needs a shadow of every load, one ``np.maximum.at``, but
+    only where a store may follow. The job names the pages it may store
+    to (*stored* of :meth:`begin`: the buffers its program stores
+    through); a window that holds none of them and has not been stored
+    into is *store-free*, and a load into it skips the shadow and the
+    (L) check. The guard is the port's, not the job's: a store into a
+    window whose loads went unshadowed in this batch abandons
+    (``unshadowed``), and so does one into a window merged from such a
+    window, whose shadows are incomplete. A wrong *stored* — an index
+    past a buffer's end, a buffer bound twice, a pointer loaded from
+    memory — can cost a batch, never change a result.
 
     Window layouts outlive their batch; the pages in them do not, as
     memory and mappings change between batches: a batch re-reads a page
@@ -646,10 +687,13 @@ class BatchPort:
         self._batch = 0
         self.close()
 
-    def begin(self, count, lanes):
+    def begin(self, count, lanes, stored=None):
+        """Start batch *count* x *lanes*; *stored*: the ``(first, end)``
+        page runs its job may store to, None for any page."""
         self._batch += 1
         self._slots = np.repeat(
             np.arange(1, count + 1, dtype=np.uint32), lanes)
+        self._stored = stored
         self._translations = self._accesses = 0
 
     def close(self):
@@ -663,28 +707,38 @@ class BatchPort:
 
     def load_wide_u32(self, vaddrs, lanes=None):
         window, index = self._locate(vaddrs)
+        if window.shadowed == self._batch:
+            self._shadow(window, index, lanes)
+        else:  # store-free: a store into it now abandons
+            window.unshadowed = self._batch
+        self._translations += len(vaddrs)
+        self._accesses += 1
+        return window.words.take(index)
+
+    def _shadow(self, window, index, lanes):
+        """Rule (L), then the load's slots into the ``loaded`` shadow."""
         if window.dirty == self._batch \
                 and np.count_nonzero(window.stored.take(index)):
             raise BatchAbandoned("load-after-store")
         np.maximum.at(window.loaded, index,
                       self._slots if lanes is None else self._slots[lanes])
-        self._translations += len(vaddrs)
-        self._accesses += 1
-        return window.words.take(index)
 
     def store_wide_u32(self, vaddrs, values, lanes=None):
         window, index = self._locate(vaddrs)
+        batch = self._batch
+        if window.unshadowed == batch:
+            raise BatchAbandoned("unshadowed")
         slots = self._slots if lanes is None else self._slots[lanes]
         if np.count_nonzero(window.loaded.take(index) > slots):
             raise BatchAbandoned("store-after-load")
-        if window.dirty == self._batch \
+        if window.dirty == batch \
                 and np.count_nonzero(window.stored.take(index) > slots):
             raise BatchAbandoned("store-order")
         self._buffered += vaddrs.nbytes + values.nbytes
         if self._buffered > _STORE_BUFFER_BYTES:
             raise BatchAbandoned("store-bound")
         window.stored[index] = slots
-        window.dirty = self._batch
+        window.dirty = window.shadowed = batch
         self._stores.append((vaddrs, values.copy()))
         self._translations += len(vaddrs)
         self._accesses += 1
@@ -693,7 +747,9 @@ class BatchPort:
     def commit(self):
         """Every lane has retired: apply the buffered stores in program
         order and hand the MMU what the batch counted: the pages it
-        touched are the ones it refreshed (a nonzero shadow of its own)."""
+        touched are the ones it refreshed (``_pages``), elided loads'
+        included, and a page of a window it stored into with a nonzero
+        store shadow is written back."""
         windows = self._windows
         for vaddrs, values in self._stores:
             window = windows[int(vaddrs[0]) >> PAGE_SHIFT]
@@ -770,15 +826,20 @@ class BatchPort:
         window.mask = ~((pages << PAGE_SHIFT) - 4)
         self._place(window, at)
         window.frames, window.stamps = [None] * pages, [0] * pages
-        window.used, window.ready, window.dirty = batch, 0, 0
+        window.used, window.ready, window.fresh = batch, 0, (0, 0)
+        window.dirty = window.unshadowed = 0
         for old in merged:
             at = old.first - first
             self._rows(window.at + at, old.pages)[:] = \
                 self._rows(old.at, old.pages)
             window.frames[at:at + old.pages] = old.frames
             window.stamps[at:at + old.pages] = old.stamps
+            # a window merged from an unshadowed one stays unshadowed
             window.dirty = max(window.dirty, old.dirty)
+            window.unshadowed = max(window.unshadowed, old.unshadowed)
             self._live.remove(old)
+        window.shadowed = batch if window.dirty == batch \
+            or self._may_store(window) else 0
         self._live.insert(sum(w.at < window.at for w in self._live), window)
         self._windows.update(dict.fromkeys(range(first, first + pages),
                                            window))
@@ -821,13 +882,38 @@ class BatchPort:
             self._place(window, at)
             at += window.pages
 
+    def _may_store(self, window):
+        """Does *window* hold a page the batch's job may store to?"""
+        if self._stored is None:
+            return True
+        end = window.first + window.pages
+        return any(first < end and window.first < last
+                   for first, last in self._stored)
+
     def _refresh(self, window, index):
         """Make fresh the pages of *window* the lanes at *index* touch.
         A batch takes read-write pages only: which access of which group
         a lesser one refuses is the reference's to find out."""
-        batch = window.used = self._batch
-        touched = (0,) if window.pages == 1 else np.flatnonzero(
-            np.bincount(index >> _PAGE_WORDS_SHIFT)).tolist()
+        batch = self._batch
+        if window.used != batch:  # its first access in this batch
+            window.used = batch
+            window.fresh = (0, 0)
+            window.shadowed = batch if self._may_store(window) else 0
+        if window.pages == 1:
+            touched, fresh = (0,), (0, 1)
+        else:
+            first = int(index.min()) >> _PAGE_WORDS_SHIFT
+            end = (int(index.max()) >> _PAGE_WORDS_SHIFT) + 1
+            fresh = window.fresh
+            if fresh[0] <= first and end <= fresh[1]:
+                return
+            touched = _pages_touched(index)
+            # pages first to end all touched: the span grows over them
+            # where the two meet
+            if len(touched) == end - first:
+                fresh = (min(first, fresh[0]), max(end, fresh[1])) \
+                    if first <= fresh[1] and fresh[0] <= end \
+                    else (first, end)
         mmu = self._mmu
         words, loaded, stored = self._bytes
         stamps = window.stamps
@@ -846,5 +932,6 @@ class BatchPort:
             window.frames[page] = frame
             stamps[page] = batch
             self._pages.append(window.first + page)
+        window.fresh = fresh
         if min(stamps) == batch:
             window.ready = batch

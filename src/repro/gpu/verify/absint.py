@@ -16,6 +16,11 @@ This is exactly expressive enough for the address idioms the code
 producers use — ``base + (x & mask)`` windows, ``base + (gid << k)``
 per-thread slices, ``lid << k`` local slots — while staying sound:
 anything else collapses to ``top`` and the memory passes make no claim.
+
+A sibling pass over the same clause CFG, :func:`stored_slots`, tracks
+only *provenance*: which argument slots a register's value may point
+into. It survives any offset, ``top`` included, so it names the buffers
+a program stores through where the value domain has lost the base.
 """
 
 from dataclasses import dataclass
@@ -38,6 +43,7 @@ from repro.gpu.isa import (
 )
 from repro.gpu.ops import OPS
 from repro.gpu.verify import model
+from repro.gpu.verify.cfg import ClauseCFG
 
 # Interval bounds beyond this collapse to top: 32-bit wraparound would
 # otherwise let a "huge" abstract address alias back into mapped VAs.
@@ -393,3 +399,79 @@ def run(program, cfg, ctx):
             else:
                 result.cond_uniform[index] = False
     return result
+
+
+# -- buffer provenance ------------------------------------------------------------
+
+#: ops whose result may still point into the buffer an operand points
+#: into: ``base + offset`` whatever the offset, a pointer moved, selected,
+#: masked or clamped. Any other result (a product, a shift, a comparison,
+#: a float, a converted or loaded word) names no slot.
+_POINTER_OPS = frozenset({Op.MOV, Op.IADD, Op.ISUB, Op.SELECT, Op.IAND,
+                          Op.IOR, Op.IXOR, Op.IMIN, Op.IMAX, Op.UMIN,
+                          Op.UMAX})
+_NO_SLOT = frozenset()
+
+
+def _provenance_clause(clause, state, stores=None):
+    """Run *clause* over *state* (register -> slots it may point into;
+    a missing register points into none), appending to *stores* the
+    slots of each global ``ST`` / ``ATOM`` address."""
+    for fma, add in clause.tuples:
+        for instr in (fma, add):
+            op = instr.op
+            if op is Op.NOP:
+                continue
+            if op in (Op.ST, Op.ATOM) and not instr.mem_is_local \
+                    and stores is not None:
+                stores.append(state.get(instr.srca, _NO_SLOT))
+            if op is Op.LDU:
+                slots = frozenset((instr.imm,))
+            elif op in _POINTER_OPS:
+                slots = _NO_SLOT.union(*(
+                    state.get(operand, _NO_SLOT)
+                    for _field, operand in model.required_sources(instr)))
+            else:  # a loaded word carries no slot, nor does a product
+                slots = _NO_SLOT
+            for target in model.written_registers(instr):
+                if is_grf(target) or is_temp(target):
+                    state[target] = slots
+
+
+def stored_slots(program):
+    """The uniform slots (kernel arguments) the global ``ST`` / ``ATOM``
+    addresses of *program* may derive from, as a frozenset; None when
+    one derives from no slot (a pointer loaded from memory, a constant
+    address), so any buffer may be stored to.
+
+    Flow-sensitive over the clause CFG: a register holds the slots of
+    the values that reach it along some path, so a register reused for
+    another buffer names that buffer from its reuse on. The fact is what
+    a buffer's loads may skip, not a proof: a store index past the
+    buffer's end reaches another one, and the batch port catches it.
+    """
+    cfg = ClauseCFG(program)
+    if not cfg.reachable:
+        return _NO_SLOT
+    in_states = {0: {}}
+    worklist = [0]
+    while worklist:  # a finite lattice under union: no widening
+        index = worklist.pop()
+        state = dict(in_states[index])
+        _provenance_clause(program.clauses[index], state)
+        for succ in cfg.successors[index]:
+            before = in_states.get(succ)
+            merged = state if before is None else {
+                reg: before.get(reg, _NO_SLOT) | state.get(reg, _NO_SLOT)
+                for reg in before.keys() | state.keys()}
+            if merged != before:
+                in_states[succ] = merged
+                if succ not in worklist:
+                    worklist.append(succ)
+    stores = []
+    for index in sorted(in_states):
+        _provenance_clause(program.clauses[index], dict(in_states[index]),
+                           stores)
+    if not all(stores):
+        return None
+    return _NO_SLOT.union(*stores)

@@ -7,7 +7,10 @@ compile-and-analyze path per target, returning structured
 ``--json``) and aggregation (farm verdicts and counters).
 
 Targets use the same addressing as lint (``builtin:<workload>``,
-``slam``, or a source file path). :func:`analyze_program` is the one
+``slam``, or a source file path). Each unit also names the arguments
+its kernel stores through (:func:`stored_arguments`): the fact the
+megakernel's batch port skips load shadows by, put where a reviewer
+sees it. :func:`analyze_program` is the one
 cost-analysis entry — this sweep, the CL runtime's launch bounds and
 the soundness gate all call it. It runs the verifier with the
 ``("structural", "cost")`` pass selection, so callers pay for the
@@ -17,6 +20,8 @@ dataflow/race machinery.
 
 from dataclasses import dataclass
 
+from repro.gpu.launch import U_FIRST_ARG
+from repro.gpu.verify.absint import stored_slots
 from repro.gpu.verify.context import VerifyContext
 from repro.gpu.verify.lint import builtin_targets, compile_units, target_source
 from repro.gpu.verify.pipeline import verify_program
@@ -39,6 +44,7 @@ class AnalyzeUnit:
     report: object = None
     context: object = None   # VerifyContext the bounds were evaluated in
     bounds: object = None    # LaunchBounds (evaluated under *context*)
+    stores: list = None      # stored_arguments(); None: any buffer
     error: str = ""
 
     @property
@@ -67,6 +73,20 @@ class AnalyzeUnit:
         if self.bounds.pages is not None:
             parts.append(f"<= {self.bounds.pages} pages")
         return ", ".join(parts)
+
+
+def stored_arguments(compiled):
+    """The arguments the global stores of *compiled* (a clc kernel) go
+    through, by name in declaration order, any other uniform slot as
+    ``uniform[N]``; None when a store goes through none of them, so any
+    buffer may be stored to (:func:`~repro.gpu.verify.absint.stored_slots`)."""
+    slots = stored_slots(compiled.program)
+    if slots is None:
+        return None
+    names = {U_FIRST_ARG + position: name
+             for position, (name, _kind, _ty) in enumerate(compiled.params)}
+    return [names[slot] for slot in sorted(names) if slot in slots] \
+        + [f"uniform[{slot}]" for slot in sorted(slots - names.keys())]
 
 
 def analyze_program(program, ctx):
@@ -103,6 +123,8 @@ def analyze_source(label, source, defines=None, version=None, kernel=None,
         if summary is None:
             unit.error = "structural errors block analysis: " \
                 + report.summary()
+        else:
+            unit.stores = stored_arguments(compiled)
         return unit
 
     return compile_units(AnalyzeUnit, analyze, label, source,
@@ -155,6 +177,7 @@ def unit_to_dict(unit):
     }
     if unit.summary is not None:
         data["analysis"] = unit.summary.to_dict(unit.context)
+        data["stores"] = unit.stores
     return data
 
 
@@ -195,6 +218,9 @@ def format_unit(unit, disasm=False):
     if unit.summary is None:
         return "\n".join(lines)
     summary = unit.summary
+    lines.append("  stores through: " + (
+        "any buffer (an address no argument names)" if unit.stores is None
+        else ", ".join(unit.stores) or "nothing"))
     for loop in summary.loops:
         trips = unit.bounds.loop_trips.get(loop.head)
         concrete = "unbounded" if trips is None else f"<= {trips}"
@@ -231,6 +257,7 @@ __all__ = [
     "builtin_targets",
     "cost_annotations",
     "format_unit",
+    "stored_arguments",
     "totals",
     "unit_to_dict",
     "units_to_json",

@@ -259,6 +259,20 @@ def test_analyze_json_schema(kernel_file, capsys):
     assert unit["analysis"]["clauses"]
 
 
+def test_analyze_names_the_arguments_a_kernel_stores_through(tmp_path,
+                                                             capsys):
+    """sgemm reads ``c`` for ``beta`` and stores it; ``a`` and ``b`` it
+    only loads. The text names them, and ``--json`` has the same list."""
+    path = tmp_path / "sgemm.cl"
+    path.write_text(WORKLOADS["sgemm"].source)
+    assert main(["analyze", str(path)]) == 0
+    assert "  stores through: c\n" in capsys.readouterr().out
+    assert main(["analyze", str(path), "--json"]) == 0
+    (unit,) = json.loads(capsys.readouterr().out)["units"]
+    assert "c" in unit["stores"]
+    assert not {"a", "b"} & set(unit["stores"])
+
+
 def test_analyze_without_target_exits_two(capsys):
     assert main(["analyze"]) == 2
 

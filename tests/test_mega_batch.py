@@ -725,20 +725,40 @@ def test_random_cross_group_traffic_campaign(example):
     _check_traffic(example)
 
 
+#: how :func:`_check_traffic_jobs` binds the buffers: each its own;
+#: ``x`` and ``y`` one buffer; or each its own, with some lanes of the
+#: stores through ``y`` indexing past ``y``'s guard page into ``maps``,
+#: which the program only loads
+_LAYOUTS = ("apart", "aliased", "past-guard")
+
+
 @st.composite
 def _traffic_jobs(draw):
     """One kernel of :func:`_traffic`, launched two or three times, each
-    with its own index maps and data."""
+    with its own index maps and data, over buffers laid out as one of
+    :data:`_LAYOUTS` says. A past-guard lane's map entry is ``-1 - w``:
+    word ``w`` of ``maps``, wherever ``maps`` lies past ``y``."""
     steps = draw(st.lists(_STEP, min_size=1, max_size=4))
-    return steps, [_traffic_data(draw, steps)
-                   for _ in range(draw(st.integers(2, 3)))]
+    layout = draw(st.sampled_from(_LAYOUTS))
+    jobs = [_traffic_data(draw, steps)
+            for _ in range(draw(st.integers(2, 3)))]
+    if layout == "past-guard":
+        words = st.integers(0, len(steps) * _THREADS - 1)
+        for maps, _ in jobs:
+            for row, (kind, buffer, _) in zip(maps, steps):
+                if (kind, buffer) == ("store", "y"):
+                    row[:] = [-1 - draw(words) if draw(st.booleans())
+                              else entry for entry in row]
+    return steps, layout, jobs
 
 
 def _check_traffic_jobs(example):
     """Consecutive jobs on one platform, two batches of four groups
     each: one job's abandon leaves the next job batched, and costs at
-    most the rest of its own job."""
-    steps, jobs = example
+    most the rest of its own job. A past-guard job may fault (a store
+    into ``maps`` makes an index of anything): the fault, and the
+    driver's recovery from it, are the reference's."""
+    steps, layout, jobs = example
 
     def run(platform):
         context = Context(platform)
@@ -746,16 +766,52 @@ def _check_traffic_jobs(example):
         kernel = context.build_program(_traffic_source(steps)).kernel("k")
         for maps, seed in jobs:
             rng = np.random.default_rng(seed)
-            kernel.set_args(*(context.buffer_from_array(data) for data in (
+            x, y = (context.buffer_from_array(data) for data in (
                 rng.integers(0, 99, _THREADS).astype(np.int32),
-                rng.integers(0, 99, 2 * _THREADS).astype(np.int32),
-                np.array(maps, dtype=np.int32).reshape(-1))), _THREADS)
-            queue.enqueue_nd_range(kernel, (_THREADS,), (4,))
+                rng.integers(0, 99, 2 * _THREADS).astype(np.int32)))
+            entries = np.array(maps, dtype=np.int64).reshape(-1)
+            table = context.alloc_buffer(4 * len(entries))
+            past = (table.gpu_va - y.gpu_va) // 4
+            queue.enqueue_write_buffer(table, np.where(
+                entries < 0, past - 1 - entries, entries).astype(np.int32))
+            kernel.set_args(y if layout == "aliased" else x, y, table,
+                            _THREADS)
+            try:
+                queue.enqueue_nd_range(kernel, (_THREADS,), (4,))
+            except JobFault as fault:
+                return str(fault)
+        return None
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(megakernel, "BATCH_LANES", 16)
         ran, abandoned = _assert_grouping_invisible(patch, run)
-    assert abandoned <= len(jobs) <= ran
+    # a job that faults may run again, from its first group, under the
+    # driver's recovery: each run of it may abandon once
+    assert layout == "past-guard" or abandoned <= len(jobs) <= ran
+
+
+# group g stores word i + 4 of row 0 (through x, or past y's guard page
+# into maps), which the next group has loaded at step 0: rule S
+_NEXT_GROUP_S_WORD = [list(range(_THREADS)),
+                      [(i + 4) % _THREADS for i in range(_THREADS)]]
+
+
+@pytest.mark.parametrize("layout, row, reason", [
+    ("aliased", _NEXT_GROUP_S_WORD[1], "store-after-load"),
+    ("past-guard", [-1 - word for word in _NEXT_GROUP_S_WORD[1]],
+     "unshadowed"),
+])
+def test_a_store_the_program_does_not_name_abandons(batches, layout, row,
+                                                    reason):
+    """``x`` and ``y`` bound to one buffer: ``x``'s loads are shadowed,
+    as its pages are the stored ``y``'s. A store through ``y`` past its
+    guard page into ``maps``, which the analysis calls store-free: the
+    loads of ``maps`` went unshadowed, and the store abandons the batch.
+    Either way the groups then run one at a time, as the reference."""
+    steps = [("load", "x", "all"), ("store", "y", "all")]
+    _check_traffic_jobs((steps, layout, [
+        ([_NEXT_GROUP_S_WORD[0], row], seed) for seed in (1, 2)]))
+    assert {found for *_, found in batches} == {reason}
 
 
 @given(_traffic_jobs())
@@ -801,9 +857,10 @@ def test_a_batch_is_one_workgroup_span_and_an_abandon_an_instant():
 _BASE = 0x40_0000
 
 
-def _port(count=2, lanes=4, pages=8, holes=()):
+def _port(count=2, lanes=4, pages=8, holes=(), stored=None):
     """A batch port over *pages* consecutive read-write pages (all but
-    *holes*), word ``i`` holding ``i``; slots of *lanes* lanes each."""
+    *holes*), word ``i`` holding ``i``; slots of *lanes* lanes each, of
+    a job that may store to the page runs *stored* (None: any page)."""
     from repro.gpu.mmu import GPUMMU
     from repro.mem import PTE_READ, PTE_WRITE, PageTableBuilder, \
         PhysicalMemory
@@ -822,7 +879,7 @@ def _port(count=2, lanes=4, pages=8, holes=()):
     mmu = GPUMMU(memory)
     mmu.set_page_table(builder.root)
     mmu.enabled = True
-    return mmu, mmu.begin_batch(count, lanes)
+    return mmu, mmu.begin_batch(count, lanes, stored)
 
 
 def _words(*indices):
@@ -890,6 +947,64 @@ def test_port_pages_between_the_lanes_are_not_the_batch_s(monkeypatch):
                                   (strided - _BASE) >> 2)
     port.commit()
     assert {page - (_BASE >> 12) for page in mmu.pages_accessed} == {0, 2}
+
+
+# -- store-free windows --------------------------------------------------------------------
+
+_FIRST = _BASE >> 12
+
+
+def test_port_finds_a_buffer_s_pages_up_to_the_hole_after_it():
+    mmu, _ = _port(holes=(3,))
+    assert mmu.mapped_runs([_BASE + 4, _BASE + 3 * PAGE_SIZE,
+                            _BASE + 5 * PAGE_SIZE]) \
+        == ((_FIRST, _FIRST + 3), (_FIRST + 5, _FIRST + 8))
+    assert mmu.translations == 0 and not mmu.pages_accessed
+
+
+def test_port_loads_of_a_store_free_window_skip_their_shadow():
+    """The job stores to page 2 only: a load of page 0 leaves no shadow
+    (a store into that window then abandons), one of page 2 still trips
+    rule S, and both count as the reference counts them."""
+    mmu, port = _port(stored=((_FIRST + 2, _FIRST + 3),))
+    free = _words(0, 1, 2, 3, 4, 5, 6, 7)
+    np.testing.assert_array_equal(port.load_wide_u32(free),
+                                  (free - _BASE) >> 2)
+    (window,) = port._live
+    assert not window.loaded.any()
+    with pytest.raises(BatchAbandoned, match="^unshadowed$"):
+        port.store_wide_u32(_words(*range(8, 16)), np.zeros(8, np.uint32))
+    stored = _words(*range(2048, 2056))
+    port.load_wide_u32(stored)
+    with pytest.raises(BatchAbandoned, match="store-after-load"):
+        port.store_wide_u32(stored[::-1], np.zeros(8, np.uint32))
+    port.commit()
+    assert mmu.translations == 16 and mmu.wide_accesses == 2
+    assert {page - _FIRST for page in mmu.pages_accessed} == {0, 2}
+
+
+def test_port_store_free_window_stored_into_before_any_load_shadows():
+    """A store into a store-free window that no load has skipped is the
+    batch's first word of it: from there on its loads are shadowed and
+    checked like any other."""
+    _, port = _port(stored=())
+    assert port.store_wide_u32(_words(*range(8)), np.ones(8, np.uint32))
+    with pytest.raises(BatchAbandoned, match="load-after-store"):
+        port.load_wide_u32(_words(*range(4, 12)))
+
+
+def test_port_window_merged_from_a_store_free_one_stays_unshadowed():
+    """Slot 1 loads words 4-7 of store-free page 0; an access spanning
+    pages 0-2 merges that window into one that holds a stored page and
+    shadows its loads from there on. Slot 0 storing words 4-7 breaks
+    rule S, which the missing shadow cannot show: the store abandons."""
+    _, port = _port(stored=((_FIRST + 2, _FIRST + 3),))
+    port.load_wide_u32(_words(0, 1, 2, 3, 4, 5, 6, 7))
+    port.load_wide_u32(_words(0, 1, 2, 3, 2048, 2049, 2050, 2051))
+    assert len(port._live) == 1
+    with pytest.raises(BatchAbandoned, match="^unshadowed$"):
+        port.store_wide_u32(_words(4, 5, 6, 7, 2052, 2053, 2054, 2055),
+                            np.zeros(8, np.uint32))
 
 
 # -- windows across batches ----------------------------------------------------------------

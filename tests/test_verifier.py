@@ -11,6 +11,7 @@ import pytest
 
 from repro.gpu.encoding import encode_program
 from repro.gpu.isa import (
+    CONST_BASE,
     MEM_SPACE_LOCAL,
     NOP_INSTR,
     OPERAND_NONE,
@@ -413,3 +414,61 @@ class TestBuildGates:
         assert set(ctx.buffers) == {10, 11}  # y, x buffer slots
         assert ctx.scalar_slots == {12, 13}  # a, n
         assert ctx.uniform_count == 14
+
+
+class TestProvenance:
+    """``absint.stored_slots``: the argument slots the global stores of
+    a program go through, flow-sensitive over the clause CFG."""
+
+    @staticmethod
+    def stored(*clauses):
+        from repro.gpu.verify.absint import stored_slots
+
+        program = Program(clauses=list(clauses))
+        program.clauses[-1].tail = Tail.END
+        return stored_slots(program)
+
+    def test_a_reused_register_names_its_last_buffer(self):
+        assert self.stored(mk_clause([
+            Instruction(Op.LDU, dst=1, imm=10),
+            Instruction(Op.LD, dst=2, srca=1),    # loads buffer 10
+            Instruction(Op.LDU, dst=1, imm=11),   # r1 reused for 11
+            Instruction(Op.ST, srca=1, srcb=2),
+        ])) == {11}
+
+    def test_any_offset_keeps_the_base(self):
+        # base + (loaded * scalar << 2): nothing the value domain tracks
+        assert self.stored(mk_clause([
+            Instruction(Op.LDU, dst=1, imm=10),
+            Instruction(Op.LDU, dst=3, imm=12),
+            Instruction(Op.LD, dst=2, srca=1),
+            Instruction(Op.IMUL, dst=2, srca=2, srcb=3),
+            Instruction(Op.ISHL, dst=2, srca=2, srcb=CONST_BASE),
+            Instruction(Op.IADD, dst=4, srca=1, srcb=2),
+            Instruction(Op.ST, srca=4, srcb=2),
+        ], constants=[2])) == {10}
+
+    def test_paths_join(self):
+        # clause 0 points r1 at 10 and branches over clause 1, which
+        # points it at 11: the store may go through either
+        assert self.stored(
+            mk_clause([Instruction(Op.LDU, dst=1, imm=10)],
+                      tail=Tail.BRANCH, cond_reg=REG_LANE, target=2),
+            mk_clause([Instruction(Op.LDU, dst=1, imm=11)]),
+            mk_clause([Instruction(Op.ST, srca=1, srcb=REG_LANE)]),
+        ) == {10, 11}
+
+    def test_a_loaded_pointer_names_no_buffer(self):
+        assert self.stored(mk_clause([
+            Instruction(Op.LDU, dst=1, imm=10),
+            Instruction(Op.LD, dst=2, srca=1),
+            Instruction(Op.ST, srca=2, srcb=1),
+        ])) is None
+
+    def test_local_stores_and_loads_name_nothing(self):
+        assert self.stored(mk_clause([
+            Instruction(Op.LDU, dst=1, imm=10),
+            Instruction(Op.LD, dst=2, srca=1),
+            Instruction(Op.ST, srca=REG_LOCAL_ID, srcb=2,
+                        flags=MEM_SPACE_LOCAL),
+        ])) == frozenset()
