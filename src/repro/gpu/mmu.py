@@ -116,6 +116,9 @@ class GPUMMU(Stateful):
         self._page_view = getattr(memory, "page_u32_view", None)
         self._fast = False
         self._batch_port = None  # made by the first batch
+        # first page -> end of the mapped run mapped_runs found from it;
+        # dropped whenever a mapping may have changed, with the TLB
+        self._runs = {}
 
     def _update_fast(self):
         self._fast = (self._fast_path_enabled and self._enabled
@@ -164,6 +167,7 @@ class GPUMMU(Stateful):
         self._tlb = {}
         self._rview = {}
         self._wview = {}
+        self._runs = {}
         self._update_fast()
 
     def get_state(self):
@@ -206,6 +210,7 @@ class GPUMMU(Stateful):
         self._tlb = {}
         self._rview = {}
         self._wview = {}
+        self._runs = {}
         if self._walker is not None:
             self._walker.flush_tlb()
 
@@ -253,6 +258,7 @@ class GPUMMU(Stateful):
         if entry is None and self._fault_handler is not None:
             if self._fault_handler(vaddr, access):
                 self.page_faults_resolved += 1
+                self._runs = {}  # a region grew
                 entry = self._walker.lookup_page(vaddr)
         if entry is None:
             raise MMUFault(vaddr, access)
@@ -524,14 +530,19 @@ class GPUMMU(Stateful):
         """``(first page, end page)`` of the run of pages from each of
         *vaddrs*' page up to the first page :meth:`_probe` refuses
         (unmapped, or armed): a buffer, as the driver leaves a guard page
-        after each region. The probes fill the TLB and move no counter."""
+        after each region. The probes fill the TLB and move no counter;
+        a run is kept until the TLB is flushed or a fault maps a page."""
         if not self._fast:
             return None
         runs = []
         for vaddr in vaddrs:
-            first = end = vaddr >> PAGE_SHIFT
-            while self._probe(end) is not None:
-                end += 1
+            first = vaddr >> PAGE_SHIFT
+            end = self._runs.get(first)
+            if end is None:
+                end = first
+                while self._probe(end) is not None:
+                    end += 1
+                self._runs[first] = end
             if end > first:
                 runs.append((first, end))
         return tuple(runs)
@@ -886,9 +897,12 @@ class BatchPort:
         """Does *window* hold a page the batch's job may store to?"""
         if self._stored is None:
             return True
-        end = window.first + window.pages
-        return any(first < end and window.first < last
-                   for first, last in self._stored)
+        first = window.first
+        end = first + window.pages
+        for low, high in self._stored:
+            if low < end and first < high:
+                return True
+        return False
 
     def _refresh(self, window, index):
         """Make fresh the pages of *window* the lanes at *index* touch.

@@ -955,11 +955,20 @@ _FIRST = _BASE >> 12
 
 
 def test_port_finds_a_buffer_s_pages_up_to_the_hole_after_it():
+    """A run ends at the first page the wide tier would not serve, and
+    is found again once the TLB is flushed, as after an unmap."""
+    from repro.mem import PageTableBuilder
+
     mmu, _ = _port(holes=(3,))
     assert mmu.mapped_runs([_BASE + 4, _BASE + 3 * PAGE_SIZE,
                             _BASE + 5 * PAGE_SIZE]) \
         == ((_FIRST, _FIRST + 3), (_FIRST + 5, _FIRST + 8))
     assert mmu.translations == 0 and not mmu.pages_accessed
+    tables = PageTableBuilder.__new__(PageTableBuilder)  # the MMU's
+    tables._memory, tables.root = mmu._memory, mmu._walker.root
+    tables.unmap_page(_BASE + PAGE_SIZE)
+    mmu.flush_tlb()
+    assert mmu.mapped_runs([_BASE]) == ((_FIRST, _FIRST + 1),)
 
 
 def test_port_loads_of_a_store_free_window_skip_their_shadow():
