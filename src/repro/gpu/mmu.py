@@ -916,18 +916,19 @@ class BatchPort:
         if window.pages == 1:
             touched, fresh = (0,), (0, 1)
         else:
-            first = int(index.min()) >> _PAGE_WORDS_SHIFT
-            end = (int(index.max()) >> _PAGE_WORDS_SHIFT) + 1
             fresh = window.fresh
-            if fresh[0] <= first and end <= fresh[1]:
+            if fresh[0] < fresh[1] \
+                    and fresh[0] <= int(index.min()) >> _PAGE_WORDS_SHIFT \
+                    and int(index.max()) >> _PAGE_WORDS_SHIFT < fresh[1]:
                 return
             touched = _pages_touched(index)
+            first, end = touched[0], touched[-1] + 1
             # pages first to end all touched: the span grows over them
             # where the two meet
             if len(touched) == end - first:
                 fresh = (min(first, fresh[0]), max(end, fresh[1])) \
-                    if first <= fresh[1] and fresh[0] <= end \
-                    else (first, end)
+                    if fresh[0] < fresh[1] and first <= fresh[1] \
+                    and fresh[0] <= end else (first, end)
         mmu = self._mmu
         words, loaded, stored = self._bytes
         stamps = window.stamps
