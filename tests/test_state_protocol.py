@@ -139,7 +139,7 @@ TRANSIENT = {
         "_memory": _WIRING, "_fault_handler": _WIRING, "_injector": _WIRING,
         "_page_view": _WIRING,
         "_walker": "rebuilt by set_page_table from the saved root",
-        "_tlb": _CACHE, "_rview": _CACHE, "_wview": _CACHE,
+        "_tlb": _CACHE, "_rview": _CACHE, "_wview": _CACHE, "_runs": _CACHE,
         "_fast": "derived by _update_fast from restored fields",
     },
     "JobManager": {
