@@ -74,7 +74,14 @@ trajectory to regress against:
   transfers that call nothing per page, so its calls do not grow with
   the length; trip by trip they grow with every trip), and the regions
   a second fresh platform compiles for a guest ``memcpy`` (none: region
-  code is kept per process, so it only translates).
+  code is kept per process, so it only translates);
+- **startup**: the ``repro`` modules, and the source lines in them, that
+  a fresh process imports to build a ``Context()`` and to load and
+  expand the e2e farm config, with the seconds each took, and the
+  build-stack modules among the farm load's (none: only a farm worker
+  compiles, verifies and generates programs). Lines are the
+  host-independent price of a start-up: a process that cannot write
+  bytecode compiles every line it imports.
 
 The report records the host (cores, Python, NumPy) beside the numbers.
 
@@ -86,6 +93,7 @@ import json
 import os
 import pathlib
 import platform
+import subprocess
 import sys
 import time
 
@@ -1001,6 +1009,50 @@ def second_platform_regions(nbytes=4096):
             "compiles": len(compiled)}
 
 
+#: modules only a build or a farm worker runs: a farm config load and
+#: expansion imports none of them
+BUILD_STACK = ("repro.clc.compiler", "repro.gpu.verify.pipeline",
+               "repro.validate.progen", "repro.validate.conformance")
+
+_STARTUP_PROBES = {
+    "context": "from repro.cl import Context\nContext()\n",
+    "farm_load": (
+        "from repro.validate.farm import expand_cases, load_config\n"
+        "expand_cases(load_config('benchmarks/e2e/farm_sweep.json'))\n"),
+}
+
+_STARTUP_REPORT = """
+seconds = time.perf_counter() - start
+modules = sorted(name for name in sys.modules if name.startswith("repro"))
+lines = 0
+for name in modules:
+    path = getattr(sys.modules[name], "__file__", None)
+    if path:
+        with open(path, "rb") as handle:
+            lines += handle.read().count(b"\\n")
+print(json.dumps({"modules": modules, "lines": lines, "seconds": seconds}))
+"""
+
+
+def startup():
+    """The ``repro`` imports of each start-up probe, each in a fresh
+    interpreter (this one has imported everything)."""
+    env = dict(os.environ, PYTHONPATH=str(_REPO_ROOT / "src"))
+    out = {}
+    for name, probe in _STARTUP_PROBES.items():
+        source = ("import json, sys, time\nstart = time.perf_counter()\n"
+                  + probe + _STARTUP_REPORT)
+        found = json.loads(subprocess.run(
+            [sys.executable, "-c", source], cwd=_REPO_ROOT, env=env,
+            check=True, capture_output=True, text=True).stdout)
+        out[name] = {"modules": len(found["modules"]),
+                     "lines": found["lines"],
+                     "seconds": found["seconds"],
+                     "build_stack": sorted(
+                         set(found["modules"]) & set(BUILD_STACK))}
+    return out
+
+
 def host_metadata():
     return {"cores": os.cpu_count(), "python": platform.python_version(),
             "numpy": np.__version__, "machine": platform.machine()}
@@ -1042,6 +1094,7 @@ def run(quick=False):
         "build": build(),
         "snapshot": snapshot(repeats=micro_repeats),
         "guest": guest(repeats=1 if quick else 3),
+        "startup": startup(),
     }
     _OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
     return report
@@ -1161,6 +1214,10 @@ def main(argv=None):
     print(f"guest memcpy on a second fresh platform: "
           f"{second['translations']} region(s) translated, "
           f"{second['compiles']} compiled")
+    for name, row in report["startup"].items():
+        print(f"startup {name}: {row['modules']} repro modules, "
+              f"{row['lines']} lines, {row['seconds'] * 1000:.0f} ms; "
+              f"build stack {row['build_stack'] or 'none'}")
     print(f"wrote {_OUTPUT}")
     failed = False
     if report["kernels"]["sgemm"]["general_quads"]:
@@ -1300,6 +1357,11 @@ def main(argv=None):
     if second["compiles"] or not second["translations"]:
         print("FAIL: a second fresh platform compiled a DBT region the "
               "process had already compiled", file=sys.stderr)
+        failed = True
+    if report["startup"]["farm_load"]["build_stack"]:
+        print(f"FAIL: a farm config load imported the build stack "
+              f"({report['startup']['farm_load']['build_stack']}); only a "
+              "farm worker runs it", file=sys.stderr)
         failed = True
     # count-based, so it holds on any host: a regression back to eager
     # retirement fails here

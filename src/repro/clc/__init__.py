@@ -13,19 +13,25 @@ produce different code for the same kernel — the effect the paper
 quantifies in Fig. 1.
 """
 
-from repro.clc.compiler import (
-    CompiledKernel,
-    CompiledProgram,
-    CompilerOptions,
-    compile_source,
-)
-from repro.clc.versions import COMPILER_VERSIONS, DEFAULT_VERSION
+import importlib
 
-__all__ = [
-    "CompiledKernel",
-    "CompiledProgram",
-    "CompilerOptions",
-    "compile_source",
-    "COMPILER_VERSIONS",
-    "DEFAULT_VERSION",
-]
+#: each re-exported name -> the submodule that defines it, loaded on
+#: first access: the version table does not cost a process the compiler
+_EXPORTS = {
+    "CompiledKernel": "compiler",
+    "CompiledProgram": "compiler",
+    "CompilerOptions": "versions",
+    "compile_source": "compiler",
+    "COMPILER_VERSIONS": "versions",
+    "DEFAULT_VERSION": "versions",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_EXPORTS[name]}")
+    return getattr(module, name)

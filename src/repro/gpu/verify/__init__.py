@@ -28,50 +28,41 @@ verifier-clean, and ``repro-sim lint`` prints findings anchored to
 disassembly lines.
 """
 
-from repro.gpu.verify.context import BufferInfo, VerifyContext
-from repro.gpu.verify.cfg import ClauseCFG
-from repro.gpu.verify.pipeline import (
-    DEFAULT_PASSES,
-    PASSES,
-    verify_binary,
-    verify_program,
-)
-from repro.gpu.verify.report import Finding, Report, Severity
-from repro.gpu.verify.lint import (
-    LintUnit,
-    builtin_targets,
-    format_unit,
-    lint_source,
-    lint_target,
-)
-from repro.gpu.verify.analyze import (
-    AnalyzeUnit,
-    analyze_source,
-    analyze_target,
-)
-from repro.gpu.verify.cost import CostSummary, LaunchBounds
-from repro.gpu.verify.loopbound import TripBound
+import importlib
 
-__all__ = [
-    "AnalyzeUnit",
-    "BufferInfo",
-    "ClauseCFG",
-    "CostSummary",
-    "DEFAULT_PASSES",
-    "Finding",
-    "LaunchBounds",
-    "LintUnit",
-    "PASSES",
-    "Report",
-    "Severity",
-    "TripBound",
-    "VerifyContext",
-    "analyze_source",
-    "analyze_target",
-    "builtin_targets",
-    "format_unit",
-    "lint_source",
-    "lint_target",
-    "verify_binary",
-    "verify_program",
-]
+#: each re-exported name -> the submodule that defines it, loaded on
+#: first access: a caller that needs one tool (the farm's target list,
+#: a verify context) does not load the whole pass pipeline
+_EXPORTS = {
+    "AnalyzeUnit": "analyze",
+    "BufferInfo": "context",
+    "ClauseCFG": "cfg",
+    "CostSummary": "cost",
+    "DEFAULT_PASSES": "pipeline",
+    "Finding": "report",
+    "LaunchBounds": "cost",
+    "LintUnit": "lint",
+    "PASSES": "pipeline",
+    "Report": "report",
+    "Severity": "report",
+    "TripBound": "loopbound",
+    "VerifyContext": "context",
+    "analyze_source": "analyze",
+    "analyze_target": "analyze",
+    "builtin_targets": "lint",
+    "format_unit": "lint",
+    "lint_source": "lint",
+    "lint_target": "lint",
+    "verify_binary": "pipeline",
+    "verify_program": "pipeline",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_EXPORTS[name]}")
+    return getattr(module, name)

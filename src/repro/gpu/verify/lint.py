@@ -17,7 +17,6 @@ A *target* is addressed by a stable string:
 from dataclasses import dataclass, field
 
 from repro.gpu.verify.context import VerifyContext
-from repro.gpu.verify.pipeline import verify_program
 from repro.gpu.verify.report import Severity
 
 
@@ -94,6 +93,8 @@ def compile_units(unit_type, check, label, source, defines=None,
 
 def lint_source(label, source, defines=None, version=None, kernel=None):
     """Compile *source* and verify every kernel; returns [LintUnit]."""
+    from repro.gpu.verify.pipeline import verify_program
+
     def lint(name, compiled):
         report = verify_program(
             compiled.program, VerifyContext.from_compiled_kernel(compiled))

@@ -30,39 +30,36 @@ valid random multi-clause kernels with coverage tracking,
 it together with a replayable reproducer corpus (``tests/corpus/``).
 """
 
-from repro.validate.trace import (
-    InstructionTracer,
-    TraceMismatch,
-    compare_traces,
-)
-from repro.validate.progen import CoverageTracker, ProgramGenerator
-from repro.validate.runner import (
-    ENGINES,
-    DiffCase,
-    DifferentialRunner,
-    generated_case_to_diff,
-    make_kernel_case,
-    trace_kernel_both,
-)
-from repro.validate.fuzz import execute_instruction_both
-from repro.validate.minimize import make_predicate, minimize_case
-from repro.validate.conformance import ConformanceReport, run_conformance
+import importlib
 
-__all__ = [
-    "InstructionTracer",
-    "TraceMismatch",
-    "compare_traces",
-    "trace_kernel_both",
-    "execute_instruction_both",
-    "CoverageTracker",
-    "ProgramGenerator",
-    "ENGINES",
-    "DiffCase",
-    "DifferentialRunner",
-    "generated_case_to_diff",
-    "make_kernel_case",
-    "make_predicate",
-    "minimize_case",
-    "ConformanceReport",
-    "run_conformance",
-]
+#: each re-exported name -> the submodule that defines it. A name loads
+#: its submodule on first access: importing one submodule (the farm, the
+#: corpus) does not load the generator, the verifier and the runner.
+_EXPORTS = {
+    "InstructionTracer": "trace",
+    "TraceMismatch": "trace",
+    "compare_traces": "trace",
+    "trace_kernel_both": "runner",
+    "execute_instruction_both": "fuzz",
+    "CoverageTracker": "progen",
+    "ProgramGenerator": "progen",
+    "ENGINES": "runner",
+    "DiffCase": "runner",
+    "DifferentialRunner": "runner",
+    "generated_case_to_diff": "runner",
+    "make_kernel_case": "runner",
+    "make_predicate": "minimize",
+    "minimize_case": "minimize",
+    "ConformanceReport": "conformance",
+    "run_conformance": "conformance",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_EXPORTS[name]}")
+    return getattr(module, name)

@@ -26,6 +26,7 @@ case that raises, a case that genuinely hangs) and is what the
 isolation and kill-recovery tests sweep.
 """
 
+import importlib
 import json
 import os
 import re
@@ -33,7 +34,6 @@ from itertools import product
 
 from repro.core.platform import ENGINE_MODES, MobilePlatform, resolve_engine
 from repro.gpu.device import DEFAULT_ENGINE
-from repro.gpu.verify import analyze, lint
 from repro.validate.farm.config import FarmConfigError
 
 
@@ -67,9 +67,17 @@ def _seed_list(value):
     return _int_list(value, "seeds")
 
 
+def _list(values, what):
+    """*values* as a list; a string fails rather than becoming the list
+    of its characters."""
+    if isinstance(values, str):
+        raise FarmConfigError(f"{what}s must be a list, not {values!r}")
+    return list(values)
+
+
 def _checked(values, known, what):
     """*values* as a list whose every element is one of *known*."""
-    values = list(values)
+    values = _list(values, what)
     for value in values:
         if value not in known:
             raise FarmConfigError(f"unknown {what} {value!r}")
@@ -79,7 +87,7 @@ def _checked(values, known, what):
 def _engines(values, resolve, what):
     """*values* (``[DEFAULT_ENGINE]`` if none) as a list of names *resolve*
     accepts, spelled as given: case ids and the config hash carry it."""
-    values = list(values or [DEFAULT_ENGINE])
+    values = _list(values or [DEFAULT_ENGINE], what)
     for value in values:
         try:
             resolve(value)
@@ -100,10 +108,10 @@ def _version(sweep):
 
 def _write_artifact(artifact_dir, name, text):
     """Write one per-case artifact; returns the case's artifact list."""
-    from repro.checkpoint.format import atomic_write_text
-
     if artifact_dir is None:
         return []
+    from repro.checkpoint.format import atomic_write_text
+
     os.makedirs(artifact_dir, exist_ok=True)
     atomic_write_text(os.path.join(artifact_dir, name), text)
     return [name]
@@ -294,10 +302,13 @@ class FaultProvider:
 
 class StaticToolProvider:
     """One case per target of a static tool: ``lint`` (the binary
-    verifier) or ``analyze`` (the cost analysis). Both modules have the
-    same shape — ``<kind>_target`` gives the target's units, ``totals``
-    folds them into the counters, ``format_unit`` renders the failing
-    ones into the case's text artifact.
+    verifier) or ``analyze`` (the cost analysis), each the
+    ``repro.gpu.verify`` module of its kind's name, imported when a case
+    runs. Both modules have the same shape — ``<kind>_target`` gives the
+    target's units, ``totals`` folds them into the counters,
+    ``format_unit`` renders the failing ones into the case's text
+    artifact. Both check targets against ``lint.builtin_targets()``,
+    which imports no verifier pass.
 
     A lint case fails on any error-severity finding or failed compile.
     An analyze case fails when any kernel fails to analyze (compile
@@ -306,14 +317,15 @@ class StaticToolProvider:
     loops are legitimate — the ``soundness`` sweep decides whether
     their page bounds still dominate)."""
 
-    def __init__(self, kind, tool, artifact, headline):
+    def __init__(self, kind, artifact, headline):
         self.kind = kind
-        self.tool = tool            # the module: lint or analyze
         self.artifact = artifact    # file the failing units are written to
         self.headline = headline    # the unit method giving its status line
 
     def normalize(self, sweep):
-        builtin = self.tool.builtin_targets()
+        from repro.gpu.verify.lint import builtin_targets
+
+        builtin = builtin_targets()
         targets = sweep.get("targets", "builtin")
         if targets == "builtin":
             targets = builtin
@@ -334,7 +346,7 @@ class StaticToolProvider:
                                             "version": sweep["version"]}
 
     def execute(self, spec, artifact_dir):
-        tool = self.tool
+        tool = importlib.import_module(f"repro.gpu.verify.{self.kind}")
         units = getattr(tool, f"{self.kind}_target")(
             spec["target"], version=spec["version"])
         failing = [unit for unit in units if not unit.ok]
@@ -440,13 +452,27 @@ class BenchProvider:
         for item in workloads:
             if isinstance(item, str):
                 item = {"name": item}
+            if not isinstance(item, dict):
+                raise FarmConfigError(
+                    f"a bench workload is a name or an object, not {item!r}")
+            unknown = sorted(set(item) - {"name", "params"})
+            if unknown:
+                raise FarmConfigError(
+                    f"bench workload: unknown keys {unknown}")
             name = item.get("name")
-            if name not in WORKLOADS:
+            if not isinstance(name, str) or name not in WORKLOADS:
                 raise FarmConfigError(f"unknown workload {name!r}")
             params = item.get("params", {})
-            if not all(isinstance(v, int) for v in params.values()):
+            if not isinstance(params, dict) or not all(
+                    isinstance(v, int) for v in params.values()):
                 raise FarmConfigError(
-                    f"bench params for {name!r} must be integers")
+                    f"bench params for {name!r} must be an object of "
+                    f"integers")
+            unknown = sorted(
+                set(params) - set(WORKLOADS[name].default_params()))
+            if unknown:
+                raise FarmConfigError(
+                    f"unknown bench params for {name!r}: {unknown}")
             normalized.append({"name": name,
                                "params": dict(sorted(params.items()))})
         return {"kind": self.kind, "workloads": normalized,
@@ -631,8 +657,8 @@ PROVIDERS = {provider.kind: provider for provider in (
     ConformanceProvider(),
     CorpusProvider(),
     FaultProvider(),
-    StaticToolProvider("lint", lint, "findings.txt", "summary"),
-    StaticToolProvider("analyze", analyze, "analysis.txt", "headline"),
+    StaticToolProvider("lint", "findings.txt", "summary"),
+    StaticToolProvider("analyze", "analysis.txt", "headline"),
     SoundnessProvider(),
     BenchProvider(),
     TenantsProvider(),

@@ -376,6 +376,8 @@ USAGE_ERRORS = {
     "trace-limit-zero": ["trace", "FILE", "--limit", "0"],
     "trace-limit-negative": ["trace", "FILE", "--limit", "-1"],
     "tenants-jobs": ["tenants", "--tenants", "2", "--jobs", "0"],
+    # a malformed bench entry fails the load, not with a traceback
+    "farm-plan-bench-entry": ["farm", "plan", "BAD_FARM"],
 }
 
 
@@ -383,8 +385,12 @@ USAGE_ERRORS = {
 def test_usage_errors_are_one_line_and_exit_two(case, kernel_file, tmp_path,
                                                 capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)  # trace's default output lands here
+    bad_farm = tmp_path / "bad_farm.json"
+    bad_farm.write_text(json.dumps(
+        {"sweeps": [{"kind": "bench", "workloads": [5]}]}))
     argv = [{"FILE": kernel_file, "EMPTY": str(tmp_path),
-             "FILE/report.json": f"{kernel_file}/report.json"}.get(arg, arg)
+             "FILE/report.json": f"{kernel_file}/report.json",
+             "BAD_FARM": str(bad_farm)}.get(arg, arg)
             for arg in USAGE_ERRORS[case]]
     assert main(argv) == 2
     captured = capsys.readouterr()

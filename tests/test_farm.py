@@ -95,10 +95,38 @@ def test_load_config_from_file(tmp_path):
     {"sweeps": [{"kind": "soundness", "progen": -1}]},
     {"sweeps": [{"kind": "soundness", "corpus": 3}]},
     {"sweeps": [{"kind": "lint", "version": "9.9"}]},
+    {"sweeps": [{"kind": "bench", "workloads": [5]}]},  # entry not an object
+    {"sweeps": [{"kind": "bench",
+                 "workloads": [{"name": "nn", "params": 5}]}]},
+    {"sweeps": [{"kind": "bench",
+                 "workloads": [{"name": "nn", "params": {"bogus": 1}}]}]},
+    {"sweeps": [{"kind": "bench",
+                 "workloads": [{"name": "nn", "bogus": 1}]}]},
+    {"sweeps": [{"kind": "bench", "workloads": [{"name": ["nn"]}]}]},
+    {"sweeps": [{"kind": "selftest", "behaviors": "ok"}]},
+    {"sweeps": [{"kind": "fault", "workloads": "sgemm"}]},
+    {"sweeps": [{"kind": "tenants", "engine_modes": "mega"}]},
 ])
 def test_load_config_rejects_bad_documents(document):
     with pytest.raises(FarmConfigError):
         load_config(document)
+
+
+@pytest.mark.parametrize("sweep, message", [
+    ({"kind": "selftest", "behaviors": "ok"},
+     "selftest behaviors must be a list, not 'ok'"),
+    ({"kind": "conformance", "engines": "mega"},
+     "engines must be a list, not 'mega'"),
+    ({"kind": "bench", "workloads": [{"name": "nn", "params": {"bogus": 1}}]},
+     "unknown bench params for 'nn': ['bogus']"),
+])
+def test_a_bad_sweep_value_is_named_at_load(sweep, message):
+    """A string where a list belongs is refused as such, not split into
+    its characters; a bench parameter the workload does not take fails
+    the load, not every case at run time."""
+    with pytest.raises(FarmConfigError) as caught:
+        load_config({"sweeps": [sweep]})
+    assert str(caught.value) == message
 
 
 def test_case_seed_is_a_pure_function_of_hash_and_id():

@@ -22,13 +22,16 @@ verifier.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
 import sys
 
-SRC_ROOT = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "src", "repro")
+import pytest
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC_ROOT = os.path.join(REPO_ROOT, "src", "repro")
 
 #: private-looking names that are somebody's *public* API
 ALLOWED = {
@@ -163,6 +166,17 @@ def test_lint_catches_the_shapes_it_claims_to():
     assert not lint_source("def f(obj):\n    return obj.__dict__\n")
 
 
+def _probe(source):
+    """Standard output of *source* run in a fresh interpreter from the
+    repository root: pytest plugins and earlier tests may have imported
+    anything into this one."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        os.path.dirname(SRC_ROOT), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", source], env=env,
+                          cwd=REPO_ROOT, check=True, capture_output=True,
+                          text=True).stdout
+
+
 _IMPORT_PROBE = """
 import json, sys
 at_startup = set(sys.modules)  # the interpreter's own and site hooks
@@ -179,10 +193,7 @@ def test_a_run_imports_numpy_and_nothing_else():
     """In a subprocess: pytest plugins may import anything into this
     one. Every farm worker, checkpoint resume and e2e workload pays for
     whatever ``import repro`` pulls in."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        os.path.dirname(SRC_ROOT), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
-                         check=True, capture_output=True, text=True).stdout
+    out = _probe(_IMPORT_PROBE)
     assert json.loads(out) == ["numpy"]
 
 
@@ -204,10 +215,7 @@ def test_a_launch_loads_no_thread_pool():
     """The Job Manager runs a job on one execution unit: nothing on the
     launch path imports ``concurrent.futures``, which every fresh process
     would otherwise pay for."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        os.path.dirname(SRC_ROOT), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _LAUNCH_PROBE], env=env,
-                         check=True, capture_output=True, text=True).stdout
+    out = _probe(_LAUNCH_PROBE)
     assert out.split() == ["False"]
 
 
@@ -231,8 +239,84 @@ def test_a_context_loads_no_compiler():
     """Creating a context loads no compiler or verifier: a process that
     only moves data never pays for them. ``repro.compile_source`` still
     resolves, and the first build loads both."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        os.path.dirname(SRC_ROOT), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _CONTEXT_PROBE], env=env,
-                         check=True, capture_output=True, text=True).stdout
+    out = _probe(_CONTEXT_PROBE)
     assert out.split() == ["False", "True", "True", "True"]
+
+
+#: the modules a farm worker runs and a config load must not pay for
+_BUILD_STACK = ("repro.clc.compiler", "repro.gpu.verify.pipeline",
+                "repro.validate.progen", "repro.validate.conformance")
+
+_FARM_LOAD_PROBE = """
+import json, sys
+from repro.validate.farm import expand_cases, load_config
+expand_cases(load_config("benchmarks/e2e/farm_sweep.json"))
+print(json.dumps(sorted(set(sys.modules) & set(%r))))
+""" % (_BUILD_STACK,)
+
+
+def test_a_farm_config_load_loads_no_build_stack():
+    """Loading and expanding the benchmark's farm config (what ``farm
+    plan`` does) loads neither the compiler, the verifier's passes nor
+    the program generator: only a worker runs them."""
+    assert json.loads(_probe(_FARM_LOAD_PROBE)) == []
+
+
+_PACKAGES = ("repro.validate", "repro.gpu.verify", "repro.clc")
+
+
+@pytest.mark.parametrize("package", _PACKAGES)
+def test_a_bare_package_import_loads_none_of_its_submodules(package):
+    """The three packages resolve the names they re-export on first
+    access: importing one loads none of its submodules."""
+    out = _probe(f"import sys, {package}\n"
+                 f"print(sorted(n for n in sys.modules "
+                 f"if n.startswith('{package}.')))")
+    assert out.split() == ["[]"]
+
+
+@pytest.mark.parametrize("package", _PACKAGES)
+def test_every_package_export_resolves_to_its_submodule(package):
+    module = importlib.import_module(package)
+    table = module._EXPORTS
+    assert sorted(module.__all__) == sorted(table)
+    for name in module.__all__:
+        source = importlib.import_module(f"{package}.{table[name]}")
+        value = getattr(module, name)
+        assert value is getattr(source, name), name
+        assert getattr(value, "__module__", source.__name__) \
+            == source.__name__, name
+    with pytest.raises(AttributeError):
+        module.no_such_name  # noqa: B018
+
+
+_WORKER_PROBE = """
+import importlib, json, sys
+from repro.validate.farm import expand_cases, load_config
+from repro.validate.farm.manager import WORKER_MODULES
+from repro.validate.farm.worker import execute_case
+cases = expand_cases(load_config("examples/farm/smoke.json")) + expand_cases(
+    load_config({"sweeps": [{"kind": "selftest"}]}))
+first = {}
+for case in cases:
+    first.setdefault(case["kind"], case)
+for name in WORKER_MODULES:
+    importlib.import_module(name)
+loaded = set(sys.modules)
+verdicts = {kind: execute_case(case, None)["verdict"]
+            for kind, case in first.items()}
+print(json.dumps({"verdicts": verdicts, "imported": sorted(
+    name for name in set(sys.modules) - loaded
+    if name.startswith("repro"))}))
+"""
+
+
+def test_a_forked_worker_imports_nothing():
+    """After ``run_farm``'s pre-fork import of :data:`WORKER_MODULES`,
+    one case of each kind the smoke config sweeps, plus a selftest case,
+    runs without importing a ``repro`` module: no forked worker compiles
+    one from source for itself."""
+    result = json.loads(_probe(_WORKER_PROBE))
+    assert result["verdicts"] == dict.fromkeys(
+        ("conformance", "fault", "lint", "bench", "selftest"), "pass")
+    assert result["imported"] == []
