@@ -79,7 +79,8 @@ trajectory to regress against:
   a fresh process imports to build a ``Context()`` and to load and
   expand the e2e farm config, with the seconds each took, and the
   build-stack modules among the farm load's (none: only a farm worker
-  compiles, verifies and generates programs). Lines are the
+  compiles, verifies and generates programs, runs differential cases
+  and fault campaigns). Lines are the
   host-independent price of a start-up: a process that cannot write
   bytecode compiles every line it imports.
 
@@ -338,9 +339,9 @@ def mega_launch(jobs=64, repeats=5):
 
 #: Python-level calls one converged trip of the sgemm inner loop may
 #: make on mega (two chain functions, two wide loads and the tier lookup
-#: under each, the two shift rows, NumPy's count_nonzero wrappers); the
-#: closure translator this replaced made 91
-MAX_CALLS_PER_TRIP = 14
+#: under each, NumPy's count_nonzero wrappers; the two shifts by a
+#: constant are ufuncs); the closure translator this replaced made 91
+MAX_CALLS_PER_TRIP = 12
 
 
 def mega_clause(repeats=3):
@@ -1010,9 +1011,13 @@ def second_platform_regions(nbytes=4096):
 
 
 #: modules only a build or a farm worker runs: a farm config load and
-#: expansion imports none of them
+#: expansion imports none of them (it checks a sweep's engines, fault
+#: scenarios and workloads against names kept apart from the runner and
+#: the campaign)
 BUILD_STACK = ("repro.clc.compiler", "repro.gpu.verify.pipeline",
-               "repro.validate.progen", "repro.validate.conformance")
+               "repro.validate.progen", "repro.validate.conformance",
+               "repro.validate.runner", "repro.validate.trace",
+               "repro.inject.campaign", "repro.tenancy.harness")
 
 _STARTUP_PROBES = {
     "context": "from repro.cl import Context\nContext()\n",
@@ -1359,9 +1364,9 @@ def main(argv=None):
               "process had already compiled", file=sys.stderr)
         failed = True
     if report["startup"]["farm_load"]["build_stack"]:
-        print(f"FAIL: a farm config load imported the build stack "
+        print(f"FAIL: a farm config load imported worker-only modules "
               f"({report['startup']['farm_load']['build_stack']}); only a "
-              "farm worker runs it", file=sys.stderr)
+              "farm worker runs them", file=sys.stderr)
         failed = True
     # count-based, so it holds on any host: a regression back to eager
     # retirement fails here

@@ -156,6 +156,11 @@ _GLOBALS = {
 }
 
 
+#: the shift rows emitted as one ufunc when the amount is a constant
+#: (their value functions mask a lane amount to its low 5 bits)
+_SHIFTS = {Op.ISHL: "left_shift", Op.ISHR: "right_shift"}
+
+
 def _invalid(kind, operand):
     # the interpreter's error, raised where the slot is issued: an
     # unreachable clause with a bad operand stays harmless
@@ -221,6 +226,13 @@ class _Emitter:
                     return [_invalid("source", operand)]
             if not dst_ok:
                 return [_invalid("destination", dst)]
+            shift = _SHIFTS.get(instr.op)
+            if shift is not None and is_const(instr.srcb):
+                # the amount is the clause's: one ufunc, into the row
+                amount = clause.constants[instr.srcb - CONST_BASE] & 31
+                where = ", where=mask" if masked else ""
+                return [f"np.{shift}(R[{rows[0]}], {amount}, "
+                        f"out=R[{dst}]{where})"]
             if row.ufunc is None:
                 args = ", ".join(f"R[{r}]" for r in rows)
                 value = f"fn_{instr.op.name}({args})"
@@ -241,19 +253,28 @@ class _Emitter:
     def _memory(self, clause, instr, masked):
         """Local LD/ST as fancy indexing on the slabs — ``L[S, a]``: the
         row of each lane's slot, bounds-checked per slot; global LD/ST
-        as a workgroup-wide gather/scatter (a masked one tells the port
-        which lanes it is for) with per-lane replay of any element the
-        wide port returns None for."""
+        as a workgroup-wide gather/scatter of the uint32 lane addresses
+        as the row holds them (a masked one tells the port which lanes
+        it is for, a converged load gathers straight into its row), with
+        per-lane replay of any element the wide port returns None for.
+        An element's ``a + 4k`` wraps past 2^32 onto page 0, which only
+        the scalar replay serves (:meth:`~repro.gpu.mmu.GPUMMU._probe`)."""
         addr = self._source_row(clause, instr.srca)
         if addr is None:
             return [_invalid("source", instr.srca)]
         pick, lanes, of = ("[act]", "act", ", act") if masked \
             else ("", "None", "")
         local = instr.mem_is_local
-        lines = [f"a = R[{addr}]{pick}.astype(i64)"
-                 + (" >> 2" if local else "")]
-        if local and masked:
-            lines.append("s = S[act]")
+        if local:
+            lines = [f"a = R[{addr}]{pick}.astype(i64) >> 2"]
+            if masked:
+                lines.append("s = S[act]")
+        else:
+            # converged, `a` is the row itself: a vector load that
+            # overwrites it before its last element reads from a copy
+            copy = not masked and instr.op is Op.LD \
+                and instr.dst <= addr < instr.dst + instr.mem_width - 1
+            lines = [f"a = R[{addr}]{pick}" + ".copy()" * copy]
         for element in range(instr.mem_width):
             if local:
                 slot = "s" if masked else "S"
@@ -266,18 +287,19 @@ class _Emitter:
                 if not 0 <= dst < _ROWS:  # the elements before it land
                     lines.append(_invalid("destination", dst))
                     break
-                into = f"R[{dst}]{pick or '[:]'}"
                 trace = self._trace(instr, dst, masked, element)
                 if local:
-                    lines += [f"{into} = {at}", *trace]
+                    lines += [f"R[{dst}]{pick or '[:]'} = {at}", *trace]
                     continue
-                lines += [
-                    f"v = mem.load_wide_u32({at}{of})",
-                    "if v is None:",
-                    f"    replay_load(mem, R[{addr}], {lanes}, R[{dst}], "
-                    f"{4 * element})",
-                    "else:",
-                    f"    {into} = v", *trace]
+                replay = f"    replay_load(mem, R[{addr}], {lanes}, " \
+                    f"R[{dst}], {4 * element})"
+                if masked:
+                    lines += [f"v = mem.load_wide_u32({at}, act)",
+                              "if v is None:", replay,
+                              "else:", f"    R[{dst}][act] = v", *trace]
+                else:
+                    lines += [f"if mem.load_wide_u32({at}, None, R[{dst}])"
+                              " is None:", replay, *trace]
                 continue
             data = self._source_row(clause, instr.srcb + element)
             if data is None:  # the elements before it are stored

@@ -44,8 +44,12 @@ from repro.mem.physical import PAGE_SHIFT
 from repro.state import Stateful
 
 _PAGE_MASK = (1 << PAGE_SHIFT) - 1
-# what is left of (address - page base) for a word in that page: zero
-_NOT_WORD_IN_PAGE = ~(_PAGE_MASK & ~3)
+_U32 = 0xFFFF_FFFF
+# what is left of (address - page base) for a word in that page: zero.
+# A uint32 value: the wide tier's lane addresses are uint32 rows
+_NOT_WORD_IN_PAGE = np.uint32(~(_PAGE_MASK & ~3) & _U32)
+# pages past the last a uint32 lane address lies in
+_END_PAGE = 1 << (32 - PAGE_SHIFT)
 _REQUIRED = {"r": PTE_READ, "w": PTE_WRITE, "x": PTE_EXEC}
 
 # Address-space tag folded into every recorded/armed VA page number.
@@ -280,10 +284,15 @@ class GPUMMU(Stateful):
     def _probe(self, vpage):
         """``(physical page, PTE flags)`` of *vpage*, or ``None`` where
         only the scalar path may decide: unmapped (so grow-on-fault
-        growth goes through :meth:`_miss`) or armed for injection (so the
-        injected fault fires once, in :meth:`_miss`). The one page lookup
-        of every vector tier: fills the TLB, moves no counter, backs no
-        page."""
+        growth goes through :meth:`_miss`), armed for injection (so the
+        injected fault fires once, in :meth:`_miss`), or page 0 or past
+        2^32, where a uint32 lane row aliases: a vector element's
+        ``address + 4k`` wraps onto page 0, and a batch window over the
+        top pages reaches past 2^32 (the replay's Python-int addresses do
+        not wrap). The one page lookup of every vector tier: fills the
+        TLB, moves no counter, backs no page."""
+        if not 0 < vpage < _END_PAGE:
+            return None
         entry = self._tlb.get(vpage)
         if entry is None:
             injector = self._injector
@@ -441,9 +450,11 @@ class GPUMMU(Stateful):
     # -- workgroup-wide (megakernel) gather/scatter ---------------------------
 
     def _wide_groups(self, vaddrs, required, cache):
-        """Resolve a workgroup-wide access (*vaddrs*: int64 ndarray of
-        lane byte addresses) to ``(page view, word offsets, lanes)``
-        groups, one per page touched, and move the counters.
+        """Resolve a workgroup-wide access (*vaddrs*: the uint32 lane
+        byte addresses, as a register row holds them) to ``(page view,
+        word offsets, lanes)`` groups, one per page touched, the offsets
+        ``intp`` (converted once, for every index that follows), and move
+        the counters.
 
         ``None`` — only the fallback recorded — when the fast path is
         off, a lane is unaligned (the reference path defines sub-word
@@ -455,8 +466,9 @@ class GPUMMU(Stateful):
         if self._fast and len(vaddrs):
             # one-page tier — every broadcast and contiguous access of
             # every kernel: nothing of (address - lane 0's page base)
-            # outside the word-offset bits means word-aligned lanes on
-            # one page, served by one probe and one fancy index
+            # outside the word-offset bits (a lane below it wraps high)
+            # means word-aligned lanes on one page, served by one probe
+            # and one gather
             vpage = int(vaddrs[0]) >> PAGE_SHIFT
             within = vaddrs - (vpage << PAGE_SHIFT)
             if not np.count_nonzero(within & _NOT_WORD_IN_PAGE):
@@ -467,7 +479,9 @@ class GPUMMU(Stateful):
                     self.translations += len(vaddrs)
                     self.pages_accessed.add(vpage | self._as_tag)
                     self.wide_accesses += 1
-                    return ((view, within >> 2, slice(None)),)
+                    within >>= 2
+                    index = within.astype(np.intp, copy=False)
+                    return ((view, index, slice(None)),)
         if not self._fast or (vaddrs & 3).any():
             self.wide_fallbacks += 1
             return None
@@ -486,28 +500,32 @@ class GPUMMU(Stateful):
         tag = self._as_tag
         self.pages_accessed.update([page | tag for page in unique_pages])
         self.wide_accesses += 1
-        offsets = (vaddrs & _PAGE_MASK) >> 2
+        offsets = ((vaddrs & _PAGE_MASK) >> 2).astype(np.intp, copy=False)
         groups = []
         for vpage, view in zip(unique_pages, views):
             lanes = vpages == vpage
             groups.append((view, offsets[lanes], lanes))
         return groups
 
-    def load_wide_u32(self, vaddrs, lanes=None):
+    def load_wide_u32(self, vaddrs, lanes=None, out=None):
         """Gather one u32 per lane address for a whole workgroup.
 
-        Returns the gathered uint32 vector, or ``None`` for per-lane
-        scalar replay — with nothing recorded but ``wide_fallbacks`` in
-        that case, exactly like the quad tier. *lanes* (which lanes of
-        the row a masked access is for) matters to a :class:`BatchPort`
-        only.
+        Returns the gathered uint32 vector — *out*, when given, which
+        may be the row *vaddrs* is: every index is taken before the
+        first word lands — or ``None`` for per-lane scalar replay, with
+        nothing written and nothing recorded but ``wide_fallbacks``,
+        exactly like the quad tier. *lanes* (which lanes of the row a
+        masked access is for) matters to a :class:`BatchPort` only.
         """
         groups = self._wide_groups(vaddrs, PTE_READ, self._rview)
         if groups is None:
             return None
         if len(groups) == 1:
-            return groups[0][0][groups[0][1]]
-        out = np.empty(len(vaddrs), dtype=np.uint32)
+            view, offsets, _ = groups[0]
+            # "clip" gathers unbuffered; every offset is inside the page
+            return view.take(offsets, out=out, mode="clip")
+        if out is None:
+            out = np.empty(len(vaddrs), dtype=np.uint32)
         for view, offsets, lanes in groups:
             out[lanes] = view[offsets]
         return out
@@ -651,7 +669,9 @@ class _Window:
 
 class BatchPort:
     """``state.mem`` of a lockstep batch: lanes in slot order, slot ``s``
-    the ``s``-th workgroup of the batch.
+    the ``s``-th workgroup of the batch, their addresses uint32 rows as
+    for :meth:`GPUMMU.load_wide_u32` (``out=`` included), each access's
+    word index converted to ``intp`` once.
 
     Loads read the memory the batch started from; stores are buffered and
     applied in program order by :meth:`commit`. Three rules make that
@@ -716,7 +736,7 @@ class BatchPort:
 
     # -- the two accesses ------------------------------------------------------
 
-    def load_wide_u32(self, vaddrs, lanes=None):
+    def load_wide_u32(self, vaddrs, lanes=None, out=None):
         window, index = self._locate(vaddrs)
         if window.shadowed == self._batch:
             self._shadow(window, index, lanes)
@@ -724,7 +744,8 @@ class BatchPort:
             window.unshadowed = self._batch
         self._translations += len(vaddrs)
         self._accesses += 1
-        return window.words.take(index)
+        # "clip" gathers unbuffered; every index is inside the window
+        return window.words.take(index, out=out, mode="clip")
 
     def _shadow(self, window, index, lanes):
         """Rule (L), then the load's slots into the ``loaded`` shadow."""
@@ -745,6 +766,9 @@ class BatchPort:
         if window.dirty == batch \
                 and np.count_nonzero(window.stored.take(index) > slots):
             raise BatchAbandoned("store-order")
+        # the port's own copies, the addresses as the intp index that
+        # commit scatters through
+        vaddrs = vaddrs.astype(np.intp)
         self._buffered += vaddrs.nbytes + values.nbytes
         if self._buffered > _STORE_BUFFER_BYTES:
             raise BatchAbandoned("store-bound")
@@ -785,15 +809,17 @@ class BatchPort:
     # -- windows ---------------------------------------------------------------
 
     def _locate(self, vaddrs):
-        """``(window, word index per lane)`` of an access, its pages read."""
+        """``(window, intp word index per lane)`` of an access, its pages
+        read."""
         window = self._windows.get(int(vaddrs[0]) >> PAGE_SHIFT)
         within = None if window is None else vaddrs - window.base
         # nothing outside the word-offset bits of the window: every lane
-        # word-aligned and inside it
+        # word-aligned and inside it (a lane below it wraps high)
         if within is None or np.count_nonzero(within & window.mask):
             window = self._window(vaddrs)
             within = vaddrs - window.base
-        index = within >> 2
+        within >>= 2
+        index = within.astype(np.intp, copy=False)
         if window.ready != self._batch:
             self._refresh(window, index)
         return window, index
@@ -834,7 +860,7 @@ class BatchPort:
         window = _Window()
         window.first, window.pages = first, pages
         window.base = first << PAGE_SHIFT
-        window.mask = ~((pages << PAGE_SHIFT) - 4)
+        window.mask = np.uint32(~((pages << PAGE_SHIFT) - 4) & _U32)
         self._place(window, at)
         window.frames, window.stamps = [None] * pages, [0] * pages
         window.used, window.ready, window.fresh = batch, 0, (0, 0)

@@ -48,38 +48,14 @@ from repro.core.platform import DEFAULT_ENGINE, MobilePlatform
 from repro.errors import SimError
 from repro.inject.injector import FaultInjector
 from repro.inject.plan import FaultPlan, FaultSpec
-from repro.kernels import REPLAYABLE, WORKLOADS, get_workload
+from repro.inject.scenarios import (  # noqa: F401 - re-exports the names
+    DEFAULT_WORKLOADS,
+    SCENARIOS,
+    known_workloads,
+)
+from repro.kernels import REPLAYABLE, get_workload
 from repro.mem.physical import PAGE_SIZE
-from repro.tenancy.harness import ADVERSARIAL_SCENARIOS, run_adversarial
-
-#: scenario -> expected outcome class
-SCENARIOS = {
-    "mmu-transient": "recover",
-    "mmu-persistent": "fail-clean",
-    "hang-transient": "recover",
-    "hang-persistent": "fail-clean",
-    "descriptor-transient": "recover",
-    "descriptor-persistent": "fail-clean",
-    "irq-lost": "recover",
-    "irq-spurious": "recover",
-    "alloc-fail": "fail-clean",
-    "heap-grow": "grow",
-    # cross-tenant adversarial cases: an attacker tenant faults (or runs
-    # a malicious kernel) while the victim tenant runs the campaign
-    # workload — the victim must match its solo baseline byte-for-byte
-    **dict.fromkeys(ADVERSARIAL_SCENARIOS, "isolate"),
-}
-
-#: campaign workloads must be *replayable* (outputs a pure function of
-#: inputs): the recovery ladder re-runs faulted jobs from scratch. These
-#: two names resolve to :data:`~repro.kernels.replayable.REPLAYABLE`
-#: (standing in for, or adding to, the registry entry of the same name)
-DEFAULT_WORKLOADS = ("sgemm", "divergent")
-
-
-def known_workloads():
-    """Every name :func:`run_case` can run."""
-    return sorted({*DEFAULT_WORKLOADS, *WORKLOADS})
+from repro.tenancy.harness import run_adversarial
 
 
 def _make_workload(name):

@@ -37,6 +37,7 @@ from repro.errors import SimError
 from repro.gpu.mmu import AS_TAG_SHIFT
 from repro.inject.injector import FaultInjector
 from repro.inject.plan import FaultPlan, FaultSpec
+from repro.inject.scenarios import ADVERSARIAL_SCENARIOS
 from repro.instrument.registry import diff_snapshots
 from repro.kernels.replayable import REPLAYABLE
 
@@ -322,16 +323,6 @@ def fairness_report(result, title="tenants"):
 
 
 # -- adversarial cross-tenant scenarios ---------------------------------------
-
-#: scenario -> the attacker's workload. The one list of cross-tenant
-#: scenarios: the fault campaign derives its ``isolate`` rows (the victim
-#: must match its solo baseline whatever happens to the attacker) from it
-ADVERSARIAL_SCENARIOS = {
-    "xtenant-mmu": "divergent",
-    "xtenant-hang": "divergent",
-    "xtenant-irq-lost": "divergent",
-    "xtenant-oob": "oob",
-}
 
 #: scenarios where the attacker itself is expected to fail cleanly
 _ATTACKER_FAILS = {"xtenant-mmu", "xtenant-hang", "xtenant-oob"}

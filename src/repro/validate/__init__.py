@@ -43,7 +43,7 @@ _EXPORTS = {
     "execute_instruction_both": "fuzz",
     "CoverageTracker": "progen",
     "ProgramGenerator": "progen",
-    "ENGINES": "runner",
+    "ENGINES": "engines",
     "DiffCase": "runner",
     "DifferentialRunner": "runner",
     "generated_case_to_diff": "runner",

@@ -54,7 +54,8 @@ POLL_INTERVAL = 0.05
 
 #: what a worker executes beyond the config load: the compiler and the
 #: verifier's pass pipeline (every build), the validation modules the
-#: conformance, corpus and selftest cases run, and the default engine.
+#: conformance, corpus and selftest cases run, the fault campaign (and
+#: the tenancy harness under it), and the default engine.
 #: ``run_farm`` imports them before it sets up its pool, so each forked
 #: worker inherits them instead of importing its own copy, while a config
 #: load, a plan or a ``workers=0`` run imports only what it uses. They
@@ -71,6 +72,7 @@ WORKER_MODULES = (
     "repro.validate.progen",
     "repro.validate.minimize",
     "repro.validate.conformance",
+    "repro.inject.campaign",
 )
 
 

@@ -130,7 +130,7 @@ class ConformanceProvider:
     kind = "conformance"
 
     def normalize(self, sweep):
-        from repro.validate.runner import ENGINES, engine_mode
+        from repro.validate.engines import ENGINES, engine_mode
 
         return {
             "kind": self.kind,
@@ -177,7 +177,7 @@ class CorpusProvider:
     kind = "corpus"
 
     def normalize(self, sweep):
-        from repro.validate.runner import engine_mode
+        from repro.validate.engines import engine_mode
 
         directory = sweep.get("dir")
         if not isinstance(directory, str) or not directory:
@@ -224,7 +224,7 @@ class FaultProvider:
     kind = "fault"
 
     def normalize(self, sweep):
-        from repro.inject import campaign
+        from repro.inject import scenarios
 
         # the GPU model runs one execution unit; the key (and the ids'
         # /t1) stay only because pinned reports carry them
@@ -234,11 +234,11 @@ class FaultProvider:
         return {
             "kind": self.kind,
             "workloads": _checked(
-                sweep.get("workloads") or campaign.DEFAULT_WORKLOADS,
-                campaign.known_workloads(), "fault workload"),
+                sweep.get("workloads") or scenarios.DEFAULT_WORKLOADS,
+                scenarios.known_workloads(), "fault workload"),
             "scenarios": sorted(_checked(
-                sweep.get("scenarios") or campaign.SCENARIOS,
-                campaign.SCENARIOS, "scenario")),
+                sweep.get("scenarios") or scenarios.SCENARIOS,
+                scenarios.SCENARIOS, "scenario")),
             "seeds": _seed_list(sweep.get("seeds", 1)),
             "engines": _engines(sweep.get("engines"), resolve_engine,
                                 "fault engine"),

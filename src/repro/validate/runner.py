@@ -39,7 +39,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro.core.platform import ENGINE_MODES, resolve_engine
 from repro.gpu import launch
 from repro.gpu.isa import NUM_GRF, REG_GLOBAL_ID, Program
 from repro.gpu.encoding import encode_program
@@ -55,18 +54,8 @@ from repro.instrument.registry import (
 )
 from repro.mem import PAGE_SIZE, PTE_READ, PTE_WRITE, PageTableBuilder, \
     PhysicalMemory
+from repro.validate.engines import ENGINES, engine_mode
 from repro.validate.trace import InstructionTracer, compare_traces
-
-#: the platform's instrumented tiers plus the independent scalar oracle
-ENGINES = (*ENGINE_MODES, "m2s")
-
-
-def engine_mode(engine):
-    """The :data:`ENGINES` member *engine* names: ``m2s``, or the platform
-    mode :func:`~repro.core.platform.resolve_engine` gives; ``ValueError``
-    for any other name."""
-    return engine if engine == "m2s" else resolve_engine(engine)
-
 
 # virtual layout for generated cases (shared with repro.validate.progen)
 VA_IN = 0x0010_0000

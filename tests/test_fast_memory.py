@@ -357,6 +357,86 @@ class TestWideOnePageTier:
         assert _wide_counters(mmu) == (0, [], 0, 1, 0)
 
 
+# -- uint32 lane rows, as the megakernel hands them over ----------------------
+
+
+def _mapped_mmu(*vpages):
+    """A GPU MMU over the virtual pages *vpages*, each on a frame of its
+    own, every word holding its own address >> 2 (mod 2^32)."""
+    mem = PhysicalMemory(1 << 22)
+    frames = iter(range(0x0010_0000, PA, PAGE_SIZE))
+    builder = PageTableBuilder(mem, lambda: next(frames))
+    for n, vpage in enumerate(vpages):
+        frame = PA + 2 * n * PAGE_SIZE
+        builder.map_page(vpage * PAGE_SIZE, frame, flags=PTE_READ | PTE_WRITE)
+        words = (vpage << 10) + np.arange(PAGE_SIZE // 4, dtype=np.uint64)
+        mem.write_block(frame, words.astype(np.uint32).tobytes())
+    mmu = GPUMMU(mem)
+    mmu.set_page_table(builder.root)
+    mmu.enabled = True
+    return mmu
+
+
+_PAGES = (VA >> 12, (VA >> 12) + 1)
+
+
+def _scalar_counters(vaddrs):
+    """Words, translations and pages of *vaddrs* read lane by lane."""
+    mmu = _mapped_mmu(*_PAGES)
+    words = [mmu.load_u32(int(vaddr)) for vaddr in vaddrs]
+    return words, mmu.translations, sorted(mmu.pages_accessed)
+
+
+class TestWideUint32Lanes:
+    def test_a_lane_below_lane_0_s_page_wraps_high(self):
+        """Lane 0 on the second page, the rest on the first: the one-page
+        test fails on the wrapped offsets, and the general tier serves
+        every lane with the scalar path's counters."""
+        vaddrs = (VA + 4096 + 4 * np.array([0, 1, -1, -2, -1024, 2])
+                  ).astype(np.uint32)
+        mmu = _mapped_mmu(*_PAGES)
+        loaded = mmu.load_wide_u32(vaddrs)
+        assert (loaded.tolist(), mmu.translations,
+                sorted(mmu.pages_accessed)) == _scalar_counters(vaddrs)
+        assert (mmu.wide_accesses, mmu.wide_fallbacks) == (1, 0)
+
+    @pytest.mark.parametrize("lanes", [
+        VA + 64 + 4 * np.arange(8),                  # one page
+        VA + 4096 - 16 + 4 * np.arange(8)])          # two pages
+    def test_a_gather_into_its_own_address_row(self, lanes):
+        row = lanes.astype(np.uint32)
+        expected = _scalar_counters(row)
+        mmu = _mapped_mmu(*_PAGES)
+        assert mmu.load_wide_u32(row, None, row) is row
+        assert (row.tolist(), mmu.translations,
+                sorted(mmu.pages_accessed)) == expected
+
+    def test_an_unaligned_lane_writes_nothing_and_falls_back_once(self):
+        vaddrs = (VA + 64 + 4 * np.arange(8)).astype(np.uint32)
+        vaddrs[5] += 2
+        mmu = _mapped_mmu(*_PAGES)
+        out = np.full(8, 7, dtype=np.uint32)
+        assert mmu.load_wide_u32(vaddrs, None, out) is None
+        assert mmu.store_wide_u32(vaddrs, out) is None
+        assert out.tolist() == [7] * 8
+        assert (mmu.translations, mmu.pages_accessed, mmu.wide_accesses,
+                mmu.wide_fallbacks) == (0, set(), 0, 2)
+
+    @pytest.mark.parametrize("lanes", [
+        np.full(4, 0xFFFF_FFFC),                     # every lane wraps
+        0xFFFF_FFF0 + 4 * np.arange(4)])             # the high lanes do
+    def test_an_element_past_2_32_is_left_to_the_scalar_path(self, lanes):
+        """``row + 4`` of a uint32 row wraps past 2^32 onto page 0: mapped
+        or not, the wide tier does not serve it."""
+        mmu = _mapped_mmu(0, 0xF_FFFF, 0x10_0000)
+        element = lanes.astype(np.uint32) + 4
+        assert element.min() < 4096
+        assert mmu.load_wide_u32(element) is None
+        assert (mmu.translations, mmu.wide_fallbacks) == (0, 1)
+        assert [mmu.load_u32(int(vaddr) + 4) for vaddr in lanes] \
+            == [(int(vaddr) + 4) >> 2 for vaddr in lanes]
+
+
 # -- quad port against the scalar reference (property) ----------------------
 
 

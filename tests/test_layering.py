@@ -245,7 +245,9 @@ def test_a_context_loads_no_compiler():
 
 #: the modules a farm worker runs and a config load must not pay for
 _BUILD_STACK = ("repro.clc.compiler", "repro.gpu.verify.pipeline",
-                "repro.validate.progen", "repro.validate.conformance")
+                "repro.validate.progen", "repro.validate.conformance",
+                "repro.validate.runner", "repro.validate.trace",
+                "repro.inject.campaign", "repro.tenancy.harness")
 
 _FARM_LOAD_PROBE = """
 import json, sys
@@ -257,8 +259,9 @@ print(json.dumps(sorted(set(sys.modules) & set(%r))))
 
 def test_a_farm_config_load_loads_no_build_stack():
     """Loading and expanding the benchmark's farm config (what ``farm
-    plan`` does) loads neither the compiler, the verifier's passes nor
-    the program generator: only a worker runs them."""
+    plan`` does) loads neither the compiler, the verifier's passes, the
+    program generator, the differential runner nor the fault campaign:
+    only a worker runs them."""
     assert json.loads(_probe(_FARM_LOAD_PROBE)) == []
 
 

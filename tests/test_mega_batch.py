@@ -886,6 +886,11 @@ def _words(*indices):
     return _BASE + 4 * np.array(indices, dtype=np.int64)
 
 
+def _u32(*indices):
+    """:func:`_words` as the uint32 row the megakernel hands over."""
+    return _words(*indices).astype(np.uint32)
+
+
 def test_port_serves_loads_from_the_start_and_applies_stores_at_commit():
     mmu, port = _port()
     across = _words(1022, 1023, 1024, 1025, 5, 5, 2048, 2049)
@@ -924,6 +929,8 @@ def test_port_window_that_grows_keeps_its_shadows():
      "port"),   # a lane on an unmapped page
     (lambda port: port.load_wide_u32(_words(0, 1, 2, 3, 4, 5, 6, 1 << 24)),
      "port"),   # more window than the port has
+    (lambda port: port.load_wide_u32(_u32(0, 1, 2, 3, 4, 5, 6, 7) + 2),
+     "port"),   # unaligned lanes of a uint32 row
     (lambda port: [port.store_wide_u32(_words(*range(i, i + 8)),
                                        np.zeros(8, np.uint32))
                    for i in range(0, 1024, 8)], "store-bound"),
@@ -947,6 +954,73 @@ def test_port_pages_between_the_lanes_are_not_the_batch_s(monkeypatch):
                                   (strided - _BASE) >> 2)
     port.commit()
     assert {page - (_BASE >> 12) for page in mmu.pages_accessed} == {0, 2}
+
+
+# -- uint32 lane rows, as the megakernel hands them over ---------------------
+
+
+def test_port_a_lane_below_a_window_s_base_wraps_high():
+    """The second access finds the first's window by its lane 0; its
+    lanes below the window's base wrap high, fail the window check and
+    move it over both pages. Values and, at commit, the counters are
+    the unbatched wide tier's."""
+    batched, port = _port()
+    alone, _ = _port()
+    for vaddrs in (_u32(*range(1024, 1032)),
+                   _u32(1024, 1025, 1026, 1027, 1020, 1021, 1022, 1023)):
+        np.testing.assert_array_equal(port.load_wide_u32(vaddrs),
+                                      alone.load_wide_u32(vaddrs))
+    port.commit()
+    assert (batched.translations, batched.pages_accessed,
+            batched.wide_accesses) \
+        == (alone.translations, alone.pages_accessed, alone.wide_accesses)
+
+
+def test_port_gathers_into_the_address_row_itself():
+    _, port = _port()
+    row = _u32(1022, 1023, 1024, 1025, 5, 5, 2048, 2049)
+    assert port.load_wide_u32(row, None, row) is row
+    assert row.tolist() == [1022, 1023, 1024, 1025, 5, 5, 2048, 2049]
+
+
+def test_port_holds_its_own_copy_of_a_store_s_lane_row():
+    """A store's addresses are kept as the intp index commit scatters
+    through, apart from the register row they came in (which the next
+    slots overwrite), and ``_buffered`` counts what the port holds."""
+    mmu, port = _port()
+    row = _u32(*range(3000, 3008))
+    values = np.arange(8, dtype=np.uint32) + 70
+    assert port.store_wide_u32(row, values)
+    row += 4 * 8
+    values += 100
+    (held, kept), = port._stores
+    assert held.dtype == np.intp and port._buffered \
+        == held.nbytes + kept.nbytes == 8 * (np.dtype(np.intp).itemsize + 4)
+    port.commit()
+    assert [mmu.load_u32(int(vaddr)) for vaddr in _words(*range(3000, 3008))] \
+        == list(range(70, 78))
+
+
+@pytest.mark.parametrize("first, lanes", [
+    # every lane of ``row + 4`` at 0xFFFFFFFC wraps onto page 0
+    (None, np.full(8, 0xFFFF_FFFC, dtype=np.uint32) + 4),
+    # a window over 0xFFFF9..0x100000 (8 pages): lane 7's wrapped
+    # address falls inside it, on the page past 2^32
+    (np.array([0xFFFF_9000] * 4 + [0xFFFF_E000] * 4, dtype=np.uint32),
+     np.array([0xFFFF_9000] * 7 + [0xFFFF_FFFC], dtype=np.uint32) + 4),
+])
+def test_port_leaves_an_element_past_2_32_to_the_reference(first, lanes):
+    """Page 0 and the page past 2^32 are mapped, but a uint32 row names
+    neither by an address that wrapped: the batch abandons, and the
+    scalar replay reads the address that did not wrap."""
+    from tests.test_fast_memory import _mapped_mmu
+
+    mmu = _mapped_mmu(0, *range(0xF_FFF9, 0x10_0001))
+    port = mmu.begin_batch(2, 4)
+    if first is not None:
+        port.load_wide_u32(first)
+    with pytest.raises(BatchAbandoned, match="port"):
+        port.load_wide_u32(lanes)
 
 
 # -- store-free windows --------------------------------------------------------------------

@@ -1221,3 +1221,152 @@ def test_retired_warps_are_a_snapshot():
     for warp, regs in zip(first, before):
         np.testing.assert_array_equal(warp.regs, regs)
         assert (warp.regs[:, REG_GROUP_FLAT] == 0).all()
+
+
+# -- constant shifts and uint32 lane addresses --------------------------------
+
+
+def _traced_outcome(engine, program, mem, lanes=8):
+    """What one traced workgroup of *program* on a bare unit over *mem*
+    raised, counted, retired and recorded, with the MMU's golden
+    counters."""
+    from repro.gpu.shadercore import ComputeUnit, WorkgroupShape
+    from repro.validate.trace import InstructionTracer
+
+    tracer = InstructionTracer()
+    unit = ComputeUnit(engine)
+    unit.prepare(64, instrument=True, tracer=tracer)
+    shape = WorkgroupShape((lanes, 1, 1), (lanes, 1, 1))
+    raised = retired = None
+    try:
+        warps = unit.run_workgroup(
+            program, np.zeros(4, dtype=np.uint32), mem, shape, 0)
+        retired = [(warp.regs[warp.live].tolist(),
+                    warp.temps[warp.live].tolist()) for warp in warps]
+    except Exception as exc:  # compared between the engines
+        raised = (type(exc), str(exc))
+    counters = None if isinstance(mem, _WideStub) \
+        else (mem.translations, sorted(mem.pages_accessed))
+    return (raised, vars(_job_stats(unit, program, shape)), retired,
+            tracer.by_thread, counters)
+
+
+def _split(head, left, right, constants):
+    """*head* then a branch on r0: *left* runs on the lanes where r0 is
+    0, *right* on the rest — each as a masked body."""
+    from repro.gpu.isa import Tail
+
+    return _program(
+        _clause(head, Tail.BRANCH, constants, cond_reg=0, target=2),
+        _clause(left, Tail.END, constants),
+        _clause(right, Tail.END, constants))
+
+
+def _shift_program(amount, masked, shift_amount=None):
+    """r2 = r1 << amount and r3 = r1 >> amount over a different r1 in
+    every lane; *masked*: on each side of a branch."""
+    from repro.gpu.isa import (
+        CONST_BASE, REG_LANE, REG_LOCAL_ID, Instruction, Op, Tail)
+
+    c = CONST_BASE
+    constants = [1, 0x9E37_79B9, amount]
+    head = [Instruction(Op.IAND, dst=0, srca=REG_LANE, srcb=c),
+            Instruction(Op.IMUL, dst=1, srca=REG_LOCAL_ID, srcb=c + 1)]
+    by = c + 2 if shift_amount is None else shift_amount
+    shifts = [Instruction(Op.ISHL, dst=2, srca=1, srcb=by),
+              Instruction(Op.ISHR, dst=3, srca=1, srcb=by)]
+    if not masked:
+        return _program(_clause(head + shifts, Tail.END, constants))
+    return _split(head, shifts, shifts[::-1], constants)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("amount", [0, 1, 31, 32, 33, 0xFFFF_FFFF])
+def test_a_constant_shift_is_one_ufunc_into_its_row(amount, masked):
+    """A shift by a clause constant is ``np.left_shift`` /
+    ``np.right_shift`` by the amount's low five bits, ``out=`` the
+    destination row (``where=`` the mask in a masked body): registers
+    and trace records are the interpreter's."""
+    import linecache
+
+    from repro.gpu.megakernel import emitted_code
+
+    program = _shift_program(amount, masked)
+    mega = _traced_outcome("mega", program, _WideStub())
+    assert mega == _traced_outcome("interpreter", program, _WideStub())
+    assert mega[0] is None and mega[3]
+    source = "".join(linecache.getlines(emitted_code(program).filename))
+    assert "fn_ISHL(" not in source and "fn_ISHR(" not in source
+    where = ", where=mask" if masked else ""
+    assert f"np.left_shift(R[1], {amount & 31}, out=R[2]{where})" in source
+    assert f"np.right_shift(R[1], {amount & 31}, out=R[3]{where})" \
+        in source
+
+
+def test_a_shift_by_a_register_keeps_the_table_call():
+    import linecache
+
+    from repro.gpu.megakernel import emitted_code
+
+    program = _shift_program(0, masked=False, shift_amount=0)  # by r0
+    mega = _traced_outcome("mega", program, _WideStub())
+    assert mega == _traced_outcome("interpreter", program, _WideStub())
+    source = "".join(linecache.getlines(emitted_code(program).filename))
+    assert "fn_ISHL(R[1], R[0])" in source and "np.left_shift" not in source
+
+
+def _load_program(base, width, dst, masked):
+    """``r1 = base + 4 * (lane in quad)`` then an x*width* global load
+    into r*dst*; *masked*: on each side of a branch."""
+    from repro.gpu.isa import CONST_BASE, REG_LANE, Instruction, Op, Tail
+
+    c = CONST_BASE
+    constants = [1, 2, base]
+    head = [Instruction(Op.IAND, dst=0, srca=REG_LANE, srcb=c),
+            Instruction(Op.ISHL, dst=1, srca=REG_LANE, srcb=c + 1),
+            Instruction(Op.IADD, dst=1, srca=1, srcb=c + 2)]
+    load = [Instruction(Op.LD, dst=dst, srca=1,
+                        flags=width.bit_length() - 1)]
+    if not masked:
+        return _program(_clause(head + load, Tail.END, constants))
+    return _split(head, load, load, constants)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_a_vector_load_across_2_32_reads_what_the_interpreter_reads(masked):
+    """The lanes at 0xFFFFFFF0..FC load x4: the later elements of the
+    high lanes lie past 2^32, where ``a + 4k`` of a uint32 row wraps
+    onto page 0. Page 0 is mapped with other words; the wide port
+    leaves it to the scalar replay, whose addresses do not wrap."""
+    from tests.test_fast_memory import _mapped_mmu
+
+    pages = (0, 0xF_FFFF, 0x10_0000)
+    program = _load_program(0xFFFF_FFF0, 4, 2, masked)
+    mega = _traced_outcome("mega", program, _mapped_mmu(*pages))
+    assert mega == _traced_outcome("interpreter", program,
+                                   _mapped_mmu(*pages))
+    assert mega[0] is None
+    lane3 = mega[2][0][0][3]  # the lane at 0xFFFFFFFC
+    assert lane3[2:6] == [0x3FFF_FFFF, 1 << 30, (1 << 30) + 1,
+                          (1 << 30) + 2]
+    assert mega[4][1] == list(pages[1:])
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_a_load_into_its_own_address_register(width, masked):
+    """``ld rX, [rX]``: the converged load gathers into the row it
+    takes its addresses from, lanes across two pages; every element of
+    a vector load still reads at the address the row held before."""
+    from tests.test_fast_memory import VA, _mapped_mmu
+
+    pages = (VA >> 12, (VA >> 12) + 1)
+    program = _load_program(VA + 4096 - 8, width, 1, masked)
+    mega = _traced_outcome("mega", program, _mapped_mmu(*pages))
+    assert mega == _traced_outcome("interpreter", program,
+                                   _mapped_mmu(*pages))
+    assert mega[0] is None
+    regs = mega[2][0][0]
+    for lane in range(4):
+        word = (VA + 4096 - 8 + 4 * lane) >> 2
+        assert regs[lane][1:1 + width] == list(range(word, word + width))
